@@ -6,63 +6,13 @@ paper's OSM extracts; the interesting output of each benchmark is the printed
 figure report plus the qualitative shape assertions.
 """
 
-import json
-import os
-import pathlib
+import gc
 
 import pytest
 
 from repro.bench import ensure_dataset
 from repro.datasets import SyntheticConfig, generate_dataset
 from repro.pfs import ClusterConfig, GPFSFilesystem, LustreFilesystem
-
-#: snapshot file recording this PR's benchmark results (the perf trajectory
-#: of the repo: bump the name each PR so history accumulates in git)
-BENCH_SNAPSHOT = pathlib.Path(__file__).parent / "BENCH_PR10.json"
-SNAPSHOT_TAG = "PR10"
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Dump a compact JSON snapshot of every benchmark that ran.
-
-    The snapshot is written on the first ever run and whenever
-    ``BENCH_SNAPSHOT=1`` is set (CI sets it); otherwise an existing committed
-    snapshot is left untouched so routine local runs don't dirty the tree
-    with timing-only diffs.
-    """
-    if BENCH_SNAPSHOT.exists() and not os.environ.get("BENCH_SNAPSHOT"):
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    rows = []
-    for bench in bench_session.benchmarks:
-        row = {"name": getattr(bench, "name", None), "group": getattr(bench, "group", None)}
-        stats = getattr(bench, "stats", None)
-        if stats is not None:
-            for metric in ("min", "max", "mean", "stddev", "median", "rounds"):
-                value = getattr(stats, metric, None)
-                if value is not None:
-                    row[metric] = float(value)
-        # benchmarks attach simulated-time results (e.g. per-phase virtual
-        # clock breakdowns) via benchmark.extra_info; keep them in the
-        # snapshot so the perf trajectory records more than wall time
-        extra = getattr(bench, "extra_info", None)
-        if extra:
-            row["extra_info"] = dict(extra)
-            # lift latency-distribution summaries out of histogram-shaped
-            # extra_info entries so the snapshot rows pin tail latency
-            # (p50/p95/p99), not just the wall-clock aggregates above
-            for key, value in extra.items():
-                if isinstance(value, dict) and value.get("type") == "histogram":
-                    for pct in ("p50", "p95", "p99"):
-                        if pct in value:
-                            row[f"{key}_{pct}"] = value[pct]
-        rows.append(row)
-    rows.sort(key=lambda r: (r.get("group") or "", r.get("name") or ""))
-    BENCH_SNAPSHOT.write_text(
-        json.dumps({"snapshot": SNAPSHOT_TAG, "benchmarks": rows}, indent=2) + "\n"
-    )
 
 
 @pytest.fixture(scope="session")
@@ -123,8 +73,21 @@ def join_datasets(lustre):
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Run a whole-figure driver exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    """Run a whole-figure driver exactly once under pytest-benchmark.
+
+    The drivers charge measured CPU to the virtual clock, and late in a long
+    session one generation-2 collection over everything the earlier tests
+    left behind costs tens of milliseconds — more than some of the series
+    the shape assertions compare.  So what is alive now is collected once
+    and then frozen out of the collector's sight for the run: a collection
+    inside the driver walks only the driver's own objects.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    finally:
+        gc.unfreeze()
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ PR 7's fault-tolerance layer.  Two properties are pinned:
   and 10% seeded transient-read-fault rates returns identical results at
   every rate, while the per-query simulated-I/O latency histograms record
   how much the retry/backoff machinery pays for the recovery
-  (p50/p95/p99 land in the snapshot rows).
+  (p50/p95/p99 ride ``benchmark.extra_info``).
 
 Set ``FAULTS_QUICK=1`` for the CI smoke variant (fewer queries).
 """

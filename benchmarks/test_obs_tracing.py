@@ -10,9 +10,10 @@ PR 6's observability layer.  Two properties are pinned:
   context, so worker-rank ``local_query`` subtrees reattach to rank 0's
   root ``query`` span).  The JSONL and Chrome ``trace_event`` exports are
   validated by ``scripts/check_trace_schema.py`` — the exact check CI runs;
-* **free when off** — with the default :data:`~repro.obs.NULL_TRACER`, the
-  dispatch in ``StoreEngine.execute`` must cost ≤ 2% over calling the
-  untraced stage loop directly, measured min-of-k on a warm cache so the
+* **free when off** — with the default :data:`~repro.obs.NULL_TRACER`,
+  ``StoreEngine.execute`` (the one stage loop: null span scopes plus the
+  outcome bookkeeping) must cost ≤ 2% over a span-free, outcome-free loop
+  over the same stage objects, measured min-of-k on a warm cache so the
   comparison is pure CPU.
 
 Set ``OBS_QUICK=1`` for the CI smoke variant (2 ranks, fewer queries).
@@ -122,8 +123,9 @@ def test_traced_distributed_query(lustre, obs_store, benchmark, once, tmp_path):
 
 def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
     """With the tracer disabled (the default), ``engine.execute`` must stay
-    within 2% of the untraced stage loop it dispatches to — pinned here so
-    the observability layer can never tax the hot serving path."""
+    within 2% of a stage loop that opens no spans and builds no outcome —
+    pinned here so neither the observability layer nor the degraded-mode
+    bookkeeping can ever tax the hot serving path."""
     queries = obs_store["queries"]
     rounds = 5 if QUICK else 9
 
@@ -132,9 +134,24 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
         engine = store.engine
         assert not store.tracer.enabled
 
+        def reference(queries, exact=True):
+            """plan → fetch → refine over the engine's own stage objects,
+            with no span scope and no outcome object."""
+            results = [[] for _ in queries]
+            plan = engine.planner.plan(queries)
+            engine._record_heat(plan)
+            held = {}
+            if len(plan.touched_pages) <= store._cache.capacity:
+                held = store._get_pages(plan.touched_pages)
+            for j in plan.visit_order:
+                entry = plan.entries[j]
+                pages = held or store._get_pages(entry.by_page)
+                results[entry.position] = engine.executor.refine(entry, pages, exact)
+            return results
+
         # warm the cache so both measurements are pure CPU (no simulated I/O
         # bookkeeping differences), and establish the reference results
-        expected = engine._execute_untraced(queries, exact=True)
+        expected = reference(queries, exact=True)
         via_execute = engine.execute(queries, exact=True)
 
         def timed(fn):
@@ -142,19 +159,19 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
             fn(queries, exact=True)
             return time.perf_counter() - t0
 
-        # paired rounds: both paths timed back to back each round, the
+        # paired rounds: both loops timed back to back each round, the
         # round with the lowest dispatched/direct ratio wins — genuine
-        # dispatch overhead shows in every round, ambient machine noise
-        # (CI neighbours, frequency scaling) only spikes single rounds
+        # overhead shows in every round, ambient machine noise (CI
+        # neighbours, frequency scaling) only spikes single rounds
         direct, dispatched = 1.0, float("inf")
         for _ in range(rounds):
-            d = min(timed(engine._execute_untraced), timed(engine._execute_untraced))
+            d = min(timed(reference), timed(reference))
             v = min(timed(engine.execute), timed(engine.execute))
             if v / d < dispatched / direct:
                 direct, dispatched = d, v
 
         # per-query latency distribution on the warm path (the histogram
-        # summary feeds the p50/p95/p99 columns of the snapshot rows)
+        # summary rides benchmark.extra_info)
         hist = Histogram()
         for qid, window in queries:
             t0 = time.perf_counter()
@@ -165,14 +182,14 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
 
     expected, via_execute, direct, dispatched, hist = once(driver)
 
-    # dispatch is transparent: identical results...
+    # the scopes and the bookkeeping are transparent: identical results...
     assert [[h.record_id for h in hits] for hits in via_execute] == [
         [h.record_id for h in hits] for hits in expected
     ]
     # ...and within the 2% overhead budget on the warm path
     overhead = dispatched / direct if direct > 0 else 1.0
     assert overhead <= 1.02, (
-        f"disabled-tracer dispatch overhead {overhead:.4f} exceeds 1.02 "
+        f"disabled-tracer stage-loop overhead {overhead:.4f} exceeds 1.02 "
         f"({dispatched * 1e6:.1f}µs vs {direct * 1e6:.1f}µs)"
     )
 

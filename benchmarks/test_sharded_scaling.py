@@ -5,7 +5,7 @@ then the same query batch served by a `DistributedStoreServer` on 1/2/4/8
 simulated ranks, cold (pages faulted in) and warm (identical batch from the
 per-rank page caches).  The interesting outputs are the **simulated** phase
 times (route / scatter / local_query / gather, maxima over ranks — the
-paper's Fig. 9-style convention), which land in the benchmark snapshot via
+paper's Fig. 9-style convention), attached to the pytest-benchmark row via
 ``benchmark.extra_info``.
 
 Expected shape: local query time shrinks as ranks/shards are added (each
@@ -95,7 +95,7 @@ def test_sharded_serving_scaling(lustre, sharded_dataset, benchmark, once, nrank
     )
     report.print()
 
-    # the per-phase virtual-time breakdown goes into BENCH_PR2.json
+    # the per-phase virtual-time breakdown rides the pytest-benchmark row
     benchmark.extra_info["nranks"] = nranks
     benchmark.extra_info["mode"] = mode
     benchmark.extra_info["phases_sim_seconds"] = {k: float(v) for k, v in phases.items()}

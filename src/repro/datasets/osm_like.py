@@ -10,6 +10,7 @@ scale of roughly ``1e4``–``1e5``, far beyond this environment.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
@@ -93,7 +94,9 @@ def generate_dataset(
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASETS)}")
     spec = DATASETS[name]
     count = max(10, int(round(spec.base_count * scale)))
-    cfg = config or SyntheticConfig(seed=hash(name) % (2**31))
+    # crc32, not hash(): str hashes are salted per process, and a named
+    # dataset must be the same bytes in every run
+    cfg = config or SyntheticConfig(seed=zlib.crc32(name.encode()) % (2**31))
     records = spec.generator(count, cfg)
     payload = "\n".join(records) + "\n"
     target = path or dataset_path(name)

@@ -42,6 +42,7 @@ from .format import (
     PageMeta,
     StoreError,
     StoreFormatError,
+    StoreHeader,
     unpack_header,
     unpack_page_checksums,
     unpack_page_directory,
@@ -475,32 +476,41 @@ class SpatialDataStore:
         )
         manifest = StoreManifest.from_json(manifest_raw.decode("utf-8"))
 
-        with fs.open(paths["data"]) as fh:
-            header = unpack_header(
-                _pread(fh, paths["data"], 0, HEADER_SIZE), file_size=fh.size
-            )
-            tail_nbytes = header.dir_nbytes + header.checksum_nbytes
-            tail = _pread(fh, paths["data"], header.dir_offset, tail_nbytes)
+        def _read_container(path: str) -> Tuple[StoreHeader, List[PageMeta]]:
+            """Header → page directory + checksum tail of one container."""
+            nonlocal io_seconds
+            with fs.open(path) as fh:
+                header = unpack_header(
+                    _pread(fh, path, 0, HEADER_SIZE), file_size=fh.size
+                )
+                tail_nbytes = header.dir_nbytes + header.checksum_nbytes
+                tail = _pread(fh, path, header.dir_offset, tail_nbytes)
+                io_seconds += fs.open_time()
+                io_seconds += fs.read_time(
+                    path,
+                    [ReadRequest(0, ((0, HEADER_SIZE), (header.dir_offset, tail_nbytes)))],
+                )
+            pages = unpack_page_directory(tail[: header.dir_nbytes], header.num_pages)
+            if header.has_checksums:
+                crcs = unpack_page_checksums(tail[header.dir_nbytes :], header.num_pages)
+                pages = [replace(meta, crc32=crc) for meta, crc in zip(pages, crcs)]
+            return header, pages
+
+        def _read_index(path: str) -> STRtree:
+            nonlocal io_seconds
+            raw = _read_file(path)
             io_seconds += fs.open_time()
-            io_seconds += fs.read_time(
-                paths["data"],
-                [ReadRequest(0, ((0, HEADER_SIZE), (header.dir_offset, tail_nbytes)))],
-            )
-        pages = unpack_page_directory(tail[: header.dir_nbytes], header.num_pages)
-        if header.has_checksums:
-            crcs = unpack_page_checksums(tail[header.dir_nbytes :], header.num_pages)
-            pages = [replace(meta, crc32=crc) for meta, crc in zip(pages, crcs)]
+            io_seconds += fs.read_time(path, [ReadRequest(0, ((0, len(raw)),))])
+            return load_index(raw)
+
+        header, pages = _read_container(paths["data"])
         if header.num_pages != manifest.num_pages or header.num_records != manifest.num_records:
             raise StoreFormatError(
                 f"manifest and container disagree for store {name!r}: "
                 f"{manifest.num_pages}/{manifest.num_records} vs "
                 f"{header.num_pages}/{header.num_records} pages/records"
             )
-
-        index_raw = _read_file(paths["index"])
-        io_seconds += fs.open_time()
-        io_seconds += fs.read_time(paths["index"], [ReadRequest(0, ((0, len(index_raw)),))])
-        index = load_index(index_raw)
+        index = _read_index(paths["index"])
 
         deltas: List[Tuple[GenerationInfo, List[PageMeta], STRtree, int]] = []
         for info in manifest.generations:
@@ -509,46 +519,15 @@ class SpatialDataStore:
                 deltas.append((info, [], STRtree([]), VERSION))
                 continue
             dpaths = delta_paths(name, info.gen_id)
-            with fs.open(dpaths["data"]) as fh:
-                dheader = unpack_header(
-                    _pread(fh, dpaths["data"], 0, HEADER_SIZE), file_size=fh.size
-                )
-                dtail_nbytes = dheader.dir_nbytes + dheader.checksum_nbytes
-                dtail = _pread(fh, dpaths["data"], dheader.dir_offset, dtail_nbytes)
-                io_seconds += fs.open_time()
-                io_seconds += fs.read_time(
-                    dpaths["data"],
-                    [ReadRequest(0, ((0, HEADER_SIZE), (dheader.dir_offset, dtail_nbytes)))],
-                )
+            dheader, delta_pages = _read_container(dpaths["data"])
             if dheader.num_pages != info.num_pages:
                 raise StoreFormatError(
                     f"manifest and delta container disagree for generation "
                     f"{info.gen_id} of store {name!r}: {info.num_pages} vs "
                     f"{dheader.num_pages} pages"
                 )
-            delta_pages = unpack_page_directory(
-                dtail[: dheader.dir_nbytes], dheader.num_pages
-            )
-            if dheader.has_checksums:
-                dcrcs = unpack_page_checksums(
-                    dtail[dheader.dir_nbytes :], dheader.num_pages
-                )
-                delta_pages = [
-                    replace(meta, crc32=crc)
-                    for meta, crc in zip(delta_pages, dcrcs)
-                ]
-            dindex_raw = _read_file(dpaths["index"])
-            io_seconds += fs.open_time()
-            io_seconds += fs.read_time(
-                dpaths["index"], [ReadRequest(0, ((0, len(dindex_raw)),))]
-            )
             deltas.append(
-                (
-                    info,
-                    delta_pages,
-                    load_index(dindex_raw),
-                    dheader.version,
-                )
+                (info, delta_pages, _read_index(dpaths["index"]), dheader.version)
             )
 
         store = cls(
@@ -871,7 +850,9 @@ class SpatialDataStore:
         *failed* and the surviving pages are returned (degraded mode).
         """
         tracer = self.tracer
-        if not tracer.enabled:
+        # one "schedule" span per resolution (its "io" children are the
+        # coalesced runs the misses turned into)
+        with tracer.span("schedule") as span:
             out: Dict[PageKey, CachedPage] = {}
             missing: List[PageKey] = []
             for key in sorted({self._page_key(k) for k in page_ids}):
@@ -883,33 +864,12 @@ class SpatialDataStore:
                     missing.append(key)
                 else:
                     out[key] = page
-            if missing:
-                if failed is None:
-                    # two-positional call shape kept for instrumentation
-                    # wrappers around _fetch_missing
-                    out.update(self._fetch_missing(missing, admit))
-                else:
-                    out.update(self._fetch_missing(missing, admit, failed=failed))
-            return out
-        # traced path: one "schedule" span per resolution (its "io" children
-        # are the coalesced runs the misses turned into)
-        with tracer.span("schedule") as span:
-            out = {}
-            missing = []
-            for key in sorted({self._page_key(k) for k in page_ids}):
-                if self._quarantined and key in self._quarantined:
-                    self._fail_quarantined(key, failed)
-                    continue
-                page = self._cache.get(key)
-                if page is None:
-                    missing.append(key)
-                else:
-                    out[key] = page
-            span.set(
-                requested=len(out) + len(missing),
-                cache_hits=len(out),
-                cache_misses=len(missing),
-            )
+            if tracer.enabled:
+                span.set(
+                    requested=len(out) + len(missing),
+                    cache_hits=len(out),
+                    cache_misses=len(missing),
+                )
             if missing:
                 if failed is None:
                     # two-positional call shape kept for instrumentation
@@ -1087,15 +1047,9 @@ class SpatialDataStore:
         admit = self.admission != "no_scan"
         run_len = self._cache.capacity if self._cache.capacity > 0 else 16
         seen: set = set()
-        tombstones = self._tombstone_gen
+        # replica de-dup + tombstone shadowing: the engine's refine-phase rule
+        surviving_slots = self.engine.executor._surviving_slots
         for gen in reversed(self.generations):
-            # ids shadowed at this generation, as one set (same shadowing
-            # rule as the engine's refine phase)
-            shadow = (
-                {rid for rid, tg in tombstones.items() if tg > gen.gen_id}
-                if tombstones
-                else set()
-            )
             for start in range(0, len(gen.pages), run_len):
                 keys = [
                     PageKey(gen.gen_id, pid)
@@ -1104,31 +1058,7 @@ class SpatialDataStore:
                 pages = self._get_pages(keys, admit=admit)
                 for key in keys:
                     page = pages[key]
-                    ids = page.record_ids
-                    page_ids = set(ids)
-                    if len(page_ids) == len(ids):
-                        # bulk path: de-dup + tombstones as set operations
-                        # (ids are unique within a page — pages never span
-                        # partitions)
-                        live = page_ids - seen if seen else page_ids
-                        if shadow:
-                            live -= shadow
-                        if not live:
-                            continue
-                        seen |= live
-                        record = page.record
-                        if len(live) == len(ids):
-                            for slot in range(len(ids)):
-                                yield record(slot)
-                        else:
-                            for slot, rid in enumerate(ids):
-                                if rid in live:
-                                    yield record(slot)
-                    else:
-                        # duplicate ids within one page cannot come from the
-                        # writers; keep first-wins slot order anyway
-                        for slot, rid in enumerate(ids):
-                            if rid in seen or rid in shadow:
-                                continue
-                            seen.add(rid)
-                            yield page.record(slot)
+                    live, _, _ = surviving_slots(
+                        page, range(page.count), gen.gen_id, seen
+                    )
+                    yield from map(page.record, live)

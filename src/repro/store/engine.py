@@ -19,7 +19,9 @@ engine makes each stage an explicit object with one owner:
   envelope column *before* any decode, lazy per-slot WKB/pickle decode, and
   the rectangular-window containment shortcut.
 
-:class:`StoreEngine` composes the three over one open store.  The sharded
+:class:`StoreEngine` composes the three over one open store in **one**
+stage loop (:meth:`StoreEngine.execute_outcome`; strict serving, degraded
+serving and traced serving are modes of it, not copies).  The sharded
 server serves each shard through that shard store's engine, so the single
 and distributed paths can never diverge; the async front-end
 (:mod:`repro.store.frontend`) multiplexes batches over the same machinery.
@@ -32,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Un
 
 from ..geometry import Envelope, Geometry, Polygon, predicates
 from ..index import STRtree, spatial_visit_order
+from ..obs.trace import NULL_TRACER
 from .format import PageKey, StoreError
 from .manifest import StoreManifest
 from .page import CachedPage
@@ -236,13 +239,14 @@ class RefineExecutor:
         self,
         partition_of_page: Dict[PageKey, int],
         tombstone_gen: Optional[Dict[int, int]] = None,
-        stats=None,
+        store: Optional["SpatialDataStore"] = None,
     ) -> None:
         self._partition_of_page = partition_of_page
         #: record id -> newest generation that tombstoned it
         self._tombstone_gen = tombstone_gen or {}
-        #: optional StoreStats to charge slots_scanned / bulk_filter_batches
-        self._stats = stats
+        #: optional owning store: its stats are charged slots_scanned /
+        #: bulk_filter_batches and its tracer records the ``decode`` spans
+        self._store = store
         #: generation -> frozenset of record ids shadowed at that generation
         self._shadow_cache: Dict[int, frozenset] = {}
 
@@ -262,10 +266,10 @@ class RefineExecutor:
     def _surviving_slots(
         self,
         page: CachedPage,
-        slots: List[int],
+        slots: Sequence[int],
         generation: int,
         seen: set,
-    ) -> Tuple[List[int], int, int]:
+    ) -> Tuple[Sequence[int], int, int]:
         """Bulk de-dup + tombstone shadowing for one page's candidates.
 
         Returns ``(survivors, replicas_skipped, tombstone_drops)`` and
@@ -315,20 +319,28 @@ class RefineExecutor:
         exact: bool,
         lazy: bool = False,
     ) -> List["QueryHit"]:
-        hits, _counts = self._refine_bulk(entry, pages, exact, lazy)
-        return hits
+        """Refine one plan entry against its fetched *pages*: **classify,
+        then emit**.  Per page, the surviving slots split into ``proven``
+        (the predicate holds without evaluating it: page-level or per-slot
+        MBR containment in a rectangular window, or an MBR-only query) and
+        ``check`` (decode + exact predicate); proven slots are emitted as
+        zero-copy views under ``lazy``, decoded records otherwise.
 
-    def _refine_bulk(
-        self,
-        entry: PlanEntry,
-        pages: Dict[PageKey, CachedPage],
-        exact: bool,
-        lazy: bool,
-    ) -> Tuple[List["QueryHit"], Tuple[int, int, int, int, int]]:
-        """The vectorized refine loop shared by the traced and untraced
-        paths; returns the sorted hits plus ``(slots_scanned, batches,
-        replicas_skipped, tombstone_drops, rect_shortcuts)``."""
+        Under a recording tracer the call is one ``decode`` span accounting
+        every skip/drop/shortcut decision.  Its ``records_decoded`` is the
+        :class:`~repro.store.datastore.StoreStats` movement of this entry
+        (charged through the lazy-decode callback), so EXPLAIN's refine
+        section can never disagree with the stats delta; ``slots_scanned``
+        and ``bulk_filter_batches`` are how an EXPLAIN report shows the bulk
+        filter's selectivity.
+        """
         from .datastore import QueryHit
+
+        store = self._store
+        # read at call time: explain() swaps the store's tracer
+        tracer = store.tracer if store is not None else NULL_TRACER
+        if tracer.enabled:
+            decoded_before = store.stats.records_decoded
 
         refine_geom: Optional[Geometry] = None
         rect_window: Optional[Envelope] = None
@@ -346,120 +358,86 @@ class RefineExecutor:
         seen: set = set()
         part_of = self._partition_of_page
         slots_scanned = batches = replicas = tombs = shortcuts = 0
-        for key in sorted(entry.by_page, key=_newest_first):
-            slots = entry.by_page[key]
-            nslots = len(slots)
-            slots_scanned += nslots
-            batches += 1
-            if not nslots:
-                continue
-            page = pages[key]
-            partition_id = part_of.get(key, -1)
-            generation, page_id = key
-            survivors, page_replicas, page_tombs = self._surviving_slots(
-                page, slots, generation, seen
-            )
-            replicas += page_replicas
-            tombs += page_tombs
-            if not survivors:
-                continue
-            page_record = page.record
-            if use_rect:
-                if page.minxs is None:
-                    # one-time v1 column upgrade: after this the page rides
-                    # the same bulk path as v2
-                    page.ensure_envelopes()
-                px0, py0, px1, py1, has_empty = page.env_summary()
-                if (
-                    not has_empty
-                    and px0 <= px1
-                    and py0 <= py1
-                    and px0 >= wx0
-                    and px1 <= wx1
-                    and py0 >= wy0
-                    and py1 <= wy1
-                ):
-                    # page-level containment: every survivor is provably a
-                    # hit — no per-slot envelope work at all
-                    shortcuts += len(survivors)
-                    if lazy:
-                        page_view = page.view
-                        for slot in survivors:
-                            view = page_view(slot)
-                            hits_append(
-                                QueryHit(
-                                    view.record_id, view, partition_id,
-                                    page_id, generation,
-                                )
-                            )
-                    else:
-                        for slot in survivors:
-                            rid, geom = page_record(slot)
-                            hits_append(
-                                QueryHit(rid, geom, partition_id, page_id, generation)
-                            )
+        with tracer.span("decode", query_id=entry.query_id) as span:
+            for key in sorted(entry.by_page, key=_newest_first):
+                slots = entry.by_page[key]
+                nslots = len(slots)
+                slots_scanned += nslots
+                batches += 1
+                if not nslots:
                     continue
-                mask = page.contained_mask(survivors, wx0, wy0, wx1, wy1)
+                page = pages[key]
+                partition_id = part_of.get(key, -1)
+                generation, page_id = key
+                survivors, page_replicas, page_tombs = self._surviving_slots(
+                    page, slots, generation, seen
+                )
+                replicas += page_replicas
+                tombs += page_tombs
+                if not survivors:
+                    continue
+                # classify
+                proven: Sequence[int] = survivors
+                check: Sequence[int] = ()
+                if use_rect:
+                    if page.minxs is None:
+                        # one-time v1 column upgrade: after this the page
+                        # rides the same bulk path as v2
+                        page.ensure_envelopes()
+                    px0, py0, px1, py1, has_empty = page.env_summary()
+                    page_contained = (
+                        not has_empty
+                        and px0 <= px1
+                        and py0 <= py1
+                        and px0 >= wx0
+                        and px1 <= wx1
+                        and py0 >= wy0
+                        and py1 <= wy1
+                    )
+                    # page-level containment proves every survivor with no
+                    # per-slot envelope work at all
+                    if not page_contained:
+                        mask = page.contained_mask(survivors, wx0, wy0, wx1, wy1)
+                        proven = [s for s, c in zip(survivors, mask) if c]
+                        check = [s for s, c in zip(survivors, mask) if not c]
+                    shortcuts += len(proven)
+                elif refine_geom is not None:
+                    # non-rectangular window: decode + exact predicate
+                    proven, check = (), survivors
+                # emit (MBR-only queries land here with every survivor proven)
+                page_record = page.record
                 if lazy:
-                    page_view = page.view
-                    for slot, contained in zip(survivors, mask):
-                        if contained:
-                            shortcuts += 1
-                            view = page_view(slot)
-                            hits_append(
-                                QueryHit(
-                                    view.record_id, view, partition_id,
-                                    page_id, generation,
-                                )
+                    for view in map(page.view, proven):
+                        hits_append(
+                            QueryHit(
+                                view.record_id, view, partition_id, page_id, generation
                             )
-                        else:
-                            rid, geom = page_record(slot)
-                            if predicates.intersects(refine_geom, geom):
-                                hits_append(
-                                    QueryHit(
-                                        rid, geom, partition_id, page_id, generation
-                                    )
-                                )
+                        )
                 else:
-                    for slot, contained in zip(survivors, mask):
-                        rid, geom = page_record(slot)
-                        if contained:
-                            shortcuts += 1
-                        elif not predicates.intersects(refine_geom, geom):
-                            continue
+                    for rid, geom in map(page_record, proven):
                         hits_append(
                             QueryHit(rid, geom, partition_id, page_id, generation)
                         )
-            elif refine_geom is not None:
-                # non-rectangular window: decode + exact predicate
-                for slot in survivors:
-                    rid, geom = page_record(slot)
+                for rid, geom in map(page_record, check):
                     if predicates.intersects(refine_geom, geom):
                         hits_append(
                             QueryHit(rid, geom, partition_id, page_id, generation)
                         )
-            elif lazy:
-                # MBR-only query: every survivor is a hit, none needs decode
-                page_view = page.view
-                for slot in survivors:
-                    view = page_view(slot)
-                    hits_append(
-                        QueryHit(
-                            view.record_id, view, partition_id, page_id, generation
-                        )
-                    )
-            else:
-                for slot in survivors:
-                    rid, geom = page_record(slot)
-                    hits_append(
-                        QueryHit(rid, geom, partition_id, page_id, generation)
-                    )
-        hits.sort(key=_by_record_id)
-        stats = self._stats
-        if stats is not None:
-            stats.slots_scanned += slots_scanned
-            stats.bulk_filter_batches += batches
-        return hits, (slots_scanned, batches, replicas, tombs, shortcuts)
+            hits.sort(key=_by_record_id)
+            if store is not None:
+                store.stats.slots_scanned += slots_scanned
+                store.stats.bulk_filter_batches += batches
+            if tracer.enabled:
+                span.set(
+                    replicas_skipped=replicas,
+                    tombstone_drops=tombs,
+                    records_decoded=store.stats.records_decoded - decoded_before,
+                    rect_shortcuts=shortcuts,
+                    slots_scanned=slots_scanned,
+                    bulk_filter_batches=batches,
+                    num_hits=len(hits),
+                )
+        return hits
 
     def refine_reference(
         self,
@@ -509,38 +487,6 @@ class RefineExecutor:
         hits.sort(key=lambda h: h.record_id)
         return hits
 
-    def refine_traced(
-        self,
-        entry: PlanEntry,
-        pages: Dict[PageKey, CachedPage],
-        exact: bool,
-        tracer,
-        stats,
-        lazy: bool = False,
-    ) -> List["QueryHit"]:
-        """:meth:`refine` with a per-entry ``decode`` span accounting every
-        skip/drop/shortcut decision.  ``records_decoded`` on the span is the
-        :class:`~repro.store.datastore.StoreStats` movement of this entry
-        (charged through the lazy-decode callback), so EXPLAIN's refine
-        section can never disagree with the stats delta.  The span also
-        carries ``slots_scanned`` and ``bulk_filter_batches``, which is how
-        an EXPLAIN report shows the bulk filter's selectivity.
-        """
-        decoded_before = stats.records_decoded
-        with tracer.span("decode", query_id=entry.query_id) as span:
-            hits, counts = self._refine_bulk(entry, pages, exact, lazy)
-            slots_scanned, batches, replicas, tombs, shortcuts = counts
-            span.set(
-                replicas_skipped=replicas,
-                tombstone_drops=tombs,
-                records_decoded=stats.records_decoded - decoded_before,
-                rect_shortcuts=shortcuts,
-                slots_scanned=slots_scanned,
-                bulk_filter_batches=batches,
-                num_hits=len(hits),
-            )
-        return hits
-
 
 class StoreEngine:
     """Plan → schedule → refine over one open :class:`SpatialDataStore`.
@@ -548,8 +494,10 @@ class StoreEngine:
     The engine owns the planner and refine executor; the store keeps the
     cache, the file handle and the statistics, and exposes them through
     ``_get_pages`` (which routes misses through the store's
-    :class:`~repro.store.scheduler.IOScheduler`).  ``execute`` is the one
-    batch entry point every serving path funnels into.
+    :class:`~repro.store.scheduler.IOScheduler`).  There is **one** stage
+    loop, :meth:`execute_outcome`: it always builds a
+    :class:`BatchOutcome`, and :meth:`execute` — the strict entry point
+    every plain query funnels into — returns that outcome's hit lists.
     """
 
     def __init__(self, store: "SpatialDataStore") -> None:
@@ -558,7 +506,7 @@ class StoreEngine:
             store.manifest, store.index, store.generations[1:]
         )
         self.executor = RefineExecutor(
-            store._partition_of_page, store._tombstone_gen, store.stats
+            store._partition_of_page, store._tombstone_gen, store
         )
         #: partition id -> cached heat Counter handle (see :meth:`_record_heat`)
         self._heat: Dict[int, Any] = {}
@@ -571,10 +519,10 @@ class StoreEngine:
     def _record_heat(self, plan: QueryPlan) -> None:
         """Charge per-partition query-heat counters: each planned query
         increments ``store.partition_heat{partition=p}`` once per partition
-        it touches.  This runs on **both** execute paths (heat is a metric,
-        not a trace), is the input a skew-aware rebalancer needs, and caches
-        the Counter handles so the steady-state cost is one dict hit per
-        (query, partition) pair.
+        it touches.  Heat is a metric, not a trace — it is charged whether
+        or not a tracer records — is the input a skew-aware rebalancer
+        needs, and caches the Counter handles so the steady-state cost is
+        one dict hit per (query, partition) pair.
         """
         heat = self._heat
         metrics = self.store.metrics
@@ -588,6 +536,29 @@ class StoreEngine:
                     )
                 counter.inc()
 
+    def _describe_plan(self, plan: QueryPlan, span) -> int:
+        """Set the ``plan`` span's attributes; returns the candidate count."""
+        part_of = self.store._partition_of_page
+        partitions = {
+            part_of.get(key, -1) for entry in plan.entries for key in entry.by_page
+        }
+        by_generation: Dict[int, int] = {}
+        for entry in plan.entries:
+            for key, slots in entry.by_page.items():
+                by_generation[key.generation] = (
+                    by_generation.get(key.generation, 0) + len(slots)
+                )
+        candidates = sum(by_generation.values())
+        span.set(
+            entries=len(plan.entries),
+            touched_pages=len(plan.touched_pages),
+            partitions_visited=len(partitions),
+            candidates=candidates,
+            candidates_by_generation=by_generation,
+            generations=len(by_generation),
+        )
+        return candidates
+
     # ------------------------------------------------------------------ #
     def execute(
         self,
@@ -596,27 +567,16 @@ class StoreEngine:
         lazy: bool = False,
     ) -> List[List["QueryHit"]]:
         """Serve a batch of ``(query_id, window)`` queries through the staged
-        pipeline; returns one hit list per query, in input order.
-
-        The batch working set is bulk-fetched up front only when the cache
-        can actually hold it; otherwise each query fetches its own pages
-        (still coalesced per query) so memory stays bounded by one query's
-        working set.
+        pipeline; returns one hit list per query, in input order — the
+        strict form of :meth:`execute_outcome` (the first unreadable page
+        raises).
 
         With ``lazy``, hits whose MBR containment already proves the
         predicate carry a zero-copy
         :class:`~repro.store.page.RecordView` instead of a decoded
         geometry (see :class:`RefineExecutor`).
-
-        Dispatches to one of two bodies: :meth:`_execute_traced` when the
-        store's tracer is recording, or :meth:`_execute_untraced` — the
-        stage loop exactly as it stood before tracing existed — so the
-        tracing-disabled hot path pays one attribute read and one branch,
-        nothing else (the ≤2 % no-op overhead budget the benchmark pins).
         """
-        if self.store.tracer.enabled:
-            return self._execute_traced(queries, exact, lazy)
-        return self._execute_untraced(queries, exact, lazy)
+        return self.execute_outcome(queries, exact=exact, lazy=lazy).hits
 
     def execute_outcome(
         self,
@@ -624,9 +584,15 @@ class StoreEngine:
         exact: bool = True,
         partial_ok: bool = False,
         budget: Optional[float] = None,
+        lazy: bool = False,
     ) -> BatchOutcome:
-        """:meth:`execute` with an explicit outcome: degraded-mode partial
-        results and a per-batch I/O deadline.
+        """The stage loop: plan → record heat → fetch → refine, with an
+        explicit outcome.
+
+        The batch working set is bulk-fetched up front only when the cache
+        can actually hold it; otherwise each query fetches its own pages
+        (still coalesced per query) so memory stays bounded by one query's
+        working set.
 
         With ``partial_ok`` an unreadable page (checksum quarantine, retry
         exhaustion) no longer aborts the batch: affected queries return the
@@ -636,153 +602,89 @@ class StoreEngine:
         backoff included): once spent (a zero budget is spent from the
         start), remaining entries are not fetched —
         ``partial_ok`` decides whether that degrades the outcome or raises
-        :class:`DeadlineExceeded`.  Without either knob this is
-        :meth:`execute` wrapped in a trivially complete outcome.
+        :class:`DeadlineExceeded`.  Without either knob the loop is strict:
+        the first bad page raises and the outcome is trivially complete.
+
+        The loop runs inside the span hierarchy ``query → plan → schedule →
+        io → refine → decode`` (schedule/io spans come from the store's
+        page-fetch path, decode spans from :meth:`RefineExecutor.refine`).
+        The scopes are opened unconditionally — the null tracer hands back
+        one shared no-op scope — and only the *computation* of span
+        attributes sits behind ``tracer.enabled``.
         """
         store = self.store
-        if not partial_ok and budget is None:
-            return BatchOutcome(self.execute(queries, exact=exact), True)
-
+        tracer = store.tracer
         queries = list(queries)
         results: List[List["QueryHit"]] = [[] for _ in queries]
-        plan = self.planner.plan(queries)
-        if not plan.entries:
-            return BatchOutcome(results, True)
-        self._record_heat(plan)
-
         failed: List[Tuple[PageKey, Exception]] = []
         incomplete: List[int] = []
         collect = failed if partial_ok else None
         io_start = store.stats.io_seconds
-
-        held: Dict[PageKey, CachedPage] = {}
-        touched = plan.touched_pages
-        # bulk prefetch is skipped under a budget: the deadline is checked
-        # between entries, so I/O has to be issued entry by entry
-        if budget is None and 0 < len(touched) <= store._cache.capacity:
-            held = store._get_pages(touched, failed=collect)
-
-        for j in plan.visit_order:
-            entry = plan.entries[j]
-            if budget is not None and store.stats.io_seconds - io_start >= budget:
-                exc: Exception = DeadlineExceeded(
-                    f"query batch on store {store.name!r} exceeded its "
-                    f"{budget:g}s I/O budget"
-                )
-                if not partial_ok:
-                    raise exc
-                failed.extend((key, exc) for key in entry.by_page)
-                incomplete.append(entry.position)
-                continue
-            pages = held if held else store._get_pages(entry.by_page, failed=collect)
-            if any(key not in pages for key in entry.by_page):
-                available = {k: s for k, s in entry.by_page.items() if k in pages}
-                incomplete.append(entry.position)
-                if not available:
-                    continue
-                entry = PlanEntry(
-                    entry.position, entry.query_id, entry.env, entry.geom, available
-                )
-            results[entry.position] = self.executor.refine(entry, pages, exact)
-
-        # one cause per distinct page (entries may share a failed page)
-        causes: Dict[PageKey, Exception] = {}
-        for key, exc in failed:
-            causes.setdefault(key, exc)
-        failed_pages = sorted(causes.items())
-        missing = sorted(
-            {store._partition_of_page.get(key, -1) for key, _ in failed_pages}
-        )
-        return BatchOutcome(
-            hits=results,
-            complete=not failed_pages and not incomplete,
-            failed_pages=[(key, exc) for key, exc in failed_pages],
-            missing_partitions=missing,
-            incomplete_queries=sorted(set(incomplete)),
-        )
-
-    def _execute_untraced(
-        self,
-        queries: Sequence[Tuple[Any, Union[Envelope, Geometry]]],
-        exact: bool = True,
-        lazy: bool = False,
-    ) -> List[List["QueryHit"]]:
-        queries = list(queries)
-        results: List[List["QueryHit"]] = [[] for _ in queries]
-        plan = self.planner.plan(queries)
-        if not plan.entries:
-            return results
-        self._record_heat(plan)
-
-        held: Dict[int, CachedPage] = {}
-        touched = plan.touched_pages
-        if 0 < len(touched) <= self.store._cache.capacity:
-            held = self.store._get_pages(touched)
-
-        for j in plan.visit_order:
-            entry = plan.entries[j]
-            pages = held if held else self.store._get_pages(entry.by_page)
-            results[entry.position] = self.executor.refine(entry, pages, exact, lazy)
-        return results
-
-    def _execute_traced(
-        self,
-        queries: Sequence[Tuple[Any, Union[Envelope, Geometry]]],
-        exact: bool = True,
-        lazy: bool = False,
-    ) -> List[List["QueryHit"]]:
-        """The same stage loop wrapped in the span hierarchy
-        ``query → plan → schedule → io → refine → decode`` (schedule/io
-        spans come from the store's page-fetch path, decode spans from
-        :meth:`RefineExecutor.refine_traced`)."""
-        tracer = self.store.tracer
-        queries = list(queries)
-        results: List[List["QueryHit"]] = [[] for _ in queries]
+        candidates = 0
         with tracer.span("query", num_queries=len(queries), exact=exact) as qspan:
             with tracer.span("plan") as pspan:
                 plan = self.planner.plan(queries)
                 if plan.entries:
                     self._record_heat(plan)
-                part_of = self.store._partition_of_page
-                partitions = {
-                    part_of.get(key, -1)
-                    for entry in plan.entries
-                    for key in entry.by_page
-                }
-                candidates = 0
-                by_generation: Dict[int, int] = {}
-                for entry in plan.entries:
-                    for key, slots in entry.by_page.items():
-                        candidates += len(slots)
-                        by_generation[key.generation] = (
-                            by_generation.get(key.generation, 0) + len(slots)
+                if tracer.enabled:
+                    candidates = self._describe_plan(plan, pspan)
+            if plan.entries:
+                held: Dict[PageKey, CachedPage] = {}
+                touched = plan.touched_pages
+                # bulk prefetch is skipped under a budget: the deadline is
+                # checked between entries, so I/O has to be issued entry by
+                # entry
+                if budget is None and len(touched) <= store._cache.capacity:
+                    held = store._get_pages(touched, failed=collect)
+                with tracer.span("refine", candidates=candidates) as rspan:
+                    for j in plan.visit_order:
+                        entry = plan.entries[j]
+                        if (
+                            budget is not None
+                            and store.stats.io_seconds - io_start >= budget
+                        ):
+                            exc: Exception = DeadlineExceeded(
+                                f"query batch on store {store.name!r} exceeded "
+                                f"its {budget:g}s I/O budget"
+                            )
+                            if not partial_ok:
+                                raise exc
+                            failed.extend((key, exc) for key in entry.by_page)
+                            incomplete.append(entry.position)
+                            continue
+                        pages = held or store._get_pages(entry.by_page, failed=collect)
+                        # a page can only be absent after a collected failure
+                        if failed and any(key not in pages for key in entry.by_page):
+                            available = {
+                                k: s for k, s in entry.by_page.items() if k in pages
+                            }
+                            incomplete.append(entry.position)
+                            if not available:
+                                continue
+                            entry = PlanEntry(
+                                entry.position, entry.query_id, entry.env,
+                                entry.geom, available,
+                            )
+                        results[entry.position] = self.executor.refine(
+                            entry, pages, exact, lazy
                         )
-                pspan.set(
-                    entries=len(plan.entries),
-                    touched_pages=len(plan.touched_pages),
-                    partitions_visited=len(partitions),
-                    candidates=candidates,
-                    candidates_by_generation=by_generation,
-                    generations=len(by_generation),
-                )
-            if not plan.entries:
-                qspan.set(num_hits=0)
-                return results
+                    if tracer.enabled:
+                        rspan.set(num_hits=sum(map(len, results)))
+            if tracer.enabled:
+                qspan.set(num_hits=sum(map(len, results)))
 
-            held: Dict[int, CachedPage] = {}
-            touched = plan.touched_pages
-            if 0 < len(touched) <= self.store._cache.capacity:
-                held = self.store._get_pages(touched)
-
-            num_hits = 0
-            with tracer.span("refine", candidates=candidates) as rspan:
-                for j in plan.visit_order:
-                    entry = plan.entries[j]
-                    pages = held if held else self.store._get_pages(entry.by_page)
-                    results[entry.position] = self.executor.refine_traced(
-                        entry, pages, exact, tracer, self.store.stats, lazy
-                    )
-                    num_hits += len(results[entry.position])
-                rspan.set(num_hits=num_hits)
-            qspan.set(num_hits=num_hits)
-        return results
+        if not failed and not incomplete:
+            return BatchOutcome(results, True)
+        # one cause per distinct page (entries may share a failed page)
+        causes: Dict[PageKey, Exception] = {}
+        for key, exc in failed:
+            causes.setdefault(key, exc)
+        return BatchOutcome(
+            hits=results,
+            complete=False,
+            failed_pages=sorted(causes.items()),
+            missing_partitions=sorted(
+                {store._partition_of_page.get(key, -1) for key in causes}
+            ),
+            incomplete_queries=sorted(set(incomplete)),
+        )

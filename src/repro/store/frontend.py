@@ -33,7 +33,7 @@ import math
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Envelope
 from ..obs.metrics import Histogram
@@ -180,47 +180,27 @@ class AsyncStoreFrontend:
     def _data_tag(batch_id: int) -> int:
         return _TAG_BASE + 2 * batch_id + 1
 
-    def _serve_local(
+    def _bcast_header(
         self,
-        entries: List[Tuple[int, Any, Envelope]],
-        exact: bool,
-        ctx: Any = None,
-        batch_id: Optional[int] = None,
-        deadline: Optional[float] = None,
-        outcome: bool = False,
-    ) -> Any:
-        """One rank's local-query phase: through the shard stores' engines,
-        simulated store I/O charged to the virtual clock and the phase
-        accumulated in the server's breakdown.  With a recording tracer the
-        phase gets a ``local_query`` span; a *ctx* shipped with the plan
-        (serving ranks) re-parents it under the root's trace, exactly like
-        the collective path."""
-        server = self.server
-        tracer = server.tracer
-        clock = server.comm.clock
-        since = clock.now
-        io_before = server._store_io_seconds()
-        with ExitStack() as stack:
-            if tracer.enabled and ctx is not None and server.comm.rank != 0:
-                stack.enter_context(tracer.adopt(ctx))
-            span = stack.enter_context(tracer.span("local_query"))
-            with clock.compute(category="local_query"):
-                if outcome:
-                    # degraded-mode pair: (rows, failures) — see
-                    # DistributedStoreServer._local_query_outcome
-                    rows = server._local_query_outcome(entries, exact, deadline)
-                else:
-                    rows = server._local_query(entries, exact)
-            if tracer.enabled:
-                span.set(
-                    rank=server.comm.rank,
-                    batch=batch_id,
-                    entries=len(entries),
-                    rows=len(rows[0]) if outcome else len(rows),
-                )
-        clock.advance(server._store_io_seconds() - io_before, category="io")
-        server._charge_phase("local_query", since)
-        return rows
+        batches: Optional[Sequence[Sequence[Tuple[Any, Envelope]]]],
+        partial_ok: bool,
+        deadline: Optional[float],
+    ) -> Tuple[int, bool, Optional[float]]:
+        """Broadcast rank 0's ``(num_batches, partial_ok, deadline)``.
+
+        Validation is collective: the header carries None when rank 0 got
+        no batches, so every rank raises together instead of rank 0 bailing
+        out while its peers block in the bcast (SPMD005)."""
+        comm = self.server.comm
+        header = comm.bcast(
+            (len(batches), partial_ok, deadline)
+            if comm.rank == 0 and batches is not None
+            else None,
+            root=0,
+        )
+        if header is None:
+            raise ValueError("rank 0 must supply the batch sequence")
+        return header
 
     # ------------------------------------------------------------------ #
     def serve(
@@ -242,40 +222,32 @@ class AsyncStoreFrontend:
         yields a :class:`~repro.store.sharded.QueryResult` instead of a hit
         list.
         """
-        comm = self.server.comm
+        server = self.server
+        comm = server.comm
         clock = comm.clock
-        # Validation is collective: the header broadcast carries None when
-        # rank 0 got no batches, so every rank raises together instead of
-        # rank 0 bailing out while its peers block in the bcast (SPMD005).
-        header = comm.bcast(
-            (len(batches), partial_ok, deadline)
-            if comm.rank == 0 and batches is not None
-            else None,
-            root=0,
+        num_batches, partial_ok, deadline = self._bcast_header(
+            batches, partial_ok, deadline
         )
-        if header is None:
-            raise ValueError("rank 0 must supply the batch sequence")
-        num_batches, partial_ok, deadline = header
         outcome = partial_ok or deadline is not None
         start = clock.now
+
+        def serve_shards(mine: List[Tuple[int, Any, Envelope]]) -> Any:
+            return server._serve_shards(mine, exact, outcome, deadline)
 
         result: Optional[FrontendResult] = None
         if comm.rank == 0:
             result = self._run_root(
-                list(batches), num_batches, exact, start, partial_ok, deadline
+                list(batches), num_batches, start, serve_shards, outcome, partial_ok
             )
         else:
             for b in range(num_batches):
                 t = clock.now
                 ctx, entries = comm.recv(source=0, tag=self._plan_tag(b))
-                t = self.server._charge_phase("scatter", t)
-                rows = self._serve_local(
-                    entries, exact, ctx=ctx, batch_id=b,
-                    deadline=deadline, outcome=outcome,
-                )
+                server._charge_phase("scatter", t)
+                payload = server._local_phase(entries, ctx, serve_shards, outcome, batch=b)
                 t = clock.now
-                comm.send(rows, dest=0, tag=self._data_tag(b))
-                self.server._charge_phase("gather", t)
+                comm.send(payload, dest=0, tag=self._data_tag(b))
+                server._charge_phase("gather", t)
 
         end = clock.now
         spans = comm.allgather((start, end))
@@ -288,16 +260,15 @@ class AsyncStoreFrontend:
         self,
         batches: List[Sequence[Tuple[Any, Envelope]]],
         num_batches: int,
-        exact: bool,
         start: float,
-        partial_ok: bool = False,
-        deadline: Optional[float] = None,
+        serve_shards: Callable[[List[Tuple[int, Any, Envelope]]], Any],
+        outcome: bool,
+        partial_ok: bool,
     ) -> FrontendResult:
         comm = self.server.comm
         clock = comm.clock
         server = self.server
         tracer = server.tracer
-        outcome = partial_ok or deadline is not None
         latency_hist = server.metrics.histogram("frontend.batch_latency_seconds")
 
         results: List[Any] = [[] for _ in range(num_batches)]
@@ -320,31 +291,20 @@ class AsyncStoreFrontend:
             nonlocal drain_ema
             drain_start = clock.now
             batch_id, own_entries, submitted = in_flight.popleft()
-            local = self._serve_local(
-                own_entries, exact, batch_id=batch_id,
-                deadline=deadline, outcome=outcome,
-            )
+            payloads = [
+                server._local_phase(
+                    own_entries, None, serve_shards, outcome, batch=batch_id
+                )
+            ]
             t = clock.now
-            if outcome:
-                pairs = [local]
-                for rank in range(1, comm.size):
-                    pairs.append(comm.recv(source=rank, tag=self._data_tag(batch_id)))
-                with tracer.span("gather") as gspan:
-                    with clock.compute(category="gather"):
-                        hits = server._assemble_result(pairs, partial_ok)
-                    if tracer.enabled:
-                        gspan.set(
-                            batch=batch_id, rows=sum(len(r) for r, _ in pairs)
-                        )
-            else:
-                rows = local
-                for rank in range(1, comm.size):
-                    rows.extend(comm.recv(source=rank, tag=self._data_tag(batch_id)))
-                with tracer.span("gather") as gspan:
-                    with clock.compute(category="gather"):
-                        hits = server._dedup(rows)
-                    if tracer.enabled:
-                        gspan.set(batch=batch_id, rows=len(rows))
+            for rank in range(1, comm.size):
+                payloads.append(comm.recv(source=rank, tag=self._data_tag(batch_id)))
+            hits = server._gather_phase(
+                payloads,
+                outcome,
+                lambda pairs: server._assemble(pairs, outcome, partial_ok),
+                batch=batch_id,
+            )
             server._charge_phase("gather", t)
             results[batch_id] = hits
             metrics[batch_id] = BatchMetrics(
@@ -437,17 +397,9 @@ class AsyncStoreFrontend:
         """
         comm = self.server.comm
         clock = comm.clock
-        # Same collective validation as :meth:`serve` (SPMD005): all ranks
-        # learn about missing batches from the header and raise in lockstep.
-        header = comm.bcast(
-            (len(batches), partial_ok, deadline)
-            if comm.rank == 0 and batches is not None
-            else None,
-            root=0,
+        num_batches, partial_ok, deadline = self._bcast_header(
+            batches, partial_ok, deadline
         )
-        if header is None:
-            raise ValueError("rank 0 must supply the batch sequence")
-        num_batches, partial_ok, deadline = header
         start = clock.now
 
         results: List[Any] = []

@@ -36,7 +36,7 @@ from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.trace import NULL_TRACER, Tracer
 from ..pfs import ReadRequest, SimulatedFilesystem
 from .datastore import QueryHit, SpatialDataStore
-from .engine import DeadlineExceeded
+from .engine import BatchOutcome, DeadlineExceeded
 from .format import VERSION, StoreError, StoreFormatError
 from .manifest import (
     ShardInfo,
@@ -73,6 +73,13 @@ class ShardError(StoreError):
         self.store = store
 
 Predicate = Callable[[Geometry, Geometry], bool]
+
+#: one matched record on the wire: ``(batch position, query id, record id,
+#: shard, partition, page, geometry)``
+Row = Tuple[int, Any, int, int, int, int, Geometry]
+#: one unserved shard portion: ``(shard, missing partitions, affected batch
+#: positions, cause, fatal)``
+Failure = Tuple[int, List[int], List[int], str, bool]
 
 #: phase names every serving call charges (in order)
 SERVING_PHASES = ("route", "scatter", "local_query", "gather")
@@ -352,6 +359,17 @@ class QueryResult:
         return len(self.hits)
 
 
+def _hit_rows(
+    sid: int, entry: Tuple[int, Any, Envelope], hits: Iterable[QueryHit]
+) -> List[Row]:
+    """Wire rows of one range-query plan entry's *hits* on shard *sid*."""
+    idx, qid, _ = entry
+    return [
+        (idx, qid, hit.record_id, sid, hit.partition_id, hit.page_id, hit.geometry)
+        for hit in hits
+    ]
+
+
 class DistributedStoreServer:
     """SPMD facade serving one sharded store across ``mpisim`` ranks.
 
@@ -535,6 +553,47 @@ class DistributedStoreServer:
         self.comm.clock.advance(store.stats.io_seconds, category="io")
         return store
 
+    def _open_copy(
+        self, shard: ShardInfo, names: Sequence[str], action: str
+    ) -> Tuple[Optional[SpatialDataStore], Optional[ShardError]]:
+        """Install the first store of *names* that opens as *shard*'s
+        serving copy; returns it (or ``None`` plus the first error).  Every
+        replica tried is struck off the shard's spare list for good, and a
+        replica that opens counts one failover and emits the ``failover``
+        span."""
+        sid = shard.shard_id
+        spares = self._spare_stores.get(sid, [])
+        first_error: Optional[ShardError] = None
+        for store_name in names:
+            is_replica = store_name in spares
+            if is_replica:
+                spares.remove(store_name)
+            try:
+                with self._shard_guard(shard, f"{action} ({store_name!r})"):
+                    try:
+                        store = self._open_store(shard, store_name)
+                    except OSError as exc:  # missing/unreadable file
+                        raise StoreError(str(exc)) from exc
+            except ShardError as exc:
+                first_error = first_error or exc
+                continue
+            if is_replica:
+                self._failovers.inc()
+                with self.tracer.span(
+                    "failover", shard=sid, replica=store_name, action=action
+                ):
+                    pass
+            self.stores[sid] = store
+            return store, None
+        return None, first_error
+
+    def _mark_dead(self, sid: int, error: ShardError) -> None:
+        """Shard *sid* is out of copies: raise *error*, or record the shard
+        dead when degraded mode allows."""
+        if not self.allow_degraded:
+            raise error
+        self.dead_shards[sid] = error
+
     def _open_with_failover(self, shard: ShardInfo) -> Optional[SpatialDataStore]:
         """Open *shard* from its primary store, falling back to each read
         replica in order.  All copies failing raises the primary's
@@ -542,39 +601,11 @@ class DistributedStoreServer:
         dead and returns None (degraded queries then report its partitions
         as missing instead of aborting)."""
         sid = shard.shard_id
-        candidates = [shard.store] + self._spare_stores.get(sid, [])
-        first_error: Optional[ShardError] = None
-        for pos, store_name in enumerate(candidates):
-            try:
-                with self._shard_guard(shard, f"open ({store_name!r})"):
-                    try:
-                        store = self._open_store(shard, store_name)
-                    except OSError as exc:  # missing/unreadable file
-                        raise StoreError(str(exc)) from exc
-            except ShardError as exc:
-                if first_error is None:
-                    first_error = exc
-                if pos > 0:
-                    # a replica we tried is gone for good
-                    self._spare_stores[sid].remove(store_name)
-                continue
-            if pos > 0:
-                self._spare_stores[sid].remove(store_name)
-                self._failovers.inc()
-                with self.tracer.span(
-                    "failover", shard=sid, replica=store_name, action="open"
-                ):
-                    pass
-            return self._install(sid, store)
-        assert first_error is not None
-        if not self.allow_degraded:
-            raise first_error
-        self.dead_shards[sid] = first_error
-        self.stores.pop(sid, None)
-        return None
-
-    def _install(self, sid: int, store: SpatialDataStore) -> SpatialDataStore:
-        self.stores[sid] = store
+        store, error = self._open_copy(
+            shard, [shard.store] + self._spare_stores.get(sid, []), "open"
+        )
+        if store is None:
+            self._mark_dead(sid, error)
         return store
 
     def _failover(self, sid: int, cause: Exception, action: str) -> bool:
@@ -588,34 +619,18 @@ class DistributedStoreServer:
             self._retired_metrics.append(old.metrics.snapshot())
             old.close()
         shard = self.manifest.shards[sid]
-        while self._spare_stores.get(sid):
-            replica = self._spare_stores[sid][0]
-            try:
-                with self._shard_guard(shard, f"failover ({replica!r})"):
-                    try:
-                        store = self._open_store(shard, replica)
-                    except OSError as exc:
-                        raise StoreError(str(exc)) from exc
-            except ShardError:
-                self._spare_stores[sid].remove(replica)
-                continue
-            self._spare_stores[sid].remove(replica)
-            self._install(sid, store)
-            self._failovers.inc()
-            with self.tracer.span(
-                "failover", shard=sid, replica=replica, action=action
-            ):
-                pass
+        store, _ = self._open_copy(shard, list(self._spare_stores.get(sid, ())), action)
+        if store is not None:
             return True
-        err = cause if isinstance(cause, ShardError) else ShardError(
-            f"shard {sid} ({shard.store!r}) of store {self.manifest.name!r} "
-            f"failed during {action}: {cause}",
-            shard_id=sid,
-            store=shard.store,
+        self._mark_dead(
+            sid,
+            cause if isinstance(cause, ShardError) else ShardError(
+                f"shard {sid} ({shard.store!r}) of store {self.manifest.name!r} "
+                f"failed during {action}: {cause}",
+                shard_id=sid,
+                store=shard.store,
+            ),
         )
-        if not self.allow_degraded:
-            raise err
-        self.dead_shards[sid] = err
         return False
 
     # ------------------------------------------------------------------ #
@@ -777,40 +792,6 @@ class DistributedStoreServer:
     # ------------------------------------------------------------------ #
     # local serving
     # ------------------------------------------------------------------ #
-    def _shard_filter_batch(
-        self, sid: int, entries: List[Tuple[Any, ...]], action: str, exact: bool = False
-    ) -> List[Tuple[Tuple[Any, ...], List[QueryHit]]]:
-        """Guarded batched serving pass of one shard over plan *entries*
-        (window last in each tuple).  Entries outside the shard extent are
-        dropped; the rest are served in one ``range_query_batch`` pass —
-        i.e. through the shard store's staged engine (shared Hilbert visit
-        order, page touches deduped, reads coalesced, lazy refine).  With
-        ``exact`` the engine's refine stage evaluates the geometric
-        predicate too (range queries); joins keep ``exact=False`` and refine
-        with the user predicate outside the shard guard, so a buggy
-        predicate is never misreported as corruption."""
-        shard = self.manifest.shards[sid]
-        if shard.extent.is_empty:
-            return []
-        kept = [e for e in entries if shard.extent.intersects(e[-1])]
-        if not kept:
-            return []
-        self._heat_counter(sid).inc(len(kept))
-        if sid in self.dead_shards:
-            raise self.dead_shards[sid]
-        while True:
-            try:
-                with self._shard_guard(shard, action):
-                    batches = self.stores[sid].range_query_batch(
-                        [(None, e[-1]) for e in kept], exact=exact
-                    )
-                break
-            except ShardError as exc:
-                # a replica may still hold an intact copy of the bad page
-                if not self._failover(sid, exc, action):
-                    raise
-        return list(zip(kept, batches))
-
     def _heat_counter(self, sid: int) -> Any:
         # per-shard query heat: one tick per batch entry this shard actually
         # serves (the rebalancer-facing twin of the engine's partition heat)
@@ -821,134 +802,166 @@ class DistributedStoreServer:
             )
         return counter
 
-    def _local_query(
-        self, plan: List[Tuple[int, Any, Envelope]], exact: bool
-    ) -> List[Tuple[int, Any, int, int, int, int, Geometry]]:
-        out: List[Tuple[int, Any, int, int, int, int, Geometry]] = []
-        for sid in self.my_shards:
-            for (idx, qid, window), hits in self._shard_filter_batch(
-                sid, list(plan), "query", exact=exact
-            ):
-                for hit in hits:
-                    out.append(
-                        (idx, qid, hit.record_id, sid, hit.partition_id,
-                         hit.page_id, hit.geometry)
-                    )
-        return out
-
-    def _local_query_outcome(
+    def _serve_shards(
         self,
-        plan: List[Tuple[int, Any, Envelope]],
+        entries: List[Tuple[Any, ...]],
         exact: bool,
-        deadline: Optional[float],
-    ) -> Tuple[
-        List[Tuple[int, Any, int, int, int, int, Geometry]],
-        List[Tuple[int, List[int], List[int], str, bool]],
-    ]:
-        """Degraded-mode twin of :meth:`_local_query`.
+        collect: bool = False,
+        deadline: Optional[float] = None,
+        action: str = "query",
+        rows_of: Callable[[int, Tuple[Any, ...], List[QueryHit]], List[Row]] = _hit_rows,
+    ) -> Tuple[List[Row], List[Failure]]:
+        """The shard-serving loop: this rank's shards over plan *entries*
+        (window last in each tuple); returns ``(rows, failures)``.
 
-        Serves this rank's shards through the store engine's collecting path
+        Per shard, entries outside the shard extent are dropped and the rest
+        are served in one batched pass through the shard store's staged
+        engine (shared Hilbert visit order, page touches deduped, reads
+        coalesced, lazy refine) under the shard guard, replaying the batch
+        on the next replica after a failure.  *rows_of* turns one entry's
+        hits into result rows **outside** the guard, so a join's user
+        predicate is never misreported as corruption.
+
+        Strict mode (*collect* false) **raises** the first failure that
+        replica failover cannot repair, so ``failures`` stays empty.  With
+        *collect* the store is entered through its collecting path
         (:meth:`SpatialDataStore.query_outcome`): page failures are gathered
-        instead of raised, replica failover is attempted for hard faults,
-        and whatever data cannot be recovered is reported as a failure tuple
-        ``(shard_id, missing_partitions, affected_batch_positions, cause,
-        fatal)`` — *fatal* is False when only the per-shard I/O *deadline*
-        (simulated seconds) was exceeded, so callers can tell truncation
-        from corruption.
+        instead of raised, replica failover is still attempted for hard
+        faults, and whatever cannot be recovered is reported as a failure
+        tuple ``(shard_id, missing_partitions, affected_batch_positions,
+        cause, fatal)`` — *fatal* is False when only the per-shard I/O
+        *deadline* (simulated seconds) was exceeded, so callers can tell
+        truncation from corruption.
         """
-        rows: List[Tuple[int, Any, int, int, int, int, Geometry]] = []
-        failures: List[Tuple[int, List[int], List[int], str, bool]] = []
+        rows: List[Row] = []
+        failures: List[Failure] = []
         for sid in self.my_shards:
             shard = self.manifest.shards[sid]
             if shard.extent.is_empty:
                 continue
-            kept = [e for e in plan if shard.extent.intersects(e[-1])]
+            kept = [e for e in entries if shard.extent.intersects(e[-1])]
             if not kept:
                 continue
             self._heat_counter(sid).inc(len(kept))
-            if sid in self.dead_shards:
-                failures.append(
-                    (
-                        sid,
-                        list(shard.partition_ids),
-                        sorted({e[0] for e in kept}),
-                        str(self.dead_shards[sid]),
-                        True,
-                    )
-                )
-                continue
-            outcome = None
-            while True:
+            windows = [(None, e[-1]) for e in kept]
+            error: Optional[Exception] = self.dead_shards.get(sid)
+            outcome: Optional[BatchOutcome] = None
+            while error is None and outcome is None:
                 try:
-                    with self._shard_guard(shard, "query"):
-                        outcome = self.stores[sid].query_outcome(
-                            [(None, e[-1]) for e in kept],
-                            exact=exact,
-                            partial_ok=True,
-                            budget=deadline,
-                        )
+                    with self._shard_guard(shard, action):
+                        store = self.stores[sid]
+                        if collect:
+                            outcome = store.query_outcome(
+                                windows, exact=exact, partial_ok=True, budget=deadline
+                            )
+                        else:
+                            outcome = BatchOutcome(
+                                store.range_query_batch(windows, exact=exact), True
+                            )
                 except ShardError as exc:
-                    if self._failover(sid, exc, "query"):
-                        continue  # fresh replica store — replay the batch
-                    failures.append(
-                        (
-                            sid,
-                            list(shard.partition_ids),
-                            sorted({e[0] for e in kept}),
-                            str(exc),
-                            True,
-                        )
-                    )
-                    break
-                if not outcome.complete:
+                    # a replica may still hold an intact copy of the bad
+                    # page: replay the batch on it
+                    if not self._failover(sid, exc, action):
+                        error = exc
+                    continue
+                if not outcome.complete and self._spare_stores.get(sid):
                     hard = [
                         exc
                         for _, exc in outcome.failed_pages
                         if not isinstance(exc, DeadlineExceeded)
                     ]
-                    if hard and self._spare_stores.get(sid):
-                        if self._failover(sid, hard[0], "query"):
-                            outcome = None
-                            continue
-                        failures.append(
-                            (
-                                sid,
-                                list(shard.partition_ids),
-                                sorted({e[0] for e in kept}),
-                                str(self.dead_shards[sid]),
-                                True,
-                            )
-                        )
+                    if hard:
                         outcome = None
-                break
-            if outcome is None:
-                continue
-            for (idx, qid, window), hits in zip(kept, outcome.hits):
-                for hit in hits:
-                    rows.append(
-                        (idx, qid, hit.record_id, sid, hit.partition_id,
-                         hit.page_id, hit.geometry)
-                    )
-            if not outcome.complete:
-                affected = sorted({kept[pos][0] for pos in outcome.incomplete_queries})
-                fatal = any(
-                    not isinstance(exc, DeadlineExceeded)
-                    for _, exc in outcome.failed_pages
-                )
-                cause = (
-                    str(outcome.failed_pages[0][1])
-                    if outcome.failed_pages
-                    else "incomplete"
-                )
+                        if not self._failover(sid, hard[0], action):
+                            error = self.dead_shards[sid]
+            if error is not None:
+                if not collect:
+                    raise error
                 failures.append(
-                    (sid, list(outcome.missing_partitions), affected, cause, fatal)
+                    (
+                        sid,
+                        list(shard.partition_ids),
+                        sorted({e[0] for e in kept}),
+                        str(error),
+                        True,
+                    )
+                )
+                continue
+            for entry, hits in zip(kept, outcome.hits):
+                rows.extend(rows_of(sid, entry, hits))
+            if not outcome.complete:
+                failures.append(
+                    (
+                        sid,
+                        list(outcome.missing_partitions),
+                        sorted({kept[pos][0] for pos in outcome.incomplete_queries}),
+                        str(outcome.failed_pages[0][1])
+                        if outcome.failed_pages
+                        else "incomplete",
+                        any(
+                            not isinstance(exc, DeadlineExceeded)
+                            for _, exc in outcome.failed_pages
+                        ),
+                    )
                 )
         return rows, failures
 
+    def _local_phase(
+        self,
+        entries: List[Tuple[Any, ...]],
+        ctx: Any,
+        serve: Callable[[List[Tuple[Any, ...]]], Tuple[List[Row], List[Failure]]],
+        outcome: bool,
+        **attrs: Any,
+    ) -> Any:
+        """One rank's local-query phase, shared by the collective and the
+        pipelined skeletons: *serve* (a :meth:`_serve_shards` call) runs as
+        ``local_query`` compute, the shard stores' simulated I/O is charged
+        to the virtual clock and the phase accumulates in :attr:`phases`.
+        With a recording tracer the phase gets a ``local_query`` span; a
+        *ctx* shipped with the plan (serving ranks) re-parents it — and the
+        engine spans nested inside — under the client's trace.  Returns the
+        rank's gather payload: the flat rows, or in *outcome* mode the
+        whole ``(rows, failures)`` pair."""
+        clock = self.comm.clock
+        tracer = self.tracer
+        since = clock.now
+        io_before = self._store_io_seconds()
+        with ExitStack() as stack:
+            if tracer.enabled and ctx is not None and self.comm.rank != 0:
+                stack.enter_context(tracer.adopt(ctx))
+            span = stack.enter_context(tracer.span("local_query"))
+            with clock.compute(category="local_query"):
+                rows, failures = serve(entries)
+            if tracer.enabled:
+                span.set(
+                    rank=self.comm.rank, entries=len(entries), rows=len(rows), **attrs
+                )
+        clock.advance(self._store_io_seconds() - io_before, category="io")
+        self._charge_phase("local_query", since)
+        return (rows, failures) if outcome else rows
+
+    def _gather_phase(
+        self,
+        payloads: List[Any],
+        outcome: bool,
+        assemble: Callable[[List[Tuple[List[Row], Sequence[Failure]]]], Any],
+        **attrs: Any,
+    ) -> Any:
+        """Rank 0's merge of one batch's per-rank gather payloads — flat row
+        lists in strict mode, ``(rows, failures)`` pairs in outcome mode —
+        as ``gather`` compute; *assemble* always receives pairs."""
+        tracer = self.tracer
+        with tracer.span("gather") as span:
+            with self.comm.clock.compute(category="gather"):
+                pairs = payloads if outcome else [(rows, ()) for rows in payloads]
+                result = assemble(pairs)
+            if tracer.enabled:
+                span.set(rows=sum(len(rows) for rows, _ in pairs), **attrs)
+        return result
+
     @staticmethod
-    def _dedup(
-        rows: Iterable[Tuple[int, Any, int, int, int, int, Geometry]]
-    ) -> List[DistributedHit]:
+    def _dedup(rows: Iterable[Row]) -> List[DistributedHit]:
         # keep the deterministic first replica: lowest (shard, partition, page)
         best: Dict[Tuple[int, int], Tuple[int, int, int, Any, Geometry]] = {}
         for idx, qid, record_id, sid, partition_id, page_id, geom in rows:
@@ -977,16 +990,18 @@ class DistributedStoreServer:
     def _collective_serve(
         self,
         build_plan: Callable[[], List[List[Any]]],
-        serve_local: Callable[[List[Any]], List[Any]],
-        assemble: Callable[[List[Any]], Any],
+        serve: Callable[[List[Any]], Tuple[List[Row], List[Failure]]],
+        assemble: Callable[[List[Tuple[List[Row], Sequence[Failure]]]], Any],
         broadcast: bool,
+        outcome: bool = False,
     ) -> Any:
-        """The shared route → scatter → local_query → gather skeleton.
+        """The collective route → scatter → local_query → gather skeleton.
 
         *build_plan* runs on rank 0 and returns the per-rank scatter lists;
-        *serve_local* answers one rank's list; *assemble* runs on rank 0
-        over the flattened gathered rows.  Every phase is charged to the
-        virtual clock and accumulated in :attr:`phases`.
+        *serve* answers one rank's list with ``(rows, failures)``;
+        *assemble* runs on rank 0 over the gathered pairs (ranks ship flat
+        row lists, or in *outcome* mode the whole pair).  Every phase is
+        charged to the virtual clock and accumulated in :attr:`phases`.
 
         **Trace propagation** rides the scatter: each per-rank list is
         shipped as a ``(ctx, entries)`` pair where *ctx* is rank 0's
@@ -1022,33 +1037,15 @@ class DistributedStoreServer:
                     mine_ctx, mine = self.comm.scatter(payload, root=0)
             else:
                 mine_ctx, mine = self.comm.scatter(payload, root=0)
-            t = self._charge_phase("scatter", t)
+            self._charge_phase("scatter", t)
 
-            io_before = self._store_io_seconds()
-            with ExitStack() as local_stack:
-                if tracer.enabled and mine_ctx is not None and not is_root:
-                    local_stack.enter_context(tracer.adopt(mine_ctx))
-                span = local_stack.enter_context(tracer.span("local_query"))
-                with clock.compute(category="local_query"):
-                    local = serve_local(mine)
-                if tracer.enabled:
-                    span.set(
-                        rank=self.comm.rank,
-                        entries=len(mine) if mine else 0,
-                        rows=len(local) if local else 0,
-                    )
-            clock.advance(self._store_io_seconds() - io_before, category="io")
-            t = self._charge_phase("local_query", t)
+            local = self._local_phase(mine, mine_ctx, serve, outcome)
+            t = clock.now
 
             gathered = self.comm.gather(local, root=0)
             result: Any = None
             if is_root:
-                with tracer.span("gather") as gspan:
-                    with clock.compute(category="gather"):
-                        rows = [row for chunk in gathered or [] for row in chunk]
-                        result = assemble(rows)
-                    if tracer.enabled:
-                        gspan.set(rows=len(rows))
+                result = self._gather_phase(gathered, outcome, assemble)
             if broadcast:
                 result = self.comm.bcast(result, root=0)
             self._charge_phase("gather", t)
@@ -1086,35 +1083,24 @@ class DistributedStoreServer:
             self.queries_served += len(queries)
             return self.router.plan(list(queries), self.assignment, self.comm.size)
 
-        if not partial_ok and deadline is None:
-            return self._collective_serve(
-                build_plan,
-                lambda mine: self._local_query(mine, exact),
-                self._dedup,
-                broadcast,
-            )
-
-        # outcome mode: each rank ships one (rows, failures) pair; the
-        # single-element list keeps _collective_serve's chunk flattening
-        # yielding exactly one pair per rank
+        outcome = partial_ok or deadline is not None
         return self._collective_serve(
             build_plan,
-            lambda mine: [self._local_query_outcome(mine, exact, deadline)],
-            lambda pairs: self._assemble_result(pairs, partial_ok),
+            lambda mine: self._serve_shards(mine, exact, outcome, deadline),
+            lambda pairs: self._assemble(pairs, outcome, partial_ok),
             broadcast,
+            outcome,
         )
 
-    def _assemble_result(
+    def _assemble(
         self,
-        pairs: List[
-            Tuple[
-                List[Tuple[int, Any, int, int, int, int, Geometry]],
-                List[Tuple[int, List[int], List[int], str, bool]],
-            ]
-        ],
+        pairs: List[Tuple[List[Row], Sequence[Failure]]],
+        outcome: bool,
         partial_ok: bool,
-    ) -> QueryResult:
-        rows = [row for rank_rows, _ in pairs for row in rank_rows]
+    ) -> Any:
+        """Merge every rank's ``(rows, failures)``: the de-duplicated hits,
+        wrapped with their completeness account as a :class:`QueryResult`
+        in *outcome* mode."""
         failures = [f for _, rank_failures in pairs for f in rank_failures]
         if not partial_ok:
             for sid, _, _, cause, fatal in failures:
@@ -1126,24 +1112,23 @@ class DistributedStoreServer:
                         shard_id=sid,
                         store=shard.store,
                     )
-        hits = self._dedup(rows)
-        missing_shards = sorted(
-            {sid for sid, parts, _, _, fatal in failures if fatal and parts}
-        )
-        missing_partitions = sorted(
-            {p for _, parts, _, _, _ in failures for p in parts if p >= 0}
-        )
+        hits = self._dedup(row for rank_rows, _ in pairs for row in rank_rows)
+        if not outcome:
+            return hits
         degraded = sorted({pos for _, _, positions, _, _ in failures for pos in positions})
-        messages = [f"shard {sid}: {cause}" for sid, _, _, cause, _ in failures]
         if degraded:
             self._degraded.inc(len(degraded))
         return QueryResult(
             hits=hits,
             complete=not failures,
-            missing_shards=missing_shards,
-            missing_partitions=missing_partitions,
+            missing_shards=sorted(
+                {sid for sid, parts, _, _, fatal in failures if fatal and parts}
+            ),
+            missing_partitions=sorted(
+                {p for _, parts, _, _, _ in failures for p in parts if p >= 0}
+            ),
             degraded_queries=degraded,
-            failures=messages,
+            failures=[f"shard {sid}: {cause}" for sid, _, _, cause, _ in failures],
         )
 
     def join(
@@ -1173,30 +1158,26 @@ class DistributedStoreServer:
                 for entries in plan
             ]
 
-        def serve_local(
-            mine: List[Tuple[int, Geometry, Envelope]]
-        ) -> List[Tuple[int, Any, int, int, int, int, Geometry]]:
-            local: List[Tuple[int, Any, int, int, int, int, Geometry]] = []
-            for sid in self.my_shards:
-                # the user predicate refines outside the shard guard: a
-                # buggy predicate must not be misreported as corruption
-                for (idx, probe, env), candidates in self._shard_filter_batch(
-                    sid, list(mine), "join"
-                ):
-                    for hit in candidates:
-                        if predicate(probe, hit.geometry):
-                            local.append(
-                                (idx, idx, hit.record_id, sid, hit.partition_id,
-                                 hit.page_id, hit.geometry)
-                            )
-            return local
+        def refined_rows(
+            sid: int, entry: Tuple[int, Geometry, Envelope], hits: List[QueryHit]
+        ) -> List[Row]:
+            # the shard pass is the MBR filter; the user predicate refines
+            idx, probe, env = entry
+            return _hit_rows(
+                sid, (idx, idx, env), [h for h in hits if predicate(probe, h.geometry)]
+            )
 
-        def assemble(
-            rows: List[Tuple[int, Any, int, int, int, int, Geometry]]
-        ) -> List[Tuple[Geometry, DistributedHit]]:
-            return [(probe_list[hit.query_id], hit) for hit in self._dedup(rows)]
-
-        return self._collective_serve(build_plan, serve_local, assemble, broadcast)
+        return self._collective_serve(
+            build_plan,
+            lambda mine: self._serve_shards(
+                mine, exact=False, action="join", rows_of=refined_rows
+            ),
+            lambda pairs: [
+                (probe_list[hit.query_id], hit)
+                for hit in self._assemble(pairs, False, False)
+            ],
+            broadcast,
+        )
 
     # ------------------------------------------------------------------ #
     # store-backed pipeline input

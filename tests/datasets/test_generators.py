@@ -1,5 +1,10 @@
 """Synthetic dataset generator tests."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +117,35 @@ class TestNamedDatasets:
         path = generate_dataset(lustre, "cemetery", scale=0.0001)
         geoms = WKTParser().parse_buffer(lustre.open(path).pread(0, 10**7))
         assert len(geoms) == 10
+
+    def test_named_dataset_identical_across_hash_seeds(self, tmp_path):
+        # regression: the default seed was hash(name), which is salted per
+        # process — every un-configured generate_dataset call site got
+        # different data on every run
+        script = (
+            "import hashlib, sys\n"
+            "from repro.datasets import generate_dataset\n"
+            "from repro.pfs import LustreFilesystem\n"
+            "fs = LustreFilesystem(sys.argv[1])\n"
+            "path = generate_dataset(fs, 'cemetery', scale=0.2)\n"
+            "with fs.open(path) as fh:\n"
+            "    print(hashlib.sha256(fh.pread(0, fh.size)).hexdigest())\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / f"fs{hash_seed}")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert digests[0] and digests[0] == digests[1]
 
 
 class TestBinaryDatasets:

@@ -176,6 +176,33 @@ class TestStatsFacades:
         plain.close()
         traced.close()
 
+    def test_outcome_path_traces_like_strict(self, fs):
+        """Degraded-mode serving runs the same stage loop: under a recording
+        tracer ``query_outcome(partial_ok=True)`` yields the span hierarchy
+        of ``range_query_batch`` with identical plan/refine attributes."""
+        bulk_load(fs, "oc", make_geoms(), num_partitions=16, page_size=512)
+        queries = [
+            (i, env) for i, env in enumerate(
+                random_envelopes(10, extent=EXTENT, max_size_fraction=0.2, seed=4)
+            )
+        ]
+        strict = SpatialDataStore.open(fs, "oc", cache_pages=16, tracer=Tracer())
+        degraded = SpatialDataStore.open(fs, "oc", cache_pages=16, tracer=Tracer())
+        strict.range_query_batch(queries)
+        outcome = degraded.query_outcome(queries, partial_ok=True)
+        assert outcome.complete
+
+        def shape(store):
+            return [(sp.name, sp.attrs) for sp in store.tracer.spans]
+
+        assert {name for name, _ in shape(degraded)} >= {
+            "query", "plan", "schedule", "io", "refine", "decode"
+        }
+        assert shape(degraded) == shape(strict)
+        assert degraded.stats.as_dict() == strict.stats.as_dict()
+        strict.close()
+        degraded.close()
+
 
 class TestDistributedExplain:
     @pytest.mark.parametrize("nprocs", (1, 2, 4))

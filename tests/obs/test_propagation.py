@@ -34,13 +34,15 @@ def make_store(tmp_path, num_shards):
     return fs, queries
 
 
-def serve_traced(fs, queries, nprocs, clear=False):
+def serve_traced(fs, queries, nprocs, clear=False, **serving):
     def prog(comm):
         tracer = Tracer(clock=comm.clock, rank=comm.rank)
         with DistributedStoreServer.open(
             comm, fs, "data", cache_pages=32, tracer=tracer
         ) as server:
-            hits = server.range_query_batch(queries if comm.rank == 0 else None)
+            hits = server.range_query_batch(
+                queries if comm.rank == 0 else None, **serving
+            )
             spans = server.collect_trace(clear=clear)
             again = server.collect_trace(clear=clear)
         return hits, spans, again
@@ -134,6 +136,51 @@ class TestConnectedTrace:
         tid_second = {s["trace_id"] for s in second}
         assert len(tid_first) == len(tid_second) == 1
         assert tid_first != tid_second
+
+
+class TestDegradedModeTrace:
+    """``partial_ok`` serving goes through the same shard-serving loop, the
+    same local-query phase and the same engine stage loop as strict
+    serving, so its trace has the same shape and the same row counts."""
+
+    def test_partial_ok_trace_matches_strict(self, tmp_path):
+        fs, queries = make_store(tmp_path, num_shards=2)
+        hits, strict, _ = serve_traced(fs, queries, 2)
+        result, degraded, _ = serve_traced(fs, queries, 2, partial_ok=True)
+        assert result.complete
+        assert [(h.query_id, h.record_id) for h in result.hits] == [
+            (h.query_id, h.record_id) for h in hits
+        ]
+
+        # one connected trace with the strict-mode span names
+        assert len({s["trace_id"] for s in degraded}) == 1
+        by_id = {s["span_id"]: s for s in degraded}
+        assert all(
+            s["parent_id"] in by_id for s in degraded if s["parent_id"] is not None
+        )
+        assert {s["name"] for s in degraded} == {s["name"] for s in strict}
+
+        # the engine stages sit under each rank's local_query span
+        for rank in (0, 1):
+            for stage in ("plan", "refine", "decode"):
+                span = next(
+                    s for s in degraded if s["rank"] == rank and s["name"] == stage
+                )
+                ancestors = []
+                while span["parent_id"] is not None:
+                    span = by_id[span["parent_id"]]
+                    ancestors.append((span["name"], span["rank"]))
+                assert ("local_query", rank) in ancestors
+
+        # row counts are rows, not "one pair per rank"
+        def rows(spans, name):
+            return sorted(
+                (s["rank"], s["attrs"]["rows"]) for s in spans if s["name"] == name
+            )
+
+        assert rows(degraded, "local_query") == rows(strict, "local_query")
+        assert rows(degraded, "gather") == rows(strict, "gather")
+        assert rows(degraded, "gather")[0][1] > 2
 
 
 class TestFrontendPropagation:

@@ -15,6 +15,7 @@ from repro.core.reader import VectorIO
 from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.geometry import Envelope, Polygon, predicates
 from repro.index import sort_by_hilbert
+from repro.obs import Tracer
 from repro.pfs import LustreFilesystem
 from repro.store import (
     DistributedStoreServer,
@@ -22,6 +23,7 @@ from repro.store import (
     bulk_load,
     sharded_bulk_load,
 )
+from repro.store.page import RecordView
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,40 @@ def brute_force(geometries, window):
 
 def windows(extent, n=12, seed=5, frac=0.15):
     return list(random_envelopes(n, extent=extent, max_size_fraction=frac, seed=seed))
+
+
+#: the four ways into the engine's one stage loop
+MODES = ("strict", "partial_ok", "budget", "traced")
+
+#: StoreStats counters whose movement must not depend on the mode
+STAT_KEYS = ("pages_read", "read_requests", "records_decoded", "slots_scanned",
+             "bulk_filter_batches", "io_seconds")
+
+
+def serve_in_mode(fs, name, mode, batches, lazy=False):
+    """Serve *batches* on a fresh open through the stage loop in *mode*;
+    returns the per-query hit lists and the StoreStats movement."""
+    store = SpatialDataStore.open(
+        fs, name, cache_pages=1024, tracer=Tracer() if mode == "traced" else None
+    )
+    before = store.stats.as_dict()
+    hits = []
+    for queries in batches:
+        if mode == "partial_ok":
+            hits += store.engine.execute_outcome(queries, partial_ok=True, lazy=lazy).hits
+        elif mode == "budget":
+            hits += store.engine.execute_outcome(
+                queries, budget=float("inf"), lazy=lazy
+            ).hits
+        else:
+            hits += store.engine.execute(queries, lazy=lazy)
+    after = store.stats.as_dict()
+    store.close()
+    return hits, {key: after[key] - before[key] for key in STAT_KEYS}
+
+
+def ids_of(hit_lists):
+    return [[h.record_id for h in hits] for hits in hit_lists]
 
 
 class TestPlanner:
@@ -134,6 +170,54 @@ class TestEngineEqualsBruteForce:
             assert [h.record_id for h in hits] == [
                 h.record_id for h in store.range_query(env)
             ]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_matches_brute_force_and_strict_stats(
+        self, fs, lakes, store_name, mode
+    ):
+        # one query per call, rectangles and geometry windows: every mode of
+        # the one stage loop answers like brute force and moves the stats
+        # exactly like the strict mode (io_seconds to the last bit)
+        extent = SpatialDataStore.open(fs, store_name).extent
+        wins = windows(extent, n=15, seed=21) + lakes[:20]
+        batches = [[(None, w)] for w in wins]
+        strict_hits, strict_stats = serve_in_mode(fs, store_name, "strict", batches)
+        hits, stats = serve_in_mode(fs, store_name, mode, batches)
+        assert ids_of(hits) == [brute_force(lakes, w) for w in wins]
+        assert ids_of(hits) == ids_of(strict_hits)
+        assert stats == strict_stats
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_serves_a_batch_like_strict(self, fs, store_name, mode):
+        extent = SpatialDataStore.open(fs, store_name).extent
+        batch = [(i, env) for i, env in enumerate(windows(extent, n=12, seed=33))]
+        strict_hits, strict_stats = serve_in_mode(fs, store_name, "strict", [batch])
+        hits, stats = serve_in_mode(fs, store_name, mode, [batch])
+        assert ids_of(hits) == ids_of(strict_hits)
+        if mode == "budget":
+            # a budget is checked between entries, so I/O is issued entry by
+            # entry instead of as one bulk fetch: same pages, other requests
+            for key in ("read_requests", "io_seconds"):
+                del stats[key], strict_stats[key]
+        assert stats == strict_stats
+
+    def test_lazy_through_outcome_equals_lazy_through_execute(self, fs, store_name):
+        extent = SpatialDataStore.open(fs, store_name).extent
+        batch = [(i, env) for i, env in enumerate(windows(extent, n=12, seed=33))]
+        via_execute, execute_stats = serve_in_mode(
+            fs, store_name, "strict", [batch], lazy=True
+        )
+        via_outcome, outcome_stats = serve_in_mode(
+            fs, store_name, "partial_ok", [batch], lazy=True
+        )
+        assert ids_of(via_outcome) == ids_of(via_execute)
+        assert [[type(h.geometry) for h in hits] for hits in via_outcome] == [
+            [type(h.geometry) for h in hits] for hits in via_execute
+        ]
+        assert any(
+            isinstance(h.geometry, RecordView) for hits in via_outcome for h in hits
+        )
+        assert outcome_stats == execute_stats
 
     def test_engine_execute_is_the_entry_point(self, fs, store_name):
         store = SpatialDataStore.open(fs, store_name, cache_pages=1024)
