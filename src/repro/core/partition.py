@@ -216,10 +216,6 @@ class MessagePartitioner(_BasePartitioner):
         # record (a file that does not end with the delimiter).
         if rank == 0 and carry:
             records.extend(split_records(carry, delim))
-            if not carry.endswith(delim):
-                # split_records drops nothing, but make the intent explicit:
-                # the final fragment is a complete record without a delimiter.
-                pass
 
         return PartitionResult(
             records=records,

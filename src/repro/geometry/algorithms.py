@@ -215,7 +215,6 @@ def ring_length(ring: Sequence[Coord]) -> float:
         return 0.0
     closed = ring[0] == ring[-1]
     total = 0.0
-    last = n if closed else n
     for i in range(n - 1):
         total += math.hypot(ring[i + 1][0] - ring[i][0], ring[i + 1][1] - ring[i][1])
     if not closed and n > 2:

@@ -28,11 +28,17 @@ class LineString(Geometry):
 
     def __init__(self, coords: Sequence[Coord], userdata: Any = None) -> None:
         super().__init__(userdata)
-        pts = [(float(x), float(y)) for x, y in coords]
+        # the one conversion pass, for rings too (they only amend the list)
+        pts = self._checked([(float(x), float(y)) for x, y in coords])
+        self._coords: Tuple[Coord, ...] = tuple(pts)
+        self._envelope = Envelope.from_points(pts)
+
+    @staticmethod
+    def _checked(pts: List[Coord]) -> List[Coord]:
+        """Validate the converted coordinate list (subclasses may amend it)."""
         if len(pts) < 2:
             raise ValueError("LineString requires at least 2 coordinates")
-        self._coords: Tuple[Coord, ...] = tuple(pts)
-        self._envelope = Envelope.from_points(self._coords)
+        return pts
 
     # ------------------------------------------------------------------ #
     @property
@@ -99,13 +105,13 @@ class LinearRing(LineString):
 
     geom_type = "LinearRing"
 
-    def __init__(self, coords: Sequence[Coord], userdata: Any = None) -> None:
-        pts = [(float(x), float(y)) for x, y in coords]
+    @staticmethod
+    def _checked(pts: List[Coord]) -> List[Coord]:
         if len(pts) >= 1 and pts[0] != pts[-1]:
             pts.append(pts[0])
         if len(pts) < 4:  # 3 distinct + closing coordinate
             raise ValueError("LinearRing requires at least 3 distinct coordinates")
-        super().__init__(pts, userdata=userdata)
+        return pts
 
     @property
     def signed_area(self) -> float:

@@ -5,18 +5,28 @@ followed by tab-separated attributes), e.g.::
 
     POLYGON ((30 10, 40 40, 20 40, 30 10))
 
-The parser is a hand-written tokenizer + recursive-descent reader covering the
-OGC types the paper mentions (POINT, LINESTRING, POLYGON, MULTIPOINT,
-MULTILINESTRING, MULTIPOLYGON, GEOMETRYCOLLECTION) plus EMPTY geometries.  It
-is deliberately tolerant of surrounding whitespace and attribute suffixes so
-that raw dataset lines can be fed in directly — that mirrors the paper's
-"collection of strings" parsing interface.
+The reader is recursive descent over the OGC types the paper mentions (POINT,
+LINESTRING, POLYGON, MULTIPOINT, MULTILINESTRING, MULTIPOLYGON,
+GEOMETRYCOLLECTION, plus EMPTY for the collection types): tags, nesting and
+``EMPTY`` are handled one pattern match at a time, but a coordinate list is
+read **a ring at a time** — cut at its closing parenthesis, validated by a
+compiled pattern, then split, converted and paired by C-level ``str`` / ``map``
+/ ``zip`` calls — so the cost of a record follows its bytes, not its tokens.
+
+Accept / reject contract: exactly the strings a greedy tokenizer over
+*word | number | ( | ) | ,* would accept.  A number is
+``[-+]?(digits[.digits] | .digits)[e[-+]digits]`` and nothing else — ``float``
+is more liberal (``1_0``, ``nan``, ``inf``), so validity is decided by the
+pattern, never by ``float`` raising.  Whitespace is space, tab, CR and LF; Z / M
+ordinates are tolerated and dropped; text after the closing parenthesis (e.g.
+tab-separated attributes of a raw dataset line) ends up in ``userdata`` — that
+mirrors the paper's "collection of strings" parsing interface.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from .base import Geometry
 from .linestring import LineString
@@ -25,6 +35,7 @@ from .point import Point
 from .polygon import Polygon
 
 Coord = Tuple[float, float]
+T = TypeVar("T")
 
 __all__ = [
     "WKTParseError",
@@ -68,194 +79,161 @@ def dumps(geom: Geometry) -> str:
 # --------------------------------------------------------------------------- #
 # parsing (loads)
 # --------------------------------------------------------------------------- #
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<word>[A-Za-z]+)
-    | (?P<number>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<comma>,)
-    """,
-    re.VERBOSE,
+_WS = r"[ \t\r\n]*"
+#: every number has exactly one parse ("12" is not also "1" + "2" inside the
+#: mantissa), so a failed match backtracks in linear time
+_NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+
+
+def _atomic_number(group: str) -> str:
+    """One number that backtracking may not re-split (``12`` into ``1 2``).
+    ``(?>...)`` needs Python 3.11; a lookahead capture plus a backreference is
+    the same thing on 3.9."""
+    return rf"(?=(?P<{group}>{_NUMBER}))(?P={group})"
+
+
+#: ``x y`` and any number of further (Z / M) ordinates, however they are spaced
+_COORD = (
+    rf"{_WS}{_atomic_number('x')}{_WS}{_atomic_number('y')}(?:{_WS}{_atomic_number('z')})*{_WS}"
 )
+#: the common case: two numbers with whitespace between them.  Each ends at
+#: whitespace or a comma, which no shorter match of it could, so plain matching
+#: already is atomic.  Compiled ASCII-only (a quarter faster); a run with other
+#: Unicode digits falls through to the general pattern, which accepts them.
+_XY = rf"{_WS}{_NUMBER}[ \t\r\n]+{_NUMBER}{_WS}"
+_COORD_RE = re.compile(_COORD)
+# comma-terminated coordinates, a bounded number per match: the backtracking
+# stack of one unbounded repeat makes a 100 K-vertex ring three times slower
+_COORD_RUN_RE = re.compile(rf"(?:{_COORD},){{1,512}}")
+_XY_RUN_RE = re.compile(rf"(?:{_XY},){{1,512}}", re.ASCII)
+#: a geometry tag and, when one follows, the next word (``EMPTY``)
+_TAG_RE = re.compile(rf"{_WS}([A-Za-z]+)(?:{_WS}([A-Za-z]+))?")
+_LPAREN_RE = re.compile(rf"{_WS}\(")
+_RPAREN_RE = re.compile(rf"{_WS}\)")
+_SEPARATOR_RE = re.compile(rf"{_WS}([,)])")
 
 
-class _Tokenizer:
-    """Streams WKT tokens; stops cleanly at trailing attribute text."""
+def _expect(pattern: "re.Pattern[str]", what: str, text: str, pos: int) -> "re.Match[str]":
+    m = pattern.match(text, pos)
+    if m is None:
+        raise WKTParseError(f"expected {what} at position {pos} of {text[:80]!r}")
+    return m
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self._peeked: Optional[Tuple[str, str]] = None
 
-    def _scan(self) -> Optional[Tuple[str, str]]:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        m = _TOKEN_RE.match(self.text, self.pos)
+def _is_run_of(pattern: "re.Pattern[str]", items: str) -> bool:
+    """True when *items* is nothing but consecutive matches of *pattern*."""
+    pos = 0
+    while pos < len(items):
+        m = pattern.match(items, pos)
         if m is None:
-            return None
-        self.pos = m.end()
-        kind = m.lastgroup or ""
-        return (kind, m.group())
-
-    def peek(self) -> Optional[Tuple[str, str]]:
-        if self._peeked is None:
-            self._peeked = self._scan()
-        return self._peeked
-
-    def next(self) -> Optional[Tuple[str, str]]:
-        tok = self.peek()
-        self._peeked = None
-        return tok
-
-    def expect(self, kind: str) -> str:
-        tok = self.next()
-        if tok is None or tok[0] != kind:
-            raise WKTParseError(
-                f"expected {kind} at position {self.pos} of {self.text[:80]!r}, got {tok}"
-            )
-        return tok[1]
-
-    def accept(self, kind: str, value: Optional[str] = None) -> Optional[str]:
-        tok = self.peek()
-        if tok is not None and tok[0] == kind and (value is None or tok[1].upper() == value):
-            self.next()
-            return tok[1]
-        return None
+            return False
+        pos = m.end()
+    return True
 
 
-def _parse_coord(tz: _Tokenizer) -> Coord:
-    x = float(tz.expect("number"))
-    y = float(tz.expect("number"))
-    # Tolerate (and drop) Z / M ordinates.
+def _coord_list(text: str, pos: int) -> Tuple[List[Coord], int]:
+    """``( x y, x y, ... )``: the whole run up to the closing parenthesis is
+    validated by a compiled pattern, then split, converted and paired by
+    ``str`` / ``map`` / ``zip`` calls — no per-vertex Python step."""
+    start = _expect(_LPAREN_RE, "'('", text, pos).end()
+    end = text.find(")", start)
+    if end < 0:
+        raise WKTParseError(f"missing ')' after position {start} of {text[:80]!r}")
+    items = text[start:end] + ","  # every coordinate now ends in a comma
+    if _is_run_of(_XY_RUN_RE, items):
+        values = list(map(float, items.replace(",", " ").split()))
+        return list(zip(values[0::2], values[1::2])), end + 1
+    if not _is_run_of(_COORD_RUN_RE, items):
+        raise WKTParseError(f"malformed coordinate list at position {start} of {text[:80]!r}")
+    # Z / M ordinates (or numbers run together, "1-2"): the first two of each
+    coords = [tuple(map(float, _NUMBER_RE.findall(c)[:2])) for c in items[:-1].split(",")]
+    return coords, end + 1
+
+
+def _sequence(text: str, pos: int, item: Callable[[str, int], Tuple[T, int]]) -> Tuple[List[T], int]:
+    """``( item, item, ... )`` → the item values and the end position."""
+    pos = _expect(_LPAREN_RE, "'('", text, pos).end()
+    values: List[T] = []
     while True:
-        tok = tz.peek()
-        if tok is not None and tok[0] == "number":
-            tz.next()
-        else:
-            break
-    return (x, y)
+        value, pos = item(text, pos)
+        values.append(value)
+        separator = _expect(_SEPARATOR_RE, "',' or ')'", text, pos)
+        pos = separator.end()
+        if separator.group(1) == ")":
+            return values, pos
 
 
-def _parse_coord_list(tz: _Tokenizer) -> List[Coord]:
-    tz.expect("lparen")
-    coords = [_parse_coord(tz)]
-    while tz.accept("comma"):
-        coords.append(_parse_coord(tz))
-    tz.expect("rparen")
-    return coords
+def _bare_point(text: str, pos: int) -> Tuple[Point, int]:
+    m = _expect(_COORD_RE, "a coordinate", text, pos)
+    return Point(float(m["x"]), float(m["y"])), m.end()
 
 
-def _parse_ring_list(tz: _Tokenizer) -> List[List[Coord]]:
-    tz.expect("lparen")
-    rings = [_parse_coord_list(tz)]
-    while tz.accept("comma"):
-        rings.append(_parse_coord_list(tz))
-    tz.expect("rparen")
-    return rings
+def _point(text: str, pos: int) -> Tuple[Point, int]:
+    point, pos = _bare_point(text, _expect(_LPAREN_RE, "'('", text, pos).end())
+    return point, _expect(_RPAREN_RE, "')'", text, pos).end()
 
 
-def _is_empty(tz: _Tokenizer) -> bool:
-    return tz.accept("word", "EMPTY") is not None
+def _multipoint_member(text: str, pos: int) -> Tuple[Point, int]:
+    # MULTIPOINT accepts both "(1 2, 3 4)" and "((1 2), (3 4))".
+    if _LPAREN_RE.match(text, pos):
+        return _point(text, pos)
+    return _bare_point(text, pos)
 
 
-def _parse_point(tz: _Tokenizer) -> Point:
-    if _is_empty(tz):
-        raise WKTParseError("POINT EMPTY is not supported")
-    tz.expect("lparen")
-    coord = _parse_coord(tz)
-    tz.expect("rparen")
-    return Point(*coord)
+def _linestring(text: str, pos: int) -> Tuple[LineString, int]:
+    coords, pos = _coord_list(text, pos)
+    return LineString(coords), pos
 
 
-def _parse_linestring(tz: _Tokenizer) -> LineString:
-    if _is_empty(tz):
-        raise WKTParseError("LINESTRING EMPTY is not supported")
-    return LineString(_parse_coord_list(tz))
+def _polygon(text: str, pos: int) -> Tuple[Polygon, int]:
+    rings, pos = _sequence(text, pos, _coord_list)
+    return Polygon(rings[0], rings[1:]), pos
 
 
-def _parse_polygon(tz: _Tokenizer) -> Polygon:
-    if _is_empty(tz):
-        raise WKTParseError("POLYGON EMPTY is not supported")
-    rings = _parse_ring_list(tz)
-    return Polygon(rings[0], rings[1:])
+def _multipoint(text: str, pos: int) -> Tuple[MultiPoint, int]:
+    points, pos = _sequence(text, pos, _multipoint_member)
+    return MultiPoint(points), pos
 
 
-def _parse_multipoint(tz: _Tokenizer) -> MultiPoint:
-    if _is_empty(tz):
-        return MultiPoint([])
-    tz.expect("lparen")
-    points: List[Point] = []
-    while True:
-        # MULTIPOINT accepts both "(1 2, 3 4)" and "((1 2), (3 4))".
-        if tz.accept("lparen"):
-            coord = _parse_coord(tz)
-            tz.expect("rparen")
-        else:
-            coord = _parse_coord(tz)
-        points.append(Point(*coord))
-        if not tz.accept("comma"):
-            break
-    tz.expect("rparen")
-    return MultiPoint(points)
+def _multilinestring(text: str, pos: int) -> Tuple[MultiLineString, int]:
+    lines, pos = _sequence(text, pos, _coord_list)
+    return MultiLineString([LineString(c) for c in lines]), pos
 
 
-def _parse_multilinestring(tz: _Tokenizer) -> MultiLineString:
-    if _is_empty(tz):
-        return MultiLineString([])
-    lines = [LineString(c) for c in _parse_ring_list(tz)]
-    return MultiLineString(lines)
+def _multipolygon(text: str, pos: int) -> Tuple[MultiPolygon, int]:
+    polys, pos = _sequence(text, pos, _polygon)
+    return MultiPolygon(polys), pos
 
 
-def _parse_multipolygon(tz: _Tokenizer) -> MultiPolygon:
-    if _is_empty(tz):
-        return MultiPolygon([])
-    tz.expect("lparen")
-    polys: List[Polygon] = []
-    while True:
-        rings = _parse_ring_list(tz)
-        polys.append(Polygon(rings[0], rings[1:]))
-        if not tz.accept("comma"):
-            break
-    tz.expect("rparen")
-    return MultiPolygon(polys)
+def _collection(text: str, pos: int) -> Tuple[GeometryCollection, int]:
+    geoms, pos = _sequence(text, pos, _geometry)
+    return GeometryCollection(geoms), pos
 
 
-def _parse_collection(tz: _Tokenizer) -> GeometryCollection:
-    if _is_empty(tz):
-        return GeometryCollection([])
-    tz.expect("lparen")
-    geoms: List[Geometry] = []
-    while True:
-        geoms.append(_parse_geometry(tz))
-        if not tz.accept("comma"):
-            break
-    tz.expect("rparen")
-    return GeometryCollection(geoms)
-
-
-_PARSERS = {
-    "POINT": _parse_point,
-    "LINESTRING": _parse_linestring,
-    "POLYGON": _parse_polygon,
-    "MULTIPOINT": _parse_multipoint,
-    "MULTILINESTRING": _parse_multilinestring,
-    "MULTIPOLYGON": _parse_multipolygon,
-    "GEOMETRYCOLLECTION": _parse_collection,
+#: tag → (body reader, type built for ``<TAG> EMPTY`` or None when unsupported)
+_READERS = {
+    "POINT": (_point, None),
+    "LINESTRING": (_linestring, None),
+    "POLYGON": (_polygon, None),
+    "MULTIPOINT": (_multipoint, MultiPoint),
+    "MULTILINESTRING": (_multilinestring, MultiLineString),
+    "MULTIPOLYGON": (_multipolygon, MultiPolygon),
+    "GEOMETRYCOLLECTION": (_collection, GeometryCollection),
 }
 
 
-def _parse_geometry(tz: _Tokenizer) -> Geometry:
-    tok = tz.next()
-    if tok is None or tok[0] != "word":
-        raise WKTParseError(f"expected a geometry tag, got {tok}")
-    tag = tok[1].upper()
-    parser = _PARSERS.get(tag)
-    if parser is None:
+def _geometry(text: str, pos: int) -> Tuple[Geometry, int]:
+    m = _expect(_TAG_RE, "a geometry tag", text, pos)
+    tag, word = m.group(1).upper(), m.group(2)
+    if tag not in _READERS:
         raise WKTParseError(f"unknown geometry tag {tag!r}")
-    return parser(tz)
+    reader, empty_type = _READERS[tag]
+    if word is not None and word.upper() == "EMPTY":
+        if empty_type is None:
+            raise WKTParseError(f"{tag} EMPTY is not supported")
+        return empty_type([]), m.end()
+    return reader(text, m.end(1))
 
 
 def loads(text: str, userdata=None) -> Geometry:
@@ -267,9 +245,8 @@ def loads(text: str, userdata=None) -> Geometry:
     ``userdata`` attribute so downstream code can keep the attributes around —
     the same role GEOS userdata plays in the paper.
     """
-    tz = _Tokenizer(text)
-    geom = _parse_geometry(tz)
-    trailing = text[tz.pos :].strip()
+    geom, end = _geometry(text, 0)
+    trailing = text[end:].strip()
     if userdata is not None:
         geom.userdata = userdata
     elif trailing:

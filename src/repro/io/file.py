@@ -10,6 +10,13 @@ Supports the three access levels of Table 1 of the paper:
 Data always comes from the backing local file (so parsers see real bytes);
 virtual time is charged through the filesystem's cost model, independently for
 Level 0 and through the two-phase model for the collective levels.
+
+Cost contract: expanding a view into absolute file blocks
+(:meth:`File._view_blocks`, the one routine every read and write goes through)
+costs O(returned blocks) — never O(bytes); the default byte view resolves any
+read to one block in constant time.  The block lists are handed to the cost
+models as ``ReadRequest.ranges``, so they are part of the exact-metric surface:
+a change that splits or merges blocks differently changes ``sim_io_s``.
 """
 
 from __future__ import annotations
@@ -130,43 +137,32 @@ class File:
         view data position ``start_etypes`` (measured in etype units)."""
         if nbytes <= 0:
             return []
-        etype_size = self._etype.size
-        data_start = start_etypes * etype_size
         ft = self._filetype
-        tile_data = ft.size
-        tile_extent = ft.extent
-        tile_blocks = ft.blocks()
-
+        pos = start_etypes * self._etype.size  # position in the view's data space (bytes)
+        if ft.is_contiguous:
+            return [(self._disp + pos, nbytes)]
+        tile_index, skip = divmod(pos, ft.size)
+        tile_base = self._disp + tile_index * ft.extent
+        typemap = ft.blocks()
         blocks: List[Block] = []
         remaining = nbytes
-        pos = data_start  # position in the view's data space (bytes)
         while remaining > 0:
-            tile_index = pos // tile_data
-            within = pos - tile_index * tile_data
-            tile_base = self._disp + tile_index * tile_extent
-            consumed_in_tile = 0
-            for off, length in tile_blocks:
-                if remaining <= 0:
-                    break
-                block_start = consumed_in_tile
-                block_end = consumed_in_tile + length
-                consumed_in_tile = block_end
-                if within >= block_end:
+            for off, length in typemap:
+                if skip >= length:  # block lies wholly before the start position
+                    skip -= length
                     continue
-                skip = max(0, within - block_start)
+                start = tile_base + off + skip
                 take = min(length - skip, remaining)
-                blocks.append((tile_base + off + skip, take))
+                if blocks and blocks[-1][0] + blocks[-1][1] == start:
+                    blocks[-1] = (blocks[-1][0], blocks[-1][1] + take)
+                else:
+                    blocks.append((start, take))
+                skip = 0
                 remaining -= take
-                pos += take
-                within += take
-        # coalesce adjacent blocks
-        merged: List[Block] = []
-        for off, length in blocks:
-            if merged and merged[-1][0] + merged[-1][1] == off:
-                merged[-1] = (merged[-1][0], merged[-1][1] + length)
-            else:
-                merged.append((off, length))
-        return merged
+                if remaining == 0:
+                    break
+            tile_base += ft.extent
+        return blocks
 
     @staticmethod
     def _check_limit(nbytes: int) -> None:
@@ -177,10 +173,8 @@ class File:
             )
 
     def _read_blocks(self, blocks: Sequence[Block]) -> bytes:
-        out = bytearray()
-        for off, length in blocks:
-            out += self._handle.pread(off, length)
-        return bytes(out)
+        # join hands a lone pread buffer back as-is: no copy of a one-block read
+        return b"".join([self._handle.pread(off, length) for off, length in blocks])
 
     def _write_blocks(self, blocks: Sequence[Block], data: bytes) -> int:
         pos = 0

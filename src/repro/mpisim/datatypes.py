@@ -100,7 +100,12 @@ class Datatype:
 
         This is the file-view expansion used by the MPI-IO layer: the
         number of resulting blocks is what makes non-contiguous access slow.
+        A contiguous type is one block however many elements it spans, so the
+        ``create_*`` constructors (which build their typemaps from runs laid
+        out here) cost O(blocks), never O(bytes).
         """
+        if self.is_contiguous:
+            return [(offset, count * self._size)] if count > 0 else []
         blocks: List[Block] = []
         for i in range(count):
             base = offset + i * self._extent
@@ -164,11 +169,7 @@ def create_contiguous(count: int, oldtype: Datatype, name: str = "contiguous") -
     """``MPI_Type_contiguous``: *count* copies of *oldtype* back to back."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    blocks: List[Block] = []
-    for i in range(count):
-        base = i * oldtype.extent
-        blocks.extend((base + off, length) for off, length in oldtype.blocks())
-    dt = Datatype(count * oldtype.size, count * oldtype.extent, blocks)
+    dt = Datatype(count * oldtype.size, count * oldtype.extent, oldtype.layout(count))
     dt.name = name
     return dt
 
@@ -184,10 +185,7 @@ def create_vector(
         raise ValueError("stride must be >= blocklength")
     blocks: List[Block] = []
     for i in range(count):
-        base = i * stride * oldtype.extent
-        for j in range(blocklength):
-            inner = base + j * oldtype.extent
-            blocks.extend((inner + off, length) for off, length in oldtype.blocks())
+        blocks.extend(oldtype.layout(blocklength, i * stride * oldtype.extent))
     size = count * blocklength * oldtype.size
     extent = ((count - 1) * stride + blocklength) * oldtype.extent
     dt = Datatype(size, extent, blocks)
@@ -215,10 +213,7 @@ def create_indexed(
     for bl, disp in zip(blocklengths, displacements):
         if bl < 0 or disp < 0:
             raise ValueError("blocklengths and displacements must be non-negative")
-        base = disp * oldtype.extent
-        for j in range(bl):
-            inner = base + j * oldtype.extent
-            blocks.extend((inner + off, length) for off, length in oldtype.blocks())
+        blocks.extend(oldtype.layout(bl, disp * oldtype.extent))
         size += bl * oldtype.size
         max_end = max(max_end, (disp + bl) * oldtype.extent)
     dt = Datatype(size, max_end, blocks)
@@ -248,9 +243,7 @@ def create_struct(
     for bl, disp, dt_member in zip(blocklengths, displacements, types):
         if bl < 0 or disp < 0:
             raise ValueError("blocklengths and displacements must be non-negative")
-        for j in range(bl):
-            base = disp + j * dt_member.extent
-            blocks.extend((base + off, length) for off, length in dt_member.blocks())
+        blocks.extend(dt_member.layout(bl, disp))
         size += bl * dt_member.size
         max_end = max(max_end, disp + bl * dt_member.extent)
     dt = Datatype(size, max_end, blocks)

@@ -1,9 +1,13 @@
 """WKT parser / writer tests."""
 
+import re
+
+import _wkt_reference  # the retired tokenizer reader, kept next to this file
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import generate_dataset
 from repro.geometry import (
     GeometryCollection,
     LineString,
@@ -15,6 +19,7 @@ from repro.geometry import (
     WKTParseError,
     wkt,
 )
+from repro.pfs import LustreFilesystem
 
 coord = st.tuples(
     st.floats(min_value=-1000, max_value=1000, allow_nan=False, allow_infinity=False),
@@ -173,3 +178,133 @@ class TestRoundTrip:
         parsed = wkt.loads(ls.wkt())
         assert parsed.num_points == ls.num_points
         assert parsed.envelope == ls.envelope
+
+
+# --------------------------------------------------------------------------- #
+# the ring-at-a-time reader against the tokenizer reader it replaced
+# --------------------------------------------------------------------------- #
+def outcome(loads, text):
+    """What a reader makes of *text*: the geometry it builds, or the exact
+    exception class it raises."""
+    try:
+        geom = loads(text)
+    except ValueError as exc:  # WKTParseError is a ValueError
+        return ("rejected", type(exc))
+    return (type(geom), geom.wkt(), geom.userdata)
+
+
+def assert_same_as_reference(text):
+    assert outcome(wkt.loads, text) == outcome(_wkt_reference.loads, text), repr(text)
+
+
+ring = st.lists(coord, min_size=3, max_size=8).filter(lambda c: c[0] != c[-1] or len(c) > 3)
+points = st.builds(lambda c: Point(*c), coord)
+linestrings = st.builds(LineString, st.lists(coord, min_size=2, max_size=8))
+polygons = st.builds(Polygon, ring, st.lists(ring, max_size=2))
+simple = st.one_of(points, linestrings, polygons)
+geometries = st.one_of(
+    simple,
+    st.builds(MultiPoint, st.lists(points, max_size=4)),
+    st.builds(MultiLineString, st.lists(linestrings, max_size=3)),
+    st.builds(MultiPolygon, st.lists(polygons, max_size=3)),
+    st.builds(GeometryCollection, st.lists(simple, max_size=3)),
+)
+blank = st.sampled_from([" ", "  ", "\t", " \t ", "\n", "\r\n", ""])
+tail = st.sampled_from(["", "\tid=17", "\tid=17\tname=Long Lake", " trailing", "\r", "\r\n", ") 7"])
+EDGE_CASES = [
+    "POINT (1. .5)",
+    "POINT (-1e-3 +2E+5)",
+    "POINT Z (1 2 3)",
+    "POINT (1 2 3)",
+    "LINESTRING (1 2 3 4, 5 6 7 8)",
+    "LINESTRING (1 2 3, 4 5)",
+    "POINT EMPTY",
+    "LINESTRING EMPTY",
+    "POLYGON EMPTY",
+    "MULTIPOINT (1 2, 3 4)",
+    "MULTIPOINT ((1 2), (3 4))",
+    "MULTIPOINT ((1 2), 3 4 5)",
+    "MULTIPOINT EMPTY",
+    "MULTILINESTRING EMPTY",
+    "MULTIPOLYGON EMPTY",
+    "multipolygon empty\tid=3",
+    "MULTIPOLYGON EMPTYX",
+    "GEOMETRYCOLLECTION EMPTY",
+    "GEOMETRYCOLLECTION (POINT (1 2), GEOMETRYCOLLECTION (LINESTRING (0 0, 1 1), MULTIPOINT EMPTY))",
+    "GEOMETRYCOLLECTION (POINT (1 2), POLYGON ((0 0, 1 1)))",
+    "MULTILINESTRING ((0 0), (1 1",
+    "MULTIPOLYGON (((0 0, 1 1)), ((0 0, 1 0, 1 1",
+    "POLYGON ((0 0, 1 0, 1 1)",
+    "POLYGON ((0 0, 1 0, 1 1)))",
+    "POLYGON (0 0, 1 0, 1 1)",
+    "POLYGON ((0 0, 1 0, 1 1))",
+    "POLYGON ((0 0, 1 0, 0 0))",
+    "POLYGON ((0 0, 1 0, 1 1, 0 0), (0.2 0.2, 0.4 0.2))",
+    "POINT (1_0 2)",
+    "POINT (nan nan)",
+    "POINT (inf 0)",
+    "POINT (0x1p3 1)",
+    "POINT (. 1)",
+    "POINT (1,2)",
+    "POINT (12)",
+    "POINT (1-2)",
+    "POINT (1.5.5)",
+    "POINT (1e55e5 2)",
+    "POINT (1e 2)",
+    "POINT (+-1 2)",
+    "POINT (\u0663 \u0664)",
+    "LINESTRING (\u0663 \u0664, 1 2)",
+    "LINESTRING (\u0663 \u0664 5, 1 2)",
+    "POINT (1\x0b2)",
+    "POINT (1\u00a02)",
+    "LINESTRING (0 0, 1 1,)",
+    "LINESTRING (, 0 0, 1 1)",
+    "LINESTRING (0 0 1 1)",
+    "LINESTRING (0 0,, 1 1)",
+    "LINESTRING ()",
+    "LINESTRING (0 0, (1 1))",
+    "LINESTRING (1-2 5, 3 4)",
+    "POINT (1 2) id=5",
+    "POINT (1 2)\tid=5",
+    "POINT (1 2)id=5",
+    "POINT(1 2)",
+    "  POINT\t(\r\n1\n2\r\n)\r\n",
+    "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))\r",
+    "POINT1 2",
+    "POINTZ (1 2)",
+    "1 2",
+    "(1 2)",
+    "",
+    "   ",
+]
+
+
+class TestAgainstRetiredReader:
+    @settings(max_examples=300, deadline=None)
+    @given(geometries, st.data())
+    def test_generated_geometries_with_noise(self, geom, data):
+        text = re.sub(" ", lambda _: data.draw(blank), wkt.dumps(geom))
+        text = re.sub(r"[(),]", lambda m: data.draw(blank) + m.group() + data.draw(blank), text)
+        text = data.draw(st.sampled_from([str.upper, str.lower, str.title]))(text)
+        assert_same_as_reference(data.draw(blank) + text + data.draw(tail))
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    def test_edge_table(self, text):
+        assert_same_as_reference(text)
+
+    def test_every_lakes_record(self, tmp_path):
+        fs = LustreFilesystem(tmp_path / "lustre")
+        path = generate_dataset(fs, "lakes", scale=0.2)
+        with fs.open(path) as fh:
+            records = fh.pread(0, fh.size).decode().split("\n")
+        assert len(records) > 100
+        for record in records:
+            assert_same_as_reference(record)
+
+    def test_malformed_long_ring_is_rejected_in_linear_time(self):
+        """No timer: with a number pattern that can split ``12`` two ways the
+        backtracking is exponential in the vertex count and never returns."""
+        ring = ", ".join(f"{i}123456 {i}654321" for i in range(2000))
+        for bad in (f"POLYGON (({ring} x))", f"POLYGON (({ring}", f"LINESTRING ({ring}, 1e55e5 2)"):
+            assert outcome(wkt.loads, bad) == ("rejected", WKTParseError)
+        assert wkt.loads(f"LINESTRING ({ring})").num_points == 2000

@@ -1,12 +1,25 @@
 """MPI-IO File layer tests (Levels 0, 1 and 3)."""
 
 import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import mpisim
-from repro.io import File, Info, plan_collective_read
-from repro.mpisim import MPI_DOUBLE, MPI_FLOAT, CountLimitError, create_contiguous, create_vector
+from repro.io import MAX_IO_BYTES, File, Info, plan_collective_read
+from repro.mpisim import (
+    MPI_BYTE,
+    MPI_DOUBLE,
+    MPI_FLOAT,
+    MPI_INT,
+    CountLimitError,
+    create_contiguous,
+    create_indexed,
+    create_struct,
+    create_vector,
+)
 from repro.pfs import GPFSFilesystem, LustreFilesystem, ReadRequest
 
 
@@ -275,6 +288,99 @@ class TestFileViews:
         t_nc_large = max(mpisim.run_spmd(noncontiguous, 4, 64).values)
         assert t_contig < t_nc_small
         assert t_nc_large < t_nc_small
+
+
+#: filetypes of the view-expansion property: basic, contiguous, gapped
+#: vector, uneven indexed runs (given out of order) and a padded struct
+VIEW_FILETYPES = {
+    "byte": MPI_BYTE,
+    "double": MPI_DOUBLE,
+    "contiguous": create_contiguous(3, MPI_INT),
+    "vector": create_vector(count=3, blocklength=2, stride=5, oldtype=MPI_INT),
+    "indexed": create_indexed([3, 1, 0, 5], [9, 2, 4, 20], MPI_BYTE),
+    "struct": create_struct([1, 2, 1], [0, 8, 28], [MPI_INT, MPI_DOUBLE, MPI_INT]),
+}
+VIEW_FILE = bytes((7 * i + i // 256) % 256 for i in range(4096))
+
+
+def oracle_blocks(disp, etype, ft, start_etypes, nbytes):
+    """Brute force: map every view data byte to its file offset, then merge
+    neighbours."""
+    data_to_tile = [off + i for off, length in ft.blocks() for i in range(length)]
+    first = start_etypes * etype.size
+    offsets = [
+        disp + (k // ft.size) * ft.extent + data_to_tile[k % ft.size]
+        for k in range(first, first + nbytes)
+    ]
+    blocks = []
+    for off in offsets:
+        if blocks and blocks[-1][0] + blocks[-1][1] == off:
+            blocks[-1] = (blocks[-1][0], blocks[-1][1] + 1)
+        else:
+            blocks.append((off, 1))
+    return blocks
+
+
+class TestViewExpansion:
+    """``File._view_blocks`` against a per-byte oracle, and its cost contract."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(VIEW_FILETYPES)),
+        disp=st.integers(0, 64),
+        wide_etype=st.booleans(),
+        start=st.integers(0, 40),
+        nbytes=st.integers(0, 300),
+    )
+    def test_blocks_and_bytes_match_oracle(self, tmp_path_factory, name, disp, wide_etype, start, nbytes):
+        ft = VIEW_FILETYPES[name]
+        etype = MPI_INT if wide_etype and ft.size % MPI_INT.size == 0 else MPI_BYTE
+        fs = LustreFilesystem(tmp_path_factory.mktemp("view"))
+        fs.create_file("view.bin", VIEW_FILE)
+        expected = oracle_blocks(disp, etype, ft, start, nbytes)
+        expected_bytes = b"".join(VIEW_FILE[off : off + length] for off, length in expected)
+
+        def prog(comm):
+            fh = File.Open(comm, fs, "view.bin")
+            fh.Set_view(disp=disp, etype=etype, filetype=ft)
+            blocks = fh._view_blocks(start, nbytes)
+            at = fh.read_at(start, nbytes)
+            fh.Seek(start)
+            through_pointer = fh.read_all(nbytes)
+            return blocks, at, through_pointer
+
+        blocks, at, through_pointer = mpisim.run_spmd(prog, 1).values[0]
+        assert blocks == expected
+        assert at == through_pointer == expected_bytes
+
+    def test_default_view_is_one_block_at_the_romio_limit(self, lustre):
+        """O(blocks), not O(bytes): a per-byte expansion of 2 GiB never ends."""
+        lustre.create_file("small.bin", b"x")
+
+        def prog(comm):
+            fh = File.Open(comm, lustre, "small.bin")
+            plain = fh._view_blocks(0, MAX_IO_BYTES)
+            fh.Set_view(disp=5, etype=MPI_DOUBLE, filetype=create_contiguous(4, MPI_DOUBLE))
+            return plain, fh._view_blocks(3, MAX_IO_BYTES)
+
+        plain, displaced = mpisim.run_spmd(prog, 1).values[0]
+        assert plain == [(0, 2**31 - 1)]
+        assert displaced == [(5 + 3 * 8, 2**31 - 1)]
+
+    def test_big_byte_datatypes_build_without_per_byte_allocation(self):
+        tracemalloc.start()
+        try:
+            contiguous = create_contiguous(1 << 20, MPI_BYTE)
+            indexed = create_indexed([1 << 20], [7], MPI_BYTE)
+            vector = create_vector(4, 1 << 18, 1 << 19, MPI_BYTE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert contiguous.blocks() == [(0, 1 << 20)]
+        assert indexed.blocks() == [(7, 1 << 20)]
+        assert vector.blocks() == [(i << 19, 1 << 18) for i in range(4)]
+        assert indexed.layout(2) == [(7, 1 << 20), (7 + indexed.extent, 1 << 20)]
+        assert peak < 1 << 20
 
 
 class TestCollectivePlanning:
