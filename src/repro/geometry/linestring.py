@@ -33,6 +33,24 @@ class LineString(Geometry):
         self._coords: Tuple[Coord, ...] = tuple(pts)
         self._envelope = Envelope.from_points(pts)
 
+    @classmethod
+    def from_xy(cls, xs: Sequence[float], ys: Sequence[float]) -> "LineString":
+        """Build from parallel columns that already hold floats (what a
+        binary decoder unpacks): no per-coordinate conversion, and the bounds
+        come from the columns at C speed.  Same validation as the
+        constructor."""
+        self = cls.__new__(cls)
+        self.userdata = None
+        pts = cls._checked(list(zip(xs, ys)))
+        self._coords = tuple(pts)
+        minx, miny, maxx, maxy = min(xs), min(ys), max(xs), max(ys)
+        if minx <= maxx and miny <= maxy:
+            self._envelope = Envelope(minx, miny, maxx, maxy)
+        else:
+            # a leading NaN poisons min/max; from_points skips NaNs
+            self._envelope = Envelope.from_points(pts)
+        return self
+
     @staticmethod
     def _checked(pts: List[Coord]) -> List[Coord]:
         """Validate the converted coordinate list (subclasses may amend it)."""

@@ -16,10 +16,11 @@ type code, then coordinate data.  Only 2-D geometries are produced.
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import List, Sequence, Tuple
 
 from .base import Geometry
-from .linestring import LineString
+from .linestring import LinearRing, LineString
 from .multi import GeometryCollection, MultiLineString, MultiPoint, MultiPolygon
 from .point import Point
 from .polygon import Polygon
@@ -38,6 +39,12 @@ GEOM_TYPE_CODES = {
     "GeometryCollection": 7,
 }
 _CODE_TO_TYPE = {v: k for k, v in GEOM_TYPE_CODES.items()}
+_COLLECTIONS = {
+    "MultiPoint": MultiPoint,
+    "MultiLineString": MultiLineString,
+    "MultiPolygon": MultiPolygon,
+    "GeometryCollection": GeometryCollection,
+}
 
 _LE = 1  # little-endian flag byte
 
@@ -50,17 +57,9 @@ class WKBParseError(ValueError):
 # encoding
 # --------------------------------------------------------------------------- #
 def _pack_coords(coords: Sequence[Coord]) -> bytes:
-    out = [struct.pack("<I", len(coords))]
-    for x, y in coords:
-        out.append(struct.pack("<dd", x, y))
-    return b"".join(out)
-
-
-def _pack_ring_list(rings: Sequence[Sequence[Coord]]) -> bytes:
-    out = [struct.pack("<I", len(rings))]
-    for ring in rings:
-        out.append(_pack_coords(ring))
-    return b"".join(out)
+    """Count plus the flattened coordinates, in one ``struct.pack``."""
+    n = len(coords)
+    return struct.pack(f"<I{2 * n}d", n, *chain.from_iterable(coords))
 
 
 def dumps(geom: Geometry) -> bytes:
@@ -69,75 +68,95 @@ def dumps(geom: Geometry) -> bytes:
     if isinstance(geom, Point):
         return header + struct.pack("<dd", geom.x, geom.y)
     if isinstance(geom, Polygon):
-        rings = [r.coords for r in geom.rings()]
-        return header + _pack_ring_list(rings)
+        rings = geom.rings()
+        parts = [header, struct.pack("<I", len(rings))]
+        parts.extend(_pack_coords(ring.coords) for ring in rings)
+        return b"".join(parts)
     if isinstance(geom, LineString):
         return header + _pack_coords(geom.coords)
-    if isinstance(geom, (MultiPoint, MultiLineString, MultiPolygon, GeometryCollection)):
-        parts = [struct.pack("<I", len(geom))]
-        for g in geom:
-            parts.append(dumps(g))
-        return header + b"".join(parts)
+    if isinstance(geom, GeometryCollection):
+        parts = [header, struct.pack("<I", len(geom))]
+        parts.extend(map(dumps, geom))
+        return b"".join(parts)
     raise TypeError(f"cannot encode geometry type {geom.geom_type}")
 
 
 # --------------------------------------------------------------------------- #
 # decoding
 # --------------------------------------------------------------------------- #
-class _Reader:
-    def __init__(self, data: bytes, offset: int = 0) -> None:
-        self.data = data
-        self.offset = offset
+# Every count in a payload is untrusted: it is checked against the bytes that
+# remain before anything is unpacked or allocated from it.
+def _read_header(data, offset: int) -> Tuple[str, str, int]:
+    """``(endian, geometry type, offset past the header)``; each geometry,
+    nested members included, carries its own byte-order flag."""
+    if offset + 5 > len(data):
+        raise WKBParseError("truncated WKB payload")
+    endian = "<" if data[offset] == _LE else ">"
+    (code,) = struct.unpack_from(f"{endian}I", data, offset + 1)
+    gtype = _CODE_TO_TYPE.get(code)
+    if gtype is None:
+        raise WKBParseError(f"unknown WKB geometry code {code}")
+    return endian, gtype, offset + 5
 
-    def read(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.offset + size > len(self.data):
+
+def _read_count(data, offset: int, endian: str) -> Tuple[int, int]:
+    if offset + 4 > len(data):
+        raise WKBParseError("truncated WKB payload")
+    return struct.unpack_from(f"{endian}I", data, offset)[0], offset + 4
+
+
+def _read_columns(data, offset: int, endian: str) -> Tuple[tuple, tuple, int]:
+    """One coordinate run (a linestring body or a ring) as ``(xs, ys, offset
+    past it)``: a single ``unpack_from`` for the whole run."""
+    n, offset = _read_count(data, offset, endian)
+    end = offset + 16 * n
+    if end > len(data):
+        raise WKBParseError("truncated WKB payload")
+    values = struct.unpack_from(f"{endian}{2 * n}d", data, offset)
+    return values[0::2], values[1::2], end
+
+
+def _read_line(cls, data, offset: int, endian: str):
+    xs, ys, offset = _read_columns(data, offset, endian)
+    try:
+        return cls.from_xy(xs, ys), offset
+    except ValueError as exc:  # too few (distinct) coordinates
+        raise WKBParseError(str(exc)) from exc
+
+
+def _read_geometry(data, offset: int) -> Tuple[Geometry, int]:
+    endian, gtype, offset = _read_header(data, offset)
+    if gtype == "Point":
+        if offset + 16 > len(data):
             raise WKBParseError("truncated WKB payload")
-        values = struct.unpack_from(fmt, self.data, self.offset)
-        self.offset += size
-        return values
-
-    def read_coords(self) -> List[Coord]:
-        (n,) = self.read("<I")
-        coords: List[Coord] = []
+        x, y = struct.unpack_from(f"{endian}dd", data, offset)
+        return Point(x, y), offset + 16
+    if gtype == "LineString":
+        return _read_line(LineString, data, offset, endian)
+    n, offset = _read_count(data, offset, endian)
+    if gtype == "Polygon":
+        if n == 0:
+            raise WKBParseError("polygon without rings")
+        rings = []
         for _ in range(n):
-            x, y = self.read("<dd")
-            coords.append((x, y))
-        return coords
-
-    def read_geometry(self) -> Geometry:
-        (byte_order,) = self.read("<b")
-        endian = "<" if byte_order == _LE else ">"
-        (code,) = self.read(f"{endian}I")
-        gtype = _CODE_TO_TYPE.get(code)
-        if gtype is None:
-            raise WKBParseError(f"unknown WKB geometry code {code}")
-        if gtype == "Point":
-            x, y = self.read(f"{endian}dd")
-            return Point(x, y)
-        if gtype == "LineString":
-            return LineString(self.read_coords())
-        if gtype == "Polygon":
-            (nrings,) = self.read(f"{endian}I")
-            rings = [self.read_coords() for _ in range(nrings)]
-            return Polygon(rings[0], rings[1:])
-        # multi / collection types recurse into full WKB members
-        (n,) = self.read(f"{endian}I")
-        members = [self.read_geometry() for _ in range(n)]
-        if gtype == "MultiPoint":
-            return MultiPoint(members)  # type: ignore[arg-type]
-        if gtype == "MultiLineString":
-            return MultiLineString(members)  # type: ignore[arg-type]
-        if gtype == "MultiPolygon":
-            return MultiPolygon(members)  # type: ignore[arg-type]
-        return GeometryCollection(members)
+            ring, offset = _read_line(LinearRing, data, offset, endian)
+            rings.append(ring)
+        return Polygon(rings[0], rings[1:]), offset
+    # multi / collection types recurse into full WKB members
+    members: List[Geometry] = []
+    for _ in range(n):
+        member, offset = _read_geometry(data, offset)
+        members.append(member)
+    try:
+        return _COLLECTIONS[gtype](members), offset
+    except TypeError as exc:  # e.g. a linestring inside a MULTIPOINT
+        raise WKBParseError(str(exc)) from exc
 
 
 def loads(data: bytes) -> Geometry:
-    """Decode a WKB byte string produced by :func:`dumps` (or PostGIS/GEOS)."""
-    reader = _Reader(data)
-    geom = reader.read_geometry()
-    return geom
+    """Decode a WKB byte string produced by :func:`dumps` (or PostGIS/GEOS),
+    little- or big-endian; malformed input raises :class:`WKBParseError`."""
+    return _read_geometry(data, 0)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -146,68 +165,33 @@ def loads(data: bytes) -> Geometry:
 def _scan_bounds(data, offset: int, bounds: List[float]) -> int:
     """Fold one geometry's coordinates into *bounds* without constructing
     any geometry object; returns the offset past the geometry."""
-    if offset + 5 > len(data):
-        raise WKBParseError("truncated WKB payload")
-    (byte_order,) = struct.unpack_from("<b", data, offset)
-    endian = "<" if byte_order == _LE else ">"
-    (code,) = struct.unpack_from(f"{endian}I", data, offset + 1)
-    offset += 5
-    gtype = _CODE_TO_TYPE.get(code)
-    if gtype is None:
-        raise WKBParseError(f"unknown WKB geometry code {code}")
-
-    def fold_coords(off: int) -> int:
-        if off + 4 > len(data):
-            raise WKBParseError("truncated WKB payload")
-        (n,) = struct.unpack_from(f"{endian}I", data, off)
-        off += 4
-        if n:
-            if off + 16 * n > len(data):
-                raise WKBParseError("truncated WKB payload")
-            vals = struct.unpack_from(f"{endian}{2 * n}d", data, off)
-            off += 16 * n
-            xs, ys = vals[0::2], vals[1::2]
-            if min(xs) < bounds[0]:
-                bounds[0] = min(xs)
-            if min(ys) < bounds[1]:
-                bounds[1] = min(ys)
-            if max(xs) > bounds[2]:
-                bounds[2] = max(xs)
-            if max(ys) > bounds[3]:
-                bounds[3] = max(ys)
-        return off
-
+    endian, gtype, offset = _read_header(data, offset)
     if gtype == "Point":
         if offset + 16 > len(data):
             raise WKBParseError("truncated WKB payload")
         x, y = struct.unpack_from(f"{endian}dd", data, offset)
-        if x < bounds[0]:
-            bounds[0] = x
-        if y < bounds[1]:
-            bounds[1] = y
-        if x > bounds[2]:
-            bounds[2] = x
-        if y > bounds[3]:
-            bounds[3] = y
+        _fold(bounds, (x,), (y,))
         return offset + 16
     if gtype == "LineString":
-        return fold_coords(offset)
-    if gtype == "Polygon":
-        if offset + 4 > len(data):
-            raise WKBParseError("truncated WKB payload")
-        (nrings,) = struct.unpack_from(f"{endian}I", data, offset)
-        offset += 4
-        for _ in range(nrings):
-            offset = fold_coords(offset)
+        xs, ys, offset = _read_columns(data, offset, endian)
+        _fold(bounds, xs, ys)
         return offset
-    # multi / collection types recurse into full WKB members
-    if offset + 4 > len(data):
-        raise WKBParseError("truncated WKB payload")
-    (n,) = struct.unpack_from(f"{endian}I", data, offset)
-    offset += 4
+    n, offset = _read_count(data, offset, endian)
     for _ in range(n):
-        offset = _scan_bounds(data, offset, bounds)
+        if gtype == "Polygon":
+            xs, ys, offset = _read_columns(data, offset, endian)
+            _fold(bounds, xs, ys)
+        else:  # multi / collection types recurse into full WKB members
+            offset = _scan_bounds(data, offset, bounds)
     return offset
+
+
+def _fold(bounds: List[float], xs: Sequence[float], ys: Sequence[float]) -> None:
+    if xs:
+        bounds[0] = min(bounds[0], min(xs))
+        bounds[1] = min(bounds[1], min(ys))
+        bounds[2] = max(bounds[2], max(xs))
+        bounds[3] = max(bounds[3], max(ys))
 
 
 def envelope_bounds(data) -> Tuple[float, float, float, float]:

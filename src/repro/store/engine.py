@@ -342,11 +342,13 @@ class RefineExecutor:
         if tracer.enabled:
             decoded_before = store.stats.records_decoded
 
-        refine_geom: Optional[Geometry] = None
+        # a rectangular window is its own refine operand: the predicate
+        # takes the envelope as the closed rectangle, no polygon is built
+        refine_geom: Union[Geometry, Envelope, None] = None
         rect_window: Optional[Envelope] = None
         if exact:
             if entry.geom is None:
-                refine_geom, rect_window = Polygon.from_envelope(entry.env), entry.env
+                refine_geom = rect_window = entry.env
             else:
                 refine_geom = entry.geom
         use_rect = rect_window is not None and not rect_window.is_empty

@@ -6,8 +6,10 @@ extreme coordinates.  Doubles survive `struct` packing bit-for-bit, so every
 round trip must reproduce the coordinates *exactly*.
 """
 
+import itertools
 import struct
 
+import _wkb_reference as reference  # the retired per-vertex codec, kept next to this file
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,3 +136,204 @@ class TestWKBEdgeCases:
         bad = struct.pack("<bI", 1, 99) + struct.pack("<dd", 0, 0)
         with pytest.raises(wkb.WKBParseError):
             wkb.loads(bad)
+
+
+# --------------------------------------------------------------------------- #
+# byte order
+# --------------------------------------------------------------------------- #
+def encode(geom, orders):
+    """A test-side WKB writer that takes each geometry's byte order — nested
+    members included — from the iterator *orders* ("<" or ">")."""
+    e = next(orders)
+    out = struct.pack(f"{e}bI", 1 if e == "<" else 0, wkb.GEOM_TYPE_CODES[geom.geom_type])
+    if isinstance(geom, Point):
+        return out + struct.pack(f"{e}dd", geom.x, geom.y)
+    if isinstance(geom, Polygon):
+        out += struct.pack(f"{e}I", len(geom.rings()))
+        for ring in geom.rings():
+            out += struct.pack(f"{e}I", len(ring.coords))
+            out += b"".join(struct.pack(f"{e}dd", x, y) for x, y in ring.coords)
+        return out
+    if isinstance(geom, LineString):
+        out += struct.pack(f"{e}I", len(geom.coords))
+        return out + b"".join(struct.pack(f"{e}dd", x, y) for x, y in geom.coords)
+    out += struct.pack(f"{e}I", len(geom))
+    return out + b"".join(encode(member, orders) for member in geom)
+
+
+HOLED = Polygon(
+    [(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)],
+    [[(2, 2), (4, 2), (4, 4), (2, 4), (2, 2)], [(6, 6), (8, 6), (7, 8), (6, 6)]],
+)
+ONE_OF_EACH = [
+    Point(1.5, -2.25),
+    LineString([(0, 0), (1, 2), (3.5, -4)]),
+    HOLED,
+    MultiPoint([Point(1, 2), Point(3, 4)]),
+    MultiLineString([LineString([(0, 0), (1, 1)]), LineString([(2, 2), (3, 5), (4, 4)])]),
+    MultiPolygon([HOLED, Polygon([(20, 20), (21, 20), (21, 21), (20, 20)])]),
+    GeometryCollection(
+        [Point(9, 9), LineString([(0, 0), (5, 5)]), HOLED,
+         GeometryCollection([MultiPoint([Point(7, 7)]), LineString([(1, 0), (0, 1)])])]
+    ),
+]
+
+
+class TestByteOrder:
+    """Regression: the ring reader hard-coded little-endian, so XDR
+    linestrings and polygons raised ``truncated`` while ``envelope_bounds``
+    read the same bytes."""
+
+    @pytest.mark.parametrize("geom", ONE_OF_EACH, ids=lambda g: g.geom_type)
+    def test_big_endian_round_trip(self, geom):
+        xdr = encode(geom, itertools.repeat(">"))
+        assert xdr != wkb.dumps(geom)
+        assert_identical(geom, wkb.loads(xdr))
+        assert wkb.dumps(wkb.loads(xdr)) == wkb.dumps(geom)
+        assert wkb.envelope_bounds(xdr) == geom.envelope.as_tuple()
+
+    @pytest.mark.parametrize("geom", ONE_OF_EACH[3:], ids=lambda g: g.geom_type)
+    @pytest.mark.parametrize("first", "<>")
+    def test_mixed_endian_members(self, geom, first):
+        orders = itertools.cycle("<>" if first == "<" else "><")
+        mixed = encode(geom, orders)
+        assert_identical(geom, wkb.loads(mixed))
+        assert wkb.envelope_bounds(mixed) == geom.envelope.as_tuple()
+
+    @given(any_geometry)
+    @settings(max_examples=100, deadline=None)
+    def test_big_endian_property(self, geom):
+        assert_identical(geom, wkb.loads(encode(geom, itertools.repeat(">"))))
+
+    def test_memoryview_input(self):
+        data = wkb.dumps(HOLED)
+        assert_identical(HOLED, wkb.loads(memoryview(data)))
+
+
+# --------------------------------------------------------------------------- #
+# malformed input
+# --------------------------------------------------------------------------- #
+def _header(code, endian="<"):
+    return struct.pack(f"{endian}bI", 1 if endian == "<" else 0, code)
+
+
+class TestMalformed:
+    """Every malformed payload is a :class:`WKBParseError` — never an
+    ``IndexError``, a bare constructor ``ValueError`` or a ``struct.error`` —
+    and an untrusted count is checked against the bytes that remain before
+    anything is unpacked from it."""
+
+    @pytest.mark.parametrize("endian", "<>")
+    def test_polygon_with_zero_rings(self, endian):
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(_header(3, endian) + struct.pack(f"{endian}I", 0))
+
+    @pytest.mark.parametrize("endian", "<>")
+    def test_one_coordinate_linestring(self, endian):
+        data = _header(2, endian) + struct.pack(f"{endian}Idd", 1, 1.0, 2.0)
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(data)
+
+    def test_empty_linestring(self):
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(_header(2) + struct.pack("<I", 0))
+
+    def test_short_ring(self):
+        ring = struct.pack("<I4d", 2, 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(_header(3) + struct.pack("<I", 1) + ring)
+        # ... also as a hole behind a valid shell
+        shell = struct.pack("<I8d", 4, 0.0, 0.0, 4.0, 0.0, 4.0, 4.0, 0.0, 0.0)
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(_header(3) + struct.pack("<I", 2) + shell + ring)
+
+    def test_ring_of_repeated_points_is_rejected_like_the_constructor(self):
+        # 3 coordinates, closed: only 2 distinct — the constructor's rule
+        ring = struct.pack("<I6d", 3, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(_header(3) + struct.pack("<I", 1) + ring)
+
+    @pytest.mark.parametrize("code", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("endian", "<>")
+    def test_count_larger_than_the_payload(self, code, endian, monkeypatch):
+        # 2**32 - 1 coordinates / rings / members and 8 bytes of body: must
+        # fail on the length check, never reach an unpack sized by the count
+        calls = []
+        real = struct.unpack_from
+
+        def spy(fmt, *args):
+            calls.append(fmt)
+            return real(fmt, *args)
+
+        monkeypatch.setattr(wkb.struct, "unpack_from", spy)
+        data = _header(code, endian) + struct.pack(f"{endian}I", 0xFFFFFFFF) + b"\x00" * 8
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(data)
+        with pytest.raises(wkb.WKBParseError):
+            wkb.envelope_bounds(data)
+        assert all(len(fmt) <= 3 for fmt in calls), calls
+
+    def test_ring_count_larger_than_the_payload_inside_a_polygon(self):
+        data = _header(3) + struct.pack("<II", 1, 1 << 28) + b"\x00" * 64
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(data)
+
+    def test_wrong_member_type(self):
+        data = _header(4) + struct.pack("<I", 1) + wkb.dumps(LineString([(0, 0), (1, 1)]))
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(data)
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_garbage_never_escapes_as_another_exception(self, data):
+        try:
+            wkb.loads(data)
+        except wkb.WKBParseError:
+            pass
+
+    @given(any_geometry, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_truncation_is_a_parse_error(self, geom, data):
+        encoded = wkb.dumps(geom)
+        cut = data.draw(st.integers(0, len(encoded) - 1))
+        with pytest.raises(wkb.WKBParseError):
+            wkb.loads(encoded[:cut])
+
+
+# --------------------------------------------------------------------------- #
+# the ring-at-a-time codec against the retired per-vertex one
+# --------------------------------------------------------------------------- #
+class TestAgainstRetiredCodec:
+    """``tests/geometry/_wkb_reference.py`` is the codec as it stood before:
+    same bytes out, same geometries in."""
+
+    @given(any_geometry)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_same_geometry(self, geom):
+        encoded = wkb.dumps(geom)
+        assert encoded == reference.dumps(geom)
+        decoded, expected = wkb.loads(encoded), reference.loads(encoded)
+        assert_identical(decoded, expected)
+        assert decoded.envelope == expected.envelope
+        assert wkb.dumps(decoded) == encoded
+
+    @pytest.mark.parametrize("geom", ONE_OF_EACH, ids=lambda g: g.geom_type)
+    def test_one_of_each(self, geom):
+        encoded = wkb.dumps(geom)
+        assert encoded == reference.dumps(geom)
+        assert_identical(wkb.loads(encoded), reference.loads(encoded))
+        assert wkb.dumps(wkb.loads(encoded)) == encoded
+
+    def test_unclosed_ring_is_closed_like_the_constructor(self):
+        ring = struct.pack("<I6d", 3, 0.0, 0.0, 4.0, 0.0, 4.0, 4.0)
+        data = _header(3) + struct.pack("<I", 1) + ring
+        assert_identical(wkb.loads(data), reference.loads(data))
+        assert len(wkb.loads(data).shell.coords) == 4
+
+    def test_nan_coordinates_keep_the_envelope_rule(self):
+        nan = float("nan")
+        for coords in ([(nan, 1.0), (2.0, 3.0), (0.0, nan)], [(5.0, 5.0), (nan, nan), (1.0, 9.0)]):
+            n = len(coords)
+            flat = [v for c in coords for v in c]
+            data = _header(2) + struct.pack(f"<I{2 * n}d", n, *flat)
+            assert wkb.loads(data).envelope == reference.loads(data).envelope

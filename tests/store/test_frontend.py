@@ -181,7 +181,18 @@ class TestFrontendMetrics:
         seq = self._serve(fs, sharded_name, window=0)
         asy = self._serve(fs, sharded_name, window=4)
         assert asy.total_queries == seq.total_queries
-        assert asy.queries_per_second >= seq.queries_per_second
+
+        # Both throughputs are measured-CPU virtual seconds of two separate
+        # runs, so `asy >= seq` with no margin is a coin toss whenever the
+        # overlap is small.  What the inequality stands for is structural,
+        # on one run's own clock: the pipeline submits a batch while its
+        # predecessor is still in flight, the sequential loop never does.
+        def overlaps(result):
+            ordered = sorted(result.metrics, key=lambda m: m.batch_id)
+            return sum(b.submitted < a.completed for a, b in zip(ordered, ordered[1:]))
+
+        assert overlaps(seq) == 0
+        assert overlaps(asy) > 0
 
 
 class TestAdaptiveWindow:

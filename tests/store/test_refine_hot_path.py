@@ -21,7 +21,17 @@ import pytest
 
 from repro import mpisim
 from repro.datasets import random_envelopes
-from repro.geometry import Envelope, LineString, Point, Polygon, wkb
+from repro.geometry import (
+    Envelope,
+    GeometryCollection,
+    LineString,
+    MultiLineString,
+    MultiPoint,
+    MultiPolygon,
+    Point,
+    Polygon,
+    wkb,
+)
 from repro.pfs import LustreFilesystem
 from repro.store import (
     DistributedStoreServer,
@@ -88,7 +98,7 @@ def hit_key(h):
     )
 
 
-def refine_both_ways(store, window, exact):
+def refine_both_ways(store, window, exact, lazy=False):
     """Run one window through the bulk refine and the scalar reference over
     the same fetched pages; returns (bulk_hits, reference_hits)."""
     plan = store.engine.planner.plan([(0, window)])
@@ -96,7 +106,7 @@ def refine_both_ways(store, window, exact):
     bulk, ref = [], []
     for entry in plan.entries:
         pages = store._get_pages(entry.by_page)
-        bulk.extend(executor.refine(entry, pages, exact))
+        bulk.extend(executor.refine(entry, pages, exact, lazy=lazy))
         ref.extend(executor.refine_reference(entry, pages, exact))
     return bulk, ref
 
@@ -251,6 +261,165 @@ class TestBulkEqualsReference:
                 assert env is not None
                 assert env.as_tuple() == page.record(slot)[1].envelope.as_tuple()
         assert [hit_key(h) for h in store.range_query(window)] == first
+
+
+# --------------------------------------------------------------------------- #
+# the rectangle-window kernel under the engine
+# --------------------------------------------------------------------------- #
+def shaped_geometries(count, seed):
+    """Records whose exact shape differs from their MBR — holed and concave
+    polygons, diagonal lines, Multi* and collections — on a 1/2 lattice, so a
+    window side can lie exactly on a record edge or a hole wall."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        x, y = rng.randrange(0, 180) / 2, rng.randrange(0, 180) / 2
+        w, h = rng.randrange(2, 16) / 2 * 2, rng.randrange(2, 16) / 2 * 2  # whole units
+
+        def at(*grid):  # points of an 8x8 grid over the record's box
+            return [(x + gx * w / 8, y + gy * h / 8) for gx, gy in grid]
+
+        box = at((0, 0), (8, 0), (8, 8), (0, 8))
+        kind = i % 8
+        if kind == 0:  # box with a large hole
+            geom = Polygon(box, [at((2, 2), (6, 2), (6, 6), (2, 6))], userdata=i)
+        elif kind == 1:  # U: a window can sit in the notch
+            geom = Polygon(
+                at((0, 0), (8, 0), (8, 8), (6, 8), (6, 2), (2, 2), (2, 8), (0, 8)), userdata=i
+            )
+        elif kind == 2:  # diamond with a hole: no axis-parallel edge
+            geom = Polygon(
+                at((4, 0), (8, 4), (4, 8), (0, 4)), [at((3, 3), (5, 3), (5, 5), (3, 5))],
+                userdata=i,
+            )
+        elif kind == 3:  # L with two holes
+            geom = Polygon(
+                at((0, 0), (8, 0), (8, 4), (4, 4), (4, 8), (0, 8)),
+                [at((1, 1), (3, 1), (3, 3), (1, 3)), at((5, 1), (7, 1), (7, 3), (5, 3))],
+                userdata=i,
+            )
+        elif kind == 4:  # two far-apart boxes: the MBR is mostly empty
+            geom = MultiPolygon(
+                [Polygon(at((0, 0), (2, 0), (2, 2), (0, 2))),
+                 Polygon(at((6, 6), (8, 6), (8, 8), (6, 8)), [at((6.5, 6.5), (7.5, 6.5), (7, 7.5))])],
+                userdata=i,
+            )
+        elif kind == 5:
+            geom = MultiLineString(
+                [LineString(at((0, 8), (3, 5))), LineString(at((5, 3), (8, 0), (8, 2)))], userdata=i
+            )
+        elif kind == 6:
+            geom = GeometryCollection(
+                [Point(*at((0, 0))[0]), LineString(at((8, 0), (4, 4))),
+                 MultiPoint([Point(*at((8, 8))[0]), Point(*at((2, 6))[0])]),
+                 Polygon(at((0, 6), (2, 6), (2, 8), (0, 8)))],
+                userdata=i,
+            )
+        else:  # zig-zag line
+            geom = LineString(at((0, 0), (8, 2), (0, 4), (8, 6), (0, 8)), userdata=i)
+        out.append(geom)
+    return out
+
+
+def kernel_windows(geoms, seed):
+    """Point-sized, line-sized and record-edge-aligned windows (plus a few
+    ordinary ones), derived from the records themselves."""
+    rng = random.Random(seed)
+    wins = list(random_envelopes(10, extent=EXTENT, max_size_fraction=0.15, seed=seed))
+    for g in rng.sample(geoms, 24):
+        x0, y0, x1, y1 = g.envelope.as_tuple()
+        cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+        wins += [
+            Envelope(cx, cy, cx, cy),  # point: in a hole, a notch or the interior
+            Envelope(x0, y0, x0, y0),  # point on the MBR corner
+            Envelope(x0, cy, x1, cy),  # horizontal line through the middle
+            Envelope(cx, y0 - 1, cx, y1 + 1),  # vertical line through and beyond
+            Envelope(x0 - 3, y0 - 3, x0, y1 + 3),  # right side on the record's left edge
+            Envelope(x0 - 3, y1, x1 + 3, y1 + 3),  # bottom side on the record's top edge
+            # the middle half: exactly kind 0's hole, inside kind 2's diamond
+            Envelope(x0 + (x1 - x0) / 4, y0 + (y1 - y0) / 4, x1 - (x1 - x0) / 4, y1 - (y1 - y0) / 4),
+            # strictly inside that: touches nothing of a holed box
+            Envelope(x0 + 3 * (x1 - x0) / 8, y0 + 3 * (y1 - y0) / 8, cx, cy),
+            Envelope(x1, y1, x1 + 5, y1 + 5),  # corner on corner
+        ]
+    return wins
+
+
+@pytest.fixture(scope="module")
+def shaped(fs):
+    geoms = shaped_geometries(320, seed=951)
+    bulk_load(fs, "hot_shaped", geoms, num_partitions=16, page_size=1024)
+    return "hot_shaped", geoms
+
+
+class TestRectangleKernelUnderTheEngine:
+    """``refine`` hands the window envelope to ``predicates.intersects``
+    (the rectangle kernel); ``refine_reference`` still builds
+    ``Polygon.from_envelope(window)`` and so runs the general kernel.  The
+    two must emit the same hits where the exact shape, not the MBR, decides."""
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_exact_refine_equals_reference(self, fs, shaped, lazy):
+        name, geoms = shaped
+        store = SpatialDataStore.open(fs, name, cache_pages=1024)
+        visible = dict(enumerate(geoms))
+        mbr_only_differs = 0
+        for window in kernel_windows(geoms, seed=952):
+            bulk, ref = refine_both_ways(store, window, exact=True, lazy=lazy)
+            assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
+            assert [h.record_id for h in bulk] == brute_force(visible, window)
+            loose, _ = refine_both_ways(store, window, exact=False, lazy=lazy)
+            mbr_only_differs += len(loose) != len(bulk)
+        # the battery is about shapes: the MBR answer must often be wrong
+        assert mbr_only_differs > 50
+
+    def test_window_in_a_hole_and_on_its_wall(self, fs, shaped):
+        name, geoms = shaped
+        store = SpatialDataStore.open(fs, name, cache_pages=1024)
+        holed = next(g for g in geoms if isinstance(g, Polygon) and len(g.holes) == 1
+                     and g.holes[0].envelope.width == g.envelope.width / 2)
+        x0, y0, x1, y1 = holed.holes[0].envelope.as_tuple()
+        rid = holed.userdata
+        inside = Envelope(x0 + 0.25, y0 + 0.25, x1 - 0.25, y1 - 0.25)
+        assert rid not in [h.record_id for h in store.range_query(inside)]
+        assert rid in [h.record_id for h in store.range_query(inside, exact=False)]
+        on_wall = Envelope(x0 + 0.25, y0 + 0.25, x1, y1 - 0.25)
+        assert rid in [h.record_id for h in store.range_query(on_wall)]
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_refine_builds_no_window_polygon(self, fs, shaped, lazy, monkeypatch):
+        from repro.geometry import predicates
+
+        name, geoms = shaped
+        store = SpatialDataStore.open(fs, name, cache_pages=1024)
+        window = Envelope(20.0, 20.0, 60.5, 61.0)
+        plan = store.engine.planner.plan([(0, window)])
+        executor = store.engine.executor
+        calls = []
+        real = predicates.intersects
+
+        def spy(a, b):
+            calls.append(a)
+            return real(a, b)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("RefineExecutor.refine built a window polygon")
+
+        # the engine must reach the predicate through the module attribute,
+        # once per checked survivor, with the envelope itself as the operand
+        monkeypatch.setattr(predicates, "intersects", spy)
+        for entry in plan.entries:
+            pages = store._get_pages(entry.by_page)
+            ref = executor.refine_reference(entry, pages, True)
+            reference_calls = len(calls)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Polygon, "from_envelope", forbidden)
+                bulk = executor.refine(entry, pages, True, lazy=lazy)
+            assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
+            assert len(calls) == reference_calls > 0
+            assert all(operand is entry.env for operand in calls)
+            calls.clear()
 
 
 # --------------------------------------------------------------------------- #
