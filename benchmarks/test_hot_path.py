@@ -45,6 +45,7 @@ from repro.store import (
     sharded_bulk_load,
 )
 from repro.store.engine import _newest_first
+from tests.store._refine_reference import refine_reference  # the retired scalar loop
 
 QUICK = bool(os.environ.get("HOT_PATH_QUICK"))
 NUM_WINDOWS = 8 if QUICK else 24
@@ -90,7 +91,7 @@ def filter_workload(store, num_windows, seed=5):
 
 def scalar_filter(executor, tombstone_gen, entry, pages):
     """The pre-PR-9 per-slot filter loop, mirrored verbatim from the old
-    refine inner loop (see ``RefineExecutor.refine_reference``): per-slot
+    refine inner loop (see ``tests/store/_refine_reference.py``): per-slot
     array indexing, per-slot ``Envelope`` materialization and containment
     test, per-slot dict/set probes."""
     window = entry.env
@@ -208,7 +209,7 @@ def test_refine_end_to_end_parity(lustre, hot_store, benchmark, once):
 
         t0 = time.perf_counter()
         ref_hits = [
-            ref_executor.refine_reference(entry, pages, True)
+            refine_reference(ref_executor, entry, pages, True)
             for entry, pages in ref_work
         ]
         scalar_s = time.perf_counter() - t0

@@ -27,7 +27,7 @@ from .polygon import Polygon
 
 Coord = Tuple[float, float]
 
-__all__ = ["dumps", "loads", "envelope_bounds", "WKBParseError", "GEOM_TYPE_CODES"]
+__all__ = ["dumps", "loads", "WKBParseError", "GEOM_TYPE_CODES"]
 
 GEOM_TYPE_CODES = {
     "Point": 1,
@@ -157,51 +157,3 @@ def loads(data: bytes) -> Geometry:
     """Decode a WKB byte string produced by :func:`dumps` (or PostGIS/GEOS),
     little- or big-endian; malformed input raises :class:`WKBParseError`."""
     return _read_geometry(data, 0)[0]
-
-
-# --------------------------------------------------------------------------- #
-# envelope-only scan
-# --------------------------------------------------------------------------- #
-def _scan_bounds(data, offset: int, bounds: List[float]) -> int:
-    """Fold one geometry's coordinates into *bounds* without constructing
-    any geometry object; returns the offset past the geometry."""
-    endian, gtype, offset = _read_header(data, offset)
-    if gtype == "Point":
-        if offset + 16 > len(data):
-            raise WKBParseError("truncated WKB payload")
-        x, y = struct.unpack_from(f"{endian}dd", data, offset)
-        _fold(bounds, (x,), (y,))
-        return offset + 16
-    if gtype == "LineString":
-        xs, ys, offset = _read_columns(data, offset, endian)
-        _fold(bounds, xs, ys)
-        return offset
-    n, offset = _read_count(data, offset, endian)
-    for _ in range(n):
-        if gtype == "Polygon":
-            xs, ys, offset = _read_columns(data, offset, endian)
-            _fold(bounds, xs, ys)
-        else:  # multi / collection types recurse into full WKB members
-            offset = _scan_bounds(data, offset, bounds)
-    return offset
-
-
-def _fold(bounds: List[float], xs: Sequence[float], ys: Sequence[float]) -> None:
-    if xs:
-        bounds[0] = min(bounds[0], min(xs))
-        bounds[1] = min(bounds[1], min(ys))
-        bounds[2] = max(bounds[2], max(xs))
-        bounds[3] = max(bounds[3], max(ys))
-
-
-def envelope_bounds(data) -> Tuple[float, float, float, float]:
-    """``(minx, miny, maxx, maxy)`` of a WKB byte string via a raw
-    coordinate scan — no geometry objects are built, which is what lets a
-    v1 store page grow an envelope column without paying a full decode.
-    Accepts ``bytes`` or a ``memoryview``.  A geometry with no coordinates
-    yields the empty-envelope sentinel ``(inf, inf, -inf, -inf)``.
-    """
-    inf = float("inf")
-    bounds = [inf, inf, -inf, -inf]
-    _scan_bounds(data, 0, bounds)
-    return bounds[0], bounds[1], bounds[2], bounds[3]

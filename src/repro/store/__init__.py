@@ -15,8 +15,9 @@ for it again:
 ``repro.store.mutable``
     Incremental appends and compaction: :class:`StoreAppender` writes delta
     generations (delta container + delta index + manifest tombstones),
-    :func:`compact_store` merges them back into one SFC-packed v2 container;
-    :class:`ShardedStoreAppender` / :func:`compact_sharded_store` route
+    :func:`compact_store` merges them back into one SFC-packed container;
+    :func:`upgrade_store` rewrites a store left in the retired v1 page
+    layout, offline; :class:`ShardedStoreAppender` / :func:`compact_sharded_store` route
     appends to each record's home shard and broadcast tombstones.
 
 ``repro.store.manifest``
@@ -54,7 +55,6 @@ for it again:
 
 from .cache import CacheStats, LRUPageCache
 from .datastore import (
-    ADMISSION_POLICIES,
     IO_POLICIES,
     Generation,
     QueryHit,
@@ -113,6 +113,7 @@ from .mutable import (
     StoreAppender,
     compact_sharded_store,
     compact_store,
+    upgrade_store,
 )
 from .router import ShardRouter, shard_assignment
 from .sharded import (
@@ -127,7 +128,6 @@ from .sharded import (
 from .writer import BulkLoadResult, bulk_load
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "IO_POLICIES",
     "SpatialDataStore",
     "StoreAppender",
@@ -138,6 +138,7 @@ __all__ = [
     "ShardedCompactionResult",
     "compact_store",
     "compact_sharded_store",
+    "upgrade_store",
     "Generation",
     "GenerationInfo",
     "PageKey",

@@ -30,15 +30,13 @@ class CacheStats:
     unchanged from the original dataclass.
     """
 
-    __slots__ = ("registry", "_hits", "_misses", "_evictions", "_rejects")
+    __slots__ = ("registry", "_hits", "_misses", "_evictions")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._hits = self.registry.counter("cache.hits")
         self._misses = self.registry.counter("cache.misses")
         self._evictions = self.registry.counter("cache.evictions")
-        #: loads the admission policy kept out of the cache (e.g. full scans)
-        self._rejects = self.registry.counter("cache.admission_rejects")
 
     # counter facades ---------------------------------------------------- #
     @property
@@ -65,14 +63,6 @@ class CacheStats:
     def evictions(self, value: int) -> None:
         self._evictions.value = value
 
-    @property
-    def admission_rejects(self) -> int:
-        return self._rejects.value
-
-    @admission_rejects.setter
-    def admission_rejects(self, value: int) -> None:
-        self._rejects.value = value
-
     # derived views ------------------------------------------------------ #
     @property
     def accesses(self) -> int:
@@ -89,17 +79,16 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "admission_rejects": self.admission_rejects,
             "hit_rate": self.hit_rate,
         }
 
     def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.admission_rejects = 0
+        self.hits = self.misses = self.evictions = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, admission_rejects={self.admission_rejects})"
+            f"evictions={self.evictions})"
         )
 
 
@@ -141,23 +130,11 @@ class LRUPageCache(Generic[K, V]):
         self.stats.misses += 1
         return None
 
-    def put(self, key: K, value: V, admit: bool = True) -> None:
-        """Insert (or refresh) an entry, evicting the LRU entry when full.
-
-        ``admit=False`` is the admission policy's veto: the load is counted
-        but the entry is not cached (e.g. pages touched only by a full scan,
-        which would evict the query working set for no future benefit).  The
-        veto applies to *new* entries only — a key that is already cached is
-        refreshed regardless, because rejecting it would skew the
-        ``admission_rejects`` counter with loads that never bypassed the
-        cache and would leave a genuinely hot page stranded at the LRU end.
-        """
+    def put(self, key: K, value: V) -> None:
+        """Insert (or refresh) an entry, evicting the LRU entry when full."""
         if key in self._entries:
             self._entries.move_to_end(key)
             self._entries[key] = value
-            return
-        if not admit:
-            self.stats.admission_rejects += 1
             return
         if self.capacity == 0:
             return
@@ -166,12 +143,12 @@ class LRUPageCache(Generic[K, V]):
             self.stats.evictions += 1
         self._entries[key] = value
 
-    def get_or_load(self, key: K, loader: Callable[[K], V], admit: bool = True) -> V:
+    def get_or_load(self, key: K, loader: Callable[[K], V]) -> V:
         """Return the cached value, calling *loader* (and caching) on a miss."""
         value = self.get(key)
         if value is None:
             value = loader(key)
-            self.put(key, value, admit=admit)
+            self.put(key, value)
         return value
 
     def clear(self) -> None:

@@ -51,10 +51,8 @@ from .index_io import load_index
 from .manifest import GenerationInfo, StoreManifest, delta_paths, store_paths
 from .page import CachedPage
 from .scheduler import DEFAULT_RETRY, IOScheduler, RetryPolicy, read_file_with_retry
-from .writer import BulkLoadResult, bulk_load
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "IO_POLICIES",
     "Generation",
     "QueryHit",
@@ -63,11 +61,6 @@ __all__ = [
 ]
 
 Predicate = Callable[[Geometry, Geometry], bool]
-
-#: page-cache admission policies: ``"all"`` admits every fetched page,
-#: ``"no_scan"`` keeps pages touched only by full scans out of the cache so
-#: a table scan cannot evict the query working set
-ADMISSION_POLICIES = ("all", "no_scan")
 
 #: I/O scheduling policies: ``"fixed"`` uses the page-size coalescing gap and
 #: the constant ``prefetch_pages`` readahead; ``"cost_model"`` derives both
@@ -108,8 +101,6 @@ class Generation:
     #: tight MBR of the generation's records (delta-level pruning key;
     #: the base generation prunes via the manifest's partitions instead)
     extent: Envelope
-    #: page-payload layout version of the generation's container
-    version: int = VERSION
     handle: Optional[FileHandle] = None
 
 
@@ -229,21 +220,38 @@ class SpatialDataStore:
         manifest: StoreManifest,
         pages: List[PageMeta],
         index: STRtree,
+        deltas: Sequence[Tuple[GenerationInfo, List[PageMeta], STRtree]] = (),
         cache_pages: int = 64,
-        version: int = VERSION,
-        admission: str = "all",
         coalesce_gap: Optional[int] = None,
         prefetch_pages: Optional[int] = None,
         io_policy: str = "fixed",
-        deltas: Sequence[Tuple[GenerationInfo, List[PageMeta], STRtree, int]] = (),
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {admission!r} (use one of {ADMISSION_POLICIES})"
-            )
+        """The serving knobs are declared here and nowhere else —
+        :meth:`open` and the sharded server forward them by keyword.
+        *cache_pages* sizes the LRU page cache; *coalesce_gap* is the max
+        byte gap between candidate pages still merged into one read range
+        (default one page size); *prefetch_pages* is the sequential
+        readahead past the demand frontier (``None`` keeps the policy
+        default, ``0`` disables readahead under **both** policies).  With
+        ``io_policy="cost_model"`` the gap and the readahead depth are
+        derived from the data file's striping layout and the filesystem's
+        cost model instead (see :data:`IO_POLICIES`); an explicit
+        *coalesce_gap* still overrides the derived gap, an explicit
+        *prefetch_pages* caps the derived readahead depth, and readahead is
+        always clamped so a fetch cannot evict its own demand pages from
+        the cache.
+
+        *tracer* (a :class:`~repro.obs.trace.Tracer`; default the zero-cost
+        null tracer) records query spans; *metrics* supplies an external
+        :class:`~repro.obs.metrics.MetricsRegistry` to account this store
+        in (default: a private registry, exposed as ``store.metrics``);
+        *retry_policy* bounds the transient-fault retries of both the open
+        path and the serving read path (default
+        :data:`~repro.store.scheduler.DEFAULT_RETRY`).
+        """
         if io_policy not in IO_POLICIES:
             raise ValueError(
                 f"unknown io policy {io_policy!r} (use one of {IO_POLICIES})"
@@ -253,7 +261,6 @@ class SpatialDataStore:
         self.fs = fs
         self.name = name
         self.manifest = manifest
-        self.admission = admission
         self.io_policy = io_policy
         self.prefetch_pages = prefetch_pages
         self.paths = store_paths(name)
@@ -288,14 +295,13 @@ class SpatialDataStore:
                 scheduler=self._make_scheduler(pages, self.paths["data"]),
                 data_path=self.paths["data"],
                 extent=manifest.extent,
-                version=version,
             )
         ]
         self._partition_of_page: Dict[PageKey, int] = {
             PageKey(0, pid): part
             for pid, part in manifest.partition_of_page().items()
         }
-        for info, delta_pages, delta_index, delta_version in deltas:
+        for info, delta_pages, delta_index in deltas:
             if info.gen_id != len(self.generations):
                 raise StoreFormatError(
                     f"store {name!r} has non-contiguous generation ids: "
@@ -311,7 +317,6 @@ class SpatialDataStore:
                     ),
                     data_path=delta_paths(name, info.gen_id)["data"],
                     extent=info.extent,
-                    version=delta_version,
                 )
             )
             for pid, part in info.partition_of_page().items():
@@ -357,11 +362,6 @@ class SpatialDataStore:
         return self.generations[0].index
 
     @property
-    def version(self) -> int:
-        """The base container's page-payload layout version."""
-        return self.generations[0].version
-
-    @property
     def scheduler(self) -> IOScheduler:
         """The base generation's I/O scheduler (deltas each have their own)."""
         return self.generations[0].scheduler
@@ -380,44 +380,21 @@ class SpatialDataStore:
     # ------------------------------------------------------------------ #
     @classmethod
     def open(
-        cls,
-        fs: SimulatedFilesystem,
-        name: str,
-        cache_pages: int = 64,
-        admission: str = "all",
-        coalesce_gap: Optional[int] = None,
-        prefetch_pages: Optional[int] = None,
-        io_policy: str = "fixed",
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        retry_policy: Optional[RetryPolicy] = None,
+        cls, fs: SimulatedFilesystem, name: str, **serving: Any
     ) -> "SpatialDataStore":
         """Open a persisted store: manifest + page directory + packed index
         (for the base container and for every delta generation stacked by
         appends).
 
         This is the whole cold-start cost — no record is parsed and the
-        R-tree is reconstituted, not rebuilt.  Serving knobs: *admission*
-        (page-cache admission policy, see :data:`ADMISSION_POLICIES`),
-        *coalesce_gap* (max byte gap between candidate pages still merged
-        into one read range; default one page size) and *prefetch_pages*
-        (sequential readahead past the demand frontier; ``None`` keeps the
-        policy default, ``0`` disables readahead under **both** policies).
-        With ``io_policy="cost_model"`` the gap and the readahead depth are
-        derived from the data file's striping layout and the filesystem's
-        cost model instead (see :data:`IO_POLICIES`); an explicit
-        *coalesce_gap* still overrides the derived gap, an explicit
-        *prefetch_pages* caps the derived readahead depth, and readahead is
-        always clamped so a fetch cannot evict its own demand pages from
-        the cache.
-
-        *tracer* (a :class:`~repro.obs.trace.Tracer`; default the zero-cost
-        null tracer) records query spans; *metrics* supplies an external
-        :class:`~repro.obs.metrics.MetricsRegistry` to account this store
-        in (default: a private registry, exposed as ``store.metrics``);
-        *retry_policy* bounds the transient-fault retries of both the open
-        path and the serving read path (default
-        :data:`~repro.store.scheduler.DEFAULT_RETRY`).
+        R-tree is reconstituted, not rebuilt.  The *serving* keywords
+        (``cache_pages``, ``coalesce_gap``, ``prefetch_pages``,
+        ``io_policy``, ``tracer``, ``metrics``, ``retry_policy``) are those
+        of :meth:`__init__`, forwarded as given; ``retry_policy`` also
+        bounds the retries of the reads made here.  A container in the
+        retired v1 page layout is refused with a
+        :class:`~repro.store.format.StoreFormatError` naming
+        :func:`~repro.store.mutable.upgrade_store`.
         """
         paths = store_paths(name)
         for key in ("data", "index", "manifest"):
@@ -426,7 +403,7 @@ class SpatialDataStore:
                     f"store {name!r} is missing {paths[key]!r}; run bulk_load first"
                 )
 
-        policy = retry_policy if retry_policy is not None else DEFAULT_RETRY
+        policy = serving.get("retry_policy") or DEFAULT_RETRY
         io_seconds = 0.0
         open_retries = 0
 
@@ -483,6 +460,12 @@ class SpatialDataStore:
                 header = unpack_header(
                     _pread(fh, path, 0, HEADER_SIZE), file_size=fh.size
                 )
+                if header.version != VERSION:
+                    raise StoreFormatError(
+                        f"{path!r} uses the retired page layout "
+                        f"v{header.version}; rewrite it once with "
+                        f"repro.store.upgrade_store(fs, {name!r})"
+                    )
                 tail_nbytes = header.dir_nbytes + header.checksum_nbytes
                 tail = _pread(fh, path, header.dir_offset, tail_nbytes)
                 io_seconds += fs.open_time()
@@ -512,11 +495,11 @@ class SpatialDataStore:
             )
         index = _read_index(paths["index"])
 
-        deltas: List[Tuple[GenerationInfo, List[PageMeta], STRtree, int]] = []
+        deltas: List[Tuple[GenerationInfo, List[PageMeta], STRtree]] = []
         for info in manifest.generations:
             if info.num_pages == 0:
                 # tombstone-only generation: no delta files were written
-                deltas.append((info, [], STRtree([]), VERSION))
+                deltas.append((info, [], STRtree([])))
                 continue
             dpaths = delta_paths(name, info.gen_id)
             dheader, delta_pages = _read_container(dpaths["data"])
@@ -526,65 +509,12 @@ class SpatialDataStore:
                     f"{info.gen_id} of store {name!r}: {info.num_pages} vs "
                     f"{dheader.num_pages} pages"
                 )
-            deltas.append(
-                (info, delta_pages, _read_index(dpaths["index"]), dheader.version)
-            )
+            deltas.append((info, delta_pages, _read_index(dpaths["index"])))
 
-        store = cls(
-            fs,
-            name,
-            manifest,
-            pages,
-            index,
-            cache_pages=cache_pages,
-            version=header.version,
-            admission=admission,
-            coalesce_gap=coalesce_gap,
-            prefetch_pages=prefetch_pages,
-            io_policy=io_policy,
-            deltas=deltas,
-            tracer=tracer,
-            metrics=metrics,
-            retry_policy=retry_policy,
-        )
+        store = cls(fs, name, manifest, pages, index, deltas, **serving)
         store.stats.io_seconds = io_seconds
         store.stats.retries = open_retries
         return store
-
-    @classmethod
-    def bulk_load(
-        cls,
-        fs: SimulatedFilesystem,
-        name: str,
-        geometries,
-        cache_pages: int = 64,
-        admission: str = "all",
-        coalesce_gap: Optional[int] = None,
-        prefetch_pages: Optional[int] = None,
-        io_policy: str = "fixed",
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        **options,
-    ) -> Tuple["SpatialDataStore", BulkLoadResult]:
-        """Write the store files and open the result (load + serve in one go).
-
-        Serving knobs (*admission*, *coalesce_gap*, *prefetch_pages*,
-        *io_policy*) are forwarded to :meth:`open`; every other keyword goes
-        to the bulk loader, exactly as if the two were called separately.
-        """
-        result = bulk_load(fs, name, geometries, **options)
-        store = cls.open(
-            fs,
-            name,
-            cache_pages=cache_pages,
-            admission=admission,
-            coalesce_gap=coalesce_gap,
-            prefetch_pages=prefetch_pages,
-            io_policy=io_policy,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        return store, result
 
     def close(self) -> None:
         for gen in self.generations:
@@ -650,7 +580,6 @@ class SpatialDataStore:
     def _fetch_missing(
         self,
         missing: List[PageKey],
-        admit: bool,
         failed: Optional[List[Tuple[PageKey, Exception]]] = None,
     ) -> Dict[PageKey, CachedPage]:
         """Read the (sorted) *missing* pages with coalesced, gap-tolerant
@@ -690,7 +619,6 @@ class SpatialDataStore:
             schedule = gen.scheduler.schedule(
                 sorted(by_gen[gen_id]),
                 is_cached=lambda pid, g=gen_id: PageKey(g, pid) in self._cache,
-                allow_prefetch=admit,
             )
 
             if tracer.enabled:
@@ -722,7 +650,7 @@ class SpatialDataStore:
             self.stats.pages_prefetched += schedule.num_prefetched
         self.stats.pages_read += len(missing) - len(bad)
         for key, page in out.items():
-            self._cache.put(key, page, admit=admit)
+            self._cache.put(key, page)
         if bad:
             if failed is None:
                 raise bad[0][1]
@@ -779,7 +707,6 @@ class SpatialDataStore:
                         pages[pid] = CachedPage(
                             pid,
                             payload,
-                            gen.version,
                             on_decode=self._on_decode,
                             expected_crc=meta.crc32,
                         )
@@ -836,7 +763,6 @@ class SpatialDataStore:
     def _get_pages(
         self,
         page_ids: Iterable[Union[PageKey, int]],
-        admit: bool = True,
         failed: Optional[List[Tuple[PageKey, Exception]]] = None,
     ) -> Dict[PageKey, CachedPage]:
         """Resolve *page_ids* (``PageKey`` or bare base-generation ints) to
@@ -871,12 +797,7 @@ class SpatialDataStore:
                     cache_misses=len(missing),
                 )
             if missing:
-                if failed is None:
-                    # two-positional call shape kept for instrumentation
-                    # wrappers around _fetch_missing
-                    out.update(self._fetch_missing(missing, admit))
-                else:
-                    out.update(self._fetch_missing(missing, admit, failed=failed))
+                out.update(self._fetch_missing(missing, failed))
             return out
 
     def _fail_quarantined(
@@ -1032,33 +953,34 @@ class SpatialDataStore:
             partitions_total=len(self.manifest.partitions),
         )
 
-    def scan(self) -> Iterator[Tuple[int, Geometry]]:
-        """Every *visible* logical record exactly once (round-trip checks).
-
-        Generations are walked newest-first so an updated record yields its
-        newest version; tombstoned ids never surface.  Pages are fetched in
-        bounded runs (at most one cache capacity's worth at a time) so the
-        scan's memory stays bounded by the page cache, not the container —
-        the engine's bounded-memory contract; under the ``"no_scan"``
-        admission policy the pages additionally bypass the cache so a scan
-        cannot evict the query working set.  Records stream out in
-        (generation desc, page, slot) order, not record-id order.
-        """
-        admit = self.admission != "no_scan"
+    def _iter_pages(self) -> Iterator[Tuple[int, CachedPage]]:
+        """``(generation, page image)`` for every page, newest generation
+        first, fetched in bounded runs (at most one cache capacity's worth
+        at a time) so a full sweep's memory stays bounded by the page cache,
+        not the container — the engine's bounded-memory contract."""
         run_len = self._cache.capacity if self._cache.capacity > 0 else 16
-        seen: set = set()
-        # replica de-dup + tombstone shadowing: the engine's refine-phase rule
-        surviving_slots = self.engine.executor._surviving_slots
         for gen in reversed(self.generations):
             for start in range(0, len(gen.pages), run_len):
                 keys = [
                     PageKey(gen.gen_id, pid)
                     for pid in range(start, min(start + run_len, len(gen.pages)))
                 ]
-                pages = self._get_pages(keys, admit=admit)
+                pages = self._get_pages(keys)
                 for key in keys:
-                    page = pages[key]
-                    live, _, _ = surviving_slots(
-                        page, range(page.count), gen.gen_id, seen
-                    )
-                    yield from map(page.record, live)
+                    yield gen.gen_id, pages[key]
+
+    def scan(self) -> Iterator[Tuple[int, Geometry]]:
+        """Every *visible* logical record exactly once (round-trip checks).
+
+        Generations are walked newest-first so an updated record yields its
+        newest version; tombstoned ids never surface.  Pages stream through
+        :meth:`_iter_pages`, so the scan's memory stays bounded by the page
+        cache.  Records stream out in (generation desc, page, slot) order,
+        not record-id order.
+        """
+        seen: set = set()
+        # replica de-dup + tombstone shadowing: the engine's refine-phase rule
+        surviving_slots = self.engine.executor._surviving_slots
+        for gen_id, page in self._iter_pages():
+            live, _, _ = surviving_slots(page, range(page.count), gen_id, seen)
+            yield from map(page.record, live)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..geometry import Envelope, Geometry, Polygon, predicates
+from ..geometry import Envelope, Geometry, predicates
 from ..index import STRtree, spatial_visit_order
 from ..obs.trace import NULL_TRACER
 from .format import PageKey, StoreError
@@ -223,9 +223,9 @@ class RefineExecutor:
 
     The surviving-slot filter loop therefore performs **no per-slot dict or
     attribute lookups** — only array gathers, set probes and fused
-    comparisons over locals.  :meth:`refine_reference` keeps the original
-    per-slot scalar loop as the correctness oracle for the property battery
-    and the benchmarks.
+    comparisons over locals.  The per-slot scalar loop this replaced lives
+    on as the correctness oracle of the property battery and the benchmarks
+    (``tests/store/_refine_reference.py``).
 
     With ``lazy=True``, slots whose MBR containment already proves the
     predicate (and *every* survivor when ``exact=False``) produce hits
@@ -382,10 +382,6 @@ class RefineExecutor:
                 proven: Sequence[int] = survivors
                 check: Sequence[int] = ()
                 if use_rect:
-                    if page.minxs is None:
-                        # one-time v1 column upgrade: after this the page
-                        # rides the same bulk path as v2
-                        page.ensure_envelopes()
                     px0, py0, px1, py1, has_empty = page.env_summary()
                     page_contained = (
                         not has_empty
@@ -439,54 +435,6 @@ class RefineExecutor:
                     bulk_filter_batches=batches,
                     num_hits=len(hits),
                 )
-        return hits
-
-    def refine_reference(
-        self,
-        entry: PlanEntry,
-        pages: Dict[PageKey, CachedPage],
-        exact: bool,
-    ) -> List["QueryHit"]:
-        """The pre-vectorization per-slot scalar loop, kept verbatim.
-
-        This is the correctness oracle: the randomized property battery
-        asserts :meth:`refine` == :meth:`refine_reference` over generated
-        stores, and the benchmarks measure the bulk path's speedup against
-        it.  Not used by any serving path.
-        """
-        from .datastore import QueryHit
-
-        refine_geom: Optional[Geometry] = None
-        rect_window: Optional[Envelope] = None
-        if exact:
-            if entry.geom is None:
-                refine_geom, rect_window = Polygon.from_envelope(entry.env), entry.env
-            else:
-                refine_geom = entry.geom
-
-        hits: List[QueryHit] = []
-        seen: set = set()
-        for key in sorted(entry.by_page, key=lambda k: (-k[0], k[1])):
-            page = pages[key]
-            partition_id = self._partition_of_page.get(key, -1)
-            generation, page_id = key
-            for slot in entry.by_page[key]:
-                record_id = page.record_ids[slot]
-                # replicas of one record (same or older generation) are
-                # identical or shadowed: the first encounter decides
-                if record_id in seen:
-                    continue
-                if self._tombstone_gen.get(record_id, -1) > generation:
-                    continue
-                seen.add(record_id)
-                _, geom = page.record(slot)
-                if refine_geom is not None:
-                    slot_env = page.envelope(slot) if rect_window is not None else None
-                    contained = slot_env is not None and rect_window.contains(slot_env)
-                    if not contained and not predicates.intersects(refine_geom, geom):
-                        continue
-                hits.append(QueryHit(record_id, geom, partition_id, page_id, generation))
-        hits.sort(key=lambda h: h.record_id)
         return hits
 
 

@@ -20,7 +20,9 @@ path.  A dataset is stored as one *paged container* file:
 Two page-payload versions exist (the header records which one the file
 uses):
 
-* **v1** — ``<count:u32>`` followed by ``count`` records, each
+* **v1** (retired: decoded by :func:`decode_page` for
+  :func:`repro.store.mutable.upgrade_store` only; no writer produces it and
+  ``open`` refuses it) — ``<count:u32>`` followed by ``count`` records, each
   ``<record_id:u32><wkb_len:u32><ud_len:u32><wkb><pickled userdata>``.
 * **v2** (current) — ``<count:u32>``, then a packed *envelope column* of
   ``count`` entries ``<record_id:u32><body_offset:u32><4d MBR>`` (40 bytes
@@ -85,7 +87,8 @@ __all__ = [
 
 MAGIC = b"RSPGSTO1"
 VERSION = 2
-#: container versions this build can read (v1 files stay openable)
+#: container versions this build can decode (v1 through ``upgrade_store``
+#: only: the serving path refuses it)
 SUPPORTED_VERSIONS = (1, 2)
 HEADER_SIZE = 64
 

@@ -77,7 +77,8 @@ class FrontendResult:
     max_in_flight: int
     #: whether the window was chosen adaptively from observed phase overlap
     adaptive: bool = False
-    #: the window in effect at each batch submission (adaptive runs only)
+    #: the window in effect at each batch submission, fixed windows included
+    #: (``store.frontend.window_mean`` of the benchmark is its mean)
     windows: List[int] = field(default_factory=list)
 
     @property

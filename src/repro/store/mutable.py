@@ -21,6 +21,9 @@ on the serving path:
   bulk load — record ids preserved — and the delta files are deleted.
   Query results are identical before and after; per-query I/O returns to
   fresh-bulk-load shape.
+* :func:`upgrade_store` is the one offline path from the retired v1 page
+  layout: it decodes a v1 base container and re-packs it exactly like a
+  compaction (``open`` refuses v1 containers and names this function).
 * :class:`ShardedStoreAppender` / :func:`compact_sharded_store` are the
   distributed counterparts: each appended record routes to its **home
   shard** (the shard owning its home partition — lowest overlapping global
@@ -41,18 +44,20 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.grid_partition import assign_to_cells, build_grid, cell_rtree
 from ..geometry import Envelope, Geometry
-from ..index import STRtree, UniformGrid
+from ..index import UniformGrid
 from ..obs.trace import NULL_TRACER
-from ..pfs import ReadRequest, SimulatedFilesystem
+from ..pfs import SimulatedFilesystem
+from .datastore import SpatialDataStore
 from .format import (
-    FLAG_PAGE_CHECKSUMS,
-    HEADER_SIZE,
+    PageChecksumError,
     StoreError,
-    pack_header,
-    pack_page_checksums,
-    pack_page_directory,
+    StoreFormatError,
+    decode_page,
+    page_crc32,
+    unpack_header,
+    unpack_page_checksums,
+    unpack_page_directory,
 )
-from .index_io import dump_index
 from .manifest import (
     MANIFEST_VERSION,
     SHARDS_VERSION,
@@ -66,10 +71,13 @@ from .manifest import (
 from .router import ShardRouter
 from .scheduler import DEFAULT_RETRY, read_file_with_retry
 from .writer import (
+    BulkLoadResult,
     PackedPartitions,
     _Rec,
     pack_partitions,
     partition_identified,
+    write_file,
+    write_generation,
     write_store_files,
 )
 
@@ -82,6 +90,7 @@ __all__ = [
     "ShardedStoreAppender",
     "compact_store",
     "compact_sharded_store",
+    "upgrade_store",
 ]
 
 
@@ -117,6 +126,43 @@ class CompactionResult:
     data_bytes: int
     index_bytes: int
     write_seconds: float
+
+
+def _read_manifest(fs: SimulatedFilesystem, name: str) -> StoreManifest:
+    raw, _, _ = read_file_with_retry(fs, store_paths(name)["manifest"], DEFAULT_RETRY)
+    return StoreManifest.from_json(raw.decode("utf-8"))
+
+
+def _checked_deletes(deletes: Iterable[int], ceiling: int) -> List[int]:
+    """The sorted distinct *deletes*, each an id some generation could hold."""
+    delete_ids = sorted({int(rid) for rid in deletes})
+    for rid in delete_ids:
+        if rid < 0 or rid >= ceiling:
+            raise ValueError(f"cannot delete record {rid}: ids run below {ceiling}")
+    return delete_ids
+
+
+def _assign_owned(
+    grid: UniformGrid,
+    recs: List[_Rec],
+    cell_tree,
+    owned: Optional[Set[int]],
+    owner: str,
+) -> Dict[int, List[_Rec]]:
+    """Grid-assign *recs* (replication included), restricted to the *owned*
+    partitions when serving one shard of a sharded store — where every
+    record must land in at least one of them."""
+    cells = assign_to_cells(grid, recs, cell_tree) if recs else {}
+    if owned is not None:
+        cells = {cid: rs for cid, rs in cells.items() if cid in owned}
+        assigned = {r.rid for rs in cells.values() for r in rs}
+        missing = [r.rid for r in recs if r.rid not in assigned]
+        if missing:
+            raise StoreError(
+                f"records {missing[:5]} routed to {owner} overlap none of its "
+                f"partitions — sharded routing invariant violated"
+            )
+    return cells
 
 
 class StoreAppender:
@@ -165,8 +211,7 @@ class StoreAppender:
                 f"store {name!r} is missing {self.paths['manifest']!r}; "
                 f"run bulk_load first"
             )
-        raw, _, _ = read_file_with_retry(fs, self.paths["manifest"], DEFAULT_RETRY)
-        self.manifest = StoreManifest.from_json(raw.decode("utf-8"))
+        self.manifest = _read_manifest(fs, name)
 
     # ------------------------------------------------------------------ #
     @property
@@ -180,33 +225,6 @@ class StoreAppender:
         return UniformGrid(
             self.manifest.extent, self.manifest.grid_rows, self.manifest.grid_cols
         )
-
-    def _write(self, path: str, blob: bytes) -> float:
-        self.fs.create_file(path, blob)
-        seconds = self.fs.open_time()
-        if blob:
-            seconds += self.fs.write_time(path, [ReadRequest(0, ((0, len(blob)),))])
-        return seconds
-
-    def _assign(
-        self, recs: List[_Rec], grid: UniformGrid
-    ) -> Dict[int, List[_Rec]]:
-        """Grid-assign append records (replication included), restricted to
-        the allowed partitions when serving one shard of a sharded store."""
-        cells = assign_to_cells(grid, recs, self._cell_tree or cell_rtree(grid))
-        if self.allowed_partitions is not None:
-            cells = {
-                cid: rs for cid, rs in cells.items() if cid in self.allowed_partitions
-            }
-            assigned = {r.rid for rs in cells.values() for r in rs}
-            missing = [r.rid for r in recs if r.rid not in assigned]
-            if missing:
-                raise StoreError(
-                    f"records {missing[:5]} routed to store {self.name!r} "
-                    f"overlap none of its partitions — sharded routing "
-                    f"invariant violated"
-                )
-        return cells
 
     # ------------------------------------------------------------------ #
     def append(
@@ -228,164 +246,140 @@ class StoreAppender:
         sharded appender supplies the global one).
         """
         tracer = self.tracer
-        if not tracer.enabled:
-            return self._append_impl(geometries, deletes, record_ids, id_ceiling)
         with tracer.span("append", store=self.name) as span:
-            result = self._append_impl(geometries, deletes, record_ids, id_ceiling)
-            span.set(
-                gen_id=result.gen_id,
-                records=result.num_records,
-                tombstones=result.num_tombstones,
-                pages=result.num_pages,
-                data_bytes=result.data_bytes,
-            )
-            return result
+            geoms = list(geometries)
+            manifest = self.manifest
+            if id_ceiling is None and manifest.next_record_id is None and (
+                manifest.num_records or manifest.generations
+            ):
+                # legacy manifest (pre-mutable bulk load): num_records
+                # undercounts the id ceiling when empty geometries were
+                # skipped, so a fresh id could collide with a live record —
+                # derive the true ceiling from the stored record ids once and
+                # persist it below
+                manifest.next_record_id = _derive_id_ceiling(self.fs, self.name)
+            ceiling = manifest.record_id_ceiling if id_ceiling is None else id_ceiling
 
-    def _append_impl(
-        self,
-        geometries: Iterable[Geometry] = (),
-        deletes: Iterable[int] = (),
-        record_ids: Optional[Sequence[int]] = None,
-        id_ceiling: Optional[int] = None,
-    ) -> AppendResult:
-        geoms = list(geometries)
-        manifest = self.manifest
-        if id_ceiling is None and manifest.next_record_id is None and (
-            manifest.num_records or manifest.generations
-        ):
-            # legacy manifest (pre-mutable bulk load): num_records undercounts
-            # the id ceiling when empty geometries were skipped, so a fresh
-            # id could collide with a live record — derive the true ceiling
-            # from the stored record ids once and persist it below
-            manifest.next_record_id = _derive_id_ceiling(self.fs, self.name)
-        ceiling = manifest.record_id_ceiling if id_ceiling is None else id_ceiling
+            if record_ids is None:
+                ids = list(range(ceiling, ceiling + len(geoms)))
+            else:
+                ids = [int(rid) for rid in record_ids]
+                if len(ids) != len(geoms):
+                    raise ValueError(
+                        f"record_ids has {len(ids)} entries for {len(geoms)} geometries"
+                    )
+                if len(set(ids)) != len(ids):
+                    raise ValueError("record_ids must be distinct within one append")
+                if any(rid < 0 for rid in ids):
+                    raise ValueError("record ids must be >= 0")
 
-        if record_ids is None:
-            ids = list(range(ceiling, ceiling + len(geoms)))
-        else:
-            ids = [int(rid) for rid in record_ids]
-            if len(ids) != len(geoms):
-                raise ValueError(
-                    f"record_ids has {len(ids)} entries for {len(geoms)} geometries"
-                )
-            if len(set(ids)) != len(ids):
-                raise ValueError("record_ids must be distinct within one append")
-            if any(rid < 0 for rid in ids):
-                raise ValueError("record ids must be >= 0")
+            delete_ids = _checked_deletes(deletes, ceiling)
+            updates = sorted({rid for rid in ids if rid < ceiling})
+            tombstones = sorted(set(delete_ids) | set(updates))
 
-        delete_ids = sorted({int(rid) for rid in deletes})
-        for rid in delete_ids:
-            if rid < 0 or rid >= ceiling:
-                raise ValueError(
-                    f"cannot delete record {rid}: ids run below {ceiling}"
-                )
-        updates = sorted({rid for rid in ids if rid < ceiling})
-        tombstones = sorted(set(delete_ids) | set(updates))
+            usable = [
+                _Rec(rid, g) for rid, g in zip(ids, geoms) if not g.envelope.is_empty
+            ]
+            if not usable and not tombstones:
+                span.set(gen_id=None, records=0, tombstones=0, pages=0, data_bytes=0)
+                return AppendResult(manifest, None, 0, 0, 0, 0, 0, 0, 0.0)
 
-        usable = [
-            _Rec(rid, g) for rid, g in zip(ids, geoms) if not g.envelope.is_empty
-        ]
-        if not usable and not tombstones:
-            return AppendResult(manifest, None, 0, 0, 0, 0, 0, 0, 0.0)
+            # ids currently invisible (captured before this generation exists)
+            previously_dead = manifest.dead_records()
 
-        # ids currently invisible (captured before this generation exists)
-        previously_dead = manifest.dead_records()
+            gen_id = len(manifest.generations) + 1
+            grid = self.grid
+            if grid is None and usable:
+                # first append to an empty store: establish the grid (and the
+                # manifest extent the grid is reconstructed from) over this batch
+                extent = Envelope.empty()
+                for rec in usable:
+                    extent = extent.union(rec.envelope)
+                grid = build_grid(extent, manifest.grid_rows * manifest.grid_cols)
+                manifest.extent = grid.extent
+                manifest.grid_rows = grid.rows
+                manifest.grid_cols = grid.cols
 
-        gen_id = len(manifest.generations) + 1
-        grid = self.grid
-        if grid is None and usable:
-            # first append to an empty store: establish the grid (and the
-            # manifest extent the grid is reconstructed from) over this batch
-            extent = Envelope.empty()
-            for rec in usable:
-                extent = extent.union(rec.envelope)
-            grid = build_grid(extent, manifest.grid_rows * manifest.grid_cols)
-            manifest.extent = grid.extent
-            manifest.grid_rows = grid.rows
-            manifest.grid_cols = grid.cols
-
-        if usable:
-            cells = self._assign(usable, grid)
-            packed = pack_partitions(
-                cells, grid, manifest.page_size, self.order, format_version=2
-            )
-        else:
             packed = PackedPartitions()
+            if usable:
+                cells = _assign_owned(
+                    grid,
+                    usable,
+                    self._cell_tree or cell_rtree(grid),
+                    self.allowed_partitions,
+                    f"store {self.name!r}",
+                )
+                packed = pack_partitions(cells, grid, manifest.page_size, self.order)
 
-        write_seconds = 0.0
-        data_bytes = index_bytes = 0
-        if packed.page_metas:
-            dpaths = delta_paths(self.name, gen_id)
-            header = pack_header(
-                manifest.page_size,
-                len(packed.page_metas),
-                len(packed.record_ids),
-                HEADER_SIZE + sum(len(p) for p in packed.payloads),
-                version=2,
-                flags=FLAG_PAGE_CHECKSUMS,
-            )
-            data = (
-                header
-                + b"".join(packed.payloads)
-                + pack_page_directory(packed.page_metas)
-                + pack_page_checksums(packed.page_metas)
-            )
-            tree: STRtree = STRtree(packed.index_entries, node_capacity=self.node_capacity)
-            index_blob = dump_index(tree)
-            write_seconds += self._write(dpaths["data"], data)
-            write_seconds += self._write(dpaths["index"], index_blob)
-            data_bytes, index_bytes = len(data), len(index_blob)
+            write_seconds = 0.0
+            data_bytes = index_bytes = 0
+            if packed.page_metas:
+                data_bytes, index_bytes, write_seconds = write_generation(
+                    self.fs,
+                    delta_paths(self.name, gen_id),
+                    packed,
+                    manifest.page_size,
+                    self.node_capacity,
+                )
 
-        #: tombstoned ids actually re-stored in this generation (updates and
-        #: resurrections) — alive here, so excluded from the dead set
-        updated_stored = sorted(set(updates) & packed.record_ids)
-        manifest.generations.append(
-            GenerationInfo(
+            #: tombstoned ids actually re-stored in this generation (updates
+            #: and resurrections) — alive here, so excluded from the dead set
+            updated_stored = sorted(set(updates) & packed.record_ids)
+            manifest.generations.append(
+                GenerationInfo(
+                    gen_id=gen_id,
+                    num_pages=len(packed.page_metas),
+                    num_records=len(packed.record_ids),
+                    num_replicas=packed.num_replicas,
+                    extent=packed.data_extent,
+                    tombstones=tombstones,
+                    updated=updated_stored,
+                    partitions=packed.partitions,
+                )
+            )
+
+            # exact live delta: fresh stored ids count once, resurrections of
+            # currently-dead ids count once, updates of live ids net to zero,
+            # and only tombstones that kill a live id decrement
+            fresh_stored = len(packed.record_ids) - len(updated_stored)
+            revived = sum(1 for rid in updated_stored if rid in previously_dead)
+            newly_dead = [
+                rid
+                for rid in tombstones
+                if rid not in previously_dead and rid not in set(updated_stored)
+            ]
+            live = manifest.num_live_records + fresh_stored + revived
+            if self.count_deletes:
+                live -= len(newly_dead)
+            manifest.live_records = max(0, live)
+            manifest.next_record_id = max(ceiling, max(ids) + 1 if ids else ceiling)
+            # generations/tombstones are v2-only features: a legacy v1 manifest
+            # must not keep claiming v1, or an old strict reader would accept it
+            # and silently ignore the generation list
+            manifest.version = MANIFEST_VERSION
+            write_seconds += write_file(
+                self.fs, self.paths["manifest"], manifest.to_json().encode("utf-8")
+            )
+
+            if tracer.enabled:
+                span.set(
+                    gen_id=gen_id,
+                    records=len(packed.record_ids),
+                    tombstones=len(tombstones),
+                    pages=len(packed.page_metas),
+                    data_bytes=data_bytes,
+                )
+            return AppendResult(
+                manifest=manifest,
                 gen_id=gen_id,
-                num_pages=len(packed.page_metas),
                 num_records=len(packed.record_ids),
                 num_replicas=packed.num_replicas,
-                extent=packed.data_extent,
-                tombstones=tombstones,
-                updated=updated_stored,
-                partitions=packed.partitions,
+                num_pages=len(packed.page_metas),
+                num_tombstones=len(tombstones),
+                data_bytes=data_bytes,
+                index_bytes=index_bytes,
+                write_seconds=write_seconds,
             )
-        )
-
-        # exact live delta: fresh stored ids count once, resurrections of
-        # currently-dead ids count once, updates of live ids net to zero,
-        # and only tombstones that kill a live id decrement
-        fresh_stored = len(packed.record_ids) - len(updated_stored)
-        revived = sum(1 for rid in updated_stored if rid in previously_dead)
-        newly_dead = [
-            rid
-            for rid in tombstones
-            if rid not in previously_dead and rid not in set(updated_stored)
-        ]
-        live = manifest.num_live_records + fresh_stored + revived
-        if self.count_deletes:
-            live -= len(newly_dead)
-        manifest.live_records = max(0, live)
-        manifest.next_record_id = max(ceiling, max(ids) + 1 if ids else ceiling)
-        # generations/tombstones are v2-only features: a legacy v1 manifest
-        # must not keep claiming v1, or an old strict reader would accept it
-        # and silently ignore the generation list
-        manifest.version = MANIFEST_VERSION
-        write_seconds += self._write(
-            self.paths["manifest"], manifest.to_json().encode("utf-8")
-        )
-
-        return AppendResult(
-            manifest=manifest,
-            gen_id=gen_id,
-            num_records=len(packed.record_ids),
-            num_replicas=packed.num_replicas,
-            num_pages=len(packed.page_metas),
-            num_tombstones=len(tombstones),
-            data_bytes=data_bytes,
-            index_bytes=index_bytes,
-            write_seconds=write_seconds,
-        )
 
     def compact(self, **kwargs) -> CompactionResult:
         """Merge this store's generations (see :func:`compact_store`)."""
@@ -399,6 +393,74 @@ class StoreAppender:
 # --------------------------------------------------------------------------- #
 # compaction
 # --------------------------------------------------------------------------- #
+def _rewrite_base(
+    fs: SimulatedFilesystem,
+    name: str,
+    packed: PackedPartitions,
+    page_size: int,
+    extent: Envelope,
+    grid: UniformGrid,
+    node_capacity: int,
+    next_record_id: int,
+) -> BulkLoadResult:
+    """Replace store *name*'s base container, index and manifest with
+    *packed*, then drop the delta files of the generations the old manifest
+    listed — they are merged into (or superseded by) the new base."""
+    merged = _read_manifest(fs, name).generations
+    result = write_store_files(
+        fs, name, packed, page_size, extent, grid, node_capacity, next_record_id
+    )
+    for info in merged:
+        if info.num_pages:
+            for path in delta_paths(name, info.gen_id).values():
+                fs.remove(path)
+    return result
+
+
+def _repack(
+    fs: SimulatedFilesystem,
+    name: str,
+    old: StoreManifest,
+    records: List[Tuple[int, Geometry]],
+    order: str,
+    node_capacity: int,
+    page_size: Optional[int] = None,
+    num_partitions: Optional[int] = None,
+) -> CompactionResult:
+    """Re-partition and re-pack *records* — the visible content of the store
+    described by *old* — as its new base, exactly like a fresh bulk load of
+    the same records: logical record ids preserved, the id ceiling carried
+    over so future appends never recycle a deleted id."""
+    ceiling = old.record_id_ceiling
+    if old.next_record_id is None:
+        # legacy manifest: num_records undercounts the ceiling when the bulk
+        # load skipped empty geometries — derive it from the record ids so
+        # the rewritten manifest never pins a value that recycles a live id
+        for rid, _geom in records:
+            ceiling = max(ceiling, rid + 1)
+        for info in old.generations:
+            ceiling = max(ceiling, max(info.tombstones, default=-1) + 1)
+
+    _usable, grid, cells, _skipped, extent = partition_identified(
+        records,
+        num_partitions if num_partitions is not None else old.grid_rows * old.grid_cols,
+    )
+    page_size = old.page_size if page_size is None else page_size
+    packed = pack_partitions(cells, grid, page_size, order)
+    written = _rewrite_base(
+        fs, name, packed, page_size, extent, grid, node_capacity, ceiling
+    )
+    return CompactionResult(
+        manifest=written.manifest,
+        merged_generations=len(old.generations),
+        num_records=written.num_records,
+        num_pages=written.num_pages,
+        data_bytes=written.data_bytes,
+        index_bytes=written.index_bytes,
+        write_seconds=written.write_seconds,
+    )
+
+
 def compact_store(
     fs: SimulatedFilesystem,
     name: str,
@@ -408,7 +470,7 @@ def compact_store(
     num_partitions: Optional[int] = None,
     tracer=None,
 ) -> CompactionResult:
-    """Merge a store's base + delta generations into one SFC-packed v2
+    """Merge a store's base + delta generations into one SFC-packed
     container.
 
     The visible records (tombstones applied, newest generation winning) are
@@ -418,79 +480,69 @@ def compact_store(
     are deleted.  Query results are identical before and after; per-query
     I/O (read requests, pages read) returns to fresh-bulk-load shape.
     """
-    if tracer is not None and tracer.enabled:
-        with tracer.span("compact", store=name) as span:
-            result = compact_store(
-                fs,
-                name,
-                order=order,
-                node_capacity=node_capacity,
-                page_size=page_size,
-                num_partitions=num_partitions,
-            )
+    tracer = tracer if tracer is not None else NULL_TRACER
+    with tracer.span("compact", store=name) as span:
+        with SpatialDataStore.open(fs, name) as store:
+            records = list(store.scan())
+            old_manifest = store.manifest
+        result = _repack(
+            fs, name, old_manifest, records, order, node_capacity, page_size, num_partitions
+        )
+        if tracer.enabled:
             span.set(
                 merged_generations=result.merged_generations,
                 records=result.num_records,
                 pages=result.num_pages,
                 data_bytes=result.data_bytes,
             )
-            return result
-    store_cls = _spatial_datastore()
-    with store_cls.open(fs, name) as store:
-        records = list(store.scan())
-        old_manifest = store.manifest
-    merged = len(old_manifest.generations)
-    ceiling = old_manifest.record_id_ceiling
-    if old_manifest.next_record_id is None:
-        # legacy manifest: num_records undercounts the ceiling when the bulk
-        # load skipped empty geometries — derive it from the scanned ids so
-        # the compacted manifest never pins a value that recycles a live id
-        for rid, _geom in records:
-            ceiling = max(ceiling, rid + 1)
-        for info in old_manifest.generations:
-            ceiling = max(ceiling, max(info.tombstones, default=-1) + 1)
-
-    usable, grid, cells, _skipped, extent = partition_identified(
-        records, num_partitions
-        if num_partitions is not None
-        else old_manifest.grid_rows * old_manifest.grid_cols,
-    )
-    page_size = old_manifest.page_size if page_size is None else page_size
-    packed = pack_partitions(cells, grid, page_size, order, format_version=2)
-    manifest, _paths, data_bytes, index_bytes, write_seconds = write_store_files(
-        fs,
-        name,
-        packed,
-        page_size=page_size,
-        extent=extent,
-        grid_rows=grid.rows,
-        grid_cols=grid.cols,
-        num_records=len(usable),
-        node_capacity=node_capacity,
-        format_version=2,
-        next_record_id=ceiling,
-    )
-    for info in old_manifest.generations:
-        if info.num_pages:
-            for path in delta_paths(name, info.gen_id).values():
-                fs.remove(path)
-
-    return CompactionResult(
-        manifest=manifest,
-        merged_generations=merged,
-        num_records=len(usable),
-        num_pages=len(packed.page_metas),
-        data_bytes=data_bytes,
-        index_bytes=index_bytes,
-        write_seconds=write_seconds,
-    )
+        return result
 
 
-def _spatial_datastore():
-    # local import: datastore imports the writer this module builds on
-    from .datastore import SpatialDataStore
+def upgrade_store(
+    fs: SimulatedFilesystem,
+    name: str,
+    order: str = "hilbert",
+    node_capacity: int = 16,
+) -> CompactionResult:
+    """Rewrite a store whose base container uses the retired v1 page layout
+    in the current one — offline, once; ``open`` refuses v1 containers.
 
-    return SpatialDataStore
+    The v1 pages are decoded with :func:`~repro.store.format.decode_page`
+    and re-packed exactly like a compaction (record ids and the id ceiling
+    preserved).  Safe by refusal: a store already in the current layout, or
+    a v1 container whose manifest lists delta generations (v1 predates
+    deltas, so re-packing the base alone would silently drop them), raises
+    :class:`~repro.store.format.StoreFormatError` and nothing is written.
+    """
+    manifest = _read_manifest(fs, name)
+    path = store_paths(name)["data"]
+    blob, _, _ = read_file_with_retry(fs, path, DEFAULT_RETRY)
+    header = unpack_header(blob, file_size=len(blob))
+    if header.version != 1:
+        raise StoreFormatError(
+            f"{path!r} already uses page layout v{header.version}: nothing to upgrade"
+        )
+    if manifest.generations:
+        raise StoreFormatError(
+            f"{path!r} uses page layout v1 but store {name!r} lists "
+            f"{len(manifest.generations)} delta generation(s); refusing to "
+            f"upgrade, which would drop them"
+        )
+    tail = header.dir_offset + header.dir_nbytes
+    pages = unpack_page_directory(blob[header.dir_offset : tail], header.num_pages)
+    crcs: List[Optional[int]] = [None] * len(pages)
+    if header.has_checksums:
+        crcs = unpack_page_checksums(blob[tail:], header.num_pages)
+    records: Dict[int, Geometry] = {}
+    for meta, crc in zip(pages, crcs):
+        payload = blob[meta.offset : meta.offset + meta.nbytes]
+        if crc is not None and page_crc32(payload) != crc:
+            raise PageChecksumError(
+                f"page {meta.page_id} of {path!r} failed its checksum", meta.page_id
+            )
+        for rid, geom in decode_page(payload, 1):
+            records.setdefault(rid, geom)  # replicas of one record are identical
+    return _repack(fs, name, manifest, list(records.items()), order, node_capacity)
 
 
 def _derive_id_ceiling(fs: SimulatedFilesystem, name: str) -> int:
@@ -502,24 +554,25 @@ def _derive_id_ceiling(fs: SimulatedFilesystem, name: str) -> int:
     recovered with a struct-only sweep of the stored record ids — envelope
     columns / record prefixes, no WKB or pickle decode.
     """
-    from .format import PageKey
-
     ceiling = 0
-    store_cls = _spatial_datastore()
-    with store_cls.open(fs, name, cache_pages=16) as store:
-        for gen in store.generations:
-            for start in range(0, len(gen.pages), 16):
-                keys = [
-                    PageKey(gen.gen_id, pid)
-                    for pid in range(start, min(start + 16, len(gen.pages)))
-                ]
-                for page in store._get_pages(keys).values():
-                    if len(page):
-                        # the id column is a flat array: one C-level max
-                        ceiling = max(ceiling, max(page.record_ids) + 1)
+    with SpatialDataStore.open(fs, name, cache_pages=16) as store:
+        for _generation, page in store._iter_pages():
+            if len(page):
+                # the id column is a flat array: one C-level max
+                ceiling = max(ceiling, max(page.record_ids) + 1)
         for info in store.manifest.generations:
             ceiling = max(ceiling, max(info.tombstones, default=-1) + 1)
     return ceiling
+
+
+def _recover_global_ceiling(fs: SimulatedFilesystem, manifest: ShardsManifest) -> None:
+    """Legacy ``shards.json`` (no ``next_record_id``): recover the true
+    global id ceiling from the shards before anything allocates from it or
+    pins it into a rewritten shard manifest."""
+    if manifest.next_record_id is None and manifest.num_records:
+        manifest.next_record_id = max(
+            _derive_id_ceiling(fs, shard.store) for shard in manifest.shards
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -604,20 +657,9 @@ class ShardedStoreAppender:
         geoms = list(geometries)
         manifest = self.manifest
         router = ShardRouter(manifest)
-        if manifest.next_record_id is None and manifest.num_records:
-            # legacy shards.json: recover the global ceiling from the shards
-            manifest.next_record_id = max(
-                _derive_id_ceiling(self.fs, shard.store)
-                for shard in manifest.shards
-            )
+        _recover_global_ceiling(self.fs, manifest)
         ceiling = manifest.record_id_ceiling
-
-        delete_ids = sorted({int(rid) for rid in deletes})
-        for rid in delete_ids:
-            if rid < 0 or rid >= ceiling:
-                raise ValueError(
-                    f"cannot delete record {rid}: ids run below {ceiling}"
-                )
+        delete_ids = _checked_deletes(deletes, ceiling)
 
         ids = list(range(ceiling, ceiling + len(geoms)))
         usable = [(rid, g) for rid, g in zip(ids, geoms) if not g.envelope.is_empty]
@@ -644,50 +686,38 @@ class ShardedStoreAppender:
             recs = per_shard.get(shard.shard_id, [])
             if not recs and not delete_ids:
                 continue
-            appender = StoreAppender(
-                self.fs,
-                shard.store,
-                order=self.order,
-                node_capacity=self.node_capacity,
-                grid=router.grid,
-                allowed_partitions=shard.partition_ids,
-                count_deletes=False,
-                cell_tree=router.cell_tree(),
-            )
-            if previously_dead is None:
-                # tombstones are broadcast, so any one shard's manifest
-                # carries the full historic dead set
-                previously_dead = appender.manifest.dead_records()
-            res = appender.append(
-                [g for _, g in recs],
-                deletes=delete_ids,
-                record_ids=[rid for rid, _ in recs],
-                id_ceiling=ceiling,
-            )
-            result.shard_results[shard.shard_id] = res
-            result.routed[shard.shard_id] = len(recs)
-            result.write_seconds += res.write_seconds
-            # mirror to the shard's read replicas: same records, ids,
+            # the primary, then its read replicas: same records, ids,
             # tombstones, grid and ceiling — packing is deterministic, so
             # every replica grows a byte-identical delta generation and
             # stays a drop-in failover copy
-            for replica in shard.replica_stores:
-                replica_res = StoreAppender(
+            copies: List[AppendResult] = []
+            for store in [shard.store, *shard.replica_stores]:
+                appender = StoreAppender(
                     self.fs,
-                    replica,
+                    store,
                     order=self.order,
                     node_capacity=self.node_capacity,
                     grid=router.grid,
                     allowed_partitions=shard.partition_ids,
                     count_deletes=False,
                     cell_tree=router.cell_tree(),
-                ).append(
-                    [g for _, g in recs],
-                    deletes=delete_ids,
-                    record_ids=[rid for rid, _ in recs],
-                    id_ceiling=ceiling,
                 )
-                result.write_seconds += replica_res.write_seconds
+                if previously_dead is None:
+                    # tombstones are broadcast, so any one shard's manifest
+                    # carries the full historic dead set
+                    previously_dead = appender.manifest.dead_records()
+                copies.append(
+                    appender.append(
+                        [g for _, g in recs],
+                        deletes=delete_ids,
+                        record_ids=[rid for rid, _ in recs],
+                        id_ceiling=ceiling,
+                    )
+                )
+                result.write_seconds += copies[-1].write_seconds
+            res = copies[0]
+            result.shard_results[shard.shard_id] = res
+            result.routed[shard.shard_id] = len(recs)
             if res.gen_id is not None:
                 shard.num_generations += 1
             shard.num_records += len({rid for rid, _ in recs})
@@ -703,12 +733,8 @@ class ShardedStoreAppender:
         manifest.next_record_id = ceiling + len(geoms)
         manifest.version = SHARDS_VERSION  # next_record_id is a v2 feature
 
-        blob = manifest.to_json().encode("utf-8")
-        path = shards_path(self.name)
-        self.fs.create_file(path, blob)
-        result.write_seconds += self.fs.open_time()
-        result.write_seconds += self.fs.write_time(
-            path, [ReadRequest(0, ((0, len(blob)),))]
+        result.write_seconds += write_file(
+            self.fs, shards_path(self.name), manifest.to_json().encode("utf-8")
         )
         return result
 
@@ -739,85 +765,41 @@ def compact_sharded_store(
     path = shards_path(name)
     raw, _, _ = read_file_with_retry(fs, path, DEFAULT_RETRY)
     manifest = ShardsManifest.from_json(raw.decode("utf-8"))
-    if manifest.next_record_id is None and manifest.num_records:
-        # legacy shards.json: recover the true global ceiling before it gets
-        # pinned into every compacted shard manifest
-        manifest.next_record_id = max(
-            _derive_id_ceiling(fs, shard.store) for shard in manifest.shards
-        )
+    _recover_global_ceiling(fs, manifest)
     router = ShardRouter(manifest)
     grid = router.grid
     tree = cell_rtree(grid)
-    store_cls = _spatial_datastore()
 
     merged = 0
     write_seconds = 0.0
     all_ids: Set[int] = set()
     for shard in manifest.shards:
-        with store_cls.open(fs, shard.store) as store:
+        with SpatialDataStore.open(fs, shard.store) as store:
             records = list(store.scan())
-            old_manifest = store.manifest
-        merged += len(old_manifest.generations)
+            merged += len(store.manifest.generations)
         all_ids.update(rid for rid, _ in records)
 
-        recs = [_Rec(rid, g) for rid, g in records]
-        owned = set(shard.partition_ids)
-        cells = {
-            cid: rs
-            for cid, rs in (assign_to_cells(grid, recs, tree) if recs else {}).items()
-            if cid in owned
-        }
-        assigned = {r.rid for rs in cells.values() for r in rs}
-        missing = [r.rid for r in recs if r.rid not in assigned]
-        if missing:
-            raise StoreError(
-                f"records {missing[:5]} of shard {shard.shard_id} overlap none "
-                f"of its partitions — sharded routing invariant violated"
-            )
-        packed = pack_partitions(cells, grid, manifest.page_size, order, format_version=2)
-        _m, _paths, _db, _ib, shard_ws = write_store_files(
-            fs,
-            shard.store,
-            packed,
-            page_size=manifest.page_size,
-            extent=packed.data_extent,
-            grid_rows=grid.rows,
-            grid_cols=grid.cols,
-            num_records=len(packed.record_ids),
-            node_capacity=node_capacity,
-            format_version=2,
-            next_record_id=manifest.record_id_ceiling,
+        cells = _assign_owned(
+            grid,
+            [_Rec(rid, g) for rid, g in records],
+            tree,
+            set(shard.partition_ids),
+            f"shard {shard.shard_id}",
         )
-        write_seconds += shard_ws
-        for info in old_manifest.generations:
-            if info.num_pages:
-                for p in delta_paths(shard.store, info.gen_id).values():
-                    fs.remove(p)
-        # rewrite each read replica from the same packed pages and drop its
-        # delta files, so replicas never serve pre-compaction state
-        for replica in shard.replica_stores:
-            r_raw, _, _ = read_file_with_retry(
-                fs, store_paths(replica)["manifest"], DEFAULT_RETRY
-            )
-            r_manifest = StoreManifest.from_json(r_raw.decode("utf-8"))
-            _rm, _rp, _rdb, _rib, replica_ws = write_store_files(
+        packed = pack_partitions(cells, grid, manifest.page_size, order)
+        # every read replica is rewritten from the same packed pages (and its
+        # delta files dropped), so replicas never serve pre-compaction state
+        for store_name in [shard.store, *shard.replica_stores]:
+            write_seconds += _rewrite_base(
                 fs,
-                replica,
+                store_name,
                 packed,
-                page_size=manifest.page_size,
-                extent=packed.data_extent,
-                grid_rows=grid.rows,
-                grid_cols=grid.cols,
-                num_records=len(packed.record_ids),
-                node_capacity=node_capacity,
-                format_version=2,
-                next_record_id=manifest.record_id_ceiling,
-            )
-            write_seconds += replica_ws
-            for info in r_manifest.generations:
-                if info.num_pages:
-                    for p in delta_paths(replica, info.gen_id).values():
-                        fs.remove(p)
+                manifest.page_size,
+                packed.data_extent,
+                grid,
+                node_capacity,
+                manifest.record_id_ceiling,
+            ).write_seconds
         shard.extent = packed.data_extent
         shard.num_records = len(packed.record_ids)
         shard.num_replicas = packed.num_replicas
@@ -826,10 +808,7 @@ def compact_sharded_store(
 
     manifest.num_records = len(all_ids)
     manifest.version = SHARDS_VERSION  # next_record_id is a v2 feature
-    blob = manifest.to_json().encode("utf-8")
-    fs.create_file(path, blob)
-    write_seconds += fs.open_time()
-    write_seconds += fs.write_time(path, [ReadRequest(0, ((0, len(blob)),))])
+    write_seconds += write_file(fs, path, manifest.to_json().encode("utf-8"))
 
     return ShardedCompactionResult(
         manifest=manifest,

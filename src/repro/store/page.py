@@ -2,36 +2,26 @@
 
 The paper's filter-and-refine discipline (§4.1, §5) applied to one page: the
 cache keeps the **raw payload** plus the cheap-to-parse metadata — flat
-``array``-module columns of record ids, body offsets and (v2) the envelope
-column — and a record body is WKB/pickle-decoded only when a query actually
-needs that slot.  Decoded geometries are memoised per slot, so a page that
-stays cached pays each decode at most once no matter how many queries touch
-it.
+``array``-module columns of record ids, body offsets and the envelope
+column, decoded from the page's on-disk column — and a record body is
+WKB/pickle-decoded only when a query actually needs that slot.  Decoded
+geometries are memoised per slot, so a page that stays cached pays each
+decode at most once no matter how many queries touch it.
 
 The columns are deliberately *flat arrays*, not per-slot tuples: the refine
 phase filters whole pages with bulk gathers (``map(column.__getitem__,
 slots)``) and fused comparisons over the four coordinate columns, so the
 surviving-slot loop never touches a per-slot dict or attribute.
-
-For v1 payloads the envelope column does not exist on disk; the slot table
-is recovered once with a pure ``struct`` walk over the record prefixes
-(lengths only, no WKB/pickle) and memoised, and :meth:`ensure_envelopes`
-can upgrade the page with a one-time envelope-only WKB coordinate scan so
-v1 pages ride the same bulk filter path as v2.
 """
 
 from __future__ import annotations
 
-import pickle
 from array import array
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..geometry import Envelope, Geometry, wkb
+from ..geometry import Envelope, Geometry
 from .format import (
-    _PAGE_COUNT,
-    _RECORD_PREFIX,
     PageChecksumError,
-    StoreFormatError,
     decode_envelope_column,
     decode_record_body,
     page_crc32,
@@ -68,7 +58,7 @@ class RecordView:
         return self._page.record(self.slot)[1]
 
     @property
-    def envelope(self) -> Optional[Envelope]:
+    def envelope(self) -> Envelope:
         return self._page.envelope(self.slot)
 
     @property
@@ -88,7 +78,7 @@ class RecordView:
 class CachedPage:
     """One page of a store container, decoded on demand.
 
-    ``record_ids[slot]`` and (v2) ``envelope(slot)`` are available without
+    ``record_ids[slot]`` and ``envelope(slot)`` are available without
     touching any record body; :meth:`record` decodes a single slot and
     memoises it.  *on_decode* is called with the number of records actually
     decoded, which is how the store's ``records_decoded`` statistic counts
@@ -103,7 +93,6 @@ class CachedPage:
 
     __slots__ = (
         "page_id",
-        "version",
         "payload",
         "count",
         "record_ids",
@@ -112,8 +101,6 @@ class CachedPage:
         "minys",
         "maxxs",
         "maxys",
-        "_body_lens",
-        "_ud_lens",
         "_env_summary",
         "_memo",
         "_on_decode",
@@ -123,7 +110,6 @@ class CachedPage:
         self,
         page_id: int,
         payload: bytes,
-        version: int,
         on_decode: Optional[Callable[[int], None]] = None,
         expected_crc: Optional[int] = None,
     ) -> None:
@@ -136,78 +122,21 @@ class CachedPage:
                     page_id=page_id,
                 )
         self.page_id = page_id
-        self.version = version
         self.payload = payload
         self._on_decode = on_decode
-        #: the four envelope-column coordinate arrays; ``None`` on v1 pages
-        #: until :meth:`ensure_envelopes` upgrades them
-        self.minxs: Optional[array] = None
-        self.minys: Optional[array] = None
-        self.maxxs: Optional[array] = None
-        self.maxys: Optional[array] = None
-        #: v1 record body/userdata lengths memoised by the one-time prefix
-        #: walk (``None`` on v2 pages, whose bodies carry their own prefix)
-        self._body_lens: Optional[array] = None
-        self._ud_lens: Optional[array] = None
         self._env_summary: Optional[Tuple[float, float, float, float, bool]] = None
-        if version >= 2:
-            entries = decode_envelope_column(payload)
-            self.count = len(entries)
-            if entries:
-                ids, offsets, minxs, minys, maxxs, maxys = zip(*entries)
-                self.record_ids = array("I", ids)
-                self.body_offsets = array("I", offsets)
-                self.minxs = array("d", minxs)
-                self.minys = array("d", minys)
-                self.maxxs = array("d", maxxs)
-                self.maxys = array("d", maxys)
-            else:
-                self.record_ids = array("I")
-                self.body_offsets = array("I")
-                self.minxs = array("d")
-                self.minys = array("d")
-                self.maxxs = array("d")
-                self.maxys = array("d")
-        else:
-            self.count = self._walk_v1(payload)
+        entries = decode_envelope_column(payload)
+        self.count = len(entries)
+        ids, offsets, minxs, minys, maxxs, maxys = (
+            zip(*entries) if entries else ((),) * 6
+        )
+        self.record_ids = array("I", ids)
+        self.body_offsets = array("I", offsets)
+        self.minxs = array("d", minxs)
+        self.minys = array("d", minys)
+        self.maxxs = array("d", maxxs)
+        self.maxys = array("d", maxys)
         self._memo: List[Optional[Geometry]] = [None] * self.count
-
-    def _walk_v1(self, payload: bytes) -> int:
-        """Recover the slot table of a v1 payload with struct-only parsing.
-
-        Runs exactly once per page image: record ids, prefix offsets and the
-        body/userdata lengths are all memoised, so neither repeated
-        ``envelope`` probes nor :meth:`record` decodes ever re-walk the
-        prefix chain.
-        """
-        if len(payload) < _PAGE_COUNT.size:
-            raise StoreFormatError("page payload shorter than its count prefix")
-        (count,) = _PAGE_COUNT.unpack_from(payload, 0)
-        record_ids = array("I")
-        body_offsets = array("I")
-        body_lens = array("I")
-        ud_lens = array("I")
-        pos = _PAGE_COUNT.size
-        for _ in range(count):
-            if pos + _RECORD_PREFIX.size > len(payload):
-                raise StoreFormatError("truncated record prefix in page payload")
-            record_id, body_len, ud_len = _RECORD_PREFIX.unpack_from(payload, pos)
-            record_ids.append(record_id)
-            body_offsets.append(pos)
-            body_lens.append(body_len)
-            ud_lens.append(ud_len)
-            pos += _RECORD_PREFIX.size + body_len + ud_len
-            if pos > len(payload):
-                raise StoreFormatError("truncated record body in page payload")
-        if pos != len(payload):
-            raise StoreFormatError(
-                f"{len(payload) - pos} trailing bytes after the last record"
-            )
-        self.record_ids = record_ids
-        self.body_offsets = body_offsets
-        self._body_lens = body_lens
-        self._ud_lens = ud_lens
-        return count
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -217,42 +146,6 @@ class CachedPage:
     def decoded_slots(self) -> int:
         """How many of this page's slots have been decoded so far."""
         return sum(1 for g in self._memo if g is not None)
-
-    @property
-    def has_envelopes(self) -> bool:
-        """Whether the coordinate columns exist (always on v2; on v1 only
-        after :meth:`ensure_envelopes`)."""
-        return self.minxs is not None
-
-    def ensure_envelopes(self) -> None:
-        """One-time parsed-column upgrade for v1 pages.
-
-        Builds the four coordinate columns from an envelope-only WKB
-        coordinate scan (:func:`repro.geometry.wkb.envelope_bounds`) — no
-        geometry objects are constructed and nothing is charged to
-        ``records_decoded``, because this is filter-phase work, not refine.
-        A no-op on pages that already have the columns.
-        """
-        if self.minxs is not None:
-            return
-        payload = self.payload
-        prefix_size = _RECORD_PREFIX.size
-        minxs = array("d")
-        minys = array("d")
-        maxxs = array("d")
-        maxys = array("d")
-        view = memoryview(payload)
-        for offset, body_len in zip(self.body_offsets, self._body_lens):
-            pos = offset + prefix_size
-            x0, y0, x1, y1 = wkb.envelope_bounds(view[pos : pos + body_len])
-            minxs.append(x0)
-            minys.append(y0)
-            maxxs.append(x1)
-            maxys.append(y1)
-        self.minxs = minxs
-        self.minys = minys
-        self.maxxs = maxxs
-        self.maxys = maxys
 
     def env_summary(self) -> Tuple[float, float, float, float, bool]:
         """``(minx, miny, maxx, maxy, has_empty)`` over the whole column.
@@ -309,11 +202,8 @@ class CachedPage:
             )
         ]
 
-    def envelope(self, slot: int) -> Optional[Envelope]:
-        """The slot's MBR from the envelope column (``None`` on v1 pages
-        that have not been upgraded with :meth:`ensure_envelopes`)."""
-        if self.minxs is None:
-            return None
+    def envelope(self, slot: int) -> Envelope:
+        """The slot's MBR from the envelope column."""
         return Envelope(
             self.minxs[slot], self.minys[slot], self.maxxs[slot], self.maxys[slot]
         )
@@ -322,10 +212,7 @@ class CachedPage:
         """Decode (and memoise) one slot — the refine phase for that record."""
         geom = self._memo[slot]
         if geom is None:
-            if self.version >= 2:
-                geom = decode_record_body(self.payload, self.body_offsets[slot])
-            else:
-                geom = self._decode_v1_body(slot)
+            geom = decode_record_body(self.payload, self.body_offsets[slot])
             self._memo[slot] = geom
             if self._on_decode is not None:
                 self._on_decode(1)
@@ -338,33 +225,10 @@ class CachedPage:
     def body_view(self, slot: int) -> memoryview:
         """Zero-copy ``memoryview`` of one record's encoded body bytes."""
         start = self.body_offsets[slot]
-        if self.version >= 2:
-            end = (
-                self.body_offsets[slot + 1]
-                if slot + 1 < self.count
-                else len(self.payload)
-            )
-        else:
-            end = (
-                start
-                + _RECORD_PREFIX.size
-                + self._body_lens[slot]
-                + self._ud_lens[slot]
-            )
+        end = (
+            self.body_offsets[slot + 1] if slot + 1 < self.count else len(self.payload)
+        )
         return memoryview(self.payload)[start:end]
-
-    def _decode_v1_body(self, slot: int) -> Geometry:
-        # lengths come from the memoised slot table — the prefix is never
-        # re-unpacked after the one-time _walk_v1
-        body_len = self._body_lens[slot]
-        ud_len = self._ud_lens[slot]
-        pos = self.body_offsets[slot] + _RECORD_PREFIX.size
-        geom = wkb.loads(self.payload[pos : pos + body_len])
-        if ud_len:
-            geom.userdata = pickle.loads(
-                self.payload[pos + body_len : pos + body_len + ud_len]
-            )
-        return geom
 
     def records(self) -> List[Tuple[int, Geometry]]:
         """Every slot decoded, in slot order (full scans)."""

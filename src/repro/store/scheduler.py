@@ -165,16 +165,16 @@ class IOSchedule:
     """The scheduler's output: the coalesced runs of one fetch.
 
     ``prefetch_stop`` records **why** readahead ended where it did — the
-    EXPLAIN report surfaces it verbatim: ``"disabled"`` (caller forbade
-    prefetch), ``"empty"`` (nothing missing, no frontier to extend),
-    ``"budget"`` (policy page budget exhausted, including a zero budget),
+    EXPLAIN report surfaces it verbatim: ``"empty"`` (nothing missing, no
+    frontier to extend), ``"budget"`` (policy page budget exhausted,
+    including a zero budget),
     ``"container_end"`` (next page would be past the last payload page),
     ``"cached_page"`` (next page already cached) or ``"stripe_boundary"``
     (cost-model policy: next page crosses the stripe holding the frontier).
     """
 
     runs: List[ScheduledRun]
-    prefetch_stop: str = "disabled"
+    prefetch_stop: str = "empty"
 
     @property
     def ranges(self) -> Tuple[Tuple[int, int], ...]:
@@ -291,15 +291,13 @@ class IOScheduler:
         self,
         missing: Sequence[int],
         is_cached: Callable[[int], bool] = lambda pid: False,
-        allow_prefetch: bool = True,
     ) -> IOSchedule:
         """Coalesce the (sorted) *missing* page ids into gap-tolerant runs
         and extend the final run with readahead.
 
         Readahead stops at the container boundary (the last page — it can
         never read into the page directory), at the first already-cached
-        page, and at the policy's budget.  ``allow_prefetch=False`` (scans
-        under the ``no_scan`` admission policy) disables it outright.
+        page, and at the policy's budget.
         """
         runs: List[List[int]] = []
         for pid in missing:
@@ -311,10 +309,8 @@ class IOScheduler:
             runs.append([pid])
 
         prefetched = 0
-        stop = "disabled"
-        if not runs:
-            stop = "disabled" if not allow_prefetch else "empty"
-        elif allow_prefetch:
+        stop = "empty"
+        if runs:
             frontier = self.pages[runs[-1][-1]]
             max_pages, byte_ceiling = self._readahead_budget(
                 frontier.offset + frontier.nbytes, len(missing)

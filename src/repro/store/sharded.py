@@ -37,7 +37,7 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..pfs import ReadRequest, SimulatedFilesystem
 from .datastore import QueryHit, SpatialDataStore
 from .engine import BatchOutcome, DeadlineExceeded
-from .format import VERSION, StoreError, StoreFormatError
+from .format import StoreError, StoreFormatError
 from .manifest import (
     ShardInfo,
     ShardsManifest,
@@ -50,6 +50,7 @@ from .writer import (
     BulkLoadResult,
     pack_partitions,
     partition_records,
+    write_file,
     write_store_files,
 )
 
@@ -176,7 +177,6 @@ class ShardedStoreWriter:
         page_size: int = 4096,
         node_capacity: int = 16,
         order: str = "hilbert",
-        format_version: int = VERSION,
         read_replicas: int = 0,
     ) -> None:
         if num_shards < 1:
@@ -192,7 +192,6 @@ class ShardedStoreWriter:
         self.page_size = page_size
         self.node_capacity = node_capacity
         self.order = order
-        self.format_version = format_version
         self.read_replicas = read_replicas
 
     # ------------------------------------------------------------------ #
@@ -213,46 +212,31 @@ class ShardedStoreWriter:
 
         for shard_id, run in enumerate(runs):
             shard_cells = {cid: cells[cid] for cid in run}
-            packed = pack_partitions(
-                shard_cells, grid, self.page_size, self.order, self.format_version
-            )
+            packed = pack_partitions(shard_cells, grid, self.page_size, self.order)
             store = shard_store_name(self.name, shard_id)
-            manifest, paths, data_bytes, index_bytes, shard_write = write_store_files(
-                self.fs,
-                store,
-                packed,
-                page_size=self.page_size,
-                extent=packed.data_extent,
-                grid_rows=grid.rows,
-                grid_cols=grid.cols,
-                num_records=len(packed.record_ids),
-                node_capacity=self.node_capacity,
-                format_version=self.format_version,
-                next_record_id=next_record_id,
-            )
-            write_seconds += shard_write
-            total_replicas += packed.num_replicas
             # read replicas: full copies of the shard store under distinct
             # names, written from the same packed pages so they are
             # byte-identical and any copy can substitute at serving time
-            replica_names: List[str] = []
-            for r in range(self.read_replicas):
-                replica = replica_store_name(self.name, shard_id, r)
-                _, _, _, _, replica_write = write_store_files(
+            replica_names = [
+                replica_store_name(self.name, shard_id, r)
+                for r in range(self.read_replicas)
+            ]
+            copies = [
+                write_store_files(
                     self.fs,
-                    replica,
+                    copy,
                     packed,
-                    page_size=self.page_size,
-                    extent=packed.data_extent,
-                    grid_rows=grid.rows,
-                    grid_cols=grid.cols,
-                    num_records=len(packed.record_ids),
-                    node_capacity=self.node_capacity,
-                    format_version=self.format_version,
-                    next_record_id=next_record_id,
+                    self.page_size,
+                    packed.data_extent,
+                    grid,
+                    self.node_capacity,
+                    next_record_id,
                 )
-                write_seconds += replica_write
-                replica_names.append(replica)
+                for copy in [store, *replica_names]
+            ]
+            for written in copies:
+                write_seconds += written.write_seconds
+            total_replicas += packed.num_replicas
             shard_infos.append(
                 ShardInfo(
                     shard_id=shard_id,
@@ -265,20 +249,7 @@ class ShardedStoreWriter:
                     replica_stores=replica_names,
                 )
             )
-            shard_results.append(
-                BulkLoadResult(
-                    manifest=manifest,
-                    paths=paths,
-                    num_records=len(packed.record_ids),
-                    num_replicas=packed.num_replicas,
-                    num_pages=len(packed.page_metas),
-                    num_partitions=len(packed.partitions),
-                    data_bytes=data_bytes,
-                    index_bytes=index_bytes,
-                    skipped_empty=0,
-                    write_seconds=shard_write,
-                )
-            )
+            shard_results.append(copies[0])
 
         shards_manifest = ShardsManifest(
             name=self.name,
@@ -290,11 +261,9 @@ class ShardedStoreWriter:
             shards=shard_infos,
             next_record_id=next_record_id,
         )
-        blob = shards_manifest.to_json().encode("utf-8")
-        path = shards_path(self.name)
-        self.fs.create_file(path, blob)
-        write_seconds += self.fs.open_time()
-        write_seconds += self.fs.write_time(path, [ReadRequest(0, ((0, len(blob)),))])
+        write_seconds += write_file(
+            self.fs, shards_path(self.name), shards_manifest.to_json().encode("utf-8")
+        )
 
         return ShardedLoadResult(
             manifest=shards_manifest,
@@ -391,14 +360,10 @@ class DistributedStoreServer:
         comm: Communicator,
         fs: SimulatedFilesystem,
         manifest: ShardsManifest,
-        cache_pages: int = 64,
-        admission: str = "all",
-        coalesce_gap: Optional[int] = None,
-        prefetch_pages: Optional[int] = None,
-        io_policy: str = "fixed",
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         allow_degraded: bool = False,
+        **store_options: Any,
     ) -> None:
         self.comm = comm
         self.fs = fs
@@ -425,13 +390,10 @@ class DistributedStoreServer:
         #: degraded-mode queries report its partitions as missing
         self.allow_degraded = allow_degraded
         self.dead_shards: Dict[int, ShardError] = {}
-        self._open_knobs = dict(
-            cache_pages=cache_pages,
-            admission=admission,
-            coalesce_gap=coalesce_gap,
-            prefetch_pages=prefetch_pages,
-            io_policy=io_policy,
-        )
+        #: serving keywords of :class:`SpatialDataStore` (``cache_pages``,
+        #: ``coalesce_gap``, ``prefetch_pages``, ``io_policy``,
+        #: ``retry_policy``), forwarded to every shard store this rank opens
+        self._store_options = store_options
         #: remaining untried replica store names per shard, in failover order
         self._spare_stores: Dict[int, List[str]] = {
             sid: list(manifest.shards[sid].replica_stores) for sid in self.my_shards
@@ -452,23 +414,17 @@ class DistributedStoreServer:
         comm: Communicator,
         fs: SimulatedFilesystem,
         name: str,
-        cache_pages: int = 64,
-        admission: str = "all",
-        coalesce_gap: Optional[int] = None,
-        prefetch_pages: Optional[int] = None,
-        io_policy: str = "fixed",
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        allow_degraded: bool = False,
+        **options: Any,
     ) -> "DistributedStoreServer":
         """Collectively open a sharded store: rank 0 reads ``shards.json``
         and broadcasts it, then every rank opens its assigned shards (delta
         generations stacked by :class:`~repro.store.mutable.
         ShardedStoreAppender` included — each shard store opens its own
         deltas, so distributed serving reads appended data with no extra
-        plumbing).  Serving knobs are forwarded to every shard's
-        :meth:`SpatialDataStore.open` (``prefetch_pages=None`` keeps the
-        policy default, ``0`` disables readahead under both policies).
+        plumbing).  *options* are the keywords of :meth:`__init__`: the
+        serving keywords of :class:`SpatialDataStore` are forwarded to every
+        shard's :meth:`SpatialDataStore.open` (``prefetch_pages=None`` keeps
+        the policy default, ``0`` disables readahead under both policies).
 
         *tracer* is this rank's :class:`~repro.obs.trace.Tracer` (e.g.
         ``Tracer(clock=comm.clock, rank=comm.rank)``); the default null
@@ -499,19 +455,7 @@ class DistributedStoreServer:
                 f"sharded store {name!r} is missing {missing!r}; "
                 f"run ShardedStoreWriter.load first"
             )
-        return cls(
-            comm,
-            fs,
-            manifest,
-            cache_pages=cache_pages,
-            admission=admission,
-            coalesce_gap=coalesce_gap,
-            prefetch_pages=prefetch_pages,
-            io_policy=io_policy,
-            tracer=tracer,
-            metrics=metrics,
-            allow_degraded=allow_degraded,
-        )
+        return cls(comm, fs, manifest, **options)
 
     def close(self) -> None:
         for store in self.stores.values():
@@ -548,7 +492,7 @@ class DistributedStoreServer:
     # ------------------------------------------------------------------ #
     def _open_store(self, shard: ShardInfo, store_name: str) -> SpatialDataStore:
         store = SpatialDataStore.open(
-            self.fs, store_name, tracer=self.tracer, **self._open_knobs
+            self.fs, store_name, tracer=self.tracer, **self._store_options
         )
         self.comm.clock.advance(store.stats.io_seconds, category="io")
         return store

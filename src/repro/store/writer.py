@@ -9,10 +9,13 @@ curve for intra-page locality, packed into fixed-target-size pages, and the
 record MBRs are bulk-loaded into one STR-packed R-tree that is persisted
 alongside the data so no future open ever rebuilds it.
 
-The packing and writing halves are factored out (:func:`pack_partitions`,
-:func:`write_store_files`) so the sharded writer in
-:mod:`repro.store.sharded` can persist each shard as a normal store without
-re-partitioning per shard.
+The packing and writing halves are factored out so the sharded writer in
+:mod:`repro.store.sharded` and the appender/compactor in
+:mod:`repro.store.mutable` persist through the same three routines:
+:func:`write_file` is the only place a store file is created and charged,
+:func:`write_generation` the only place a container and its packed index are
+assembled (base and delta alike), :func:`write_store_files` a generation
+plus its manifest — data, then index, then manifest, in that order.
 """
 
 from __future__ import annotations
@@ -27,12 +30,9 @@ from .format import (
     ENVELOPE_ENTRY,
     FLAG_PAGE_CHECKSUMS,
     HEADER_SIZE,
-    VERSION,
     PageMeta,
     RecordRef,
-    encode_page,
     encode_page_v2,
-    encode_record,
     encode_record_body,
     pack_header,
     pack_page_checksums,
@@ -49,6 +49,8 @@ __all__ = [
     "pack_partitions",
     "partition_identified",
     "partition_records",
+    "write_file",
+    "write_generation",
     "write_store_files",
 ]
 
@@ -119,21 +121,19 @@ def pack_partitions(
     grid: UniformGrid,
     page_size: int,
     order: str = "hilbert",
-    format_version: int = VERSION,
 ) -> PackedPartitions:
     """Pack pre-partitioned records into pages (the partition→page half of a
     bulk load).  *cells* maps global grid cell ids to their record replicas;
     pages never span partitions and page ids are local to this pack.
 
-    ``format_version`` selects the page layout (v2 by default; v1 for
-    compatibility round-trips).  In v2 each record's envelope-column entry is
-    counted against the page-size budget, so a page payload never exceeds
-    ``page_size`` plus the count prefix regardless of version.
+    Each record's envelope-column entry is counted against the page-size
+    budget, so a page payload never exceeds ``page_size`` plus the count
+    prefix.
     """
     packed = PackedPartitions()
     data_offset = HEADER_SIZE
-    # per-record byte cost charged against page_size (body + column entry)
-    overhead = ENVELOPE_ENTRY.size if format_version >= 2 else 0
+    # per-record byte cost charged against page_size beside the body
+    overhead = ENVELOPE_ENTRY.size
 
     for cell_id in sorted(cells):
         part_recs = cells[cell_id]
@@ -153,10 +153,7 @@ def pack_partitions(
             nonlocal current, current_rids, current_envs, current_bytes, data_offset
             if not current:
                 return
-            if format_version >= 2:
-                payload = encode_page_v2(list(zip(current_rids, current_envs, current)))
-            else:
-                payload = encode_page(current)
+            payload = encode_page_v2(list(zip(current_rids, current_envs, current)))
             page_id = len(packed.page_metas)
             mbr = Envelope.empty()
             for env in current_envs:
@@ -180,10 +177,7 @@ def pack_partitions(
 
         for idx in ordering:
             rec = part_recs[idx]
-            if format_version >= 2:
-                encoded = encode_record_body(rec.geom)
-            else:
-                encoded = encode_record(rec.rid, rec.geom)
+            encoded = encode_record_body(rec.geom)
             if current and current_bytes + len(encoded) + overhead > page_size:
                 flush_page()
             current.append(encoded)
@@ -200,66 +194,93 @@ def pack_partitions(
     return packed
 
 
+def write_file(fs: SimulatedFilesystem, path: str, blob: bytes) -> float:
+    """Create (or overwrite) *path* with *blob*; returns the simulated
+    seconds charged for the open and the write."""
+    fs.create_file(path, blob)
+    seconds = fs.open_time()
+    if blob:
+        seconds += fs.write_time(path, [ReadRequest(0, ((0, len(blob)),))])
+    return seconds
+
+
+def write_generation(
+    fs: SimulatedFilesystem,
+    paths: Mapping[str, str],
+    packed: PackedPartitions,
+    page_size: int,
+    node_capacity: int = 16,
+    checksums: bool = True,
+) -> Tuple[int, int, float]:
+    """Persist one generation — the page container, then its packed index —
+    under *paths* (:func:`~repro.store.manifest.store_paths` for a base,
+    :func:`~repro.store.manifest.delta_paths` for a delta).
+
+    *checksums* appends the per-page CRC32 table after the page directory
+    (on by default; disable only to measure the verification overhead
+    itself).  Returns ``(data_bytes, index_bytes, write_seconds)``.
+    """
+    header = pack_header(
+        page_size,
+        len(packed.page_metas),
+        len(packed.record_ids),
+        HEADER_SIZE + sum(len(p) for p in packed.payloads),
+        flags=FLAG_PAGE_CHECKSUMS if checksums else 0,
+    )
+    data = header + b"".join(packed.payloads) + pack_page_directory(packed.page_metas)
+    if checksums:
+        data += pack_page_checksums(packed.page_metas)
+    index_blob = dump_index(STRtree(packed.index_entries, node_capacity=node_capacity))
+    seconds = write_file(fs, paths["data"], data) + write_file(fs, paths["index"], index_blob)
+    return len(data), len(index_blob), seconds
+
+
 def write_store_files(
     fs: SimulatedFilesystem,
     name: str,
     packed: PackedPartitions,
     page_size: int,
     extent: Envelope,
-    grid_rows: int,
-    grid_cols: int,
-    num_records: int,
+    grid: UniformGrid,
     node_capacity: int = 16,
-    format_version: int = VERSION,
     next_record_id: Optional[int] = None,
     checksums: bool = True,
-) -> Tuple[StoreManifest, Dict[str, str], int, int, float]:
-    """Persist a packed store as the canonical three-file layout.
+) -> BulkLoadResult:
+    """Persist a packed store as the canonical three-file layout: the base
+    generation (:func:`write_generation`), then the manifest that makes it
+    visible.
 
     *next_record_id* is the id ceiling recorded for future appends (defaults
-    to *num_records*, correct when ids were assigned densely).  *checksums*
-    appends the per-page CRC32 table after the page directory (on by
-    default; disable only for compatibility round-trips or to measure the
-    verification overhead itself).  Returns
-    ``(manifest, paths, data_bytes, index_bytes, write_seconds)``.
+    to the record count, correct when ids were assigned densely).
     """
     paths = store_paths(name)
-    flags = FLAG_PAGE_CHECKSUMS if checksums else 0
-    header = pack_header(page_size, len(packed.page_metas), num_records,
-                         HEADER_SIZE + sum(len(p) for p in packed.payloads),
-                         version=format_version, flags=flags)
-    data = header + b"".join(packed.payloads) + pack_page_directory(packed.page_metas)
-    if checksums:
-        data += pack_page_checksums(packed.page_metas)
-
-    tree: STRtree = STRtree(packed.index_entries, node_capacity=node_capacity)
-    index_bytes = dump_index(tree)
-
+    data_bytes, index_bytes, write_seconds = write_generation(
+        fs, paths, packed, page_size, node_capacity, checksums
+    )
     manifest = StoreManifest(
         name=name,
         page_size=page_size,
-        num_records=num_records,
+        num_records=len(packed.record_ids),
         num_pages=len(packed.page_metas),
         extent=extent,
-        grid_rows=grid_rows,
-        grid_cols=grid_cols,
+        grid_rows=grid.rows,
+        grid_cols=grid.cols,
         partitions=packed.partitions,
         next_record_id=next_record_id,
     )
-    manifest_bytes = manifest.to_json().encode("utf-8")
-
-    write_seconds = 0.0
-    for path, blob in (
-        (paths["data"], data),
-        (paths["index"], index_bytes),
-        (paths["manifest"], manifest_bytes),
-    ):
-        fs.create_file(path, blob)
-        write_seconds += fs.open_time()
-        if blob:
-            write_seconds += fs.write_time(path, [ReadRequest(0, ((0, len(blob)),))])
-
-    return manifest, paths, len(data), len(index_bytes), write_seconds
+    write_seconds += write_file(fs, paths["manifest"], manifest.to_json().encode("utf-8"))
+    return BulkLoadResult(
+        manifest=manifest,
+        paths=paths,
+        num_records=len(packed.record_ids),
+        num_replicas=packed.num_replicas,
+        num_pages=len(packed.page_metas),
+        num_partitions=len(packed.partitions),
+        data_bytes=data_bytes,
+        index_bytes=index_bytes,
+        skipped_empty=0,
+        write_seconds=write_seconds,
+    )
 
 
 def partition_identified(
@@ -303,9 +324,7 @@ def partition_records(
     position but are skipped).  Returns the same tuple as
     :func:`partition_identified`.
     """
-    return partition_identified(
-        ((rid, g) for rid, g in enumerate(geometries)), num_partitions
-    )
+    return partition_identified(enumerate(geometries), num_partitions)
 
 
 def bulk_load(
@@ -316,48 +335,31 @@ def bulk_load(
     page_size: int = 4096,
     node_capacity: int = 16,
     order: str = "hilbert",
-    format_version: int = VERSION,
     checksums: bool = True,
 ) -> BulkLoadResult:
     """Persist *geometries* as the named store on *fs*.
 
     ``page_size`` is the target payload size in bytes: records are appended
     to a page until it would overflow (a single oversized record still gets
-    a page of its own).  Pages never span partitions.  ``format_version``
-    selects the page layout (v2 envelope-column pages by default; pass 1 to
-    write a container older builds can read).  ``checksums`` controls the
-    per-page CRC32 table (on by default).
+    a page of its own).  Pages never span partitions.  ``checksums``
+    controls the per-page CRC32 table (on by default).
     """
     if page_size < 64:
         raise ValueError("page_size must be >= 64 bytes")
 
     usable, grid, cells, skipped, extent = partition_records(geometries, num_partitions)
-    packed = pack_partitions(cells, grid, page_size, order, format_version)
-    manifest, paths, data_bytes, index_bytes, write_seconds = write_store_files(
+    packed = pack_partitions(cells, grid, page_size, order)
+    result = write_store_files(
         fs,
         name,
         packed,
-        page_size=page_size,
-        extent=extent,
-        grid_rows=grid.rows,
-        grid_cols=grid.cols,
-        num_records=len(usable),
-        node_capacity=node_capacity,
-        format_version=format_version,
+        page_size,
+        extent,
+        grid,
+        node_capacity,
         # ids are positional, so skipped empties leave holes below this
         next_record_id=len(usable) + skipped,
         checksums=checksums,
     )
-
-    return BulkLoadResult(
-        manifest=manifest,
-        paths=paths,
-        num_records=len(usable),
-        num_replicas=packed.num_replicas,
-        num_pages=len(packed.page_metas),
-        num_partitions=len(packed.partitions),
-        data_bytes=data_bytes,
-        index_bytes=index_bytes,
-        skipped_empty=skipped,
-        write_seconds=write_seconds,
-    )
+    result.skipped_empty = skipped
+    return result

@@ -89,27 +89,6 @@ class TestLRUPageCache:
         assert d["misses"] == 1
         assert d["hit_rate"] == 0.0
 
-    def test_put_admit_false_refreshes_already_cached_key(self):
-        # regression: the admission veto used to fire even for keys already
-        # in the cache, counting phantom rejects and skipping the recency
-        # refresh (so a hot page could be evicted as false-LRU)
-        cache = LRUPageCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10, admit=False)  # cached: refresh, not reject
-        assert cache.stats.admission_rejects == 0
-        assert cache.get("a") == 10  # the value was refreshed too
-        cache.put("c", 3)  # evicts "b" — "a" was moved to the MRU end
-        assert "a" in cache and "b" not in cache
-
-    def test_put_admit_false_still_vetoes_new_keys(self):
-        cache = LRUPageCache(2)
-        cache.put("a", 1)
-        cache.put("x", 9, admit=False)
-        assert "x" not in cache
-        assert cache.stats.admission_rejects == 1
-        assert "a" in cache
-
 
 class TestShardedServingCacheStats:
     """Regression tests for `StoreStats` accounting under the sharded path:

@@ -236,11 +236,6 @@ class TestBulkLoad:
         assert not oversized  # only single-record pages may exceed the target
         assert result.num_pages == store.num_pages
 
-    def test_bulk_load_classmethod(self, fs):
-        store, result = SpatialDataStore.bulk_load(fs, "clsmethod", [Point(0, 0), Point(1, 1)])
-        assert len(store) == 2
-        assert result.num_records == 2
-
     def test_rejects_tiny_page_size(self, fs):
         with pytest.raises(ValueError):
             bulk_load(fs, "bad", [Point(0, 0)], page_size=8)

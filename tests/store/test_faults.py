@@ -384,6 +384,44 @@ class TestReplicaFailover:
         assert sorted(h.record_id for h in hits) == list(range(len(geoms)))
         assert metrics["counters"]["server.failovers"] >= 1
 
+    def test_retry_policy_reaches_shard_stores_and_failover_replicas(self, sharded):
+        # regression: DistributedStoreServer.open took no retry_policy (a
+        # TypeError), so every shard store was stuck with DEFAULT_RETRY
+        fs, _, result = sharded
+        victim = next(s for s in result.manifest.shards if s.num_pages > 0)
+        self._poison_store(fs, victim.store)
+
+        def prog(comm):
+            with DistributedStoreServer.open(
+                comm, fs, self.NAME, retry_policy=NO_RETRY
+            ) as server:
+                opened = {sid: st.retry_policy for sid, st in server.stores.items()}
+                server.range_query_batch([(0, WINDOW)] if comm.rank == 0 else None)
+                serving = {
+                    sid: (st.name, st.retry_policy) for sid, st in server.stores.items()
+                }
+                return opened, serving
+
+        opened, serving = {}, {}
+        for rank_opened, rank_serving in mpisim.run_spmd(prog, 2).values:
+            opened.update(rank_opened)
+            serving.update(rank_serving)
+        assert sorted(opened) == [0, 1, 2, 3]
+        assert all(policy is NO_RETRY for policy in opened.values())
+        # the victim now serves from the replica failover opened
+        assert serving[victim.shard_id] == (victim.replica_stores[0], NO_RETRY)
+
+    def test_unknown_serving_keyword_is_a_type_error_naming_it(self, sharded):
+        fs, _, result = sharded
+        with pytest.raises(TypeError, match="'admission'"):
+            SpatialDataStore.open(fs, result.manifest.shards[0].store, admission="all")
+
+        def prog(comm):
+            DistributedStoreServer.open(comm, fs, self.NAME, admission="all")
+
+        with pytest.raises(TypeError, match="'admission'"):
+            mpisim.run_spmd(prog, 2)
+
     def test_failover_results_match_fault_free(self, sharded):
         fs, geoms, result = sharded
         clean, _ = self._serve(fs)

@@ -8,27 +8,43 @@ The acceptance battery of the append/compaction subsystem:
   query hit are unchanged by ``compact()``;
 * **tombstones** — deleted records never surface from queries, scans or
   compacted stores; updates shadow older versions even when the new version
-  moved out of the query window; deleted ids are never recycled.
+  moved out of the query window; deleted ids are never recycled;
+* **the v1 layout is upgrade-only** — ``open`` refuses a v1 container and
+  names the fix, ``upgrade_store`` rewrites it losslessly and refuses every
+  store it could damage.
 """
 
+import json
 import random
 
 import pytest
 
 from repro import mpisim
 from repro.datasets import random_envelopes
-from repro.geometry import Envelope, LineString, Point, Polygon, predicates, wkb
+from repro.geometry import (
+    Envelope,
+    LineString,
+    MultiPoint,
+    Point,
+    Polygon,
+    predicates,
+    wkb,
+)
 from repro.pfs import LustreFilesystem
 from repro.store import (
     DistributedStoreServer,
+    PageChecksumError,
     ShardedStoreAppender,
     SpatialDataStore,
     StoreAppender,
+    StoreFormatError,
     bulk_load,
     compact_sharded_store,
     compact_store,
     delta_paths,
     sharded_bulk_load,
+    store_paths,
+    upgrade_store,
 )
 
 EXTENT = Envelope(0.0, 0.0, 100.0, 100.0)
@@ -377,6 +393,124 @@ class TestCompaction:
         stats = compacted.stats
         assert stats.pages_read <= compacted.num_pages
         assert compacted.total_pages == compacted.num_pages  # no deltas left
+
+
+# --------------------------------------------------------------------------- #
+# the retired v1 page layout: refused by open, rewritten by upgrade_store
+# --------------------------------------------------------------------------- #
+def store_files(fs, name):
+    root = fs.backing_path(f"stores/{name}")
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+class TestUpgradeStore:
+    def _geoms(self):
+        # an id hole (the empty MultiPoint) and a record wide enough to be
+        # replicated into every partition
+        geoms = random_geometries(90, seed=71)
+        geoms[40] = MultiPoint([])
+        geoms[41] = Polygon.from_envelope(Envelope(1, 1, 99, 99), userdata="wide")
+        return geoms
+
+    def _v1(self, fs, name, as_v1, **options):
+        result = bulk_load(fs, name, self._geoms(), num_partitions=9, page_size=512)
+        as_v1(fs, store_paths(name)["data"], **options)
+        return result
+
+    def test_open_refuses_a_v1_base_container(self, fs, rewrite_container_as_v1):
+        self._v1(fs, "v1", rewrite_container_as_v1)
+        with pytest.raises(StoreFormatError) as excinfo:
+            SpatialDataStore.open(fs, "v1")
+        message = str(excinfo.value)
+        assert "stores/v1/data.bin" in message and "v1" in message
+        assert "upgrade_store(fs, 'v1')" in message
+
+    def test_open_refuses_a_v1_delta_container(self, fs, rewrite_container_as_v1):
+        bulk_load(fs, "v1d", self._geoms(), num_partitions=9, page_size=512)
+        StoreAppender(fs, "v1d").append(random_geometries(20, seed=72))
+        rewrite_container_as_v1(fs, delta_paths("v1d", 1)["data"])
+        with pytest.raises(StoreFormatError, match="delta-0001.bin.*upgrade_store"):
+            SpatialDataStore.open(fs, "v1d")
+
+    def test_upgraded_store_answers_like_a_bulk_load(self, fs, rewrite_container_as_v1):
+        self._v1(fs, "up", rewrite_container_as_v1)
+        bulk_load(fs, "fresh", self._geoms(), num_partitions=9, page_size=512)
+        result = upgrade_store(fs, "up")
+        assert result.merged_generations == 0
+        with SpatialDataStore.open(fs, "up") as up, SpatialDataStore.open(fs, "fresh") as fresh:
+            def records(store):
+                return sorted(
+                    (rid, wkb.dumps(g), g.userdata) for rid, g in store.scan()
+                )
+
+            assert records(up) == records(fresh)
+            battery = windows(20, seed=73) + [EXTENT]
+            assert hit_fingerprints(up, battery) == hit_fingerprints(fresh, battery)
+
+    def test_upgrade_preserves_ids_ceiling_and_dedups_replicas(
+        self, fs, rewrite_container_as_v1
+    ):
+        loaded = self._v1(fs, "ids", rewrite_container_as_v1)
+        assert loaded.num_replicas > loaded.num_records  # "wide" is replicated
+        result = upgrade_store(fs, "ids")
+        assert result.num_records == loaded.num_records == 89
+        assert result.manifest.next_record_id == loaded.manifest.next_record_id == 90
+        with SpatialDataStore.open(fs, "ids") as store:
+            scanned = dict(store.scan())
+        assert sorted(scanned) == [i for i in range(90) if i != 40]
+        assert scanned[41].userdata == "wide"
+        # the id hole stays a hole: the next append allocates above it
+        res = StoreAppender(fs, "ids").append([Point(5.0, 5.0)])
+        assert res.manifest.record_id_ceiling == 91
+
+    def test_upgrade_derives_the_ceiling_of_a_legacy_manifest(
+        self, fs, rewrite_container_as_v1
+    ):
+        # v1 containers predate next_record_id: num_records undercounts the
+        # ceiling when the load skipped an empty geometry
+        self._v1(fs, "legacy_v1", rewrite_container_as_v1)
+        path = store_paths("legacy_v1")["manifest"]
+        doc = json.loads(fs.backing_path(path).read_text())
+        del doc["next_record_id"]
+        doc["version"] = 1
+        fs.create_file(path, json.dumps(doc).encode())
+        assert upgrade_store(fs, "legacy_v1").manifest.next_record_id == 90
+
+    def test_second_upgrade_and_current_layout_are_refused(
+        self, fs, rewrite_container_as_v1
+    ):
+        self._v1(fs, "twice", rewrite_container_as_v1)
+        upgrade_store(fs, "twice")
+        before = store_files(fs, "twice")
+        with pytest.raises(StoreFormatError, match="nothing to upgrade"):
+            upgrade_store(fs, "twice")
+        assert store_files(fs, "twice") == before
+
+    def test_v1_container_with_generations_is_refused_untouched(
+        self, fs, rewrite_container_as_v1
+    ):
+        # the naive "decode base, re-pack" would silently drop the delta
+        bulk_load(fs, "gens", self._geoms(), num_partitions=9, page_size=512)
+        StoreAppender(fs, "gens").append(random_geometries(20, seed=74), deletes=[3])
+        rewrite_container_as_v1(fs, store_paths("gens")["data"])
+        before = store_files(fs, "gens")
+        with pytest.raises(StoreFormatError, match="1 delta generation"):
+            upgrade_store(fs, "gens")
+        assert store_files(fs, "gens") == before
+
+    def test_upgrade_verifies_a_v1_checksum_table(self, fs, rewrite_container_as_v1):
+        self._v1(fs, "crc", rewrite_container_as_v1, checksums=True)
+        path = fs.backing_path(store_paths("crc")["data"])
+        blob = bytearray(path.read_bytes())
+        blob[100] ^= 0xFF  # inside the first page's payload
+        path.write_bytes(bytes(blob))
+        before = store_files(fs, "crc")
+        with pytest.raises(PageChecksumError, match="page 0"):
+            upgrade_store(fs, "crc")
+        assert store_files(fs, "crc") == before
+        # an intact checksummed v1 container upgrades like any other
+        self._v1(fs, "crc_ok", rewrite_container_as_v1, checksums=True)
+        assert upgrade_store(fs, "crc_ok").num_records == 89
 
 
 # --------------------------------------------------------------------------- #

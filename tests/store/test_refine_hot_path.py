@@ -3,9 +3,9 @@
 The bulk filter (flat envelope-column arrays, set-operation replica de-dup
 and tombstone shadowing, page-level containment fast path, zero-copy lazy
 rect hits) must be **observably identical** to the per-slot scalar loop it
-replaced.  `RefineExecutor.refine_reference` keeps that scalar loop verbatim
-as the oracle; this battery drives both over randomized stores — v1 and v2
-payloads, multiple generations with tombstoned and updated ids, cross-shard
+replaced.  `_refine_reference.refine_reference` keeps that scalar loop verbatim
+as the oracle; this battery drives both over randomized stores — bulk-loaded
+and upgraded-from-v1 containers, multiple generations with tombstoned and updated ids, cross-shard
 replicas, degenerate and empty MBRs, empty pages — and asserts equal hits,
 equal decode counts and equal scan output, at 1/2/4 ranks.
 
@@ -18,6 +18,7 @@ as a zero-survivor bulk scan.
 import random
 
 import pytest
+from _refine_reference import refine_reference  # the retired scalar loop, kept next to this file
 
 from repro import mpisim
 from repro.datasets import random_envelopes
@@ -42,6 +43,8 @@ from repro.store import (
     StoreAppender,
     bulk_load,
     sharded_bulk_load,
+    store_paths,
+    upgrade_store,
 )
 from repro.store.engine import PlanEntry, RefineExecutor
 from repro.store.format import encode_page_v2, encode_record_body
@@ -107,7 +110,7 @@ def refine_both_ways(store, window, exact, lazy=False):
     for entry in plan.entries:
         pages = store._get_pages(entry.by_page)
         bulk.extend(executor.refine(entry, pages, exact, lazy=lazy))
-        ref.extend(executor.refine_reference(entry, pages, exact))
+        ref.extend(refine_reference(executor, entry, pages, exact))
     return bulk, ref
 
 
@@ -128,9 +131,12 @@ def v2_name(fs, geoms):
 
 
 @pytest.fixture(scope="module")
-def v1_name(fs, geoms):
-    bulk_load(fs, "hot_v1", geoms, num_partitions=16, page_size=1024,
-              format_version=1)
+def v1_name(fs, geoms, rewrite_container_as_v1):
+    """A container written in the retired v1 layout, rewritten by
+    ``upgrade_store`` — the only way v1 data reaches the serving path."""
+    bulk_load(fs, "hot_v1", geoms, num_partitions=16, page_size=1024)
+    rewrite_container_as_v1(fs, store_paths("hot_v1")["data"])
+    upgrade_store(fs, "hot_v1")
     return "hot_v1"
 
 
@@ -241,26 +247,8 @@ class TestBulkEqualsReference:
             plan = ref_store.engine.planner.plan([(0, window)])
             for entry in plan.entries:
                 pages = ref_store._get_pages(entry.by_page)
-                executor.refine_reference(entry, pages, exact=True)
+                refine_reference(executor, entry, pages, exact=True)
         assert bulk_decoded == ref_store.stats.records_decoded
-
-    def test_v1_pages_upgrade_once_and_stay_correct(self, fs, v1_name):
-        store = SpatialDataStore.open(fs, v1_name, cache_pages=1024)
-        window = Envelope(10.0, 10.0, 70.0, 70.0)
-        first = [hit_key(h) for h in store.range_query(window)]
-        # the touched v1 pages now carry parsed envelope columns
-        upgraded = [
-            page
-            for page in store._cache._entries.values()
-            if page.has_envelopes and page.version == 1
-        ]
-        assert upgraded
-        for page in upgraded:
-            for slot in range(len(page)):
-                env = page.envelope(slot)
-                assert env is not None
-                assert env.as_tuple() == page.record(slot)[1].envelope.as_tuple()
-        assert [hit_key(h) for h in store.range_query(window)] == first
 
 
 # --------------------------------------------------------------------------- #
@@ -410,7 +398,7 @@ class TestRectangleKernelUnderTheEngine:
         monkeypatch.setattr(predicates, "intersects", spy)
         for entry in plan.entries:
             pages = store._get_pages(entry.by_page)
-            ref = executor.refine_reference(entry, pages, True)
+            ref = refine_reference(executor, entry, pages, True)
             reference_calls = len(calls)
             calls.clear()
             with monkeypatch.context() as patch:
@@ -429,7 +417,7 @@ def build_page(entries, page_id=0):
     payload = encode_page_v2(
         [(rid, env, encode_record_body(g)) for rid, env, g in entries]
     )
-    return CachedPage(page_id, payload, version=2)
+    return CachedPage(page_id, payload)
 
 
 class TestHandBuiltPages:
@@ -455,7 +443,7 @@ class TestHandBuiltPages:
         entry = PlanEntry(0, None, EXTENT, None, {key: [0, 1, 2]})
         executor = RefineExecutor({key: 7})
         bulk = executor.refine(entry, {key: page}, exact=True)
-        ref = executor.refine_reference(entry, {key: page}, exact=True)
+        ref = refine_reference(executor, entry, {key: page}, exact=True)
         assert [hit_key(x) for x in bulk] == [hit_key(x) for x in ref]
 
     def test_empty_page_and_empty_slot_list(self):
@@ -466,7 +454,7 @@ class TestHandBuiltPages:
         entry = PlanEntry(0, None, EXTENT, None, {key: []})
         executor = RefineExecutor({})
         assert executor.refine(entry, {key: page}, exact=True) == []
-        assert executor.refine_reference(entry, {key: page}, exact=True) == []
+        assert refine_reference(executor, entry, {key: page}, exact=True) == []
 
     def test_duplicate_id_within_page_keeps_first_wins_order(self):
         # cannot come from the writers (pages never span partitions), but a
@@ -478,7 +466,7 @@ class TestHandBuiltPages:
         entry = PlanEntry(0, None, EXTENT, None, {key: [0, 1]})
         executor = RefineExecutor({})
         bulk = executor.refine(entry, {key: page}, exact=True)
-        ref = executor.refine_reference(entry, {key: page}, exact=True)
+        ref = refine_reference(executor, entry, {key: page}, exact=True)
         assert [hit_key(x) for x in bulk] == [hit_key(x) for x in ref]
         assert len(bulk) == 1 and bulk[0].geometry.userdata == "first"
 
@@ -492,7 +480,7 @@ class TestHandBuiltPages:
         executor = RefineExecutor({})
         pages = {k0: base, k1: delta}
         bulk = executor.refine(entry, pages, exact=True)
-        ref = executor.refine_reference(entry, pages, exact=True)
+        ref = refine_reference(executor, entry, pages, exact=True)
         assert [hit_key(x) for x in bulk] == [hit_key(x) for x in ref]
         assert len(bulk) == 1 and bulk[0].geometry.userdata == "new"
 
@@ -504,7 +492,7 @@ class TestHandBuiltPages:
         entry = PlanEntry(0, None, EXTENT, None, {key: [0, 1]})
         executor = RefineExecutor({}, tombstone_gen={3: 2})
         bulk = executor.refine(entry, {key: page}, exact=True)
-        ref = executor.refine_reference(entry, {key: page}, exact=True)
+        ref = refine_reference(executor, entry, {key: page}, exact=True)
         assert [hit_key(x) for x in bulk] == [hit_key(x) for x in ref]
         assert [x.record_id for x in bulk] == [4]
 
@@ -670,8 +658,7 @@ class TestScanAndDegradedAccounting:
 
     def test_scan_bounded_runs_with_tiny_cache(self, fs, gen_store):
         name, visible = gen_store
-        store = SpatialDataStore.open(fs, name, cache_pages=4,
-                                      admission="no_scan")
+        store = SpatialDataStore.open(fs, name, cache_pages=4)
         scanned = dict(store.scan())
         assert set(scanned) == set(visible)
 

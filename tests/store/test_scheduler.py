@@ -120,13 +120,6 @@ class TestFixedReadahead:
         assert sched.runs[-1].page_ids == (0, 1)
         assert sched.num_prefetched == 1
 
-    def test_disabled_when_not_allowed(self):
-        pages = make_pages([100] * 6)
-        sched = IOScheduler(pages, gap=0, prefetch_pages=4).schedule(
-            [0], allow_prefetch=False
-        )
-        assert sched.num_prefetched == 0
-
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
             IOScheduler(make_pages([100]), gap=0, prefetch_pages=-1)

@@ -6,8 +6,9 @@
   page count;
 * prefetch — readahead pages are counted separately and turn later demand
   into cache hits;
-* admission policy — ``"no_scan"`` keeps full-scan pages out of the cache;
-* format compatibility — a v1 container answers exactly like a v2 one;
+* scans admit their pages to the cache like any other fetch;
+* format compatibility — a v1 container, once ``upgrade_store`` rewrote it,
+  answers exactly like a bulk-loaded one;
 * the batched front-end — ``range_query_batch`` equals per-query
   ``range_query`` while touching each page at most once per batch.
 """
@@ -18,7 +19,7 @@ from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.core.reader import VectorIO
 from repro.geometry import Envelope, Point, predicates
 from repro.pfs import LustreFilesystem
-from repro.store import SpatialDataStore, bulk_load
+from repro.store import SpatialDataStore, bulk_load, store_paths, upgrade_store
 
 
 @pytest.fixture(scope="module")
@@ -85,22 +86,14 @@ class TestLazyDecode:
 class TestCachedPage:
     """Direct exercise of the lazily-decoded page image (the cache value)."""
 
-    def _page(self, geoms, version=2, on_decode=None):
+    def _page(self, geoms, on_decode=None):
         from repro.store import CachedPage
-        from repro.store.format import (
-            encode_page,
-            encode_page_v2,
-            encode_record,
-            encode_record_body,
-        )
+        from repro.store.format import encode_page_v2, encode_record_body
 
-        if version == 2:
-            payload = encode_page_v2(
-                [(rid, g.envelope, encode_record_body(g)) for rid, g in enumerate(geoms)]
-            )
-        else:
-            payload = encode_page([encode_record(rid, g) for rid, g in enumerate(geoms)])
-        return CachedPage(0, payload, version, on_decode=on_decode)
+        payload = encode_page_v2(
+            [(rid, g.envelope, encode_record_body(g)) for rid, g in enumerate(geoms)]
+        )
+        return CachedPage(0, payload, on_decode=on_decode)
 
     def _geoms(self):
         return [Point(float(x), float(x * 2), userdata=f"p{x}") for x in range(10)]
@@ -132,18 +125,18 @@ class TestCachedPage:
 
     def test_envelope_accessor(self):
         geoms = self._geoms()
-        v2 = self._page(geoms)
-        v1 = self._page(geoms, version=1)
-        assert v2.envelope(4).as_tuple() == geoms[4].envelope.as_tuple()
-        assert v1.envelope(4) is None  # no column on v1 pages
+        page = self._page(geoms)
+        assert page.envelope(4).as_tuple() == geoms[4].envelope.as_tuple()
 
     def test_records_round_trip_both_versions(self):
+        # the name predates the retirement of the v1 layout: pages come in
+        # one version now (v1 payloads decode through format.decode_page
+        # only, see test_format / upgrade_store)
         geoms = self._geoms()
-        for version in (1, 2):
-            page = self._page(geoms, version=version)
-            assert [(rid, g.userdata) for rid, g in page.records()] == [
-                (i, f"p{i}") for i in range(len(geoms))
-            ]
+        page = self._page(geoms)
+        assert [(rid, g.userdata) for rid, g in page.records()] == [
+            (i, f"p{i}") for i in range(len(geoms))
+        ]
 
 
 class TestCoalescedIO:
@@ -254,25 +247,14 @@ class TestPrefetchBoundaries:
 
 
 class TestAdmissionPolicy:
-    def test_no_scan_keeps_scans_out_of_the_cache(self, fs, lakes, lakes_v2):
-        store = SpatialDataStore.open(fs, lakes_v2, cache_pages=64, admission="no_scan")
-        scanned = list(store.scan())
-        assert len(scanned) == len(lakes)
-        assert len(store._cache) == 0
-        assert store.stats.cache.admission_rejects == store.num_pages
-        # queries still admit normally afterwards
-        env = windows(store, n=1, seed=3)[0]
-        store.range_query(env)
-        assert len(store._cache) > 0
-
     def test_default_policy_admits_scans(self, fs, lakes_v2):
         store = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024)
         list(store.scan())
         assert len(store._cache) == store.num_pages
-        assert store.stats.cache.admission_rejects == 0
 
     def test_unknown_policy_rejected(self, fs, lakes_v2):
-        with pytest.raises(ValueError, match="admission"):
+        # the keyword itself is gone: any value is an unknown serving keyword
+        with pytest.raises(TypeError, match="admission"):
             SpatialDataStore.open(fs, lakes_v2, admission="sometimes")
 
 
@@ -318,38 +300,6 @@ class TestServingKnobRegressions:
             assert second == first
             assert store.stats.pages_read == cold_reads
 
-    def test_bulk_load_forwards_serving_knobs(self, fs, lakes):
-        # load-and-serve used to reopen with defaults, dropping every knob
-        store, result = SpatialDataStore.bulk_load(
-            fs,
-            "serving_klb",
-            lakes,
-            cache_pages=256,
-            admission="no_scan",
-            io_policy="cost_model",
-            prefetch_pages=0,
-            num_partitions=8,
-            page_size=2048,
-        )
-        assert store.admission == "no_scan"
-        assert store.io_policy == "cost_model"
-        assert store.scheduler.is_cost_aware
-        assert result.num_pages == store.num_pages
-        # the cost-model gap is far wider than one page, so a full sweep
-        # actually coalesces (the observable proof the knob arrived)
-        assert store.coalesce_gap > store.manifest.page_size
-        store.range_query(store.extent, exact=False)
-        assert store.stats.read_requests < store.stats.pages_read
-        assert store.stats.pages_prefetched == 0  # the explicit 0 arrived too
-
-    def test_bulk_load_explicit_coalesce_gap_forwarded(self, fs, lakes):
-        store, _ = SpatialDataStore.bulk_load(
-            fs, "serving_klb_gap", lakes, coalesce_gap=-1,
-            num_partitions=8, page_size=2048,
-        )
-        store.range_query(store.extent, exact=False)
-        assert store.stats.read_requests == store.stats.pages_read
-
     def test_scan_streams_in_bounded_page_runs(self, fs, lakes, lakes_v2):
         # the scan used to materialise every page image in one dict; it now
         # fetches at most one cache capacity's worth of pages per run
@@ -358,9 +308,9 @@ class TestServingKnobRegressions:
         fetches = []
         original = store._fetch_missing
 
-        def spy(missing, admit):
+        def spy(missing, failed=None):
             fetches.append(len(missing))
-            return original(missing, admit)
+            return original(missing, failed)
 
         store._fetch_missing = spy
         scanned = dict(store.scan())
@@ -371,16 +321,12 @@ class TestServingKnobRegressions:
 
 class TestFormatCompatibility:
     @pytest.fixture(scope="class")
-    def v1_name(self, fs, lakes):
-        bulk_load(fs, "serving_v1", lakes, num_partitions=16, page_size=2048,
-                  format_version=1)
+    def v1_name(self, fs, lakes, rewrite_container_as_v1):
+        # a v1 container reaches serving through upgrade_store, only
+        bulk_load(fs, "serving_v1", lakes, num_partitions=16, page_size=2048)
+        rewrite_container_as_v1(fs, store_paths("serving_v1")["data"])
+        upgrade_store(fs, "serving_v1")
         return "serving_v1"
-
-    def test_v1_container_opens_with_version_1(self, fs, v1_name, lakes_v2):
-        v1 = SpatialDataStore.open(fs, v1_name)
-        v2 = SpatialDataStore.open(fs, lakes_v2)
-        assert v1.version == 1
-        assert v2.version == 2
 
     def test_v1_and_v2_answer_identically(self, fs, lakes, v1_name, lakes_v2):
         v1 = SpatialDataStore.open(fs, v1_name, cache_pages=1024)

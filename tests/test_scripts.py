@@ -77,6 +77,61 @@ class TestTraceSchemaScript:
         assert result.returncode == 0, result.stderr
 
 
+class TestStoreLocScript:
+    """``store_loc.py`` is the counting rule of the ``repro.store`` shrink
+    (ROADMAP) made executable; CI gates the package's size with it."""
+
+    FIXTURE = (
+        '"""Module docstring,\n'          # docstring lines never count
+        '\n'
+        'over three lines."""\n'
+        "import os  # a trailing comment does not hide the statement\n"  # 1
+        "\n"
+        "# a comment line\n"
+        "def f(a,\n"                       # 2
+        "      b):\n"                      # 3
+        '    """Function docstring."""\n'
+        "    x = (\n"                      # 4
+        "        a\n"                      # 5
+        "    )\n"                          # 6
+        '    s = """a string that is\n'    # 7
+        'not a docstring"""\n'             # 8
+        "    return x, s\n"                # 9
+        "class C:\n"                       # 10
+        "    'Class docstring.'\n"
+        "    y = 1\n"                      # 11
+    )
+
+    def test_counts_token_lines_minus_docstrings(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "m.py").write_text(self.FIXTURE)
+        (tmp_path / "pkg" / "empty.py").write_text("# nothing but a comment\n")
+        result = run("store_loc.py", "pkg", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "0", "pkg/empty.py", "11", "pkg/m.py", "11", "total",
+        ]
+
+    def test_max_is_a_gate(self, tmp_path):
+        (tmp_path / "m.py").write_text(self.FIXTURE)
+        assert run("store_loc.py", "m.py", "--max", "11", cwd=tmp_path).returncode == 0
+        over = run("store_loc.py", "m.py", "--max", "10", cwd=tmp_path)
+        assert over.returncode == 1
+        assert "11 logical lines exceed --max 10" in over.stderr
+
+    def test_store_package_stays_within_the_ci_budget(self):
+        # the gate exactly as the spmd-lint job of ci.yml runs it
+        workflow = (SCRIPTS.parent / ".github" / "workflows" / "ci.yml").read_text()
+        command = next(
+            line.split("run:")[1].split()
+            for line in workflow.splitlines()
+            if "scripts/store_loc.py" in line
+        )
+        assert command[:4] == ["python", "scripts/store_loc.py", "src/repro/store", "--max"]
+        result = run("store_loc.py", *command[2:], cwd=SCRIPTS.parent)
+        assert result.returncode == 0, result.stdout + result.stderr
+
+
 @pytest.mark.parametrize(
     "script", sorted(p.name for p in SCRIPTS.glob("*.py"))
 )
