@@ -8,6 +8,14 @@ Two variants are provided, mirroring how GEOS is used in the paper:
 * :class:`RTree` — an insertion-based tree (quadratic split) used where
   geometries arrive incrementally, e.g. indexing the grid-cell boundaries that
   incoming geometries are matched against during spatial partitioning.
+
+An ``STRtree`` node stores its entries once, as flat rows ``(minx, miny, maxx,
+maxy, entry)`` — *entry* is the payload in a leaf and the child node above
+one — so a query is one interpreted loop over floats with
+:meth:`Envelope.intersects`' comparison inlined (same operands, same order:
+NaN and ±inf bounds answer as they do there) and no object is built per
+entry.  **Result order is part of the contract**: a depth-first walk taking a
+node's last intersecting child first, each leaf's rows in packed order.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from typing import Any, Generic, Iterable, List, Optional, Sequence, Tuple, Type
 from ..geometry import Envelope
 
 T = TypeVar("T")
+#: one node entry: an MBR's four bounds, then the payload or the child node
+_Row = Tuple[float, float, float, float, Any]
 
 __all__ = ["STRtree", "RTree", "RTreeStats"]
 
@@ -27,21 +37,22 @@ __all__ = ["STRtree", "RTree", "RTreeStats"]
 # STR bulk-loaded tree
 # --------------------------------------------------------------------------- #
 class _STRNode:
-    __slots__ = ("envelope", "children", "items")
+    """A packed node: its MBR, its kind, and its entry rows (module docstring)."""
 
-    def __init__(
-        self,
-        envelope: Envelope,
-        children: Optional[List["_STRNode"]] = None,
-        items: Optional[List[Tuple[Envelope, Any]]] = None,
-    ) -> None:
+    __slots__ = ("envelope", "leaf", "entries")
+
+    def __init__(self, envelope: Envelope, leaf: bool, entries: List[_Row]) -> None:
         self.envelope = envelope
-        self.children = children or []
-        self.items = items or []
+        self.leaf = leaf
+        self.entries = entries
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+
+def _centre_x(row: _Row) -> float:
+    return (row[0] + row[2]) / 2.0
+
+
+def _centre_y(row: _Row) -> float:
+    return (row[1] + row[3]) / 2.0
 
 
 @dataclass
@@ -68,9 +79,13 @@ class STRtree(Generic[T]):
         if node_capacity < 2:
             raise ValueError("node_capacity must be >= 2")
         self.node_capacity = node_capacity
-        entries = [(env, payload) for env, payload in items if not env.is_empty]
-        self._size = len(entries)
-        self._root = self._build(entries)
+        rows = [
+            (env.minx, env.miny, env.maxx, env.maxy, payload)
+            for env, payload in items
+            if not env.is_empty
+        ]
+        self._size = len(rows)
+        self._root = self._build(rows)
 
     @classmethod
     def from_packed(
@@ -98,53 +113,34 @@ class STRtree(Generic[T]):
         return tree
 
     # -- construction ---------------------------------------------------- #
-    def _build(self, entries: List[Tuple[Envelope, T]]) -> Optional[_STRNode]:
-        if not entries:
+    def _build(self, rows: List[_Row]) -> Optional[_STRNode]:
+        if not rows:
             return None
-        # Leaf level: sort by x of centre, tile into vertical slices, sort each
-        # slice by y, pack into leaves of node_capacity items.
-        leaves = self._pack_leaves(entries)
-        nodes = leaves
-        while len(nodes) > 1:
-            nodes = self._pack_nodes(nodes)
-        return nodes[0]
+        rows = self._pack(rows, leaf=True)
+        while len(rows) > 1:
+            rows = self._pack(rows, leaf=False)
+        return rows[0][4]
 
-    def _pack_leaves(self, entries: List[Tuple[Envelope, T]]) -> List[_STRNode]:
+    def _pack(self, rows: List[_Row], leaf: bool) -> List[_Row]:
+        """One STR level: sort by x of centre, tile into vertical slices,
+        sort each slice by y, pack ``node_capacity`` rows to a node.  Returns
+        the rows of the level above — one per node built, carrying it."""
         cap = self.node_capacity
-        count = len(entries)
-        num_leaves = math.ceil(count / cap)
-        num_slices = max(1, math.ceil(math.sqrt(num_leaves)))
+        count = len(rows)
+        num_nodes = math.ceil(count / cap)
+        num_slices = max(1, math.ceil(math.sqrt(num_nodes)))
         slice_size = math.ceil(count / num_slices)
 
-        by_x = sorted(entries, key=lambda e: e[0].centre[0])
-        leaves: List[_STRNode] = []
+        by_x = sorted(rows, key=_centre_x)
+        parents: List[_Row] = []
         for s in range(0, count, slice_size):
-            strip = sorted(by_x[s : s + slice_size], key=lambda e: e[0].centre[1])
+            strip = sorted(by_x[s : s + slice_size], key=_centre_y)
             for i in range(0, len(strip), cap):
                 chunk = strip[i : i + cap]
-                env = Envelope.empty()
-                for item_env, _ in chunk:
-                    env = env.union(item_env)
-                leaves.append(_STRNode(env, items=list(chunk)))
-        return leaves
-
-    def _pack_nodes(self, nodes: List[_STRNode]) -> List[_STRNode]:
-        cap = self.node_capacity
-        count = len(nodes)
-        num_parents = math.ceil(count / cap)
-        num_slices = max(1, math.ceil(math.sqrt(num_parents)))
-        slice_size = math.ceil(count / num_slices)
-
-        by_x = sorted(nodes, key=lambda n: n.envelope.centre[0])
-        parents: List[_STRNode] = []
-        for s in range(0, count, slice_size):
-            strip = sorted(by_x[s : s + slice_size], key=lambda n: n.envelope.centre[1])
-            for i in range(0, len(strip), cap):
-                chunk = strip[i : i + cap]
-                env = Envelope.empty()
-                for child in chunk:
-                    env = env.union(child.envelope)
-                parents.append(_STRNode(env, children=list(chunk)))
+                # the union of non-empty envelopes, folded a column at a time
+                minxs, minys, maxxs, maxys, _ = zip(*chunk)
+                bounds = (min(minxs), min(minys), max(maxxs), max(maxys))
+                parents.append((*bounds, _STRNode(Envelope(*bounds), leaf, chunk)))
         return parents
 
     # -- queries ---------------------------------------------------------- #
@@ -162,19 +158,19 @@ class STRtree(Generic[T]):
     def query(self, search: Envelope) -> List[T]:
         """All payloads whose envelope intersects *search*."""
         results: List[T] = []
-        if self._root is None or search.is_empty:
+        root = self._root
+        if root is None or not root.envelope.intersects(search):
             return results
-        stack = [self._root]
+        sx0, sy0, sx1, sy1 = search.minx, search.miny, search.maxx, search.maxy
+        found = results.append
+        stack = [root]
+        pop, push = stack.pop, stack.append
         while stack:
-            node = stack.pop()
-            if not node.envelope.intersects(search):
-                continue
-            if node.is_leaf:
-                for env, payload in node.items:
-                    if env.intersects(search):
-                        results.append(payload)
-            else:
-                stack.extend(node.children)
+            node = pop()
+            emit = found if node.leaf else push
+            for x0, y0, x1, y1, entry in node.entries:
+                if not (sx0 > x1 or sx1 < x0 or sy0 > y1 or sy1 < y0):
+                    emit(entry)
         return results
 
     def query_pairs(self, items: Sequence[Tuple[Envelope, Any]]) -> List[Tuple[Any, T]]:
@@ -190,16 +186,11 @@ class STRtree(Generic[T]):
 
     def stats(self) -> RTreeStats:
         stats = RTreeStats(num_items=self._size)
-        if self._root is None:
-            return stats
-
-        def walk(node: _STRNode, depth: int) -> None:
-            stats.num_nodes += 1
-            stats.height = max(stats.height, depth)
-            for child in node.children:
-                walk(child, depth + 1)
-
-        walk(self._root, 1)
+        level = [self._root] if self._root is not None else []
+        while level:  # a level at a time: no recursion, whatever the depth
+            stats.height += 1
+            stats.num_nodes += len(level)
+            level = [row[4] for node in level if not node.leaf for row in node.entries]
         return stats
 
 

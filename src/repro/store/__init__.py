@@ -21,7 +21,7 @@ for it again:
     appends to each record's home shard and broadcast tombstones.
 
 ``repro.store.manifest``
-    The JSON partition manifest used for partition-level pruning (and, for
+    The JSON partition manifest: which partition owns which pages (and, for
     mutable stores, the generation list + record-id tombstones).
 
 ``repro.store.index_io``

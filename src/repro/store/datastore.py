@@ -4,9 +4,9 @@ The serving-side counterpart of the one-shot pipeline in ``repro.core``:
 where `SpatialComputation.run` re-reads, re-parses, re-partitions and
 re-indexes the raw dataset on every invocation, a store is bulk-loaded once
 and every later open costs only the manifest, the page directory and the
-packed index.  Queries prune partition MBRs (manifest), then page MBRs
-(page directory / index), and decode **only the pages they touch**, through
-an LRU page cache.
+packed index.  Queries prune with the packed index (its root rejects a
+window that misses the data, its leaves name the pages and slots to read)
+and decode **only the pages they touch**, through an LRU page cache.
 
 A store may carry *delta generations* stacked by incremental appends
 (:mod:`repro.store.mutable`): each generation is its own container file
@@ -33,7 +33,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..pfs import FileHandle, ReadRequest, SimulatedFilesystem
 from .cache import CacheStats, LRUPageCache
-from .engine import BatchOutcome, StoreEngine
+from .engine import BatchOutcome, QueryHit, StoreEngine
 from .format import (
     HEADER_SIZE,
     VERSION,
@@ -69,18 +69,6 @@ Predicate = Callable[[Geometry, Geometry], bool]
 IO_POLICIES = ("fixed", "cost_model")
 
 
-@dataclass(frozen=True)
-class QueryHit:
-    """One record matched by a store query."""
-
-    record_id: int
-    geometry: Geometry
-    partition_id: int
-    page_id: int
-    #: generation whose container holds the returned replica (0 = base)
-    generation: int = 0
-
-
 @dataclass
 class Generation:
     """One generation of an open store: the base container (generation 0) or
@@ -99,7 +87,7 @@ class Generation:
     scheduler: IOScheduler
     data_path: str
     #: tight MBR of the generation's records (delta-level pruning key;
-    #: the base generation prunes via the manifest's partitions instead)
+    #: the base generation's index is always asked — its root is that test)
     extent: Envelope
     handle: Optional[FileHandle] = None
 
@@ -834,8 +822,8 @@ class SpatialDataStore:
         """Records intersecting *window*, de-duplicated across replicas.
 
         A single-window batch through the :class:`~repro.store.engine.
-        StoreEngine`: the planner prunes partitions (manifest) then selects
-        exact ``(page, slot)`` candidates (packed index), the I/O scheduler
+        StoreEngine`: the planner selects exact ``(page, slot)`` candidates
+        (the packed index prunes, from its root down), the I/O scheduler
         fetches only the touched pages in coalesced runs, and the refine
         executor decodes only candidate slots.  With ``exact`` the geometric
         predicate is evaluated (refine phase); otherwise the MBR test of the

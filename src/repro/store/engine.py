@@ -6,8 +6,8 @@ re-implemented ad hoc in four places — ``SpatialDataStore.range_query``,
 ``range_query_batch``, ``join`` and the sharded server's local queries.  The
 engine makes each stage an explicit object with one owner:
 
-* :class:`QueryPlanner` — the **filter** phase: window → partition pruning
-  (manifest) → candidate ``(page, slot)`` sets (packed index), batch-wide
+* :class:`QueryPlanner` — the **filter** phase: window → candidate
+  ``(page, slot)`` sets (the packed index is the one prune), batch-wide
   page-touch dedup and the shared space-filling-curve visit order
   (:func:`repro.index.sfc.spatial_visit_order`).  Its output is a
   :class:`QueryPlan`, pure metadata — no I/O has happened yet.
@@ -30,23 +30,27 @@ and distributed paths can never diverge; the async front-end
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from ..geometry import Envelope, Geometry, predicates
 from ..index import STRtree, spatial_visit_order
 from ..obs.trace import NULL_TRACER
-from .format import PageKey, StoreError
+from .format import PageKey, RecordRef, StoreError
 from .manifest import StoreManifest
-from .page import CachedPage
+from .page import CachedPage, RecordView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .datastore import Generation, QueryHit, SpatialDataStore
+    from .datastore import Generation, SpatialDataStore
 
 __all__ = [
     "BatchOutcome",
     "DeadlineExceeded",
     "PlanEntry",
     "QueryPlan",
+    "QueryHit",
     "QueryPlanner",
     "RefineExecutor",
     "StoreEngine",
@@ -55,6 +59,20 @@ __all__ = [
 
 class DeadlineExceeded(StoreError):
     """A query batch ran out of its simulated-I/O-seconds budget."""
+
+
+class QueryHit(NamedTuple):
+    """One record matched by a store query (a tuple: cheap to build per hit,
+    immutable, hashable, picklable)."""
+
+    record_id: int
+    #: the decoded geometry, or a :class:`~repro.store.page.RecordView` of
+    #: it on the ``lazy`` path
+    geometry: Union[Geometry, RecordView]
+    partition_id: int
+    page_id: int
+    #: generation whose container holds the returned replica (0 = base)
+    generation: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,14 +131,15 @@ class BatchOutcome:
 class QueryPlanner:
     """Filter phase: windows → :class:`QueryPlan`.
 
-    Pruning is hierarchical, exactly as the pre-engine entry points did it:
-    the manifest's partition data-MBRs give a cheap early exit for the base
-    generation (delta generations prune on their data extent instead — they
-    are small, so partition-level pruning buys nothing there), then each
-    generation's packed index (whose leaf envelopes bound every record)
-    selects the exact ``(generation, page, slot)`` candidates.  Queries
-    pruned to nothing simply produce no plan entry — their result slot stays
-    an empty list.
+    There is one prune, and the index does it: a generation's packed index
+    bounds every record it holds, so its root test rejects a window that
+    misses the generation and its levels select the exact ``(generation,
+    page, slot)`` candidates.  (The manifest's partition data-MBRs are
+    unions of those same record envelopes — a pre-scan over them could only
+    repeat, more loosely, what the root decides in one comparison.)  A delta
+    generation is skipped on its data extent without entering its index.
+    Queries pruned to nothing simply produce no plan entry — their result
+    slot stays an empty list.
     """
 
     def __init__(
@@ -137,16 +156,12 @@ class QueryPlanner:
     # ------------------------------------------------------------------ #
     def candidate_slots(self, query_env: Envelope) -> Dict[PageKey, List[int]]:
         """Candidate ``(generation, page) -> slots`` for one window, from
-        the per-generation packed indexes."""
+        the per-generation packed indexes (pages and slots in index order)."""
         by_page: Dict[PageKey, List[int]] = {}
-        if self.manifest.partitions_for(query_env):
-            for ref in self.index.query(query_env):
-                by_page.setdefault(PageKey(0, ref.page_id), []).append(ref.slot)
+        _group_by_page(by_page, 0, self.index.query(query_env))
         for gen in self.deltas:
-            if gen.extent.is_empty or not gen.extent.intersects(query_env):
-                continue
-            for ref in gen.index.query(query_env):
-                by_page.setdefault(PageKey(gen.gen_id, ref.page_id), []).append(ref.slot)
+            if gen.extent.intersects(query_env):
+                _group_by_page(by_page, gen.gen_id, gen.index.query(query_env))
         return by_page
 
     def plan(
@@ -179,13 +194,26 @@ class QueryPlanner:
         return QueryPlan(entries, visit_order, touched_pages)
 
 
+def _group_by_page(
+    by_page: Dict[PageKey, List[int]], generation: int, refs: Iterable[RecordRef]
+) -> None:
+    """Fold one generation's candidates into *by_page*: one key per page."""
+    slots_of: Dict[int, List[int]] = {}
+    for page_id, slot in refs:
+        if page_id in slots_of:
+            slots_of[page_id].append(slot)
+        else:
+            slots_of[page_id] = [slot]
+    for page_id, slots in slots_of.items():
+        by_page[PageKey(generation, page_id)] = slots
+
+
 #: newest generation first, then page id — the shadowing walk order
 def _newest_first(key: PageKey) -> Tuple[int, int]:
     return (-key[0], key[1])
 
 
-def _by_record_id(hit: "QueryHit") -> int:
-    return hit.record_id
+_by_record_id = itemgetter(0)
 
 
 _EMPTY_SET: frozenset = frozenset()
@@ -219,12 +247,19 @@ class RefineExecutor:
       reopen), so the cache can never go stale;
     * window containment is a page-level summary check first (window ⊇
       page column bounds → every slot contained, zero per-slot work) and
-      otherwise one fused comparison pass over the four coordinate arrays.
+      otherwise **one** pass over the survivors that reads the four
+      coordinate columns and sorts each slot into ``proven`` or ``check``;
+    * emission probes the page's decode memo inline and builds one tuple
+      per hit — a slot costs a call only when it must be decoded
+      (:meth:`CachedPage.record`, so ``records_decoded`` stays exact) or
+      checked (``predicates.intersects``, once per checked survivor).
 
-    The surviving-slot filter loop therefore performs **no per-slot dict or
-    attribute lookups** — only array gathers, set probes and fused
-    comparisons over locals.  The per-slot scalar loop this replaced lives
-    on as the correctness oracle of the property battery and the benchmarks
+    The loops therefore touch **no per-slot object** — array reads, set
+    probes and comparisons over locals; a window touches a few slots on
+    each of a few pages, so per-page helper calls and intermediate masks
+    cost more than they save (measured on ``serve_warm``).  The per-slot
+    scalar loop this replaced lives on as the correctness oracle of the
+    property battery and the benchmarks
     (``tests/store/_refine_reference.py``).
 
     With ``lazy=True``, slots whose MBR containment already proves the
@@ -276,7 +311,7 @@ class RefineExecutor:
         folds the surviving ids into *seen*.  All set operations — zero
         per-slot dict probes on the common paths.
         """
-        slot_ids = page.slot_ids(slots)
+        slot_ids = list(map(page.record_ids.__getitem__, slots))
         nslots = len(slots)
         page_ids = set(slot_ids)
         if len(page_ids) != nslots:
@@ -334,8 +369,6 @@ class RefineExecutor:
         and ``bulk_filter_batches`` are how an EXPLAIN report shows the bulk
         filter's selectivity.
         """
-        from .datastore import QueryHit
-
         store = self._store
         # read at call time: explain() swaps the store's tracer
         tracer = store.tracer if store is not None else NULL_TRACER
@@ -345,28 +378,25 @@ class RefineExecutor:
         # a rectangular window is its own refine operand: the predicate
         # takes the envelope as the closed rectangle, no polygon is built
         refine_geom: Union[Geometry, Envelope, None] = None
-        rect_window: Optional[Envelope] = None
+        use_rect = False
         if exact:
-            if entry.geom is None:
-                refine_geom = rect_window = entry.env
-            else:
-                refine_geom = entry.geom
-        use_rect = rect_window is not None and not rect_window.is_empty
-        if use_rect:
-            wx0, wy0, wx1, wy1 = rect_window.as_tuple()
+            refine_geom = entry.geom
+            if refine_geom is None:
+                refine_geom = entry.env
+                use_rect = not refine_geom.is_empty
+                wx0, wy0, wx1, wy1 = refine_geom.as_tuple()
 
         hits: List[QueryHit] = []
-        hits_append = hits.append
+        emit = hits.append
         seen: set = set()
         part_of = self._partition_of_page
         slots_scanned = batches = replicas = tombs = shortcuts = 0
         with tracer.span("decode", query_id=entry.query_id) as span:
             for key in sorted(entry.by_page, key=_newest_first):
                 slots = entry.by_page[key]
-                nslots = len(slots)
-                slots_scanned += nslots
+                slots_scanned += len(slots)
                 batches += 1
-                if not nslots:
+                if not slots:
                     continue
                 page = pages[key]
                 partition_id = part_of.get(key, -1)
@@ -378,49 +408,46 @@ class RefineExecutor:
                 tombs += page_tombs
                 if not survivors:
                     continue
-                # classify
+                # classify (MBR-only queries keep every survivor proven)
                 proven: Sequence[int] = survivors
                 check: Sequence[int] = ()
                 if use_rect:
                     px0, py0, px1, py1, has_empty = page.env_summary()
-                    page_contained = (
-                        not has_empty
-                        and px0 <= px1
-                        and py0 <= py1
-                        and px0 >= wx0
-                        and px1 <= wx1
-                        and py0 >= wy0
-                        and py1 <= wy1
-                    )
                     # page-level containment proves every survivor with no
-                    # per-slot envelope work at all
-                    if not page_contained:
-                        mask = page.contained_mask(survivors, wx0, wy0, wx1, wy1)
-                        proven = [s for s, c in zip(survivors, mask) if c]
-                        check = [s for s, c in zip(survivors, mask) if not c]
+                    # per-slot envelope work at all; an empty slot MBR (its
+                    # ±inf sentinels pass the bounds vacuously) or a NaN is
+                    # never contained, exactly as Envelope.contains has it
+                    if has_empty or not (
+                        wx0 <= px0 <= px1 <= wx1 and wy0 <= py0 <= py1 <= wy1
+                    ):
+                        proven, check = [], []
+                        minxs, minys = page.minxs, page.minys
+                        maxxs, maxys = page.maxxs, page.maxys
+                        for slot in survivors:
+                            if (
+                                wx0 <= minxs[slot] <= maxxs[slot] <= wx1
+                                and wy0 <= minys[slot] <= maxys[slot] <= wy1
+                            ):
+                                proven.append(slot)
+                            else:
+                                check.append(slot)
                     shortcuts += len(proven)
                 elif refine_geom is not None:
                     # non-rectangular window: decode + exact predicate
                     proven, check = (), survivors
-                # emit (MBR-only queries land here with every survivor proven)
-                page_record = page.record
-                if lazy:
-                    for view in map(page.view, proven):
-                        hits_append(
-                            QueryHit(
-                                view.record_id, view, partition_id, page_id, generation
-                            )
-                        )
-                else:
-                    for rid, geom in map(page_record, proven):
-                        hits_append(
-                            QueryHit(rid, geom, partition_id, page_id, generation)
-                        )
-                for rid, geom in map(page_record, check):
+                # emit
+                ids, memo, record = page.record_ids, page.memo, page.record
+                for slot in proven:
+                    geom = RecordView(page, slot) if lazy else memo[slot]
+                    if geom is None:
+                        geom = record(slot)[1]
+                    emit(QueryHit(ids[slot], geom, partition_id, page_id, generation))
+                for slot in check:
+                    geom = memo[slot]
+                    if geom is None:
+                        geom = record(slot)[1]
                     if predicates.intersects(refine_geom, geom):
-                        hits_append(
-                            QueryHit(rid, geom, partition_id, page_id, generation)
-                        )
+                        emit(QueryHit(ids[slot], geom, partition_id, page_id, generation))
             hits.sort(key=_by_record_id)
             if store is not None:
                 store.stats.slots_scanned += slots_scanned

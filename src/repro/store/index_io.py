@@ -21,7 +21,7 @@ objects, so it stays small and loads fast.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..geometry import Envelope
 from ..index import STRtree
@@ -41,29 +41,33 @@ _ITEM = struct.Struct("<4dII")
 def dump_index(tree: STRtree) -> bytes:
     """Serialise *tree* (payloads must be ``RecordRef``-like pairs)."""
     nodes: List[_STRNode] = []
-    root = tree._root
-    if root is not None:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            # reversed keeps pre-order stable for the recursive reader
-            stack.extend(reversed(node.children))
+    stack = [tree._root] if tree._root is not None else []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.leaf:
+            # reversed keeps the stream in pre-order
+            stack.extend(row[4] for row in reversed(node.entries))
 
     out = bytearray()
     out += _HEADER.pack(INDEX_MAGIC, INDEX_VERSION, tree.node_capacity, len(nodes), len(tree))
     for node in nodes:
-        count = len(node.items) if node.is_leaf else len(node.children)
-        out += _NODE.pack(1 if node.is_leaf else 0, count, *node.envelope.as_tuple())
-        if node.is_leaf:
-            for env, payload in node.items:
-                page_id, slot = payload
-                out += _ITEM.pack(*env.as_tuple(), page_id, slot)
+        out += _NODE.pack(node.leaf, len(node.entries), *node.envelope.as_tuple())
+        if node.leaf:
+            for minx, miny, maxx, maxy, (page_id, slot) in node.entries:
+                out += _ITEM.pack(minx, miny, maxx, maxy, page_id, slot)
     return bytes(out)
 
 
 def load_index(data: bytes) -> STRtree:
-    """Inverse of :func:`dump_index`; returns a queryable tree."""
+    """Inverse of :func:`dump_index`; returns a queryable tree.
+
+    The stream is validated, not trusted: every count is checked against the
+    bytes and the header before it is believed, the reader keeps its own
+    stack (a hostile depth cannot exhaust Python's), and an item whose MBR is
+    inverted — the builder never writes one — is dropped like an empty
+    envelope at build, so it can never match.
+    """
     if len(data) < _HEADER.size:
         raise StoreFormatError(f"index needs at least {_HEADER.size} header bytes")
     magic, version, node_capacity, num_nodes, num_items = _HEADER.unpack_from(data, 0)
@@ -72,38 +76,46 @@ def load_index(data: bytes) -> STRtree:
     if version != INDEX_VERSION:
         raise StoreFormatError(f"unsupported index version {version}")
 
-    pos = _HEADER.size
-    consumed = 0
-
-    def read_node() -> Tuple[_STRNode, None]:
-        nonlocal pos, consumed
-        if consumed >= num_nodes:
-            raise StoreFormatError("index declares fewer nodes than its payload holds")
+    view, pos = memoryview(data), _HEADER.size
+    consumed = items = kept = 0
+    top: List[tuple] = []  # receives the root's row
+    pending = [(top, 1)] if num_nodes else []  # (parent rows, children to read)
+    while pending:
+        rows, remaining = pending.pop()
+        if remaining > 1:
+            pending.append((rows, remaining - 1))
         if pos + _NODE.size > len(data):
             raise StoreFormatError("truncated index node")
         is_leaf, count, minx, miny, maxx, maxy = _NODE.unpack_from(data, pos)
         pos += _NODE.size
         consumed += 1
-        envelope = Envelope(minx, miny, maxx, maxy)
+        if is_leaf > 1:
+            raise StoreFormatError(f"index node kind byte is {is_leaf} (expected 0 or 1)")
+        size = _ITEM.size if is_leaf else _NODE.size  # least bytes per entry
+        if pos + count * size > len(data):
+            raise StoreFormatError(f"index node count {count} overruns the payload")
+        entries: List[tuple] = []
         if is_leaf:
-            items = []
-            for _ in range(count):
-                if pos + _ITEM.size > len(data):
-                    raise StoreFormatError("truncated index leaf item")
-                iminx, iminy, imaxx, imaxy, page_id, slot = _ITEM.unpack_from(data, pos)
-                pos += _ITEM.size
-                items.append((Envelope(iminx, iminy, imaxx, imaxy), RecordRef(page_id, slot)))
-            return _STRNode(envelope, items=items), None
-        children = [read_node()[0] for _ in range(count)]
-        return _STRNode(envelope, children=children), None
+            end = pos + count * size
+            entries = [
+                (x0, y0, x1, y1, RecordRef(page_id, slot))
+                for x0, y0, x1, y1, page_id, slot in _ITEM.iter_unpack(view[pos:end])
+                if not (x0 > x1 or y0 > y1)
+            ]
+            pos = end
+            items += count
+            kept += len(entries)
+        elif count:
+            pending.append((entries, count))
+        node = _STRNode(Envelope(minx, miny, maxx, maxy), bool(is_leaf), entries)
+        rows.append((minx, miny, maxx, maxy, node))
 
-    root: Optional[_STRNode] = None
-    if num_nodes:
-        root, _ = read_node()
-    if consumed != num_nodes:
+    if (consumed, items) != (num_nodes, num_items):
         raise StoreFormatError(
-            f"index declares {num_nodes} nodes but only {consumed} were read"
+            f"index declares {num_nodes} nodes and {num_items} items "
+            f"but holds {consumed} and {items}"
         )
     if pos != len(data):
         raise StoreFormatError(f"{len(data) - pos} trailing bytes after index payload")
-    return STRtree.from_packed(root, num_items, node_capacity=node_capacity)
+    root = top[0][4] if kept else None
+    return STRtree.from_packed(root, kept, node_capacity=node_capacity)

@@ -3,9 +3,10 @@
 The manifest is the store's partition-level metadata: for every grid
 partition it records the partition MBR (the union of the *data* actually in
 it, which can be tighter than the grid cell), the pages holding its records
-and the record count.  A query first prunes partitions against the manifest,
-then pages against the per-page MBR summaries in the page directory — the
-two-level pruning §4/§5 of the paper applies at partition and index level.
+and the record count.  Routing prunes *shards* and names page owners with
+it; a store query prunes with the packed index alone, whose leaves hold the
+very record envelopes the partition data MBRs are unions of — the
+two-level pruning §4/§5 of the paper, decided in one structure.
 
 Since manifest **version 2** a store may also carry *delta generations*
 (:class:`GenerationInfo`): each incremental append persists its records as a
@@ -230,12 +231,6 @@ class StoreManifest:
         }
 
     # ------------------------------------------------------------------ #
-    def partitions_for(self, window: Envelope) -> List[PartitionInfo]:
-        """Partition-level pruning: partitions whose data MBR intersects."""
-        if window.is_empty:
-            return []
-        return [p for p in self.partitions if p.data_mbr.intersects(window)]
-
     def partition_of_page(self) -> Dict[int, int]:
         """Map every page id to the partition that owns it."""
         owner: Dict[int, int] = {}
@@ -364,11 +359,11 @@ def _shard_to_json(s: "ShardInfo") -> Dict:
 class ShardsManifest:
     """Top-level routing manifest (``shards.json``) of a sharded store.
 
-    The sharded analogue of :class:`StoreManifest`: where a single store
-    prunes partitions against the manifest, distributed serving first prunes
-    *shards* against the per-shard extents recorded here, then lets each
-    shard prune its own partitions locally.  The global grid shape is kept so
-    every rank can recompute partition ownership without communication.
+    The sharded analogue of :class:`StoreManifest`: distributed serving
+    first prunes *shards* against the per-shard extents recorded here, then
+    lets each shard prune locally with its packed index.  The global grid
+    shape is kept so every rank can recompute partition ownership without
+    communication.
     """
 
     name: str

@@ -9,15 +9,18 @@ geometries are memoised per slot, so a page that stays cached pays each
 decode at most once no matter how many queries touch it.
 
 The columns are deliberately *flat arrays*, not per-slot tuples: the refine
-phase filters whole pages with bulk gathers (``map(column.__getitem__,
-slots)``) and fused comparisons over the four coordinate columns, so the
-surviving-slot loop never touches a per-slot dict or attribute.
+phase (:meth:`repro.store.engine.RefineExecutor.refine`) gathers ids with one
+``map(record_ids.__getitem__, slots)``, classifies survivors in one loop
+reading the four coordinate columns and probes the decode memo by slot, so it
+never touches a per-slot object; the page offers it no per-page helper
+beyond :meth:`CachedPage.env_summary` (a window touches ≈ 3 slots a page —
+a call and a mask list per page cost more than the comparisons they wrap).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..geometry import Envelope, Geometry
 from .format import (
@@ -68,7 +71,7 @@ class RecordView:
 
     @property
     def is_materialized(self) -> bool:
-        return self._page._memo[self.slot] is not None
+        return self._page.memo[self.slot] is not None
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "decoded" if self.is_materialized else "lazy"
@@ -102,7 +105,7 @@ class CachedPage:
         "maxxs",
         "maxys",
         "_env_summary",
-        "_memo",
+        "memo",
         "_on_decode",
     )
 
@@ -136,7 +139,10 @@ class CachedPage:
         self.minys = array("d", minys)
         self.maxxs = array("d", maxxs)
         self.maxys = array("d", maxys)
-        self._memo: List[Optional[Geometry]] = [None] * self.count
+        #: decoded geometry per slot, ``None`` until :meth:`record` decodes it
+        #: — a column like the others: the refine loop reads it by slot (test
+        #: ``is None``: an empty geometry is falsy) and only `record` writes it
+        self.memo: List[Optional[Geometry]] = [None] * self.count
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -145,14 +151,14 @@ class CachedPage:
     @property
     def decoded_slots(self) -> int:
         """How many of this page's slots have been decoded so far."""
-        return sum(1 for g in self._memo if g is not None)
+        return sum(1 for g in self.memo if g is not None)
 
     def env_summary(self) -> Tuple[float, float, float, float, bool]:
         """``(minx, miny, maxx, maxy, has_empty)`` over the whole column.
 
         The page-level containment fast path: when a rectangular window
         contains these bounds and no slot envelope is empty, **every** slot
-        on the page is contained and the per-slot mask is skipped entirely.
+        on the page is contained and the per-slot pass is skipped entirely.
         Computed once per page image (C-speed ``min``/``max`` folds).
         """
         summary = self._env_summary
@@ -171,37 +177,6 @@ class CachedPage:
             self._env_summary = summary
         return summary
 
-    def slot_ids(self, slots: Sequence[int]) -> List[int]:
-        """Bulk gather of ``record_ids`` over *slots* (one C-level ``map``)."""
-        return list(map(self.record_ids.__getitem__, slots))
-
-    def contained_mask(
-        self,
-        slots: Sequence[int],
-        wx0: float,
-        wy0: float,
-        wx1: float,
-        wy1: float,
-    ) -> List[bool]:
-        """Per-slot window-containment mask as one fused bulk pass.
-
-        Matches :meth:`Envelope.contains` exactly: an **empty** slot MBR
-        (minx > maxx or miny > maxy) is never contained — without the guard
-        the ``±inf`` sentinels of an empty envelope would satisfy the four
-        boundary comparisons vacuously.
-        """
-        g = map  # bulk gathers: one C-level map per coordinate column
-        return [
-            x0 >= wx0 and x1 <= wx1 and y0 >= wy0 and y1 <= wy1
-            and x0 <= x1 and y0 <= y1
-            for x0, y0, x1, y1 in zip(
-                g(self.minxs.__getitem__, slots),
-                g(self.minys.__getitem__, slots),
-                g(self.maxxs.__getitem__, slots),
-                g(self.maxys.__getitem__, slots),
-            )
-        ]
-
     def envelope(self, slot: int) -> Envelope:
         """The slot's MBR from the envelope column."""
         return Envelope(
@@ -210,10 +185,10 @@ class CachedPage:
 
     def record(self, slot: int) -> Tuple[int, Geometry]:
         """Decode (and memoise) one slot — the refine phase for that record."""
-        geom = self._memo[slot]
+        geom = self.memo[slot]
         if geom is None:
             geom = decode_record_body(self.payload, self.body_offsets[slot])
-            self._memo[slot] = geom
+            self.memo[slot] = geom
             if self._on_decode is not None:
                 self._on_decode(1)
         return self.record_ids[slot], geom

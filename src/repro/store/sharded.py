@@ -27,7 +27,9 @@ import pickle
 import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..geometry import Envelope, Geometry, predicates
 from ..mpisim import Communicator
@@ -290,8 +292,7 @@ def sharded_bulk_load(
 # --------------------------------------------------------------------------- #
 # serving
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class DistributedHit:
+class DistributedHit(NamedTuple):
     """One de-duplicated record matched by a distributed query."""
 
     query_id: Any
@@ -913,20 +914,12 @@ class DistributedStoreServer:
             cand = (sid, partition_id, page_id, qid, geom)
             if key not in best or cand[:3] < best[key][:3]:
                 best[key] = cand
-        hits = [
-            DistributedHit(
-                query_id=qid,
-                record_id=record_id,
-                geometry=geom,
-                shard_id=sid,
-                partition_id=partition_id,
-                page_id=page_id,
-            )
+        return [
+            DistributedHit(qid, record_id, geom, sid, partition_id, page_id)
             for (idx, record_id), (sid, partition_id, page_id, qid, geom) in sorted(
                 best.items()
             )
         ]
-        return hits
 
     # ------------------------------------------------------------------ #
     # collective serving calls

@@ -1,13 +1,16 @@
 """R-tree (STR and dynamic) tests."""
 
+import math
 import random
 
 import pytest
+from _strtree_reference import query_reference  # the retired per-entry walk, kept next to this file
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Envelope
 from repro.index import RTree, STRtree
+from repro.store import RecordRef, dump_index, load_index
 
 
 def make_boxes(n, seed=0, extent=1000.0, max_size=10.0):
@@ -129,6 +132,169 @@ class TestSTRtree:
         empty = STRtree.from_packed(None, 0)
         assert empty.is_empty
         assert empty.query(Envelope(0, 0, 1, 1)) == []
+
+
+# --------------------------------------------------------------------------- #
+# the flat-row walk against the per-entry object walk it replaced
+# --------------------------------------------------------------------------- #
+# mostly a small lattice, so boxes share edges and corners and collapse to
+# segments and points; plus ordinary floats, both infinities and NaN
+_lattice = st.integers(min_value=-4, max_value=4).map(float)
+_coord = st.one_of(
+    _lattice,
+    _lattice,
+    st.floats(min_value=-5, max_value=5, allow_nan=False),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+# any four bounds: about half are inverted, i.e. empty
+_any_envelope = st.builds(Envelope, _coord, _coord, _coord, _coord)
+_box = st.tuples(_lattice, _lattice, st.integers(0, 3), st.integers(0, 3)).map(
+    lambda t: Envelope(t[0], t[1], t[0] + t[2], t[1] + t[3])
+)
+_item_envelope = st.one_of(_box, _box, _any_envelope)
+_window = st.one_of(_box, _any_envelope, st.just(Envelope.empty()))
+
+
+def tree_nodes(tree):
+    nodes = [tree._root] if tree._root is not None else []
+    for node in nodes:
+        if not node.leaf:
+            nodes.extend(row[4] for row in node.entries)
+    return nodes
+
+
+class TestFlatRowWalk:
+    """``STRtree.query`` walks ``(minx, miny, maxx, maxy, entry)`` rows with
+    the comparison inlined; ``_strtree_reference.query_reference`` is the walk
+    it replaced (an ``Envelope.intersects`` call per node and per item).  The
+    two must return the same **list** — order is part of the contract: it
+    fixes the slot order of the store planner's ``by_page``."""
+
+    @given(
+        st.lists(_item_envelope, max_size=70),
+        st.lists(_window, min_size=1, max_size=8),
+        st.sampled_from([2, 16]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_query_equals_reference_walk(self, envs, windows, cap):
+        tree = STRtree([(e, i) for i, e in enumerate(envs)], node_capacity=cap)
+        assert len(tree) == sum(not e.is_empty for e in envs)
+        # a NaN bound drops out of its parent's union (min/max skip it), so a
+        # tree may prune such an item where a scan would not — then as now
+        scannable = not any(math.isnan(v) for e in envs for v in e)
+        for window in windows:
+            got = tree.query(window)
+            assert got == query_reference(tree, window)
+            if scannable:
+                assert sorted(got) == [i for i, e in enumerate(envs) if e.intersects(window)]
+
+    @given(
+        st.lists(_item_envelope, max_size=70),
+        st.lists(_window, min_size=1, max_size=8),
+        st.sampled_from([2, 16]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_loaded_tree_equals_reference_walk_and_built_tree(self, envs, windows, cap):
+        built = STRtree(
+            [(e, RecordRef(i // 8, i % 8)) for i, e in enumerate(envs)], node_capacity=cap
+        )
+        blob = dump_index(built)
+        loaded = load_index(blob)
+        assert dump_index(loaded) == blob
+        assert len(loaded) == len(built)
+        for window in windows:
+            got = loaded.query(window)
+            assert got == query_reference(loaded, window)
+            assert got == built.query(window)
+            assert all(type(ref) is RecordRef for ref in got)
+
+    def test_inverted_and_empty_windows_match_nothing(self):
+        tree = STRtree(make_boxes(100, seed=4), node_capacity=4)
+        whole = tree.bounds
+        assert len(tree.query(whole)) == 100
+        for window in (
+            Envelope.empty(),
+            Envelope(whole.maxx, whole.miny, whole.minx, whole.maxy),  # x inverted
+            Envelope(whole.minx, whole.maxy, whole.maxx, whole.miny),  # y inverted
+        ):
+            assert window.is_empty
+            assert tree.query(window) == query_reference(tree, window) == []
+
+    def test_nan_and_infinite_windows_answer_as_envelope_intersects(self):
+        boxes = make_boxes(60, seed=5)
+        tree = STRtree(boxes, node_capacity=4)
+        nan, inf = math.nan, math.inf
+        for window in (
+            Envelope(nan, nan, nan, nan),
+            Envelope(-inf, -inf, inf, inf),
+            Envelope(500.0, nan, inf, 600.0),
+            Envelope(-inf, 0.0, 300.0, inf),
+        ):
+            got = tree.query(window)
+            assert got == query_reference(tree, window)
+            assert sorted(got) == brute_force(boxes, window)
+
+    @pytest.mark.parametrize("cap", [2, 16])
+    def test_entries_are_stored_once_as_rows(self, cap):
+        boxes = make_boxes(90, seed=6)
+        tree = STRtree(boxes, node_capacity=cap)
+        nodes = tree_nodes(tree)
+        assert type(nodes[0]).__slots__ == ("envelope", "leaf", "entries")
+        assert tree.stats().num_nodes == len(nodes)
+        envelope_of = {payload: env for env, payload in boxes}
+        leaf_rows = 0
+        for node in nodes:
+            assert 1 <= len(node.entries) <= cap
+            for minx, miny, maxx, maxy, entry in node.entries:
+                if node.leaf:
+                    leaf_rows += 1
+                    assert (minx, miny, maxx, maxy) == envelope_of[entry].as_tuple()
+                else:
+                    assert (minx, miny, maxx, maxy) == entry.envelope.as_tuple()
+            union = Envelope.empty()
+            for row in node.entries:
+                union = union.union(Envelope(*row[:4]))
+            assert node.envelope == union
+        assert leaf_rows == len(tree) == 90
+
+
+class TestBulkQueryContract:
+    """SNIPPETS.md snippet 2 (shapely's ``STRtree``), pinned by name."""
+
+    def test_empty_tree_returns_empty_list(self):
+        for tree in (STRtree([]), STRtree.from_packed(None, 0), load_index(dump_index(STRtree([])))):
+            result = tree.query(Envelope(-1, -1, 2, 2))
+            assert result == [] and type(result) is list
+            assert query_reference(tree, Envelope(-1, -1, 2, 2)) == []
+            assert tree.query_pairs([(Envelope(0, 0, 1, 1), "p")]) == []
+
+    def test_single_item_tree(self):
+        tree = STRtree([(Envelope(0, 0, 1, 1), "only")])
+        assert tree.stats().num_nodes == 1 and tree.stats().height == 1
+        assert tree.query(Envelope(-1, -1, 2, 2)) == ["only"]
+        assert tree.query(Envelope(1, 1, 2, 2)) == ["only"]  # a shared corner counts
+        assert tree.query(Envelope(100, 100, 101, 101)) == []
+
+    def test_empties_filtered_at_build(self):
+        items = [
+            (Envelope.empty(), "empty"),
+            (Envelope(0, 0, 1, 1), "kept"),
+            (Envelope(3, 0, 2, 1), "inverted"),
+        ]
+        tree = STRtree(items)
+        assert len(tree) == 1
+        assert tree.query(Envelope(-math.inf, -math.inf, math.inf, math.inf)) == ["kept"]
+        assert tree.query(Envelope(math.nan, math.nan, math.nan, math.nan)) == ["kept"]
+        assert STRtree(items[::2]).is_empty
+
+    def test_query_pairs_unchanged(self):
+        boxes = make_boxes(120, seed=9, extent=100.0)
+        probes = make_boxes(40, seed=10, extent=100.0)
+        tree = STRtree(boxes, node_capacity=4)
+        expected = [
+            (probe, match) for env, probe in probes for match in query_reference(tree, env)
+        ]
+        assert expected and tree.query_pairs(probes) == expected
 
 
 class TestDynamicRTree:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.geometry import Envelope
-from repro.store import PartitionInfo, StoreManifest, store_paths
+from repro.index import STRtree
+from repro.store import PageKey, PartitionInfo, RecordRef, StoreManifest, store_paths
+from repro.store.engine import QueryPlanner
 
 
 def make_manifest():
@@ -35,12 +37,29 @@ class TestManifest:
         assert back.extent.is_empty
 
     def test_partition_pruning(self):
+        # the planner prunes with the packed index alone (its leaves hold the
+        # record envelopes the partition data MBRs are unions of); the
+        # manifest only names the partition that owns a candidate page
         m = make_manifest()
-        assert [p.partition_id for p in m.partitions_for(Envelope(0, 0, 10, 10))] == [0]
-        assert [p.partition_id for p in m.partitions_for(Envelope(70, 70, 80, 80))] == [3]
+        index = STRtree(
+            [
+                (Envelope(5, 5, 20, 20), RecordRef(0, 0)),
+                (Envelope(30, 30, 45, 45), RecordRef(1, 0)),
+                (Envelope(60, 60, 90, 90), RecordRef(2, 0)),
+            ]
+        )
+        planner = QueryPlanner(m, index)
+        owner = m.partition_of_page()
+
+        def partitions(window):
+            return sorted({owner[key.page_id] for key in planner.candidate_slots(window)})
+
+        assert planner.candidate_slots(Envelope(0, 0, 10, 10)) == {PageKey(0, 0): [0]}
+        assert partitions(Envelope(0, 0, 10, 10)) == [0]
+        assert partitions(Envelope(70, 70, 80, 80)) == [3]
         # between the two data MBRs: nothing qualifies
-        assert m.partitions_for(Envelope(46, 46, 55, 55)) == []
-        assert m.partitions_for(Envelope.empty()) == []
+        assert planner.candidate_slots(Envelope(46, 46, 55, 55)) == {}
+        assert planner.candidate_slots(Envelope.empty()) == {}
 
     def test_partition_of_page(self):
         owner = make_manifest().partition_of_page()

@@ -15,7 +15,9 @@ rule that a quarantined page is reported as *failed*, never silently counted
 as a zero-survivor bulk scan.
 """
 
+import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from _refine_reference import refine_reference  # the retired scalar loop, kept next to this file
@@ -33,14 +35,18 @@ from repro.geometry import (
     Polygon,
     wkb,
 )
+from repro.obs.trace import Tracer
 from repro.pfs import LustreFilesystem
 from repro.store import (
+    DistributedHit,
     DistributedStoreServer,
     PageChecksumError,
     PageKey,
+    QueryHit,
     RecordView,
     SpatialDataStore,
     StoreAppender,
+    StoreStats,
     bulk_load,
     sharded_bulk_load,
     store_paths,
@@ -413,25 +419,94 @@ class TestRectangleKernelUnderTheEngine:
 # --------------------------------------------------------------------------- #
 # hand-built pages: empty MBRs, empty pages, intra-page duplicates
 # --------------------------------------------------------------------------- #
-def build_page(entries, page_id=0):
+def build_page(entries, page_id=0, on_decode=None):
     payload = encode_page_v2(
         [(rid, env, encode_record_body(g)) for rid, env, g in entries]
     )
-    return CachedPage(page_id, payload)
+    return CachedPage(page_id, payload, on_decode=on_decode)
+
+
+def traced_executor(partition_of_page, **kwargs):
+    """An executor over a stand-in store: a recording tracer plus the stats
+    the ``decode`` span and the decode callback charge."""
+    store = SimpleNamespace(tracer=Tracer(), stats=StoreStats())
+
+    def on_decode(n):
+        store.stats.records_decoded += n
+
+    executor = RefineExecutor(partition_of_page, store=store, **kwargs)
+    return executor, store, on_decode
+
+
+def decode_span(store):
+    span = [sp for sp in store.tracer.spans if sp.name == "decode"][-1]
+    return {k: v for k, v in span.attrs.items() if k != "query_id"}
 
 
 class TestHandBuiltPages:
     def test_empty_envelope_slot_never_takes_the_shortcut(self):
         # an empty MBR's ±inf sentinels satisfy naive boundary comparisons
-        # vacuously; the mask must still say "not contained"
+        # vacuously; the classify pass must still say "not contained": the
+        # slot is checked (decoded, predicate evaluated), never proven
         g = Point(5.0, 5.0, userdata="x")
+        key = PageKey(0, 0)
+        executor, store, on_decode = traced_executor({key: 7})
         page = build_page(
-            [(0, g.envelope, g), (1, Envelope.empty(), g), (2, g.envelope, g)]
+            [(0, g.envelope, g), (1, Envelope.empty(), g), (2, g.envelope, g)],
+            on_decode=on_decode,
         )
-        mask = page.contained_mask([0, 1, 2], 0.0, 0.0, 100.0, 100.0)
-        assert mask == [True, False, True]
+        window = Envelope(0.0, 0.0, 100.0, 100.0)
+        entry = PlanEntry(0, None, window, None, {key: [0, 1, 2]})
+        hits = executor.refine(entry, {key: page}, exact=True, lazy=True)
+        assert decode_span(store)["rect_shortcuts"] == 2
+        # proven slots stay views; the empty-MBR slot went through the predicate
+        assert [type(h.geometry) for h in hits] == [RecordView, Point, RecordView]
+        assert decode_span(store)["records_decoded"] == 1
         # and the page-level summary refuses the all-contained fast path
         assert page.env_summary()[4] is True
+
+    @pytest.mark.parametrize("empty", [MultiPoint([]), GeometryCollection([])])
+    @pytest.mark.parametrize(
+        "window, exact, num_hits",
+        [
+            (EXTENT, True, 1),  # slot MBR inside the window: proven
+            (Envelope(5.0, 5.0, 50.0, 50.0), True, 0),  # cut by it: checked
+            (Envelope(5.0, 5.0, 50.0, 50.0), False, 1),  # MBR-only: proven
+        ],
+    )
+    def test_falsy_geometry_is_decoded_once(
+        self, empty, window, exact, num_hits, monkeypatch
+    ):
+        # an empty MultiPoint / GeometryCollection is falsy: the memo probe
+        # must ask "is None", or every later query takes the decode call
+        # again — in the proven loop and in the checked loop alike
+        assert not empty
+        record_calls = []
+        real_record = CachedPage.record
+        monkeypatch.setattr(
+            CachedPage, "record",
+            lambda page, slot: record_calls.append(slot) or real_record(page, slot),
+        )
+        g = Point(5.0, 5.0, userdata="x")
+        key = PageKey(0, 0)
+        executor, store, on_decode = traced_executor({key: 7})
+        page = build_page(
+            [(0, g.envelope, g), (1, Envelope(2.0, 2.0, 8.0, 8.0), empty)],
+            on_decode=on_decode,
+        )
+        entry = PlanEntry(0, None, window, None, {key: [1]})
+        first = executor.refine(entry, {key: page}, exact=exact)
+        assert store.stats.records_decoded == 1 and record_calls == [1]
+        second = executor.refine(entry, {key: page}, exact=exact)
+        assert store.stats.records_decoded == 1
+        assert record_calls == [1]  # served from the memo, no second call
+        assert decode_span(store)["records_decoded"] == 0
+        assert page.decoded_slots == 1
+        assert len(first) == len(second) == num_hits
+        if num_hits:
+            # both queries hand back the one memoised object
+            assert second[0].geometry is first[0].geometry
+            assert type(second[0].geometry) is type(empty)
 
     def test_refine_matches_reference_on_empty_mbr_slots(self):
         g = Point(5.0, 5.0, userdata="x")
@@ -583,6 +658,156 @@ class TestLazyZeroCopy:
         )
         assert any(isinstance(h.geometry, RecordView) for h in lazy)
         assert [hit_key(h) for h in lazy] == [hit_key(h) for h in eager]
+
+    def test_lazy_proven_slots_are_views_and_decode_nothing(self, fs, v2_name):
+        # the classify-emit pass must not decode what it only proves: a hit
+        # is a view exactly when its slot MBR lies inside the window, and
+        # the only decodes are the checked survivors' (slot-at-a-time recount)
+        store = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
+        executor = store.engine.executor
+        views = 0
+        for window in probe_windows(10, seed=32):
+            for entry in store.engine.planner.plan([(0, window)]).entries:
+                pages = store._get_pages(entry.by_page)
+                expected = reference_accounting(executor, entry, pages, True, lazy=True)
+                before = store.stats.records_decoded
+                for h in executor.refine(entry, pages, True, lazy=True):
+                    is_view = isinstance(h.geometry, RecordView)
+                    assert is_view == window.contains(h.geometry.envelope)
+                    views += is_view
+                assert (
+                    store.stats.records_decoded - before == expected["records_decoded"]
+                )
+        assert views > 0 and store.stats.records_decoded > 0
+
+
+# --------------------------------------------------------------------------- #
+# the decode span's account, against a slot-at-a-time recount
+# --------------------------------------------------------------------------- #
+def reference_accounting(executor, entry, pages, exact, lazy):
+    """What the ``decode`` span must report, by the scalar loop's rules — a
+    slot at a time, no sets, no columns.  Peeks at the decode memo, so it
+    has to run *before* the refine it predicts."""
+    rect = entry.env if exact and entry.geom is None and not entry.env.is_empty else None
+    counts = dict.fromkeys(
+        ("replicas_skipped", "tombstone_drops", "records_decoded", "rect_shortcuts",
+         "slots_scanned", "bulk_filter_batches"), 0,
+    )
+    seen = set()
+    for key in sorted(entry.by_page, key=lambda k: (-k[0], k[1])):
+        page = pages[key]
+        counts["bulk_filter_batches"] += 1
+        for slot in entry.by_page[key]:
+            counts["slots_scanned"] += 1
+            rid = page.record_ids[slot]
+            if rid in seen:
+                counts["replicas_skipped"] += 1
+                continue
+            if executor._tombstone_gen.get(rid, -1) > key.generation:
+                counts["tombstone_drops"] += 1
+                continue
+            seen.add(rid)
+            contained = rect is not None and rect.contains(page.envelope(slot))
+            counts["rect_shortcuts"] += contained
+            proven = contained or not exact
+            if not (lazy and proven) and page.memo[slot] is None:
+                counts["records_decoded"] += 1
+    return counts
+
+
+class TestDecodeSpanAccounting:
+    @pytest.fixture(params=["hot_v2", "hot_gen", "hot_shaped"])
+    def traced_store(self, request, fs, v2_name, gen_store, shaped):
+        with SpatialDataStore.open(
+            fs, request.param, cache_pages=1024, tracer=Tracer()
+        ) as store:
+            yield store
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_span_attributes_equal_the_recount(self, traced_store, geoms, exact, lazy):
+        store = traced_store
+        executor = store.engine.executor
+        windows = probe_windows(12, seed=61) + geoms[:6]  # rectangles and shapes
+        moved = dict.fromkeys(("replicas_skipped", "tombstone_drops", "rect_shortcuts"), 0)
+        for window in windows:
+            for entry in store.engine.planner.plan([(0, window)]).entries:
+                pages = store._get_pages(entry.by_page)
+                expected = reference_accounting(executor, entry, pages, exact, lazy)
+                before = store.stats.as_dict()
+                hits = executor.refine(entry, pages, exact, lazy=lazy)
+                span = store.tracer.spans[-1]
+                assert span.name == "decode"
+                # the span and the stats are one account
+                after = store.stats.as_dict()
+                for name in ("records_decoded", "slots_scanned", "bulk_filter_batches"):
+                    assert after[name] - before[name] == expected[name]
+                expected["num_hits"] = len(refine_reference(executor, entry, pages, exact))
+                assert len(hits) == expected["num_hits"]
+                assert {k: span.attrs[k] for k in expected} == expected
+                assert set(span.attrs) == set(expected) | {"query_id"}
+                for name in moved:
+                    moved[name] += expected[name]
+        # the battery reaches every kind of decision it recounts
+        assert moved["rect_shortcuts"] > 0 or not exact
+        if store.name == "hot_gen":
+            assert moved["replicas_skipped"] > 0 and moved["tombstone_drops"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# hits are tuples
+# --------------------------------------------------------------------------- #
+class TestHitTypes:
+    def test_query_hit_is_a_named_tuple(self):
+        g = Point(1.0, 2.0, userdata="u")
+        hit = QueryHit(7, g, 3, 5)
+        assert QueryHit._fields == (
+            "record_id", "geometry", "partition_id", "page_id", "generation"
+        )
+        assert hit == (7, g, 3, 5, 0) and hit.generation == 0
+        assert QueryHit(7, g, 3, 5, generation=2).generation == 2
+        assert (hit.record_id, hit.geometry, hit.partition_id, hit.page_id) == (7, g, 3, 5)
+        with pytest.raises(AttributeError):
+            hit.record_id = 8
+        with pytest.raises(AttributeError):
+            hit.extra = 1  # no instance dict either
+        back = pickle.loads(pickle.dumps(hit))
+        assert type(back) is QueryHit and back.record_id == 7 and back[2:] == (3, 5, 0)
+        assert back.geometry.userdata == "u" and wkb.dumps(back.geometry) == wkb.dumps(g)
+        assert hash(QueryHit(7, None, 3, 5)) == hash(QueryHit(7, None, 3, 5))
+
+    def test_distributed_hit_is_a_named_tuple(self):
+        g = Point(1.0, 2.0)
+        hit = DistributedHit("q", 7, g, 2, 3, 5)
+        assert DistributedHit._fields == (
+            "query_id", "record_id", "geometry", "shard_id", "partition_id", "page_id"
+        )
+        assert hit == DistributedHit(
+            query_id="q", record_id=7, geometry=g, shard_id=2, partition_id=3, page_id=5
+        )
+        with pytest.raises(AttributeError):
+            hit.shard_id = 0
+        back = pickle.loads(pickle.dumps(hit))
+        assert type(back) is DistributedHit and back[:2] == ("q", 7) and back[3:] == (2, 3, 5)
+
+    def test_record_ids_are_python_ints(self, fs, v2_name, sharded_name):
+        # perf/fixtures.digest is repr(sorted(...)): an array or numpy scalar
+        # in record_id would change every digest
+        store = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
+        for lazy in (False, True):
+            hits = store.range_query(Envelope(10.0, 10.0, 60.0, 60.0), lazy=lazy)
+            assert hits and all(type(h.record_id) is int for h in hits)
+            assert all(type(h) is QueryHit for h in hits)
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, sharded_name) as server:
+                return server.range_query_batch(
+                    [(0, Envelope(10.0, 10.0, 60.0, 60.0))] if comm.rank == 0 else None
+                )
+
+        sharded = mpisim.run_spmd(prog, 2).values[0]
+        assert sharded and all(type(h) is DistributedHit for h in sharded)
+        assert all(type(h.record_id) is int for h in sharded)
 
 
 # --------------------------------------------------------------------------- #
