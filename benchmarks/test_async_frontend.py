@@ -5,10 +5,10 @@ trajectory to PR 4's staged engine and async front-end.
 
 * **Concurrency sweep** — the same query batches served through one
   `DistributedStoreServer` at 1, 4 and 16 in-flight batches
-  (`AsyncStoreFrontend`) against strict sequential submission.  Expected
-  shape: identical per-batch hits everywhere, and phase-overlapped
-  virtual-clock throughput rising with the window — the windowed pipeline
-  must beat sequential submission at ≥ 4 in-flight batches.
+  (`AsyncStoreFrontend`); a window of one is the no-overlap baseline on the
+  same transport.  Expected shape: identical per-batch hits everywhere, and
+  phase-overlapped virtual-clock throughput rising with the window — the
+  windowed pipeline must beat the baseline at ≥ 4 in-flight batches.
 * **Cost-model vs fixed prefetch** — the same window sweep served by one
   store under the fixed heuristics (page-size gap, constant readahead)
   and under `io_policy="cost_model"` (break-even gap + stripe-aligned
@@ -64,7 +64,7 @@ def frontend_store(lustre, join_datasets):
     return {"batches": batches, "extent": sharded.manifest.extent}
 
 
-def _serve(lustre, batches, mode, window=1):
+def _serve(lustre, batches, window):
     """One cold-cache serving run; returns rank 0's FrontendResult."""
 
     def prog(comm):
@@ -72,10 +72,7 @@ def _serve(lustre, batches, mode, window=1):
             comm, lustre, "bench_async_lakes", cache_pages=128
         ) as server:
             frontend = AsyncStoreFrontend(server, max_in_flight=window)
-            root = batches if comm.rank == 0 else None
-            if mode == "sequential":
-                return frontend.serve_sequential(root)
-            return frontend.serve(root)
+            return frontend.serve(batches if comm.rank == 0 else None)
 
     return mpisim.run_spmd(prog, NPROCS).values[0]
 
@@ -91,73 +88,70 @@ def test_async_frontend_concurrency_sweep(lustre, frontend_store, benchmark, onc
         qps = report.add_series("queries_per_second")
         lat = report.add_series("mean_latency_ms")
 
-        sequential = _serve(lustre, batches, "sequential")
-        qps.add("sequential", sequential.queries_per_second)
-        lat.add("sequential", sequential.mean_latency * 1e3)
-
         sweep = {}
         for window in WINDOWS:
-            result = _serve(lustre, batches, "async", window=window)
+            result = _serve(lustre, batches, window)
             sweep[window] = result
             qps.add(str(window), result.queries_per_second)
             lat.add(str(window), result.mean_latency * 1e3)
 
         report.note(
             f"{len(batches)} batches x {PER_BATCH} queries on {NPROCS} ranks; "
-            f"sequential {sequential.queries_per_second:.0f} q/s vs "
             + ", ".join(
                 f"W={w}: {r.queries_per_second:.0f} q/s" for w, r in sweep.items()
             )
         )
 
-        # noise-robust acceptance numbers: sequential and W=4 re-measured in
+        # noise-robust acceptance numbers: W=1 and W=4 re-measured in
         # interleaved rounds, best of each side — the virtual makespan
         # includes compute charges measured from real CPU time, so a single
         # paired measurement is at the mercy of ambient machine load
-        seq_best = (sequential.queries_per_second, sequential.makespan)
+        w1_best = (sweep[1].queries_per_second, sweep[1].makespan)
         w4_best = (sweep[4].queries_per_second, sweep[4].makespan)
         for _ in range(1 if QUICK else 2):
-            s = _serve(lustre, batches, "sequential")
-            a = _serve(lustre, batches, "async", window=4)
-            seq_best = (max(seq_best[0], s.queries_per_second),
-                        min(seq_best[1], s.makespan))
+            s = _serve(lustre, batches, 1)
+            a = _serve(lustre, batches, 4)
+            w1_best = (max(w1_best[0], s.queries_per_second),
+                        min(w1_best[1], s.makespan))
             w4_best = (max(w4_best[0], a.queries_per_second),
                        min(w4_best[1], a.makespan))
-        return report, sequential, sweep, seq_best, w4_best
+        return report, sweep, w1_best, w4_best
 
-    report, sequential, sweep, seq_best, w4_best = once(driver)
+    report, sweep, w1_best, w4_best = once(driver)
     report.print()
+    baseline = sweep[1]
 
-    # equal results first: the pipeline is an optimization, not a rewrite
-    seq_keys = [
-        [(h.query_id, h.record_id) for h in hits] for hits in sequential.batches
+    # equal results first: the window changes when rank 0 gathers, never
+    # what is computed (the collective-loop oracle is in
+    # tests/store/test_frontend.py)
+    baseline_keys = [
+        [(h.query_id, h.record_id) for h in hits] for hits in baseline.batches
     ]
     for result in sweep.values():
         assert [
             [(h.query_id, h.record_id) for h in hits] for hits in result.batches
-        ] == seq_keys
+        ] == baseline_keys
 
     # the acceptance bar: ≥ 4 concurrent batches with phase-overlapped
-    # virtual-clock throughput exceeding sequential submission.  The smoke
+    # virtual-clock throughput exceeding the no-overlap baseline.  The smoke
     # variant (2 ranks, small batches) has almost no overlap to exploit —
     # rank 0 both routes and serves — so it only checks W=4 stays within
-    # noise of sequential; the full sweep enforces the strict win.
+    # noise of W=1; the full sweep enforces the strict win.
     if QUICK:
-        assert w4_best[0] > seq_best[0] * 0.9
-        assert w4_best[1] < seq_best[1] * 1.1
+        assert w4_best[0] > w1_best[0] * 0.9
+        assert w4_best[1] < w1_best[1] * 1.1
     else:
-        assert w4_best[0] > seq_best[0]
-        assert w4_best[1] < seq_best[1]
+        assert w4_best[0] > w1_best[0]
+        assert w4_best[1] < w1_best[1]
 
     benchmark.extra_info["num_batches"] = len(batches)
     benchmark.extra_info["queries_per_batch"] = PER_BATCH
     benchmark.extra_info["nprocs"] = NPROCS
-    benchmark.extra_info["sequential"] = sequential.summary()
     for window, result in sweep.items():
         benchmark.extra_info[f"in_flight_{window}"] = result.summary()
         benchmark.extra_info[f"speedup_{window}"] = (
-            result.queries_per_second / sequential.queries_per_second
-            if sequential.queries_per_second else float("inf")
+            result.queries_per_second / baseline.queries_per_second
+            if baseline.queries_per_second else float("inf")
         )
 
 

@@ -1,7 +1,7 @@
 """Vectorized refine/scan hot path — bulk filter vs the scalar slot loop.
 
 Not a figure of the paper: this benchmark extends the `repro.store` perf
-trajectory to PR 9's vectorized refine path.  Three measurements:
+trajectory to PR 9's vectorized refine path.  Two measurements:
 
 * **warm filter stage** — the surviving-slot filter (replica de-dup +
   tombstone shadowing + window intersection over the parsed envelope
@@ -15,11 +15,6 @@ trajectory to PR 9's vectorized refine path.  Three measurements:
   ``records_decoded`` (the bulk path is an optimization, not a rewrite);
   the wall-clock ratio is reported, not asserted, because both sides
   bottom out in the same per-hit materialization cost on warm caches.
-* **adaptive in-flight sweep** — ``AsyncStoreFrontend`` serving the same
-  batch workload under fixed windows 1/4/16 and ``"adaptive"``; results
-  must be identical everywhere and the adaptive virtual-clock makespan
-  must land within the fixed-window envelope (no pathological window
-  choice).
 
 Pages are deliberately fat (64 KiB) so each (query, page) batch carries
 many candidate slots: that is the workload the column layout targets, and
@@ -34,16 +29,9 @@ import time
 
 import pytest
 
-from repro import mpisim
 from repro.core import VectorIO
 from repro.datasets import random_envelopes
-from repro.store import (
-    AsyncStoreFrontend,
-    DistributedStoreServer,
-    SpatialDataStore,
-    bulk_load,
-    sharded_bulk_load,
-)
+from repro.store import SpatialDataStore, bulk_load
 from repro.store.engine import _newest_first
 from tests.store._refine_reference import refine_reference  # the retired scalar loop
 
@@ -243,91 +231,3 @@ def test_refine_end_to_end_parity(lustre, hot_store, benchmark, once):
     benchmark.extra_info["hits"] = float(hits)
     benchmark.extra_info["records_decoded"] = float(bulk_dec)
     benchmark.extra_info["refine_speedup"] = float(scalar_s / bulk_s)
-
-
-def test_adaptive_in_flight_sweep(lustre, hot_store, benchmark, once):
-    geoms_per_batch = 4
-    num_batches = 4 if QUICK else 10
-
-    def serve(mode):
-        def prog(comm):
-            with DistributedStoreServer.open(
-                comm, lustre, "bench_hot_lakes_sharded"
-            ) as server:
-                extent = server.manifest.extent
-                envs = list(
-                    random_envelopes(
-                        num_batches * geoms_per_batch, extent=extent,
-                        max_size_fraction=0.15, seed=23,
-                    )
-                )
-                batches = [
-                    [
-                        (f"b{b}.q{i}", env)
-                        for i, env in enumerate(
-                            envs[b * geoms_per_batch:(b + 1) * geoms_per_batch]
-                        )
-                    ]
-                    for b in range(num_batches)
-                ]
-                frontend = AsyncStoreFrontend(server, max_in_flight=mode)
-                result = frontend.serve(batches if comm.rank == 0 else None)
-                if result is None:
-                    return None
-                return (
-                    [[(h.query_id, h.record_id) for h in b] for b in result.batches],
-                    result.makespan,
-                    result.windows,
-                )
-
-        return mpisim.run_spmd(prog, 4).values[0]
-
-    def driver():
-        geometries = VectorIO(lustre).sequential_read("datasets/lakes_uniform.wkt").geometries
-        if not lustre.exists("stores/bench_hot_lakes_sharded/shards.json"):
-            sharded_bulk_load(lustre, "bench_hot_lakes_sharded", geometries,
-                              num_shards=4, num_partitions=8)
-        # interleaved rounds, min makespan per mode: the virtual makespan
-        # includes compute charges measured from real CPU time, and ambient
-        # slowdown (GC pressure late in a long suite) would otherwise
-        # inflate whichever mode happens to run last
-        sweep = {}
-        for _ in range(1 if QUICK else 3):
-            for mode in (1, 4, 16, "adaptive"):
-                keys, span, windows = serve(mode)
-                prev = sweep.get(mode)
-                if prev is None:
-                    sweep[mode] = [keys, span, windows]
-                else:
-                    assert keys == prev[0], f"results differ across rounds for window={mode}"
-                    prev[1] = min(prev[1], span)
-        return sweep
-
-    sweep = once(driver)
-    baseline_keys = sweep[1][0]
-    for mode, (keys, makespan, windows) in sweep.items():
-        assert keys == baseline_keys, f"results differ for window={mode}"
-        assert makespan > 0.0
-    fixed_spans = {m: sweep[m][1] for m in (1, 4, 16)}
-    adaptive_span = sweep["adaptive"][1]
-    adaptive_windows = sweep["adaptive"][2]
-    assert adaptive_windows and all(1 <= w <= 16 for w in adaptive_windows)
-    # the policy must not pick a pathological window: the adaptive makespan
-    # stays within the fixed sweep's envelope.  Generous tolerance — the
-    # virtual makespan includes compute charges measured from real CPU
-    # time, which jitters run to run; the smoke variant has too few batches
-    # to amortize its warmup (it starts at window 2), so it only checks
-    # result equality and window sanity above
-    if not QUICK:
-        assert adaptive_span <= max(fixed_spans.values()) * 1.5
-    print("\nadaptive in-flight sweep (virtual makespan):")
-    for mode in (1, 4, 16):
-        print(f"  fixed {mode:>2}: {fixed_spans[mode]:.4f} s")
-    print(
-        f"  adaptive: {adaptive_span:.4f} s, windows {adaptive_windows}"
-    )
-    benchmark.extra_info["fixed_makespans"] = {
-        str(k): float(v) for k, v in fixed_spans.items()
-    }
-    benchmark.extra_info["adaptive_makespan"] = float(adaptive_span)
-    benchmark.extra_info["adaptive_windows"] = [float(w) for w in adaptive_windows]

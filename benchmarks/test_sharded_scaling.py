@@ -22,7 +22,7 @@ import pytest
 
 from repro import mpisim
 from repro.bench.reporting import FigureReport
-from repro.core import RangeQuery, VectorIO
+from repro.core import VectorIO
 from repro.datasets import random_envelopes
 from repro.store import DistributedStoreServer, sharded_bulk_load
 
@@ -56,7 +56,6 @@ def sharded_dataset(lustre, join_datasets):
 @pytest.mark.parametrize("nranks", RANK_COUNTS)
 def test_sharded_serving_scaling(lustre, sharded_dataset, benchmark, once, nranks, mode):
     queries = sharded_dataset["queries"]
-    rq = RangeQuery(lustre, queries)
     benchmark.group = f"sharded_scaling_{mode}"
 
     def driver():
@@ -64,12 +63,12 @@ def test_sharded_serving_scaling(lustre, sharded_dataset, benchmark, once, nrank
             with DistributedStoreServer.open(
                 comm, lustre, "bench_lakes_sharded", cache_pages=256
             ) as server:
-                matches = rq.execute_distributed_from_store(comm, server)
+                matches = server.range_query_batch(queries if comm.rank == 0 else None)
                 if mode == "warm":
                     # measure only the warm pass: identical batch, phases reset
                     for key in server.phases:
                         server.phases[key] = 0.0
-                    matches = rq.execute_distributed_from_store(comm, server)
+                    matches = server.range_query_batch(queries if comm.rank == 0 else None)
                 phases = server.phase_breakdown()
                 stats = server.aggregate_stats()["aggregate"]
             return matches, phases, stats
@@ -114,14 +113,13 @@ def test_sharded_serving_scaling(lustre, sharded_dataset, benchmark, once, nrank
 def test_sharded_scaling_reduces_local_query_time(lustre, sharded_dataset):
     """More ranks -> less per-rank local query time (the scaling claim)."""
     queries = sharded_dataset["queries"]
-    rq = RangeQuery(lustre, queries)
 
     def serve(nranks):
         def prog(comm):
             with DistributedStoreServer.open(
                 comm, lustre, "bench_lakes_sharded", cache_pages=256
             ) as server:
-                matches = rq.execute_distributed_from_store(comm, server)
+                matches = server.range_query_batch(queries if comm.rank == 0 else None)
                 return matches, server.phase_breakdown()
 
         result = mpisim.run_spmd(prog, nranks)

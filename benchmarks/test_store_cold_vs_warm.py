@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core import RangeQuery, VectorIO
+from repro.core import VectorIO
 from repro.bench.reporting import FigureReport
 from repro.datasets import random_envelopes
 from repro.index import STRtree
@@ -64,15 +64,14 @@ def test_store_cold_vs_warm(lustre, store_dataset, benchmark, once):
         # cold store: open + query, pages faulted in on demand
         t0 = time.perf_counter()
         store = SpatialDataStore.open(lustre, "bench_lakes", cache_pages=512)
-        rq = RangeQuery(lustre, queries)
-        cold_matches = rq.execute_from_store(store)
+        cold_matches = [h for hits in store.range_query_batch(queries) for h in hits]
         wall.add("cold", time.perf_counter() - t0)
         cold_stats = dict(store.stats.as_dict())
         sim_io.add("cold", cold_stats["io_seconds"])
 
         # warm store: identical batch from the page cache
         t0 = time.perf_counter()
-        warm_matches = rq.execute_from_store(store)
+        warm_matches = [h for hits in store.range_query_batch(queries) for h in hits]
         wall.add("warm", time.perf_counter() - t0)
         warm_stats = store.stats.as_dict()
         sim_io.add("warm", warm_stats["io_seconds"] - cold_stats["io_seconds"])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import tempfile
 import time
 
-from repro.core import RangeQuery, VectorIO
+from repro.core import VectorIO
 from repro.datasets import generate_dataset, random_envelopes
 from repro.index import STRtree
 from repro.pfs import LustreFilesystem
@@ -73,8 +73,7 @@ def main() -> None:
         # ---------------------------------------------------------------- #
         t0 = time.perf_counter()
         store = SpatialDataStore.open(fs, "lakes", cache_pages=256)
-        rq = RangeQuery(fs, queries)
-        cold_matches = len(rq.execute_from_store(store))
+        cold_matches = sum(len(hits) for hits in store.range_query_batch(queries))
         cold_wall = time.perf_counter() - t0
         cold = store.stats.as_dict()
 
@@ -82,7 +81,7 @@ def main() -> None:
         # warm store: identical batch, served from the page cache
         # ---------------------------------------------------------------- #
         t0 = time.perf_counter()
-        warm_matches = len(rq.execute_from_store(store))
+        warm_matches = sum(len(hits) for hits in store.range_query_batch(queries))
         warm_wall = time.perf_counter() - t0
         warm = store.stats.as_dict()
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import tempfile
 
 from repro import mpisim
-from repro.core import RangeQuery, VectorIO
+from repro.core import VectorIO
 from repro.datasets import generate_dataset, random_envelopes
 from repro.pfs import LustreFilesystem
 from repro.store import DistributedStoreServer, SpatialDataStore, bulk_load, sharded_bulk_load
@@ -65,12 +65,14 @@ def main() -> None:
                                  max_size_fraction=0.12, seed=42)
             )
         ]
-        rq = RangeQuery(fs, queries)
 
         with SpatialDataStore.open(fs, "lakes_single", cache_pages=256) as store:
-            baseline = rq.execute_from_store(store)
-        baseline_key = sorted((m.query_id, m.geometry.userdata) for m in baseline)
-        print(f"single-store baseline: {len(baseline)} matches\n")
+            baseline_key = sorted(
+                (qid, hit.geometry.userdata)
+                for (qid, _), hits in zip(queries, store.range_query_batch(queries))
+                for hit in hits
+            )
+        print(f"single-store baseline: {len(baseline_key)} matches\n")
 
         # ---------------------------------------------------------------- #
         # serve the same batch on every rank count, SPMD-style
@@ -82,7 +84,7 @@ def main() -> None:
 
             def prog(comm):
                 with DistributedStoreServer.open(comm, fs, "lakes", cache_pages=128) as server:
-                    matches = rq.execute_distributed_from_store(comm, server)
+                    matches = server.range_query_batch(queries if comm.rank == 0 else None)
                     phases = server.phase_breakdown()
                     stats = server.aggregate_stats()["aggregate"]
                 return matches, phases, stats

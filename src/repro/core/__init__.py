@@ -28,13 +28,7 @@ from .grid_partition import (
     partition_geometries,
 )
 from .indexing import CellIndex, DistributedIndex, IndexBuildReport
-from .join import (
-    JoinPair,
-    SpatialJoin,
-    join_cell,
-    join_distributed_with_store,
-    join_with_store,
-)
+from .join import JoinPair, SpatialJoin, join_cell
 from .noncontig import (
     RecordIndex,
     build_record_index,
@@ -141,8 +135,6 @@ __all__ = [
     "SpatialJoin",
     "JoinPair",
     "join_cell",
-    "join_with_store",
-    "join_distributed_with_store",
     "DistributedIndex",
     "CellIndex",
     "IndexBuildReport",

@@ -17,7 +17,7 @@ filter-and-refine recipe per grid cell:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..geometry import Envelope, Geometry, predicates
 from ..index import GridCell, STRtree
@@ -27,16 +27,10 @@ from .framework import SpatialComputation
 from .grid_partition import GridPartitionConfig
 from .partition import PartitionConfig
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..store import SpatialDataStore
-    from ..store.sharded import DistributedStoreServer
-
 __all__ = [
     "JoinPair",
     "SpatialJoin",
     "join_cell",
-    "join_with_store",
-    "join_distributed_with_store",
 ]
 
 Predicate = Callable[[Geometry, Geometry], bool]
@@ -91,57 +85,6 @@ def join_cell(
     return results
 
 
-def join_with_store(
-    store: "SpatialDataStore",
-    probes: Sequence[Geometry],
-    predicate: Predicate = predicates.intersects,
-) -> List[JoinPair]:
-    """Join in-memory *probes* against a persistent :class:`SpatialDataStore`.
-
-    The serving-path alternative to re-running the distributed pipeline for
-    the stored layer: the store's packed index plays the filter phase and
-    *predicate* the refine phase.  The probe collection is served through the
-    store's batched front-end (``range_query_batch``, i.e. the staged
-    plan → schedule → refine engine), so probe windows follow the shared
-    Hilbert visit order, page touches are deduped across probes and page
-    reads are coalesced by the I/O scheduler.  Replicated stored geometries
-    are already de-duplicated by the store, so each qualifying pair appears
-    exactly once; ``cell_id`` is the store partition that served the stored
-    geometry.
-    """
-    return [
-        JoinPair(left=probe, right=hit.geometry, cell_id=hit.partition_id)
-        for probe, hit in store.join(probes, predicate)
-    ]
-
-
-def join_distributed_with_store(
-    comm: Communicator,
-    server: "DistributedStoreServer",
-    probes: Optional[Sequence[Geometry]],
-    predicate: Predicate = predicates.intersects,
-    broadcast: bool = False,
-) -> Optional[List[JoinPair]]:
-    """Join in-memory *probes* against a sharded store across ranks (collective).
-
-    The distributed counterpart of :func:`join_with_store`: rank 0 supplies
-    the probes, the server routes each probe MBR to the intersecting shards,
-    ranks filter locally through their shard stores' engines (the predicate
-    refines outside the shard guard), and rank 0 receives pairs de-duplicated
-    on ``(probe, record_id)``.  ``cell_id`` is the global partition of the
-    replica that served the pair.
-    """
-    pairs = server.join(
-        probes if comm.rank == 0 else None, predicate, broadcast=broadcast
-    )
-    if pairs is None:
-        return None
-    return [
-        JoinPair(left=probe, right=hit.geometry, cell_id=hit.partition_id)
-        for probe, hit in pairs
-    ]
-
-
 class SpatialJoin(SpatialComputation):
     """Distributed spatial join over two WKT layers.
 
@@ -175,23 +118,6 @@ class SpatialJoin(SpatialComputation):
         right: Sequence[Geometry],
     ) -> List[JoinPair]:
         return join_cell(cell, left, right, self.predicate, self.deduplicate)
-
-    # ------------------------------------------------------------------ #
-    def join_store(self, store: "SpatialDataStore", probes: Sequence[Geometry]) -> List[JoinPair]:
-        """Serve this join's predicate against a persistent datastore."""
-        return join_with_store(store, probes, self.predicate)
-
-    def join_store_distributed(
-        self,
-        comm: Communicator,
-        server: "DistributedStoreServer",
-        probes: Optional[Sequence[Geometry]],
-        broadcast: bool = False,
-    ) -> Optional[List[JoinPair]]:
-        """Serve this join's predicate against a sharded store (collective)."""
-        return join_distributed_with_store(
-            comm, server, probes, self.predicate, broadcast=broadcast
-        )
 
     # ------------------------------------------------------------------ #
     def count_pairs(self, comm: Communicator, left_path: str, right_path: str) -> int:

@@ -9,7 +9,7 @@ exchange machinery applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..geometry import Envelope, Geometry, Polygon, predicates
 from ..index import GridCell, STRtree
@@ -19,10 +19,7 @@ from .framework import SpatialComputation
 from .grid_partition import GridPartitionConfig
 from .join import _reference_point
 from .partition import PartitionConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..store import SpatialDataStore
-    from ..store.sharded import DistributedStoreServer
+from .reader import VectorIO
 
 __all__ = ["QueryMatch", "RangeQuery"]
 
@@ -85,59 +82,6 @@ class RangeQuery(SpatialComputation):
         return matches
 
     # ------------------------------------------------------------------ #
-    def execute_from_store(self, store: "SpatialDataStore") -> List[QueryMatch]:
-        """Serve the query batch from a persistent :class:`SpatialDataStore`.
-
-        The alternative data source to :meth:`execute`: instead of re-reading,
-        re-partitioning and re-indexing the raw dataset, the whole batch is
-        answered in one ``range_query_batch`` pass through the store's staged
-        **plan → schedule → refine** engine (:class:`repro.store.StoreEngine`)
-        — windows ordered along the shared Hilbert visit order for page-cache
-        locality, page touches deduped across queries, reads coalesced into
-        scheduler runs.  Replica de-duplication happens inside the store (by
-        logical record id), so no reference-point test is needed; ``cell_id``
-        reports the partition of the page that served the match.
-        """
-        per_query = store.range_query_batch(self.queries, exact=True)
-        matches: List[QueryMatch] = []
-        for (qid, _), hits in zip(self.queries, per_query):
-            for hit in hits:
-                matches.append(
-                    QueryMatch(query_id=qid, geometry=hit.geometry, cell_id=hit.partition_id)
-                )
-        return matches
-
-    # ------------------------------------------------------------------ #
-    def execute_distributed_from_store(
-        self,
-        comm: Communicator,
-        server: "DistributedStoreServer",
-        broadcast: bool = False,
-    ) -> Optional[List[QueryMatch]]:
-        """Serve the query batch from a sharded store across ranks (collective).
-
-        The distributed counterpart of :meth:`execute_from_store`: the server
-        routes each window to the shards whose extents it intersects, scatters
-        the batch, answers locally through each shard store's engine (the same
-        plan → schedule → refine pipeline as the single-store path, per-rank
-        page caches included) and gathers the record-id-de-duplicated hits at
-        rank 0.  Rank 0 returns the matches (``cell_id`` is the global
-        partition that served the hit, as in the single-store path); other
-        ranks return ``None`` unless *broadcast*.  For many concurrent
-        batches, :class:`repro.store.AsyncStoreFrontend` multiplexes them over
-        one server with the serving phases overlapped.
-        """
-        hits = server.range_query_batch(
-            self.queries if comm.rank == 0 else None, exact=True, broadcast=broadcast
-        )
-        if hits is None:
-            return None
-        return [
-            QueryMatch(query_id=h.query_id, geometry=h.geometry, cell_id=h.partition_id)
-            for h in hits
-        ]
-
-    # ------------------------------------------------------------------ #
     def execute(self, comm: Communicator, data_path: str) -> List[QueryMatch]:
         """Run the batch query; every rank returns the matches of its cells."""
         # Convert the batch to polygon geometries carrying the query id, and
@@ -147,44 +91,6 @@ class RangeQuery(SpatialComputation):
             for i, (qid, env) in enumerate(self.queries)
             if i % comm.size == comm.rank
         ]
-        return self._run_with_batch(comm, data_path, my_slice)
-
-    def _run_with_batch(
-        self, comm: Communicator, data_path: str, batch: List[Polygon]
-    ) -> List[QueryMatch]:
-        from .exchange import exchange_cells
-        from .grid_partition import (
-            assign_to_cells,
-            build_grid,
-            cell_mapping,
-            cell_rtree,
-            compute_global_extent,
-        )
-        from .reader import VectorIO
-
         vio = VectorIO(self.fs, self.partition_config, self.strategy)
-        data_report = vio.read_geometries(comm, data_path, self.parser())
-        data_geoms = data_report.geometries
-
-        extent = compute_global_extent(comm, list(data_geoms) + list(batch))
-        if extent.is_empty:
-            return []
-        grid = build_grid(extent, self.grid_config.num_cells)
-        mapping = cell_mapping(grid, comm.size, self.grid_config.mapping)
-
-        with comm.clock.compute(category="partition"):
-            tree = cell_rtree(grid)
-            data_cells = assign_to_cells(grid, data_geoms, tree)
-            query_cells = assign_to_cells(grid, batch, tree)
-
-        owned_data = exchange_cells(comm, data_cells, mapping)
-        owned_queries = exchange_cells(comm, query_cells, mapping)
-
-        matches: List[QueryMatch] = []
-        with comm.clock.compute(category="refine"):
-            for cell_id in sorted(set(owned_data) | set(owned_queries)):
-                cell = grid.cell_by_id(cell_id)
-                matches.extend(
-                    self.refine(cell, owned_data.get(cell_id, []), owned_queries.get(cell_id, []))
-                )
-        return matches
+        data = vio.read_geometries(comm, data_path, self.parser()).geometries
+        return self._run_partitioned(comm, data, my_slice, True).local_results

@@ -42,7 +42,7 @@ for it again:
     :class:`StoreEngine`.
 
 ``repro.store.sharded`` / ``repro.store.router``
-    Distributed serving: :class:`ShardedStoreWriter` splits a bulk load into
+    Distributed serving: :func:`sharded_bulk_load` splits a bulk load into
     per-rank shard stores routed by a top-level ``shards.json`` manifest,
     and :class:`DistributedStoreServer` serves batch range queries and joins
     SPMD-style across ``mpisim`` ranks.
@@ -122,7 +122,6 @@ from .sharded import (
     QueryResult,
     ShardError,
     ShardedLoadResult,
-    ShardedStoreWriter,
     sharded_bulk_load,
 )
 from .writer import BulkLoadResult, bulk_load
@@ -192,6 +191,5 @@ __all__ = [
     "DistributedStoreServer",
     "ShardError",
     "ShardedLoadResult",
-    "ShardedStoreWriter",
     "sharded_bulk_load",
 ]

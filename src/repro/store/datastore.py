@@ -48,7 +48,7 @@ from .format import (
     unpack_page_directory,
 )
 from .index_io import load_index
-from .manifest import GenerationInfo, StoreManifest, delta_paths, store_paths
+from .manifest import StoreManifest, delta_paths, store_paths
 from .page import CachedPage
 from .scheduler import DEFAULT_RETRY, IOScheduler, RetryPolicy, read_file_with_retry
 
@@ -206,9 +206,7 @@ class SpatialDataStore:
         fs: SimulatedFilesystem,
         name: str,
         manifest: StoreManifest,
-        pages: List[PageMeta],
-        index: STRtree,
-        deltas: Sequence[Tuple[GenerationInfo, List[PageMeta], STRtree]] = (),
+        generations: Sequence[Tuple[List[PageMeta], STRtree]],
         cache_pages: int = 64,
         coalesce_gap: Optional[int] = None,
         prefetch_pages: Optional[int] = None,
@@ -217,7 +215,11 @@ class SpatialDataStore:
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        """The serving knobs are declared here and nowhere else —
+        """*generations* holds one ``(page directory, packed index)`` pair
+        per generation as :meth:`open` read them: the base container first,
+        then one per entry of ``manifest.generations``.
+
+        The serving knobs are declared here and nowhere else —
         :meth:`open` and the sharded server forward them by keyword.
         *cache_pages* sizes the LRU page cache; *coalesce_gap* is the max
         byte gap between candidate pages still merged into one read range
@@ -275,40 +277,29 @@ class SpatialDataStore:
 
         #: generation 0 (base container) plus one entry per delta, indexed
         #: by generation id
-        self.generations: List[Generation] = [
-            Generation(
-                gen_id=0,
-                pages=pages,
-                index=index,
-                scheduler=self._make_scheduler(pages, self.paths["data"]),
-                data_path=self.paths["data"],
-                extent=manifest.extent,
-            )
-        ]
-        self._partition_of_page: Dict[PageKey, int] = {
-            PageKey(0, pid): part
-            for pid, part in manifest.partition_of_page().items()
-        }
-        for info, delta_pages, delta_index in deltas:
-            if info.gen_id != len(self.generations):
+        self.generations: List[Generation] = []
+        self._partition_of_page: Dict[PageKey, int] = {}
+        for gen_id, (info, (pages, index)) in enumerate(
+            zip([manifest, *manifest.generations], generations)
+        ):
+            if gen_id and info.gen_id != gen_id:
                 raise StoreFormatError(
                     f"store {name!r} has non-contiguous generation ids: "
-                    f"expected {len(self.generations)}, got {info.gen_id}"
+                    f"expected {gen_id}, got {info.gen_id}"
                 )
+            data_path = (delta_paths(name, gen_id) if gen_id else self.paths)["data"]
             self.generations.append(
                 Generation(
-                    gen_id=info.gen_id,
-                    pages=delta_pages,
-                    index=delta_index,
-                    scheduler=self._make_scheduler(
-                        delta_pages, delta_paths(name, info.gen_id)["data"]
-                    ),
-                    data_path=delta_paths(name, info.gen_id)["data"],
+                    gen_id=gen_id,
+                    pages=pages,
+                    index=index,
+                    scheduler=self._make_scheduler(pages, data_path),
+                    data_path=data_path,
                     extent=info.extent,
                 )
             )
             for pid, part in info.partition_of_page().items():
-                self._partition_of_page[PageKey(info.gen_id, pid)] = part
+                self._partition_of_page[PageKey(gen_id, pid)] = part
         #: record id -> newest generation that tombstoned it (occurrences in
         #: strictly older generations are invisible)
         self._tombstone_gen: Dict[int, int] = manifest.tombstone_generations()
@@ -428,18 +419,16 @@ class SpatialDataStore:
                 attempt += 1
 
         def _read_file(path: str) -> bytes:
+            """Whole-file read, charged: retry backoff, open, one read."""
             nonlocal io_seconds, open_retries
             data, waited, r = read_file_with_retry(fs, path, policy)
             io_seconds += waited
             open_retries += r
+            io_seconds += fs.open_time()
+            io_seconds += fs.read_time(path, [ReadRequest(0, ((0, len(data)),))])
             return data
 
-        manifest_raw = _read_file(paths["manifest"])
-        io_seconds += fs.open_time()
-        io_seconds += fs.read_time(
-            paths["manifest"], [ReadRequest(0, ((0, len(manifest_raw)),))]
-        )
-        manifest = StoreManifest.from_json(manifest_raw.decode("utf-8"))
+        manifest = StoreManifest.from_json(_read_file(paths["manifest"]).decode("utf-8"))
 
         def _read_container(path: str) -> Tuple[StoreHeader, List[PageMeta]]:
             """Header → page directory + checksum tail of one container."""
@@ -467,39 +456,25 @@ class SpatialDataStore:
                 pages = [replace(meta, crc32=crc) for meta, crc in zip(pages, crcs)]
             return header, pages
 
-        def _read_index(path: str) -> STRtree:
-            nonlocal io_seconds
-            raw = _read_file(path)
-            io_seconds += fs.open_time()
-            io_seconds += fs.read_time(path, [ReadRequest(0, ((0, len(raw)),))])
-            return load_index(raw)
-
-        header, pages = _read_container(paths["data"])
-        if header.num_pages != manifest.num_pages or header.num_records != manifest.num_records:
-            raise StoreFormatError(
-                f"manifest and container disagree for store {name!r}: "
-                f"{manifest.num_pages}/{manifest.num_records} vs "
-                f"{header.num_pages}/{header.num_records} pages/records"
-            )
-        index = _read_index(paths["index"])
-
-        deltas: List[Tuple[GenerationInfo, List[PageMeta], STRtree]] = []
-        for info in manifest.generations:
-            if info.num_pages == 0:
+        #: one (page directory, packed index) pair per generation, base first
+        generations: List[Tuple[List[PageMeta], STRtree]] = []
+        for info in [manifest, *manifest.generations]:
+            base = info is manifest
+            if not base and info.num_pages == 0:
                 # tombstone-only generation: no delta files were written
-                deltas.append((info, [], STRtree([])))
+                generations.append(([], STRtree([])))
                 continue
-            dpaths = delta_paths(name, info.gen_id)
-            dheader, delta_pages = _read_container(dpaths["data"])
-            if dheader.num_pages != info.num_pages:
+            gen_paths = paths if base else delta_paths(name, info.gen_id)
+            header, pages = _read_container(gen_paths["data"])
+            if (header.num_pages, header.num_records) != (info.num_pages, info.num_records):
                 raise StoreFormatError(
-                    f"manifest and delta container disagree for generation "
-                    f"{info.gen_id} of store {name!r}: {info.num_pages} vs "
-                    f"{dheader.num_pages} pages"
+                    f"manifest and container {gen_paths['data']!r} disagree for "
+                    f"store {name!r}: {info.num_pages}/{info.num_records} vs "
+                    f"{header.num_pages}/{header.num_records} pages/records"
                 )
-            deltas.append((info, delta_pages, _read_index(dpaths["index"])))
+            generations.append((pages, load_index(_read_file(gen_paths["index"]))))
 
-        store = cls(fs, name, manifest, pages, index, deltas, **serving)
+        store = cls(fs, name, manifest, generations, **serving)
         store.stats.io_seconds = io_seconds
         store.stats.retries = open_retries
         return store
@@ -596,6 +571,9 @@ class SpatialDataStore:
             by_gen.setdefault(key.generation, []).append(key.page_id)
 
         tracer = self.tracer
+        # spans open unconditionally (the null tracer hands back one shared
+        # scope); only the attribute computation sits behind the flag
+        traced = tracer.enabled
         out: Dict[PageKey, CachedPage] = {}
         bad: List[Tuple[PageKey, Exception]] = []
         for gen_id in sorted(by_gen):
@@ -609,26 +587,23 @@ class SpatialDataStore:
                 is_cached=lambda pid, g=gen_id: PageKey(g, pid) in self._cache,
             )
 
-            if tracer.enabled:
-                for run in schedule.runs:
-                    with tracer.span(
-                        "io",
-                        generation=gen_id,
-                        pages=list(run.page_ids),
-                        num_pages=len(run.page_ids),
-                        nbytes=run.nbytes,
-                        prefetched=run.num_prefetched,
-                        policy=self.io_policy,
-                        gap=gen.scheduler.gap,
-                        prefetch_stop=schedule.prefetch_stop,
-                    ) as span:
+            for run in schedule.runs:
+                with tracer.span("io") as span:
+                    if traced:
+                        span.set(
+                            generation=gen_id,
+                            pages=list(run.page_ids),
+                            num_pages=len(run.page_ids),
+                            nbytes=run.nbytes,
+                            prefetched=run.num_prefetched,
+                            policy=self.io_policy,
+                            gap=gen.scheduler.gap,
+                            prefetch_stop=schedule.prefetch_stop,
+                        )
                         before = self.stats.retries
-                        self._read_run(gen, gen_id, run, out, bad)
-                        if self.stats.retries > before:
-                            span.set(retries=int(self.stats.retries - before))
-            else:
-                for run in schedule.runs:
                     self._read_run(gen, gen_id, run, out, bad)
+                    if traced and self.stats.retries > before:
+                        span.set(retries=int(self.stats.retries - before))
 
             self.stats.io_seconds += self.fs.read_time(
                 gen.data_path, [schedule.read_request()]
@@ -741,20 +716,13 @@ class SpatialDataStore:
                     bad.append((key, exc))
             return
 
-    @staticmethod
-    def _page_key(key: Union[PageKey, Tuple[int, int], int]) -> PageKey:
-        """Normalise a page address: a bare int means the base generation."""
-        if isinstance(key, tuple):
-            return PageKey(*key)
-        return PageKey(0, key)
-
     def _get_pages(
         self,
-        page_ids: Iterable[Union[PageKey, int]],
+        page_ids: Iterable[PageKey],
         failed: Optional[List[Tuple[PageKey, Exception]]] = None,
     ) -> Dict[PageKey, CachedPage]:
-        """Resolve *page_ids* (``PageKey`` or bare base-generation ints) to
-        cached page images, fetching misses in coalesced runs.  The returned
+        """Resolve *page_ids* (:class:`PageKey` addresses) to cached page
+        images, fetching misses in coalesced runs.  The returned
         dict holds strong references keyed by :class:`PageKey`, so the
         caller can evaluate against every page even when the cache is
         smaller than the working set.
@@ -769,7 +737,7 @@ class SpatialDataStore:
         with tracer.span("schedule") as span:
             out: Dict[PageKey, CachedPage] = {}
             missing: List[PageKey] = []
-            for key in sorted({self._page_key(k) for k in page_ids}):
+            for key in sorted(set(page_ids)):
                 if self._quarantined and key in self._quarantined:
                     self._fail_quarantined(key, failed)
                     continue

@@ -29,11 +29,10 @@ per-shard store engines and the record-id de-dup.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Envelope
 from ..obs.metrics import Histogram
@@ -75,9 +74,7 @@ class FrontendResult:
     #: virtual makespan of the whole call (max rank end - min rank start)
     makespan: float
     max_in_flight: int
-    #: whether the window was chosen adaptively from observed phase overlap
-    adaptive: bool = False
-    #: the window in effect at each batch submission, fixed windows included
+    #: the window in effect at each batch submission
     #: (``store.frontend.window_mean`` of the benchmark is its mean)
     windows: List[int] = field(default_factory=list)
 
@@ -142,35 +139,11 @@ class AsyncStoreFrontend:
     ``server.phase_breakdown()`` covers async-served traffic too.
     """
 
-    def __init__(
-        self,
-        server: DistributedStoreServer,
-        max_in_flight: Union[int, str] = 4,
-        adaptive_cap: int = 16,
-    ) -> None:
-        """``max_in_flight`` is either a fixed window (``>= 1``) or the
-        string ``"adaptive"``: rank 0 then picks the window per batch from
-        the observed phase overlap — the ratio of drain time (local query +
-        gather of the oldest batch) to submit time (route + scatter of the
-        next) — clamped to ``[1, adaptive_cap]``.  A window of
-        ``1 + drain/submit`` is the steady-state pipeline depth at which
-        rank 0 can keep routing while the serving ranks stay busy; a larger
-        window only grows queueing latency.  The per-phase observations ride
-        the registry histograms ``frontend.submit_seconds`` and
-        ``frontend.drain_seconds``.  Results are bit-identical either way —
-        the window changes only *when* rank 0 gathers, never what is
-        computed.
-        """
+    def __init__(self, server: DistributedStoreServer, max_in_flight: int = 4) -> None:
+        if not isinstance(max_in_flight, int) or max_in_flight < 1:
+            raise ValueError("max_in_flight must be an integer >= 1")
         self.server = server
-        self.adaptive = max_in_flight == "adaptive"
-        if self.adaptive:
-            if adaptive_cap < 1:
-                raise ValueError("adaptive_cap must be >= 1")
-            self.max_in_flight: int = adaptive_cap
-        else:
-            if not isinstance(max_in_flight, int) or max_in_flight < 1:
-                raise ValueError("max_in_flight must be >= 1 or 'adaptive'")
-            self.max_in_flight = max_in_flight
+        self.max_in_flight = max_in_flight
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -181,29 +154,6 @@ class AsyncStoreFrontend:
     def _data_tag(batch_id: int) -> int:
         return _TAG_BASE + 2 * batch_id + 1
 
-    def _bcast_header(
-        self,
-        batches: Optional[Sequence[Sequence[Tuple[Any, Envelope]]]],
-        partial_ok: bool,
-        deadline: Optional[float],
-    ) -> Tuple[int, bool, Optional[float]]:
-        """Broadcast rank 0's ``(num_batches, partial_ok, deadline)``.
-
-        Validation is collective: the header carries None when rank 0 got
-        no batches, so every rank raises together instead of rank 0 bailing
-        out while its peers block in the bcast (SPMD005)."""
-        comm = self.server.comm
-        header = comm.bcast(
-            (len(batches), partial_ok, deadline)
-            if comm.rank == 0 and batches is not None
-            else None,
-            root=0,
-        )
-        if header is None:
-            raise ValueError("rank 0 must supply the batch sequence")
-        return header
-
-    # ------------------------------------------------------------------ #
     def serve(
         self,
         batches: Optional[Sequence[Sequence[Tuple[Any, Envelope]]]],
@@ -226,9 +176,18 @@ class AsyncStoreFrontend:
         server = self.server
         comm = server.comm
         clock = comm.clock
-        num_batches, partial_ok, deadline = self._bcast_header(
-            batches, partial_ok, deadline
+        # Validation is collective: the header carries None when rank 0 got
+        # no batches, so every rank raises together instead of rank 0 bailing
+        # out while its peers block in the bcast (SPMD005).
+        header = comm.bcast(
+            (len(batches), partial_ok, deadline)
+            if comm.rank == 0 and batches is not None
+            else None,
+            root=0,
         )
+        if header is None:
+            raise ValueError("rank 0 must supply the batch sequence")
+        num_batches, partial_ok, deadline = header
         outcome = partial_ok or deadline is not None
         start = clock.now
 
@@ -271,26 +230,14 @@ class AsyncStoreFrontend:
         server = self.server
         tracer = server.tracer
         latency_hist = server.metrics.histogram("frontend.batch_latency_seconds")
+        window = self.max_in_flight
 
         results: List[Any] = [[] for _ in range(num_batches)]
         metrics: List[Optional[BatchMetrics]] = [None] * num_batches
         #: (batch_id, rank-0 plan entries, submit time) routed but not gathered
         in_flight: Deque[Tuple[int, List[Tuple[int, Any, Envelope]], float]] = deque()
 
-        # adaptive pipelining: observe how long it takes to submit a batch
-        # (route + scatter) vs to drain the oldest one (local query + peer
-        # gather + de-dup) and keep 1 + drain/submit batches in flight —
-        # enough that rank 0 never starves the serving ranks, no more
-        adaptive = self.adaptive
-        window = min(2, self.max_in_flight) if adaptive else self.max_in_flight
-        submit_hist = server.metrics.histogram("frontend.submit_seconds")
-        drain_hist = server.metrics.histogram("frontend.drain_seconds")
-        submit_ema = drain_ema = 0.0
-        windows_used: List[int] = []
-
         def complete_oldest() -> None:
-            nonlocal drain_ema
-            drain_start = clock.now
             batch_id, own_entries, submitted = in_flight.popleft()
             payloads = [
                 server._local_phase(
@@ -316,9 +263,6 @@ class AsyncStoreFrontend:
                 completed=clock.now,
             )
             latency_hist.record(metrics[batch_id].latency)
-            drained = clock.now - drain_start
-            drain_hist.record(drained)
-            drain_ema = drained if drain_ema == 0.0 else 0.5 * (drain_ema + drained)
 
         with ExitStack() as stack:
             if tracer.enabled:
@@ -331,15 +275,6 @@ class AsyncStoreFrontend:
                     )
                 )
             for b in range(num_batches):
-                if adaptive and submit_ema > 0.0:
-                    window = max(
-                        1,
-                        min(
-                            self.max_in_flight,
-                            1 + math.ceil(drain_ema / submit_ema),
-                        ),
-                    )
-                windows_used.append(window)
                 while len(in_flight) >= window:
                     complete_oldest()
                 submitted = clock.now
@@ -363,13 +298,6 @@ class AsyncStoreFrontend:
                         sspan.set(batch=b)
                 server._charge_phase("scatter", t)
                 in_flight.append((b, plan[0], submitted))
-                submit_took = clock.now - submitted
-                submit_hist.record(submit_took)
-                submit_ema = (
-                    submit_took
-                    if submit_ema == 0.0
-                    else 0.5 * (submit_ema + submit_took)
-                )
             while in_flight:
                 complete_oldest()
 
@@ -377,61 +305,6 @@ class AsyncStoreFrontend:
             batches=results,
             metrics=[m for m in metrics if m is not None],
             makespan=clock.now - start,  # refined with the allgathered spans
-            max_in_flight=max(windows_used, default=1) if adaptive
-            else self.max_in_flight,
-            adaptive=adaptive,
-            windows=windows_used,
-        )
-
-    # ------------------------------------------------------------------ #
-    def serve_sequential(
-        self,
-        batches: Optional[Sequence[Sequence[Tuple[Any, Envelope]]]],
-        exact: bool = True,
-        partial_ok: bool = False,
-        deadline: Optional[float] = None,
-    ) -> Optional[FrontendResult]:
-        """The comparison baseline: the same batches submitted one by one
-        through the server's strict collective path (collective; identical
-        results, no overlap).  Metrics use the same definitions as
-        :meth:`serve`, so the two are directly comparable.
-        """
-        comm = self.server.comm
-        clock = comm.clock
-        num_batches, partial_ok, deadline = self._bcast_header(
-            batches, partial_ok, deadline
-        )
-        start = clock.now
-
-        results: List[Any] = []
-        metrics: List[BatchMetrics] = []
-        latency_hist = self.server.metrics.histogram("frontend.batch_latency_seconds")
-        for b in range(num_batches):
-            submitted = clock.now
-            batch = list(batches[b]) if comm.rank == 0 else None
-            hits = self.server.range_query_batch(
-                batch, exact=exact, partial_ok=partial_ok, deadline=deadline
-            )
-            if comm.rank == 0:
-                results.append(hits if hits is not None else [])
-                metrics.append(
-                    BatchMetrics(
-                        batch_id=b,
-                        num_queries=len(batch or []),
-                        num_hits=len(hits or []),
-                        submitted=submitted,
-                        completed=clock.now,
-                    )
-                )
-                latency_hist.record(metrics[-1].latency)
-
-        end = clock.now
-        spans = comm.allgather((start, end))
-        if comm.rank != 0:
-            return None
-        return FrontendResult(
-            batches=results,
-            metrics=metrics,
-            makespan=max(e for _, e in spans) - min(s for s, _ in spans),
-            max_in_flight=1,
+            max_in_flight=window,
+            windows=[window] * num_batches,
         )

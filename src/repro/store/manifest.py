@@ -333,7 +333,7 @@ class ShardInfo:
     #: delta generations currently stacked on the shard store (0 = compact)
     num_generations: int = 0
     #: read-replica store names in failover order (full copies of the shard
-    #: store, written by ``ShardedStoreWriter(read_replicas=n)`` and kept in
+    #: store, written by ``sharded_bulk_load(read_replicas=n)`` and kept in
     #: sync by the sharded appender/compactor)
     replica_stores: List[str] = field(default_factory=list)
 

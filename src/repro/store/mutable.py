@@ -70,6 +70,7 @@ from .manifest import (
 )
 from .router import ShardRouter
 from .scheduler import DEFAULT_RETRY, read_file_with_retry
+from .sharded import read_shards_manifest
 from .writer import (
     BulkLoadResult,
     PackedPartitions,
@@ -184,8 +185,6 @@ class StoreAppender:
         self,
         fs: SimulatedFilesystem,
         name: str,
-        order: str = "hilbert",
-        node_capacity: int = 16,
         grid: Optional[UniformGrid] = None,
         allowed_partitions: Optional[Iterable[int]] = None,
         count_deletes: bool = True,
@@ -194,8 +193,6 @@ class StoreAppender:
     ) -> None:
         self.fs = fs
         self.name = name
-        self.order = order
-        self.node_capacity = node_capacity
         #: optional span recorder: append/compact phases show up on the same
         #: timeline as the serving spans when a shared tracer is injected
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -309,7 +306,7 @@ class StoreAppender:
                     self.allowed_partitions,
                     f"store {self.name!r}",
                 )
-                packed = pack_partitions(cells, grid, manifest.page_size, self.order)
+                packed = pack_partitions(cells, grid, manifest.page_size)
 
             write_seconds = 0.0
             data_bytes = index_bytes = 0
@@ -319,7 +316,6 @@ class StoreAppender:
                     delta_paths(self.name, gen_id),
                     packed,
                     manifest.page_size,
-                    self.node_capacity,
                 )
 
             #: tombstoned ids actually re-stored in this generation (updates
@@ -381,11 +377,9 @@ class StoreAppender:
                 write_seconds=write_seconds,
             )
 
-    def compact(self, **kwargs) -> CompactionResult:
+    def compact(self) -> CompactionResult:
         """Merge this store's generations (see :func:`compact_store`)."""
-        kwargs.setdefault("tracer", self.tracer)
-        result = compact_store(self.fs, self.name, order=self.order,
-                               node_capacity=self.node_capacity, **kwargs)
+        result = compact_store(self.fs, self.name, tracer=self.tracer)
         self.manifest = result.manifest
         return result
 
@@ -400,16 +394,13 @@ def _rewrite_base(
     page_size: int,
     extent: Envelope,
     grid: UniformGrid,
-    node_capacity: int,
     next_record_id: int,
 ) -> BulkLoadResult:
     """Replace store *name*'s base container, index and manifest with
     *packed*, then drop the delta files of the generations the old manifest
     listed — they are merged into (or superseded by) the new base."""
     merged = _read_manifest(fs, name).generations
-    result = write_store_files(
-        fs, name, packed, page_size, extent, grid, node_capacity, next_record_id
-    )
+    result = write_store_files(fs, name, packed, page_size, extent, grid, next_record_id)
     for info in merged:
         if info.num_pages:
             for path in delta_paths(name, info.gen_id).values():
@@ -422,10 +413,6 @@ def _repack(
     name: str,
     old: StoreManifest,
     records: List[Tuple[int, Geometry]],
-    order: str,
-    node_capacity: int,
-    page_size: Optional[int] = None,
-    num_partitions: Optional[int] = None,
 ) -> CompactionResult:
     """Re-partition and re-pack *records* — the visible content of the store
     described by *old* — as its new base, exactly like a fresh bulk load of
@@ -442,14 +429,10 @@ def _repack(
             ceiling = max(ceiling, max(info.tombstones, default=-1) + 1)
 
     _usable, grid, cells, _skipped, extent = partition_identified(
-        records,
-        num_partitions if num_partitions is not None else old.grid_rows * old.grid_cols,
+        records, old.grid_rows * old.grid_cols
     )
-    page_size = old.page_size if page_size is None else page_size
-    packed = pack_partitions(cells, grid, page_size, order)
-    written = _rewrite_base(
-        fs, name, packed, page_size, extent, grid, node_capacity, ceiling
-    )
+    packed = pack_partitions(cells, grid, old.page_size)
+    written = _rewrite_base(fs, name, packed, old.page_size, extent, grid, ceiling)
     return CompactionResult(
         manifest=written.manifest,
         merged_generations=len(old.generations),
@@ -461,33 +444,24 @@ def _repack(
     )
 
 
-def compact_store(
-    fs: SimulatedFilesystem,
-    name: str,
-    order: str = "hilbert",
-    node_capacity: int = 16,
-    page_size: Optional[int] = None,
-    num_partitions: Optional[int] = None,
-    tracer=None,
-) -> CompactionResult:
+def compact_store(fs: SimulatedFilesystem, name: str, tracer=None) -> CompactionResult:
     """Merge a store's base + delta generations into one SFC-packed
     container.
 
     The visible records (tombstones applied, newest generation winning) are
     re-partitioned and re-packed exactly like a fresh bulk load of the same
-    records — logical record ids preserved, the id ceiling carried over so
-    future appends never recycle a deleted id — and the merged delta files
-    are deleted.  Query results are identical before and after; per-query
-    I/O (read requests, pages read) returns to fresh-bulk-load shape.
+    records with the store's own page size and partition count — logical
+    record ids preserved, the id ceiling carried over so future appends never
+    recycle a deleted id — and the merged delta files are deleted.  Query
+    results are identical before and after; per-query I/O (read requests,
+    pages read) returns to fresh-bulk-load shape.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("compact", store=name) as span:
         with SpatialDataStore.open(fs, name) as store:
             records = list(store.scan())
             old_manifest = store.manifest
-        result = _repack(
-            fs, name, old_manifest, records, order, node_capacity, page_size, num_partitions
-        )
+        result = _repack(fs, name, old_manifest, records)
         if tracer.enabled:
             span.set(
                 merged_generations=result.merged_generations,
@@ -498,12 +472,7 @@ def compact_store(
         return result
 
 
-def upgrade_store(
-    fs: SimulatedFilesystem,
-    name: str,
-    order: str = "hilbert",
-    node_capacity: int = 16,
-) -> CompactionResult:
+def upgrade_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
     """Rewrite a store whose base container uses the retired v1 page layout
     in the current one — offline, once; ``open`` refuses v1 containers.
 
@@ -542,7 +511,7 @@ def upgrade_store(
             )
         for rid, geom in decode_page(payload, 1):
             records.setdefault(rid, geom)  # replicas of one record are identical
-    return _repack(fs, name, manifest, list(records.items()), order, node_capacity)
+    return _repack(fs, name, manifest, list(records.items()))
 
 
 def _derive_id_ceiling(fs: SimulatedFilesystem, name: str) -> int:
@@ -616,25 +585,10 @@ class ShardedStoreAppender:
     record can never resurface from a replica in a non-home shard.
     """
 
-    def __init__(
-        self,
-        fs: SimulatedFilesystem,
-        name: str,
-        order: str = "hilbert",
-        node_capacity: int = 16,
-    ) -> None:
+    def __init__(self, fs: SimulatedFilesystem, name: str) -> None:
         self.fs = fs
         self.name = name
-        self.order = order
-        self.node_capacity = node_capacity
-        path = shards_path(name)
-        if not fs.exists(path):
-            raise FileNotFoundError(
-                f"sharded store {name!r} is missing {path!r}; "
-                f"run ShardedStoreWriter.load first"
-            )
-        raw, _, _ = read_file_with_retry(fs, path, DEFAULT_RETRY)
-        self.manifest = ShardsManifest.from_json(raw.decode("utf-8"))
+        self.manifest, _ = read_shards_manifest(fs, name)
 
     # ------------------------------------------------------------------ #
     def _adopt_partition(self, home: int, p2s: Dict[int, int]) -> int:
@@ -695,8 +649,6 @@ class ShardedStoreAppender:
                 appender = StoreAppender(
                     self.fs,
                     store,
-                    order=self.order,
-                    node_capacity=self.node_capacity,
                     grid=router.grid,
                     allowed_partitions=shard.partition_ids,
                     count_deletes=False,
@@ -738,22 +690,8 @@ class ShardedStoreAppender:
         )
         return result
 
-    def compact(self, **kwargs) -> ShardedCompactionResult:
-        """Compact every shard (see :func:`compact_sharded_store`)."""
-        result = compact_sharded_store(
-            self.fs, self.name, order=self.order,
-            node_capacity=self.node_capacity, **kwargs
-        )
-        self.manifest = result.manifest
-        return result
 
-
-def compact_sharded_store(
-    fs: SimulatedFilesystem,
-    name: str,
-    order: str = "hilbert",
-    node_capacity: int = 16,
-) -> ShardedCompactionResult:
+def compact_sharded_store(fs: SimulatedFilesystem, name: str) -> ShardedCompactionResult:
     """Compact every shard of a sharded store and refresh ``shards.json``.
 
     Each shard's visible records are re-packed against the **global** grid
@@ -762,9 +700,7 @@ def compact_sharded_store(
     and counts are recomputed from the compacted shards and the global
     record count from the union of surviving record ids.
     """
-    path = shards_path(name)
-    raw, _, _ = read_file_with_retry(fs, path, DEFAULT_RETRY)
-    manifest = ShardsManifest.from_json(raw.decode("utf-8"))
+    manifest, _ = read_shards_manifest(fs, name)
     _recover_global_ceiling(fs, manifest)
     router = ShardRouter(manifest)
     grid = router.grid
@@ -786,7 +722,7 @@ def compact_sharded_store(
             set(shard.partition_ids),
             f"shard {shard.shard_id}",
         )
-        packed = pack_partitions(cells, grid, manifest.page_size, order)
+        packed = pack_partitions(cells, grid, manifest.page_size)
         # every read replica is rewritten from the same packed pages (and its
         # delta files dropped), so replicas never serve pre-compaction state
         for store_name in [shard.store, *shard.replica_stores]:
@@ -797,7 +733,6 @@ def compact_sharded_store(
                 manifest.page_size,
                 packed.data_extent,
                 grid,
-                node_capacity,
                 manifest.record_id_ceiling,
             ).write_seconds
         shard.extent = packed.data_extent
@@ -808,7 +743,7 @@ def compact_sharded_store(
 
     manifest.num_records = len(all_ids)
     manifest.version = SHARDS_VERSION  # next_record_id is a v2 feature
-    write_seconds += write_file(fs, path, manifest.to_json().encode("utf-8"))
+    write_seconds += write_file(fs, shards_path(name), manifest.to_json().encode("utf-8"))
 
     return ShardedCompactionResult(
         manifest=manifest,

@@ -193,10 +193,6 @@ class CachedPage:
                 self._on_decode(1)
         return self.record_ids[slot], geom
 
-    def view(self, slot: int) -> RecordView:
-        """A zero-copy :class:`RecordView` of one slot (the lazy hit path)."""
-        return RecordView(self, slot)
-
     def body_view(self, slot: int) -> memoryview:
         """Zero-copy ``memoryview`` of one record's encoded body bytes."""
         start = self.body_offsets[slot]

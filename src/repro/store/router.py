@@ -64,10 +64,6 @@ class ShardRouter:
         """Shards whose data extent intersects *window* (empty-safe)."""
         return self.manifest.shards_for(window)
 
-    def replicas_for(self, shard_id: int) -> List[str]:
-        """Read-replica store names of *shard_id*, in failover order."""
-        return list(self.manifest.shards[shard_id].replica_stores)
-
     def plan(
         self,
         queries: Sequence[Tuple[Any, Envelope]],

@@ -4,7 +4,7 @@ The single-process :class:`~repro.store.datastore.SpatialDataStore` serves a
 dataset from one page cache; the paper's end-to-end applications (§5–§6) are
 multi-rank.  This module closes the gap:
 
-* :class:`ShardedStoreWriter` splits one bulk load into per-rank shard
+* :func:`sharded_bulk_load` splits one bulk load into per-rank shard
   stores — contiguous runs of grid partitions balanced by record count, each
   shard a normal ``data.bin``/``index.bin``/``manifest.json`` triple — plus
   a top-level ``shards.json`` routing manifest.
@@ -48,6 +48,7 @@ from .manifest import (
     shards_path,
 )
 from .router import ShardRouter, shard_assignment
+from .scheduler import DEFAULT_RETRY, RetryPolicy, read_file_with_retry
 from .writer import (
     BulkLoadResult,
     pack_partitions,
@@ -62,7 +63,7 @@ __all__ = [
     "QueryResult",
     "ShardError",
     "ShardedLoadResult",
-    "ShardedStoreWriter",
+    "read_shards_manifest",
     "sharded_bulk_load",
 ]
 
@@ -158,7 +159,15 @@ def _contiguous_runs(counts: List[Tuple[int, int]], num_shards: int) -> List[Lis
     return runs
 
 
-class ShardedStoreWriter:
+def sharded_bulk_load(
+    fs: SimulatedFilesystem,
+    name: str,
+    geometries: Iterable[Geometry],
+    num_shards: int = 4,
+    num_partitions: int = 16,
+    page_size: int = 4096,
+    read_replicas: int = 0,
+) -> ShardedLoadResult:
     """Bulk-load one dataset as *num_shards* shard stores plus ``shards.json``.
 
     The dataset is grid-partitioned **once** (replication included, exactly
@@ -167,126 +176,102 @@ class ShardedStoreWriter:
     and each run is persisted as a self-contained store under
     ``stores/<name>/shard-NNNN/``.  Partition ids in the shard manifests stay
     *global*, so a shard's query results report the same partitions a
-    single-store load would.
+    single-store load would.  *read_replicas* writes that many full copies
+    of every shard store for serving-time failover.
     """
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
+    if page_size < 64:
+        raise ValueError("page_size must be >= 64 bytes")
+    if read_replicas < 0:
+        raise ValueError("read_replicas must be >= 0")
 
-    def __init__(
-        self,
-        fs: SimulatedFilesystem,
-        name: str,
-        num_shards: int = 4,
-        num_partitions: int = 16,
-        page_size: int = 4096,
-        node_capacity: int = 16,
-        order: str = "hilbert",
-        read_replicas: int = 0,
-    ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if page_size < 64:
-            raise ValueError("page_size must be >= 64 bytes")
-        if read_replicas < 0:
-            raise ValueError("read_replicas must be >= 0")
-        self.fs = fs
-        self.name = name
-        self.num_shards = num_shards
-        self.num_partitions = num_partitions
-        self.page_size = page_size
-        self.node_capacity = node_capacity
-        self.order = order
-        self.read_replicas = read_replicas
+    usable, grid, cells, skipped, extent = partition_records(geometries, num_partitions)
+    # global id ceiling (ids are positional): recorded in every shard
+    # manifest and in shards.json so appends allocate above it
+    next_record_id = len(usable) + skipped
+    counts = [(cid, len(cells[cid])) for cid in sorted(cells)]
+    runs = _contiguous_runs(counts, num_shards)
 
-    # ------------------------------------------------------------------ #
-    def load(self, geometries: Iterable[Geometry]) -> ShardedLoadResult:
-        usable, grid, cells, skipped, extent = partition_records(
-            geometries, self.num_partitions
-        )
-        # global id ceiling (ids are positional): recorded in every shard
-        # manifest and in shards.json so appends allocate above it
-        next_record_id = len(usable) + skipped
-        counts = [(cid, len(cells[cid])) for cid in sorted(cells)]
-        runs = _contiguous_runs(counts, self.num_shards)
+    shard_infos: List[ShardInfo] = []
+    shard_results: List[BulkLoadResult] = []
+    total_replicas = 0
+    write_seconds = 0.0
 
-        shard_infos: List[ShardInfo] = []
-        shard_results: List[BulkLoadResult] = []
-        total_replicas = 0
-        write_seconds = 0.0
-
-        for shard_id, run in enumerate(runs):
-            shard_cells = {cid: cells[cid] for cid in run}
-            packed = pack_partitions(shard_cells, grid, self.page_size, self.order)
-            store = shard_store_name(self.name, shard_id)
-            # read replicas: full copies of the shard store under distinct
-            # names, written from the same packed pages so they are
-            # byte-identical and any copy can substitute at serving time
-            replica_names = [
-                replica_store_name(self.name, shard_id, r)
-                for r in range(self.read_replicas)
-            ]
-            copies = [
-                write_store_files(
-                    self.fs,
-                    copy,
-                    packed,
-                    self.page_size,
-                    packed.data_extent,
-                    grid,
-                    self.node_capacity,
-                    next_record_id,
-                )
-                for copy in [store, *replica_names]
-            ]
-            for written in copies:
-                write_seconds += written.write_seconds
-            total_replicas += packed.num_replicas
-            shard_infos.append(
-                ShardInfo(
-                    shard_id=shard_id,
-                    store=store,
-                    partition_ids=list(run),
-                    extent=packed.data_extent,
-                    num_records=len(packed.record_ids),
-                    num_replicas=packed.num_replicas,
-                    num_pages=len(packed.page_metas),
-                    replica_stores=replica_names,
-                )
+    for shard_id, run in enumerate(runs):
+        shard_cells = {cid: cells[cid] for cid in run}
+        packed = pack_partitions(shard_cells, grid, page_size)
+        store = shard_store_name(name, shard_id)
+        # read replicas: full copies of the shard store under distinct
+        # names, written from the same packed pages so they are
+        # byte-identical and any copy can substitute at serving time
+        replica_names = [replica_store_name(name, shard_id, r) for r in range(read_replicas)]
+        copies = [
+            write_store_files(
+                fs, copy, packed, page_size, packed.data_extent, grid, next_record_id
             )
-            shard_results.append(copies[0])
-
-        shards_manifest = ShardsManifest(
-            name=self.name,
-            page_size=self.page_size,
-            num_records=len(usable),
-            extent=extent,
-            grid_rows=grid.rows,
-            grid_cols=grid.cols,
-            shards=shard_infos,
-            next_record_id=next_record_id,
+            for copy in [store, *replica_names]
+        ]
+        for written in copies:
+            write_seconds += written.write_seconds
+        total_replicas += packed.num_replicas
+        shard_infos.append(
+            ShardInfo(
+                shard_id=shard_id,
+                store=store,
+                partition_ids=list(run),
+                extent=packed.data_extent,
+                num_records=len(packed.record_ids),
+                num_replicas=packed.num_replicas,
+                num_pages=len(packed.page_metas),
+                replica_stores=replica_names,
+            )
         )
-        write_seconds += write_file(
-            self.fs, shards_path(self.name), shards_manifest.to_json().encode("utf-8")
+        shard_results.append(copies[0])
+
+    manifest = ShardsManifest(
+        name=name,
+        page_size=page_size,
+        num_records=len(usable),
+        extent=extent,
+        grid_rows=grid.rows,
+        grid_cols=grid.cols,
+        shards=shard_infos,
+        next_record_id=next_record_id,
+    )
+    write_seconds += write_file(fs, shards_path(name), manifest.to_json().encode("utf-8"))
+
+    return ShardedLoadResult(
+        manifest=manifest,
+        shard_results=shard_results,
+        num_records=len(usable),
+        num_replicas=total_replicas,
+        num_shards=num_shards,
+        skipped_empty=skipped,
+        write_seconds=write_seconds,
+    )
+
+
+def read_shards_manifest(
+    fs: SimulatedFilesystem, name: str, policy: RetryPolicy = DEFAULT_RETRY
+) -> Tuple[ShardsManifest, float]:
+    """Read sharded store *name*'s ``shards.json`` — the one reader of that
+    file, shared by serving, appends and compaction.
+
+    Transient faults are absorbed under *policy* (exhausted attempts raise
+    :class:`~repro.store.format.StoreError` naming the path).  Returns the
+    manifest and the simulated seconds the read cost: retry backoff plus the
+    open and the whole-file read.
+    """
+    path = shards_path(name)
+    if not fs.exists(path):
+        raise FileNotFoundError(
+            f"sharded store {name!r} is missing {path!r}; run sharded_bulk_load first"
         )
-
-        return ShardedLoadResult(
-            manifest=shards_manifest,
-            shard_results=shard_results,
-            num_records=len(usable),
-            num_replicas=total_replicas,
-            num_shards=self.num_shards,
-            skipped_empty=skipped,
-            write_seconds=write_seconds,
-        )
-
-
-def sharded_bulk_load(
-    fs: SimulatedFilesystem,
-    name: str,
-    geometries: Iterable[Geometry],
-    num_shards: int = 4,
-    **options: Any,
-) -> ShardedLoadResult:
-    """Convenience wrapper over :class:`ShardedStoreWriter`."""
-    return ShardedStoreWriter(fs, name, num_shards=num_shards, **options).load(geometries)
+    raw, seconds, _ = read_file_with_retry(fs, path, policy)
+    seconds += fs.open_time()
+    seconds += fs.read_time(path, [ReadRequest(0, ((0, len(raw)),))])
+    return ShardsManifest.from_json(raw.decode("utf-8")), seconds
 
 
 # --------------------------------------------------------------------------- #
@@ -431,31 +416,23 @@ class DistributedStoreServer:
         ``Tracer(clock=comm.clock, rank=comm.rank)``); the default null
         tracer keeps serving allocation-free.  *metrics* supplies a
         server-level registry (per-shard query heat lands there)."""
-        # A missing shards.json rides the manifest broadcast instead of
-        # raising on rank 0 alone (SPMD005): every rank learns the path is
-        # absent from the same bcast and raises in lockstep, rather than
+        # A missing or unreadable shards.json rides the manifest broadcast
+        # instead of raising on rank 0 alone (SPMD005): every rank learns of
+        # the failure from the same bcast and raises in lockstep, rather than
         # workers blocking in a collective their root already abandoned.
         manifest: Optional[ShardsManifest] = None
-        missing: Optional[str] = None
+        error: Optional[Exception] = None
         if comm.rank == 0:
-            path = shards_path(name)
-            if not fs.exists(path):
-                missing = path
-            else:
-                with fs.open(path) as fh:
-                    raw = fh.pread(0, fh.size)
-                comm.clock.advance(fs.open_time(), category="io")
-                comm.clock.advance(
-                    fs.read_time(path, [ReadRequest(0, ((0, len(raw)),))]),
-                    category="io",
+            try:
+                manifest, seconds = read_shards_manifest(
+                    fs, name, options.get("retry_policy") or DEFAULT_RETRY
                 )
-                manifest = ShardsManifest.from_json(raw.decode("utf-8"))
-        manifest, missing = comm.bcast((manifest, missing), root=0)
-        if missing is not None:
-            raise FileNotFoundError(
-                f"sharded store {name!r} is missing {missing!r}; "
-                f"run ShardedStoreWriter.load first"
-            )
+                comm.clock.advance(seconds, category="io")
+            except (FileNotFoundError, StoreError) as exc:
+                error = exc
+        manifest, error = comm.bcast((manifest, error), root=0)
+        if error is not None:
+            raise error
         return cls(comm, fs, manifest, **options)
 
     def close(self) -> None:
@@ -589,20 +566,11 @@ class DistributedStoreServer:
     def _store_io_seconds(self) -> float:
         return sum(store.stats.io_seconds for store in self.stores.values())
 
-    def phase_breakdown(self, reduce: str = "max") -> Dict[str, float]:
-        """Per-phase simulated seconds, reduced over all ranks (collective).
-
-        ``reduce="max"`` reports the per-phase maximum over ranks — the same
-        convention as the paper's stacked phase plots; ``"sum"`` totals them.
-        """
-        if reduce not in ("max", "sum"):
-            raise ValueError(f"unknown reduce {reduce!r} (use 'max' or 'sum')")
+    def phase_breakdown(self) -> Dict[str, float]:
+        """Per-phase simulated seconds, the maximum over all ranks
+        (collective) — the convention of the paper's stacked phase plots."""
         gathered = self.comm.allgather(dict(self.phases))
-        agg: Dict[str, float] = {}
-        for name in SERVING_PHASES:
-            values = [g.get(name, 0.0) for g in gathered]
-            agg[name] = max(values) if reduce == "max" else sum(values)
-        return agg
+        return {name: max(g[name] for g in gathered) for name in SERVING_PHASES}
 
     def aggregate_stats(self) -> Dict[str, Any]:
         """Serving statistics aggregated across all ranks (collective).

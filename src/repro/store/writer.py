@@ -83,19 +83,6 @@ class _Rec:
         self.geom = geom
 
 
-def _order_indices(recs: Sequence["_Rec"], extent: Envelope, order: str) -> List[int]:
-    """Spatial ordering of a partition's records (by envelope centre) — the
-    same shared visit-order rule the query engine applies to batch windows."""
-    try:
-        return spatial_visit_order([r.envelope.centre for r in recs], extent, curve=order)
-    except ValueError:
-        # deliberate message rewrite: the original "unknown curve" error adds
-        # nothing for bulk-load callers, so suppress the chained context
-        raise ValueError(
-            f"unknown record order {order!r} (use hilbert, zorder or none)"
-        ) from None
-
-
 @dataclass
 class PackedPartitions:
     """In-memory image of a store's data file (pages + metadata + index input)."""
@@ -120,11 +107,13 @@ def pack_partitions(
     cells: Mapping[int, Sequence["_Rec"]],
     grid: UniformGrid,
     page_size: int,
-    order: str = "hilbert",
 ) -> PackedPartitions:
     """Pack pre-partitioned records into pages (the partition→page half of a
     bulk load).  *cells* maps global grid cell ids to their record replicas;
-    pages never span partitions and page ids are local to this pack.
+    pages never span partitions and page ids are local to this pack.  Within
+    a partition records are laid out in Hilbert order of their envelope
+    centres — the shared visit-order rule the query engine applies to batch
+    windows.
 
     Each record's envelope-column entry is counted against the page-size
     budget, so a page payload never exceeds ``page_size`` plus the count
@@ -137,7 +126,7 @@ def pack_partitions(
 
     for cell_id in sorted(cells):
         part_recs = cells[cell_id]
-        ordering = _order_indices(part_recs, grid.extent, order)
+        ordering = spatial_visit_order([r.envelope.centre for r in part_recs], grid.extent)
         part = PartitionInfo(
             partition_id=cell_id,
             cell_mbr=grid.cell_by_id(cell_id).envelope,
@@ -209,11 +198,11 @@ def write_generation(
     paths: Mapping[str, str],
     packed: PackedPartitions,
     page_size: int,
-    node_capacity: int = 16,
     checksums: bool = True,
 ) -> Tuple[int, int, float]:
-    """Persist one generation — the page container, then its packed index —
-    under *paths* (:func:`~repro.store.manifest.store_paths` for a base,
+    """Persist one generation — the page container, then its packed index
+    (an STR tree of fan-out 16) — under *paths*
+    (:func:`~repro.store.manifest.store_paths` for a base,
     :func:`~repro.store.manifest.delta_paths` for a delta).
 
     *checksums* appends the per-page CRC32 table after the page directory
@@ -230,7 +219,7 @@ def write_generation(
     data = header + b"".join(packed.payloads) + pack_page_directory(packed.page_metas)
     if checksums:
         data += pack_page_checksums(packed.page_metas)
-    index_blob = dump_index(STRtree(packed.index_entries, node_capacity=node_capacity))
+    index_blob = dump_index(STRtree(packed.index_entries))
     seconds = write_file(fs, paths["data"], data) + write_file(fs, paths["index"], index_blob)
     return len(data), len(index_blob), seconds
 
@@ -242,7 +231,6 @@ def write_store_files(
     page_size: int,
     extent: Envelope,
     grid: UniformGrid,
-    node_capacity: int = 16,
     next_record_id: Optional[int] = None,
     checksums: bool = True,
 ) -> BulkLoadResult:
@@ -255,7 +243,7 @@ def write_store_files(
     """
     paths = store_paths(name)
     data_bytes, index_bytes, write_seconds = write_generation(
-        fs, paths, packed, page_size, node_capacity, checksums
+        fs, paths, packed, page_size, checksums
     )
     manifest = StoreManifest(
         name=name,
@@ -333,8 +321,6 @@ def bulk_load(
     geometries: Iterable[Geometry],
     num_partitions: int = 16,
     page_size: int = 4096,
-    node_capacity: int = 16,
-    order: str = "hilbert",
     checksums: bool = True,
 ) -> BulkLoadResult:
     """Persist *geometries* as the named store on *fs*.
@@ -348,7 +334,7 @@ def bulk_load(
         raise ValueError("page_size must be >= 64 bytes")
 
     usable, grid, cells, skipped, extent = partition_records(geometries, num_partitions)
-    packed = pack_partitions(cells, grid, page_size, order)
+    packed = pack_partitions(cells, grid, page_size)
     result = write_store_files(
         fs,
         name,
@@ -356,7 +342,6 @@ def bulk_load(
         page_size,
         extent,
         grid,
-        node_capacity,
         # ids are positional, so skipped empties leave holes below this
         next_record_id=len(usable) + skipped,
         checksums=checksums,

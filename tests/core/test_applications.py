@@ -230,6 +230,44 @@ class TestRangeQuery:
                 got.add(match)
         assert got == expected
 
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("nprocs", [1, 2, 4])
+    def test_execute_honours_extent_margin(self, small_datasets, nprocs, margin):
+        # regression: execute ran a private copy of the partitioned pipeline
+        # that predated GridPartitionConfig.extent_margin, so the grid was
+        # always built over the unpadded extent
+        fs = small_datasets["fs"]
+        with fs.open(small_datasets["cemetery"]) as fh:
+            geoms = WKTParser().parse_buffer(fh.pread(0, fh.size))
+        queries = [(f"q{i}", geoms[i * 7].envelope.buffer(0.05)) for i in range(5)]
+        expected = sorted(
+            (qid, g.wkt())
+            for qid, window in queries
+            for g in geoms
+            if predicates.intersects(Polygon.from_envelope(window), g)
+        )
+        extent = Envelope.empty()
+        for env in [g.envelope for g in geoms] + [window for _, window in queries]:
+            extent = extent.union(env)
+        grid = UniformGrid.with_cell_count(
+            extent.buffer(max(extent.width, extent.height) * margin), 16
+        )
+        windows = dict(queries)
+
+        def prog(comm):
+            config = GridPartitionConfig(num_cells=16, extent_margin=margin)
+            return RangeQuery(fs, queries, grid_config=config).execute(
+                comm, small_datasets["cemetery"]
+            )
+
+        matches = [m for chunk in mpisim.run_spmd(prog, nprocs).values for m in chunk]
+        assert sorted((m.query_id, m.geometry.wkt()) for m in matches) == expected
+        # each match is reported by the cell of the *configured* grid that
+        # holds its duplicate-avoidance reference point
+        for m in matches:
+            ref = windows[m.query_id].intersection(m.geometry.envelope)
+            assert grid.cell_by_id(m.cell_id).envelope.contains_point(ref.minx, ref.miny)
+
     def test_empty_query_batch(self, small_datasets):
         fs = small_datasets["fs"]
 

@@ -235,11 +235,12 @@ class TestSpatialVisitOrder:
         assert set(VISIT_ORDER_CURVES) == {"hilbert", "zorder", "none"}
 
     def test_writer_ordering_routes_through_the_helper(self):
-        # the bulk loader's per-partition record order must be exactly the
-        # shared helper's order over the records' envelope centres
-        from repro.store.writer import _Rec, _order_indices
-
+        # the bulk loader's slot order inside a partition must be exactly the
+        # Hilbert order of the records' envelope centres (small pages, so the
+        # order is checked across page boundaries too)
         from repro.geometry import Point
+        from repro.store.format import VERSION, decode_page
+        from repro.store.writer import _Rec, pack_partitions
 
         rng = random.Random(23)
         recs = [
@@ -247,11 +248,9 @@ class TestSpatialVisitOrder:
             for i in range(60)
         ]
         extent = Envelope(0, 0, 50, 50)
-        centres = [r.envelope.centre for r in recs]
-        assert _order_indices(recs, extent, "hilbert") == \
-            sort_by_hilbert(centres, extent)
-        assert _order_indices(recs, extent, "zorder") == \
-            sort_by_zorder(centres, extent)
-        assert _order_indices(recs, extent, "none") == list(range(60))
-        with pytest.raises(ValueError, match="unknown record order"):
-            _order_indices(recs, extent, "spiral")
+        packed = pack_partitions({0: recs}, UniformGrid(extent, 1, 1), page_size=256)
+        assert len(packed.payloads) > 1
+        slot_order = [
+            rid for payload in packed.payloads for rid, _ in decode_page(payload, VERSION)
+        ]
+        assert slot_order == sort_by_hilbert([r.envelope.centre for r in recs], extent)

@@ -7,7 +7,7 @@ only the pages it touches — asserted via cache statistics.
 
 import pytest
 
-from repro.core import RangeQuery, join_with_store
+from repro.core import RangeQuery
 from repro.core.join import join_cell
 from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.core.reader import VectorIO
@@ -148,8 +148,8 @@ class TestJoinServing:
         probe_path = generate_dataset(fs, "cemetery", scale=0.5, config=SyntheticConfig(seed=99))
         probes = VectorIO(fs).sequential_read(probe_path).geometries
 
-        pairs = join_with_store(lakes_store, probes)
-        got = sorted((id(p), h.wkt()) for p, h in ((pair.left, pair.right) for pair in pairs))
+        pairs = lakes_store.join(probes)
+        got = sorted((id(probe), hit.geometry.wkt()) for probe, hit in pairs)
 
         # sequential reference: one giant cell covering everything, no dedup
         cell = GridCell(0, 0, 0, Envelope(-1e9, -1e9, 1e9, 1e9))
@@ -162,9 +162,9 @@ class TestJoinServing:
 
         probes = [Point(0, 0)]  # far corner; contains-style predicate
         join = SpatialJoin(fs, predicate=predicates.contains)
-        pairs = join.join_store(lakes_store, probes)
-        for pair in pairs:
-            assert predicates.contains(pair.left, pair.right)
+        pairs = lakes_store.join(probes, join.predicate)
+        for probe, hit in pairs:
+            assert predicates.contains(probe, hit.geometry)
 
 
 class TestQueryServing:
@@ -176,10 +176,9 @@ class TestQueryServing:
             )
         ]
         rq = RangeQuery(lakes_store.fs, queries)
-        matches = rq.execute_from_store(lakes_store)
         by_query = {}
-        for m in matches:
-            by_query.setdefault(m.query_id, []).append(m.geometry.wkt())
+        for (qid, _), hits in zip(rq.queries, lakes_store.range_query_batch(rq.queries)):
+            by_query.setdefault(qid, []).extend(h.geometry.wkt() for h in hits)
         for qid, env in queries:
             want = [lakes[rid].wkt() for rid in brute_force_range(lakes, env)]
             assert by_query.get(qid, []) == want

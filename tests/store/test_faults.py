@@ -31,11 +31,11 @@ from repro.store import (
     PageKey,
     QueryResult,
     RetryPolicy,
-    ShardedStoreWriter,
     SpatialDataStore,
     StoreError,
     bulk_load,
     replica_store_name,
+    sharded_bulk_load,
 )
 
 WINDOW = Envelope(0.0, 0.0, 100.0, 100.0)
@@ -328,10 +328,10 @@ class TestReplicaFailover:
     def sharded(self, tmp_path):
         fs = LustreFilesystem(tmp_path / "pfs")
         geoms = make_polygons(60, seed=21)
-        result = ShardedStoreWriter(
-            fs, self.NAME, num_shards=4, num_partitions=16, page_size=512,
+        result = sharded_bulk_load(
+            fs, self.NAME, geoms, num_shards=4, num_partitions=16, page_size=512,
             read_replicas=1,
-        ).load(geoms)
+        )
         return fs, geoms, result
 
     def _serve(self, fs, nprocs=4, allow_degraded=False, partial_ok=False,
@@ -486,3 +486,45 @@ class TestReplicaFailover:
         assert res.degraded_queries == [0]
         assert res.missing_shards == []  # truncation, not shard death
         assert metrics["counters"]["server.failovers"] == 0
+
+    def _shards_json_faults(self, fs, **rule):
+        faulty = FaultyFilesystem(fs, seed=9)
+        faulty.add_rule(
+            FaultRule(path_pattern=f"stores/{self.NAME}/shards.json", **rule)
+        )
+        return faulty
+
+    def test_transient_shards_json_fault_is_absorbed_by_open(self, sharded):
+        # regression: DistributedStoreServer.open read shards.json by hand,
+        # without the retry the appender and the compactor already had, so
+        # one transient fault killed rank 0 with a raw TransientIOError
+        fs, _, _ = sharded
+        clean, _ = self._serve(fs, nprocs=2)
+        faulty = self._shards_json_faults(fs, read_error_rate=1.0, max_faults=1)
+        hits, _ = self._serve(faulty, nprocs=2)
+        assert faulty.stats.read_errors == 1
+        assert [(h.record_id, h.geometry.wkt()) for h in hits] == [
+            (h.record_id, h.geometry.wkt()) for h in clean
+        ]
+
+    def test_unreadable_shards_json_is_a_store_error_naming_the_path(self, sharded):
+        fs, _, _ = sharded
+        faulty = self._shards_json_faults(fs, read_error_rate=1.0)
+        with pytest.raises(StoreError, match=rf"stores/{self.NAME}/shards\.json"):
+            self._serve(faulty, nprocs=2)
+
+    def test_shards_json_retry_backoff_is_charged_to_the_clock(self, sharded):
+        fs, _, _ = sharded
+        slow = RetryPolicy(max_attempts=3, backoff_base=1.0, backoff_max=4.0)
+
+        def opened_at(target):
+            def prog(comm):
+                with DistributedStoreServer.open(
+                    comm, target, self.NAME, retry_policy=slow
+                ):
+                    return comm.clock.now
+
+            return mpisim.run_spmd(prog, 2).values[0]
+
+        faulty = self._shards_json_faults(fs, read_error_rate=1.0, max_faults=1)
+        assert opened_at(fs) < 1.0 <= opened_at(faulty)

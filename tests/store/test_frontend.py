@@ -4,8 +4,8 @@ Correctness first: whatever the in-flight window, the pipelined path must
 return exactly the hits the strict collective path returns, per batch and in
 batch order.  Then the virtual-clock metrics: per-batch latencies are
 well-formed, the makespan covers every completion, and a pipelined window
-never serves fewer queries per virtual second than sequential submission of
-the same workload on the same rank count.
+overlaps consecutive batches where the no-overlap baseline
+(``max_in_flight=1``, the same transport) never does.
 """
 
 import pytest
@@ -67,15 +67,26 @@ class TestFrontendCorrectness:
             assert keys(got) == keys(want)
 
     def test_sequential_path_equals_async(self, fs, sharded_name):
+        # sequential submission twice over: the no-overlap window (W=1, the
+        # same transport) and the oracle, one strict collective per batch
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:
                 batches = make_batches(server.manifest.extent)
-                frontend = AsyncStoreFrontend(server, max_in_flight=4)
                 root_batches = batches if comm.rank == 0 else None
-                return frontend.serve_sequential(root_batches), frontend.serve(root_batches)
+                served = [
+                    AsyncStoreFrontend(server, max_in_flight=window).serve(root_batches)
+                    for window in (1, 4)
+                ]
+                oracle = [
+                    server.range_query_batch(batch if comm.rank == 0 else None)
+                    for batch in batches
+                ]
+                return served, oracle
 
-        seq, asy = mpisim.run_spmd(prog, 4).values[0]
-        assert [keys(b) for b in seq.batches] == [keys(b) for b in asy.batches]
+        (one, four), oracle = mpisim.run_spmd(prog, 4).values[0]
+        want = [keys(b) for b in oracle]
+        assert [keys(b) for b in one.batches] == want
+        assert [keys(b) for b in four.batches] == want
 
     def test_inexact_batches_match(self, fs, sharded_name):
         def prog(comm):
@@ -127,8 +138,10 @@ class TestFrontendCorrectness:
     def test_invalid_window_rejected(self, fs, sharded_name):
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:
-                with pytest.raises(ValueError):
-                    AsyncStoreFrontend(server, max_in_flight=0)
+                # the window is a fixed positive integer, nothing else
+                for bad in (0, "adaptive", 2.5):
+                    with pytest.raises(ValueError):
+                        AsyncStoreFrontend(server, max_in_flight=bad)
                 return True
 
         assert mpisim.run_spmd(prog, 1).values[0]
@@ -139,11 +152,7 @@ class TestFrontendMetrics:
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:
                 batches = make_batches(server.manifest.extent, num_batches=num_batches)
-                frontend = AsyncStoreFrontend(server, max_in_flight=max(window, 1))
-                if window == 0:  # sentinel: sequential baseline
-                    return frontend.serve_sequential(
-                        batches if comm.rank == 0 else None
-                    )
+                frontend = AsyncStoreFrontend(server, max_in_flight=window)
                 return frontend.serve(batches if comm.rank == 0 else None)
 
         return mpisim.run_spmd(prog, nprocs).values[0]
@@ -177,8 +186,8 @@ class TestFrontendMetrics:
             assert phases[name] > 0.0
 
     def test_pipelined_throughput_not_below_sequential(self, fs, sharded_name):
-        # fresh server per mode: cold page caches on both sides
-        seq = self._serve(fs, sharded_name, window=0)
+        # fresh server per window: cold page caches on both sides
+        seq = self._serve(fs, sharded_name, window=1)
         asy = self._serve(fs, sharded_name, window=4)
         assert asy.total_queries == seq.total_queries
 
@@ -186,7 +195,7 @@ class TestFrontendMetrics:
         # runs, so `asy >= seq` with no margin is a coin toss whenever the
         # overlap is small.  What the inequality stands for is structural,
         # on one run's own clock: the pipeline submits a batch while its
-        # predecessor is still in flight, the sequential loop never does.
+        # predecessor is still in flight, a window of one never does.
         def overlaps(result):
             ordered = sorted(result.metrics, key=lambda m: m.batch_id)
             return sum(b.submitted < a.completed for a, b in zip(ordered, ordered[1:]))
@@ -194,61 +203,7 @@ class TestFrontendMetrics:
         assert overlaps(seq) == 0
         assert overlaps(asy) > 0
 
-
-class TestAdaptiveWindow:
-    """``max_in_flight="adaptive"`` sizes the in-flight window from the
-    observed submit/drain phase overlap; serving-rank behaviour (and hence
-    every result) is identical to any fixed window."""
-
-    def _serve(self, fs, sharded_name, mode, nprocs=4, cap=16):
-        def prog(comm):
-            with DistributedStoreServer.open(comm, fs, sharded_name) as server:
-                batches = make_batches(server.manifest.extent, num_batches=10)
-                frontend = AsyncStoreFrontend(
-                    server, max_in_flight=mode, adaptive_cap=cap
-                )
-                result = frontend.serve(batches if comm.rank == 0 else None)
-                hist = server.metrics.histogram("frontend.submit_seconds")
-                return result, hist.count
-
-        return mpisim.run_spmd(prog, nprocs).values[0]
-
-    @pytest.mark.parametrize("nprocs", [1, 4])
-    def test_adaptive_results_equal_fixed(self, fs, sharded_name, nprocs):
-        fixed, _ = self._serve(fs, sharded_name, 4, nprocs=nprocs)
-        adaptive, _ = self._serve(fs, sharded_name, "adaptive", nprocs=nprocs)
-        assert [keys(b) for b in adaptive.batches] == [
-            keys(b) for b in fixed.batches
-        ]
-
-    def test_adaptive_reports_window_trajectory(self, fs, sharded_name):
-        result, submit_count = self._serve(fs, sharded_name, "adaptive")
-        assert result.adaptive
-        assert len(result.windows) == result.num_batches
-        assert all(1 <= w <= 16 for w in result.windows)
-        assert result.max_in_flight == max(result.windows)
-        # both phase histograms feed the policy: one submit sample per batch
-        assert submit_count == result.num_batches
-
     def test_fixed_window_reports_flat_trajectory(self, fs, sharded_name):
-        result, _ = self._serve(fs, sharded_name, 4)
-        assert not result.adaptive
+        result = self._serve(fs, sharded_name, window=4)
         assert result.windows == [4] * result.num_batches
         assert result.max_in_flight == 4
-
-    def test_adaptive_cap_clamps_window(self, fs, sharded_name):
-        result, _ = self._serve(fs, sharded_name, "adaptive", cap=1)
-        assert result.windows and all(w == 1 for w in result.windows)
-        assert result.max_in_flight == 1
-
-    def test_invalid_modes_rejected(self, fs, sharded_name):
-        def prog(comm):
-            with DistributedStoreServer.open(comm, fs, sharded_name) as server:
-                with pytest.raises(ValueError):
-                    AsyncStoreFrontend(server, max_in_flight="turbo")
-                with pytest.raises(ValueError):
-                    AsyncStoreFrontend(server, max_in_flight="adaptive",
-                                       adaptive_cap=0)
-                return True
-
-        assert mpisim.run_spmd(prog, 1).values[0]

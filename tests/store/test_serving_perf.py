@@ -19,7 +19,7 @@ from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.core.reader import VectorIO
 from repro.geometry import Envelope, Point, predicates
 from repro.pfs import LustreFilesystem
-from repro.store import SpatialDataStore, bulk_load, store_paths, upgrade_store
+from repro.store import PageKey, SpatialDataStore, bulk_load, store_paths, upgrade_store
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +202,7 @@ class TestPrefetchBoundaries:
         store = SpatialDataStore.open(fs, lakes_v2, cache_pages=64,
                                       prefetch_pages=8)
         last = store.num_pages - 1
-        store._get_pages([last])
+        store._get_pages([PageKey(0, last)])
         assert store.stats.pages_prefetched == 0
         assert store.stats.bytes_read == store.pages[last].nbytes
 
@@ -240,7 +240,7 @@ class TestPrefetchBoundaries:
                                       prefetch_pages=3)
         missing = [0]
         schedule = store.scheduler.schedule(missing, is_cached=lambda p: False)
-        store._get_pages(missing)
+        store._get_pages([PageKey(0, pid) for pid in missing])
         assert store.stats.pages_prefetched == schedule.num_prefetched
         assert store.stats.read_requests == len(schedule.runs)
         assert store.stats.bytes_read == schedule.total_bytes

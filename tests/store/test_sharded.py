@@ -12,19 +12,12 @@ import random
 import pytest
 
 from repro import mpisim
-from repro.core import (
-    GridPartitionConfig,
-    RangeQuery,
-    SpatialJoin,
-    join_distributed_with_store,
-    join_with_store,
-)
+from repro.core import GridPartitionConfig, RangeQuery, SpatialJoin
 from repro.datasets import random_envelopes
 from repro.geometry import Envelope, LineString, Point, Polygon, predicates
 from repro.pfs import LustreFilesystem
 from repro.store import (
     DistributedStoreServer,
-    ShardedStoreWriter,
     SpatialDataStore,
     bulk_load,
     sharded_bulk_load,
@@ -203,8 +196,8 @@ class TestShardEdgeCases:
                                   userdata=i)
             for i in range(12)
         ]
-        result = ShardedStoreWriter(fs, "tiny", num_shards=6, num_partitions=4,
-                                    page_size=256).load(geoms)
+        result = sharded_bulk_load(fs, "tiny", geoms, num_shards=6, num_partitions=4,
+                                   page_size=256)
         empty = [s for s in result.manifest.shards if s.num_records == 0]
         assert empty, "expected at least one empty shard"
         # every shard opens as a valid (possibly empty) store
@@ -243,7 +236,7 @@ class TestShardEdgeCases:
         def prog(comm):
             return DistributedStoreServer.open(comm, fs, "nope")
 
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match="sharded_bulk_load"):
             mpisim.run_spmd(prog, 2)
 
 
@@ -310,12 +303,16 @@ class TestStoreBackedPipelineInput:
         ]
         rq = RangeQuery(fs, queries)
         expected = sorted(
-            (m.query_id, m.geometry.userdata) for m in rq.execute_from_store(store)
+            (qid, hit.geometry.userdata)
+            for (qid, _), hits in zip(rq.queries, store.range_query_batch(rq.queries))
+            for hit in hits
         )
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, "data") as server:
-                return rq.execute_distributed_from_store(comm, server, broadcast=True)
+                return server.range_query_batch(
+                    rq.queries if comm.rank == 0 else None, broadcast=True
+                )
 
         res = mpisim.run_spmd(prog, 4)
         for rank_matches in res.values:  # broadcast: all ranks see the result
@@ -386,24 +383,20 @@ class TestCoreWiring:
             )
         ]
         expected = sorted(
-            (p.left.userdata, p.right.userdata) for p in join_with_store(store, probes)
+            (probe.userdata, hit.geometry.userdata) for probe, hit in store.join(probes)
         )
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, "data") as server:
-                pairs = join_distributed_with_store(
-                    comm, server, probes if comm.rank == 0 else None, broadcast=True
-                )
-                method_pairs = SpatialJoin(fs).join_store_distributed(
-                    comm, server, probes if comm.rank == 0 else None
-                )
-            return pairs, method_pairs
+                pairs = server.join(probes if comm.rank == 0 else None, broadcast=True)
+                root_pairs = server.join(probes if comm.rank == 0 else None)
+            return pairs, root_pairs
 
         res = mpisim.run_spmd(prog, nprocs)
         for pairs, _ in res.values:  # broadcast: identical on every rank
-            assert sorted((p.left.userdata, p.right.userdata) for p in pairs) == expected
-        method_pairs = res.values[0][1]
-        assert sorted((p.left.userdata, p.right.userdata) for p in method_pairs) == expected
+            assert sorted((p.userdata, h.geometry.userdata) for p, h in pairs) == expected
+        root_pairs = res.values[0][1]
+        assert sorted((p.userdata, h.geometry.userdata) for p, h in root_pairs) == expected
 
     def test_local_geometries_matches_local_records(self, tmp_path):
         fs = make_fs(tmp_path)

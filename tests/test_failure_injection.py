@@ -21,7 +21,6 @@ from repro.pfs import LustreFilesystem
 from repro.store import (
     DistributedStoreServer,
     QueryResult,
-    ShardedStoreWriter,
     StoreError,
     sharded_bulk_load,
 )
@@ -232,10 +231,10 @@ class TestInjectedFaultServing:
                                  max_size_fraction=0.1, seed=6)
             )
         ]
-        result = ShardedStoreWriter(
-            fs, self.NAME, num_shards=4, num_partitions=16, page_size=512,
+        result = sharded_bulk_load(
+            fs, self.NAME, geoms, num_shards=4, num_partitions=16, page_size=512,
             read_replicas=1,
-        ).load(geoms)
+        )
         return fs, result
 
     def _serve(self, fs, nprocs=4, faulty=None, allow_degraded=False,
