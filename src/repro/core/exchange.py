@@ -45,13 +45,28 @@ def serialise_cell_group(cells: Mapping[int, Sequence[Geometry]]) -> bytes:
 
 
 def deserialise_cell_group(data: bytes) -> Dict[int, List[Geometry]]:
-    """Inverse of :func:`serialise_cell_group`."""
+    """Inverse of :func:`serialise_cell_group`.
+
+    The length prefixes are untrusted: a buffer cut inside a prefix, a body
+    or a userdata block raises :class:`ValueError` naming the record's
+    offset instead of decoding a short slice.
+    """
     cells: Dict[int, List[Geometry]] = {}
     pos = 0
     total = len(data)
     while pos < total:
+        if pos + 12 > total:
+            raise ValueError(
+                f"truncated cell group: record prefix at offset {pos} overruns "
+                f"the {total}-byte buffer"
+            )
         cell_id, body_len, ud_len = struct.unpack_from("<III", data, pos)
         pos += 12
+        if pos + body_len + ud_len > total:
+            raise ValueError(
+                f"truncated cell group: record at offset {pos - 12} declares {body_len} "
+                f"body + {ud_len} userdata bytes, {total - pos} remain"
+            )
         geom = wkb.loads(data[pos : pos + body_len])
         pos += body_len
         if ud_len:

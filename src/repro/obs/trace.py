@@ -45,6 +45,12 @@ class TraceContext:
         self.parent_span_id = parent_span_id
         self.rank = rank
 
+    @property
+    def nbytes(self) -> int:
+        """Wire size — the two ids as text plus the rank — so ``mpisim``
+        never pickles a context riding a scatter plan just to price it."""
+        return len(self.trace_id) + len(self.parent_span_id or "") + 8
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"TraceContext({self.trace_id!r}, parent={self.parent_span_id!r})"
 

@@ -36,7 +36,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Envelope
 from ..obs.metrics import Histogram
-from .sharded import DistributedStoreServer
+from .sharded import DistributedStoreServer, ShardRows
 
 __all__ = ["AsyncStoreFrontend", "BatchMetrics", "FrontendResult"]
 
@@ -191,7 +191,7 @@ class AsyncStoreFrontend:
         outcome = partial_ok or deadline is not None
         start = clock.now
 
-        def serve_shards(mine: List[Tuple[int, Any, Envelope]]) -> Any:
+        def serve_shards(mine: List[Tuple[int, Any, Envelope]]) -> ShardRows:
             return server._serve_shards(mine, exact, outcome, deadline)
 
         result: Optional[FrontendResult] = None
@@ -204,7 +204,7 @@ class AsyncStoreFrontend:
                 t = clock.now
                 ctx, entries = comm.recv(source=0, tag=self._plan_tag(b))
                 server._charge_phase("scatter", t)
-                payload = server._local_phase(entries, ctx, serve_shards, outcome, batch=b)
+                payload = server._local_phase(entries, ctx, serve_shards, batch=b)
                 t = clock.now
                 comm.send(payload, dest=0, tag=self._data_tag(b))
                 server._charge_phase("gather", t)
@@ -221,7 +221,7 @@ class AsyncStoreFrontend:
         batches: List[Sequence[Tuple[Any, Envelope]]],
         num_batches: int,
         start: float,
-        serve_shards: Callable[[List[Tuple[int, Any, Envelope]]], Any],
+        serve_shards: Callable[[List[Tuple[int, Any, Envelope]]], ShardRows],
         outcome: bool,
         partial_ok: bool,
     ) -> FrontendResult:
@@ -239,18 +239,14 @@ class AsyncStoreFrontend:
 
         def complete_oldest() -> None:
             batch_id, own_entries, submitted = in_flight.popleft()
-            payloads = [
-                server._local_phase(
-                    own_entries, None, serve_shards, outcome, batch=batch_id
-                )
-            ]
+            payloads = [server._local_phase(own_entries, None, serve_shards, batch=batch_id)]
             t = clock.now
             for rank in range(1, comm.size):
                 payloads.append(comm.recv(source=rank, tag=self._data_tag(batch_id)))
+            qids = [qid for qid, _ in batches[batch_id]]
             hits = server._gather_phase(
                 payloads,
-                outcome,
-                lambda pairs: server._assemble(pairs, outcome, partial_ok),
+                lambda rows: server._assemble(rows, qids, outcome, partial_ok),
                 batch=batch_id,
             )
             server._charge_phase("gather", t)
@@ -278,15 +274,11 @@ class AsyncStoreFrontend:
                 while len(in_flight) >= window:
                     complete_oldest()
                 submitted = clock.now
-                queries = list(batches[b])
-                server.queries_served += len(queries)
                 with tracer.span("route") as rspan:
                     with clock.compute(category="route"):
-                        plan = server.router.plan(
-                            queries, server.assignment, comm.size
-                        )
+                        plan = server._plan_windows(batches[b])
                     if tracer.enabled:
-                        rspan.set(batch=b, num_queries=len(queries))
+                        rspan.set(batch=b, num_queries=len(batches[b]))
                 t = server._charge_phase("route", submitted)
                 ctx = tracer.context() if tracer.enabled else None
                 with tracer.span("scatter") as sspan:

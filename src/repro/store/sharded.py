@@ -27,12 +27,15 @@ import pickle
 import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from ..geometry import Envelope, Geometry, predicates
-from ..mpisim import Communicator
+from ..geometry.wkb import encoded_size
+from ..mpisim import Communicator, payload_nbytes
 from ..obs.explain import DistributedExplainReport, build_distributed_explain
 from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.trace import NULL_TRACER, Tracer
@@ -78,9 +81,14 @@ class ShardError(StoreError):
 
 Predicate = Callable[[Geometry, Geometry], bool]
 
-#: one matched record on the wire: ``(batch position, query id, record id,
-#: shard, partition, page, geometry)``
-Row = Tuple[int, Any, int, int, int, int, Geometry]
+#: one matched record on the wire: ``(batch position, record id, shard,
+#: partition, page, geometry)`` — the query id stays with rank 0's batch
+Row = Tuple[int, int, int, int, int, Geometry]
+#: wire bytes of a row's five 8-byte id columns
+ROW_ID_BYTES = 40
+#: wire bytes of a range-query plan entry: its batch position and the window
+#: (the paper's ``MPI_RECT``, four doubles)
+WINDOW_ENTRY_BYTES = 8 + 32
 #: one unserved shard portion: ``(shard, missing partitions, affected batch
 #: positions, cause, fatal)``
 Failure = Tuple[int, List[int], List[int], str, bool]
@@ -314,15 +322,72 @@ class QueryResult:
         return len(self.hits)
 
 
-def _hit_rows(
-    sid: int, entry: Tuple[int, Any, Envelope], hits: Iterable[QueryHit]
-) -> List[Row]:
-    """Wire rows of one range-query plan entry's *hits* on shard *sid*."""
-    idx, qid, _ = entry
-    return [
-        (idx, qid, hit.record_id, sid, hit.partition_id, hit.page_id, hit.geometry)
-        for hit in hits
-    ]
+def body_nbytes(geom: Geometry) -> int:
+    """Wire bytes of one geometry: the WKB a real exchange would ship (by
+    arithmetic, nothing is encoded) plus its userdata."""
+    return encoded_size(geom) + payload_nbytes(geom.userdata)
+
+
+def entry_nbytes(entry: Tuple[int, Optional[Geometry], Envelope]) -> int:
+    """Wire bytes of one plan entry ``(batch position, probe, window)``: a
+    range query has no probe and ships :data:`WINDOW_ENTRY_BYTES`; a join
+    entry ships its position and the probe, which carries the window."""
+    return WINDOW_ENTRY_BYTES if entry[1] is None else 8 + body_nbytes(entry[1])
+
+
+class SizedList(list):
+    """A list that knows its wire size.  ``mpisim`` hands payloads between
+    rank threads by reference and prices a message by its ``nbytes``, so a
+    sized payload is never pickled just to be measured."""
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self, items: Iterable[Any] = (), nbytes: int = 0) -> None:
+        super().__init__(items)
+        self.nbytes = nbytes
+
+
+class ShardRows(SizedList):
+    """One rank's answer to one batch — the gather payload of every serving
+    call: its :data:`Row` tuples plus the shard portions it could not serve
+    (``failures``, empty in strict mode).  ``nbytes`` is
+    :data:`ROW_ID_BYTES` + :func:`body_nbytes` per row, and per failure 16 +
+    8 per listed partition and batch position + the cause text."""
+
+    __slots__ = ("failures",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.failures: List[Failure] = []
+
+    def add_hits(self, idx: int, sid: int, hits: Sequence[QueryHit]) -> None:
+        """Append shard *sid*'s *hits* of the plan entry at batch position *idx*."""
+        self.nbytes += ROW_ID_BYTES * len(hits) + sum(body_nbytes(h.geometry) for h in hits)
+        self.extend(
+            [(idx, h.record_id, sid, h.partition_id, h.page_id, h.geometry) for h in hits]
+        )
+
+    def fail(
+        self, sid: int, partitions: List[int], positions: List[int], cause: str, fatal: bool
+    ) -> None:
+        self.failures.append((sid, partitions, positions, cause, fatal))
+        self.nbytes += 16 + 8 * (len(partitions) + len(positions)) + payload_nbytes(cause)
+
+
+def merge_rows(payloads: Iterable[List[Row]], qids: Sequence[Any]) -> List[DistributedHit]:
+    """De-duplicate gathered rows on ``(batch position, record id)``: one
+    sort on the id columns, the first row of each run kept — the lowest
+    ``(shard, partition, page)`` replica wins by construction.  *qids* maps
+    a batch position to its query id, which never travelled."""
+    hits: List[DistributedHit] = []
+    last = None
+    # the key stops at the page column: geometries are never compared
+    for row in sorted(chain.from_iterable(payloads), key=itemgetter(0, 1, 2, 3, 4)):
+        if row[:2] != last:
+            last = row[:2]
+            idx, record_id, sid, partition, page, geom = row
+            hits.append(DistributedHit(qids[idx], record_id, geom, sid, partition, page))
+    return hits
 
 
 class DistributedStoreServer:
@@ -722,18 +787,19 @@ class DistributedStoreServer:
         collect: bool = False,
         deadline: Optional[float] = None,
         action: str = "query",
-        rows_of: Callable[[int, Tuple[Any, ...], List[QueryHit]], List[Row]] = _hit_rows,
-    ) -> Tuple[List[Row], List[Failure]]:
+        refine: Optional[Callable[[Any, List[QueryHit]], List[QueryHit]]] = None,
+    ) -> ShardRows:
         """The shard-serving loop: this rank's shards over plan *entries*
-        (window last in each tuple); returns ``(rows, failures)``.
+        ``(batch position, probe, window)``; returns the rank's
+        :class:`ShardRows`.
 
         Per shard, entries outside the shard extent are dropped and the rest
         are served in one batched pass through the shard store's staged
         engine (shared Hilbert visit order, page touches deduped, reads
         coalesced, lazy refine) under the shard guard, replaying the batch
-        on the next replica after a failure.  *rows_of* turns one entry's
-        hits into result rows **outside** the guard, so a join's user
-        predicate is never misreported as corruption.
+        on the next replica after a failure.  *refine* filters one entry's
+        hits by its probe **outside** the guard, so a join's user predicate
+        is never misreported as corruption.
 
         Strict mode (*collect* false) **raises** the first failure that
         replica failover cannot repair, so ``failures`` stays empty.  With
@@ -746,8 +812,7 @@ class DistributedStoreServer:
         *deadline* (simulated seconds) was exceeded, so callers can tell
         truncation from corruption.
         """
-        rows: List[Row] = []
-        failures: List[Failure] = []
+        rows = ShardRows()
         for sid in self.my_shards:
             shard = self.manifest.shards[sid]
             if shard.extent.is_empty:
@@ -790,43 +855,36 @@ class DistributedStoreServer:
             if error is not None:
                 if not collect:
                     raise error
-                failures.append(
-                    (
-                        sid,
-                        list(shard.partition_ids),
-                        sorted({e[0] for e in kept}),
-                        str(error),
-                        True,
-                    )
+                rows.fail(
+                    sid,
+                    list(shard.partition_ids),
+                    sorted({e[0] for e in kept}),
+                    str(error),
+                    True,
                 )
                 continue
-            for entry, hits in zip(kept, outcome.hits):
-                rows.extend(rows_of(sid, entry, hits))
+            for (idx, probe, _), hits in zip(kept, outcome.hits):
+                rows.add_hits(idx, sid, hits if refine is None else refine(probe, hits))
             if not outcome.complete:
-                failures.append(
-                    (
-                        sid,
-                        list(outcome.missing_partitions),
-                        sorted({kept[pos][0] for pos in outcome.incomplete_queries}),
-                        str(outcome.failed_pages[0][1])
-                        if outcome.failed_pages
-                        else "incomplete",
-                        any(
-                            not isinstance(exc, DeadlineExceeded)
-                            for _, exc in outcome.failed_pages
-                        ),
-                    )
+                rows.fail(
+                    sid,
+                    list(outcome.missing_partitions),
+                    sorted({kept[pos][0] for pos in outcome.incomplete_queries}),
+                    str(outcome.failed_pages[0][1]) if outcome.failed_pages else "incomplete",
+                    any(
+                        not isinstance(exc, DeadlineExceeded)
+                        for _, exc in outcome.failed_pages
+                    ),
                 )
-        return rows, failures
+        return rows
 
     def _local_phase(
         self,
         entries: List[Tuple[Any, ...]],
         ctx: Any,
-        serve: Callable[[List[Tuple[Any, ...]]], Tuple[List[Row], List[Failure]]],
-        outcome: bool,
+        serve: Callable[[List[Tuple[Any, ...]]], ShardRows],
         **attrs: Any,
-    ) -> Any:
+    ) -> ShardRows:
         """One rank's local-query phase, shared by the collective and the
         pipelined skeletons: *serve* (a :meth:`_serve_shards` call) runs as
         ``local_query`` compute, the shard stores' simulated I/O is charged
@@ -834,8 +892,7 @@ class DistributedStoreServer:
         With a recording tracer the phase gets a ``local_query`` span; a
         *ctx* shipped with the plan (serving ranks) re-parents it — and the
         engine spans nested inside — under the client's trace.  Returns the
-        rank's gather payload: the flat rows, or in *outcome* mode the
-        whole ``(rows, failures)`` pair."""
+        rank's gather payload."""
         clock = self.comm.clock
         tracer = self.tracer
         since = clock.now
@@ -845,68 +902,65 @@ class DistributedStoreServer:
                 stack.enter_context(tracer.adopt(ctx))
             span = stack.enter_context(tracer.span("local_query"))
             with clock.compute(category="local_query"):
-                rows, failures = serve(entries)
+                rows = serve(entries)
             if tracer.enabled:
                 span.set(
                     rank=self.comm.rank, entries=len(entries), rows=len(rows), **attrs
                 )
         clock.advance(self._store_io_seconds() - io_before, category="io")
         self._charge_phase("local_query", since)
-        return (rows, failures) if outcome else rows
+        return rows
 
     def _gather_phase(
         self,
-        payloads: List[Any],
-        outcome: bool,
-        assemble: Callable[[List[Tuple[List[Row], Sequence[Failure]]]], Any],
+        payloads: List[ShardRows],
+        assemble: Callable[[List[ShardRows]], Any],
         **attrs: Any,
     ) -> Any:
-        """Rank 0's merge of one batch's per-rank gather payloads — flat row
-        lists in strict mode, ``(rows, failures)`` pairs in outcome mode —
-        as ``gather`` compute; *assemble* always receives pairs."""
+        """Rank 0's merge of one batch's per-rank gather payloads as
+        ``gather`` compute."""
         tracer = self.tracer
         with tracer.span("gather") as span:
             with self.comm.clock.compute(category="gather"):
-                pairs = payloads if outcome else [(rows, ()) for rows in payloads]
-                result = assemble(pairs)
+                result = assemble(payloads)
             if tracer.enabled:
-                span.set(rows=sum(len(rows) for rows, _ in pairs), **attrs)
+                span.set(rows=sum(len(rows) for rows in payloads), **attrs)
         return result
 
-    @staticmethod
-    def _dedup(rows: Iterable[Row]) -> List[DistributedHit]:
-        # keep the deterministic first replica: lowest (shard, partition, page)
-        best: Dict[Tuple[int, int], Tuple[int, int, int, Any, Geometry]] = {}
-        for idx, qid, record_id, sid, partition_id, page_id, geom in rows:
-            key = (idx, record_id)
-            cand = (sid, partition_id, page_id, qid, geom)
-            if key not in best or cand[:3] < best[key][:3]:
-                best[key] = cand
+    def _plan(
+        self, items: Sequence[Tuple[Optional[Geometry], Envelope]]
+    ) -> List[SizedList]:
+        """Rank 0's scatter plan for ``(probe, window)`` *items*: per rank
+        the list of ``(batch position, probe, window)`` entries it must
+        answer, sized by :func:`entry_nbytes`."""
         return [
-            DistributedHit(qid, record_id, geom, sid, partition_id, page_id)
-            for (idx, record_id), (sid, partition_id, page_id, qid, geom) in sorted(
-                best.items()
-            )
+            SizedList(entries, sum(map(entry_nbytes, entries)))
+            for entries in self.router.plan(items, self.assignment, self.comm.size)
         ]
+
+    def _plan_windows(self, queries: Sequence[Tuple[Any, Envelope]]) -> List[SizedList]:
+        """:meth:`_plan` of a ``(query_id, window)`` batch; the ids stay here."""
+        self.queries_served += len(queries)
+        return self._plan([(None, window) for _, window in queries])
 
     # ------------------------------------------------------------------ #
     # collective serving calls
     # ------------------------------------------------------------------ #
     def _collective_serve(
         self,
-        build_plan: Callable[[], List[List[Any]]],
-        serve: Callable[[List[Any]], Tuple[List[Row], List[Failure]]],
-        assemble: Callable[[List[Tuple[List[Row], Sequence[Failure]]]], Any],
+        build_plan: Callable[[], List[SizedList]],
+        serve: Callable[[List[Any]], ShardRows],
+        assemble: Callable[[List[ShardRows]], Any],
         broadcast: bool,
-        outcome: bool = False,
     ) -> Any:
         """The collective route → scatter → local_query → gather skeleton.
 
-        *build_plan* runs on rank 0 and returns the per-rank scatter lists;
-        *serve* answers one rank's list with ``(rows, failures)``;
-        *assemble* runs on rank 0 over the gathered pairs (ranks ship flat
-        row lists, or in *outcome* mode the whole pair).  Every phase is
-        charged to the virtual clock and accumulated in :attr:`phases`.
+        *build_plan* runs on rank 0 and returns the per-rank scatter lists
+        (:meth:`_plan`); *serve* answers one rank's list with its
+        :class:`ShardRows`; *assemble* runs on rank 0 over the gathered
+        payloads.  Every phase is charged to the virtual clock and
+        accumulated in :attr:`phases`; every payload knows its wire size
+        (a ``broadcast`` result is priced as the rows it was merged from).
 
         **Trace propagation** rides the scatter: each per-rank list is
         shipped as a ``(ctx, entries)`` pair where *ctx* is rank 0's
@@ -944,15 +998,17 @@ class DistributedStoreServer:
                 mine_ctx, mine = self.comm.scatter(payload, root=0)
             self._charge_phase("scatter", t)
 
-            local = self._local_phase(mine, mine_ctx, serve, outcome)
+            local = self._local_phase(mine, mine_ctx, serve)
             t = clock.now
 
             gathered = self.comm.gather(local, root=0)
             result: Any = None
             if is_root:
-                result = self._gather_phase(gathered, outcome, assemble)
+                result = self._gather_phase(gathered, assemble)
             if broadcast:
-                result = self.comm.bcast(result, root=0)
+                # priced as the rows it was merged from (only the root's size counts)
+                nbytes = sum(rows.nbytes for rows in gathered or ())
+                (result,) = self.comm.bcast(SizedList([result], nbytes), root=0)
             self._charge_phase("gather", t)
         return result
 
@@ -982,31 +1038,29 @@ class DistributedStoreServer:
         still raises on hard faults.
         """
 
-        def build_plan() -> List[List[Tuple[int, Any, Envelope]]]:
+        qids: List[Any] = []
+
+        def build_plan() -> List[SizedList]:
             if queries is None:
                 raise ValueError("rank 0 must supply the query batch")
-            self.queries_served += len(queries)
-            return self.router.plan(list(queries), self.assignment, self.comm.size)
+            qids.extend(qid for qid, _ in queries)
+            return self._plan_windows(queries)
 
         outcome = partial_ok or deadline is not None
         return self._collective_serve(
             build_plan,
             lambda mine: self._serve_shards(mine, exact, outcome, deadline),
-            lambda pairs: self._assemble(pairs, outcome, partial_ok),
+            lambda payloads: self._assemble(payloads, qids, outcome, partial_ok),
             broadcast,
-            outcome,
         )
 
     def _assemble(
-        self,
-        pairs: List[Tuple[List[Row], Sequence[Failure]]],
-        outcome: bool,
-        partial_ok: bool,
+        self, payloads: List[ShardRows], qids: Sequence[Any], outcome: bool, partial_ok: bool
     ) -> Any:
-        """Merge every rank's ``(rows, failures)``: the de-duplicated hits,
-        wrapped with their completeness account as a :class:`QueryResult`
-        in *outcome* mode."""
-        failures = [f for _, rank_failures in pairs for f in rank_failures]
+        """Merge every rank's :class:`ShardRows`: the de-duplicated hits
+        (``query_id`` filled from *qids* here, at rank 0), wrapped with their
+        completeness account as a :class:`QueryResult` in *outcome* mode."""
+        failures = [f for rows in payloads for f in rows.failures]
         if not partial_ok:
             for sid, _, _, cause, fatal in failures:
                 if fatal:
@@ -1017,7 +1071,7 @@ class DistributedStoreServer:
                         shard_id=sid,
                         store=shard.store,
                     )
-        hits = self._dedup(row for rank_rows, _ in pairs for row in rank_rows)
+        hits = merge_rows(payloads, qids)
         if not outcome:
             return hits
         degraded = sorted({pos for _, _, positions, _, _ in failures for pos in positions})
@@ -1048,38 +1102,23 @@ class DistributedStoreServer:
         """
         probe_list: List[Geometry] = []
 
-        def build_plan() -> List[List[Tuple[int, Geometry, Envelope]]]:
+        def build_plan() -> List[SizedList]:
             if probes is None:
                 raise ValueError("rank 0 must supply the probe collection")
             probe_list.extend(probes)
-            plan = self.router.plan(
-                [(i, p.envelope) for i, p in enumerate(probe_list)],
-                self.assignment,
-                self.comm.size,
-            )
             # ship the probe geometry with the plan so ranks can refine
-            return [
-                [(idx, probe_list[idx], env) for idx, _, env in entries]
-                for entries in plan
-            ]
+            return self._plan([(p, p.envelope) for p in probe_list])
 
-        def refined_rows(
-            sid: int, entry: Tuple[int, Geometry, Envelope], hits: List[QueryHit]
-        ) -> List[Row]:
+        def refine(probe: Geometry, hits: List[QueryHit]) -> List[QueryHit]:
             # the shard pass is the MBR filter; the user predicate refines
-            idx, probe, env = entry
-            return _hit_rows(
-                sid, (idx, idx, env), [h for h in hits if predicate(probe, h.geometry)]
-            )
+            return [h for h in hits if predicate(probe, h.geometry)]
 
         return self._collective_serve(
             build_plan,
-            lambda mine: self._serve_shards(
-                mine, exact=False, action="join", rows_of=refined_rows
-            ),
-            lambda pairs: [
+            lambda mine: self._serve_shards(mine, exact=False, action="join", refine=refine),
+            lambda payloads: [
                 (probe_list[hit.query_id], hit)
-                for hit in self._assemble(pairs, False, False)
+                for hit in self._assemble(payloads, range(len(probe_list)), False, False)
             ],
             broadcast,
         )

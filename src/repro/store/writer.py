@@ -117,7 +117,8 @@ def pack_partitions(
 
     Each record's envelope-column entry is counted against the page-size
     budget, so a page payload never exceeds ``page_size`` plus the count
-    prefix.
+    prefix.  A record whose MBR holds a NaN is rejected here — the one gate
+    bulk loads, appends and compactions share — with a :class:`ValueError`.
     """
     packed = PackedPartitions()
     data_offset = HEADER_SIZE
@@ -126,6 +127,13 @@ def pack_partitions(
 
     for cell_id in sorted(cells):
         part_recs = cells[cell_id]
+        for rec in part_recs:
+            env = rec.envelope
+            if not (env.minx <= env.maxx and env.miny <= env.maxy):  # NaN compares false
+                raise ValueError(
+                    f"record {rec.rid} (ids are input positions in a bulk load) cannot "
+                    f"be stored: its MBR {env!r} is not a box (a NaN coordinate?)"
+                )
         ordering = spatial_visit_order([r.envelope.centre for r in part_recs], grid.extent)
         part = PartitionInfo(
             partition_id=cell_id,

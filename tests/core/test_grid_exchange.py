@@ -96,6 +96,37 @@ class TestSerialisation:
         assert serialise_cell_group({}) == b""
         assert deserialise_cell_group(b"") == {}
 
+    # One record: 12-byte prefix, 21-byte WKB point, pickled userdata.  The
+    # second record starts at offset 33 + len(userdata).
+    @pytest.mark.parametrize(
+        "cut, offset",
+        [
+            (5, 0),      # inside the first prefix (was a raw struct.error)
+            (12, 0),     # prefix intact, body missing
+            (20, 0),     # inside the WKB body (was sliced short)
+            (35, 0),     # inside the userdata (was handed to pickle short)
+            (-30, None),  # inside the second record's prefix
+            (-3, None),   # inside the second record's userdata
+        ],
+    )
+    def test_truncated_buffer_raises_valueerror_naming_the_offset(self, cut, offset):
+        g = Point(1.0, 2.0, userdata="some label")
+        data = serialise_cell_group({3: [g, g]})
+        second = len(data) // 2
+        with pytest.raises(ValueError, match="truncated cell group") as err:
+            deserialise_cell_group(data[:cut])
+        assert f"offset {second if offset is None else offset}" in str(err.value)
+
+    def test_overlong_declared_lengths_rejected(self):
+        data = bytearray(serialise_cell_group({3: [Point(1.0, 2.0)]}))
+        struct.pack_into("<I", data, 4, 10_000)  # body_len overruns the buffer
+        with pytest.raises(ValueError, match="offset 0 declares 10000 body"):
+            deserialise_cell_group(bytes(data))
+        data = bytearray(serialise_cell_group({3: [Point(1.0, 2.0)]}))
+        struct.pack_into("<I", data, 8, 7)  # ud_len with no bytes behind it
+        with pytest.raises(ValueError, match=r"\+ 7 userdata bytes, 21 remain"):
+            deserialise_cell_group(bytes(data))
+
 
 class TestExchange:
     def test_geometries_land_on_owning_rank(self):

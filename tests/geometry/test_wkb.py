@@ -179,6 +179,48 @@ ONE_OF_EACH = [
 ]
 
 
+holed_polygons = st.builds(Polygon, rings(), st.lists(rings(), max_size=3))
+nested_collections = st.builds(
+    GeometryCollection,
+    st.lists(st.one_of(points, holed_polygons, multipolygons, collections), max_size=3),
+)
+
+
+class TestEncodedSize:
+    """``encoded_size`` is the wire size the sharded server charges per hit:
+    it must be ``len(dumps(g))`` exactly, without encoding anything."""
+
+    @given(
+        st.one_of(any_geometry, holed_polygons, nested_collections),
+        st.one_of(st.none(), st.text(max_size=8), st.dictionaries(st.text(max_size=3), st.integers())),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_size_is_the_encoding(self, geom, userdata):
+        geom.userdata = userdata  # not part of WKB: sized separately by the caller
+        assert wkb.encoded_size(geom) == len(wkb.dumps(geom))
+
+    @pytest.mark.parametrize(
+        "geom, size",
+        [
+            (Point(1, 2), 21),
+            (LineString([(0, 0), (1, 1), (2, 0)]), 9 + 16 * 3),
+            (Polygon([(0, 0), (1, 0), (1, 1), (0, 0)]), 9 + 4 + 16 * 4),
+            (MultiPoint([]), 9),
+            (MultiLineString([]), 9),
+            (MultiPolygon([]), 9),
+            (GeometryCollection([]), 9),
+            (GeometryCollection([GeometryCollection([]), Point(0, 0)]), 9 + 9 + 21),
+        ],
+        ids=lambda v: getattr(v, "geom_type", None),
+    )
+    def test_documented_formula(self, geom, size):
+        assert wkb.encoded_size(geom) == size == len(wkb.dumps(geom))
+
+    @pytest.mark.parametrize("geom", ONE_OF_EACH, ids=lambda g: g.geom_type)
+    def test_one_of_each(self, geom):
+        assert wkb.encoded_size(geom) == len(wkb.dumps(geom))
+
+
 class TestByteOrder:
     """Regression: the ring reader hard-coded little-endian, so XDR
     linestrings and polygons raised ``truncated``."""

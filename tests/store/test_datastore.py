@@ -239,6 +239,26 @@ class TestBulkLoad:
         with pytest.raises(ValueError):
             bulk_load(fs, "bad", [Point(0, 0)], page_size=8)
 
+    def test_nan_mbr_rejected_where_records_enter_the_writer(self, fs):
+        # was: "cannot convert float NaN to integer" from the Hilbert sort on
+        # a bulk load, and a silently *written* NaN-extent delta on an append
+        # (a one-record partition skips the sort)
+        from repro.geometry import LineString
+        from repro.store import StoreAppender
+
+        nan = float("nan")
+        with pytest.raises(ValueError, match=r"record 1 .*Envelope\(nan, 0\.5, nan, 0\.5\)"):
+            bulk_load(fs, "nan", [Point(0.5, 0.5), Point(nan, 0.5)], num_partitions=1)
+        # one NaN *vertex* is fine: Envelope.from_points skips it, the MBR is a box
+        line = LineString([(0.0, 0.0), (nan, 1.0), (2.0, 2.0)])
+        assert line.envelope == Envelope(0.0, 0.0, 2.0, 2.0)
+        result = bulk_load(fs, "nan_vertex", [Point(0.5, 0.5), line], num_partitions=1)
+        assert result.num_records == 2
+        with pytest.raises(ValueError, match=r"record 2 .*is not a box"):
+            StoreAppender(fs, "nan_vertex").append([Point(nan, 0.5)])
+        store = SpatialDataStore.open(fs, "nan_vertex")
+        assert len(store.range_query(Envelope(0, 0, 3, 3))) == 2  # nothing half-written
+
     def test_write_seconds_accounted(self, fs, lakes):
         result = bulk_load(fs, "lakes_ws", lakes)
         assert result.write_seconds > 0

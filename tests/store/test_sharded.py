@@ -485,3 +485,102 @@ class TestServingPhases:
         sharded_bulk_load(fs, "data", geoms, num_shards=2, num_partitions=4,
                           page_size=512)
         assert fs.exists(shards_path("data"))
+
+
+class TestWireSizes:
+    """Every serving-path message reports the bytes a WKB wire would carry
+    (store README, "The wire"); the tests recompute them from what the ranks
+    actually handed to the communicator."""
+
+    @pytest.fixture
+    def wire(self, tmp_path, monkeypatch):
+        """A 4-shard store plus every object given to ``gather`` / ``scatter``
+        / ``send`` while the test runs, as ``(op, rank, object)``."""
+        from repro.mpisim import Communicator
+
+        fs = make_fs(tmp_path)
+        sharded_bulk_load(fs, "data", random_geometries(200, seed=81), num_shards=4,
+                          num_partitions=16, page_size=512)
+        shipped = []
+        for op in ("gather", "scatter", "send"):
+            def spy(comm, obj, *args, _call=getattr(Communicator, op), _op=op, **kwargs):
+                shipped.append((_op, comm.rank, obj))
+                return _call(comm, obj, *args, **kwargs)
+            monkeypatch.setattr(Communicator, op, spy)
+        return fs, shipped
+
+    @staticmethod
+    def rows_nbytes(rows):
+        """The documented formula, by actually encoding: 40 bytes of ids per
+        row, the geometry's WKB, its userdata."""
+        from repro.geometry import wkb
+        from repro.mpisim import payload_nbytes
+
+        assert all(len(row) == 6 for row in rows)  # no query id on the wire
+        return sum(40 + len(wkb.dumps(row[5])) + payload_nbytes(row[5].userdata) for row in rows)
+
+    @staticmethod
+    def windows(count, seed=82, size=0.3):
+        envs = random_envelopes(count, extent=Envelope(0.0, 0.0, 100.0, 100.0),
+                                max_size_fraction=size, seed=seed)
+        return [(f"q{i}", env) for i, env in enumerate(envs)]
+
+    @pytest.mark.parametrize("nprocs", (1, 2, 4))
+    def test_result_payload_nbytes_is_the_documented_formula(self, wire, nprocs):
+        fs, shipped = wire
+        hits = serve_distributed(fs, "data", self.windows(40), nprocs)
+        payloads = [obj for op, _, obj in shipped if op == "gather"]
+        assert len(payloads) == nprocs and sum(len(rows) for rows in payloads) >= len(hits) > 0
+        for rows in payloads:
+            assert rows.failures == []
+            assert rows.nbytes == self.rows_nbytes(rows)
+        # query ids are filled in at rank 0 from its own batch
+        assert {h.query_id for h in hits} <= {f"q{i}" for i in range(40)}
+
+    def test_bytes_charged_equal_the_payload_sizes(self, wire):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.store import AsyncStoreFrontend
+
+        fs, shipped = wire
+        batch = self.windows(40)
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "data") as server:
+                registry = MetricsRegistry()
+                comm.attach_metrics(registry)  # after open: its bcast is not serving
+                server.range_query_batch(batch if comm.rank == 0 else None)
+                collective = registry.snapshot()["counters"]["comm.bytes_collective"]
+                AsyncStoreFrontend(server, max_in_flight=2).serve(
+                    [batch[:25], batch[25:]] if comm.rank == 0 else None
+                )
+                comm.detach_metrics()
+                counters = registry.snapshot()["counters"]
+                return collective, counters.get("comm.bytes_sent", 0)
+
+        (root_coll, root_sent), (peer_coll, peer_sent) = mpisim.run_spmd(prog, 2).values
+        gathered = {rank: obj for op, rank, obj in shipped if op == "gather"}
+        (plan,) = [obj for op, rank, obj in shipped if op == "scatter" and rank == 0]
+        plan_entries = sum(len(entries) for _, entries in plan)
+        assert all(ctx is None for ctx, _ in plan) and plan_entries >= 40
+        # collective serving: the root ships every plan entry (position +
+        # MPI_RECT = 40 bytes) and its own rows, the peer only its rows
+        assert root_coll == 40 * plan_entries + self.rows_nbytes(gathered[0])
+        assert peer_coll == self.rows_nbytes(gathered[1])
+        # front-end: the same sizes as tagged point-to-point messages (the
+        # header bcast and closing allgather are collectives, not sends)
+        sends = [(rank, obj) for op, rank, obj in shipped if op == "send"]
+        assert root_sent == sum(40 * len(obj[1]) for rank, obj in sends if rank == 0) > 0
+        assert peer_sent == sum(self.rows_nbytes(obj) for rank, obj in sends if rank == 1) > 0
+
+    def test_plans_of_64_and_65_entries_are_priced_by_one_rule(self, wire):
+        from repro.mpisim import payload_nbytes
+
+        fs, shipped = wire
+        for count in (64, 65):
+            del shipped[:]
+            everything = [(i, Envelope(0.0, 0.0, 100.0, 100.0)) for i in range(count)]
+            serve_distributed(fs, "data", everything, 2)
+            (plan,) = [obj for op, rank, obj in shipped if op == "scatter" and rank == 0]
+            assert [len(entries) for _, entries in plan] == [count, count]
+            assert [entries.nbytes for _, entries in plan] == [40 * count, 40 * count]
+            assert payload_nbytes(plan) == 2 * 40 * count
