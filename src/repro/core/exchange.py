@@ -15,64 +15,90 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..geometry import Geometry, wkb
 from ..mpisim import Communicator
 
-__all__ = ["serialise_cell_group", "deserialise_cell_group", "exchange_cells"]
+__all__ = [
+    "encode_body",
+    "decode_body",
+    "serialise_cell_group",
+    "deserialise_cell_group",
+    "exchange_cells",
+]
 
 
 # --------------------------------------------------------------------------- #
 # serialisation
 # --------------------------------------------------------------------------- #
-def serialise_cell_group(cells: Mapping[int, Sequence[Geometry]]) -> bytes:
-    """Serialise ``{cell_id: [geometries]}`` into one contiguous byte buffer.
+def encode_body(geom: Geometry) -> bytes:
+    """One framed record body, ``<wkb_len:uint32><ud_len:uint32>`` followed by
+    the WKB payload and the pickled userdata.  The explicit length prefixes
+    play the role of MPI's count/displacement arrays; the store's pages hold
+    the same bodies, so a geometry round-trips both ways losslessly."""
+    body = wkb.dumps(geom)
+    userdata = b"" if geom.userdata is None else pickle.dumps(geom.userdata, protocol=4)
+    return struct.pack("<II", len(body), len(userdata)) + body + userdata
 
-    Layout per geometry: ``<cell_id:uint32><wkb_len:uint32><ud_len:uint32>``
-    followed by the WKB payload and the pickled userdata.  The explicit
-    length prefixes play the role of MPI's count/displacement arrays.
-    """
+
+def serialise_cell_group(cells: Mapping[int, Sequence[Geometry]]) -> bytes:
+    """Serialise ``{cell_id: [geometries]}`` into one contiguous byte buffer:
+    per geometry ``<cell_id:uint32>`` and its :func:`encode_body`."""
     out = bytearray()
     for cell_id, geoms in cells.items():
+        tag = struct.pack("<I", cell_id)
         for geom in geoms:
-            body = wkb.dumps(geom)
-            userdata = b"" if geom.userdata is None else pickle.dumps(geom.userdata, protocol=4)
-            out += struct.pack("<III", cell_id, len(body), len(userdata))
-            out += body
-            out += userdata
+            out += tag
+            out += encode_body(geom)
     return bytes(out)
+
+
+def decode_body(data, offset: int, envelope=None) -> Tuple[Geometry, int]:
+    """``(geometry, offset past the frame)`` of the :func:`encode_body` frame
+    at ``data[offset:]`` — the one reader of this framing, for the exchange
+    below and the store's pages.  The length prefix is untrusted: a frame
+    that does not fit *data* is a :class:`ValueError` (worded to follow the
+    caller's "record at offset N"), and the WKB, decoded in place with no
+    slice of the body, must fill its declared length exactly
+    (:class:`~repro.geometry.wkb.WKBParseError`).  *envelope* is the record's
+    MBR when the caller holds it (see :func:`repro.geometry.wkb.loads`)."""
+    pos = offset + 8
+    if pos > len(data):
+        raise ValueError(f"ends inside its length prefix ({len(data)}-byte buffer)")
+    body_len, ud_len = struct.unpack_from("<II", data, offset)
+    end = pos + body_len
+    stop = end + ud_len
+    if stop > len(data):
+        raise ValueError(
+            f"declares {body_len} body + {ud_len} userdata bytes, {len(data) - pos} remain"
+        )
+    geom = wkb.loads(data, pos, end, envelope)
+    if ud_len:
+        geom.userdata = pickle.loads(data[end:stop])
+    return geom, stop
 
 
 def deserialise_cell_group(data: bytes) -> Dict[int, List[Geometry]]:
     """Inverse of :func:`serialise_cell_group`.
 
     The length prefixes are untrusted: a buffer cut inside a prefix, a body
-    or a userdata block raises :class:`ValueError` naming the record's
-    offset instead of decoding a short slice.
+    or a userdata block, or a body longer than its WKB, raises
+    :class:`ValueError` naming the record's offset.
     """
     cells: Dict[int, List[Geometry]] = {}
     pos = 0
     total = len(data)
     while pos < total:
-        if pos + 12 > total:
-            raise ValueError(
-                f"truncated cell group: record prefix at offset {pos} overruns "
-                f"the {total}-byte buffer"
-            )
-        cell_id, body_len, ud_len = struct.unpack_from("<III", data, pos)
-        pos += 12
-        if pos + body_len + ud_len > total:
-            raise ValueError(
-                f"truncated cell group: record at offset {pos - 12} declares {body_len} "
-                f"body + {ud_len} userdata bytes, {total - pos} remain"
-            )
-        geom = wkb.loads(data[pos : pos + body_len])
-        pos += body_len
-        if ud_len:
-            geom.userdata = pickle.loads(data[pos : pos + ud_len])
-            pos += ud_len
+        try:
+            geom, stop = decode_body(data, pos + 4)
+        except wkb.WKBParseError as exc:
+            raise ValueError(f"malformed cell group: record at offset {pos}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"truncated cell group: record at offset {pos} {exc}") from exc
+        (cell_id,) = struct.unpack_from("<I", data, pos)  # the frame behind it fitted
         cells.setdefault(cell_id, []).append(geom)
+        pos = stop
     return cells
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from . import algorithms
 from .base import Geometry
@@ -20,48 +20,76 @@ class LineString(Geometry):
     Road-network edges in the paper's 137 GB dataset are LineStrings; their
     vertex counts vary widely, which is exactly the irregularity the
     partitioning layer has to cope with.
+
+    **Pairs or run.**  The vertices are held as the tuple of ``(x, y)`` pairs
+    the constructor builds (``_coords``) or, for a line decoded from binary,
+    as the interleaved floats ``x0, y0, x1, y1, ...`` that ``struct`` returned
+    (``_run``, one object whatever the vertex count).  At least one is set and
+    each is derivable from the other: :attr:`coords` builds the pairs from the
+    run on first read and keeps them (idempotent, so rank threads sharing a
+    geometry need no lock), :meth:`vertices` iterates either without building
+    anything that outlives the loop.
     """
 
-    __slots__ = ("_coords", "_envelope")
+    __slots__ = ("_coords", "_run", "_envelope")
 
     geom_type = "LineString"
+    #: fewest coordinates, and whether an open sequence is closed on the way in
+    _MIN_COORDS, _CLOSES = 2, False
+    _TOO_FEW = "LineString requires at least 2 coordinates"
 
     def __init__(self, coords: Sequence[Coord], userdata: Any = None) -> None:
         super().__init__(userdata)
-        # the one conversion pass, for rings too (they only amend the list)
-        pts = self._checked([(float(x), float(y)) for x, y in coords])
-        self._coords: Tuple[Coord, ...] = tuple(pts)
+        pts = [(float(x), float(y)) for x, y in coords]  # the one conversion pass
+        if self._CLOSES and pts and pts[0] != pts[-1]:
+            pts.append(pts[0])
+        if len(pts) < self._MIN_COORDS:
+            raise ValueError(self._TOO_FEW)
+        self._coords: Optional[Tuple[Coord, ...]] = tuple(pts)
+        self._run: Optional[Tuple[float, ...]] = None
         self._envelope = Envelope.from_points(pts)
 
     @classmethod
-    def from_xy(cls, xs: Sequence[float], ys: Sequence[float]) -> "LineString":
-        """Build from parallel columns that already hold floats (what a
-        binary decoder unpacks): no per-coordinate conversion, and the bounds
-        come from the columns at C speed.  Same validation as the
-        constructor."""
+    def from_run(
+        cls, run: Tuple[float, ...], mbr: Optional[Tuple[float, float, float, float]] = None
+    ) -> "LineString":
+        """Build from an interleaved float run (what a binary decoder
+        unpacks) with the constructor's validation and no per-vertex object.
+        *mbr*, ``(minx, miny, maxx, maxy)`` when the caller already holds it
+        (a store page's column), is taken as is; otherwise the envelope is
+        derived from the run."""
+        if cls._CLOSES and run and (run[0] != run[-2] or run[1] != run[-1]):
+            run += run[:2]
+        if len(run) < 2 * cls._MIN_COORDS:
+            raise ValueError(cls._TOO_FEW)
         self = cls.__new__(cls)
         self.userdata = None
-        pts = cls._checked(list(zip(xs, ys)))
-        self._coords = tuple(pts)
-        minx, miny, maxx, maxy = min(xs), min(ys), max(xs), max(ys)
-        if minx <= maxx and miny <= maxy:
-            self._envelope = Envelope(minx, miny, maxx, maxy)
-        else:
-            # a leading NaN poisons min/max; from_points skips NaNs
-            self._envelope = Envelope.from_points(pts)
+        self._coords = None
+        self._run = run
+        if mbr is None:
+            xs, ys = run[0::2], run[1::2]
+            mbr = min(xs), min(ys), max(xs), max(ys)
+            if not (mbr[0] <= mbr[2] and mbr[1] <= mbr[3]):
+                # a leading NaN poisons min/max; from_points skips NaNs
+                mbr = Envelope.from_points(zip(xs, ys)).as_tuple()
+        self._envelope = Envelope(*mbr)
         return self
-
-    @staticmethod
-    def _checked(pts: List[Coord]) -> List[Coord]:
-        """Validate the converted coordinate list (subclasses may amend it)."""
-        if len(pts) < 2:
-            raise ValueError("LineString requires at least 2 coordinates")
-        return pts
 
     # ------------------------------------------------------------------ #
     @property
     def coords(self) -> Tuple[Coord, ...]:
+        """The ``(x, y)`` pairs, the same tuple on every read."""
+        if self._coords is None:
+            self._coords = tuple(self.vertices())
         return self._coords
+
+    def vertices(self) -> Iterable[Coord]:
+        """The ``(x, y)`` pairs for one pass: :attr:`coords` when they exist,
+        else zipped off the run as the loop goes, nothing kept."""
+        if self._coords is not None:
+            return self._coords
+        it = iter(self._run)
+        return zip(it, it)
 
     @property
     def envelope(self) -> Envelope:
@@ -69,16 +97,17 @@ class LineString(Geometry):
 
     @property
     def is_empty(self) -> bool:
-        return len(self._coords) == 0
+        return self.num_points == 0
 
     @property
     def num_points(self) -> int:
-        return len(self._coords)
+        return len(self._run) // 2 if self._coords is None else len(self._coords)
 
     @property
     def length(self) -> float:
         total = 0.0
-        for (x1, y1), (x2, y2) in zip(self._coords, self._coords[1:]):
+        coords = self.coords
+        for (x1, y1), (x2, y2) in zip(coords, coords[1:]):
             total += math.hypot(x2 - x1, y2 - y1)
         return total
 
@@ -87,28 +116,32 @@ class LineString(Geometry):
         """Length-weighted centroid of the segments."""
         total_len = 0.0
         cx = cy = 0.0
-        for (x1, y1), (x2, y2) in zip(self._coords, self._coords[1:]):
+        coords = self.coords
+        for (x1, y1), (x2, y2) in zip(coords, coords[1:]):
             seg = math.hypot(x2 - x1, y2 - y1)
             total_len += seg
             cx += seg * (x1 + x2) / 2.0
             cy += seg * (y1 + y2) / 2.0
         if total_len == 0.0:
-            return self._coords[0]
+            return coords[0]
         return (cx / total_len, cy / total_len)
 
     @property
     def is_closed(self) -> bool:
+        if self._coords is None:
+            return self._run[:2] == self._run[-2:]
         return self._coords[0] == self._coords[-1]
 
     # ------------------------------------------------------------------ #
     def segments(self) -> List[Tuple[Coord, Coord]]:
         """Consecutive coordinate pairs."""
-        return list(zip(self._coords, self._coords[1:]))
+        coords = self.coords
+        return list(zip(coords, coords[1:]))
 
     def wkt(self) -> str:
         from .wkt import format_coords
 
-        return f"LINESTRING ({format_coords(self._coords)})"
+        return f"LINESTRING ({format_coords(self.coords)})"
 
 
 class LinearRing(LineString):
@@ -116,24 +149,20 @@ class LinearRing(LineString):
 
     The constructor closes the ring automatically when the caller did not
     repeat the first coordinate, and validates a minimum of three distinct
-    vertices.
+    vertices — on the pairs it is given or, in :meth:`from_run`, on the floats
+    of the run (see *Pairs or run* on :class:`LineString`), building nothing.
     """
 
     __slots__ = ()
 
     geom_type = "LinearRing"
 
-    @staticmethod
-    def _checked(pts: List[Coord]) -> List[Coord]:
-        if len(pts) >= 1 and pts[0] != pts[-1]:
-            pts.append(pts[0])
-        if len(pts) < 4:  # 3 distinct + closing coordinate
-            raise ValueError("LinearRing requires at least 3 distinct coordinates")
-        return pts
+    _MIN_COORDS, _CLOSES = 4, True  # 3 distinct + the closing coordinate
+    _TOO_FEW = "LinearRing requires at least 3 distinct coordinates"
 
     @property
     def signed_area(self) -> float:
-        return algorithms.ring_signed_area(self._coords)
+        return algorithms.ring_signed_area(self.coords)
 
     @property
     def area(self) -> float:
@@ -141,12 +170,12 @@ class LinearRing(LineString):
 
     @property
     def is_ccw(self) -> bool:
-        return algorithms.ring_is_ccw(self._coords)
+        return algorithms.ring_is_ccw(self.coords)
 
     @property
     def centroid(self) -> Coord:
-        return algorithms.ring_centroid(self._coords)
+        return algorithms.ring_centroid(self.coords)
 
     def contains_point(self, x: float, y: float) -> bool:
         """Point-in-ring test (boundary counts as inside)."""
-        return algorithms.point_in_ring((x, y), self._coords)
+        return algorithms.point_in_ring((x, y), self.coords)

@@ -35,8 +35,8 @@ class Polygon(Geometry):
         super().__init__(userdata)
         self.shell = shell if isinstance(shell, LinearRing) else LinearRing(shell)
         self.holes: Tuple[LinearRing, ...] = tuple(
-            h if isinstance(h, LinearRing) else LinearRing(h) for h in (holes or ())
-        )
+            h if isinstance(h, LinearRing) else LinearRing(h) for h in holes
+        ) if holes else ()
         self._envelope = self.shell.envelope
 
     # ------------------------------------------------------------------ #

@@ -28,7 +28,7 @@ side all intersect.
 from __future__ import annotations
 
 from itertools import product
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from . import algorithms
 from .algorithms import _EPS
@@ -109,10 +109,10 @@ def _window_intersects(w: Envelope, g: Union[Geometry, Envelope]) -> bool:
     if isinstance(g, GeometryCollection):
         return any(intersects(w, member) for member in g)
     if isinstance(g, LineString):
-        return _window_meets_path(w, g.coords)
+        return _window_meets_path(w, g.vertices())
     if isinstance(g, Polygon):
         for ring in g.rings():
-            if _window_meets_path(w, ring.coords):
+            if _window_meets_path(w, ring.vertices()):
                 return True
         # No ring touches the window, so the window lies wholly in the
         # interior, in a hole or outside: one corner decides which.
@@ -120,7 +120,7 @@ def _window_intersects(w: Envelope, g: Union[Geometry, Envelope]) -> bool:
     raise TypeError(f"unsupported geometry type {g.geom_type}")
 
 
-def _window_meets_path(w: Envelope, coords: Sequence[Coord]) -> bool:
+def _window_meets_path(w: Envelope, coords: Iterable[Coord]) -> bool:
     """Does the polyline through *coords* touch the closed rectangle *w*?
 
     Cohen–Sutherland outcodes against the ``_EPS``-padded window: a vertex

@@ -45,13 +45,15 @@ effective.
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..geometry import Envelope, Geometry, wkb
+# one v2 record *body* (its id and MBR live in the page's envelope column) is
+# the frame the all-to-all exchange ships, so round-trips are lossless
+from ..core.exchange import decode_body, encode_body as encode_record_body
+from ..geometry import Envelope, Geometry
 
 __all__ = [
     "MAGIC",
@@ -72,7 +74,7 @@ __all__ = [
     "encode_record",
     "encode_record_body",
     "decode_page",
-    "decode_envelope_column",
+    "decode_page_columns",
     "decode_record_body",
     "encode_page",
     "encode_page_v2",
@@ -107,8 +109,8 @@ PAGE_DIR_ENTRY = struct.Struct("<QII4d")
 #: one checksum-table entry: CRC32 of the page payload
 PAGE_CHECKSUM_ENTRY = struct.Struct("<I")
 
-#: v1 per-record prefix inside a page: record id, WKB length, userdata length
-_RECORD_PREFIX = struct.Struct("<III")
+#: a v1 record inside a page: its id, then a v2 body
+_RECORD_ID = struct.Struct("<I")
 
 #: v2 envelope-column entry: record id, body offset (from payload start), MBR
 ENVELOPE_ENTRY = struct.Struct("<II4d")
@@ -214,19 +216,8 @@ class PageMeta:
 # records and pages
 # --------------------------------------------------------------------------- #
 def encode_record(record_id: int, geom: Geometry) -> bytes:
-    """Serialise one v1 record: id-prefixed WKB plus pickled userdata (the
-    same payload the all-to-all exchange uses, so round-trips are lossless)."""
-    body = wkb.dumps(geom)
-    userdata = b"" if geom.userdata is None else pickle.dumps(geom.userdata, protocol=4)
-    return _RECORD_PREFIX.pack(record_id, len(body), len(userdata)) + body + userdata
-
-
-def encode_record_body(geom: Geometry) -> bytes:
-    """Serialise one v2 record *body* (the record id and MBR live in the
-    page's envelope column, not in the body)."""
-    body = wkb.dumps(geom)
-    userdata = b"" if geom.userdata is None else pickle.dumps(geom.userdata, protocol=4)
-    return _BODY_PREFIX.pack(len(body), len(userdata)) + body + userdata
+    """Serialise one v1 record: its id ahead of a v2 body."""
+    return _RECORD_ID.pack(record_id) + encode_record_body(geom)
 
 
 def encode_page(records: Sequence[bytes]) -> bytes:
@@ -250,63 +241,62 @@ def encode_page_v2(entries: Sequence[Tuple[int, Envelope, bytes]]) -> bytes:
     )
 
 
-def decode_envelope_column(
-    payload: bytes,
-) -> List[Tuple[int, int, float, float, float, float]]:
-    """Decode a v2 page's envelope column **without touching any body**.
-
-    Returns ``(record_id, body_offset, minx, miny, maxx, maxy)`` per slot.
-    This is the raw material of the filter phase: a pure ``struct`` scan.
+def decode_page_columns(payload: bytes) -> Tuple[tuple, tuple, tuple, tuple, tuple, tuple]:
+    """Decode a v2 page's envelope column **without touching any body**, as
+    six per-slot tuples ``(record_ids, body_offsets, minxs, minys, maxxs,
+    maxys)``: one ``struct`` read of the fixed-stride column and six stride
+    slices, no per-slot object.  This is the raw material of the filter
+    phase; the body offsets must chain through the payload to its last byte.
     """
-    if len(payload) < _PAGE_COUNT.size:
+    size = len(payload)
+    if size < _PAGE_COUNT.size:
         raise StoreFormatError("page payload shorter than its count prefix")
     (count,) = _PAGE_COUNT.unpack_from(payload, 0)
-    column_end = _PAGE_COUNT.size + count * ENVELOPE_ENTRY.size
-    if column_end > len(payload):
+    prev = _PAGE_COUNT.size + count * ENVELOPE_ENTRY.size
+    if prev > size:
         raise StoreFormatError(
-            f"truncated envelope column: {count} slots need {column_end} bytes, "
-            f"page payload has {len(payload)}"
+            f"truncated envelope column: {count} slots need {prev} bytes, "
+            f"page payload has {size}"
         )
-    if count == 0 and len(payload) != _PAGE_COUNT.size:
-        raise StoreFormatError(
-            f"{len(payload) - _PAGE_COUNT.size} trailing bytes after empty page"
-        )
-    entries = list(
-        ENVELOPE_ENTRY.iter_unpack(payload[_PAGE_COUNT.size : column_end])
-    )
-    prev = column_end
-    for record_id, body_offset, *_ in entries:
+    flat = struct.unpack_from("<" + "II4d" * count, payload, _PAGE_COUNT.size)
+    record_ids, body_offsets = flat[0::6], flat[1::6]
+    prefix, read_prefix = _BODY_PREFIX.size, _BODY_PREFIX.unpack_from
+    for record_id, body_offset in zip(record_ids, body_offsets):
         if body_offset != prev:
             raise StoreFormatError(
                 f"envelope column is inconsistent: body of record {record_id} "
                 f"at offset {body_offset}, expected {prev}"
             )
-        if body_offset + _BODY_PREFIX.size > len(payload):
+        if prev + prefix > size:
             raise StoreFormatError("truncated record body in page payload")
-        body_len, ud_len = _BODY_PREFIX.unpack_from(payload, body_offset)
-        prev = body_offset + _BODY_PREFIX.size + body_len + ud_len
-        if prev > len(payload):
+        body_len, ud_len = read_prefix(payload, body_offset)
+        prev += prefix + body_len + ud_len
+        if prev > size:
             raise StoreFormatError("truncated record body in page payload")
-    if prev != len(payload):
-        raise StoreFormatError(
-            f"{len(payload) - prev} trailing bytes after the last record body"
-        )
-    return entries
+    if prev != size:
+        raise StoreFormatError(f"{size - prev} trailing bytes after the last record body")
+    return record_ids, body_offsets, flat[2::6], flat[3::6], flat[4::6], flat[5::6]
 
 
-def decode_record_body(payload: bytes, body_offset: int) -> Geometry:
-    """Decode one v2 record body at *body_offset* (the refine phase: WKB and
-    pickle are only ever paid here, for slots that survived the filter)."""
-    if body_offset + _BODY_PREFIX.size > len(payload):
-        raise StoreFormatError("record body offset beyond page payload")
-    body_len, ud_len = _BODY_PREFIX.unpack_from(payload, body_offset)
-    pos = body_offset + _BODY_PREFIX.size
-    if pos + body_len + ud_len > len(payload):
-        raise StoreFormatError("truncated record body in page payload")
-    geom = wkb.loads(payload[pos : pos + body_len])
-    if ud_len:
-        geom.userdata = pickle.loads(payload[pos + body_len : pos + body_len + ud_len])
-    return geom
+def _read_body(payload: bytes, body_offset: int, envelope=None) -> Tuple[Geometry, int]:
+    """The shared frame reader with the store's error class: ``(geometry,
+    offset past the body)``."""
+    try:
+        return decode_body(payload, body_offset, envelope)
+    except ValueError as exc:  # the frame does not fit, or its WKB is malformed
+        raise StoreFormatError(f"malformed record body at offset {body_offset}: {exc}") from exc
+
+
+def decode_record_body(
+    payload: bytes, body_offset: int, envelope: Optional[Envelope] = None
+) -> Geometry:
+    """Decode one v2 record body at *body_offset*, in place (the refine phase:
+    WKB and pickle are only ever paid here, for slots that survived the
+    filter).  *envelope* is the slot's MBR from the page column; the geometry
+    takes it as is.  A body that overruns the payload, or whose WKB is
+    malformed or stops short of its declared length, is a
+    :class:`StoreFormatError` naming the body."""
+    return _read_body(payload, body_offset, envelope)[0]
 
 
 def decode_page(payload: bytes, version: int = 1) -> List[Tuple[int, Geometry]]:
@@ -319,9 +309,10 @@ def decode_page(payload: bytes, version: int = 1) -> List[Tuple[int, Geometry]]:
     if version not in SUPPORTED_VERSIONS:
         raise StoreFormatError(f"unsupported page version {version}")
     if version == 2:
+        record_ids, body_offsets, *_ = decode_page_columns(payload)
         return [
             (record_id, decode_record_body(payload, body_offset))
-            for record_id, body_offset, *_ in decode_envelope_column(payload)
+            for record_id, body_offset in zip(record_ids, body_offsets)
         ]
     if len(payload) < _PAGE_COUNT.size:
         raise StoreFormatError("page payload shorter than its count prefix")
@@ -329,18 +320,11 @@ def decode_page(payload: bytes, version: int = 1) -> List[Tuple[int, Geometry]]:
     pos = _PAGE_COUNT.size
     out: List[Tuple[int, Geometry]] = []
     for _ in range(count):
-        if pos + _RECORD_PREFIX.size > len(payload):
-            raise StoreFormatError("truncated record prefix in page payload")
-        record_id, body_len, ud_len = _RECORD_PREFIX.unpack_from(payload, pos)
-        pos += _RECORD_PREFIX.size
-        if pos + body_len + ud_len > len(payload):
-            raise StoreFormatError("truncated record body in page payload")
-        geom = wkb.loads(payload[pos : pos + body_len])
-        pos += body_len
-        if ud_len:
-            geom.userdata = pickle.loads(payload[pos : pos + ud_len])
-            pos += ud_len
-        out.append((record_id, geom))
+        # a v1 record is its id followed by a v2 body (which, read first,
+        # proves the id in front of it is inside the payload)
+        geom, stop = _read_body(payload, pos + _RECORD_ID.size)
+        out.append((_RECORD_ID.unpack_from(payload, pos)[0], geom))
+        pos = stop
     if pos != len(payload):
         raise StoreFormatError(
             f"{len(payload) - pos} trailing bytes after the last record"

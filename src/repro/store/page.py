@@ -20,12 +20,13 @@ a call and a mask list per page cost more than the comparisons they wrap).
 from __future__ import annotations
 
 from array import array
+from operator import gt
 from typing import Callable, List, Optional, Tuple
 
 from ..geometry import Envelope, Geometry
 from .format import (
     PageChecksumError,
-    decode_envelope_column,
+    decode_page_columns,
     decode_record_body,
     page_crc32,
 )
@@ -128,11 +129,8 @@ class CachedPage:
         self.payload = payload
         self._on_decode = on_decode
         self._env_summary: Optional[Tuple[float, float, float, float, bool]] = None
-        entries = decode_envelope_column(payload)
-        self.count = len(entries)
-        ids, offsets, minxs, minys, maxxs, maxys = (
-            zip(*entries) if entries else ((),) * 6
-        )
+        ids, offsets, minxs, minys, maxxs, maxys = decode_page_columns(payload)
+        self.count = len(ids)
         self.record_ids = array("I", ids)
         self.body_offsets = array("I", offsets)
         self.minxs = array("d", minxs)
@@ -163,17 +161,12 @@ class CachedPage:
         """
         summary = self._env_summary
         if summary is None:
-            minxs, maxxs = self.minxs, self.maxxs
-            minys, maxys = self.minys, self.maxys
             if not self.count:
                 summary = (_INF, _INF, -_INF, -_INF, False)
             else:
-                has_empty = any(
-                    a > b for a, b in zip(minxs, maxxs)
-                ) or any(a > b for a, b in zip(minys, maxys))
-                summary = (
-                    min(minxs), min(minys), max(maxxs), max(maxys), has_empty
-                )
+                minxs, minys, maxxs, maxys = self.minxs, self.minys, self.maxxs, self.maxys
+                has_empty = any(map(gt, minxs, maxxs)) or any(map(gt, minys, maxys))
+                summary = (min(minxs), min(minys), max(maxxs), max(maxys), has_empty)
             self._env_summary = summary
         return summary
 
@@ -187,7 +180,9 @@ class CachedPage:
         """Decode (and memoise) one slot — the refine phase for that record."""
         geom = self.memo[slot]
         if geom is None:
-            geom = decode_record_body(self.payload, self.body_offsets[slot])
+            # the stored MBR is the envelope: a box by the writers' gate, CRC-checked
+            mbr = (self.minxs[slot], self.minys[slot], self.maxxs[slot], self.maxys[slot])
+            geom = decode_record_body(self.payload, self.body_offsets[slot], mbr)
             self.memo[slot] = geom
             if self._on_decode is not None:
                 self._on_decode(1)

@@ -21,7 +21,7 @@ from repro.core import (
     serialise_cell_group,
 )
 from repro.datasets import random_envelopes, write_mbr_file
-from repro.geometry import Envelope, Point, Polygon
+from repro.geometry import Envelope, Point, Polygon, wkb
 from repro.index import UniformGrid, round_robin_mapping
 from repro.mpisim import ops
 from repro.pfs import LustreFilesystem
@@ -126,6 +126,23 @@ class TestSerialisation:
         struct.pack_into("<I", data, 8, 7)  # ud_len with no bytes behind it
         with pytest.raises(ValueError, match=r"\+ 7 userdata bytes, 21 remain"):
             deserialise_cell_group(bytes(data))
+
+
+    @pytest.mark.parametrize(
+        "geom", [Point(1.0, 2.0), Polygon.box(0, 0, 1, 1)], ids=lambda g: g.geom_type
+    )
+    def test_bytes_after_the_wkb_inside_a_record_raise(self, geom):
+        # regression: body_len larger than the WKB was accepted and the
+        # surplus ignored
+        body = wkb.dumps(geom)
+        first = serialise_cell_group({3: [Point(9.0, 9.0)]})
+        record = struct.pack("<III", 3, len(body) + 4, 0) + body + b"junk"
+        with pytest.raises(ValueError, match="4 surplus bytes") as err:
+            deserialise_cell_group(first + record)
+        assert f"record at offset {len(first)}" in str(err.value)
+        # the same record with an honest length decodes
+        honest = struct.pack("<III", 3, len(body), 0) + body
+        assert len(deserialise_cell_group(first + honest)[3]) == 2
 
 
 class TestExchange:

@@ -248,6 +248,33 @@ class TestByteOrder:
         data = wkb.dumps(HOLED)
         assert_identical(HOLED, wkb.loads(memoryview(data)))
 
+    @pytest.mark.parametrize("flag", [2, 7, 0x80, 0xFF])
+    @pytest.mark.parametrize("geom", ONE_OF_EACH, ids=lambda g: g.geom_type)
+    def test_flag_other_than_0_or_1_is_rejected(self, geom, flag):
+        # regression: any flag but 1 was read as big-endian, so
+        # b"\x07" + XDR point decoded as the point
+        xdr = bytearray(encode(geom, itertools.repeat(">")))
+        xdr[0] = flag
+        with pytest.raises(wkb.WKBParseError, match=f"byte-order flag {flag} at offset 0"):
+            wkb.loads(bytes(xdr))
+
+    @pytest.mark.parametrize("endian", "<>")
+    def test_bad_flag_on_a_nested_member_names_its_offset(self, endian):
+        geom = GeometryCollection([Point(1, 2), MultiPoint([Point(3, 4)]), LineString([(0, 0), (1, 1)])])
+        data = bytearray(encode(geom, itertools.repeat(endian)))
+        # header 9, point 21, multipoint header 9: the inner point's flag
+        inner = 9 + 21 + 9
+        assert data[inner] == (1 if endian == "<" else 0)
+        data[inner] = 3
+        with pytest.raises(wkb.WKBParseError, match=f"byte-order flag 3 at offset {inner}"):
+            wkb.loads(bytes(data))
+        # ... and on the last member, a linestring
+        data[inner] = 1 if endian == "<" else 0
+        last = inner + 21
+        data[last] = 9
+        with pytest.raises(wkb.WKBParseError, match=f"byte-order flag 9 at offset {last}"):
+            wkb.loads(bytes(data))
+
 
 # --------------------------------------------------------------------------- #
 # malformed input

@@ -1,8 +1,10 @@
 """Page/record/header codec tests for the store's binary container."""
 
+import struct
+
 import pytest
 
-from repro.geometry import Envelope, LineString, Point, Polygon
+from repro.geometry import Envelope, LineString, Point, Polygon, wkb
 from repro.store.format import (
     ENVELOPE_ENTRY,
     HEADER_SIZE,
@@ -11,8 +13,8 @@ from repro.store.format import (
     VERSION,
     PageMeta,
     StoreFormatError,
-    decode_envelope_column,
     decode_page,
+    decode_page_columns,
     decode_record_body,
     encode_page,
     encode_page_v2,
@@ -23,6 +25,7 @@ from repro.store.format import (
     unpack_header,
     unpack_page_directory,
 )
+from repro.store.page import CachedPage
 
 
 def sample_geometries():
@@ -69,6 +72,20 @@ class TestPageCodec:
             decode_page(encode_page([]) + b"\x00")
 
 
+    @pytest.mark.parametrize("geom", sample_geometries(), ids=lambda g: g.geom_type)
+    def test_bytes_after_the_wkb_inside_a_record_raise(self, geom):
+        # regression: a record whose wkb_len is larger than its WKB decoded
+        # "successfully" — the body was sliced out and the reader never
+        # looked at where the geometry stopped
+        body = wkb.dumps(geom)
+        record = struct.pack("<III", 9, len(body) + 4, 0) + body + b"junk"
+        with pytest.raises(StoreFormatError, match="4 surplus bytes") as err:
+            decode_page(encode_page([encode_record(0, Point(0, 0)), record]))
+        # the record is named by where its body starts: after the count
+        # prefix, the 33-byte first record and this record's id
+        assert f"offset {4 + 33 + 4}" in str(err.value)
+
+
 def _v2_entries(geoms):
     return [(rid, g.envelope, encode_record_body(g)) for rid, g in enumerate(geoms)]
 
@@ -89,7 +106,7 @@ class TestPageCodecV2:
     def test_envelope_column_matches_geometry_mbrs(self):
         geoms = sample_geometries()
         payload = encode_page_v2(_v2_entries(geoms))
-        column = decode_envelope_column(payload)
+        column = list(zip(*decode_page_columns(payload)))
         assert len(column) == len(geoms)
         for (rid, _, minx, miny, maxx, maxy), g in zip(column, geoms):
             assert (minx, miny, maxx, maxy) == g.envelope.as_tuple()
@@ -100,7 +117,7 @@ class TestPageCodecV2:
         geoms = sample_geometries()
         payload = encode_page_v2(_v2_entries(geoms))
         column_end = 4 + len(geoms) * ENVELOPE_ENTRY.size
-        body = decode_envelope_column(payload)  # valid payload parses fully
+        body = list(zip(*decode_page_columns(payload)))  # valid payload parses fully
         import struct as _struct
 
         # overwrite the WKB/userdata *content* (not the per-body prefixes)
@@ -108,14 +125,14 @@ class TestPageCodecV2:
         for _, off, *_rest in body:
             blen, ulen = _struct.unpack_from("<II", payload, off)
             corrupted[off + 8 : off + 8 + blen + ulen] = b"\xab" * (blen + ulen)
-        got = decode_envelope_column(bytes(corrupted))
+        got = list(zip(*decode_page_columns(bytes(corrupted))))
         assert [entry[:2] for entry in got] == [entry[:2] for entry in body]
         assert column_end <= len(payload)
 
     def test_lazy_body_decode_at_offset(self):
         geoms = sample_geometries()
         payload = encode_page_v2(_v2_entries(geoms))
-        column = decode_envelope_column(payload)
+        column = list(zip(*decode_page_columns(payload)))
         # decode only the last slot: the other bodies are never parsed
         rid, offset, *_ = column[-1]
         geom = decode_record_body(payload, offset)
@@ -129,6 +146,32 @@ class TestPageCodecV2:
         with pytest.raises(StoreFormatError, match="trailing"):
             decode_page(encode_page_v2([]) + b"\x00", version=2)
 
+    @pytest.mark.parametrize("geom", sample_geometries(), ids=lambda g: g.geom_type)
+    def test_bytes_after_the_wkb_inside_a_body_raise(self, geom):
+        # regression: same hole in the v2 reader (decode_record_body)
+        body = wkb.dumps(geom)
+        padded = struct.pack("<II", len(body) + 4, 0) + body + b"junk"
+        payload = encode_page_v2(
+            [(0, Point(0, 0).envelope, encode_record_body(Point(0, 0))), (1, geom.envelope, padded)]
+        )
+        with pytest.raises(StoreFormatError, match="4 surplus bytes") as err:
+            decode_page(payload, 2)
+        assert f"offset {4 + 2 * ENVELOPE_ENTRY.size + 29}" in str(err.value)
+        # the page-cache path reads through the same reader
+        page = CachedPage(0, payload)
+        assert page.record(0)[1].wkt() == "POINT (0 0)"
+        with pytest.raises(StoreFormatError, match="4 surplus bytes"):
+            page.record(1)
+
+    def test_wkb_that_overruns_its_declared_length_raises(self):
+        # the mirror case: wkb_len cuts the geometry short and the bytes
+        # that follow (here: the userdata) would have completed it
+        body = wkb.dumps(LineString([(0, 0), (3, 4), (10, 10)]))
+        cut = struct.pack("<II", len(body) - 16, 16) + body
+        payload = encode_page_v2([(0, Envelope(0, 0, 10, 10), cut)])
+        with pytest.raises(StoreFormatError, match="malformed record body"):
+            decode_page(payload, 2)
+
     def test_truncated_column_raises(self):
         payload = encode_page_v2(_v2_entries(sample_geometries()))
         with pytest.raises(StoreFormatError):
@@ -138,6 +181,16 @@ class TestPageCodecV2:
         payload = encode_page_v2(_v2_entries(sample_geometries()))
         with pytest.raises(StoreFormatError):
             decode_page(payload[:-3], version=2)
+
+    def test_overrunning_body_is_named_where_it_overruns(self):
+        # a body in the middle of the page that declares more bytes than the
+        # payload has is "truncated" at its own slot, not an "inconsistent"
+        # offset at the next one
+        bodies = [encode_record_body(g) for g in sample_geometries()]
+        bodies[1] = struct.pack("<II", 10_000, 0) + bodies[1][8:]
+        payload = encode_page_v2([(i, Envelope(0, 0, 1, 1), b) for i, b in enumerate(bodies)])
+        with pytest.raises(StoreFormatError, match="truncated record body"):
+            decode_page_columns(payload)
 
     def test_zeroed_payload_raises(self):
         payload = encode_page_v2(_v2_entries(sample_geometries()))

@@ -43,7 +43,7 @@ from repro.store import (
 )
 from repro.store.format import (
     HEADER_SIZE,
-    decode_envelope_column,
+    decode_page_columns,
     unpack_header,
     unpack_page_directory,
 )
@@ -215,11 +215,11 @@ def test_header_counts_distinct_record_ids(scenario, checkpoint):
         header = unpack_header(blob, file_size=len(blob))
         directory = blob[header.dir_offset : header.dir_offset + header.dir_nbytes]
         ids = {
-            entry[0]
+            record_id
             for meta in unpack_page_directory(directory, header.num_pages)
-            for entry in decode_envelope_column(
+            for record_id in decode_page_columns(
                 blob[meta.offset : meta.offset + meta.nbytes]
-            )
+            )[0]
         }
         assert header.num_records == len(ids), path
 
