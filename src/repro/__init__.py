@@ -10,8 +10,8 @@ contribution:
     spatial predicates needed by the filter-and-refine pipeline.
 
 ``repro.index``
-    Spatial indexes: STR-packed and dynamic R-trees, a quadtree, a uniform
-    grid, and space-filling curves (Z-order, Hilbert).
+    Spatial indexes: the STR-packed R-tree, the uniform grid (whose floor
+    arithmetic is the one cell-location rule) and the Hilbert curve.
 
 ``repro.mpisim``
     A thread-based SPMD MPI runtime with the communicator, point-to-point,

@@ -25,7 +25,6 @@ from .grid_partition import (
     assign_to_cells,
     build_grid,
     cell_mapping,
-    cell_rtree,
     compute_global_extent,
 )
 from .parsers import GeometryParser, WKTParser
@@ -188,9 +187,8 @@ class SpatialComputation(ABC):
         mapping = cell_mapping(grid, comm.size, self.grid_config.mapping)
 
         with comm.clock.compute(category="partition"):
-            tree = cell_rtree(grid)
-            left_cells = assign_to_cells(grid, left_geoms, tree)
-            right_cells = assign_to_cells(grid, right_geoms, tree) if right_geoms else {}
+            left_cells = assign_to_cells(grid, left_geoms)
+            right_cells = assign_to_cells(grid, right_geoms) if right_geoms else {}
 
         owned_left = exchange_cells(comm, left_cells, mapping, window=self.exchange_window)
         owned_right = (

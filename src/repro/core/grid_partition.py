@@ -6,11 +6,22 @@ To restore spatial locality the system (Figure 1 / Figure 2 of the paper):
 1. reduces the per-rank local MBRs with ``MPI_UNION`` to obtain the global
    extent,
 2. lays a uniform cell grid over the extent (the cell is the unit task),
-3. builds an R-tree over the cell boundaries and probes it with each local
-   geometry's MBR to find every overlapping cell, replicating geometries that
-   span several cells,
+3. locates each local geometry's MBR on the grid with the grid's floor
+   arithmetic (:meth:`repro.index.UniformGrid.cells_for_envelope`),
+   replicating geometries that span several cells,
 4. exchanges the serialised geometries all-to-all so each rank ends up with
    the cells assigned to it (round-robin by default).
+
+**Deviation from §4.**  The paper probes "an R-tree … built by inserting the
+individual cell boundaries".  A tree over cell rectangles is what a
+*non-uniform* cell set (adaptive or recursively split cells) would need; on a
+uniform grid the overlapped cells are two integer ranges, and the same floor
+function also names the one cell that owns a point.  That second use decides
+it: duplicate avoidance and the store's home-partition rule need replication
+and point ownership to agree exactly, which one monotone function does by
+construction and a closed-rectangle probe beside it does not (a point on a
+cell edge is in two closed rectangles, and ``minx + c·w`` is not the float
+the floor function switches at).  See :mod:`repro.index.grid`.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..geometry import Envelope, Geometry
-from ..index import RTree, UniformGrid, round_robin_mapping
+from ..index import UniformGrid, round_robin_mapping
 from ..mpisim import Communicator
 from .spatial_ops import MPI_UNION
 
@@ -89,32 +100,14 @@ def build_grid(extent: Envelope, num_cells: int) -> UniformGrid:
     return UniformGrid.with_cell_count(extent, num_cells)
 
 
-def cell_rtree(grid: UniformGrid) -> RTree:
-    """R-tree over the grid-cell boundaries ("an R-tree is first built by
-    inserting the individual cell boundaries", §4)."""
-    tree: RTree = RTree(max_entries=8)
-    for cell in grid.cells():
-        tree.insert(cell.envelope, cell.cell_id)
-    return tree
-
-
 def assign_to_cells(
     grid: UniformGrid,
     geometries: Iterable[Geometry],
-    tree: Optional[RTree] = None,
 ) -> Dict[int, List[Geometry]]:
     """Map each geometry to every cell its MBR overlaps (with replication)."""
-    tree = tree or cell_rtree(grid)
     cells: Dict[int, List[Geometry]] = {}
     for geom in geometries:
-        env = geom.envelope
-        if env.is_empty:
-            continue
-        cell_ids = tree.query(env)
-        if not cell_ids:
-            # outside the grid extent — clamp to the nearest cells
-            cell_ids = grid.cells_for_envelope(env)
-        for cid in cell_ids:
+        for cid in grid.cells_for_envelope(geom.envelope):
             cells.setdefault(cid, []).append(geom)
     return cells
 
@@ -156,8 +149,7 @@ def partition_geometries(
     mapping = cell_mapping(grid, comm.size, config.mapping)
 
     with comm.clock.compute(category="partition"):
-        tree = cell_rtree(grid)
-        local_cells = assign_to_cells(grid, geometries, tree)
+        local_cells = assign_to_cells(grid, geometries)
     replicas = sum(len(v) for v in local_cells.values())
 
     owned = exchange_cells(comm, local_cells, mapping, window=exchange_window)

@@ -9,9 +9,11 @@ filter-and-refine recipe per grid cell:
   probe it with the left-layer MBRs,
 * **refine** — evaluate the exact predicate on every candidate pair,
 * **duplicate avoidance** — because geometries spanning several cells are
-  replicated, a pair is reported only by the cell containing the reference
+  replicated, a pair is reported only by the cell that owns the reference
   point (the lower-left corner of the pair's MBR intersection), "carried out
-  later in the refinement phase" exactly as §4 describes.
+  later in the refinement phase" exactly as §4 describes.  Ownership is the
+  grid's floor function (:meth:`repro.index.GridCell.owns_point`), the same
+  one that replicated both operands, so the owner holds both and is unique.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ def _reference_point(a: Envelope, b: Envelope) -> Tuple[float, float]:
     return (inter.minx, inter.miny)
 
 
+def _cell_reports_pair(cell: GridCell, a: Envelope, b: Envelope) -> bool:
+    """Duplicate avoidance: of the cells both (intersecting) MBRs were
+    replicated into, only the owner of their reference point reports them."""
+    return cell.owns_point(*_reference_point(a, b))
+
+
 def join_cell(
     cell: GridCell,
     left: Sequence[Geometry],
@@ -76,10 +84,8 @@ def join_cell(
         lenv = lg.envelope
         for rg in tree.query(lenv):
             renv = rg.envelope
-            if deduplicate:
-                ref = _reference_point(lenv, renv)
-                if not cell.envelope.contains_point(*ref):
-                    continue
+            if deduplicate and not _cell_reports_pair(cell, lenv, renv):
+                continue
             if predicate(lg, rg):
                 results.append(JoinPair(lg, rg, cell.cell_id))
     return results

@@ -17,7 +17,7 @@ from ..mpisim import Communicator
 from ..pfs import SimulatedFilesystem
 from .framework import SpatialComputation
 from .grid_partition import GridPartitionConfig
-from .join import _reference_point
+from .join import _cell_reports_pair
 from .partition import PartitionConfig
 from .reader import VectorIO
 
@@ -71,10 +71,8 @@ class RangeQuery(SpatialComputation):
         for window in right:
             wenv = window.envelope
             for geom in tree.query(wenv):
-                if self.deduplicate:
-                    ref = _reference_point(wenv, geom.envelope)
-                    if not cell.envelope.contains_point(*ref):
-                        continue
+                if self.deduplicate and not _cell_reports_pair(cell, wenv, geom.envelope):
+                    continue
                 if predicates.intersects(window, geom):
                     matches.append(
                         QueryMatch(query_id=window.userdata, geometry=geom, cell_id=cell.cell_id)

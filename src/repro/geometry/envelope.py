@@ -199,10 +199,6 @@ class Envelope:
             dy = self.miny - other.maxy
         return math.hypot(dx, dy)
 
-    def enlargement(self, other: "Envelope") -> float:
-        """Area increase required to include *other* (used by R-tree insert)."""
-        return self.union(other).area - self.area
-
     # ------------------------------------------------------------------ #
     # serialisation helpers (used by MPI_RECT / binary datasets)
     # ------------------------------------------------------------------ #

@@ -1,34 +1,18 @@
-"""Spatial indexes: R-trees, quadtree, uniform grid and space-filling curves."""
+"""Spatial indexes: the STR-packed R-tree, the uniform grid and the Hilbert curve."""
 
 from .grid import GridCell, UniformGrid, block_mapping, round_robin_mapping
-from .quadtree import Quadtree
-from .rtree import RTree, RTreeStats, STRtree
-from .sfc import (
-    VISIT_ORDER_CURVES,
-    hilbert_decode,
-    hilbert_encode,
-    sort_by_hilbert,
-    sort_by_zorder,
-    spatial_visit_order,
-    zorder_decode,
-    zorder_encode,
-)
+from .rtree import RTreeStats, STRtree
+from .sfc import hilbert_decode, hilbert_encode, sort_by_hilbert, spatial_visit_order
 
 __all__ = [
     "STRtree",
-    "RTree",
     "RTreeStats",
-    "Quadtree",
     "UniformGrid",
     "GridCell",
     "round_robin_mapping",
     "block_mapping",
-    "zorder_encode",
-    "zorder_decode",
     "hilbert_encode",
     "hilbert_decode",
-    "sort_by_zorder",
     "sort_by_hilbert",
     "spatial_visit_order",
-    "VISIT_ORDER_CURVES",
 ]

@@ -6,13 +6,27 @@ cells is assigned to each process, and geometries spanning several cells are
 replicated into each.  :class:`UniformGrid` implements the cell geometry and
 the geometry→cells mapping; the distributed machinery on top of it lives in
 :mod:`repro.core.grid_partition`.
+
+**One cell-location rule.**  Which cells an MBR touches and which one cell
+owns a point are both answered by :meth:`UniformGrid._floor`: along each axis
+``floor((v - origin) / cell_width)`` clamped to the grid, so cells are
+half-open ``[c·w, (c+1)·w)`` and closed at the extent's far edges.
+Replication (:meth:`~UniformGrid.cells_for_envelope`), a record's home
+partition and a pair's reference-point owner
+(:meth:`~UniformGrid.cell_for_point`) all go through it.  The function is
+monotone, so a point between an MBR's ``min`` and ``max`` is owned by a cell
+inside that MBR's replication set — the exactly-once rule of the join, the
+range query and the store's ownership needs nothing else.  The
+:class:`GridCell` rectangles are for display and pruning, never for
+ownership: ``minx + c·w`` and the floor function are two tilings that differ
+in the last ulp on some edges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..geometry import Envelope
 
@@ -27,9 +41,19 @@ class GridCell:
     row: int
     col: int
     envelope: Envelope
+    #: the grid that made the cell (``None`` for a hand-built one)
+    grid: Optional["UniformGrid"] = field(default=None, compare=False, repr=False)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GridCell(id={self.cell_id}, row={self.row}, col={self.col})"
+
+    def owns_point(self, x: float, y: float) -> bool:
+        """Whether this is the one cell of its grid that owns the point
+        (:meth:`UniformGrid.cell_for_point`).  A hand-built cell is a
+        one-cell world: it owns its closed rectangle."""
+        if self.grid is None:
+            return self.envelope.contains_point(x, y)
+        return self.grid.cell_for_point(x, y) == self.cell_id
 
 
 class UniformGrid:
@@ -93,7 +117,7 @@ class UniformGrid:
         miny = self.extent.miny + row * self.cell_height
         maxx = self.extent.maxx if col == self.cols - 1 else minx + self.cell_width
         maxy = self.extent.maxy if row == self.rows - 1 else miny + self.cell_height
-        return GridCell(self.cell_id(row, col), row, col, Envelope(minx, miny, maxx, maxy))
+        return GridCell(self.cell_id(row, col), row, col, Envelope(minx, miny, maxx, maxy), self)
 
     def cell_by_id(self, cell_id: int) -> GridCell:
         if not (0 <= cell_id < self.num_cells):
@@ -106,40 +130,51 @@ class UniformGrid:
                 yield self.cell(row, col)
 
     # ------------------------------------------------------------------ #
-    def _col_range(self, minx: float, maxx: float) -> Tuple[int, int]:
-        lo = int((minx - self.extent.minx) / self.cell_width)
-        hi = int((maxx - self.extent.minx) / self.cell_width)
-        return (max(0, min(lo, self.cols - 1)), max(0, min(hi, self.cols - 1)))
+    @staticmethod
+    def _floor(offset: float, width: float, n: int) -> int:
+        """The cell-location rule along one axis (module docstring):
+        ``floor(offset / width)`` clamped to ``[0, n - 1]``.  The clamp is
+        done in float space, so ±inf and 1e308 are boundary cells; the result
+        is monotone in *offset*."""
+        f = offset / width
+        if f >= n - 1:
+            return n - 1
+        return int(f) if f > 0 else 0
 
-    def _row_range(self, miny: float, maxy: float) -> Tuple[int, int]:
-        lo = int((miny - self.extent.miny) / self.cell_height)
-        hi = int((maxy - self.extent.miny) / self.cell_height)
-        return (max(0, min(lo, self.rows - 1)), max(0, min(hi, self.rows - 1)))
+    def _col(self, x: float) -> int:
+        return self._floor(x - self.extent.minx, self.cell_width, self.cols)
+
+    def _row(self, y: float) -> int:
+        return self._floor(y - self.extent.miny, self.cell_height, self.rows)
 
     def cells_for_envelope(self, env: Envelope) -> List[int]:
-        """Ids of every cell the envelope overlaps (the replication set).
+        """Ids of every cell the envelope overlaps (the replication set),
+        ascending.
 
         A geometry spanning multiple cells is "simply replicated to these
         cells" (paper §4); this is the mapping that drives replication.
         Envelopes outside the extent are clamped to the nearest boundary
-        cells so no geometry is ever dropped.
+        cells so no geometry is ever dropped; an MBR that is not a box (a
+        NaN bound) is a :class:`ValueError`.
         """
         if env.is_empty:
             return []
-        col_lo, col_hi = self._col_range(env.minx, env.maxx)
-        row_lo, row_hi = self._row_range(env.miny, env.maxy)
+        if not (env.minx <= env.maxx and env.miny <= env.maxy):  # NaN compares false
+            raise ValueError(f"cannot locate {env!r} on the grid: it is not a box")
+        col_lo, col_hi = self._col(env.minx), self._col(env.maxx)
         ids: List[int] = []
-        for row in range(row_lo, row_hi + 1):
+        for row in range(self._row(env.miny), self._row(env.maxy) + 1):
             base = row * self.cols
-            for col in range(col_lo, col_hi + 1):
-                ids.append(base + col)
+            ids.extend(range(base + col_lo, base + col_hi + 1))
         return ids
 
     def cell_for_point(self, x: float, y: float) -> int:
-        """Id of the single cell containing the point (clamped to the extent)."""
-        col_lo, _ = self._col_range(x, x)
-        row_lo, _ = self._row_range(y, y)
-        return row_lo * self.cols + col_lo
+        """Id of the one cell that owns the point (clamped to the extent);
+        for an MBR's lower-left corner, the lowest cell of its replication
+        set."""
+        if x != x or y != y:
+            raise ValueError(f"cannot locate point ({x}, {y}) on the grid")
+        return self._row(y) * self.cols + self._col(x)
 
     # ------------------------------------------------------------------ #
     def histogram(self, envelopes: Iterable[Envelope]) -> Dict[int, int]:

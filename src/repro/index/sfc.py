@@ -1,9 +1,9 @@
-"""Space-filling curves (Z-order / Morton and Hilbert).
+"""The Hilbert space-filling curve.
 
 The paper notes that "to ensure spatial data locality, points and line
-segments are often sorted in 2D using Z-order and Hilbert curve" (§4.1).  The
-non-contiguous-access experiments rely on spatially sorted file layouts, which
-these curves produce.
+segments are often sorted in 2D using Z-order and Hilbert curve" (§4.1).
+Hilbert order is the one this repo uses: it is a fact of the store format
+(record order inside a partition) and the engine's batch visit order.
 """
 
 from __future__ import annotations
@@ -13,54 +13,12 @@ from typing import List, Sequence, Tuple
 from ..geometry import Envelope
 
 __all__ = [
-    "zorder_encode",
-    "zorder_decode",
     "hilbert_encode",
     "hilbert_decode",
     "normalise_to_grid",
-    "sort_by_zorder",
     "sort_by_hilbert",
     "spatial_visit_order",
-    "VISIT_ORDER_CURVES",
 ]
-
-
-# --------------------------------------------------------------------------- #
-# Z-order (Morton)
-# --------------------------------------------------------------------------- #
-def _interleave(v: int) -> int:
-    """Spread the lower 32 bits of *v* so a zero bit sits between each."""
-    v &= 0xFFFFFFFF
-    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
-    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
-    v = (v | (v << 2)) & 0x3333333333333333
-    v = (v | (v << 1)) & 0x5555555555555555
-    return v
-
-
-def _deinterleave(v: int) -> int:
-    v &= 0x5555555555555555
-    v = (v | (v >> 1)) & 0x3333333333333333
-    v = (v | (v >> 2)) & 0x0F0F0F0F0F0F0F0F
-    v = (v | (v >> 4)) & 0x00FF00FF00FF00FF
-    v = (v | (v >> 8)) & 0x0000FFFF0000FFFF
-    v = (v | (v >> 16)) & 0x00000000FFFFFFFF
-    return v
-
-
-def zorder_encode(ix: int, iy: int) -> int:
-    """Morton code of non-negative integer cell coordinates."""
-    if ix < 0 or iy < 0:
-        raise ValueError("Z-order coordinates must be non-negative")
-    return _interleave(ix) | (_interleave(iy) << 1)
-
-
-def zorder_decode(code: int) -> Tuple[int, int]:
-    """Inverse of :func:`zorder_encode`."""
-    if code < 0:
-        raise ValueError("Z-order code must be non-negative")
-    return (_deinterleave(code), _deinterleave(code >> 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -133,18 +91,6 @@ def normalise_to_grid(
     return (max(0, min(side, ix)), max(0, min(side, iy)))
 
 
-def sort_by_zorder(
-    points: Sequence[Tuple[float, float]], extent: Envelope, order: int = 16
-) -> List[int]:
-    """Indices of *points* sorted by Morton code (a spatially local order)."""
-    keyed = [
-        (zorder_encode(*normalise_to_grid(x, y, extent, order)), i)
-        for i, (x, y) in enumerate(points)
-    ]
-    keyed.sort()
-    return [i for _, i in keyed]
-
-
 def sort_by_hilbert(
     points: Sequence[Tuple[float, float]], extent: Envelope, order: int = 16
 ) -> List[int]:
@@ -157,15 +103,8 @@ def sort_by_hilbert(
     return [i for _, i in keyed]
 
 
-#: curve names accepted by :func:`spatial_visit_order`
-VISIT_ORDER_CURVES = ("hilbert", "zorder", "none")
-
-
 def spatial_visit_order(
-    points: Sequence[Tuple[float, float]],
-    extent: Envelope,
-    curve: str = "hilbert",
-    order: int = 16,
+    points: Sequence[Tuple[float, float]], extent: Envelope
 ) -> List[int]:
     """Spatially local visit order of *points* — the one shared ordering rule.
 
@@ -173,17 +112,11 @@ def spatial_visit_order(
     loader packing a partition's records, the query engine ordering a batch's
     windows, the sharded writer ordering each shard's partitions) routes
     through this helper, so the visit order can never silently diverge between
-    the write path and the serving path.
+    the write path and the serving path.  The order is Hilbert order.
 
-    Degenerate inputs keep the input order: fewer than two points, an empty
-    extent (nothing to normalise against), or ``curve="none"``.
+    Degenerate inputs keep the input order: fewer than two points, or an empty
+    extent (nothing to normalise against).
     """
-    if curve not in VISIT_ORDER_CURVES:
-        raise ValueError(
-            f"unknown visit-order curve {curve!r} (use one of {VISIT_ORDER_CURVES})"
-        )
-    if len(points) < 2 or curve == "none" or extent.is_empty:
+    if len(points) < 2 or extent.is_empty:
         return list(range(len(points)))
-    if curve == "hilbert":
-        return sort_by_hilbert(points, extent, order)
-    return sort_by_zorder(points, extent, order)
+    return sort_by_hilbert(points, extent)

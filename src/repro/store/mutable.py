@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.grid_partition import assign_to_cells, build_grid, cell_rtree
+from ..core.grid_partition import assign_to_cells, build_grid
 from ..geometry import Envelope, Geometry
 from ..index import UniformGrid
 from ..obs.trace import NULL_TRACER
@@ -146,14 +146,13 @@ def _checked_deletes(deletes: Iterable[int], ceiling: int) -> List[int]:
 def _assign_owned(
     grid: UniformGrid,
     recs: List[_Rec],
-    cell_tree,
     owned: Optional[Set[int]],
     owner: str,
 ) -> Dict[int, List[_Rec]]:
     """Grid-assign *recs* (replication included), restricted to the *owned*
     partitions when serving one shard of a sharded store — where every
     record must land in at least one of them."""
-    cells = assign_to_cells(grid, recs, cell_tree) if recs else {}
+    cells = assign_to_cells(grid, recs)
     if owned is not None:
         cells = {cid: rs for cid, rs in cells.items() if cid in owned}
         assigned = {r.rid for rs in cells.values() for r in rs}
@@ -172,13 +171,11 @@ class StoreAppender:
     Opens the manifest once; every :meth:`append` call persists one delta
     generation and rewrites the manifest.  *grid* overrides the partition
     grid (the sharded appender passes the **global** grid so partition ids
-    stay global inside shard stores); *cell_tree* is an optional pre-built
-    cell R-tree over that same grid (the sharded appender shares the
-    router's cached tree across all shard appenders instead of rebuilding
-    it per shard); *allowed_partitions* restricts the replication to a set
-    of grid cells (a shard's owned partitions); *count_deletes* disables
-    the live-record decrement for deletes whose home shard is unknown
-    locally (the sharded appender accounts for them globally instead).
+    stay global inside shard stores); *allowed_partitions* restricts the
+    replication to a set of grid cells (a shard's owned partitions);
+    *count_deletes* disables the live-record decrement for deletes whose
+    home shard is unknown locally (the sharded appender accounts for them
+    globally instead).
     """
 
     def __init__(
@@ -188,7 +185,6 @@ class StoreAppender:
         grid: Optional[UniformGrid] = None,
         allowed_partitions: Optional[Iterable[int]] = None,
         count_deletes: bool = True,
-        cell_tree=None,
         tracer=None,
     ) -> None:
         self.fs = fs
@@ -198,7 +194,6 @@ class StoreAppender:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.paths = store_paths(name)
         self._grid_override = grid
-        self._cell_tree = cell_tree
         self.allowed_partitions = (
             None if allowed_partitions is None else set(allowed_partitions)
         )
@@ -302,7 +297,6 @@ class StoreAppender:
                 cells = _assign_owned(
                     grid,
                     usable,
-                    self._cell_tree or cell_rtree(grid),
                     self.allowed_partitions,
                     f"store {self.name!r}",
                 )
@@ -652,7 +646,6 @@ class ShardedStoreAppender:
                     grid=router.grid,
                     allowed_partitions=shard.partition_ids,
                     count_deletes=False,
-                    cell_tree=router.cell_tree(),
                 )
                 if previously_dead is None:
                     # tombstones are broadcast, so any one shard's manifest
@@ -704,7 +697,6 @@ def compact_sharded_store(fs: SimulatedFilesystem, name: str) -> ShardedCompacti
     _recover_global_ceiling(fs, manifest)
     router = ShardRouter(manifest)
     grid = router.grid
-    tree = cell_rtree(grid)
 
     merged = 0
     write_seconds = 0.0
@@ -718,7 +710,6 @@ def compact_sharded_store(fs: SimulatedFilesystem, name: str) -> ShardedCompacti
         cells = _assign_owned(
             grid,
             [_Rec(rid, g) for rid, g in records],
-            tree,
             set(shard.partition_ids),
             f"shard {shard.shard_id}",
         )

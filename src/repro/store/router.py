@@ -7,12 +7,16 @@ page MBR / index leaf), assigns shards to serving ranks, and builds the
 per-rank scatter plan for a query batch.
 
 It also answers *partition ownership*: every logical record's home
-partition is the lowest-numbered global grid cell its MBR overlaps,
-computed with exactly the same cell R-tree probe the bulk loader used, so a
+partition is the lowest-numbered global grid cell its MBR overlaps — the
+cell of the MBR's lower-left corner under the grid's floor function
+(:mod:`repro.index.grid`), the same function the bulk loader, the appenders
+and compaction replicate with, so the home cell always holds a replica and a
 record replicated into several shards is owned by exactly one of them.
 That rule is what lets store-backed pipeline input
 (:meth:`repro.core.framework.SpatialComputation.run_from_store`) read every
-record exactly once across ranks without any communication.
+record exactly once across ranks without any communication.  (The paper's
+§4 R-tree over cell boundaries is not built: see
+:mod:`repro.core.grid_partition` for when it would be needed.)
 """
 
 from __future__ import annotations
@@ -20,19 +24,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Envelope
-from ..index import RTree, UniformGrid
+from ..index import UniformGrid
 from .manifest import ShardInfo, ShardsManifest
 
 __all__ = ["ShardRouter", "shard_assignment"]
-
-
-class _EnvelopeCarrier:
-    """Minimal record the grid partitioner accepts (it only reads .envelope)."""
-
-    __slots__ = ("envelope",)
-
-    def __init__(self, envelope: Envelope) -> None:
-        self.envelope = envelope
 
 
 def shard_assignment(num_shards: int, nranks: int) -> Dict[int, int]:
@@ -54,7 +49,6 @@ class ShardRouter:
     def __init__(self, manifest: ShardsManifest) -> None:
         self.manifest = manifest
         self._grid: Optional[UniformGrid] = None
-        self._cell_tree: Optional[RTree] = None
         self._partition_to_shard = manifest.partition_to_shard()
 
     # ------------------------------------------------------------------ #
@@ -96,41 +90,20 @@ class ShardRouter:
             )
         return self._grid
 
-    def _tree(self) -> RTree:
-        if self._cell_tree is None:
-            # the exact tree the bulk loader's replication probe used — any
-            # divergence here would break the exactly-once ownership rule
-            from ..core.grid_partition import cell_rtree
-
-            self._cell_tree = cell_rtree(self.grid)
-        return self._cell_tree
-
-    def cell_tree(self) -> RTree:
-        """The cached grid-cell R-tree (shared with append replication so
-        the probe is built once per routing decision chain, not per shard)."""
-        return self._tree()
-
     def overlapping_partitions(self, env: Envelope) -> List[int]:
-        """Global partitions the envelope overlaps, via the same probe
-        (``assign_to_cells``: cell R-tree, grid-clamp fallback) the bulk
-        loader's replication used, so the two can never disagree."""
-        if env.is_empty:
-            return []
-        from ..core.grid_partition import assign_to_cells
-
-        carrier = _EnvelopeCarrier(env)
-        return sorted(assign_to_cells(self.grid, [carrier], self._tree()))
+        """Global partitions the envelope overlaps (its replication set)."""
+        return self.grid.cells_for_envelope(env)
 
     def home_partition(self, env: Envelope) -> int:
-        """The partition that *owns* a record: the lowest overlapping cell.
+        """The partition that *owns* a record: the lowest overlapping cell,
+        which is the cell of the MBR's lower-left corner.
 
         Replicas of one record agree on this without communication, so the
         shard holding the home partition is the record's unique owner.
         """
-        cells = self.overlapping_partitions(env)
-        if not cells:
+        if env.is_empty:
             raise ValueError("cannot compute home partition of an empty envelope")
-        return min(cells)
+        return self.grid.cell_for_point(env.minx, env.miny)
 
     def owner_shard(self, env: Envelope) -> Optional[int]:
         """Shard owning the record with MBR *env* (None if outside all shards)."""

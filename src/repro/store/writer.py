@@ -73,12 +73,24 @@ class BulkLoadResult:
 
 
 class _Rec:
-    """Record carrier fed to the grid partitioner (it only reads .envelope)."""
+    """Record carrier fed to the grid partitioner (it only reads .envelope).
+
+    Making one is the gate where records enter the writer — bulk loads,
+    appends and compactions all build their ``_Rec`` list before anything is
+    assigned to a cell or written — so a record whose MBR holds a NaN is
+    rejected here with a :class:`ValueError`.
+    """
 
     __slots__ = ("envelope", "rid", "geom")
 
     def __init__(self, rid: int, geom: Geometry) -> None:
-        self.envelope = geom.envelope
+        env = geom.envelope
+        if not (env.minx <= env.maxx and env.miny <= env.maxy):  # NaN compares false
+            raise ValueError(
+                f"record {rid} (ids are input positions in a bulk load) cannot "
+                f"be stored: its MBR {env!r} is not a box (a NaN coordinate?)"
+            )
+        self.envelope = env
         self.rid = rid
         self.geom = geom
 
@@ -117,8 +129,7 @@ def pack_partitions(
 
     Each record's envelope-column entry is counted against the page-size
     budget, so a page payload never exceeds ``page_size`` plus the count
-    prefix.  A record whose MBR holds a NaN is rejected here — the one gate
-    bulk loads, appends and compactions share — with a :class:`ValueError`.
+    prefix.
     """
     packed = PackedPartitions()
     data_offset = HEADER_SIZE
@@ -127,13 +138,6 @@ def pack_partitions(
 
     for cell_id in sorted(cells):
         part_recs = cells[cell_id]
-        for rec in part_recs:
-            env = rec.envelope
-            if not (env.minx <= env.maxx and env.miny <= env.maxy):  # NaN compares false
-                raise ValueError(
-                    f"record {rec.rid} (ids are input positions in a bulk load) cannot "
-                    f"be stored: its MBR {env!r} is not a box (a NaN coordinate?)"
-                )
         ordering = spatial_visit_order([r.envelope.centre for r in part_recs], grid.extent)
         part = PartitionInfo(
             partition_id=cell_id,
@@ -291,7 +295,7 @@ def partition_identified(
     where *cells* maps global grid cell ids to record replicas (the existing
     grid machinery, replication included).
     """
-    from ..core.grid_partition import assign_to_cells, build_grid, cell_rtree
+    from ..core.grid_partition import assign_to_cells, build_grid
 
     pairs = list(records)
     usable = [_Rec(rid, g) for rid, g in pairs if not g.envelope.is_empty]
@@ -303,7 +307,7 @@ def partition_identified(
 
     if usable:
         grid = build_grid(extent, num_partitions)
-        cells = assign_to_cells(grid, usable, cell_rtree(grid))
+        cells = assign_to_cells(grid, usable)
     else:
         grid = UniformGrid(Envelope(0.0, 0.0, 1.0, 1.0), 1, 1)
         cells = {}

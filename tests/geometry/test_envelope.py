@@ -112,9 +112,6 @@ class TestMetrics:
     def test_distance_touching_is_zero(self):
         assert Envelope(0, 0, 1, 1).distance(Envelope(1, 1, 2, 2)) == 0.0
 
-    def test_enlargement(self):
-        assert Envelope(0, 0, 1, 1).enlargement(Envelope(0, 0, 2, 1)) == pytest.approx(1.0)
-
     def test_centre(self):
         assert Envelope(0, 0, 2, 4).centre == (1, 2)
 

@@ -1,75 +1,21 @@
-"""Quadtree, uniform grid and space-filling-curve tests."""
+"""Uniform grid and space-filling-curve tests."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Envelope
 from repro.index import (
-    VISIT_ORDER_CURVES,
-    Quadtree,
     UniformGrid,
     block_mapping,
     hilbert_decode,
     hilbert_encode,
     round_robin_mapping,
     sort_by_hilbert,
-    sort_by_zorder,
     spatial_visit_order,
-    zorder_decode,
-    zorder_encode,
 )
-
-
-def make_boxes(n, seed=0, extent=100.0):
-    rng = random.Random(seed)
-    out = []
-    for i in range(n):
-        x, y = rng.uniform(0, extent), rng.uniform(0, extent)
-        w, h = rng.uniform(0.1, 5), rng.uniform(0.1, 5)
-        out.append((Envelope(x, y, x + w, y + h), i))
-    return out
-
-
-class TestQuadtree:
-    def test_requires_valid_extent(self):
-        with pytest.raises(ValueError):
-            Quadtree(Envelope.empty())
-
-    def test_insert_query_matches_bruteforce(self):
-        boxes = make_boxes(400, seed=2)
-        qt = Quadtree(Envelope(0, 0, 100, 100), max_items=8)
-        qt.extend(boxes)
-        assert len(qt) == 400
-        for seed in range(10):
-            rng = random.Random(seed)
-            x, y = rng.uniform(0, 100), rng.uniform(0, 100)
-            search = Envelope(x, y, x + 10, y + 10)
-            expected = sorted(i for env, i in boxes if env.intersects(search))
-            assert sorted(qt.query(search)) == expected
-
-    def test_items_outside_extent_still_found(self):
-        qt = Quadtree(Envelope(0, 0, 10, 10), max_items=2)
-        qt.insert(Envelope(100, 100, 101, 101), "outlier")
-        assert qt.query(Envelope(99, 99, 102, 102)) == ["outlier"]
-
-    def test_subdivision_happens(self):
-        qt = Quadtree(Envelope(0, 0, 100, 100), max_items=4)
-        qt.extend(make_boxes(200, seed=5))
-        assert qt.depth() >= 2
-
-    def test_rejects_empty_envelope(self):
-        qt = Quadtree(Envelope(0, 0, 1, 1))
-        with pytest.raises(ValueError):
-            qt.insert(Envelope.empty(), 1)
-
-    def test_query_point(self):
-        qt = Quadtree(Envelope(0, 0, 10, 10))
-        qt.insert(Envelope(2, 2, 4, 4), "a")
-        assert qt.query_point(3, 3) == ["a"]
-        assert qt.query_point(9, 9) == []
 
 
 class TestUniformGrid:
@@ -149,15 +95,6 @@ class TestMappings:
 
 
 class TestSpaceFillingCurves:
-    @given(st.integers(min_value=0, max_value=2**20), st.integers(min_value=0, max_value=2**20))
-    def test_zorder_roundtrip(self, x, y):
-        assert zorder_decode(zorder_encode(x, y)) == (x, y)
-
-    def test_zorder_ordering_small_grid(self):
-        # The first four codes trace the standard Z pattern.
-        codes = [zorder_encode(x, y) for y in range(2) for x in range(2)]
-        assert codes == [0, 1, 2, 3]
-
     @given(st.integers(min_value=0, max_value=2**10 - 1), st.integers(min_value=0, max_value=2**10 - 1))
     def test_hilbert_roundtrip(self, x, y):
         assert hilbert_decode(hilbert_encode(x, y, order=10), order=10) == (x, y)
@@ -174,7 +111,7 @@ class TestSpaceFillingCurves:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            zorder_encode(-1, 0)
+            hilbert_encode(-1, 0)
         with pytest.raises(ValueError):
             hilbert_encode(5, 5, order=2) if 5 >= 4 else None
         with pytest.raises(ValueError):
@@ -184,18 +121,17 @@ class TestSpaceFillingCurves:
         rng = random.Random(3)
         pts = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(200)]
         extent = Envelope(0, 0, 100, 100)
-        for order_fn in (sort_by_zorder, sort_by_hilbert):
-            idx = order_fn(pts, extent)
-            assert sorted(idx) == list(range(200))
-            # spatial locality: average step distance under the SFC order is
-            # clearly smaller than under the original random order
-            def avg_step(order):
-                return sum(
-                    abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
-                    for a, b in zip(order, order[1:])
-                ) / (len(order) - 1)
+        idx = sort_by_hilbert(pts, extent)
+        assert sorted(idx) == list(range(200))
+        # spatial locality: average step distance under the SFC order is
+        # clearly smaller than under the original random order
+        def avg_step(order):
+            return sum(
+                abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
+                for a, b in zip(order, order[1:])
+            ) / (len(order) - 1)
 
-            assert avg_step(idx) < avg_step(list(range(200))) * 0.65
+        assert avg_step(idx) < avg_step(list(range(200))) * 0.65
 
 
 class TestSpatialVisitOrder:
@@ -212,14 +148,6 @@ class TestSpatialVisitOrder:
         pts = self._points()
         extent = Envelope(0, 0, 100, 100)
         assert spatial_visit_order(pts, extent) == sort_by_hilbert(pts, extent)
-        assert spatial_visit_order(pts, extent, curve="hilbert", order=12) == \
-            sort_by_hilbert(pts, extent, order=12)
-
-    def test_pins_zorder_order(self):
-        pts = self._points(seed=11)
-        extent = Envelope(0, 0, 100, 100)
-        assert spatial_visit_order(pts, extent, curve="zorder") == \
-            sort_by_zorder(pts, extent)
 
     def test_degenerate_inputs_keep_input_order(self):
         extent = Envelope(0, 0, 100, 100)
@@ -227,12 +155,6 @@ class TestSpatialVisitOrder:
         assert spatial_visit_order([(1.0, 2.0)], extent) == [0]
         pts = self._points(n=5)
         assert spatial_visit_order(pts, Envelope.empty()) == [0, 1, 2, 3, 4]
-        assert spatial_visit_order(pts, extent, curve="none") == [0, 1, 2, 3, 4]
-
-    def test_unknown_curve_rejected(self):
-        with pytest.raises(ValueError, match="visit-order curve"):
-            spatial_visit_order(self._points(n=3), Envelope(0, 0, 1, 1), curve="peano")
-        assert set(VISIT_ORDER_CURVES) == {"hilbert", "zorder", "none"}
 
     def test_writer_ordering_routes_through_the_helper(self):
         # the bulk loader's slot order inside a partition must be exactly the

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Envelope
-from repro.index import RTree, STRtree
+from repro.index import STRtree
 from repro.store import RecordRef, dump_index, load_index
 
 
@@ -295,120 +295,3 @@ class TestBulkQueryContract:
             (probe, match) for env, probe in probes for match in query_reference(tree, env)
         ]
         assert expected and tree.query_pairs(probes) == expected
-
-
-class TestDynamicRTree:
-    def test_empty(self):
-        t = RTree()
-        assert len(t) == 0
-        assert t.query(Envelope(0, 0, 1, 1)) == []
-
-    def test_insert_and_query(self):
-        t = RTree(max_entries=4)
-        boxes = make_boxes(300, seed=7)
-        t.extend(boxes)
-        assert len(t) == 300
-        for seed in range(15):
-            rng = random.Random(seed)
-            x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
-            search = Envelope(x, y, x + 40, y + 40)
-            assert sorted(t.query(search)) == brute_force(boxes, search)
-
-    def test_query_point(self):
-        t = RTree()
-        t.insert(Envelope(0, 0, 10, 10), "cell0")
-        t.insert(Envelope(10, 0, 20, 10), "cell1")
-        assert set(t.query_point(5, 5)) == {"cell0"}
-        assert set(t.query_point(10, 5)) == {"cell0", "cell1"}  # boundary
-
-    def test_rejects_empty_envelope(self):
-        with pytest.raises(ValueError):
-            RTree().insert(Envelope.empty(), "x")
-
-    def test_rejects_small_max_entries(self):
-        with pytest.raises(ValueError):
-            RTree(max_entries=2)
-
-    def test_bounds_grow_with_inserts(self):
-        t = RTree()
-        t.insert(Envelope(0, 0, 1, 1), 1)
-        assert t.bounds.as_tuple() == (0, 0, 1, 1)
-        t.insert(Envelope(5, 5, 6, 6), 2)
-        assert t.bounds.contains(Envelope(5, 5, 6, 6))
-
-    def test_duplicate_envelopes(self):
-        t = RTree(max_entries=4)
-        for i in range(20):
-            t.insert(Envelope(0, 0, 1, 1), i)
-        assert sorted(t.query(Envelope(0, 0, 1, 1))) == list(range(20))
-
-    def test_stats_height_grows(self):
-        t = RTree(max_entries=4)
-        t.extend(make_boxes(100, seed=11))
-        assert t.stats().height >= 2
-        assert t.stats().num_items == 100
-
-    @given(st.lists(box_strategy, min_size=1, max_size=60), box_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_property_matches_brute_force(self, envs, search):
-        boxes = [(e, i) for i, e in enumerate(envs)]
-        t = RTree(max_entries=4)
-        t.extend(boxes)
-        assert sorted(t.query(search)) == brute_force(boxes, search)
-
-    def test_all_infinite_envelopes(self):
-        """Regression: NaN enlargements used to duplicate split seeds and
-        crash _choose_leaf once every child envelope was infinite."""
-        import math
-
-        t = RTree(max_entries=4)
-        inf_env = Envelope(-math.inf, -math.inf, math.inf, math.inf)
-        for i in range(20):
-            t.insert(inf_env, i)
-        assert len(t) == 20
-        assert sorted(t.query(Envelope(0, 0, 1, 1))) == list(range(20))
-
-    def test_mixed_infinite_and_finite(self):
-        import math
-
-        t = RTree(max_entries=4)
-        boxes = []
-        rng = random.Random(3)
-        for i in range(60):
-            if i % 6 == 0:
-                env = Envelope(-math.inf, 0.0, math.inf, 1.0)
-            else:
-                x, y = rng.uniform(0, 100), rng.uniform(0, 100)
-                env = Envelope(x, y, x + 2, y + 2)
-            boxes.append((env, i))
-            t.insert(env, i)
-        search = Envelope(20, 20, 60, 60)
-        assert sorted(t.query(search)) == brute_force(boxes, search)
-
-    def test_zero_area_envelopes(self):
-        t = RTree(max_entries=4)
-        for i in range(30):
-            t.insert(Envelope.of_point(i % 3, i % 3), i)
-        assert len(t) == 30
-        assert sorted(t.query(Envelope.of_point(0, 0))) == [i for i in range(30) if i % 3 == 0]
-
-    def test_single_item(self):
-        t = RTree()
-        t.insert(Envelope(1, 1, 2, 2), "only")
-        assert t.query(Envelope(0, 0, 3, 3)) == ["only"]
-        assert t.query(Envelope(5, 5, 6, 6)) == []
-        assert t.stats().num_items == 1
-
-    def test_cell_boundary_use_case(self):
-        """The partitioning use case: index grid-cell rectangles, probe with
-        geometry MBRs to find overlapping cells."""
-        from repro.index import UniformGrid
-
-        grid = UniformGrid(Envelope(0, 0, 100, 100), rows=4, cols=4)
-        t = RTree()
-        for cell in grid.cells():
-            t.insert(cell.envelope, cell.cell_id)
-        probe = Envelope(10, 10, 40, 40)
-        via_rtree = sorted(t.query(probe))
-        via_grid = sorted(grid.cells_for_envelope(probe))
-        assert via_rtree == via_grid

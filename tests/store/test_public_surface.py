@@ -43,7 +43,7 @@ SURFACE = [
     ),
     (
         StoreAppender.__init__,
-        "self fs name grid allowed_partitions count_deletes cell_tree tracer",
+        "self fs name grid allowed_partitions count_deletes tracer",
     ),
     (StoreAppender.append, "self geometries deletes record_ids id_ceiling"),
     (ShardedStoreAppender.__init__, "self fs name"),

@@ -16,7 +16,18 @@ Every file hash and 11 of the 13 charges still carry the recorded value; the
 two in ``MOVED_LAST_BIT`` moved by one unit in the last place, because a base
 rewrite now sums per-file subtotals ``(open + write)`` in file order — the
 order appends always used — where it used to add each open and each write to
-one running total.  Re-record (only when a format change is intended) with::
+one running total.
+
+Four constants were re-recorded when ``UniformGrid``'s floor arithmetic
+became the only cell-location rule (replication used to be a closed-rectangle
+probe of an R-tree over the cells): ``crc/data.bin``, ``crc/index.bin`` and
+``crc/manifest.json`` at the ``compacted`` checkpoint and the ``compact``
+charge.  That compaction lays a 3×3 grid over ``[0, 136.5] × [0, 132.5]`` and
+lattice records sit exactly on ``x = 45.5`` and ``x = 91.0``; the closed probe
+also stored them in the neighbour they only touch, the half-open cells do not
+(``crc/data.bin`` 41 468 → 41 292 bytes: fewer replicas, same answers).
+
+Re-record (only when a format change is intended) with::
 
     PYTHONPATH=src python tests/store/test_write_path_golden.py \
         > tests/store/write_path_golden.json

@@ -119,17 +119,21 @@ class TestStoreLocScript:
         assert over.returncode == 1
         assert "11 logical lines exceed --max 10" in over.stderr
 
-    def test_store_package_stays_within_the_ci_budget(self):
-        # the gate exactly as the spmd-lint job of ci.yml runs it
+    def test_store_and_package_stay_within_the_ci_budgets(self):
+        # the gates exactly as the spmd-lint job of ci.yml runs them
         workflow = (SCRIPTS.parent / ".github" / "workflows" / "ci.yml").read_text()
-        command = next(
+        commands = [
             line.split("run:")[1].split()
             for line in workflow.splitlines()
             if "scripts/store_loc.py" in line
-        )
-        assert command[:4] == ["python", "scripts/store_loc.py", "src/repro/store", "--max"]
-        result = run("store_loc.py", *command[2:], cwd=SCRIPTS.parent)
-        assert result.returncode == 0, result.stdout + result.stderr
+        ]
+        assert [command[:4] for command in commands] == [
+            ["python", "scripts/store_loc.py", path, "--max"]
+            for path in ("src/repro/store", "src/repro")
+        ]
+        for command in commands:
+            result = run("store_loc.py", *command[2:], cwd=SCRIPTS.parent)
+            assert result.returncode == 0, result.stdout + result.stderr
 
 
 @pytest.mark.parametrize(
