@@ -183,34 +183,32 @@ def test_cost_model_vs_fixed_prefetch(lustre, frontend_store, benchmark, once):
         pre = report.add_series("pages_prefetched")
         io = report.add_series("io_milliseconds")
 
-        fixed_keys, fixed = serve()
-        fixed4_keys, fixed4 = serve(prefetch_pages=4)
+        fixed_keys, fixed = serve(io_policy="fixed")
         cost_keys, cost = serve(io_policy="cost_model")
-        for label, stats in (("fixed", fixed), ("fixed_prefetch4", fixed4),
-                             ("cost_model", cost)):
+        for label, stats in (("fixed", fixed), ("cost_model", cost)):
             reqs.add(label, stats["read_requests"])
             pre.add(label, stats["pages_prefetched"])
             io.add(label, stats["io_seconds"] * 1e3)
 
         report.note(
             f"{len(queries)} windows; read_requests fixed={fixed['read_requests']:.0f} "
-            f"fixed+4={fixed4['read_requests']:.0f} cost={cost['read_requests']:.0f}; "
+            f"cost={cost['read_requests']:.0f}; "
             f"prefetched cost={cost['pages_prefetched']:.0f}"
         )
-        return report, (fixed_keys, fixed4_keys, cost_keys), (fixed, fixed4, cost)
+        return report, (fixed_keys, cost_keys), (fixed, cost)
 
-    report, (fixed_keys, fixed4_keys, cost_keys), (fixed, fixed4, cost) = once(driver)
+    report, (fixed_keys, cost_keys), (fixed, cost) = once(driver)
     report.print()
 
-    # identical answers under every policy
-    assert cost_keys == fixed_keys == fixed4_keys
+    # identical answers under both policies; only the cost model reads ahead
+    assert cost_keys == fixed_keys
+    assert fixed["pages_prefetched"] == 0
 
     # the break-even gap merges at least as aggressively as the page-size gap
     assert cost["read_requests"] <= fixed["read_requests"]
 
     benchmark.extra_info["queries"] = len(queries)
-    for label, stats in (("fixed", fixed), ("fixed_prefetch4", fixed4),
-                         ("cost_model", cost)):
+    for label, stats in (("fixed", fixed), ("cost_model", cost)):
         benchmark.extra_info[label] = {
             "read_requests": float(stats["read_requests"]),
             "pages_prefetched": float(stats["pages_prefetched"]),

@@ -15,7 +15,7 @@ joined against the same store twice:
 
 Expected shape: identical join pairs, with the batch path issuing *far*
 fewer ``read_requests`` than the per-probe page-touch count, and decoding
-only surviving slots either way (lazy decode is version-wide).
+only surviving slots either way (a page decodes per slot, on demand).
 
 Set ``BATCH_SERVING_QUICK=1`` for the CI smoke variant (fewer probes).
 """
@@ -107,7 +107,7 @@ def test_batch_join_vs_per_probe(lustre, batch_store, benchmark, once):
     assert batch_stats["read_requests"] < per_probe_touches
     assert batch_stats["read_requests"] <= loop_stats["read_requests"]
 
-    # lazy decode holds on both paths: decodes track results, not pages;
+    # per-slot decode holds on both paths: decodes track results, not pages;
     # the batch path never decodes more than the per-probe path
     assert batch_stats["records_decoded"] <= loop_stats["records_decoded"]
 

@@ -1,15 +1,8 @@
 """Fault-tolerance benchmarks — the cost of surviving bad storage.
 
 Not a figure of the paper: this benchmark extends the perf trajectory to
-PR 7's fault-tolerance layer.  Two properties are pinned:
+PR 7's fault-tolerance layer.  One property is pinned:
 
-* **checksums are (almost) free when nothing is wrong** — verification
-  runs once per page *fetch* and never on cache hits, so the CRC32 work
-  for a batch's touched pages is timed directly and pinned at ≤ 5% of the
-  pass that pays it: the same batch on a freshly opened store, which
-  fetches and verifies exactly those pages (a warm batch computes no CRC
-  at all, so every serving speed-up would eat a budget measured against
-  it); a twin store written without checksums must answer byte-identically;
 * **tail latency degrades gracefully under faults** — the same query
   stream served through :class:`repro.faults.FaultyFilesystem` at 0%, 1%
   and 10% seeded transient-read-fault rates returns identical results at
@@ -21,7 +14,6 @@ Set ``FAULTS_QUICK=1`` for the CI smoke variant (fewer queries).
 """
 
 import os
-import time
 
 import pytest
 
@@ -30,7 +22,6 @@ from repro.datasets import random_envelopes
 from repro.faults import FaultRule, FaultyFilesystem
 from repro.obs import Histogram
 from repro.store import RetryPolicy, SpatialDataStore, bulk_load
-from repro.store.format import page_crc32
 
 QUICK = bool(os.environ.get("FAULTS_QUICK"))
 NUM_QUERIES = 16 if QUICK else 48
@@ -44,13 +35,10 @@ FAULT_RETRY = RetryPolicy(max_attempts=6)
 
 @pytest.fixture(scope="module")
 def fault_stores(lustre, join_datasets):
-    """Two identical stores over the uniform lakes layer — one with the
-    CRC32 page-checksum table, one without — plus a shared query batch."""
+    """A store over the uniform lakes layer plus a shared query batch."""
     geometries = VectorIO(lustre).sequential_read(join_datasets["lakes_uniform"]).geometries
     checked = bulk_load(lustre, "bench_ft_checked", geometries,
                         num_partitions=16, page_size=2048)
-    plain = bulk_load(lustre, "bench_ft_plain", geometries,
-                      num_partitions=16, page_size=2048, checksums=False)
     queries = [
         (i, env)
         for i, env in enumerate(
@@ -58,99 +46,11 @@ def fault_stores(lustre, join_datasets):
                              max_size_fraction=0.08, seed=31)
         )
     ]
-    return {"checked": checked, "plain": plain, "queries": queries}
+    return {"queries": queries}
 
 
 def _ids(batches):
     return [sorted(h.record_id for h in hits) for hits in batches]
-
-
-def test_checksum_overhead_warm_path(lustre, fault_stores, benchmark, once):
-    """Checksums must cost ≤ 5% of the pass that computes them: the CRC32
-    work for the batch's touched pages (the *entire* extra work —
-    verification runs once per page fetch, never on cache hits, so a warm
-    batch pays none of it) is timed against the same batch served by a
-    freshly opened store, which fetches and verifies exactly those pages;
-    a checksum-less twin store must answer identically."""
-    queries = fault_stores["queries"]
-    rounds = 5 if QUICK else 9
-
-    def driver():
-        checked = SpatialDataStore.open(lustre, "bench_ft_checked", cache_pages=512)
-        plain = SpatialDataStore.open(lustre, "bench_ft_plain", cache_pages=512)
-        assert all(m.crc32 is not None for m in checked.generations[0].pages)
-        assert all(m.crc32 is None for m in plain.generations[0].pages)
-
-        # first pass pays the (verified vs unverified) page fetches and
-        # warms both caches; results must agree slot for slot
-        res_checked = checked.range_query_batch(queries)
-        res_plain = plain.range_query_batch(queries)
-        cold_io = (checked.stats.io_seconds, plain.stats.io_seconds)
-
-        # the exact payload bytes the batch verifies: its touched pages
-        touched = checked.engine.planner.plan(queries).touched_pages
-        gen = checked.generations[0]
-        with lustre.open(gen.data_path) as fh:
-            payloads = [
-                fh.pread(gen.pages[key.page_id].offset,
-                         gen.pages[key.page_id].nbytes)
-                for key in touched
-            ]
-
-        def measure(fn):
-            best = float("inf")
-            for _ in range(rounds):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        def fresh_pass():
-            # the pass that pays the CRC: a cold cache, so every touched page
-            # is fetched and verified (only the batch is timed, not open())
-            with SpatialDataStore.open(
-                lustre, "bench_ft_checked", cache_pages=512
-            ) as fresh:
-                t0 = time.perf_counter()
-                fresh.range_query_batch(queries)
-                return time.perf_counter() - t0
-
-        crc_time = measure(lambda: [page_crc32(p) for p in payloads])
-        fresh_time = min(fresh_pass() for _ in range(rounds))
-        warm_time = measure(lambda: checked.range_query_batch(queries))
-        warm_plain = measure(lambda: plain.range_query_batch(queries))
-        checked.close()
-        plain.close()
-        return (res_checked, res_plain, cold_io, len(payloads),
-                crc_time, fresh_time, warm_time, warm_plain)
-
-    (res_checked, res_plain, cold_io, num_pages,
-     crc_time, fresh_time, warm_time, warm_plain) = once(driver)
-
-    assert _ids(res_checked) == _ids(res_plain)
-    # the per-fetch CRC work is the only code the checksum table adds to
-    # the read path; pin it against the pass it rides on (an A/B wall-clock
-    # gate of two identical code paths is hopeless on a noisy shared
-    # machine — this ratio has the signal on the numerator).  That pass is
-    # the fresh-open one: a warm batch verifies nothing, so dividing by it
-    # would charge the checksums for every serving speed-up.
-    overhead = crc_time / fresh_time if fresh_time > 0 else 0.0
-    assert overhead <= 0.05, (
-        f"CRC work for {num_pages} pages is {crc_time * 1e6:.1f}µs, "
-        f"{overhead:.2%} of the {fresh_time * 1e6:.1f}µs fresh-open batch "
-        f"that fetches and verifies them (budget 5%; the warm batch, which "
-        f"computes no CRC, takes {warm_time * 1e6:.1f}µs)"
-    )
-
-    benchmark.extra_info["num_queries"] = len(res_checked)
-    benchmark.extra_info["touched_pages"] = int(num_pages)
-    benchmark.extra_info["crc_seconds"] = float(crc_time)
-    benchmark.extra_info["fresh_checked_seconds"] = float(fresh_time)
-    benchmark.extra_info["warm_checked_seconds"] = float(warm_time)
-    benchmark.extra_info["warm_plain_seconds"] = float(warm_plain)
-    benchmark.extra_info["checksum_overhead_ratio"] = float(overhead)
-    benchmark.extra_info["cold_io_seconds_checked"] = float(cold_io[0])
-    benchmark.extra_info["cold_io_seconds_plain"] = float(cold_io[1])
 
 
 def test_tail_latency_under_fault_rates(lustre, fault_stores, benchmark, once):

@@ -127,7 +127,7 @@ def test_store_cold_vs_warm(lustre, store_dataset, benchmark, once):
     # page fetches are coalesced into runs: far fewer requests than pages
     assert 0 < cold_stats["read_requests"] <= cold_stats["pages_read"]
 
-    # lazy decode: a selective window decodes only matching-slot records
+    # per-slot decode: a selective window decodes only matching-slot records
     # (plus at most a handful of MBR-candidates the refine phase rejects),
     # never the whole population of the pages it touched
     assert selective["matched"] > 0

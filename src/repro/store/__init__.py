@@ -38,7 +38,7 @@ for it again:
     The staged **plan → schedule → refine** query engine every serving entry
     point routes through: :class:`QueryPlanner` (filter phase),
     :class:`IOScheduler` (coalesced, cost-model-aware page I/O) and
-    :class:`RefineExecutor` (lazy decode + replica de-dup), composed by
+    :class:`RefineExecutor` (per-slot decode + replica de-dup), composed by
     :class:`StoreEngine`.
 
 ``repro.store.sharded`` / ``repro.store.router``
@@ -80,7 +80,7 @@ from .format import (
     StoreHeader,
 )
 from .frontend import AsyncStoreFrontend, BatchMetrics, FrontendResult
-from .page import CachedPage, RecordView
+from .page import CachedPage
 from .index_io import dump_index, load_index
 from .scheduler import (
     DEFAULT_RETRY,
@@ -90,7 +90,7 @@ from .scheduler import (
     RetryPolicy,
     ScheduledRun,
     cost_model_gap,
-    read_file_with_retry,
+    read_with_retry,
 )
 from .manifest import (
     GenerationInfo,
@@ -153,7 +153,7 @@ __all__ = [
     "RetryPolicy",
     "DEFAULT_RETRY",
     "NO_RETRY",
-    "read_file_with_retry",
+    "read_with_retry",
     "replica_store_name",
     "QueryResult",
     "IOScheduler",
@@ -167,7 +167,6 @@ __all__ = [
     "StoreStats",
     "CacheStats",
     "CachedPage",
-    "RecordView",
     "LRUPageCache",
     "StoreError",
     "StoreFormatError",

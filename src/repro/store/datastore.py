@@ -50,7 +50,7 @@ from .format import (
 from .index_io import load_index
 from .manifest import StoreManifest, delta_paths, store_paths
 from .page import CachedPage
-from .scheduler import DEFAULT_RETRY, IOScheduler, RetryPolicy, read_file_with_retry
+from .scheduler import DEFAULT_RETRY, IOScheduler, RetryPolicy, read_with_retry
 
 __all__ = [
     "IO_POLICIES",
@@ -62,10 +62,10 @@ __all__ = [
 
 Predicate = Callable[[Geometry, Geometry], bool]
 
-#: I/O scheduling policies: ``"fixed"`` uses the page-size coalescing gap and
-#: the constant ``prefetch_pages`` readahead; ``"cost_model"`` derives both
-#: from the data file's striping layout and the filesystem's cost model (see
-#: :mod:`repro.store.scheduler`)
+#: I/O scheduling policies: ``"fixed"`` coalesces across gaps of up to one
+#: page and reads nothing ahead; ``"cost_model"`` derives the gap and a
+#: stripe-aligned readahead from the data file's striping layout and the
+#: filesystem's cost model (see :mod:`repro.store.scheduler`)
 IO_POLICIES = ("fixed", "cost_model")
 
 
@@ -98,7 +98,7 @@ class StoreStats:
     ``pages_read`` counts demand-fetched pages (it equals the cache miss
     count); ``pages_prefetched`` counts pages read ahead of demand — a later
     demand for one of them is a cache hit, never a miss.  ``records_decoded``
-    counts refine-phase work only: with the lazy page decode a query pays
+    counts refine-phase work only: with the per-slot page decode a query pays
     WKB/pickle for the slots it actually inspects, not for every record on
     every touched page.  ``read_requests`` counts coalesced read ranges
     issued to the filesystem, which is why it can be far below
@@ -208,8 +208,6 @@ class SpatialDataStore:
         manifest: StoreManifest,
         generations: Sequence[Tuple[List[PageMeta], STRtree]],
         cache_pages: int = 64,
-        coalesce_gap: Optional[int] = None,
-        prefetch_pages: Optional[int] = None,
         io_policy: str = "fixed",
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
@@ -221,18 +219,12 @@ class SpatialDataStore:
 
         The serving knobs are declared here and nowhere else —
         :meth:`open` and the sharded server forward them by keyword.
-        *cache_pages* sizes the LRU page cache; *coalesce_gap* is the max
-        byte gap between candidate pages still merged into one read range
-        (default one page size); *prefetch_pages* is the sequential
-        readahead past the demand frontier (``None`` keeps the policy
-        default, ``0`` disables readahead under **both** policies).  With
-        ``io_policy="cost_model"`` the gap and the readahead depth are
-        derived from the data file's striping layout and the filesystem's
-        cost model instead (see :data:`IO_POLICIES`); an explicit
-        *coalesce_gap* still overrides the derived gap, an explicit
-        *prefetch_pages* caps the derived readahead depth, and readahead is
-        always clamped so a fetch cannot evict its own demand pages from
-        the cache.
+        *cache_pages* sizes the LRU page cache; *io_policy* picks the
+        coalescing gap and readahead (see :data:`IO_POLICIES`):
+        ``"fixed"`` merges candidate pages up to one page apart and reads
+        nothing ahead, ``"cost_model"`` derives both from the data file's
+        striping layout and the filesystem's cost model, its readahead
+        clamped so a fetch cannot evict its own demand pages from the cache.
 
         *tracer* (a :class:`~repro.obs.trace.Tracer`; default the zero-cost
         null tracer) records query spans; *metrics* supplies an external
@@ -246,13 +238,10 @@ class SpatialDataStore:
             raise ValueError(
                 f"unknown io policy {io_policy!r} (use one of {IO_POLICIES})"
             )
-        if prefetch_pages is not None and prefetch_pages < 0:
-            raise ValueError("prefetch_pages must be >= 0")
         self.fs = fs
         self.name = name
         self.manifest = manifest
         self.io_policy = io_policy
-        self.prefetch_pages = prefetch_pages
         self.paths = store_paths(name)
         #: the store's metrics namespace (``store.*`` / ``cache.*`` counters,
         #: per-partition heat) — one registry per store so two stores never
@@ -273,7 +262,6 @@ class SpatialDataStore:
             cache_pages, stats=self.stats.cache
         )
         self._cache_pages = cache_pages
-        self._coalesce_gap = coalesce_gap
 
         #: generation 0 (base container) plus one entry per delta, indexed
         #: by generation id
@@ -307,26 +295,15 @@ class SpatialDataStore:
 
     def _make_scheduler(self, pages: List[PageMeta], path: str) -> IOScheduler:
         """Per-generation scheduler: coalescing and readahead never span
-        container files.  ``prefetch_pages=None`` means the policy default
-        (no readahead under ``"fixed"``, stripe-derived depth under
-        ``"cost_model"``); an explicit ``0`` disables readahead under both
-        policies, and the cache-capacity guard keeps a fetch's readahead
-        from evicting its own demand pages under both as well."""
+        container files."""
         if self.io_policy == "cost_model":
             return IOScheduler.cost_aware(
                 pages,
                 layout=self.fs.layout_of(path),
                 cost_model=self.fs.cost_model,
-                gap=self._coalesce_gap,
-                prefetch_limit=self.prefetch_pages,
                 cache_capacity=self._cache_pages,
             )
-        return IOScheduler(
-            pages,
-            gap=self.manifest.page_size if self._coalesce_gap is None else self._coalesce_gap,
-            prefetch_pages=0 if self.prefetch_pages is None else self.prefetch_pages,
-            cache_capacity=self._cache_pages,
-        )
+        return IOScheduler(pages, gap=self.manifest.page_size)
 
     # the base generation's state lives only in generations[0]; these
     # aliases keep the single-container surface everyone already uses
@@ -349,11 +326,6 @@ class SpatialDataStore:
     def _handle(self) -> Optional[FileHandle]:
         return self.generations[0].handle
 
-    @property
-    def coalesce_gap(self) -> int:
-        """Byte gap between page runs still merged into one read range."""
-        return self.scheduler.gap
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
@@ -367,10 +339,10 @@ class SpatialDataStore:
 
         This is the whole cold-start cost — no record is parsed and the
         R-tree is reconstituted, not rebuilt.  The *serving* keywords
-        (``cache_pages``, ``coalesce_gap``, ``prefetch_pages``,
-        ``io_policy``, ``tracer``, ``metrics``, ``retry_policy``) are those
-        of :meth:`__init__`, forwarded as given; ``retry_policy`` also
-        bounds the retries of the reads made here.  A container in the
+        (``cache_pages``, ``io_policy``, ``tracer``, ``metrics``,
+        ``retry_policy``) are those of :meth:`__init__`, forwarded as given;
+        ``retry_policy`` also bounds the retries of every read made here
+        (:func:`~repro.store.scheduler.read_with_retry`).  A container in the
         retired v1 page layout is refused with a
         :class:`~repro.store.format.StoreFormatError` naming
         :func:`~repro.store.mutable.upgrade_store`.
@@ -386,44 +358,19 @@ class SpatialDataStore:
         io_seconds = 0.0
         open_retries = 0
 
-        def _pread(fh, path: str, offset: int, nbytes: int) -> bytes:
-            """Handle-level read with the same bounded retry as serving.
-
-            A genuinely short file still returns short bytes (the format
-            layer's truncation diagnostics stay intact); only reads that
-            return less than the *file* can provide — injected faults — are
-            retried.
-            """
+        def _read(fh, offset: int = 0, nbytes: Optional[int] = None) -> bytes:
+            """Bounded-retry read of *fh*; the backoff is charged here."""
             nonlocal io_seconds, open_retries
-            attempt = 1
-            while True:
-                err: Optional[Exception] = None
-                buf = b""
-                try:
-                    buf = fh.pread(offset, nbytes)
-                except OSError as exc:
-                    err = exc
-                if err is None and len(buf) >= min(nbytes, max(0, fh.size - offset)):
-                    return buf
-                if attempt >= policy.max_attempts:
-                    if err is None:
-                        err = StoreFormatError(
-                            f"short read of {path!r} at {offset}: got "
-                            f"{len(buf)} of {nbytes} bytes"
-                        )
-                    raise StoreError(
-                        f"reading {path!r} failed after {attempt} attempt(s): {err}"
-                    ) from err
-                io_seconds += policy.backoff(attempt)
-                open_retries += 1
-                attempt += 1
+            data, waited, retries = read_with_retry(fh, offset, nbytes, policy)
+            io_seconds += waited
+            open_retries += retries
+            return data
 
         def _read_file(path: str) -> bytes:
             """Whole-file read, charged: retry backoff, open, one read."""
-            nonlocal io_seconds, open_retries
-            data, waited, r = read_file_with_retry(fs, path, policy)
-            io_seconds += waited
-            open_retries += r
+            nonlocal io_seconds
+            with fs.open(path) as fh:
+                data = _read(fh)
             io_seconds += fs.open_time()
             io_seconds += fs.read_time(path, [ReadRequest(0, ((0, len(data)),))])
             return data
@@ -434,9 +381,7 @@ class SpatialDataStore:
             """Header → page directory + checksum tail of one container."""
             nonlocal io_seconds
             with fs.open(path) as fh:
-                header = unpack_header(
-                    _pread(fh, path, 0, HEADER_SIZE), file_size=fh.size
-                )
+                header = unpack_header(_read(fh, 0, HEADER_SIZE), file_size=fh.size)
                 if header.version != VERSION:
                     raise StoreFormatError(
                         f"{path!r} uses the retired page layout "
@@ -444,7 +389,7 @@ class SpatialDataStore:
                         f"repro.store.upgrade_store(fs, {name!r})"
                     )
                 tail_nbytes = header.dir_nbytes + header.checksum_nbytes
-                tail = _pread(fh, path, header.dir_offset, tail_nbytes)
+                tail = _read(fh, header.dir_offset, tail_nbytes)
                 io_seconds += fs.open_time()
                 io_seconds += fs.read_time(
                     path,
@@ -554,10 +499,9 @@ class SpatialDataStore:
         merge into one range, the whole schedule is issued as a single
         :class:`ReadRequest` (so the cost model charges one run of requests
         instead of one RPC per page), and readahead extends the final run
-        past the demand frontier — by a fixed ``prefetch_pages`` depth, or
-        to the stripe boundary under the cost-model policy (pages are laid
-        out back to back, so the extension pays bandwidth, never extra
-        latency).
+        past the demand frontier to the stripe boundary under the
+        cost-model policy (pages are laid out back to back, so the
+        extension pays bandwidth, never extra latency).
 
         Transient read faults are retried per run under the store's
         :class:`~repro.store.scheduler.RetryPolicy`; pages still bad after
@@ -784,8 +728,7 @@ class SpatialDataStore:
     # queries (all routed through the staged engine)
     # ------------------------------------------------------------------ #
     def range_query(
-        self, window: Union[Envelope, Geometry], exact: bool = True,
-        lazy: bool = False,
+        self, window: Union[Envelope, Geometry], exact: bool = True
     ) -> List[QueryHit]:
         """Records intersecting *window*, de-duplicated across replicas.
 
@@ -796,23 +739,14 @@ class SpatialDataStore:
         executor decodes only candidate slots.  With ``exact`` the geometric
         predicate is evaluated (refine phase); otherwise the MBR test of the
         filter phase is the answer.
-
-        With ``lazy``, hits whose slot MBR is contained in a rectangular
-        window (the predicate is provably true) — and **every** hit when
-        ``exact=False`` — carry a zero-copy
-        :class:`~repro.store.page.RecordView` in their ``geometry`` field
-        instead of a decoded geometry; the WKB/pickle decode is deferred
-        until the view's ``.geometry`` is read.  Lazy hits are
-        process-local (they reference the cached page image).
         """
         self.stats.queries += 1
-        return self.engine.execute([(None, window)], exact=exact, lazy=lazy)[0]
+        return self.engine.execute([(None, window)], exact=exact)[0]
 
     def range_query_batch(
         self,
         queries: Sequence[Tuple[Any, Union[Envelope, Geometry]]],
         exact: bool = True,
-        lazy: bool = False,
     ) -> List[List[QueryHit]]:
         """Serve a batch of ``(query_id, window)`` queries in one pass.
 
@@ -827,12 +761,11 @@ class SpatialDataStore:
         record decode it once.
 
         Returns one ``range_query``-identical hit list per query, in the
-        input order.  ``lazy`` defers decodes exactly as in
-        :meth:`range_query`.
+        input order.
         """
         queries = list(queries)
         self.stats.queries += len(queries)
-        return self.engine.execute(queries, exact=exact, lazy=lazy)
+        return self.engine.execute(queries, exact=exact)
 
     def query_outcome(
         self,

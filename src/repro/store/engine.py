@@ -16,8 +16,8 @@ engine makes each stage an explicit object with one owner:
   the fixed heuristics or by the ``repro.pfs`` striping layout / cost model
   (see :mod:`repro.store.scheduler`).
 * :class:`RefineExecutor` — the **refine** phase: replica de-dup on the
-  envelope column *before* any decode, lazy per-slot WKB/pickle decode, and
-  the rectangular-window containment shortcut.
+  envelope column *before* any decode, per-slot WKB decode of the survivors
+  only, and the rectangular-window containment shortcut.
 
 :class:`StoreEngine` composes the three over one open store in **one**
 stage loop (:meth:`StoreEngine.execute_outcome`; strict serving, degraded
@@ -40,7 +40,7 @@ from ..index import STRtree, spatial_visit_order
 from ..obs.trace import NULL_TRACER
 from .format import PageKey, RecordRef, StoreError
 from .manifest import StoreManifest
-from .page import CachedPage, RecordView
+from .page import CachedPage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .datastore import Generation, SpatialDataStore
@@ -66,9 +66,7 @@ class QueryHit(NamedTuple):
     immutable, hashable, picklable)."""
 
     record_id: int
-    #: the decoded geometry, or a :class:`~repro.store.page.RecordView` of
-    #: it on the ``lazy`` path
-    geometry: Union[Geometry, RecordView]
+    geometry: Geometry
     partition_id: int
     page_id: int
     #: generation whose container holds the returned replica (0 = base)
@@ -261,13 +259,6 @@ class RefineExecutor:
     scalar loop this replaced lives on as the correctness oracle of the
     property battery and the benchmarks
     (``tests/store/_refine_reference.py``).
-
-    With ``lazy=True``, slots whose MBR containment already proves the
-    predicate (and *every* survivor when ``exact=False``) produce hits
-    whose ``geometry`` is a zero-copy
-    :class:`~repro.store.page.RecordView` over the cached payload instead
-    of a decoded geometry — nothing is WKB/pickle-decoded until the view's
-    ``.geometry`` is first read.
     """
 
     def __init__(
@@ -352,19 +343,18 @@ class RefineExecutor:
         entry: PlanEntry,
         pages: Dict[PageKey, CachedPage],
         exact: bool,
-        lazy: bool = False,
     ) -> List["QueryHit"]:
         """Refine one plan entry against its fetched *pages*: **classify,
         then emit**.  Per page, the surviving slots split into ``proven``
         (the predicate holds without evaluating it: page-level or per-slot
         MBR containment in a rectangular window, or an MBR-only query) and
-        ``check`` (decode + exact predicate); proven slots are emitted as
-        zero-copy views under ``lazy``, decoded records otherwise.
+        ``check`` (decode + exact predicate); both are emitted as decoded
+        records (a hit is a value: it outlives the page and crosses ranks).
 
         Under a recording tracer the call is one ``decode`` span accounting
         every skip/drop/shortcut decision.  Its ``records_decoded`` is the
         :class:`~repro.store.datastore.StoreStats` movement of this entry
-        (charged through the lazy-decode callback), so EXPLAIN's refine
+        (charged through the page's decode callback), so EXPLAIN's refine
         section can never disagree with the stats delta; ``slots_scanned``
         and ``bulk_filter_batches`` are how an EXPLAIN report shows the bulk
         filter's selectivity.
@@ -438,7 +428,7 @@ class RefineExecutor:
                 # emit
                 ids, memo, record = page.record_ids, page.memo, page.record
                 for slot in proven:
-                    geom = RecordView(page, slot) if lazy else memo[slot]
+                    geom = memo[slot]
                     if geom is None:
                         geom = record(slot)[1]
                     emit(QueryHit(ids[slot], geom, partition_id, page_id, generation))
@@ -541,19 +531,13 @@ class StoreEngine:
         self,
         queries: Sequence[Tuple[Any, Union[Envelope, Geometry]]],
         exact: bool = True,
-        lazy: bool = False,
     ) -> List[List["QueryHit"]]:
         """Serve a batch of ``(query_id, window)`` queries through the staged
         pipeline; returns one hit list per query, in input order — the
         strict form of :meth:`execute_outcome` (the first unreadable page
         raises).
-
-        With ``lazy``, hits whose MBR containment already proves the
-        predicate carry a zero-copy
-        :class:`~repro.store.page.RecordView` instead of a decoded
-        geometry (see :class:`RefineExecutor`).
         """
-        return self.execute_outcome(queries, exact=exact, lazy=lazy).hits
+        return self.execute_outcome(queries, exact=exact).hits
 
     def execute_outcome(
         self,
@@ -561,7 +545,6 @@ class StoreEngine:
         exact: bool = True,
         partial_ok: bool = False,
         budget: Optional[float] = None,
-        lazy: bool = False,
     ) -> BatchOutcome:
         """The stage loop: plan → record heat → fetch → refine, with an
         explicit outcome.
@@ -642,9 +625,7 @@ class StoreEngine:
                                 entry.position, entry.query_id, entry.env,
                                 entry.geom, available,
                             )
-                        results[entry.position] = self.executor.refine(
-                            entry, pages, exact, lazy
-                        )
+                        results[entry.position] = self.executor.refine(entry, pages, exact)
                     if tracer.enabled:
                         rspan.set(num_hits=sum(map(len, results)))
             if tracer.enabled:

@@ -69,7 +69,7 @@ from .manifest import (
     store_paths,
 )
 from .router import ShardRouter
-from .scheduler import DEFAULT_RETRY, read_file_with_retry
+from .scheduler import read_with_retry
 from .sharded import read_shards_manifest
 from .writer import (
     BulkLoadResult,
@@ -130,7 +130,8 @@ class CompactionResult:
 
 
 def _read_manifest(fs: SimulatedFilesystem, name: str) -> StoreManifest:
-    raw, _, _ = read_file_with_retry(fs, store_paths(name)["manifest"], DEFAULT_RETRY)
+    with fs.open(store_paths(name)["manifest"]) as fh:
+        raw, _, _ = read_with_retry(fh)
     return StoreManifest.from_json(raw.decode("utf-8"))
 
 
@@ -479,7 +480,8 @@ def upgrade_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
     """
     manifest = _read_manifest(fs, name)
     path = store_paths(name)["data"]
-    blob, _, _ = read_file_with_retry(fs, path, DEFAULT_RETRY)
+    with fs.open(path) as fh:
+        blob, _, _ = read_with_retry(fh)
     header = unpack_header(blob, file_size=len(blob))
     if header.version != 1:
         raise StoreFormatError(

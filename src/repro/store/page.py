@@ -31,52 +31,9 @@ from .format import (
     page_crc32,
 )
 
-__all__ = ["CachedPage", "RecordView"]
+__all__ = ["CachedPage"]
 
 _INF = float("inf")
-
-
-class RecordView:
-    """Zero-copy lazy view of one record slot on a cached page.
-
-    Returned (instead of a decoded :class:`~repro.geometry.Geometry`) by the
-    ``lazy`` query path for slots whose MBR containment already proves the
-    predicate: the view holds only ``(page, slot)`` and exposes the record's
-    raw encoded body as a ``memoryview`` over the cached payload — no WKB or
-    pickle work happens until :attr:`geometry` is first read, at which point
-    the decode is memoised on the page and charged to ``records_decoded``
-    exactly like an eager hit.  Views are process-local: they pin their page
-    image and are not meant to be pickled or shipped across ranks.
-    """
-
-    __slots__ = ("_page", "slot", "record_id")
-
-    def __init__(self, page: "CachedPage", slot: int) -> None:
-        self._page = page
-        self.slot = slot
-        self.record_id = page.record_ids[slot]
-
-    @property
-    def geometry(self) -> Geometry:
-        """Materialise (and memoise) the geometry — the deferred decode."""
-        return self._page.record(self.slot)[1]
-
-    @property
-    def envelope(self) -> Envelope:
-        return self._page.envelope(self.slot)
-
-    @property
-    def body(self) -> memoryview:
-        """The record's encoded body bytes, zero-copy from the page payload."""
-        return self._page.body_view(self.slot)
-
-    @property
-    def is_materialized(self) -> bool:
-        return self._page.memo[self.slot] is not None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "decoded" if self.is_materialized else "lazy"
-        return f"RecordView(record_id={self.record_id}, slot={self.slot}, {state})"
 
 
 class CachedPage:
@@ -146,11 +103,6 @@ class CachedPage:
     def __len__(self) -> int:
         return self.count
 
-    @property
-    def decoded_slots(self) -> int:
-        """How many of this page's slots have been decoded so far."""
-        return sum(1 for g in self.memo if g is not None)
-
     def env_summary(self) -> Tuple[float, float, float, float, bool]:
         """``(minx, miny, maxx, maxy, has_empty)`` over the whole column.
 
@@ -187,15 +139,3 @@ class CachedPage:
             if self._on_decode is not None:
                 self._on_decode(1)
         return self.record_ids[slot], geom
-
-    def body_view(self, slot: int) -> memoryview:
-        """Zero-copy ``memoryview`` of one record's encoded body bytes."""
-        start = self.body_offsets[slot]
-        end = (
-            self.body_offsets[slot + 1] if slot + 1 < self.count else len(self.payload)
-        )
-        return memoryview(self.payload)[start:end]
-
-    def records(self) -> List[Tuple[int, Geometry]]:
-        """Every slot decoded, in slot order (full scans)."""
-        return [self.record(slot) for slot in range(self.count)]

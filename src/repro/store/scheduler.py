@@ -9,10 +9,9 @@ sequential readahead past the demand frontier.
 
 Two policies choose the coalescing gap and the readahead depth:
 
-* **fixed** (the pre-engine heuristics): the gap is one page size unless the
-  caller overrides it, and readahead extends the final run by a constant
-  ``prefetch_pages``.
-* **cost-model** (:func:`IOScheduler.cost_aware`): the knobs are derived from
+* **fixed** (the pre-engine heuristic): the gap is one page size and there is
+  no readahead.
+* **cost-model** (:func:`IOScheduler.cost_aware`): both are derived from
   the file's :class:`~repro.pfs.StripeLayout` and
   :class:`~repro.pfs.IOCostModel` — the paper's central observation that I/O
   strategy must follow the striping configuration, applied to serving.  The
@@ -27,6 +26,11 @@ Both policies share the same hard safety rules: runs never read past the last
 page (the page directory that follows the payloads is never touched),
 readahead never duplicates a cached page, and a negative gap disables
 merging entirely (one request per page — the measurement baseline).
+
+:func:`read_with_retry` is the one bounded-retry loop of the metadata reads
+(manifests, container headers and directories, packed indexes); the serving
+read path retries whole coalesced runs the same way in
+:meth:`~repro.store.datastore.SpatialDataStore._read_run`.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ __all__ = [
     "RetryPolicy",
     "ScheduledRun",
     "cost_model_gap",
-    "read_file_with_retry",
+    "read_with_retry",
 ]
 
 
@@ -88,40 +92,45 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 DEFAULT_RETRY = RetryPolicy()
 
 
-def read_file_with_retry(
-    fs, path: str, policy: RetryPolicy = DEFAULT_RETRY
+def read_with_retry(
+    fh, offset: int = 0, nbytes: Optional[int] = None,
+    policy: RetryPolicy = DEFAULT_RETRY,
 ) -> Tuple[bytes, float, int]:
-    """Read a whole simulated file, absorbing transient open/read faults.
+    """Read *nbytes* at *offset* of the open handle *fh* (default: to the end
+    of the file), absorbing transient faults under *policy*.
 
-    The metadata analogue of the run-level retry in the datastore: manifest,
-    index and ``shards.json`` reads go through here so a transient fault
-    during *open* does not kill the store before serving even starts.
-    Returns ``(data, backoff_seconds, retries)`` — the caller charges the
-    virtual backoff to its own I/O accounting.  Exhausted attempts raise
-    :class:`~repro.store.format.StoreError` with the last fault chained.
+    Only a read that returns less than the *file* can provide — a raised
+    ``OSError`` or an injected short read — is retried; a genuinely short
+    file still returns short bytes, so the format layer's truncation
+    diagnostics stay intact.  Returns ``(data, backoff_seconds, retries)``
+    — the caller charges the virtual backoff to its own I/O accounting.
+    Exhausted attempts raise :class:`~repro.store.format.StoreError` naming
+    the path, with the last fault chained.
     """
+    available = max(0, fh.size - offset)
+    if nbytes is None:
+        nbytes = available
     waited = 0.0
-    retries = 0
     attempt = 1
     while True:
-        err: Exception
+        err: Optional[Exception] = None
+        data = b""
         try:
-            with fs.open(path) as fh:
-                size = fh.size
-                data = fh.pread(0, size)
-            if len(data) == size:
-                return data, waited, retries
-            err = StoreFormatError(
-                f"short read of {path!r}: got {len(data)} of {size} bytes"
-            )
+            data = fh.pread(offset, nbytes)
         except OSError as exc:
             err = exc
+        if err is None and len(data) >= min(nbytes, available):
+            return data, waited, attempt - 1
         if attempt >= policy.max_attempts:
+            if err is None:
+                err = StoreFormatError(
+                    f"short read of {fh.path!r} at {offset}: got "
+                    f"{len(data)} of {nbytes} bytes"
+                )
             raise StoreError(
-                f"reading {path!r} failed after {attempt} attempt(s): {err}"
+                f"reading {fh.path!r} failed after {attempt} attempt(s): {err}"
             ) from err
         waited += policy.backoff(attempt)
-        retries += 1
         attempt += 1
 
 
@@ -166,8 +175,8 @@ class IOSchedule:
 
     ``prefetch_stop`` records **why** readahead ended where it did — the
     EXPLAIN report surfaces it verbatim: ``"empty"`` (nothing missing, no
-    frontier to extend), ``"budget"`` (policy page budget exhausted,
-    including a zero budget),
+    frontier to extend), ``"budget"`` (page budget exhausted: the fixed
+    policy's zero budget or the cost-model policy's cache-capacity guard),
     ``"container_end"`` (next page would be past the last payload page),
     ``"cached_page"`` (next page already cached) or ``"stripe_boundary"``
     (cost-model policy: next page crosses the stripe holding the frontier).
@@ -199,36 +208,29 @@ class IOSchedule:
 class IOScheduler:
     """Schedules page fetches for one store container.
 
-    Construct directly for the fixed policy, or via :func:`cost_aware` to
-    derive the knobs from a striping layout and cost model.  ``gap`` is the
-    maximum byte distance between two page runs still merged into one read
-    range (negative disables merging); ``prefetch_pages`` is the fixed
-    readahead depth (ignored under the cost-model policy, which sizes
-    readahead from the stripe boundary instead, clamped to
-    ``prefetch_limit`` pages).  The ``cache_capacity`` overflow guard
-    applies under **both** policies — demand and readahead pages enter the
-    cache together, so readahead past ``cache_capacity - demand`` would
-    evict the very pages the fetch was issued for.
+    Construct directly for the fixed policy (no readahead), or via
+    :func:`cost_aware` to derive the knobs from a striping layout and cost
+    model.  ``gap`` is the maximum byte distance between two page runs
+    still merged into one read range (negative disables merging) — the one
+    knob the two policies set differently.  The cost-model policy reads
+    ahead to the stripe boundary, clamped by the ``cache_capacity``
+    overflow guard: demand and readahead pages enter the cache together,
+    so readahead past ``cache_capacity - demand`` would evict the very
+    pages the fetch was issued for.
     """
 
     def __init__(
         self,
         pages: Sequence[PageMeta],
         gap: int,
-        prefetch_pages: int = 0,
         layout: Optional[StripeLayout] = None,
         cost_model: Optional[IOCostModel] = None,
-        prefetch_limit: Optional[int] = None,
         cache_capacity: Optional[int] = None,
     ) -> None:
-        if prefetch_pages < 0:
-            raise ValueError("prefetch_pages must be >= 0")
         self.pages = pages
         self.gap = gap
-        self.prefetch_pages = prefetch_pages
         self.layout = layout
         self.cost_model = cost_model
-        self.prefetch_limit = prefetch_limit
         self.cache_capacity = cache_capacity
 
     # ------------------------------------------------------------------ #
@@ -238,20 +240,16 @@ class IOScheduler:
         pages: Sequence[PageMeta],
         layout: StripeLayout,
         cost_model: IOCostModel,
-        gap: Optional[int] = None,
-        prefetch_limit: Optional[int] = None,
         cache_capacity: Optional[int] = None,
     ) -> "IOScheduler":
         """Scheduler with knobs derived from the striping configuration: the
-        break-even gap unless *gap* overrides it, and stripe-aligned
-        readahead clamped to *prefetch_limit* pages and the
+        break-even gap and stripe-aligned readahead clamped by the
         *cache_capacity* overflow guard."""
         return cls(
             pages,
-            gap=cost_model_gap(layout, cost_model) if gap is None else gap,
+            gap=cost_model_gap(layout, cost_model),
             layout=layout,
             cost_model=cost_model,
-            prefetch_limit=prefetch_limit,
             cache_capacity=cache_capacity,
         )
 
@@ -265,27 +263,22 @@ class IOScheduler:
     ) -> Tuple[int, Optional[int]]:
         """``(max_pages, byte_ceiling)`` for readahead past *frontier_end*.
 
-        Fixed policy: a constant page count, no byte ceiling.  Cost-model
-        policy: as many pages as fit between the frontier and the end of the
-        stripe holding it (zero when the frontier sits exactly on a stripe
-        boundary — the run is already aligned), clamped to
-        ``prefetch_limit``.  **Both** policies clamp to ``cache_capacity``
-        **minus the fetch's own demand pages** — demand and readahead enter
-        the cache together, so a budget that ignored the demand count would
-        let the readahead evict the very pages the fetch was issued for
-        (the fixed policy once skipped this guard, the confirmed PR 5
+        Fixed policy: none.  Cost-model policy: as many pages as fit between
+        the frontier and the end of the stripe holding it (zero when the
+        frontier sits exactly on a stripe boundary — the run is already
+        aligned), clamped to ``cache_capacity`` **minus the fetch's own
+        demand pages** — demand and readahead enter the cache together, so
+        a budget that ignored the demand count would let the readahead evict
+        the very pages the fetch was issued for (the confirmed PR 5
         regression).
         """
         if not self.is_cost_aware:
-            limit = self.prefetch_pages
-            stripe_end = None
-        else:
-            stripe = self.layout.stripe_size
-            stripe_end = ((frontier_end + stripe - 1) // stripe) * stripe
-            limit = len(self.pages) if self.prefetch_limit is None else self.prefetch_limit
+            return 0, None
+        stripe = self.layout.stripe_size
+        limit = len(self.pages)
         if self.cache_capacity is not None:
             limit = min(limit, self.cache_capacity - num_demand)
-        return max(0, limit), stripe_end
+        return max(0, limit), ((frontier_end + stripe - 1) // stripe) * stripe
 
     def schedule(
         self,

@@ -51,7 +51,7 @@ from .manifest import (
     shards_path,
 )
 from .router import ShardRouter, shard_assignment
-from .scheduler import DEFAULT_RETRY, RetryPolicy, read_file_with_retry
+from .scheduler import DEFAULT_RETRY, RetryPolicy, read_with_retry
 from .writer import (
     BulkLoadResult,
     pack_partitions,
@@ -276,7 +276,8 @@ def read_shards_manifest(
         raise FileNotFoundError(
             f"sharded store {name!r} is missing {path!r}; run sharded_bulk_load first"
         )
-    raw, seconds, _ = read_file_with_retry(fs, path, policy)
+    with fs.open(path) as fh:
+        raw, seconds, _ = read_with_retry(fh, policy=policy)
     seconds += fs.open_time()
     seconds += fs.read_time(path, [ReadRequest(0, ((0, len(raw)),))])
     return ShardsManifest.from_json(raw.decode("utf-8")), seconds
@@ -397,8 +398,7 @@ class DistributedStoreServer:
     of the communicator must participate in every serving call (they are
     collectives).  Rank 0 is the *router*: it supplies the query batch,
     receives the gathered results and performs the record-id de-dup; other
-    ranks pass ``None`` batches and receive ``None`` results unless
-    ``broadcast=True``.
+    ranks pass ``None`` batches and receive ``None`` results.
 
     Shards are assigned to ranks contiguously (see
     :func:`repro.store.router.shard_assignment`); with fewer ranks than
@@ -442,8 +442,8 @@ class DistributedStoreServer:
         self.allow_degraded = allow_degraded
         self.dead_shards: Dict[int, ShardError] = {}
         #: serving keywords of :class:`SpatialDataStore` (``cache_pages``,
-        #: ``coalesce_gap``, ``prefetch_pages``, ``io_policy``,
-        #: ``retry_policy``), forwarded to every shard store this rank opens
+        #: ``io_policy``, ``retry_policy``), forwarded to every shard store
+        #: this rank opens
         self._store_options = store_options
         #: remaining untried replica store names per shard, in failover order
         self._spare_stores: Dict[int, List[str]] = {
@@ -474,8 +474,7 @@ class DistributedStoreServer:
         deltas, so distributed serving reads appended data with no extra
         plumbing).  *options* are the keywords of :meth:`__init__`: the
         serving keywords of :class:`SpatialDataStore` are forwarded to every
-        shard's :meth:`SpatialDataStore.open` (``prefetch_pages=None`` keeps
-        the policy default, ``0`` disables readahead under both policies).
+        shard's :meth:`SpatialDataStore.open`.
 
         *tracer* is this rank's :class:`~repro.obs.trace.Tracer` (e.g.
         ``Tracer(clock=comm.clock, rank=comm.rank)``); the default null
@@ -796,7 +795,7 @@ class DistributedStoreServer:
         Per shard, entries outside the shard extent are dropped and the rest
         are served in one batched pass through the shard store's staged
         engine (shared Hilbert visit order, page touches deduped, reads
-        coalesced, lazy refine) under the shard guard, replaying the batch
+        coalesced, per-slot refine) under the shard guard, replaying the batch
         on the next replica after a failure.  *refine* filters one entry's
         hits by its probe **outside** the guard, so a join's user predicate
         is never misreported as corruption.
@@ -951,16 +950,15 @@ class DistributedStoreServer:
         build_plan: Callable[[], List[SizedList]],
         serve: Callable[[List[Any]], ShardRows],
         assemble: Callable[[List[ShardRows]], Any],
-        broadcast: bool,
     ) -> Any:
         """The collective route → scatter → local_query → gather skeleton.
 
         *build_plan* runs on rank 0 and returns the per-rank scatter lists
         (:meth:`_plan`); *serve* answers one rank's list with its
         :class:`ShardRows`; *assemble* runs on rank 0 over the gathered
-        payloads.  Every phase is charged to the virtual clock and
-        accumulated in :attr:`phases`; every payload knows its wire size
-        (a ``broadcast`` result is priced as the rows it was merged from).
+        payloads; the other ranks return ``None``.  Every phase is charged
+        to the virtual clock and accumulated in :attr:`phases`; every
+        payload knows its wire size.
 
         **Trace propagation** rides the scatter: each per-rank list is
         shipped as a ``(ctx, entries)`` pair where *ctx* is rank 0's
@@ -1005,10 +1003,6 @@ class DistributedStoreServer:
             result: Any = None
             if is_root:
                 result = self._gather_phase(gathered, assemble)
-            if broadcast:
-                # priced as the rows it was merged from (only the root's size counts)
-                nbytes = sum(rows.nbytes for rows in gathered or ())
-                (result,) = self.comm.bcast(SizedList([result], nbytes), root=0)
             self._charge_phase("gather", t)
         return result
 
@@ -1016,7 +1010,6 @@ class DistributedStoreServer:
         self,
         queries: Optional[Sequence[Tuple[Any, Envelope]]],
         exact: bool = True,
-        broadcast: bool = False,
         partial_ok: bool = False,
         deadline: Optional[float] = None,
     ) -> Optional[Any]:
@@ -1024,7 +1017,7 @@ class DistributedStoreServer:
 
         Rank 0 supplies *queries* and receives the de-duplicated hits sorted
         by ``(batch position, record_id)``; other ranks pass ``None`` and get
-        ``None`` back unless ``broadcast`` is set.
+        ``None`` back.
 
         With ``partial_ok`` and/or ``deadline`` set (collectively — every
         rank must pass the same values) the call returns a
@@ -1051,7 +1044,6 @@ class DistributedStoreServer:
             build_plan,
             lambda mine: self._serve_shards(mine, exact, outcome, deadline),
             lambda payloads: self._assemble(payloads, qids, outcome, partial_ok),
-            broadcast,
         )
 
     def _assemble(
@@ -1094,11 +1086,11 @@ class DistributedStoreServer:
         self,
         probes: Optional[Sequence[Geometry]],
         predicate: Predicate = predicates.intersects,
-        broadcast: bool = False,
     ) -> Optional[List[Tuple[Geometry, DistributedHit]]]:
         """Filter-and-refine join of in-memory *probes* against the shards
         (collective).  Rank 0 supplies *probes* and receives ``(probe, hit)``
-        pairs de-duplicated on ``(probe, record_id)``.
+        pairs de-duplicated on ``(probe, record_id)``; other ranks pass
+        ``None`` and get ``None`` back.
         """
         probe_list: List[Geometry] = []
 
@@ -1120,7 +1112,6 @@ class DistributedStoreServer:
                 (probe_list[hit.query_id], hit)
                 for hit in self._assemble(payloads, range(len(probe_list)), False, False)
             ],
-            broadcast,
         )
 
     # ------------------------------------------------------------------ #

@@ -210,27 +210,28 @@ def write_generation(
     paths: Mapping[str, str],
     packed: PackedPartitions,
     page_size: int,
-    checksums: bool = True,
 ) -> Tuple[int, int, float]:
     """Persist one generation — the page container, then its packed index
     (an STR tree of fan-out 16) — under *paths*
     (:func:`~repro.store.manifest.store_paths` for a base,
     :func:`~repro.store.manifest.delta_paths` for a delta).
 
-    *checksums* appends the per-page CRC32 table after the page directory
-    (on by default; disable only to measure the verification overhead
-    itself).  Returns ``(data_bytes, index_bytes, write_seconds)``.
+    The container always ends with the per-page CRC32 table after the page
+    directory.  Returns ``(data_bytes, index_bytes, write_seconds)``.
     """
     header = pack_header(
         page_size,
         len(packed.page_metas),
         len(packed.record_ids),
         HEADER_SIZE + sum(len(p) for p in packed.payloads),
-        flags=FLAG_PAGE_CHECKSUMS if checksums else 0,
+        flags=FLAG_PAGE_CHECKSUMS,
     )
-    data = header + b"".join(packed.payloads) + pack_page_directory(packed.page_metas)
-    if checksums:
-        data += pack_page_checksums(packed.page_metas)
+    data = (
+        header
+        + b"".join(packed.payloads)
+        + pack_page_directory(packed.page_metas)
+        + pack_page_checksums(packed.page_metas)
+    )
     index_blob = dump_index(STRtree(packed.index_entries))
     seconds = write_file(fs, paths["data"], data) + write_file(fs, paths["index"], index_blob)
     return len(data), len(index_blob), seconds
@@ -244,7 +245,6 @@ def write_store_files(
     extent: Envelope,
     grid: UniformGrid,
     next_record_id: Optional[int] = None,
-    checksums: bool = True,
 ) -> BulkLoadResult:
     """Persist a packed store as the canonical three-file layout: the base
     generation (:func:`write_generation`), then the manifest that makes it
@@ -254,9 +254,7 @@ def write_store_files(
     to the record count, correct when ids were assigned densely).
     """
     paths = store_paths(name)
-    data_bytes, index_bytes, write_seconds = write_generation(
-        fs, paths, packed, page_size, checksums
-    )
+    data_bytes, index_bytes, write_seconds = write_generation(fs, paths, packed, page_size)
     manifest = StoreManifest(
         name=name,
         page_size=page_size,
@@ -333,14 +331,12 @@ def bulk_load(
     geometries: Iterable[Geometry],
     num_partitions: int = 16,
     page_size: int = 4096,
-    checksums: bool = True,
 ) -> BulkLoadResult:
     """Persist *geometries* as the named store on *fs*.
 
     ``page_size`` is the target payload size in bytes: records are appended
     to a page until it would overflow (a single oversized record still gets
-    a page of its own).  Pages never span partitions.  ``checksums``
-    controls the per-page CRC32 table (on by default).
+    a page of its own).  Pages never span partitions.
     """
     if page_size < 64:
         raise ValueError("page_size must be >= 64 bytes")
@@ -356,7 +352,6 @@ def bulk_load(
         grid,
         # ids are positional, so skipped empties leave holes below this
         next_record_id=len(usable) + skipped,
-        checksums=checksums,
     )
     result.skipped_empty = skipped
     return result

@@ -91,7 +91,7 @@ class TestStoreExplain:
 
     def test_schedule_section_carries_readahead_stop(self, fs):
         bulk_load(fs, "ra", make_geoms(), num_partitions=4, page_size=512)
-        store = SpatialDataStore.open(fs, "ra", cache_pages=16, prefetch_pages=2)
+        store = SpatialDataStore.open(fs, "ra", cache_pages=16, io_policy="cost_model")
         report = store.explain(WINDOW)
         stops = {run["prefetch_stop"] for run in report.schedule}
         assert stops <= {
@@ -99,6 +99,7 @@ class TestStoreExplain:
             "cached_page", "stripe_boundary",
         }
         assert stops - {"disabled"}, "prefetching runs should name a stop reason"
+        assert any(run["prefetched"] for run in report.schedule)
         store.close()
 
     def test_render_and_dict_shape(self, single_store):

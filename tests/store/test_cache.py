@@ -177,7 +177,7 @@ class TestShardedServingCacheStats:
 
         def prog(comm):
             with DistributedStoreServer.open(
-                comm, fs, "stats", cache_pages=64, prefetch_pages=2
+                comm, fs, "stats", cache_pages=64, io_policy="cost_model"
             ) as server:
                 batch = queries if comm.rank == 0 else None
                 server.range_query_batch(batch)
@@ -196,7 +196,9 @@ class TestShardedServingCacheStats:
         for key in ("read_requests", "pages_prefetched", "bytes_read"):
             assert agg[key] == sum(snap.get(key, 0.0) for snap in first["per_rank"])
             assert agg[key] == sum(v[2][key] for v in res.values)
-        # coalescing means the filesystem saw fewer ranges than pages
+        # the cost-model readahead ran, and coalescing means the filesystem
+        # saw fewer ranges than pages
+        assert agg["pages_prefetched"] > 0
         assert 0 < agg["read_requests"] <= agg["pages_read"]
 
     def test_prefetched_pages_never_double_count_as_demand(self, tmp_path):
@@ -206,7 +208,7 @@ class TestShardedServingCacheStats:
 
         def prog(comm):
             with DistributedStoreServer.open(
-                comm, fs, "stats", cache_pages=256, prefetch_pages=4
+                comm, fs, "stats", cache_pages=256, io_policy="cost_model"
             ) as server:
                 server.range_query_batch(queries if comm.rank == 0 else None)
                 return server.aggregate_stats()["aggregate"]

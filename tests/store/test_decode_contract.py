@@ -161,9 +161,9 @@ def stored_records(fs):
 def assert_stored_mbrs_are_envelopes(fs):
     checked = 0
     for path, page, slot in stored_records(fs):
-        body = page.body_view(slot)
-        wkb_len, _ = struct.unpack_from("<II", body, 0)
-        oracle = reference.loads(bytes(body[8 : 8 + wkb_len]))
+        start = page.body_offsets[slot] + 8  # past the <II> body header
+        wkb_len, _ = struct.unpack_from("<II", page.payload, start - 8)
+        oracle = reference.loads(page.payload[start : start + wkb_len])
         where = f"{path} page {page.page_id} slot {slot}"
         assert page.envelope(slot) == oracle.envelope, where
         decoded = page.record(slot)[1]
@@ -180,10 +180,9 @@ class TestStoredMBRIsTheEnvelope:
         fs = LustreFilesystem(tmp_path, ost_count=4)
         base = records(range(210))
         bulk_load(fs, "single", base, **self.LOAD)
-        bulk_load(fs, "nocrc", base, checksums=False, **self.LOAD)
         sharded_bulk_load(fs, "sharded", base, num_shards=3, read_replicas=1, **self.LOAD)
         loaded = assert_stored_mbrs_are_envelopes(fs)
-        assert loaded > 4 * 210  # replicas and replication on top of the records
+        assert loaded > 3 * 210  # replicas and replication on top of the records
 
         appender = StoreAppender(fs, "single")
         appender.append(records(range(210, 260)))

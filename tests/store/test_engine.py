@@ -23,7 +23,6 @@ from repro.store import (
     bulk_load,
     sharded_bulk_load,
 )
-from repro.store.page import RecordView
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +74,7 @@ STAT_KEYS = ("pages_read", "read_requests", "records_decoded", "slots_scanned",
              "bulk_filter_batches", "io_seconds")
 
 
-def serve_in_mode(fs, name, mode, batches, lazy=False):
+def serve_in_mode(fs, name, mode, batches):
     """Serve *batches* on a fresh open through the stage loop in *mode*;
     returns the per-query hit lists and the StoreStats movement."""
     store = SpatialDataStore.open(
@@ -85,13 +84,11 @@ def serve_in_mode(fs, name, mode, batches, lazy=False):
     hits = []
     for queries in batches:
         if mode == "partial_ok":
-            hits += store.engine.execute_outcome(queries, partial_ok=True, lazy=lazy).hits
+            hits += store.engine.execute_outcome(queries, partial_ok=True).hits
         elif mode == "budget":
-            hits += store.engine.execute_outcome(
-                queries, budget=float("inf"), lazy=lazy
-            ).hits
+            hits += store.engine.execute_outcome(queries, budget=float("inf")).hits
         else:
-            hits += store.engine.execute(queries, lazy=lazy)
+            hits += store.engine.execute(queries)
     after = store.stats.as_dict()
     store.close()
     return hits, {key: after[key] - before[key] for key in STAT_KEYS}
@@ -201,24 +198,6 @@ class TestEngineEqualsBruteForce:
                 del stats[key], strict_stats[key]
         assert stats == strict_stats
 
-    def test_lazy_through_outcome_equals_lazy_through_execute(self, fs, store_name):
-        extent = SpatialDataStore.open(fs, store_name).extent
-        batch = [(i, env) for i, env in enumerate(windows(extent, n=12, seed=33))]
-        via_execute, execute_stats = serve_in_mode(
-            fs, store_name, "strict", [batch], lazy=True
-        )
-        via_outcome, outcome_stats = serve_in_mode(
-            fs, store_name, "partial_ok", [batch], lazy=True
-        )
-        assert ids_of(via_outcome) == ids_of(via_execute)
-        assert [[type(h.geometry) for h in hits] for hits in via_outcome] == [
-            [type(h.geometry) for h in hits] for hits in via_execute
-        ]
-        assert any(
-            isinstance(h.geometry, RecordView) for hits in via_outcome for h in hits
-        )
-        assert outcome_stats == execute_stats
-
     def test_engine_execute_is_the_entry_point(self, fs, store_name):
         store = SpatialDataStore.open(fs, store_name, cache_pages=1024)
         env = windows(store.extent, n=1, seed=2)[0]
@@ -278,13 +257,8 @@ class TestCostModelPolicyEndToEnd:
         cost = SpatialDataStore.open(fs, store_name, cache_pages=1024,
                                      io_policy="cost_model")
         cost.range_query_batch(queries, exact=False)
-        assert cost.coalesce_gap > fixed.coalesce_gap
+        assert cost.scheduler.gap > fixed.scheduler.gap
         assert cost.stats.read_requests <= fixed.stats.read_requests
-
-    def test_explicit_gap_overrides_derived(self, fs, store_name):
-        store = SpatialDataStore.open(fs, store_name, io_policy="cost_model",
-                                      coalesce_gap=123)
-        assert store.coalesce_gap == 123
 
     def test_unknown_policy_rejected(self, fs, store_name):
         with pytest.raises(ValueError, match="io policy"):
@@ -303,12 +277,6 @@ class TestCostModelPolicyEndToEnd:
             second = [h.record_id for h in store.range_query(env)]
             assert second == first
             assert store.stats.pages_read == cold_reads
-
-    def test_explicit_prefetch_pages_caps_cost_model_depth(self, fs, store_name):
-        capped = SpatialDataStore.open(fs, store_name, cache_pages=256,
-                                       io_policy="cost_model", prefetch_pages=1)
-        schedule = capped.scheduler.schedule([0], is_cached=lambda p: False)
-        assert schedule.num_prefetched <= 1
 
     def test_cost_model_prefetch_stays_within_container(self, fs, store_name):
         store = SpatialDataStore.open(fs, store_name, cache_pages=1024,

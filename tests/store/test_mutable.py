@@ -11,7 +11,10 @@ The acceptance battery of the append/compaction subsystem:
   moved out of the query window; deleted ids are never recycled;
 * **the v1 layout is upgrade-only** — ``open`` refuses a v1 container and
   names the fix, ``upgrade_store`` rewrites it losslessly and refuses every
-  store it could damage.
+  store it could damage;
+* **delta reads retry like base reads** — a transient fault on a delta
+  container's header during ``open`` is absorbed and charged like one on
+  the base container.
 """
 
 import json
@@ -21,6 +24,7 @@ import pytest
 
 from repro import mpisim
 from repro.datasets import random_envelopes
+from repro.faults import FaultRule, FaultyFilesystem
 from repro.geometry import (
     Envelope,
     LineString,
@@ -32,11 +36,14 @@ from repro.geometry import (
 )
 from repro.pfs import LustreFilesystem
 from repro.store import (
+    DEFAULT_RETRY,
+    NO_RETRY,
     DistributedStoreServer,
     PageChecksumError,
     ShardedStoreAppender,
     SpatialDataStore,
     StoreAppender,
+    StoreError,
     StoreFormatError,
     bulk_load,
     compact_sharded_store,
@@ -396,6 +403,105 @@ class TestCompaction:
 
 
 # --------------------------------------------------------------------------- #
+# transient faults on a delta container during open
+# --------------------------------------------------------------------------- #
+class TestDeltaOpenFaults:
+    @pytest.fixture
+    def appended(self, fs):
+        geoms = random_geometries(80, seed=61)
+        bulk_load(fs, "dfault", geoms[:60], num_partitions=16, page_size=1024)
+        StoreAppender(fs, "dfault").append(geoms[60:])
+        return dict(enumerate(geoms))
+
+    def faulty(self, fs, max_faults=None):
+        # the first pread of the delta container is open's header read
+        rule = FaultRule(
+            path_pattern=delta_paths("dfault", 1)["data"],
+            read_error_rate=1.0,
+            max_faults=max_faults,
+        )
+        return FaultyFilesystem(fs, [rule], seed=7)
+
+    def test_transient_header_fault_is_retried_and_charged(self, fs, appended):
+        with SpatialDataStore.open(fs, "dfault", cache_pages=256) as clean:
+            clean_io = clean.stats.io_seconds
+            assert clean.stats.retries == 0
+        faulty = self.faulty(fs, max_faults=1)
+        with SpatialDataStore.open(faulty, "dfault", cache_pages=256) as store:
+            assert faulty.stats.read_errors == 1
+            assert store.stats.retries == 1
+            assert store.stats.io_seconds == pytest.approx(
+                clean_io + DEFAULT_RETRY.backoff(1)
+            )
+            assert store.num_generations == 1
+            for env in windows(seed=62):
+                assert query_ids(store, env) == brute_force_ids(appended, env)
+
+    def test_exhausted_retries_name_the_delta_container(self, fs, appended):
+        path = delta_paths("dfault", 1)["data"]
+        with pytest.raises(StoreError, match=f"{path}.*1 attempt"):
+            SpatialDataStore.open(self.faulty(fs), "dfault", retry_policy=NO_RETRY)
+
+
+OPEN_READ_SITES = {
+    "manifest": lambda name: store_paths(name)["manifest"],
+    "base_header": lambda name: store_paths(name)["data"],
+    "base_index": lambda name: store_paths(name)["index"],
+    "delta_index": lambda name: delta_paths(name, 1)["index"],
+}
+
+
+class TestOpenReadSites:
+    """Every other file ``open`` reads goes through the same bounded retry as
+    the delta header above: one transient fault, raised or torn, costs one
+    retry and its backoff and changes no answer; a fault that outlasts the
+    policy is a :class:`StoreError` naming the file."""
+
+    @pytest.fixture
+    def appended(self, fs):
+        geoms = random_geometries(80, seed=63)
+        bulk_load(fs, "rsite", geoms[:60], num_partitions=16, page_size=1024)
+        StoreAppender(fs, "rsite").append(geoms[60:])
+        return dict(enumerate(geoms))
+
+    def faulty(self, fs, site, kind="error", max_faults=None):
+        rule = FaultRule(
+            path_pattern=OPEN_READ_SITES[site]("rsite"),
+            read_error_rate=1.0 if kind == "error" else 0.0,
+            short_read_rate=1.0 if kind == "short" else 0.0,
+            max_faults=max_faults,
+        )
+        return FaultyFilesystem(fs, [rule], seed=11)
+
+    @pytest.mark.parametrize("kind", ["error", "short"])
+    @pytest.mark.parametrize("site", sorted(OPEN_READ_SITES))
+    def test_transient_fault_is_retried_and_charged(self, fs, appended, site, kind):
+        with SpatialDataStore.open(fs, "rsite", cache_pages=256) as clean:
+            clean_io = clean.stats.io_seconds
+        faulty = self.faulty(fs, site, kind, max_faults=1)
+        with SpatialDataStore.open(faulty, "rsite", cache_pages=256) as store:
+            assert faulty.stats.total_faults == 1
+            assert store.stats.retries == 1
+            assert store.stats.io_seconds == pytest.approx(
+                clean_io + DEFAULT_RETRY.backoff(1)
+            )
+            assert store.num_generations == 1
+            for env in windows(seed=64):
+                assert query_ids(store, env) == brute_force_ids(appended, env)
+
+    @pytest.mark.parametrize("site", sorted(OPEN_READ_SITES))
+    def test_exhausted_retries_name_the_file(self, fs, appended, site):
+        path = OPEN_READ_SITES[site]("rsite")
+        with pytest.raises(StoreError, match=f"{path}.*3 attempt"):
+            SpatialDataStore.open(self.faulty(fs, site), "rsite")
+
+    def test_appender_manifest_read_absorbs_a_transient_fault(self, fs, appended):
+        faulty = self.faulty(fs, "manifest", max_faults=1)
+        assert StoreAppender(faulty, "rsite").manifest == StoreAppender(fs, "rsite").manifest
+        assert faulty.stats.read_errors == 1
+
+
+# --------------------------------------------------------------------------- #
 # the retired v1 page layout: refused by open, rewritten by upgrade_store
 # --------------------------------------------------------------------------- #
 def store_files(fs, name):
@@ -446,6 +552,29 @@ class TestUpgradeStore:
             assert records(up) == records(fresh)
             battery = windows(20, seed=73) + [EXTENT]
             assert hit_fingerprints(up, battery) == hit_fingerprints(fresh, battery)
+
+    def test_upgrade_read_absorbs_a_transient_fault(self, fs, rewrite_container_as_v1):
+        self._v1(fs, "up_fault", rewrite_container_as_v1)
+        bulk_load(fs, "fresh", self._geoms(), num_partitions=9, page_size=512)
+        rule = FaultRule(path_pattern=store_paths("up_fault")["data"],
+                         read_error_rate=1.0, max_faults=1)
+        faulty = FaultyFilesystem(fs, [rule], seed=3)
+        upgrade_store(faulty, "up_fault")
+        assert faulty.stats.read_errors == 1
+        with SpatialDataStore.open(fs, "up_fault") as up, SpatialDataStore.open(fs, "fresh") as fresh:
+            battery = windows(10, seed=74) + [EXTENT]
+            assert hit_fingerprints(up, battery) == hit_fingerprints(fresh, battery)
+
+    def test_upgrade_read_that_outlasts_the_retries_writes_nothing(
+        self, fs, rewrite_container_as_v1
+    ):
+        self._v1(fs, "up_dead", rewrite_container_as_v1)
+        before = store_files(fs, "up_dead")
+        path = store_paths("up_dead")["data"]
+        faulty = FaultyFilesystem(fs, [FaultRule(path_pattern=path, read_error_rate=1.0)])
+        with pytest.raises(StoreError, match=f"{path}.*3 attempt"):
+            upgrade_store(faulty, "up_dead")
+        assert store_files(fs, "up_dead") == before
 
     def test_upgrade_preserves_ids_ceiling_and_dedups_replicas(
         self, fs, rewrite_container_as_v1

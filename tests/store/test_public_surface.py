@@ -1,7 +1,7 @@
 """The knob count of ``repro.store``, as a reviewed table.
 
-Every parameter of the store's write entry points and of the three serving
-constructors/reports that have shed options is pinned here by
+Every parameter of the store's write entry points and of its serving
+constructors, query entry points and reports is pinned here by
 ``inspect.signature``.  A new keyword on any of them fails this test until
 the table is edited — so a new store knob is a reviewed diff of this file,
 the way ``scripts/store_loc.py --max`` makes the package's size a reviewed
@@ -16,9 +16,12 @@ import pytest
 from repro.store import (
     AsyncStoreFrontend,
     DistributedStoreServer,
+    IOScheduler,
     ShardedStoreAppender,
+    RefineExecutor,
     SpatialDataStore,
     StoreAppender,
+    StoreEngine,
     bulk_load,
     compact_sharded_store,
     compact_store,
@@ -28,19 +31,16 @@ from repro.store import (
 from repro.store.writer import pack_partitions, write_generation, write_store_files
 
 SURFACE = [
-    # --- write entry points: Hilbert order and index fan-out 16 are facts of
-    # the format, not parameters
-    (bulk_load, "fs name geometries num_partitions page_size checksums"),
+    # --- write entry points: Hilbert order, index fan-out 16 and the per-page
+    # CRC32 table are facts of the format, not parameters
+    (bulk_load, "fs name geometries num_partitions page_size"),
     (
         sharded_bulk_load,
         "fs name geometries num_shards num_partitions page_size read_replicas",
     ),
     (pack_partitions, "cells grid page_size"),
-    (write_generation, "fs paths packed page_size checksums"),
-    (
-        write_store_files,
-        "fs name packed page_size extent grid next_record_id checksums",
-    ),
+    (write_generation, "fs paths packed page_size"),
+    (write_store_files, "fs name packed page_size extent grid next_record_id"),
     (
         StoreAppender.__init__,
         "self fs name grid allowed_partitions count_deletes tracer",
@@ -53,14 +53,28 @@ SURFACE = [
     (compact_sharded_store, "fs name"),
     (upgrade_store, "fs name"),
     # --- serving: one fixed in-flight window, max-over-ranks phases, and the
-    # serving keywords declared once (open() and the sharded server forward)
+    # serving keywords declared once (open() and the sharded server forward);
+    # hits are decoded values, answers land on rank 0 only, and the
+    # coalescing gap and readahead follow io_policy
     (AsyncStoreFrontend.__init__, "self server max_in_flight"),
     (DistributedStoreServer.phase_breakdown, "self"),
     (
         SpatialDataStore.__init__,
-        "self fs name manifest generations cache_pages coalesce_gap "
-        "prefetch_pages io_policy tracer metrics retry_policy",
+        "self fs name manifest generations cache_pages io_policy tracer "
+        "metrics retry_policy",
     ),
+    (SpatialDataStore.range_query, "self window exact"),
+    (SpatialDataStore.range_query_batch, "self queries exact"),
+    (StoreEngine.execute, "self queries exact"),
+    (StoreEngine.execute_outcome, "self queries exact partial_ok budget"),
+    (
+        DistributedStoreServer.range_query_batch,
+        "self queries exact partial_ok deadline",
+    ),
+    (DistributedStoreServer.join, "self probes predicate"),
+    (RefineExecutor.refine, "self entry pages exact"),
+    (IOScheduler.__init__, "self pages gap layout cost_model cache_capacity"),
+    (IOScheduler.cost_aware, "pages layout cost_model cache_capacity"),
 ]
 
 

@@ -1,8 +1,8 @@
 """Property battery for the vectorized refine/scan hot path (PR 9).
 
 The bulk filter (flat envelope-column arrays, set-operation replica de-dup
-and tombstone shadowing, page-level containment fast path, zero-copy lazy
-rect hits) must be **observably identical** to the per-slot scalar loop it
+and tombstone shadowing, page-level containment fast path) must be
+**observably identical** to the per-slot scalar loop it
 replaced.  `_refine_reference.refine_reference` keeps that scalar loop verbatim
 as the oracle; this battery drives both over randomized stores — bulk-loaded
 and upgraded-from-v1 containers, multiple generations with tombstoned and updated ids, cross-shard
@@ -43,7 +43,6 @@ from repro.store import (
     PageChecksumError,
     PageKey,
     QueryHit,
-    RecordView,
     SpatialDataStore,
     StoreAppender,
     StoreStats,
@@ -94,20 +93,17 @@ def probe_windows(n, seed, frac=0.2):
 
 
 def hit_key(h):
-    geom = h.geometry
-    if isinstance(geom, RecordView):
-        geom = geom.geometry
     return (
         h.record_id,
         h.partition_id,
         h.page_id,
         h.generation,
-        wkb.dumps(geom),
-        geom.userdata,
+        wkb.dumps(h.geometry),
+        h.geometry.userdata,
     )
 
 
-def refine_both_ways(store, window, exact, lazy=False):
+def refine_both_ways(store, window, exact):
     """Run one window through the bulk refine and the scalar reference over
     the same fetched pages; returns (bulk_hits, reference_hits)."""
     plan = store.engine.planner.plan([(0, window)])
@@ -115,7 +111,7 @@ def refine_both_ways(store, window, exact, lazy=False):
     bulk, ref = [], []
     for entry in plan.entries:
         pages = store._get_pages(entry.by_page)
-        bulk.extend(executor.refine(entry, pages, exact, lazy=lazy))
+        bulk.extend(executor.refine(entry, pages, exact))
         ref.extend(refine_reference(executor, entry, pages, exact))
     return bulk, ref
 
@@ -352,17 +348,16 @@ class TestRectangleKernelUnderTheEngine:
     ``Polygon.from_envelope(window)`` and so runs the general kernel.  The
     two must emit the same hits where the exact shape, not the MBR, decides."""
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_exact_refine_equals_reference(self, fs, shaped, lazy):
+    def test_exact_refine_equals_reference(self, fs, shaped):
         name, geoms = shaped
         store = SpatialDataStore.open(fs, name, cache_pages=1024)
         visible = dict(enumerate(geoms))
         mbr_only_differs = 0
         for window in kernel_windows(geoms, seed=952):
-            bulk, ref = refine_both_ways(store, window, exact=True, lazy=lazy)
+            bulk, ref = refine_both_ways(store, window, exact=True)
             assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
             assert [h.record_id for h in bulk] == brute_force(visible, window)
-            loose, _ = refine_both_ways(store, window, exact=False, lazy=lazy)
+            loose, _ = refine_both_ways(store, window, exact=False)
             mbr_only_differs += len(loose) != len(bulk)
         # the battery is about shapes: the MBR answer must often be wrong
         assert mbr_only_differs > 50
@@ -380,8 +375,7 @@ class TestRectangleKernelUnderTheEngine:
         on_wall = Envelope(x0 + 0.25, y0 + 0.25, x1, y1 - 0.25)
         assert rid in [h.record_id for h in store.range_query(on_wall)]
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_refine_builds_no_window_polygon(self, fs, shaped, lazy, monkeypatch):
+    def test_refine_builds_no_window_polygon(self, fs, shaped, monkeypatch):
         from repro.geometry import predicates
 
         name, geoms = shaped
@@ -409,7 +403,7 @@ class TestRectangleKernelUnderTheEngine:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(Polygon, "from_envelope", forbidden)
-                bulk = executor.refine(entry, pages, True, lazy=lazy)
+                bulk = executor.refine(entry, pages, True)
             assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
             assert len(calls) == reference_calls > 0
             assert all(operand is entry.env for operand in calls)
@@ -444,10 +438,17 @@ def decode_span(store):
 
 
 class TestHandBuiltPages:
-    def test_empty_envelope_slot_never_takes_the_shortcut(self):
+    def test_empty_envelope_slot_never_takes_the_shortcut(self, monkeypatch):
         # an empty MBR's ±inf sentinels satisfy naive boundary comparisons
         # vacuously; the classify pass must still say "not contained": the
         # slot is checked (decoded, predicate evaluated), never proven
+        from repro.geometry import predicates
+
+        checked = []
+        real = predicates.intersects
+        monkeypatch.setattr(
+            predicates, "intersects", lambda a, b: checked.append(b) or real(a, b)
+        )
         g = Point(5.0, 5.0, userdata="x")
         key = PageKey(0, 0)
         executor, store, on_decode = traced_executor({key: 7})
@@ -457,11 +458,12 @@ class TestHandBuiltPages:
         )
         window = Envelope(0.0, 0.0, 100.0, 100.0)
         entry = PlanEntry(0, None, window, None, {key: [0, 1, 2]})
-        hits = executor.refine(entry, {key: page}, exact=True, lazy=True)
+        hits = executor.refine(entry, {key: page}, exact=True)
         assert decode_span(store)["rect_shortcuts"] == 2
-        # proven slots stay views; the empty-MBR slot went through the predicate
-        assert [type(h.geometry) for h in hits] == [RecordView, Point, RecordView]
-        assert decode_span(store)["records_decoded"] == 1
+        # only the empty-MBR slot went through the predicate
+        assert checked == [page.memo[1]]
+        assert [h.record_id for h in hits] == [0, 1, 2]
+        assert decode_span(store)["records_decoded"] == 3
         # and the page-level summary refuses the all-contained fast path
         assert page.env_summary()[4] is True
 
@@ -501,7 +503,7 @@ class TestHandBuiltPages:
         assert store.stats.records_decoded == 1
         assert record_calls == [1]  # served from the memo, no second call
         assert decode_span(store)["records_decoded"] == 0
-        assert page.decoded_slots == 1
+        assert sum(geom is not None for geom in page.memo) == 1
         assert len(first) == len(second) == num_hits
         if num_hits:
             # both queries hand back the one memoised object
@@ -608,83 +610,9 @@ class TestShardedEquality:
 
 
 # --------------------------------------------------------------------------- #
-# zero-copy lazy rect hits
-# --------------------------------------------------------------------------- #
-class TestLazyZeroCopy:
-    def test_lazy_hits_materialize_to_eager_results(self, fs, v2_name):
-        store = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
-        for window in probe_windows(10, seed=31):
-            eager = store.range_query(window)
-            lazy = store.range_query(window, lazy=True)
-            assert [hit_key(h) for h in lazy] == [hit_key(h) for h in eager]
-
-    def test_fully_contained_window_decodes_nothing_until_read(self, fs, v2_name):
-        store = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
-        hits = store.range_query(EXTENT, lazy=True)
-        assert hits and all(isinstance(h.geometry, RecordView) for h in hits)
-        assert store.stats.records_decoded == 0
-        view = hits[0].geometry
-        assert not view.is_materialized
-        assert isinstance(view.body, memoryview) and len(view.body) > 0
-        geom = view.geometry  # first read pays (and memoises) the decode
-        assert geom.envelope.intersects(EXTENT)
-        assert view.is_materialized
-        assert store.stats.records_decoded == 1
-        _ = view.geometry
-        assert store.stats.records_decoded == 1  # memoised
-
-    def test_lazy_inexact_query_is_all_views(self, fs, v2_name):
-        store = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
-        window = Envelope(20.0, 20.0, 60.0, 60.0)
-        hits = store.range_query(window, exact=False, lazy=True)
-        assert hits and all(isinstance(h.geometry, RecordView) for h in hits)
-        assert store.stats.records_decoded == 0
-        eager = store.range_query(window, exact=False)
-        assert [hit_key(h) for h in hits] == [hit_key(h) for h in eager]
-
-    def test_lazy_partial_containment_mixes_views_and_geometries(self, fs, v2_name):
-        store = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
-        window = Envelope(13.0, 17.0, 61.0, 58.0)
-        hits = store.range_query(window, lazy=True)
-        kinds = {isinstance(h.geometry, RecordView) for h in hits}
-        # a window cutting through page extents produces both kinds
-        assert kinds == {True, False}
-
-    def test_v1_lazy_rides_the_upgraded_column(self, fs, v1_name):
-        store = SpatialDataStore.open(fs, v1_name, cache_pages=1024)
-        eager = store.range_query(EXTENT)
-        lazy = SpatialDataStore.open(fs, v1_name, cache_pages=1024).range_query(
-            EXTENT, lazy=True
-        )
-        assert any(isinstance(h.geometry, RecordView) for h in lazy)
-        assert [hit_key(h) for h in lazy] == [hit_key(h) for h in eager]
-
-    def test_lazy_proven_slots_are_views_and_decode_nothing(self, fs, v2_name):
-        # the classify-emit pass must not decode what it only proves: a hit
-        # is a view exactly when its slot MBR lies inside the window, and
-        # the only decodes are the checked survivors' (slot-at-a-time recount)
-        store = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
-        executor = store.engine.executor
-        views = 0
-        for window in probe_windows(10, seed=32):
-            for entry in store.engine.planner.plan([(0, window)]).entries:
-                pages = store._get_pages(entry.by_page)
-                expected = reference_accounting(executor, entry, pages, True, lazy=True)
-                before = store.stats.records_decoded
-                for h in executor.refine(entry, pages, True, lazy=True):
-                    is_view = isinstance(h.geometry, RecordView)
-                    assert is_view == window.contains(h.geometry.envelope)
-                    views += is_view
-                assert (
-                    store.stats.records_decoded - before == expected["records_decoded"]
-                )
-        assert views > 0 and store.stats.records_decoded > 0
-
-
-# --------------------------------------------------------------------------- #
 # the decode span's account, against a slot-at-a-time recount
 # --------------------------------------------------------------------------- #
-def reference_accounting(executor, entry, pages, exact, lazy):
+def reference_accounting(executor, entry, pages, exact):
     """What the ``decode`` span must report, by the scalar loop's rules — a
     slot at a time, no sets, no columns.  Peeks at the decode memo, so it
     has to run *before* the refine it predicts."""
@@ -709,8 +637,7 @@ def reference_accounting(executor, entry, pages, exact, lazy):
             seen.add(rid)
             contained = rect is not None and rect.contains(page.envelope(slot))
             counts["rect_shortcuts"] += contained
-            proven = contained or not exact
-            if not (lazy and proven) and page.memo[slot] is None:
+            if page.memo[slot] is None:
                 counts["records_decoded"] += 1
     return counts
 
@@ -723,9 +650,8 @@ class TestDecodeSpanAccounting:
         ) as store:
             yield store
 
-    @pytest.mark.parametrize("lazy", [False, True])
     @pytest.mark.parametrize("exact", [True, False])
-    def test_span_attributes_equal_the_recount(self, traced_store, geoms, exact, lazy):
+    def test_span_attributes_equal_the_recount(self, traced_store, geoms, exact):
         store = traced_store
         executor = store.engine.executor
         windows = probe_windows(12, seed=61) + geoms[:6]  # rectangles and shapes
@@ -733,9 +659,9 @@ class TestDecodeSpanAccounting:
         for window in windows:
             for entry in store.engine.planner.plan([(0, window)]).entries:
                 pages = store._get_pages(entry.by_page)
-                expected = reference_accounting(executor, entry, pages, exact, lazy)
+                expected = reference_accounting(executor, entry, pages, exact)
                 before = store.stats.as_dict()
-                hits = executor.refine(entry, pages, exact, lazy=lazy)
+                hits = executor.refine(entry, pages, exact)
                 span = store.tracer.spans[-1]
                 assert span.name == "decode"
                 # the span and the stats are one account
@@ -794,10 +720,9 @@ class TestHitTypes:
         # perf/fixtures.digest is repr(sorted(...)): an array or numpy scalar
         # in record_id would change every digest
         store = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
-        for lazy in (False, True):
-            hits = store.range_query(Envelope(10.0, 10.0, 60.0, 60.0), lazy=lazy)
-            assert hits and all(type(h.record_id) is int for h in hits)
-            assert all(type(h) is QueryHit for h in hits)
+        hits = store.range_query(Envelope(10.0, 10.0, 60.0, 60.0))
+        assert hits and all(type(h.record_id) is int for h in hits)
+        assert all(type(h) is QueryHit for h in hits)
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:

@@ -1,11 +1,11 @@
 """Serving-path behaviour of the vectorized filter-and-refine store:
 
-* lazy decode — ``records_decoded`` counts refine-phase work (surviving
+* per-slot decode — ``records_decoded`` counts refine-phase work (surviving
   slots), not page-touch work, and memoised pages decode nothing on repeats;
 * coalesced I/O — ``read_requests`` counts merged page runs, far below the
   page count;
-* prefetch — readahead pages are counted separately and turn later demand
-  into cache hits;
+* prefetch — the cost-model policy's readahead pages are counted
+  separately and turn later demand into cache hits;
 * scans admit their pages to the cache like any other fetch;
 * format compatibility — a v1 container, once ``upgrade_store`` rewrote it,
   answers exactly like a bulk-loaded one;
@@ -19,7 +19,9 @@ from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.core.reader import VectorIO
 from repro.geometry import Envelope, Point, predicates
 from repro.pfs import LustreFilesystem
-from repro.store import PageKey, SpatialDataStore, bulk_load, store_paths, upgrade_store
+from repro.store import (
+    IOScheduler, PageKey, SpatialDataStore, bulk_load, store_paths, upgrade_store,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,17 @@ def lakes_v2(fs, lakes):
 
 def windows(store, n=12, seed=31, frac=0.15):
     return list(random_envelopes(n, extent=store.extent, max_size_fraction=frac, seed=seed))
+
+
+def with_gap(store, gap):
+    """*store* with its base scheduler replaced by a fixed-policy one of
+    coalescing *gap* (negative: one request per page)."""
+    store.generations[0].scheduler = IOScheduler(store.pages, gap=gap)
+    return store
+
+
+def decoded_slots(page):
+    return sum(geom is not None for geom in page.memo)
 
 
 class TestLazyDecode:
@@ -112,7 +125,7 @@ class TestCachedPage:
         ]
         assert got == want
         # the v2 filter never decoded a body
-        assert page.decoded_slots == 0
+        assert decoded_slots(page) == 0
 
     def test_record_memoises_and_counts_decodes(self):
         decoded = []
@@ -121,7 +134,7 @@ class TestCachedPage:
         assert (rid, geom.userdata) == (3, "p3")
         assert page.record(3)[1] is geom  # memo hit, no second decode
         assert sum(decoded) == 1
-        assert page.decoded_slots == 1
+        assert decoded_slots(page) == 1
 
     def test_envelope_accessor(self):
         geoms = self._geoms()
@@ -134,7 +147,8 @@ class TestCachedPage:
         # only, see test_format / upgrade_store)
         geoms = self._geoms()
         page = self._page(geoms)
-        assert [(rid, g.userdata) for rid, g in page.records()] == [
+        records = [page.record(slot) for slot in range(len(page))]
+        assert [(rid, g.userdata) for rid, g in records] == [
             (i, f"p{i}") for i in range(len(geoms))
         ]
 
@@ -149,13 +163,13 @@ class TestCoalescedIO:
         assert store.stats.pages_read == store.stats.cache.misses
 
     def test_zero_gap_still_merges_adjacent_pages(self, fs, lakes_v2):
-        store = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024, coalesce_gap=0)
+        store = with_gap(SpatialDataStore.open(fs, lakes_v2, cache_pages=1024), 0)
         store.range_query(store.extent, exact=False)
         assert store.stats.read_requests < store.stats.pages_read
 
     def test_results_identical_with_and_without_coalescing(self, fs, lakes, lakes_v2):
-        merged = SpatialDataStore.open(fs, lakes_v2, cache_pages=0, coalesce_gap=1 << 30)
-        single = SpatialDataStore.open(fs, lakes_v2, cache_pages=0, coalesce_gap=-1)
+        merged = with_gap(SpatialDataStore.open(fs, lakes_v2, cache_pages=0), 1 << 30)
+        single = with_gap(SpatialDataStore.open(fs, lakes_v2, cache_pages=0), -1)
         for env in windows(merged, n=8, seed=5):
             a = [h.record_id for h in merged.range_query(env)]
             b = [h.record_id for h in single.range_query(env)]
@@ -168,14 +182,15 @@ class TestCoalescedIO:
 class TestPrefetch:
     def test_prefetch_counts_and_serves_later_demand(self, fs, lakes_v2):
         plain = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024)
-        eager = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024, prefetch_pages=4)
+        eager = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024,
+                                      io_policy="cost_model")
         env = windows(plain, n=1, seed=11, frac=0.05)[0]
 
         a = [h.record_id for h in plain.range_query(env)]
         b = [h.record_id for h in eager.range_query(env)]
         assert a == b
         assert plain.stats.pages_prefetched == 0
-        assert 0 < eager.stats.pages_prefetched <= 4
+        assert eager.stats.pages_prefetched > 0
         # demand accounting is unchanged by readahead
         assert eager.stats.pages_read == eager.stats.cache.misses
 
@@ -188,19 +203,16 @@ class TestPrefetch:
             >= plain.stats.pages_read
         )
 
-    def test_rejects_negative_prefetch(self, fs, lakes_v2):
-        with pytest.raises(ValueError):
-            SpatialDataStore.open(fs, lakes_v2, prefetch_pages=-1)
-
 
 class TestPrefetchBoundaries:
     """PR 4 audit of the readahead at the container boundary: the extension
     must clamp at the last page (never reading into the page directory that
-    follows the payloads) and the counters must stay consistent."""
+    follows the payloads) and the counters must stay consistent.  The
+    cost-model policy is the one that reads ahead."""
 
     def test_demand_on_last_page_prefetches_nothing(self, fs, lakes_v2):
         store = SpatialDataStore.open(fs, lakes_v2, cache_pages=64,
-                                      prefetch_pages=8)
+                                      io_policy="cost_model")
         last = store.num_pages - 1
         store._get_pages([PageKey(0, last)])
         assert store.stats.pages_prefetched == 0
@@ -213,7 +225,7 @@ class TestPrefetchBoundaries:
         from repro.store.format import HEADER_SIZE
 
         store = SpatialDataStore.open(fs, lakes_v2, cache_pages=64,
-                                      prefetch_pages=8)
+                                      io_policy="cost_model")
         data_end = max(meta.offset + meta.nbytes for meta in store.pages)
         captured = []
         real_read_time = store.fs.read_time
@@ -237,7 +249,7 @@ class TestPrefetchBoundaries:
 
     def test_prefetch_counter_matches_scheduler_output(self, fs, lakes_v2):
         store = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024,
-                                      prefetch_pages=3)
+                                      io_policy="cost_model")
         missing = [0]
         schedule = store.scheduler.schedule(missing, is_cached=lambda p: False)
         store._get_pages([PageKey(0, pid) for pid in missing])
@@ -261,24 +273,14 @@ class TestAdmissionPolicy:
 class TestServingKnobRegressions:
     """PR 5 serving-knob bugfix sweep, end to end through the store."""
 
-    @pytest.mark.parametrize("policy", ["fixed", "cost_model"])
-    def test_prefetch_zero_disables_readahead_under_both_policies(
-        self, fs, lakes_v2, policy
-    ):
-        # prefetch_pages=0 used to mean "off" under "fixed" but "uncapped
-        # stripe readahead" under "cost_model"; 0 now means off everywhere
-        store = SpatialDataStore.open(fs, lakes_v2, cache_pages=256,
-                                      io_policy=policy, prefetch_pages=0)
-        store.range_query(store.extent, exact=False)
-        for env in windows(store, n=6, seed=59):
-            store.range_query(env, exact=False)
-        assert store.stats.pages_prefetched == 0
-
     def test_prefetch_default_keeps_policy_defaults(self, fs, lakes_v2):
-        # None (the default) still means: no readahead under "fixed",
-        # stripe-derived readahead under "cost_model"
+        # no readahead under "fixed", stripe-derived readahead under
+        # "cost_model"
         fixed = SpatialDataStore.open(fs, lakes_v2, cache_pages=256)
-        assert fixed.scheduler.prefetch_pages == 0
+        fixed.range_query(fixed.extent, exact=False)
+        for env in windows(fixed, n=6, seed=59):
+            fixed.range_query(env, exact=False)
+        assert fixed.stats.pages_prefetched == 0
         cost = SpatialDataStore.open(fs, lakes_v2, cache_pages=256,
                                      io_policy="cost_model")
         schedule = cost.scheduler.schedule([0], is_cached=lambda p: False)
@@ -287,11 +289,10 @@ class TestServingKnobRegressions:
     @pytest.mark.parametrize("policy", ["fixed", "cost_model"])
     def test_readahead_cannot_evict_own_demand_pages(self, fs, lakes_v2, policy):
         # the confirmed scheduler bug, observed at store level: with a tiny
-        # cache and a large fixed depth, the fetch's readahead used to evict
-        # the fetch's own demand pages, so an identical warm repeat re-read
-        # them; now the repeat is free whenever the working set fits
-        store = SpatialDataStore.open(fs, lakes_v2, cache_pages=4,
-                                      io_policy=policy, prefetch_pages=8)
+        # cache, the fetch's readahead used to evict the fetch's own demand
+        # pages, so an identical warm repeat re-read them; now the repeat is
+        # free whenever the working set fits
+        store = SpatialDataStore.open(fs, lakes_v2, cache_pages=4, io_policy=policy)
         env = windows(store, n=1, seed=67, frac=0.03)[0]
         first = [h.record_id for h in store.range_query(env)]
         cold_reads = store.stats.pages_read

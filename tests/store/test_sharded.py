@@ -310,14 +310,12 @@ class TestStoreBackedPipelineInput:
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, "data") as server:
-                return server.range_query_batch(
-                    rq.queries if comm.rank == 0 else None, broadcast=True
-                )
+                return server.range_query_batch(rq.queries if comm.rank == 0 else None)
 
         res = mpisim.run_spmd(prog, 4)
-        for rank_matches in res.values:  # broadcast: all ranks see the result
-            got = sorted((m.query_id, m.geometry.userdata) for m in rank_matches)
-            assert got == expected
+        got = sorted((m.query_id, m.geometry.userdata) for m in res.values[0])
+        assert got == expected
+        assert res.values[1:] == [None] * 3  # only rank 0 receives the answer
 
 
 class TestCoreWiring:
@@ -388,15 +386,12 @@ class TestCoreWiring:
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, "data") as server:
-                pairs = server.join(probes if comm.rank == 0 else None, broadcast=True)
-                root_pairs = server.join(probes if comm.rank == 0 else None)
-            return pairs, root_pairs
+                return server.join(probes if comm.rank == 0 else None)
 
         res = mpisim.run_spmd(prog, nprocs)
-        for pairs, _ in res.values:  # broadcast: identical on every rank
-            assert sorted((p.userdata, h.geometry.userdata) for p, h in pairs) == expected
-        root_pairs = res.values[0][1]
+        root_pairs = res.values[0]
         assert sorted((p.userdata, h.geometry.userdata) for p, h in root_pairs) == expected
+        assert res.values[1:] == [None] * (nprocs - 1)
 
     def test_local_geometries_matches_local_records(self, tmp_path):
         fs = make_fs(tmp_path)

@@ -80,7 +80,7 @@ def serving_path(seen):
 
 def run(fs, nprocs, call, traced=False):
     """*call(server, is_root)* on every rank of a fresh server; rank 0's and
-    the last rank's results (the latter only differs under ``broadcast``)."""
+    the last rank's results."""
 
     def prog(comm):
         tracer = Tracer(clock=comm.clock, rank=comm.rank) if traced else None
@@ -112,9 +112,6 @@ CALLS = {
     "deadline": lambda q: lambda server, root: server.range_query_batch(
         q if root else None, deadline=0.0
     ),
-    "broadcast": lambda q: lambda server, root: server.range_query_batch(
-        q if root else None, broadcast=True
-    ),
     "frontend": lambda q: lambda server, root: AsyncStoreFrontend(server, max_in_flight=2).serve(
         [q[:30], q[30:]] if root else None
     ),
@@ -136,8 +133,6 @@ class TestNothingIsPickledToBeMeasured:
         got = run(fs, nprocs, call)
         assert serving_path(pickled) == []
         assert plain(got[0]) == plain(expected[0])
-        if mode == "broadcast":
-            assert plain(got[1]) == plain(got[0])  # every rank holds rank 0's answer
         if mode == "strict":
             assert {h.query_id for h in got[0]} <= {qid for qid, _ in queries}
 
@@ -149,7 +144,7 @@ class TestNothingIsPickledToBeMeasured:
         ] + [Point(50.0, 50.0)]
 
         def call(server, root):
-            return server.join(probes if root else None, broadcast=True)
+            return server.join(probes if root else None)
 
         def pairs(result):
             return [(probe.wkt(), hit.query_id, hit.record_id, hit.shard_id) for probe, hit in result]
@@ -158,7 +153,8 @@ class TestNothingIsPickledToBeMeasured:
         pickled = refuse_pickle()
         got = run(fs, nprocs, call)
         assert serving_path(pickled) == []
-        assert pairs(got[0]) == pairs(expected[0]) == pairs(got[1])
+        assert pairs(got[0]) == pairs(expected[0])
+        assert nprocs == 1 or got[1] is None  # only rank 0 receives the answer
         assert got[0] and all(probes[hit.query_id] is probe for probe, hit in got[0])
 
     def test_traced_plan_is_sized_too(self, fs, queries, refuse_pickle):

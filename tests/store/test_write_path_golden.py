@@ -1,7 +1,7 @@
 """Golden bytes of the store write path.
 
-Every writer of ``repro.store`` — ``bulk_load`` (with and without checksums,
-and on an empty input), ``StoreAppender.append`` (plain, with deletes, with
+Every writer of ``repro.store`` — ``bulk_load`` (on real and on an empty
+input), ``StoreAppender.append`` (plain, with deletes, with
 updates through ``record_ids``, tombstone-only, first append to an empty
 store), ``compact_store``, ``sharded_bulk_load`` with a read replica,
 ``ShardedStoreAppender.append`` and ``compact_sharded_store`` — runs once over
@@ -111,9 +111,6 @@ def run_scenario(root):
     snaps, seconds = {}, {}
 
     seconds["bulk_load"] = bulk_load(fs, "crc", base, **LOAD).write_seconds
-    seconds["bulk_load_nocrc"] = bulk_load(
-        fs, "nocrc", base, checksums=False, **LOAD
-    ).write_seconds
     seconds["bulk_load_empty"] = bulk_load(fs, "empty", []).write_seconds
     seconds["sharded_bulk_load"] = sharded_bulk_load(
         fs, "sh", base, num_shards=3, read_replicas=1, **LOAD
