@@ -23,7 +23,7 @@ reproduction; the accumulated simulated seconds are exposed via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..geometry import Envelope, Geometry, predicates
@@ -395,11 +395,10 @@ class SpatialDataStore:
                     path,
                     [ReadRequest(0, ((0, HEADER_SIZE), (header.dir_offset, tail_nbytes)))],
                 )
-            pages = unpack_page_directory(tail[: header.dir_nbytes], header.num_pages)
+            crcs: Sequence[int] = ()
             if header.has_checksums:
                 crcs = unpack_page_checksums(tail[header.dir_nbytes :], header.num_pages)
-                pages = [replace(meta, crc32=crc) for meta, crc in zip(pages, crcs)]
-            return header, pages
+            return header, unpack_page_directory(tail[: header.dir_nbytes], header.num_pages, crcs)
 
         #: one (page directory, packed index) pair per generation, base first
         generations: List[Tuple[List[PageMeta], STRtree]] = []
@@ -482,9 +481,6 @@ class SpatialDataStore:
     # ------------------------------------------------------------------ #
     # page access (through the cache, with coalesced I/O)
     # ------------------------------------------------------------------ #
-    def _on_decode(self, n: int) -> None:
-        self.stats.records_decoded += n
-
     def _fetch_missing(
         self,
         missing: List[PageKey],
@@ -611,10 +607,13 @@ class SpatialDataStore:
                         meta.offset - run.offset : meta.offset - run.offset + meta.nbytes
                     ]
                     try:
+                        # the decode count goes straight to the counter: a
+                        # page holding a method of the store would make the
+                        # store a reference cycle (see StoreEngine)
                         pages[pid] = CachedPage(
                             pid,
                             payload,
-                            on_decode=self._on_decode,
+                            on_decode=self.stats._records_decoded.inc,
                             expected_crc=meta.crc32,
                         )
                     except PageChecksumError as exc:

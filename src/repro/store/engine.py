@@ -29,6 +29,7 @@ and distributed paths can never diverge; the async front-end
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
@@ -38,7 +39,7 @@ from typing import (
 from ..geometry import Envelope, Geometry, predicates
 from ..index import STRtree, spatial_visit_order
 from ..obs.trace import NULL_TRACER
-from .format import PageKey, RecordRef, StoreError
+from .format import PageKey, StoreError
 from .manifest import StoreManifest
 from .page import CachedPage
 
@@ -193,7 +194,7 @@ class QueryPlanner:
 
 
 def _group_by_page(
-    by_page: Dict[PageKey, List[int]], generation: int, refs: Iterable[RecordRef]
+    by_page: Dict[PageKey, List[int]], generation: int, refs: Iterable[Tuple[int, int]]
 ) -> None:
     """Fold one generation's candidates into *by_page*: one key per page."""
     slots_of: Dict[int, List[int]] = {}
@@ -465,10 +466,17 @@ class StoreEngine:
     loop, :meth:`execute_outcome`: it always builds a
     :class:`BatchOutcome`, and :meth:`execute` — the strict entry point
     every plain query funnels into — returns that outcome's hit lists.
+
+    The engine (and its executor) hold the store through a
+    :func:`weakref.proxy`: the store owns the engine, so a strong
+    back-reference would make every store a reference cycle, and a closed,
+    dropped store — its packed indexes and cached pages included — would
+    wait for a full pass of the cyclic collector instead of being freed at
+    once.  Keep the store, not just its engine, while the engine is in use.
     """
 
     def __init__(self, store: "SpatialDataStore") -> None:
-        self.store = store
+        self.store = store = weakref.proxy(store)
         self.planner = QueryPlanner(
             store.manifest, store.index, store.generations[1:]
         )

@@ -153,7 +153,13 @@ class PageChecksumError(StoreError):
 
 
 class RecordRef(NamedTuple):
-    """Physical address of one record replica: (page id, slot within page)."""
+    """Physical address of one record replica: (page id, slot within page).
+
+    The packed index does not hold these: its payload is the plain pair
+    ``(page_id, slot)``, which compares equal to a ``RecordRef``.  A
+    NamedTuple instance is not an exact tuple, so the cyclic collector never
+    untracks it (or the leaf row holding it); exact tuples of ints it does.
+    """
 
     page_id: int
     slot: int
@@ -431,7 +437,12 @@ def unpack_page_checksums(data: bytes, num_pages: int) -> List[int]:
     return [v for (v,) in PAGE_CHECKSUM_ENTRY.iter_unpack(data)]
 
 
-def unpack_page_directory(data: bytes, num_pages: int) -> List[PageMeta]:
+def unpack_page_directory(
+    data: bytes, num_pages: int, crcs: Sequence[int] = ()
+) -> List[PageMeta]:
+    """Page directory → one :class:`PageMeta` per page, built once: page *i*
+    takes ``crcs[i]`` (the :func:`unpack_page_checksums` table) when *crcs*
+    is given, ``crc32=None`` otherwise."""
     expected = num_pages * PAGE_DIR_ENTRY.size
     if len(data) != expected:
         raise StoreFormatError(
@@ -440,10 +451,8 @@ def unpack_page_directory(data: bytes, num_pages: int) -> List[PageMeta]:
         )
     metas: List[PageMeta] = []
     prev_end = HEADER_SIZE
-    for page_id in range(num_pages):
-        offset, nbytes, count, minx, miny, maxx, maxy = PAGE_DIR_ENTRY.unpack_from(
-            data, page_id * PAGE_DIR_ENTRY.size
-        )
+    for page_id, entry in enumerate(PAGE_DIR_ENTRY.iter_unpack(data)):
+        offset, nbytes, count, minx, miny, maxx, maxy = entry
         # pages are written back to back in page-id order; the serving
         # path's run coalescing relies on that, so a directory violating it
         # is corruption, not a layout variant
@@ -453,13 +462,7 @@ def unpack_page_directory(data: bytes, num_pages: int) -> List[PageMeta]:
                 f"{offset} overlaps the bytes before it (expected >= {prev_end})"
             )
         prev_end = offset + nbytes
-        metas.append(
-            PageMeta(
-                page_id=page_id,
-                offset=offset,
-                nbytes=nbytes,
-                count=count,
-                mbr=Envelope(minx, miny, maxx, maxy),
-            )
-        )
+        mbr = Envelope(minx, miny, maxx, maxy)
+        crc = crcs[page_id] if crcs else None
+        metas.append(PageMeta(page_id, offset, nbytes, count, mbr, crc))
     return metas

@@ -13,9 +13,14 @@ Layout (little-endian)::
         leaf:      n items, each <4d envelope><I page_id><I slot>
         internal:  the n child nodes follow recursively
 
-Payloads are :class:`repro.store.format.RecordRef` addresses — the index
+Payloads are record addresses, the plain pair ``(page_id, slot)`` — the index
 maps a query window to the (page, slot) pairs to fetch, never to geometry
-objects, so it stays small and loads fast.
+objects, so it stays small and loads fast.  A loaded leaf row
+``(minx, miny, maxx, maxy, (page_id, slot))`` is built of exact tuples, ints
+and floats only, which the cyclic collector untracks the first time it sees
+them: an opened index leaves the collector a few objects per *node*, none per
+item.  (A :class:`~repro.store.format.RecordRef` NamedTuple is not an exact
+tuple, so it and the row holding it would stay tracked for good.)
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import List
 from ..geometry import Envelope
 from ..index import STRtree
 from ..index.rtree import _STRNode
-from .format import RecordRef, StoreFormatError
+from .format import StoreFormatError
 
 __all__ = ["INDEX_MAGIC", "INDEX_VERSION", "dump_index", "load_index"]
 
@@ -39,7 +44,7 @@ _ITEM = struct.Struct("<4dII")
 
 
 def dump_index(tree: STRtree) -> bytes:
-    """Serialise *tree* (payloads must be ``RecordRef``-like pairs)."""
+    """Serialise *tree* (payloads must be ``(page_id, slot)`` pairs)."""
     nodes: List[_STRNode] = []
     stack = [tree._root] if tree._root is not None else []
     while stack:
@@ -63,7 +68,9 @@ def load_index(data: bytes) -> STRtree:
     """Inverse of :func:`dump_index`; returns a queryable tree.
 
     The stream is validated, not trusted: every count is checked against the
-    bytes and the header before it is believed, the reader keeps its own
+    bytes and the header before it is believed, a header node capacity below
+    2 is refused like a bad magic (never a bare ``ValueError`` from
+    :meth:`STRtree.from_packed`), the reader keeps its own
     stack (a hostile depth cannot exhaust Python's), and an item whose MBR is
     inverted — the builder never writes one — is dropped like an empty
     envelope at build, so it can never match.
@@ -75,6 +82,8 @@ def load_index(data: bytes) -> STRtree:
         raise StoreFormatError(f"bad index magic {magic!r} (expected {INDEX_MAGIC!r})")
     if version != INDEX_VERSION:
         raise StoreFormatError(f"unsupported index version {version}")
+    if node_capacity < 2:
+        raise StoreFormatError(f"index node capacity is {node_capacity} (expected >= 2)")
 
     view, pos = memoryview(data), _HEADER.size
     consumed = items = kept = 0
@@ -98,7 +107,7 @@ def load_index(data: bytes) -> STRtree:
         if is_leaf:
             end = pos + count * size
             entries = [
-                (x0, y0, x1, y1, RecordRef(page_id, slot))
+                (x0, y0, x1, y1, (page_id, slot))
                 for x0, y0, x1, y1, page_id, slot in _ITEM.iter_unpack(view[pos:end])
                 if not (x0 > x1 or y0 > y1)
             ]

@@ -494,14 +494,13 @@ def upgrade_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
             f"upgrade, which would drop them"
         )
     tail = header.dir_offset + header.dir_nbytes
-    pages = unpack_page_directory(blob[header.dir_offset : tail], header.num_pages)
-    crcs: List[Optional[int]] = [None] * len(pages)
+    crcs: Sequence[int] = ()
     if header.has_checksums:
         crcs = unpack_page_checksums(blob[tail:], header.num_pages)
     records: Dict[int, Geometry] = {}
-    for meta, crc in zip(pages, crcs):
+    for meta in unpack_page_directory(blob[header.dir_offset : tail], header.num_pages, crcs):
         payload = blob[meta.offset : meta.offset + meta.nbytes]
-        if crc is not None and page_crc32(payload) != crc:
+        if meta.crc32 is not None and page_crc32(payload) != meta.crc32:
             raise PageChecksumError(
                 f"page {meta.page_id} of {path!r} failed its checksum", meta.page_id
             )

@@ -31,7 +31,6 @@ from .format import (
     FLAG_PAGE_CHECKSUMS,
     HEADER_SIZE,
     PageMeta,
-    RecordRef,
     encode_page_v2,
     encode_record_body,
     pack_header,
@@ -102,7 +101,8 @@ class PackedPartitions:
     page_metas: List[PageMeta] = field(default_factory=list)
     partitions: List[PartitionInfo] = field(default_factory=list)
     payloads: List[bytes] = field(default_factory=list)
-    index_entries: List[Tuple[Envelope, RecordRef]] = field(default_factory=list)
+    #: ``(envelope, (page_id, slot))`` — the payload :func:`load_index` returns
+    index_entries: List[Tuple[Envelope, Tuple[int, int]]] = field(default_factory=list)
     num_replicas: int = 0
     #: distinct logical record ids packed (replicas share one id)
     record_ids: Set[int] = field(default_factory=set)
@@ -156,11 +156,15 @@ def pack_partitions(
                 return
             payload = encode_page_v2(list(zip(current_rids, current_envs, current)))
             page_id = len(packed.page_metas)
-            mbr = Envelope.empty()
-            for env in current_envs:
-                mbr = mbr.union(env)
+            # one fold per bound, not an Envelope per record: every MBR is a
+            # box (the _Rec gate), so this is the union, ties and all
+            mbr = Envelope(
+                min(env.minx for env in current_envs), min(env.miny for env in current_envs),
+                max(env.maxx for env in current_envs), max(env.maxy for env in current_envs),
+            )
+            part.data_mbr = part.data_mbr.union(mbr)
             for slot, env in enumerate(current_envs):
-                packed.index_entries.append((env, RecordRef(page_id, slot)))
+                packed.index_entries.append((env, (page_id, slot)))
             packed.page_metas.append(
                 PageMeta(
                     page_id=page_id,
@@ -186,7 +190,6 @@ def pack_partitions(
             current_envs.append(rec.envelope)
             current_bytes += len(encoded) + overhead
             part.record_count += 1
-            part.data_mbr = part.data_mbr.union(rec.envelope)
             packed.num_replicas += 1
             packed.record_ids.add(rec.rid)
         flush_page()

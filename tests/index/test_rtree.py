@@ -206,7 +206,7 @@ class TestFlatRowWalk:
             got = loaded.query(window)
             assert got == query_reference(loaded, window)
             assert got == built.query(window)
-            assert all(type(ref) is RecordRef for ref in got)
+            assert all(type(ref) is tuple for ref in got)
 
     def test_inverted_and_empty_windows_match_nothing(self):
         tree = STRtree(make_boxes(100, seed=4), node_capacity=4)

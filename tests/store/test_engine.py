@@ -138,7 +138,7 @@ class TestPlanner:
         store = SpatialDataStore.open(fs, store_name)
         env = windows(store.extent, n=1, seed=3)[0]
         by_page = store.engine.planner.candidate_slots(env)
-        refs = {(0, ref.page_id, ref.slot) for ref in store.index.query(env)}
+        refs = {(0, page_id, slot) for page_id, slot in store.index.query(env)}
         assert {
             (gen, pid, slot)
             for (gen, pid), slots in by_page.items()

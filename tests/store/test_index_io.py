@@ -196,6 +196,16 @@ class TestIndexValidation:
         tree = load_index(blob)
         assert len(tree) == 1 and dump_index(tree) == blob
 
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_node_capacity_below_two_is_a_format_error(self, cap):
+        # the header field sits at offsets 10-11, below the byte fuzz's
+        # reach; STRtree.from_packed used to refuse it with a bare ValueError
+        one = leaf((1.0, 1.0, 2.0, 2.0, 0, 0))
+        for blob in (header(1, 1, cap=cap) + one, header(0, 0, cap=cap)):
+            with pytest.raises(StoreFormatError, match=f"capacity is {cap}"):
+                load_index(blob)
+        assert load_index(header(1, 1, cap=2) + one).node_capacity == 2
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_damage_is_a_format_error_or_a_tree(self, seed):
         # loader fuzz: whatever the bytes, StoreFormatError or a usable tree
