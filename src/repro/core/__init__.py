@@ -21,32 +21,29 @@ from .exchange import deserialise_cell_group, exchange_cells, serialise_cell_gro
 from .framework import ComputationResult, PhaseBreakdown, SpatialComputation
 from .grid_partition import (
     GridPartitionConfig,
-    LocalPartition,
     assign_to_cells,
     build_grid,
     compute_global_extent,
     partition_geometries,
 )
-from .indexing import CellIndex, DistributedIndex, IndexBuildReport
-from .join import JoinPair, SpatialJoin, join_cell
+from .indexing import DistributedIndex
+from .join import SpatialJoin, join_cell
 from .noncontig import (
     RecordIndex,
     build_record_index,
     read_fixed_records_roundrobin,
     read_variable_records_roundrobin,
 )
-from .parsers import CSVPointParser, GeometryParser, ParseStats, WKTParser, split_records
+from .parsers import GeometryParser, WKTParser, split_records
 from .partition import (
-    DEFAULT_MAX_GEOMETRY_SIZE,
     MessagePartitioner,
     OverlapPartitioner,
     PartitionConfig,
     PartitionResult,
-    equal_chunk_bounds,
     read_records,
 )
-from .query import QueryMatch, RangeQuery
-from .reader import ReadReport, VectorIO
+from .query import RangeQuery
+from .reader import VectorIO
 from .spatial_ops import (
     MPI_MAX_LINE,
     MPI_MAX_POINT,
@@ -76,12 +73,9 @@ from .spatial_types import (
 __all__ = [
     # facade
     "VectorIO",
-    "ReadReport",
     # parsing
     "GeometryParser",
     "WKTParser",
-    "CSVPointParser",
-    "ParseStats",
     "split_records",
     # contiguous partitioning
     "PartitionConfig",
@@ -89,8 +83,6 @@ __all__ = [
     "MessagePartitioner",
     "OverlapPartitioner",
     "read_records",
-    "equal_chunk_bounds",
-    "DEFAULT_MAX_GEOMETRY_SIZE",
     # non-contiguous access
     "RecordIndex",
     "build_record_index",
@@ -120,7 +112,6 @@ __all__ = [
     "unpack_lines",
     # grid partitioning and exchange
     "GridPartitionConfig",
-    "LocalPartition",
     "compute_global_extent",
     "build_grid",
     "assign_to_cells",
@@ -133,11 +124,7 @@ __all__ = [
     "ComputationResult",
     "PhaseBreakdown",
     "SpatialJoin",
-    "JoinPair",
     "join_cell",
     "DistributedIndex",
-    "CellIndex",
-    "IndexBuildReport",
     "RangeQuery",
-    "QueryMatch",
 ]

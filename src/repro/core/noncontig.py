@@ -96,7 +96,6 @@ def read_fixed_records_roundrobin(
         disp = comm.rank * records_per_block * record_size
         fh.Set_view(disp=disp, etype=MPI_BYTE, filetype=filetype)
         # The final block may be partially filled; clamp to the records that exist.
-        first_record = comm.rank * records_per_block
         my_records = 0
         for b in range(my_blocks):
             block_start = (comm.rank + b * comm.size) * records_per_block
@@ -129,9 +128,6 @@ class RecordIndex:
     def num_records(self) -> int:
         return len(self.offsets)
 
-    def record_range(self, index: int) -> Tuple[int, int]:
-        return (self.offsets[index], self.lengths[index])
-
 
 def build_record_index(
     fs: SimulatedFilesystem,
@@ -146,7 +142,6 @@ def build_record_index(
         size = fh.size
         pos = 0
         record_start = 0
-        pending = b""
         while pos < size:
             chunk = fh.pread(pos, min(chunk_size, size - pos))
             search_from = 0

@@ -4,8 +4,7 @@ The paper's "flexible interface presents the geometric data in those files as
 a collection of strings, thereby allowing user to define parsing method that
 returns a GEOS geometry for each string" (§4.3).  :class:`GeometryParser` is
 that interface; :class:`WKTParser` is the concrete implementation used for the
-OSM extracts, and :class:`CSVPointParser` covers point datasets such as the
-New York taxi records the introduction mentions.
+OSM extracts.
 """
 
 from __future__ import annotations
@@ -13,12 +12,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable, List, Optional
 
-from ..geometry import Geometry, Point, WKTParseError, wkt
+from ..geometry import Geometry, WKTParseError, wkt
 
 __all__ = [
     "GeometryParser",
     "WKTParser",
-    "CSVPointParser",
     "ParseStats",
     "split_records",
 ]
@@ -94,38 +92,6 @@ class WKTParser(GeometryParser):
 
     def parse_record(self, record: str) -> Optional[Geometry]:
         return wkt.loads(record)
-
-
-class CSVPointParser(GeometryParser):
-    """CSV point records (``x<sep>y[<sep>attributes...]``)."""
-
-    def __init__(
-        self,
-        x_column: int = 0,
-        y_column: int = 1,
-        separator: str = ",",
-        skip_invalid: bool = True,
-        has_header: bool = False,
-    ) -> None:
-        super().__init__(skip_invalid)
-        self.x_column = x_column
-        self.y_column = y_column
-        self.separator = separator
-        self.has_header = has_header
-        self._seen_header = False
-
-    def parse_record(self, record: str) -> Optional[Geometry]:
-        if self.has_header and not self._seen_header:
-            self._seen_header = True
-            return None
-        fields = record.split(self.separator)
-        needed = max(self.x_column, self.y_column)
-        if len(fields) <= needed:
-            raise ValueError(f"record has only {len(fields)} fields, need {needed + 1}")
-        x = float(fields[self.x_column])
-        y = float(fields[self.y_column])
-        extra = [f for i, f in enumerate(fields) if i not in (self.x_column, self.y_column)]
-        return Point(x, y, userdata=self.separator.join(extra) if extra else None)
 
 
 def split_records(data: bytes, delimiter: bytes = b"\n") -> List[bytes]:

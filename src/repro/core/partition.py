@@ -34,7 +34,6 @@ from .parsers import split_records
 __all__ = [
     "PartitionConfig",
     "PartitionResult",
-    "equal_chunk_bounds",
     "MessagePartitioner",
     "OverlapPartitioner",
     "read_records",
@@ -88,19 +87,6 @@ class PartitionResult:
     @property
     def num_records(self) -> int:
         return len(self.records)
-
-
-def equal_chunk_bounds(file_size: int, nprocs: int, rank: int) -> Tuple[int, int]:
-    """Byte range ``(offset, length)`` of *rank*'s equal share of the file
-    (the default logical partitioning of Figure 3)."""
-    if nprocs < 1:
-        raise ValueError("nprocs must be >= 1")
-    if not (0 <= rank < nprocs):
-        raise ValueError(f"rank {rank} outside 0..{nprocs - 1}")
-    chunk = math.ceil(file_size / nprocs) if file_size else 0
-    start = min(rank * chunk, file_size)
-    end = min(start + chunk, file_size)
-    return (start, end - start)
 
 
 class _BasePartitioner:

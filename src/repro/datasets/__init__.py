@@ -3,17 +3,13 @@
 from .binary import (
     MBR_RECORD_FLOAT32,
     MBR_RECORD_FLOAT64,
-    POINT_RECORD_FLOAT64,
     random_envelopes,
     read_mbr_file,
     read_mbr_records,
-    read_point_file,
-    read_point_records,
     validate_record_file,
     write_mbr_file,
-    write_point_file,
 )
-from .osm_like import DATASETS, PAPER_TABLE3, DatasetSpec, dataset_path, generate_dataset
+from .osm_like import DATASETS, DatasetSpec, dataset_path, generate_dataset
 from .synthetic import (
     SyntheticConfig,
     generate_mixed_records,
@@ -36,18 +32,13 @@ __all__ = [
     "point_wkt",
     "DatasetSpec",
     "DATASETS",
-    "PAPER_TABLE3",
     "generate_dataset",
     "dataset_path",
     "random_envelopes",
     "write_mbr_file",
-    "write_point_file",
     "read_mbr_records",
-    "read_point_records",
     "read_mbr_file",
-    "read_point_file",
     "validate_record_file",
     "MBR_RECORD_FLOAT32",
     "MBR_RECORD_FLOAT64",
-    "POINT_RECORD_FLOAT64",
 ]

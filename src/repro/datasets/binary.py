@@ -1,4 +1,4 @@
-"""Binary fixed-record datasets (points and MBRs).
+"""Binary fixed-record datasets (MBRs).
 
 §4.1: "Unlike polygons that vary in length, spatial types like points, lines,
 and MBRs have fixed length.  Files containing these special types are
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional
 
 from ..geometry import Envelope
 from ..pfs import SimulatedFilesystem, StripeLayout
@@ -21,13 +19,9 @@ from ..pfs import SimulatedFilesystem, StripeLayout
 __all__ = [
     "MBR_RECORD_FLOAT32",
     "MBR_RECORD_FLOAT64",
-    "POINT_RECORD_FLOAT64",
     "write_mbr_file",
-    "write_point_file",
     "read_mbr_records",
-    "read_point_records",
     "read_mbr_file",
-    "read_point_file",
     "validate_record_file",
     "random_envelopes",
 ]
@@ -36,8 +30,18 @@ __all__ = [
 MBR_RECORD_FLOAT32 = struct.Struct("<4f")
 #: an MBR record of 4 doubles (matches the MPI_RECT spatial datatype)
 MBR_RECORD_FLOAT64 = struct.Struct("<4d")
-#: a point record of 2 doubles (matches MPI_POINT)
-POINT_RECORD_FLOAT64 = struct.Struct("<2d")
+
+_MBR_RECORDS = {"float32": MBR_RECORD_FLOAT32, "float64": MBR_RECORD_FLOAT64}
+
+
+def _mbr_record(precision: str) -> struct.Struct:
+    """The MBR record layout of *precision*; anything else is refused."""
+    try:
+        return _MBR_RECORDS[precision]
+    except KeyError:
+        raise ValueError(
+            f"MBR precision must be 'float32' or 'float64', not {precision!r}"
+        ) from None
 
 
 def random_envelopes(
@@ -68,27 +72,11 @@ def write_mbr_file(
     layout: Optional[StripeLayout] = None,
 ) -> int:
     """Write envelopes as fixed binary records; returns the record count."""
-    record = MBR_RECORD_FLOAT32 if precision == "float32" else MBR_RECORD_FLOAT64
+    record = _mbr_record(precision)
     out = bytearray()
     count = 0
     for env in envelopes:
         out += record.pack(*env.as_tuple())
-        count += 1
-    fs.create_file(path, bytes(out), layout=layout)
-    return count
-
-
-def write_point_file(
-    fs: SimulatedFilesystem,
-    path: str,
-    points: Iterable[Tuple[float, float]],
-    layout: Optional[StripeLayout] = None,
-) -> int:
-    """Write (x, y) pairs as fixed binary records; returns the record count."""
-    out = bytearray()
-    count = 0
-    for x, y in points:
-        out += POINT_RECORD_FLOAT64.pack(x, y)
         count += 1
     fs.create_file(path, bytes(out), layout=layout)
     return count
@@ -118,29 +106,17 @@ def validate_record_file(fs: SimulatedFilesystem, path: str, record_size: int) -
 
 def read_mbr_records(data: bytes, precision: str = "float32") -> List[Envelope]:
     """Decode packed MBR records back into envelopes."""
-    record = MBR_RECORD_FLOAT32 if precision == "float32" else MBR_RECORD_FLOAT64
+    record = _mbr_record(precision)
     _check_whole_records(len(data), record.size, f"MBR ({precision})", "byte string")
     return [Envelope(*record.unpack_from(data, i)) for i in range(0, len(data), record.size)]
-
-
-def read_point_records(data: bytes) -> np.ndarray:
-    """Decode packed point records into an ``(n, 2)`` float64 array."""
-    _check_whole_records(len(data), POINT_RECORD_FLOAT64.size, "point", "byte string")
-    return np.frombuffer(data, dtype=np.float64).reshape(-1, 2).copy()
 
 
 def read_mbr_file(
     fs: SimulatedFilesystem, path: str, precision: str = "float32"
 ) -> List[Envelope]:
     """Read a whole MBR file, validating its size against the record size."""
-    record = MBR_RECORD_FLOAT32 if precision == "float32" else MBR_RECORD_FLOAT64
+    record = _mbr_record(precision)
     count = validate_record_file(fs, path, record.size)
     with fs.open(path) as fh:
         return read_mbr_records(fh.pread(0, count * record.size), precision)
 
-
-def read_point_file(fs: SimulatedFilesystem, path: str) -> np.ndarray:
-    """Read a whole point file, validating its size against the record size."""
-    count = validate_record_file(fs, path, POINT_RECORD_FLOAT64.size)
-    with fs.open(path) as fh:
-        return read_point_records(fh.pread(0, count * POINT_RECORD_FLOAT64.size))

@@ -23,7 +23,7 @@ from .synthetic import (
     generate_polyline_records,
 )
 
-__all__ = ["DatasetSpec", "DATASETS", "generate_dataset", "dataset_path", "PAPER_TABLE3"]
+__all__ = ["DatasetSpec", "DATASETS", "generate_dataset", "dataset_path"]
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,6 @@ DATASETS: Dict[str, DatasetSpec] = {
     "all_nodes": DatasetSpec("all_nodes", "point", base_count=30_000, paper_count="2.7 B",
                              paper_size="96 GB", paper_seq_seconds=3782.0),
 }
-
-#: ordered view matching the row order of Table 3
-PAPER_TABLE3 = ["cemetery", "lakes", "roads", "all_objects", "road_network", "all_nodes"]
 
 
 def dataset_path(name: str) -> str:

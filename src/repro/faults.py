@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mpisim.errors import RankFaultError
+from .mpisim.world import _thread_rank
 from .pfs.filesystem import FileHandle, SimulatedFilesystem
 
 __all__ = [
@@ -42,26 +43,11 @@ __all__ = [
     "FaultyFileHandle",
     "FaultyFilesystem",
     "RankFaultInjector",
-    "current_sim_rank",
 ]
-
-#: thread-name prefix the SPMD runtime gives every simulated rank
-_RANK_THREAD_PREFIX = "mpisim-rank-"
 
 
 class TransientIOError(IOError):
     """An injected transient read failure (the kind a retry should absorb)."""
-
-
-def current_sim_rank() -> int:
-    """Rank of the calling simulated-MPI thread (0 outside the runtime)."""
-    name = threading.current_thread().name
-    if name.startswith(_RANK_THREAD_PREFIX):
-        try:
-            return int(name[len(_RANK_THREAD_PREFIX):])
-        except ValueError:
-            return 0
-    return 0
 
 
 @dataclass
@@ -228,7 +214,7 @@ class FaultyFilesystem:
     def _filter_pread(self, path: str, offset: int, data: bytes) -> bytes:
         if not self.armed:
             return data
-        rank = current_sim_rank()
+        rank = _thread_rank() or 0
         with self._lock:
             self.stats.preads += 1
             rule = self._match(path, rank)
@@ -268,7 +254,7 @@ class FaultyFilesystem:
         base = self.inner.read_time(path, requests, readers)
         if not self.armed:
             return base
-        rank = current_sim_rank()
+        rank = _thread_rank() or 0
         with self._lock:
             rule = self._match(path, rank)
             if rule is None or rule.latency_spike_rate <= 0.0:

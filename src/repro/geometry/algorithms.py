@@ -1,8 +1,8 @@
 """Low-level computational-geometry primitives.
 
 These are the routines a GEOS build would provide in C++: orientation tests,
-segment intersection, point-in-ring tests, ring area/centroid and distance
-kernels.  Everything above (the :mod:`repro.geometry.predicates` dispatch and
+segment intersection, point-in-ring tests, ring signed area/centroid and
+distance kernels.  Everything above (the :mod:`repro.geometry.predicates` dispatch and
 the geometry classes) is built from these functions, which keeps the numeric
 hot spots in one vectorisable place.
 """
@@ -10,9 +10,7 @@ hot spots in one vectorisable place.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 Coord = Tuple[float, float]
 
@@ -20,19 +18,14 @@ __all__ = [
     "orientation",
     "on_segment",
     "segments_intersect",
-    "segment_intersection_point",
     "point_on_segment",
     "point_in_ring",
     "point_on_ring",
-    "ring_area",
     "ring_signed_area",
     "ring_centroid",
-    "ring_is_ccw",
-    "ring_length",
     "segments_cross_ring",
     "point_segment_distance",
     "segment_segment_distance",
-    "convex_hull",
 ]
 
 _EPS = 1e-12
@@ -79,36 +72,6 @@ def segments_intersect(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> bool:
     if o4 == 0 and on_segment(q1, p2, q2):
         return True
     return False
-
-
-def segment_intersection_point(
-    p1: Coord, p2: Coord, q1: Coord, q2: Coord
-) -> Optional[Coord]:
-    """Intersection point of two segments, or ``None``.
-
-    For collinear overlapping segments an arbitrary shared point is returned
-    (one of the overlapping endpoints), which is sufficient for the
-    reference-point duplicate-avoidance rule used by the spatial join.
-    """
-    r = (p2[0] - p1[0], p2[1] - p1[1])
-    s = (q2[0] - q1[0], q2[1] - q1[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    qp = (q1[0] - p1[0], q1[1] - p1[1])
-    if abs(denom) < _EPS:
-        # Parallel.  Check for collinear overlap.
-        if abs(qp[0] * r[1] - qp[1] * r[0]) > _EPS:
-            return None
-        if not segments_intersect(p1, p2, q1, q2):
-            return None
-        for cand in (q1, q2, p1, p2):
-            if on_segment(p1, cand, p2) and on_segment(q1, cand, q2):
-                return cand
-        return None
-    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-    u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-    if -_EPS <= t <= 1.0 + _EPS and -_EPS <= u <= 1.0 + _EPS:
-        return (p1[0] + t * r[0], p1[1] + t * r[1])
-    return None
 
 
 def point_on_segment(pt: Coord, a: Coord, b: Coord) -> bool:
@@ -175,16 +138,6 @@ def ring_signed_area(ring: Sequence[Coord]) -> float:
     return total / 2.0
 
 
-def ring_area(ring: Sequence[Coord]) -> float:
-    """Absolute ring area."""
-    return abs(ring_signed_area(ring))
-
-
-def ring_is_ccw(ring: Sequence[Coord]) -> bool:
-    """True when the ring winds counter-clockwise."""
-    return ring_signed_area(ring) > 0.0
-
-
 def ring_centroid(ring: Sequence[Coord]) -> Coord:
     """Area-weighted centroid of a ring (falls back to vertex mean for
     degenerate zero-area rings)."""
@@ -206,20 +159,6 @@ def ring_centroid(ring: Sequence[Coord]) -> Coord:
         cx += (x1 + x2) * cross
         cy += (y1 + y2) * cross
     return (cx / (6.0 * a), cy / (6.0 * a))
-
-
-def ring_length(ring: Sequence[Coord]) -> float:
-    """Perimeter of the ring (closing edge included)."""
-    n = len(ring)
-    if n < 2:
-        return 0.0
-    closed = ring[0] == ring[-1]
-    total = 0.0
-    for i in range(n - 1):
-        total += math.hypot(ring[i + 1][0] - ring[i][0], ring[i + 1][1] - ring[i][1])
-    if not closed and n > 2:
-        total += math.hypot(ring[0][0] - ring[-1][0], ring[0][1] - ring[-1][1])
-    return total
 
 
 def segments_cross_ring(a: Coord, b: Coord, ring: Sequence[Coord]) -> bool:
@@ -263,39 +202,3 @@ def segment_segment_distance(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> floa
         point_segment_distance(q2, p1, p2),
     )
 
-
-def convex_hull(points: Sequence[Coord]) -> List[Coord]:
-    """Andrew's monotone-chain convex hull.
-
-    Returns hull vertices in counter-clockwise order without repeating the
-    first vertex.  Degenerate inputs (fewer than 3 distinct points) return the
-    distinct points themselves.
-    """
-    pts = sorted(set((float(x), float(y)) for x, y in points))
-    if len(pts) <= 2:
-        return list(pts)
-
-    def cross(o: Coord, a: Coord, b: Coord) -> float:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: List[Coord] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Coord] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def coords_bounds(coords: Sequence[Coord]) -> Tuple[float, float, float, float]:
-    """Vectorised bounds of a coordinate sequence (minx, miny, maxx, maxy)."""
-    if len(coords) == 0:
-        raise ValueError("empty coordinate sequence")
-    arr = np.asarray(coords, dtype=np.float64)
-    mins = arr.min(axis=0)
-    maxs = arr.max(axis=0)
-    return (float(mins[0]), float(mins[1]), float(maxs[0]), float(maxs[1]))

@@ -73,17 +73,11 @@ class Geometry(ABC):
 
         return predicates.intersects(self, other)
 
-    def disjoint(self, other: "Geometry") -> bool:
-        return not self.intersects(other)
-
     def contains(self, other: "Geometry") -> bool:
         """True when *other* lies entirely within this geometry."""
         from . import predicates
 
         return predicates.contains(self, other)
-
-    def within(self, other: "Geometry") -> bool:
-        return other.contains(self)
 
     def distance(self, other: "Geometry") -> float:
         """Minimum Euclidean distance between the two geometries."""

@@ -119,9 +119,6 @@ class Envelope:
             or other.maxy < self.miny
         )
 
-    def disjoint(self, other: "Envelope") -> bool:
-        return not self.intersects(other)
-
     def contains(self, other: "Envelope") -> bool:
         """True when *other* lies entirely inside this envelope."""
         if self.is_empty or other.is_empty:
@@ -165,10 +162,6 @@ class Envelope:
             min(self.maxy, other.maxy),
         )
 
-    def expand_to_include(self, x: float, y: float) -> "Envelope":
-        """Return a new envelope grown to include the point ``(x, y)``."""
-        return self.union(Envelope.of_point(x, y))
-
     def buffer(self, distance: float) -> "Envelope":
         """Return a new envelope grown (or shrunk) by *distance* on all sides."""
         if self.is_empty:
@@ -202,10 +195,6 @@ class Envelope:
     # ------------------------------------------------------------------ #
     # serialisation helpers (used by MPI_RECT / binary datasets)
     # ------------------------------------------------------------------ #
-    def to_doubles(self) -> Tuple[float, float, float, float]:
-        """Four-double representation used by the ``MPI_RECT`` datatype."""
-        return self.as_tuple()
-
     @staticmethod
     def from_doubles(values: Sequence[float]) -> "Envelope":
         if len(values) != 4:

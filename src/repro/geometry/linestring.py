@@ -126,12 +126,6 @@ class LineString(Geometry):
             return coords[0]
         return (cx / total_len, cy / total_len)
 
-    @property
-    def is_closed(self) -> bool:
-        if self._coords is None:
-            return self._run[:2] == self._run[-2:]
-        return self._coords[0] == self._coords[-1]
-
     # ------------------------------------------------------------------ #
     def segments(self) -> List[Tuple[Coord, Coord]]:
         """Consecutive coordinate pairs."""
@@ -167,10 +161,6 @@ class LinearRing(LineString):
     @property
     def area(self) -> float:
         return abs(self.signed_area)
-
-    @property
-    def is_ccw(self) -> bool:
-        return algorithms.ring_is_ccw(self.coords)
 
     @property
     def centroid(self) -> Coord:

@@ -61,7 +61,3 @@ class Point(Geometry):
 
     def distance_to_point(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a copy shifted by ``(dx, dy)`` (userdata is preserved)."""
-        return Point(self.x + dx, self.y + dy, userdata=self.userdata)

@@ -41,14 +41,6 @@ class Polygon(Geometry):
 
     # ------------------------------------------------------------------ #
     @property
-    def exterior(self) -> LinearRing:
-        return self.shell
-
-    @property
-    def interiors(self) -> Tuple[LinearRing, ...]:
-        return self.holes
-
-    @property
     def envelope(self) -> Envelope:
         return self._envelope
 

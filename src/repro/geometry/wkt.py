@@ -41,7 +41,6 @@ __all__ = [
     "WKTParseError",
     "loads",
     "dumps",
-    "parse_wkt",
     "format_coord",
     "format_coords",
 ]
@@ -252,7 +251,3 @@ def loads(text: str, userdata=None) -> Geometry:
     elif trailing:
         geom.userdata = trailing
     return geom
-
-
-# Friendly alias matching the paper's "parse interface" naming.
-parse_wkt = loads

@@ -2,7 +2,7 @@
 
 from .grid import GridCell, UniformGrid, block_mapping, round_robin_mapping
 from .rtree import RTreeStats, STRtree
-from .sfc import hilbert_decode, hilbert_encode, sort_by_hilbert, spatial_visit_order
+from .sfc import hilbert_encode, sort_by_hilbert, spatial_visit_order
 
 __all__ = [
     "STRtree",
@@ -12,7 +12,6 @@ __all__ = [
     "round_robin_mapping",
     "block_mapping",
     "hilbert_encode",
-    "hilbert_decode",
     "sort_by_hilbert",
     "spatial_visit_order",
 ]

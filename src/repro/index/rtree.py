@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Generic, Iterable, List, Optional, Tuple, TypeVar
 
 from ..geometry import Envelope
 
@@ -168,17 +168,6 @@ class STRtree(Generic[T]):
                 if not (sx0 > x1 or sx1 < x0 or sy0 > y1 or sy1 < y0):
                     emit(entry)
         return results
-
-    def query_pairs(self, items: Sequence[Tuple[Envelope, Any]]) -> List[Tuple[Any, T]]:
-        """Join-style query: for every (env, payload) in *items*, find tree
-        entries whose envelope intersects and return (item payload, tree
-        payload) candidate pairs — the filter-phase output of a spatial join.
-        """
-        pairs: List[Tuple[Any, T]] = []
-        for env, payload in items:
-            for match in self.query(env):
-                pairs.append((payload, match))
-        return pairs
 
     def stats(self) -> RTreeStats:
         stats = RTreeStats(num_items=self._size)

@@ -14,7 +14,6 @@ from ..geometry import Envelope
 
 __all__ = [
     "hilbert_encode",
-    "hilbert_decode",
     "normalise_to_grid",
     "sort_by_hilbert",
     "spatial_visit_order",
@@ -48,30 +47,6 @@ def hilbert_encode(ix: int, iy: int, order: int = 16) -> int:
             x, y = y, x
         s >>= 1
     return d
-
-
-def hilbert_decode(d: int, order: int = 16) -> Tuple[int, int]:
-    """Inverse of :func:`hilbert_encode`."""
-    side = 1 << order
-    if d < 0 or d >= side * side:
-        raise ValueError("Hilbert distance out of range")
-    rx = ry = 0
-    x = y = 0
-    t = d
-    s = 1
-    while s < side:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s <<= 1
-    return (x, y)
 
 
 # --------------------------------------------------------------------------- #

@@ -117,9 +117,6 @@ class File:
             raise MPIError("filetype size must be a multiple of the etype size")
         self._pointer = 0
 
-    def Get_view(self) -> Tuple[int, Datatype, Datatype]:
-        return (self._disp, self._etype, self._filetype)
-
     def Seek(self, offset_etypes: int) -> None:
         """Move the individual file pointer (in etype units within the view)."""
         if offset_etypes < 0:

@@ -54,12 +54,6 @@ class Info:
             return default
         return int(raw)
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self._data.get(key)
-        if raw is None:
-            return default
-        return raw.lower() in ("1", "true", "enable", "yes", "on")
-
     def __contains__(self, key: str) -> bool:
         return key in self._data
 

@@ -18,11 +18,9 @@ from .clock import CommCostModel, VirtualClock
 from .comm import Communicator
 from .datatypes import (
     MPI_BYTE,
-    MPI_CHAR,
     MPI_DOUBLE,
     MPI_FLOAT,
     MPI_INT,
-    MPI_LONG,
     Datatype,
     create_contiguous,
     create_indexed,
@@ -31,13 +29,12 @@ from .datatypes import (
 )
 from .errors import CountLimitError, MPIAbortError, MPIError, RankFaultError
 from .ops import Op
-from .runtime import SPMDResult, run_spmd
+from .runtime import run_spmd
 from .status import ANY_SOURCE, ANY_TAG, Request, Status
 from .world import World, payload_nbytes
 
 __all__ = [
     "run_spmd",
-    "SPMDResult",
     "Communicator",
     "World",
     "VirtualClock",
@@ -48,9 +45,7 @@ __all__ = [
     "create_indexed",
     "create_struct",
     "MPI_BYTE",
-    "MPI_CHAR",
     "MPI_INT",
-    "MPI_LONG",
     "MPI_FLOAT",
     "MPI_DOUBLE",
     "Op",

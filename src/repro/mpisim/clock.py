@@ -71,12 +71,6 @@ class VirtualClock:
         self.compute_scale = compute_scale
         #: per-category accumulated time, e.g. {"io": 1.2, "comm": 0.3}
         self.breakdown: Dict[str, float] = {}
-        #: observers called with ``(seconds, category)`` on every advance —
-        #: the seam a metrics registry subscribes through (see
-        #: :meth:`repro.obs.metrics.MetricsRegistry.bind_clock`); kept as a
-        #: plain list guarded by one truthiness check so an unobserved
-        #: clock pays nothing
-        self._listeners: list = []
 
     # ------------------------------------------------------------------ #
     @property
@@ -92,17 +86,7 @@ class VirtualClock:
         if seconds > 0:
             self._now += seconds
             self.breakdown[category] = self.breakdown.get(category, 0.0) + seconds
-            if self._listeners:
-                for listener in self._listeners:
-                    listener(seconds, category)
         return self._now
-
-    def add_listener(self, listener) -> None:
-        """Subscribe *listener(seconds, category)* to every advance."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        self._listeners.remove(listener)
 
     def advance_to(self, timestamp: float, category: str = "wait") -> float:
         """Move the clock forward to *timestamp* if it is in the future."""
@@ -125,10 +109,6 @@ class VirtualClock:
         finally:
             elapsed = (time.thread_time() - start) * self.compute_scale
             self.advance(elapsed, category=category)
-
-    def charge(self, seconds: float, category: str) -> float:
-        """Alias for :meth:`advance` that reads better at call sites."""
-        return self.advance(seconds, category=category)
 
     def category(self, name: str) -> float:
         """Accumulated simulated seconds charged to *name*."""

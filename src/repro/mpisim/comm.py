@@ -14,7 +14,6 @@ this runtime behave like the per-process maxima reported in the paper.
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -30,8 +29,6 @@ __all__ = [
     "collective_check_default",
     "set_collective_check_default",
 ]
-
-_comm_id_counter = itertools.count(1)
 
 # ---------------------------------------------------------------------- #
 # lockstep collective verification (the dynamic half of repro.analysis)
@@ -121,10 +118,9 @@ class Communicator:
         """Mirror this rank's communication into *registry* counters:
         ``comm.messages`` / ``comm.bytes_sent`` for point-to-point sends and
         ``comm.collectives`` / ``comm.bytes_collective`` for collective
-        participation (own contribution).  Counters are
-        per-rank absolutes, so cross-rank aggregation through
-        :meth:`repro.obs.metrics.MetricsRegistry.aggregate` stays
-        idempotent."""
+        participation (own contribution).  Counters are per-rank
+        absolutes, so merging rank snapshots with
+        :func:`repro.obs.metrics.merge_snapshots` stays idempotent."""
         self._metrics = registry
 
     def detach_metrics(self) -> None:
@@ -147,9 +143,6 @@ class Communicator:
         """
         self._fault_hook = hook
 
-    def detach_fault_hook(self) -> None:
-        self._fault_hook = None
-
     # ------------------------------------------------------------------ #
     # lockstep collective verification
     # ------------------------------------------------------------------ #
@@ -171,13 +164,6 @@ class Communicator:
         """
         self._check_enabled = True
         self._check_strict = strict
-
-    def disable_collective_check(self) -> None:
-        self._check_enabled = False
-
-    @property
-    def collective_check_enabled(self) -> bool:
-        return self._check_enabled
 
     def _verify_lockstep(self, gathered: List[Tuple[Any, ...]]) -> None:
         records = [entry[3] if len(entry) > 3 else None for entry in gathered]
@@ -239,13 +225,15 @@ class Communicator:
     def cost_model(self):
         return self.world.cost_model
 
-    def global_rank(self, rank: Optional[int] = None) -> int:
-        """Translate a communicator rank to a world rank."""
-        return self._members[self.rank if rank is None else rank]
-
     # ------------------------------------------------------------------ #
     # point-to-point
     # ------------------------------------------------------------------ #
+    def _check_source(self, source: int) -> None:
+        """A source outside the communicator can never send: refuse it
+        instead of waiting for the deadlock timeout."""
+        if source != ANY_SOURCE and not (0 <= source < self.size):
+            raise MPIError(f"invalid source rank {source}")
+
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Buffered send (never deadlocks; matches MPI's eager protocol for
         the message sizes exercised here)."""
@@ -263,7 +251,7 @@ class Communicator:
         # receiver once the full transfer time has elapsed.
         send_clock.advance(self.cost_model.latency, category="comm")
         arrival = send_clock.now + cost
-        msg = _Message(self.rank, tag, obj, arrival, nbytes)
+        msg = _Message(self.comm_id, self.rank, tag, obj, arrival, nbytes)
         self.world.mailboxes[self._members[dest]].deliver(msg)
 
     def recv(
@@ -273,10 +261,11 @@ class Communicator:
         status: Optional[Status] = None,
     ) -> Any:
         """Blocking receive returning the matched payload."""
+        self._check_source(source)
         if self._fault_hook is not None:
             self._fault_hook("recv", self.rank)
         mbox = self.world.mailboxes[self._members[self.rank]]
-        msg = mbox.take(source, tag)
+        msg = mbox.take(self.comm_id, source, tag)
         self.clock.advance_to(msg.arrival_time, category="comm")
         if status is not None:
             status.source = msg.source
@@ -304,13 +293,15 @@ class Communicator:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive; the matching happens inside ``wait``."""
+        self._check_source(source)
         return Request(lambda: self.recv(source, tag))
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Block until a matching message is available; return its status
         without consuming it (``MPI_Probe`` + ``MPI_Get_count`` idiom)."""
+        self._check_source(source)
         mbox = self.world.mailboxes[self._members[self.rank]]
-        msg = mbox.peek(source, tag)
+        msg = mbox.peek(self.comm_id, source, tag)
         status = Status()
         status.source = msg.source
         status.tag = msg.tag

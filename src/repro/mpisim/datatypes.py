@@ -27,9 +27,7 @@ __all__ = [
     "Datatype",
     "BasicType",
     "MPI_BYTE",
-    "MPI_CHAR",
     "MPI_INT",
-    "MPI_LONG",
     "MPI_FLOAT",
     "MPI_DOUBLE",
     "create_contiguous",
@@ -89,11 +87,6 @@ class Datatype:
         return self._committed
 
     # -- layout expansion ---------------------------------------------------- #
-    def element_blocks(self, index: int) -> List[Block]:
-        """Typemap of element *index* (shifted by ``index * extent``)."""
-        base = index * self._extent
-        return [(base + off, length) for off, length in self._blocks]
-
     def layout(self, count: int, offset: int = 0) -> List[Block]:
         """Absolute byte blocks of *count* consecutive elements starting at
         byte *offset*; adjacent blocks are coalesced.
@@ -155,9 +148,7 @@ class BasicType(Datatype):
 
 
 MPI_BYTE = BasicType("MPI_BYTE", "B")
-MPI_CHAR = BasicType("MPI_CHAR", "c")
 MPI_INT = BasicType("MPI_INT", "i")
-MPI_LONG = BasicType("MPI_LONG", "q")
 MPI_FLOAT = BasicType("MPI_FLOAT", "f")
 MPI_DOUBLE = BasicType("MPI_DOUBLE", "d")
 

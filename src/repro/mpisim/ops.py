@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-__all__ = ["Op", "SUM", "PROD", "MIN", "MAX", "LAND", "LOR", "BAND", "BOR", "CONCAT"]
+__all__ = ["Op", "SUM", "MAX", "LOR"]
 
 
 class Op:
@@ -65,12 +65,5 @@ class Op:
 
 
 SUM = Op(lambda a, b: a + b, name="MPI_SUM")
-PROD = Op(lambda a, b: a * b, name="MPI_PROD")
-MIN = Op(min, name="MPI_MIN")
 MAX = Op(max, name="MPI_MAX")
-LAND = Op(lambda a, b: bool(a) and bool(b), name="MPI_LAND")
 LOR = Op(lambda a, b: bool(a) or bool(b), name="MPI_LOR")
-BAND = Op(lambda a, b: a & b, name="MPI_BAND")
-BOR = Op(lambda a, b: a | b, name="MPI_BOR")
-#: list concatenation — convenient for gathering variable-length results
-CONCAT = Op(lambda a, b: a + b, commute=False, name="CONCAT")

@@ -54,9 +54,15 @@ def payload_nbytes(obj: Any) -> int:
 
 
 class _Message:
-    __slots__ = ("source", "tag", "payload", "arrival_time", "nbytes")
+    """One point-to-point message; *comm_id* is the sending communicator, so
+    a receive on a derived communicator never matches its parent's traffic."""
 
-    def __init__(self, source: int, tag: int, payload: Any, arrival_time: float, nbytes: int) -> None:
+    __slots__ = ("comm_id", "source", "tag", "payload", "arrival_time", "nbytes")
+
+    def __init__(
+        self, comm_id: int, source: int, tag: int, payload: Any, arrival_time: float, nbytes: int
+    ) -> None:
+        self.comm_id = comm_id
         self.source = source
         self.tag = tag
         self.payload = payload
@@ -65,7 +71,7 @@ class _Message:
 
 
 class _Mailbox:
-    """Per-rank incoming message queue with tag/source matching."""
+    """Per-rank incoming message queue with communicator/source/tag matching."""
 
     def __init__(self, world: "World") -> None:
         self._world = world
@@ -81,34 +87,38 @@ class _Mailbox:
         with self._cond:
             self._cond.notify_all()
 
-    def _match(self, source: int, tag: int) -> Optional[int]:
+    def _match(self, comm_id: int, source: int, tag: int) -> Optional[int]:
         for i, msg in enumerate(self._messages):
-            if (source == -1 or msg.source == source) and (tag == -1 or msg.tag == tag):
+            if (
+                msg.comm_id == comm_id
+                and (source == -1 or msg.source == source)
+                and (tag == -1 or msg.tag == tag)
+            ):
                 return i
         return None
 
-    def take(self, source: int, tag: int) -> _Message:
+    def take(self, comm_id: int, source: int, tag: int) -> _Message:
         """Block until a matching message arrives, then remove and return it."""
         with self._cond:
             self._world.note_waiting("recv")
             try:
                 while True:
                     self._world.check_abort()
-                    idx = self._match(source, tag)
+                    idx = self._match(comm_id, source, tag)
                     if idx is not None:
                         return self._messages.pop(idx)
                     self._cond.wait(timeout=0.2)
             finally:
                 self._world.note_running()
 
-    def peek(self, source: int, tag: int) -> _Message:
+    def peek(self, comm_id: int, source: int, tag: int) -> _Message:
         """Block until a matching message arrives and return it without removing."""
         with self._cond:
             self._world.note_waiting("recv")
             try:
                 while True:
                     self._world.check_abort()
-                    idx = self._match(source, tag)
+                    idx = self._match(comm_id, source, tag)
                     if idx is not None:
                         return self._messages[idx]
                     self._cond.wait(timeout=0.2)
@@ -312,10 +322,6 @@ class World:
             engines = list(self._engines.values())
         for eng in engines:
             eng.wake()
-
-    @property
-    def aborted(self) -> bool:
-        return self._abort_exc is not None
 
     @property
     def abort_exception(self) -> Optional[BaseException]:

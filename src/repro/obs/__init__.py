@@ -13,7 +13,7 @@ share:
     ``mpisim`` ranks and a zero-allocation :data:`NULL_TRACER` default.
 
 ``repro.obs.metrics``
-    :class:`MetricsRegistry` of counters / gauges / log2
+    :class:`MetricsRegistry` of counters and log2
     :class:`Histogram`\\ s (p50/p95/p99), with idempotent snapshot merging
     across ranks (:func:`merge_snapshots`) and per-partition / per-shard
     query-heat counters recorded by the engine and the sharded server.
@@ -35,12 +35,11 @@ from .explain import (
     build_store_explain,
 )
 from .export import chrome_trace, spans_to_jsonl, write_chrome_trace, write_jsonl
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_snapshots
+from .metrics import Counter, Histogram, MetricsRegistry, merge_snapshots
 from .trace import NULL_TRACER, NullTracer, Span, TraceContext, Tracer
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "merge_snapshots",

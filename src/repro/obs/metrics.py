@@ -1,4 +1,4 @@
-"""Unified metrics registry: counters, gauges and log2 latency histograms.
+"""Unified metrics registry: counters and log2 latency histograms.
 
 The repo's serving layers each grew their own stat carrier —
 ``StoreStats``, ``CacheStats``, ``BatchMetrics``, the virtual clock's
@@ -6,8 +6,8 @@ The repo's serving layers each grew their own stat carrier —
 ranks without bespoke code, and none can answer a percentile question.
 This module is the common substrate they all now sit on:
 
-* :class:`Counter` / :class:`Gauge` — monotone totals and last-value
-  samples, optionally labelled (``registry.counter("shard_heat", shard=3)``).
+* :class:`Counter` — monotone totals, optionally labelled
+  (``registry.counter("shard_heat", shard=3)``).
 * :class:`Histogram` — fixed-bucket base-2 histograms.  Bucket *i* covers
   ``(lo·2^(i-1), lo·2^i]``, so 96 buckets span nanoseconds to centuries and
   merging two histograms is element-wise addition — which is what makes
@@ -16,7 +16,7 @@ This module is the common substrate they all now sit on:
 * :class:`MetricsRegistry` — the get-or-create namespace one store, server
   rank or front-end owns.  :meth:`MetricsRegistry.snapshot` emits plain
   JSON-able dicts; :func:`merge_snapshots` combines any number of them
-  (sum counters, max gauges, add histogram buckets); and because snapshots
+  (sum counters, add histogram buckets); and because snapshots
   are **absolute** values, aggregation over ranks through the existing
   collectives is idempotent — calling it twice can never double-count.
 
@@ -28,11 +28,10 @@ input) are ordinary labelled counters in these registries; see
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "merge_snapshots",
@@ -57,18 +56,6 @@ class Counter:
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A last-value sample (e.g. current generation count, cache fill)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -188,7 +175,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create namespace of counters, gauges and histograms.
+    """Get-or-create namespace of counters and histograms.
 
     One registry per observed component (a store, a server rank, a
     front-end); the same ``(name, labels)`` pair always returns the same
@@ -197,9 +184,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._clock_unbind: Optional[Any] = None
 
     # ------------------------------------------------------------------ #
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -207,13 +192,6 @@ class MetricsRegistry:
         metric = self._counters.get(key)
         if metric is None:
             metric = self._counters[key] = Counter()
-        return metric
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = metric_key(name, labels)
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge()
         return metric
 
     def histogram(
@@ -226,69 +204,26 @@ class MetricsRegistry:
         return metric
 
     # ------------------------------------------------------------------ #
-    def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
-        """Flat ``key -> value`` view of every counter under *prefix* —
-        e.g. ``counters_with_prefix("store.partition_heat")`` is the heat
-        map a rebalancer would consume."""
-        return {
-            key: c.value
-            for key, c in sorted(self._counters.items())
-            if key.startswith(prefix)
-        }
-
     def snapshot(self) -> Dict[str, Any]:
         """Absolute JSON-able state of every metric (the merge currency)."""
         return {
             "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
             "histograms": {
                 k: h.state() for k, h in sorted(self._histograms.items())
             },
         }
 
-    def aggregate(self, comm) -> Dict[str, Any]:
-        """Merged snapshot across every rank of *comm* (collective).
-
-        Each call allgathers fresh **absolute** snapshots and merges them,
-        so repeated calls are idempotent — exactly the convention
-        ``DistributedStoreServer.aggregate_stats`` established.
-        """
-        return merge_snapshots(comm.allgather(self.snapshot()))
-
-    # ------------------------------------------------------------------ #
-    def bind_clock(self, clock, name: str = "clock.seconds") -> None:
-        """Mirror a :class:`~repro.mpisim.clock.VirtualClock`'s per-category
-        advances into labelled counters (``clock.seconds{category=io}``)."""
-        if self._clock_unbind is not None:
-            raise ValueError("registry is already bound to a clock")
-
-        def on_advance(seconds: float, category: str) -> None:
-            self.counter(name, category=category).inc(seconds)
-
-        clock.add_listener(on_advance)
-        self._clock_unbind = (clock, on_advance)
-
-    def unbind_clock(self) -> None:
-        if self._clock_unbind is not None:
-            clock, listener = self._clock_unbind
-            clock.remove_listener(listener)
-            self._clock_unbind = None
-
 
 def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Merge registry snapshots: counters sum, gauges take the max (they are
-    last-value samples — the maximum over ranks is the conservative read),
-    histograms merge bucket-wise.  Input snapshots are absolute state, so
+    """Merge registry snapshots: counters sum, histograms merge bucket-wise.
+    Input snapshots are absolute state, so
     merging the output with more snapshots later, or re-merging the same
     inputs, behaves like set union over the underlying event streams."""
     counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
     histograms: Dict[str, Histogram] = {}
     for snap in snapshots:
         for key, value in snap.get("counters", {}).items():
             counters[key] = counters.get(key, 0) + value
-        for key, value in snap.get("gauges", {}).items():
-            gauges[key] = max(gauges.get(key, value), value)
         for key, state in snap.get("histograms", {}).items():
             hist = Histogram.from_state(state)
             if key in histograms:
@@ -297,6 +232,5 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
                 histograms[key] = hist
     return {
         "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
         "histograms": {k: h.state() for k, h in sorted(histograms.items())},
     }

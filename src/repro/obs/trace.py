@@ -102,10 +102,6 @@ class Span:
         """Attach (or overwrite) attributes on the open span."""
         self.attrs.update(attrs)
 
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .striping import OSTLoad, StripeLayout
 
@@ -75,20 +75,6 @@ class IOCostModel:
     open_latency: float = 2.0e-3
     #: cluster (client side) description
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-
-    # ------------------------------------------------------------------ #
-    def single_client_time(self, load: Mapping[int, OSTLoad], nbytes: int) -> float:
-        """Time for one client to complete its own requests, uncontended."""
-        if nbytes <= 0 and not load:
-            return 0.0
-        # OSTs serve this client's chunks in parallel.
-        ost_time = max(
-            (l.requests * self.ost_latency + l.nbytes / self.ost_bandwidth for l in load.values()),
-            default=0.0,
-        )
-        nic_time = self.cluster.nic_latency + nbytes / self.cluster.nic_bandwidth
-        sw_time = self.request_overhead * sum(l.requests for l in load.values())
-        return max(ost_time, nic_time) + sw_time
 
     # ------------------------------------------------------------------ #
     def parallel_read_time(

@@ -9,7 +9,6 @@ MPI-IO layer uses to charge virtual time.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -17,12 +16,6 @@ from .costmodel import IOCostModel, ReadRequest
 from .striping import StripeLayout
 
 __all__ = ["FileHandle", "SimulatedFilesystem"]
-
-
-@dataclass
-class _FileMeta:
-    layout: StripeLayout
-    size: int
 
 
 class FileHandle:

@@ -59,7 +59,3 @@ class LustreFilesystem(SimulatedFilesystem):
         layout = StripeLayout(stripe_size=stripe_size, stripe_count=stripe_count, ost_offset=ost_offset)
         self.set_layout(path, layout)
         return layout
-
-    def getstripe(self, path: str) -> StripeLayout:
-        """``lfs getstripe`` equivalent."""
-        return self.layout_of(path)

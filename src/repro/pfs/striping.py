@@ -46,12 +46,6 @@ class StripeLayout:
             raise ValueError("stripe_count must be positive")
 
     # ------------------------------------------------------------------ #
-    def ost_of_offset(self, offset: int) -> int:
-        """Index of the OST holding the byte at *offset*."""
-        if offset < 0:
-            raise ValueError("offset must be non-negative")
-        return (offset // self.stripe_size + self.ost_offset) % self.stripe_count
-
     def stripe_chunks(self, offset: int, nbytes: int) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(ost, chunk_offset, chunk_bytes)`` for a byte range,
         splitting it at stripe boundaries."""
@@ -78,8 +72,3 @@ class StripeLayout:
             for ost, _, chunk in self.stripe_chunks(offset, nbytes):
                 loads.setdefault(ost, OSTLoad()).add(chunk)
         return loads
-
-    def aligned_block(self, index: int) -> Tuple[int, int]:
-        """Byte range of stripe *index* — used for stripe-aligned block reads
-        ("parallel file read access will be stripe aligned", §4.1)."""
-        return (index * self.stripe_size, self.stripe_size)

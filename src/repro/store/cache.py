@@ -10,7 +10,7 @@ benchmark assert on them.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Generic, Iterator, Optional, TypeVar
+from typing import Dict, Generic, Iterator, Optional, TypeVar
 
 from ..obs.metrics import MetricsRegistry
 
@@ -142,14 +142,6 @@ class LRUPageCache(Generic[K, V]):
             self._entries.popitem(last=False)
             self.stats.evictions += 1
         self._entries[key] = value
-
-    def get_or_load(self, key: K, loader: Callable[[K], V]) -> V:
-        """Return the cached value, calling *loader* (and caching) on a miss."""
-        value = self.get(key)
-        if value is None:
-            value = loader(key)
-            self.put(key, value)
-        return value
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept; use ``stats.reset()``)."""

@@ -210,7 +210,6 @@ class SpatialDataStore:
         cache_pages: int = 64,
         io_policy: str = "fixed",
         tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         """*generations* holds one ``(page directory, packed index)`` pair
@@ -227,12 +226,9 @@ class SpatialDataStore:
         clamped so a fetch cannot evict its own demand pages from the cache.
 
         *tracer* (a :class:`~repro.obs.trace.Tracer`; default the zero-cost
-        null tracer) records query spans; *metrics* supplies an external
-        :class:`~repro.obs.metrics.MetricsRegistry` to account this store
-        in (default: a private registry, exposed as ``store.metrics``);
-        *retry_policy* bounds the transient-fault retries of both the open
-        path and the serving read path (default
-        :data:`~repro.store.scheduler.DEFAULT_RETRY`).
+        null tracer) records query spans; *retry_policy* bounds the
+        transient-fault retries of both the open path and the serving read
+        path (default :data:`~repro.store.scheduler.DEFAULT_RETRY`).
         """
         if io_policy not in IO_POLICIES:
             raise ValueError(
@@ -245,8 +241,8 @@ class SpatialDataStore:
         self.paths = store_paths(name)
         #: the store's metrics namespace (``store.*`` / ``cache.*`` counters,
         #: per-partition heat) — one registry per store so two stores never
-        #: share a counter; pass a shared registry explicitly to pool them
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: share a counter
+        self.metrics = MetricsRegistry()
         #: span recorder for the staged engine; :data:`NULL_TRACER` (zero
         #: overhead) unless a recording tracer is injected
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -339,8 +335,8 @@ class SpatialDataStore:
 
         This is the whole cold-start cost — no record is parsed and the
         R-tree is reconstituted, not rebuilt.  The *serving* keywords
-        (``cache_pages``, ``io_policy``, ``tracer``, ``metrics``,
-        ``retry_policy``) are those of :meth:`__init__`, forwarded as given;
+        (``cache_pages``, ``io_policy``, ``tracer``, ``retry_policy``) are
+        those of :meth:`__init__`, forwarded as given;
         ``retry_policy`` also bounds the retries of every read made here
         (:func:`~repro.store.scheduler.read_with_retry`).  A container in the
         retired v1 page layout is refused with a
@@ -470,13 +466,6 @@ class SpatialDataStore:
             f"{self.total_pages} pages, {len(self.manifest.partitions)} partitions, "
             f"{self.num_generations} delta generations on {self.fs.describe()})"
         )
-
-    def reset_stats(self) -> None:
-        """Zero every serving counter — store stats *and* cache stats (they
-        share one registry), so a benchmark can measure a warm phase without
-        the cold phase's totals bleeding in.  The cache *contents* are kept;
-        use ``_cache.clear()`` to drop those too."""
-        self.stats.reset()
 
     # ------------------------------------------------------------------ #
     # page access (through the cache, with coalesced I/O)

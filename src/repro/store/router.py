@@ -49,7 +49,6 @@ class ShardRouter:
     def __init__(self, manifest: ShardsManifest) -> None:
         self.manifest = manifest
         self._grid: Optional[UniformGrid] = None
-        self._partition_to_shard = manifest.partition_to_shard()
 
     # ------------------------------------------------------------------ #
     # shard pruning
@@ -90,10 +89,6 @@ class ShardRouter:
             )
         return self._grid
 
-    def overlapping_partitions(self, env: Envelope) -> List[int]:
-        """Global partitions the envelope overlaps (its replication set)."""
-        return self.grid.cells_for_envelope(env)
-
     def home_partition(self, env: Envelope) -> int:
         """The partition that *owns* a record: the lowest overlapping cell,
         which is the cell of the MBR's lower-left corner.
@@ -104,7 +99,3 @@ class ShardRouter:
         if env.is_empty:
             raise ValueError("cannot compute home partition of an empty envelope")
         return self.grid.cell_for_point(env.minx, env.miny)
-
-    def owner_shard(self, env: Envelope) -> Optional[int]:
-        """Shard owning the record with MBR *env* (None if outside all shards)."""
-        return self._partition_to_shard.get(self.home_partition(env))

@@ -412,7 +412,6 @@ class DistributedStoreServer:
         fs: SimulatedFilesystem,
         manifest: ShardsManifest,
         tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
         allow_degraded: bool = False,
         **store_options: Any,
     ) -> None:
@@ -430,7 +429,7 @@ class DistributedStoreServer:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: server-level metrics (per-shard query heat etc.) — distinct from
         #: the per-store registries, merged by :meth:`aggregate_metrics`
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._shard_heat: Dict[int, Any] = {}
         self.stores: Dict[int, SpatialDataStore] = {}
         #: cumulative per-phase simulated seconds on this rank
@@ -478,8 +477,7 @@ class DistributedStoreServer:
 
         *tracer* is this rank's :class:`~repro.obs.trace.Tracer` (e.g.
         ``Tracer(clock=comm.clock, rank=comm.rank)``); the default null
-        tracer keeps serving allocation-free.  *metrics* supplies a
-        server-level registry (per-shard query heat lands there)."""
+        tracer keeps serving allocation-free."""
         # A missing or unreadable shards.json rides the manifest broadcast
         # instead of raising on rank 0 alone (SPMD005): every rank learns of
         # the failure from the same bcast and raises in lockstep, rather than
@@ -661,8 +659,8 @@ class DistributedStoreServer:
 
     def aggregate_metrics(self) -> Dict[str, Any]:
         """Merged metrics snapshot over every rank's server **and** store
-        registries (collective).  Counters sum, gauges take the max,
-        histograms merge bucket-wise; snapshots are absolute state, so
+        registries (collective).  Counters sum, histograms merge
+        bucket-wise; snapshots are absolute state, so
         repeated calls are idempotent — the ``aggregate_stats`` convention,
         now for every metric including per-partition / per-shard heat
         (partition and shard ids are global, so same-key counters from

@@ -77,13 +77,13 @@ class TestArming:
         assert not collective_check_default()
 
         def prog(comm):
-            return comm.collective_check_enabled
+            return comm._check_enabled
 
         assert mpisim.run_spmd(prog, 2).values == [False, False]
 
     def test_context_manager_arms_and_restores(self):
         def prog(comm):
-            return comm.collective_check_enabled
+            return comm._check_enabled
 
         with collective_check():
             assert collective_check_default()
@@ -122,7 +122,7 @@ class TestArming:
             comm.enable_collective_check()
             sub = comm.split(comm.rank % 2)
             dup = comm.dup()
-            return sub.collective_check_enabled, dup.collective_check_enabled
+            return sub._check_enabled, dup._check_enabled
 
         assert mpisim.run_spmd(prog, 4).values == [(True, True)] * 4
 

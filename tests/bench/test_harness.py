@@ -71,7 +71,7 @@ class TestPatternDrivers:
     def test_collective_slower_than_independent(self, lustre):
         lustre.create_file("v.dat", b"")
         lustre.setstripe("v.dat", stripe_size=32 << 20, stripe_count=32)
-        level0 = algorithm1_read_time(self.COST, lustre.getstripe("v.dat"), 4 << 30, 64, 32 << 20)
+        level0 = algorithm1_read_time(self.COST, lustre.layout_of("v.dat"), 4 << 30, 64, 32 << 20)
         level1 = collective_contiguous_read_time(lustre, "v.dat", 4 << 30, 64, 32 << 20)
         assert level0 < level1
 

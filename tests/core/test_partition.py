@@ -11,7 +11,6 @@ from repro.core import (
     MessagePartitioner,
     OverlapPartitioner,
     PartitionConfig,
-    equal_chunk_bounds,
     read_records,
 )
 from repro.pfs import LustreFilesystem
@@ -53,42 +52,6 @@ def run_partition(fs, path, nprocs, strategy="message", **cfg_kwargs):
         return result
 
     return mpisim.run_spmd(prog, nprocs)
-
-
-class TestEqualChunkBounds:
-    def test_covers_file_exactly(self):
-        total = 0
-        for rank in range(7):
-            off, length = equal_chunk_bounds(1000, 7, rank)
-            total += length
-        assert total == 1000
-
-    def test_no_overlap_and_ordered(self):
-        prev_end = 0
-        for rank in range(5):
-            off, length = equal_chunk_bounds(103, 5, rank)
-            assert off == prev_end
-            prev_end = off + length
-        assert prev_end == 103
-
-    def test_empty_file(self):
-        assert equal_chunk_bounds(0, 4, 2) == (0, 0)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            equal_chunk_bounds(10, 0, 0)
-        with pytest.raises(ValueError):
-            equal_chunk_bounds(10, 2, 5)
-
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=64))
-    def test_property_partition_of_file(self, size, nprocs):
-        chunks = [equal_chunk_bounds(size, nprocs, r) for r in range(nprocs)]
-        assert sum(l for _, l in chunks) == size
-        pos = 0
-        for off, length in chunks:
-            if length:
-                assert off == pos
-            pos = off + length if length else pos
 
 
 class TestMessagePartitioner:

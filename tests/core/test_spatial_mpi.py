@@ -15,7 +15,6 @@ from repro.core import (
     MPI_RECT,
     MPI_RECT_STRUCT,
     MPI_UNION,
-    CSVPointParser,
     WKTParser,
     geometry_extent_op,
     make_fixed_polygon_type,
@@ -182,19 +181,3 @@ class TestParsers:
         data = b"POINT (1 1)\nPOINT (2 2)\n"
         assert len(parser.parse_buffer(data)) == 2
 
-    def test_csv_point_parser(self):
-        parser = CSVPointParser()
-        geoms = parser.parse_many(["1.5,2.5,taxi-1", "3,4", "bad,row,here"])
-        assert len(geoms) == 2
-        assert (geoms[0].x, geoms[0].y) == (1.5, 2.5)
-        assert geoms[0].userdata == "taxi-1"
-
-    def test_csv_parser_custom_columns_and_header(self):
-        parser = CSVPointParser(x_column=1, y_column=2, has_header=True)
-        geoms = parser.parse_many(["id,x,y", "a,10,20", "b,30,40"])
-        assert [(g.x, g.y) for g in geoms] == [(10, 20), (30, 40)]
-
-    def test_csv_parser_missing_fields(self):
-        parser = CSVPointParser(skip_invalid=False)
-        with pytest.raises(ValueError):
-            parser.parse("42")

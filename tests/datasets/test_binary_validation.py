@@ -5,15 +5,11 @@ import struct
 import pytest
 
 from repro.datasets import (
-    POINT_RECORD_FLOAT64,
     random_envelopes,
     read_mbr_file,
     read_mbr_records,
-    read_point_file,
-    read_point_records,
     validate_record_file,
     write_mbr_file,
-    write_point_file,
 )
 from repro.pfs import LustreFilesystem
 
@@ -36,10 +32,13 @@ class TestByteLevelReaders:
         assert "35 bytes" in str(exc.value)
         assert "3 trailing" in str(exc.value)
 
-    def test_point_partial_record_raises_with_sizes(self):
-        with pytest.raises(ValueError) as exc:
-            read_point_records(b"\x00" * (POINT_RECORD_FLOAT64.size + 1))
-        assert "17 bytes" in str(exc.value)
+    def test_mistyped_precision_is_refused_on_read(self, fs):
+        # "f32" used to fall through to doubles and decode 32-byte records
+        with pytest.raises(ValueError, match="'float32' or 'float64'.*'f32'"):
+            read_mbr_records(b"\x00" * 32, precision="f32")
+        write_mbr_file(fs, "data/ok.bin", random_envelopes(2, seed=6))
+        with pytest.raises(ValueError, match="'float32' or 'float64'"):
+            read_mbr_file(fs, "data/ok.bin", precision="double")
 
 
 class TestFileLevelReaders:
@@ -49,12 +48,10 @@ class TestFileLevelReaders:
         back = read_mbr_file(fs, "data/mbrs.bin", precision="float64")
         assert back == envs
 
-    def test_point_file_round_trip(self, fs):
-        points = [(float(i), float(-i)) for i in range(40)]
-        write_point_file(fs, "data/points.bin", points)
-        arr = read_point_file(fs, "data/points.bin")
-        assert arr.shape == (40, 2)
-        assert list(map(tuple, arr)) == points
+    def test_mistyped_precision_is_refused_on_write(self, fs):
+        with pytest.raises(ValueError, match="'float32' or 'float64'.*'f32'"):
+            write_mbr_file(fs, "data/bad.bin", random_envelopes(2, seed=7), precision="f32")
+        assert not fs.exists("data/bad.bin")
 
     def test_truncated_mbr_file_raises_and_names_file(self, fs):
         envs = random_envelopes(4, seed=3)
@@ -65,13 +62,6 @@ class TestFileLevelReaders:
             read_mbr_file(fs, "data/trunc.bin")
         assert "data/trunc.bin" in str(exc.value)
         assert "trailing" in str(exc.value)
-
-    def test_truncated_point_file_raises(self, fs):
-        write_point_file(fs, "data/ptrunc.bin", [(1.0, 2.0), (3.0, 4.0)])
-        whole = fs.backing_path("data/ptrunc.bin").read_bytes()
-        fs.create_file("data/ptrunc.bin", whole + b"\x01")
-        with pytest.raises(ValueError):
-            read_point_file(fs, "data/ptrunc.bin")
 
     def test_validate_record_file(self, fs):
         fs.create_file("data/ok.bin", b"\x00" * 64)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.core import WKTParser
 from repro.datasets import (
     DATASETS,
-    PAPER_TABLE3,
     SyntheticConfig,
     dataset_path,
     generate_dataset,
@@ -22,9 +21,7 @@ from repro.datasets import (
     generate_polyline_records,
     random_envelopes,
     read_mbr_records,
-    read_point_records,
     write_mbr_file,
-    write_point_file,
 )
 from repro.geometry import Envelope, LineString, Point, Polygon, wkt
 from repro.pfs import LustreFilesystem
@@ -91,7 +88,6 @@ class TestRecordGenerators:
 
 class TestNamedDatasets:
     def test_registry_matches_table3(self):
-        assert set(PAPER_TABLE3) == set(DATASETS)
         assert DATASETS["cemetery"].paper_size == "56 MB"
         assert DATASETS["road_network"].shape == "line"
         assert DATASETS["all_nodes"].base_count > DATASETS["cemetery"].base_count
@@ -165,18 +161,9 @@ class TestBinaryDatasets:
         out = read_mbr_records(lustre.open("m64.bin").pread(0, 10**6), precision="float64")
         assert out == envs
 
-    def test_point_roundtrip(self, lustre):
-        pts = [(1.0, 2.0), (-3.5, 7.25), (0.0, 0.0)]
-        write_point_file(lustre, "p.bin", pts)
-        arr = read_point_records(lustre.open("p.bin").pread(0, 10**6))
-        assert arr.shape == (3, 2)
-        assert arr[1, 1] == 7.25
-
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             read_mbr_records(b"\x00" * 10)
-        with pytest.raises(ValueError):
-            read_point_records(b"\x00" * 10)
 
     def test_random_envelopes_within_extent(self):
         extent = Envelope(0, 0, 10, 10)

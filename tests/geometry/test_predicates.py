@@ -20,12 +20,9 @@ from repro.geometry import (
     wkt,
 )
 from repro.geometry.algorithms import (
-    convex_hull,
     point_in_ring,
     point_on_ring,
-    ring_area,
-    ring_is_ccw,
-    segment_intersection_point,
+    ring_signed_area,
     segments_cross_ring,
     segments_intersect,
 )
@@ -47,13 +44,6 @@ class TestSegmentAlgorithms:
     def test_touching_at_endpoint(self):
         assert segments_intersect((0, 0), (1, 1), (1, 1), (2, 0))
 
-    def test_intersection_point(self):
-        pt = segment_intersection_point((0, 0), (2, 2), (0, 2), (2, 0))
-        assert pt == pytest.approx((1, 1))
-
-    def test_intersection_point_none_when_disjoint(self):
-        assert segment_intersection_point((0, 0), (1, 0), (0, 1), (1, 1)) is None
-
 
 class TestRingAlgorithms:
     SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)]
@@ -68,17 +58,9 @@ class TestRingAlgorithms:
         assert point_in_ring((0, 2), self.SQUARE)
         assert point_in_ring((4, 4), self.SQUARE)
 
-    def test_area(self):
-        assert ring_area(self.SQUARE) == 16.0
-
-    def test_ccw_detection(self):
-        assert ring_is_ccw(self.SQUARE)
-        assert not ring_is_ccw(list(reversed(self.SQUARE)))
-
-    def test_convex_hull(self):
-        pts = [(0, 0), (4, 0), (4, 4), (0, 4), (2, 2), (1, 1)]
-        hull = convex_hull(pts)
-        assert set(hull) == {(0, 0), (4, 0), (4, 4), (0, 4)}
+    def test_signed_area_is_positive_counter_clockwise(self):
+        assert ring_signed_area(self.SQUARE) == 16.0
+        assert ring_signed_area(list(reversed(self.SQUARE))) == -16.0
 
 
 class TestIntersects:
@@ -164,11 +146,6 @@ class TestContains:
         a = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
         b = Polygon([(2, 2), (6, 2), (6, 6), (2, 6)])
         assert not a.contains(b)
-
-    def test_within_is_converse(self):
-        outer = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-        inner = Polygon([(2, 2), (3, 2), (3, 3), (2, 3)])
-        assert inner.within(outer)
 
 
 class TestDistance:

@@ -219,16 +219,9 @@ class TestFromRun:
     def test_measures_work_off_a_run(self):
         ring = LinearRing.from_run((0.0, 0.0, 4.0, 0.0, 4.0, 4.0, 0.0, 4.0, 0.0, 0.0))
         built = LinearRing([(0, 0), (4, 0), (4, 4), (0, 4)])
-        assert (ring.area, ring.length, ring.centroid, ring.is_ccw, ring.is_closed) == (
-            built.area, built.length, built.centroid, built.is_ccw, built.is_closed
+        assert (ring.area, ring.length, ring.centroid, ring.signed_area) == (
+            built.area, built.length, built.centroid, built.signed_area
         )
         assert ring.contains_point(2.0, 2.0) and not ring.contains_point(5.0, 2.0)
         line = LineString.from_run((0.0, 0.0, 3.0, 4.0))
         assert (line.length, line.segments(), line.is_empty) == (5.0, [((0.0, 0.0), (3.0, 4.0))], False)
-
-    def test_is_closed_reads_the_ends_of_the_run(self):
-        for run in ((0.0, 0.0, 3.0, 4.0, 0.0, 0.0), (0.0, 0.0, 3.0, 4.0, 0.0, 1.0)):
-            line = LineString.from_run(run)
-            closed = line.is_closed
-            assert line._coords is None
-            assert closed == LineString(line.coords).is_closed == (run[-1] == 0.0)

@@ -76,7 +76,7 @@ class TestParsePolygon:
 
     def test_unclosed_ring_gets_closed(self):
         p = wkt.loads("POLYGON ((0 0, 4 0, 4 4, 0 4))")
-        assert p.shell.is_closed
+        assert p.shell.coords[0] == p.shell.coords[-1]
 
 
 class TestParseMulti:

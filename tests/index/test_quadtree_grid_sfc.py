@@ -3,14 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.geometry import Envelope
 from repro.index import (
     UniformGrid,
     block_mapping,
-    hilbert_decode,
     hilbert_encode,
     round_robin_mapping,
     sort_by_hilbert,
@@ -94,28 +91,31 @@ class TestMappings:
             block_mapping(4, 0)
 
 
-class TestSpaceFillingCurves:
-    @given(st.integers(min_value=0, max_value=2**10 - 1), st.integers(min_value=0, max_value=2**10 - 1))
-    def test_hilbert_roundtrip(self, x, y):
-        assert hilbert_decode(hilbert_encode(x, y, order=10), order=10) == (x, y)
+def cells_by_hilbert_code(order):
+    """``code -> (x, y)`` over the whole ``2**order`` lattice: the inverse
+    of :func:`hilbert_encode`, found by enumeration."""
+    side = 1 << order
+    return {hilbert_encode(x, y, order=order): (x, y) for x in range(side) for y in range(side)}
 
-    def test_hilbert_locality_adjacent_codes_adjacent_cells(self):
+
+class TestSpaceFillingCurves:
+    @pytest.mark.parametrize("order", [1, 2, 5, 7])
+    def test_hilbert_codes_number_the_lattice_once(self, order):
+        assert sorted(cells_by_hilbert_code(order)) == list(range(4**order))
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 7])
+    def test_hilbert_locality_adjacent_codes_adjacent_cells(self, order):
         # Consecutive Hilbert distances must map to 4-neighbour cells.
-        order = 4
-        prev = hilbert_decode(0, order=order)
-        for d in range(1, (1 << order) ** 2):
-            cur = hilbert_decode(d, order=order)
-            dist = abs(cur[0] - prev[0]) + abs(cur[1] - prev[1])
-            assert dist == 1
-            prev = cur
+        cells = cells_by_hilbert_code(order)
+        for d in range(1, 4**order):
+            (x0, y0), (x1, y1) = cells[d - 1], cells[d]
+            assert abs(x1 - x0) + abs(y1 - y0) == 1
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             hilbert_encode(-1, 0)
         with pytest.raises(ValueError):
             hilbert_encode(5, 5, order=2) if 5 >= 4 else None
-        with pytest.raises(ValueError):
-            hilbert_decode(-1)
 
     def test_sorting_helpers(self):
         rng = random.Random(3)

@@ -69,13 +69,6 @@ class TestSTRtree:
         for env, _ in boxes:
             assert tree.bounds.contains(env)
 
-    def test_query_pairs(self):
-        left = [(Envelope(0, 0, 1, 1), "L0"), (Envelope(10, 10, 11, 11), "L1")]
-        right = [(Envelope(0.5, 0.5, 2, 2), "R0"), (Envelope(100, 100, 101, 101), "R1")]
-        tree = STRtree(right)
-        pairs = tree.query_pairs(left)
-        assert pairs == [("L0", "R0")]
-
     def test_stats(self):
         tree = STRtree(make_boxes(200), node_capacity=8)
         s = tree.stats()
@@ -266,7 +259,6 @@ class TestBulkQueryContract:
             result = tree.query(Envelope(-1, -1, 2, 2))
             assert result == [] and type(result) is list
             assert query_reference(tree, Envelope(-1, -1, 2, 2)) == []
-            assert tree.query_pairs([(Envelope(0, 0, 1, 1), "p")]) == []
 
     def test_single_item_tree(self):
         tree = STRtree([(Envelope(0, 0, 1, 1), "only")])
@@ -286,12 +278,3 @@ class TestBulkQueryContract:
         assert tree.query(Envelope(-math.inf, -math.inf, math.inf, math.inf)) == ["kept"]
         assert tree.query(Envelope(math.nan, math.nan, math.nan, math.nan)) == ["kept"]
         assert STRtree(items[::2]).is_empty
-
-    def test_query_pairs_unchanged(self):
-        boxes = make_boxes(120, seed=9, extent=100.0)
-        probes = make_boxes(40, seed=10, extent=100.0)
-        tree = STRtree(boxes, node_capacity=4)
-        expected = [
-            (probe, match) for env, probe in probes for match in query_reference(tree, env)
-        ]
-        assert expected and tree.query_pairs(probes) == expected

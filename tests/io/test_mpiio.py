@@ -47,11 +47,6 @@ class TestInfo:
         with pytest.raises(KeyError):
             Info(bogus_hint=1)
 
-    def test_bool_parsing(self):
-        info = Info(romio_cb_read="enable")
-        assert info.get_bool("romio_cb_read", False)
-        assert not Info().get_bool("romio_cb_read", False)
-
     def test_copy_independent(self):
         a = Info(cb_nodes=2)
         b = a.copy()

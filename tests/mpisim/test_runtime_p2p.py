@@ -202,3 +202,110 @@ class TestPointToPoint:
         assert sender_t > 0
         # the receiver sees the arrival time, which includes the transfer
         assert recv_t > sender_t
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda comm: comm.recv(source=7),
+            lambda comm: comm.probe(source=7),
+            lambda comm: comm.irecv(source=7),
+        ],
+        ids=["recv", "probe", "irecv"],
+    )
+    def test_invalid_source(self, call):
+        # a source outside the communicator can never send, so the call
+        # fails at once instead of waiting for the deadlock timeout
+        with pytest.raises(MPIError, match="invalid source rank 7"):
+            mpisim.run_spmd(call, 2, timeout=3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda comm: comm.recv(source=-3),
+            lambda comm: comm.probe(source=-3),
+            lambda comm: comm.irecv(source=-3),
+        ],
+        ids=["recv", "probe", "irecv"],
+    )
+    def test_negative_source_other_than_any_source(self, call):
+        with pytest.raises(MPIError, match="invalid source rank -3"):
+            mpisim.run_spmd(call, 2, timeout=3)
+
+    def test_source_is_checked_against_the_derived_communicator(self):
+        def prog(comm):
+            sub = comm.split(comm.rank)  # one rank per sub-communicator
+            with pytest.raises(MPIError, match="invalid source rank 1"):
+                sub.recv(source=1)  # a world rank, but not a rank of sub
+            return sub.size
+
+        assert mpisim.run_spmd(prog, 2, timeout=10).values == [1, 1]
+
+
+class TestCommunicatorIsolation:
+    """A message is only received on the communicator it was sent on."""
+
+    def test_split_does_not_read_the_parents_mail(self):
+        def prog(comm):
+            sub = comm.split(0, key=-comm.rank)  # world rank 1 is sub rank 0
+            if comm.rank == 0:
+                comm.send("parent", dest=1, tag=5)
+                return None
+            comm.probe(source=0, tag=5)  # the parent's message is queued first
+            sub.send("own", dest=0, tag=5)
+            return sub.recv(source=0, tag=5), comm.recv(source=0, tag=5)
+
+        res = mpisim.run_spmd(prog, 2, timeout=10)
+        assert res.values[1] == ("own", "parent")
+
+    def test_dup_and_parent_traffic_stay_apart(self):
+        def prog(comm):
+            d = comm.dup()
+            if comm.rank == 0:
+                comm.send("parent", dest=1)
+                d.send("dup", dest=1)
+                return None
+            return d.recv(source=0), comm.recv(source=0)
+
+        res = mpisim.run_spmd(prog, 2, timeout=10)
+        assert res.values[1] == ("dup", "parent")
+
+    def test_wildcards_stay_on_their_communicator(self):
+        def prog(comm):
+            d = comm.dup()
+            if comm.rank == 0:
+                comm.send("parent", dest=1, tag=3)
+                d.send("dup", dest=1, tag=4)
+                return None
+            return (
+                d.recv(source=ANY_SOURCE, tag=ANY_TAG),
+                comm.recv(source=ANY_SOURCE, tag=ANY_TAG),
+            )
+
+        res = mpisim.run_spmd(prog, 2, timeout=10)
+        assert res.values[1] == ("dup", "parent")
+
+    def test_probe_reports_its_own_communicators_message(self):
+        def prog(comm):
+            d = comm.dup()
+            if comm.rank == 0:
+                comm.send(b"p" * 10, dest=1, tag=2)
+                d.send(b"d" * 20, dest=1, tag=2)
+                return None
+            status = d.probe(source=0, tag=2)
+            return status.nbytes, d.recv(source=0, tag=2), comm.recv(source=0, tag=2)
+
+        res = mpisim.run_spmd(prog, 2, timeout=10)
+        assert res.values[1] == (20, b"d" * 20, b"p" * 10)
+
+    def test_irecv_matches_on_its_communicator(self):
+        def prog(comm):
+            d = comm.dup()
+            if comm.rank == 0:
+                comm.send("parent", dest=1)
+                d.send("dup", dest=1)
+                return None
+            req = d.irecv(source=0)
+            return req.wait(), comm.recv(source=0)
+
+        res = mpisim.run_spmd(prog, 2, timeout=10)
+        assert res.values[1] == ("dup", "parent")

@@ -1,6 +1,6 @@
 """EXPLAIN reports and the stats facades they read: the report's numbers
 can never disagree with the StoreStats movement of the explained query,
-``reset_stats`` zeroes every counter, and tracing never changes results."""
+``stats.reset()`` zeroes every counter, and tracing never changes results."""
 
 import pytest
 
@@ -124,10 +124,10 @@ class TestStoreExplain:
 
 
 class TestStatsFacades:
-    def test_reset_stats_zeroes_everything(self, single_store):
+    def test_stats_reset_zeroes_everything(self, single_store):
         single_store.range_query(WINDOW)
         assert single_store.stats.queries > 0
-        single_store.reset_stats()
+        single_store.stats.reset()
         flat = single_store.stats.as_dict()
         assert all(v == 0 for v in flat.values())
         # the registry counters behind the facade were reset too — but the

@@ -1,4 +1,4 @@
-"""Unit battery for the unified metrics layer: counters, gauges, log2
+"""Unit battery for the unified metrics layer: counters, log2
 histograms (merge == histogram-of-union) and idempotent cross-rank
 snapshot aggregation."""
 
@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro import mpisim
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, merge_snapshots
+from repro.obs import Counter, Histogram, MetricsRegistry, merge_snapshots
 from repro.obs.metrics import metric_key
 
 
@@ -30,33 +30,15 @@ class TestMetricKey:
     def test_same_key_same_object(self):
         reg = MetricsRegistry()
         assert reg.counter("x", a=1) is reg.counter("x", a=1)
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
 
 
-class TestCounterGauge:
+class TestCounter:
     def test_counter_accumulates(self):
         c = Counter()
         c.inc()
         c.inc(2.5)
         assert c.value == 3.5
-
-    def test_gauge_holds_last_value(self):
-        g = Gauge()
-        g.set(7)
-        g.set(3)
-        assert g.value == 3
-
-    def test_counters_with_prefix(self):
-        reg = MetricsRegistry()
-        reg.counter("store.partition_heat", partition=2).inc(5)
-        reg.counter("store.partition_heat", partition=0).inc(1)
-        reg.counter("store.pages_read").inc(9)
-        heat = reg.counters_with_prefix("store.partition_heat")
-        assert heat == {
-            "store.partition_heat{partition=0}": 1,
-            "store.partition_heat{partition=2}": 5,
-        }
 
 
 class TestHistogram:
@@ -127,17 +109,17 @@ class TestHistogram:
 
 
 class TestSnapshotMerging:
-    def test_merge_snapshots_sums_counters_maxes_gauges(self):
+    def test_merge_snapshots_sums_counters_and_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c").inc(2)
         b.counter("c").inc(3)
-        a.gauge("g").set(10)
-        b.gauge("g").set(4)
         a.histogram("h").record(0.5)
         b.histogram("h").record(2.0)
         merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["counters"]["c"] == 5
-        assert merged["gauges"]["g"] == 10
+        assert merged == {
+            "counters": {"c": 5},
+            "histograms": {"h": merged["histograms"]["h"]},
+        }
         assert merged["histograms"]["h"]["count"] == 2
 
     def test_histogram_merge_order_independent(self):
@@ -154,17 +136,18 @@ class TestSnapshotMerging:
         assert fwd == rev
 
     @pytest.mark.parametrize("nprocs", [1, 2, 4])
-    def test_cross_rank_aggregate_is_idempotent(self, nprocs):
-        """aggregate() allgathers absolute snapshots: calling it repeatedly
-        (or re-merging its inputs) never double-counts."""
+    def test_cross_rank_merge_is_idempotent(self, nprocs):
+        """Merging allgathered absolute snapshots (what
+        ``DistributedStoreServer.aggregate_metrics`` does) never
+        double-counts, however often it is repeated."""
 
         def prog(comm):
             reg = MetricsRegistry()
             reg.counter("events", rank=comm.rank).inc(comm.rank + 1)
             reg.counter("events.total").inc(comm.rank + 1)
             reg.histogram("lat").record(0.001 * (comm.rank + 1))
-            first = reg.aggregate(comm)
-            second = reg.aggregate(comm)
+            first = merge_snapshots(comm.allgather(reg.snapshot()))
+            second = merge_snapshots(comm.allgather(reg.snapshot()))
             return first, second
 
         first, second = mpisim.run_spmd(prog, nprocs).values[0]
@@ -177,24 +160,3 @@ class TestSnapshotMerging:
         ranks = mpisim.run_spmd(prog, nprocs).values
         assert all(v[0] == first for v in ranks)
 
-
-class TestClockBinding:
-    def test_bind_clock_mirrors_categories(self):
-        from repro.mpisim.clock import VirtualClock
-
-        clock = VirtualClock()
-        reg = MetricsRegistry()
-        reg.bind_clock(clock)
-        clock.advance(1.5, "io")
-        clock.advance(0.5, "io")
-        clock.advance(2.0, "compute")
-        got = reg.counters_with_prefix("clock.seconds")
-        assert got["clock.seconds{category=io}"] == pytest.approx(2.0)
-        assert got["clock.seconds{category=compute}"] == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            reg.bind_clock(clock)
-        reg.unbind_clock()
-        clock.advance(9.0, "io")
-        assert reg.counters_with_prefix("clock.seconds")[
-            "clock.seconds{category=io}"
-        ] == pytest.approx(2.0)

@@ -51,11 +51,11 @@ class TestFileOperations:
 
 
 class TestLustreStriping:
-    def test_setstripe_getstripe(self, lustre):
+    def test_setstripe_layout_of(self, lustre):
         lustre.create_file("big.dat", b"\x00" * 1024)
         layout = lustre.setstripe("big.dat", stripe_size=64 << 20, stripe_count=64)
         assert layout.stripe_count == 64
-        assert lustre.getstripe("big.dat").stripe_size == 64 << 20
+        assert lustre.layout_of("big.dat").stripe_size == 64 << 20
 
     def test_stripe_count_clamped_to_osts(self, lustre):
         lustre.create_file("x.dat", b"")

@@ -14,18 +14,9 @@ from repro.pfs import (
 
 
 class TestStripeLayout:
-    def test_ost_of_offset_round_robin(self):
-        layout = StripeLayout(stripe_size=100, stripe_count=4)
-        assert layout.ost_of_offset(0) == 0
-        assert layout.ost_of_offset(99) == 0
-        assert layout.ost_of_offset(100) == 1
-        assert layout.ost_of_offset(399) == 3
-        assert layout.ost_of_offset(400) == 0
-
     def test_ost_offset_shifts_assignment(self):
         layout = StripeLayout(stripe_size=100, stripe_count=4, ost_offset=2)
-        assert layout.ost_of_offset(0) == 2
-        assert layout.ost_of_offset(200) == 0
+        assert [ost for ost, _, _ in layout.stripe_chunks(0, 300)] == [2, 3, 0]
 
     def test_stripe_chunks_split_at_boundaries(self):
         layout = StripeLayout(stripe_size=100, stripe_count=2)
@@ -47,8 +38,6 @@ class TestStripeLayout:
             StripeLayout(0, 4)
         with pytest.raises(ValueError):
             StripeLayout(100, 0)
-        with pytest.raises(ValueError):
-            StripeLayout(100, 4).ost_of_offset(-1)
 
     @given(
         st.integers(min_value=1, max_value=1 << 20),
@@ -126,13 +115,6 @@ class TestIOCostModel:
     def test_empty_requests(self):
         model = IOCostModel()
         assert model.parallel_read_time(StripeLayout(1024, 2), []) == 0.0
-
-    def test_single_client_time_positive(self):
-        model = IOCostModel()
-        layout = StripeLayout(1 << 20, 4)
-        loads = layout.ost_loads([(0, 4 << 20)])
-        t = model.single_client_time(loads, 4 << 20)
-        assert t > 0
 
     def test_redistribution_time(self):
         model = IOCostModel()

@@ -39,31 +39,11 @@ class TestLRUPageCache:
         assert "b" not in cache
         assert cache.stats.evictions == 1
 
-    def test_get_or_load_loads_once(self):
-        cache = LRUPageCache(4)
-        calls = []
-
-        def loader(key):
-            calls.append(key)
-            return key * 2
-
-        assert cache.get_or_load(3, loader) == 6
-        assert cache.get_or_load(3, loader) == 6
-        assert calls == [3]
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-
     def test_zero_capacity_disables_caching(self):
         cache = LRUPageCache(0)
-        calls = []
-
-        def loader(key):
-            calls.append(key)
-            return key
-
-        cache.get_or_load("x", loader)
-        cache.get_or_load("x", loader)
-        assert calls == ["x", "x"]
+        for _ in range(2):
+            assert cache.get("x") is None
+            cache.put("x", 1)
         assert cache.stats.hits == 0
         assert cache.stats.misses == 2
         assert len(cache) == 0

@@ -61,7 +61,7 @@ SURFACE = [
     (
         SpatialDataStore.__init__,
         "self fs name manifest generations cache_pages io_policy tracer "
-        "metrics retry_policy",
+        "retry_policy",
     ),
     (SpatialDataStore.range_query, "self window exact"),
     (SpatialDataStore.range_query_batch, "self queries exact"),

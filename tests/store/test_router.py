@@ -173,14 +173,12 @@ class TestPartitionOwnership:
                 replica_partitions.setdefault(hit.record_id, set()).add(hit.partition_id)
             store.close()
 
-        owner = result.manifest.partition_to_shard()
         for rid, geom in enumerate(geoms):
             home = router.home_partition(geom.envelope)
             # the home partition really holds a replica of the record …
             assert home in replica_partitions[rid]
             # … and is the lowest-numbered one (the deterministic owner)
             assert home == min(replica_partitions[rid])
-            assert router.owner_shard(geom.envelope) == owner[home]
 
     def test_home_partition_rejects_empty_envelope(self):
         router = ShardRouter(make_manifest())

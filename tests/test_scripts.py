@@ -136,6 +136,114 @@ class TestStoreLocScript:
             assert result.returncode == 0, result.stdout + result.stderr
 
 
+class TestCensusScript:
+    """``census.py`` fails on a public name that only its own tests reach."""
+
+    def test_gate_as_ci_runs_it(self):
+        workflow = (SCRIPTS.parent / ".github" / "workflows" / "ci.yml").read_text()
+        command = next(
+            line.split("run:")[1].split()
+            for line in workflow.splitlines()
+            if "scripts/census.py" in line
+        )
+        assert command == [
+            "python", "scripts/census.py", "src/repro", "--exclude", "bench",
+        ]
+        result = run("census.py", *command[2:], cwd=SCRIPTS.parent)
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_flags_a_dead_name(self, tmp_path):
+        pkg = tmp_path / "src" / "pkgx"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(
+            "from .mod import Store, dead, used\n"
+            '__all__ = ["Store", "dead", "used"]\n'
+        )
+        (pkg / "mod.py").write_text(
+            '__all__ = ["Store", "Helper", "dead", "used", "typed"]\n'
+            "class Helper:\n"
+            "    pass\n"
+            "class typed:\n"
+            "    pass\n"
+            "class Store:\n"
+            "    def helper(self):\n"
+            "        return Helper()\n"
+            "def dead():\n"
+            '    """Recursion and its own docstring: dead() is not reached."""\n'
+            "    return dead()\n"
+            "def used(x: typed) -> typed:\n"
+            "    return x\n"
+        )
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from pkgx import Store, used\nused(Store())\n"
+        )
+        result = run("census.py", "src/pkgx", cwd=tmp_path)
+        assert result.returncode == 1
+        flagged = sorted(line.split(":")[1] for line in result.stdout.splitlines())
+        # Helper's only mention is in a method nothing calls; typed is only
+        # an annotation
+        assert flagged == ["Helper", "dead", "typed"]
+
+    @staticmethod
+    def _unreached_package(root, sub=""):
+        """``src/pkgx`` (its module in ``src/pkgx/<sub>`` when given)
+        exporting one function, ``name``, that nothing calls yet."""
+        pkg = root / "src" / "pkgx"
+        home = pkg / sub if sub else pkg
+        home.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (home / "__init__.py").write_text("")
+        (home / "mod.py").write_text('__all__ = ["name"]\ndef name():\n    return 1\n')
+
+    @pytest.mark.parametrize("root", ["src", "perf", "examples", "scripts", "benchmarks"])
+    def test_every_search_root_reaches(self, tmp_path, root):
+        self._unreached_package(tmp_path)
+        user = tmp_path / root / "user.py"
+        user.parent.mkdir(exist_ok=True)
+        user.write_text("from pkgx.mod import name\nname()\n")
+        result = run("census.py", "src/pkgx", cwd=tmp_path)
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_tests_do_not_reach(self, tmp_path):
+        self._unreached_package(tmp_path)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text("from pkgx.mod import name\nname()\n")
+        result = run("census.py", "src/pkgx", cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stdout.split(": ")[0] == "pkgx.mod:name"
+
+    def test_a_string_literal_reaches(self, tmp_path):
+        # the form the perf/spans.py wrap table names its targets in
+        self._unreached_package(tmp_path)
+        (tmp_path / "perf").mkdir()
+        (tmp_path / "perf" / "spans.py").write_text('TARGETS = ["pkgx.mod:name"]\n')
+        result = run("census.py", "src/pkgx", cwd=tmp_path)
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_exclude_skips_a_package(self, tmp_path):
+        self._unreached_package(tmp_path, sub="bench")
+        assert run("census.py", "src/pkgx", cwd=tmp_path).returncode == 1
+        result = run("census.py", "src/pkgx", "--exclude", "bench", cwd=tmp_path)
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_a_stale_keep_entry_fails(self, tmp_path):
+        # KEEP holds repro.mpisim.ops:LOR as unreached; once something
+        # reaches it the entry is stale
+        pkg = tmp_path / "src" / "repro" / "mpisim"
+        pkg.mkdir(parents=True)
+        (pkg.parent / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "ops.py").write_text('__all__ = ["LOR"]\nLOR = object()\n')
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from repro.mpisim.ops import LOR\nprint(LOR)\n"
+        )
+        result = run("census.py", "src/repro", cwd=tmp_path)
+        assert result.returncode == 1
+        assert "repro.mpisim.ops:LOR: stale keep entry" in result.stdout
+
+
 @pytest.mark.parametrize(
     "script", sorted(p.name for p in SCRIPTS.glob("*.py"))
 )
