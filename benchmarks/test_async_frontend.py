@@ -32,7 +32,6 @@ from repro.store import (
     DistributedStoreServer,
     SpatialDataStore,
     bulk_load,
-    sharded_bulk_load,
 )
 
 QUICK = bool(os.environ.get("ASYNC_FRONTEND_QUICK"))
@@ -47,9 +46,9 @@ def frontend_store(lustre, join_datasets):
     geometries = VectorIO(lustre).sequential_read(
         join_datasets["lakes_uniform"]
     ).geometries
-    sharded = sharded_bulk_load(lustre, "bench_async_lakes", geometries,
-                                num_shards=NPROCS, num_partitions=16,
-                                page_size=4096)
+    sharded = bulk_load(lustre, "bench_async_lakes", geometries,
+                        num_shards=NPROCS, num_partitions=16,
+                        page_size=4096)
     bulk_load(lustre, "bench_async_single", geometries, num_partitions=16,
               page_size=4096)
     envs = list(

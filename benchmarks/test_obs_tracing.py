@@ -33,8 +33,7 @@ import repro.mpisim as mpisim
 from repro.core import VectorIO
 from repro.datasets import random_envelopes
 from repro.obs import Histogram, Tracer, write_chrome_trace, write_jsonl
-from repro.store import SpatialDataStore, bulk_load
-from repro.store.sharded import DistributedStoreServer, sharded_bulk_load
+from repro.store import DistributedStoreServer, SpatialDataStore, bulk_load
 
 QUICK = bool(os.environ.get("OBS_QUICK"))
 NPROCS = 2 if QUICK else 4
@@ -47,8 +46,8 @@ CHECKER = pathlib.Path(__file__).parent.parent / "scripts" / "check_trace_schema
 def obs_store(lustre, join_datasets):
     """One sharded store and one single store over the same uniform layer."""
     geometries = VectorIO(lustre).sequential_read(join_datasets["lakes_uniform"]).geometries
-    sharded = sharded_bulk_load(lustre, "bench_obs_sharded", geometries,
-                                num_shards=NPROCS, num_partitions=16, page_size=2048)
+    sharded = bulk_load(lustre, "bench_obs_sharded", geometries,
+                        num_shards=NPROCS, num_partitions=16, page_size=2048)
     single = bulk_load(lustre, "bench_obs_single", geometries,
                        num_partitions=16, page_size=2048)
     extent = single.manifest.extent

@@ -24,7 +24,7 @@ from repro import mpisim
 from repro.bench.reporting import FigureReport
 from repro.core import VectorIO
 from repro.datasets import random_envelopes
-from repro.store import DistributedStoreServer, sharded_bulk_load
+from repro.store import DistributedStoreServer, bulk_load
 
 NUM_QUERIES = 50
 NUM_SHARDS = 8
@@ -38,7 +38,7 @@ MODES = ("cold",) if QUICK else ("cold", "warm")
 def sharded_dataset(lustre, join_datasets):
     """Shard the uniform lakes layer once per session (8 shards)."""
     geometries = VectorIO(lustre).sequential_read(join_datasets["lakes_uniform"]).geometries
-    result = sharded_bulk_load(
+    result = bulk_load(
         lustre, "bench_lakes_sharded", geometries,
         num_shards=NUM_SHARDS, num_partitions=32, page_size=4096,
     )

@@ -23,7 +23,7 @@ import repro.mpisim as mpisim
 from repro.analysis import collective_check
 from repro.core import VectorIO
 from repro.datasets import random_envelopes
-from repro.store.sharded import DistributedStoreServer, sharded_bulk_load
+from repro.store import DistributedStoreServer, bulk_load
 
 QUICK = bool(os.environ.get("SPMD_CHECK_QUICK"))
 NPROCS = 2 if QUICK else 4
@@ -34,8 +34,8 @@ NUM_QUERIES = 12 if QUICK else 48
 def check_store(lustre, join_datasets):
     """One sharded store plus a query batch over its full extent."""
     geometries = VectorIO(lustre).sequential_read(join_datasets["lakes_uniform"]).geometries
-    sharded = sharded_bulk_load(lustre, "bench_spmd_check", geometries,
-                                num_shards=NPROCS, num_partitions=16, page_size=2048)
+    sharded = bulk_load(lustre, "bench_spmd_check", geometries,
+                        num_shards=NPROCS, num_partitions=16, page_size=2048)
     extent = sharded.manifest.extent
     queries = [
         (i, env)

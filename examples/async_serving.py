@@ -10,8 +10,9 @@ ranks pipeline receive → local-query → send, and completion is windowed —
 so the route/scatter/local-query/gather phases of *different* batches
 overlap on the `mpisim` virtual clock.
 
-This example bulk-loads a synthetic "lakes" layer as four shard stores, then
-serves the same 16 query batches:
+This example bulk-loads a synthetic "lakes" layer with ``num_shards=4`` (four
+shard stores under one `shards.json`), then serves the same 16 query
+batches:
 
 * sequentially (one strict collective per batch) — the identity oracle,
 * through the async front-end at 1, 4 and 16 in-flight batches; a window of
@@ -34,7 +35,7 @@ from repro import mpisim
 from repro.core import VectorIO
 from repro.datasets import generate_dataset, random_envelopes
 from repro.pfs import LustreFilesystem
-from repro.store import AsyncStoreFrontend, DistributedStoreServer, sharded_bulk_load
+from repro.store import AsyncStoreFrontend, DistributedStoreServer, bulk_load
 
 NUM_SHARDS = 4
 NPROCS = 4
@@ -48,12 +49,12 @@ def main() -> None:
         fs = LustreFilesystem(root, ost_count=16)
         path = generate_dataset(fs, "lakes", scale=0.5)
         geometries = VectorIO(fs).sequential_read(path).geometries
-        sharded = sharded_bulk_load(
-            fs, "lakes", geometries, num_shards=NUM_SHARDS, num_partitions=16
+        sharded = bulk_load(
+            fs, "lakes", geometries, num_partitions=16, num_shards=NUM_SHARDS
         )
         print(
             f"dataset: {path} ({len(geometries)} geometries) -> "
-            f"{sharded.num_shards} shards, {sharded.num_records} records"
+            f"{sharded.manifest.num_shards} shards, {sharded.num_records} records"
         )
 
         envs = list(

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """Distributed serving from a sharded datastore (`repro.store.sharded`).
 
-PR 1's `SpatialDataStore` serves queries from a single process; the paper's
-end-to-end applications are multi-rank.  This example bulk-loads a synthetic
-"lakes" layer once as **four shard stores** plus a `shards.json` routing
-manifest, then serves the same query batch through a
-`DistributedStoreServer` on 1, 2, 4 and 8 simulated MPI ranks:
+`SpatialDataStore` serves queries from a single process; the paper's
+end-to-end applications are multi-rank.  Every store carries a
+`shards.json` routing manifest over its shard stores; this example
+bulk-loads a synthetic "lakes" layer once with ``num_shards=4`` (and once
+with the default single shard, as the baseline), then serves the same query
+batch through a `DistributedStoreServer` on 1, 2, 4 and 8 simulated MPI
+ranks:
 
 * the router prunes shards by their data extents,
 * the batch is scattered with the simulated communicator's collectives,
@@ -28,7 +30,7 @@ from repro import mpisim
 from repro.core import VectorIO
 from repro.datasets import generate_dataset, random_envelopes
 from repro.pfs import LustreFilesystem
-from repro.store import DistributedStoreServer, SpatialDataStore, bulk_load, sharded_bulk_load
+from repro.store import DistributedStoreServer, SpatialDataStore, bulk_load
 
 NUM_QUERIES = 40
 NUM_SHARDS = 4
@@ -43,15 +45,15 @@ def main() -> None:
         print(f"dataset: {path} ({len(geometries)} geometries)")
 
         # ---------------------------------------------------------------- #
-        # one-time loads: a single store (baseline) and the sharded store
+        # one-time loads: one shard (baseline) and NUM_SHARDS shards
         # ---------------------------------------------------------------- #
         single = bulk_load(fs, "lakes_single", geometries, num_partitions=16)
-        sharded = sharded_bulk_load(
-            fs, "lakes", geometries, num_shards=NUM_SHARDS, num_partitions=16
+        sharded = bulk_load(
+            fs, "lakes", geometries, num_partitions=16, num_shards=NUM_SHARDS
         )
         print(
             f"sharded load: {sharded.num_records} records "
-            f"({sharded.num_replicas} replicas) -> {sharded.num_shards} shards: "
+            f"({sharded.num_replicas} replicas) -> {sharded.manifest.num_shards} shards: "
             + ", ".join(
                 f"#{s.shard_id}={s.num_records}r/{s.num_pages}p"
                 for s in sharded.manifest.shards

@@ -75,9 +75,6 @@ KEEP = {
     # the retired v1 page layout, built by the upgrade tests' fixture
     "repro.store.format:encode_page": "test helper",
     "repro.store.format:encode_record": "test helper",
-    # the sharded writers whose files the golden and decode-contract tests pin
-    "repro.store.mutable:ShardedStoreAppender": "test helper",
-    "repro.store.mutable:compact_sharded_store": "test helper",
     "repro.store.scheduler:NO_RETRY": "test helper",
 }
 

@@ -9,20 +9,22 @@ for it again:
     summaries, a fixed header and a page directory.
 
 ``repro.store.writer``
-    One-shot bulk loader: grid partitioning (with replication), space-
-    filling-curve record ordering, page packing, index construction.
+    The bulk loader: grid partitioning (with replication), space-filling-
+    curve record ordering, page packing, index construction, and the split
+    of the grid into contiguous shard runs routed by ``shards.json`` — every
+    store has one; one shard (the store directory itself) is the local case.
 
 ``repro.store.mutable``
-    Incremental appends and compaction: :class:`StoreAppender` writes delta
-    generations (delta container + delta index + manifest tombstones),
-    :func:`compact_store` merges them back into one SFC-packed container;
-    :func:`upgrade_store` rewrites a store left in the retired v1 page
-    layout, offline; :class:`ShardedStoreAppender` / :func:`compact_sharded_store` route
-    appends to each record's home shard and broadcast tombstones.
+    Incremental appends and compaction: :class:`StoreAppender` routes each
+    record to its home shard as a delta generation (delta container + delta
+    index + manifest tombstones, tombstones broadcast to every shard);
+    :func:`compact_store` bulk-loads the visible records again, ids kept;
+    :func:`upgrade_store` rewrites a store in an older layout, offline.
 
 ``repro.store.manifest``
-    The JSON partition manifest: which partition owns which pages (and, for
-    mutable stores, the generation list + record-id tombstones).
+    The JSON manifests: per shard, which partition owns which pages (and
+    the generation list + record-id tombstones); per store, ``shards.json``
+    (which shard owns which grid cells).
 
 ``repro.store.index_io``
     Flat serialisation of the STR-packed R-tree so opens skip the bulk load.
@@ -42,10 +44,9 @@ for it again:
     :class:`StoreEngine`.
 
 ``repro.store.sharded`` / ``repro.store.router``
-    Distributed serving: :func:`sharded_bulk_load` splits a bulk load into
-    per-rank shard stores routed by a top-level ``shards.json`` manifest,
-    and :class:`DistributedStoreServer` serves batch range queries and joins
-    SPMD-style across ``mpisim`` ranks.
+    Distributed serving: :class:`DistributedStoreServer` opens a store's
+    shards across ``mpisim`` ranks (routed by ``shards.json``) and serves
+    batch range queries and joins SPMD-style.
 
 ``repro.store.frontend``
     :class:`AsyncStoreFrontend` — multiplexes many in-flight query batches
@@ -107,11 +108,7 @@ from .manifest import (
 from .mutable import (
     AppendResult,
     CompactionResult,
-    ShardedAppendResult,
-    ShardedCompactionResult,
-    ShardedStoreAppender,
     StoreAppender,
-    compact_sharded_store,
     compact_store,
     upgrade_store,
 )
@@ -121,22 +118,16 @@ from .sharded import (
     DistributedStoreServer,
     QueryResult,
     ShardError,
-    ShardedLoadResult,
-    sharded_bulk_load,
 )
-from .writer import BulkLoadResult, bulk_load
+from .writer import BulkLoadResult, bulk_load, sharded_bulk_load
 
 __all__ = [
     "IO_POLICIES",
     "SpatialDataStore",
     "StoreAppender",
-    "ShardedStoreAppender",
     "AppendResult",
     "CompactionResult",
-    "ShardedAppendResult",
-    "ShardedCompactionResult",
     "compact_store",
-    "compact_sharded_store",
     "upgrade_store",
     "Generation",
     "GenerationInfo",
@@ -189,6 +180,5 @@ __all__ = [
     "DistributedHit",
     "DistributedStoreServer",
     "ShardError",
-    "ShardedLoadResult",
     "sharded_bulk_load",
 ]

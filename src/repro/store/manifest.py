@@ -1,6 +1,14 @@
-"""JSON partition manifest of a persisted dataset.
+"""JSON manifests of a persisted dataset: one per shard, one per store.
 
-The manifest is the store's partition-level metadata: for every grid
+Every store has a routing manifest, ``shards.json`` (:class:`ShardsManifest`):
+which shard store owns which run of global grid cells, each shard's data
+extent and counts, the grid shape and the id ceiling.  A one-shard store's
+only shard is the store directory itself.  Both parsers share one front half
+that turns any malformed document into a
+:class:`~repro.store.format.StoreFormatError`.
+
+A shard's manifest (:class:`StoreManifest`) is its partition-level
+metadata: for every grid
 partition it records the partition MBR (the union of the *data* actually in
 it, which can be tighter than the grid cell), the pages holding its records
 and the record count.  Routing prunes *shards* and names page owners with
@@ -20,9 +28,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Envelope
+from .format import StoreFormatError
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -67,8 +76,9 @@ def delta_paths(name: str, gen_id: int) -> Dict[str, str]:
 
 
 def shard_store_name(name: str, shard_id: int) -> str:
-    """Store name of one shard of a sharded store (a normal store nested
-    under the parent's directory, so each shard is openable on its own)."""
+    """Store name of one shard of a store with several (a normal store
+    nested under the parent's directory, so each shard is openable on its
+    own; a one-shard store's shard is the store itself)."""
     return f"{name}/shard-{shard_id:04d}"
 
 
@@ -82,6 +92,55 @@ def replica_store_name(name: str, shard_id: int, replica: int) -> str:
 def shards_path(name: str) -> str:
     """Path of the top-level routing manifest of a sharded store."""
     return f"stores/{name}/shards.json"
+
+
+_EXTENT = (list, type(None))
+#: per manifest document: its format tag, what error messages call it, the
+#: versions this build reads, and its top-level keys with their JSON types
+_STORE_DOC = (
+    "repro.store.manifest", "store manifest", SUPPORTED_MANIFEST_VERSIONS,
+    {"name": str, "page_size": int, "num_records": int, "num_pages": int,
+     "extent": _EXTENT, "grid": dict, "partitions": list},
+)
+_SHARDS_DOC = (
+    "repro.store.shards", "shards manifest", SUPPORTED_SHARDS_VERSIONS,
+    {"name": str, "page_size": int, "num_records": int, "extent": _EXTENT,
+     "grid": dict, "shards": list},
+)
+
+
+def _parse(
+    text: Union[str, bytes],
+    schema: Tuple[str, str, Tuple[int, ...], Dict[str, Any]],
+    build: Callable[[Dict], Any],
+) -> Any:
+    """Decode one manifest document against its *schema* and *build* it —
+    the shared front half of both ``from_json`` parsers.
+
+    Bad JSON, a wrong format tag or version, or a missing or ill-typed key
+    raises :class:`~repro.store.format.StoreFormatError` (a
+    :class:`~repro.store.format.StoreError`), so a corrupted manifest takes
+    the serving path's error route — in a distributed open it rides the
+    manifest broadcast instead of escaping on one rank.
+    """
+    fmt, what, versions, keys = schema
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise StoreFormatError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise StoreFormatError(f"not a {fmt} document")
+    if doc.get("version") not in versions:
+        raise StoreFormatError(
+            f"unsupported {what} version {doc.get('version')!r} (supported: {versions})"
+        )
+    for key, kind in keys.items():
+        if not isinstance(doc.get(key), kind):
+            raise StoreFormatError(f"{what} has no well-typed {key!r}")
+    try:
+        return build(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreFormatError(f"malformed {what}: {exc!r}") from exc
 
 
 def _env_to_json(env: Envelope) -> Optional[List[float]]:
@@ -273,18 +332,11 @@ class StoreManifest:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "StoreManifest":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"manifest is not valid JSON: {exc}") from exc
-        if doc.get("format") != "repro.store.manifest":
-            raise ValueError("not a repro.store manifest document")
-        if doc.get("version") not in SUPPORTED_MANIFEST_VERSIONS:
-            raise ValueError(
-                f"unsupported manifest version {doc.get('version')} "
-                f"(supported: {SUPPORTED_MANIFEST_VERSIONS})"
-            )
+    def from_json(text: Union[str, bytes]) -> "StoreManifest":
+        return _parse(text, _STORE_DOC, StoreManifest._from_doc)
+
+    @staticmethod
+    def _from_doc(doc: Dict) -> "StoreManifest":
         generations = [
             GenerationInfo(
                 gen_id=g["id"],
@@ -316,16 +368,18 @@ class StoreManifest:
 
 @dataclass
 class ShardInfo:
-    """One shard of a sharded store (a contiguous run of grid partitions)."""
+    """One shard of a store (a contiguous run of grid cells)."""
 
     shard_id: int
     #: store name of the shard (pass to ``SpatialDataStore.open``)
     store: str
-    #: global grid partition ids held by this shard (may be empty)
+    #: global grid cells this shard owns: a contiguous run, every cell of
+    #: the grid owned by exactly one shard (may be empty)
     partition_ids: List[int] = field(default_factory=list)
     #: tight MBR of the data stored in the shard (routing prunes on this)
     extent: Envelope = field(default_factory=Envelope.empty)
-    #: distinct logical records in the shard
+    #: visible logical records in the shard's view (its manifest's live
+    #: count: with several shards, deletes broadcast to it count too)
     num_records: int = 0
     #: record replicas in the shard (>= num_records with replication)
     num_replicas: int = 0
@@ -333,8 +387,8 @@ class ShardInfo:
     #: delta generations currently stacked on the shard store (0 = compact)
     num_generations: int = 0
     #: read-replica store names in failover order (full copies of the shard
-    #: store, written by ``sharded_bulk_load(read_replicas=n)`` and kept in
-    #: sync by the sharded appender/compactor)
+    #: store, written by ``bulk_load(read_replicas=n)`` and kept in
+    #: sync by the appender and compaction)
     replica_stores: List[str] = field(default_factory=list)
 
 
@@ -357,9 +411,9 @@ def _shard_to_json(s: "ShardInfo") -> Dict:
 
 @dataclass
 class ShardsManifest:
-    """Top-level routing manifest (``shards.json``) of a sharded store.
+    """Routing manifest (``shards.json``) of a store, one shard or many.
 
-    The sharded analogue of :class:`StoreManifest`: distributed serving
+    The store-level counterpart of :class:`StoreManifest`: distributed serving
     first prunes *shards* against the per-shard extents recorded here, then
     lets each shard prune locally with its packed index.  The global grid
     shape is kept so every rank can recompute partition ownership without
@@ -419,23 +473,11 @@ class ShardsManifest:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "ShardsManifest":
-        # StoreFormatError (a ValueError subclass) keeps the serving-path
-        # contract: corruption of any store file — the routing manifest
-        # included — surfaces as a StoreError, never a bare exception
-        from .format import StoreFormatError
+    def from_json(text: Union[str, bytes]) -> "ShardsManifest":
+        return _parse(text, _SHARDS_DOC, ShardsManifest._from_doc)
 
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreFormatError(f"shards manifest is not valid JSON: {exc}") from exc
-        if doc.get("format") != "repro.store.shards":
-            raise StoreFormatError("not a repro.store shards manifest document")
-        if doc.get("version") not in SUPPORTED_SHARDS_VERSIONS:
-            raise StoreFormatError(
-                f"unsupported shards manifest version {doc.get('version')} "
-                f"(supported: {SUPPORTED_SHARDS_VERSIONS})"
-            )
+    @staticmethod
+    def _from_doc(doc: Dict) -> "ShardsManifest":
         shards = [
             ShardInfo(
                 shard_id=s["id"],

@@ -1,13 +1,13 @@
-"""Sharded persistence and distributed serving of `repro.store`.
+"""Distributed serving of `repro.store`.
 
-The single-process :class:`~repro.store.datastore.SpatialDataStore` serves a
-dataset from one page cache; the paper's end-to-end applications (§5–§6) are
-multi-rank.  This module closes the gap:
+The single-process :class:`~repro.store.datastore.SpatialDataStore` serves
+one shard directory from one page cache; the paper's end-to-end
+applications (§5–§6) are multi-rank.  This module closes the gap:
 
-* :func:`sharded_bulk_load` splits one bulk load into per-rank shard
-  stores — contiguous runs of grid partitions balanced by record count, each
-  shard a normal ``data.bin``/``index.bin``/``manifest.json`` triple — plus
-  a top-level ``shards.json`` routing manifest.
+* :func:`read_shards_manifest` reads a store's ``shards.json`` — every store
+  has one (:func:`~repro.store.writer.bulk_load` splits the grid into
+  contiguous runs of partitions balanced by record count, each shard a
+  normal ``data.bin``/``index.bin``/``manifest.json`` triple).
 * :class:`DistributedStoreServer` opens one shard (run) per ``mpisim`` rank
   and serves batch range queries and joins SPMD-style: the router prunes the
   shard list via per-shard extents, query batches are scattered with the
@@ -43,31 +43,16 @@ from ..pfs import ReadRequest, SimulatedFilesystem
 from .datastore import QueryHit, SpatialDataStore
 from .engine import BatchOutcome, DeadlineExceeded
 from .format import StoreError, StoreFormatError
-from .manifest import (
-    ShardInfo,
-    ShardsManifest,
-    replica_store_name,
-    shard_store_name,
-    shards_path,
-)
+from .manifest import ShardInfo, ShardsManifest, shards_path
 from .router import ShardRouter, shard_assignment
 from .scheduler import DEFAULT_RETRY, RetryPolicy, read_with_retry
-from .writer import (
-    BulkLoadResult,
-    pack_partitions,
-    partition_records,
-    write_file,
-    write_store_files,
-)
 
 __all__ = [
     "DistributedHit",
     "DistributedStoreServer",
     "QueryResult",
     "ShardError",
-    "ShardedLoadResult",
     "read_shards_manifest",
-    "sharded_bulk_load",
 ]
 
 
@@ -111,160 +96,11 @@ _SHARD_DECODE_ERRORS = (
 )
 
 
-# --------------------------------------------------------------------------- #
-# writing
-# --------------------------------------------------------------------------- #
-@dataclass
-class ShardedLoadResult:
-    """Summary of one sharded bulk load."""
-
-    manifest: ShardsManifest
-    shard_results: List[BulkLoadResult]
-    num_records: int
-    num_replicas: int
-    num_shards: int
-    skipped_empty: int
-    write_seconds: float
-
-
-def _contiguous_runs(counts: List[Tuple[int, int]], num_shards: int) -> List[List[int]]:
-    """Split ``(partition_id, record_count)`` pairs (sorted by id) into
-    *num_shards* contiguous runs balanced by record count.
-
-    Shards may come out empty when there are more shards than non-empty
-    partitions — serving handles that (the shard is a valid empty store).
-    """
-    runs: List[List[int]] = []
-    idx = 0
-    remaining = sum(c for _, c in counts)
-    for s in range(num_shards):
-        shards_left = num_shards - s
-        parts_left = len(counts) - idx
-        if parts_left <= 0:
-            runs.append([])
-            continue
-        if shards_left >= parts_left:
-            # one partition per remaining shard (some shards stay empty)
-            runs.append([counts[idx][0]])
-            remaining -= counts[idx][1]
-            idx += 1
-            continue
-        target = remaining / shards_left
-        run: List[int] = []
-        run_count = 0
-        while idx < len(counts) and len(counts) - idx > shards_left - 1:
-            cid, c = counts[idx]
-            if run and run_count + 0.5 * c > target:
-                break
-            run.append(cid)
-            run_count += c
-            idx += 1
-        runs.append(run)
-        remaining -= run_count
-    while idx < len(counts):  # numeric slack: sweep leftovers into the last run
-        runs[-1].append(counts[idx][0])
-        idx += 1
-    return runs
-
-
-def sharded_bulk_load(
-    fs: SimulatedFilesystem,
-    name: str,
-    geometries: Iterable[Geometry],
-    num_shards: int = 4,
-    num_partitions: int = 16,
-    page_size: int = 4096,
-    read_replicas: int = 0,
-) -> ShardedLoadResult:
-    """Bulk-load one dataset as *num_shards* shard stores plus ``shards.json``.
-
-    The dataset is grid-partitioned **once** (replication included, exactly
-    like :func:`repro.store.writer.bulk_load`); the sorted non-empty
-    partitions are then split into contiguous runs balanced by record count
-    and each run is persisted as a self-contained store under
-    ``stores/<name>/shard-NNNN/``.  Partition ids in the shard manifests stay
-    *global*, so a shard's query results report the same partitions a
-    single-store load would.  *read_replicas* writes that many full copies
-    of every shard store for serving-time failover.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    if page_size < 64:
-        raise ValueError("page_size must be >= 64 bytes")
-    if read_replicas < 0:
-        raise ValueError("read_replicas must be >= 0")
-
-    usable, grid, cells, skipped, extent = partition_records(geometries, num_partitions)
-    # global id ceiling (ids are positional): recorded in every shard
-    # manifest and in shards.json so appends allocate above it
-    next_record_id = len(usable) + skipped
-    counts = [(cid, len(cells[cid])) for cid in sorted(cells)]
-    runs = _contiguous_runs(counts, num_shards)
-
-    shard_infos: List[ShardInfo] = []
-    shard_results: List[BulkLoadResult] = []
-    total_replicas = 0
-    write_seconds = 0.0
-
-    for shard_id, run in enumerate(runs):
-        shard_cells = {cid: cells[cid] for cid in run}
-        packed = pack_partitions(shard_cells, grid, page_size)
-        store = shard_store_name(name, shard_id)
-        # read replicas: full copies of the shard store under distinct
-        # names, written from the same packed pages so they are
-        # byte-identical and any copy can substitute at serving time
-        replica_names = [replica_store_name(name, shard_id, r) for r in range(read_replicas)]
-        copies = [
-            write_store_files(
-                fs, copy, packed, page_size, packed.data_extent, grid, next_record_id
-            )
-            for copy in [store, *replica_names]
-        ]
-        for written in copies:
-            write_seconds += written.write_seconds
-        total_replicas += packed.num_replicas
-        shard_infos.append(
-            ShardInfo(
-                shard_id=shard_id,
-                store=store,
-                partition_ids=list(run),
-                extent=packed.data_extent,
-                num_records=len(packed.record_ids),
-                num_replicas=packed.num_replicas,
-                num_pages=len(packed.page_metas),
-                replica_stores=replica_names,
-            )
-        )
-        shard_results.append(copies[0])
-
-    manifest = ShardsManifest(
-        name=name,
-        page_size=page_size,
-        num_records=len(usable),
-        extent=extent,
-        grid_rows=grid.rows,
-        grid_cols=grid.cols,
-        shards=shard_infos,
-        next_record_id=next_record_id,
-    )
-    write_seconds += write_file(fs, shards_path(name), manifest.to_json().encode("utf-8"))
-
-    return ShardedLoadResult(
-        manifest=manifest,
-        shard_results=shard_results,
-        num_records=len(usable),
-        num_replicas=total_replicas,
-        num_shards=num_shards,
-        skipped_empty=skipped,
-        write_seconds=write_seconds,
-    )
-
-
 def read_shards_manifest(
     fs: SimulatedFilesystem, name: str, policy: RetryPolicy = DEFAULT_RETRY
 ) -> Tuple[ShardsManifest, float]:
-    """Read sharded store *name*'s ``shards.json`` — the one reader of that
-    file, shared by serving, appends and compaction.
+    """Read store *name*'s ``shards.json`` — the one reader of that file,
+    shared by serving, appends and compaction.
 
     Transient faults are absorbed under *policy* (exhausted attempts raise
     :class:`~repro.store.format.StoreError` naming the path).  Returns the
@@ -273,14 +109,12 @@ def read_shards_manifest(
     """
     path = shards_path(name)
     if not fs.exists(path):
-        raise FileNotFoundError(
-            f"sharded store {name!r} is missing {path!r}; run sharded_bulk_load first"
-        )
+        raise FileNotFoundError(f"store {name!r} is missing {path!r}; run bulk_load first")
     with fs.open(path) as fh:
         raw, seconds, _ = read_with_retry(fh, policy=policy)
     seconds += fs.open_time()
     seconds += fs.read_time(path, [ReadRequest(0, ((0, len(raw)),))])
-    return ShardsManifest.from_json(raw.decode("utf-8")), seconds
+    return ShardsManifest.from_json(raw), seconds
 
 
 # --------------------------------------------------------------------------- #
@@ -466,14 +300,14 @@ class DistributedStoreServer:
         name: str,
         **options: Any,
     ) -> "DistributedStoreServer":
-        """Collectively open a sharded store: rank 0 reads ``shards.json``
-        and broadcasts it, then every rank opens its assigned shards (delta
-        generations stacked by :class:`~repro.store.mutable.
-        ShardedStoreAppender` included — each shard store opens its own
-        deltas, so distributed serving reads appended data with no extra
-        plumbing).  *options* are the keywords of :meth:`__init__`: the
-        serving keywords of :class:`SpatialDataStore` are forwarded to every
-        shard's :meth:`SpatialDataStore.open`.
+        """Collectively open a store: rank 0 reads ``shards.json`` and
+        broadcasts it, then every rank opens its assigned shards (delta
+        generations stacked by :class:`~repro.store.mutable.StoreAppender`
+        included — each shard store opens its own deltas, so distributed
+        serving reads appended data with no extra plumbing).  *options*
+        are the keywords of :meth:`__init__`: the serving keywords of
+        :class:`SpatialDataStore` are forwarded to every shard's
+        :meth:`SpatialDataStore.open`.
 
         *tracer* is this rank's :class:`~repro.obs.trace.Tracer` (e.g.
         ``Tracer(clock=comm.clock, rank=comm.rank)``); the default null

@@ -7,15 +7,18 @@ overlaps (replicating spanning geometries exactly like the distributed
 pipeline does), each partition's records are ordered along a space-filling
 curve for intra-page locality, packed into fixed-target-size pages, and the
 record MBRs are bulk-loaded into one STR-packed R-tree that is persisted
-alongside the data so no future open ever rebuilds it.
+alongside the data so no future open ever rebuilds it.  The grid's cells are
+then split into contiguous shard runs and ``shards.json`` routes between
+them; one shard is the local case.
 
-The packing and writing halves are factored out so the sharded writer in
-:mod:`repro.store.sharded` and the appender/compactor in
-:mod:`repro.store.mutable` persist through the same three routines:
+The packing and writing halves are factored out so the appender/compactor in
+:mod:`repro.store.mutable` persist through the same routines:
 :func:`write_file` is the only place a store file is created and charged,
 :func:`write_generation` the only place a container and its packed index are
 assembled (base and delta alike), :func:`write_store_files` a generation
-plus its manifest — data, then index, then manifest, in that order.
+plus its manifest — data, then index, then manifest, in that order — and
+``_write_layout`` every shard of a bulk load or compaction, then
+``shards.json``.
 """
 
 from __future__ import annotations
@@ -39,15 +42,24 @@ from .format import (
     page_crc32,
 )
 from .index_io import dump_index
-from .manifest import PartitionInfo, StoreManifest, store_paths
+from .manifest import (
+    PartitionInfo,
+    ShardInfo,
+    ShardsManifest,
+    StoreManifest,
+    replica_store_name,
+    shard_store_name,
+    shards_path,
+    store_paths,
+)
 
 __all__ = [
     "BulkLoadResult",
     "PackedPartitions",
     "bulk_load",
     "pack_partitions",
-    "partition_identified",
     "partition_records",
+    "sharded_bulk_load",
     "write_file",
     "write_generation",
     "write_store_files",
@@ -56,19 +68,24 @@ __all__ = [
 
 @dataclass
 class BulkLoadResult:
-    """Summary of one bulk load (returned so callers can report/assert)."""
+    """Summary of one bulk load or compaction rewrite."""
 
-    manifest: StoreManifest
-    paths: Dict[str, str]
+    #: the store's ``shards.json``
+    manifest: ShardsManifest
+    #: distinct logical records stored
     num_records: int
-    num_replicas: int
-    num_pages: int
+    #: non-empty grid partitions
     num_partitions: int
-    data_bytes: int
-    index_bytes: int
     skipped_empty: int
-    #: simulated seconds charged for writing the three files
-    write_seconds: float
+    #: record replicas packed (>= num_records with grid replication)
+    num_replicas: int = 0
+    #: pages across the shard stores (read replicas not counted)
+    num_pages: int = 0
+    #: bytes of every data / index file written, read replicas included
+    data_bytes: int = 0
+    index_bytes: int = 0
+    #: simulated seconds charged for every file written
+    write_seconds: float = 0.0
 
 
 class _Rec:
@@ -92,6 +109,12 @@ class _Rec:
         self.envelope = env
         self.rid = rid
         self.geom = geom
+
+
+#: ``(usable, grid, cells, skipped, extent)`` — a grid-partitioned record
+#: set: the records kept, the grid, cell id -> record replicas, the empty
+#: geometries skipped and the records' extent
+Partitioned = Tuple[List[_Rec], UniformGrid, Dict[int, List[_Rec]], int, Envelope]
 
 
 @dataclass
@@ -248,13 +271,14 @@ def write_store_files(
     extent: Envelope,
     grid: UniformGrid,
     next_record_id: Optional[int] = None,
-) -> BulkLoadResult:
-    """Persist a packed store as the canonical three-file layout: the base
+) -> Tuple[StoreManifest, int, int, float]:
+    """Persist one shard store as the canonical three-file layout: the base
     generation (:func:`write_generation`), then the manifest that makes it
     visible.
 
     *next_record_id* is the id ceiling recorded for future appends (defaults
-    to the record count, correct when ids were assigned densely).
+    to the record count, correct when ids were assigned densely).  Returns
+    ``(manifest, data_bytes, index_bytes, write_seconds)``.
     """
     paths = store_paths(name)
     data_bytes, index_bytes, write_seconds = write_generation(fs, paths, packed, page_size)
@@ -270,31 +294,21 @@ def write_store_files(
         next_record_id=next_record_id,
     )
     write_seconds += write_file(fs, paths["manifest"], manifest.to_json().encode("utf-8"))
-    return BulkLoadResult(
-        manifest=manifest,
-        paths=paths,
-        num_records=len(packed.record_ids),
-        num_replicas=packed.num_replicas,
-        num_pages=len(packed.page_metas),
-        num_partitions=len(packed.partitions),
-        data_bytes=data_bytes,
-        index_bytes=index_bytes,
-        skipped_empty=0,
-        write_seconds=write_seconds,
-    )
+    return manifest, data_bytes, index_bytes, write_seconds
 
 
-def partition_identified(
+def partition_records(
     records: Iterable[Tuple[int, Geometry]],
     num_partitions: int,
-) -> Tuple[List["_Rec"], UniformGrid, Dict[int, List["_Rec"]], int, Envelope]:
-    """Grid-partition ``(record_id, geometry)`` pairs with caller-chosen ids.
+) -> Partitioned:
+    """Front half of a bulk load: wrap, measure and grid-partition
+    ``(record_id, geometry)`` pairs.
 
-    The id-preserving front half of a bulk load: compaction re-packs a
-    mutable store's visible records through this so logical record ids
-    survive the rewrite.  Returns ``(usable, grid, cells, skipped, extent)``
-    where *cells* maps global grid cell ids to record replicas (the existing
-    grid machinery, replication included).
+    A bulk load numbers records by input position; compaction passes a
+    store's visible records with their own ids, so logical record ids
+    survive the rewrite.  Empty geometries are skipped (counted, never
+    stored).  *cells* of the returned :data:`Partitioned` maps global grid
+    cell ids to record replicas (replication included).
     """
     from ..core.grid_partition import assign_to_cells, build_grid
 
@@ -315,17 +329,110 @@ def partition_identified(
     return usable, grid, cells, skipped, extent
 
 
-def partition_records(
-    geometries: Iterable[Geometry],
-    num_partitions: int,
-) -> Tuple[List["_Rec"], UniformGrid, Dict[int, List["_Rec"]], int, Envelope]:
-    """Front half of a bulk load: wrap, measure and grid-partition records.
+def _contiguous_runs(
+    counts: List[Tuple[int, int]], num_shards: int, num_cells: int
+) -> List[List[int]]:
+    """Split the grid's *num_cells* cell ids into *num_shards* contiguous
+    runs, balancing the non-empty ``(partition_id, record_count)`` *counts*
+    (sorted by id) by record count.
 
-    Record ids are assigned by input position (empty geometries keep their
-    position but are skipped).  Returns the same tuple as
-    :func:`partition_identified`.
+    Every cell gets an owner: a cell empty at load time belongs to the run
+    of the nearest non-empty cell below it (run 0 when none is below), so an
+    append homed there has a shard and a one-shard store owns every cell.
+    Runs come out empty when there are more shards than non-empty
+    partitions — serving handles that (the shard is a valid empty store).
     """
-    return partition_identified(enumerate(geometries), num_partitions)
+    runs: List[List[int]] = []
+    idx = 0
+    remaining = sum(c for _, c in counts)
+    for s in range(num_shards):
+        shards_left = num_shards - s
+        parts_left = len(counts) - idx
+        if parts_left <= 0:
+            runs.append([])
+            continue
+        if shards_left >= parts_left:
+            # one partition per remaining shard (some shards stay empty)
+            runs.append([counts[idx][0]])
+            remaining -= counts[idx][1]
+            idx += 1
+            continue
+        target = remaining / shards_left
+        run: List[int] = []
+        run_count = 0
+        while idx < len(counts) and len(counts) - idx > shards_left - 1:
+            cid, c = counts[idx]
+            if run and run_count + 0.5 * c > target:
+                break
+            run.append(cid)
+            run_count += c
+            idx += 1
+        runs.append(run)
+        remaining -= run_count
+    while idx < len(counts):  # numeric slack: sweep leftovers into the last run
+        runs[-1].append(counts[idx][0])
+        idx += 1
+    # non-empty runs come first; each reaches up to where the next one starts
+    bounds = [0] + [run[0] for run in runs[1:] if run] + [num_cells]
+    owned = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    return owned + [[] for _ in range(num_shards - len(owned))]
+
+
+def _write_layout(
+    fs: SimulatedFilesystem,
+    name: str,
+    partitioned: Partitioned,
+    page_size: int,
+    num_shards: int,
+    read_replicas: int,
+    next_record_id: int,
+) -> BulkLoadResult:
+    """Persist *partitioned* records as the named store: *num_shards* shard
+    stores balanced by record count, each with *read_replicas* byte-identical
+    copies, then ``shards.json`` — the one write path of bulk loads and
+    compactions.  A one-shard store's shard is the store directory itself."""
+    usable, grid, cells, skipped, extent = partitioned
+    runs = _contiguous_runs(
+        [(cid, len(cells[cid])) for cid in sorted(cells)], num_shards, grid.num_cells
+    )
+    result = BulkLoadResult(
+        ShardsManifest(name, page_size, len(usable), extent, grid.rows, grid.cols,
+                       next_record_id=next_record_id),
+        num_records=len(usable),
+        num_partitions=len(cells),
+        skipped_empty=skipped,
+    )
+    for shard_id, run in enumerate(runs):
+        packed = pack_partitions({cid: cells[cid] for cid in run if cid in cells}, grid, page_size)
+        store = name if num_shards == 1 else shard_store_name(name, shard_id)
+        replicas = [replica_store_name(name, shard_id, r) for r in range(read_replicas)]
+        # every copy is written from the same packed pages, so read replicas
+        # are byte-identical and any copy can substitute at serving time
+        for copy in [store, *replicas]:
+            _, data_bytes, index_bytes, seconds = write_store_files(
+                fs, copy, packed, page_size, packed.data_extent, grid, next_record_id
+            )
+            result.data_bytes += data_bytes
+            result.index_bytes += index_bytes
+            result.write_seconds += seconds
+        result.num_replicas += packed.num_replicas
+        result.num_pages += len(packed.page_metas)
+        result.manifest.shards.append(
+            ShardInfo(
+                shard_id=shard_id,
+                store=store,
+                partition_ids=run,
+                extent=packed.data_extent,
+                num_records=len(packed.record_ids),
+                num_replicas=packed.num_replicas,
+                num_pages=len(packed.page_metas),
+                replica_stores=replicas,
+            )
+        )
+    result.write_seconds += write_file(
+        fs, shards_path(name), result.manifest.to_json().encode("utf-8")
+    )
+    return result
 
 
 def bulk_load(
@@ -334,27 +441,39 @@ def bulk_load(
     geometries: Iterable[Geometry],
     num_partitions: int = 16,
     page_size: int = 4096,
+    num_shards: int = 1,
+    read_replicas: int = 0,
 ) -> BulkLoadResult:
     """Persist *geometries* as the named store on *fs*.
 
+    The dataset is grid-partitioned **once** (replication included); the
+    grid's cells are split into *num_shards* contiguous runs balanced by
+    record count, each persisted as a self-contained shard store, and
+    ``stores/<name>/shards.json`` routes between them.  With one shard (the
+    default) the shard is ``stores/<name>/`` itself; with more they sit
+    under ``stores/<name>/shard-NNNN/``.  Partition ids stay *global*, so a
+    shard's query results report the partitions a one-shard load would.
+    *read_replicas* writes that many full copies of every shard store for
+    serving-time failover.
+
     ``page_size`` is the target payload size in bytes: records are appended
     to a page until it would overflow (a single oversized record still gets
-    a page of its own).  Pages never span partitions.
+    a page of its own).  Pages never span partitions.  Record ids are input
+    positions; empty geometries keep their position but store nothing.
     """
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
     if page_size < 64:
         raise ValueError("page_size must be >= 64 bytes")
-
-    usable, grid, cells, skipped, extent = partition_records(geometries, num_partitions)
-    packed = pack_partitions(cells, grid, page_size)
-    result = write_store_files(
-        fs,
-        name,
-        packed,
-        page_size,
-        extent,
-        grid,
-        # ids are positional, so skipped empties leave holes below this
-        next_record_id=len(usable) + skipped,
+    if read_replicas < 0:
+        raise ValueError("read_replicas must be >= 0")
+    partitioned = partition_records(enumerate(geometries), num_partitions)
+    usable, _, _, skipped, _ = partitioned
+    # ids are positional, so skipped empties leave holes below this
+    return _write_layout(
+        fs, name, partitioned, page_size, num_shards, read_replicas, len(usable) + skipped
     )
-    result.skipped_empty = skipped
-    return result
+
+
+#: the loader's name from when sharded stores had a loader of their own
+sharded_bulk_load = bulk_load

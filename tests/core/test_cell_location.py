@@ -25,7 +25,7 @@ from repro.core import GridPartitionConfig, RangeQuery, SpatialJoin, assign_to_c
 from repro.geometry import Envelope, Point, Polygon, predicates
 from repro.index import UniformGrid
 from repro.pfs import LustreFilesystem
-from repro.store import DistributedStoreServer, ShardRouter, ShardsManifest, sharded_bulk_load
+from repro.store import DistributedStoreServer, ShardRouter, ShardsManifest, bulk_load
 
 INF = math.inf
 
@@ -291,7 +291,7 @@ def lattice_fs(tmp_path_factory):
     fs = LustreFilesystem(tmp_path_factory.mktemp("latticefs"), ost_count=4)
     for name, layer in (("left", LEFT), ("right", RIGHT)):
         fs.create_file(f"datasets/{name}.wkt", ("\n".join(g.wkt() for g in layer) + "\n").encode())
-    sharded_bulk_load(fs, "left", LEFT, num_shards=4, num_partitions=16, page_size=512)
+    bulk_load(fs, "left", LEFT, num_shards=4, num_partitions=16, page_size=512)
     return fs
 
 

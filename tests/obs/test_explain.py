@@ -16,7 +16,6 @@ from repro.store import (
     StoreAppender,
     StoreStats,
     bulk_load,
-    sharded_bulk_load,
 )
 
 EXTENT = Envelope(0.0, 0.0, 100.0, 100.0)
@@ -209,8 +208,8 @@ class TestDistributedExplain:
     @pytest.mark.parametrize("nprocs", (1, 2, 4))
     def test_explain_batch(self, fs, nprocs):
         geoms = make_geoms(100, seed=31)
-        sharded_bulk_load(fs, "data", geoms, num_shards=max(2, nprocs),
-                          num_partitions=16, page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=max(2, nprocs),
+                  num_partitions=16, page_size=512)
         queries = [
             (i, env) for i, env in enumerate(
                 random_envelopes(8, extent=EXTENT, max_size_fraction=0.2, seed=9)

@@ -9,7 +9,7 @@ from repro.datasets import random_envelopes
 from repro.geometry import Envelope, Polygon
 from repro.obs import Tracer
 from repro.pfs import LustreFilesystem
-from repro.store import AsyncStoreFrontend, DistributedStoreServer, sharded_bulk_load
+from repro.store import AsyncStoreFrontend, DistributedStoreServer, bulk_load
 
 NPROCS = (1, 2, 4)
 
@@ -23,8 +23,8 @@ def make_store(tmp_path, num_shards):
             random_envelopes(90, extent=extent, max_size_fraction=0.1, seed=7)
         )
     ]
-    sharded_bulk_load(fs, "data", geoms, num_shards=num_shards,
-                      num_partitions=16, page_size=512)
+    bulk_load(fs, "data", geoms, num_shards=num_shards,
+              num_partitions=16, page_size=512)
     queries = [
         (i, env)
         for i, env in enumerate(

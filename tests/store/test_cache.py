@@ -6,7 +6,7 @@ from repro import mpisim
 from repro.datasets import random_envelopes
 from repro.geometry import Envelope, Polygon
 from repro.pfs import LustreFilesystem
-from repro.store import DistributedStoreServer, LRUPageCache, sharded_bulk_load
+from repro.store import DistributedStoreServer, LRUPageCache, bulk_load
 
 
 class TestLRUPageCache:
@@ -84,8 +84,8 @@ class TestShardedServingCacheStats:
                                  max_size_fraction=0.1, seed=23)
             )
         ]
-        sharded_bulk_load(fs, "stats", geoms, num_shards=num_shards,
-                          num_partitions=16, page_size=512)
+        bulk_load(fs, "stats", geoms, num_shards=num_shards,
+                  num_partitions=16, page_size=512)
         queries = [
             (qid, env)
             for qid, env in enumerate(

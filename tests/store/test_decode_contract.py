@@ -24,13 +24,10 @@ import pytest
 from repro.geometry import Envelope, LineString, MultiPolygon, Point, Polygon, wkb
 from repro.pfs import LustreFilesystem
 from repro.store import (
-    ShardedStoreAppender,
     SpatialDataStore,
     StoreAppender,
     bulk_load,
-    compact_sharded_store,
     compact_store,
-    sharded_bulk_load,
 )
 from repro.store.format import (
     MAGIC,
@@ -180,7 +177,7 @@ class TestStoredMBRIsTheEnvelope:
         fs = LustreFilesystem(tmp_path, ost_count=4)
         base = records(range(210))
         bulk_load(fs, "single", base, **self.LOAD)
-        sharded_bulk_load(fs, "sharded", base, num_shards=3, read_replicas=1, **self.LOAD)
+        bulk_load(fs, "sharded", base, num_shards=3, read_replicas=1, **self.LOAD)
         loaded = assert_stored_mbrs_are_envelopes(fs)
         assert loaded > 3 * 210  # replicas and replication on top of the records
 
@@ -188,12 +185,12 @@ class TestStoredMBRIsTheEnvelope:
         appender.append(records(range(210, 260)))
         appender.append(records(range(260, 270)), deletes=[3, 8, 211])
         appender.append(records(range(300, 304)), record_ids=[5, 6, 400, 401])
-        ShardedStoreAppender(fs, "sharded").append(records(range(210, 260)), deletes=[3, 8])
+        StoreAppender(fs, "sharded").append(records(range(210, 260)), deletes=[3, 8])
         appended = assert_stored_mbrs_are_envelopes(fs)
         assert appended > loaded
 
         compact_store(fs, "single")
-        compact_sharded_store(fs, "sharded")
+        compact_store(fs, "sharded")
         assert assert_stored_mbrs_are_envelopes(fs) > 3 * 210
 
     def test_a_nan_mbr_never_reaches_a_page(self, tmp_path):

@@ -21,7 +21,6 @@ from repro.store import (
     DistributedStoreServer,
     SpatialDataStore,
     bulk_load,
-    sharded_bulk_load,
 )
 
 
@@ -44,8 +43,8 @@ def store_name(fs, lakes):
 
 @pytest.fixture(scope="module")
 def sharded_name(fs, lakes):
-    sharded_bulk_load(fs, "engine_lakes_sharded", lakes, num_shards=4,
-                      num_partitions=16)
+    bulk_load(fs, "engine_lakes_sharded", lakes, num_shards=4,
+              num_partitions=16)
     return "engine_lakes_sharded"
 
 

@@ -35,7 +35,6 @@ from repro.store import (
     StoreError,
     bulk_load,
     replica_store_name,
-    sharded_bulk_load,
 )
 
 WINDOW = Envelope(0.0, 0.0, 100.0, 100.0)
@@ -328,7 +327,7 @@ class TestReplicaFailover:
     def sharded(self, tmp_path):
         fs = LustreFilesystem(tmp_path / "pfs")
         geoms = make_polygons(60, seed=21)
-        result = sharded_bulk_load(
+        result = bulk_load(
             fs, self.NAME, geoms, num_shards=4, num_partitions=16, page_size=512,
             read_replicas=1,
         )

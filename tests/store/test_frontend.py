@@ -14,7 +14,7 @@ from repro import mpisim
 from repro.core.reader import VectorIO
 from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.pfs import LustreFilesystem
-from repro.store import AsyncStoreFrontend, DistributedStoreServer, sharded_bulk_load
+from repro.store import AsyncStoreFrontend, DistributedStoreServer, bulk_load
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +26,8 @@ def fs(tmp_path_factory):
 def sharded_name(fs):
     path = generate_dataset(fs, "lakes", scale=0.25, config=SyntheticConfig(seed=99))
     geometries = VectorIO(fs).sequential_read(path).geometries
-    sharded_bulk_load(fs, "frontend_lakes", geometries, num_shards=4,
-                      num_partitions=16)
+    bulk_load(fs, "frontend_lakes", geometries, num_shards=4,
+              num_partitions=16)
     return "frontend_lakes"
 
 

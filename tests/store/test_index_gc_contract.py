@@ -98,7 +98,7 @@ class TestLoadedIndexLeavesNothingPerItem:
 
     def test_the_writer_builds_from_the_same_untrackable_payloads(self):
         # pack_partitions emits the pairs load_index returns: one payload type
-        _, grid, cells, _, _ = partition_records(lattice(), 9)
+        _, grid, cells, _, _ = partition_records(enumerate(lattice()), 9)
         packed = pack_partitions(cells, grid, page_size=1024)
         assert {type(ref) for _, ref in packed.index_entries} == {tuple}
         tree = STRtree(packed.index_entries)

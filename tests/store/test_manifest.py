@@ -1,10 +1,27 @@
-"""Manifest JSON round-trip and partition pruning."""
+"""Manifest JSON round-trip, partition pruning and corrupted documents."""
+
+import json
 
 import pytest
 
-from repro.geometry import Envelope
+from repro import mpisim
+from repro.geometry import Envelope, Polygon
 from repro.index import STRtree
-from repro.store import PageKey, PartitionInfo, RecordRef, StoreManifest, store_paths
+from repro.pfs import LustreFilesystem
+from repro.store import (
+    DistributedStoreServer,
+    PageKey,
+    PartitionInfo,
+    RecordRef,
+    SpatialDataStore,
+    StoreAppender,
+    StoreError,
+    StoreFormatError,
+    StoreManifest,
+    bulk_load,
+    shards_path,
+    store_paths,
+)
 from repro.store.engine import QueryPlanner
 
 
@@ -78,3 +95,70 @@ class TestManifest:
         assert paths["data"] == "stores/roads/data.bin"
         assert paths["index"] == "stores/roads/index.bin"
         assert paths["manifest"] == "stores/roads/manifest.json"
+
+
+# --------------------------------------------------------------------------- #
+# a corrupted manifest is a StoreError on every reader, in lockstep on every rank
+# --------------------------------------------------------------------------- #
+def _bad_json(raw, key):
+    return raw[: len(raw) // 2]
+
+
+def _edit(change):
+    def corrupt(raw, key):
+        doc = json.loads(raw)
+        change(doc, key)
+        return json.dumps(doc).encode()
+
+    return corrupt
+
+
+CORRUPTIONS = {
+    "bad_json": _bad_json,
+    "format_tag": _edit(lambda doc, key: doc.update(format="something-else")),
+    "version": _edit(lambda doc, key: doc.update(version=99)),
+    "missing_key": _edit(lambda doc, key: doc.pop(key)),
+    "ill_typed_key": _edit(lambda doc, key: doc.update({key: "oops"})),
+    "missing_nested_key": _edit(lambda doc, key: doc["grid"].pop("rows")),
+}
+#: document -> (path in a two-shard store "sh", the key it cannot lack)
+DOCUMENTS = {
+    "manifest.json": (store_paths("sh/shard-0000")["manifest"], "grid"),
+    "shards.json": (shards_path("sh"), "shards"),
+}
+
+
+@pytest.fixture
+def corrupted(tmp_path, request):
+    document, corruption = request.param
+    fs = LustreFilesystem(tmp_path / "pfs")
+    geoms = [Polygon.from_envelope(Envelope(i, i, i + 3, i + 2)) for i in range(40)]
+    bulk_load(fs, "sh", geoms, num_partitions=4, page_size=256, num_shards=2)
+    path, key = DOCUMENTS[document]
+    with fs.open(path) as fh:
+        raw = fh.pread(0, fh.size)
+    fs.create_file(path, CORRUPTIONS[corruption](raw, key))
+    return fs, document
+
+
+CASES = [(doc, corruption) for doc in DOCUMENTS for corruption in CORRUPTIONS]
+
+
+@pytest.mark.parametrize("corrupted", CASES, indirect=True, ids=["-".join(c) for c in CASES])
+class TestCorruptManifests:
+    def test_the_local_reader_raises_a_store_error(self, corrupted):
+        fs, document = corrupted
+        with pytest.raises(StoreFormatError):
+            if document == "manifest.json":
+                SpatialDataStore.open(fs, "sh/shard-0000")
+            else:
+                StoreAppender(fs, "sh")
+
+    def test_a_two_rank_distributed_open_raises_instead_of_hanging(self, corrupted):
+        fs, _ = corrupted
+
+        def prog(comm):
+            DistributedStoreServer.open(comm, fs, "sh").close()
+
+        with pytest.raises(StoreError):
+            mpisim.run_spmd(prog, 2, timeout=10)

@@ -9,9 +9,13 @@ The acceptance battery of the append/compaction subsystem:
 * **tombstones** — deleted records never surface from queries, scans or
   compacted stores; updates shadow older versions even when the new version
   moved out of the query window; deleted ids are never recycled;
-* **the v1 layout is upgrade-only** — ``open`` refuses a v1 container and
+* **older layouts are upgrade-only** — ``open`` refuses a v1 container and
   names the fix, ``upgrade_store`` rewrites it losslessly and refuses every
-  store it could damage;
+  store it could damage; a store without ``shards.json`` or without an id
+  ceiling is still served, refused by the appender and the compactor, and
+  rewritten by ``upgrade_store``;
+* **one writer for every shard count** — the sharded tests drive the same
+  ``StoreAppender`` and ``compact_store`` as the one-shard tests;
 * **delta reads retry like base reads** — a transient fault on a delta
   container's header during ``open`` is absorbed and charged like one on
   the base container.
@@ -40,16 +44,15 @@ from repro.store import (
     NO_RETRY,
     DistributedStoreServer,
     PageChecksumError,
-    ShardedStoreAppender,
+    ShardRouter,
     SpatialDataStore,
     StoreAppender,
     StoreError,
     StoreFormatError,
     bulk_load,
-    compact_sharded_store,
     compact_store,
     delta_paths,
-    sharded_bulk_load,
+    shards_path,
     store_paths,
     upgrade_store,
 )
@@ -108,6 +111,20 @@ def hit_fingerprints(store, windows):
 
 def windows(n=12, seed=5, frac=0.2):
     return list(random_envelopes(n, extent=EXTENT, max_size_fraction=frac, seed=seed))
+
+
+def store_files(fs, name):
+    root = fs.backing_path(f"stores/{name}")
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def strip_ceiling(fs, name):
+    """Rewrite *name*'s manifest as a pre-mutable one: no id ceiling, v1."""
+    path = store_paths(name)["manifest"]
+    doc = json.loads(fs.backing_path(path).read_text())
+    del doc["next_record_id"]
+    doc["version"] = 1
+    fs.create_file(path, json.dumps(doc).encode())
 
 
 @pytest.fixture
@@ -260,25 +277,20 @@ class TestTombstones:
         appender.append(deletes=[3])
         assert len(SpatialDataStore.open(fs, "drift")) == len(geoms) - 1
 
-    def test_legacy_manifest_without_ceiling_never_collides_ids(self, fs):
-        # regression: a pre-mutable manifest (no next_record_id) whose bulk
-        # load skipped empty geometries undercounts the ceiling via
-        # num_records; the appender must derive the true ceiling instead of
-        # assigning an id that silently shadows a live record
-        import json
-
-        from repro.geometry import MultiPoint
-        from repro.store import store_paths
-
+    def test_upgrade_of_a_manifest_without_ceiling_never_collides_ids(self, fs):
+        # a pre-mutable manifest (no next_record_id) whose bulk load skipped
+        # empty geometries undercounts the ceiling via num_records: the
+        # appender refuses it, and upgrade_store derives the true ceiling
+        # instead of one that lets a fresh id silently shadow a live record
         bulk_load(fs, "legacy", [Point(0.0, 0.0), Point(1.0, 1.0),
                                  MultiPoint([]), Point(3.0, 3.0, userdata="keep")],
                   num_partitions=4)
-        path = store_paths("legacy")["manifest"]
-        doc = json.loads(fs.open(path).pread(0, fs.file_size(path)).decode())
-        del doc["next_record_id"]  # simulate the legacy layout
-        doc["version"] = 1
-        fs.create_file(path, json.dumps(doc).encode())
+        strip_ceiling(fs, "legacy")
+        with pytest.raises(StoreFormatError, match=r"upgrade_store\(fs, 'legacy'\)"):
+            StoreAppender(fs, "legacy").append([Point(9.0, 9.0)])
+        assert len(dict(SpatialDataStore.open(fs, "legacy").scan())) == 3  # still served
 
+        assert upgrade_store(fs, "legacy").manifest.next_record_id == 4
         res = StoreAppender(fs, "legacy").append([Point(9.0, 9.0, userdata="new")])
         store = SpatialDataStore.open(fs, "legacy")
         scanned = dict(store.scan())
@@ -290,32 +302,52 @@ class TestTombstones:
         # ignore the generation list
         assert store.manifest.version == 2
 
-    def test_legacy_manifest_compaction_derives_ceiling_too(self, fs):
-        # regression: compact_store used to trust record_id_ceiling, which
-        # falls back to num_records on legacy manifests with id holes — it
-        # then *persisted* the too-low value, so a later append recycled a
-        # live id and silently shadowed the record
-        import json
-
-        from repro.geometry import MultiPoint
-        from repro.store import store_paths
-
+    def test_compaction_of_a_manifest_without_ceiling_is_refused(self, fs):
+        # compact_store used to trust record_id_ceiling, which falls back to
+        # num_records on legacy manifests with id holes, and *persist* the
+        # too-low value; it now refuses and names the upgrade, which derives
+        # the ceiling
         bulk_load(fs, "legacy_cmp", [Point(0.0, 0.0), MultiPoint([]),
                                      Point(2.0, 2.0, userdata="keep")],
                   num_partitions=4)
-        path = store_paths("legacy_cmp")["manifest"]
-        doc = json.loads(fs.open(path).pread(0, fs.file_size(path)).decode())
-        del doc["next_record_id"]
-        doc["version"] = 1
-        fs.create_file(path, json.dumps(doc).encode())
+        strip_ceiling(fs, "legacy_cmp")
+        before = store_files(fs, "legacy_cmp")
+        with pytest.raises(StoreFormatError, match="upgrade_store"):
+            compact_store(fs, "legacy_cmp")
+        assert store_files(fs, "legacy_cmp") == before
 
-        compact_store(fs, "legacy_cmp")
+        upgrade_store(fs, "legacy_cmp")
         res = StoreAppender(fs, "legacy_cmp").append([Point(9.0, 9.0, userdata="new")])
         store = SpatialDataStore.open(fs, "legacy_cmp")
         scanned = dict(store.scan())
         assert scanned[2].userdata == "keep"
         assert scanned[3].userdata == "new"
         assert res.manifest.record_id_ceiling == 4
+
+    def test_a_store_without_shards_json_is_upgrade_only(self, fs):
+        # stores written before every store carried shards.json: served as
+        # they are, refused by every writer, given one by upgrade_store
+        geoms = random_geometries(40, seed=33)
+        bulk_load(fs, "noshards", geoms, num_partitions=4, page_size=1024)
+        StoreAppender(fs, "noshards").append(deletes=[4])
+        fs.remove(shards_path("noshards"))
+        for write in (lambda: StoreAppender(fs, "noshards"),
+                      lambda: compact_store(fs, "noshards")):
+            with pytest.raises(StoreFormatError, match="no shards.json.*upgrade_store"):
+                write()
+        visible = {rid: g for rid, g in enumerate(geoms) if rid != 4}
+        with SpatialDataStore.open(fs, "noshards") as store:
+            assert dict(store.scan()).keys() == visible.keys()
+
+        result = upgrade_store(fs, "noshards")
+        assert result.merged_generations == 1 and result.num_records == 39
+        assert result.manifest.shards[0].store == "noshards"
+        assert fs.exists(shards_path("noshards"))
+        StoreAppender(fs, "noshards").append([Point(1.0, 1.0)])
+        with SpatialDataStore.open(fs, "noshards") as store:
+            assert sorted(dict(store.scan())) == sorted([*visible, 40])
+        with pytest.raises(StoreFormatError, match="nothing to upgrade"):
+            upgrade_store(fs, "noshards")
 
     def test_fresh_ids_never_recycle_deleted_ones(self, fs):
         self._loaded(fs, "rec")
@@ -495,20 +527,21 @@ class TestOpenReadSites:
         with pytest.raises(StoreError, match=f"{path}.*3 attempt"):
             SpatialDataStore.open(self.faulty(fs, site), "rsite")
 
-    def test_appender_manifest_read_absorbs_a_transient_fault(self, fs, appended):
-        faulty = self.faulty(fs, "manifest", max_faults=1)
-        assert StoreAppender(faulty, "rsite").manifest == StoreAppender(fs, "rsite").manifest
+    @pytest.mark.parametrize("path", [store_paths("rsite")["manifest"], shards_path("rsite")])
+    def test_appender_manifest_reads_absorb_a_transient_fault(self, fs, appended, path):
+        faulty = FaultyFilesystem(
+            fs, [FaultRule(path_pattern=path, read_error_rate=1.0, max_faults=1)], seed=11
+        )
+        StoreAppender(faulty, "rsite").append(deletes=[3])
         assert faulty.stats.read_errors == 1
+        with SpatialDataStore.open(fs, "rsite") as store:
+            assert store.num_generations == 2
+            assert sorted(dict(store.scan())) == sorted(set(appended) - {3})
 
 
 # --------------------------------------------------------------------------- #
 # the retired v1 page layout: refused by open, rewritten by upgrade_store
 # --------------------------------------------------------------------------- #
-def store_files(fs, name):
-    root = fs.backing_path(f"stores/{name}")
-    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
-
-
 class TestUpgradeStore:
     def _geoms(self):
         # an id hole (the empty MultiPoint) and a record wide enough to be
@@ -598,11 +631,7 @@ class TestUpgradeStore:
         # v1 containers predate next_record_id: num_records undercounts the
         # ceiling when the load skipped an empty geometry
         self._v1(fs, "legacy_v1", rewrite_container_as_v1)
-        path = store_paths("legacy_v1")["manifest"]
-        doc = json.loads(fs.backing_path(path).read_text())
-        del doc["next_record_id"]
-        doc["version"] = 1
-        fs.create_file(path, json.dumps(doc).encode())
+        strip_ceiling(fs, "legacy_v1")
         assert upgrade_store(fs, "legacy_v1").manifest.next_record_id == 90
 
     def test_second_upgrade_and_current_layout_are_refused(
@@ -650,9 +679,9 @@ class TestShardedAppend:
 
     def _build(self, fs, name, num_shards=4):
         geoms = random_geometries(80, seed=61)
-        sharded_bulk_load(fs, name, geoms[:50], num_shards=num_shards,
-                          num_partitions=16, page_size=1024)
-        appender = ShardedStoreAppender(fs, name)
+        bulk_load(fs, name, geoms[:50], num_shards=num_shards,
+                  num_partitions=16, page_size=1024)
+        appender = StoreAppender(fs, name)
         r1 = appender.append(geoms[50:65])
         r2 = appender.append(geoms[65:], deletes=[4, 33])
         visible = {rid: g for rid, g in enumerate(geoms) if rid not in (4, 33)}
@@ -688,18 +717,23 @@ class TestShardedAppend:
 
     def test_appends_route_to_home_shards(self, fs):
         _, _, (r1, r2) = self._build(fs, "smut_route")
-        assert sum(r1.routed.values()) == r1.num_records == 15
-        manifest = ShardedStoreAppender(fs, "smut_route").manifest
+        assert (r1.num_records, r2.num_records) == (15, 15)
+        manifest = StoreAppender(fs, "smut_route").manifest
         assert manifest.record_id_ceiling == 80
-        # every shard that received records carries generations; tombstones
-        # were broadcast to all shards (deletes in r2)
+        # each appended record is stored once, in the shard owning its home
+        # partition; tombstones were broadcast to all shards (deletes in r2)
+        router = ShardRouter(manifest)
+        appended = []
         for shard in manifest.shards:
-            grew = (r1.routed.get(shard.shard_id, 0)
-                    + r2.routed.get(shard.shard_id, 0)) > 0
-            if grew:
-                assert shard.num_generations >= 1
-            store = SpatialDataStore.open(fs, shard.store)
-            assert store._tombstone_gen.keys() >= {4, 33}
+            with SpatialDataStore.open(fs, shard.store) as store:
+                assert store._tombstone_gen.keys() >= {4, 33}
+                for gen in store.manifest.generations:
+                    appended += [shard.shard_id] * gen.num_records
+                for rid, geom in store.scan():
+                    if rid >= 50:
+                        home = router.home_partition(geom.envelope)
+                        assert home in shard.partition_ids
+        assert len(appended) == 30
 
     @pytest.mark.parametrize("nprocs", NPROCS)
     def test_sharded_compaction_is_transparent(self, fs, nprocs):
@@ -707,7 +741,7 @@ class TestShardedAppend:
         envs = windows(n=8, seed=71)
         queries = [(i, env) for i, env in enumerate(envs)]
         before = self._serve(fs, "smut_cmp", queries, nprocs)
-        result = compact_sharded_store(fs, "smut_cmp")
+        result = compact_store(fs, "smut_cmp")
         assert result.merged_generations > 0
         assert result.num_records == len(visible)
         after = self._serve(fs, "smut_cmp", queries, nprocs)
@@ -715,7 +749,7 @@ class TestShardedAppend:
             (h.query_id, h.record_id, wkb.dumps(h.geometry)) for h in hits
         )
         assert key(after) == key(before)
-        for shard in ShardedStoreAppender(fs, "smut_cmp").manifest.shards:
+        for shard in StoreAppender(fs, "smut_cmp").manifest.shards:
             assert shard.num_generations == 0
         assert not any(
             h.record_id in (4, 33) for h in after
@@ -732,7 +766,56 @@ class TestShardedAppend:
         combined = [rid for ids in res.values for rid in ids]
         assert sorted(combined) == sorted(visible)  # no dup, no loss
 
+    def test_update_moves_a_record_between_shards(self, fs):
+        # the new version is stored in its new home shard only; every other
+        # shard sees just the tombstone, so the old replica never resurfaces
+        geoms = random_geometries(60, seed=73)
+        bulk_load(fs, "smut_upd", geoms, num_shards=4, num_partitions=16, page_size=1024)
+        appender = StoreAppender(fs, "smut_upd")
+        router = ShardRouter(appender.manifest)
+        owner = appender.manifest.partition_to_shard()
+        victim = next(rid for rid, g in enumerate(geoms)
+                      if owner[router.home_partition(g.envelope)] == 0)
+        moved = Point(99.0, 99.0, userdata="moved")
+        assert owner[router.home_partition(moved.envelope)] != 0
+        res = appender.append([moved], record_ids=[victim])
+        assert (res.num_records, res.num_tombstones) == (1, 1)
+        assert res.manifest.num_records == 60
+
+        hits = self._serve(fs, "smut_upd", [(0, geoms[victim].envelope),
+                                            (1, Envelope(98, 98, 100, 100))], 2)
+        assert [(h.query_id, h.geometry.userdata) for h in hits
+                if h.record_id == victim] == [(1, "moved")]
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "smut_upd") as server:
+                return [rid for rid, _ in server.local_records()]
+
+        owned = [rid for ids in mpisim.run_spmd(prog, 2).values for rid in ids]
+        assert sorted(owned) == list(range(60))
+
+    def test_cells_no_shard_owns_are_upgrade_only(self, fs):
+        # loads used to give shards only their non-empty cells; an append
+        # homed in an empty one had no shard.  Every cell has an owner now,
+        # and an older layout is refused until upgrade_store rebuilds it.
+        corners = [Point(1.0, 1.0), Point(99.0, 1.0), Point(1.0, 99.0)]
+        bulk_load(fs, "smut_gap", corners, num_shards=2, num_partitions=4)
+        path = fs.backing_path(shards_path("smut_gap"))
+        doc = json.loads(path.read_text())
+        owned = sorted(cid for shard in doc["shards"] for cid in shard["partitions"])
+        assert owned == [0, 1, 2, 3]  # cell 3 (top right) is empty but owned
+        for shard in doc["shards"]:
+            shard["partitions"] = [cid for cid in shard["partitions"] if cid != 3]
+        fs.create_file(shards_path("smut_gap"), json.dumps(doc).encode())
+        with pytest.raises(StoreFormatError, match="no shard owns.*upgrade_store"):
+            StoreAppender(fs, "smut_gap")
+
+        upgrade_store(fs, "smut_gap")
+        StoreAppender(fs, "smut_gap").append([Point(98.0, 98.0, userdata="top right")])
+        hits = self._serve(fs, "smut_gap", [(0, Envelope(90, 90, 100, 100))], 2)
+        assert [(h.record_id, h.geometry.userdata) for h in hits] == [(3, "top right")]
+
     def test_sharded_delete_validates_ceiling(self, fs):
         self._build(fs, "smut_val")
         with pytest.raises(ValueError, match="delete"):
-            ShardedStoreAppender(fs, "smut_val").append(deletes=[80])
+            StoreAppender(fs, "smut_val").append(deletes=[80])

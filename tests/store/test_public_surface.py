@@ -17,15 +17,12 @@ from repro.store import (
     AsyncStoreFrontend,
     DistributedStoreServer,
     IOScheduler,
-    ShardedStoreAppender,
     RefineExecutor,
     SpatialDataStore,
     StoreAppender,
     StoreEngine,
     bulk_load,
-    compact_sharded_store,
     compact_store,
-    sharded_bulk_load,
     upgrade_store,
 )
 from repro.store.writer import pack_partitions, write_generation, write_store_files
@@ -33,24 +30,18 @@ from repro.store.writer import pack_partitions, write_generation, write_store_fi
 SURFACE = [
     # --- write entry points: Hilbert order, index fan-out 16 and the per-page
     # CRC32 table are facts of the format, not parameters
-    (bulk_load, "fs name geometries num_partitions page_size"),
     (
-        sharded_bulk_load,
-        "fs name geometries num_shards num_partitions page_size read_replicas",
+        bulk_load,
+        "fs name geometries num_partitions page_size num_shards read_replicas",
     ),
     (pack_partitions, "cells grid page_size"),
     (write_generation, "fs paths packed page_size"),
     (write_store_files, "fs name packed page_size extent grid next_record_id"),
-    (
-        StoreAppender.__init__,
-        "self fs name grid allowed_partitions count_deletes tracer",
-    ),
-    (StoreAppender.append, "self geometries deletes record_ids id_ceiling"),
-    (ShardedStoreAppender.__init__, "self fs name"),
-    (ShardedStoreAppender.append, "self geometries deletes"),
-    # compaction re-packs with the store's own page size and partition count
+    (StoreAppender.__init__, "self fs name tracer"),
+    (StoreAppender.append, "self geometries deletes record_ids"),
+    # compaction re-loads with the store's own shard count, page size,
+    # partition count and read replicas
     (compact_store, "fs name tracer"),
-    (compact_sharded_store, "fs name"),
     (upgrade_store, "fs name"),
     # --- serving: one fixed in-flight window, max-over-ranks phases, and the
     # serving keywords declared once (open() and the sharded server forward);

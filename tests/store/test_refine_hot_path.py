@@ -47,7 +47,6 @@ from repro.store import (
     StoreAppender,
     StoreStats,
     bulk_load,
-    sharded_bulk_load,
     store_paths,
     upgrade_store,
 )
@@ -170,7 +169,7 @@ def gen_store(fs, geoms):
 
 @pytest.fixture(scope="module")
 def sharded_name(fs, geoms):
-    sharded_bulk_load(fs, "hot_sharded", geoms, num_shards=4, num_partitions=16)
+    bulk_load(fs, "hot_sharded", geoms, num_shards=4, num_partitions=16)
     return "hot_sharded"
 
 

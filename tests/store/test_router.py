@@ -13,7 +13,7 @@ from repro.store import (
     ShardsManifest,
     SpatialDataStore,
     shard_assignment,
-    sharded_bulk_load,
+    bulk_load,
     shards_path,
 )
 
@@ -161,8 +161,8 @@ class TestPartitionOwnership:
                                  max_size_fraction=0.15, seed=12)
             )
         ]
-        result = sharded_bulk_load(fs, "own", geoms, num_shards=4,
-                                   num_partitions=16, page_size=512)
+        result = bulk_load(fs, "own", geoms, num_shards=4,
+                           num_partitions=16, page_size=512)
         router = ShardRouter(result.manifest)
 
         # collect each record's replica partitions straight from the shards
@@ -196,8 +196,8 @@ class TestShardsOnDisk:
                                  max_size_fraction=0.2, seed=4)
             )
         ]
-        result = sharded_bulk_load(fs, "disk", geoms, num_shards=2,
-                                   num_partitions=4, page_size=512)
+        result = bulk_load(fs, "disk", geoms, num_shards=2,
+                           num_partitions=4, page_size=512)
         assert fs.exists(shards_path("disk"))
         for shard in result.manifest.shards:
             for suffix in ("data.bin", "index.bin", "manifest.json"):

@@ -20,7 +20,6 @@ from repro.store import (
     DistributedStoreServer,
     SpatialDataStore,
     bulk_load,
-    sharded_bulk_load,
     shards_path,
 )
 
@@ -86,8 +85,8 @@ class TestShardedEqualsSingleEqualsBruteForce:
     def test_randomized_workload(self, tmp_path, seed, nprocs):
         fs = make_fs(tmp_path)
         geoms = random_geometries(120, seed)
-        sharded_bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
+                  page_size=512)
         bulk_load(fs, "data_single", geoms, num_partitions=16, page_size=512)
         store = SpatialDataStore.open(fs, "data_single")
 
@@ -118,8 +117,8 @@ class TestShardedEqualsSingleEqualsBruteForce:
     def test_full_extent_window_returns_every_record(self, tmp_path, nprocs):
         fs = make_fs(tmp_path)
         geoms = random_geometries(80, seed=7)
-        result = sharded_bulk_load(fs, "data", geoms, num_shards=4,
-                                   num_partitions=16, page_size=512)
+        result = bulk_load(fs, "data", geoms, num_shards=4,
+                           num_partitions=16, page_size=512)
         window = result.manifest.extent
         hits = serve_distributed(fs, "data", [("all", window)], nprocs)
         assert sorted(h.record_id for h in hits) == list(range(len(geoms)))
@@ -128,8 +127,8 @@ class TestShardedEqualsSingleEqualsBruteForce:
     def test_empty_window_and_miss_window(self, tmp_path, nprocs):
         fs = make_fs(tmp_path)
         geoms = random_geometries(40, seed=5)
-        sharded_bulk_load(fs, "data", geoms, num_shards=2, num_partitions=8,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=2, num_partitions=8,
+                  page_size=512)
         far = Envelope(1e6, 1e6, 1e6 + 1, 1e6 + 1)
         hits = serve_distributed(fs, "data", [(0, far)], nprocs)
         assert hits == []
@@ -153,8 +152,8 @@ class TestReplicaDeduplication:
             )
         ]
         geoms = slabs + squares
-        result = sharded_bulk_load(fs, "data", geoms, num_shards=4,
-                                   num_partitions=16, page_size=256)
+        result = bulk_load(fs, "data", geoms, num_shards=4,
+                           num_partitions=16, page_size=256)
 
         # precondition: at least one record is really replicated across shards
         shard_record_sets = []
@@ -178,8 +177,8 @@ class TestReplicaDeduplication:
     def test_total_replicas_preserved_by_sharding(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(100, seed=13)
-        sharded = sharded_bulk_load(fs, "data", geoms, num_shards=4,
-                                    num_partitions=16, page_size=512)
+        sharded = bulk_load(fs, "data", geoms, num_shards=4,
+                            num_partitions=16, page_size=512)
         single = bulk_load(fs, "data_single", geoms, num_partitions=16,
                            page_size=512)
         assert sharded.num_replicas == single.num_replicas
@@ -196,8 +195,8 @@ class TestShardEdgeCases:
                                   userdata=i)
             for i in range(12)
         ]
-        result = sharded_bulk_load(fs, "tiny", geoms, num_shards=6, num_partitions=4,
-                                   page_size=256)
+        result = bulk_load(fs, "tiny", geoms, num_shards=6, num_partitions=4,
+                           page_size=256)
         empty = [s for s in result.manifest.shards if s.num_records == 0]
         assert empty, "expected at least one empty shard"
         # every shard opens as a valid (possibly empty) store
@@ -213,8 +212,8 @@ class TestShardEdgeCases:
     def test_more_ranks_than_partitions(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(30, seed=2)
-        sharded_bulk_load(fs, "data", geoms, num_shards=2, num_partitions=2,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=2, num_partitions=2,
+                  page_size=512)
         window = Envelope(0.0, 0.0, 100.0, 100.0)
         hits = serve_distributed(fs, "data", [(0, window)], nprocs=8)
         assert sorted(h.record_id for h in hits) == brute_force_ids(geoms, window)
@@ -222,8 +221,8 @@ class TestShardEdgeCases:
     def test_single_shard_degenerates_to_single_store(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(50, seed=9)
-        sharded_bulk_load(fs, "data", geoms, num_shards=1, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=1, num_partitions=16,
+                  page_size=512)
         bulk_load(fs, "data_single", geoms, num_partitions=16, page_size=512)
         store = SpatialDataStore.open(fs, "data_single")
         window = Envelope(10.0, 10.0, 70.0, 70.0)
@@ -236,7 +235,7 @@ class TestShardEdgeCases:
         def prog(comm):
             return DistributedStoreServer.open(comm, fs, "nope")
 
-        with pytest.raises(FileNotFoundError, match="sharded_bulk_load"):
+        with pytest.raises(FileNotFoundError, match="bulk_load"):
             mpisim.run_spmd(prog, 2)
 
 
@@ -245,8 +244,8 @@ class TestDistributedJoin:
     def test_join_matches_single_store(self, tmp_path, nprocs):
         fs = make_fs(tmp_path)
         geoms = random_geometries(90, seed=31)
-        sharded_bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
+                  page_size=512)
         bulk_load(fs, "data_single", geoms, num_partitions=16, page_size=512)
         store = SpatialDataStore.open(fs, "data_single")
         probes = [
@@ -275,8 +274,8 @@ class TestStoreBackedPipelineInput:
     def test_local_records_partition_the_dataset(self, tmp_path, nprocs):
         fs = make_fs(tmp_path)
         geoms = random_geometries(70, seed=41)
-        sharded_bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
+                  page_size=512)
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, "data") as server:
@@ -290,8 +289,8 @@ class TestStoreBackedPipelineInput:
     def test_execute_distributed_from_store_matches_serial(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(60, seed=55)
-        sharded_bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
+                  page_size=512)
         bulk_load(fs, "data_single", geoms, num_partitions=16, page_size=512)
         store = SpatialDataStore.open(fs, "data_single")
         queries = [
@@ -340,8 +339,8 @@ class TestCoreWiring:
         ]
         fs.create_file("datasets/left.wkt", ("\n".join(g.wkt() for g in left) + "\n").encode())
         fs.create_file("datasets/right.wkt", ("\n".join(g.wkt() for g in right) + "\n").encode())
-        sharded_bulk_load(fs, "left", left, num_shards=4, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "left", left, num_shards=4, num_partitions=16,
+                  page_size=512)
         cfg = GridPartitionConfig(num_cells=16)
 
         def classic(comm):
@@ -369,8 +368,8 @@ class TestCoreWiring:
     def test_join_distributed_with_store_matches_single(self, tmp_path, nprocs):
         fs = make_fs(tmp_path)
         geoms = random_geometries(80, seed=91)
-        sharded_bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
+                  page_size=512)
         bulk_load(fs, "data_single", geoms, num_partitions=16, page_size=512)
         store = SpatialDataStore.open(fs, "data_single")
         probes = [
@@ -396,8 +395,8 @@ class TestCoreWiring:
     def test_local_geometries_matches_local_records(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(50, seed=95)
-        sharded_bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
+                  page_size=512)
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, "data") as server:
@@ -412,8 +411,8 @@ class TestCoreWiring:
     def test_buggy_join_predicate_is_not_blamed_on_a_shard(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(40, seed=97)
-        sharded_bulk_load(fs, "data", geoms, num_shards=2, num_partitions=8,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=2, num_partitions=8,
+                  page_size=512)
         probes = [Polygon.from_envelope(Envelope(0.0, 0.0, 100.0, 100.0))]
 
         def bad_predicate(probe, geom):
@@ -434,8 +433,8 @@ class TestCoreWiring:
 
         fs = make_fs(tmp_path)
         geoms = random_geometries(20, seed=99)
-        sharded_bulk_load(fs, "data", geoms, num_shards=2, num_partitions=4,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=2, num_partitions=4,
+                  page_size=512)
         with fs.open(shards_path("data")) as fh:
             raw = fh.pread(0, fh.size)
         fs.create_file(shards_path("data"), raw[: len(raw) // 2])
@@ -451,8 +450,8 @@ class TestServingPhases:
     def test_phase_breakdown_is_populated(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(80, seed=61)
-        sharded_bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
+                  page_size=512)
         queries = [
             (qid, env)
             for qid, env in enumerate(
@@ -477,8 +476,8 @@ class TestServingPhases:
     def test_shards_json_written(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(20, seed=71)
-        sharded_bulk_load(fs, "data", geoms, num_shards=2, num_partitions=4,
-                          page_size=512)
+        bulk_load(fs, "data", geoms, num_shards=2, num_partitions=4,
+                  page_size=512)
         assert fs.exists(shards_path("data"))
 
 
@@ -494,8 +493,8 @@ class TestWireSizes:
         from repro.mpisim import Communicator
 
         fs = make_fs(tmp_path)
-        sharded_bulk_load(fs, "data", random_geometries(200, seed=81), num_shards=4,
-                          num_partitions=16, page_size=512)
+        bulk_load(fs, "data", random_geometries(200, seed=81), num_shards=4,
+                  num_partitions=16, page_size=512)
         shipped = []
         for op in ("gather", "scatter", "send"):
             def spy(comm, obj, *args, _call=getattr(Communicator, op), _op=op, **kwargs):

@@ -26,7 +26,7 @@ from repro.store import (
     AsyncStoreFrontend,
     DistributedStoreServer,
     ShardsManifest,
-    sharded_bulk_load,
+    bulk_load,
 )
 from repro.store.sharded import merge_rows
 
@@ -41,7 +41,7 @@ def fs(tmp_path_factory):
         Polygon.from_envelope(env, userdata=i)
         for i, env in enumerate(random_envelopes(240, extent=EXTENT, max_size_fraction=0.1, seed=3))
     ]
-    sharded_bulk_load(fs, NAME, geoms, num_shards=4, num_partitions=16, page_size=512)
+    bulk_load(fs, NAME, geoms, num_shards=4, num_partitions=16, page_size=512)
     return fs
 
 
@@ -169,7 +169,7 @@ class TestNothingIsPickledToBeMeasured:
         # a failure tuple lists partitions and batch positions: 70 positions
         # is past the 64-entry rule, so an unsized list would be pickled
         fs = LustreFilesystem(tmp_path / "pfs")
-        result = sharded_bulk_load(
+        result = bulk_load(
             fs, NAME, [Point(x + 0.5, y + 0.5) for x in range(10) for y in range(10)],
             num_shards=2, num_partitions=4, page_size=512,
         )

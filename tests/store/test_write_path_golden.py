@@ -1,22 +1,21 @@
 """Golden bytes of the store write path.
 
 Every writer of ``repro.store`` — ``bulk_load`` (on real and on an empty
-input), ``StoreAppender.append`` (plain, with deletes, with
-updates through ``record_ids``, tombstone-only, first append to an empty
-store), ``compact_store``, ``sharded_bulk_load`` with a read replica,
-``ShardedStoreAppender.append`` and ``compact_sharded_store`` — runs once over
-an RNG-free dataset, and the sha256 of every backing file at three
-checkpoints plus ``float.hex()`` of every reported ``write_seconds`` must
-equal the constants in ``write_path_golden.json``.  A refactor of the write
-path that moves one byte or one last bit of a simulated charge fails here.
+input, one shard; three shards with a read replica), ``StoreAppender.append``
+(plain, with deletes, with updates through ``record_ids``, tombstone-only,
+first append to an empty store; on three shards) and ``compact_store`` (one
+shard and three) — runs once over an RNG-free dataset, and the sha256 of
+every backing file at three checkpoints plus ``float.hex()`` of every
+reported ``write_seconds`` must equal the constants in
+``write_path_golden.json``.  A refactor of the write path that moves one
+byte or one last bit of a simulated charge fails here.
 
 The constants were recorded at the commit *before* the write path was
 collapsed into ``write_file`` / ``write_generation`` / ``_rewrite_base``.
-Every file hash and 11 of the 13 charges still carry the recorded value; the
-two in ``MOVED_LAST_BIT`` moved by one unit in the last place, because a base
-rewrite now sums per-file subtotals ``(open + write)`` in file order — the
-order appends always used — where it used to add each open and each write to
-one running total.
+Two charges (``compact_was_empty`` and ``sharded_compact``) then moved by one
+unit in the last place, because a base rewrite sums per-file subtotals
+``(open + write)`` in file order — the order appends always used — where it
+used to add each open and each write to one running total.
 
 Four constants were re-recorded when ``UniformGrid``'s floor arithmetic
 became the only cell-location rule (replication used to be a closed-rectangle
@@ -27,6 +26,27 @@ lattice records sit exactly on ``x = 45.5`` and ``x = 91.0``; the closed probe
 also stored them in the neighbour they only touch, the half-open cells do not
 (``crc/data.bin`` 41 468 → 41 292 bytes: fewer replicas, same answers).
 
+The file was re-recorded once more when every store gained ``shards.json``
+and a single store became a one-shard store (one loader, appender and
+compaction for every shard count):
+
+* new entries ``crc/shards.json`` and ``empty/shards.json`` at all three
+  checkpoints; every other ``crc/`` and ``empty/`` file — ``data.bin``,
+  ``index.bin``, ``manifest.json``, ``delta-*`` — kept its hash;
+* the nine one-shard charges each grew by exactly one ``shards.json`` write
+  (``BEFORE_SHARDS_JSON`` keeps the old values, and
+  ``test_one_shard_charges_grew_by_one_shards_json_write`` checks the
+  difference); ``sharded_bulk_load`` and ``sharded_append`` kept theirs;
+* ``sh/`` after the append: each shard's ``manifest.json`` (and its
+  replica's) now records the store's id ceiling (290, where a shard used to
+  record one above its own highest routed id) and a ``live_records`` that
+  deletes broadcast to the shard decrement, and ``shards.json``'s per-shard
+  ``records`` follow those counts;
+* ``sh/`` after compaction: every file and the ``sharded_compact`` charge —
+  compaction is a bulk load of the visible records, so it re-lays the grid
+  over them and rebalances the shards (cells 0-2 / 3-5 / 6-8, where the load
+  time runs 0-1 / 2-4 / 5-8 were kept before).
+
 Re-record (only when a format change is intended) with::
 
     PYTHONPATH=src python tests/store/test_write_path_golden.py \
@@ -35,7 +55,6 @@ Re-record (only when a format change is intended) with::
 
 import hashlib
 import json
-import math
 import pathlib
 import sys
 import tempfile
@@ -44,14 +63,8 @@ import pytest
 
 from repro.geometry import Envelope, LineString, MultiPoint, Point, Polygon
 from repro.pfs import LustreFilesystem
-from repro.store import (
-    ShardedStoreAppender,
-    StoreAppender,
-    bulk_load,
-    compact_sharded_store,
-    compact_store,
-    sharded_bulk_load,
-)
+from repro.store import StoreAppender, bulk_load, compact_store
+from repro.store.writer import write_file
 from repro.store.format import (
     HEADER_SIZE,
     decode_page_columns,
@@ -61,10 +74,17 @@ from repro.store.format import (
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("write_path_golden.json")
 CHECKPOINTS = ("loaded", "appended", "compacted")
-#: charge -> the value recorded before the write path was collapsed
-MOVED_LAST_BIT = {
-    "compact_was_empty": "0x1.e1ea01d741ba2p-8",
-    "sharded_compact": "0x1.7e3b2a70aa71cp-5",
+#: one-shard charge -> its value before every store carried shards.json
+BEFORE_SHARDS_JSON = {
+    "bulk_load": "0x1.e4ac407101888p-8",
+    "bulk_load_empty": "0x1.e1b58666f94ecp-8",
+    "append_plain": "0x1.e276ef90ee18ap-8",
+    "append_deletes": "0x1.e2399f69b563fp-8",
+    "append_updates": "0x1.e237c6f76df3cp-8",
+    "append_tombstones_only": "0x1.42159c5cfd0a1p-9",
+    "append_to_empty": "0x1.e1efa29b6e18ap-8",
+    "compact": "0x1.e5204617b0a8ap-8",
+    "compact_was_empty": "0x1.e1ea01d741ba1p-8",
 }
 LOAD = dict(num_partitions=9, page_size=512)
 
@@ -112,7 +132,7 @@ def run_scenario(root):
 
     seconds["bulk_load"] = bulk_load(fs, "crc", base, **LOAD).write_seconds
     seconds["bulk_load_empty"] = bulk_load(fs, "empty", []).write_seconds
-    seconds["sharded_bulk_load"] = sharded_bulk_load(
+    seconds["sharded_bulk_load"] = bulk_load(
         fs, "sh", base, num_shards=3, read_replicas=1, **LOAD
     ).write_seconds
     snaps["loaded"] = snapshot(fs)
@@ -130,7 +150,7 @@ def run_scenario(root):
         StoreAppender(fs, "empty").append(geometries(range(20))).write_seconds
     )
     seconds["sharded_append"] = (
-        ShardedStoreAppender(fs, "sh")
+        StoreAppender(fs, "sh")
         .append(geometries(range(240, 290)), deletes=[3, 8, 15])
         .write_seconds
     )
@@ -138,7 +158,7 @@ def run_scenario(root):
 
     seconds["compact"] = compact_store(fs, "crc").write_seconds
     seconds["compact_was_empty"] = compact_store(fs, "empty").write_seconds
-    seconds["sharded_compact"] = compact_sharded_store(fs, "sh").write_seconds
+    seconds["sharded_compact"] = compact_store(fs, "sh").write_seconds
     snaps["compacted"] = snapshot(fs)
     return snaps, seconds
 
@@ -194,9 +214,19 @@ def test_the_scenario_reaches_every_writer_shape(scenario):
 
 def test_write_seconds_are_bit_identical(outcome, golden):
     assert outcome["write_seconds"] == golden["write_seconds"]
-    for name, before in MOVED_LAST_BIT.items():
-        before, now = float.fromhex(before), float.fromhex(golden["write_seconds"][name])
-        assert abs(now - before) == math.ulp(before), name
+
+
+def test_one_shard_charges_grew_by_one_shards_json_write(scenario, tmp_path):
+    snaps, seconds = scenario
+    fs = LustreFilesystem(tmp_path, ost_count=4)
+    for name, before in BEFORE_SHARDS_JSON.items():
+        store = "empty" if "empty" in name else "crc"
+        checkpoint = {"bulk": "loaded", "append": "appended", "compact": "compacted"}
+        # the write costs the same, to a few bytes' worth, at every size the
+        # file has during the scenario
+        blob = snaps[checkpoint[name.split("_")[0]]][f"{store}/shards.json"]
+        extra = write_file(fs, f"stores/{store}/shards.json", blob)
+        assert seconds[name] - float.fromhex(before) == pytest.approx(extra, abs=1e-8), name
 
 
 @pytest.mark.parametrize("checkpoint", CHECKPOINTS)

@@ -22,7 +22,7 @@ from repro.store import (
     DistributedStoreServer,
     QueryResult,
     StoreError,
-    sharded_bulk_load,
+    bulk_load,
 )
 
 
@@ -120,8 +120,8 @@ class TestCorruptShardServing:
                                  max_size_fraction=0.1, seed=6)
             )
         ]
-        result = sharded_bulk_load(fs, self.NAME, geoms, num_shards=4,
-                                   num_partitions=16, page_size=512)
+        result = bulk_load(fs, self.NAME, geoms, num_shards=4,
+                           num_partitions=16, page_size=512)
         return fs, result
 
     def _serve(self, fs, nprocs=4):
@@ -231,7 +231,7 @@ class TestInjectedFaultServing:
                                  max_size_fraction=0.1, seed=6)
             )
         ]
-        result = sharded_bulk_load(
+        result = bulk_load(
             fs, self.NAME, geoms, num_shards=4, num_partitions=16, page_size=512,
             read_replicas=1,
         )
