@@ -846,18 +846,20 @@ class SpatialDataStore:
                 for key in keys:
                     yield gen.gen_id, pages[key]
 
-    def scan(self) -> Iterator[Tuple[int, Geometry]]:
-        """Every *visible* logical record exactly once (round-trip checks).
-
-        Generations are walked newest-first so an updated record yields its
-        newest version; tombstoned ids never surface.  Pages stream through
-        :meth:`_iter_pages`, so the scan's memory stays bounded by the page
-        cache.  Records stream out in (generation desc, page, slot) order,
-        not record-id order.
-        """
+    def _visible(self) -> Iterator[Tuple[CachedPage, int]]:
+        """``(page, slot)`` of every *visible* logical record exactly once:
+        generations newest first (an updated record's newest version wins),
+        replicas de-duplicated and tombstoned ids dropped — the engine's
+        refine-phase rule.  Pages stream through :meth:`_iter_pages`, so
+        memory stays bounded by the page cache.  :meth:`scan` decodes these
+        slots; compaction copies their frames."""
         seen: set = set()
-        # replica de-dup + tombstone shadowing: the engine's refine-phase rule
         surviving_slots = self.engine.executor._surviving_slots
         for gen_id, page in self._iter_pages():
             live, _, _ = surviving_slots(page, range(page.count), gen_id, seen)
-            yield from map(page.record, live)
+            yield from ((page, slot) for slot in live)
+
+    def scan(self) -> Iterator[Tuple[int, Geometry]]:
+        """Every visible record exactly once, decoded (round-trip checks), in
+        (generation desc, page, slot) order, not record-id order."""
+        return (page.record(slot) for page, slot in self._visible())

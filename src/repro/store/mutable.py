@@ -23,8 +23,10 @@ is the local case), so there is one writer of each kind:
 * :func:`compact_store` is a bulk load of the store's visible records
   (tombstones applied, newest versions winning) with record ids, the id
   ceiling, the shard count, partition count, page size and read replicas
-  kept; the delta files are then deleted.  Query results are identical
-  before and after; per-query I/O returns to fresh-bulk-load shape.
+  kept; the delta files are then deleted.  Records move as their stored
+  frames and MBRs — nothing is decoded or re-encoded.  Query results are
+  identical before and after; per-query I/O returns to fresh-bulk-load
+  shape.
 * :func:`upgrade_store` is the one offline path from older layouts: a store
   without ``shards.json``, a manifest without an id ceiling, or a base
   container in the retired v1 page layout is rewritten like a compaction.
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.grid_partition import assign_to_cells, build_grid
-from ..geometry import Envelope, Geometry
+from ..geometry import Geometry
 from ..index import UniformGrid
 from ..obs.trace import NULL_TRACER
 from ..pfs import SimulatedFilesystem
@@ -75,10 +77,12 @@ from .scheduler import read_with_retry
 from .sharded import read_shards_manifest
 from .writer import (
     PackedPartitions,
+    _encoded,
+    _partitioned,
     _Rec,
+    _union,
     _write_layout,
     pack_partitions,
-    partition_records,
     write_file,
     write_generation,
 )
@@ -242,9 +246,7 @@ class StoreAppender:
             updates = {rid for rid in ids if rid < ceiling}
             tombstones = sorted(set(delete_ids) | updates)
 
-            usable = [
-                _Rec(rid, g) for rid, g in zip(ids, geoms) if not g.envelope.is_empty
-            ]
+            usable = _encoded(zip(ids, geoms))
             if not usable and not tombstones:
                 span.set(gen_id=None, records=0, tombstones=0, pages=0, data_bytes=0)
                 return AppendResult(layout, None, 0, 0, 0, 0, 0, 0, 0.0)
@@ -254,9 +256,7 @@ class StoreAppender:
                 # first append to an empty store: establish the grid (and the
                 # extent it is reconstructed from) over this batch; the first
                 # shard owns every cell
-                extent = Envelope.empty()
-                for rec in usable:
-                    extent = extent.union(rec.envelope)
+                extent = _union(rec.envelope for rec in usable)
                 grid = build_grid(extent, layout.grid_rows * layout.grid_cols)
                 layout.extent, layout.grid_rows, layout.grid_cols = (
                     grid.extent, grid.rows, grid.cols
@@ -390,20 +390,30 @@ class StoreAppender:
 # --------------------------------------------------------------------------- #
 # compaction and upgrade: one bulk load of the visible records
 # --------------------------------------------------------------------------- #
+def _fold_visible(store: SpatialDataStore, records: Dict[int, _Rec]) -> None:
+    """Add each visible record of *store* whose id *records* lacks (an
+    earlier shard's copy wins) as its stored frame and stored MBR: nothing
+    is decoded, and the loader packs the frame verbatim.  Shared by
+    :func:`compact_store` and :func:`upgrade_store`."""
+    for page, slot in store._visible():
+        rid = page.record_ids[slot]
+        records.setdefault(rid, _Rec(rid, page.envelope(slot), page.frame(slot)))
+
+
 def _reload(
     fs: SimulatedFilesystem,
     layout: ShardsManifest,
-    records: Dict[int, Geometry],
+    records: Dict[int, _Rec],
     merged: List[Tuple[ShardInfo, List[GenerationInfo]]],
 ) -> CompactionResult:
-    """Bulk-load *records* (``record id -> geometry``) as store *layout*
+    """Bulk-load *records* (``record id -> record``) as store *layout*
     with its shard count, partition count, page size, read replicas and id
     ceiling, then drop the delta files of the *merged* generations of every
     old shard copy — they are merged into (or superseded by) the new base."""
     written = _write_layout(
         fs,
         layout.name,
-        partition_records(records.items(), layout.grid_rows * layout.grid_cols),
+        _partitioned(list(records.values()), 0, layout.grid_rows * layout.grid_cols),
         layout.page_size,
         layout.num_shards,
         len(layout.shards[0].replica_stores),
@@ -432,6 +442,7 @@ def compact_store(fs: SimulatedFilesystem, name: str, tracer=None) -> Compaction
 
     The store's visible records (tombstones applied, newest generation
     winning, de-duplicated on record id across shards) are bulk-loaded again
+    — each as its stored frame and stored MBR, never decoded or re-encoded —
     with the store's own shard count, partition count, page size and read
     replicas — logical record ids preserved, the id ceiling carried over so
     future appends never recycle a deleted id — and the merged delta files
@@ -443,13 +454,12 @@ def compact_store(fs: SimulatedFilesystem, name: str, tracer=None) -> Compaction
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("compact", store=name) as span:
         layout = _read_layout(fs, name)
-        records: Dict[int, Geometry] = {}
+        records: Dict[int, _Rec] = {}
         merged = []
         for shard in layout.shards:
             with SpatialDataStore.open(fs, shard.store) as store:
                 merged.append((shard, _checked(store.manifest, name).generations))
-                for rid, geom in store.scan():
-                    records.setdefault(rid, geom)
+                _fold_visible(store, records)
         result = _reload(fs, layout, records, merged)
         if tracer.enabled:
             span.set(
@@ -461,9 +471,10 @@ def compact_store(fs: SimulatedFilesystem, name: str, tracer=None) -> Compaction
         return result
 
 
-def _decode_v1(path: str, blob: bytes) -> Dict[int, Geometry]:
+def _decode_v1(path: str, blob: bytes) -> List[_Rec]:
     """Every record of a v1 container (replicas of one record are
-    identical), each page checked against its CRC32 when the table exists."""
+    identical), each page checked against its CRC32 when the table exists.
+    A v1 page has no MBR column, so records are decoded and re-encoded."""
     header = unpack_header(blob, file_size=len(blob))
     tail = header.dir_offset + header.dir_nbytes
     crcs: Sequence[int] = ()
@@ -478,7 +489,7 @@ def _decode_v1(path: str, blob: bytes) -> Dict[int, Geometry]:
             )
         for rid, geom in decode_page(payload, 1):
             records.setdefault(rid, geom)
-    return records
+    return _encoded(records.items())
 
 
 def upgrade_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
@@ -489,14 +500,15 @@ def upgrade_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
     shards only their non-empty cells) or a base container in the retired
     v1 page layout (``open`` refuses those).
 
-    The store's visible records — v1 pages decoded with
-    :func:`~repro.store.format.decode_page` — are bulk-loaded again like a
-    compaction, keeping record ids and the shard count.  A missing id ceiling is derived from
-    the highest stored or tombstoned id (a bulk load that skipped empty
-    geometries left holes, so the record count can undercount it).  Safe by
-    refusal: a store already current, or a v1 container whose manifest lists
-    delta generations (v1 predates deltas, so re-packing the base alone
-    would silently drop them), raises
+    The store's visible records — v2 frames moved as compaction moves them,
+    v1 pages decoded with :func:`~repro.store.format.decode_page` — are
+    bulk-loaded again like a compaction, keeping record ids and the shard
+    count.  A missing id ceiling is derived from the highest stored or
+    tombstoned id (a bulk load that skipped empty geometries left holes, so
+    the record count can undercount it).  Safe by refusal: a store already
+    current, or a v1 container whose manifest lists delta generations (v1
+    predates deltas, so re-packing the base alone would silently drop
+    them), raises
     :class:`~repro.store.format.StoreFormatError` and nothing is written.
     """
     old = not fs.exists(shards_path(name))
@@ -514,7 +526,7 @@ def upgrade_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
         or layout.next_record_id is None
         or len(layout.partition_to_shard()) != layout.grid_rows * layout.grid_cols
     )
-    records: Dict[int, Geometry] = {}
+    records: Dict[int, _Rec] = {}
     merged = []
     for shard in layout.shards:
         manifest = _read_manifest(fs, shard.store)
@@ -528,14 +540,13 @@ def upgrade_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
                     f"{len(manifest.generations)} delta generation(s); refusing to "
                     f"upgrade, which would drop them"
                 )
-            shard_records = _decode_v1(path, blob)
+            for rec in _decode_v1(path, blob):
+                records.setdefault(rec.rid, rec)
             old = True
         else:
             with SpatialDataStore.open(fs, shard.store) as store:
-                shard_records = dict(store.scan())
+                _fold_visible(store, records)
         old = old or manifest.next_record_id is None
-        for rid, geom in shard_records.items():
-            records.setdefault(rid, geom)
         tombstoned = [rid for info in manifest.generations for rid in info.tombstones]
         ceiling = max([ceiling, manifest.record_id_ceiling, *(rid + 1 for rid in records),
                        *(rid + 1 for rid in tombstoned)])

@@ -128,6 +128,12 @@ class CachedPage:
             self.minxs[slot], self.minys[slot], self.maxxs[slot], self.maxys[slot]
         )
 
+    def frame(self, slot: int) -> bytes:
+        """The slot's stored record body, byte for byte (bodies sit back to
+        back to the payload's end) — what compaction moves undecoded."""
+        end = self.body_offsets[slot + 1] if slot + 1 < self.count else len(self.payload)
+        return self.payload[self.body_offsets[slot] : end]
+
     def record(self, slot: int) -> Tuple[int, Geometry]:
         """Decode (and memoise) one slot — the refine phase for that record."""
         geom = self.memo[slot]

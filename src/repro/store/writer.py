@@ -89,18 +89,20 @@ class BulkLoadResult:
 
 
 class _Rec:
-    """Record carrier fed to the grid partitioner (it only reads .envelope).
+    """Record carrier fed to the grid partitioner (it only reads .envelope):
+    id, MBR and encoded body.
 
     Making one is the gate where records enter the writer — bulk loads,
     appends and compactions all build their ``_Rec`` list before anything is
     assigned to a cell or written — so a record whose MBR holds a NaN is
-    rejected here with a :class:`ValueError`.
+    rejected here with a :class:`ValueError`.  The body is packed as it is
+    into every cell the record is replicated into: a geometry is encoded
+    once (:func:`_encoded`), and compaction hands over stored frames.
     """
 
-    __slots__ = ("envelope", "rid", "geom")
+    __slots__ = ("envelope", "rid", "body")
 
-    def __init__(self, rid: int, geom: Geometry) -> None:
-        env = geom.envelope
+    def __init__(self, rid: int, env: Envelope, body: bytes) -> None:
         if not (env.minx <= env.maxx and env.miny <= env.maxy):  # NaN compares false
             raise ValueError(
                 f"record {rid} (ids are input positions in a bulk load) cannot "
@@ -108,7 +110,24 @@ class _Rec:
             )
         self.envelope = env
         self.rid = rid
-        self.geom = geom
+        self.body = body
+
+
+def _encoded(pairs: Iterable[Tuple[int, Geometry]]) -> List[_Rec]:
+    """The non-empty geometries of ``(record_id, geometry)`` *pairs* as
+    records, each encoded once."""
+    return [_Rec(rid, g.envelope, encode_record_body(g))
+            for rid, g in pairs if not g.envelope.is_empty]
+
+
+def _union(envs: Iterable[Envelope]) -> Envelope:
+    """Union of *envs*: one fold per bound from the empty envelope, not an
+    Envelope per record.  Every MBR is a box (the _Rec gate) or empty (its
+    ``±inf`` bounds are the fold's identity), so ties fall as
+    :meth:`Envelope.union` has them."""
+    envs = [Envelope.empty(), *envs]
+    return Envelope(min(e.minx for e in envs), min(e.miny for e in envs),
+                    max(e.maxx for e in envs), max(e.maxy for e in envs))
 
 
 #: ``(usable, grid, cells, skipped, extent)`` — a grid-partitioned record
@@ -132,10 +151,7 @@ class PackedPartitions:
 
     @property
     def data_extent(self) -> Envelope:
-        out = Envelope.empty()
-        for part in self.partitions:
-            out = out.union(part.data_mbr)
-        return out
+        return _union(part.data_mbr for part in self.partitions)
 
 
 def pack_partitions(
@@ -179,12 +195,7 @@ def pack_partitions(
                 return
             payload = encode_page_v2(list(zip(current_rids, current_envs, current)))
             page_id = len(packed.page_metas)
-            # one fold per bound, not an Envelope per record: every MBR is a
-            # box (the _Rec gate), so this is the union, ties and all
-            mbr = Envelope(
-                min(env.minx for env in current_envs), min(env.miny for env in current_envs),
-                max(env.maxx for env in current_envs), max(env.maxy for env in current_envs),
-            )
+            mbr = _union(current_envs)
             part.data_mbr = part.data_mbr.union(mbr)
             for slot, env in enumerate(current_envs):
                 packed.index_entries.append((env, (page_id, slot)))
@@ -205,13 +216,12 @@ def pack_partitions(
 
         for idx in ordering:
             rec = part_recs[idx]
-            encoded = encode_record_body(rec.geom)
-            if current and current_bytes + len(encoded) + overhead > page_size:
+            if current and current_bytes + len(rec.body) + overhead > page_size:
                 flush_page()
-            current.append(encoded)
+            current.append(rec.body)
             current_rids.append(rec.rid)
             current_envs.append(rec.envelope)
-            current_bytes += len(encoded) + overhead
+            current_bytes += len(rec.body) + overhead
             part.record_count += 1
             packed.num_replicas += 1
             packed.record_ids.add(rec.rid)
@@ -301,32 +311,29 @@ def partition_records(
     records: Iterable[Tuple[int, Geometry]],
     num_partitions: int,
 ) -> Partitioned:
-    """Front half of a bulk load: wrap, measure and grid-partition
+    """Front half of a bulk load: wrap, encode, measure and grid-partition
     ``(record_id, geometry)`` pairs.
 
-    A bulk load numbers records by input position; compaction passes a
-    store's visible records with their own ids, so logical record ids
-    survive the rewrite.  Empty geometries are skipped (counted, never
-    stored).  *cells* of the returned :data:`Partitioned` maps global grid
-    cell ids to record replicas (replication included).
+    A bulk load numbers records by input position.  Empty geometries are
+    skipped (counted, never stored).  *cells* of the returned
+    :data:`Partitioned` maps global grid cell ids to record replicas
+    (replication included).
     """
+    pairs = list(records)
+    usable = _encoded(pairs)
+    return _partitioned(usable, len(pairs) - len(usable), num_partitions)
+
+
+def _partitioned(usable: List[_Rec], skipped: int, num_partitions: int) -> Partitioned:
+    """Lay a grid over *usable* records and assign them to its cells —
+    compaction's entry, whose records keep their ids and stored frames."""
     from ..core.grid_partition import assign_to_cells, build_grid
 
-    pairs = list(records)
-    usable = [_Rec(rid, g) for rid, g in pairs if not g.envelope.is_empty]
-    skipped = len(pairs) - len(usable)
-
-    extent = Envelope.empty()
-    for rec in usable:
-        extent = extent.union(rec.envelope)
-
-    if usable:
-        grid = build_grid(extent, num_partitions)
-        cells = assign_to_cells(grid, usable)
-    else:
-        grid = UniformGrid(Envelope(0.0, 0.0, 1.0, 1.0), 1, 1)
-        cells = {}
-    return usable, grid, cells, skipped, extent
+    extent = _union(rec.envelope for rec in usable)
+    if not usable:
+        return usable, UniformGrid(Envelope(0.0, 0.0, 1.0, 1.0), 1, 1), {}, skipped, extent
+    grid = build_grid(extent, num_partitions)
+    return usable, grid, assign_to_cells(grid, usable), skipped, extent
 
 
 def _contiguous_runs(

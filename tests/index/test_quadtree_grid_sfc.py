@@ -136,9 +136,9 @@ class TestSpaceFillingCurves:
 
 class TestSpatialVisitOrder:
     """`spatial_visit_order` is the one shared ordering rule: the bulk
-    loader's record packing, the query engine's batch ordering and the
-    sharded writer's per-shard ordering all route through it, so these tests
-    pin its output to the raw sorting helpers it replaced."""
+    loader's record packing and the query engine's batch ordering both route
+    through it, so these tests pin its output to the raw sorting helpers it
+    replaced."""
 
     def _points(self, n=150, seed=7):
         rng = random.Random(seed)
@@ -162,13 +162,12 @@ class TestSpatialVisitOrder:
         # order is checked across page boundaries too)
         from repro.geometry import Point
         from repro.store.format import VERSION, decode_page
-        from repro.store.writer import _Rec, pack_partitions
+        from repro.store.writer import _encoded, pack_partitions
 
         rng = random.Random(23)
-        recs = [
-            _Rec(i, Point(rng.uniform(0, 50), rng.uniform(0, 50)))
-            for i in range(60)
-        ]
+        recs = _encoded(
+            (i, Point(rng.uniform(0, 50), rng.uniform(0, 50))) for i in range(60)
+        )
         extent = Envelope(0, 0, 50, 50)
         packed = pack_partitions({0: recs}, UniformGrid(extent, 1, 1), page_size=256)
         assert len(packed.payloads) > 1
