@@ -4,8 +4,10 @@
 Every name listed in a module's ``__all__`` under the given paths must be
 *reached*: some Python file under ``src/``, ``perf/``, ``examples/``,
 ``scripts/`` or ``benchmarks/`` (relative to the working directory) mentions
-it as a name, an attribute, an import or an identifier inside a string
-literal (the form ``perf/spans.py`` wraps targets by), outside three places:
+it as a name, an attribute, an import or a part of the qualified name in a
+``module:name`` string literal (the form ``perf/spans.py`` wraps targets
+by; any other string, such as a name in an error message, is prose and
+never counts), outside three places:
 
 * its own definition,
 * its module's ``__all__``,
@@ -72,13 +74,11 @@ KEEP = {
     "repro.faults:RankFaultInjector": "test helper",
     "repro.geometry.algorithms:segments_cross_ring": "reference oracle",
     "repro.store.format:RecordRef": "reference oracle",
-    # the retired v1 page layout, built by the upgrade tests' fixture
-    "repro.store.format:encode_page": "test helper",
-    "repro.store.format:encode_record": "test helper",
     "repro.store.scheduler:NO_RETRY": "test helper",
 }
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: ``module:qualname`` — the one string form that names a target
+_TARGET = re.compile(r"[A-Za-z_][\w.]*:([A-Za-z_][\w.]*)")
 
 
 def _module_name(path):
@@ -153,7 +153,8 @@ def _mentions(path, tree):
             if isinstance(node, ast.ImportFrom) and node.module:
                 names.append(node.module.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = _IDENT.findall(node.value)
+            target = _TARGET.fullmatch(node.value)
+            names = target.group(1).split(".") if target else ()
         for name in names:
             found.setdefault(name, []).append((node.lineno, method))
         annotations = {getattr(node, "annotation", None), getattr(node, "returns", None)}

@@ -5,8 +5,9 @@ job; this package persists its output so repeated query traffic never pays
 for it again:
 
 ``repro.store.format``
-    The paged binary container: WKB record pages with per-page MBR
-    summaries, a fixed header and a page directory.
+    The paged binary container — one layout, the one every writer
+    produces: WKB record pages with per-page MBR summaries, a fixed header,
+    a page directory and a mandatory per-page CRC32 table.
 
 ``repro.store.writer``
     The bulk loader: grid partitioning (with replication), space-filling-
@@ -18,8 +19,7 @@ for it again:
     Incremental appends and compaction: :class:`StoreAppender` routes each
     record to its home shard as a delta generation (delta container + delta
     index + manifest tombstones, tombstones broadcast to every shard);
-    :func:`compact_store` bulk-loads the visible records again, ids kept;
-    :func:`upgrade_store` rewrites a store in an older layout, offline.
+    :func:`compact_store` bulk-loads the visible records again, ids kept.
 
 ``repro.store.manifest``
     The JSON manifests: per shard, which partition owns which pages (and
@@ -110,7 +110,6 @@ from .mutable import (
     CompactionResult,
     StoreAppender,
     compact_store,
-    upgrade_store,
 )
 from .router import ShardRouter, shard_assignment
 from .sharded import (
@@ -128,7 +127,6 @@ __all__ = [
     "AppendResult",
     "CompactionResult",
     "compact_store",
-    "upgrade_store",
     "Generation",
     "GenerationInfo",
     "PageKey",

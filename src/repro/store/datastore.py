@@ -36,7 +36,6 @@ from .cache import CacheStats, LRUPageCache
 from .engine import BatchOutcome, QueryHit, StoreEngine
 from .format import (
     HEADER_SIZE,
-    VERSION,
     PageChecksumError,
     PageKey,
     PageMeta,
@@ -338,10 +337,11 @@ class SpatialDataStore:
         (``cache_pages``, ``io_policy``, ``tracer``, ``retry_policy``) are
         those of :meth:`__init__`, forwarded as given;
         ``retry_policy`` also bounds the retries of every read made here
-        (:func:`~repro.store.scheduler.read_with_retry`).  A container in the
-        retired v1 page layout is refused with a
-        :class:`~repro.store.format.StoreFormatError` naming
-        :func:`~repro.store.mutable.upgrade_store`.
+        (:func:`~repro.store.scheduler.read_with_retry`).  Anything but the
+        one container layout — another version, a header without exactly
+        the checksum flag, a checksum table that does not end the file — and
+        a manifest without an id ceiling are refused with a
+        :class:`~repro.store.format.StoreFormatError`.
         """
         paths = store_paths(name)
         for key in ("data", "index", "manifest"):
@@ -377,13 +377,10 @@ class SpatialDataStore:
             """Header → page directory + checksum tail of one container."""
             nonlocal io_seconds
             with fs.open(path) as fh:
-                header = unpack_header(_read(fh, 0, HEADER_SIZE), file_size=fh.size)
-                if header.version != VERSION:
-                    raise StoreFormatError(
-                        f"{path!r} uses the retired page layout "
-                        f"v{header.version}; rewrite it once with "
-                        f"repro.store.upgrade_store(fs, {name!r})"
-                    )
+                try:
+                    header = unpack_header(_read(fh, 0, HEADER_SIZE), file_size=fh.size)
+                except StoreFormatError as exc:
+                    raise StoreFormatError(f"{path!r}: {exc}") from exc
                 tail_nbytes = header.dir_nbytes + header.checksum_nbytes
                 tail = _read(fh, header.dir_offset, tail_nbytes)
                 io_seconds += fs.open_time()
@@ -391,9 +388,7 @@ class SpatialDataStore:
                     path,
                     [ReadRequest(0, ((0, HEADER_SIZE), (header.dir_offset, tail_nbytes)))],
                 )
-            crcs: Sequence[int] = ()
-            if header.has_checksums:
-                crcs = unpack_page_checksums(tail[header.dir_nbytes :], header.num_pages)
+            crcs = unpack_page_checksums(tail[header.dir_nbytes :], header.num_pages)
             return header, unpack_page_directory(tail[: header.dir_nbytes], header.num_pages, crcs)
 
         #: one (page directory, packed index) pair per generation, base first
@@ -600,10 +595,7 @@ class SpatialDataStore:
                         # page holding a method of the store would make the
                         # store a reference cycle (see StoreEngine)
                         pages[pid] = CachedPage(
-                            pid,
-                            payload,
-                            on_decode=self.stats._records_decoded.inc,
-                            expected_crc=meta.crc32,
+                            pid, payload, meta.crc32, on_decode=self.stats._records_decoded.inc
                         )
                     except PageChecksumError as exc:
                         exc.generation = gen_id

@@ -15,30 +15,29 @@ path.  A dataset is stored as one *paged container* file:
 | page directory       |  one 48-byte entry per page: offset, nbytes, count,
 |                      |  and the page MBR (4 doubles)
 +----------------------+
+| checksum table       |  one CRC32 (u32) per page payload, in page-id order;
+|                      |  it ends exactly at the end of the file
++----------------------+
 ```
 
-Two page-payload versions exist (the header records which one the file
-uses):
-
-* **v1** (retired: decoded by :func:`decode_page` for
-  :func:`repro.store.mutable.upgrade_store` only; no writer produces it and
-  ``open`` refuses it) — ``<count:u32>`` followed by ``count`` records, each
-  ``<record_id:u32><wkb_len:u32><ud_len:u32><wkb><pickled userdata>``.
-* **v2** (current) — ``<count:u32>``, then a packed *envelope column* of
-  ``count`` entries ``<record_id:u32><body_offset:u32><4d MBR>`` (40 bytes
-  each, ``body_offset`` relative to the payload start), then the record
-  bodies ``<wkb_len:u32><ud_len:u32><wkb><pickled userdata>`` back to back.
-  The column is the page's *filter* phase made physical: a raw
-  ``struct``-level scan answers "which slots can match this window" without
-  touching WKB or pickle, and ``body_offset`` lets the refine phase decode
-  exactly the surviving slots.
+There is one layout: the header names version 2 and carries exactly the
+``FLAG_PAGE_CHECKSUMS`` bit, and :func:`unpack_header` refuses anything else.
+A page payload is ``<count:u32>``, then a packed *envelope column* of
+``count`` entries ``<record_id:u32><body_offset:u32><4d MBR>`` (40 bytes
+each, ``body_offset`` relative to the payload start), then the record bodies
+``<wkb_len:u32><ud_len:u32><wkb><pickled userdata>`` back to back.  The
+column is the page's *filter* phase made physical: a raw ``struct``-level
+scan answers "which slots can match this window" without touching WKB or
+pickle, and ``body_offset`` lets the refine phase decode exactly the
+surviving slots.
 
 Every record carries a *logical record id*: geometries replicated into
 several partitions (the paper's grid replication) keep the same id, which is
 what lets queries de-duplicate replicas without a reference-point test.
 
 All multi-byte values are little-endian.  The container is self-describing:
-``open()`` needs only the header and the page directory to serve queries,
+``open()`` needs only the header, the page directory and the checksum table
+to serve queries,
 and each page decodes independently, which is what makes the page cache
 effective.
 """
@@ -50,7 +49,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-# one v2 record *body* (its id and MBR live in the page's envelope column) is
+# one record *body* (its id and MBR live in the page's envelope column) is
 # the frame the all-to-all exchange ships, so round-trips are lossless
 from ..core.exchange import decode_body, encode_body as encode_record_body
 from ..geometry import Envelope, Geometry
@@ -58,7 +57,6 @@ from ..geometry import Envelope, Geometry
 __all__ = [
     "MAGIC",
     "VERSION",
-    "SUPPORTED_VERSIONS",
     "HEADER_SIZE",
     "FLAG_PAGE_CHECKSUMS",
     "PAGE_DIR_ENTRY",
@@ -71,12 +69,9 @@ __all__ = [
     "PageMeta",
     "PageKey",
     "RecordRef",
-    "encode_record",
     "encode_record_body",
-    "decode_page",
     "decode_page_columns",
     "decode_record_body",
-    "encode_page",
     "encode_page_v2",
     "pack_header",
     "unpack_header",
@@ -89,14 +84,11 @@ __all__ = [
 
 MAGIC = b"RSPGSTO1"
 VERSION = 2
-#: container versions this build can decode (v1 through ``upgrade_store``
-#: only: the serving path refuses it)
-SUPPORTED_VERSIONS = (1, 2)
 HEADER_SIZE = 64
 
 #: header flag bit: a CRC32 checksum table (one u32 per page, in page-id
-#: order) follows the page directory.  Orthogonal to the payload version, so
-#: flag-less containers written by older builds stay openable.
+#: order) follows the page directory.  Every container carries it, and the
+#: header's flag field holds this bit and nothing else.
 FLAG_PAGE_CHECKSUMS = 0x1
 
 #: fixed part of the header (the remainder of the 64 bytes is zero padding)
@@ -109,13 +101,10 @@ PAGE_DIR_ENTRY = struct.Struct("<QII4d")
 #: one checksum-table entry: CRC32 of the page payload
 PAGE_CHECKSUM_ENTRY = struct.Struct("<I")
 
-#: a v1 record inside a page: its id, then a v2 body
-_RECORD_ID = struct.Struct("<I")
-
-#: v2 envelope-column entry: record id, body offset (from payload start), MBR
+#: envelope-column entry: record id, body offset (from payload start), MBR
 ENVELOPE_ENTRY = struct.Struct("<II4d")
 
-#: v2 per-body prefix: WKB length, userdata length (record id lives in the
+#: per-body prefix: WKB length, userdata length (record id lives in the
 #: envelope column)
 _BODY_PREFIX = struct.Struct("<II")
 
@@ -187,22 +176,14 @@ class StoreHeader:
     num_pages: int
     num_records: int
     dir_offset: int
-    #: page-payload layout version (1 = inline prefixes, 2 = envelope column)
-    version: int = VERSION
-    #: feature bits (``FLAG_*``); zero in containers from older builds
-    flags: int = 0
 
     @property
     def dir_nbytes(self) -> int:
         return self.num_pages * PAGE_DIR_ENTRY.size
 
     @property
-    def has_checksums(self) -> bool:
-        return bool(self.flags & FLAG_PAGE_CHECKSUMS)
-
-    @property
     def checksum_nbytes(self) -> int:
-        return self.num_pages * PAGE_CHECKSUM_ENTRY.size if self.has_checksums else 0
+        return self.num_pages * PAGE_CHECKSUM_ENTRY.size
 
 
 @dataclass(frozen=True)
@@ -214,25 +195,15 @@ class PageMeta:
     nbytes: int
     count: int
     mbr: Envelope
-    #: CRC32 of the page payload; ``None`` for containers without checksums
-    crc32: Optional[int] = None
+    #: CRC32 of the page payload (its checksum-table entry)
+    crc32: int
 
 
 # --------------------------------------------------------------------------- #
 # records and pages
 # --------------------------------------------------------------------------- #
-def encode_record(record_id: int, geom: Geometry) -> bytes:
-    """Serialise one v1 record: its id ahead of a v2 body."""
-    return _RECORD_ID.pack(record_id) + encode_record_body(geom)
-
-
-def encode_page(records: Sequence[bytes]) -> bytes:
-    """Concatenate pre-encoded v1 records into one v1 page payload."""
-    return _PAGE_COUNT.pack(len(records)) + b"".join(records)
-
-
 def encode_page_v2(entries: Sequence[Tuple[int, Envelope, bytes]]) -> bytes:
-    """Pack ``(record_id, envelope, body)`` entries into one v2 page payload:
+    """Pack ``(record_id, envelope, body)`` entries into one page payload:
     the count prefix, the packed envelope column, then the bodies."""
     column_end = _PAGE_COUNT.size + len(entries) * ENVELOPE_ENTRY.size
     column = bytearray()
@@ -248,7 +219,7 @@ def encode_page_v2(entries: Sequence[Tuple[int, Envelope, bytes]]) -> bytes:
 
 
 def decode_page_columns(payload: bytes) -> Tuple[tuple, tuple, tuple, tuple, tuple, tuple]:
-    """Decode a v2 page's envelope column **without touching any body**, as
+    """Decode a page's envelope column **without touching any body**, as
     six per-slot tuples ``(record_ids, body_offsets, minxs, minys, maxxs,
     maxys)``: one ``struct`` read of the fixed-stride column and six stride
     slices, no per-slot object.  This is the raw material of the filter
@@ -284,75 +255,27 @@ def decode_page_columns(payload: bytes) -> Tuple[tuple, tuple, tuple, tuple, tup
     return record_ids, body_offsets, flat[2::6], flat[3::6], flat[4::6], flat[5::6]
 
 
-def _read_body(payload: bytes, body_offset: int, envelope=None) -> Tuple[Geometry, int]:
-    """The shared frame reader with the store's error class: ``(geometry,
-    offset past the body)``."""
-    try:
-        return decode_body(payload, body_offset, envelope)
-    except ValueError as exc:  # the frame does not fit, or its WKB is malformed
-        raise StoreFormatError(f"malformed record body at offset {body_offset}: {exc}") from exc
-
-
 def decode_record_body(
     payload: bytes, body_offset: int, envelope: Optional[Envelope] = None
 ) -> Geometry:
-    """Decode one v2 record body at *body_offset*, in place (the refine phase:
+    """Decode one record body at *body_offset*, in place (the refine phase:
     WKB and pickle are only ever paid here, for slots that survived the
     filter).  *envelope* is the slot's MBR from the page column; the geometry
     takes it as is.  A body that overruns the payload, or whose WKB is
     malformed or stops short of its declared length, is a
     :class:`StoreFormatError` naming the body."""
-    return _read_body(payload, body_offset, envelope)[0]
-
-
-def decode_page(payload: bytes, version: int = 1) -> List[Tuple[int, Geometry]]:
-    """Decode a page payload into ``[(record_id, geometry), ...]`` (slot order).
-
-    *version* selects the payload layout (default v1, the layout this
-    function decoded before the envelope column existed).  Trailing bytes
-    after the last record are corruption and raise :class:`StoreFormatError`.
-    """
-    if version not in SUPPORTED_VERSIONS:
-        raise StoreFormatError(f"unsupported page version {version}")
-    if version == 2:
-        record_ids, body_offsets, *_ = decode_page_columns(payload)
-        return [
-            (record_id, decode_record_body(payload, body_offset))
-            for record_id, body_offset in zip(record_ids, body_offsets)
-        ]
-    if len(payload) < _PAGE_COUNT.size:
-        raise StoreFormatError("page payload shorter than its count prefix")
-    (count,) = _PAGE_COUNT.unpack_from(payload, 0)
-    pos = _PAGE_COUNT.size
-    out: List[Tuple[int, Geometry]] = []
-    for _ in range(count):
-        # a v1 record is its id followed by a v2 body (which, read first,
-        # proves the id in front of it is inside the payload)
-        geom, stop = _read_body(payload, pos + _RECORD_ID.size)
-        out.append((_RECORD_ID.unpack_from(payload, pos)[0], geom))
-        pos = stop
-    if pos != len(payload):
-        raise StoreFormatError(
-            f"{len(payload) - pos} trailing bytes after the last record"
-        )
-    return out
+    try:
+        return decode_body(payload, body_offset, envelope)[0]
+    except ValueError as exc:  # the frame does not fit, or its WKB is malformed
+        raise StoreFormatError(f"malformed record body at offset {body_offset}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #
 # header and page directory
 # --------------------------------------------------------------------------- #
-def pack_header(
-    page_size: int,
-    num_pages: int,
-    num_records: int,
-    dir_offset: int,
-    version: int = VERSION,
-    flags: int = 0,
-) -> bytes:
-    if version not in SUPPORTED_VERSIONS:
-        raise StoreFormatError(f"cannot write store version {version}")
+def pack_header(page_size: int, num_pages: int, num_records: int, dir_offset: int) -> bytes:
     packed = _HEADER.pack(
-        MAGIC, version, flags, page_size, num_pages, num_records, dir_offset
+        MAGIC, VERSION, FLAG_PAGE_CHECKSUMS, page_size, num_pages, num_records, dir_offset
     )
     return packed + b"\x00" * (HEADER_SIZE - len(packed))
 
@@ -360,9 +283,11 @@ def pack_header(
 def unpack_header(data: bytes, file_size: Optional[int] = None) -> StoreHeader:
     """Decode (and sanity-check) a container header.
 
-    When *file_size* is given the page directory is bounds-checked against
-    it, so a truncated file fails here with a :class:`StoreFormatError`
-    instead of surfacing later as a short-read ``struct.error``.
+    Any version but :data:`VERSION`, or a flag field other than exactly
+    :data:`FLAG_PAGE_CHECKSUMS`, is a :class:`StoreFormatError`.  When
+    *file_size* is given the page directory and checksum table must end
+    exactly there, so a truncated or padded file fails here instead of
+    surfacing later as a short read or as pages served unchecked.
     """
     if len(data) < HEADER_SIZE:
         raise StoreFormatError(
@@ -373,24 +298,20 @@ def unpack_header(data: bytes, file_size: Optional[int] = None) -> StoreHeader:
     )
     if magic != MAGIC:
         raise StoreFormatError(f"bad store magic {magic!r} (expected {MAGIC!r})")
-    if version not in SUPPORTED_VERSIONS:
+    if version != VERSION:
+        raise StoreFormatError(f"unsupported store version {version} (expected {VERSION})")
+    if flags != FLAG_PAGE_CHECKSUMS:
         raise StoreFormatError(
-            f"unsupported store version {version} (supported: {SUPPORTED_VERSIONS})"
+            f"store header flags {flags:#06x}, expected {FLAG_PAGE_CHECKSUMS:#06x} "
+            f"(the page checksum table)"
         )
-    header = StoreHeader(
-        page_size=page_size,
-        num_pages=num_pages,
-        num_records=num_records,
-        dir_offset=dir_offset,
-        version=version,
-        flags=flags,
-    )
+    header = StoreHeader(page_size, num_pages, num_records, dir_offset)
     if file_size is not None:
         tail_nbytes = header.dir_nbytes + header.checksum_nbytes
-        if dir_offset < HEADER_SIZE or dir_offset + tail_nbytes > file_size:
+        if dir_offset < HEADER_SIZE or dir_offset + tail_nbytes != file_size:
             raise StoreFormatError(
-                f"page directory [{dir_offset}, {dir_offset + tail_nbytes}) "
-                f"does not fit the container ({file_size} bytes)"
+                f"page directory and checksum table [{dir_offset}, "
+                f"{dir_offset + tail_nbytes}) do not end the container ({file_size} bytes)"
             )
     return header
 
@@ -410,21 +331,8 @@ def page_crc32(payload: bytes) -> int:
 
 
 def pack_page_checksums(metas: Iterable[PageMeta]) -> bytes:
-    """Pack the per-page CRC32 table that follows the page directory.
-
-    Every meta must carry a ``crc32`` (writers compute it at page-flush
-    time); a ``None`` here means a writer forgot, which is a bug, not data
-    corruption.
-    """
-    out = bytearray()
-    for meta in metas:
-        if meta.crc32 is None:
-            raise StoreFormatError(
-                f"page {meta.page_id} has no checksum but the container "
-                f"declares FLAG_PAGE_CHECKSUMS"
-            )
-        out += PAGE_CHECKSUM_ENTRY.pack(meta.crc32)
-    return bytes(out)
+    """Pack the per-page CRC32 table that follows the page directory."""
+    return b"".join(PAGE_CHECKSUM_ENTRY.pack(meta.crc32) for meta in metas)
 
 
 def unpack_page_checksums(data: bytes, num_pages: int) -> List[int]:
@@ -438,11 +346,10 @@ def unpack_page_checksums(data: bytes, num_pages: int) -> List[int]:
 
 
 def unpack_page_directory(
-    data: bytes, num_pages: int, crcs: Sequence[int] = ()
+    data: bytes, num_pages: int, crcs: Sequence[int]
 ) -> List[PageMeta]:
     """Page directory → one :class:`PageMeta` per page, built once: page *i*
-    takes ``crcs[i]`` (the :func:`unpack_page_checksums` table) when *crcs*
-    is given, ``crc32=None`` otherwise."""
+    takes ``crcs[i]`` (the :func:`unpack_page_checksums` table)."""
     expected = num_pages * PAGE_DIR_ENTRY.size
     if len(data) != expected:
         raise StoreFormatError(
@@ -463,6 +370,5 @@ def unpack_page_directory(
             )
         prev_end = offset + nbytes
         mbr = Envelope(minx, miny, maxx, maxy)
-        crc = crcs[page_id] if crcs else None
-        metas.append(PageMeta(page_id, offset, nbytes, count, mbr, crc))
+        metas.append(PageMeta(page_id, offset, nbytes, count, mbr, crcs[page_id]))
     return metas

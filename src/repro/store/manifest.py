@@ -5,7 +5,9 @@ which shard store owns which run of global grid cells, each shard's data
 extent and counts, the grid shape and the id ceiling.  A one-shard store's
 only shard is the store directory itself.  Both parsers share one front half
 that turns any malformed document into a
-:class:`~repro.store.format.StoreFormatError`.
+:class:`~repro.store.format.StoreFormatError`; each reads exactly one
+version, the one its writers emit, and requires the id ceiling
+(``next_record_id``) every writer records.
 
 A shard's manifest (:class:`StoreManifest`) is its partition-level
 metadata: for every grid
@@ -16,12 +18,11 @@ it; a store query prunes with the packed index alone, whose leaves hold the
 very record envelopes the partition data MBRs are unions of — the
 two-level pruning §4/§5 of the paper, decided in one structure.
 
-Since manifest **version 2** a store may also carry *delta generations*
-(:class:`GenerationInfo`): each incremental append persists its records as a
-self-contained delta container + packed delta index (see
-:mod:`repro.store.mutable`) and registers them here, together with the
-record-id tombstones that hide deleted/updated records in older generations.
-Version-1 manifests (no generations) remain readable.
+A shard manifest may also carry *delta generations* (:class:`GenerationInfo`):
+each incremental append persists its records as a self-contained delta
+container + packed delta index (see :mod:`repro.store.mutable`) and
+registers them here, together with the record-id tombstones that hide
+deleted/updated records in older generations.
 """
 
 from __future__ import annotations
@@ -49,10 +50,7 @@ __all__ = [
 ]
 
 MANIFEST_VERSION = 2
-#: manifest versions this build can read (v1 = no generation support)
-SUPPORTED_MANIFEST_VERSIONS = (1, 2)
 SHARDS_VERSION = 2
-SUPPORTED_SHARDS_VERSIONS = (1, 2)
 
 
 def store_paths(name: str) -> Dict[str, str]:
@@ -96,22 +94,22 @@ def shards_path(name: str) -> str:
 
 _EXTENT = (list, type(None))
 #: per manifest document: its format tag, what error messages call it, the
-#: versions this build reads, and its top-level keys with their JSON types
+#: version this build reads, and its top-level keys with their JSON types
 _STORE_DOC = (
-    "repro.store.manifest", "store manifest", SUPPORTED_MANIFEST_VERSIONS,
+    "repro.store.manifest", "store manifest", MANIFEST_VERSION,
     {"name": str, "page_size": int, "num_records": int, "num_pages": int,
-     "extent": _EXTENT, "grid": dict, "partitions": list},
+     "extent": _EXTENT, "grid": dict, "partitions": list, "next_record_id": int},
 )
 _SHARDS_DOC = (
-    "repro.store.shards", "shards manifest", SUPPORTED_SHARDS_VERSIONS,
+    "repro.store.shards", "shards manifest", SHARDS_VERSION,
     {"name": str, "page_size": int, "num_records": int, "extent": _EXTENT,
-     "grid": dict, "shards": list},
+     "grid": dict, "shards": list, "next_record_id": int},
 )
 
 
 def _parse(
     text: Union[str, bytes],
-    schema: Tuple[str, str, Tuple[int, ...], Dict[str, Any]],
+    schema: Tuple[str, str, int, Dict[str, Any]],
     build: Callable[[Dict], Any],
 ) -> Any:
     """Decode one manifest document against its *schema* and *build* it —
@@ -123,16 +121,16 @@ def _parse(
     the serving path's error route — in a distributed open it rides the
     manifest broadcast instead of escaping on one rank.
     """
-    fmt, what, versions, keys = schema
+    fmt, what, version, keys = schema
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise StoreFormatError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise StoreFormatError(f"not a {fmt} document")
-    if doc.get("version") not in versions:
+    if doc.get("version") != version:
         raise StoreFormatError(
-            f"unsupported {what} version {doc.get('version')!r} (supported: {versions})"
+            f"unsupported {what} version {doc.get('version')!r} (expected {version})"
         )
     for key, kind in keys.items():
         if not isinstance(doc.get(key), kind):
@@ -232,9 +230,9 @@ class StoreManifest:
     """Partition manifest of one persisted dataset.
 
     ``num_records`` stays the record count of the **base** container (what
-    the ``data.bin`` header carries); appended stores additionally track
-    ``live_records`` (visible logical records across all generations) and
-    ``next_record_id`` (the id ceiling appends allocate from).
+    the ``data.bin`` header carries); ``next_record_id`` is the id ceiling
+    appends allocate from, and appended stores additionally track
+    ``live_records`` (visible logical records across all generations).
     """
 
     name: str
@@ -244,22 +242,15 @@ class StoreManifest:
     extent: Envelope
     grid_rows: int
     grid_cols: int
+    #: lowest record id never assigned (the first one an append may allocate)
+    next_record_id: int
     partitions: List[PartitionInfo] = field(default_factory=list)
-    version: int = MANIFEST_VERSION
     #: delta generations in append order (gen ids 1..N; base is gen 0)
     generations: List[GenerationInfo] = field(default_factory=list)
-    #: lowest record id never assigned (None = ``num_records``, the bulk-load
-    #: default when no geometry was skipped)
-    next_record_id: Optional[int] = None
     #: visible logical records across all generations (None = ``num_records``)
     live_records: Optional[int] = None
 
     # ------------------------------------------------------------------ #
-    @property
-    def record_id_ceiling(self) -> int:
-        """First record id an append may allocate."""
-        return self.num_records if self.next_record_id is None else self.next_record_id
-
     @property
     def num_live_records(self) -> int:
         """Visible logical records (base + appends − tombstoned)."""
@@ -302,7 +293,7 @@ class StoreManifest:
     def to_json(self) -> str:
         doc = {
             "format": "repro.store.manifest",
-            "version": self.version,
+            "version": MANIFEST_VERSION,
             "name": self.name,
             "page_size": self.page_size,
             "num_records": self.num_records,
@@ -310,6 +301,7 @@ class StoreManifest:
             "extent": _env_to_json(self.extent),
             "grid": {"rows": self.grid_rows, "cols": self.grid_cols},
             "partitions": [_partition_to_json(p) for p in self.partitions],
+            "next_record_id": self.next_record_id,
         }
         if self.generations:
             doc["generations"] = [
@@ -325,8 +317,6 @@ class StoreManifest:
                 }
                 for g in self.generations
             ]
-        if self.next_record_id is not None:
-            doc["next_record_id"] = self.next_record_id
         if self.live_records is not None:
             doc["live_records"] = self.live_records
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -345,7 +335,7 @@ class StoreManifest:
                 num_replicas=g["replicas"],
                 extent=_env_from_json(g["extent"]),
                 tombstones=list(g["tombstones"]),
-                updated=list(g.get("updated", [])),
+                updated=list(g["updated"]),
                 partitions=[_partition_from_json(p) for p in g["partitions"]],
             )
             for g in doc.get("generations", [])
@@ -358,10 +348,9 @@ class StoreManifest:
             extent=_env_from_json(doc["extent"]),
             grid_rows=doc["grid"]["rows"],
             grid_cols=doc["grid"]["cols"],
+            next_record_id=doc["next_record_id"],
             partitions=[_partition_from_json(p) for p in doc["partitions"]],
-            version=doc["version"],
             generations=generations,
-            next_record_id=doc.get("next_record_id"),
             live_records=doc.get("live_records"),
         )
 
@@ -427,20 +416,14 @@ class ShardsManifest:
     extent: Envelope
     grid_rows: int
     grid_cols: int
+    #: lowest record id never assigned globally
+    next_record_id: int
     shards: List[ShardInfo] = field(default_factory=list)
-    version: int = SHARDS_VERSION
-    #: lowest record id never assigned globally (None = ``num_records``)
-    next_record_id: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    @property
-    def record_id_ceiling(self) -> int:
-        """First record id a sharded append may allocate."""
-        return self.num_records if self.next_record_id is None else self.next_record_id
 
     def shards_for(self, window: Envelope) -> List[ShardInfo]:
         """Shard-level pruning: shards whose data extent intersects."""
@@ -460,20 +443,23 @@ class ShardsManifest:
     def to_json(self) -> str:
         doc = {
             "format": "repro.store.shards",
-            "version": self.version,
+            "version": SHARDS_VERSION,
             "name": self.name,
             "page_size": self.page_size,
             "num_records": self.num_records,
             "extent": _env_to_json(self.extent),
             "grid": {"rows": self.grid_rows, "cols": self.grid_cols},
             "shards": [_shard_to_json(s) for s in self.shards],
+            "next_record_id": self.next_record_id,
         }
-        if self.next_record_id is not None:
-            doc["next_record_id"] = self.next_record_id
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: Union[str, bytes]) -> "ShardsManifest":
+        """Parse ``shards.json``.  Besides the shared checks, shard ids must
+        run ``0..n-1`` in list order and every grid cell must be owned by
+        exactly one shard: routing and de-duplication index shards by id and
+        take each cell's records from its one owner."""
         return _parse(text, _SHARDS_DOC, ShardsManifest._from_doc)
 
     @staticmethod
@@ -487,19 +473,24 @@ class ShardsManifest:
                 num_records=s["records"],
                 num_replicas=s["replicas"],
                 num_pages=s["pages"],
-                num_generations=s.get("generations", 0),
+                num_generations=s["generations"],
                 replica_stores=list(s.get("replica_stores", [])),
             )
             for s in doc["shards"]
         ]
+        rows, cols = doc["grid"]["rows"], doc["grid"]["cols"]
+        if [s.shard_id for s in shards] != list(range(len(shards))):
+            raise ValueError("shard ids are not 0..n-1 in list order")
+        owned = sorted(pid for s in shards for pid in s.partition_ids)
+        if owned != list(range(rows * cols)):
+            raise ValueError(f"the {rows}x{cols} grid's cells are not each owned by one shard")
         return ShardsManifest(
             name=doc["name"],
             page_size=doc["page_size"],
             num_records=doc["num_records"],
             extent=_env_from_json(doc["extent"]),
-            grid_rows=doc["grid"]["rows"],
-            grid_cols=doc["grid"]["cols"],
+            grid_rows=rows,
+            grid_cols=cols,
+            next_record_id=doc["next_record_id"],
             shards=shards,
-            version=doc["version"],
-            next_record_id=doc.get("next_record_id"),
         )

@@ -27,11 +27,12 @@ is the local case), so there is one writer of each kind:
   frames and MBRs — nothing is decoded or re-encoded.  Query results are
   identical before and after; per-query I/O returns to fresh-bulk-load
   shape.
-* :func:`upgrade_store` is the one offline path from older layouts: a store
-  without ``shards.json``, a manifest without an id ceiling, or a base
-  container in the retired v1 page layout is rewritten like a compaction.
-  The appender and the compactor refuse such stores and name it; ``open``
-  still serves them (except v1 containers).
+
+Both read the store through the same parsers as serving, so a store that is
+not in the one format its writers produce — no ``shards.json``, a manifest
+without an id ceiling, a grid cell owned by no shard or by two — is refused
+with a :class:`~repro.store.format.StoreError` (or ``FileNotFoundError``)
+before anything is written.
 
 Deleting a record id that was never assigned is a caller error: the id is
 validated against the id ceiling, but holes left by skipped empty
@@ -45,7 +46,7 @@ whether or not the shard held the record; ``shards.json``'s
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..core.grid_partition import assign_to_cells, build_grid
 from ..geometry import Geometry
@@ -53,19 +54,8 @@ from ..index import UniformGrid
 from ..obs.trace import NULL_TRACER
 from ..pfs import SimulatedFilesystem
 from .datastore import SpatialDataStore
-from .format import (
-    PageChecksumError,
-    StoreFormatError,
-    decode_page,
-    page_crc32,
-    unpack_header,
-    unpack_page_checksums,
-    unpack_page_directory,
-)
 from .manifest import (
-    MANIFEST_VERSION,
     GenerationInfo,
-    ShardInfo,
     ShardsManifest,
     StoreManifest,
     delta_paths,
@@ -92,7 +82,6 @@ __all__ = [
     "CompactionResult",
     "StoreAppender",
     "compact_store",
-    "upgrade_store",
 ]
 
 
@@ -120,7 +109,7 @@ class AppendResult:
 
 @dataclass
 class CompactionResult:
-    """Summary of one compaction (or upgrade)."""
+    """Summary of one compaction."""
 
     manifest: ShardsManifest
     #: delta generations merged into the new base containers (all shards)
@@ -137,34 +126,6 @@ def _read_manifest(fs: SimulatedFilesystem, name: str) -> StoreManifest:
     with fs.open(store_paths(name)["manifest"]) as fh:
         raw, _, _ = read_with_retry(fh)
     return StoreManifest.from_json(raw)
-
-
-def _legacy(name: str, why: str) -> StoreFormatError:
-    return StoreFormatError(
-        f"store {name!r} {why}; rewrite it once with repro.store.upgrade_store(fs, {name!r})"
-    )
-
-
-def _read_layout(fs: SimulatedFilesystem, name: str) -> ShardsManifest:
-    """``shards.json`` of a store the write path may change.  A store older
-    than that file, than the id ceiling or than every grid cell having an
-    owning shard is refused, naming :func:`upgrade_store`."""
-    if not fs.exists(shards_path(name)):
-        if not fs.exists(store_paths(name)["manifest"]):
-            raise FileNotFoundError(f"store {name!r} does not exist; run bulk_load first")
-        raise _legacy(name, "has no shards.json")
-    layout, _ = read_shards_manifest(fs, name)
-    if layout.next_record_id is None:
-        raise _legacy(name, "has no id ceiling in shards.json")
-    if len(layout.partition_to_shard()) != layout.grid_rows * layout.grid_cols:
-        raise _legacy(name, "has grid cells no shard owns")
-    return layout
-
-
-def _checked(manifest: StoreManifest, name: str) -> StoreManifest:
-    if manifest.next_record_id is None:
-        raise _legacy(name, f"has a manifest without an id ceiling ({manifest.name!r})")
-    return manifest
 
 
 def _checked_deletes(deletes: Iterable[int], ceiling: int) -> List[int]:
@@ -204,7 +165,7 @@ class StoreAppender:
         #: optional span recorder: append/compact phases show up on the same
         #: timeline as the serving spans when a shared tracer is injected
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.manifest = _read_layout(fs, name)
+        self.manifest, _ = read_shards_manifest(fs, name)
 
     # ------------------------------------------------------------------ #
     def append(
@@ -227,7 +188,7 @@ class StoreAppender:
         with tracer.span("append", store=self.name) as span:
             geoms = list(geometries)
             layout = self.manifest
-            ceiling = layout.record_id_ceiling
+            ceiling = layout.next_record_id
 
             if record_ids is None:
                 ids = list(range(ceiling, ceiling + len(geoms)))
@@ -272,7 +233,7 @@ class StoreAppender:
             # every manifest this append rewrites is read (and checked)
             # before anything is written
             touched = [
-                (shard, [_checked(_read_manifest(self.fs, store), self.name)
+                (shard, [_read_manifest(self.fs, store)
                          for store in [shard.store, *shard.replica_stores]])
                 for shard in layout.shards
                 if tombstones or shard.shard_id in routed
@@ -371,10 +332,6 @@ class StoreAppender:
             )
         )
         manifest.next_record_id = next_id
-        # generations/tombstones are v2-only features: a v1 manifest must not
-        # keep claiming v1, or an old strict reader would accept it and
-        # silently ignore the generation list
-        manifest.version = MANIFEST_VERSION
         result.write_seconds += write_file(
             self.fs, store_paths(manifest.name)["manifest"], manifest.to_json().encode("utf-8")
         )
@@ -388,79 +345,59 @@ class StoreAppender:
 
 
 # --------------------------------------------------------------------------- #
-# compaction and upgrade: one bulk load of the visible records
+# compaction: one bulk load of the visible records
 # --------------------------------------------------------------------------- #
-def _fold_visible(store: SpatialDataStore, records: Dict[int, _Rec]) -> None:
-    """Add each visible record of *store* whose id *records* lacks (an
-    earlier shard's copy wins) as its stored frame and stored MBR: nothing
-    is decoded, and the loader packs the frame verbatim.  Shared by
-    :func:`compact_store` and :func:`upgrade_store`."""
-    for page, slot in store._visible():
-        rid = page.record_ids[slot]
-        records.setdefault(rid, _Rec(rid, page.envelope(slot), page.frame(slot)))
-
-
-def _reload(
-    fs: SimulatedFilesystem,
-    layout: ShardsManifest,
-    records: Dict[int, _Rec],
-    merged: List[Tuple[ShardInfo, List[GenerationInfo]]],
-) -> CompactionResult:
-    """Bulk-load *records* (``record id -> record``) as store *layout*
-    with its shard count, partition count, page size, read replicas and id
-    ceiling, then drop the delta files of the *merged* generations of every
-    old shard copy — they are merged into (or superseded by) the new base."""
-    written = _write_layout(
-        fs,
-        layout.name,
-        _partitioned(list(records.values()), 0, layout.grid_rows * layout.grid_cols),
-        layout.page_size,
-        layout.num_shards,
-        len(layout.shards[0].replica_stores),
-        layout.record_id_ceiling,
-    )
-    for shard, generations in merged:
-        for store in [shard.store, *shard.replica_stores]:
-            for info in generations:
-                if info.num_pages:
-                    for path in delta_paths(store, info.gen_id).values():
-                        fs.remove(path)
-    return CompactionResult(
-        manifest=written.manifest,
-        merged_generations=sum(len(generations) for _, generations in merged),
-        num_records=written.num_records,
-        num_pages=written.num_pages,
-        data_bytes=written.data_bytes,
-        index_bytes=written.index_bytes,
-        write_seconds=written.write_seconds,
-    )
-
-
 def compact_store(fs: SimulatedFilesystem, name: str, tracer=None) -> CompactionResult:
     """Merge every shard's base + delta generations into fresh base
     containers.
 
     The store's visible records (tombstones applied, newest generation
-    winning, de-duplicated on record id across shards) are bulk-loaded again
-    — each as its stored frame and stored MBR, never decoded or re-encoded —
-    with the store's own shard count, partition count, page size and read
-    replicas — logical record ids preserved, the id ceiling carried over so
-    future appends never recycle a deleted id — and the merged delta files
-    are deleted.  The grid is laid over the visible records and the shards
-    are rebalanced; with one shard this is exactly a fresh bulk load of the
-    same records.  Query results are identical before and after; per-query
-    I/O returns to fresh-bulk-load shape.
+    winning, de-duplicated on record id across shards, an earlier shard's
+    copy winning) are bulk-loaded again — each as its stored frame and
+    stored MBR, never decoded or re-encoded — with the store's own shard
+    count, partition count, page size and read replicas — logical record
+    ids preserved, the id ceiling carried over so future appends never
+    recycle a deleted id — and the delta files of every old shard copy are
+    deleted.  The grid is laid over the visible records and the shards are
+    rebalanced; with one shard this is exactly a fresh bulk load of the same
+    records.  Query results are identical before and after; per-query I/O
+    returns to fresh-bulk-load shape.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("compact", store=name) as span:
-        layout = _read_layout(fs, name)
+        layout, _ = read_shards_manifest(fs, name)
         records: Dict[int, _Rec] = {}
         merged = []
         for shard in layout.shards:
             with SpatialDataStore.open(fs, shard.store) as store:
-                merged.append((shard, _checked(store.manifest, name).generations))
-                _fold_visible(store, records)
-        result = _reload(fs, layout, records, merged)
+                merged.append((shard, store.manifest.generations))
+                for page, slot in store._visible():
+                    rid = page.record_ids[slot]
+                    records.setdefault(rid, _Rec(rid, page.envelope(slot), page.frame(slot)))
+        written = _write_layout(
+            fs,
+            layout.name,
+            _partitioned(list(records.values()), 0, layout.grid_rows * layout.grid_cols),
+            layout.page_size,
+            layout.num_shards,
+            len(layout.shards[0].replica_stores),
+            layout.next_record_id,
+        )
+        for shard, generations in merged:
+            for copy in [shard.store, *shard.replica_stores]:
+                for info in generations:
+                    if info.num_pages:
+                        for path in delta_paths(copy, info.gen_id).values():
+                            fs.remove(path)
+        result = CompactionResult(
+            manifest=written.manifest,
+            merged_generations=sum(len(generations) for _, generations in merged),
+            num_records=written.num_records,
+            num_pages=written.num_pages,
+            data_bytes=written.data_bytes,
+            index_bytes=written.index_bytes,
+            write_seconds=written.write_seconds,
+        )
         if tracer.enabled:
             span.set(
                 merged_generations=result.merged_generations,
@@ -469,92 +406,3 @@ def compact_store(fs: SimulatedFilesystem, name: str, tracer=None) -> Compaction
                 data_bytes=result.data_bytes,
             )
         return result
-
-
-def _decode_v1(path: str, blob: bytes) -> List[_Rec]:
-    """Every record of a v1 container (replicas of one record are
-    identical), each page checked against its CRC32 when the table exists.
-    A v1 page has no MBR column, so records are decoded and re-encoded."""
-    header = unpack_header(blob, file_size=len(blob))
-    tail = header.dir_offset + header.dir_nbytes
-    crcs: Sequence[int] = ()
-    if header.has_checksums:
-        crcs = unpack_page_checksums(blob[tail:], header.num_pages)
-    records: Dict[int, Geometry] = {}
-    for meta in unpack_page_directory(blob[header.dir_offset : tail], header.num_pages, crcs):
-        payload = blob[meta.offset : meta.offset + meta.nbytes]
-        if meta.crc32 is not None and page_crc32(payload) != meta.crc32:
-            raise PageChecksumError(
-                f"page {meta.page_id} of {path!r} failed its checksum", meta.page_id
-            )
-        for rid, geom in decode_page(payload, 1):
-            records.setdefault(rid, geom)
-    return _encoded(records.items())
-
-
-def upgrade_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
-    """Rewrite a store in an older layout in the current one — offline,
-    once.  Four things make a store old: no ``shards.json`` (it predates
-    every store carrying one), a manifest without ``next_record_id`` (it
-    predates the id ceiling), grid cells no shard owns (loads used to give
-    shards only their non-empty cells) or a base container in the retired
-    v1 page layout (``open`` refuses those).
-
-    The store's visible records — v2 frames moved as compaction moves them,
-    v1 pages decoded with :func:`~repro.store.format.decode_page` — are
-    bulk-loaded again like a compaction, keeping record ids and the shard
-    count.  A missing id ceiling is derived from the highest stored or
-    tombstoned id (a bulk load that skipped empty geometries left holes, so
-    the record count can undercount it).  Safe by refusal: a store already
-    current, or a v1 container whose manifest lists delta generations (v1
-    predates deltas, so re-packing the base alone would silently drop
-    them), raises
-    :class:`~repro.store.format.StoreFormatError` and nothing is written.
-    """
-    old = not fs.exists(shards_path(name))
-    if old:
-        manifest = _read_manifest(fs, name)
-        layout = ShardsManifest(
-            name, manifest.page_size, manifest.num_live_records, manifest.extent,
-            manifest.grid_rows, manifest.grid_cols, [ShardInfo(0, name)],
-        )
-    else:
-        layout, _ = read_shards_manifest(fs, name)
-    ceiling = layout.record_id_ceiling
-    old = (
-        old
-        or layout.next_record_id is None
-        or len(layout.partition_to_shard()) != layout.grid_rows * layout.grid_cols
-    )
-    records: Dict[int, _Rec] = {}
-    merged = []
-    for shard in layout.shards:
-        manifest = _read_manifest(fs, shard.store)
-        path = store_paths(shard.store)["data"]
-        with fs.open(path) as fh:
-            blob, _, _ = read_with_retry(fh)
-        if unpack_header(blob, file_size=len(blob)).version == 1:
-            if manifest.generations:
-                raise StoreFormatError(
-                    f"{path!r} uses page layout v1 but store {shard.store!r} lists "
-                    f"{len(manifest.generations)} delta generation(s); refusing to "
-                    f"upgrade, which would drop them"
-                )
-            for rec in _decode_v1(path, blob):
-                records.setdefault(rec.rid, rec)
-            old = True
-        else:
-            with SpatialDataStore.open(fs, shard.store) as store:
-                _fold_visible(store, records)
-        old = old or manifest.next_record_id is None
-        tombstoned = [rid for info in manifest.generations for rid in info.tombstones]
-        ceiling = max([ceiling, manifest.record_id_ceiling, *(rid + 1 for rid in records),
-                       *(rid + 1 for rid in tombstoned)])
-        merged.append((shard, manifest.generations))
-    if not old:
-        raise StoreFormatError(
-            f"store {name!r} already has shards.json, id ceilings and page "
-            f"layout v2: nothing to upgrade"
-        )
-    layout.next_record_id = ceiling
-    return _reload(fs, layout, records, merged)

@@ -45,7 +45,7 @@ class CachedPage:
     decoded, which is how the store's ``records_decoded`` statistic counts
     refine-phase work instead of page-touch work.
 
-    *expected_crc* (from the container's checksum table) is verified against
+    *expected_crc* (the page's checksum-table entry) is verified against
     the payload **before** any parsing: a corrupted page raises
     :class:`~repro.store.format.PageChecksumError` even when the damage
     would still parse — a bit-flip inside a WKB coordinate decodes into a
@@ -71,17 +71,16 @@ class CachedPage:
         self,
         page_id: int,
         payload: bytes,
+        expected_crc: int,
         on_decode: Optional[Callable[[int], None]] = None,
-        expected_crc: Optional[int] = None,
     ) -> None:
-        if expected_crc is not None:
-            actual = page_crc32(payload)
-            if actual != expected_crc:
-                raise PageChecksumError(
-                    f"page {page_id} failed its checksum: crc32 {actual:#010x}, "
-                    f"expected {expected_crc:#010x}",
-                    page_id=page_id,
-                )
+        actual = page_crc32(payload)
+        if actual != expected_crc:
+            raise PageChecksumError(
+                f"page {page_id} failed its checksum: crc32 {actual:#010x}, "
+                f"expected {expected_crc:#010x}",
+                page_id=page_id,
+            )
         self.page_id = page_id
         self.payload = payload
         self._on_decode = on_decode

@@ -24,14 +24,13 @@ plus its manifest — data, then index, then manifest, in that order — and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..geometry import Envelope, Geometry
 from ..index import STRtree, UniformGrid, spatial_visit_order
 from ..pfs import ReadRequest, SimulatedFilesystem
 from .format import (
     ENVELOPE_ENTRY,
-    FLAG_PAGE_CHECKSUMS,
     HEADER_SIZE,
     PageMeta,
     encode_page_v2,
@@ -260,7 +259,6 @@ def write_generation(
         len(packed.page_metas),
         len(packed.record_ids),
         HEADER_SIZE + sum(len(p) for p in packed.payloads),
-        flags=FLAG_PAGE_CHECKSUMS,
     )
     data = (
         header
@@ -280,14 +278,13 @@ def write_store_files(
     page_size: int,
     extent: Envelope,
     grid: UniformGrid,
-    next_record_id: Optional[int] = None,
+    next_record_id: int,
 ) -> Tuple[StoreManifest, int, int, float]:
     """Persist one shard store as the canonical three-file layout: the base
     generation (:func:`write_generation`), then the manifest that makes it
     visible.
 
-    *next_record_id* is the id ceiling recorded for future appends (defaults
-    to the record count, correct when ids were assigned densely).  Returns
+    *next_record_id* is the id ceiling recorded for future appends.  Returns
     ``(manifest, data_bytes, index_bytes, write_seconds)``.
     """
     paths = store_paths(name)

@@ -181,7 +181,7 @@ def router_over(grid):
     return ShardRouter(
         ShardsManifest(
             name="g", page_size=4096, num_records=0, extent=grid.extent,
-            grid_rows=grid.rows, grid_cols=grid.cols, shards=[],
+            grid_rows=grid.rows, grid_cols=grid.cols, next_record_id=0, shards=[],
         )
     )
 

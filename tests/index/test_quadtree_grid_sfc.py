@@ -161,7 +161,7 @@ class TestSpatialVisitOrder:
         # Hilbert order of the records' envelope centres (small pages, so the
         # order is checked across page boundaries too)
         from repro.geometry import Point
-        from repro.store.format import VERSION, decode_page
+        from repro.store.format import decode_page_columns
         from repro.store.writer import _encoded, pack_partitions
 
         rng = random.Random(23)
@@ -172,6 +172,6 @@ class TestSpatialVisitOrder:
         packed = pack_partitions({0: recs}, UniformGrid(extent, 1, 1), page_size=256)
         assert len(packed.payloads) > 1
         slot_order = [
-            rid for payload in packed.payloads for rid, _ in decode_page(payload, VERSION)
+            rid for payload in packed.payloads for rid in decode_page_columns(payload)[0]
         ]
         assert slot_order == sort_by_hilbert([r.envelope.centre for r in recs], extent)

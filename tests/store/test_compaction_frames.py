@@ -79,7 +79,8 @@ def _container_frames(fs, name, skip=()):
         blob = path.read_bytes()
         header = fmt.unpack_header(blob, file_size=len(blob))
         tail = header.dir_offset + header.dir_nbytes
-        for meta in fmt.unpack_page_directory(blob[header.dir_offset : tail], header.num_pages):
+        crcs = fmt.unpack_page_checksums(blob[tail:], header.num_pages)
+        for meta in fmt.unpack_page_directory(blob[header.dir_offset : tail], header.num_pages, crcs):
             payload = blob[meta.offset : meta.offset + meta.nbytes]
             ids, offsets, *_ = fmt.decode_page_columns(payload)
             for rid, start, end in zip(ids, offsets, [*offsets[1:], len(payload)]):

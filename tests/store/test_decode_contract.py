@@ -33,7 +33,9 @@ from repro.store.format import (
     MAGIC,
     encode_page_v2,
     encode_record_body,
+    page_crc32,
     unpack_header,
+    unpack_page_checksums,
     unpack_page_directory,
 )
 from repro.store.page import CachedPage
@@ -62,9 +64,8 @@ def tracked_objects_per_decode(vertices, slots=20):
     """GC-tracked objects that decoding one slot of a page of *vertices*-
     coordinate polygons leaves behind, averaged over the page's slots."""
     geoms = [ngon(3.0 * i, 5.0, 1.0, vertices - 1) for i in range(slots)]
-    page = CachedPage(
-        0, encode_page_v2([(i, g.envelope, encode_record_body(g)) for i, g in enumerate(geoms)])
-    )
+    payload = encode_page_v2([(i, g.envelope, encode_record_body(g)) for i, g in enumerate(geoms)])
+    page = CachedPage(0, payload, page_crc32(payload))
     gc.collect()
     gc.disable()
     try:
@@ -148,9 +149,10 @@ def stored_records(fs):
         if not blob.startswith(MAGIC):  # a packed index, not a page container
             continue
         header = unpack_header(blob, file_size=len(blob))
-        directory = blob[header.dir_offset : header.dir_offset + header.dir_nbytes]
-        for meta in unpack_page_directory(directory, header.num_pages):
-            page = CachedPage(meta.page_id, blob[meta.offset : meta.offset + meta.nbytes])
+        tail = header.dir_offset + header.dir_nbytes
+        crcs = unpack_page_checksums(blob[tail:], header.num_pages)
+        for meta in unpack_page_directory(blob[header.dir_offset : tail], header.num_pages, crcs):
+            page = CachedPage(meta.page_id, blob[meta.offset : meta.offset + meta.nbytes], meta.crc32)
             for slot in range(page.count):
                 yield path.relative_to(root).as_posix(), page, slot
 

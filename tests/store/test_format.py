@@ -7,21 +7,20 @@ import pytest
 from repro.geometry import Envelope, LineString, Point, Polygon, wkb
 from repro.store.format import (
     ENVELOPE_ENTRY,
+    FLAG_PAGE_CHECKSUMS,
     HEADER_SIZE,
+    PAGE_CHECKSUM_ENTRY,
     PAGE_DIR_ENTRY,
-    SUPPORTED_VERSIONS,
     VERSION,
     PageMeta,
     StoreFormatError,
-    decode_page,
     decode_page_columns,
     decode_record_body,
-    encode_page,
     encode_page_v2,
-    encode_record,
     encode_record_body,
     pack_header,
     pack_page_directory,
+    page_crc32,
     unpack_header,
     unpack_page_directory,
 )
@@ -36,72 +35,42 @@ def sample_geometries():
     ]
 
 
-class TestPageCodec:
-    def test_round_trip(self):
-        geoms = sample_geometries()
-        payload = encode_page([encode_record(i, g) for i, g in enumerate(geoms)])
-        decoded = decode_page(payload)
-        assert [rid for rid, _ in decoded] == [0, 1, 2]
-        for (rid, got), want in zip(decoded, geoms):
-            assert got.wkt() == want.wkt()
-            assert got.userdata == want.userdata
-
-    def test_empty_page(self):
-        assert decode_page(encode_page([])) == []
-
-    def test_truncated_payload_raises(self):
-        payload = encode_page([encode_record(0, Point(1, 2))])
-        with pytest.raises(StoreFormatError):
-            decode_page(payload[:-3])
-
-    def test_truncated_count_raises(self):
-        with pytest.raises(StoreFormatError):
-            decode_page(b"\x01")
-
-    def test_record_ids_preserved(self):
-        payload = encode_page([encode_record(42, Point(0, 0)), encode_record(7, Point(1, 1))])
-        assert [rid for rid, _ in decode_page(payload)] == [42, 7]
-
-    def test_trailing_garbage_raises(self):
-        # regression: decode_page silently accepted bytes after the last
-        # record (pos != len(payload) was never checked)
-        payload = encode_page([encode_record(0, Point(1, 2))])
-        with pytest.raises(StoreFormatError, match="trailing"):
-            decode_page(payload + b"\x99\x99\x99")
-        with pytest.raises(StoreFormatError, match="trailing"):
-            decode_page(encode_page([]) + b"\x00")
-
-
-    @pytest.mark.parametrize("geom", sample_geometries(), ids=lambda g: g.geom_type)
-    def test_bytes_after_the_wkb_inside_a_record_raise(self, geom):
-        # regression: a record whose wkb_len is larger than its WKB decoded
-        # "successfully" — the body was sliced out and the reader never
-        # looked at where the geometry stopped
-        body = wkb.dumps(geom)
-        record = struct.pack("<III", 9, len(body) + 4, 0) + body + b"junk"
-        with pytest.raises(StoreFormatError, match="4 surplus bytes") as err:
-            decode_page(encode_page([encode_record(0, Point(0, 0)), record]))
-        # the record is named by where its body starts: after the count
-        # prefix, the 33-byte first record and this record's id
-        assert f"offset {4 + 33 + 4}" in str(err.value)
-
-
 def _v2_entries(geoms):
     return [(rid, g.envelope, encode_record_body(g)) for rid, g in enumerate(geoms)]
+
+
+def decode_all(payload):
+    """Every ``(record_id, geometry)`` of a page, in slot order: the column
+    decode, then one body decode per slot (what the refine phase does)."""
+    record_ids, body_offsets, *_ = decode_page_columns(payload)
+    return [
+        (rid, decode_record_body(payload, offset))
+        for rid, offset in zip(record_ids, body_offsets)
+    ]
 
 
 class TestPageCodecV2:
     def test_round_trip(self):
         geoms = sample_geometries()
         payload = encode_page_v2(_v2_entries(geoms))
-        decoded = decode_page(payload, version=2)
+        decoded = decode_all(payload)
         assert [rid for rid, _ in decoded] == [0, 1, 2]
         for (rid, got), want in zip(decoded, geoms):
             assert got.wkt() == want.wkt()
             assert got.userdata == want.userdata
 
     def test_empty_page(self):
-        assert decode_page(encode_page_v2([]), version=2) == []
+        assert decode_all(encode_page_v2([])) == []
+
+    def test_record_ids_preserved(self):
+        # ids are stored, not implied by slot order
+        payload = encode_page_v2(
+            [
+                (42, Point(0, 0).envelope, encode_record_body(Point(0, 0))),
+                (7, Point(1, 1).envelope, encode_record_body(Point(1, 1))),
+            ]
+        )
+        assert [rid for rid, _ in decode_all(payload)] == [42, 7]
 
     def test_envelope_column_matches_geometry_mbrs(self):
         geoms = sample_geometries()
@@ -142,9 +111,9 @@ class TestPageCodecV2:
     def test_trailing_garbage_raises(self):
         payload = encode_page_v2(_v2_entries(sample_geometries()))
         with pytest.raises(StoreFormatError, match="trailing"):
-            decode_page(payload + b"\x01\x02", version=2)
+            decode_all(payload + b"\x01\x02")
         with pytest.raises(StoreFormatError, match="trailing"):
-            decode_page(encode_page_v2([]) + b"\x00", version=2)
+            decode_all(encode_page_v2([]) + b"\x00")
 
     @pytest.mark.parametrize("geom", sample_geometries(), ids=lambda g: g.geom_type)
     def test_bytes_after_the_wkb_inside_a_body_raise(self, geom):
@@ -155,10 +124,10 @@ class TestPageCodecV2:
             [(0, Point(0, 0).envelope, encode_record_body(Point(0, 0))), (1, geom.envelope, padded)]
         )
         with pytest.raises(StoreFormatError, match="4 surplus bytes") as err:
-            decode_page(payload, 2)
+            decode_all(payload)
         assert f"offset {4 + 2 * ENVELOPE_ENTRY.size + 29}" in str(err.value)
         # the page-cache path reads through the same reader
-        page = CachedPage(0, payload)
+        page = CachedPage(0, payload, page_crc32(payload))
         assert page.record(0)[1].wkt() == "POINT (0 0)"
         with pytest.raises(StoreFormatError, match="4 surplus bytes"):
             page.record(1)
@@ -170,17 +139,17 @@ class TestPageCodecV2:
         cut = struct.pack("<II", len(body) - 16, 16) + body
         payload = encode_page_v2([(0, Envelope(0, 0, 10, 10), cut)])
         with pytest.raises(StoreFormatError, match="malformed record body"):
-            decode_page(payload, 2)
+            decode_all(payload)
 
     def test_truncated_column_raises(self):
         payload = encode_page_v2(_v2_entries(sample_geometries()))
         with pytest.raises(StoreFormatError):
-            decode_page(payload[: 4 + ENVELOPE_ENTRY.size - 1], version=2)
+            decode_all(payload[: 4 + ENVELOPE_ENTRY.size - 1])
 
     def test_truncated_body_raises(self):
         payload = encode_page_v2(_v2_entries(sample_geometries()))
         with pytest.raises(StoreFormatError):
-            decode_page(payload[:-3], version=2)
+            decode_all(payload[:-3])
 
     def test_overrunning_body_is_named_where_it_overruns(self):
         # a body in the middle of the page that declares more bytes than the
@@ -195,11 +164,11 @@ class TestPageCodecV2:
     def test_zeroed_payload_raises(self):
         payload = encode_page_v2(_v2_entries(sample_geometries()))
         with pytest.raises(StoreFormatError):
-            decode_page(b"\x00" * len(payload), version=2)
+            decode_all(b"\x00" * len(payload))
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(StoreFormatError, match="version"):
-            decode_page(encode_page([]), version=3)
+    def test_truncated_count_raises(self):
+        with pytest.raises(StoreFormatError, match="count prefix"):
+            decode_page_columns(b"\x01")
 
 
 class TestHeader:
@@ -222,31 +191,37 @@ class TestHeader:
         with pytest.raises(StoreFormatError, match="header"):
             unpack_header(b"\x00" * 10)
 
-    def test_version_round_trips(self):
-        assert VERSION == 2
-        for version in SUPPORTED_VERSIONS:
-            raw = pack_header(4096, 1, 1, HEADER_SIZE, version=version)
-            assert unpack_header(raw).version == version
+    def test_header_names_version_2_and_the_checksum_table(self):
+        raw = pack_header(4096, 1, 1, HEADER_SIZE)
+        assert struct.unpack_from("<HH", raw, 8) == (VERSION, FLAG_PAGE_CHECKSUMS) == (2, 1)
 
-    def test_unsupported_versions_rejected(self):
-        with pytest.raises(StoreFormatError, match="version"):
-            pack_header(4096, 1, 1, HEADER_SIZE, version=3)
-        import struct as _struct
-
+    @pytest.mark.parametrize("version", [0, 1, 3, 9])
+    def test_unsupported_versions_rejected(self, version):
         raw = bytearray(pack_header(4096, 1, 1, HEADER_SIZE))
-        _struct.pack_into("<H", raw, 8, 9)  # version field sits after the magic
+        struct.pack_into("<H", raw, 8, version)  # version field sits after the magic
         with pytest.raises(StoreFormatError, match="version"):
+            unpack_header(bytes(raw))
+
+    @pytest.mark.parametrize("flags", [0, 0x2, 0x3, 0x8001])
+    def test_flags_other_than_the_checksum_bit_rejected(self, flags):
+        # regression: a cleared flag bit used to make open skip the
+        # checksum table and serve pages unchecked
+        raw = bytearray(pack_header(4096, 1, 1, HEADER_SIZE))
+        struct.pack_into("<H", raw, 10, flags)  # flags follow the version
+        with pytest.raises(StoreFormatError, match="flags"):
             unpack_header(bytes(raw))
 
     def test_directory_bounds_validated_against_file_size(self):
         # regression: a truncated directory used to surface as a short-read
         # struct.error at unpack_page_directory time; with the file size in
-        # hand the header itself must reject it
+        # hand the header itself must reject it — and the checksum table
+        # must end the file exactly
         raw = pack_header(page_size=4096, num_pages=12, num_records=300, dir_offset=1000)
-        needed = 1000 + 12 * PAGE_DIR_ENTRY.size
+        needed = 1000 + 12 * (PAGE_DIR_ENTRY.size + PAGE_CHECKSUM_ENTRY.size)
         assert unpack_header(raw, file_size=needed).num_pages == 12
-        with pytest.raises(StoreFormatError, match="directory"):
-            unpack_header(raw, file_size=needed - 1)
+        for size in (needed - 1, needed + 1, 1000 + 12 * PAGE_DIR_ENTRY.size):
+            with pytest.raises(StoreFormatError, match="directory"):
+                unpack_header(raw, file_size=size)
 
     def test_directory_before_payload_rejected(self):
         raw = pack_header(page_size=4096, num_pages=1, num_records=1, dir_offset=10)
@@ -257,42 +232,42 @@ class TestHeader:
 class TestPageDirectory:
     def test_round_trip(self):
         metas = [
-            PageMeta(0, 64, 120, 3, Envelope(0, 0, 1, 1)),
-            PageMeta(1, 184, 80, 2, Envelope(-5, -5, 5, 5)),
+            PageMeta(0, 64, 120, 3, Envelope(0, 0, 1, 1), 0xDEADBEEF),
+            PageMeta(1, 184, 80, 2, Envelope(-5, -5, 5, 5), 7),
         ]
         raw = pack_page_directory(metas)
-        back = unpack_page_directory(raw, 2)
+        back = unpack_page_directory(raw, 2, [0xDEADBEEF, 7])
         assert back == metas
 
     def test_empty_mbr_round_trips(self):
-        metas = [PageMeta(0, 64, 4, 0, Envelope.empty())]
-        back = unpack_page_directory(pack_page_directory(metas), 1)
+        metas = [PageMeta(0, 64, 4, 0, Envelope.empty(), 0)]
+        back = unpack_page_directory(pack_page_directory(metas), 1, [0])
         assert back[0].mbr.is_empty
 
     def test_size_mismatch_raises(self):
-        raw = pack_page_directory([PageMeta(0, 64, 10, 1, Envelope(0, 0, 1, 1))])
+        raw = pack_page_directory([PageMeta(0, 64, 10, 1, Envelope(0, 0, 1, 1), 0)])
         with pytest.raises(StoreFormatError, match="directory"):
-            unpack_page_directory(raw, 2)
+            unpack_page_directory(raw, 2, [0, 0])
 
     def test_non_monotonic_offsets_rejected(self):
         # the serving path's run coalescing relies on pages laid out back to
         # back in page-id order; a reordered directory is corruption
         raw = pack_page_directory([
-            PageMeta(0, 184, 80, 2, Envelope(0, 0, 1, 1)),
-            PageMeta(1, 64, 120, 3, Envelope(0, 0, 1, 1)),
+            PageMeta(0, 184, 80, 2, Envelope(0, 0, 1, 1), 0),
+            PageMeta(1, 64, 120, 3, Envelope(0, 0, 1, 1), 0),
         ])
         with pytest.raises(StoreFormatError, match="monotonic"):
-            unpack_page_directory(raw, 2)
+            unpack_page_directory(raw, 2, [0, 0])
 
     def test_overlapping_pages_rejected(self):
         raw = pack_page_directory([
-            PageMeta(0, 64, 120, 3, Envelope(0, 0, 1, 1)),
-            PageMeta(1, 100, 80, 2, Envelope(0, 0, 1, 1)),
+            PageMeta(0, 64, 120, 3, Envelope(0, 0, 1, 1), 0),
+            PageMeta(1, 100, 80, 2, Envelope(0, 0, 1, 1), 0),
         ])
         with pytest.raises(StoreFormatError, match="monotonic"):
-            unpack_page_directory(raw, 2)
+            unpack_page_directory(raw, 2, [0, 0])
 
     def test_page_inside_header_rejected(self):
-        raw = pack_page_directory([PageMeta(0, 10, 30, 1, Envelope(0, 0, 1, 1))])
+        raw = pack_page_directory([PageMeta(0, 10, 30, 1, Envelope(0, 0, 1, 1), 0)])
         with pytest.raises(StoreFormatError, match="monotonic"):
-            unpack_page_directory(raw, 1)
+            unpack_page_directory(raw, 1, [0])

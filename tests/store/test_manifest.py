@@ -34,6 +34,7 @@ def make_manifest():
         extent=Envelope(0, 0, 100, 100),
         grid_rows=2,
         grid_cols=2,
+        next_record_id=100,
         partitions=[
             PartitionInfo(0, Envelope(0, 0, 50, 50), Envelope(5, 5, 45, 45), [0, 1], 60),
             PartitionInfo(3, Envelope(50, 50, 100, 100), Envelope(60, 60, 90, 90), [2], 40),
@@ -117,14 +118,49 @@ CORRUPTIONS = {
     "bad_json": _bad_json,
     "format_tag": _edit(lambda doc, key: doc.update(format="something-else")),
     "version": _edit(lambda doc, key: doc.update(version=99)),
+    # the retired version-1 documents are no longer read
+    "retired_version": _edit(lambda doc, key: doc.update(version=1)),
     "missing_key": _edit(lambda doc, key: doc.pop(key)),
     "ill_typed_key": _edit(lambda doc, key: doc.update({key: "oops"})),
     "missing_nested_key": _edit(lambda doc, key: doc["grid"].pop("rows")),
+    # every writer records the id ceiling; without it an append could
+    # hand out an id a live record holds
+    "missing_ceiling": _edit(lambda doc, key: doc.pop("next_record_id")),
 }
 #: document -> (path in a two-shard store "sh", the key it cannot lack)
 DOCUMENTS = {
     "manifest.json": (store_paths("sh/shard-0000")["manifest"], "grid"),
     "shards.json": (shards_path("sh"), "shards"),
+}
+
+
+def _swap_shard_ids(doc, key):
+    # serving indexes shards by id: swapped ids died as a bare KeyError
+    for shard in doc["shards"]:
+        shard["id"] = 1 - shard["id"]
+
+
+def _own_a_cell_twice(doc, key):
+    # the cell's records were served by both shards: duplicate rows
+    doc["shards"][1]["partitions"].insert(0, doc["shards"][0]["partitions"][-1])
+
+
+def _drop_a_cell(doc, key):
+    # an append homed in the cell would have no shard to go to
+    doc["shards"][1]["partitions"].pop()
+
+
+def _own_a_cell_off_the_grid(doc, key):
+    cells = doc["grid"]["rows"] * doc["grid"]["cols"]
+    doc["shards"][1]["partitions"][-1] = cells
+
+
+#: shards.json only: the ownership routing and de-duplication rely on
+OWNERSHIP = {
+    "swapped_shard_ids": _swap_shard_ids,
+    "cell_owned_twice": _own_a_cell_twice,
+    "cell_unowned": _drop_a_cell,
+    "cell_off_the_grid": _own_a_cell_off_the_grid,
 }
 
 
@@ -137,11 +173,13 @@ def corrupted(tmp_path, request):
     path, key = DOCUMENTS[document]
     with fs.open(path) as fh:
         raw = fh.pread(0, fh.size)
-    fs.create_file(path, CORRUPTIONS[corruption](raw, key))
+    corrupt = CORRUPTIONS.get(corruption) or _edit(OWNERSHIP[corruption])
+    fs.create_file(path, corrupt(raw, key))
     return fs, document
 
 
 CASES = [(doc, corruption) for doc in DOCUMENTS for corruption in CORRUPTIONS]
+CASES += [("shards.json", corruption) for corruption in OWNERSHIP]
 
 
 @pytest.mark.parametrize("corrupted", CASES, indirect=True, ids=["-".join(c) for c in CASES])

@@ -9,11 +9,10 @@ The acceptance battery of the append/compaction subsystem:
 * **tombstones** — deleted records never surface from queries, scans or
   compacted stores; updates shadow older versions even when the new version
   moved out of the query window; deleted ids are never recycled;
-* **older layouts are upgrade-only** — ``open`` refuses a v1 container and
-  names the fix, ``upgrade_store`` rewrites it losslessly and refuses every
-  store it could damage; a store without ``shards.json`` or without an id
-  ceiling is still served, refused by the appender and the compactor, and
-  rewritten by ``upgrade_store``;
+* **one on-disk format** — ``open`` refuses a container in the retired v1
+  page layout and names the file; a store without ``shards.json``, without
+  an id ceiling or with a grid cell no shard owns is refused by every
+  reader, and the appender and the compactor write nothing to it;
 * **one writer for every shard count** — the sharded tests drive the same
   ``StoreAppender`` and ``compact_store`` as the one-shard tests;
 * **delta reads retry like base reads** — a transient fault on a delta
@@ -23,6 +22,7 @@ The acceptance battery of the append/compaction subsystem:
 
 import json
 import random
+import struct
 
 import pytest
 
@@ -43,7 +43,6 @@ from repro.store import (
     DEFAULT_RETRY,
     NO_RETRY,
     DistributedStoreServer,
-    PageChecksumError,
     ShardRouter,
     SpatialDataStore,
     StoreAppender,
@@ -54,7 +53,6 @@ from repro.store import (
     delta_paths,
     shards_path,
     store_paths,
-    upgrade_store,
 )
 
 EXTENT = Envelope(0.0, 0.0, 100.0, 100.0)
@@ -125,6 +123,14 @@ def strip_ceiling(fs, name):
     del doc["next_record_id"]
     doc["version"] = 1
     fs.create_file(path, json.dumps(doc).encode())
+
+
+def mark_container_v1(fs, path):
+    """Give the container at *path* the header of the retired v1 page
+    layout (version 1, no checksum table flag)."""
+    blob = bytearray(fs.backing_path(path).read_bytes())
+    struct.pack_into("<HH", blob, 8, 1, 0)  # version and flags follow the magic
+    fs.create_file(path, bytes(blob))
 
 
 @pytest.fixture
@@ -198,7 +204,7 @@ class TestAppendEquality:
         assert res.num_records == 1  # the empty geometry stored nothing
         store = SpatialDataStore.open(fs, "mut_holes")
         assert sorted(dict(store.scan())) == [0, 2]  # id 1 is a hole
-        assert store.manifest.record_id_ceiling == 3
+        assert store.manifest.next_record_id == 3
 
     def test_noop_append_creates_no_generation(self, fs):
         bulk_load(fs, "mut_noop", [Point(0.0, 0.0)], num_partitions=4)
@@ -277,77 +283,34 @@ class TestTombstones:
         appender.append(deletes=[3])
         assert len(SpatialDataStore.open(fs, "drift")) == len(geoms) - 1
 
-    def test_upgrade_of_a_manifest_without_ceiling_never_collides_ids(self, fs):
-        # a pre-mutable manifest (no next_record_id) whose bulk load skipped
-        # empty geometries undercounts the ceiling via num_records: the
-        # appender refuses it, and upgrade_store derives the true ceiling
-        # instead of one that lets a fresh id silently shadow a live record
-        bulk_load(fs, "legacy", [Point(0.0, 0.0), Point(1.0, 1.0),
-                                 MultiPoint([]), Point(3.0, 3.0, userdata="keep")],
-                  num_partitions=4)
-        strip_ceiling(fs, "legacy")
-        with pytest.raises(StoreFormatError, match=r"upgrade_store\(fs, 'legacy'\)"):
-            StoreAppender(fs, "legacy").append([Point(9.0, 9.0)])
-        assert len(dict(SpatialDataStore.open(fs, "legacy").scan())) == 3  # still served
-
-        assert upgrade_store(fs, "legacy").manifest.next_record_id == 4
-        res = StoreAppender(fs, "legacy").append([Point(9.0, 9.0, userdata="new")])
-        store = SpatialDataStore.open(fs, "legacy")
-        scanned = dict(store.scan())
-        assert scanned[3].userdata == "keep"  # the live record survived
-        assert scanned[4].userdata == "new"   # the append got a fresh id
-        assert res.manifest.record_id_ceiling == 5
-        # the rewrite claims v2: generations/tombstones are v2-only features,
-        # so a strict v1 reader must reject the document, not silently
-        # ignore the generation list
-        assert store.manifest.version == 2
-
-    def test_compaction_of_a_manifest_without_ceiling_is_refused(self, fs):
-        # compact_store used to trust record_id_ceiling, which falls back to
-        # num_records on legacy manifests with id holes, and *persist* the
-        # too-low value; it now refuses and names the upgrade, which derives
-        # the ceiling
+    def test_a_manifest_without_ceiling_is_refused(self, fs):
+        # a manifest with no next_record_id would leave the ceiling to
+        # num_records, too low when the load skipped an empty geometry, and
+        # compaction would *persist* the too-low value: every reader refuses
+        # it and nothing is written
         bulk_load(fs, "legacy_cmp", [Point(0.0, 0.0), MultiPoint([]),
                                      Point(2.0, 2.0, userdata="keep")],
                   num_partitions=4)
         strip_ceiling(fs, "legacy_cmp")
         before = store_files(fs, "legacy_cmp")
-        with pytest.raises(StoreFormatError, match="upgrade_store"):
-            compact_store(fs, "legacy_cmp")
+        for use in (lambda: SpatialDataStore.open(fs, "legacy_cmp"),
+                    lambda: StoreAppender(fs, "legacy_cmp").append([Point(9.0, 9.0)]),
+                    lambda: compact_store(fs, "legacy_cmp")):
+            with pytest.raises(StoreFormatError, match="version|next_record_id"):
+                use()
         assert store_files(fs, "legacy_cmp") == before
 
-        upgrade_store(fs, "legacy_cmp")
-        res = StoreAppender(fs, "legacy_cmp").append([Point(9.0, 9.0, userdata="new")])
-        store = SpatialDataStore.open(fs, "legacy_cmp")
-        scanned = dict(store.scan())
-        assert scanned[2].userdata == "keep"
-        assert scanned[3].userdata == "new"
-        assert res.manifest.record_id_ceiling == 4
-
-    def test_a_store_without_shards_json_is_upgrade_only(self, fs):
-        # stores written before every store carried shards.json: served as
-        # they are, refused by every writer, given one by upgrade_store
+    def test_a_store_without_shards_json_is_refused_by_every_writer(self, fs):
         geoms = random_geometries(40, seed=33)
         bulk_load(fs, "noshards", geoms, num_partitions=4, page_size=1024)
         StoreAppender(fs, "noshards").append(deletes=[4])
         fs.remove(shards_path("noshards"))
+        before = store_files(fs, "noshards")
         for write in (lambda: StoreAppender(fs, "noshards"),
                       lambda: compact_store(fs, "noshards")):
-            with pytest.raises(StoreFormatError, match="no shards.json.*upgrade_store"):
+            with pytest.raises(FileNotFoundError, match="shards.json"):
                 write()
-        visible = {rid: g for rid, g in enumerate(geoms) if rid != 4}
-        with SpatialDataStore.open(fs, "noshards") as store:
-            assert dict(store.scan()).keys() == visible.keys()
-
-        result = upgrade_store(fs, "noshards")
-        assert result.merged_generations == 1 and result.num_records == 39
-        assert result.manifest.shards[0].store == "noshards"
-        assert fs.exists(shards_path("noshards"))
-        StoreAppender(fs, "noshards").append([Point(1.0, 1.0)])
-        with SpatialDataStore.open(fs, "noshards") as store:
-            assert sorted(dict(store.scan())) == sorted([*visible, 40])
-        with pytest.raises(StoreFormatError, match="nothing to upgrade"):
-            upgrade_store(fs, "noshards")
+        assert store_files(fs, "noshards") == before
 
     def test_fresh_ids_never_recycle_deleted_ones(self, fs):
         self._loaded(fs, "rec")
@@ -357,7 +320,7 @@ class TestTombstones:
         store = SpatialDataStore.open(fs, "rec")
         new_ids = {h.record_id for h in store.range_query(Envelope(0.9, 0.9, 1.1, 1.1))}
         assert 60 in new_ids and 59 not in dict(store.scan())
-        assert res.manifest.record_id_ceiling == 61
+        assert res.manifest.next_record_id == 61
 
 
 class TestCompaction:
@@ -413,9 +376,9 @@ class TestCompaction:
         store = SpatialDataStore.open(fs, "cmp_files")
         assert store.manifest.generations == []
         # deleted ids stay retired after the rewrite
-        assert store.manifest.record_id_ceiling == 80
+        assert store.manifest.next_record_id == 80
         res = StoreAppender(fs, "cmp_files").append([Point(1.0, 1.0)])
-        assert res.manifest.record_id_ceiling == 81
+        assert res.manifest.next_record_id == 81
 
     def test_compacted_equals_fresh_bulk_load_shape(self, fs):
         # compaction re-runs the bulk-load pack over the visible records, so
@@ -540,9 +503,9 @@ class TestOpenReadSites:
 
 
 # --------------------------------------------------------------------------- #
-# the retired v1 page layout: refused by open, rewritten by upgrade_store
+# the retired v1 page layout: refused by open, naming the container
 # --------------------------------------------------------------------------- #
-class TestUpgradeStore:
+class TestRetiredPageLayout:
     def _geoms(self):
         # an id hole (the empty MultiPoint) and a record wide enough to be
         # replicated into every partition
@@ -551,124 +514,20 @@ class TestUpgradeStore:
         geoms[41] = Polygon.from_envelope(Envelope(1, 1, 99, 99), userdata="wide")
         return geoms
 
-    def _v1(self, fs, name, as_v1, **options):
-        result = bulk_load(fs, name, self._geoms(), num_partitions=9, page_size=512)
-        as_v1(fs, store_paths(name)["data"], **options)
-        return result
-
-    def test_open_refuses_a_v1_base_container(self, fs, rewrite_container_as_v1):
-        self._v1(fs, "v1", rewrite_container_as_v1)
+    def test_open_refuses_a_v1_base_container(self, fs):
+        bulk_load(fs, "v1", self._geoms(), num_partitions=9, page_size=512)
+        mark_container_v1(fs, store_paths("v1")["data"])
         with pytest.raises(StoreFormatError) as excinfo:
             SpatialDataStore.open(fs, "v1")
         message = str(excinfo.value)
-        assert "stores/v1/data.bin" in message and "v1" in message
-        assert "upgrade_store(fs, 'v1')" in message
+        assert "stores/v1/data.bin" in message and "version 1" in message
 
-    def test_open_refuses_a_v1_delta_container(self, fs, rewrite_container_as_v1):
+    def test_open_refuses_a_v1_delta_container(self, fs):
         bulk_load(fs, "v1d", self._geoms(), num_partitions=9, page_size=512)
         StoreAppender(fs, "v1d").append(random_geometries(20, seed=72))
-        rewrite_container_as_v1(fs, delta_paths("v1d", 1)["data"])
-        with pytest.raises(StoreFormatError, match="delta-0001.bin.*upgrade_store"):
+        mark_container_v1(fs, delta_paths("v1d", 1)["data"])
+        with pytest.raises(StoreFormatError, match="delta-0001.bin.*version 1"):
             SpatialDataStore.open(fs, "v1d")
-
-    def test_upgraded_store_answers_like_a_bulk_load(self, fs, rewrite_container_as_v1):
-        self._v1(fs, "up", rewrite_container_as_v1)
-        bulk_load(fs, "fresh", self._geoms(), num_partitions=9, page_size=512)
-        result = upgrade_store(fs, "up")
-        assert result.merged_generations == 0
-        with SpatialDataStore.open(fs, "up") as up, SpatialDataStore.open(fs, "fresh") as fresh:
-            def records(store):
-                return sorted(
-                    (rid, wkb.dumps(g), g.userdata) for rid, g in store.scan()
-                )
-
-            assert records(up) == records(fresh)
-            battery = windows(20, seed=73) + [EXTENT]
-            assert hit_fingerprints(up, battery) == hit_fingerprints(fresh, battery)
-
-    def test_upgrade_read_absorbs_a_transient_fault(self, fs, rewrite_container_as_v1):
-        self._v1(fs, "up_fault", rewrite_container_as_v1)
-        bulk_load(fs, "fresh", self._geoms(), num_partitions=9, page_size=512)
-        rule = FaultRule(path_pattern=store_paths("up_fault")["data"],
-                         read_error_rate=1.0, max_faults=1)
-        faulty = FaultyFilesystem(fs, [rule], seed=3)
-        upgrade_store(faulty, "up_fault")
-        assert faulty.stats.read_errors == 1
-        with SpatialDataStore.open(fs, "up_fault") as up, SpatialDataStore.open(fs, "fresh") as fresh:
-            battery = windows(10, seed=74) + [EXTENT]
-            assert hit_fingerprints(up, battery) == hit_fingerprints(fresh, battery)
-
-    def test_upgrade_read_that_outlasts_the_retries_writes_nothing(
-        self, fs, rewrite_container_as_v1
-    ):
-        self._v1(fs, "up_dead", rewrite_container_as_v1)
-        before = store_files(fs, "up_dead")
-        path = store_paths("up_dead")["data"]
-        faulty = FaultyFilesystem(fs, [FaultRule(path_pattern=path, read_error_rate=1.0)])
-        with pytest.raises(StoreError, match=f"{path}.*3 attempt"):
-            upgrade_store(faulty, "up_dead")
-        assert store_files(fs, "up_dead") == before
-
-    def test_upgrade_preserves_ids_ceiling_and_dedups_replicas(
-        self, fs, rewrite_container_as_v1
-    ):
-        loaded = self._v1(fs, "ids", rewrite_container_as_v1)
-        assert loaded.num_replicas > loaded.num_records  # "wide" is replicated
-        result = upgrade_store(fs, "ids")
-        assert result.num_records == loaded.num_records == 89
-        assert result.manifest.next_record_id == loaded.manifest.next_record_id == 90
-        with SpatialDataStore.open(fs, "ids") as store:
-            scanned = dict(store.scan())
-        assert sorted(scanned) == [i for i in range(90) if i != 40]
-        assert scanned[41].userdata == "wide"
-        # the id hole stays a hole: the next append allocates above it
-        res = StoreAppender(fs, "ids").append([Point(5.0, 5.0)])
-        assert res.manifest.record_id_ceiling == 91
-
-    def test_upgrade_derives_the_ceiling_of_a_legacy_manifest(
-        self, fs, rewrite_container_as_v1
-    ):
-        # v1 containers predate next_record_id: num_records undercounts the
-        # ceiling when the load skipped an empty geometry
-        self._v1(fs, "legacy_v1", rewrite_container_as_v1)
-        strip_ceiling(fs, "legacy_v1")
-        assert upgrade_store(fs, "legacy_v1").manifest.next_record_id == 90
-
-    def test_second_upgrade_and_current_layout_are_refused(
-        self, fs, rewrite_container_as_v1
-    ):
-        self._v1(fs, "twice", rewrite_container_as_v1)
-        upgrade_store(fs, "twice")
-        before = store_files(fs, "twice")
-        with pytest.raises(StoreFormatError, match="nothing to upgrade"):
-            upgrade_store(fs, "twice")
-        assert store_files(fs, "twice") == before
-
-    def test_v1_container_with_generations_is_refused_untouched(
-        self, fs, rewrite_container_as_v1
-    ):
-        # the naive "decode base, re-pack" would silently drop the delta
-        bulk_load(fs, "gens", self._geoms(), num_partitions=9, page_size=512)
-        StoreAppender(fs, "gens").append(random_geometries(20, seed=74), deletes=[3])
-        rewrite_container_as_v1(fs, store_paths("gens")["data"])
-        before = store_files(fs, "gens")
-        with pytest.raises(StoreFormatError, match="1 delta generation"):
-            upgrade_store(fs, "gens")
-        assert store_files(fs, "gens") == before
-
-    def test_upgrade_verifies_a_v1_checksum_table(self, fs, rewrite_container_as_v1):
-        self._v1(fs, "crc", rewrite_container_as_v1, checksums=True)
-        path = fs.backing_path(store_paths("crc")["data"])
-        blob = bytearray(path.read_bytes())
-        blob[100] ^= 0xFF  # inside the first page's payload
-        path.write_bytes(bytes(blob))
-        before = store_files(fs, "crc")
-        with pytest.raises(PageChecksumError, match="page 0"):
-            upgrade_store(fs, "crc")
-        assert store_files(fs, "crc") == before
-        # an intact checksummed v1 container upgrades like any other
-        self._v1(fs, "crc_ok", rewrite_container_as_v1, checksums=True)
-        assert upgrade_store(fs, "crc_ok").num_records == 89
 
 
 # --------------------------------------------------------------------------- #
@@ -719,7 +578,7 @@ class TestShardedAppend:
         _, _, (r1, r2) = self._build(fs, "smut_route")
         assert (r1.num_records, r2.num_records) == (15, 15)
         manifest = StoreAppender(fs, "smut_route").manifest
-        assert manifest.record_id_ceiling == 80
+        assert manifest.next_record_id == 80
         # each appended record is stored once, in the shard owning its home
         # partition; tombstones were broadcast to all shards (deletes in r2)
         router = ShardRouter(manifest)
@@ -794,10 +653,10 @@ class TestShardedAppend:
         owned = [rid for ids in mpisim.run_spmd(prog, 2).values for rid in ids]
         assert sorted(owned) == list(range(60))
 
-    def test_cells_no_shard_owns_are_upgrade_only(self, fs):
+    def test_cells_no_shard_owns_are_refused(self, fs):
         # loads used to give shards only their non-empty cells; an append
         # homed in an empty one had no shard.  Every cell has an owner now,
-        # and an older layout is refused until upgrade_store rebuilds it.
+        # and a layout with an unowned cell is refused.
         corners = [Point(1.0, 1.0), Point(99.0, 1.0), Point(1.0, 99.0)]
         bulk_load(fs, "smut_gap", corners, num_shards=2, num_partitions=4)
         path = fs.backing_path(shards_path("smut_gap"))
@@ -807,13 +666,8 @@ class TestShardedAppend:
         for shard in doc["shards"]:
             shard["partitions"] = [cid for cid in shard["partitions"] if cid != 3]
         fs.create_file(shards_path("smut_gap"), json.dumps(doc).encode())
-        with pytest.raises(StoreFormatError, match="no shard owns.*upgrade_store"):
+        with pytest.raises(StoreFormatError, match="owned by one shard"):
             StoreAppender(fs, "smut_gap")
-
-        upgrade_store(fs, "smut_gap")
-        StoreAppender(fs, "smut_gap").append([Point(98.0, 98.0, userdata="top right")])
-        hits = self._serve(fs, "smut_gap", [(0, Envelope(90, 90, 100, 100))], 2)
-        assert [(h.record_id, h.geometry.userdata) for h in hits] == [(3, "top right")]
 
     def test_sharded_delete_validates_ceiling(self, fs):
         self._build(fs, "smut_val")

@@ -23,7 +23,6 @@ from repro.store import (
     StoreEngine,
     bulk_load,
     compact_store,
-    upgrade_store,
 )
 from repro.store.writer import pack_partitions, write_generation, write_store_files
 
@@ -42,7 +41,6 @@ SURFACE = [
     # compaction re-loads with the store's own shard count, page size,
     # partition count and read replicas
     (compact_store, "fs name tracer"),
-    (upgrade_store, "fs name"),
     # --- serving: one fixed in-flight window, max-over-ranks phases, and the
     # serving keywords declared once (open() and the sharded server forward);
     # hits are decoded values, answers land on rank 0 only, and the

@@ -5,7 +5,7 @@ and tombstone shadowing, page-level containment fast path) must be
 **observably identical** to the per-slot scalar loop it
 replaced.  `_refine_reference.refine_reference` keeps that scalar loop verbatim
 as the oracle; this battery drives both over randomized stores — bulk-loaded
-and upgraded-from-v1 containers, multiple generations with tombstoned and updated ids, cross-shard
+containers, multiple generations with tombstoned and updated ids, cross-shard
 replicas, degenerate and empty MBRs, empty pages — and asserts equal hits,
 equal decode counts and equal scan output, at 1/2/4 ranks.
 
@@ -47,11 +47,9 @@ from repro.store import (
     StoreAppender,
     StoreStats,
     bulk_load,
-    store_paths,
-    upgrade_store,
 )
 from repro.store.engine import PlanEntry, RefineExecutor
-from repro.store.format import encode_page_v2, encode_record_body
+from repro.store.format import encode_page_v2, encode_record_body, page_crc32
 from repro.store.page import CachedPage
 
 EXTENT = Envelope(0.0, 0.0, 100.0, 100.0)
@@ -132,16 +130,6 @@ def v2_name(fs, geoms):
 
 
 @pytest.fixture(scope="module")
-def v1_name(fs, geoms, rewrite_container_as_v1):
-    """A container written in the retired v1 layout, rewritten by
-    ``upgrade_store`` — the only way v1 data reaches the serving path."""
-    bulk_load(fs, "hot_v1", geoms, num_partitions=16, page_size=1024)
-    rewrite_container_as_v1(fs, store_paths("hot_v1")["data"])
-    upgrade_store(fs, "hot_v1")
-    return "hot_v1"
-
-
-@pytest.fixture(scope="module")
 def gen_store(fs, geoms):
     """A three-generation store with updates (shadowing) and tombstones,
     plus the expected visible ``{record_id: geometry}`` map."""
@@ -201,13 +189,6 @@ class TestBulkEqualsReference:
             assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
 
     @pytest.mark.parametrize("exact", [True, False])
-    def test_v1_windows(self, fs, v1_name, exact):
-        store = SpatialDataStore.open(fs, v1_name, cache_pages=1024)
-        for window in probe_windows(20, seed=12):
-            bulk, ref = refine_both_ways(store, window, exact)
-            assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
-
-    @pytest.mark.parametrize("exact", [True, False])
     def test_generations_tombstones_updates(self, fs, gen_store, exact):
         name, visible = gen_store
         store = SpatialDataStore.open(fs, name, cache_pages=1024)
@@ -223,14 +204,6 @@ class TestBulkEqualsReference:
         for probe in geoms[:25]:
             bulk, ref = refine_both_ways(store, probe, exact=True)
             assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
-
-    def test_v1_equals_v2(self, fs, v1_name, v2_name):
-        v1 = SpatialDataStore.open(fs, v1_name, cache_pages=1024)
-        v2 = SpatialDataStore.open(fs, v2_name, cache_pages=1024)
-        for window in probe_windows(15, seed=14):
-            ids1 = [h.record_id for h in v1.range_query(window)]
-            ids2 = [h.record_id for h in v2.range_query(window)]
-            assert ids1 == ids2
 
     def test_records_decoded_parity_with_reference(self, fs, gen_store):
         # the bulk path must decode exactly the slots the scalar loop did
@@ -416,7 +389,7 @@ def build_page(entries, page_id=0, on_decode=None):
     payload = encode_page_v2(
         [(rid, env, encode_record_body(g)) for rid, env, g in entries]
     )
-    return CachedPage(page_id, payload, on_decode=on_decode)
+    return CachedPage(page_id, payload, page_crc32(payload), on_decode=on_decode)
 
 
 def traced_executor(partition_of_page, **kwargs):

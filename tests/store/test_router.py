@@ -26,11 +26,12 @@ def make_manifest():
         extent=Envelope(0.0, 0.0, 100.0, 100.0),
         grid_rows=4,
         grid_cols=4,
+        next_record_id=30,
         shards=[
             ShardInfo(0, "m/shard-0000", [0, 1, 2], Envelope(0.0, 0.0, 60.0, 30.0), 10, 12, 3),
             ShardInfo(1, "m/shard-0001", [3, 4, 5, 6], Envelope(40.0, 0.0, 100.0, 60.0), 12, 14, 4),
             ShardInfo(2, "m/shard-0002", [7, 8], Envelope(0.0, 50.0, 50.0, 100.0), 8, 8, 2),
-            ShardInfo(3, "m/shard-0003", [], Envelope.empty(), 0, 0, 0),
+            ShardInfo(3, "m/shard-0003", list(range(9, 16)), Envelope.empty(), 0, 0, 0),
         ],
     )
 
@@ -66,7 +67,8 @@ class TestShardsManifest:
     def test_partition_to_shard_is_a_disjoint_cover(self):
         manifest = make_manifest()
         owner = manifest.partition_to_shard()
-        assert owner == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2}
+        assert owner == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2,
+                         **{cell: 3 for cell in range(9, 16)}}
 
 
 class TestShardPruning:

@@ -34,7 +34,7 @@ def make_pages(sizes, start=64, gaps=None):
             offset += gaps[i - 1]
         pages.append(
             PageMeta(page_id=i, offset=offset, nbytes=size, count=1,
-                     mbr=Envelope(0, 0, 1, 1))
+                     mbr=Envelope(0, 0, 1, 1), crc32=0)
         )
         offset += size
     return pages

@@ -7,8 +7,7 @@
 * prefetch — the cost-model policy's readahead pages are counted
   separately and turn later demand into cache hits;
 * scans admit their pages to the cache like any other fetch;
-* format compatibility — a v1 container, once ``upgrade_store`` rewrote it,
-  answers exactly like a bulk-loaded one;
+* page budget — a page's envelope column counts against its size target;
 * the batched front-end — ``range_query_batch`` equals per-query
   ``range_query`` while touching each page at most once per batch.
 """
@@ -20,7 +19,7 @@ from repro.core.reader import VectorIO
 from repro.geometry import Envelope, Point, predicates
 from repro.pfs import LustreFilesystem
 from repro.store import (
-    IOScheduler, PageKey, SpatialDataStore, bulk_load, store_paths, upgrade_store,
+    IOScheduler, PageKey, SpatialDataStore, bulk_load,
 )
 
 
@@ -101,12 +100,12 @@ class TestCachedPage:
 
     def _page(self, geoms, on_decode=None):
         from repro.store import CachedPage
-        from repro.store.format import encode_page_v2, encode_record_body
+        from repro.store.format import encode_page_v2, encode_record_body, page_crc32
 
         payload = encode_page_v2(
             [(rid, g.envelope, encode_record_body(g)) for rid, g in enumerate(geoms)]
         )
-        return CachedPage(0, payload, on_decode=on_decode)
+        return CachedPage(0, payload, page_crc32(payload), on_decode=on_decode)
 
     def _geoms(self):
         return [Point(float(x), float(x * 2), userdata=f"p{x}") for x in range(10)]
@@ -141,10 +140,7 @@ class TestCachedPage:
         page = self._page(geoms)
         assert page.envelope(4).as_tuple() == geoms[4].envelope.as_tuple()
 
-    def test_records_round_trip_both_versions(self):
-        # the name predates the retirement of the v1 layout: pages come in
-        # one version now (v1 payloads decode through format.decode_page
-        # only, see test_format / upgrade_store)
+    def test_records_round_trip(self):
         geoms = self._geoms()
         page = self._page(geoms)
         records = [page.record(slot) for slot in range(len(page))]
@@ -320,30 +316,7 @@ class TestServingKnobRegressions:
         assert fetches and max(fetches) <= 8
 
 
-class TestFormatCompatibility:
-    @pytest.fixture(scope="class")
-    def v1_name(self, fs, lakes, rewrite_container_as_v1):
-        # a v1 container reaches serving through upgrade_store, only
-        bulk_load(fs, "serving_v1", lakes, num_partitions=16, page_size=2048)
-        rewrite_container_as_v1(fs, store_paths("serving_v1")["data"])
-        upgrade_store(fs, "serving_v1")
-        return "serving_v1"
-
-    def test_v1_and_v2_answer_identically(self, fs, lakes, v1_name, lakes_v2):
-        v1 = SpatialDataStore.open(fs, v1_name, cache_pages=1024)
-        v2 = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024)
-        assert len(v1) == len(v2) == len(lakes)
-        for env in windows(v2, n=10, seed=17):
-            a = [h.record_id for h in v1.range_query(env)]
-            b = [h.record_id for h in v2.range_query(env)]
-            assert a == b
-
-    def test_v1_scan_round_trips(self, fs, lakes, v1_name):
-        store = SpatialDataStore.open(fs, v1_name, cache_pages=1024)
-        for rid, geom in store.scan():
-            assert geom.wkt() == lakes[rid].wkt()
-            assert geom.userdata == lakes[rid].userdata
-
+class TestPageBudget:
     def test_v2_pages_respect_budget_including_column(self, fs, lakes):
         result = bulk_load(fs, "serving_budget", lakes, num_partitions=8, page_size=1024)
         store = SpatialDataStore.open(fs, "serving_budget")

@@ -69,6 +69,7 @@ from repro.store.format import (
     HEADER_SIZE,
     decode_page_columns,
     unpack_header,
+    unpack_page_checksums,
     unpack_page_directory,
 )
 
@@ -251,10 +252,11 @@ def test_header_counts_distinct_record_ids(scenario, checkpoint):
         if not path.endswith(".bin") or path.endswith("index.bin"):
             continue
         header = unpack_header(blob, file_size=len(blob))
-        directory = blob[header.dir_offset : header.dir_offset + header.dir_nbytes]
+        tail = header.dir_offset + header.dir_nbytes
+        crcs = unpack_page_checksums(blob[tail:], header.num_pages)
         ids = {
             record_id
-            for meta in unpack_page_directory(directory, header.num_pages)
+            for meta in unpack_page_directory(blob[header.dir_offset : tail], header.num_pages, crcs)
             for record_id in decode_page_columns(
                 blob[meta.offset : meta.offset + meta.nbytes]
             )[0]

@@ -221,6 +221,18 @@ class TestCensusScript:
         result = run("census.py", "src/pkgx", cwd=tmp_path)
         assert result.returncode == 0, result.stdout + result.stderr
 
+    def test_prose_in_a_string_literal_does_not_reach(self, tmp_path):
+        # only the module:name form counts: a name an error message tells
+        # the reader to call is not a caller
+        self._unreached_package(tmp_path)
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            'raise SystemExit("rewrite it with pkgx.mod.name(fs) or name first")\n'
+        )
+        result = run("census.py", "src/pkgx", cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stdout.split(": ")[0] == "pkgx.mod:name"
+
     def test_exclude_skips_a_package(self, tmp_path):
         self._unreached_package(tmp_path, sub="bench")
         assert run("census.py", "src/pkgx", cwd=tmp_path).returncode == 1
