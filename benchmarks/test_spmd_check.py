@@ -47,7 +47,7 @@ def check_store(lustre, join_datasets):
 
 
 def test_armed_check_overhead(lustre, check_store, benchmark, once):
-    """Arming ``enable_collective_check`` on the sharded batch-serving path
+    """Arming ``collective_check()`` on the sharded batch-serving path
     must cost ≤ 5% over the unarmed run — pinned here so the verifier stays
     cheap enough to leave on under every SPMD test."""
     queries = check_store["queries"]

@@ -11,8 +11,8 @@ communication in rank-conditional control flow:
   against a checked-in JSON baseline (:mod:`repro.analysis.baseline`) with
   ``# spmd: ignore[RULE] reason`` inline suppressions
   (:mod:`repro.analysis.suppress`).
-* :mod:`repro.analysis.runtime` — a MUST-style lockstep verifier armed via
-  :meth:`repro.mpisim.comm.Communicator.enable_collective_check`: every
+* :mod:`repro.analysis.runtime` — a MUST-style lockstep verifier armed by
+  :func:`~repro.analysis.runtime.collective_check`: every
   collective piggybacks an ``(op, callsite, seq, root)`` record on the
   rendezvous and any disagreement raises
   :class:`~repro.mpisim.errors.CollectiveMismatchError` naming the
@@ -24,12 +24,7 @@ examples, the suppression syntax and the baseline workflow.
 """
 
 from .baseline import Baseline, load_baseline, write_baseline
-from .runtime import (
-    CollectiveMismatchError,
-    collective_check,
-    collective_check_default,
-    set_collective_check_default,
-)
+from .runtime import CollectiveMismatchError, collective_check
 from .spmd import RULES, Finding, lint_file, lint_paths, lint_source
 
 __all__ = [
@@ -43,6 +38,4 @@ __all__ = [
     "write_baseline",
     "CollectiveMismatchError",
     "collective_check",
-    "collective_check_default",
-    "set_collective_check_default",
 ]

@@ -12,49 +12,18 @@ the divergent ranks and both callsites — instead of the virtual-clock
 deadlock timeout ("all live ranks blocked in communication") the same bug
 produces unarmed, minutes later and with no pointer to the divergence.
 
-Three ways to arm it, from narrowest to widest scope:
+:func:`collective_check` is the one switch: it arms every communicator
+constructed inside its block (``tests/store/conftest.py`` arms the
+1/2/4-rank equality batteries this way, the CI smoke wraps its armed
+serving runs in it)::
 
-* per communicator — ``comm.enable_collective_check()`` inside the SPMD
-  function (``strict=True`` additionally requires identical callsites);
-* per suite — :func:`collective_check` /
-  :func:`set_collective_check_default` flip the process-wide default that
-  newly constructed communicators sample (``tests/store/conftest.py`` arms
-  the 1/2/4-rank equality batteries this way);
-* per process — the ``SPMD_CHECK=1`` environment variable (the CI smoke
-  uses ``SPMD_CHECK_QUICK=1`` to run the quick batteries armed).
+    with collective_check():
+        result = mpisim.run_spmd(prog, nprocs=4)
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
-from ..mpisim.comm import (
-    collective_check_default,
-    set_collective_check_default,
-)
+from ..mpisim.comm import collective_check
 from ..mpisim.errors import CollectiveMismatchError
 
-__all__ = [
-    "CollectiveMismatchError",
-    "collective_check",
-    "collective_check_default",
-    "set_collective_check_default",
-]
-
-
-@contextmanager
-def collective_check(enabled: bool = True) -> Iterator[None]:
-    """Temporarily set the process-wide armed default (restored on exit).
-
-    Communicators are constructed when ``run_spmd`` launches its ranks, so
-    wrapping the ``run_spmd`` call is enough::
-
-        with collective_check():
-            result = mpisim.run_spmd(prog, nprocs=4)
-    """
-    previous = set_collective_check_default(enabled)
-    try:
-        yield
-    finally:
-        set_collective_check_default(previous)
+__all__ = ["CollectiveMismatchError", "collective_check"]

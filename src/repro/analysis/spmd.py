@@ -652,30 +652,21 @@ def _in_vclock_scope(path: str) -> bool:
     return not any(fragment in norm for fragment in _VCLOCK_ALLOWLIST)
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    vclock_scope: Optional[bool] = None,
-    apply_suppressions: bool = True,
-) -> List[Finding]:
-    """Lint one module's *source*; *path* is used for reporting and — unless
-    *vclock_scope* is forced — for deciding whether SPMD004 applies."""
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Lint one module's *source*; *path* is used for reporting and for
+    deciding whether SPMD004 applies.  Inline suppressions are applied."""
     tree = ast.parse(source, filename=path)
-    if vclock_scope is None:
-        vclock_scope = _in_vclock_scope(path)
     lines = source.splitlines()
-    findings = _ModuleLinter(tree, path, lines, vclock_scope).run()
-    if apply_suppressions:
-        silenced = suppressed_rules(parse_suppressions(source))
-        findings = [
-            f
-            for f in findings
-            if not (
-                f.line in silenced
-                and (f.rule in silenced[f.line] or "*" in silenced[f.line])
-            )
-        ]
-    return findings
+    findings = _ModuleLinter(tree, path, lines, _in_vclock_scope(path)).run()
+    silenced = suppressed_rules(parse_suppressions(source))
+    return [
+        f
+        for f in findings
+        if not (
+            f.line in silenced
+            and (f.rule in silenced[f.line] or "*" in silenced[f.line])
+        )
+    ]
 
 
 def lint_file(path: Union[str, Path], root: Optional[Path] = None) -> List[Finding]:

@@ -215,21 +215,3 @@ class SpatialComputation(ABC):
             breakdown=PhaseBreakdown.from_clock(comm),
             local_geometries=local_count,
         )
-
-    # ------------------------------------------------------------------ #
-    def run_gathered(
-        self,
-        comm: Communicator,
-        left_path: str,
-        right_path: Optional[str] = None,
-        root: int = 0,
-    ) -> Optional[List[Any]]:
-        """Run the computation and gather every rank's results at *root*."""
-        local = self.run(comm, left_path, right_path)
-        gathered = comm.gather(local.local_results, root=root)
-        if comm.rank != root:
-            return None
-        out: List[Any] = []
-        for chunk in gathered or []:
-            out.extend(chunk)
-        return out

@@ -68,13 +68,6 @@ class LocalPartition:
     #: number of geometry replicas this rank produced during assignment
     replicas_sent: int = 0
 
-    @property
-    def num_local_geometries(self) -> int:
-        return sum(len(v) for v in self.cells.values())
-
-    def owned_cells(self) -> List[int]:
-        return sorted(self.cells)
-
 
 def compute_global_extent(comm: Communicator, geometries: Sequence[Geometry], margin: float = 0.0) -> Envelope:
     """All-reduce of the local MBRs with the ``MPI_UNION`` operator.

@@ -62,12 +62,9 @@ class DistributedIndex(SpatialComputation):
         fs: SimulatedFilesystem,
         partition_config: Optional[PartitionConfig] = None,
         grid_config: Optional[GridPartitionConfig] = None,
-        strategy: str = "message",
-        node_capacity: int = 16,
         exchange_window: Optional[int] = None,
     ) -> None:
-        super().__init__(fs, partition_config, grid_config, strategy, exchange_window)
-        self.node_capacity = node_capacity
+        super().__init__(fs, partition_config, grid_config, exchange_window=exchange_window)
 
     def refine(
         self,
@@ -75,7 +72,7 @@ class DistributedIndex(SpatialComputation):
         left: Sequence[Geometry],
         right: Sequence[Geometry],
     ) -> List[CellIndex]:
-        tree: STRtree = STRtree(((g.envelope, g) for g in left), node_capacity=self.node_capacity)
+        tree: STRtree = STRtree((g.envelope, g) for g in left)
         return [CellIndex(cell=cell, tree=tree)]
 
     # ------------------------------------------------------------------ #

@@ -23,7 +23,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..geometry import Envelope, Geometry, predicates
 from ..index import GridCell, STRtree
-from ..mpisim import Communicator
 from ..pfs import SimulatedFilesystem
 from .framework import SpatialComputation
 from .grid_partition import GridPartitionConfig
@@ -72,19 +71,17 @@ def join_cell(
     left: Sequence[Geometry],
     right: Sequence[Geometry],
     predicate: Predicate = predicates.intersects,
-    deduplicate: bool = True,
-    node_capacity: int = 16,
 ) -> List[JoinPair]:
     """Filter-and-refine join of one cell's two geometry collections."""
     if not left or not right:
         return []
-    tree: STRtree = STRtree(((g.envelope, g) for g in right), node_capacity=node_capacity)
+    tree: STRtree = STRtree((g.envelope, g) for g in right)
     results: List[JoinPair] = []
     for lg in left:
         lenv = lg.envelope
         for rg in tree.query(lenv):
             renv = rg.envelope
-            if deduplicate and not _cell_reports_pair(cell, lenv, renv):
+            if not _cell_reports_pair(cell, lenv, renv):
                 continue
             if predicate(lg, rg):
                 results.append(JoinPair(lg, rg, cell.cell_id))
@@ -111,11 +108,9 @@ class SpatialJoin(SpatialComputation):
         grid_config: Optional[GridPartitionConfig] = None,
         strategy: str = "message",
         exchange_window: Optional[int] = None,
-        deduplicate: bool = True,
     ) -> None:
         super().__init__(fs, partition_config, grid_config, strategy, exchange_window)
         self.predicate = predicate
-        self.deduplicate = deduplicate
 
     def refine(
         self,
@@ -123,12 +118,4 @@ class SpatialJoin(SpatialComputation):
         left: Sequence[Geometry],
         right: Sequence[Geometry],
     ) -> List[JoinPair]:
-        return join_cell(cell, left, right, self.predicate, self.deduplicate)
-
-    # ------------------------------------------------------------------ #
-    def count_pairs(self, comm: Communicator, left_path: str, right_path: str) -> int:
-        """Total number of join pairs across all ranks (allreduce)."""
-        from ..mpisim import ops
-
-        local = self.run(comm, left_path, right_path)
-        return comm.allreduce(len(local.local_results), ops.SUM)
+        return join_cell(cell, left, right, self.predicate)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..io import File, Info
+from ..io import File
 from ..mpisim import Communicator, Datatype, MPI_BYTE, create_indexed, create_vector
 from ..pfs import SimulatedFilesystem
 
@@ -61,7 +61,6 @@ def read_fixed_records_roundrobin(
     path: str,
     record_type: Datatype,
     records_per_block: int,
-    info: Optional[Info] = None,
 ) -> bytes:
     """Collective non-contiguous read of a binary file of fixed-size records.
 
@@ -72,7 +71,7 @@ def read_fixed_records_roundrobin(
     """
     if records_per_block < 1:
         raise ValueError("records_per_block must be >= 1")
-    fh = File.Open(comm, fs, path, info=info)
+    fh = File.Open(comm, fs, path)
     try:
         file_size = fh.Get_size()
         record_size = record_type.size
@@ -129,13 +128,10 @@ class RecordIndex:
         return len(self.offsets)
 
 
-def build_record_index(
-    fs: SimulatedFilesystem,
-    path: str,
-    delimiter: bytes = b"\n",
-    chunk_size: int = 4 << 20,
-) -> RecordIndex:
-    """Sequential preprocessing pass recording every record's offset/length."""
+def build_record_index(fs: SimulatedFilesystem, path: str) -> RecordIndex:
+    """Sequential preprocessing pass recording every record's offset/length
+    (records end at a newline; the file is read 4 MiB at a time)."""
+    delimiter, chunk_size = b"\n", 4 << 20
     offsets: List[int] = []
     lengths: List[int] = []
     with fs.open(path) as fh:
@@ -169,7 +165,6 @@ def read_variable_records_roundrobin(
     path: str,
     index: RecordIndex,
     records_per_block: int,
-    info: Optional[Info] = None,
 ) -> List[bytes]:
     """Collective non-contiguous read of variable-length records.
 
@@ -200,7 +195,7 @@ def read_variable_records_roundrobin(
         else:
             runs.append((start, start + length, [rid]))
 
-    fh = File.Open(comm, fs, path, info=info)
+    fh = File.Open(comm, fs, path)
     try:
         if not my_record_ids:
             fh.read_all(0)

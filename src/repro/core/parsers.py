@@ -41,8 +41,7 @@ class ParseStats:
 class GeometryParser(ABC):
     """Parse one record (a text line) into a geometry."""
 
-    def __init__(self, skip_invalid: bool = True) -> None:
-        self.skip_invalid = skip_invalid
+    def __init__(self) -> None:
         self.stats = ParseStats()
 
     @abstractmethod
@@ -51,18 +50,17 @@ class GeometryParser(ABC):
 
     # ------------------------------------------------------------------ #
     def parse(self, record: str) -> Optional[Geometry]:
-        """Parse one record, honouring ``skip_invalid`` and updating stats."""
+        """Parse one record, updating stats; an invalid record counts as
+        failed and parses to ``None``."""
         self.stats.records += 1
         stripped = record.strip()
         if not stripped:
             return None
         try:
             geom = self.parse_record(stripped)
-        except (WKTParseError, ValueError) as exc:
-            if self.skip_invalid:
-                self.stats.failed += 1
-                return None
-            raise
+        except (WKTParseError, ValueError):
+            self.stats.failed += 1
+            return None
         if geom is None:
             self.stats.failed += 1
             return None
@@ -79,11 +77,10 @@ class GeometryParser(ABC):
                 out.append(geom)
         return out
 
-    def parse_buffer(self, data: bytes, delimiter: bytes = b"\n") -> List[Geometry]:
-        """Parse a raw byte buffer of delimiter-separated records (this is the
+    def parse_buffer(self, data: bytes) -> List[Geometry]:
+        """Parse a raw byte buffer of newline-separated records (this is the
         shape of the data coming out of the file-partitioning layer)."""
-        text = data.decode("utf-8", errors="replace")
-        return self.parse_many(text.split(delimiter.decode()))
+        return self.parse_many(data.decode("utf-8", errors="replace").split("\n"))
 
 
 class WKTParser(GeometryParser):

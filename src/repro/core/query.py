@@ -50,12 +50,9 @@ class RangeQuery(SpatialComputation):
         queries: Sequence[Tuple[Any, Envelope]],
         partition_config: Optional[PartitionConfig] = None,
         grid_config: Optional[GridPartitionConfig] = None,
-        strategy: str = "message",
-        deduplicate: bool = True,
     ) -> None:
-        super().__init__(fs, partition_config, grid_config, strategy)
+        super().__init__(fs, partition_config, grid_config)
         self.queries = list(queries)
-        self.deduplicate = deduplicate
 
     # ------------------------------------------------------------------ #
     def refine(
@@ -71,7 +68,7 @@ class RangeQuery(SpatialComputation):
         for window in right:
             wenv = window.envelope
             for geom in tree.query(wenv):
-                if self.deduplicate and not _cell_reports_pair(cell, wenv, geom.envelope):
+                if not _cell_reports_pair(cell, wenv, geom.envelope):
                     continue
                 if predicates.intersects(window, geom):
                     matches.append(

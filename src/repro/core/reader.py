@@ -84,13 +84,13 @@ class VectorIO:
             parse_seconds=parse_after - parse_before,
         )
 
-    def sequential_read(self, path: str, parser: Optional[GeometryParser] = None) -> ReadReport:
+    def sequential_read(self, path: str) -> ReadReport:
         """Single-process baseline (the "sequential parsing time" column of
         Table 3): read the whole file and parse it without MPI."""
         from ..mpisim import run_spmd
 
         def prog(comm: Communicator) -> ReadReport:
-            return self.read_geometries(comm, path, parser)
+            return self.read_geometries(comm, path)
 
         result = run_spmd(prog, 1)
         return result.values[0]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..geometry import Envelope
-from ..pfs import SimulatedFilesystem, StripeLayout
+from ..pfs import SimulatedFilesystem
 
 __all__ = [
     "MBR_RECORD_FLOAT32",
@@ -69,7 +69,6 @@ def write_mbr_file(
     path: str,
     envelopes: Iterable[Envelope],
     precision: str = "float32",
-    layout: Optional[StripeLayout] = None,
 ) -> int:
     """Write envelopes as fixed binary records; returns the record count."""
     record = _mbr_record(precision)
@@ -78,7 +77,7 @@ def write_mbr_file(
     for env in envelopes:
         out += record.pack(*env.as_tuple())
         count += 1
-    fs.create_file(path, bytes(out), layout=layout)
+    fs.create_file(path, bytes(out))
     return count
 
 

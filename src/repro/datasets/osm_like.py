@@ -14,7 +14,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
-from ..pfs import SimulatedFilesystem, StripeLayout
+from ..pfs import SimulatedFilesystem
 from .synthetic import (
     SyntheticConfig,
     generate_mixed_records,
@@ -79,7 +79,6 @@ def generate_dataset(
     name: str,
     scale: float = 1.0,
     config: Optional[SyntheticConfig] = None,
-    layout: Optional[StripeLayout] = None,
     path: Optional[str] = None,
 ) -> str:
     """Materialise a named dataset on a simulated filesystem.
@@ -97,5 +96,5 @@ def generate_dataset(
     records = spec.generator(count, cfg)
     payload = "\n".join(records) + "\n"
     target = path or dataset_path(name)
-    fs.create_file(target, payload.encode("utf-8"), layout=layout)
+    fs.create_file(target, payload.encode("utf-8"))
     return target

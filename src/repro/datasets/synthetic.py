@@ -137,12 +137,9 @@ def point_wkt(location: Coord) -> str:
 # --------------------------------------------------------------------------- #
 # record streams
 # --------------------------------------------------------------------------- #
-def generate_polygon_records(
-    count: int,
-    config: Optional[SyntheticConfig] = None,
-    with_attributes: bool = True,
-) -> Iterator[str]:
-    """Yield *count* WKT polygon records (one per line, no newline)."""
+def generate_polygon_records(count: int, config: Optional[SyntheticConfig] = None) -> Iterator[str]:
+    """Yield *count* WKT polygon records (one per line, no newline), each
+    followed by tab-separated attributes."""
     cfg = config or SyntheticConfig()
     rng = random.Random(cfg.seed)
     placer = _Placer(cfg, rng)
@@ -151,16 +148,10 @@ def generate_polygon_records(
         vertices = _vertex_count(cfg, rng, minimum=3)
         radius = base_size * rng.lognormvariate(0.0, 0.8)
         record = polygon_wkt(placer.centre(), radius, vertices, rng)
-        if with_attributes:
-            record += f"\tid={i}\tlanduse={'water' if i % 7 == 0 else 'land'}"
-        yield record
+        yield record + f"\tid={i}\tlanduse={'water' if i % 7 == 0 else 'land'}"
 
 
-def generate_polyline_records(
-    count: int,
-    config: Optional[SyntheticConfig] = None,
-    with_attributes: bool = True,
-) -> Iterator[str]:
+def generate_polyline_records(count: int, config: Optional[SyntheticConfig] = None) -> Iterator[str]:
     """Yield *count* WKT linestring records (roads / river segments)."""
     cfg = config or SyntheticConfig()
     rng = random.Random(cfg.seed + 1)
@@ -169,34 +160,21 @@ def generate_polyline_records(
     for i in range(count):
         vertices = max(2, _vertex_count(cfg, rng, minimum=2))
         record = polyline_wkt(placer.centre(), seg, vertices, rng)
-        if with_attributes:
-            record += f"\tid={i}\thighway={'primary' if i % 5 == 0 else 'residential'}"
-        yield record
+        yield record + f"\tid={i}\thighway={'primary' if i % 5 == 0 else 'residential'}"
 
 
-def generate_point_records(
-    count: int,
-    config: Optional[SyntheticConfig] = None,
-    with_attributes: bool = True,
-) -> Iterator[str]:
+def generate_point_records(count: int, config: Optional[SyntheticConfig] = None) -> Iterator[str]:
     """Yield *count* WKT point records (OSM nodes / taxi pickups)."""
     cfg = config or SyntheticConfig()
     rng = random.Random(cfg.seed + 2)
     placer = _Placer(cfg, rng)
     for i in range(count):
-        record = point_wkt(placer.centre())
-        if with_attributes:
-            record += f"\tid={i}"
-        yield record
+        yield point_wkt(placer.centre()) + f"\tid={i}"
 
 
-def generate_mixed_records(
-    count: int,
-    config: Optional[SyntheticConfig] = None,
-    polygon_fraction: float = 0.5,
-    line_fraction: float = 0.3,
-) -> Iterator[str]:
-    """Yield a mixed stream of polygons / lines / points ("All Objects")."""
+def generate_mixed_records(count: int, config: Optional[SyntheticConfig] = None) -> Iterator[str]:
+    """Yield a mixed stream of polygons / lines / points ("All Objects"):
+    half polygons, 30 % lines, the rest points."""
     cfg = config or SyntheticConfig()
     rng = random.Random(cfg.seed + 3)
     polys = generate_polygon_records(count, cfg)
@@ -204,9 +182,9 @@ def generate_mixed_records(
     points = generate_point_records(count, cfg)
     for _ in range(count):
         draw = rng.random()
-        if draw < polygon_fraction:
+        if draw < 0.5:
             yield next(polys)
-        elif draw < polygon_fraction + line_fraction:
+        elif draw < 0.8:
             yield next(lines)
         else:
             yield next(points)

@@ -103,9 +103,6 @@ class FaultStats:
     #: (path, offset) of each bit-flipped read, for targeted assertions
     bitflip_sites: List[Tuple[str, int]] = field(default_factory=list)
 
-    @property
-    def total_faults(self) -> int:
-        return self.read_errors + self.short_reads + self.bitflips
 
 
 class FaultyFileHandle:
@@ -187,15 +184,6 @@ class FaultyFilesystem:
     def disarm(self) -> None:
         self.armed = False
 
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Forget RNG state and stats so a rerun replays identically."""
-        if seed is not None:
-            self.seed = seed
-        self._rngs.clear()
-        self.stats = FaultStats()
-        for rule in self.rules:
-            rule.injected = 0
-
     def _rng(self, rank: int) -> random.Random:
         rng = self._rngs.get(rank)
         if rng is None:
@@ -250,8 +238,8 @@ class FaultyFilesystem:
     def open(self, path: str, mode: str = "r"):
         return FaultyFileHandle(self.inner.open(path, mode), self, path)
 
-    def read_time(self, path, requests, readers=None) -> float:
-        base = self.inner.read_time(path, requests, readers)
+    def read_time(self, path, requests) -> float:
+        base = self.inner.read_time(path, requests)
         if not self.armed:
             return base
         rank = _thread_rank() or 0
@@ -299,20 +287,17 @@ class FaultyFilesystem:
     def layout_of(self, path: str):
         return self.inner.layout_of(path)
 
-    def create_file(self, path: str, data=None, layout=None) -> None:
-        self.inner.create_file(path, data, layout)
+    def create_file(self, path: str, data=None) -> None:
+        self.inner.create_file(path, data)
 
     def remove(self, path: str) -> None:
         self.inner.remove(path)
 
-    def create_file_from_local(self, path: str, local, layout=None) -> None:
-        self.inner.create_file_from_local(path, local, layout)
-
     def open_time(self) -> float:
         return self.inner.open_time()
 
-    def write_time(self, path, requests, writers=None) -> float:
-        return self.inner.write_time(path, requests, writers)
+    def write_time(self, path, requests) -> float:
+        return self.inner.write_time(path, requests)
 
     def describe(self) -> str:
         return f"faulty({self.inner.describe()}, rules={len(self.rules)})"
@@ -329,18 +314,15 @@ class RankFaultInjector:
     mid-collective.
     """
 
-    def __init__(self, fail_rank: int, after_calls: int = 0, op: Optional[str] = None) -> None:
+    def __init__(self, fail_rank: int, after_calls: int = 0) -> None:
         self.fail_rank = fail_rank
         self.after_calls = after_calls
-        self.op = op
         self.calls: Dict[int, int] = {}
 
     def __call__(self, op: str, rank: int) -> None:
         count = self.calls.get(rank, 0) + 1
         self.calls[rank] = count
         if rank != self.fail_rank:
-            return
-        if self.op is not None and op != self.op:
             return
         if count > self.after_calls:
             raise RankFaultError(

@@ -1,15 +1,13 @@
 """Low-level computational-geometry primitives.
 
 These are the routines a GEOS build would provide in C++: orientation tests,
-segment intersection, point-in-ring tests, ring signed area/centroid and
-distance kernels.  Everything above (the :mod:`repro.geometry.predicates` dispatch and
+segment intersection, point-in-ring tests and ring signed area.  Everything above (the :mod:`repro.geometry.predicates` dispatch and
 the geometry classes) is built from these functions, which keeps the numeric
 hot spots in one vectorisable place.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence, Tuple
 
 Coord = Tuple[float, float]
@@ -22,10 +20,7 @@ __all__ = [
     "point_in_ring",
     "point_on_ring",
     "ring_signed_area",
-    "ring_centroid",
     "segments_cross_ring",
-    "point_segment_distance",
-    "segment_segment_distance",
 ]
 
 _EPS = 1e-12
@@ -138,29 +133,6 @@ def ring_signed_area(ring: Sequence[Coord]) -> float:
     return total / 2.0
 
 
-def ring_centroid(ring: Sequence[Coord]) -> Coord:
-    """Area-weighted centroid of a ring (falls back to vertex mean for
-    degenerate zero-area rings)."""
-    n = len(ring)
-    if n == 0:
-        raise ValueError("empty ring has no centroid")
-    if ring[0] == ring[-1] and n > 1:
-        n -= 1
-    a = ring_signed_area(ring)
-    if abs(a) < _EPS:
-        xs = sum(p[0] for p in ring[:n]) / n
-        ys = sum(p[1] for p in ring[:n]) / n
-        return (xs, ys)
-    cx = cy = 0.0
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        cross = x1 * y2 - x2 * y1
-        cx += (x1 + x2) * cross
-        cy += (y1 + y2) * cross
-    return (cx / (6.0 * a), cy / (6.0 * a))
-
-
 def segments_cross_ring(a: Coord, b: Coord, ring: Sequence[Coord]) -> bool:
     """Does segment ``a-b`` intersect any edge of *ring*?"""
     n = len(ring)
@@ -174,31 +146,4 @@ def segments_cross_ring(a: Coord, b: Coord, ring: Sequence[Coord]) -> bool:
         if segments_intersect(a, b, p, q):
             return True
     return False
-
-
-def point_segment_distance(pt: Coord, a: Coord, b: Coord) -> float:
-    """Euclidean distance from *pt* to the closed segment ``a-b``."""
-    px, py = pt
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 < _EPS:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
-    t = max(0.0, min(1.0, t))
-    cx, cy = ax + t * dx, ay + t * dy
-    return math.hypot(px - cx, py - cy)
-
-
-def segment_segment_distance(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> float:
-    """Minimum distance between two closed segments."""
-    if segments_intersect(p1, p2, q1, q2):
-        return 0.0
-    return min(
-        point_segment_distance(p1, q1, q2),
-        point_segment_distance(p2, q1, q2),
-        point_segment_distance(q1, p1, p2),
-        point_segment_distance(q2, p1, p2),
-    )
 

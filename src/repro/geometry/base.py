@@ -10,7 +10,7 @@ from the source record.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Tuple
+from typing import Any
 
 from .envelope import Envelope
 
@@ -52,14 +52,6 @@ class Geometry(ABC):
 
     # convenience aliases ------------------------------------------------
     @property
-    def bounds(self) -> Tuple[float, float, float, float]:
-        """``(minx, miny, maxx, maxy)``; raises on empty geometries."""
-        env = self.envelope
-        if env.is_empty:
-            raise ValueError(f"empty {self.geom_type} has no bounds")
-        return env.as_tuple()
-
-    @property
     def mbr(self) -> Envelope:
         """Alias for :attr:`envelope`, matching the paper's terminology."""
         return self.envelope
@@ -79,12 +71,6 @@ class Geometry(ABC):
 
         return predicates.contains(self, other)
 
-    def distance(self, other: "Geometry") -> float:
-        """Minimum Euclidean distance between the two geometries."""
-        from . import predicates
-
-        return predicates.distance(self, other)
-
     # ------------------------------------------------------------------ #
     # measures — subclasses override where meaningful
     # ------------------------------------------------------------------ #
@@ -95,13 +81,6 @@ class Geometry(ABC):
     @property
     def length(self) -> float:
         return 0.0
-
-    @property
-    def centroid(self) -> Tuple[float, float]:
-        env = self.envelope
-        if env.is_empty:
-            raise ValueError("empty geometry has no centroid")
-        return env.centre
 
     # ------------------------------------------------------------------ #
     # misc

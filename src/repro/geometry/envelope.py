@@ -176,21 +176,6 @@ class Envelope:
     # ------------------------------------------------------------------ #
     # metrics
     # ------------------------------------------------------------------ #
-    def distance(self, other: "Envelope") -> float:
-        """Minimum distance between the two rectangles (0 when they touch)."""
-        if self.is_empty or other.is_empty:
-            return math.inf
-        dx = 0.0
-        if other.minx > self.maxx:
-            dx = other.minx - self.maxx
-        elif self.minx > other.maxx:
-            dx = self.minx - other.maxx
-        dy = 0.0
-        if other.miny > self.maxy:
-            dy = other.miny - self.maxy
-        elif self.miny > other.maxy:
-            dy = self.miny - other.maxy
-        return math.hypot(dx, dy)
 
     # ------------------------------------------------------------------ #
     # serialisation helpers (used by MPI_RECT / binary datasets)

@@ -111,21 +111,6 @@ class LineString(Geometry):
             total += math.hypot(x2 - x1, y2 - y1)
         return total
 
-    @property
-    def centroid(self) -> Coord:
-        """Length-weighted centroid of the segments."""
-        total_len = 0.0
-        cx = cy = 0.0
-        coords = self.coords
-        for (x1, y1), (x2, y2) in zip(coords, coords[1:]):
-            seg = math.hypot(x2 - x1, y2 - y1)
-            total_len += seg
-            cx += seg * (x1 + x2) / 2.0
-            cy += seg * (y1 + y2) / 2.0
-        if total_len == 0.0:
-            return coords[0]
-        return (cx / total_len, cy / total_len)
-
     # ------------------------------------------------------------------ #
     def segments(self) -> List[Tuple[Coord, Coord]]:
         """Consecutive coordinate pairs."""
@@ -161,10 +146,6 @@ class LinearRing(LineString):
     @property
     def area(self) -> float:
         return abs(self.signed_area)
-
-    @property
-    def centroid(self) -> Coord:
-        return algorithms.ring_centroid(self.coords)
 
     def contains_point(self, x: float, y: float) -> bool:
         """Point-in-ring test (boundary counts as inside)."""

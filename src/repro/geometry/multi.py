@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .base import Geometry
 from .envelope import Envelope
@@ -26,8 +26,8 @@ class GeometryCollection(Geometry):
     geom_type = "GeometryCollection"
     _member_type: type = Geometry
 
-    def __init__(self, geoms: Iterable[Geometry] = (), userdata: Any = None) -> None:
-        super().__init__(userdata)
+    def __init__(self, geoms: Iterable[Geometry] = ()) -> None:
+        super().__init__()
         members: List[Geometry] = []
         for g in geoms:
             if not isinstance(g, self._member_type):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Any, Tuple
 
 from .base import Geometry
@@ -49,15 +48,9 @@ class Point(Geometry):
     def num_points(self) -> int:
         return 1
 
-    @property
-    def centroid(self) -> Tuple[float, float]:
-        return (self.x, self.y)
-
     # ------------------------------------------------------------------ #
     def wkt(self) -> str:
         from .wkt import format_coord
 
         return f"POINT ({format_coord((self.x, self.y))})"
 
-    def distance_to_point(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)

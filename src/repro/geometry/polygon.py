@@ -62,10 +62,6 @@ class Polygon(Geometry):
         """Total boundary length (shell + holes)."""
         return self.shell.length + sum(h.length for h in self.holes)
 
-    @property
-    def centroid(self) -> Coord:
-        return self.shell.centroid
-
     # ------------------------------------------------------------------ #
     def contains_point(self, x: float, y: float) -> bool:
         """Point-in-polygon respecting holes (boundary counts as inside)."""

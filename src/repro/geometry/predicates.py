@@ -1,8 +1,7 @@
 """Geometry–geometry predicates (the refine-phase kernels).
 
 The spatial join defined in the paper uses ``intersects`` as its join
-predicate θ; ``contains`` and ``distance`` support range queries and nearest
-style analytics.  Dispatch is by geometry type pairs; every function first
+predicate θ; ``contains`` supports range queries.  Dispatch is by geometry type pairs; every function first
 performs the cheap envelope test (the filter step) before running the exact
 kernel.
 
@@ -39,7 +38,7 @@ from .multi import GeometryCollection
 from .point import Point
 from .polygon import Polygon
 
-__all__ = ["intersects", "contains", "distance", "envelope_intersects"]
+__all__ = ["intersects", "contains", "envelope_intersects"]
 
 Coord = Tuple[float, float]
 
@@ -268,48 +267,3 @@ def contains(a: Geometry, b: Geometry) -> bool:
             return True
         return False
     raise TypeError(f"unsupported geometry pair: {a.geom_type} / {b.geom_type}")
-
-
-# --------------------------------------------------------------------------- #
-# distance
-# --------------------------------------------------------------------------- #
-def distance(a: Geometry, b: Geometry) -> float:
-    """Minimum Euclidean distance (0 when the geometries intersect)."""
-    if intersects(a, b):
-        return 0.0
-    if isinstance(a, GeometryCollection):
-        return min(distance(g, b) for g in a)
-    if isinstance(b, GeometryCollection):
-        return min(distance(a, g) for g in b)
-
-    if isinstance(a, Point) and isinstance(b, Point):
-        return a.distance_to_point(b)
-    if isinstance(a, Point):
-        return _point_geom_distance(a, b)
-    if isinstance(b, Point):
-        return _point_geom_distance(b, a)
-
-    segs_a = _boundary_segments(a)
-    segs_b = _boundary_segments(b)
-    return min(
-        algorithms.segment_segment_distance(p1, p2, q1, q2)
-        for (p1, p2), (q1, q2) in product(segs_a, segs_b)
-    )
-
-
-def _point_geom_distance(p: Point, other: Geometry) -> float:
-    segs = _boundary_segments(other)
-    return min(algorithms.point_segment_distance(p.coord, s, e) for s, e in segs)
-
-
-def _boundary_segments(g: Geometry) -> list[Tuple[Tuple[float, float], Tuple[float, float]]]:
-    if isinstance(g, LineString):
-        return g.segments()
-    if isinstance(g, Polygon):
-        segs = []
-        for ring in g.rings():
-            segs.extend(zip(ring.coords, ring.coords[1:]))
-        return segs
-    if isinstance(g, Point):
-        return [(g.coord, g.coord)]
-    raise TypeError(f"unsupported geometry type {g.geom_type}")

@@ -9,8 +9,11 @@ An ``STRtree`` node stores its entries once, as flat rows ``(minx, miny, maxx,
 maxy, entry)`` — *entry* is the payload in a leaf and the child node above
 one — so a query is one interpreted loop over floats with
 :meth:`Envelope.intersects`' comparison inlined (same operands, same order:
-NaN and ±inf bounds answer as they do there) and no object is built per
-entry.  **Result order is part of the contract**: a depth-first walk taking a
+±inf bounds, and NaN bounds of a *window*, answer as they do there) and no
+object is built per entry.  An item whose MBR holds a NaN bound is not a box
+— no node union could cover it — so the constructor refuses it with a
+:class:`ValueError`, as the grid and the store writer do; empty items are
+dropped.  **Result order is part of the contract**: a depth-first walk taking a
 node's last intersecting child first, each leaf's rows in packed order.
 """
 
@@ -41,6 +44,13 @@ class _STRNode:
         self.envelope = envelope
         self.leaf = leaf
         self.entries = entries
+
+
+def _skip_empty(env: Envelope) -> bool:
+    """False for an empty item (dropped at build); a NaN bound raises."""
+    if env.is_empty:
+        return False
+    raise ValueError(f"cannot index {env!r}: it is not a box (a NaN bound)")
 
 
 def _centre_x(row: _Row) -> float:
@@ -78,7 +88,7 @@ class STRtree(Generic[T]):
         rows = [
             (env.minx, env.miny, env.maxx, env.maxy, payload)
             for env, payload in items
-            if not env.is_empty
+            if (env.minx <= env.maxx and env.miny <= env.maxy) or _skip_empty(env)
         ]
         self._size = len(rows)
         self._root = self._build(rows)

@@ -62,11 +62,9 @@ def hilbert_encode(ix: int, iy: int, order: int = 16) -> int:
     return d
 
 
-def sort_by_hilbert(
-    points: Sequence[Tuple[float, float]], extent: Envelope, order: int = 16
-) -> List[int]:
-    """Indices of *points* sorted by Hilbert distance on the ``2**order``
-    grid laid over *extent* (ties keep input order).
+def sort_by_hilbert(points: Sequence[Tuple[float, float]], extent: Envelope) -> List[int]:
+    """Indices of *points* sorted by Hilbert distance on the ``2**16`` grid
+    laid over *extent* (ties keep input order).
 
     Each coordinate is scaled onto the grid and clamped in float space
     before it becomes an integer: a point outside the extent, at ±inf or
@@ -74,6 +72,7 @@ def sort_by_hilbert(
     cell 0 — so any window or record has a place in the order (over an
     empty extent every point is on cell 0: input order).
     """
+    order = 16
     side = float((1 << order) - 1)
     x0, y0 = extent.minx, extent.miny
     wx, wy = extent.width or 1.0, extent.height or 1.0

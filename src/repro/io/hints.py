@@ -63,10 +63,5 @@ class Info:
     def items(self):
         return self._data.items()
 
-    def copy(self) -> "Info":
-        new = Info()
-        new._data = dict(self._data)
-        return new
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Info({self._data})"

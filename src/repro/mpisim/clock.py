@@ -58,17 +58,12 @@ class CommCostModel:
 class VirtualClock:
     """Per-rank simulated clock.
 
-    ``now`` only moves forward.  ``compute_scale`` converts measured thread
-    CPU seconds into simulated seconds; the default of 1.0 reports real CPU
-    effort, while benchmarks model faster cluster cores by setting it below
-    one.
+    ``now`` only moves forward.  Measured thread CPU seconds are charged
+    one for one: a simulated second of compute is a real second of CPU.
     """
 
-    def __init__(self, compute_scale: float = 1.0) -> None:
-        if compute_scale <= 0:
-            raise ValueError("compute_scale must be positive")
+    def __init__(self) -> None:
         self._now = 0.0
-        self.compute_scale = compute_scale
         #: per-category accumulated time, e.g. {"io": 1.2, "comm": 0.3}
         self.breakdown: Dict[str, float] = {}
 
@@ -76,10 +71,6 @@ class VirtualClock:
     @property
     def now(self) -> float:
         return self._now
-
-    def reset(self) -> None:
-        self._now = 0.0
-        self.breakdown.clear()
 
     def advance(self, seconds: float, category: str = "other") -> float:
         """Advance the clock by *seconds* (negative values are ignored)."""
@@ -107,8 +98,7 @@ class VirtualClock:
         try:
             yield
         finally:
-            elapsed = (time.thread_time() - start) * self.compute_scale
-            self.advance(elapsed, category=category)
+            self.advance(time.thread_time() - start, category=category)
 
     def category(self, name: str) -> float:
         """Accumulated simulated seconds charged to *name*."""

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .clock import VirtualClock
 from .errors import CollectiveMismatchError, MPIError
@@ -24,39 +25,37 @@ from .ops import Op
 from .status import ANY_SOURCE, ANY_TAG, Request, Status
 from .world import World, _Message, payload_nbytes
 
-__all__ = [
-    "Communicator",
-    "collective_check_default",
-    "set_collective_check_default",
-]
+__all__ = ["Communicator", "collective_check"]
 
 # ---------------------------------------------------------------------- #
 # lockstep collective verification (the dynamic half of repro.analysis)
 # ---------------------------------------------------------------------- #
-# Default armed state for newly constructed communicators.  Opt in per
-# process via SPMD_CHECK=1, per suite via set_collective_check_default()
-# (tests/store/conftest.py arms the equality batteries this way), or per
-# communicator via enable_collective_check().
-_check_default: bool = os.environ.get("SPMD_CHECK", "") not in ("", "0")
+# Armed state of newly constructed communicators; collective_check() is the
+# one switch (tests/store/conftest.py arms the equality batteries with it).
+_check_default = False
 
 _THIS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def collective_check_default() -> bool:
-    """Whether new communicators arm the lockstep collective check."""
-    return _check_default
+@contextmanager
+def collective_check(enabled: bool = True) -> Iterator[None]:
+    """Arm (or, with ``enabled=False``, disarm) the lockstep verifier on
+    every communicator constructed inside the block; the previous state is
+    restored on exit.
 
+    Communicators are constructed when ``run_spmd`` launches its ranks (and
+    ``split``/``dup`` inherit the state), so wrapping the ``run_spmd`` call
+    arms every rank alike::
 
-def set_collective_check_default(enabled: bool) -> bool:
-    """Set the process-wide default armed state; returns the previous value.
-
-    Only communicators constructed afterwards (e.g. by the next
-    ``run_spmd``) observe the change.
+        with collective_check():
+            result = mpisim.run_spmd(prog, nprocs=4)
     """
     global _check_default
-    previous = _check_default
-    _check_default = bool(enabled)
-    return previous
+    previous, _check_default = _check_default, bool(enabled)
+    try:
+        yield
+    finally:
+        _check_default = previous
 
 
 def _callsite() -> str:
@@ -103,12 +102,11 @@ class Communicator:
         # optional fault-injection hook (attach_fault_hook); same
         # None-checked-per-operation contract as the metrics sink
         self._fault_hook = None
-        # lockstep collective verification: armed state is sampled from the
-        # process default at construction (and inherited by split/dup), the
-        # sequence number counts this communicator's collectives so armed
-        # ranks can detect a peer that skipped or repeated one
+        # lockstep collective verification: armed state is sampled from
+        # collective_check() at construction (and inherited by split/dup),
+        # the sequence number counts this communicator's collectives so
+        # armed ranks can detect a peer that skipped or repeated one
         self._check_enabled = _check_default
-        self._check_strict = False
         self._check_seq = 0
 
     # ------------------------------------------------------------------ #
@@ -146,61 +144,29 @@ class Communicator:
     # ------------------------------------------------------------------ #
     # lockstep collective verification
     # ------------------------------------------------------------------ #
-    def enable_collective_check(self, strict: bool = False) -> None:
-        """Arm the lockstep verifier on this communicator.
-
-        Every subsequent collective piggybacks an ``(op, callsite, seq,
-        root)`` record on its rendezvous; if the participating ranks
-        disagree on ``(op, seq, root)`` — or, with ``strict=True``, on the
-        callsite as well — every rank raises
-        :class:`~repro.mpisim.errors.CollectiveMismatchError` naming the
-        divergent ranks and both callsites.  Non-strict is the default
-        because matched collectives issued from different lines of a
-        rank-conditional (root branch vs worker branch) are a legitimate
-        SPMD pattern; the callsites are still *named* in the error.
-
-        All members must arm together (SPMD): an armed rank meeting an
-        unarmed peer in a collective reports that as a mismatch too.
-        """
-        self._check_enabled = True
-        self._check_strict = strict
-
     def _verify_lockstep(self, gathered: List[Tuple[Any, ...]]) -> None:
-        records = [entry[3] if len(entry) > 3 else None for entry in gathered]
-        mine = records[self.rank]
+        """Raise :class:`~repro.mpisim.errors.CollectiveMismatchError` on
+        every rank when the gathered ``(op, callsite, seq, root)`` records
+        disagree on ``(op, seq, root)``.  Callsites are named but not
+        compared: matched collectives issued from both branches of a
+        rank-conditional (root branch vs worker branch) are legitimate."""
+        records = [entry[3] for entry in gathered]
         by_key: Dict[Tuple[Any, ...], List[int]] = {}
-        for rank, record in enumerate(records):
-            if record is None:
-                key: Tuple[Any, ...] = ("<collective check not armed>",)
-            elif self._check_strict:
-                key = record
-            else:
-                key = (record[0], record[2], record[3])  # op, seq, root
-            by_key.setdefault(key, []).append(rank)
+        for rank, (op, _, seq, root) in enumerate(records):
+            by_key.setdefault((op, seq, root), []).append(rank)
         if len(by_key) <= 1:
             return
         lines = []
-        for key, ranks in sorted(by_key.items(), key=lambda item: item[1][0]):
-            rendered = []
+        for ranks in sorted(by_key.values()):
             for rank in ranks:
-                record = records[rank]
-                if record is None:
-                    rendered.append(f"rank {rank}: collective check not armed")
-                    continue
-                op, callsite, seq, root = record
+                op, callsite, seq, root = records[rank]
                 root_part = f", root={root}" if root is not None else ""
-                rendered.append(
-                    f"rank {rank}: {op}() #{seq}{root_part} at {callsite}"
-                )
-            lines.extend(rendered)
-        mine_desc = (
-            f"{mine[0]}() #{mine[2]} at {mine[1]}" if mine is not None
-            else "unarmed"
-        )
+                lines.append(f"rank {rank}: {op}() #{seq}{root_part} at {callsite}")
+        op, callsite, seq, _ = records[self.rank]
         raise CollectiveMismatchError(
             f"collective lockstep mismatch on communicator {self.comm_id}: "
-            f"rank {self.rank} is in {mine_desc} but the participants "
-            f"disagree:\n  " + "\n  ".join(lines)
+            f"rank {self.rank} is in {op}() #{seq} at {callsite} but the "
+            f"participants disagree:\n  " + "\n  ".join(lines)
         )
 
     # ------------------------------------------------------------------ #
@@ -492,7 +458,6 @@ class Communicator:
         new_comm_id = base_id + colors.index(color)
         derived = Communicator(self.world, new_rank, member_world_ranks, new_comm_id)
         derived._check_enabled = self._check_enabled
-        derived._check_strict = self._check_strict
         return derived
 
     def dup(self) -> "Communicator":
@@ -502,7 +467,6 @@ class Communicator:
         new_id = (self.comm_id * 7919 + self._derived_count) * 1013 + 1
         derived = Communicator(self.world, self.rank, self._members, new_id)
         derived._check_enabled = self._check_enabled
-        derived._check_strict = self._check_strict
         return derived
 
     def __repr__(self) -> str:  # pragma: no cover

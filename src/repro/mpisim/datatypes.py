@@ -53,7 +53,6 @@ class Datatype:
         self._size = int(size)
         self._extent = int(extent)
         self._blocks = self._coalesce(sorted((int(o), int(l)) for o, l in blocks))
-        self._committed = False
 
     # -- MPI-style metadata ------------------------------------------------ #
     @property
@@ -74,17 +73,12 @@ class Datatype:
     def is_contiguous(self) -> bool:
         return len(self._blocks) == 1 and self._blocks[0] == (0, self._size) and self._extent == self._size
 
-    # -- commit / free mirror the MPI API ----------------------------------- #
+    # -- commit / free mirror the MPI API; a simulated type needs neither --- #
     def Commit(self) -> "Datatype":
-        self._committed = True
         return self
 
     def Free(self) -> None:
-        self._committed = False
-
-    @property
-    def committed(self) -> bool:
-        return self._committed
+        pass
 
     # -- layout expansion ---------------------------------------------------- #
     def layout(self, count: int, offset: int = 0) -> List[Block]:
@@ -126,10 +120,10 @@ class Datatype:
             out += buffer[off : off + length]
         return bytes(out)
 
-    def unpack(self, data: bytes, count: int, buffer: bytearray, offset: int = 0) -> None:
+    def unpack(self, data: bytes, count: int, buffer: bytearray) -> None:
         """Scatter packed *data* into *buffer* following the typemap."""
         pos = 0
-        for off, length in self.layout(count, offset):
+        for off, length in self.layout(count):
             buffer[off : off + length] = data[pos : pos + length]
             pos += length
 

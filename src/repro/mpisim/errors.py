@@ -39,8 +39,8 @@ class RankFaultError(MPIError):
 class CollectiveMismatchError(MPIError):
     """Raised by the lockstep verifier when ranks disagree on a collective.
 
-    With :meth:`~repro.mpisim.comm.Communicator.enable_collective_check`
-    armed, every collective piggybacks an ``(op, callsite, seq, root)``
+    With :func:`~repro.mpisim.comm.collective_check` armed, every
+    collective piggybacks an ``(op, callsite, seq, root)``
     record on its rendezvous.  If the gathered records disagree — one rank
     in ``barrier()`` while another is in ``bcast()``, or two ranks passing
     different ``root`` values — every participating rank raises this error

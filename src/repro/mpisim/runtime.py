@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from .clock import CommCostModel, VirtualClock
+from .clock import VirtualClock
 from .comm import Communicator
 from .errors import MPIAbortError, MPIError
 from .world import World
@@ -60,9 +60,6 @@ def run_spmd(
     target: Callable[..., Any],
     nprocs: int,
     *args: Any,
-    cost_model: Optional[CommCostModel] = None,
-    compute_scale: float = 1.0,
-    shared: Optional[Dict[str, Any]] = None,
     timeout: Optional[float] = 300.0,
     **kwargs: Any,
 ) -> SPMDResult:
@@ -74,9 +71,7 @@ def run_spmd(
     """
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
-    world = World(nprocs, cost_model=cost_model, compute_scale=compute_scale)
-    if shared:
-        world.shared.update(shared)
+    world = World(nprocs)
 
     results: List[Any] = [None] * nprocs
     errors: List[Optional[BaseException]] = [None] * nprocs

@@ -220,17 +220,12 @@ class _CollectiveEngine:
 class World:
     """All shared state for one simulated MPI execution."""
 
-    def __init__(
-        self,
-        nprocs: int,
-        cost_model: Optional[CommCostModel] = None,
-        compute_scale: float = 1.0,
-    ) -> None:
+    def __init__(self, nprocs: int) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
         self.nprocs = nprocs
-        self.cost_model = cost_model or CommCostModel()
-        self.clocks = [VirtualClock(compute_scale=compute_scale) for _ in range(nprocs)]
+        self.cost_model = CommCostModel()
+        self.clocks = [VirtualClock() for _ in range(nprocs)]
         self.mailboxes = [_Mailbox(self) for _ in range(nprocs)]
         self._engines: Dict[int, _CollectiveEngine] = {}
         self._engines_lock = threading.Lock()

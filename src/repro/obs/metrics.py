@@ -194,13 +194,11 @@ class MetricsRegistry:
             metric = self._counters[key] = Counter()
         return metric
 
-    def histogram(
-        self, name: str, lo: float = 1e-9, nbuckets: int = 96, **labels: Any
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         key = metric_key(name, labels)
         metric = self._histograms.get(key)
         if metric is None:
-            metric = self._histograms[key] = Histogram(lo=lo, nbuckets=nbuckets)
+            metric = self._histograms[key] = Histogram()
         return metric
 
     # ------------------------------------------------------------------ #

@@ -81,13 +81,9 @@ class IOCostModel:
         self,
         layout: StripeLayout,
         requests: Sequence[ReadRequest],
-        readers: Optional[Sequence[int]] = None,
     ) -> float:
-        """Makespan of a set of concurrent read requests.
-
-        *readers* optionally restricts which ranks actually touch the
-        filesystem (the two-phase-I/O aggregators); by default every request's
-        rank is a reader.
+        """Makespan of a set of concurrent read requests (every request's rank
+        is a reader).
 
         The makespan is the maximum of three contended resources:
 
@@ -97,14 +93,11 @@ class IOCostModel:
         """
         if not requests:
             return 0.0
-        reader_set = set(readers) if readers is not None else {r.rank for r in requests}
 
         ost_loads: Dict[int, OSTLoad] = {}
         node_bytes: Dict[int, int] = {}
         client_requests: Dict[int, int] = {}
         for req in requests:
-            if req.rank not in reader_set:
-                continue
             node = self.cluster.node_of_rank(req.rank)
             node_bytes[node] = node_bytes.get(node, 0) + req.nbytes
             client_requests[req.rank] = client_requests.get(req.rank, 0) + req.num_requests

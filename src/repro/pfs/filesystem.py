@@ -116,18 +116,12 @@ class SimulatedFilesystem:
     # ------------------------------------------------------------------ #
     # file creation / access
     # ------------------------------------------------------------------ #
-    def create_file(
-        self,
-        path: str,
-        data: Optional[bytes] = None,
-        layout: Optional[StripeLayout] = None,
-    ) -> None:
-        """Create (or overwrite) a file with *data* and an optional layout."""
+    def create_file(self, path: str, data: Optional[bytes] = None) -> None:
+        """Create (or overwrite) a file with *data*; its layout is the one
+        :meth:`set_layout` recorded, else the default."""
         backing = self.backing_path(path)
         backing.parent.mkdir(parents=True, exist_ok=True)
         backing.write_bytes(data or b"")
-        if layout is not None:
-            self.set_layout(path, layout)
 
     def remove(self, path: str) -> None:
         """Delete a file (idempotent: a missing path is not an error).
@@ -136,21 +130,9 @@ class SimulatedFilesystem:
         recorded striping layout is forgotten with the file.
         """
         backing = self.backing_path(path)
-        if backing.exists() or backing.is_symlink():
+        if backing.exists():
             backing.unlink()
         self._layouts.pop(path.lstrip("/"), None)
-
-    def create_file_from_local(self, path: str, local: Union[str, Path], layout: Optional[StripeLayout] = None) -> None:
-        """Register an existing local file under *path* (no copy; a symlink is
-        created inside the filesystem root)."""
-        backing = self.backing_path(path)
-        backing.parent.mkdir(parents=True, exist_ok=True)
-        local = Path(local).resolve()
-        if backing.exists() or backing.is_symlink():
-            backing.unlink()
-        backing.symlink_to(local)
-        if layout is not None:
-            self.set_layout(path, layout)
 
     def open(self, path: str, mode: str = "r") -> FileHandle:
         return FileHandle(self, path, mode)
@@ -165,21 +147,19 @@ class SimulatedFilesystem:
         self,
         path: str,
         requests: List[ReadRequest],
-        readers: Optional[List[int]] = None,
     ) -> float:
         """Simulated makespan of a set of concurrent reads against *path*."""
-        return self.cost_model.parallel_read_time(self.layout_of(path), requests, readers)
+        return self.cost_model.parallel_read_time(self.layout_of(path), requests)
 
     def write_time(
         self,
         path: str,
         requests: List[ReadRequest],
-        writers: Optional[List[int]] = None,
     ) -> float:
         """Writes use the same contention model as reads (the paper only
         benchmarks reads; writes exist for the output path of overlay-style
         applications)."""
-        return self.cost_model.parallel_read_time(self.layout_of(path), requests, writers)
+        return self.cost_model.parallel_read_time(self.layout_of(path), requests)
 
     def describe(self) -> str:
         return f"{self.name}(root={self.root})"

@@ -11,7 +11,7 @@ reports a few GB/s on ROGER versus up to 22 GB/s on COMET).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .costmodel import ClusterConfig, IOCostModel
 from .filesystem import SimulatedFilesystem
@@ -25,29 +25,20 @@ class GPFSFilesystem(SimulatedFilesystem):
 
     name = "gpfs"
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        num_servers: int = 16,
-        server_bandwidth: float = 0.5e9,
-        server_latency: float = 6.0e-4,
-        block_size: int = 8 << 20,
-        cluster: Optional[ClusterConfig] = None,
-    ) -> None:
-        if num_servers < 1:
-            raise ValueError("num_servers must be >= 1")
-        self.num_servers = num_servers
-        self.block_size = block_size
+    #: NSD servers every file's 8 MiB blocks are spread over
+    num_servers = 16
+
+    def __init__(self, root: Union[str, Path]) -> None:
         cost_model = IOCostModel(
-            ost_bandwidth=server_bandwidth,
-            ost_latency=server_latency,
+            ost_bandwidth=0.5e9,
+            ost_latency=6.0e-4,
             # ROGER: 20 cores/node, 10 Gb/s uplink per node (§5 cluster info)
-            cluster=cluster or ClusterConfig(procs_per_node=20, nic_bandwidth=1.25e9),
+            cluster=ClusterConfig(procs_per_node=20, nic_bandwidth=1.25e9),
         )
         super().__init__(
             root,
             cost_model=cost_model,
-            default_layout=StripeLayout(stripe_size=block_size, stripe_count=num_servers),
+            default_layout=StripeLayout(stripe_size=8 << 20, stripe_count=self.num_servers),
         )
 
     def set_layout(self, path: str, layout: StripeLayout) -> None:  # type: ignore[override]

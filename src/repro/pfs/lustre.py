@@ -31,31 +31,23 @@ class LustreFilesystem(SimulatedFilesystem):
         self,
         root: Union[str, Path],
         ost_count: int = 96,
-        ost_bandwidth: float = 1.1e9,
-        ost_latency: float = 4.0e-4,
         cluster: Optional[ClusterConfig] = None,
-        default_stripe_size: int = 1 << 20,
-        default_stripe_count: int = 1,
     ) -> None:
         if ost_count < 1 or ost_count > self.MAX_OSTS:
             raise ValueError(f"ost_count must be in 1..{self.MAX_OSTS}")
         self.ost_count = ost_count
         cost_model = IOCostModel(
-            ost_bandwidth=ost_bandwidth,
-            ost_latency=ost_latency,
+            ost_bandwidth=1.1e9,
+            ost_latency=4.0e-4,
             cluster=cluster or ClusterConfig(procs_per_node=16, nic_bandwidth=7.0e9),
         )
-        super().__init__(
-            root,
-            cost_model=cost_model,
-            default_layout=StripeLayout(default_stripe_size, min(default_stripe_count, ost_count)),
-        )
+        super().__init__(root, cost_model=cost_model)
 
     # ------------------------------------------------------------------ #
-    def setstripe(self, path: str, stripe_size: int, stripe_count: int, ost_offset: int = 0) -> StripeLayout:
+    def setstripe(self, path: str, stripe_size: int, stripe_count: int) -> StripeLayout:
         """``lfs setstripe`` equivalent; clamps the stripe count to the number
         of OSTs actually present."""
         stripe_count = max(1, min(stripe_count, self.ost_count))
-        layout = StripeLayout(stripe_size=stripe_size, stripe_count=stripe_count, ost_offset=ost_offset)
+        layout = StripeLayout(stripe_size=stripe_size, stripe_count=stripe_count)
         self.set_layout(path, layout)
         return layout

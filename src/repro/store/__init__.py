@@ -75,7 +75,6 @@ from .format import (
     PageChecksumError,
     PageKey,
     PageMeta,
-    RecordRef,
     StoreError,
     StoreFormatError,
     StoreHeader,
@@ -161,7 +160,6 @@ __all__ = [
     "StoreFormatError",
     "StoreHeader",
     "PageMeta",
-    "RecordRef",
     "StoreManifest",
     "PartitionInfo",
     "ShardInfo",

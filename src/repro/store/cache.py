@@ -26,8 +26,8 @@ class CacheStats:
     Since PR 6 this is a facade over a
     :class:`~repro.obs.metrics.MetricsRegistry` (``cache.*`` counters), so
     cache counters merge and aggregate like every other metric; the
-    attribute surface (``stats.hits += 1``, ``as_dict()``, ``reset()``) is
-    unchanged from the original dataclass.
+    attribute surface (``stats.hits += 1``, ``as_dict()``) is unchanged
+    from the original dataclass.
     """
 
     __slots__ = ("registry", "_hits", "_misses", "_evictions")
@@ -81,9 +81,6 @@ class CacheStats:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -144,5 +141,5 @@ class LRUPageCache(Generic[K, V]):
         self._entries[key] = value
 
     def clear(self) -> None:
-        """Drop every entry (statistics are kept; use ``stats.reset()``)."""
+        """Drop every entry (statistics are kept)."""
         self._entries.clear()

@@ -24,7 +24,7 @@ reproduction; the accumulated simulated seconds are exposed via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..geometry import Envelope, Geometry, predicates
 from ..index import STRtree
@@ -59,7 +59,6 @@ __all__ = [
     "SpatialDataStore",
 ]
 
-Predicate = Callable[[Geometry, Geometry], bool]
 
 #: I/O scheduling policies: ``"fixed"`` coalesces across gaps of up to one
 #: page and reads nothing ahead; ``"cost_model"`` derives the gap and a
@@ -133,15 +132,11 @@ class StoreStats:
 
     __slots__ = ("registry", "cache") + tuple(f"_{n}" for n in _COUNTERS)
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        cache: Optional[CacheStats] = None,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         for name in self._COUNTERS:
             setattr(self, f"_{name}", self.registry.counter(f"store.{name}"))
-        self.cache = cache if cache is not None else CacheStats(self.registry)
+        self.cache = CacheStats(self.registry)
 
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {
@@ -149,12 +144,6 @@ class StoreStats:
         }
         out.update({f"cache_{k}": v for k, v in self.cache.as_dict().items()})
         return out
-
-    def reset(self) -> None:
-        """Zero every counter, cache counters included."""
-        for name in self._COUNTERS:
-            getattr(self, f"_{name}").value = 0
-        self.cache.reset()
 
     def __repr__(self) -> str:  # pragma: no cover
         inner = ", ".join(f"{n}={getattr(self, n):g}" for n in self._COUNTERS)
@@ -695,11 +684,6 @@ class SpatialDataStore:
             raise exc
         failed.append((key, exc))
 
-    @property
-    def quarantined_pages(self) -> Set[PageKey]:
-        """Snapshot of the known-bad page set (checksum/retry casualties)."""
-        return set(self._quarantined)
-
     def partition_of_page(self, key: PageKey) -> Optional[int]:
         """Partition owning *key* (degraded-result accounting helper)."""
         return self._partition_of_page.get(key)
@@ -764,17 +748,14 @@ class SpatialDataStore:
             queries, exact=exact, partial_ok=partial_ok, budget=budget
         )
 
-    def join(
-        self,
-        probes: Sequence[Geometry],
-        predicate: Predicate = predicates.intersects,
-    ) -> List[Tuple[Geometry, QueryHit]]:
+    def join(self, probes: Sequence[Geometry]) -> List[Tuple[Geometry, QueryHit]]:
         """Filter-and-refine join of in-memory *probes* against the store.
 
-        The store's packed index is the filter phase; *predicate* is the
-        refine phase.  Probes are served through :meth:`range_query_batch`,
-        so page touches are deduped and I/O is coalesced across the whole
-        probe collection.  Returns ``(probe, hit)`` pairs in probe order.
+        The store's packed index is the filter phase; ``intersects`` (the
+        paper's join predicate) is the refine phase.  Probes are served
+        through :meth:`range_query_batch`, so page touches are deduped and
+        I/O is coalesced across the whole probe collection.  Returns
+        ``(probe, hit)`` pairs in probe order.
         """
         probes = list(probes)
         per_probe = self.range_query_batch(
@@ -783,14 +764,12 @@ class SpatialDataStore:
         pairs: List[Tuple[Geometry, QueryHit]] = []
         for probe, hits in zip(probes, per_probe):
             for hit in hits:
-                if predicate(probe, hit.geometry):
+                if predicates.intersects(probe, hit.geometry):
                     pairs.append((probe, hit))
         return pairs
 
-    def explain(
-        self, window: Union[Envelope, Geometry], exact: bool = True
-    ) -> ExplainReport:
-        """EXPLAIN-by-executing: run ``range_query(window, exact)`` under a
+    def explain(self, window: Union[Envelope, Geometry]) -> ExplainReport:
+        """EXPLAIN-by-executing: run ``range_query(window)`` under a
         recording tracer and report where it spent its effort.
 
         The report is assembled from the recorded span hierarchy plus the
@@ -808,13 +787,13 @@ class SpatialDataStore:
         before = self.stats.as_dict()
         self.tracer = tracer
         try:
-            hits = self.range_query(window, exact=exact)
+            hits = self.range_query(window)
         finally:
             self.tracer = saved
         return build_store_explain(
             kind="range_query",
             window=str(window),
-            exact=exact,
+            exact=True,
             num_hits=len(hits),
             spans=tracer.spans,
             stats_before=before,

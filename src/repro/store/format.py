@@ -68,7 +68,6 @@ __all__ = [
     "StoreHeader",
     "PageMeta",
     "PageKey",
-    "RecordRef",
     "encode_record_body",
     "decode_page_columns",
     "decode_record_body",
@@ -139,19 +138,6 @@ class PageChecksumError(StoreError):
         super().__init__(message)
         self.page_id = page_id
         self.generation = generation
-
-
-class RecordRef(NamedTuple):
-    """Physical address of one record replica: (page id, slot within page).
-
-    The packed index does not hold these: its payload is the plain pair
-    ``(page_id, slot)``, which compares equal to a ``RecordRef``.  A
-    NamedTuple instance is not an exact tuple, so the cyclic collector never
-    untracks it (or the leaf row holding it); exact tuples of ints it does.
-    """
-
-    page_id: int
-    slot: int
 
 
 class PageKey(NamedTuple):

@@ -157,7 +157,6 @@ class AsyncStoreFrontend:
     def serve(
         self,
         batches: Optional[Sequence[Sequence[Tuple[Any, Envelope]]]],
-        exact: bool = True,
         partial_ok: bool = False,
         deadline: Optional[float] = None,
     ) -> Optional[FrontendResult]:
@@ -192,7 +191,7 @@ class AsyncStoreFrontend:
         start = clock.now
 
         def serve_shards(mine: List[Tuple[int, Any, Envelope]]) -> ShardRows:
-            return server._serve_shards(mine, exact, outcome, deadline)
+            return server._serve_shards(mine, exact=True, collect=outcome, deadline=deadline)
 
         result: Optional[FrontendResult] = None
         if comm.rank == 0:

@@ -19,8 +19,8 @@ objects, so it stays small and loads fast.  A loaded leaf row
 ``(minx, miny, maxx, maxy, (page_id, slot))`` is built of exact tuples, ints
 and floats only, which the cyclic collector untracks the first time it sees
 them: an opened index leaves the collector a few objects per *node*, none per
-item.  (A :class:`~repro.store.format.RecordRef` NamedTuple is not an exact
-tuple, so it and the row holding it would stay tracked for good.)
+item.  (A NamedTuple payload is not an exact tuple, so it and the row holding
+it would stay tracked for good.)
 """
 
 from __future__ import annotations

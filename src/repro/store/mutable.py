@@ -51,7 +51,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from ..core.grid_partition import assign_to_cells, build_grid
 from ..geometry import Geometry
 from ..index import UniformGrid
-from ..obs.trace import NULL_TRACER
 from ..pfs import SimulatedFilesystem
 from .datastore import SpatialDataStore
 from .manifest import (
@@ -159,12 +158,9 @@ class StoreAppender:
     shard manifests and then ``shards.json``.
     """
 
-    def __init__(self, fs: SimulatedFilesystem, name: str, tracer=None) -> None:
+    def __init__(self, fs: SimulatedFilesystem, name: str) -> None:
         self.fs = fs
         self.name = name
-        #: optional span recorder: append/compact phases show up on the same
-        #: timeline as the serving spans when a shared tracer is injected
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.manifest, _ = read_shards_manifest(fs, name)
 
     # ------------------------------------------------------------------ #
@@ -184,111 +180,100 @@ class StoreAppender:
         shard and stored in its new home shard only, so the new version
         shadows every older one.
         """
-        tracer = self.tracer
-        with tracer.span("append", store=self.name) as span:
-            geoms = list(geometries)
-            layout = self.manifest
-            ceiling = layout.next_record_id
+        geoms = list(geometries)
+        layout = self.manifest
+        ceiling = layout.next_record_id
 
-            if record_ids is None:
-                ids = list(range(ceiling, ceiling + len(geoms)))
-            else:
-                ids = [int(rid) for rid in record_ids]
-                if len(ids) != len(geoms):
-                    raise ValueError(
-                        f"record_ids has {len(ids)} entries for {len(geoms)} geometries"
-                    )
-                if len(set(ids)) != len(ids):
-                    raise ValueError("record_ids must be distinct within one append")
-                if any(rid < 0 for rid in ids):
-                    raise ValueError("record ids must be >= 0")
-
-            delete_ids = _checked_deletes(deletes, ceiling)
-            updates = {rid for rid in ids if rid < ceiling}
-            tombstones = sorted(set(delete_ids) | updates)
-
-            usable = _encoded(zip(ids, geoms))
-            if not usable and not tombstones:
-                span.set(gen_id=None, records=0, tombstones=0, pages=0, data_bytes=0)
-                return AppendResult(layout, None, 0, 0, 0, 0, 0, 0, 0.0)
-
-            new_grid = layout.extent.is_empty and bool(usable)
-            if new_grid:
-                # first append to an empty store: establish the grid (and the
-                # extent it is reconstructed from) over this batch; the first
-                # shard owns every cell
-                extent = _union(rec.envelope for rec in usable)
-                grid = build_grid(extent, layout.grid_rows * layout.grid_cols)
-                layout.extent, layout.grid_rows, layout.grid_cols = (
-                    grid.extent, grid.rows, grid.cols
+        if record_ids is None:
+            ids = list(range(ceiling, ceiling + len(geoms)))
+        else:
+            ids = [int(rid) for rid in record_ids]
+            if len(ids) != len(geoms):
+                raise ValueError(
+                    f"record_ids has {len(ids)} entries for {len(geoms)} geometries"
                 )
-                for shard in layout.shards:
-                    shard.partition_ids = [] if shard.shard_id else list(range(grid.num_cells))
-            router = ShardRouter(layout)
-            owner = layout.partition_to_shard()
-            routed: Dict[int, List[_Rec]] = {}
-            for rec in usable:
-                routed.setdefault(owner[router.home_partition(rec.envelope)], []).append(rec)
+            if len(set(ids)) != len(ids):
+                raise ValueError("record_ids must be distinct within one append")
+            if any(rid < 0 for rid in ids):
+                raise ValueError("record ids must be >= 0")
 
-            # every manifest this append rewrites is read (and checked)
-            # before anything is written
-            touched = [
-                (shard, [_read_manifest(self.fs, store)
-                         for store in [shard.store, *shard.replica_stores]])
-                for shard in layout.shards
-                if tombstones or shard.shard_id in routed
-            ]
-            # an id is dead for the store when it is dead in every shard's
-            # view (an append with tombstones touches every shard)
-            dead_views = [copies[0].dead_records() for _, copies in touched]
-            dead = set.intersection(*dead_views)
+        delete_ids = _checked_deletes(deletes, ceiling)
+        updates = {rid for rid in ids if rid < ceiling}
+        tombstones = sorted(set(delete_ids) | updates)
 
-            result = AppendResult(layout, None, 0, 0, 0, len(tombstones), 0, 0, 0.0)
-            next_id = max(ceiling, max(ids) + 1 if ids else ceiling)
-            stored: Set[int] = set()
-            for (shard, copies), shard_dead in zip(touched, dead_views):
-                recs = routed.get(shard.shard_id, [])
-                packed = PackedPartitions()
-                if recs:
-                    owned = set(shard.partition_ids)
-                    cells = assign_to_cells(router.grid, recs)
-                    packed = pack_partitions(
-                        {cid: rs for cid, rs in cells.items() if cid in owned},
-                        router.grid,
-                        layout.page_size,
-                    )
-                for manifest in copies:
-                    self._write_generation(
-                        result, manifest, packed, tombstones, updates, shard_dead, next_id,
-                        router.grid if new_grid else None,
-                    )
-                stored |= packed.record_ids
-                result.num_records += len(packed.record_ids)
-                result.num_replicas += packed.num_replicas
-                result.num_pages += len(packed.page_metas)
-                shard.num_generations += 1
-                shard.num_records = copies[0].num_live_records
-                shard.num_replicas += packed.num_replicas
-                shard.num_pages += len(packed.page_metas)
-                for rec in recs:
-                    shard.extent = shard.extent.union(rec.envelope)
+        usable = _encoded(zip(ids, geoms))
+        if not usable and not tombstones:
+            return AppendResult(layout, None, 0, 0, 0, 0, 0, 0, 0.0)
 
-            layout.num_records = max(
-                0, layout.num_records + _live_delta(stored, updates, tombstones, dead)
+        new_grid = layout.extent.is_empty and bool(usable)
+        if new_grid:
+            # first append to an empty store: establish the grid (and the
+            # extent it is reconstructed from) over this batch; the first
+            # shard owns every cell
+            extent = _union(rec.envelope for rec in usable)
+            grid = build_grid(extent, layout.grid_rows * layout.grid_cols)
+            layout.extent, layout.grid_rows, layout.grid_cols = (
+                grid.extent, grid.rows, grid.cols
             )
-            layout.next_record_id = next_id
-            result.write_seconds += write_file(
-                self.fs, shards_path(self.name), layout.to_json().encode("utf-8")
-            )
-            if tracer.enabled:
-                span.set(
-                    gen_id=result.gen_id,
-                    records=result.num_records,
-                    tombstones=len(tombstones),
-                    pages=result.num_pages,
-                    data_bytes=result.data_bytes,
+            for shard in layout.shards:
+                shard.partition_ids = [] if shard.shard_id else list(range(grid.num_cells))
+        router = ShardRouter(layout)
+        owner = layout.partition_to_shard()
+        routed: Dict[int, List[_Rec]] = {}
+        for rec in usable:
+            routed.setdefault(owner[router.home_partition(rec.envelope)], []).append(rec)
+
+        # every manifest this append rewrites is read (and checked)
+        # before anything is written
+        touched = [
+            (shard, [_read_manifest(self.fs, store)
+                     for store in [shard.store, *shard.replica_stores]])
+            for shard in layout.shards
+            if tombstones or shard.shard_id in routed
+        ]
+        # an id is dead for the store when it is dead in every shard's
+        # view (an append with tombstones touches every shard)
+        dead_views = [copies[0].dead_records() for _, copies in touched]
+        dead = set.intersection(*dead_views)
+
+        result = AppendResult(layout, None, 0, 0, 0, len(tombstones), 0, 0, 0.0)
+        next_id = max(ceiling, max(ids) + 1 if ids else ceiling)
+        stored: Set[int] = set()
+        for (shard, copies), shard_dead in zip(touched, dead_views):
+            recs = routed.get(shard.shard_id, [])
+            packed = PackedPartitions()
+            if recs:
+                owned = set(shard.partition_ids)
+                cells = assign_to_cells(router.grid, recs)
+                packed = pack_partitions(
+                    {cid: rs for cid, rs in cells.items() if cid in owned},
+                    router.grid,
+                    layout.page_size,
                 )
-            return result
+            for manifest in copies:
+                self._write_generation(
+                    result, manifest, packed, tombstones, updates, shard_dead, next_id,
+                    router.grid if new_grid else None,
+                )
+            stored |= packed.record_ids
+            result.num_records += len(packed.record_ids)
+            result.num_replicas += packed.num_replicas
+            result.num_pages += len(packed.page_metas)
+            shard.num_generations += 1
+            shard.num_records = copies[0].num_live_records
+            shard.num_replicas += packed.num_replicas
+            shard.num_pages += len(packed.page_metas)
+            for rec in recs:
+                shard.extent = shard.extent.union(rec.envelope)
+
+        layout.num_records = max(
+            0, layout.num_records + _live_delta(stored, updates, tombstones, dead)
+        )
+        layout.next_record_id = next_id
+        result.write_seconds += write_file(
+            self.fs, shards_path(self.name), layout.to_json().encode("utf-8")
+        )
+        return result
 
     def _write_generation(
         self,
@@ -337,17 +322,11 @@ class StoreAppender:
         )
         result.gen_id = max(gen_id, result.gen_id or 0)
 
-    def compact(self) -> CompactionResult:
-        """Merge this store's generations (see :func:`compact_store`)."""
-        result = compact_store(self.fs, self.name, tracer=self.tracer)
-        self.manifest = result.manifest
-        return result
-
 
 # --------------------------------------------------------------------------- #
 # compaction: one bulk load of the visible records
 # --------------------------------------------------------------------------- #
-def compact_store(fs: SimulatedFilesystem, name: str, tracer=None) -> CompactionResult:
+def compact_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
     """Merge every shard's base + delta generations into fresh base
     containers.
 
@@ -363,46 +342,37 @@ def compact_store(fs: SimulatedFilesystem, name: str, tracer=None) -> Compaction
     records.  Query results are identical before and after; per-query I/O
     returns to fresh-bulk-load shape.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with tracer.span("compact", store=name) as span:
-        layout, _ = read_shards_manifest(fs, name)
-        records: Dict[int, _Rec] = {}
-        merged = []
-        for shard in layout.shards:
-            with SpatialDataStore.open(fs, shard.store) as store:
-                merged.append((shard, store.manifest.generations))
-                for page, slot in store._visible():
-                    rid = page.record_ids[slot]
-                    records.setdefault(rid, _Rec(rid, page.envelope(slot), page.frame(slot)))
-        written = _write_layout(
-            fs,
-            layout.name,
-            _partitioned(list(records.values()), 0, layout.grid_rows * layout.grid_cols),
-            layout.page_size,
-            layout.num_shards,
-            len(layout.shards[0].replica_stores),
-            layout.next_record_id,
-        )
-        for shard, generations in merged:
-            for copy in [shard.store, *shard.replica_stores]:
-                for info in generations:
-                    if info.num_pages:
-                        for path in delta_paths(copy, info.gen_id).values():
-                            fs.remove(path)
-        result = CompactionResult(
-            manifest=written.manifest,
-            merged_generations=sum(len(generations) for _, generations in merged),
-            num_records=written.num_records,
-            num_pages=written.num_pages,
-            data_bytes=written.data_bytes,
-            index_bytes=written.index_bytes,
-            write_seconds=written.write_seconds,
-        )
-        if tracer.enabled:
-            span.set(
-                merged_generations=result.merged_generations,
-                records=result.num_records,
-                pages=result.num_pages,
-                data_bytes=result.data_bytes,
-            )
-        return result
+    layout, _ = read_shards_manifest(fs, name)
+    records: Dict[int, _Rec] = {}
+    merged = []
+    for shard in layout.shards:
+        with SpatialDataStore.open(fs, shard.store) as store:
+            merged.append((shard, store.manifest.generations))
+            for page, slot in store._visible():
+                rid = page.record_ids[slot]
+                records.setdefault(rid, _Rec(rid, page.envelope(slot), page.frame(slot)))
+    written = _write_layout(
+        fs,
+        layout.name,
+        _partitioned(list(records.values()), 0, layout.grid_rows * layout.grid_cols),
+        layout.page_size,
+        layout.num_shards,
+        len(layout.shards[0].replica_stores),
+        layout.next_record_id,
+    )
+    for shard, generations in merged:
+        for copy in [shard.store, *shard.replica_stores]:
+            for info in generations:
+                if info.num_pages:
+                    for path in delta_paths(copy, info.gen_id).values():
+                        fs.remove(path)
+    result = CompactionResult(
+        manifest=written.manifest,
+        merged_generations=sum(len(generations) for _, generations in merged),
+        num_records=written.num_records,
+        num_pages=written.num_pages,
+        data_bytes=written.data_bytes,
+        index_bytes=written.index_bytes,
+        write_seconds=written.write_seconds,
+    )
+    return result

@@ -197,12 +197,12 @@ class IOSchedule:
     def num_prefetched(self) -> int:
         return sum(run.num_prefetched for run in self.runs)
 
-    def read_request(self, rank: int = 0) -> ReadRequest:
+    def read_request(self) -> ReadRequest:
         """The whole schedule as one (multi-range) filesystem request, so the
         cost model charges a run of requests instead of one RPC per page.
         ``read_request().nbytes`` equals :attr:`total_bytes` by construction —
         the invariant the accounting tests pin."""
-        return ReadRequest(rank, self.ranges)
+        return ReadRequest(0, self.ranges)
 
 
 class IOScheduler:

@@ -64,7 +64,6 @@ class ShardError(StoreError):
         self.shard_id = shard_id
         self.store = store
 
-Predicate = Callable[[Geometry, Geometry], bool]
 
 #: one matched record on the wire: ``(batch position, record id, shard,
 #: partition, page, geometry)`` — the query id stays with rank 0's batch
@@ -507,18 +506,12 @@ class DistributedStoreServer:
         )
         return merge_snapshots(self.comm.allgather(local))
 
-    def collect_trace(
-        self, clear: bool = False
-    ) -> Optional[List[Dict[str, Any]]]:
+    def collect_trace(self) -> Optional[List[Dict[str, Any]]]:
         """Gather every rank's finished spans on rank 0 (collective), sorted
-        by ``(start, span_id)``.  ``clear=True`` also drops each rank's local
-        span buffer afterwards, so successive serving calls can be collected
-        batch by batch.  Returns ``None`` on non-root ranks.
+        by ``(start, span_id)``.  Returns ``None`` on non-root ranks.
         """
         local = self.tracer.export() if self.tracer.enabled else []
         gathered = self.comm.gather(local, root=0)
-        if clear and self.tracer.enabled:
-            self.tracer.clear()
         if self.comm.rank != 0:
             return None
         spans = [span for chunk in gathered or [] for span in chunk]
@@ -526,9 +519,7 @@ class DistributedStoreServer:
         return spans
 
     def explain_batch(
-        self,
-        queries: Optional[Sequence[Tuple[Any, Envelope]]],
-        exact: bool = True,
+        self, queries: Optional[Sequence[Tuple[Any, Envelope]]]
     ) -> Optional[DistributedExplainReport]:
         """EXPLAIN-by-executing for a distributed batch (collective).
 
@@ -553,7 +544,7 @@ class DistributedStoreServer:
             for sid in self.my_shards
         }
         try:
-            hits = self.range_query_batch(queries, exact=exact)
+            hits = self.range_query_batch(queries)
         finally:
             self.tracer = saved_server
             for sid, store in self.stores.items():
@@ -915,14 +906,12 @@ class DistributedStoreServer:
         )
 
     def join(
-        self,
-        probes: Optional[Sequence[Geometry]],
-        predicate: Predicate = predicates.intersects,
+        self, probes: Optional[Sequence[Geometry]]
     ) -> Optional[List[Tuple[Geometry, DistributedHit]]]:
-        """Filter-and-refine join of in-memory *probes* against the shards
-        (collective).  Rank 0 supplies *probes* and receives ``(probe, hit)``
-        pairs de-duplicated on ``(probe, record_id)``; other ranks pass
-        ``None`` and get ``None`` back.
+        """Filter-and-refine ``intersects`` join of in-memory *probes*
+        against the shards (collective).  Rank 0 supplies *probes* and
+        receives ``(probe, hit)`` pairs de-duplicated on ``(probe,
+        record_id)``; other ranks pass ``None`` and get ``None`` back.
         """
         probe_list: List[Geometry] = []
 
@@ -934,8 +923,8 @@ class DistributedStoreServer:
             return self._plan([(p, p.envelope) for p in probe_list])
 
         def refine(probe: Geometry, hits: List[QueryHit]) -> List[QueryHit]:
-            # the shard pass is the MBR filter; the user predicate refines
-            return [h for h in hits if predicate(probe, h.geometry)]
+            # the shard pass is the MBR filter; the exact predicate refines
+            return [h for h in hits if predicates.intersects(probe, h.geometry)]
 
         return self._collective_serve(
             build_plan,

@@ -1,21 +1,21 @@
 """Regressions for the dynamic lockstep verifier.
 
 The headline property (the ISSUE's acceptance criterion): a deliberately
-rank-divergent collective program under ``enable_collective_check()`` fails
+rank-divergent collective program under ``collective_check()`` fails
 *immediately* with a ``CollectiveMismatchError`` naming the mismatched
 callsites — at 2 and 4 ranks — where the unarmed run sits in the mixed
 rendezvous until the mpisim deadlock timeout kills it.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro.mpisim as mpisim
-from repro.analysis import (
-    CollectiveMismatchError,
-    collective_check,
-    collective_check_default,
-    set_collective_check_default,
-)
+from repro.analysis import CollectiveMismatchError, collective_check
 from repro.mpisim import ops
 
 
@@ -50,7 +50,6 @@ class TestDivergenceDetection:
         assert "rank 0" in message and "rank 1" in message
 
     def test_unarmed_hits_the_deadlock_timeout(self, nprocs):
-        assert not collective_check_default()
         with pytest.raises(mpisim.MPIError, match="deadlock"):
             # rank 0's lone barrier rendezvouses with the others' bcast
             # (the engine can't tell ops apart), then its own bcast waits
@@ -72,59 +71,68 @@ class TestDivergenceDetection:
         assert armed.values == unarmed.values
 
 
+def armed(comm):
+    return comm._check_enabled
+
+
 class TestArming:
     def test_default_is_off(self):
-        assert not collective_check_default()
-
-        def prog(comm):
-            return comm._check_enabled
-
-        assert mpisim.run_spmd(prog, 2).values == [False, False]
+        assert mpisim.run_spmd(armed, 2).values == [False, False]
 
     def test_context_manager_arms_and_restores(self):
-        def prog(comm):
-            return comm._check_enabled
-
         with collective_check():
-            assert collective_check_default()
-            assert mpisim.run_spmd(prog, 2).values == [True, True]
-        assert not collective_check_default()
+            assert mpisim.run_spmd(armed, 2).values == [True, True]
+        assert mpisim.run_spmd(armed, 2).values == [False, False]
 
-    def test_set_default_returns_previous(self):
-        previous = set_collective_check_default(True)
-        try:
-            assert previous is False
-            assert set_collective_check_default(True) is True
-        finally:
-            set_collective_check_default(previous)
+    def test_disarmed_block_inside_an_armed_one(self):
+        with collective_check():
+            with collective_check(False):
+                assert mpisim.run_spmd(armed, 2).values == [False, False]
+                mpisim.run_spmd(lockstep, 2)
+            assert mpisim.run_spmd(armed, 2).values == [True, True]
 
-    def test_per_communicator_arming(self):
-        def prog(comm):
-            comm.enable_collective_check()
-            if comm.rank == 0:
-                comm.barrier()  # spmd: ignore[SPMD001] deliberate divergence
-            comm.bcast(None, root=0)
+    def test_state_is_restored_when_the_block_raises(self):
+        with pytest.raises(RuntimeError):
+            with collective_check():
+                raise RuntimeError("boom")
+        assert mpisim.run_spmd(armed, 2).values == [False, False]
 
-        with pytest.raises(CollectiveMismatchError):
-            mpisim.run_spmd(prog, 2)
-
-    def test_partial_arming_is_itself_a_mismatch(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.enable_collective_check()
-            comm.barrier()
-
-        with pytest.raises(CollectiveMismatchError, match="not armed"):
-            mpisim.run_spmd(prog, 2)
+    def test_no_environment_variable_arms_the_check(self):
+        # collective_check() is the one switch: the retired SPMD_CHECK
+        # variable (or anything like it) must not arm a fresh process
+        code = (
+            "import repro.mpisim as m\n"
+            "print(m.run_spmd(lambda comm: comm._check_enabled, 2).values)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src), "SPMD_CHECK": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[False, False]"
 
     def test_split_and_dup_inherit_arming(self):
         def prog(comm):
-            comm.enable_collective_check()
             sub = comm.split(comm.rank % 2)
             dup = comm.dup()
             return sub._check_enabled, dup._check_enabled
 
-        assert mpisim.run_spmd(prog, 4).values == [(True, True)] * 4
+        with collective_check():
+            assert mpisim.run_spmd(prog, 4).values == [(True, True)] * 4
+
+    def test_branch_sited_collectives_pass(self):
+        # the sharded-server pattern: the *same* scatter issued from the
+        # root branch and the worker branch of a rank-conditional — a
+        # legitimate matched pair the check must accept
+        def prog(comm):
+            if comm.rank == 0:
+                value = comm.scatter(list(range(comm.size)), root=0)
+            else:
+                value = comm.scatter(None, root=0)
+            return value
+
+        with collective_check():
+            assert mpisim.run_spmd(prog, 4).values == [0, 1, 2, 3]
 
     def test_extra_collective_is_an_exit_imbalance(self):
         # an extra collective of the SAME op is invisible to the piggyback
@@ -153,41 +161,6 @@ class TestArming:
 
         with pytest.raises(mpisim.MPIError, match="deadlock"):
             mpisim.run_spmd(prog, 2, timeout=2)
-
-
-class TestStrictMode:
-    def test_branch_sited_collectives_pass_non_strict(self):
-        # the sharded-server pattern: the *same* scatter issued from the
-        # root branch and the worker branch of a rank-conditional — a
-        # legitimate matched pair that non-strict mode must accept
-        def prog(comm):
-            comm.enable_collective_check()
-            if comm.rank == 0:
-                value = comm.scatter(list(range(comm.size)), root=0)
-            else:
-                value = comm.scatter(None, root=0)
-            return value
-
-        assert mpisim.run_spmd(prog, 4).values == [0, 1, 2, 3]
-
-    def test_strict_mode_flags_callsite_divergence(self):
-        def prog(comm):
-            comm.enable_collective_check(strict=True)
-            if comm.rank == 0:
-                value = comm.scatter(list(range(comm.size)), root=0)
-            else:
-                value = comm.scatter(None, root=0)
-            return value
-
-        with pytest.raises(CollectiveMismatchError):
-            mpisim.run_spmd(prog, 4)
-
-    def test_strict_mode_accepts_single_sited_collectives(self):
-        def prog(comm):
-            comm.enable_collective_check(strict=True)
-            return comm.allreduce(comm.rank, ops.SUM)
-
-        assert mpisim.run_spmd(prog, 4).values == [6, 6, 6, 6]
 
 
 class TestErrorShape:

@@ -14,8 +14,8 @@ from repro.analysis import lint_source
 from repro.analysis.spmd import RULES, SEVERITIES
 
 
-def lint(snippet, path="src/repro/fake/module.py", **kwargs):
-    return lint_source(textwrap.dedent(snippet), path, **kwargs)
+def lint(snippet, path="src/repro/fake/module.py"):
+    return lint_source(textwrap.dedent(snippet), path)
 
 
 def rules_of(findings):
@@ -333,19 +333,6 @@ class TestSPMD004:
         assert lint(source, path="benchmarks/test_x.py") == []
         assert lint(source, path="src/repro/bench/harness.py") == []
         assert lint(source, path="src/repro/mpisim/clock.py") == []
-
-    def test_explicit_scope_override(self):
-        findings = lint(
-            """
-            import time
-
-            def measure():
-                return time.time()
-            """,
-            path="elsewhere.py",
-            vclock_scope=True,
-        )
-        assert rules_of(findings) == ["SPMD004"]
 
 
 # --------------------------------------------------------------------- #

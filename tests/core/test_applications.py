@@ -65,12 +65,6 @@ class TestJoinCell:
         assert len(join_cell(cell_with_ref, left, right)) == 1
         assert len(join_cell(cell_without_ref, left, right)) == 0
 
-    def test_dedup_disabled_reports_everywhere(self):
-        left = [Polygon.box(0, 0, 10, 10)]
-        right = [Polygon.box(5, 5, 15, 15)]
-        cell_without_ref = GridCell(1, 0, 1, Envelope(10, 0, 20, 10))
-        assert len(join_cell(cell_without_ref, left, right, deduplicate=False)) == 1
-
     def test_filter_false_positive_removed_by_refine(self):
         # MBRs overlap but the exact geometries do not intersect
         cell = self.make_cell()
@@ -103,42 +97,18 @@ class TestSpatialJoinDistributed:
                 got.add(pair)
         assert got == expected
 
-    def test_count_pairs_allreduce(self, small_datasets):
-        fs = small_datasets["fs"]
-        expected = len(sequential_join(fs, small_datasets["lakes"], small_datasets["cemetery"]))
-
-        def prog(comm):
-            join = SpatialJoin(fs, grid_config=GridPartitionConfig(num_cells=25))
-            return join.count_pairs(comm, small_datasets["lakes"], small_datasets["cemetery"])
-
-        res = mpisim.run_spmd(prog, 3)
-        assert res.values == [expected] * 3
-
     def test_grid_cells_do_not_change_result(self, small_datasets):
         fs = small_datasets["fs"]
 
         def prog(comm, cells):
             join = SpatialJoin(fs, grid_config=GridPartitionConfig(num_cells=cells))
-            return join.count_pairs(comm, small_datasets["lakes"], small_datasets["cemetery"])
+            local = join.run(comm, small_datasets["lakes"], small_datasets["cemetery"])
+            return comm.allreduce(len(local.local_results), ops.SUM)
 
         counts = {
             cells: mpisim.run_spmd(prog, 2, cells).values[0] for cells in (4, 16, 64)
         }
         assert len(set(counts.values())) == 1
-
-    def test_run_gathered(self, small_datasets):
-        fs = small_datasets["fs"]
-        expected = sequential_join(fs, small_datasets["lakes"], small_datasets["cemetery"])
-
-        def prog(comm):
-            join = SpatialJoin(fs, grid_config=GridPartitionConfig(num_cells=16))
-            pairs = join.run_gathered(comm, small_datasets["lakes"], small_datasets["cemetery"])
-            if comm.rank == 0:
-                return {(p.left.wkt(), p.right.wkt()) for p in pairs}
-            return None
-
-        res = mpisim.run_spmd(prog, 4)
-        assert res.values[0] == expected
 
     def test_breakdown_has_all_phases(self, small_datasets):
         fs = small_datasets["fs"]

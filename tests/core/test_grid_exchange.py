@@ -193,7 +193,7 @@ class TestExchange:
                 Point(comm.rank * 10.0 + i * 0.1, 1.0 + i * 0.0371) for i in range(20)
             ]
             part = partition_geometries(comm, geoms, GridPartitionConfig(num_cells=16))
-            total = comm.allreduce(part.num_local_geometries, ops.SUM)
+            total = comm.allreduce(sum(map(len, part.cells.values())), ops.SUM)
             return total, sorted(part.cells)
 
         res = mpisim.run_spmd(prog, 4)

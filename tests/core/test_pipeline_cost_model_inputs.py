@@ -47,9 +47,9 @@ def test_join_presents_single_block_requests_and_exact_io_clock(small_datasets, 
     real_collective = io_file.collective_read_time
     real_partition_read = MessagePartitioner.read
 
-    def spy_read_time(self, path, requests, readers=None):
+    def spy_read_time(self, path, requests):
         independent.append((path, tuple(requests)))
-        return real_read_time(self, path, requests, readers)
+        return real_read_time(self, path, requests)
 
     def spy_collective(fs_, path, requests, info=None):
         collective.append((path, tuple(requests)))

@@ -171,11 +171,6 @@ class TestParsers:
         assert parser.stats.failed == 1
         assert geoms[1].userdata == "id=4"
 
-    def test_wkt_parser_strict_mode(self):
-        parser = WKTParser(skip_invalid=False)
-        with pytest.raises(Exception):
-            parser.parse("CIRCLE (0 0, 1)")
-
     def test_parse_buffer(self):
         parser = WKTParser()
         data = b"POINT (1 1)\nPOINT (2 2)\n"

@@ -75,8 +75,8 @@ class TestRecordGenerators:
     def test_records_within_extent(self):
         cfg = SyntheticConfig(seed=5)
         extent = cfg.extent.buffer(5.0)  # generators may jitter slightly past the edge
-        for record in generate_point_records(100, cfg, with_attributes=False):
-            g = wkt.loads(record)
+        for record in generate_point_records(100, cfg):
+            g = wkt.loads(record.split("\t")[0])
             assert extent.contains(g.envelope)
 
     @given(st.integers(min_value=1, max_value=40))

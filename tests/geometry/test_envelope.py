@@ -1,6 +1,5 @@
 """Tests for the Envelope (MBR) type."""
 
-import math
 
 import pytest
 from hypothesis import given
@@ -100,13 +99,6 @@ class TestSetOps:
 
 
 class TestMetrics:
-    def test_distance_disjoint(self):
-        d = Envelope(0, 0, 1, 1).distance(Envelope(4, 5, 6, 6))
-        assert d == pytest.approx(math.hypot(3, 4))
-
-    def test_distance_touching_is_zero(self):
-        assert Envelope(0, 0, 1, 1).distance(Envelope(1, 1, 2, 2)) == 0.0
-
     def test_centre(self):
         assert Envelope(0, 0, 2, 4).centre == (1, 2)
 

@@ -31,7 +31,6 @@ class TestPoint:
         assert p.envelope == Envelope.of_point(1.5, -2.5)
         assert p.num_points == 1
         assert p.area == 0.0 and p.length == 0.0
-        assert p.centroid == (1.5, -2.5)
 
     def test_equality_and_hash(self):
         assert Point(1, 2) == Point(1, 2)
@@ -55,10 +54,6 @@ class TestLineString:
     def test_segments(self):
         ls = LineString([(0, 0), (1, 1), (2, 2)])
         assert ls.segments() == [((0, 0), (1, 1)), ((1, 1), (2, 2))]
-
-    def test_centroid_of_symmetric_line(self):
-        ls = LineString([(0, 0), (10, 0)])
-        assert ls.centroid == pytest.approx((5, 0))
 
 
 class TestLinearRing:
@@ -110,8 +105,6 @@ class TestPolygon:
         assert p.contains_point(1, 1)
         assert not p.contains_point(3, 3)
 
-    def test_centroid_of_square(self):
-        assert Polygon.box(0, 0, 2, 2).centroid == pytest.approx((1, 1))
 
 
 class TestMulti:

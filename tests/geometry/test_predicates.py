@@ -148,25 +148,6 @@ class TestContains:
         assert not a.contains(b)
 
 
-class TestDistance:
-    def test_point_point(self):
-        assert Point(0, 0).distance(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_intersecting_is_zero(self):
-        a = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-        b = Polygon([(2, 2), (6, 2), (6, 6), (2, 6)])
-        assert a.distance(b) == 0.0
-
-    def test_point_polygon(self):
-        poly = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-        assert Point(8, 0).distance(poly) == pytest.approx(4.0)
-
-    def test_symmetry(self):
-        a = LineString([(0, 0), (1, 0)])
-        b = Polygon([(5, 0), (6, 0), (6, 1), (5, 1)])
-        assert a.distance(b) == pytest.approx(b.distance(a))
-
-
 class TestFilterRefineConsistency:
     """The envelope filter must never reject a truly intersecting pair."""
 

@@ -84,12 +84,10 @@ def points_around(draw, extent):
 
 class TestSort:
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), extents(), st.sampled_from([16, 16, 1, 5, 20]))
-    def test_equals_the_old_sort(self, data, extent, order):
+    @given(st.data(), extents())
+    def test_equals_the_old_sort(self, data, extent):
         pts = data.draw(points_around(extent))
-        assert sort_by_hilbert(pts, extent, order) == sort_by_hilbert_reference(
-            pts, extent, order
-        )
+        assert sort_by_hilbert(pts, extent) == sort_by_hilbert_reference(pts, extent, 16)
 
     def test_non_finite_coordinates_have_a_place(self):
         extent = Envelope(0.0, 0.0, 10.0, 10.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Envelope
 from repro.index import STRtree
-from repro.store import RecordRef, dump_index, load_index
+from repro.store import dump_index, load_index
 
 
 def make_boxes(n, seed=0, extent=1000.0, max_size=10.0):
@@ -144,7 +144,16 @@ _any_envelope = st.builds(Envelope, _coord, _coord, _coord, _coord)
 _box = st.tuples(_lattice, _lattice, st.integers(0, 3), st.integers(0, 3)).map(
     lambda t: Envelope(t[0], t[1], t[0] + t[2], t[1] + t[3])
 )
-_item_envelope = st.one_of(_box, _box, _any_envelope)
+
+
+def _has_nan(env):
+    return any(math.isnan(v) for v in env.as_tuple())
+
+
+# an item is a box or empty: a NaN-bounded item is refused at build
+_item_envelope = st.one_of(
+    _box, _box, _any_envelope.filter(lambda e: e.is_empty or not _has_nan(e))
+)
 _window = st.one_of(_box, _any_envelope, st.just(Envelope.empty()))
 
 
@@ -172,14 +181,10 @@ class TestFlatRowWalk:
     def test_query_equals_reference_walk(self, envs, windows, cap):
         tree = STRtree([(e, i) for i, e in enumerate(envs)], node_capacity=cap)
         assert len(tree) == sum(not e.is_empty for e in envs)
-        # a NaN bound drops out of its parent's union (min/max skip it), so a
-        # tree may prune such an item where a scan would not — then as now
-        scannable = not any(math.isnan(v) for e in envs for v in e)
         for window in windows:
             got = tree.query(window)
             assert got == query_reference(tree, window)
-            if scannable:
-                assert sorted(got) == [i for i, e in enumerate(envs) if e.intersects(window)]
+            assert sorted(got) == [i for i, e in enumerate(envs) if e.intersects(window)]
 
     @given(
         st.lists(_item_envelope, max_size=70),
@@ -189,7 +194,7 @@ class TestFlatRowWalk:
     @settings(max_examples=200, deadline=None)
     def test_loaded_tree_equals_reference_walk_and_built_tree(self, envs, windows, cap):
         built = STRtree(
-            [(e, RecordRef(i // 8, i % 8)) for i, e in enumerate(envs)], node_capacity=cap
+            [(e, (i // 8, i % 8)) for i, e in enumerate(envs)], node_capacity=cap
         )
         blob = dump_index(built)
         loaded = load_index(blob)
@@ -214,6 +219,8 @@ class TestFlatRowWalk:
             assert tree.query(window) == query_reference(tree, window) == []
 
     def test_nan_and_infinite_windows_answer_as_envelope_intersects(self):
+        # a NaN *window* is fine (it matches what Envelope.intersects says);
+        # only a NaN *item* is refused
         boxes = make_boxes(60, seed=5)
         tree = STRtree(boxes, node_capacity=4)
         nan, inf = math.nan, math.inf
@@ -278,3 +285,67 @@ class TestBulkQueryContract:
         assert tree.query(Envelope(-math.inf, -math.inf, math.inf, math.inf)) == ["kept"]
         assert tree.query(Envelope(math.nan, math.nan, math.nan, math.nan)) == ["kept"]
         assert STRtree(items[::2]).is_empty
+
+
+# --------------------------------------------------------------------------- #
+# degenerate envelopes against brute force
+# --------------------------------------------------------------------------- #
+_inf = st.sampled_from([math.inf, -math.inf])
+_point = st.tuples(_lattice, _lattice).map(lambda p: Envelope(p[0], p[1], p[0], p[1]))
+_segment = st.tuples(_lattice, _lattice, st.integers(1, 3), st.booleans()).map(
+    lambda t: Envelope(t[0], t[1], t[0] + t[2], t[1]) if t[3]
+    else Envelope(t[0], t[1], t[0], t[1] + t[2])
+)
+# a box reaching to infinity on one or more sides (or the whole plane)
+_unbounded = st.tuples(
+    st.one_of(_lattice, st.just(-math.inf)), st.one_of(_lattice, st.just(-math.inf)),
+    st.one_of(_lattice, st.just(math.inf)), st.one_of(_lattice, st.just(math.inf)),
+).map(lambda t: Envelope(min(t[0], t[2]), min(t[1], t[3]), max(t[0], t[2]), max(t[1], t[3])))
+# an infinite corner collapses a box to a line or point at infinity
+_at_infinity = st.tuples(_inf, _inf).map(lambda p: Envelope(p[0], p[1], p[0], p[1]))
+_degenerate = st.one_of(
+    st.just(Envelope.empty()), _point, _segment, _unbounded, _at_infinity, _box
+)
+_nan = st.sampled_from([
+    Envelope(math.nan, 0.0, 1.0, 1.0),
+    Envelope(0.0, 0.0, 1.0, math.nan),
+    Envelope(0.0, math.nan, 1.0, math.nan),
+    Envelope(math.nan, math.nan, math.nan, math.nan),
+])
+
+
+def _tree_sizes(cap):
+    return [0, 1, cap + 1]
+
+
+class TestDegenerateEnvelopes:
+    """Empty, zero-area and ±inf items and windows: the packed tree answers
+    exactly what a scan with ``Envelope.intersects`` answers, on trees of
+    0, 1 and ``node_capacity + 1`` items (a root over two leaves); an item
+    with a NaN bound is refused — no node union could cover it."""
+
+    @pytest.mark.parametrize("cap", [2, 3, 16])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_query_equals_brute_force(self, cap, which, data):
+        size = _tree_sizes(cap)[which]
+        envs = data.draw(st.lists(_degenerate, min_size=size, max_size=size))
+        tree = STRtree([(e, i) for i, e in enumerate(envs)], node_capacity=cap)
+        assert len(tree) == sum(not e.is_empty for e in envs)
+        for window in data.draw(st.lists(st.one_of(_degenerate, _nan), min_size=1, max_size=6)):
+            got = tree.query(window)
+            assert got == query_reference(tree, window)
+            assert sorted(got) == [i for i, e in enumerate(envs) if e.intersects(window)]
+
+    @pytest.mark.parametrize("cap", [2, 3, 16])
+    @pytest.mark.parametrize("which", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_nan_item_is_refused(self, cap, which, data):
+        size = _tree_sizes(cap)[which]
+        envs = data.draw(st.lists(_degenerate, min_size=size - 1, max_size=size - 1))
+        at = data.draw(st.integers(0, size - 1))
+        envs.insert(at, data.draw(_nan))
+        with pytest.raises(ValueError, match="not a box"):
+            STRtree([(e, i) for i, e in enumerate(envs)], node_capacity=cap)

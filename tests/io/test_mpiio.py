@@ -47,11 +47,6 @@ class TestInfo:
         with pytest.raises(KeyError):
             Info(bogus_hint=1)
 
-    def test_copy_independent(self):
-        a = Info(cb_nodes=2)
-        b = a.copy()
-        b.set("cb_nodes", 8)
-        assert a.get_int("cb_nodes", 0) == 2
 
 
 class TestIndependentRead:

@@ -49,13 +49,6 @@ class TestRuntime:
         with pytest.raises(RuntimeError, match="rank0 died"):
             mpisim.run_spmd(prog, 2)
 
-    def test_shared_state_visible(self):
-        def prog(comm):
-            return comm.world.shared["value"] + comm.rank
-
-        res = mpisim.run_spmd(prog, 2, shared={"value": 100})
-        assert res.values == [100, 101]
-
     def test_clock_results_exposed(self):
         def prog(comm):
             comm.clock.advance(1.5, category="io")

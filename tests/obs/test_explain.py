@@ -1,6 +1,6 @@
 """EXPLAIN reports and the stats facades they read: the report's numbers
 can never disagree with the StoreStats movement of the explained query,
-``stats.reset()`` zeroes every counter, and tracing never changes results."""
+and tracing never changes results."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.pfs import LustreFilesystem
 from repro.store import (
     DistributedStoreServer,
     SpatialDataStore,
-    StoreAppender,
     StoreStats,
     bulk_load,
 )
@@ -123,29 +122,6 @@ class TestStoreExplain:
 
 
 class TestStatsFacades:
-    def test_stats_reset_zeroes_everything(self, single_store):
-        single_store.range_query(WINDOW)
-        assert single_store.stats.queries > 0
-        single_store.stats.reset()
-        flat = single_store.stats.as_dict()
-        assert all(v == 0 for v in flat.values())
-        # the registry counters behind the facade were reset too — but the
-        # cumulative query-heat map (a rebalancer input, not a query stat)
-        # deliberately survives
-        snap = single_store.metrics.snapshot()
-        assert all(
-            v == 0 for k, v in snap["counters"].items()
-            if k.startswith(("store.", "cache."))
-            and not k.startswith("store.partition_heat")
-        )
-        assert any(
-            v > 0 for k, v in snap["counters"].items()
-            if k.startswith("store.partition_heat")
-        )
-        # and the facade still counts afterwards
-        single_store.range_query(WINDOW)
-        assert single_store.stats.queries == 1
-
     def test_storestats_facade_arithmetic(self):
         stats = StoreStats()
         stats.pages_read += 3
@@ -154,8 +130,6 @@ class TestStatsFacades:
         assert stats.pages_read == 3
         assert stats.io_seconds == pytest.approx(0.25)
         assert stats.as_dict()["cache_hits"] == 2
-        stats.reset()
-        assert stats.pages_read == 0 and stats.cache.hits == 0
 
     def test_traced_results_bit_identical(self, fs):
         bulk_load(fs, "tr", make_geoms(), num_partitions=16, page_size=512)
@@ -243,26 +217,3 @@ class TestDistributedExplain:
             if s["parent_id"] is not None
         )
         assert len({s["trace_id"] for s in report.spans}) == 1
-
-
-class TestMutableTracing:
-    def test_append_and_compact_spans(self, fs):
-        bulk_load(fs, "mut", make_geoms(40), num_partitions=4, page_size=512)
-        tracer = Tracer()
-        appender = StoreAppender(fs, "mut", tracer=tracer)
-        result = appender.append(make_geoms(10, seed=77))
-        comp = appender.compact()
-        names = [s.name for s in tracer.spans]
-        assert names == ["append", "compact"]
-        app_span, comp_span = tracer.spans
-        assert app_span.attrs["gen_id"] == result.gen_id
-        assert app_span.attrs["records"] == result.num_records == 10
-        assert comp_span.attrs["merged_generations"] == comp.merged_generations
-        assert comp_span.attrs["records"] == comp.num_records
-
-    def test_untraced_appender_records_nothing(self, fs):
-        bulk_load(fs, "mut2", make_geoms(40), num_partitions=4, page_size=512)
-        appender = StoreAppender(fs, "mut2")
-        assert appender.tracer is NULL_TRACER
-        appender.append(make_geoms(5, seed=78))
-        appender.compact()

@@ -34,7 +34,7 @@ def make_store(tmp_path, num_shards):
     return fs, queries
 
 
-def serve_traced(fs, queries, nprocs, clear=False, **serving):
+def serve_traced(fs, queries, nprocs, **serving):
     def prog(comm):
         tracer = Tracer(clock=comm.clock, rank=comm.rank)
         with DistributedStoreServer.open(
@@ -43,8 +43,8 @@ def serve_traced(fs, queries, nprocs, clear=False, **serving):
             hits = server.range_query_batch(
                 queries if comm.rank == 0 else None, **serving
             )
-            spans = server.collect_trace(clear=clear)
-            again = server.collect_trace(clear=clear)
+            spans = server.collect_trace()
+            again = server.collect_trace()
         return hits, spans, again
 
     return mpisim.run_spmd(prog, nprocs).values[0]
@@ -89,15 +89,9 @@ class TestConnectedTrace:
         for s in local:
             assert by_id[s["parent_id"]]["span_id"] == root["span_id"]
 
-    def test_collect_trace_clear_drains_all_ranks(self, tmp_path):
+    def test_collect_is_repeatable(self, tmp_path):
         fs, queries = make_store(tmp_path, num_shards=2)
-        _, spans, again = serve_traced(fs, queries, 2, clear=True)
-        assert spans
-        assert again == []
-
-    def test_collect_without_clear_is_repeatable(self, tmp_path):
-        fs, queries = make_store(tmp_path, num_shards=2)
-        _, spans, again = serve_traced(fs, queries, 2, clear=False)
+        _, spans, again = serve_traced(fs, queries, 2)
         assert again == spans
 
     @pytest.mark.parametrize("nprocs", (1, 2))
@@ -126,16 +120,16 @@ class TestConnectedTrace:
                 comm, fs, "data", cache_pages=32, tracer=tracer
             ) as server:
                 server.range_query_batch(queries if comm.rank == 0 else None)
-                first = server.collect_trace(clear=True)
+                first = server.collect_trace()
                 server.range_query_batch(queries if comm.rank == 0 else None)
-                second = server.collect_trace(clear=True)
-            return first, second
+                both = server.collect_trace()
+            return first, both
 
-        first, second = mpisim.run_spmd(prog, 2).values[0]
+        first, both = mpisim.run_spmd(prog, 2).values[0]
         tid_first = {s["trace_id"] for s in first}
-        tid_second = {s["trace_id"] for s in second}
-        assert len(tid_first) == len(tid_second) == 1
-        assert tid_first != tid_second
+        tid_both = {s["trace_id"] for s in both}
+        assert len(tid_first) == 1 and len(tid_both) == 2
+        assert tid_first < tid_both
 
 
 class TestDegradedModeTrace:

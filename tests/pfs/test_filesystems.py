@@ -39,13 +39,6 @@ class TestFileOperations:
         with lustre.open("f.bin") as fh:
             assert fh.pread(0, 6) == b"XYcdef"
 
-    def test_create_file_from_local(self, lustre, tmp_path):
-        local = tmp_path / "source.txt"
-        local.write_bytes(b"hello world")
-        lustre.create_file_from_local("linked.txt", local)
-        with lustre.open("linked.txt") as fh:
-            assert fh.pread(0, 5) == b"hello"
-
     def test_open_time_positive(self, lustre):
         assert lustre.open_time() > 0
 
@@ -105,10 +98,6 @@ class TestGPFS:
         # and the makespan can never beat the aggregate disk bandwidth floor
         aggregate = gpfs.num_servers * gpfs.cost_model.ost_bandwidth
         assert t160 >= total / aggregate * 0.99
-
-    def test_invalid_servers(self, tmp_path):
-        with pytest.raises(ValueError):
-            GPFSFilesystem(tmp_path / "bad", num_servers=0)
 
     def test_describe(self, gpfs, lustre):
         assert "gpfs" in gpfs.describe()

@@ -102,16 +102,6 @@ class TestIOCostModel:
         # saturation: going from 64 to 512 readers must not keep scaling linearly
         assert bw_large < bw_mid * 4
 
-    def test_restricted_readers(self):
-        model = IOCostModel()
-        layout = StripeLayout(1 << 20, 8)
-        block = 100 << 20
-        reqs = self.make_requests(8, block, 1 << 20)
-        all_readers = model.parallel_read_time(layout, reqs)
-        one_reader = model.parallel_read_time(layout, reqs, readers=[0])
-        # with a single reader only rank 0's bytes touch the filesystem
-        assert one_reader < all_readers
-
     def test_empty_requests(self):
         model = IOCostModel()
         assert model.parallel_read_time(StripeLayout(1024, 2), []) == 0.0
@@ -188,16 +178,6 @@ class TestCostModelEdgeCases:
         assert set(loads) == {0}
         assert loads[0].nbytes == 8 << 20
 
-    def test_more_aggregators_than_ranks(self):
-        # a reader set larger than the actual request set must behave like
-        # the unrestricted case: extra aggregators contribute no load
-        model = IOCostModel()
-        layout = StripeLayout(1 << 20, 8)
-        reqs = [ReadRequest(r, ((r * (4 << 20), 4 << 20),)) for r in range(4)]
-        unrestricted = model.parallel_read_time(layout, reqs)
-        oversubscribed = model.parallel_read_time(layout, reqs, readers=list(range(64)))
-        assert oversubscribed == unrestricted
-
     def test_redistribution_with_excess_aggregators(self):
         model = IOCostModel()
         nranks = 32
@@ -225,9 +205,9 @@ class TestCostModelEdgeCases:
         captured = []
         real_read_time = fs.read_time
 
-        def spy(p, requests, readers=None):
+        def spy(p, requests):
             captured.extend(requests)
-            return real_read_time(p, requests, readers)
+            return real_read_time(p, requests)
 
         fs.read_time = spy
         try:

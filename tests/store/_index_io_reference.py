@@ -11,13 +11,26 @@ Not used by any code under ``src/``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, NamedTuple
 
 from repro.geometry import Envelope
 from repro.index import STRtree
 from repro.index.rtree import _STRNode
-from repro.store.format import RecordRef, StoreFormatError
+from repro.store.format import StoreFormatError
 from repro.store.index_io import _HEADER, _ITEM, _NODE, INDEX_MAGIC, INDEX_VERSION
+
+
+class RecordRef(NamedTuple):
+    """Physical address of one record replica: (page id, slot within page).
+
+    The live index holds the plain pair ``(page_id, slot)`` instead, which
+    compares equal to a ``RecordRef``.  A NamedTuple instance is not an
+    exact tuple, so the cyclic collector never untracks it (or the leaf row
+    holding it); exact tuples of ints it does.
+    """
+
+    page_id: int
+    slot: int
 
 
 def load_index_reference(data: bytes) -> STRtree:

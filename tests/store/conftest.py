@@ -11,12 +11,11 @@ suite until the mpisim deadlock timeout fires.
 
 import pytest
 
-from repro.analysis import set_collective_check_default
+from repro.analysis import collective_check
 
 
 @pytest.fixture(autouse=True)
 def armed_collective_check():
     """Arm the lockstep verifier for every communicator these tests build."""
-    previous = set_collective_check_default(True)
-    yield
-    set_collective_check_default(previous)
+    with collective_check():
+        yield

@@ -151,20 +151,21 @@ class TestJoinServing:
         pairs = lakes_store.join(probes)
         got = sorted((id(probe), hit.geometry.wkt()) for probe, hit in pairs)
 
-        # sequential reference: one giant cell covering everything, no dedup
+        # sequential reference: one giant cell owning every reference point
         cell = GridCell(0, 0, 0, Envelope(-1e9, -1e9, 1e9, 1e9))
-        expected = join_cell(cell, probes, lakes, deduplicate=False)
+        expected = join_cell(cell, probes, lakes)
         want = sorted((id(p.left), p.right.wkt()) for p in expected)
         assert got == want
 
-    def test_join_store_method_uses_predicate(self, fs, lakes, lakes_store):
-        from repro.core import SpatialJoin
 
-        probes = [Point(0, 0)]  # far corner; contains-style predicate
-        join = SpatialJoin(fs, predicate=predicates.contains)
-        pairs = lakes_store.join(probes, join.predicate)
-        for probe, hit in pairs:
-            assert predicates.contains(probe, hit.geometry)
+    def test_join_refines_the_mbr_filter_with_intersects(self, fs):
+        # a probe whose MBR overlaps the triangle's but whose area misses it
+        # is a filter hit the refine phase must drop
+        bulk_load(fs, "tri", [Polygon([(0, 0), (10, 0), (0, 10)])], num_partitions=1)
+        store = SpatialDataStore.open(fs, "tri")
+        inside, beyond = Polygon.box(1, 1, 2, 2), Polygon.box(8, 8, 9, 9)
+        assert beyond.envelope.intersects(store.extent)
+        assert [(p, h.record_id) for p, h in store.join([beyond, inside])] == [(inside, 0)]
 
 
 class TestQueryServing:

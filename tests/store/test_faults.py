@@ -115,23 +115,21 @@ class TestFaultyFilesystem:
         assert fs.stats.bitflip_sites == [("data/a.bin", 0)]
 
     def test_seeded_replay_is_deterministic(self, fs):
-        fs.add_rule(
-            FaultRule(path_pattern="*", read_error_rate=0.3, bitflip_rate=0.3)
-        )
-
-        def run():
+        def run(faulty):
+            faulty.add_rule(
+                FaultRule(path_pattern="*", read_error_rate=0.3, bitflip_rate=0.3)
+            )
             outcomes = []
-            with fs.open("data/a.bin") as fh:
+            with faulty.open("data/a.bin") as fh:
                 for i in range(50):
                     try:
                         outcomes.append(fh.pread(i, 8))
                     except TransientIOError:
                         outcomes.append("error")
-            return outcomes, (fs.stats.read_errors, fs.stats.bitflips)
+            return outcomes, (faulty.stats.read_errors, faulty.stats.bitflips)
 
-        first = run()
-        fs.reset()
-        assert run() == first
+        first = run(fs)
+        assert run(FaultyFilesystem(fs.inner, seed=fs.seed)) == first
 
     def test_latency_spikes_add_virtual_seconds(self, fs):
         from repro.pfs import ReadRequest
@@ -240,7 +238,7 @@ class TestChecksumsAndRetry:
             with pytest.raises(PageChecksumError) as excinfo:
                 store.range_query(WINDOW)
             assert excinfo.value.page_id == key.page_id
-            assert key in store.quarantined_pages
+            assert key in store._quarantined
             assert store.stats.checksum_failures == 1
             # fail-fast on the quarantined page: no fresh I/O, counted once
             reads_before = store.stats.read_requests
@@ -267,7 +265,7 @@ class TestChecksumsAndRetry:
             hits = store.range_query(WINDOW)
             assert sorted(h.record_id for h in hits) == list(range(len(geoms)))
             assert store.stats.retries >= 1
-            assert not store.quarantined_pages
+            assert not store._quarantined
 
     def test_partial_ok_collects_failures_with_partition_accounting(self, loaded):
         fs, geoms = loaded

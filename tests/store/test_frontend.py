@@ -88,26 +88,6 @@ class TestFrontendCorrectness:
         assert [keys(b) for b in one.batches] == want
         assert [keys(b) for b in four.batches] == want
 
-    def test_inexact_batches_match(self, fs, sharded_name):
-        def prog(comm):
-            with DistributedStoreServer.open(comm, fs, sharded_name) as server:
-                batches = make_batches(server.manifest.extent, num_batches=4)
-                frontend = AsyncStoreFrontend(server, max_in_flight=2)
-                result = frontend.serve(
-                    batches if comm.rank == 0 else None, exact=False
-                )
-                reference = [
-                    server.range_query_batch(
-                        batch if comm.rank == 0 else None, exact=False
-                    )
-                    for batch in batches
-                ]
-                return result, reference
-
-        result, reference = mpisim.run_spmd(prog, 2).values[0]
-        for got, want in zip(result.batches, reference):
-            assert keys(got) == keys(want)
-
     def test_empty_batches_and_windows(self, fs, sharded_name):
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.geometry import Envelope
 from repro.index import STRtree
-from repro.store import RecordRef, StoreFormatError, dump_index, load_index
+from repro.store import StoreFormatError, dump_index, load_index
 from repro.store.index_io import INDEX_MAGIC, INDEX_VERSION
 
 HEADER = struct.Struct("<8sHHIQ")
@@ -31,7 +31,7 @@ def make_refs(n, seed=0, extent=1000.0):
     for i in range(n):
         x, y = rng.uniform(0, extent), rng.uniform(0, extent)
         w, h = rng.uniform(0, 20), rng.uniform(0, 20)
-        items.append((Envelope(x, y, x + w, y + h), RecordRef(i // 8, i % 8)))
+        items.append((Envelope(x, y, x + w, y + h), (i // 8, i % 8)))
     return items
 
 
@@ -55,13 +55,13 @@ class TestIndexRoundTrip:
         assert back.bounds.is_empty
 
     def test_single_item(self):
-        tree = STRtree([(Envelope(0, 0, 1, 1), RecordRef(0, 0))])
+        tree = STRtree([(Envelope(0, 0, 1, 1), (0, 0))])
         back = load_index(dump_index(tree))
-        assert back.query(Envelope(0.5, 0.5, 2, 2)) == [RecordRef(0, 0)]
+        assert back.query(Envelope(0.5, 0.5, 2, 2)) == [(0, 0)]
         assert len(back) == 1
 
     def test_zero_area_envelopes(self):
-        tree = STRtree([(Envelope.of_point(3, 3), RecordRef(0, i)) for i in range(10)])
+        tree = STRtree([(Envelope.of_point(3, 3), (0, i)) for i in range(10)])
         back = load_index(dump_index(tree))
         assert_equivalent(tree, back)
         assert len(back.query(Envelope(2, 2, 4, 4))) == 10
@@ -109,10 +109,10 @@ class TestIndexValidation:
 
     def test_hand_built_stream_loads(self):
         # the helpers below write what dump_index writes
-        tree = STRtree([(Envelope(1, 2, 3, 4), RecordRef(5, 6))])
+        tree = STRtree([(Envelope(1, 2, 3, 4), (5, 6))])
         blob = header(1, 1) + leaf((1, 2, 3, 4, 5, 6), bounds=(1, 2, 3, 4))
         assert blob == dump_index(tree)
-        assert load_index(blob).query(Envelope(0, 0, 9, 9)) == [RecordRef(5, 6)]
+        assert load_index(blob).query(Envelope(0, 0, 9, 9)) == [(5, 6)]
 
     def test_deep_chain_is_a_format_question_not_a_recursion_error(self):
         # 5 000 one-child internal nodes over one leaf: the recursive reader
@@ -127,7 +127,7 @@ class TestIndexValidation:
         tree = load_index(blob)
         assert len(tree) == 1
         assert tree.stats().height == depth + 1 and tree.stats().num_nodes == depth + 1
-        assert tree.query(Envelope(0, 0, 5, 5)) == [RecordRef(3, 4)]
+        assert tree.query(Envelope(0, 0, 5, 5)) == [(3, 4)]
         assert tree.query(Envelope(20, 20, 30, 30)) == []
         assert dump_index(tree) == blob
         # one node short of what the chain promises
@@ -181,7 +181,7 @@ class TestIndexValidation:
             Envelope(-float("inf"), -float("inf"), float("inf"), float("inf")),
             Envelope(float("nan"), float("nan"), float("nan"), float("nan")),
         ):
-            assert tree.query(window) == [RecordRef(0, 0)]
+            assert tree.query(window) == [(0, 0)]
         # dropped like an empty envelope at build: the tree holds what matches
         assert len(tree) == 1
         assert dump_index(tree) == header(1, 1) + leaf(good)

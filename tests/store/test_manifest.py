@@ -12,7 +12,6 @@ from repro.store import (
     DistributedStoreServer,
     PageKey,
     PartitionInfo,
-    RecordRef,
     SpatialDataStore,
     StoreAppender,
     StoreError,
@@ -61,9 +60,9 @@ class TestManifest:
         m = make_manifest()
         index = STRtree(
             [
-                (Envelope(5, 5, 20, 20), RecordRef(0, 0)),
-                (Envelope(30, 30, 45, 45), RecordRef(1, 0)),
-                (Envelope(60, 60, 90, 90), RecordRef(2, 0)),
+                (Envelope(5, 5, 20, 20), (0, 0)),
+                (Envelope(30, 30, 45, 45), (1, 0)),
+                (Envelope(60, 60, 90, 90), (2, 0)),
             ]
         )
         planner = QueryPlanner(m, index)

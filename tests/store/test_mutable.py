@@ -475,7 +475,7 @@ class TestOpenReadSites:
             clean_io = clean.stats.io_seconds
         faulty = self.faulty(fs, site, kind, max_faults=1)
         with SpatialDataStore.open(faulty, "rsite", cache_pages=256) as store:
-            assert faulty.stats.total_faults == 1
+            assert faulty.stats.read_errors + faulty.stats.short_reads == 1
             assert store.stats.retries == 1
             assert store.stats.io_seconds == pytest.approx(
                 clean_io + DEFAULT_RETRY.backoff(1)

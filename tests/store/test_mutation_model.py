@@ -38,6 +38,7 @@ from repro.store import (
     SpatialDataStore,
     StoreAppender,
     bulk_load,
+    compact_store,
 )
 from repro.store.sharded import read_shards_manifest
 
@@ -123,7 +124,8 @@ class MutationModel(RuleBasedStateMachine):
 
     @rule()
     def compact(self):
-        assert self._appender().compact().num_records == len(self.model)
+        assert compact_store(self.fs, NAME).num_records == len(self.model)
+        self.appender = None  # an appender's shards.json is stale after compaction
 
     @rule()
     def reopen(self):

@@ -36,11 +36,11 @@ SURFACE = [
     (pack_partitions, "cells grid page_size"),
     (write_generation, "fs paths packed page_size"),
     (write_store_files, "fs name packed page_size extent grid next_record_id"),
-    (StoreAppender.__init__, "self fs name tracer"),
+    (StoreAppender.__init__, "self fs name"),
     (StoreAppender.append, "self geometries deletes record_ids"),
     # compaction re-loads with the store's own shard count, page size,
     # partition count and read replicas
-    (compact_store, "fs name tracer"),
+    (compact_store, "fs name"),
     # --- serving: one fixed in-flight window, max-over-ranks phases, and the
     # serving keywords declared once (open() and the sharded server forward);
     # hits are decoded values, answers land on rank 0 only, and the
@@ -60,7 +60,7 @@ SURFACE = [
         DistributedStoreServer.range_query_batch,
         "self queries exact partial_ok deadline",
     ),
-    (DistributedStoreServer.join, "self probes predicate"),
+    (DistributedStoreServer.join, "self probes"),
     (RefineExecutor.refine, "self entry pages exact"),
     (IOScheduler.__init__, "self pages gap layout cost_model cache_capacity"),
     (IOScheduler.cost_aware, "pages layout cost_model cache_capacity"),

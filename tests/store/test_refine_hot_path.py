@@ -263,20 +263,21 @@ def shaped_geometries(count, seed):
         elif kind == 4:  # two far-apart boxes: the MBR is mostly empty
             geom = MultiPolygon(
                 [Polygon(at((0, 0), (2, 0), (2, 2), (0, 2))),
-                 Polygon(at((6, 6), (8, 6), (8, 8), (6, 8)), [at((6.5, 6.5), (7.5, 6.5), (7, 7.5))])],
-                userdata=i,
+                 Polygon(at((6, 6), (8, 6), (8, 8), (6, 8)), [at((6.5, 6.5), (7.5, 6.5), (7, 7.5))])]
             )
+            geom.userdata = i
         elif kind == 5:
             geom = MultiLineString(
-                [LineString(at((0, 8), (3, 5))), LineString(at((5, 3), (8, 0), (8, 2)))], userdata=i
+                [LineString(at((0, 8), (3, 5))), LineString(at((5, 3), (8, 0), (8, 2)))]
             )
+            geom.userdata = i
         elif kind == 6:
             geom = GeometryCollection(
                 [Point(*at((0, 0))[0]), LineString(at((8, 0), (4, 4))),
                  MultiPoint([Point(*at((8, 8))[0]), Point(*at((2, 6))[0])]),
-                 Polygon(at((0, 6), (2, 6), (2, 8), (0, 8)))],
-                userdata=i,
+                 Polygon(at((0, 6), (2, 6), (2, 8), (0, 8)))]
             )
+            geom.userdata = i
         else:  # zig-zag line
             geom = LineString(at((0, 0), (8, 2), (0, 4), (8, 6), (0, 8)), userdata=i)
         out.append(geom)

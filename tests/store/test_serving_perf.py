@@ -226,9 +226,9 @@ class TestPrefetchBoundaries:
         captured = []
         real_read_time = store.fs.read_time
 
-        def spy(path, requests, readers=None):
+        def spy(path, requests):
             captured.extend(requests)
-            return real_read_time(path, requests, readers)
+            return real_read_time(path, requests)
 
         store.fs.read_time = spy
         try:
@@ -378,7 +378,7 @@ class TestBatchFrontend:
                                       config=SyntheticConfig(seed=77))
         probes = VectorIO(fs).sequential_read(probe_path).geometries
         store = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024)
-        pairs = store.join(probes, predicates.intersects)
+        pairs = store.join(probes)
         # reference: the pre-batching per-probe formulation
         want = []
         ref = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024)

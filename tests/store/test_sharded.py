@@ -269,6 +269,25 @@ class TestDistributedJoin:
         assert len(got) == len(set(got))
 
 
+    @pytest.mark.parametrize("nprocs", [1, 2])
+    def test_join_refines_the_mbr_filter_with_intersects(self, tmp_path, nprocs):
+        fs = make_fs(tmp_path)
+        triangles = [Polygon([(x, 0), (x + 10, 0), (x, 10)]) for x in (0.0, 50.0)]
+        bulk_load(fs, "tri", triangles, num_shards=2, num_partitions=4, page_size=512)
+        # both probes overlap both triangles' MBRs; only the lower-left
+        # corners touch the triangles themselves
+        probes = [Polygon.box(x + 8, 8, x + 9, 9) for x in (0.0, 50.0)] + [
+            Polygon.box(x + 1, 1, x + 2, 2) for x in (0.0, 50.0)
+        ]
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "tri") as server:
+                return server.join(probes if comm.rank == 0 else None)
+
+        pairs = mpisim.run_spmd(prog, nprocs).values[0]
+        assert sorted((probes.index(p), h.record_id) for p, h in pairs) == [(2, 0), (3, 1)]
+
+
 class TestStoreBackedPipelineInput:
     @pytest.mark.parametrize("nprocs", NPROCS)
     def test_local_records_partition_the_dataset(self, tmp_path, nprocs):
@@ -344,9 +363,13 @@ class TestCoreWiring:
         cfg = GridPartitionConfig(num_cells=16)
 
         def classic(comm):
-            return SpatialJoin(fs, grid_config=cfg).run_gathered(
+            local = SpatialJoin(fs, grid_config=cfg).run(
                 comm, "datasets/left.wkt", "datasets/right.wkt"
             )
+            gathered = comm.gather(local.local_results, root=0)
+            if comm.rank != 0:
+                return None
+            return [p for chunk in gathered for p in chunk]
 
         expected = mpisim.run_spmd(classic, nprocs).values[0]
         expected_keys = sorted((p.left.wkt(), p.right.wkt()) for p in expected)
@@ -408,7 +431,7 @@ class TestCoreWiring:
         all_ids = sorted(uid for chunk in values for uid in chunk)
         assert all_ids == list(range(len(geoms)))
 
-    def test_buggy_join_predicate_is_not_blamed_on_a_shard(self, tmp_path):
+    def test_buggy_join_predicate_is_not_blamed_on_a_shard(self, tmp_path, monkeypatch):
         fs = make_fs(tmp_path)
         geoms = random_geometries(40, seed=97)
         bulk_load(fs, "data", geoms, num_shards=2, num_partitions=8,
@@ -420,8 +443,10 @@ class TestCoreWiring:
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, "data") as server:
-                return server.join(probes if comm.rank == 0 else None, bad_predicate)
+                return server.join(probes if comm.rank == 0 else None)
 
+        # the refine step calls the predicate module's intersects at call time
+        monkeypatch.setattr(predicates, "intersects", bad_predicate)
         from repro.store import StoreError
 
         with pytest.raises(ValueError, match="user predicate bug") as excinfo:

@@ -55,17 +55,6 @@ class TestMissingAndCorruptInputs:
         res = mpisim.run_spmd(prog, 2)
         assert res.values[0] == 40  # the 40 valid records survive
 
-    def test_strict_parser_propagates_failure(self, lustre):
-        with lustre.open("datasets/cemetery.wkt", mode="r+") as fh:
-            fh.pwrite(fh.size, b"GARBAGE RECORD\n")
-
-        def prog(comm):
-            vio = VectorIO(lustre)
-            return vio.read_geometries(comm, "datasets/cemetery.wkt", WKTParser(skip_invalid=False))
-
-        with pytest.raises(Exception):
-            mpisim.run_spmd(prog, 2)
-
 
 class TestRankFailures:
     def test_rank_crash_mid_join_propagates(self, lustre):

@@ -1,6 +1,7 @@
 """The ``scripts/`` entry points stay runnable from a bare checkout and are
 thin shims over importable, unit-tested library modules."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -137,7 +138,8 @@ class TestStoreLocScript:
 
 
 class TestCensusScript:
-    """``census.py`` fails on a public name that only its own tests reach."""
+    """``census.py`` fails on a public name, class member or defaulted
+    keyword that only its own tests reach."""
 
     def test_gate_as_ci_runs_it(self):
         workflow = (SCRIPTS.parent / ".github" / "workflows" / "ci.yml").read_text()
@@ -181,9 +183,9 @@ class TestCensusScript:
         result = run("census.py", "src/pkgx", cwd=tmp_path)
         assert result.returncode == 1
         flagged = sorted(line.split(":")[1] for line in result.stdout.splitlines())
-        # Helper's only mention is in a method nothing calls; typed is only
-        # an annotation
-        assert flagged == ["Helper", "dead", "typed"]
+        # Helper's only mention is in a method nothing calls (so that method
+        # is flagged too); typed is only an annotation
+        assert flagged == ["Helper", "Store.helper", "dead", "typed"]
 
     @staticmethod
     def _unreached_package(root, sub=""):
@@ -254,6 +256,203 @@ class TestCensusScript:
         result = run("census.py", "src/repro", cwd=tmp_path)
         assert result.returncode == 1
         assert "repro.mpisim.ops:LOR: stale keep entry" in result.stdout
+
+    # --- class members and defaulted keywords ------------------------------ #
+    @staticmethod
+    def _member_package(root, body, **users):
+        """``src/pkgx/mod.py`` holding *body* (``Store`` is reached through
+        ``__all__`` by ``examples/demo.py``), plus one file per
+        ``dir__file_py=source`` in *users*; returns the census's findings."""
+        pkg = root / "src" / "pkgx"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "mod.py").write_text('__all__ = ["Store"]\n' + body)
+        (root / "examples").mkdir()
+        (root / "examples" / "demo.py").write_text("from pkgx.mod import Store\nStore()\n")
+        for name, source in users.items():
+            path = root / (name.replace("__", "/")[: -len("_py")] + ".py")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        result = run("census.py", "src/pkgx", cwd=root)
+        return result.returncode, sorted(line.split(": ")[0] for line in result.stdout.splitlines())
+
+    def test_a_method_only_its_own_tests_reach_is_flagged(self, tmp_path):
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n"
+            "    def used(self):\n"
+            "        return 1\n"
+            "    def dead(self):\n"
+            "        return self.dead()\n",  # recursion is its own definition
+            tests__test_mod_py="from pkgx.mod import Store\nStore().dead()\n",
+            examples__use_py="def f(store):\n    return store.used()\n",
+        )
+        assert (code, flagged) == (1, ["pkgx.mod:Store.dead"])
+
+    def test_an_attribute_access_in_another_module_reaches_a_method(self, tmp_path):
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 1\n",
+            src__pkgx__other_py="def size_of(store):\n    return store.size\n",
+        )
+        assert (code, flagged) == (0, [])
+
+    def test_a_helper_only_a_reached_sibling_calls_is_reached(self, tmp_path):
+        body = (
+            "class Store:\n"
+            "    def serve(self):\n"
+            "        return self.helper()\n"
+            "    def helper(self):\n"
+            "        return 1\n"
+        )
+        code, flagged = self._member_package(
+            tmp_path, body, perf__run_py="def go(store):\n    store.serve()\n"
+        )
+        assert (code, flagged) == (0, [])
+        # once nothing calls serve, neither method is reached
+        code, flagged = self._member_package(tmp_path / "unreached", body)
+        assert (code, flagged) == (1, ["pkgx.mod:Store.helper", "pkgx.mod:Store.serve"])
+
+    def test_a_keyword_no_caller_passes_is_flagged(self, tmp_path):
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n"
+            "    def __init__(self, cache=1, strict=False):\n"
+            "        self.cache = cache\n"
+            "def load(store, retries=3, *, lazy=False):\n"
+            "    return store\n",
+            examples__use_py=(
+                "from pkgx.mod import Store, load\n"
+                "load(Store(cache=2), retries=5)\n"
+            ),
+            tests__test_mod_py="from pkgx.mod import Store, load\nload(Store(strict=True), lazy=True)\n",
+        )
+        assert (code, flagged) == (1, ["pkgx.mod:Store(strict)", "pkgx.mod:load(lazy)"])
+
+    @pytest.mark.parametrize("call", [
+        "Store(2, True)",                      # by position
+        "Store(*[2, True])",                   # spread positionally
+        "Store(**{'strict': True})",           # forwarded **kwargs
+        "make(strict=True)",                   # through an inherited __init__
+    ])
+    def test_a_keyword_passed_by_position_or_forwarded_is_reached(self, tmp_path, call):
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n"
+            "    def __init__(self, cache=1, strict=False):\n"
+            "        self.cache = cache\n"
+            "class Mid(Store):\n"
+            "    pass\n"
+            "class Sub(Mid):\n"
+            "    pass\n",
+            examples__use_py=(
+                "from pkgx.mod import Store, Sub\n"
+                "def make(**kwargs):\n"
+                "    return Sub(cache=2, **kwargs)\n"
+                f"{call}\n"
+            ),
+        )
+        assert (code, flagged) == (0, [])
+
+    def test_a_call_inside_an_unreached_method_passes_nothing(self, tmp_path):
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n"
+            "    def warm(self):\n"
+            "        return load(self, lazy=True)\n"
+            "def load(store, lazy=False):\n"
+            "    return store\n",
+            examples__use_py="from pkgx.mod import Store, load\nload(Store())\n",
+        )
+        assert (code, flagged) == (1, ["pkgx.mod:Store.warm", "pkgx.mod:load(lazy)"])
+
+    def test_a_module_name_string_reaches_a_member(self, tmp_path):
+        # the perf/spans.py wrap table names its targets module:Class.member
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n    def serve(self):\n        return 1\n",
+            perf__spans_py='TARGETS = ["pkgx.mod:Store.serve"]\n',
+        )
+        assert (code, flagged) == (0, [])
+
+    def test_cls_and_super_calls_reach_init_keywords(self, tmp_path):
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n"
+            "    def __init__(self, cache=1, strict=False):\n"
+            "        self.cache = cache\n"
+            "    @classmethod\n"
+            "    def open(cls):\n"
+            "        return cls(strict=True)\n"
+            "class Sub(Store):\n"
+            "    def __init__(self):\n"
+            "        super().__init__(cache=2)\n",
+            examples__use_py="from pkgx.mod import Store, Sub\nStore.open()\nSub()\n",
+        )
+        assert (code, flagged) == (0, [])
+
+    def test_dunder_and_private_members_are_not_checked(self, tmp_path):
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n"
+            "    def __len__(self):\n"
+            "        return self._count(strict=True)\n"
+            "    def _count(self, strict=False):\n"
+            "        return 0\n",
+        )
+        assert (code, flagged) == (0, [])
+
+    def test_a_keyword_keep_entry_that_becomes_passed_is_stale(self, tmp_path):
+        # KEEP holds repro.store.writer:bulk_load(read_replicas) as unpassed
+        pkg = tmp_path / "src" / "repro" / "store"
+        pkg.mkdir(parents=True)
+        (pkg.parent / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "writer.py").write_text(
+            '__all__ = ["bulk_load"]\ndef bulk_load(fs, read_replicas=0):\n    return fs\n'
+        )
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from repro.store.writer import bulk_load\nbulk_load(None, read_replicas=1)\n"
+        )
+        result = run("census.py", "src/repro", cwd=tmp_path)
+        assert result.returncode == 1
+        assert "repro.store.writer:bulk_load(read_replicas): stale keep entry" in result.stdout
+
+    def test_a_keep_entry_needs_a_known_rule_and_a_reason(self, tmp_path, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("census_script", SCRIPTS / "census.py")
+        census = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(census)
+        self._unreached_package(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(census, "KEEP", {
+            "pkgx.mod:name": ("test helper", ""),
+            "pkgx.mod:other": ("tidy", "a reason"),
+        })
+        assert census.main(["src/pkgx"]) == 1
+        out = capsys.readouterr().out
+        assert "pkgx.mod:name: keep entry gives no reason" in out
+        assert "pkgx.mod:other: keep rule 'tidy' is not one of" in out
+
+    def test_a_member_keep_entry_that_becomes_reached_is_stale(self, tmp_path):
+        # KEEP holds repro.mpisim.comm:Communicator.exscan as unreached
+        pkg = tmp_path / "src" / "repro" / "mpisim"
+        pkg.mkdir(parents=True)
+        (pkg.parent / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "comm.py").write_text(
+            "class Communicator:\n    def exscan(self, value):\n        return value\n"
+        )
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "def prefix(comm):\n    return comm.exscan(1)\n"
+        )
+        result = run("census.py", "src/repro", cwd=tmp_path)
+        assert result.returncode == 1
+        assert "repro.mpisim.comm:Communicator.exscan: stale keep entry" in result.stdout
 
 
 @pytest.mark.parametrize(
