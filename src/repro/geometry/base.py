@@ -1,15 +1,21 @@
-"""Abstract geometry base class.
+"""Geometry base class.
 
 The class hierarchy mirrors the OGC Simple Features model that GEOS exposes:
 ``Point``, ``LineString``, ``Polygon`` and the Multi* collections.  Each
 geometry carries an optional ``userdata`` field, matching the paper's use of
 the GEOS ``Geometry`` userdata slot to hold the non-spatial attributes parsed
 from the source record.
+
+``Geometry`` is a plain class, not an ``abc.ABC``: every refine predicate,
+planner check and wire-size check dispatches with ``isinstance`` against a
+geometry class, and under ``ABCMeta`` each such check runs
+``ABCMeta.__instancecheck__`` — about three times the cost of the plain type
+check, paid per refined record.  The protocol is kept by the subclasses, not
+enforced at instantiation.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Any
 
 from .envelope import Envelope
@@ -17,8 +23,17 @@ from .envelope import Envelope
 __all__ = ["Geometry"]
 
 
-class Geometry(ABC):
-    """Base class for all geometry types."""
+class Geometry:
+    """Base class for all geometry types.
+
+    Every subclass provides the core protocol:
+
+    * ``envelope`` (property) — the minimum bounding rectangle, an
+      :class:`~repro.geometry.envelope.Envelope`;
+    * ``is_empty`` (property) — true for geometries with no coordinates;
+    * ``num_points`` (property) — the total number of coordinates;
+    * ``wkt()`` — the Well-Known Text representation.
+    """
 
     __slots__ = ("userdata",)
 
@@ -27,28 +42,6 @@ class Geometry(ABC):
 
     def __init__(self, userdata: Any = None) -> None:
         self.userdata = userdata
-
-    # ------------------------------------------------------------------ #
-    # core protocol
-    # ------------------------------------------------------------------ #
-    @property
-    @abstractmethod
-    def envelope(self) -> Envelope:
-        """Minimum bounding rectangle of this geometry."""
-
-    @property
-    @abstractmethod
-    def is_empty(self) -> bool:
-        """True for geometries with no coordinates."""
-
-    @property
-    @abstractmethod
-    def num_points(self) -> int:
-        """Total number of coordinates in the geometry."""
-
-    @abstractmethod
-    def wkt(self) -> str:
-        """Well-Known Text representation."""
 
     # convenience aliases ------------------------------------------------
     @property

@@ -14,8 +14,10 @@ point messages on the ``mpisim`` virtual clock:
   rank 0's gather of an earlier batch;
 * completion is windowed: once ``max_in_flight`` batches are outstanding,
   rank 0 serves its own shard portion of the oldest batch, collects the
-  peers' rows (the virtual arrival times are usually already in the past —
-  that is the overlap) and de-duplicates.
+  peers' :class:`~repro.store.sharded.ShardRows` — the engine's hit lists,
+  one chunk per served plan entry (the virtual arrival times are usually
+  already in the past — that is the overlap) — and de-duplicates, sorting
+  only the positions two chunks both answered.
 
 Because the buffered point-to-point layer stamps every message with its
 virtual arrival time, the resulting per-batch latencies and the aggregate
@@ -24,7 +26,8 @@ front-end degenerates to sequential submission, and throughput grows with
 the window until rank 0's route+gather work or the slowest serving rank
 saturates.  Results are bit-identical to sequential
 ``range_query_batch`` calls — the front-end reuses the server's router, the
-per-shard store engines and the record-id de-dup.
+per-shard store engines, the wire pricing and the record-id de-dup
+(:func:`~repro.store.sharded.merge_chunks`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ applications (§5–§6) are multi-rank.  This module closes the gap:
   existing :class:`~repro.mpisim.comm.Communicator` collectives, ranks
   answer locally through their LRU page caches, and results are gathered and
   de-duplicated on logical ``record_id`` (replicas of a geometry may live in
-  multiple shards).
+  multiple shards).  A rank ships the engine's own hit lists, one
+  :data:`Chunk` per served plan entry; rank 0 sorts only the batch positions
+  that two chunks both answered.
 
 Every serving call records a virtual-clock phase breakdown
 (``route`` / ``scatter`` / ``local_query`` / ``gather``) so benchmarks can
@@ -65,10 +67,13 @@ class ShardError(StoreError):
         self.store = store
 
 
-#: one matched record on the wire: ``(batch position, record id, shard,
-#: partition, page, geometry)`` — the query id stays with rank 0's batch
-Row = Tuple[int, int, int, int, int, Geometry]
-#: wire bytes of a row's five 8-byte id columns
+#: one shard's answer to one plan entry on the wire: ``(batch position,
+#: shard, hits)`` — *hits* is the engine's :class:`QueryHit` list as it came
+#: out (record ids unique and ascending); the query id stays with rank 0's
+#: batch
+Chunk = Tuple[int, int, List[QueryHit]]
+#: wire bytes of a hit's five 8-byte id columns (position, record, shard,
+#: partition, page)
 ROW_ID_BYTES = 40
 #: wire bytes of a range-query plan entry: its batch position and the window
 #: (the paper's ``MPI_RECT``, four doubles)
@@ -183,9 +188,9 @@ class SizedList(list):
 
 class ShardRows(SizedList):
     """One rank's answer to one batch — the gather payload of every serving
-    call: its :data:`Row` tuples plus the shard portions it could not serve
-    (``failures``, empty in strict mode).  ``nbytes`` is
-    :data:`ROW_ID_BYTES` + :func:`body_nbytes` per row, and per failure 16 +
+    call: one :data:`Chunk` per served plan entry plus the shard portions it
+    could not serve (``failures``, empty in strict mode).  ``nbytes`` is
+    :data:`ROW_ID_BYTES` + :func:`body_nbytes` per hit, and per failure 16 +
     8 per listed partition and batch position + the cause text."""
 
     __slots__ = ("failures",)
@@ -194,12 +199,25 @@ class ShardRows(SizedList):
         super().__init__()
         self.failures: List[Failure] = []
 
-    def add_hits(self, idx: int, sid: int, hits: Sequence[QueryHit]) -> None:
-        """Append shard *sid*'s *hits* of the plan entry at batch position *idx*."""
-        self.nbytes += ROW_ID_BYTES * len(hits) + sum(body_nbytes(h.geometry) for h in hits)
-        self.extend(
-            [(idx, h.record_id, sid, h.partition_id, h.page_id, h.geometry) for h in hits]
-        )
+    def add_hits(
+        self, idx: int, sid: int, hits: List[QueryHit], sizes: List[Dict[int, int]]
+    ) -> None:
+        """Append shard *sid*'s *hits* of the plan entry at batch position
+        *idx* as one chunk.  *sizes* is the shard store's memo of
+        :func:`body_nbytes`, one dict by record id per generation: a record
+        body is immutable while its store is open, so each is priced once."""
+        nbytes = ROW_ID_BYTES * len(hits)
+        for record_id, geom, _, _, generation in hits:
+            memo = sizes[generation]
+            size = memo.get(record_id)
+            if size is None:
+                size = memo[record_id] = body_nbytes(geom)
+            nbytes += size
+        self.nbytes += nbytes
+        self.append((idx, sid, hits))
+
+    def num_hits(self) -> int:
+        return sum(len(chunk[2]) for chunk in self)
 
     def fail(
         self, sid: int, partitions: List[int], positions: List[int], cause: str, fatal: bool
@@ -208,20 +226,45 @@ class ShardRows(SizedList):
         self.nbytes += 16 + 8 * (len(partitions) + len(positions)) + payload_nbytes(cause)
 
 
-def merge_rows(payloads: Iterable[List[Row]], qids: Sequence[Any]) -> List[DistributedHit]:
-    """De-duplicate gathered rows on ``(batch position, record id)``: one
-    sort on the id columns, the first row of each run kept — the lowest
-    ``(shard, partition, page)`` replica wins by construction.  *qids* maps
-    a batch position to its query id, which never travelled."""
+def merge_chunks(payloads: Iterable[List[Chunk]], qids: Sequence[Any]) -> List[DistributedHit]:
+    """De-duplicate gathered chunks on ``(batch position, record id)``, in
+    that order.  Chunks are grouped by position.  A position with one
+    non-empty chunk is that chunk as it stands (the engine's ids are unique
+    and ascending); one answered by several is sorted on the id columns and
+    the first hit of each record kept — the lowest ``(shard, partition,
+    page)`` replica wins.  *qids* maps a batch position to its query id,
+    which never travelled."""
+    by_position: Dict[int, List[Chunk]] = {}
+    for chunk in chain.from_iterable(payloads):
+        if chunk[2]:
+            by_position.setdefault(chunk[0], []).append(chunk)
+    # the tuple constructor builds the same DistributedHit as its generated
+    # Python-level __new__, at C speed (one per hit is the merge's cost)
+    new, hit = tuple.__new__, DistributedHit
     hits: List[DistributedHit] = []
-    last = None
-    # the key stops at the page column: geometries are never compared
-    for row in sorted(chain.from_iterable(payloads), key=itemgetter(0, 1, 2, 3, 4)):
-        if row[:2] != last:
-            last = row[:2]
-            idx, record_id, sid, partition, page, geom = row
-            hits.append(DistributedHit(qids[idx], record_id, geom, sid, partition, page))
+    for idx, chunks in sorted(by_position.items()):
+        qid = qids[idx]
+        if len(chunks) == 1:
+            _, sid, found = chunks[0]
+            hits += [
+                new(hit, (qid, record_id, geom, sid, partition, page))
+                for record_id, geom, partition, page, _ in found
+            ]
+            continue
+        last = None
+        # the key stops at the page column: geometries are never compared
+        rows = [(h[0], sid, h[2], h[3], h[1]) for _, sid, found in chunks for h in found]
+        for record_id, sid, partition, page, geom in sorted(rows, key=itemgetter(0, 1, 2, 3)):
+            if record_id != last:
+                last = record_id
+                hits.append(new(hit, (qid, record_id, geom, sid, partition, page)))
     return hits
+
+
+def _hard_faults(outcome: BatchOutcome) -> List[Exception]:
+    """The page failures of *outcome* that an exhausted deadline did not
+    cause — what a replica may repair and what makes a failure fatal."""
+    return [exc for _, exc in outcome.failed_pages if not isinstance(exc, DeadlineExceeded)]
 
 
 class DistributedStoreServer:
@@ -263,7 +306,6 @@ class DistributedStoreServer:
         #: server-level metrics (per-shard query heat etc.) — distinct from
         #: the per-store registries, merged by :meth:`aggregate_metrics`
         self.metrics = MetricsRegistry()
-        self._shard_heat: Dict[int, Any] = {}
         self.stores: Dict[int, SpatialDataStore] = {}
         #: cumulative per-phase simulated seconds on this rank
         self.phases: Dict[str, float] = {name: 0.0 for name in SERVING_PHASES}
@@ -283,12 +325,25 @@ class DistributedStoreServer:
         }
         self._failovers = self.metrics.counter("server.failovers")
         self._degraded = self.metrics.counter("server.degraded_queries")
-        #: final metric snapshots of stores retired by failover — without
-        #: them a failed primary's retries / checksum failures would vanish
-        #: from :meth:`aggregate_metrics` the moment it is replaced
+        #: final stats and metric snapshots of stores retired by failover —
+        #: without them a failed primary's retries, checksum failures and
+        #: I/O seconds would vanish from :meth:`aggregate_stats`,
+        #: :meth:`aggregate_metrics` and the virtual clock the moment it is
+        #: replaced
+        self._retired_stats: List[Dict[str, float]] = []
         self._retired_metrics: List[Dict[str, Any]] = []
+        #: per shard, :func:`body_nbytes` of each record its serving store
+        #: returned, by generation and record id; replaced with the store
+        self._body_sizes: Dict[int, List[Dict[int, int]]] = {}
+        # each shard opens from its primary store, falling back to each read
+        # replica in order; all copies failing raises the primary's
+        # ShardError unless allow_degraded records the shard dead
         for sid in self.my_shards:
-            self._open_with_failover(manifest.shards[sid])
+            shard = manifest.shards[sid]
+            store, error = self._open_copy(shard, [shard.store] + self._spare_stores[sid], "open")
+            if store is None:
+                self._mark_dead(sid, error)
+        comm.clock.advance(self._store_io_seconds(), category="io")
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -343,6 +398,16 @@ class DistributedStoreServer:
     # ------------------------------------------------------------------ #
     # error containment
     # ------------------------------------------------------------------ #
+    def _shard_error(self, sid: int, action: str, cause: Any) -> ShardError:
+        """The :class:`ShardError` naming shard *sid* that failed *action*."""
+        store = self.manifest.shards[sid].store
+        return ShardError(
+            f"shard {sid} ({store!r}) of store {self.manifest.name!r} failed during "
+            f"{action}: {cause}",
+            shard_id=sid,
+            store=store,
+        )
+
     @contextmanager
     def _shard_guard(self, shard: ShardInfo, action: str) -> Iterator[None]:
         """Convert low-level decode failures into a ShardError naming the
@@ -353,22 +418,11 @@ class DistributedStoreServer:
         except ShardError:  # already attributed by a nested guard
             raise
         except _SHARD_DECODE_ERRORS as exc:
-            raise ShardError(
-                f"shard {shard.shard_id} ({shard.store!r}) of store "
-                f"{self.manifest.name!r} failed during {action}: {exc}",
-                shard_id=shard.shard_id,
-                store=shard.store,
-            ) from exc
+            raise self._shard_error(shard.shard_id, action, exc) from exc
 
     # ------------------------------------------------------------------ #
     # replica failover
     # ------------------------------------------------------------------ #
-    def _open_store(self, shard: ShardInfo, store_name: str) -> SpatialDataStore:
-        store = SpatialDataStore.open(
-            self.fs, store_name, tracer=self.tracer, **self._store_options
-        )
-        self.comm.clock.advance(store.stats.io_seconds, category="io")
-        return store
 
     def _open_copy(
         self, shard: ShardInfo, names: Sequence[str], action: str
@@ -387,8 +441,13 @@ class DistributedStoreServer:
                 spares.remove(store_name)
             try:
                 with self._shard_guard(shard, f"{action} ({store_name!r})"):
+                    # the open's I/O seconds are charged with the stores'
+                    # others: by __init__, or by the phase whose failover
+                    # opened it
                     try:
-                        store = self._open_store(shard, store_name)
+                        store = SpatialDataStore.open(
+                            self.fs, store_name, tracer=self.tracer, **self._store_options
+                        )
                     except OSError as exc:  # missing/unreadable file
                         raise StoreError(str(exc)) from exc
             except ShardError as exc:
@@ -401,6 +460,7 @@ class DistributedStoreServer:
                 ):
                     pass
             self.stores[sid] = store
+            self._body_sizes[sid] = [{} for _ in store.generations]
             return store, None
         return None, first_error
 
@@ -411,42 +471,22 @@ class DistributedStoreServer:
             raise error
         self.dead_shards[sid] = error
 
-    def _open_with_failover(self, shard: ShardInfo) -> Optional[SpatialDataStore]:
-        """Open *shard* from its primary store, falling back to each read
-        replica in order.  All copies failing raises the primary's
-        ShardError — unless ``allow_degraded``, which records the shard as
-        dead and returns None (degraded queries then report its partitions
-        as missing instead of aborting)."""
-        sid = shard.shard_id
-        store, error = self._open_copy(
-            shard, [shard.store] + self._spare_stores.get(sid, []), "open"
-        )
-        if store is None:
-            self._mark_dead(sid, error)
-        return store
-
     def _failover(self, sid: int, cause: Exception, action: str) -> bool:
         """Replace shard *sid*'s store with the next untried replica after a
         serving-time failure.  Returns True when a replacement is in place
         (caller should retry), False when the shard is out of copies (it is
         then recorded dead if degraded mode allows, else *cause* re-raises).
         """
-        old = self.stores.pop(sid, None)
-        if old is not None:
-            self._retired_metrics.append(old.metrics.snapshot())
-            old.close()
+        old = self.stores.pop(sid)
+        self._retired_stats.append(old.stats.as_dict())
+        self._retired_metrics.append(old.metrics.snapshot())
+        old.close()
         shard = self.manifest.shards[sid]
         store, _ = self._open_copy(shard, list(self._spare_stores.get(sid, ())), action)
         if store is not None:
             return True
         self._mark_dead(
-            sid,
-            cause if isinstance(cause, ShardError) else ShardError(
-                f"shard {sid} ({shard.store!r}) of store {self.manifest.name!r} "
-                f"failed during {action}: {cause}",
-                shard_id=sid,
-                store=shard.store,
-            ),
+            sid, cause if isinstance(cause, ShardError) else self._shard_error(sid, action, cause)
         )
         return False
 
@@ -459,7 +499,11 @@ class DistributedStoreServer:
         return now
 
     def _store_io_seconds(self) -> float:
-        return sum(store.stats.io_seconds for store in self.stores.values())
+        """Simulated I/O seconds of every store this rank opened, retired
+        ones included."""
+        return sum(store.stats.io_seconds for store in self.stores.values()) + sum(
+            stats["io_seconds"] for stats in self._retired_stats
+        )
 
     def phase_breakdown(self) -> Dict[str, float]:
         """Per-phase simulated seconds, the maximum over all ranks
@@ -470,15 +514,17 @@ class DistributedStoreServer:
     def aggregate_stats(self) -> Dict[str, Any]:
         """Serving statistics aggregated across all ranks (collective).
 
-        Each rank contributes one snapshot per shard store it owns — a
-        rank's page cache is counted exactly once no matter how many times
-        this is called, because snapshots are absolute counters, not deltas.
+        Each rank contributes one snapshot per shard store it owns, plus the
+        final one of each store failover retired — a rank's page cache is
+        counted exactly once no matter how many times this is called,
+        because snapshots are absolute counters, not deltas.
         The cache hit rate is recomputed from the summed counters (a mean of
         per-rank rates would weight idle ranks equally with busy ones).
         """
         local: Dict[str, float] = {}
-        for store in self.stores.values():
-            for key, value in store.stats.as_dict().items():
+        owned = [store.stats.as_dict() for store in self.stores.values()]
+        for stats in owned + self._retired_stats:
+            for key, value in stats.items():
                 local[key] = local.get(key, 0.0) + value
         local.pop("cache_hit_rate", None)
         per_rank = self.comm.allgather(local)
@@ -592,16 +638,6 @@ class DistributedStoreServer:
     # ------------------------------------------------------------------ #
     # local serving
     # ------------------------------------------------------------------ #
-    def _heat_counter(self, sid: int) -> Any:
-        # per-shard query heat: one tick per batch entry this shard actually
-        # serves (the rebalancer-facing twin of the engine's partition heat)
-        counter = self._shard_heat.get(sid)
-        if counter is None:
-            counter = self._shard_heat[sid] = self.metrics.counter(
-                "server.shard_heat", shard=sid
-            )
-        return counter
-
     def _serve_shards(
         self,
         entries: List[Tuple[Any, ...]],
@@ -642,7 +678,9 @@ class DistributedStoreServer:
             kept = [e for e in entries if shard.extent.intersects(e[-1])]
             if not kept:
                 continue
-            self._heat_counter(sid).inc(len(kept))
+            # per-shard query heat: one tick per batch entry this shard
+            # serves (the rebalancer-facing twin of the engine's partition heat)
+            self.metrics.counter("server.shard_heat", shard=sid).inc(len(kept))
             windows = [(None, e[-1]) for e in kept]
             error: Optional[Exception] = self.dead_shards.get(sid)
             outcome: Optional[BatchOutcome] = None
@@ -665,11 +703,7 @@ class DistributedStoreServer:
                         error = exc
                     continue
                 if not outcome.complete and self._spare_stores.get(sid):
-                    hard = [
-                        exc
-                        for _, exc in outcome.failed_pages
-                        if not isinstance(exc, DeadlineExceeded)
-                    ]
+                    hard = _hard_faults(outcome)
                     if hard:
                         outcome = None
                         if not self._failover(sid, hard[0], action):
@@ -685,18 +719,16 @@ class DistributedStoreServer:
                     True,
                 )
                 continue
+            sizes = self._body_sizes[sid]
             for (idx, probe, _), hits in zip(kept, outcome.hits):
-                rows.add_hits(idx, sid, hits if refine is None else refine(probe, hits))
+                rows.add_hits(idx, sid, hits if refine is None else refine(probe, hits), sizes)
             if not outcome.complete:
                 rows.fail(
                     sid,
                     list(outcome.missing_partitions),
                     sorted({kept[pos][0] for pos in outcome.incomplete_queries}),
                     str(outcome.failed_pages[0][1]) if outcome.failed_pages else "incomplete",
-                    any(
-                        not isinstance(exc, DeadlineExceeded)
-                        for _, exc in outcome.failed_pages
-                    ),
+                    bool(_hard_faults(outcome)),
                 )
         return rows
 
@@ -727,7 +759,7 @@ class DistributedStoreServer:
                 rows = serve(entries)
             if tracer.enabled:
                 span.set(
-                    rank=self.comm.rank, entries=len(entries), rows=len(rows), **attrs
+                    rank=self.comm.rank, entries=len(entries), rows=rows.num_hits(), **attrs
                 )
         clock.advance(self._store_io_seconds() - io_before, category="io")
         self._charge_phase("local_query", since)
@@ -746,7 +778,7 @@ class DistributedStoreServer:
             with self.comm.clock.compute(category="gather"):
                 result = assemble(payloads)
             if tracer.enabled:
-                span.set(rows=sum(len(rows) for rows in payloads), **attrs)
+                span.set(rows=sum(rows.num_hits() for rows in payloads), **attrs)
         return result
 
     def _plan(
@@ -879,14 +911,8 @@ class DistributedStoreServer:
         if not partial_ok:
             for sid, _, _, cause, fatal in failures:
                 if fatal:
-                    shard = self.manifest.shards[sid]
-                    raise ShardError(
-                        f"shard {sid} ({shard.store!r}) of store "
-                        f"{self.manifest.name!r} failed during query: {cause}",
-                        shard_id=sid,
-                        store=shard.store,
-                    )
-        hits = merge_rows(payloads, qids)
+                    raise self._shard_error(sid, "query", cause)
+        hits = merge_chunks(payloads, qids)
         if not outcome:
             return hits
         degraded = sorted({pos for _, _, positions, _, _ in failures for pos in positions})

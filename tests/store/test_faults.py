@@ -381,6 +381,50 @@ class TestReplicaFailover:
         assert sorted(h.record_id for h in hits) == list(range(len(geoms)))
         assert metrics["counters"]["server.failovers"] >= 1
 
+    def _serve_poisoned(self, sharded, nprocs, measure):
+        """One full-extent batch at *nprocs* ranks after zeroing a primary's
+        pages; rank 0's ``measure(server, comm, serve)``."""
+        fs, _, result = sharded
+        victim = next(s for s in result.manifest.shards if s.num_pages > 0)
+        self._poison_store(fs, victim.store)
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, self.NAME) as server:
+                return measure(
+                    server, comm,
+                    lambda: server.range_query_batch([(0, WINDOW)] if comm.rank == 0 else None),
+                )
+
+        return mpisim.run_spmd(prog, nprocs).values[0]
+
+    def test_aggregate_stats_keeps_the_store_failover_retired(self, sharded):
+        # the retired primary's failed reads stay in aggregate_stats, which
+        # then agrees with aggregate_metrics on every store counter
+        def measure(server, comm, serve):
+            serve()
+            return server.aggregate_stats()["aggregate"], server.aggregate_metrics()["counters"]
+
+        stats, counters = self._serve_poisoned(sharded, 4, measure)
+        assert counters["server.failovers"] == 1
+        assert stats["checksum_failures"] == counters["store.checksum_failures"] > 0
+        assert stats["retries"] == counters["store.retries"] > 0
+        assert stats["cache_misses"] == counters["cache.misses"]
+        assert stats["io_seconds"] == pytest.approx(counters["store.io_seconds"], rel=1e-12)
+
+    def test_virtual_clock_charges_the_store_failover_retired(self, sharded):
+        # every simulated I/O second the batch cost — the primary's failed
+        # reads and retry backoff, the replica's open and reads — is charged
+        # to the rank's clock exactly once
+        def measure(server, comm, serve):
+            io_before = server.aggregate_metrics()["counters"]["store.io_seconds"]
+            clock_before = comm.clock.breakdown["io"]
+            serve()
+            charged = comm.clock.breakdown["io"] - clock_before
+            return charged, server.aggregate_metrics()["counters"]["store.io_seconds"] - io_before
+
+        charged, store_io = self._serve_poisoned(sharded, 1, measure)
+        assert charged == pytest.approx(store_io, rel=1e-12) and store_io > 0
+
     def test_retry_policy_reaches_shard_stores_and_failover_replicas(self, sharded):
         # regression: DistributedStoreServer.open took no retry_policy (a
         # TypeError), so every shard store was stuck with DEFAULT_RETRY

@@ -174,6 +174,42 @@ class TestReplicaDeduplication:
             assert len(ids) == len(set(ids))
             assert sorted(ids) == list(range(len(geoms)))
 
+    @pytest.mark.parametrize("nprocs", NPROCS)
+    def test_the_merge_keeps_the_lowest_replica_each_shard_returns(self, tmp_path, nprocs):
+        # every hit's full tuple is the lowest (shard, partition, page)
+        # among the hits each shard's own store returns for that window —
+        # at 2 ranks over 4 shards a rank answers one position from two
+        # shards, so rank 0 merges two chunks of one rank
+        fs = make_fs(tmp_path)
+        geoms = random_geometries(160, seed=31, max_size_fraction=0.3)
+        result = bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16, page_size=512)
+        windows = random_envelopes(30, extent=Envelope(0.0, 0.0, 100.0, 100.0),
+                                   max_size_fraction=0.5, seed=32)
+        queries = [(f"q{i}", window) for i, window in enumerate(windows)]
+
+        best, answered = {}, {}
+        for shard in result.manifest.shards:
+            with SpatialDataStore.open(fs, shard.store) as store:
+                for idx, (_, window) in enumerate(queries):
+                    for h in store.range_query(window):
+                        row = (shard.shard_id, h.partition_id, h.page_id, h.geometry.wkt())
+                        key = (idx, h.record_id)
+                        best[key] = min(best.get(key, row), row)
+                        answered.setdefault(key, set()).add(shard.shard_id)
+        # preconditions: replicas from several shards reach the merge, and
+        # some position gets hits from both shards of rank 0 of two
+        assert any(len(sids) > 1 for sids in answered.values())
+        assert any(sids >= {0, 1} for sids in answered.values())
+
+        hits = serve_distributed(fs, "data", queries, nprocs)
+        assert [
+            (h.query_id, h.record_id, h.shard_id, h.partition_id, h.page_id, h.geometry.wkt())
+            for h in hits
+        ] == [
+            (queries[idx][0], record_id, *best[idx, record_id])
+            for idx, record_id in sorted(best)
+        ]
+
     def test_total_replicas_preserved_by_sharding(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(100, seed=13)
@@ -531,12 +567,16 @@ class TestWireSizes:
     @staticmethod
     def rows_nbytes(rows):
         """The documented formula, by actually encoding: 40 bytes of ids per
-        row, the geometry's WKB, its userdata."""
+        hit, the geometry's WKB, its userdata."""
         from repro.geometry import wkb
         from repro.mpisim import payload_nbytes
+        from repro.store import QueryHit
 
-        assert all(len(row) == 6 for row in rows)  # no query id on the wire
-        return sum(40 + len(wkb.dumps(row[5])) + payload_nbytes(row[5].userdata) for row in rows)
+        # (batch position, shard, the engine's hits): no query id on the wire
+        assert all(len(chunk) == 3 for chunk in rows)
+        hits = [hit for _, _, found in rows for hit in found]
+        assert all(type(hit) is QueryHit for hit in hits)
+        return sum(40 + len(wkb.dumps(h.geometry)) + payload_nbytes(h.geometry.userdata) for h in hits)
 
     @staticmethod
     def windows(count, seed=82, size=0.3):
@@ -549,7 +589,8 @@ class TestWireSizes:
         fs, shipped = wire
         hits = serve_distributed(fs, "data", self.windows(40), nprocs)
         payloads = [obj for op, _, obj in shipped if op == "gather"]
-        assert len(payloads) == nprocs and sum(len(rows) for rows in payloads) >= len(hits) > 0
+        shipped_hits = sum(len(found) for rows in payloads for _, _, found in rows)
+        assert len(payloads) == nprocs and shipped_hits >= len(hits) > 0
         for rows in payloads:
             assert rows.failures == []
             assert rows.nbytes == self.rows_nbytes(rows)
@@ -603,3 +644,58 @@ class TestWireSizes:
             assert [len(entries) for _, entries in plan] == [count, count]
             assert [entries.nbytes for _, entries in plan] == [40 * count, 40 * count]
             assert payload_nbytes(plan) == 2 * 40 * count
+
+    def test_each_record_is_priced_once_and_exactly(self, wire, monkeypatch):
+        # the second of two identical batches on one server prices every
+        # hit from the memo, and both are priced by the documented formula
+        from repro.store import sharded
+
+        fs, shipped = wire
+        batch = self.windows(40)
+        priced = []
+        body_nbytes = sharded.body_nbytes
+        monkeypatch.setattr(sharded, "body_nbytes", lambda g: priced.append(g) or body_nbytes(g))
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "data") as server:
+                counts = []
+                for _ in range(2):
+                    server.range_query_batch(batch if comm.rank == 0 else None)
+                    comm.barrier()
+                    counts.append(len(priced))
+                return counts
+
+        first, second = mpisim.run_spmd(prog, 2).values[0]
+        payloads = [(rank, obj) for op, rank, obj in shipped if op == "gather"]
+        assert len(payloads) == 4 and first > 0 and second == first
+        for _, rows in payloads:
+            assert rows.nbytes == self.rows_nbytes(rows)
+        for rank in (0, 1):
+            assert len({rows.nbytes for r, rows in payloads if r == rank}) == 1
+
+    def test_batches_after_a_failover_are_priced_exactly(self, wire):
+        from repro.store.format import HEADER_SIZE, unpack_header
+
+        fs, shipped = wire
+        result = bulk_load(fs, "replicated", random_geometries(200, seed=81), num_shards=4,
+                           num_partitions=16, page_size=512, read_replicas=1)
+        victim = next(s for s in result.manifest.shards if s.num_pages > 0)
+        path = f"stores/{victim.store}/data.bin"
+        with fs.open(path) as fh:
+            raw = fh.pread(0, fh.size)
+        dir_offset = unpack_header(raw[:HEADER_SIZE]).dir_offset
+        fs.create_file(path, raw[:HEADER_SIZE] + bytes(dir_offset - HEADER_SIZE) + raw[dir_offset:])
+        batch = self.windows(40)
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "replicated") as server:
+                hits = [server.range_query_batch(batch if comm.rank == 0 else None)
+                        for _ in range(2)]
+                return hits, server.aggregate_metrics()["counters"]["server.failovers"]
+
+        (first, second), failovers = mpisim.run_spmd(prog, 2).values[0]
+        assert failovers == 1 and first == second
+        payloads = [obj for op, _, obj in shipped if op == "gather"]
+        assert len(payloads) == 4 and all(rows.failures == [] for rows in payloads)
+        for rows in payloads:
+            assert rows.nbytes == self.rows_nbytes(rows)

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 from _dedup_reference import dedup_reference  # the retired dict fold, kept next to this file
+from _merge_rows_reference import chunk_rows, merge_rows  # the retired row merge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +25,13 @@ from repro.obs.trace import Tracer
 from repro.pfs import LustreFilesystem
 from repro.store import (
     AsyncStoreFrontend,
+    DistributedHit,
     DistributedStoreServer,
+    QueryHit,
     ShardsManifest,
     bulk_load,
 )
-from repro.store.sharded import merge_rows
+from repro.store.sharded import merge_chunks
 
 EXTENT = Envelope(0.0, 0.0, 100.0, 100.0)
 NAME = "wire"
@@ -194,50 +197,55 @@ class TestNothingIsPickledToBeMeasured:
 # the merge
 # --------------------------------------------------------------------------- #
 @st.composite
-def replica_sets(draw):
-    """Rows as four ranks would ship them: records matched by several batch
-    positions, replicated across shards / partitions / pages (the same
-    ``(position, record)`` under differing locations), split over ranks in
-    a drawn order and shuffled within each rank."""
+def chunk_sets(draw):
+    """Chunks as four ranks would ship them, shaped as the engine answers:
+    each chunk's record ids unique and ascending, records matched by several
+    batch positions and replicated across shards / partitions / pages (the
+    same ``(position, record)`` under differing locations, one shard possibly
+    answering a position in two chunks), several chunks for one position on
+    one rank, empty chunks, chunks split over ranks in a drawn order and
+    shuffled within each rank."""
     num_queries = draw(st.integers(1, 6))
     qids = [draw(st.one_of(st.integers(), st.text(max_size=3))) for _ in range(num_queries)]
     geoms = [Point(float(i), 0.0) for i in range(8)]
-    rows = []
+    chunks = []
     for idx in range(num_queries):
-        for record_id in draw(st.lists(st.integers(0, 7), max_size=6, unique=True)):
-            locations = draw(
-                st.lists(
-                    st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 4)),
-                    min_size=1, max_size=4, unique=True,
-                )
-            )
-            rows.extend((idx, record_id, *loc, geoms[record_id]) for loc in locations)
+        for sid in draw(st.lists(st.integers(0, 3), max_size=4)):
+            ids = sorted(draw(st.lists(st.integers(0, 7), max_size=6, unique=True)))
+            chunks.append((idx, sid, [
+                QueryHit(rid, geoms[rid], draw(st.integers(0, 5)), draw(st.integers(0, 4)),
+                         draw(st.integers(0, 2)))
+                for rid in ids
+            ]))
     rng = random.Random(draw(st.integers(0, 2**16)))
-    rng.shuffle(rows)
+    rng.shuffle(chunks)
     ranks = [[] for _ in range(4)]
-    for row in rows:
-        ranks[rng.randrange(4)].append(row)
+    for chunk in chunks:
+        ranks[rng.randrange(4)].append(chunk)
     rng.shuffle(ranks)
     return ranks, qids
 
 
 class TestMergeIsOrderFree:
-    @given(replica_sets())
-    @settings(max_examples=200, deadline=None)
-    def test_sort_merge_equals_the_retired_dict_fold(self, case):
+    @given(chunk_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_merge_equals_the_retired_merges(self, case):
         ranks, qids = case
-        with_qid = [
+        rows = [chunk_rows(chunks) for chunks in ranks]
+        merged = merge_chunks(ranks, qids)
+        assert merged == merge_rows(rows, qids)
+        assert merged == dedup_reference(
             (idx, qids[idx], record_id, sid, part, page, geom)
-            for rows in ranks
-            for idx, record_id, sid, part, page, geom in rows
-        ]
-        merged = merge_rows(ranks, qids)
-        assert merged == dedup_reference(with_qid)
+            for per_rank in rows
+            for idx, record_id, sid, part, page, geom in per_rank
+        )
         # arrival order (across ranks and within a rank) never shows
-        assert merge_rows([sorted(rows, key=repr) for rows in reversed(ranks)], qids) == merged
-        # and, independently of both: the lowest (shard, partition, page) wins
+        shuffled = [sorted(chunks, key=repr) for chunks in reversed(ranks)]
+        assert merge_chunks(shuffled, qids) == merged
+        # and, independently of all three: the lowest (shard, partition,
+        # page) wins
         best = {}
-        for idx, record_id, sid, part, page, _ in (row for rows in ranks for row in rows):
+        for idx, record_id, sid, part, page, _ in (row for per_rank in rows for row in per_rank):
             key = (idx, record_id)
             best[key] = min(best.get(key, (sid, part, page)), (sid, part, page))
         assert [(h.shard_id, h.partition_id, h.page_id) for h in merged] == [
@@ -248,4 +256,13 @@ class TestMergeIsOrderFree:
         ]
 
     def test_empty(self):
-        assert merge_rows([], []) == [] == merge_rows([[], []], ["q"])
+        assert merge_chunks([], []) == [] == merge_chunks([[], []], ["q"])
+        assert merge_chunks([[(0, 1, [])], [(0, 2, [])]], ["q"]) == []
+
+    def test_a_position_with_one_non_empty_chunk_is_that_chunk(self):
+        hits = [QueryHit(3, Point(3.0, 0.0), 7, 1), QueryHit(5, Point(5.0, 0.0), 2, 4, 1)]
+        merged = merge_chunks([[(0, 2, hits), (0, 1, [])], [(0, 0, [])]], ["q"])
+        assert merged == [
+            DistributedHit("q", 3, hits[0].geometry, 2, 7, 1),
+            DistributedHit("q", 5, hits[1].geometry, 2, 2, 4),
+        ]
