@@ -200,15 +200,18 @@ class ShardRows(SizedList):
         self.failures: List[Failure] = []
 
     def add_hits(
-        self, idx: int, sid: int, hits: List[QueryHit], sizes: List[Dict[int, int]]
+        self, idx: int, sid: int, hits: List[QueryHit], sizes: List[Dict[int, Dict[int, int]]]
     ) -> None:
         """Append shard *sid*'s *hits* of the plan entry at batch position
         *idx* as one chunk.  *sizes* is the shard store's memo of
-        :func:`body_nbytes`, one dict by record id per generation: a record
-        body is immutable while its store is open, so each is priced once."""
+        :func:`body_nbytes`, per generation one dict by page id of dicts by
+        record id: a record body is immutable while its store is open, so a
+        record is priced once while its page stays cached."""
         nbytes = ROW_ID_BYTES * len(hits)
-        for record_id, geom, _, _, generation in hits:
-            memo = sizes[generation]
+        for record_id, geom, _, page_id, generation in hits:
+            memo = sizes[generation].get(page_id)
+            if memo is None:
+                memo = sizes[generation][page_id] = {}
             size = memo.get(record_id)
             if size is None:
                 size = memo[record_id] = body_nbytes(geom)
@@ -238,16 +241,13 @@ def merge_chunks(payloads: Iterable[List[Chunk]], qids: Sequence[Any]) -> List[D
     for chunk in chain.from_iterable(payloads):
         if chunk[2]:
             by_position.setdefault(chunk[0], []).append(chunk)
-    # the tuple constructor builds the same DistributedHit as its generated
-    # Python-level __new__, at C speed (one per hit is the merge's cost)
-    new, hit = tuple.__new__, DistributedHit
     hits: List[DistributedHit] = []
     for idx, chunks in sorted(by_position.items()):
         qid = qids[idx]
         if len(chunks) == 1:
             _, sid, found = chunks[0]
             hits += [
-                new(hit, (qid, record_id, geom, sid, partition, page))
+                DistributedHit(qid, record_id, geom, sid, partition, page)
                 for record_id, geom, partition, page, _ in found
             ]
             continue
@@ -257,7 +257,7 @@ def merge_chunks(payloads: Iterable[List[Chunk]], qids: Sequence[Any]) -> List[D
         for record_id, sid, partition, page, geom in sorted(rows, key=itemgetter(0, 1, 2, 3)):
             if record_id != last:
                 last = record_id
-                hits.append(new(hit, (qid, record_id, geom, sid, partition, page)))
+                hits.append(DistributedHit(qid, record_id, geom, sid, partition, page))
     return hits
 
 
@@ -333,8 +333,10 @@ class DistributedStoreServer:
         self._retired_stats: List[Dict[str, float]] = []
         self._retired_metrics: List[Dict[str, Any]] = []
         #: per shard, :func:`body_nbytes` of each record its serving store
-        #: returned, by generation and record id; replaced with the store
-        self._body_sizes: Dict[int, List[Dict[int, int]]] = {}
+        #: returned, by generation, page and record id; once it holds more
+        #: pages than the store's page cache, the pages the cache let go
+        #: leave it, and the memo is replaced with the store
+        self._body_sizes: Dict[int, List[Dict[int, Dict[int, int]]]] = {}
         # each shard opens from its primary store, falling back to each read
         # replica in order; all copies failing raises the primary's
         # ShardError unless allow_degraded records the shard dead
@@ -585,10 +587,8 @@ class DistributedStoreServer:
         for store in self.stores.values():
             store.tracer = tracer
         stats_before = {sid: st.stats.as_dict() for sid, st in self.stores.items()}
-        heat_before = {
-            sid: self.metrics.counter("server.shard_heat", shard=sid).value
-            for sid in self.my_shards
-        }
+        heat = {sid: self.metrics.counter("server.shard_heat", shard=sid) for sid in self.my_shards}
+        heat_before = {sid: counter.value for sid, counter in heat.items()}
         try:
             hits = self.range_query_batch(queries)
         finally:
@@ -609,10 +609,7 @@ class DistributedStoreServer:
                 rank_delta[key] = rank_delta.get(key, 0) + value
             shards[sid] = {
                 "rank": self.comm.rank,
-                "entries": int(
-                    self.metrics.counter("server.shard_heat", shard=sid).value
-                    - heat_before[sid]
-                ),
+                "entries": int(heat[sid].value - heat_before[sid]),
                 "records_decoded": delta.get("records_decoded", 0),
                 "read_requests": delta.get("read_requests", 0),
                 "slots_scanned": delta.get("slots_scanned", 0),
@@ -722,6 +719,10 @@ class DistributedStoreServer:
             sizes = self._body_sizes[sid]
             for (idx, probe, _), hits in zip(kept, outcome.hits):
                 rows.add_hits(idx, sid, hits if refine is None else refine(probe, hits), sizes)
+            cache = self.stores[sid]._cache
+            if sum(map(len, sizes)) > cache.capacity:  # bounded like the cache
+                for gen, pages in enumerate(sizes):  # drop the pages it let go
+                    sizes[gen] = {pid: memo for pid, memo in pages.items() if (gen, pid) in cache}
             if not outcome.complete:
                 rows.fail(
                     sid,

@@ -673,6 +673,31 @@ class TestWireSizes:
         for rank in (0, 1):
             assert len({rows.nbytes for r, rows in payloads if r == rank}) == 1
 
+    @pytest.mark.parametrize("cache_pages", (0, 2))
+    def test_the_memo_holds_no_more_pages_than_the_cache(self, wire, cache_pages):
+        # a page's sizes leave the memo with the page: a cache far smaller
+        # than the pages a batch touches bounds the memo, and every batch
+        # is still priced by the documented formula
+        fs, shipped = wire
+        batch = self.windows(40)
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "data", cache_pages=cache_pages) as server:
+                held = []
+                for _ in range(3):
+                    server.range_query_batch(batch if comm.rank == 0 else None)
+                    held.append({sid: sum(map(len, memo)) for sid, memo in server._body_sizes.items()})
+                return held
+
+        for held in mpisim.run_spmd(prog, 2).values:
+            assert all(pages <= cache_pages for rank_held in held for pages in rank_held.values())
+        payloads = [(rank, obj) for op, rank, obj in shipped if op == "gather"]
+        assert len(payloads) == 6 and sum(rows.num_hits() for _, rows in payloads) > 0
+        for _, rows in payloads:
+            assert rows.nbytes == self.rows_nbytes(rows)
+        for rank in (0, 1):
+            assert len({rows.nbytes for r, rows in payloads if r == rank}) == 1
+
     def test_batches_after_a_failover_are_priced_exactly(self, wire):
         from repro.store.format import HEADER_SIZE, unpack_header
 
