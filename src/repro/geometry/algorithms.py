@@ -80,6 +80,12 @@ def point_in_ring(pt: Coord, ring: Sequence[Coord]) -> bool:
     Points exactly on the boundary are treated as *inside* (matching the
     closed-set semantics of the ``intersects`` predicate used by the refine
     phase).  The ring may or may not repeat its first coordinate at the end.
+
+    One fused loop: the edge's previous vertex rides in locals and
+    :func:`point_on_segment` is inlined — :func:`orientation`'s cross product
+    in its operand order (NaN counts as collinear), then :func:`on_segment`'s
+    padded range with ``min`` / ``max`` spelled as the comparisons the
+    builtins make, so every answer is the one the three calls give.
     """
     n = len(ring)
     if n < 3:
@@ -89,17 +95,16 @@ def point_in_ring(pt: Coord, ring: Sequence[Coord]) -> bool:
         n -= 1
     x, y = pt
     inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = ring[i]
-        xj, yj = ring[j]
-        if point_on_segment(pt, (xi, yi), (xj, yj)):
-            return True
-        if (yi > y) != (yj > y):
-            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
-            if x < x_cross:
-                inside = not inside
-        j = i
+    xj, yj = ring[n - 1]
+    for xi, yi in ring[:n]:
+        val = (xj - xi) * (y - yi) - (yj - yi) * (x - xi)
+        if not (val > _EPS or val < -_EPS):  # collinear, NaN included
+            if (xj if xj < xi else xi) - _EPS <= x <= (xj if xj > xi else xi) + _EPS:
+                if (yj if yj < yi else yi) - _EPS <= y <= (yj if yj > yi else yi) + _EPS:
+                    return True
+        if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
+            inside = not inside
+        xj, yj = xi, yi
     return inside
 
 

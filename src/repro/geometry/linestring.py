@@ -22,9 +22,11 @@ class LineString(Geometry):
     partitioning layer has to cope with.
 
     **Pairs or run.**  The vertices are held as the tuple of ``(x, y)`` pairs
-    the constructor builds (``_coords``) or, for a line decoded from binary,
-    as the interleaved floats ``x0, y0, x1, y1, ...`` that ``struct`` returned
-    (``_run``, one object whatever the vertex count).  At least one is set and
+    the constructor builds (``_coords``) or, for a line either reader built
+    (:mod:`~repro.geometry.wkb` and :mod:`~repro.geometry.wkt`, both through
+    :meth:`from_run`), as the interleaved floats ``x0, y0, x1, y1, ...`` they
+    parsed (``_run``, one object whatever the vertex count); only the
+    constructor builds pairs up front.  At least one is set and
     each is derivable from the other: :attr:`coords` builds the pairs from the
     run on first read and keeps them (idempotent, so rank threads sharing a
     geometry need no lock), :meth:`vertices` iterates either without building
@@ -53,8 +55,8 @@ class LineString(Geometry):
     def from_run(
         cls, run: Tuple[float, ...], mbr: Optional[Tuple[float, float, float, float]] = None
     ) -> "LineString":
-        """Build from an interleaved float run (what a binary decoder
-        unpacks) with the constructor's validation and no per-vertex object.
+        """Build from an interleaved float run (what the WKB and WKT readers
+        parse) with the constructor's validation and no per-vertex object.
         *mbr*, ``(minx, miny, maxx, maxy)`` when the caller already holds it
         (a store page's column), is taken as is; otherwise the envelope is
         derived from the run."""

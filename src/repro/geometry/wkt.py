@@ -10,8 +10,11 @@ LINESTRING, POLYGON, MULTIPOINT, MULTILINESTRING, MULTIPOLYGON,
 GEOMETRYCOLLECTION, plus EMPTY for the collection types): tags, nesting and
 ``EMPTY`` are handled one pattern match at a time, but a coordinate list is
 read **a ring at a time** — cut at its closing parenthesis, validated by a
-compiled pattern, then split, converted and paired by C-level ``str`` / ``map``
-/ ``zip`` calls — so the cost of a record follows its bytes, not its tokens.
+compiled pattern, then split and converted by C-level ``str`` / ``map`` calls
+into the flat float run ``x0, y0, x1, y1, ...`` that lines and rings are built
+from (:meth:`LineString.from_run`, as the WKB reader does) — so the cost of a
+record follows its bytes, not its tokens, and no ``(x, y)`` pair is built
+until a predicate reads ``.coords``.
 
 Accept / reject contract: exactly the strings a greedy tokenizer over
 *word | number | ( | ) | ,* would accept.  A number is
@@ -29,7 +32,7 @@ import re
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from .base import Geometry
-from .linestring import LineString
+from .linestring import LinearRing, LineString
 from .multi import GeometryCollection, MultiLineString, MultiPoint, MultiPolygon
 from .point import Point
 from .polygon import Polygon
@@ -54,15 +57,21 @@ class WKTParseError(ValueError):
 # formatting (dumps)
 # --------------------------------------------------------------------------- #
 def _fmt_number(v: float) -> str:
-    """Format a coordinate value without trailing zeros (``30.0`` → ``30``)."""
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    """Format a coordinate value without trailing zeros (``30.0`` → ``30``);
+    ±inf as ``±1e999``, a number the reader reads back as ±inf.  NaN never
+    gets here: :func:`format_coord` refuses it."""
+    if -1e16 < v < 1e16:
+        return str(int(v)) if v == int(v) else repr(v)
+    return repr(v) if v - v == 0 else ("1e999" if v > 0 else "-1e999")  # inf - inf is NaN
 
 
 def format_coord(coord: Coord) -> str:
-    """``(x, y)`` → ``"x y"``."""
-    return f"{_fmt_number(coord[0])} {_fmt_number(coord[1])}"
+    """``(x, y)`` → ``"x y"``; NaN has no WKT text, so a NaN ordinate is a
+    ``ValueError`` naming the coordinate."""
+    x, y = coord
+    if x != x or y != y:
+        raise ValueError(f"cannot write coordinate {(x, y)!r} as WKT: NaN has no WKT text")
+    return f"{_fmt_number(x)} {_fmt_number(y)}"
 
 
 def format_coords(coords: Sequence[Coord]) -> str:
@@ -131,23 +140,22 @@ def _is_run_of(pattern: "re.Pattern[str]", items: str) -> bool:
     return True
 
 
-def _coord_list(text: str, pos: int) -> Tuple[List[Coord], int]:
-    """``( x y, x y, ... )``: the whole run up to the closing parenthesis is
-    validated by a compiled pattern, then split, converted and paired by
-    ``str`` / ``map`` / ``zip`` calls — no per-vertex Python step."""
+def _coord_list(text: str, pos: int) -> Tuple[Tuple[float, ...], int]:
+    """``( x y, x y, ... )`` → the flat run ``(x0, y0, x1, y1, ...)``: the
+    whole list up to the closing parenthesis is validated by a compiled
+    pattern, then split and converted by ``str`` / ``map`` calls — no
+    per-vertex Python step."""
     start = _expect(_LPAREN_RE, "'('", text, pos).end()
     end = text.find(")", start)
     if end < 0:
         raise WKTParseError(f"missing ')' after position {start} of {text[:80]!r}")
     items = text[start:end] + ","  # every coordinate now ends in a comma
     if _is_run_of(_XY_RUN_RE, items):
-        values = list(map(float, items.replace(",", " ").split()))
-        return list(zip(values[0::2], values[1::2])), end + 1
+        return tuple(map(float, items.replace(",", " ").split())), end + 1
     if not _is_run_of(_COORD_RUN_RE, items):
         raise WKTParseError(f"malformed coordinate list at position {start} of {text[:80]!r}")
     # Z / M ordinates (or numbers run together, "1-2"): the first two of each
-    coords = [tuple(map(float, _NUMBER_RE.findall(c)[:2])) for c in items[:-1].split(",")]
-    return coords, end + 1
+    return tuple(float(v) for c in items[:-1].split(",") for v in _NUMBER_RE.findall(c)[:2]), end + 1
 
 
 def _sequence(text: str, pos: int, item: Callable[[str, int], Tuple[T, int]]) -> Tuple[List[T], int]:
@@ -181,13 +189,13 @@ def _multipoint_member(text: str, pos: int) -> Tuple[Point, int]:
 
 
 def _linestring(text: str, pos: int) -> Tuple[LineString, int]:
-    coords, pos = _coord_list(text, pos)
-    return LineString(coords), pos
+    run, pos = _coord_list(text, pos)
+    return LineString.from_run(run), pos
 
 
 def _polygon(text: str, pos: int) -> Tuple[Polygon, int]:
-    rings, pos = _sequence(text, pos, _coord_list)
-    return Polygon(rings[0], rings[1:]), pos
+    runs, pos = _sequence(text, pos, _coord_list)
+    return Polygon(LinearRing.from_run(runs[0]), [LinearRing.from_run(r) for r in runs[1:]]), pos
 
 
 def _multipoint(text: str, pos: int) -> Tuple[MultiPoint, int]:
@@ -197,7 +205,7 @@ def _multipoint(text: str, pos: int) -> Tuple[MultiPoint, int]:
 
 def _multilinestring(text: str, pos: int) -> Tuple[MultiLineString, int]:
     lines, pos = _sequence(text, pos, _coord_list)
-    return MultiLineString([LineString(c) for c in lines]), pos
+    return MultiLineString([LineString.from_run(r) for r in lines]), pos
 
 
 def _multipolygon(text: str, pos: int) -> Tuple[MultiPolygon, int]:

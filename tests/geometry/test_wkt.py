@@ -1,6 +1,8 @@
 """WKT parser / writer tests."""
 
+import math
 import re
+import struct
 
 import _wkt_reference  # the retired tokenizer reader, kept next to this file
 import pytest
@@ -17,6 +19,7 @@ from repro.geometry import (
     Point,
     Polygon,
     WKTParseError,
+    wkb,
     wkt,
 )
 from repro.pfs import LustreFilesystem
@@ -172,6 +175,40 @@ class TestRoundTrip:
         assert parsed.envelope == poly.envelope
         assert parsed.area == pytest.approx(poly.area, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "POINT (1e999 -1e999)",
+            "LINESTRING (0 0, 1e999 5, -2e400 1e999)",
+            "POLYGON ((0 0, 1e999 0, 1e999 1e999, 0 0))",
+            "MULTIPOINT ((-1e999 3), (4 1e999))",
+        ],
+    )
+    def test_infinities_round_trip(self, text):
+        g1 = wkt.loads(text)
+        written = wkt.dumps(g1)
+        assert "inf" not in written
+        g2 = wkt.loads(written)
+        assert wkb.dumps(g2) == wkb.dumps(g1)
+        assert wkt.dumps(g2) == written
+
+    def test_infinity_is_written_as_a_number_the_reader_reads(self):
+        assert Point(math.inf, -math.inf).wkt() == "POINT (1e999 -1e999)"
+        assert Point(1e16, -1.5e300).wkt() == f"POINT ({1e16!r} {-1.5e300!r})"
+
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            Point(math.nan, 0.0),
+            LineString([(0, 0), (1, math.nan)]),
+            Polygon([(0, 0), (4, 0), (4, 4)], [[(1, 1), (math.nan, 1), (2, 2)]]),
+            MultiPoint([Point(1, 2), Point(math.nan, math.nan)]),
+        ],
+    )
+    def test_nan_is_refused_naming_the_coordinate(self, geom):
+        with pytest.raises(ValueError, match=r"coordinate \(.*nan.*\).*NaN has no WKT text"):
+            wkt.dumps(geom)
+
     @given(st.lists(coord, min_size=2, max_size=20))
     def test_linestring_roundtrip_property(self, coords):
         ls = LineString(coords)
@@ -184,13 +221,16 @@ class TestRoundTrip:
 # the ring-at-a-time reader against the tokenizer reader it replaced
 # --------------------------------------------------------------------------- #
 def outcome(loads, text):
-    """What a reader makes of *text*: the geometry it builds, or the exact
-    exception class it raises."""
+    """What a reader makes of *text*, bit for bit: the geometry's type, its
+    WKB bytes (every coordinate, -0.0 and ±inf included, which WKT text
+    hides or cannot print), its envelope's four floats packed (so the sign
+    of a zero counts) and its userdata — or the exact exception class."""
     try:
         geom = loads(text)
     except ValueError as exc:  # WKTParseError is a ValueError
         return ("rejected", type(exc))
-    return (type(geom), geom.wkt(), geom.userdata)
+    envelope = struct.pack("<4d", *geom.envelope.as_tuple())
+    return (type(geom), wkb.dumps(geom), envelope, geom.userdata)
 
 
 def assert_same_as_reference(text):
@@ -240,6 +280,15 @@ EDGE_CASES = [
     "POLYGON ((0 0, 1 0, 1 1))",
     "POLYGON ((0 0, 1 0, 0 0))",
     "POLYGON ((0 0, 1 0, 1 1, 0 0), (0.2 0.2, 0.4 0.2))",
+    "POINT (-0 0)",
+    "LINESTRING (-0 0, 0 -0.0, -0.0 -0)",
+    "LINESTRING (0 -0, -0 0 7, 1 1)",
+    "POLYGON ((0 0, -0 1, 1 1, 0 -0))",
+    "POLYGON ((-0 -0, 1 0, 1 1, -0 -0), (0.5 0.25, 0.75 0.5, -0 0.25))",
+    "MULTILINESTRING ((-0 1, 0 1), (0 -0, 1e999 -1e999))",
+    "POINT (1e999 -1e999)",
+    "LINESTRING (1e999 1, -1e999 2, 3 1e999)",
+    "POLYGON ((1e999 0, 0 1e999, -1e999 -1e999))",
     "POINT (1_0 2)",
     "POINT (nan nan)",
     "POINT (inf 0)",
