@@ -11,7 +11,7 @@ ranks:
 
 * the router prunes shards by their data extents,
 * the batch is scattered with the simulated communicator's collectives,
-* every rank answers from its own shard through its own LRU page cache,
+* every rank answers from its own shard through its own SIEVE page cache,
 * results are gathered and de-duplicated on logical record id.
 
 Each rank count is checked against the single-store answer and reported with

@@ -156,7 +156,7 @@ class SpatialComputation(ABC):
         """Execute the pipeline with the left layer read from a sharded store.
 
         Instead of re-reading and re-parsing the raw dataset, every rank
-        decodes the pages of its own shard(s) through the server's LRU page
+        decodes the pages of its own shard(s) through the server's SIEVE page
         caches; the store's ownership rule guarantees each logical record
         enters the pipeline exactly once across ranks, after which the usual
         extent / grid / exchange / refine phases apply unchanged.

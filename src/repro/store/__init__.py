@@ -30,7 +30,7 @@ for it again:
     Flat serialisation of the STR-packed R-tree so opens skip the bulk load.
 
 ``repro.store.cache``
-    The LRU page cache (hit/miss/eviction statistics included).
+    The SIEVE page cache (hit/miss/eviction statistics included).
 
 ``repro.store.datastore``
     The :class:`SpatialDataStore` facade: ``open()``, ``range_query()``,
@@ -54,7 +54,7 @@ for it again:
     local-query/gather phases on the virtual clock.
 """
 
-from .cache import CacheStats, LRUPageCache
+from .cache import CacheStats, PageCache
 from .datastore import (
     IO_POLICIES,
     Generation,
@@ -155,7 +155,7 @@ __all__ = [
     "StoreStats",
     "CacheStats",
     "CachedPage",
-    "LRUPageCache",
+    "PageCache",
     "StoreError",
     "StoreFormatError",
     "StoreHeader",

@@ -1,33 +1,47 @@
-"""LRU page cache with hit/miss/eviction statistics.
+"""SIEVE page cache with hit/miss/eviction statistics.
 
 The serving path reads pages through this cache so a warm working set never
 touches the (simulated) filesystem again — the page-granular analogue of the
 buffer pools in the database systems §2 of the paper positions itself
 against.  Statistics are first-class because the tests and the cold-vs-warm
 benchmark assert on them.
+
+Eviction is SIEVE (Zhang et al., "SIEVE is Simpler than LRU: an Efficient
+Turn-Key Eviction Algorithm for Web Caches", NSDI 2024): one insertion-order
+queue, a visited bit per entry and a hand.  A hit only sets the bit, so a
+page that queries come back to survives a scan of pages touched once.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Generic, Iterator, Optional, TypeVar
+from collections import deque
+from operator import attrgetter
+from typing import Any, Deque, Dict, Generic, List, Optional, TypeVar
 
 from ..obs.metrics import MetricsRegistry
 
 K = TypeVar("K")
 V = TypeVar("V")
 
-__all__ = ["CacheStats", "LRUPageCache"]
+__all__ = ["CacheStats", "PageCache"]
+
+
+def _counter(attr: str) -> property:
+    """Int facade over one ``cache.*`` counter (``+=`` keeps working)."""
+
+    def fset(self: "CacheStats", value: int) -> None:
+        getattr(self, attr).value = value
+
+    return property(attrgetter(f"{attr}.value"), fset)
 
 
 class CacheStats:
-    """Counters accumulated by an :class:`LRUPageCache`.
+    """Counters accumulated by a :class:`PageCache`.
 
-    Since PR 6 this is a facade over a
-    :class:`~repro.obs.metrics.MetricsRegistry` (``cache.*`` counters), so
-    cache counters merge and aggregate like every other metric; the
-    attribute surface (``stats.hits += 1``, ``as_dict()``) is unchanged
-    from the original dataclass.
+    A facade over ``cache.*`` counters in a
+    :class:`~repro.obs.metrics.MetricsRegistry`, so cache counters merge and
+    aggregate like every other metric while ``stats.hits += 1`` and
+    ``as_dict()`` read like plain attributes.
     """
 
     __slots__ = ("registry", "_hits", "_misses", "_evictions")
@@ -38,30 +52,9 @@ class CacheStats:
         self._misses = self.registry.counter("cache.misses")
         self._evictions = self.registry.counter("cache.evictions")
 
-    # counter facades ---------------------------------------------------- #
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.value = value
+    hits = _counter("_hits")
+    misses = _counter("_misses")
+    evictions = _counter("_evictions")
 
     # derived views ------------------------------------------------------ #
     @property
@@ -89,8 +82,20 @@ class CacheStats:
         )
 
 
-class LRUPageCache(Generic[K, V]):
-    """Bounded mapping with least-recently-used eviction.
+class PageCache(Generic[K, V]):
+    """Bounded mapping with SIEVE eviction.
+
+    Entries are kept in insertion order.  A hit sets the entry's visited
+    bit and moves nothing.  To make room, a hand walks from the oldest entry
+    towards the newest, clearing visited bits as it goes, and evicts the
+    first unvisited entry; the hand stays where it stopped and wraps to the
+    oldest entry at the end.  ``put`` of a resident key replaces its value
+    without touching the bit.
+
+    The queue is two deques: the entries the hand has already passed this
+    sweep (oldest first) and those still ahead of it, to which new entries
+    are appended — so the hand's position is the front of the second, and
+    the two swap when the hand passes the newest entry.
 
     ``capacity`` counts entries (pages), not bytes: store pages have a
     bounded payload size, so entry count is a faithful proxy and keeps the
@@ -105,7 +110,10 @@ class LRUPageCache(Generic[K, V]):
         #: pass a pre-built :class:`CacheStats` to account this cache inside
         #: an existing metrics registry (the store does)
         self.stats = stats if stats is not None else CacheStats()
-        self._entries: "OrderedDict[K, V]" = OrderedDict()
+        #: key -> ``[value, visited, key]``
+        self._entries: Dict[K, List[Any]] = {}
+        self._passed: Deque[List[Any]] = deque()
+        self._ahead: Deque[List[Any]] = deque()
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -114,32 +122,37 @@ class LRUPageCache(Generic[K, V]):
     def __contains__(self, key: K) -> bool:
         return key in self._entries
 
-    def keys(self) -> Iterator[K]:
-        return iter(self._entries.keys())
-
     # ------------------------------------------------------------------ #
     def get(self, key: K) -> Optional[V]:
-        """Look up *key*, refreshing its recency; counts a hit or a miss."""
-        if key in self._entries:
-            self.stats.hits += 1
-            self._entries.move_to_end(key)
-            return self._entries[key]
-        self.stats.misses += 1
-        return None
+        """Look up *key*, marking it visited; counts a hit or a miss."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        entry[1] = True
+        return entry[0]
 
     def put(self, key: K, value: V) -> None:
-        """Insert (or refresh) an entry, evicting the LRU entry when full."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = value
-            return
-        if self.capacity == 0:
-            return
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self._entries[key] = value
+        """Insert (or replace) an entry, evicting one when full."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry[0] = value
+        elif self.capacity:
+            if len(self._entries) >= self.capacity:
+                self._evict()
+            self._entries[key] = entry = [value, False, key]
+            self._ahead.append(entry)
 
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        self._entries.clear()
+    def _evict(self) -> None:
+        visited = True
+        while visited:
+            entry = self._ahead.popleft()
+            visited = entry[1]
+            if visited:
+                entry[1] = False
+                self._passed.append(entry)
+            if not self._ahead:  # past the newest entry: wrap to the oldest
+                self._ahead, self._passed = self._passed, self._ahead
+        del self._entries[entry[2]]
+        self.stats.evictions += 1

@@ -6,7 +6,7 @@ re-indexes the raw dataset on every invocation, a store is bulk-loaded once
 and every later open costs only the manifest, the page directory and the
 packed index.  Queries prune with the packed index (its root rejects a
 window that misses the data, its leaves name the pages and slots to read)
-and decode **only the pages they touch**, through an LRU page cache.
+and decode **only the pages they touch**, through a SIEVE page cache.
 
 A store may carry *delta generations* stacked by incremental appends
 (:mod:`repro.store.mutable`): each generation is its own container file
@@ -32,7 +32,7 @@ from ..obs.explain import ExplainReport, build_store_explain
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..pfs import FileHandle, ReadRequest, SimulatedFilesystem
-from .cache import CacheStats, LRUPageCache
+from .cache import CacheStats, PageCache
 from .engine import BatchOutcome, QueryHit, StoreEngine
 from .format import (
     HEADER_SIZE,
@@ -206,12 +206,12 @@ class SpatialDataStore:
 
         The serving knobs are declared here and nowhere else —
         :meth:`open` and the sharded server forward them by keyword.
-        *cache_pages* sizes the LRU page cache; *io_policy* picks the
+        *cache_pages* sizes the SIEVE page cache; *io_policy* picks the
         coalescing gap and readahead (see :data:`IO_POLICIES`):
         ``"fixed"`` merges candidate pages up to one page apart and reads
         nothing ahead, ``"cost_model"`` derives both from the data file's
         striping layout and the filesystem's cost model, its readahead
-        clamped so a fetch cannot evict its own demand pages from the cache.
+        clamped so a fetch never inserts more pages than the cache holds.
 
         *tracer* (a :class:`~repro.obs.trace.Tracer`; default the zero-cost
         null tracer) records query spans; *retry_policy* bounds the
@@ -242,7 +242,7 @@ class SpatialDataStore:
         #: :class:`~repro.store.format.PageChecksumError` without I/O
         self._quarantined: Set[PageKey] = set()
         self.stats = StoreStats(self.metrics)
-        self._cache: LRUPageCache[PageKey, CachedPage] = LRUPageCache(
+        self._cache: PageCache[PageKey, CachedPage] = PageCache(
             cache_pages, stats=self.stats.cache
         )
         self._cache_pages = cache_pages

@@ -215,8 +215,8 @@ class IOScheduler:
     knob the two policies set differently.  The cost-model policy reads
     ahead to the stripe boundary, clamped by the ``cache_capacity``
     overflow guard: demand and readahead pages enter the cache together,
-    so readahead past ``cache_capacity - demand`` would evict the very
-    pages the fetch was issued for.
+    and readahead past ``cache_capacity - demand`` would make one fetch
+    insert more pages than the cache holds.
     """
 
     def __init__(
@@ -268,9 +268,10 @@ class IOScheduler:
         frontier sits exactly on a stripe boundary — the run is already
         aligned), clamped to ``cache_capacity`` **minus the fetch's own
         demand pages** — demand and readahead enter the cache together, so
-        a budget that ignored the demand count would let the readahead evict
-        the very pages the fetch was issued for (the confirmed PR 5
-        regression).
+        a budget that ignored the demand count would let one fetch insert
+        more pages than the cache holds.  (Under SIEVE that is the whole
+        guarantee: when every older page has its visited bit set, a fetch's
+        insertions may still evict one of its own fresh pages.)
         """
         if not self.is_cost_aware:
             return 0, None

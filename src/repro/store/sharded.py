@@ -12,7 +12,7 @@ applications (§5–§6) are multi-rank.  This module closes the gap:
   and serves batch range queries and joins SPMD-style: the router prunes the
   shard list via per-shard extents, query batches are scattered with the
   existing :class:`~repro.mpisim.comm.Communicator` collectives, ranks
-  answer locally through their LRU page caches, and results are gathered and
+  answer locally through their SIEVE page caches, and results are gathered and
   de-duplicated on logical ``record_id`` (replicas of a geometry may live in
   multiple shards).  A rank ships the engine's own hit lists, one
   :data:`Chunk` per served plan entry; rank 0 sorts only the batch positions

@@ -1,17 +1,25 @@
-"""LRU page cache behaviour and statistics."""
+"""SIEVE page cache behaviour and statistics, against two oracles: SIEVE
+from the paper's pseudocode (``_sieve_reference.py``) and the retired LRU
+cache (``_lru_cache_reference.py``)."""
+
+import random
 
 import pytest
+from _lru_cache_reference import LRUPageCache  # the retired LRU cache, kept next to this file
+from _sieve_reference import SieveReference  # SIEVE from the paper's pseudocode
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import mpisim
 from repro.datasets import random_envelopes
 from repro.geometry import Envelope, Polygon
 from repro.pfs import LustreFilesystem
-from repro.store import DistributedStoreServer, LRUPageCache, bulk_load
+from repro.store import DistributedStoreServer, PageCache, SpatialDataStore, bulk_load
 
 
-class TestLRUPageCache:
+class TestPageCache:
     def test_miss_then_hit(self):
-        cache = LRUPageCache(4)
+        cache = PageCache(4)
         assert cache.get("a") is None
         cache.put("a", 1)
         assert cache.get("a") == 1
@@ -19,28 +27,58 @@ class TestLRUPageCache:
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
 
-    def test_eviction_is_lru(self):
-        cache = LRUPageCache(2)
+    def test_eviction_is_sieve(self):
+        # insertion order, not recency: the hand stays where it stopped, so
+        # after "b" goes it spares the visited "c" and takes the newest "d"
+        # (LRU would take "a", the least recently used)
+        cache = PageCache(3)
+        for key in "abc":
+            cache.put(key, key)
+        cache.get("a")
+        cache.put("d", "d")  # the hand clears "a", evicts "b", stops at "c"
+        assert "b" not in cache
+        cache.get("c")
+        cache.put("e", "e")  # clears "c", evicts "d"
+        assert "d" not in cache
+        assert all(key in cache for key in "ace")
+        assert cache.stats.evictions == 2
+
+    def test_hand_wraps_to_the_oldest_entry(self):
+        cache = PageCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a": now "b" is LRU
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
+        cache.get("a")
+        cache.get("b")
+        cache.put("c", 3)  # clears both bits, wraps, evicts "a"
+        assert "a" not in cache
+        assert "b" in cache and "c" in cache
         assert cache.stats.evictions == 1
 
-    def test_put_refreshes_existing_key(self):
-        cache = LRUPageCache(2)
+    def test_evicting_the_newest_entry_sends_the_hand_to_the_oldest(self):
+        cache = PageCache(2)
+        cache.put("a", 1)
+        cache.get("a")
+        cache.put("b", 2)
+        cache.put("c", 3)  # clears "a", evicts "b", the newest: hand wraps
+        cache.put("d", 4)  # so the hand starts at "a", not at the newer "c"
+        assert "a" not in cache and "b" not in cache
+        assert "c" in cache and "d" in cache
+
+    def test_put_replaces_value_without_marking_visited(self):
+        cache = PageCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.put("a", 10)  # refresh, no eviction
-        cache.put("c", 3)   # evicts "b", the true LRU
-        assert cache.get("a") == 10
-        assert "b" not in cache
+        cache.put("a", 10)  # replaced in place, no eviction, bit still clear
+        assert len(cache) == 2 and cache.stats.evictions == 0
+        cache.put("c", 3)   # evicts "a", the oldest unvisited entry
+        assert "a" not in cache
+        assert cache.get("b") == 2
+        cache.put("b", 20)
+        assert cache.get("b") == 20
         assert cache.stats.evictions == 1
 
     def test_zero_capacity_disables_caching(self):
-        cache = LRUPageCache(0)
+        cache = PageCache(0)
         for _ in range(2):
             assert cache.get("x") is None
             cache.put("x", 1)
@@ -50,22 +88,145 @@ class TestLRUPageCache:
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LRUPageCache(-1)
-
-    def test_clear_keeps_stats(self):
-        cache = LRUPageCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.hits == 1
+            PageCache(-1)
 
     def test_stats_as_dict(self):
-        cache = LRUPageCache(2)
+        cache = PageCache(2)
         cache.get("nope")
         d = cache.stats.as_dict()
         assert d["misses"] == 1
         assert d["hit_rate"] == 0.0
+
+    @pytest.mark.parametrize("capacity", [3, 8, 16])
+    def test_scan_resistance(self, capacity):
+        # a hot set hit once survives a scan of 3 x capacity cold keys
+        # touched once; under LRU the scan pushes all of it out
+        hot = [("hot", i) for i in range(capacity // 2)]
+        caches = {"sieve": PageCache(capacity), "lru": LRUPageCache(capacity)}
+        for cache in caches.values():
+            for key in hot:
+                cache.put(key, key)
+                assert cache.get(key) == key
+            for i in range(3 * capacity):
+                assert cache.get(("cold", i)) is None
+                cache.put(("cold", i), i)
+        assert all(key in caches["sieve"] for key in hot)
+        assert not any(key in caches["lru"] for key in hot)
+
+
+# "read" is the store's access: a get, then a put on a miss
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["get", "put", "read"]), st.integers(0, 11), st.integers(0, 99)),
+    max_size=120,
+)
+
+
+class TestAgainstPseudocode:
+    """:class:`PageCache` (two deques) against SIEVE written from the
+    paper's pseudocode (a doubly linked queue and a hand pointer)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(0, 6), ops=_OPS)
+    def test_same_answers_residents_and_counters(self, capacity, ops):
+        cache, ref = PageCache(capacity), SieveReference(capacity)
+        for op, key, value in ops:
+            if op != "put":
+                got = cache.get(key)
+                assert got == ref.get(key)
+            if op == "put" or (op == "read" and got is None):
+                assert cache.put(key, value) is ref.put(key, value) is None
+            assert len(cache) == len(ref) <= capacity
+            assert [k for k in range(12) if k in cache] == [k for k in range(12) if k in ref]
+            assert cache.stats.as_dict() == ref.stats.as_dict()
+
+
+def _hot_spot_stream(extent, count, hot_spots, seed):
+    """Every other window around one of *hot_spots* seeded centres, the
+    rest uniform — the shape of the skewed cold-serving benchmark."""
+    rng = random.Random(seed)
+    centres = [(rng.uniform(extent.minx, extent.maxx), rng.uniform(extent.miny, extent.maxy))
+               for _ in range(hot_spots)]
+    out = []
+    for i in range(count):
+        w, h = extent.width * 0.05 * (i % 5 + 1) / 5, extent.height * 0.05 * (i % 5 + 1) / 5
+        if i % 2:
+            cx, cy = centres[rng.randrange(hot_spots)]
+            x, y = rng.gauss(cx, extent.width * 0.01) - w / 2, rng.gauss(cy, extent.height * 0.01) - h / 2
+        else:
+            x, y = rng.uniform(extent.minx, extent.maxx - w), rng.uniform(extent.miny, extent.maxy - h)
+        out.append(Envelope(x, y, x + w, y + h))
+    return out
+
+
+class TestAgainstRetiredLRU:
+    """The store answers a skewed stream the same with the retired LRU cache
+    swapped in, and SIEVE reads no more pages doing it."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        fs = LustreFilesystem(tmp_path_factory.mktemp("sievefs"))
+        extent = Envelope(0.0, 0.0, 1000.0, 1000.0)
+        geoms = [
+            Polygon.from_envelope(env, userdata=i)
+            for i, env in enumerate(random_envelopes(1500, extent=extent,
+                                                     max_size_fraction=0.004, seed=31))
+        ]
+        bulk_load(fs, "hot", geoms, num_partitions=16, page_size=1024)
+        windows = _hot_spot_stream(extent, 300, hot_spots=4, seed=32)
+        out = {}
+        for policy in ("sieve", "lru"):
+            store = SpatialDataStore.open(fs, "hot", cache_pages=24)
+            if policy == "lru":
+                store._cache = LRUPageCache(24, stats=store.stats.cache)
+            answers = [[h.record_id for h in store.range_query(w)] for w in windows]
+            out[policy] = answers, store.stats.as_dict()
+        return out
+
+    def test_equal_hits_query_by_query(self, served):
+        sieve, lru = served["sieve"][0], served["lru"][0]
+        assert len(sieve) == 300 and any(sieve)
+        for got, expected in zip(sieve, lru):
+            assert got == expected
+
+    def test_sieve_reads_no_more_pages(self, served):
+        sieve, lru = served["sieve"][1], served["lru"][1]
+        assert lru["cache_evictions"] > 0
+        assert sieve["pages_read"] <= lru["pages_read"]
+        assert sieve["cache_hit_rate"] >= lru["cache_hit_rate"]
+
+
+class TestReadaheadGuard:
+    def test_a_fetch_never_inserts_more_pages_than_the_cache_holds(self, tmp_path):
+        # cost-model readahead is clamped to capacity - demand: one fetch
+        # puts at most max(capacity, demand) pages into the cache
+        fs = LustreFilesystem(tmp_path / "pfs")
+        extent = Envelope(0.0, 0.0, 1000.0, 1000.0)
+        geoms = [
+            Polygon.from_envelope(env, userdata=i)
+            for i, env in enumerate(random_envelopes(800, extent=extent,
+                                                     max_size_fraction=0.004, seed=41))
+        ]
+        bulk_load(fs, "guard", geoms, num_partitions=16, page_size=1024)
+        for capacity in (1, 3, 8):
+            store = SpatialDataStore.open(fs, "guard", cache_pages=capacity,
+                                          io_policy="cost_model")
+            fetches = []
+            fetch = store._fetch_missing
+
+            def counted(missing, failed=None, fetch=fetch):
+                out = fetch(missing, failed)
+                fetches.append((len(missing), len(out)))
+                return out
+
+            store._fetch_missing = counted
+            for window in _hot_spot_stream(extent, 60, hot_spots=3, seed=42):
+                store.range_query(window)
+            assert fetches
+            for demand, inserted in fetches:
+                assert demand <= inserted <= max(capacity, demand)
+            if capacity > 1:  # the guard, not the stripe, stopped some readahead
+                assert any(demand < inserted == capacity for demand, inserted in fetches)
+            assert len(store._cache) <= capacity
 
 
 class TestShardedServingCacheStats:
