@@ -121,7 +121,7 @@ def test_async_frontend_concurrency_sweep(lustre, frontend_store, benchmark, onc
     baseline = sweep[1]
 
     # equal results first: the window changes when rank 0 gathers, never
-    # what is computed (the collective-loop oracle is in
+    # what is computed (the retired collective loop is the oracle of
     # tests/store/test_frontend.py)
     baseline_keys = [
         [(h.query_id, h.record_id) for h in hits] for hits in baseline.batches

@@ -6,7 +6,7 @@ PR 6's observability layer.  Two properties are pinned:
 
 * **one connected trace** — a traced sharded batch query produces spans on
   every rank under a *single* trace id, every ``parent_id`` resolving
-  inside the gathered trace (the scatter carries the client's trace
+  inside the gathered trace (each plan message carries the client's trace
   context, so worker-rank ``local_query`` subtrees reattach to rank 0's
   root ``query`` span).  The JSONL and Chrome ``trace_event`` exports are
   validated by ``scripts/check_trace_schema.py`` — the exact check CI runs;

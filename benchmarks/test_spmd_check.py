@@ -4,8 +4,8 @@ Not a figure of the paper: this benchmark pins the cost of PR 10's runtime
 collective-correctness check (``repro.analysis``).  The armed verifier
 piggybacks an ``(op, callsite, seq, root)`` record on every collective
 exchange and cross-checks it on all ranks, so it taxes exactly the
-communication steps the serving stack leans on (scatter / allgather per
-batch).  The property pinned here: on a **warm** 4-rank sharded
+collectives the serving stack leans on (the header broadcast of every
+serving call, the allgathers of the statistics).  The property pinned here: on a **warm** 4-rank sharded
 batch-serving path, arming the check costs ≤ 5% wall time over the unarmed
 run — cheap enough to leave on in every test suite (``tests/store`` runs
 armed via an autouse fixture).

@@ -1,25 +1,25 @@
 #!/usr/bin/env python
 """Async multiplexed serving from a sharded datastore (`repro.store.frontend`).
 
-`DistributedStoreServer.range_query_batch` is a strict collective: each batch
-pays route → scatter → local-query → gather end to end, and every rank idles
-while rank 0 routes the next batch or de-duplicates the previous one.  The
-`AsyncStoreFrontend` keeps several batches in flight at once over the same
-server: rank 0 routes ahead with tagged point-to-point scatters, serving
-ranks pipeline receive → local-query → send, and completion is windowed —
-so the route/scatter/local-query/gather phases of *different* batches
-overlap on the `mpisim` virtual clock.
+`DistributedStoreServer.range_query_batch` serves one batch at a time: each
+batch pays route → scatter → local-query → gather end to end, and every rank
+idles while rank 0 routes the next batch or de-duplicates the previous one.
+The `AsyncStoreFrontend` runs many batches through the server's same serving
+loop with several in flight at once: rank 0 routes ahead with tagged
+point-to-point sends, serving ranks pipeline receive → local-query → send,
+and completion is windowed — so the route/scatter/local-query/gather phases
+of *different* batches overlap on the `mpisim` virtual clock.
 
 This example bulk-loads a synthetic "lakes" layer with ``num_shards=4`` (four
 shard stores under one `shards.json`), then serves the same 16 query
 batches:
 
-* sequentially (one strict collective per batch) — the identity oracle,
+* sequentially, one `range_query_batch` call per batch — the reference,
 * through the async front-end at 1, 4 and 16 in-flight batches; a window of
   one is the no-overlap baseline on the same transport.
 
-Every window is checked for per-batch results identical to the collective
-loop, and reported with its virtual makespan, aggregate throughput and mean
+Every window is checked for per-batch results identical to the sequential
+calls, and reported with its virtual makespan, aggregate throughput and mean
 per-batch latency.
 
 Run it with::
@@ -78,7 +78,7 @@ def main() -> None:
 
             return mpisim.run_spmd(prog, NPROCS).values[0]
 
-        # the oracle: one strict collective per batch
+        # the reference: one range_query_batch call per batch
         oracle = [
             [(h.query_id, h.record_id) for h in hits]
             for hits in run(

@@ -10,9 +10,10 @@ batch through a `DistributedStoreServer` on 1, 2, 4 and 8 simulated MPI
 ranks:
 
 * the router prunes shards by their data extents,
-* the batch is scattered with the simulated communicator's collectives,
+* rank 0 sends each rank its part of the batch as a tagged point-to-point
+  message on the simulated communicator,
 * every rank answers from its own shard through its own SIEVE page cache,
-* results are gathered and de-duplicated on logical record id.
+* the answers are sent back to rank 0 and de-duplicated on logical record id.
 
 Each rank count is checked against the single-store answer and reported with
 its virtual-clock phase breakdown (route / scatter / local query / gather).

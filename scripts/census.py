@@ -127,6 +127,13 @@ KEEP = {
             "datatypes:Datatype.Commit", "datatypes:Datatype.Free",
         )
     },
+    **{
+        f"repro.mpisim.comm:Communicator.{name}": (
+            "reference oracle",
+            "the retired collective serving loop, tests/store/_collective_serve_reference.py",
+        )
+        for name in ("scatter", "scatter(root)")
+    },
     "repro.mpisim.comm:Communicator.exscan":
         ("roadmap", "item 7: global record ids from an exclusive scan of per-rank counts"),
     "repro.mpisim.comm:Communicator.attach_fault_hook":

@@ -89,10 +89,6 @@ class ComputationResult:
 class SpatialComputation(ABC):
     """Base driver for filter-and-refine computations over one or two layers."""
 
-    #: clock category used for the refine phase (subclasses override to get
-    #: "join"/"index"-specific labels in the breakdowns if they wish)
-    refine_category = "refine"
-
     def __init__(
         self,
         fs: SimulatedFilesystem,

@@ -55,8 +55,6 @@ class IndexBuildReport:
 class DistributedIndex(SpatialComputation):
     """Builds per-cell R-trees for one vector layer."""
 
-    refine_category = "index"
-
     def __init__(
         self,
         fs: SimulatedFilesystem,

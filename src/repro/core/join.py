@@ -98,8 +98,6 @@ class SpatialJoin(SpatialComputation):
         pairs = result.local_results          # this rank's join pairs
     """
 
-    refine_category = "join"
-
     def __init__(
         self,
         fs: SimulatedFilesystem,

@@ -42,8 +42,6 @@ class RangeQuery(SpatialComputation):
     like a second dataset.
     """
 
-    refine_category = "query"
-
     def __init__(
         self,
         fs: SimulatedFilesystem,

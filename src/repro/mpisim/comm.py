@@ -60,7 +60,7 @@ def collective_check(enabled: bool = True) -> Iterator[None]:
 
 def _callsite() -> str:
     """The nearest stack frame outside the mpisim package — the user-code
-    line that issued the collective (``sharded.py:1013 in _collective_serve``)."""
+    line that issued the collective (``sharded.py:829 in _serve``)."""
     frame = sys._getframe(1)
     while frame is not None:
         filename = frame.f_code.co_filename

@@ -1,14 +1,14 @@
 """Async multiplexing front-end over one :class:`DistributedStoreServer`.
 
-``DistributedStoreServer.range_query_batch`` is a strict collective: every
-batch pays route → scatter → local-query → gather end to end, and every rank
-idles while rank 0 routes the next batch or de-duplicates the previous one.
-:class:`AsyncStoreFrontend` keeps up to ``max_in_flight`` batches in flight
-at once by replacing the scatter/gather collectives with tagged point-to-
-point messages on the ``mpisim`` virtual clock:
+``DistributedStoreServer.range_query_batch`` serves one batch at a time:
+route → scatter → local-query → gather end to end, every rank idle while
+rank 0 routes the batch or de-duplicates it.  :class:`AsyncStoreFrontend`
+runs many batches through the server's same serving loop with up to
+``max_in_flight`` of them in flight at once, over its tagged point-to-point
+messages on the ``mpisim`` virtual clock:
 
 * rank 0 **routes ahead**: while the serving ranks work on batch *b*, it is
-  already planning and scattering batches *b+1 … b+W*;
+  already planning and sending batches *b+1 … b+W*;
 * serving ranks run a simple receive → local-query → send loop, so their
   clocks advance through consecutive batches without ever waiting for
   rank 0's gather of an earlier batch;
@@ -22,30 +22,24 @@ point messages on the ``mpisim`` virtual clock:
 Because the buffered point-to-point layer stamps every message with its
 virtual arrival time, the resulting per-batch latencies and the aggregate
 makespan genuinely reflect phase overlap: with ``max_in_flight=1`` the
-front-end degenerates to sequential submission, and throughput grows with
-the window until rank 0's route+gather work or the slowest serving rank
-saturates.  Results are bit-identical to sequential
-``range_query_batch`` calls — the front-end reuses the server's router, the
-per-shard store engines, the wire pricing and the record-id de-dup
-(:func:`~repro.store.sharded.merge_chunks`).
+front-end degenerates to sequential submission — exactly one
+``range_query_batch`` per batch — and throughput grows with the window
+until rank 0's route+gather work or the slowest serving rank saturates.
+What the front-end adds is the window, the per-batch virtual-clock metrics
+(:class:`BatchMetrics`, the server's ``frontend.batch_latency_seconds``
+histogram) and the call's makespan over every rank.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Envelope
 from ..obs.metrics import Histogram
-from .sharded import DistributedStoreServer, ShardRows
+from .sharded import DistributedStoreServer
 
 __all__ = ["AsyncStoreFrontend", "BatchMetrics", "FrontendResult"]
-
-#: tag namespace for the front-end's point-to-point traffic (two tags per
-#: batch: plan scatter and result gather)
-_TAG_BASE = 0x4153_0000
 
 
 @dataclass(frozen=True)
@@ -137,9 +131,9 @@ class AsyncStoreFrontend:
     pass ``None`` and receive ``None``.  ``max_in_flight`` bounds how many
     batches may be routed but not yet gathered; ``1`` reproduces sequential
     submission, larger windows overlap rank 0's route/gather phases with the
-    serving ranks' local queries.  Phase time is accumulated into the
-    server's ``phases`` breakdown exactly like the collective path, so
-    ``server.phase_breakdown()`` covers async-served traffic too.
+    serving ranks' local queries.  The batches run through the server's one
+    serving loop, so their phase time lands in the server's ``phases``
+    breakdown like every other serving call's.
     """
 
     def __init__(self, server: DistributedStoreServer, max_in_flight: int = 4) -> None:
@@ -147,15 +141,6 @@ class AsyncStoreFrontend:
             raise ValueError("max_in_flight must be an integer >= 1")
         self.server = server
         self.max_in_flight = max_in_flight
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _plan_tag(batch_id: int) -> int:
-        return _TAG_BASE + 2 * batch_id
-
-    @staticmethod
-    def _data_tag(batch_id: int) -> int:
-        return _TAG_BASE + 2 * batch_id + 1
 
     def serve(
         self,
@@ -171,134 +156,26 @@ class AsyncStoreFrontend:
 
         ``partial_ok`` / ``deadline`` select degraded-mode serving exactly
         like :meth:`DistributedStoreServer.range_query_batch`; rank 0's
-        values win (they ride the initial broadcast), and each batch then
-        yields a :class:`~repro.store.sharded.QueryResult` instead of a hit
-        list.
+        values win (they ride the call's header broadcast), and each batch
+        then yields a :class:`~repro.store.sharded.QueryResult` instead of a
+        hit list.
         """
         server = self.server
-        comm = server.comm
-        clock = comm.clock
-        # Validation is collective: the header carries None when rank 0 got
-        # no batches, so every rank raises together instead of rank 0 bailing
-        # out while its peers block in the bcast (SPMD005).
-        header = comm.bcast(
-            (len(batches), partial_ok, deadline)
-            if comm.rank == 0 and batches is not None
-            else None,
-            root=0,
-        )
-        if header is None:
-            raise ValueError("rank 0 must supply the batch sequence")
-        num_batches, partial_ok, deadline = header
-        outcome = partial_ok or deadline is not None
+        clock = server.comm.clock
         start = clock.now
-
-        def serve_shards(mine: List[Tuple[int, Any, Envelope]]) -> ShardRows:
-            return server._serve_shards(mine, exact=True, collect=outcome, deadline=deadline)
-
-        result: Optional[FrontendResult] = None
-        if comm.rank == 0:
-            result = self._run_root(
-                list(batches), num_batches, start, serve_shards, outcome, partial_ok
-            )
-        else:
-            for b in range(num_batches):
-                t = clock.now
-                ctx, entries = comm.recv(source=0, tag=self._plan_tag(b))
-                server._charge_phase("scatter", t)
-                payload = server._local_phase(entries, ctx, serve_shards, batch=b)
-                t = clock.now
-                comm.send(payload, dest=0, tag=self._data_tag(b))
-                server._charge_phase("gather", t)
-
-        end = clock.now
-        spans = comm.allgather((start, end))
-        if comm.rank == 0 and result is not None:
-            result.makespan = max(e for _, e in spans) - min(s for s, _ in spans)
-        return result
-
-    # ------------------------------------------------------------------ #
-    def _run_root(
-        self,
-        batches: List[Sequence[Tuple[Any, Envelope]]],
-        num_batches: int,
-        start: float,
-        serve_shards: Callable[[List[Tuple[int, Any, Envelope]]], ShardRows],
-        outcome: bool,
-        partial_ok: bool,
-    ) -> FrontendResult:
-        comm = self.server.comm
-        clock = comm.clock
-        server = self.server
-        tracer = server.tracer
-        latency_hist = server.metrics.histogram("frontend.batch_latency_seconds")
-        window = self.max_in_flight
-
-        results: List[Any] = [[] for _ in range(num_batches)]
-        metrics: List[Optional[BatchMetrics]] = [None] * num_batches
-        #: (batch_id, rank-0 plan entries, submit time) routed but not gathered
-        in_flight: Deque[Tuple[int, List[Tuple[int, Any, Envelope]], float]] = deque()
-
-        def complete_oldest() -> None:
-            batch_id, own_entries, submitted = in_flight.popleft()
-            payloads = [server._local_phase(own_entries, None, serve_shards, batch=batch_id)]
-            t = clock.now
-            for rank in range(1, comm.size):
-                payloads.append(comm.recv(source=rank, tag=self._data_tag(batch_id)))
-            qids = [qid for qid, _ in batches[batch_id]]
-            hits = server._gather_phase(
-                payloads,
-                lambda rows: server._assemble(rows, qids, outcome, partial_ok),
-                batch=batch_id,
-            )
-            server._charge_phase("gather", t)
-            results[batch_id] = hits
-            metrics[batch_id] = BatchMetrics(
-                batch_id=batch_id,
-                num_queries=len(batches[batch_id]),
-                num_hits=len(hits),
-                submitted=submitted,
-                completed=clock.now,
-            )
-            latency_hist.record(metrics[batch_id].latency)
-
-        with ExitStack() as stack:
-            if tracer.enabled:
-                # one trace for the whole pipelined call: every batch's
-                # route/gather and every rank's local_query nest under it
-                tracer.new_trace()
-                stack.enter_context(
-                    tracer.span(
-                        "query", phase="frontend", num_batches=num_batches
-                    )
-                )
-            for b in range(num_batches):
-                while len(in_flight) >= window:
-                    complete_oldest()
-                submitted = clock.now
-                with tracer.span("route") as rspan:
-                    with clock.compute(category="route"):
-                        plan = server._plan_windows(batches[b])
-                    if tracer.enabled:
-                        rspan.set(batch=b, num_queries=len(batches[b]))
-                t = server._charge_phase("route", submitted)
-                ctx = tracer.context() if tracer.enabled else None
-                with tracer.span("scatter") as sspan:
-                    for rank in range(1, comm.size):
-                        comm.send(
-                            (ctx, plan[rank]), dest=rank, tag=self._plan_tag(b)
-                        )
-                    if tracer.enabled:
-                        sspan.set(batch=b)
-                server._charge_phase("scatter", t)
-                in_flight.append((b, plan[0], submitted))
-            while in_flight:
-                complete_oldest()
-
+        served = server._serve_windows(batches, self.max_in_flight, True, partial_ok, deadline)
+        spans = server.comm.allgather((start, clock.now))
+        if served is None:
+            return None
+        latency = server.metrics.histogram("frontend.batch_latency_seconds")
+        metrics = []
+        for b, (batch, (hits, submitted, completed)) in enumerate(zip(batches, served)):
+            metrics.append(BatchMetrics(b, len(batch), len(hits), submitted, completed))
+            latency.record(metrics[-1].latency)
         return FrontendResult(
-            batches=results,
-            metrics=[m for m in metrics if m is not None],
-            makespan=clock.now - start,  # refined with the allgathered spans
-            max_in_flight=window,
-            windows=[window] * num_batches,
+            batches=[hits for hits, _, _ in served],
+            metrics=metrics,
+            makespan=max(end for _, end in spans) - min(begin for begin, _ in spans),
+            max_in_flight=self.max_in_flight,
+            windows=[self.max_in_flight] * len(served),
         )

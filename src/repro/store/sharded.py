@@ -10,13 +10,16 @@ applications (§5–§6) are multi-rank.  This module closes the gap:
   normal ``data.bin``/``index.bin``/``manifest.json`` triple).
 * :class:`DistributedStoreServer` opens one shard (run) per ``mpisim`` rank
   and serves batch range queries and joins SPMD-style: the router prunes the
-  shard list via per-shard extents, query batches are scattered with the
-  existing :class:`~repro.mpisim.comm.Communicator` collectives, ranks
-  answer locally through their SIEVE page caches, and results are gathered and
-  de-duplicated on logical ``record_id`` (replicas of a geometry may live in
-  multiple shards).  A rank ships the engine's own hit lists, one
+  shard list via per-shard extents, rank 0 sends each rank its part of a
+  batch as a tagged point-to-point message, ranks answer locally through
+  their SIEVE page caches and send their results back, and rank 0
+  de-duplicates them on logical ``record_id`` (replicas of a geometry may
+  live in multiple shards).  A rank ships the engine's own hit lists, one
   :data:`Chunk` per served plan entry; rank 0 sorts only the batch positions
-  that two chunks both answered.
+  that two chunks both answered.  One loop (``_serve``) does this for every
+  serving call: a range batch and a join are one batch through it, the
+  async front-end (:mod:`repro.store.frontend`) many, with up to
+  ``max_in_flight`` routed ahead.
 
 Every serving call records a virtual-clock phase breakdown
 (``route`` / ``scatter`` / ``local_query`` / ``gather``) so benchmarks can
@@ -27,12 +30,13 @@ from __future__ import annotations
 
 import pickle
 import struct
+from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from ..geometry import Envelope, Geometry, predicates
@@ -84,6 +88,8 @@ Failure = Tuple[int, List[int], List[int], str, bool]
 
 #: phase names every serving call charges (in order)
 SERVING_PHASES = ("route", "scatter", "local_query", "gather")
+#: tag of batch *b*'s plan message; its rows go back on the next tag
+_TAG_BASE = 0x4153_0000
 
 #: low-level exceptions a corrupted shard file may surface as; the server
 #: converts them into a StoreError naming the shard.  StoreError covers
@@ -271,15 +277,15 @@ class DistributedStoreServer:
     """SPMD facade serving one sharded store across ``mpisim`` ranks.
 
     Construct it inside an SPMD target function via :meth:`open`; every rank
-    of the communicator must participate in every serving call (they are
-    collectives).  Rank 0 is the *router*: it supplies the query batch,
-    receives the gathered results and performs the record-id de-dup; other
-    ranks pass ``None`` batches and receive ``None`` results.
+    of the communicator must participate in every serving call (each opens
+    with a header broadcast).  Rank 0 is the *router*: it supplies the query
+    batch, receives the gathered results and performs the record-id de-dup;
+    other ranks pass ``None`` batches and receive ``None`` results.
 
     Shards are assigned to ranks contiguously (see
     :func:`repro.store.router.shard_assignment`); with fewer ranks than
     shards a rank serves several shards, with more ranks than shards the
-    extra ranks only take part in the collectives.
+    extra ranks answer empty plans.
     """
 
     def __init__(
@@ -555,14 +561,15 @@ class DistributedStoreServer:
         return merge_snapshots(self.comm.allgather(local))
 
     def collect_trace(self) -> Optional[List[Dict[str, Any]]]:
-        """Gather every rank's finished spans on rank 0 (collective), sorted
-        by ``(start, span_id)``.  Returns ``None`` on non-root ranks.
+        """Every rank's finished spans on rank 0 (collective; an
+        ``allgather``, which ``mpisim`` prices like a gather), sorted by
+        ``(start, span_id)``.  Returns ``None`` on non-root ranks.
         """
         local = self.tracer.export() if self.tracer.enabled else []
-        gathered = self.comm.gather(local, root=0)
+        gathered = self.comm.allgather(local)
         if self.comm.rank != 0:
             return None
-        spans = [span for chunk in gathered or [] for span in chunk]
+        spans = [span for chunk in gathered for span in chunk]
         spans.sort(key=lambda s: (s["start"], s["span_id"]))
         return spans
 
@@ -621,7 +628,7 @@ class DistributedStoreServer:
             "stats_delta": rank_delta,
             "shards": shards,
         }
-        gathered = self.comm.gather(payload, root=0)
+        gathered = self.comm.allgather(payload)
         if self.comm.rank != 0:
             return None
         return build_distributed_explain(
@@ -629,7 +636,7 @@ class DistributedStoreServer:
             num_hits=len(hits) if hits is not None else 0,
             num_shards=self.manifest.num_shards,
             num_ranks=self.comm.size,
-            per_rank_payloads=gathered or [],
+            per_rank_payloads=gathered,
         )
 
     # ------------------------------------------------------------------ #
@@ -740,20 +747,19 @@ class DistributedStoreServer:
         serve: Callable[[List[Tuple[Any, ...]]], ShardRows],
         **attrs: Any,
     ) -> ShardRows:
-        """One rank's local-query phase, shared by the collective and the
-        pipelined skeletons: *serve* (a :meth:`_serve_shards` call) runs as
-        ``local_query`` compute, the shard stores' simulated I/O is charged
-        to the virtual clock and the phase accumulates in :attr:`phases`.
-        With a recording tracer the phase gets a ``local_query`` span; a
-        *ctx* shipped with the plan (serving ranks) re-parents it — and the
-        engine spans nested inside — under the client's trace.  Returns the
-        rank's gather payload."""
+        """One rank's local-query phase of the serving loop: *serve* (a
+        :meth:`_serve_shards` call) runs as ``local_query`` compute, the
+        shard stores' simulated I/O is charged to the virtual clock and the
+        phase accumulates in :attr:`phases`.  With a recording tracer the
+        phase gets a ``local_query`` span; a *ctx* shipped with the plan
+        (serving ranks) re-parents it — and the engine spans nested inside —
+        under the client's trace.  Returns the rank's rows."""
         clock = self.comm.clock
         tracer = self.tracer
         since = clock.now
         io_before = self._store_io_seconds()
         with ExitStack() as stack:
-            if tracer.enabled and ctx is not None and self.comm.rank != 0:
+            if tracer.enabled and ctx is not None:
                 stack.enter_context(tracer.adopt(ctx))
             span = stack.enter_context(tracer.span("local_query"))
             with clock.compute(category="local_query"):
@@ -766,26 +772,10 @@ class DistributedStoreServer:
         self._charge_phase("local_query", since)
         return rows
 
-    def _gather_phase(
-        self,
-        payloads: List[ShardRows],
-        assemble: Callable[[List[ShardRows]], Any],
-        **attrs: Any,
-    ) -> Any:
-        """Rank 0's merge of one batch's per-rank gather payloads as
-        ``gather`` compute."""
-        tracer = self.tracer
-        with tracer.span("gather") as span:
-            with self.comm.clock.compute(category="gather"):
-                result = assemble(payloads)
-            if tracer.enabled:
-                span.set(rows=sum(rows.num_hits() for rows in payloads), **attrs)
-        return result
-
     def _plan(
         self, items: Sequence[Tuple[Optional[Geometry], Envelope]]
     ) -> List[SizedList]:
-        """Rank 0's scatter plan for ``(probe, window)`` *items*: per rank
+        """Rank 0's plan for ``(probe, window)`` *items*: per rank
         the list of ``(batch position, probe, window)`` entries it must
         answer, sized by :func:`entry_nbytes`."""
         return [
@@ -799,68 +789,134 @@ class DistributedStoreServer:
         return self._plan([(None, window) for _, window in queries])
 
     # ------------------------------------------------------------------ #
-    # collective serving calls
+    # the serving loop
     # ------------------------------------------------------------------ #
-    def _collective_serve(
+    def _serve(
         self,
-        build_plan: Callable[[], List[SizedList]],
-        serve: Callable[[List[Any]], ShardRows],
-        assemble: Callable[[List[ShardRows]], Any],
-    ) -> Any:
-        """The collective route → scatter → local_query → gather skeleton.
+        batches: Optional[Sequence[Any]],
+        options: Tuple[Any, ...],
+        window: int,
+        plan: Callable[[Any], List[SizedList]],
+        answer: Callable[..., ShardRows],
+        assemble: Callable[..., Any],
+    ) -> Optional[List[Tuple[Any, float, float]]]:
+        """The route → scatter → local_query → gather loop of every serving
+        call (collective), over tagged point-to-point messages.
 
-        *build_plan* runs on rank 0 and returns the per-rank scatter lists
-        (:meth:`_plan`); *serve* answers one rank's list with its
-        :class:`ShardRows`; *assemble* runs on rank 0 over the gathered
-        payloads; the other ranks return ``None``.  Every phase is charged
-        to the virtual clock and accumulated in :attr:`phases`; every
-        payload knows its wire size.
+        Rank 0 broadcasts the header ``(number of batches, options)`` —
+        ``None`` when it got no *batches*, and then every rank raises
+        together — so rank 0's *options* hold on every rank.  Rank 0 routes
+        up to *window* batches ahead of the one it gathers: *plan* turns a
+        batch into the per-rank :meth:`_plan` lists, and each serving rank's
+        list is sent as ``(ctx, entries)``, *ctx* rank 0's
+        :class:`~repro.obs.trace.TraceContext` (``None`` when it is not
+        recording), which the serving rank adopts around its local work so
+        every rank's spans join the one trace of the call.  Serving ranks
+        loop receive → :meth:`_local_phase` → send and never wait for a
+        gather; rank 0 answers its own list of the oldest batch when the
+        window is full, receives the other ranks' :class:`ShardRows` and
+        merges them.  ``answer(entries, *options)`` serves one rank's list,
+        ``assemble(batch, payloads, *options)`` merges one batch's rows on
+        rank 0.  Every phase is charged to :attr:`phases`.
 
-        **Trace propagation** rides the scatter: each per-rank list is
-        shipped as a ``(ctx, entries)`` pair where *ctx* is rank 0's
-        :class:`~repro.obs.trace.TraceContext` (``None`` when rank 0 is not
-        recording).  Serving ranks :meth:`~repro.obs.trace.Tracer.adopt`
-        the context around their local work, so their ``local_query`` spans
-        — and the engine spans nested inside — carry the client's trace id
-        and parent under the client's ``query`` span.  The payload shape is
-        the same whether tracing is on or off, so mixed configurations
-        cannot desynchronise the collective.
+        Returns, on rank 0, one ``(result, submitted, completed)`` per
+        batch: the virtual times its route began and its merge ended.  The
+        other ranks get ``None``.
         """
-        clock = self.comm.clock
+        comm = self.comm
+        clock = comm.clock
         tracer = self.tracer
-        is_root = self.comm.rank == 0
-        t = clock.now
-        payload: Optional[List[Tuple[Any, List[Any]]]] = None
-        with ExitStack() as stack:
-            if is_root and tracer.enabled:
-                # one trace per serving call: the root "query" span is the
-                # ancestor of every span on every rank
-                tracer.new_trace()
-                stack.enter_context(tracer.span("query", phase="serve"))
-            if is_root:
-                with tracer.span("route"):
-                    with clock.compute(category="route"):
-                        plan = build_plan()
-                ctx = tracer.context() if tracer.enabled else None
-                payload = [(ctx, entries) for entries in plan]
-            t = self._charge_phase("route", t)
+        header = comm.bcast(
+            (len(batches), options) if comm.rank == 0 and batches is not None else None, root=0
+        )
+        if header is None:
+            raise ValueError("rank 0 must supply the input to serve")
+        num_batches, options = header
 
-            if is_root:
-                with tracer.span("scatter"):
-                    mine_ctx, mine = self.comm.scatter(payload, root=0)
-            else:
-                mine_ctx, mine = self.comm.scatter(payload, root=0)
-            self._charge_phase("scatter", t)
+        def local(entries: List[Tuple[Any, ...]]) -> ShardRows:
+            return answer(entries, *options)
 
-            local = self._local_phase(mine, mine_ctx, serve)
+        if comm.rank != 0:
+            for b in range(num_batches):
+                t = clock.now
+                ctx, entries = comm.recv(source=0, tag=_TAG_BASE + 2 * b)
+                self._charge_phase("scatter", t)
+                rows = self._local_phase(entries, ctx, local, batch=b)
+                t = clock.now
+                comm.send(rows, dest=0, tag=_TAG_BASE + 2 * b + 1)
+                self._charge_phase("gather", t)
+            return None
+
+        done: List[Tuple[Any, float, float]] = []
+        #: (batch, rank 0's own plan entries, submit time): routed, not gathered
+        in_flight: Deque[Tuple[Any, SizedList, float]] = deque()
+
+        def gather_oldest() -> None:
+            batch, own, submitted = in_flight.popleft()
+            b = len(done)
+            payloads = [self._local_phase(own, None, local, batch=b)]
             t = clock.now
-
-            gathered = self.comm.gather(local, root=0)
-            result: Any = None
-            if is_root:
-                result = self._gather_phase(gathered, assemble)
+            for rank in range(1, comm.size):
+                payloads.append(comm.recv(source=rank, tag=_TAG_BASE + 2 * b + 1))
+            with tracer.span("gather") as span:
+                with clock.compute(category="gather"):
+                    result = assemble(batch, payloads, *options)
+                if tracer.enabled:
+                    span.set(rows=sum(rows.num_hits() for rows in payloads), batch=b)
             self._charge_phase("gather", t)
-        return result
+            done.append((result, submitted, clock.now))
+
+        with ExitStack() as stack:
+            if tracer.enabled:
+                # one trace per call: every batch's route/scatter/gather and
+                # every rank's local_query nest under its query span
+                tracer.new_trace()
+                stack.enter_context(tracer.span("query", num_batches=num_batches))
+            for b, batch in enumerate(batches):
+                while len(in_flight) >= window:
+                    gather_oldest()
+                submitted = clock.now
+                with tracer.span("route") as span:
+                    with clock.compute(category="route"):
+                        lists = plan(batch)
+                    if tracer.enabled:
+                        span.set(batch=b, num_queries=len(batch))
+                t = self._charge_phase("route", submitted)
+                ctx = tracer.context() if tracer.enabled else None
+                with tracer.span("scatter") as span:
+                    for rank in range(1, comm.size):
+                        comm.send((ctx, lists[rank]), dest=rank, tag=_TAG_BASE + 2 * b)
+                    if tracer.enabled:
+                        span.set(batch=b)
+                self._charge_phase("scatter", t)
+                in_flight.append((batch, lists[0], submitted))
+            while in_flight:
+                gather_oldest()
+        return done
+
+    def _serve_windows(
+        self,
+        batches: Optional[Sequence[Sequence[Tuple[Any, Envelope]]]],
+        window: int,
+        exact: bool,
+        partial_ok: bool,
+        deadline: Optional[float],
+    ) -> Optional[List[Tuple[Any, float, float]]]:
+        """:meth:`_serve` over batches of ``(query_id, window)`` range
+        queries — :meth:`range_query_batch` serves one, the async front-end
+        many."""
+        return self._serve(
+            batches,
+            (partial_ok, deadline),
+            window,
+            self._plan_windows,
+            lambda mine, partial_ok, deadline: self._serve_shards(
+                mine, exact, partial_ok or deadline is not None, deadline
+            ),
+            lambda batch, payloads, partial_ok, deadline: self._assemble(
+                payloads, [qid for qid, _ in batch], partial_ok, deadline
+            ),
+        )
 
     def range_query_batch(
         self,
@@ -875,46 +931,40 @@ class DistributedStoreServer:
         by ``(batch position, record_id)``; other ranks pass ``None`` and get
         ``None`` back.
 
-        With ``partial_ok`` and/or ``deadline`` set (collectively — every
-        rank must pass the same values) the call returns a
+        With ``partial_ok`` and/or ``deadline`` set the call returns a
         :class:`QueryResult` instead of a plain hit list: page faults that
         survive retry and replica failover, dead shards (see
         ``allow_degraded``) and per-shard I/O budget exhaustion
         (``deadline``, simulated seconds per shard) no longer abort the
-        collective but are reported through ``complete`` /
+        call but are reported through ``complete`` /
         ``missing_shards`` / ``missing_partitions`` / ``degraded_queries``.
         ``partial_ok=False`` with a *deadline* tolerates truncation but
-        still raises on hard faults.
+        still raises on hard faults.  Rank 0's values of both hold on every
+        rank: they ride the call's header broadcast.
         """
-
-        qids: List[Any] = []
-
-        def build_plan() -> List[SizedList]:
-            if queries is None:
-                raise ValueError("rank 0 must supply the query batch")
-            qids.extend(qid for qid, _ in queries)
-            return self._plan_windows(queries)
-
-        outcome = partial_ok or deadline is not None
-        return self._collective_serve(
-            build_plan,
-            lambda mine: self._serve_shards(mine, exact, outcome, deadline),
-            lambda payloads: self._assemble(payloads, qids, outcome, partial_ok),
+        served = self._serve_windows(
+            None if queries is None else [queries], 1, exact, partial_ok, deadline
         )
+        return None if served is None else served[0][0]
 
     def _assemble(
-        self, payloads: List[ShardRows], qids: Sequence[Any], outcome: bool, partial_ok: bool
+        self,
+        payloads: List[ShardRows],
+        qids: Sequence[Any],
+        partial_ok: bool,
+        deadline: Optional[float],
     ) -> Any:
         """Merge every rank's :class:`ShardRows`: the de-duplicated hits
         (``query_id`` filled from *qids* here, at rank 0), wrapped with their
-        completeness account as a :class:`QueryResult` in *outcome* mode."""
+        completeness account as a :class:`QueryResult` when *partial_ok* or
+        a *deadline* selected degraded serving."""
         failures = [f for rows in payloads for f in rows.failures]
         if not partial_ok:
             for sid, _, _, cause, fatal in failures:
                 if fatal:
                     raise self._shard_error(sid, "query", cause)
         hits = merge_chunks(payloads, qids)
-        if not outcome:
+        if not partial_ok and deadline is None:
             return hits
         degraded = sorted({pos for _, _, positions, _, _ in failures for pos in positions})
         if degraded:
@@ -940,27 +990,24 @@ class DistributedStoreServer:
         receives ``(probe, hit)`` pairs de-duplicated on ``(probe,
         record_id)``; other ranks pass ``None`` and get ``None`` back.
         """
-        probe_list: List[Geometry] = []
-
-        def build_plan() -> List[SizedList]:
-            if probes is None:
-                raise ValueError("rank 0 must supply the probe collection")
-            probe_list.extend(probes)
-            # ship the probe geometry with the plan so ranks can refine
-            return self._plan([(p, p.envelope) for p in probe_list])
 
         def refine(probe: Geometry, hits: List[QueryHit]) -> List[QueryHit]:
             # the shard pass is the MBR filter; the exact predicate refines
             return [h for h in hits if predicates.intersects(probe, h.geometry)]
 
-        return self._collective_serve(
-            build_plan,
+        served = self._serve(
+            None if probes is None else [list(probes)],
+            (),
+            1,
+            # the probe geometry rides the plan so ranks can refine
+            lambda batch: self._plan([(p, p.envelope) for p in batch]),
             lambda mine: self._serve_shards(mine, exact=False, action="join", refine=refine),
-            lambda payloads: [
-                (probe_list[hit.query_id], hit)
-                for hit in self._assemble(payloads, range(len(probe_list)), False, False)
+            lambda batch, payloads: [
+                (batch[hit.query_id], hit)
+                for hit in self._assemble(payloads, range(len(batch)), False, None)
             ],
         )
+        return None if served is None else served[0][0]
 
     # ------------------------------------------------------------------ #
     # store-backed pipeline input

@@ -1,8 +1,9 @@
 """The async multiplexing front-end (`repro.store.frontend`).
 
 Correctness first: whatever the in-flight window, the pipelined path must
-return exactly the hits the strict collective path returns, per batch and in
-batch order.  Then the virtual-clock metrics: per-batch latencies are
+return exactly the hits the retired collective scatter/gather loop
+(``_collective_serve_reference``) returns, per batch and in batch order —
+and so must a join, one batch through the same loop.  Then the virtual-clock metrics: per-batch latencies are
 well-formed, the makespan covers every completion, and a pipelined window
 overlaps consecutive batches where the no-overlap baseline
 (``max_in_flight=1``, the same transport) never does.
@@ -11,10 +12,13 @@ overlaps consecutive batches where the no-overlap baseline
 import pytest
 
 from repro import mpisim
+from repro.geometry import Polygon
 from repro.core.reader import VectorIO
 from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.pfs import LustreFilesystem
 from repro.store import AsyncStoreFrontend, DistributedStoreServer, bulk_load
+
+import _collective_serve_reference as oracle  # the retired scatter/gather loop, kept next to this file
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +60,7 @@ class TestFrontendCorrectness:
                 frontend = AsyncStoreFrontend(server, max_in_flight=window)
                 result = frontend.serve(batches if comm.rank == 0 else None)
                 reference = [
-                    server.range_query_batch(batch if comm.rank == 0 else None)
+                    oracle.range_query_batch(server, batch if comm.rank == 0 else None)
                     for batch in batches
                 ]
                 return result, reference
@@ -67,8 +71,9 @@ class TestFrontendCorrectness:
             assert keys(got) == keys(want)
 
     def test_sequential_path_equals_async(self, fs, sharded_name):
-        # sequential submission twice over: the no-overlap window (W=1, the
-        # same transport) and the oracle, one strict collective per batch
+        # sequential submission three times over: the no-overlap window
+        # (W=1, the same transport), one range_query_batch per batch, and
+        # the oracle, one scatter/gather collective per batch
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:
                 batches = make_batches(server.manifest.extent)
@@ -77,16 +82,40 @@ class TestFrontendCorrectness:
                     AsyncStoreFrontend(server, max_in_flight=window).serve(root_batches)
                     for window in (1, 4)
                 ]
-                oracle = [
+                single = [
                     server.range_query_batch(batch if comm.rank == 0 else None)
                     for batch in batches
                 ]
-                return served, oracle
+                reference = [
+                    oracle.range_query_batch(server, batch if comm.rank == 0 else None)
+                    for batch in batches
+                ]
+                return served, single, reference
 
-        (one, four), oracle = mpisim.run_spmd(prog, 4).values[0]
-        want = [keys(b) for b in oracle]
+        (one, four), single, reference = mpisim.run_spmd(prog, 4).values[0]
+        want = [keys(b) for b in reference]
         assert [keys(b) for b in one.batches] == want
         assert [keys(b) for b in four.batches] == want
+        assert [keys(b) for b in single] == want
+
+    @pytest.mark.parametrize("nprocs", [1, 2, 4])
+    def test_join_equals_collective_join(self, fs, sharded_name, nprocs):
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, sharded_name) as server:
+                probes = [
+                    Polygon.from_envelope(env, userdata=qid)
+                    for batch in make_batches(server.manifest.extent, num_batches=4)
+                    for qid, env in batch
+                ]
+                root_probes = probes if comm.rank == 0 else None
+                return server.join(root_probes), oracle.join(server, root_probes)
+
+        got, want = mpisim.run_spmd(prog, nprocs).values[0]
+
+        def pairs(result):
+            return [(probe.userdata, hit.record_id, hit.shard_id, hit.page_id) for probe, hit in result]
+
+        assert pairs(got) == pairs(want) and got
 
     def test_empty_batches_and_windows(self, fs, sharded_name):
         def prog(comm):

@@ -17,6 +17,7 @@ from repro.datasets import random_envelopes
 from repro.geometry import Envelope, LineString, Point, Polygon, predicates
 from repro.pfs import LustreFilesystem
 from repro.store import (
+    AsyncStoreFrontend,
     DistributedStoreServer,
     SpatialDataStore,
     bulk_load,
@@ -542,26 +543,93 @@ class TestServingPhases:
         assert fs.exists(shards_path("data"))
 
 
+class TestServingHeader:
+    """Every serving call opens with rank 0's header broadcast, so what rank
+    0 passed holds on every rank: a missing input raises everywhere at once,
+    and rank 0's ``partial_ok`` is the one every rank serves by."""
+
+    CALLS = {
+        "range_query_batch": lambda server, work, **kw: server.range_query_batch(work, **kw),
+        "join": lambda server, work, **kw: server.join(
+            None if work is None else [Polygon.from_envelope(env) for _, env in work]
+        ),
+        "serve": lambda server, work, **kw: AsyncStoreFrontend(server).serve(
+            None if work is None else [work], **kw
+        ),
+    }
+    WORK = [(i, Envelope(10.0 * i, 0.0, 10.0 * i + 25.0, 100.0)) for i in range(8)]
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rank_0_without_input_raises_on_every_rank(self, tmp_path, call):
+        fs = make_fs(tmp_path)
+        bulk_load(fs, "data", random_geometries(120, seed=5), num_shards=4,
+                  num_partitions=16, page_size=512)
+        serve = self.CALLS[call]
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "data") as server:
+                with pytest.raises(ValueError, match="rank 0 must supply"):
+                    serve(server, None)
+                # the ranks are still in step: the next call answers
+                return serve(server, self.WORK if comm.rank == 0 else None)
+
+        values = mpisim.run_spmd(prog, 3, timeout=15.0).values
+        assert values[0] and values[1] is None and values[2] is None
+
+    @pytest.mark.parametrize("call", ("range_query_batch", "serve"))
+    def test_rank_0s_partial_ok_holds_on_every_rank(self, tmp_path, call):
+        # shard 1 (rank 1's) is dead: serving it strictly would raise on
+        # rank 1, so rank 1 passing partial_ok=False must not matter
+        fs = make_fs(tmp_path)
+        result = bulk_load(fs, "data", random_geometries(120, seed=5), num_shards=2,
+                           num_partitions=4, page_size=512)
+        victim = result.manifest.shards[1]
+        fs.backing_path(f"stores/{victim.store}/data.bin").write_bytes(b"not a container")
+        serve = self.CALLS[call]
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "data", allow_degraded=True) as server:
+                root = comm.rank == 0
+                return serve(server, self.WORK if root else None, partial_ok=root)
+
+        answer = mpisim.run_spmd(prog, 2, timeout=15.0).values[0]
+        if call == "serve":
+            (answer,) = answer.batches
+        assert not answer.complete and answer.missing_shards == [1]
+        assert answer.hits
+
+
 class TestWireSizes:
     """Every serving-path message reports the bytes a WKB wire would carry
     (store README, "The wire"); the tests recompute them from what the ranks
-    actually handed to the communicator."""
+    actually sent point to point, and from rank 0's own rows."""
 
     @pytest.fixture
     def wire(self, tmp_path, monkeypatch):
-        """A 4-shard store plus every object given to ``gather`` / ``scatter``
-        / ``send`` while the test runs, as ``(op, rank, object)``."""
+        """A 4-shard store plus what the serving loop ships while the test
+        runs, as ``(op, rank, object)``: ``"plan"`` for each of rank 0's
+        ``send``s, ``"rows"`` for each serving rank's ``send`` and for each of
+        rank 0's own ``ShardRows`` (merged where they were made, never sent)."""
         from repro.mpisim import Communicator
 
         fs = make_fs(tmp_path)
         bulk_load(fs, "data", random_geometries(200, seed=81), num_shards=4,
                   num_partitions=16, page_size=512)
         shipped = []
-        for op in ("gather", "scatter", "send"):
-            def spy(comm, obj, *args, _call=getattr(Communicator, op), _op=op, **kwargs):
-                shipped.append((_op, comm.rank, obj))
-                return _call(comm, obj, *args, **kwargs)
-            monkeypatch.setattr(Communicator, op, spy)
+        send, local_phase = Communicator.send, DistributedStoreServer._local_phase
+
+        def spy_send(comm, obj, *args, **kwargs):
+            shipped.append(("plan" if comm.rank == 0 else "rows", comm.rank, obj))
+            return send(comm, obj, *args, **kwargs)
+
+        def spy_local_phase(server, *args, **kwargs):
+            rows = local_phase(server, *args, **kwargs)
+            if server.comm.rank == 0:
+                shipped.append(("rows", 0, rows))
+            return rows
+
+        monkeypatch.setattr(Communicator, "send", spy_send)
+        monkeypatch.setattr(DistributedStoreServer, "_local_phase", spy_local_phase)
         return fs, shipped
 
     @staticmethod
@@ -588,7 +656,7 @@ class TestWireSizes:
     def test_result_payload_nbytes_is_the_documented_formula(self, wire, nprocs):
         fs, shipped = wire
         hits = serve_distributed(fs, "data", self.windows(40), nprocs)
-        payloads = [obj for op, _, obj in shipped if op == "gather"]
+        payloads = [obj for op, _, obj in shipped if op == "rows"]
         shipped_hits = sum(len(found) for rows in payloads for _, _, found in rows)
         assert len(payloads) == nprocs and shipped_hits >= len(hits) > 0
         for rows in payloads:
@@ -609,28 +677,27 @@ class TestWireSizes:
                 registry = MetricsRegistry()
                 comm.attach_metrics(registry)  # after open: its bcast is not serving
                 server.range_query_batch(batch if comm.rank == 0 else None)
-                collective = registry.snapshot()["counters"]["comm.bytes_collective"]
+                first = dict(registry.snapshot()["counters"])
                 AsyncStoreFrontend(server, max_in_flight=2).serve(
                     [batch[:25], batch[25:]] if comm.rank == 0 else None
                 )
                 comm.detach_metrics()
-                counters = registry.snapshot()["counters"]
-                return collective, counters.get("comm.bytes_sent", 0)
+                return first, registry.snapshot()["counters"]
 
-        (root_coll, root_sent), (peer_coll, peer_sent) = mpisim.run_spmd(prog, 2).values
-        gathered = {rank: obj for op, rank, obj in shipped if op == "gather"}
-        (plan,) = [obj for op, rank, obj in shipped if op == "scatter" and rank == 0]
-        plan_entries = sum(len(entries) for _, entries in plan)
-        assert all(ctx is None for ctx, _ in plan) and plan_entries >= 40
-        # collective serving: the root ships every plan entry (position +
-        # MPI_RECT = 40 bytes) and its own rows, the peer only its rows
-        assert root_coll == 40 * plan_entries + self.rows_nbytes(gathered[0])
-        assert peer_coll == self.rows_nbytes(gathered[1])
-        # front-end: the same sizes as tagged point-to-point messages (the
-        # header bcast and closing allgather are collectives, not sends)
-        sends = [(rank, obj) for op, rank, obj in shipped if op == "send"]
-        assert root_sent == sum(40 * len(obj[1]) for rank, obj in sends if rank == 0) > 0
-        assert peer_sent == sum(self.rows_nbytes(obj) for rank, obj in sends if rank == 1) > 0
+        (root_first, root_all), (peer_first, peer_all) = mpisim.run_spmd(prog, 2).values
+        plans = [obj for op, _, obj in shipped if op == "plan"]
+        peer_rows = [obj for op, rank, obj in shipped if op == "rows" and rank == 1]
+        assert len(plans) == len(peer_rows) == 3 and all(ctx is None for ctx, _ in plans)
+        # the one batch of range_query_batch: the root sends the peer its plan
+        # entries (position + MPI_RECT = 40 bytes each), the peer its rows;
+        # the only collective is the header (batch count + partial_ok, and a
+        # deadline of None), broadcast by the root
+        assert root_first["comm.bytes_sent"] == 40 * len(plans[0][1]) > 0
+        assert peer_first["comm.bytes_sent"] == self.rows_nbytes(peer_rows[0]) > 0
+        assert (root_first["comm.bytes_collective"], peer_first.get("comm.bytes_collective", 0)) == (16, 0)
+        # front-end: the same sizes, batch by batch, on the same transport
+        assert root_all["comm.bytes_sent"] == sum(40 * len(entries) for _, entries in plans)
+        assert peer_all["comm.bytes_sent"] == sum(map(self.rows_nbytes, peer_rows))
 
     def test_plans_of_64_and_65_entries_are_priced_by_one_rule(self, wire):
         from repro.mpisim import payload_nbytes
@@ -639,11 +706,11 @@ class TestWireSizes:
         for count in (64, 65):
             del shipped[:]
             everything = [(i, Envelope(0.0, 0.0, 100.0, 100.0)) for i in range(count)]
-            serve_distributed(fs, "data", everything, 2)
-            (plan,) = [obj for op, rank, obj in shipped if op == "scatter" and rank == 0]
-            assert [len(entries) for _, entries in plan] == [count, count]
-            assert [entries.nbytes for _, entries in plan] == [40 * count, 40 * count]
-            assert payload_nbytes(plan) == 2 * 40 * count
+            serve_distributed(fs, "data", everything, 3)
+            plans = [obj for op, _, obj in shipped if op == "plan"]
+            assert [len(entries) for _, entries in plans] == [count, count]
+            assert [entries.nbytes for _, entries in plans] == [40 * count, 40 * count]
+            assert [payload_nbytes(plan) for plan in plans] == [40 * count, 40 * count]
 
     def test_each_record_is_priced_once_and_exactly(self, wire, monkeypatch):
         # the second of two identical batches on one server prices every
@@ -666,7 +733,7 @@ class TestWireSizes:
                 return counts
 
         first, second = mpisim.run_spmd(prog, 2).values[0]
-        payloads = [(rank, obj) for op, rank, obj in shipped if op == "gather"]
+        payloads = [(rank, obj) for op, rank, obj in shipped if op == "rows"]
         assert len(payloads) == 4 and first > 0 and second == first
         for _, rows in payloads:
             assert rows.nbytes == self.rows_nbytes(rows)
@@ -691,7 +758,7 @@ class TestWireSizes:
 
         for held in mpisim.run_spmd(prog, 2).values:
             assert all(pages <= cache_pages for rank_held in held for pages in rank_held.values())
-        payloads = [(rank, obj) for op, rank, obj in shipped if op == "gather"]
+        payloads = [(rank, obj) for op, rank, obj in shipped if op == "rows"]
         assert len(payloads) == 6 and sum(rows.num_hits() for _, rows in payloads) > 0
         for _, rows in payloads:
             assert rows.nbytes == self.rows_nbytes(rows)
@@ -720,7 +787,7 @@ class TestWireSizes:
 
         (first, second), failovers = mpisim.run_spmd(prog, 2).values[0]
         assert failovers == 1 and first == second
-        payloads = [obj for op, _, obj in shipped if op == "gather"]
+        payloads = [obj for op, _, obj in shipped if op == "rows"]
         assert len(payloads) == 4 and all(rows.failures == [] for rows in payloads)
         for rows in payloads:
             assert rows.nbytes == self.rows_nbytes(rows)
