@@ -9,7 +9,8 @@ PR 6's observability layer.  Two properties are pinned:
   inside the gathered trace (each plan message carries the client's trace
   context, so worker-rank ``local_query`` subtrees reattach to rank 0's
   root ``query`` span).  The JSONL and Chrome ``trace_event`` exports are
-  validated by ``scripts/check_trace_schema.py`` — the exact check CI runs;
+  validated in-process by the schema helpers of
+  ``tests/obs/_trace_schema.py``;
 * **free when off** — with the default :data:`~repro.obs.NULL_TRACER`,
   ``StoreEngine.execute`` (the one stage loop: null span scopes plus the
   outcome bookkeeping) must cost ≤ 2% over a span-free, outcome-free loop
@@ -23,8 +24,6 @@ instead of the pytest tmp dir.
 
 import os
 import pathlib
-import subprocess
-import sys
 import time
 
 import pytest
@@ -34,12 +33,11 @@ from repro.core import VectorIO
 from repro.datasets import random_envelopes
 from repro.obs import Histogram, Tracer, write_chrome_trace, write_jsonl
 from repro.store import DistributedStoreServer, SpatialDataStore, bulk_load
+from tests.obs._trace_schema import check_chrome, check_jsonl
 
 QUICK = bool(os.environ.get("OBS_QUICK"))
 NPROCS = 2 if QUICK else 4
 NUM_QUERIES = 12 if QUICK else 48
-
-CHECKER = pathlib.Path(__file__).parent.parent / "scripts" / "check_trace_schema.py"
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +60,7 @@ def obs_store(lustre, join_datasets):
 
 def test_traced_distributed_query(lustre, obs_store, benchmark, once, tmp_path):
     """A traced NPROCS-rank batch query yields one connected trace, and the
-    exported artifacts pass the schema checker."""
+    exported artifacts pass the trace-schema checks."""
     queries = obs_store["queries"]
 
     def prog(comm):
@@ -95,16 +93,15 @@ def test_traced_distributed_query(lustre, obs_store, benchmark, once, tmp_path):
     names = {s["name"] for s in spans}
     assert {"query", "route", "scatter", "local_query", "plan", "refine", "gather"} <= names
 
-    # the exported artifacts pass the exact validation CI runs
+    # the exported artifacts pass the trace-schema checks
     out_dir = pathlib.Path(os.environ.get("OBS_TRACE_OUT") or tmp_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonl = write_jsonl(spans, out_dir / "obs_sharded_query.jsonl")
     chrome = write_chrome_trace(spans, out_dir / "obs_sharded_query.json")
-    check = subprocess.run(
-        [sys.executable, str(CHECKER), jsonl, chrome],
-        capture_output=True, text=True,
-    )
-    assert check.returncode == 0, check.stderr
+    problems = []
+    check_jsonl(jsonl, False, problems)
+    check_chrome(chrome, problems)
+    assert problems == [], "\n".join(problems)
 
     # aggregated heat counters cover every shard (idempotent cross-rank merge)
     shard_heat = {

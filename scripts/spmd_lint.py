@@ -3,9 +3,11 @@
 
 Thin launcher for :mod:`repro.analysis.cli`; kept runnable from a bare
 checkout — no installed package, no PYTHONPATH — because CI invokes it as
-``python scripts/spmd_lint.py src examples tests``.  Run ``--help`` for the
-rule catalog, or see ``src/repro/analysis/README.md`` for worked examples,
-the suppression syntax and the baseline workflow.
+``python scripts/spmd_lint.py src examples tests``.  It prints every finding
+that no reasoned ``# spmd: ignore[RULE] reason`` comment silences and exits 1
+if there is one; a path that does not exist is a usage error.  Run
+``--help`` for the rule catalog, or see ``src/repro/analysis/README.md`` for
+worked examples and the suppression syntax.
 """
 
 import pathlib

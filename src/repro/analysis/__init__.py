@@ -7,10 +7,9 @@ communication in rank-conditional control flow:
   that walks the source tree and reports divergent collectives, tag
   mismatches, rooted-collective disagreements, wall-clock leaks into the
   virtual-clock codebase and rank-dependent early exits that skip
-  collectives.  ``scripts/spmd_lint.py`` is the CLI; findings are gated
-  against a checked-in JSON baseline (:mod:`repro.analysis.baseline`) with
-  ``# spmd: ignore[RULE] reason`` inline suppressions
-  (:mod:`repro.analysis.suppress`).
+  collectives.  ``scripts/spmd_lint.py`` is the CLI and the gate: a finding
+  either carries a reasoned ``# spmd: ignore[RULE] reason`` comment
+  (:mod:`repro.analysis.suppress`) or fails the run.
 * :mod:`repro.analysis.runtime` — a MUST-style lockstep verifier armed by
   :func:`~repro.analysis.runtime.collective_check`: every
   collective piggybacks an ``(op, callsite, seq, root)`` record on the
@@ -20,10 +19,9 @@ communication in rank-conditional control flow:
   deadlock timeout the same bug produces unarmed.
 
 See ``src/repro/analysis/README.md`` for the rule catalog with bad/good
-examples, the suppression syntax and the baseline workflow.
+examples and the suppression syntax.
 """
 
-from .baseline import Baseline, load_baseline, write_baseline
 from .runtime import CollectiveMismatchError, collective_check
 from .spmd import RULES, Finding, lint_file, lint_paths, lint_source
 
@@ -33,9 +31,6 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "Baseline",
-    "load_baseline",
-    "write_baseline",
     "CollectiveMismatchError",
     "collective_check",
 ]

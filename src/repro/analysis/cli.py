@@ -3,33 +3,24 @@
 Usage::
 
     python scripts/spmd_lint.py src examples tests
-    python scripts/spmd_lint.py --write-baseline src examples tests
-    python scripts/spmd_lint.py --json src
 
-The gate semantics follow the checked-in baseline
-(:mod:`repro.analysis.baseline`): the exit status is 1 only when findings
-*not* in the baseline exist, so CI fails on regressions while the accepted
-legacy set — each entry either fixed or justified with an inline
-suppression over time — never blocks a build.  Stale baseline entries
-(fixed findings whose fingerprints linger) are reported as cleanup
-candidates but do not fail the gate; refresh with ``--write-baseline``.
+The command is the gate: it prints every finding that no reasoned
+``# spmd: ignore[RULE] reason`` comment silences (:mod:`repro.analysis.suppress`)
+and exits 1 if there is one, 0 otherwise.  A path that is neither a
+directory nor a ``.py`` file is a usage error (exit 2), so a mistyped path
+cannot lint nothing and pass.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .baseline import Baseline, fingerprints, load_baseline, write_baseline
-from .spmd import RULES, iter_python_files, lint_paths
-from .suppress import parse_suppressions
+from .spmd import RULES, lint_paths
 
-__all__ = ["main", "build_parser", "DEFAULT_BASELINE"]
-
-DEFAULT_BASELINE = "spmd_baseline.json"
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,108 +35,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=["src", "examples", "tests"],
         help="files or directories to lint (default: src examples tests)",
     )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline JSON path (default: {DEFAULT_BASELINE}; "
-             f"missing file = empty baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept every current finding into the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report and fail on every finding",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit machine-readable JSON instead of text",
-    )
     return parser
 
 
-def _reasonless_suppressions(paths: Sequence[str], root: Path) -> List[str]:
-    out: List[str] = []
-    for path in iter_python_files([Path(p) for p in paths]):
-        try:
-            rel = path.resolve().relative_to(root.resolve())
-        except ValueError:
-            rel = path
-        for sup in parse_suppressions(path.read_text(encoding="utf-8")):
-            if not sup.reason:
-                out.append(
-                    f"{str(rel).replace(chr(92), '/')}:{sup.line}: suppression "
-                    f"for {','.join(sorted(sup.rules))} has no reason — "
-                    f"add one after the closing bracket"
-                )
-    return out
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    root = Path.cwd()
-    findings = lint_paths(args.paths, root=root)
-    prints = fingerprints(findings)
-
-    if args.write_baseline:
-        write_baseline(Baseline.from_findings(findings), args.baseline)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baseline = Baseline() if args.no_baseline else load_baseline(args.baseline)
-    new, stale = baseline.diff(findings)
-    warnings = _reasonless_suppressions(args.paths, root)
-
-    if args.as_json:
-        payload = {
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "severity": f.severity,
-                    "path": f.path,
-                    "line": f.line,
-                    "col": f.col,
-                    "message": f.message,
-                    "hint": f.hint,
-                    "context": f.context,
-                    "fingerprint": fp,
-                    "baselined": fp in baseline.entries,
-                }
-                for f, fp in zip(findings, prints)
-            ],
-            "new": len(new),
-            "baselined": len(findings) - len(new),
-            "stale_baseline_entries": stale,
-            "suppression_warnings": warnings,
-        }
-        print(json.dumps(payload, indent=2))
-        return 1 if new else 0
-
-    for finding, _ in new:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        findings = lint_paths(args.paths, root=Path.cwd())
+    except FileNotFoundError as exc:
+        parser.error(str(exc))
+    for finding in findings:
         print(finding.render())
-    for warning in warnings:
-        print(f"warning: {warning}")
-    for fp in stale:
-        print(
-            f"note: stale baseline entry {fp} — the finding is gone; "
-            f"refresh with --write-baseline"
-        )
-    known = len(findings) - len(new)
-    print(
-        f"spmd-lint: {len(findings)} finding(s), {len(new)} new, "
-        f"{known} baselined, {len(stale)} stale baseline entr"
-        f"{'y' if len(stale) == 1 else 'ies'}",
-        file=sys.stderr,
-    )
-    return 1 if new else 0
+    print(f"spmd-lint: {len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -41,7 +41,6 @@ same one) — the runtime lockstep verifier
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -140,7 +139,6 @@ class Finding:
     col: int
     message: str
     context: str
-    snippet: str
 
     @property
     def severity(self) -> str:
@@ -149,14 +147,6 @@ class Finding:
     @property
     def hint(self) -> str:
         return _HINTS[self.rule]
-
-    def fingerprint(self, occurrence: int = 0) -> str:
-        """Stable identity for the baseline: rule + file + enclosing scope +
-        a hash of the flagged line's text (so findings survive unrelated
-        line drift), disambiguated by *occurrence* among identical tuples.
-        """
-        digest = hashlib.sha1(self.snippet.encode("utf-8")).hexdigest()[:12]
-        return f"{self.rule}:{self.path}:{self.context}:{digest}:{occurrence}"
 
     def render(self) -> str:
         return (
@@ -329,11 +319,9 @@ def _call_root(call: ast.Call, consts: Dict[str, int]) -> Tuple[bool, Optional[i
 # per-module analysis
 # --------------------------------------------------------------------- #
 class _ModuleLinter:
-    def __init__(self, tree: ast.Module, path: str, lines: List[str],
-                 vclock_scope: bool) -> None:
+    def __init__(self, tree: ast.Module, path: str, vclock_scope: bool) -> None:
         self.tree = tree
         self.path = path
-        self.lines = lines
         self.vclock_scope = vclock_scope
         self.findings: List[Finding] = []
         self.module_consts = self._module_int_constants()
@@ -358,22 +346,15 @@ class _ModuleLinter:
                 return f"{node.name}.{func.name}"
         return getattr(func, "name", "<lambda>")
 
-    def _snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
     def _add(self, rule: str, node: ast.AST, message: str, context: str) -> None:
-        line = getattr(node, "lineno", 1)
         self.findings.append(
             Finding(
                 rule=rule,
                 path=self.path,
-                line=line,
+                line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0) + 1,
                 message=message,
                 context=context,
-                snippet=self._snippet(line),
             )
         )
 
@@ -654,10 +635,10 @@ def _in_vclock_scope(path: str) -> bool:
 
 def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one module's *source*; *path* is used for reporting and for
-    deciding whether SPMD004 applies.  Inline suppressions are applied."""
+    deciding whether SPMD004 applies.  Reasoned inline suppressions are
+    applied."""
     tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    findings = _ModuleLinter(tree, path, lines, _in_vclock_scope(path)).run()
+    findings = _ModuleLinter(tree, path, _in_vclock_scope(path)).run()
     silenced = suppressed_rules(parse_suppressions(source))
     return [
         f
@@ -684,13 +665,18 @@ def lint_file(path: Union[str, Path], root: Optional[Path] = None) -> List[Findi
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
+    """Every ``*.py`` file under *paths*; an entry that is neither a
+    directory nor an existing ``.py`` file raises :class:`FileNotFoundError`
+    (a mistyped path must not lint nothing and pass)."""
     out: List[Path] = []
     for entry in paths:
         p = Path(entry)
         if p.is_dir():
             out.extend(sorted(p.rglob("*.py")))
-        elif p.suffix == ".py":
+        elif p.suffix == ".py" and p.is_file():
             out.append(p)
+        else:
+            raise FileNotFoundError(f"{entry}: no such directory or .py file")
     return out
 
 

@@ -9,14 +9,18 @@ the flagged line itself or on its own line directly above it::
     raise ValueError("rank 0 must supply the batch")
 
 Several rules may share one comment (``ignore[SPMD001,SPMD003]``) and
-``ignore[*]`` silences every rule on the line.  The reason text is optional
-syntactically but the linter warns when it is missing — a suppression with no
-justification is how intentional patterns rot into unexplained ones.
+``ignore[*]`` silences every rule on the line.  The reason text is required:
+a suppression with no reason silences nothing, so its finding still fails
+the gate — an unexplained waiver is how intentional patterns rot into
+unexplained ones.  Only real comments count: the same text inside a string
+literal is not a suppression.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from typing import Dict, List, NamedTuple, Set
 
 __all__ = ["Suppression", "parse_suppressions", "suppressed_rules"]
@@ -37,10 +41,12 @@ class Suppression(NamedTuple):
 
 
 def parse_suppressions(source: str) -> List[Suppression]:
-    """Extract every ``# spmd: ignore[...]`` comment from *source*."""
+    """Extract every ``# spmd: ignore[...]`` comment token from *source*."""
     out: List[Suppression] = []
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(text)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(tok.string)
         if match is None:
             continue
         rules = {
@@ -48,13 +54,13 @@ def parse_suppressions(source: str) -> List[Suppression]:
             for token in match.group(1).split(",")
             if token.strip()
         }
-        standalone = text[: match.start()].strip() == ""
+        lineno, col = tok.start
         out.append(
             Suppression(
                 line=lineno,
                 rules=rules,
                 reason=match.group(2).strip(),
-                standalone=standalone,
+                standalone=tok.line[:col].strip() == "",
             )
         )
     return out
@@ -65,10 +71,13 @@ def suppressed_rules(suppressions: List[Suppression]) -> Dict[int, Set[str]]:
 
     A trailing comment covers its own line; a standalone comment covers its
     own line *and* the next one, so a suppression can sit directly above a
-    long statement without re-flowing it.
+    long statement without re-flowing it.  A suppression with no reason
+    covers nothing.
     """
     by_line: Dict[int, Set[str]] = {}
     for sup in suppressions:
+        if not sup.reason:
+            continue
         lines = (sup.line, sup.line + 1) if sup.standalone else (sup.line,)
         for line in lines:
             by_line.setdefault(line, set()).update(sup.rules)

@@ -3,8 +3,9 @@
 Two formats, two audiences:
 
 * :func:`write_jsonl` — one span dict per line, the machine-readable
-  archive format (greppable, streamable, schema-checked by
-  ``scripts/check_trace_schema.py``).
+  archive format (greppable, streamable; ``tests/obs/_trace_schema.py``
+  checks both formats, and ``benchmarks/test_obs_tracing.py`` runs it on a
+  traced sharded query's exports).
 * :func:`write_chrome_trace` — the Trace Event Format consumed by
   ``chrome://tracing`` and Perfetto: each span becomes a complete ("X")
   event with microsecond timestamps, one row (``tid``) per rank, so a

@@ -1,34 +1,28 @@
-"""Validate exported trace artifacts against the ``repro.obs`` schema.
+"""Schema checks for the trace files ``repro.obs.export`` writes.
 
-This is the library behind ``scripts/check_trace_schema.py`` (previously the
-logic lived only inside the script, runnable but not importable or unit
-testable).  Two formats, auto-detected by extension (or forced with
-``--format``):
+Two formats:
 
 * ``*.jsonl`` — one span object per line, as written by
   :func:`repro.obs.write_jsonl`.  Every line must carry the full span
   shape (``trace_id``/``span_id``/``parent_id``/``name``/``rank``/
   ``start``/``end``/``attrs``) with well-formed types, ``end >= start``,
-  and — unless ``--allow-dangling`` — every non-null ``parent_id`` must
-  resolve to a span in the same file (a connected trace).
+  unique span ids, and — unless *allow_dangling* — every non-null
+  ``parent_id`` must resolve to a span in the same file (a connected
+  trace).
 * ``*.json`` — a Chrome Trace Event Format document, as written by
   :func:`repro.obs.write_chrome_trace`: a ``traceEvents`` list of
   complete ("X") events plus metadata ("M") rows, microsecond
   timestamps, non-negative durations.
 
-:func:`main` exits 0 when every file validates, 1 otherwise; problems are
-printed one per line as ``<file>:<where>: <what>``.  CI runs this over the
-artifacts produced by the observability smoke step.
+Each check appends its problems to the list it is given, one per entry as
+``<file>:<where>: <what>``; an empty list means the file validates.
+``benchmarks/test_obs_tracing.py`` runs them on the artifacts of a traced
+sharded query (the CI observability smoke), ``test_schema_check.py`` on
+hand-broken files.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
-import sys
-from typing import Any, List, Optional, Sequence
-
-__all__ = ["SPAN_FIELDS", "check_span", "check_jsonl", "check_chrome", "main"]
+from typing import Any, List
 
 SPAN_FIELDS = {
     "trace_id": str,
@@ -129,46 +123,3 @@ def check_chrome(path: str, problems: List[str]) -> None:
                 problems.append(f"{where}: args carries no span_id")
     if not complete:
         problems.append(f"{path}: no complete ('X') events")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="+", help="trace files to validate")
-    parser.add_argument(
-        "--format",
-        choices=("auto", "jsonl", "chrome"),
-        default="auto",
-        help="force a format instead of guessing from the extension",
-    )
-    parser.add_argument(
-        "--allow-dangling",
-        action="store_true",
-        help="permit parent_id values that point outside the file "
-        "(e.g. a single rank's slice of a distributed trace)",
-    )
-    args = parser.parse_args(argv)
-
-    problems: List[str] = []
-    for path in args.paths:
-        fmt = args.format
-        if fmt == "auto":
-            fmt = "jsonl" if path.endswith(".jsonl") else "chrome"
-        try:
-            if fmt == "jsonl":
-                check_jsonl(path, args.allow_dangling, problems)
-            else:
-                check_chrome(path, problems)
-        except OSError as exc:
-            problems.append(f"{path}: {exc}")
-
-    for problem in problems:
-        print(problem, file=sys.stderr)
-    if problems:
-        print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
-        return 1
-    print(f"OK: {len(args.paths)} file(s) validated")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,12 +1,13 @@
-"""Unit coverage for :mod:`repro.obs.schema_check` — previously the trace
-schema checker ran only as a CI subprocess with no direct tests."""
+"""Unit coverage for the trace-schema helpers in ``_trace_schema.py``: each
+check passes a real exported trace and names what is wrong with a broken
+one."""
 
 import json
 
 import pytest
+from _trace_schema import check_chrome, check_jsonl, check_span  # kept next to this file
 
 from repro.obs import Tracer, write_chrome_trace, write_jsonl
-from repro.obs.schema_check import check_chrome, check_jsonl, check_span, main
 
 
 def make_spans():
@@ -89,6 +90,11 @@ class TestCheckJsonl:
         check_jsonl(str(bad), False, problems)
         assert any("not JSON" in p for p in problems)
 
+    def test_a_chrome_document_is_not_a_span_log(self, artifacts):
+        problems = []
+        check_jsonl(artifacts["chrome"], False, problems)
+        assert problems
+
     def test_duplicate_span_ids(self, tmp_path, artifacts):
         row = dict(artifacts["spans"][0])
         path = tmp_path / "dup.jsonl"
@@ -129,21 +135,3 @@ class TestCheckChrome:
         check_chrome(str(path), problems)
         assert any("no complete" in p for p in problems)
 
-
-class TestMain:
-    def test_valid_files_exit_zero(self, artifacts, capsys):
-        assert main([artifacts["jsonl"], artifacts["chrome"]]) == 0
-        assert "OK: 2 file(s)" in capsys.readouterr().out
-
-    def test_problems_exit_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("{}\n")
-        assert main([str(bad)]) == 1
-        assert "FAIL" in capsys.readouterr().err
-
-    def test_missing_file_is_reported(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope.jsonl")]) == 1
-
-    def test_format_override(self, artifacts):
-        # force the chrome document through the jsonl checker: must fail
-        assert main([artifacts["chrome"], "--format", "jsonl"]) == 1

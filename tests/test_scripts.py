@@ -27,8 +27,8 @@ class TestSpmdLintScript:
         assert result.returncode == 0
         assert "SPMD001" in result.stdout
 
-    def test_gate_against_committed_baseline(self):
-        # the ISSUE's acceptance command, run exactly as CI runs it
+    def test_gate_passes_on_the_repo(self):
+        # run exactly as CI runs it
         result = run(
             "spmd_lint.py", "src", "examples", "tests",
             cwd=SCRIPTS.parent,
@@ -48,34 +48,9 @@ class TestSpmdLintScript:
             "    if comm.rank == 0:\n"
             "        comm.barrier()\n"
         )
-        result = run("spmd_lint.py", str(bad), "--no-baseline", cwd=tmp_path)
+        result = run("spmd_lint.py", str(bad), cwd=tmp_path)
         assert result.returncode == 1
         assert "SPMD001" in result.stdout
-
-
-class TestTraceSchemaScript:
-    def test_help_runs_without_pythonpath(self):
-        result = run("check_trace_schema.py", "--help")
-        assert result.returncode == 0
-
-    def test_is_a_shim_over_the_library(self):
-        from repro.obs.schema_check import main  # noqa: F401
-
-        text = (SCRIPTS / "check_trace_schema.py").read_text()
-        assert "from repro.obs.schema_check import main" in text
-
-    def test_validates_real_artifact(self, tmp_path):
-        from repro.obs import Tracer, write_jsonl
-
-        class FakeClock:
-            now = 0.0
-
-        tracer = Tracer(clock=FakeClock(), rank=0)
-        with tracer.span("query"):
-            FakeClock.now = 1.0
-        path = write_jsonl(tracer.export(), tmp_path / "t.jsonl")
-        result = run("check_trace_schema.py", str(path))
-        assert result.returncode == 0, result.stderr
 
 
 class TestStoreLocScript:
