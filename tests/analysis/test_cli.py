@@ -48,6 +48,19 @@ class TestSuppressions:
         covered = suppressed_rules(parse_suppressions(source))
         assert set(covered) == {1}
 
+    def test_a_reasonless_suppression_covers_nothing(self):
+        (sup,) = parse_suppressions("comm.barrier()  # spmd: ignore[SPMD001]\n")
+        assert sup.reason == ""
+        assert suppressed_rules([sup]) == {}
+
+    def test_a_string_literal_is_not_a_suppression(self):
+        source = 'msg = "# spmd: ignore[*] not a comment"\n'
+        assert parse_suppressions(source) == []
+
+    def test_a_docstring_is_not_a_suppression(self):
+        source = '"""\n# spmd: ignore[SPMD001] inside a docstring\n"""\n'
+        assert parse_suppressions(source) == []
+
 
 # --------------------------------------------------------------------- #
 # the CLI gate
@@ -72,6 +85,12 @@ class TestCli:
     def test_a_clean_tree_passes(self, tree):
         (tree / "src" / "repro" / "fake" / "bad.py").write_text(GOOD)
         assert main(["src"]) == 0
+
+    def test_a_clean_tree_reports_zero_findings(self, tree, capsys):
+        assert main(["src/repro/fake/good.py"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0 finding(s)" in captured.err
 
     def test_single_file_argument(self, tree):
         assert main(["src/repro/fake/good.py"]) == 0
@@ -102,3 +121,36 @@ class TestCli:
             main(["src", path])
         assert exit_.value.code == 2
         assert path in capsys.readouterr().err
+
+    def test_a_non_python_file_is_a_usage_error(self, tree, capsys):
+        (tree / "notes.txt").write_text("comm.barrier()\n")
+        with pytest.raises(SystemExit) as exit_:
+            main(["notes.txt"])
+        assert exit_.value.code == 2
+        assert "notes.txt" in capsys.readouterr().err
+
+    def test_a_reasoned_suppression_silences(self, tree):
+        (tree / "src" / "repro" / "fake" / "bad.py").write_text(BAD.replace(
+            "comm.barrier()", "comm.barrier()  # spmd: ignore[SPMD001] demo"
+        ))
+        assert main(["src"]) == 0
+
+    def test_a_standalone_suppression_silences_the_next_line(self, tree):
+        (tree / "src" / "repro" / "fake" / "bad.py").write_text(BAD.replace(
+            "        comm.barrier()",
+            "        # spmd: ignore[SPMD001] demo\n        comm.barrier()",
+        ))
+        assert main(["src"]) == 0
+
+    def test_a_wildcard_suppression_silences(self, tree):
+        (tree / "src" / "repro" / "fake" / "bad.py").write_text(BAD.replace(
+            "comm.barrier()", "comm.barrier()  # spmd: ignore[*] demo"
+        ))
+        assert main(["src"]) == 0
+
+    def test_a_suppression_of_another_rule_does_not_silence(self, tree, capsys):
+        (tree / "src" / "repro" / "fake" / "bad.py").write_text(BAD.replace(
+            "comm.barrier()", "comm.barrier()  # spmd: ignore[SPMD003] demo"
+        ))
+        assert main(["src"]) == 1
+        assert "SPMD001" in capsys.readouterr().out

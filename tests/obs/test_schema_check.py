@@ -51,6 +51,20 @@ class TestCheckSpan:
         check_span([1, 2], "here", problems)
         assert "not an object" in problems[0]
 
+    def test_a_boolean_is_not_a_rank(self, artifacts):
+        row = dict(artifacts["spans"][0])
+        row["rank"] = True
+        problems = []
+        check_span(row, "here", problems)
+        assert problems == ["here: field 'rank' has type bool"]
+
+    def test_parent_id_must_be_a_string_or_null(self, artifacts):
+        row = dict(artifacts["spans"][0])
+        row["parent_id"] = 7
+        problems = []
+        check_span(row, "here", problems)
+        assert problems == ["here: field 'parent_id' must be a string or null"]
+
     def test_end_before_start(self, artifacts):
         row = dict(artifacts["spans"][0])
         row["start"], row["end"] = 5.0, 1.0
@@ -125,6 +139,35 @@ class TestCheckChrome:
         messages = "\n".join(problems)
         assert "negative duration" in messages
         assert "unsupported phase 'Q'" in messages
+
+    def test_a_span_log_is_not_a_chrome_document(self, artifacts):
+        problems = []
+        check_chrome(artifacts["jsonl"], problems)
+        assert any("not JSON" in p for p in problems)
+
+    def test_a_document_without_trace_events(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"ph": "X"}]))
+        problems = []
+        check_chrome(str(path), problems)
+        assert any("'traceEvents' list" in p for p in problems)
+
+    def test_incomplete_events(self, tmp_path):
+        doc = {
+            "traceEvents": [
+                "not an event",
+                {"ph": "X", "name": "a", "pid": 0, "ts": 0, "dur": 1,
+                 "cat": "c", "args": {}},
+            ]
+        }
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        problems = []
+        check_chrome(str(path), problems)
+        messages = "\n".join(problems)
+        assert "traceEvents[0]: event is not an object" in messages
+        assert "traceEvents[1]: missing field 'tid'" in messages
+        assert "traceEvents[1]: args carries no span_id" in messages
 
     def test_no_complete_events(self, tmp_path):
         path = tmp_path / "meta.json"

@@ -52,6 +52,33 @@ class TestSpmdLintScript:
         assert result.returncode == 1
         assert "SPMD001" in result.stdout
 
+    def test_a_reasonless_suppression_fails(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "def prog(comm):\n"
+            "    if comm.rank == 0:\n"
+            "        comm.barrier()  # spmd: ignore[SPMD001]\n"
+        )
+        result = run("spmd_lint.py", str(bad), cwd=tmp_path)
+        assert result.returncode == 1
+        assert "SPMD001" in result.stdout
+
+    def test_a_suppression_in_a_string_literal_fails(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "def prog(comm):\n"
+            "    if comm.rank == 0:\n"
+            '        comm.barrier(); msg = "# spmd: ignore[*] not a comment"\n'
+        )
+        result = run("spmd_lint.py", str(bad), cwd=tmp_path)
+        assert result.returncode == 1
+        assert "SPMD001" in result.stdout
+
+    def test_a_path_that_does_not_exist_fails(self, tmp_path):
+        result = run("spmd_lint.py", "no_such_dir", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "no_such_dir" in result.stderr
+
 
 class TestStoreLocScript:
     """``store_loc.py`` is the counting rule of the ``repro.store`` shrink
