@@ -15,13 +15,17 @@ PR 6's observability layer.  Two properties are pinned:
   ``StoreEngine.execute`` (the one stage loop: null span scopes plus the
   outcome bookkeeping) must cost ≤ 2% over a span-free, outcome-free loop
   over the same stage objects, measured min-of-k on a warm cache so the
-  comparison is pure CPU.
+  comparison is pure CPU.  Each timed sample repeats the query batch until
+  it lasts at least ``SAMPLE_SECONDS``, the two loops alternate which one
+  is timed first, and the cyclic collector is off while they are timed.
 
 Set ``OBS_QUICK=1`` for the CI smoke variant (2 ranks, fewer queries).
 Set ``OBS_TRACE_OUT=<dir>`` to keep the exported trace artifacts there
 instead of the pytest tmp dir.
 """
 
+import gc
+import math
 import os
 import pathlib
 import time
@@ -36,6 +40,8 @@ from repro.store import DistributedStoreServer, SpatialDataStore, bulk_load
 from tests.obs._trace_schema import check_chrome, check_jsonl
 
 QUICK = bool(os.environ.get("OBS_QUICK"))
+#: least duration of one timed sample of the no-op overhead guard
+SAMPLE_SECONDS = 0.01
 NPROCS = 2 if QUICK else 4
 NUM_QUERIES = 12 if QUICK else 48
 
@@ -150,21 +156,42 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
         expected = reference(queries, exact=True)
         via_execute = engine.execute(queries, exact=True)
 
+        # one warm batch takes well under a millisecond (12 queries in the
+        # quick variant), too short a sample to resolve a 2% difference: a
+        # timed sample repeats the batch until it lasts SAMPLE_SECONDS
+        t0 = time.perf_counter()
+        reference(queries, exact=True)
+        repeats = max(1, math.ceil(SAMPLE_SECONDS / (time.perf_counter() - t0)))
+
         def timed(fn):
             t0 = time.perf_counter()
-            fn(queries, exact=True)
-            return time.perf_counter() - t0
+            for _ in range(repeats):
+                fn(queries, exact=True)
+            return (time.perf_counter() - t0) / repeats
 
-        # paired rounds: both loops timed back to back each round, the
-        # round with the lowest dispatched/direct ratio wins — genuine
-        # overhead shows in every round, ambient machine noise (CI
-        # neighbours, frequency scaling) only spikes single rounds
+        # paired rounds: both loops timed back to back each round, which
+        # one goes first alternating, the round with the lowest
+        # dispatched/direct ratio wins — genuine overhead shows in every
+        # round, ambient machine noise (CI neighbours, frequency scaling)
+        # only spikes single rounds.  The collector is off while timing, as
+        # timeit has it: a collection lands in whichever sample it happens to,
+        # not in the loop that allocated for it
         direct, dispatched = 1.0, float("inf")
-        for _ in range(rounds):
-            d = min(timed(reference), timed(reference))
-            v = min(timed(engine.execute), timed(engine.execute))
-            if v / d < dispatched / direct:
-                direct, dispatched = d, v
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for round_no in range(rounds):
+                if round_no % 2:
+                    v = min(timed(engine.execute), timed(engine.execute))
+                    d = min(timed(reference), timed(reference))
+                else:
+                    d = min(timed(reference), timed(reference))
+                    v = min(timed(engine.execute), timed(engine.execute))
+                if v / d < dispatched / direct:
+                    direct, dispatched = d, v
+        finally:
+            if collecting:
+                gc.enable()
 
         # per-query latency distribution on the warm path (the histogram
         # summary rides benchmark.extra_info)

@@ -23,6 +23,7 @@ reproduction; the accumulated simulated seconds are exposed via
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -41,7 +42,6 @@ from .format import (
     PageMeta,
     StoreError,
     StoreFormatError,
-    StoreHeader,
     unpack_header,
     unpack_page_checksums,
     unpack_page_directory,
@@ -87,6 +87,9 @@ class Generation:
     #: tight MBR of the generation's records (delta-level pruning key;
     #: the base generation's index is always asked — its root is that test)
     extent: Envelope
+    #: the container file :meth:`SpatialDataStore.open` read the directory
+    #: through, kept for the page fetches; ``None`` once closed (a later
+    #: fetch reopens it) and for a generation without a container
     handle: Optional[FileHandle] = None
 
 
@@ -151,11 +154,14 @@ class StoreStats:
 
 
 def _stats_counter_property(name: str) -> property:
-    """Int-typed facade over one ``store.*`` counter (``+=`` keeps working)."""
+    """Facade over one ``store.*`` counter (``+=`` keeps working): int-typed,
+    except ``io_seconds``, the one float-valued counter (simulated seconds
+    are not truncated)."""
     attr = f"_{name}"
+    read = (lambda value: value) if name == "io_seconds" else int
 
     def fget(self: StoreStats) -> int:
-        return int(getattr(self, attr).value)
+        return read(getattr(self, attr).value)
 
     def fset(self: StoreStats, value: float) -> None:
         getattr(self, attr).value = value
@@ -164,18 +170,7 @@ def _stats_counter_property(name: str) -> property:
 
 
 for _name in StoreStats._COUNTERS:
-    if _name == "io_seconds":
-        # the one float-valued counter: do not truncate simulated seconds
-        setattr(
-            StoreStats,
-            _name,
-            property(
-                lambda self: self._io_seconds.value,
-                lambda self, value: setattr(self._io_seconds, "value", value),
-            ),
-        )
-    else:
-        setattr(StoreStats, _name, _stats_counter_property(_name))
+    setattr(StoreStats, _name, _stats_counter_property(_name))
 del _name
 
 
@@ -194,15 +189,18 @@ class SpatialDataStore:
         fs: SimulatedFilesystem,
         name: str,
         manifest: StoreManifest,
-        generations: Sequence[Tuple[List[PageMeta], STRtree]],
+        generations: Sequence[Tuple[List[PageMeta], STRtree, Optional[FileHandle]]],
         cache_pages: int = 64,
         io_policy: str = "fixed",
         tracer=None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        """*generations* holds one ``(page directory, packed index)`` pair
-        per generation as :meth:`open` read them: the base container first,
-        then one per entry of ``manifest.generations``.
+        """*generations* holds one ``(page directory, packed index, handle)``
+        triple per generation as :meth:`open` read them: the base container
+        first, then one per entry of ``manifest.generations``.  *handle* is
+        the container file :meth:`open` read the directory through (``None``
+        for a generation without one); the store owns it from here on and
+        :meth:`close` releases it.
 
         The serving knobs are declared here and nowhere else —
         :meth:`open` and the sharded server forward them by keyword.
@@ -251,7 +249,7 @@ class SpatialDataStore:
         #: by generation id
         self.generations: List[Generation] = []
         self._partition_of_page: Dict[PageKey, int] = {}
-        for gen_id, (info, (pages, index)) in enumerate(
+        for gen_id, (info, (pages, index, handle)) in enumerate(
             zip([manifest, *manifest.generations], generations)
         ):
             if gen_id and info.gen_id != gen_id:
@@ -268,6 +266,7 @@ class SpatialDataStore:
                     scheduler=self._make_scheduler(pages, data_path),
                     data_path=data_path,
                     extent=info.extent,
+                    handle=handle,
                 )
             )
             for pid, part in info.partition_of_page().items():
@@ -305,10 +304,6 @@ class SpatialDataStore:
     def scheduler(self) -> IOScheduler:
         """The base generation's I/O scheduler (deltas each have their own)."""
         return self.generations[0].scheduler
-
-    @property
-    def _handle(self) -> Optional[FileHandle]:
-        return self.generations[0].handle
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -362,43 +357,49 @@ class SpatialDataStore:
 
         manifest = StoreManifest.from_json(_read_file(paths["manifest"]).decode("utf-8"))
 
-        def _read_container(path: str) -> Tuple[StoreHeader, List[PageMeta]]:
-            """Header → page directory + checksum tail of one container."""
+        def _read_container(path: str, opened: ExitStack):
+            """Header → page directory + checksum tail of one container.
+            The handle stays open (the store's first fetch pays no second
+            open); *opened* closes it if the store is never built."""
             nonlocal io_seconds
-            with fs.open(path) as fh:
-                try:
-                    header = unpack_header(_read(fh, 0, HEADER_SIZE), file_size=fh.size)
-                except StoreFormatError as exc:
-                    raise StoreFormatError(f"{path!r}: {exc}") from exc
-                tail_nbytes = header.dir_nbytes + header.checksum_nbytes
-                tail = _read(fh, header.dir_offset, tail_nbytes)
-                io_seconds += fs.open_time()
-                io_seconds += fs.read_time(
-                    path,
-                    [ReadRequest(0, ((0, HEADER_SIZE), (header.dir_offset, tail_nbytes)))],
-                )
+            fh = opened.enter_context(fs.open(path))
+            try:
+                header = unpack_header(_read(fh, 0, HEADER_SIZE), file_size=fh.size)
+            except StoreFormatError as exc:
+                raise StoreFormatError(f"{path!r}: {exc}") from exc
+            tail_nbytes = header.dir_nbytes + header.checksum_nbytes
+            tail = _read(fh, header.dir_offset, tail_nbytes)
+            io_seconds += fs.open_time()
+            io_seconds += fs.read_time(
+                path,
+                [ReadRequest(0, ((0, HEADER_SIZE), (header.dir_offset, tail_nbytes)))],
+            )
             crcs = unpack_page_checksums(tail[header.dir_nbytes :], header.num_pages)
-            return header, unpack_page_directory(tail[: header.dir_nbytes], header.num_pages, crcs)
+            pages = unpack_page_directory(tail[: header.dir_nbytes], header.num_pages, crcs)
+            return header, pages, fh
 
-        #: one (page directory, packed index) pair per generation, base first
-        generations: List[Tuple[List[PageMeta], STRtree]] = []
-        for info in [manifest, *manifest.generations]:
-            base = info is manifest
-            if not base and info.num_pages == 0:
-                # tombstone-only generation: no delta files were written
-                generations.append(([], STRtree([])))
-                continue
-            gen_paths = paths if base else delta_paths(name, info.gen_id)
-            header, pages = _read_container(gen_paths["data"])
-            if (header.num_pages, header.num_records) != (info.num_pages, info.num_records):
-                raise StoreFormatError(
-                    f"manifest and container {gen_paths['data']!r} disagree for "
-                    f"store {name!r}: {info.num_pages}/{info.num_records} vs "
-                    f"{header.num_pages}/{header.num_records} pages/records"
-                )
-            generations.append((pages, load_index(_read_file(gen_paths["index"]))))
-
-        store = cls(fs, name, manifest, generations, **serving)
+        #: one (page directory, packed index, handle) triple per generation,
+        #: base first
+        generations: List[Tuple[List[PageMeta], STRtree, Optional[FileHandle]]] = []
+        with ExitStack() as opened:
+            for info in [manifest, *manifest.generations]:
+                base = info is manifest
+                if not base and info.num_pages == 0:
+                    # tombstone-only generation: no delta files were written
+                    generations.append(([], STRtree([]), None))
+                    continue
+                gen_paths = paths if base else delta_paths(name, info.gen_id)
+                header, pages, fh = _read_container(gen_paths["data"], opened)
+                if (header.num_pages, header.num_records) != (info.num_pages, info.num_records):
+                    raise StoreFormatError(
+                        f"manifest and container {gen_paths['data']!r} disagree for "
+                        f"store {name!r}: {info.num_pages}/{info.num_records} vs "
+                        f"{header.num_pages}/{header.num_records} pages/records"
+                    )
+                generations.append((pages, load_index(_read_file(gen_paths["index"])), fh))
+            store = cls(fs, name, manifest, generations, **serving)
+            # the store owns the handles now: close() releases them
+            opened.pop_all()
         store.stats.io_seconds = io_seconds
         store.stats.retries = open_retries
         return store

@@ -15,9 +15,10 @@ engine makes each stage an explicit object with one owner:
   pages → coalesced, gap-tolerant read runs with readahead sized either by
   the fixed heuristics or by the ``repro.pfs`` striping layout / cost model
   (see :mod:`repro.store.scheduler`).
-* :class:`RefineExecutor` — the **refine** phase: replica de-dup on the
-  envelope column *before* any decode, per-slot WKB decode of the survivors
-  only, and the rectangular-window containment shortcut.
+* :class:`RefineExecutor` — the **refine** phase: record-id de-dup and
+  tombstone shadowing on the envelope column *before* any decode, per-slot
+  WKB decode of the survivors only, and the rectangular-window containment
+  shortcut.
 
 :class:`StoreEngine` composes the three over one open store in **one**
 stage loop (:meth:`StoreEngine.execute_outcome`; strict serving, degraded
@@ -221,9 +222,15 @@ _EMPTY_SET: frozenset = frozenset()
 class RefineExecutor:
     """Refine phase over one plan entry's candidate slots.
 
-    Replicas are skipped on their record id (envelope column) **before** any
+    A record id already seen is skipped (envelope column) **before** any
     decode, and only surviving slots are ever WKB/pickle-decoded (memoised
-    per cached page).  Candidate pages are walked **newest generation
+    per cached page).  The writers index each record once per generation,
+    so one generation's candidates name each record once; the record-id
+    de-dup stays because an id still repeats where the loop meets it: in
+    several generations (an update — the newest wins), on every replica's
+    page in the full-page walks of ``_visible()`` (compaction, ``scan()``),
+    and in indexes written before the one-entry rule, which list every
+    replica.  Candidate pages are walked **newest generation
     first** so when a record id occurs in several generations the newest
     version wins (generation shadowing), and record ids tombstoned by a
     newer generation are dropped before any decode.  When the window is a

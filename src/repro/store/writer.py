@@ -142,7 +142,8 @@ class PackedPartitions:
     page_metas: List[PageMeta] = field(default_factory=list)
     partitions: List[PartitionInfo] = field(default_factory=list)
     payloads: List[bytes] = field(default_factory=list)
-    #: ``(envelope, (page_id, slot))`` — the payload :func:`load_index` returns
+    #: ``(envelope, (page_id, slot))`` — the payload :func:`load_index`
+    #: returns; one per record id, at the first page that stores it
     index_entries: List[Tuple[Envelope, Tuple[int, int]]] = field(default_factory=list)
     num_replicas: int = 0
     #: distinct logical record ids packed (replicas share one id)
@@ -168,6 +169,18 @@ def pack_partitions(
     Each record's envelope-column entry is counted against the page-size
     budget, so a page payload never exceeds ``page_size`` plus the count
     prefix.
+
+    The index names each record **once**: its entry points at the first
+    page the pack stores it on.  Cells are packed in ascending id and page
+    ids follow, so that is the lowest-cell replica — the one the refine
+    loop's record-id de-dup kept when every replica was indexed, so every
+    hit keeps its ``(partition, page)``.  The other replicas stay on their
+    pages (a cell stays processable on its own) but are not indexed: each
+    one's entry carried the same full MBR, so a window meeting the record
+    planned, fetched and scanned every replica only for refine to drop the
+    copies.  This is duplicate avoidance (the reference-point idea of
+    Dittrich & Seeger, ICDE 2000) applied once, at write time, by every
+    writer: bulk loads, each shard and read replica, appends, compactions.
     """
     packed = PackedPartitions()
     data_offset = HEADER_SIZE
@@ -196,8 +209,12 @@ def pack_partitions(
             page_id = len(packed.page_metas)
             mbr = _union(current_envs)
             part.data_mbr = part.data_mbr.union(mbr)
-            for slot, env in enumerate(current_envs):
-                packed.index_entries.append((env, (page_id, slot)))
+            for slot, (rid, env) in enumerate(zip(current_rids, current_envs)):
+                # a record id repeats only across pages (pages never span
+                # partitions); its first page in pack order is indexed
+                if rid not in packed.record_ids:
+                    packed.record_ids.add(rid)
+                    packed.index_entries.append((env, (page_id, slot)))
             packed.page_metas.append(
                 PageMeta(
                     page_id=page_id,
@@ -223,7 +240,6 @@ def pack_partitions(
             current_bytes += len(rec.body) + overhead
             part.record_count += 1
             packed.num_replicas += 1
-            packed.record_ids.add(rec.rid)
         flush_page()
         packed.partitions.append(part)
 

@@ -14,7 +14,7 @@ from repro.core.reader import VectorIO
 from repro.geometry import Envelope, Point, Polygon, predicates
 from repro.index import GridCell
 from repro.pfs import LustreFilesystem
-from repro.store import SpatialDataStore, StoreFormatError, bulk_load
+from repro.store import SpatialDataStore, StoreAppender, StoreFormatError, bulk_load
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +57,9 @@ class TestRoundTrip:
             assert geom.userdata == lakes[rid].userdata
 
     def test_index_round_trips(self, lakes, lakes_store):
-        # the persisted index answers exactly like a freshly built one
-        assert len(lakes_store.index) == sum(
-            p.record_count for p in lakes_store.manifest.partitions
-        )
+        # the persisted index answers exactly like a freshly built one, and
+        # names each record once however many cells store a replica of it
+        assert len(lakes_store.index) == lakes_store.manifest.num_records
         for env in random_envelopes(10, extent=lakes_store.extent, max_size_fraction=0.3, seed=1):
             got = [h.record_id for h in lakes_store.range_query(env, exact=False)]
             assert got == brute_force_range(lakes, env, exact=False)
@@ -202,7 +201,87 @@ class TestOpenValidation:
         bulk_load(fs, "lakes_ctx", lakes, num_partitions=4, page_size=2048)
         with SpatialDataStore.open(fs, "lakes_ctx") as store:
             assert store.range_query(store.extent)
-        assert store._handle is None
+        assert store.generations[0].handle is None
+
+
+def _containers(handles):
+    """The page-container handles among *handles* (``data.bin`` and
+    ``delta-*.bin``; not indexes or manifests)."""
+    return [h for h in handles
+            if h.path.endswith("/data.bin") or ("/delta-" in h.path and h.path.endswith(".bin"))]
+
+
+class TestOpenKeepsHandles:
+    """``open`` hands each container handle it read to its generation: the
+    first fetch pays no second open, a failed open leaks no handle, and
+    ``close()`` releases every one."""
+
+    @pytest.fixture
+    def opened(self, fs, monkeypatch):
+        """Every handle ``fs.open`` hands out from here on."""
+        handles = []
+        real_open = fs.open
+
+        def recording_open(path, mode="r"):
+            handles.append(real_open(path, mode))
+            return handles[-1]
+
+        monkeypatch.setattr(fs, "open", recording_open)
+        return handles
+
+    @pytest.fixture(scope="class")
+    def stacked(self, fs, lakes):
+        """A store with two delta generations on its base container."""
+        bulk_load(fs, "lakes_gens", lakes[:120], num_partitions=4, page_size=2048)
+        appender = StoreAppender(fs, "lakes_gens")
+        appender.append(lakes[120:160])
+        appender.append(lakes[160:200])
+        return "lakes_gens"
+
+    def test_first_fetch_pays_no_second_open(self, fs, stacked):
+        window = Envelope(-1e9, -1e9, 1e9, 1e9)
+        seconds = []
+        for reopen in (False, True):
+            with SpatialDataStore.open(fs, stacked) as store:
+                assert all(gen.handle is not None for gen in store.generations)
+                if reopen:  # what the fetch path did before open kept handles
+                    for gen in store.generations:
+                        gen.handle.close()
+                        gen.handle = None
+                before = store.stats.io_seconds
+                store.range_query(window)
+                seconds.append(store.stats.io_seconds - before)
+        assert seconds[1] - seconds[0] == pytest.approx(3 * fs.open_time(), abs=1e-12)
+
+    def test_close_releases_every_handle(self, fs, stacked, opened):
+        store = SpatialDataStore.open(fs, stacked)
+        containers = _containers(opened)
+        assert len(containers) == 3 and not any(h._closed for h in containers)
+        store.close()
+        assert all(h._closed for h in opened)
+        assert all(gen.handle is None for gen in store.generations)
+
+    def test_a_later_generation_that_fails_to_parse_leaks_no_handle(
+        self, fs, lakes, opened
+    ):
+        bulk_load(fs, "lakes_bad_delta", lakes[:80], num_partitions=4, page_size=2048)
+        StoreAppender(fs, "lakes_bad_delta").append(lakes[80:100])
+        with fs.open("stores/lakes_bad_delta/delta-0001.bin", "r+") as fh:
+            fh.pwrite(0, b"XXXXXXXX")
+        opened.clear()
+        with pytest.raises(StoreFormatError):
+            SpatialDataStore.open(fs, "lakes_bad_delta")
+        assert [h.path for h in _containers(opened)] == [
+            "stores/lakes_bad_delta/data.bin",
+            "stores/lakes_bad_delta/delta-0001.bin",
+        ]
+        assert all(h._closed for h in opened)
+
+    def test_a_store_that_is_never_built_leaks_no_handle(self, fs, stacked, opened):
+        with pytest.raises(ValueError, match="unknown io policy"):
+            SpatialDataStore.open(fs, stacked, io_policy="no_such_policy")
+        assert len(_containers(opened)) == 3
+        assert all(h._closed for h in opened)
 
 
 class TestBulkLoad:

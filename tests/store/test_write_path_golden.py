@@ -47,6 +47,23 @@ compaction for every shard count):
   over them and rebalances the shards (cells 0-2 / 3-5 / 6-8, where the load
   time runs 0-1 / 2-4 / 5-8 were kept before).
 
+The file was re-recorded when the packed index began to name each record
+once per generation (``pack_partitions`` indexes a record on the first page
+the pack stores it on, where it used to index every replica):
+
+* what moved: ``index.bin`` wherever a loaded or compacted store holds a
+  replicated record, the ``delta-0001.idx`` files of ``crc`` and of
+  ``sh``'s third shard (and its replica), and the ``write_seconds`` of
+  ``bulk_load``, ``sharded_bulk_load``, ``append_plain``, ``sharded_append``,
+  ``compact`` and ``sharded_compact`` — the index blobs are smaller, so
+  writing them is charged less;
+* what did not move: every ``data.bin``, ``delta-*.bin``, ``manifest.json``
+  and ``shards.json`` hash, and the charges of writers whose indexes held
+  no replica.  ``BEFORE_SHARDS_JSON`` keeps the values recorded before
+  ``shards.json`` existed; ``test_one_shard_charges_grew_by_one_shards_json_write``
+  adds each charge's index-write difference, the retired writer's blob
+  (``_replica_index_reference.py``) against the scenario's.
+
 Re-record (only when a format change is intended) with::
 
     PYTHONPATH=src python tests/store/test_write_path_golden.py \
@@ -61,6 +78,7 @@ import tempfile
 
 import pytest
 
+from _replica_index_reference import replica_indexing  # the retired writer, kept next to this file
 from repro.geometry import Envelope, LineString, MultiPoint, Point, Polygon
 from repro.pfs import LustreFilesystem
 from repro.store import StoreAppender, bulk_load, compact_store
@@ -217,16 +235,40 @@ def test_write_seconds_are_bit_identical(outcome, golden):
     assert outcome["write_seconds"] == golden["write_seconds"]
 
 
+#: one-shard charge -> the index file it writes (None: it writes no index)
+INDEX_WRITTEN = {
+    "bulk_load": "crc/index.bin",
+    "bulk_load_empty": "empty/index.bin",
+    "append_plain": "crc/delta-0001.idx",
+    "append_deletes": "crc/delta-0002.idx",
+    "append_updates": "crc/delta-0003.idx",
+    "append_tombstones_only": None,
+    "append_to_empty": "empty/delta-0001.idx",
+    "compact": "crc/index.bin",
+    "compact_was_empty": "empty/index.bin",
+}
+
+
 def test_one_shard_charges_grew_by_one_shards_json_write(scenario, tmp_path):
     snaps, seconds = scenario
-    fs = LustreFilesystem(tmp_path, ost_count=4)
+    with replica_indexing():
+        replica_snaps, _ = run_scenario(tmp_path / "replica-indexed")
+    fs = LustreFilesystem(tmp_path / "charges", ost_count=4)
     for name, before in BEFORE_SHARDS_JSON.items():
         store = "empty" if "empty" in name else "crc"
-        checkpoint = {"bulk": "loaded", "append": "appended", "compact": "compacted"}
+        checkpoint = {"bulk": "loaded", "append": "appended", "compact": "compacted"}[
+            name.split("_")[0]
+        ]
         # the write costs the same, to a few bytes' worth, at every size the
         # file has during the scenario
-        blob = snaps[checkpoint[name.split("_")[0]]][f"{store}/shards.json"]
+        blob = snaps[checkpoint][f"{store}/shards.json"]
         extra = write_file(fs, f"stores/{store}/shards.json", blob)
+        index = INDEX_WRITTEN[name]
+        if index is not None:
+            # the index blob is smaller than the replica-indexed one it replaced
+            path = f"stores/{index}"
+            extra += write_file(fs, path, snaps[checkpoint][index])
+            extra -= write_file(fs, path, replica_snaps[checkpoint][index])
         assert seconds[name] - float.fromhex(before) == pytest.approx(extra, abs=1e-8), name
 
 
