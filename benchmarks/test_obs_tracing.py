@@ -35,8 +35,9 @@ import pytest
 import repro.mpisim as mpisim
 from repro.core import VectorIO
 from repro.datasets import random_envelopes
-from repro.obs import Histogram, Tracer, write_chrome_trace, write_jsonl
-from repro.store import DistributedStoreServer, SpatialDataStore, bulk_load
+from repro.obs import NULL_TRACER, Histogram, Tracer, write_chrome_trace, write_jsonl
+from repro.obs.trace import Span
+from repro.store import DistributedStoreServer, SpatialDataStore, StoreEngine, bulk_load
 from tests.obs._trace_schema import check_chrome, check_jsonl
 
 QUICK = bool(os.environ.get("OBS_QUICK"))
@@ -220,3 +221,44 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
     benchmark.extra_info["direct_seconds"] = float(direct)
     benchmark.extra_info["dispatched_seconds"] = float(dispatched)
     benchmark.extra_info["query_latency_seconds"] = hist.as_dict()
+
+
+def test_disabled_tracer_computes_no_span_attributes(lustre, obs_store, monkeypatch):
+    """The timer-free half of the no-op guard.  Under the default
+    :data:`~repro.obs.NULL_TRACER` a warm ``engine.execute`` batch never
+    describes its plan (``StoreEngine._describe_plan``) and never sets a
+    span attribute: both are patched to raise.  Under a recording tracer the
+    plan is described once per batch and every span of the batch has its
+    attributes set once — so the guard above cannot pass by never tracing."""
+    queries = obs_store["queries"]
+    store = SpatialDataStore.open(lustre, "bench_obs_single", cache_pages=512)
+    engine = store.engine
+    expected = engine.execute(queries)  # warms the cache
+    null_span = type(NULL_TRACER.span("probe").__enter__())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the disabled tracer computed span attributes")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StoreEngine, "_describe_plan", refuse)
+        patch.setattr(null_span, "set", refuse)
+        assert not store.tracer.enabled
+        hits = engine.execute(queries)
+    assert [[h.record_id for h in q] for q in hits] == [[h.record_id for h in q] for q in expected]
+
+    described, attributed = [], []
+    describe, set_attrs = StoreEngine._describe_plan, Span.set
+    monkeypatch.setattr(StoreEngine, "_describe_plan",
+                        lambda self, plan, span: described.append(plan) or describe(self, plan, span))
+    monkeypatch.setattr(Span, "set", lambda span, **attrs: attributed.append(span) or set_attrs(span, **attrs))
+    store.tracer = Tracer()
+    for batch in range(2):
+        attributed.clear()
+        engine.execute(queries)
+        assert len(described) == batch + 1
+        assert len(attributed) == len(set(map(id, attributed)))
+        names = [span.name for span in attributed]
+        assert {"query", "plan", "refine", "decode"} <= set(names)
+        # one decode span per window that reaches the refine stage
+        assert names.count("decode") == len(engine.planner.plan(queries).entries)
+    store.close()

@@ -101,7 +101,8 @@ class ExplainReport:
             f"{r.get('replicas_skipped', 0)} replica(s) skipped, "
             f"{r.get('tombstone_drops', 0)} tombstone drop(s), "
             f"{r.get('records_decoded', 0)} decoded, "
-            f"{r.get('rect_shortcuts', 0)} rect shortcut(s) -> {self.num_hits} hit(s)"
+            f"{r.get('rect_shortcuts', 0)} rect shortcut(s), "
+            f"{r.get('side_proofs', 0)} side proof(s) -> {self.num_hits} hit(s)"
         )
         lines.append(
             f"  bulk filter: {r.get('slots_scanned', 0)} slot(s) scanned in "
@@ -143,6 +144,7 @@ def build_store_explain(
         "tombstone_drops": 0,
         "records_decoded": 0,
         "rect_shortcuts": 0,
+        "side_proofs": 0,
         "slots_scanned": 0,
         "bulk_filter_batches": 0,
     }
@@ -162,14 +164,7 @@ def build_store_explain(
         elif row["name"] == "refine":
             refine["candidates"] += attrs.get("candidates", 0)
         elif row["name"] == "decode":
-            for key in (
-                "replicas_skipped",
-                "tombstone_drops",
-                "records_decoded",
-                "rect_shortcuts",
-                "slots_scanned",
-                "bulk_filter_batches",
-            ):
+            for key in refine.keys() - {"candidates"}:
                 refine[key] += attrs.get(key, 0)
     # bulk-filter selectivity: the fraction of scanned candidate slots that
     # survived de-dup + tombstone shadowing (decode-eligible survivors)

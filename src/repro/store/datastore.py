@@ -99,9 +99,12 @@ class StoreStats:
     ``pages_read`` counts demand-fetched pages (it equals the cache miss
     count); ``pages_prefetched`` counts pages read ahead of demand — a later
     demand for one of them is a cache hit, never a miss.  ``records_decoded``
-    counts refine-phase work only: with the per-slot page decode a query pays
-    WKB/pickle for the slots it actually inspects, not for every record on
-    every touched page.  ``read_requests`` counts coalesced read ranges
+    counts the refine loop's own decodes only — the slots the MBR proofs
+    could not settle (decoded for the exact predicate) and the hits of
+    MBR-only batches, each once per cached page image — not every record on
+    every touched page, and not a later ``.geometry`` read of a hit the
+    envelope column proved (that hit decodes itself, uncounted).
+    ``read_requests`` counts coalesced read ranges
     issued to the filesystem, which is why it can be far below
     ``pages_read``.
 

@@ -16,9 +16,11 @@ engine makes each stage an explicit object with one owner:
   the fixed heuristics or by the ``repro.pfs`` striping layout / cost model
   (see :mod:`repro.store.scheduler`).
 * :class:`RefineExecutor` — the **refine** phase: record-id de-dup and
-  tombstone shadowing on the envelope column *before* any decode, per-slot
-  WKB decode of the survivors only, and the rectangular-window containment
-  shortcut.
+  tombstone shadowing on the envelope column *before* any decode, the
+  rectangular-window MBR proofs (containment, or one whole MBR side inside
+  the window), and per-slot WKB decode of the slots the proofs cannot
+  settle; a hit the column proved decodes its record when its geometry is
+  first read.
 
 :class:`StoreEngine` composes the three over one open store in **one**
 stage loop (:meth:`StoreEngine.execute_outcome`; strict serving, degraded
@@ -30,17 +32,16 @@ and distributed paths can never diverge; the async front-end
 
 from __future__ import annotations
 
+import struct
 import weakref
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Envelope, Geometry, predicates
 from ..index import STRtree, spatial_visit_order
 from ..obs.trace import NULL_TRACER
-from .format import PageKey, StoreError
+from .format import ENVELOPE_ENTRY, PageKey, StoreError, decode_record_body, encode_page_v2
 from .manifest import StoreManifest
 from .page import CachedPage
 
@@ -50,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "BatchOutcome",
     "DeadlineExceeded",
+    "DistributedHit",
     "PlanEntry",
     "QueryPlan",
     "QueryHit",
@@ -63,16 +65,118 @@ class DeadlineExceeded(StoreError):
     """A query batch ran out of its simulated-I/O-seconds budget."""
 
 
-class QueryHit(NamedTuple):
-    """One record matched by a store query (a tuple: cheap to build per hit,
-    immutable, hashable, picklable)."""
+#: a page payload's envelope column: after the u32 slot count, one
+#: ``ENVELOPE_ENTRY`` ``(record_id, body_offset, minx, miny, maxx, maxy)`` per slot
+_COLUMN_START, _COLUMN_STRIDE = 4, ENVELOPE_ENTRY.size
+_column_entry = ENVELOPE_ENTRY.unpack_from
 
-    record_id: int
-    geometry: Geometry
-    partition_id: int
-    page_id: int
-    #: generation whose container holds the returned replica (0 = base)
-    generation: int = 0
+
+class _Hit:
+    """The record part of a store hit — a slotted, immutable value.
+
+    A hit holds its decoded geometry, or, when the refine loop proved it
+    from the envelope column before the slot was ever decoded, the page's
+    payload ``bytes`` and the slot: :attr:`geometry` decodes the record on
+    first read and keeps it (the write is idempotent, so hits shared by rank
+    threads need no lock).  Such a hit allocates nothing besides itself and
+    never references a :class:`~repro.store.page.CachedPage`; it pickles as
+    its record's frame on a one-slot page, never as the whole payload.
+    Subclasses name their public fields in ``_fields`` (``geometry``
+    included), which equality, hashing and ``repr`` follow.
+    """
+
+    __slots__ = ("_geometry", "_payload", "_slot")
+    _fields: Tuple[str, ...] = ()
+
+    @property
+    def geometry(self) -> Geometry:
+        payload = self._payload
+        if payload is None:
+            return self._geometry
+        entry = _column_entry(payload, _COLUMN_START + _COLUMN_STRIDE * self._slot)
+        # the stored MBR is the envelope, exactly as CachedPage.record has it
+        geom = self._geometry = decode_record_body(payload, entry[1], entry[2:])
+        self._payload = None
+        return geom
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._values() == other._values()  # type: ignore
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._values())
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        state = object.__getstate__(self)[1]  # type: ignore[misc]
+        payload = self._payload
+        if payload is not None:  # the record's frame on a one-slot page
+            record_id, offset, *mbr = _column_entry(payload, _COLUMN_START + _COLUMN_STRIDE * self._slot)
+            end = offset + 8 + sum(struct.unpack_from("<II", payload, offset))  # + wkb, userdata
+            state["_payload"] = encode_page_v2([(record_id, Envelope(*mbr), payload[offset:end])])
+            state["_slot"] = 0
+        return None, state
+
+
+class QueryHit(_Hit):
+    """One record matched by a store query.  ``generation`` is the
+    generation whose container holds the returned replica (0 = base)."""
+
+    __slots__ = ("_record_id", "_partition_id", "_page_id", "_generation")
+    _fields = ("record_id", "geometry", "partition_id", "page_id", "generation")
+
+    def __init__(self, record_id: int, geometry: Geometry, partition_id: int, page_id: int,
+                 generation: int = 0) -> None:
+        self._record_id = record_id
+        self._geometry = geometry
+        self._payload = self._slot = None
+        self._partition_id = partition_id
+        self._page_id = page_id
+        self._generation = generation
+
+    record_id = property(attrgetter("_record_id"))
+    partition_id = property(attrgetter("_partition_id"))
+    page_id = property(attrgetter("_page_id"))
+    generation = property(attrgetter("_generation"))
+
+
+class DistributedHit(_Hit):
+    """One de-duplicated record matched by a distributed query — a slotted,
+    immutable value whose geometry, like its shard hit's, may be decoded
+    on first read (see :class:`~repro.store.engine.QueryHit`)."""
+
+    __slots__ = ("_query_id", "_record_id", "_shard_id", "_partition_id", "_page_id")
+    _fields = ("query_id", "record_id", "geometry", "shard_id", "partition_id", "page_id")
+
+    def __init__(self, query_id: Any, record_id: int, geometry: Geometry, shard_id: int,
+                 partition_id: int, page_id: int) -> None:
+        self._query_id = query_id
+        self._record_id = record_id
+        self._geometry = geometry
+        self._payload = self._slot = None
+        self._shard_id = shard_id
+        self._partition_id = partition_id
+        self._page_id = page_id
+
+    query_id = property(attrgetter("_query_id"))
+    record_id = property(attrgetter("_record_id"))
+    shard_id = property(attrgetter("_shard_id"))
+    partition_id = property(attrgetter("_partition_id"))
+    page_id = property(attrgetter("_page_id"))
+
+
+def _matched(query_id: Any, shard_id: int, hit: QueryHit) -> DistributedHit:
+    """*hit* as matched by *query_id* on *shard_id*, its body (decoded or
+    not) handed through as it stands."""
+    payload = hit._payload  # first: a decode stores the geometry, then drops the payload
+    new = DistributedHit(query_id, hit._record_id, hit._geometry, shard_id, hit._partition_id,
+                         hit._page_id)
+    new._payload, new._slot = payload, hit._slot
+    return new
 
 
 @dataclass(frozen=True)
@@ -213,7 +317,7 @@ def _newest_first(key: PageKey) -> Tuple[int, int]:
     return (-key[0], key[1])
 
 
-_by_record_id = itemgetter(0)
+_by_record_id = attrgetter("_record_id")
 
 
 _EMPTY_SET: frozenset = frozenset()
@@ -235,8 +339,9 @@ class RefineExecutor:
     version wins (generation shadowing), and record ids tombstoned by a
     newer generation are dropped before any decode.  When the window is a
     plain rectangle, a slot MBR contained in the window bounds its geometry
-    inside the window too, so the exact predicate is provably true without
-    evaluating it — only valid for rectangles, which is why
+    inside the window too, and a tight MBR with one whole side inside the
+    window holds a vertex inside it, so the exact predicate is provably
+    true without evaluating it — only valid for rectangles, which is why
     :class:`PlanEntry` keeps non-rectangular window geometries explicit.
 
     Since PR 9 the filter runs **page-at-a-time with bulk operations**
@@ -255,10 +360,11 @@ class RefineExecutor:
       page column bounds → every slot contained, zero per-slot work) and
       otherwise **one** pass over the survivors that reads the four
       coordinate columns and sorts each slot into ``proven`` or ``check``;
-    * emission probes the page's decode memo inline and builds one tuple
-      per hit — a slot costs a call only when it must be decoded
-      (:meth:`CachedPage.record`, so ``records_decoded`` stays exact) or
-      checked (``predicates.intersects``, once per checked survivor).
+    * emission probes the page's decode memo inline and builds one
+      :class:`QueryHit` per hit — a slot costs a call only when it must be
+      decoded (:meth:`CachedPage.record`, so ``records_decoded`` stays
+      exact) or checked (``predicates.intersects``, once per checked
+      survivor); a proven, undecoded slot's hit decodes itself when read.
 
     The loops therefore touch **no per-slot object** — array reads, set
     probes and comparisons over locals; a window touches a few slots on
@@ -354,15 +460,27 @@ class RefineExecutor:
     ) -> List["QueryHit"]:
         """Refine one plan entry against its fetched *pages*: **classify,
         then emit**.  Per page, the surviving slots split into ``proven``
-        (the predicate holds without evaluating it: page-level or per-slot
-        MBR containment in a rectangular window, or an MBR-only query) and
-        ``check`` (decode + exact predicate); both are emitted as decoded
-        records (a hit is a value: it outlives the page and crosses ranks).
+        (the predicate holds without evaluating it, or the query is
+        MBR-only) and ``check`` (decode + exact predicate).  A rectangular
+        window proves a slot from the envelope column in two ways: page-level
+        or per-slot MBR **containment**, and the **side proof** — one whole
+        side of the slot's MBR inside the closed window.  The writers' gate
+        makes the stored MBR tight, so the vertex attaining that bound lies
+        in the window and the predicate would answer True through its vertex
+        test; an empty, inverted or NaN MBR never passes either proof.
+
+        A proven hit whose slot is not yet decoded is emitted undecoded: it
+        carries the page's payload and the slot and decodes its record when
+        its geometry is first read (:class:`QueryHit`).  Checked slots, and
+        every hit of an MBR-only batch, decode through the page's memo —
+        both joins read each candidate's geometry next, and the memo decodes
+        a record shared by several probes once.
 
         Under a recording tracer the call is one ``decode`` span accounting
-        every skip/drop/shortcut decision.  Its ``records_decoded`` is the
+        every skip/drop/proof decision.  Its ``records_decoded`` is the
         :class:`~repro.store.datastore.StoreStats` movement of this entry
-        (charged through the page's decode callback), so EXPLAIN's refine
+        (charged through the page's decode callback: the refine loop's own
+        decodes, never a later ``.geometry`` read), so EXPLAIN's refine
         section can never disagree with the stats delta; ``slots_scanned``
         and ``bulk_filter_batches`` are how an EXPLAIN report shows the bulk
         filter's selectivity.
@@ -388,7 +506,7 @@ class RefineExecutor:
         emit = hits.append
         seen: set = set()
         part_of = self._partition_of_page
-        slots_scanned = batches = replicas = tombs = shortcuts = 0
+        slots_scanned = batches = replicas = tombs = shortcuts = side_proofs = 0
         with tracer.span("decode", query_id=entry.query_id) as span:
             for key in sorted(entry.by_page, key=_newest_first):
                 slots = entry.by_page[key]
@@ -410,36 +528,50 @@ class RefineExecutor:
                 proven: Sequence[int] = survivors
                 check: Sequence[int] = ()
                 if use_rect:
-                    px0, py0, px1, py1, has_empty = page.env_summary()
+                    px0, py0, px1, py1, has_bad = page.env_summary()
                     # page-level containment proves every survivor with no
-                    # per-slot envelope work at all; an empty slot MBR (its
-                    # ±inf sentinels pass the bounds vacuously) or a NaN is
-                    # never contained, exactly as Envelope.contains has it
-                    if has_empty or not (
+                    # per-slot envelope work at all
+                    if has_bad or not (
                         wx0 <= px0 <= px1 <= wx1 and wy0 <= py0 <= py1 <= wy1
                     ):
-                        proven, check = [], []
+                        proven, sided, check = [], [], []
                         minxs, minys = page.minxs, page.minys
                         maxxs, maxys = page.maxxs, page.maxys
                         for slot in survivors:
-                            if (
-                                wx0 <= minxs[slot] <= maxxs[slot] <= wx1
-                                and wy0 <= minys[slot] <= maxys[slot] <= wy1
-                            ):
-                                proven.append(slot)
+                            x0, x1 = minxs[slot], maxxs[slot]
+                            y0, y1 = minys[slot], maxys[slot]
+                            if wx0 <= x0 <= x1 <= wx1:
+                                if wy0 <= y0 <= y1 <= wy1:
+                                    proven.append(slot)
+                                    continue
+                                side = y0 <= y1 and (wy0 <= y0 <= wy1 or wy0 <= y1 <= wy1)
                             else:
-                                check.append(slot)
-                    shortcuts += len(proven)
+                                side = x0 <= x1 and wy0 <= y0 <= y1 <= wy1 and (
+                                    wx0 <= x0 <= wx1 or wx0 <= x1 <= wx1
+                                )
+                            (sided if side else check).append(slot)
+                        side_proofs += len(sided)
+                        shortcuts += len(proven)
+                        proven += sided
+                    else:
+                        shortcuts += len(proven)
                 elif refine_geom is not None:
                     # non-rectangular window: decode + exact predicate
                     proven, check = (), survivors
                 # emit
                 ids, memo, record = page.record_ids, page.memo, page.record
-                for slot in proven:
-                    geom = memo[slot]
-                    if geom is None:
-                        geom = record(slot)[1]
-                    emit(QueryHit(ids[slot], geom, partition_id, page_id, generation))
+                if exact:
+                    for slot in proven:
+                        hit = QueryHit(ids[slot], memo[slot], partition_id, page_id, generation)
+                        if hit._geometry is None:  # undecoded: it decodes when read
+                            hit._payload, hit._slot = page.payload, slot
+                        emit(hit)
+                else:
+                    for slot in proven:
+                        geom = memo[slot]
+                        if geom is None:
+                            geom = record(slot)[1]
+                        emit(QueryHit(ids[slot], geom, partition_id, page_id, generation))
                 for slot in check:
                     geom = memo[slot]
                     if geom is None:
@@ -456,6 +588,7 @@ class RefineExecutor:
                     tombstone_drops=tombs,
                     records_decoded=store.stats.records_decoded - decoded_before,
                     rect_shortcuts=shortcuts,
+                    side_proofs=side_proofs,
                     slots_scanned=slots_scanned,
                     bulk_filter_batches=batches,
                     num_hits=len(hits),

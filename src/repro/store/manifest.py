@@ -28,7 +28,7 @@ deleted/updated records in older generations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Envelope
@@ -151,26 +151,6 @@ def _env_from_json(values: Optional[Sequence[float]]) -> Envelope:
     return Envelope.from_doubles(values)
 
 
-def _partition_to_json(p: "PartitionInfo") -> Dict:
-    return {
-        "id": p.partition_id,
-        "cell_mbr": _env_to_json(p.cell_mbr),
-        "data_mbr": _env_to_json(p.data_mbr),
-        "pages": p.page_ids,
-        "records": p.record_count,
-    }
-
-
-def _partition_from_json(p: Dict) -> "PartitionInfo":
-    return PartitionInfo(
-        partition_id=p["id"],
-        cell_mbr=_env_from_json(p["cell_mbr"]),
-        data_mbr=_env_from_json(p["data_mbr"]),
-        page_ids=list(p["pages"]),
-        record_count=p["records"],
-    )
-
-
 @dataclass
 class PartitionInfo:
     """One grid partition of the store."""
@@ -184,6 +164,9 @@ class PartitionInfo:
     page_ids: List[int] = field(default_factory=list)
     #: number of record replicas stored in the partition
     record_count: int = 0
+
+    #: JSON key of each field, in field order (see :func:`_to_doc`)
+    _JSON = ("id", "cell_mbr", "data_mbr", "pages", "records")
 
 
 @dataclass
@@ -217,7 +200,11 @@ class GenerationInfo:
     #: page ids are local to this generation's delta container)
     partitions: List[PartitionInfo] = field(default_factory=list)
 
+    _JSON = ("id", "num_pages", "records", "replicas", "extent", "tombstones", "updated",
+             "partitions")
+
     def partition_of_page(self) -> Dict[int, int]:
+        """Map every page id to the partition that owns it."""
         owner: Dict[int, int] = {}
         for part in self.partitions:
             for pid in part.page_ids:
@@ -250,6 +237,9 @@ class StoreManifest:
     #: visible logical records across all generations (None = ``num_records``)
     live_records: Optional[int] = None
 
+    _JSON = ("name", "page_size", "num_records", "num_pages", "extent", "grid.rows", "grid.cols",
+             "next_record_id", "partitions", "generations", "live_records")
+
     # ------------------------------------------------------------------ #
     @property
     def num_live_records(self) -> int:
@@ -281,78 +271,15 @@ class StoreManifest:
         }
 
     # ------------------------------------------------------------------ #
-    def partition_of_page(self) -> Dict[int, int]:
-        """Map every page id to the partition that owns it."""
-        owner: Dict[int, int] = {}
-        for part in self.partitions:
-            for pid in part.page_ids:
-                owner[pid] = part.partition_id
-        return owner
+    partition_of_page = GenerationInfo.partition_of_page
 
     # ------------------------------------------------------------------ #
     def to_json(self) -> str:
-        doc = {
-            "format": "repro.store.manifest",
-            "version": MANIFEST_VERSION,
-            "name": self.name,
-            "page_size": self.page_size,
-            "num_records": self.num_records,
-            "num_pages": self.num_pages,
-            "extent": _env_to_json(self.extent),
-            "grid": {"rows": self.grid_rows, "cols": self.grid_cols},
-            "partitions": [_partition_to_json(p) for p in self.partitions],
-            "next_record_id": self.next_record_id,
-        }
-        if self.generations:
-            doc["generations"] = [
-                {
-                    "id": g.gen_id,
-                    "num_pages": g.num_pages,
-                    "records": g.num_records,
-                    "replicas": g.num_replicas,
-                    "extent": _env_to_json(g.extent),
-                    "tombstones": g.tombstones,
-                    "updated": g.updated,
-                    "partitions": [_partition_to_json(p) for p in g.partitions],
-                }
-                for g in self.generations
-            ]
-        if self.live_records is not None:
-            doc["live_records"] = self.live_records
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _dump("repro.store.manifest", MANIFEST_VERSION, self)
 
     @staticmethod
     def from_json(text: Union[str, bytes]) -> "StoreManifest":
-        return _parse(text, _STORE_DOC, StoreManifest._from_doc)
-
-    @staticmethod
-    def _from_doc(doc: Dict) -> "StoreManifest":
-        generations = [
-            GenerationInfo(
-                gen_id=g["id"],
-                num_pages=g["num_pages"],
-                num_records=g["records"],
-                num_replicas=g["replicas"],
-                extent=_env_from_json(g["extent"]),
-                tombstones=list(g["tombstones"]),
-                updated=list(g["updated"]),
-                partitions=[_partition_from_json(p) for p in g["partitions"]],
-            )
-            for g in doc.get("generations", [])
-        ]
-        return StoreManifest(
-            name=doc["name"],
-            page_size=doc["page_size"],
-            num_records=doc["num_records"],
-            num_pages=doc["num_pages"],
-            extent=_env_from_json(doc["extent"]),
-            grid_rows=doc["grid"]["rows"],
-            grid_cols=doc["grid"]["cols"],
-            next_record_id=doc["next_record_id"],
-            partitions=[_partition_from_json(p) for p in doc["partitions"]],
-            generations=generations,
-            live_records=doc.get("live_records"),
-        )
+        return _parse(text, _STORE_DOC, lambda doc: _from_doc(StoreManifest, doc))
 
 
 @dataclass
@@ -380,22 +307,8 @@ class ShardInfo:
     #: sync by the appender and compaction)
     replica_stores: List[str] = field(default_factory=list)
 
-
-def _shard_to_json(s: "ShardInfo") -> Dict:
-    doc = {
-        "id": s.shard_id,
-        "store": s.store,
-        "partitions": s.partition_ids,
-        "extent": _env_to_json(s.extent),
-        "records": s.num_records,
-        "replicas": s.num_replicas,
-        "pages": s.num_pages,
-        "generations": s.num_generations,
-    }
-    # written only when present, so replica-less manifests stay byte-stable
-    if s.replica_stores:
-        doc["replica_stores"] = list(s.replica_stores)
-    return doc
+    _JSON = ("id", "store", "partitions", "extent", "records", "replicas", "pages",
+             "generations", "replica_stores")
 
 
 @dataclass
@@ -420,6 +333,9 @@ class ShardsManifest:
     next_record_id: int
     shards: List[ShardInfo] = field(default_factory=list)
 
+    _JSON = ("name", "page_size", "num_records", "extent", "grid.rows", "grid.cols",
+             "next_record_id", "shards")
+
     # ------------------------------------------------------------------ #
     @property
     def num_shards(self) -> int:
@@ -441,18 +357,7 @@ class ShardsManifest:
 
     # ------------------------------------------------------------------ #
     def to_json(self) -> str:
-        doc = {
-            "format": "repro.store.shards",
-            "version": SHARDS_VERSION,
-            "name": self.name,
-            "page_size": self.page_size,
-            "num_records": self.num_records,
-            "extent": _env_to_json(self.extent),
-            "grid": {"rows": self.grid_rows, "cols": self.grid_cols},
-            "shards": [_shard_to_json(s) for s in self.shards],
-            "next_record_id": self.next_record_id,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _dump("repro.store.shards", SHARDS_VERSION, self)
 
     @staticmethod
     def from_json(text: Union[str, bytes]) -> "ShardsManifest":
@@ -464,33 +369,63 @@ class ShardsManifest:
 
     @staticmethod
     def _from_doc(doc: Dict) -> "ShardsManifest":
-        shards = [
-            ShardInfo(
-                shard_id=s["id"],
-                store=s["store"],
-                partition_ids=list(s["partitions"]),
-                extent=_env_from_json(s["extent"]),
-                num_records=s["records"],
-                num_replicas=s["replicas"],
-                num_pages=s["pages"],
-                num_generations=s["generations"],
-                replica_stores=list(s.get("replica_stores", [])),
-            )
-            for s in doc["shards"]
-        ]
-        rows, cols = doc["grid"]["rows"], doc["grid"]["cols"]
-        if [s.shard_id for s in shards] != list(range(len(shards))):
+        layout = _from_doc(ShardsManifest, doc)
+        if [s.shard_id for s in layout.shards] != list(range(layout.num_shards)):
             raise ValueError("shard ids are not 0..n-1 in list order")
-        owned = sorted(pid for s in shards for pid in s.partition_ids)
-        if owned != list(range(rows * cols)):
+        rows, cols = layout.grid_rows, layout.grid_cols
+        if sorted(pid for s in layout.shards for pid in s.partition_ids) != list(range(rows * cols)):
             raise ValueError(f"the {rows}x{cols} grid's cells are not each owned by one shard")
-        return ShardsManifest(
-            name=doc["name"],
-            page_size=doc["page_size"],
-            num_records=doc["num_records"],
-            extent=_env_from_json(doc["extent"]),
-            grid_rows=rows,
-            grid_cols=cols,
-            next_record_id=doc["next_record_id"],
-            shards=shards,
-        )
+        return layout
+
+
+# --------------------------------------------------------------------------- #
+# the JSON codec of every manifest record, driven by each class's ``_JSON``
+# --------------------------------------------------------------------------- #
+#: fields a document leaves out while they are empty (``None`` or ``[]``)
+_OPTIONAL = {"generations", "live_records", "replica_stores"}
+
+
+def _to_doc(record: Any) -> Dict[str, Any]:
+    """*record* as its JSON object: each field under its ``_JSON`` key (a
+    ``grid.rows`` key nests), an envelope as ``[minx, miny, maxx, maxy]``
+    or ``null``, a list of records as a list of objects."""
+    doc: Dict[str, Any] = {}
+    for f, key in zip(fields(record), record._JSON):
+        value = getattr(record, f.name)
+        if f.name in _OPTIONAL and value in (None, []):
+            continue
+        if isinstance(value, Envelope):
+            value = _env_to_json(value)
+        elif value and isinstance(value, list) and is_dataclass(value[0]):
+            value = [_to_doc(item) for item in value]
+        outer, _, inner = key.rpartition(".")
+        (doc.setdefault(outer, {}) if outer else doc)[inner] = value
+    return doc
+
+
+def _dump(fmt: str, version: int, record: Any) -> str:
+    return json.dumps(dict(_to_doc(record), format=fmt, version=version), indent=2, sort_keys=True)
+
+
+def _from_doc(cls: type, doc: Dict[str, Any]) -> Any:
+    """The *cls* record of JSON object *doc* (:func:`_to_doc` inverted): a
+    missing key is a :class:`KeyError` unless its field is optional."""
+    values: Dict[str, Any] = {}
+    for f, key in zip(fields(cls), cls._JSON):
+        outer, _, inner = key.rpartition(".")
+        scope = doc[outer] if outer else doc
+        if f.name in _OPTIONAL and inner not in scope:
+            continue
+        decode = _DECODE.get(f.name)
+        values[f.name] = scope[inner] if decode is None else decode(scope[inner])
+    return cls(**values)
+
+
+_DECODE: Dict[str, Callable[[Any], Any]] = {
+    "extent": _env_from_json,
+    "cell_mbr": _env_from_json,
+    "data_mbr": _env_from_json,
+    "partitions": lambda items: [_from_doc(PartitionInfo, item) for item in items],
+    "generations": lambda items: [_from_doc(GenerationInfo, item) for item in items],
+    "shards": lambda items: [_from_doc(ShardInfo, item) for item in items],
+}

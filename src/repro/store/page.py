@@ -20,7 +20,7 @@ a call and a mask list per page cost more than the comparisons they wrap).
 from __future__ import annotations
 
 from array import array
-from operator import gt
+from operator import le
 from typing import Callable, List, Optional, Tuple
 
 from ..geometry import Envelope, Geometry
@@ -103,12 +103,15 @@ class CachedPage:
         return self.count
 
     def env_summary(self) -> Tuple[float, float, float, float, bool]:
-        """``(minx, miny, maxx, maxy, has_empty)`` over the whole column.
+        """``(minx, miny, maxx, maxy, has_bad)`` over the whole column.
 
         The page-level containment fast path: when a rectangular window
-        contains these bounds and no slot envelope is empty, **every** slot
-        on the page is contained and the per-slot pass is skipped entirely.
-        Computed once per page image (C-speed ``min``/``max`` folds).
+        contains these bounds and no slot MBR is *bad* — empty (its ±inf
+        sentinels pass the bounds vacuously), inverted or NaN (``min`` and
+        ``max`` skip a NaN that is not in the first slot, and a NaN is never
+        contained) — **every** slot on the page is contained and the
+        per-slot pass is skipped.  Computed once per page image (C-speed
+        ``min``/``max`` folds; ``le`` is False for a NaN).
         """
         summary = self._env_summary
         if summary is None:
@@ -116,8 +119,8 @@ class CachedPage:
                 summary = (_INF, _INF, -_INF, -_INF, False)
             else:
                 minxs, minys, maxxs, maxys = self.minxs, self.minys, self.maxxs, self.maxys
-                has_empty = any(map(gt, minxs, maxxs)) or any(map(gt, minys, maxys))
-                summary = (min(minxs), min(minys), max(maxxs), max(maxys), has_empty)
+                has_bad = not all(map(le, minxs, maxxs)) or not all(map(le, minys, maxys))
+                summary = (min(minxs), min(minys), max(maxxs), max(maxys), has_bad)
             self._env_summary = summary
         return summary
 

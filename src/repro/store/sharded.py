@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import (
-    Any, Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from ..geometry import Envelope, Geometry, predicates
@@ -47,7 +47,7 @@ from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.trace import NULL_TRACER, Tracer
 from ..pfs import ReadRequest, SimulatedFilesystem
 from .datastore import QueryHit, SpatialDataStore
-from .engine import BatchOutcome, DeadlineExceeded
+from .engine import BatchOutcome, DeadlineExceeded, DistributedHit, _matched
 from .format import StoreError, StoreFormatError
 from .manifest import ShardInfo, ShardsManifest, shards_path
 from .router import ShardRouter, shard_assignment
@@ -130,17 +130,6 @@ def read_shards_manifest(
 # --------------------------------------------------------------------------- #
 # serving
 # --------------------------------------------------------------------------- #
-class DistributedHit(NamedTuple):
-    """One de-duplicated record matched by a distributed query."""
-
-    query_id: Any
-    record_id: int
-    geometry: Geometry
-    shard_id: int
-    partition_id: int
-    page_id: int
-
-
 @dataclass
 class QueryResult:
     """A distributed batch answer with explicit completeness accounting.
@@ -212,15 +201,19 @@ class ShardRows(SizedList):
         *idx* as one chunk.  *sizes* is the shard store's memo of
         :func:`body_nbytes`, per generation one dict by page id of dicts by
         record id: a record body is immutable while its store is open, so a
-        record is priced once while its page stays cached."""
+        record is priced once while its page stays cached.  A hit's geometry
+        is read only to price a record the memo lacks, so a hit the engine
+        proved undecoded stays undecoded on a warm memo."""
         nbytes = ROW_ID_BYTES * len(hits)
-        for record_id, geom, _, page_id, generation in hits:
-            memo = sizes[generation].get(page_id)
+        for hit in hits:
+            page_id = hit.page_id
+            memo = sizes[hit.generation].get(page_id)
             if memo is None:
-                memo = sizes[generation][page_id] = {}
+                memo = sizes[hit.generation][page_id] = {}
+            record_id = hit.record_id
             size = memo.get(record_id)
             if size is None:
-                size = memo[record_id] = body_nbytes(geom)
+                size = memo[record_id] = body_nbytes(hit.geometry)
             nbytes += size
         self.nbytes += nbytes
         self.append((idx, sid, hits))
@@ -252,18 +245,17 @@ def merge_chunks(payloads: Iterable[List[Chunk]], qids: Sequence[Any]) -> List[D
         qid = qids[idx]
         if len(chunks) == 1:
             _, sid, found = chunks[0]
-            hits += [
-                DistributedHit(qid, record_id, geom, sid, partition, page)
-                for record_id, geom, partition, page, _ in found
-            ]
+            hits += [_matched(qid, sid, hit) for hit in found]
             continue
         last = None
-        # the key stops at the page column: geometries are never compared
-        rows = [(h[0], sid, h[2], h[3], h[1]) for _, sid, found in chunks for h in found]
-        for record_id, sid, partition, page, geom in sorted(rows, key=itemgetter(0, 1, 2, 3)):
+        # the key stops at the page column: hits are never compared
+        rows = [
+            (h.record_id, sid, h.partition_id, h.page_id, h) for _, sid, found in chunks for h in found
+        ]
+        for record_id, sid, _, _, hit in sorted(rows, key=itemgetter(0, 1, 2, 3)):
             if record_id != last:
                 last = record_id
-                hits.append(DistributedHit(qid, record_id, geom, sid, partition, page))
+                hits.append(_matched(qid, sid, hit))
     return hits
 
 

@@ -15,8 +15,10 @@ import pytest
 
 from repro.store import (
     AsyncStoreFrontend,
+    DistributedHit,
     DistributedStoreServer,
     IOScheduler,
+    QueryHit,
     RefineExecutor,
     SpatialDataStore,
     StoreAppender,
@@ -62,6 +64,15 @@ SURFACE = [
     ),
     (DistributedStoreServer.join, "self probes"),
     (RefineExecutor.refine, "self entry pages exact"),
+    # --- hits: slotted, immutable values (no longer named tuples: they
+    # neither index nor unpack, and a hit the envelope column proved decodes
+    # its record when .geometry is first read); the constructors take the
+    # public fields and nothing else
+    (QueryHit.__init__, "self record_id geometry partition_id page_id generation"),
+    (
+        DistributedHit.__init__,
+        "self query_id record_id geometry shard_id partition_id page_id",
+    ),
     (IOScheduler.__init__, "self pages gap layout cost_model cache_capacity"),
     (IOScheduler.cost_aware, "pages layout cost_model cache_capacity"),
 ]
@@ -72,3 +83,14 @@ SURFACE = [
 )
 def test_parameters_are_exactly_the_reviewed_set(func, params):
     assert list(inspect.signature(func).parameters) == params.split()
+
+
+
+@pytest.mark.parametrize("hit_type", [QueryHit, DistributedHit])
+def test_hit_fields_are_the_constructor_parameters(hit_type):
+    # the public fields, in order, are the constructor's parameters, and each
+    # is a read-only property over a slot
+    assert list(hit_type._fields) == list(inspect.signature(hit_type).parameters)
+    for name in hit_type._fields:
+        assert getattr(hit_type, name).fset is None
+    assert "__dict__" not in dir(hit_type)

@@ -15,11 +15,13 @@ rule that a quarantined page is reported as *failed*, never silently counted
 as a zero-survivor bulk scan.
 """
 
+import math
 import pickle
 import random
 from types import SimpleNamespace
 
 import pytest
+from _refine_recount import reference_accounting, side_proved
 from _refine_reference import refine_reference  # the retired scalar loop, kept next to this file
 
 from repro import mpisim
@@ -206,13 +208,20 @@ class TestBulkEqualsReference:
             assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
 
     def test_records_decoded_parity_with_reference(self, fs, gen_store):
-        # the bulk path must decode exactly the slots the scalar loop did
+        # the bulk path decodes exactly the slots the scalar recount says
+        # neither MBR proof settles; the eager scalar loop decoded every
+        # survivor (both pinned: these stores and windows are seeded)
         name, _ = gen_store
         windows = probe_windows(15, seed=15)
 
         bulk_store = SpatialDataStore.open(fs, name, cache_pages=1024)
+        executor = bulk_store.engine.executor
+        recount = 0
         for window in windows:
-            bulk_store.range_query(window)
+            for entry in bulk_store.engine.planner.plan([(0, window)]).entries:
+                pages = bulk_store._get_pages(entry.by_page)
+                recount += reference_accounting(executor, entry, pages, True)["records_decoded"]
+                executor.refine(entry, pages, True)
         bulk_decoded = bulk_store.stats.records_decoded
 
         ref_store = SpatialDataStore.open(fs, name, cache_pages=1024)
@@ -222,7 +231,8 @@ class TestBulkEqualsReference:
             for entry in plan.entries:
                 pages = ref_store._get_pages(entry.by_page)
                 refine_reference(executor, entry, pages, exact=True)
-        assert bulk_decoded == ref_store.stats.records_decoded
+        assert bulk_decoded == recount == 33
+        assert ref_store.stats.records_decoded == 400
 
 
 # --------------------------------------------------------------------------- #
@@ -358,28 +368,44 @@ class TestRectangleKernelUnderTheEngine:
         executor = store.engine.executor
         calls = []
         real = predicates.intersects
+        depth = [0]
 
         def spy(a, b):
-            calls.append(a)
-            return real(a, b)
+            # only the refine loop's own calls: a collection's members are
+            # tested by nested calls through the same module attribute
+            if not depth[0]:
+                calls.append(a)
+            depth[0] += 1
+            try:
+                return real(a, b)
+            finally:
+                depth[0] -= 1
 
         def forbidden(*args, **kwargs):
             raise AssertionError("RefineExecutor.refine built a window polygon")
 
         # the engine must reach the predicate through the module attribute,
-        # once per checked survivor, with the envelope itself as the operand
+        # once per checked survivor, with the envelope itself as the operand;
+        # the reference checks every survivor its MBR does not contain, and
+        # the side proof settles some of those without the predicate
         monkeypatch.setattr(predicates, "intersects", spy)
         for entry in plan.entries:
             pages = store._get_pages(entry.by_page)
             ref = refine_reference(executor, entry, pages, True)
             reference_calls = len(calls)
             calls.clear()
+            sides = sum(
+                side_proved(window, pages[key].envelope(slot))
+                and not window.contains(pages[key].envelope(slot))
+                for key, slots in entry.by_page.items() for slot in slots
+            )
             with monkeypatch.context() as patch:
                 patch.setattr(Polygon, "from_envelope", forbidden)
                 bulk = executor.refine(entry, pages, True)
             assert [hit_key(h) for h in bulk] == [hit_key(h) for h in ref]
-            assert len(calls) == reference_calls > 0
+            assert len(calls) == reference_calls - sides
             assert all(operand is entry.env for operand in calls)
+            assert (reference_calls, len(calls)) == (53, 12)
             calls.clear()
 
 
@@ -411,10 +437,24 @@ def decode_span(store):
 
 
 class TestHandBuiltPages:
-    def test_empty_envelope_slot_never_takes_the_shortcut(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "bad_mbr",
+        [
+            Envelope.empty(),
+            Envelope(60.0, 5.0, 40.0, 5.0),  # inverted in x, its y-span inside
+            Envelope(5.0, 60.0, 5.0, 40.0),  # inverted in y, its x-span inside
+            Envelope(math.nan, 5.0, 6.0, 5.0),  # NaN in the column
+            Envelope(5.0, 5.0, 6.0, math.nan),
+        ],
+        ids=["empty", "inverted-x", "inverted-y", "nan-minx", "nan-maxy"],
+    )
+    def test_empty_envelope_slot_never_takes_the_shortcut(self, bad_mbr, monkeypatch):
         # an empty MBR's ±inf sentinels satisfy naive boundary comparisons
-        # vacuously; the classify pass must still say "not contained": the
-        # slot is checked (decoded, predicate evaluated), never proven
+        # vacuously, and an inverted or NaN MBR has one side that a naive
+        # side proof would accept; neither proof may fire, at page level or
+        # per slot: the slot is checked (decoded, predicate evaluated).  Its
+        # record lies outside the window, so a slot proven by mistake would
+        # show as a wrong hit
         from repro.geometry import predicates
 
         checked = []
@@ -423,30 +463,33 @@ class TestHandBuiltPages:
             predicates, "intersects", lambda a, b: checked.append(b) or real(a, b)
         )
         g = Point(5.0, 5.0, userdata="x")
+        outside = Point(500.0, 500.0, userdata="out")
         key = PageKey(0, 0)
         executor, store, on_decode = traced_executor({key: 7})
         page = build_page(
-            [(0, g.envelope, g), (1, Envelope.empty(), g), (2, g.envelope, g)],
+            [(0, g.envelope, g), (1, bad_mbr, outside), (2, g.envelope, g)],
             on_decode=on_decode,
         )
         window = Envelope(0.0, 0.0, 100.0, 100.0)
         entry = PlanEntry(0, None, window, None, {key: [0, 1, 2]})
-        hits = executor.refine(entry, {key: page}, exact=True)
-        assert decode_span(store)["rect_shortcuts"] == 2
-        # only the empty-MBR slot went through the predicate
-        assert checked == [page.memo[1]]
-        assert [h.record_id for h in hits] == [0, 1, 2]
-        assert decode_span(store)["records_decoded"] == 3
-        # and the page-level summary refuses the all-contained fast path
+        # the page-level summary refuses the all-contained fast path
         assert page.env_summary()[4] is True
+        hits = executor.refine(entry, {key: page}, exact=True)
+        span = decode_span(store)
+        assert (span["rect_shortcuts"], span["side_proofs"]) == (2, 0)
+        # only the bad slot went through the predicate, and only it decoded
+        assert checked == [page.memo[1]] and span["records_decoded"] == 1
+        assert [h.record_id for h in hits] == [0, 2]
+        ref = refine_reference(executor, entry, {key: page}, exact=True)
+        assert [hit_key(h) for h in hits] == [hit_key(h) for h in ref]
 
     @pytest.mark.parametrize("empty", [MultiPoint([]), GeometryCollection([])])
     @pytest.mark.parametrize(
         "window, exact, num_hits",
         [
-            (EXTENT, True, 1),  # slot MBR inside the window: proven
+            (EXTENT, True, 1),  # slot MBR inside the window: proven, left undecoded
             (Envelope(5.0, 5.0, 50.0, 50.0), True, 0),  # cut by it: checked
-            (Envelope(5.0, 5.0, 50.0, 50.0), False, 1),  # MBR-only: proven
+            (Envelope(5.0, 5.0, 50.0, 50.0), False, 1),  # MBR-only: proven, decoded
         ],
     )
     def test_falsy_geometry_is_decoded_once(
@@ -454,8 +497,11 @@ class TestHandBuiltPages:
     ):
         # an empty MultiPoint / GeometryCollection is falsy: the memo probe
         # must ask "is None", or every later query takes the decode call
-        # again — in the proven loop and in the checked loop alike
+        # again — in the proven loop and in the checked loop alike; a hit the
+        # column proved decodes nothing through the page, and its own
+        # decode-on-read must ask "is None" too
         assert not empty
+        decodes = 0 if exact and window is EXTENT else 1
         record_calls = []
         real_record = CachedPage.record
         monkeypatch.setattr(
@@ -471,17 +517,22 @@ class TestHandBuiltPages:
         )
         entry = PlanEntry(0, None, window, None, {key: [1]})
         first = executor.refine(entry, {key: page}, exact=exact)
-        assert store.stats.records_decoded == 1 and record_calls == [1]
+        assert store.stats.records_decoded == decodes and record_calls == [1] * decodes
         second = executor.refine(entry, {key: page}, exact=exact)
-        assert store.stats.records_decoded == 1
-        assert record_calls == [1]  # served from the memo, no second call
+        assert store.stats.records_decoded == decodes
+        assert record_calls == [1] * decodes  # served from the memo, no second call
         assert decode_span(store)["records_decoded"] == 0
-        assert sum(geom is not None for geom in page.memo) == 1
+        assert sum(geom is not None for geom in page.memo) == decodes
         assert len(first) == len(second) == num_hits
         if num_hits:
-            # both queries hand back the one memoised object
-            assert second[0].geometry is first[0].geometry
             assert type(second[0].geometry) is type(empty)
+            if decodes:
+                # both queries hand back the one memoised object
+                assert second[0].geometry is first[0].geometry
+            else:
+                # read twice, decoded once, and the page memo left alone
+                assert second[0].geometry is second[0].geometry
+                assert page.memo[1] is None and record_calls == []
 
     def test_refine_matches_reference_on_empty_mbr_slots(self):
         g = Point(5.0, 5.0, userdata="x")
@@ -585,36 +636,6 @@ class TestShardedEquality:
 # --------------------------------------------------------------------------- #
 # the decode span's account, against a slot-at-a-time recount
 # --------------------------------------------------------------------------- #
-def reference_accounting(executor, entry, pages, exact):
-    """What the ``decode`` span must report, by the scalar loop's rules — a
-    slot at a time, no sets, no columns.  Peeks at the decode memo, so it
-    has to run *before* the refine it predicts."""
-    rect = entry.env if exact and entry.geom is None and not entry.env.is_empty else None
-    counts = dict.fromkeys(
-        ("replicas_skipped", "tombstone_drops", "records_decoded", "rect_shortcuts",
-         "slots_scanned", "bulk_filter_batches"), 0,
-    )
-    seen = set()
-    for key in sorted(entry.by_page, key=lambda k: (-k[0], k[1])):
-        page = pages[key]
-        counts["bulk_filter_batches"] += 1
-        for slot in entry.by_page[key]:
-            counts["slots_scanned"] += 1
-            rid = page.record_ids[slot]
-            if rid in seen:
-                counts["replicas_skipped"] += 1
-                continue
-            if executor._tombstone_gen.get(rid, -1) > key.generation:
-                counts["tombstone_drops"] += 1
-                continue
-            seen.add(rid)
-            contained = rect is not None and rect.contains(page.envelope(slot))
-            counts["rect_shortcuts"] += contained
-            if page.memo[slot] is None:
-                counts["records_decoded"] += 1
-    return counts
-
-
 class TestDecodeSpanAccounting:
     @pytest.fixture(params=["hot_v2", "hot_gen", "hot_shaped"])
     def traced_store(self, request, fs, v2_name, gen_store, shaped):
@@ -628,7 +649,9 @@ class TestDecodeSpanAccounting:
         store = traced_store
         executor = store.engine.executor
         windows = probe_windows(12, seed=61) + geoms[:6]  # rectangles and shapes
-        moved = dict.fromkeys(("replicas_skipped", "tombstone_drops", "rect_shortcuts"), 0)
+        moved = dict.fromkeys(
+            ("replicas_skipped", "tombstone_drops", "rect_shortcuts", "side_proofs"), 0
+        )
         for window in windows:
             for entry in store.engine.planner.plan([(0, window)]).entries:
                 pages = store._get_pages(entry.by_page)
@@ -648,34 +671,41 @@ class TestDecodeSpanAccounting:
                 for name in moved:
                     moved[name] += expected[name]
         # the battery reaches every kind of decision it recounts
-        assert moved["rect_shortcuts"] > 0 or not exact
+        assert (moved["rect_shortcuts"] > 0 and moved["side_proofs"] > 0) or not exact
         if store.name == "hot_gen":
             assert moved["replicas_skipped"] > 0 and moved["tombstone_drops"] > 0
 
 
 # --------------------------------------------------------------------------- #
-# hits are tuples
+# hits are slotted, immutable values
 # --------------------------------------------------------------------------- #
 class TestHitTypes:
-    def test_query_hit_is_a_named_tuple(self):
+    def test_query_hit_is_a_slotted_immutable_value(self):
         g = Point(1.0, 2.0, userdata="u")
         hit = QueryHit(7, g, 3, 5)
         assert QueryHit._fields == (
             "record_id", "geometry", "partition_id", "page_id", "generation"
         )
-        assert hit == (7, g, 3, 5, 0) and hit.generation == 0
+        assert hit.generation == 0
         assert QueryHit(7, g, 3, 5, generation=2).generation == 2
         assert (hit.record_id, hit.geometry, hit.partition_id, hit.page_id) == (7, g, 3, 5)
+        assert hit.geometry is g
         with pytest.raises(AttributeError):
             hit.record_id = 8
         with pytest.raises(AttributeError):
+            hit.geometry = g
+        with pytest.raises(AttributeError):
             hit.extra = 1  # no instance dict either
+        assert not hasattr(hit, "__dict__")
+        assert hit == QueryHit(7, Point(1.0, 2.0), 3, 5, 0) != QueryHit(7, g, 3, 5, 1)
+        assert hit != (7, g, 3, 5, 0)  # a value of its own type, not a tuple
         back = pickle.loads(pickle.dumps(hit))
-        assert type(back) is QueryHit and back.record_id == 7 and back[2:] == (3, 5, 0)
+        assert type(back) is QueryHit and back == hit and back.generation == 0
         assert back.geometry.userdata == "u" and wkb.dumps(back.geometry) == wkb.dumps(g)
         assert hash(QueryHit(7, None, 3, 5)) == hash(QueryHit(7, None, 3, 5))
+        assert repr(QueryHit(7, None, 3, 5)) == "QueryHit(7, None, 3, 5, 0)"
 
-    def test_distributed_hit_is_a_named_tuple(self):
+    def test_distributed_hit_is_a_slotted_immutable_value(self):
         g = Point(1.0, 2.0)
         hit = DistributedHit("q", 7, g, 2, 3, 5)
         assert DistributedHit._fields == (
@@ -684,10 +714,14 @@ class TestHitTypes:
         assert hit == DistributedHit(
             query_id="q", record_id=7, geometry=g, shard_id=2, partition_id=3, page_id=5
         )
+        assert hit != QueryHit(7, g, 3, 5)
         with pytest.raises(AttributeError):
             hit.shard_id = 0
+        with pytest.raises(AttributeError):
+            hit.extra = 1
         back = pickle.loads(pickle.dumps(hit))
-        assert type(back) is DistributedHit and back[:2] == ("q", 7) and back[3:] == (2, 3, 5)
+        assert type(back) is DistributedHit and back == hit
+        assert (back.query_id, back.record_id, back.shard_id, back.partition_id) == ("q", 7, 2, 3)
 
     def test_record_ids_are_python_ints(self, fs, v2_name, sharded_name):
         # perf/fixtures.digest is repr(sorted(...)): an array or numpy scalar
@@ -734,8 +768,9 @@ class TestCountersAndExplain:
             refine["bulk_filter_batches"]
             == report.stats_delta["bulk_filter_batches"]
         )
-        # selectivity = survivors / slots_scanned, and survivors are exactly
-        # the decoded records on the eager path: zero per-slot work hides
+        # selectivity = survivors / slots_scanned; on a fresh store every
+        # survivor is decoded or proven by one of the two MBR proofs (and
+        # then left undecoded): zero per-slot work hides
         survivors = (
             refine["slots_scanned"]
             - refine["replicas_skipped"]
@@ -743,7 +778,9 @@ class TestCountersAndExplain:
         )
         assert 0.0 < refine["filter_selectivity"] <= 1.0
         assert refine["filter_selectivity"] == survivors / refine["slots_scanned"]
-        assert survivors == refine["records_decoded"]
+        assert survivors == (
+            refine["records_decoded"] + refine["rect_shortcuts"] + refine["side_proofs"]
+        )
         assert "selectivity" in report.render()
 
     @pytest.mark.parametrize("nprocs", [2])
