@@ -688,10 +688,6 @@ class SpatialDataStore:
             raise exc
         failed.append((key, exc))
 
-    def partition_of_page(self, key: PageKey) -> Optional[int]:
-        """Partition owning *key* (degraded-result accounting helper)."""
-        return self._partition_of_page.get(key)
-
     # ------------------------------------------------------------------ #
     # queries (all routed through the staged engine)
     # ------------------------------------------------------------------ #

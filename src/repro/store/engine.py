@@ -32,7 +32,6 @@ and distributed paths can never diverge; the async front-end
 
 from __future__ import annotations
 
-import struct
 import weakref
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -41,7 +40,8 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
 from ..geometry import Envelope, Geometry, predicates
 from ..index import STRtree, spatial_visit_order
 from ..obs.trace import NULL_TRACER
-from .format import ENVELOPE_ENTRY, PageKey, StoreError, decode_record_body, encode_page_v2
+from .format import (PageKey, StoreError, decode_record_body, encode_page_v2, record_frame,
+                     slot_entry)
 from .manifest import StoreManifest
 from .page import CachedPage
 
@@ -63,12 +63,6 @@ __all__ = [
 
 class DeadlineExceeded(StoreError):
     """A query batch ran out of its simulated-I/O-seconds budget."""
-
-
-#: a page payload's envelope column: after the u32 slot count, one
-#: ``ENVELOPE_ENTRY`` ``(record_id, body_offset, minx, miny, maxx, maxy)`` per slot
-_COLUMN_START, _COLUMN_STRIDE = 4, ENVELOPE_ENTRY.size
-_column_entry = ENVELOPE_ENTRY.unpack_from
 
 
 class _Hit:
@@ -93,7 +87,7 @@ class _Hit:
         payload = self._payload
         if payload is None:
             return self._geometry
-        entry = _column_entry(payload, _COLUMN_START + _COLUMN_STRIDE * self._slot)
+        entry = slot_entry(payload, self._slot)
         # the stored MBR is the envelope, exactly as CachedPage.record has it
         geom = self._geometry = decode_record_body(payload, entry[1], entry[2:])
         self._payload = None
@@ -112,12 +106,13 @@ class _Hit:
         return type(self).__name__ + repr(self._values())
 
     def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
-        state = object.__getstate__(self)[1]  # type: ignore[misc]
-        payload = self._payload
+        state = {name: getattr(self, name) for cls in type(self).__mro__
+                 for name in getattr(cls, "__slots__", ())}
+        payload = state["_payload"]
         if payload is not None:  # the record's frame on a one-slot page
-            record_id, offset, *mbr = _column_entry(payload, _COLUMN_START + _COLUMN_STRIDE * self._slot)
-            end = offset + 8 + sum(struct.unpack_from("<II", payload, offset))  # + wkb, userdata
-            state["_payload"] = encode_page_v2([(record_id, Envelope(*mbr), payload[offset:end])])
+            record_id, offset, *mbr = slot_entry(payload, state["_slot"])
+            frame = record_frame(payload, offset)
+            state["_payload"] = encode_page_v2([(record_id, Envelope(*mbr), frame)])
             state["_slot"] = 0
         return None, state
 
@@ -204,10 +199,6 @@ class QueryPlan:
     visit_order: List[int]
     #: sorted distinct ``(generation, page)`` keys the whole batch touches
     touched_pages: List[PageKey]
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.entries)
 
 
 @dataclass

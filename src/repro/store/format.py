@@ -47,7 +47,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 # one record *body* (its id and MBR live in the page's envelope column) is
 # the frame the all-to-all exchange ships, so round-trips are lossless
@@ -72,6 +72,8 @@ __all__ = [
     "decode_page_columns",
     "decode_record_body",
     "encode_page_v2",
+    "record_frame",
+    "slot_entry",
     "pack_header",
     "unpack_header",
     "pack_page_directory",
@@ -191,9 +193,8 @@ class PageMeta:
 def encode_page_v2(entries: Sequence[Tuple[int, Envelope, bytes]]) -> bytes:
     """Pack ``(record_id, envelope, body)`` entries into one page payload:
     the count prefix, the packed envelope column, then the bodies."""
-    column_end = _PAGE_COUNT.size + len(entries) * ENVELOPE_ENTRY.size
     column = bytearray()
-    body_offset = column_end
+    body_offset = _PAGE_COUNT.size + len(entries) * ENVELOPE_ENTRY.size
     for record_id, env, body in entries:
         column += ENVELOPE_ENTRY.pack(record_id, body_offset, *env.as_tuple())
         body_offset += len(body)
@@ -239,6 +240,20 @@ def decode_page_columns(payload: bytes) -> Tuple[tuple, tuple, tuple, tuple, tup
     if prev != size:
         raise StoreFormatError(f"{size - prev} trailing bytes after the last record body")
     return record_ids, body_offsets, flat[2::6], flat[3::6], flat[4::6], flat[5::6]
+
+
+def slot_entry(payload: bytes, slot: int) -> Tuple[int, int, float, float, float, float]:
+    """Slot *slot*'s envelope-column entry, read straight from the payload:
+    ``(record_id, body_offset, minx, miny, maxx, maxy)``."""
+    return ENVELOPE_ENTRY.unpack_from(payload, _PAGE_COUNT.size + slot * ENVELOPE_ENTRY.size)
+
+
+def record_frame(payload: bytes, body_offset: int) -> bytes:
+    """The record body at *body_offset*, byte for byte: its length prefix,
+    WKB and pickled userdata — what compaction and a pickled hit move
+    undecoded."""
+    wkb_len, ud_len = _BODY_PREFIX.unpack_from(payload, body_offset)
+    return payload[body_offset : body_offset + _BODY_PREFIX.size + wkb_len + ud_len]
 
 
 def decode_record_body(
@@ -303,12 +318,9 @@ def unpack_header(data: bytes, file_size: Optional[int] = None) -> StoreHeader:
 
 
 def pack_page_directory(metas: Iterable[PageMeta]) -> bytes:
-    out = bytearray()
-    for meta in metas:
-        out += PAGE_DIR_ENTRY.pack(
-            meta.offset, meta.nbytes, meta.count, *meta.mbr.as_tuple()
-        )
-    return bytes(out)
+    """Pack the page directory: one entry per page, in page-id order."""
+    return b"".join(PAGE_DIR_ENTRY.pack(meta.offset, meta.nbytes, meta.count, *meta.mbr.as_tuple())
+                    for meta in metas)
 
 
 def page_crc32(payload: bytes) -> int:
@@ -321,14 +333,21 @@ def pack_page_checksums(metas: Iterable[PageMeta]) -> bytes:
     return b"".join(PAGE_CHECKSUM_ENTRY.pack(meta.crc32) for meta in metas)
 
 
-def unpack_page_checksums(data: bytes, num_pages: int) -> List[int]:
-    expected = num_pages * PAGE_CHECKSUM_ENTRY.size
+def _unpack_table(data: bytes, num_pages: int, entry: struct.Struct, what: str) -> Iterator:
+    """The *num_pages* entries of a per-page table; *data* must be exactly
+    that long."""
+    expected = num_pages * entry.size
     if len(data) != expected:
         raise StoreFormatError(
-            f"page checksum table is {len(data)} bytes, expected {expected} "
-            f"({num_pages} entries of {PAGE_CHECKSUM_ENTRY.size} bytes)"
+            f"{what} is {len(data)} bytes, expected {expected} "
+            f"({num_pages} entries of {entry.size} bytes)"
         )
-    return [v for (v,) in PAGE_CHECKSUM_ENTRY.iter_unpack(data)]
+    return entry.iter_unpack(data)
+
+
+def unpack_page_checksums(data: bytes, num_pages: int) -> List[int]:
+    table = _unpack_table(data, num_pages, PAGE_CHECKSUM_ENTRY, "page checksum table")
+    return [v for (v,) in table]
 
 
 def unpack_page_directory(
@@ -336,16 +355,10 @@ def unpack_page_directory(
 ) -> List[PageMeta]:
     """Page directory → one :class:`PageMeta` per page, built once: page *i*
     takes ``crcs[i]`` (the :func:`unpack_page_checksums` table)."""
-    expected = num_pages * PAGE_DIR_ENTRY.size
-    if len(data) != expected:
-        raise StoreFormatError(
-            f"page directory is {len(data)} bytes, expected {expected} "
-            f"({num_pages} entries of {PAGE_DIR_ENTRY.size} bytes)"
-        )
     metas: List[PageMeta] = []
     prev_end = HEADER_SIZE
-    for page_id, entry in enumerate(PAGE_DIR_ENTRY.iter_unpack(data)):
-        offset, nbytes, count, minx, miny, maxx, maxy = entry
+    table = _unpack_table(data, num_pages, PAGE_DIR_ENTRY, "page directory")
+    for page_id, (offset, nbytes, count, minx, miny, maxx, maxy) in enumerate(table):
         # pages are written back to back in page-id order; the serving
         # path's run coalescing relies on that, so a directory violating it
         # is corruption, not a layout variant

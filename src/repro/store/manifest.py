@@ -28,7 +28,7 @@ deleted/updated records in older generations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Envelope
@@ -151,6 +151,42 @@ def _env_from_json(values: Optional[Sequence[float]]) -> Envelope:
     return Envelope.from_doubles(values)
 
 
+#: a key's ``(encode, decode)`` pair: an envelope, a list of plain values
+#: (``list`` type-checks it on the way in), a list of records
+_ENV = (_env_to_json, _env_from_json)
+_LIST = (None, list)
+
+
+def _records(cls: type) -> Tuple[Callable, Callable]:
+    return (lambda items: [_to_doc(item) for item in items],
+            lambda items: [_from_doc(cls, item) for item in items])
+
+
+def _json_codec(*keys: Union[str, Tuple[str, Tuple]]) -> Callable[[type], type]:
+    """Class decorator: the JSON codec of a manifest record, one key per
+    dataclass field in field order (a count mismatch fails at import).
+
+    ``"grid.rows"`` nests under ``grid``; a trailing ``?`` marks a key the
+    document leaves out while its field is empty (``None`` or ``[]``); a
+    ``(key, (encode, decode))`` pair converts the value each way (``None``
+    passes it as is).  The keys compile once into ``cls._JSON``, rows of
+    ``(field, outer, inner, optional, encode, decode)``.
+    """
+    def attach(cls: type) -> type:
+        names = [f.name for f in fields(cls)]
+        if len(names) != len(keys):
+            raise TypeError(f"{cls.__name__} has {len(names)} fields but {len(keys)} JSON keys")
+        rows = []
+        for name, spec in zip(names, keys):
+            key, (encode, decode) = (spec, (None, None)) if isinstance(spec, str) else spec
+            outer, _, inner = key.rstrip("?").rpartition(".")
+            rows.append((name, outer, inner, key.endswith("?"), encode, decode))
+        cls._JSON = tuple(rows)  # type: ignore[attr-defined]
+        return cls
+    return attach
+
+
+@_json_codec("id", ("cell_mbr", _ENV), ("data_mbr", _ENV), ("pages", _LIST), "records")
 @dataclass
 class PartitionInfo:
     """One grid partition of the store."""
@@ -165,10 +201,9 @@ class PartitionInfo:
     #: number of record replicas stored in the partition
     record_count: int = 0
 
-    #: JSON key of each field, in field order (see :func:`_to_doc`)
-    _JSON = ("id", "cell_mbr", "data_mbr", "pages", "records")
 
-
+@_json_codec("id", "num_pages", "records", "replicas", ("extent", _ENV),
+             ("tombstones", _LIST), ("updated", _LIST), ("partitions", _records(PartitionInfo)))
 @dataclass
 class GenerationInfo:
     """One delta generation of a mutable store (an incremental append).
@@ -200,9 +235,6 @@ class GenerationInfo:
     #: page ids are local to this generation's delta container)
     partitions: List[PartitionInfo] = field(default_factory=list)
 
-    _JSON = ("id", "num_pages", "records", "replicas", "extent", "tombstones", "updated",
-             "partitions")
-
     def partition_of_page(self) -> Dict[int, int]:
         """Map every page id to the partition that owns it."""
         owner: Dict[int, int] = {}
@@ -212,6 +244,9 @@ class GenerationInfo:
         return owner
 
 
+@_json_codec("name", "page_size", "num_records", "num_pages", ("extent", _ENV),
+             "grid.rows", "grid.cols", "next_record_id", ("partitions", _records(PartitionInfo)),
+             ("generations?", _records(GenerationInfo)), "live_records?")
 @dataclass
 class StoreManifest:
     """Partition manifest of one persisted dataset.
@@ -236,9 +271,6 @@ class StoreManifest:
     generations: List[GenerationInfo] = field(default_factory=list)
     #: visible logical records across all generations (None = ``num_records``)
     live_records: Optional[int] = None
-
-    _JSON = ("name", "page_size", "num_records", "num_pages", "extent", "grid.rows", "grid.cols",
-             "next_record_id", "partitions", "generations", "live_records")
 
     # ------------------------------------------------------------------ #
     @property
@@ -282,6 +314,8 @@ class StoreManifest:
         return _parse(text, _STORE_DOC, lambda doc: _from_doc(StoreManifest, doc))
 
 
+@_json_codec("id", "store", ("partitions", _LIST), ("extent", _ENV), "records",
+             "replicas", "pages", "generations", ("replica_stores?", _LIST))
 @dataclass
 class ShardInfo:
     """One shard of a store (a contiguous run of grid cells)."""
@@ -307,10 +341,9 @@ class ShardInfo:
     #: sync by the appender and compaction)
     replica_stores: List[str] = field(default_factory=list)
 
-    _JSON = ("id", "store", "partitions", "extent", "records", "replicas", "pages",
-             "generations", "replica_stores")
 
-
+@_json_codec("name", "page_size", "num_records", ("extent", _ENV), "grid.rows",
+             "grid.cols", "next_record_id", ("shards", _records(ShardInfo)))
 @dataclass
 class ShardsManifest:
     """Routing manifest (``shards.json``) of a store, one shard or many.
@@ -332,9 +365,6 @@ class ShardsManifest:
     #: lowest record id never assigned globally
     next_record_id: int
     shards: List[ShardInfo] = field(default_factory=list)
-
-    _JSON = ("name", "page_size", "num_records", "extent", "grid.rows", "grid.cols",
-             "next_record_id", "shards")
 
     # ------------------------------------------------------------------ #
     @property
@@ -381,24 +411,17 @@ class ShardsManifest:
 # --------------------------------------------------------------------------- #
 # the JSON codec of every manifest record, driven by each class's ``_JSON``
 # --------------------------------------------------------------------------- #
-#: fields a document leaves out while they are empty (``None`` or ``[]``)
-_OPTIONAL = {"generations", "live_records", "replica_stores"}
-
-
 def _to_doc(record: Any) -> Dict[str, Any]:
-    """*record* as its JSON object: each field under its ``_JSON`` key (a
-    ``grid.rows`` key nests), an envelope as ``[minx, miny, maxx, maxy]``
-    or ``null``, a list of records as a list of objects."""
+    """*record* as its JSON object: each field under its key, an envelope as
+    ``[minx, miny, maxx, maxy]`` or ``null``, a list of records as a list of
+    objects."""
     doc: Dict[str, Any] = {}
-    for f, key in zip(fields(record), record._JSON):
-        value = getattr(record, f.name)
-        if f.name in _OPTIONAL and value in (None, []):
+    for name, outer, inner, optional, encode, _ in record._JSON:
+        value = getattr(record, name)
+        if optional and value in (None, []):
             continue
-        if isinstance(value, Envelope):
-            value = _env_to_json(value)
-        elif value and isinstance(value, list) and is_dataclass(value[0]):
-            value = [_to_doc(item) for item in value]
-        outer, _, inner = key.rpartition(".")
+        if encode is not None:
+            value = encode(value)
         (doc.setdefault(outer, {}) if outer else doc)[inner] = value
     return doc
 
@@ -409,23 +432,12 @@ def _dump(fmt: str, version: int, record: Any) -> str:
 
 def _from_doc(cls: type, doc: Dict[str, Any]) -> Any:
     """The *cls* record of JSON object *doc* (:func:`_to_doc` inverted): a
-    missing key is a :class:`KeyError` unless its field is optional."""
+    missing key is a :class:`KeyError` unless it is optional."""
     values: Dict[str, Any] = {}
-    for f, key in zip(fields(cls), cls._JSON):
-        outer, _, inner = key.rpartition(".")
+    for name, outer, inner, optional, _, decode in cls._JSON:  # type: ignore[attr-defined]
         scope = doc[outer] if outer else doc
-        if f.name in _OPTIONAL and inner not in scope:
+        if optional and inner not in scope:
             continue
-        decode = _DECODE.get(f.name)
-        values[f.name] = scope[inner] if decode is None else decode(scope[inner])
+        value = scope[inner]
+        values[name] = value if decode is None else decode(value)
     return cls(**values)
-
-
-_DECODE: Dict[str, Callable[[Any], Any]] = {
-    "extent": _env_from_json,
-    "cell_mbr": _env_from_json,
-    "data_mbr": _env_from_json,
-    "partitions": lambda items: [_from_doc(PartitionInfo, item) for item in items],
-    "generations": lambda items: [_from_doc(GenerationInfo, item) for item in items],
-    "shards": lambda items: [_from_doc(ShardInfo, item) for item in items],
-}

@@ -29,6 +29,7 @@ from .format import (
     decode_page_columns,
     decode_record_body,
     page_crc32,
+    record_frame,
 )
 
 __all__ = ["CachedPage"]
@@ -131,10 +132,9 @@ class CachedPage:
         )
 
     def frame(self, slot: int) -> bytes:
-        """The slot's stored record body, byte for byte (bodies sit back to
-        back to the payload's end) — what compaction moves undecoded."""
-        end = self.body_offsets[slot + 1] if slot + 1 < self.count else len(self.payload)
-        return self.payload[self.body_offsets[slot] : end]
+        """The slot's stored record body, byte for byte — what compaction
+        moves undecoded (:func:`~repro.store.format.record_frame`)."""
+        return record_frame(self.payload, self.body_offsets[slot])
 
     def record(self, slot: int) -> Tuple[int, Geometry]:
         """Decode (and memoise) one slot — the refine phase for that record."""

@@ -280,7 +280,8 @@ class TestChecksumsAndRetry:
                 isinstance(exc, PageChecksumError)
                 for _, exc in outcome.failed_pages
             )
-            assert outcome.missing_partitions == [store.partition_of_page(key)]
+            assert key.generation == 0
+            assert outcome.missing_partitions == [store.manifest.partition_of_page()[key.page_id]]
             assert outcome.incomplete_queries == [0]
             # the surviving hits are exactly the full answer minus the
             # records of the poisoned page

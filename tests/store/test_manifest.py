@@ -1,6 +1,7 @@
 """Manifest JSON round-trip, partition pruning and corrupted documents."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.store import (
     store_paths,
 )
 from repro.store.engine import QueryPlanner
+from repro.store.manifest import _json_codec
 
 
 def make_manifest():
@@ -42,6 +44,15 @@ def make_manifest():
 
 
 class TestManifest:
+    def test_a_record_whose_fields_and_json_keys_differ_fails_at_definition(self):
+        with pytest.raises(TypeError, match="2 fields but 1 JSON keys"):
+
+            @_json_codec("a")
+            @dataclass
+            class Pair:
+                a: int
+                b: int
+
     def test_json_round_trip(self):
         m = make_manifest()
         back = StoreManifest.from_json(m.to_json())
@@ -113,6 +124,16 @@ def _edit(change):
     return corrupt
 
 
+def _non_list_field(doc, key):
+    # a list field holding a number must fail in the parser, not later as a
+    # raw TypeError (or never: shards.json's replica list is read only on
+    # failover)
+    if key == "shards":
+        doc["shards"][0]["replica_stores"] = 5
+    else:
+        doc["partitions"][0]["pages"] = 5
+
+
 CORRUPTIONS = {
     "bad_json": _bad_json,
     "format_tag": _edit(lambda doc, key: doc.update(format="something-else")),
@@ -125,6 +146,7 @@ CORRUPTIONS = {
     # every writer records the id ceiling; without it an append could
     # hand out an id a live record holds
     "missing_ceiling": _edit(lambda doc, key: doc.pop("next_record_id")),
+    "non_list_field": _edit(_non_list_field),
 }
 #: document -> (path in a two-shard store "sh", the key it cannot lack)
 DOCUMENTS = {
