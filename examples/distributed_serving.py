@@ -17,6 +17,9 @@ ranks:
 
 Each rank count is checked against the single-store answer and reported with
 its virtual-clock phase breakdown (route / scatter / local query / gather).
+Last, a three-query batch is EXPLAINed at 4 ranks: the report a single
+store's EXPLAIN prints, folded over every rank's spans, plus routing,
+per-shard and per-rank rows.
 
 Run it with::
 
@@ -115,6 +118,15 @@ def main() -> None:
             f"cache hit rate {stats['cache_hit_rate']:.1%}, "
             f"simulated I/O {stats['io_seconds'] * 1e3:.2f} ms"
         )
+
+        # ---------------------------------------------------------------- #
+        # where one small batch's work went, shard by shard and rank by rank
+        # ---------------------------------------------------------------- #
+        def explain(comm):
+            with DistributedStoreServer.open(comm, fs, "lakes", cache_pages=128) as server:
+                return server.explain_batch(queries[:3] if comm.rank == 0 else None)
+
+        print(f"\n{mpisim.run_spmd(explain, 4).values[0]}")
 
 
 if __name__ == "__main__":

@@ -72,8 +72,6 @@ KEEP = {
         ("roadmap", "PAPER.md, same sentence: the second layer of a store-backed join"),
     "repro.store.datastore:SpatialDataStore.explain":
         ("roadmap", "observability aim and item 9: where one query's time went"),
-    "repro.store.sharded:DistributedStoreServer.explain_batch":
-        ("roadmap", "observability aim and item 9: where a distributed batch's time went"),
     **{
         f"repro.store.{name}": (
             "roadmap",

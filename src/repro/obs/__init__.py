@@ -1,10 +1,10 @@
 """``repro.obs`` — tracing, metrics and EXPLAIN for the serving stack.
 
-The paper's experimental method is execution-time breakdowns; PR 1–5 grew
-a serving stack whose stat carriers (``StoreStats``, ``CacheStats``,
-``BatchMetrics``, ``VirtualClock.breakdown``) are cumulative and mutually
-incompatible.  This package is the unified observability layer they now
-share:
+The paper's experimental method is execution-time breakdowns.  This
+package is the one observability layer of the serving stack: every store
+counter (``StoreStats``, ``CacheStats``) is a counter in a store's
+:class:`MetricsRegistry`, and spans plus registry movement answer where
+the time of any run went, a single query or a distributed batch:
 
 ``repro.obs.trace``
     :class:`Tracer` / :class:`Span` — hierarchical spans
@@ -15,25 +15,26 @@ share:
 ``repro.obs.metrics``
     :class:`MetricsRegistry` of counters and log2
     :class:`Histogram`\\ s (p50/p95/p99), with idempotent snapshot merging
-    across ranks (:func:`merge_snapshots`) and per-partition / per-shard
-    query-heat counters recorded by the engine and the sharded server.
+    across ranks (:func:`merge_snapshots`, counters summed by
+    :func:`summed`) and per-partition / per-shard query-heat counters
+    recorded by the engine and the sharded server.  The sharded server
+    keeps one ledger per shard — the live store's registry plus the final
+    snapshots of the stores failover retired — and reads its aggregates,
+    its I/O charge and EXPLAIN's per-shard rows from it.
 
 ``repro.obs.export``
     JSONL and Chrome ``trace_event`` exporters (``chrome://tracing`` /
     Perfetto).
 
 ``repro.obs.explain``
-    EXPLAIN-style reports built from recorded spans + stats deltas; the
-    builders behind ``SpatialDataStore.explain`` and
-    ``DistributedStoreServer.explain_batch``.
+    One :class:`ExplainReport` and one builder (:func:`build_explain`):
+    recorded spans folded into plan / schedule / refine / cache sections
+    plus the run's stats delta.  ``SpatialDataStore.explain`` folds one
+    store's spans; ``DistributedStoreServer.explain_batch`` folds every
+    rank's and fills in the routing, per-shard and per-rank rows.
 """
 
-from .explain import (
-    DistributedExplainReport,
-    ExplainReport,
-    build_distributed_explain,
-    build_store_explain,
-)
+from .explain import ExplainReport, build_explain
 from .export import chrome_trace, spans_to_jsonl, write_chrome_trace, write_jsonl
 from .metrics import Counter, Histogram, MetricsRegistry, merge_snapshots
 from .trace import NULL_TRACER, NullTracer, Span, TraceContext, Tracer
@@ -52,8 +53,6 @@ __all__ = [
     "spans_to_jsonl",
     "write_chrome_trace",
     "write_jsonl",
-    "DistributedExplainReport",
     "ExplainReport",
-    "build_distributed_explain",
-    "build_store_explain",
+    "build_explain",
 ]

@@ -35,6 +35,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "merge_snapshots",
+    "summed",
 ]
 
 
@@ -212,16 +213,24 @@ class MetricsRegistry:
         }
 
 
+def summed(rows: Iterable[Mapping[str, float]]) -> Dict[str, float]:
+    """Key-wise sum of counter *rows* (keys in first-seen order)."""
+    total: Dict[str, float] = {}
+    for row in rows:
+        for key, value in row.items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
 def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     """Merge registry snapshots: counters sum, histograms merge bucket-wise.
     Input snapshots are absolute state, so
     merging the output with more snapshots later, or re-merging the same
     inputs, behaves like set union over the underlying event streams."""
-    counters: Dict[str, float] = {}
+    snapshots = list(snapshots)
+    counters = summed(snap.get("counters", {}) for snap in snapshots)
     histograms: Dict[str, Histogram] = {}
     for snap in snapshots:
-        for key, value in snap.get("counters", {}).items():
-            counters[key] = counters.get(key, 0) + value
         for key, state in snap.get("histograms", {}).items():
             hist = Histogram.from_state(state)
             if key in histograms:

@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 
 from ..geometry import Envelope, Geometry, predicates
 from ..index import STRtree
-from ..obs.explain import ExplainReport, build_store_explain
+from ..obs.explain import ExplainReport, build_explain, stats_movement
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..pfs import FileHandle, ReadRequest, SimulatedFilesystem
@@ -49,7 +49,7 @@ from .format import (
 from .index_io import load_index
 from .manifest import StoreManifest, delta_paths, store_paths
 from .page import CachedPage
-from .scheduler import DEFAULT_RETRY, IOScheduler, RetryPolicy, read_with_retry
+from .scheduler import DEFAULT_RETRY, IOScheduler, RetryPolicy, read_file, read_with_retry
 
 __all__ = [
     "IO_POLICIES",
@@ -91,6 +91,22 @@ class Generation:
     #: through, kept for the page fetches; ``None`` once closed (a later
     #: fetch reopens it) and for a generation without a container
     handle: Optional[FileHandle] = None
+
+
+def stats_from_counters(counters: Dict[str, float]) -> Dict[str, float]:
+    """The :class:`StoreStats` view of registry *counters* — one store's, or
+    any sum of stores' (the sharded server's ledgers): ``store.X`` is
+    ``X``, ``cache.Y`` is ``cache_Y`` (labelled counters such as partition
+    heat are not stats) and ``cache_hit_rate`` is recomputed from the
+    summed hits and misses."""
+    out: Dict[str, float] = {}
+    for key, value in counters.items():
+        prefix, _, name = key.partition(".")
+        if prefix in ("store", "cache") and "{" not in name:
+            out[name if prefix == "store" else f"cache_{name}"] = value
+    accesses = out.get("cache_hits", 0) + out.get("cache_misses", 0)
+    out["cache_hit_rate"] = out.get("cache_hits", 0) / accesses if accesses else 0.0
+    return out
 
 
 class StoreStats:
@@ -145,11 +161,7 @@ class StoreStats:
         self.cache = CacheStats(self.registry)
 
     def as_dict(self) -> Dict[str, float]:
-        out: Dict[str, float] = {
-            name: getattr(self, name) for name in self._COUNTERS
-        }
-        out.update({f"cache_{k}": v for k, v in self.cache.as_dict().items()})
-        return out
+        return stats_from_counters(self.registry.snapshot()["counters"])
 
     def __repr__(self) -> str:  # pragma: no cover
         inner = ", ".join(f"{n}={getattr(self, n):g}" for n in self._COUNTERS)
@@ -338,27 +350,16 @@ class SpatialDataStore:
                 )
 
         policy = serving.get("retry_policy") or DEFAULT_RETRY
-        io_seconds = 0.0
-        open_retries = 0
+        raw, io_seconds, open_retries = read_file(fs, paths["manifest"], policy)
+        manifest = StoreManifest.from_json(raw.decode("utf-8"))
 
-        def _read(fh, offset: int = 0, nbytes: Optional[int] = None) -> bytes:
+        def _read(fh, offset: int, nbytes: int) -> bytes:
             """Bounded-retry read of *fh*; the backoff is charged here."""
             nonlocal io_seconds, open_retries
             data, waited, retries = read_with_retry(fh, offset, nbytes, policy)
             io_seconds += waited
             open_retries += retries
             return data
-
-        def _read_file(path: str) -> bytes:
-            """Whole-file read, charged: retry backoff, open, one read."""
-            nonlocal io_seconds
-            with fs.open(path) as fh:
-                data = _read(fh)
-            io_seconds += fs.open_time()
-            io_seconds += fs.read_time(path, [ReadRequest(0, ((0, len(data)),))])
-            return data
-
-        manifest = StoreManifest.from_json(_read_file(paths["manifest"]).decode("utf-8"))
 
         def _read_container(path: str, opened: ExitStack):
             """Header → page directory + checksum tail of one container.
@@ -399,7 +400,10 @@ class SpatialDataStore:
                         f"store {name!r}: {info.num_pages}/{info.num_records} vs "
                         f"{header.num_pages}/{header.num_records} pages/records"
                     )
-                generations.append((pages, load_index(_read_file(gen_paths["index"])), fh))
+                raw, seconds, retries = read_file(fs, gen_paths["index"], policy)
+                io_seconds += seconds
+                open_retries += retries
+                generations.append((pages, load_index(raw), fh))
             store = cls(fs, name, manifest, generations, **serving)
             # the store owns the handles now: close() releases them
             opened.pop_all()
@@ -553,11 +557,10 @@ class SpatialDataStore:
         policy backoff plus the re-read to ``io_seconds`` and bumps
         ``stats.retries``).  Structural decode errors keep propagating
         immediately — a payload that parses wrong with a *valid* checksum
-        (or in a legacy container without checksums) re-parses identically,
-        so a retry cannot help.  Pages still bad after the last attempt are
-        quarantined and appended to *bad* with their cause; readahead-only
-        pages among them are dropped silently (a later demand fails fast on
-        the quarantine set).
+        re-parses identically, so a retry cannot help.  Pages still bad
+        after the last attempt are quarantined and appended to *bad* with
+        their cause; readahead-only pages among them are dropped silently (a
+        later demand fails fast on the quarantine set).
         """
         policy = self.retry_policy
         demand = set(run.demand_ids)
@@ -790,14 +793,11 @@ class SpatialDataStore:
             hits = self.range_query(window)
         finally:
             self.tracer = saved
-        return build_store_explain(
-            kind="range_query",
-            window=str(window),
-            exact=True,
+        return build_explain(
+            query={"kind": "range_query", "window": str(window), "exact": True},
             num_hits=len(hits),
             spans=tracer.spans,
-            stats_before=before,
-            stats_after=self.stats.as_dict(),
+            stats_delta=stats_movement(before, self.stats.as_dict()),
             partitions_total=len(self.manifest.partitions),
         )
 

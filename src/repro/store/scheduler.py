@@ -28,7 +28,8 @@ readahead never duplicates a cached page, and a negative gap disables
 merging entirely (one request per page — the measurement baseline).
 
 :func:`read_with_retry` is the one bounded-retry loop of the metadata reads
-(manifests, container headers and directories, packed indexes); the serving
+(manifests, container headers and directories, packed indexes), and
+:func:`read_file` the one charged whole-file read built on it; the serving
 read path retries whole coalesced runs the same way in
 :meth:`~repro.store.datastore.SpatialDataStore._read_run`.
 """
@@ -49,6 +50,7 @@ __all__ = [
     "RetryPolicy",
     "ScheduledRun",
     "cost_model_gap",
+    "read_file",
     "read_with_retry",
 ]
 
@@ -132,6 +134,20 @@ def read_with_retry(
             ) from err
         waited += policy.backoff(attempt)
         attempt += 1
+
+
+def read_file(fs, path: str, policy: RetryPolicy) -> Tuple[bytes, float, int]:
+    """All of *path* on the filesystem *fs*, read through
+    :func:`read_with_retry` under *policy* — the charged whole-file read
+    of a store's manifest and packed indexes at open and of
+    ``shards.json``.  Returns ``(data, seconds, retries)``: *seconds* is
+    what the read cost, retry backoff plus the open and the one read the
+    cost model charges."""
+    with fs.open(path) as fh:
+        data, seconds, retries = read_with_retry(fh, policy=policy)
+    seconds += fs.open_time()
+    seconds += fs.read_time(path, [ReadRequest(0, ((0, len(data)),))])
+    return data, seconds, retries
 
 
 def cost_model_gap(layout: StripeLayout, cost_model: IOCostModel) -> int:

@@ -42,16 +42,16 @@ from typing import (
 from ..geometry import Envelope, Geometry, predicates
 from ..geometry.wkb import encoded_size
 from ..mpisim import Communicator, payload_nbytes
-from ..obs.explain import DistributedExplainReport, build_distributed_explain
-from ..obs.metrics import MetricsRegistry, merge_snapshots
+from ..obs.explain import ExplainReport, build_explain, stats_movement
+from ..obs.metrics import MetricsRegistry, merge_snapshots, summed
 from ..obs.trace import NULL_TRACER, Tracer
-from ..pfs import ReadRequest, SimulatedFilesystem
-from .datastore import QueryHit, SpatialDataStore
+from ..pfs import SimulatedFilesystem
+from .datastore import QueryHit, SpatialDataStore, stats_from_counters
 from .engine import BatchOutcome, DeadlineExceeded, DistributedHit, _matched
 from .format import StoreError, StoreFormatError
 from .manifest import ShardInfo, ShardsManifest, shards_path
 from .router import ShardRouter, shard_assignment
-from .scheduler import DEFAULT_RETRY, RetryPolicy, read_with_retry
+from .scheduler import DEFAULT_RETRY, RetryPolicy, read_file
 
 __all__ = [
     "DistributedHit",
@@ -120,10 +120,7 @@ def read_shards_manifest(
     path = shards_path(name)
     if not fs.exists(path):
         raise FileNotFoundError(f"store {name!r} is missing {path!r}; run bulk_load first")
-    with fs.open(path) as fh:
-        raw, seconds, _ = read_with_retry(fh, policy=policy)
-    seconds += fs.open_time()
-    seconds += fs.read_time(path, [ReadRequest(0, ((0, len(raw)),))])
+    raw, seconds, _ = read_file(fs, path, policy)
     return ShardsManifest.from_json(raw), seconds
 
 
@@ -323,13 +320,11 @@ class DistributedStoreServer:
         }
         self._failovers = self.metrics.counter("server.failovers")
         self._degraded = self.metrics.counter("server.degraded_queries")
-        #: final stats and metric snapshots of stores retired by failover —
-        #: without them a failed primary's retries, checksum failures and
-        #: I/O seconds would vanish from :meth:`aggregate_stats`,
-        #: :meth:`aggregate_metrics` and the virtual clock the moment it is
-        #: replaced
-        self._retired_stats: List[Dict[str, float]] = []
-        self._retired_metrics: List[Dict[str, Any]] = []
+        #: per shard, the final registry snapshots of the stores failover
+        #: retired for it — with the live store's registry, the shard's
+        #: ledger (:meth:`_ledger`), so a failed primary's retries, checksum
+        #: failures and I/O seconds stay counted after it is replaced
+        self._retired: Dict[int, List[Dict[str, Any]]] = {sid: [] for sid in self.my_shards}
         #: per shard, :func:`body_nbytes` of each record its serving store
         #: returned, by generation, page and record id; once it holds more
         #: pages than the store's page cache, the pages the cache let go
@@ -478,8 +473,7 @@ class DistributedStoreServer:
         then recorded dead if degraded mode allows, else *cause* re-raises).
         """
         old = self.stores.pop(sid)
-        self._retired_stats.append(old.stats.as_dict())
-        self._retired_metrics.append(old.metrics.snapshot())
+        self._retired[sid].append(old.metrics.snapshot())
         old.close()
         shard = self.manifest.shards[sid]
         store, _ = self._open_copy(shard, list(self._spare_stores.get(sid, ())), action)
@@ -498,11 +492,29 @@ class DistributedStoreServer:
         self.phases[name] += now - since
         return now
 
+    def _ledger(self) -> Dict[int, List[Dict[str, Any]]]:
+        """Per shard of this rank, the registry snapshots of every store
+        that served it: those failover retired, then the live one (a dead
+        shard has none).  Every rank-level number is read from here."""
+        return {
+            sid: self._retired[sid]
+            + ([self.stores[sid].metrics.snapshot()] if sid in self.stores else [])
+            for sid in self.my_shards
+        }
+
+    def _shard_stats(self) -> Dict[int, Dict[str, float]]:
+        """Per shard of this rank, the :class:`StoreStats` view of its
+        ledger."""
+        return {
+            sid: stats_from_counters(summed(snap["counters"] for snap in snaps))
+            for sid, snaps in self._ledger().items()
+        }
+
     def _store_io_seconds(self) -> float:
-        """Simulated I/O seconds of every store this rank opened, retired
-        ones included."""
+        """Simulated I/O seconds of every store this rank opened: the live
+        stores' counters plus the retired snapshots of the ledger."""
         return sum(store.stats.io_seconds for store in self.stores.values()) + sum(
-            stats["io_seconds"] for stats in self._retired_stats
+            snap["counters"]["store.io_seconds"] for snaps in self._retired.values() for snap in snaps
         )
 
     def phase_breakdown(self) -> Dict[str, float]:
@@ -514,27 +526,21 @@ class DistributedStoreServer:
     def aggregate_stats(self) -> Dict[str, Any]:
         """Serving statistics aggregated across all ranks (collective).
 
-        Each rank contributes one snapshot per shard store it owns, plus the
-        final one of each store failover retired — a rank's page cache is
-        counted exactly once no matter how many times this is called,
-        because snapshots are absolute counters, not deltas.
-        The cache hit rate is recomputed from the summed counters (a mean of
+        Each rank contributes the sum of its shards' ledgers — every store
+        it opened, failover's retired ones included, counted exactly once
+        no matter how many times this is called, because snapshots are
+        absolute counters, not deltas.  ``per_rank`` holds each rank's
+        counters (no hit rate; an idle rank's row is empty); the aggregate's
+        cache hit rate is recomputed from the summed counters (a mean of
         per-rank rates would weight idle ranks equally with busy ones).
         """
-        local: Dict[str, float] = {}
-        owned = [store.stats.as_dict() for store in self.stores.values()]
-        for stats in owned + self._retired_stats:
-            for key, value in stats.items():
-                local[key] = local.get(key, 0.0) + value
-        local.pop("cache_hit_rate", None)
-        per_rank = self.comm.allgather(local)
-        total: Dict[str, float] = {}
-        for snapshot in per_rank:
-            for key, value in snapshot.items():
-                total[key] = total.get(key, 0.0) + value
-        accesses = total.get("cache_hits", 0.0) + total.get("cache_misses", 0.0)
-        total["cache_hit_rate"] = total.get("cache_hits", 0.0) / accesses if accesses else 0.0
-        return {"aggregate": total, "per_rank": per_rank}
+        gathered = self.comm.allgather(
+            summed(snap["counters"] for snaps in self._ledger().values() for snap in snaps)
+        )
+        per_rank = [stats_from_counters(counters) for counters in gathered]
+        for row in per_rank:
+            del row["cache_hit_rate"]
+        return {"aggregate": stats_from_counters(summed(gathered)), "per_rank": per_rank}
 
     def aggregate_metrics(self) -> Dict[str, Any]:
         """Merged metrics snapshot over every rank's server **and** store
@@ -546,9 +552,7 @@ class DistributedStoreServer:
         different ranks sum into one coherent heat map).
         """
         local = merge_snapshots(
-            [self.metrics.snapshot()]
-            + [store.metrics.snapshot() for store in self.stores.values()]
-            + self._retired_metrics
+            [self.metrics.snapshot()] + [snap for snaps in self._ledger().values() for snap in snaps]
         )
         return merge_snapshots(self.comm.allgather(local))
 
@@ -567,17 +571,19 @@ class DistributedStoreServer:
 
     def explain_batch(
         self, queries: Optional[Sequence[Tuple[Any, Envelope]]]
-    ) -> Optional[DistributedExplainReport]:
+    ) -> Optional[ExplainReport]:
         """EXPLAIN-by-executing for a distributed batch (collective).
 
         Every rank swaps in a recording tracer (server + its shard stores),
         serves the batch through :meth:`range_query_batch` for real, and
-        ships its spans plus per-shard stats deltas to rank 0, which folds
-        them into a :class:`~repro.obs.explain.DistributedExplainReport`
-        whose ``stats_delta`` equals the batch's aggregate
-        :class:`~repro.store.datastore.StoreStats` movement by construction.
-        Rank 0 supplies *queries* and receives the report; other ranks pass
-        ``None`` and get ``None``.
+        ships its spans plus its shards' ledger movement to rank 0, which
+        folds them into an :class:`~repro.obs.explain.ExplainReport` — the
+        one a store's :meth:`~SpatialDataStore.explain` builds, over every
+        rank's spans, with routing, per-shard and per-rank rows.  Its
+        ``stats_delta`` is the batch's :meth:`aggregate_stats` movement,
+        stores failover retired during the batch included.  Rank 0 supplies
+        *queries* and receives the report; other ranks pass ``None`` and get
+        ``None``.
         """
         tracer = Tracer(clock=self.comm.clock, rank=self.comm.rank)
         saved_server = self.tracer
@@ -585,7 +591,7 @@ class DistributedStoreServer:
         self.tracer = tracer
         for store in self.stores.values():
             store.tracer = tracer
-        stats_before = {sid: st.stats.as_dict() for sid, st in self.stores.items()}
+        before = self._shard_stats()
         heat = {sid: self.metrics.counter("server.shard_heat", shard=sid) for sid in self.my_shards}
         heat_before = {sid: counter.value for sid, counter in heat.items()}
         try:
@@ -594,41 +600,27 @@ class DistributedStoreServer:
             self.tracer = saved_server
             for sid, store in self.stores.items():
                 store.tracer = saved_stores[sid]
-
-        rank_delta: Dict[str, float] = {}
-        shards: Dict[int, Dict[str, Any]] = {}
-        for sid, store in self.stores.items():
-            after = store.stats.as_dict()
-            delta = {
-                key: after[key] - stats_before[sid].get(key, 0)
-                for key in after
-                if not key.endswith("hit_rate")
-            }
-            for key, value in delta.items():
-                rank_delta[key] = rank_delta.get(key, 0) + value
-            shards[sid] = {
-                "rank": self.comm.rank,
-                "entries": int(heat[sid].value - heat_before[sid]),
-                "records_decoded": delta.get("records_decoded", 0),
-                "read_requests": delta.get("read_requests", 0),
-                "slots_scanned": delta.get("slots_scanned", 0),
-                "bulk_filter_batches": delta.get("bulk_filter_batches", 0),
-            }
-        payload = {
-            "rank": self.comm.rank,
-            "spans": tracer.export(),
-            "stats_delta": rank_delta,
-            "shards": shards,
+        after = self._shard_stats()
+        deltas = {sid: stats_movement(before[sid], after[sid]) for sid in self.my_shards}
+        shards = {
+            sid: {"rank": self.comm.rank, "entries": int(heat[sid].value - heat_before[sid]), **delta}
+            for sid, delta in deltas.items()
         }
-        gathered = self.comm.allgather(payload)
+        spans = [span.as_dict() for span in tracer.spans]  # in recording order
+        gathered = self.comm.allgather((spans, shards, summed(deltas.values())))
         if self.comm.rank != 0:
             return None
-        return build_distributed_explain(
-            num_queries=len(queries) if queries is not None else 0,
-            num_hits=len(hits) if hits is not None else 0,
-            num_shards=self.manifest.num_shards,
-            num_ranks=self.comm.size,
-            per_rank_payloads=gathered,
+        return build_explain(
+            query={"kind": "range_query_batch", "num_queries": len(queries), "exact": True},
+            num_hits=len(hits),
+            spans=[span for rank_spans, _, _ in gathered for span in rank_spans],
+            stats_delta=summed(delta for _, _, delta in gathered),
+            partitions_total=sum(len(shard.partition_ids) for shard in self.manifest.shards),
+            shards={sid: row for _, rows, _ in gathered for sid, row in rows.items()},
+            per_rank=[
+                {"rank": rank, "spans": len(rank_spans), **delta}
+                for rank, (rank_spans, _, delta) in enumerate(gathered)
+            ],
         )
 
     # ------------------------------------------------------------------ #

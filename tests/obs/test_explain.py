@@ -7,7 +7,7 @@ import pytest
 from repro import mpisim
 from repro.datasets import random_envelopes
 from repro.geometry import Envelope, Polygon
-from repro.obs import ExplainReport, DistributedExplainReport, Tracer
+from repro.obs import ExplainReport, Tracer
 from repro.obs.trace import NULL_TRACER
 from repro.pfs import LustreFilesystem
 from repro.store import (
@@ -178,6 +178,34 @@ class TestStatsFacades:
         degraded.close()
 
 
+class TestOneReport:
+    def test_one_rank_batch_explains_like_the_store(self, fs):
+        """At 1 rank on a 1-shard store, ``explain_batch([(0, w)])`` is the
+        store's own ``explain(w)`` on a fresh open: the same fold of the
+        same spans over the same work, window after window — cold, partly
+        cached, and a re-hit served from the warm cache."""
+        bulk_load(fs, "one", make_geoms(), num_partitions=16, page_size=512)
+        windows = [WINDOW, Envelope(40.0, 40.0, 90.0, 90.0), WINDOW]
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "one", cache_pages=64) as server:
+                return [server.explain_batch([(0, window)]) for window in windows]
+
+        served = mpisim.run_spmd(prog, 1).values[0]
+        with SpatialDataStore.open(fs, "one", cache_pages=64) as store:
+            local = [store.explain(window) for window in windows]
+        for dist, one in zip(served, local):
+            for section in ("plan", "schedule", "refine", "cache", "stats_delta", "num_hits"):
+                assert getattr(dist, section) == getattr(one, section), section
+            assert dist.routing == {
+                "num_shards": 1, "num_ranks": 1, "shards_visited": 1, "shards_pruned": 0,
+            }
+        cold, partial, warm = (report.cache for report in local)
+        assert cold["hits"] == 0 < cold["misses"]
+        assert partial["hits"] > 0 and partial["misses"] > 0
+        assert warm["misses"] == 0 < warm["hits"]
+
+
 class TestDistributedExplain:
     @pytest.mark.parametrize("nprocs", (1, 2, 4))
     def test_explain_batch(self, fs, nprocs):
@@ -198,7 +226,7 @@ class TestDistributedExplain:
 
         values = mpisim.run_spmd(prog, nprocs).values
         hits, report = values[0]
-        assert isinstance(report, DistributedExplainReport)
+        assert isinstance(report, ExplainReport)
         # non-root ranks participate but receive no report
         assert all(v[1] is None for v in values[1:])
         assert report.num_hits == len(hits)
@@ -207,8 +235,9 @@ class TestDistributedExplain:
             == report.routing["num_shards"]
         assert sum(info["entries"] for info in report.shards.values()) > 0
         text = report.render()
-        assert text.startswith("EXPLAIN distributed batch")
-        assert f"{len(queries)} queries" in text
+        assert text.startswith("EXPLAIN range_query_batch")
+        assert f"num_queries={len(queries)}" in text
+        assert "routing:" in text and "plan:" in text and "refine:" in text
         # the gathered trace is connected under one id
         ids = {s["span_id"] for s in report.spans}
         assert all(

@@ -412,6 +412,40 @@ class TestReplicaFailover:
         assert stats["cache_misses"] == counters["cache.misses"]
         assert stats["io_seconds"] == pytest.approx(counters["store.io_seconds"], rel=1e-12)
 
+    @pytest.mark.parametrize("nprocs", (1, 4))
+    def test_explain_batch_delta_is_the_aggregate_movement_across_a_failover(
+        self, sharded, nprocs
+    ):
+        # EXPLAIN reads the same per-shard ledger as aggregate_stats: the
+        # batch that fails the primary over reports the retired primary's
+        # failed reads, retries and backoff, and the replica's open and
+        # reads, in the victim shard's row and in the total
+        def measure(server, comm, serve):
+            before = server.aggregate_stats()["aggregate"]
+            report = server.explain_batch([(0, WINDOW)] if comm.rank == 0 else None)
+            after = server.aggregate_stats()["aggregate"]
+            return report, before, after, server.aggregate_metrics()["counters"]
+
+        report, before, after, counters = self._serve_poisoned(sharded, nprocs, measure)
+        assert counters["server.failovers"] == 1
+        moved = {key: after[key] - before[key] for key in after if key != "cache_hit_rate"}
+        assert set(report.stats_delta) == set(moved)
+        for key, value in moved.items():
+            assert report.stats_delta[key] == pytest.approx(value, rel=1e-12), key
+        for key in ("io_seconds", "retries", "checksum_failures", "cache_misses"):
+            assert report.stats_delta[key] > 0, key
+        victim = next(s for s in sharded[2].manifest.shards if s.num_pages > 0)
+        row = report.shards[victim.shard_id]
+        assert row["checksum_failures"] == report.stats_delta["checksum_failures"]
+        assert row["retries"] == report.stats_delta["retries"]
+        for key in ("io_seconds", "cache_misses", "records_decoded"):
+            assert sum(info[key] for info in report.shards.values()) == pytest.approx(
+                report.stats_delta[key], rel=1e-12
+            )
+            assert sum(rank.get(key, 0) for rank in report.per_rank) == pytest.approx(
+                report.stats_delta[key], rel=1e-12
+            )
+
     def test_virtual_clock_charges_the_store_failover_retired(self, sharded):
         # every simulated I/O second the batch cost — the primary's failed
         # reads and retry backoff, the replica's open and reads — is charged
