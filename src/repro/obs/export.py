@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
-from .trace import Span, as_span_dicts
+from .trace import Span, as_span_dicts, span_order
 
 __all__ = [
     "chrome_trace",
@@ -33,8 +33,8 @@ SpanLike = Union[Span, Mapping[str, Any]]
 
 
 def spans_to_jsonl(spans: Sequence[SpanLike]) -> str:
-    """One JSON object per line, sorted by (start, span id)."""
-    rows = sorted(as_span_dicts(spans), key=lambda s: (s["start"], s["span_id"]))
+    """One JSON object per line, sorted by :func:`~repro.obs.trace.span_order`."""
+    rows = sorted(as_span_dicts(spans), key=span_order)
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
@@ -56,7 +56,7 @@ def chrome_trace(spans: Sequence[SpanLike]) -> Dict[str, Any]:
     """
     events: List[Dict[str, Any]] = []
     trace_ids: List[str] = []
-    rows = sorted(as_span_dicts(spans), key=lambda s: (s["start"], s["span_id"]))
+    rows = sorted(as_span_dicts(spans), key=span_order)
     for row in rows:
         if row["trace_id"] not in trace_ids:
             trace_ids.append(row["trace_id"])

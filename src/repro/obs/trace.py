@@ -28,9 +28,9 @@ computation behind ``tracer.enabled``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-__all__ = ["NULL_TRACER", "NullTracer", "Span", "TraceContext", "Tracer"]
+__all__ = ["NULL_TRACER", "NullTracer", "Span", "TraceContext", "Tracer", "span_order"]
 
 
 class TraceContext:
@@ -240,11 +240,8 @@ class Tracer:
         self.spans.clear()
 
     def export(self) -> List[Dict[str, Any]]:
-        """Finished spans as dicts, sorted by (start, span id)."""
-        return [
-            s.as_dict()
-            for s in sorted(self.spans, key=lambda s: (s.start, s.span_id))
-        ]
+        """Finished spans as dicts, sorted by :func:`span_order`."""
+        return sorted((s.as_dict() for s in self.spans), key=span_order)
 
 
 class _NullSpan:
@@ -304,6 +301,14 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
+
+
+def span_order(span: Mapping[str, Any]) -> Tuple[float, int, int]:
+    """Sort key of a span dict: its start, then its id's rank and sequence
+    number as integers — spans that start together keep their recording
+    order (the id *string* would put ``"0:10"`` before ``"0:9"``)."""
+    rank, seq = span["span_id"].split(":")
+    return span["start"], int(rank), int(seq)
 
 
 def as_span_dicts(

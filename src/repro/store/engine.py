@@ -164,14 +164,20 @@ class DistributedHit(_Hit):
     page_id = property(attrgetter("_page_id"))
 
 
-def _matched(query_id: Any, shard_id: int, hit: QueryHit) -> DistributedHit:
-    """*hit* as matched by *query_id* on *shard_id*, its body (decoded or
-    not) handed through as it stands."""
-    payload = hit._payload  # first: a decode stores the geometry, then drops the payload
-    new = DistributedHit(query_id, hit._record_id, hit._geometry, shard_id, hit._partition_id,
-                         hit._page_id)
-    new._payload, new._slot = payload, hit._slot
-    return new
+def _matched(query_id: Any, shard_id: int, hits: List[QueryHit]) -> List[DistributedHit]:
+    """*hits* as matched by *query_id* on *shard_id*, in order, each body
+    (decoded or not) handed through as it stands.  The slots are stored
+    directly: this runs once per hit on every serving rank."""
+    out = []
+    new = DistributedHit.__new__
+    for hit in hits:
+        dist = new(DistributedHit)
+        # the payload first: a decode stores the geometry, then drops the payload
+        dist._payload, dist._geometry, dist._slot = hit._payload, hit._geometry, hit._slot
+        dist._query_id, dist._record_id, dist._shard_id = query_id, hit._record_id, shard_id
+        dist._partition_id, dist._page_id = hit._partition_id, hit._page_id
+        out.append(dist)
+    return out
 
 
 @dataclass(frozen=True)

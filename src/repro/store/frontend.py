@@ -14,10 +14,10 @@ messages on the ``mpisim`` virtual clock:
   rank 0's gather of an earlier batch;
 * completion is windowed: once ``max_in_flight`` batches are outstanding,
   rank 0 serves its own shard portion of the oldest batch, collects the
-  peers' :class:`~repro.store.sharded.ShardRows` — the engine's hit lists,
-  one chunk per served plan entry (the virtual arrival times are usually
-  already in the past — that is the overlap) — and de-duplicates, sorting
-  only the positions two chunks both answered.
+  peers' :class:`~repro.store.sharded.ShardRows` — finished hit lists, one
+  chunk per served plan entry (the virtual arrival times are usually
+  already in the past — that is the overlap) — and concatenates them,
+  sorting only the positions two chunks both answered.
 
 Because the buffered point-to-point layer stamps every message with its
 virtual arrival time, the resulting per-batch latencies and the aggregate

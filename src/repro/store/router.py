@@ -59,22 +59,25 @@ class ShardRouter:
 
     def plan(
         self,
-        queries: Sequence[Tuple[Any, Envelope]],
+        queries: Sequence[Tuple[Any, ...]],
         assignment: Dict[int, int],
         nranks: int,
-    ) -> List[List[Tuple[int, Any, Envelope]]]:
+    ) -> List[List[Tuple[Any, ...]]]:
         """Per-rank scatter plan for a query batch.
 
-        Each entry of the returned ``nranks``-long list holds the
-        ``(index, query_id, window)`` triples the rank must answer; a query
-        touching several shards of one rank appears once in that rank's
-        list (the rank probes all of its matching shards locally).
+        Each query is a tuple whose last element is its window (``(query_id,
+        window)``, or the server's ``(query_id, probe, window)``).  Each
+        entry of the returned ``nranks``-long list holds the ``(index,
+        *query)`` tuples the rank must answer, *index* the query's batch
+        position; a query touching several shards of one rank appears once
+        in that rank's list (the rank probes all of its matching shards
+        locally).
         """
-        out: List[List[Tuple[int, Any, Envelope]]] = [[] for _ in range(nranks)]
-        for idx, (qid, window) in enumerate(queries):
-            targets = {assignment[s.shard_id] for s in self.shards_for(window)}
-            for rank in sorted(targets):
-                out[rank].append((idx, qid, window))
+        out: List[List[Tuple[Any, ...]]] = [[] for _ in range(nranks)]
+        for idx, query in enumerate(queries):
+            entry = (idx, *query)
+            for rank in sorted({assignment[s.shard_id] for s in self.shards_for(query[-1])}):
+                out[rank].append(entry)
         return out
 
     # ------------------------------------------------------------------ #

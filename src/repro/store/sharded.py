@@ -14,8 +14,9 @@ applications (§5–§6) are multi-rank.  This module closes the gap:
   batch as a tagged point-to-point message, ranks answer locally through
   their SIEVE page caches and send their results back, and rank 0
   de-duplicates them on logical ``record_id`` (replicas of a geometry may
-  live in multiple shards).  A rank ships the engine's own hit lists, one
-  :data:`Chunk` per served plan entry; rank 0 sorts only the batch positions
+  live in multiple shards).  A plan entry carries its query id, so a rank
+  ships finished :class:`DistributedHit` lists, one :data:`Chunk` per served
+  plan entry; rank 0 concatenates them and sorts only the batch positions
   that two chunks both answered.  One loop (``_serve``) does this for every
   serving call: a range batch and a join are one batch through it, the
   async front-end (:mod:`repro.store.frontend`) many, with up to
@@ -34,7 +35,7 @@ from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter
 from typing import (
     Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -44,7 +45,7 @@ from ..geometry.wkb import encoded_size
 from ..mpisim import Communicator, payload_nbytes
 from ..obs.explain import ExplainReport, build_explain, stats_movement
 from ..obs.metrics import MetricsRegistry, merge_snapshots, summed
-from ..obs.trace import NULL_TRACER, Tracer
+from ..obs.trace import NULL_TRACER, Tracer, span_order
 from ..pfs import SimulatedFilesystem
 from .datastore import QueryHit, SpatialDataStore, stats_from_counters
 from .engine import BatchOutcome, DeadlineExceeded, DistributedHit, _matched
@@ -72,16 +73,15 @@ class ShardError(StoreError):
 
 
 #: one shard's answer to one plan entry on the wire: ``(batch position,
-#: shard, hits)`` — *hits* is the engine's :class:`QueryHit` list as it came
-#: out (record ids unique and ascending); the query id stays with rank 0's
-#: batch
-Chunk = Tuple[int, int, List[QueryHit]]
-#: wire bytes of a hit's five 8-byte id columns (position, record, shard,
+#: hits)`` — *hits* is the serving rank's finished :class:`DistributedHit`
+#: list, in the engine's order (record ids unique and ascending)
+Chunk = Tuple[int, List[DistributedHit]]
+#: wire bytes of a hit's five 8-byte id columns (query, record, shard,
 #: partition, page)
 ROW_ID_BYTES = 40
-#: wire bytes of a range-query plan entry: its batch position and the window
-#: (the paper's ``MPI_RECT``, four doubles)
-WINDOW_ENTRY_BYTES = 8 + 32
+#: wire bytes of a range-query plan entry: its batch position, its query id
+#: and the window (the paper's ``MPI_RECT``, four doubles)
+WINDOW_ENTRY_BYTES = 8 + 8 + 32
 #: one unserved shard portion: ``(shard, missing partitions, affected batch
 #: positions, cause, fatal)``
 Failure = Tuple[int, List[int], List[int], str, bool]
@@ -159,11 +159,12 @@ def body_nbytes(geom: Geometry) -> int:
     return encoded_size(geom) + payload_nbytes(geom.userdata)
 
 
-def entry_nbytes(entry: Tuple[int, Optional[Geometry], Envelope]) -> int:
-    """Wire bytes of one plan entry ``(batch position, probe, window)``: a
-    range query has no probe and ships :data:`WINDOW_ENTRY_BYTES`; a join
-    entry ships its position and the probe, which carries the window."""
-    return WINDOW_ENTRY_BYTES if entry[1] is None else 8 + body_nbytes(entry[1])
+def entry_nbytes(entry: Tuple[int, Any, Optional[Geometry], Envelope]) -> int:
+    """Wire bytes of one plan entry ``(batch position, query id, probe,
+    window)``: a range query has no probe and ships
+    :data:`WINDOW_ENTRY_BYTES`; a join entry's query id is its position, so
+    it ships the position and the probe, which carries the window."""
+    return WINDOW_ENTRY_BYTES if entry[2] is None else 8 + body_nbytes(entry[2])
 
 
 class SizedList(list):
@@ -180,10 +181,11 @@ class SizedList(list):
 
 class ShardRows(SizedList):
     """One rank's answer to one batch — the gather payload of every serving
-    call: one :data:`Chunk` per served plan entry plus the shard portions it
-    could not serve (``failures``, empty in strict mode).  ``nbytes`` is
-    :data:`ROW_ID_BYTES` + :func:`body_nbytes` per hit, and per failure 16 +
-    8 per listed partition and batch position + the cause text."""
+    call: one :data:`Chunk` of finished hits per served plan entry plus the
+    shard portions it could not serve (``failures``, empty in strict mode).
+    ``nbytes`` is :data:`ROW_ID_BYTES` + :func:`body_nbytes` per hit, and
+    per failure 16 + 8 per listed partition and batch position + the cause
+    text."""
 
     __slots__ = ("failures",)
 
@@ -191,16 +193,17 @@ class ShardRows(SizedList):
         super().__init__()
         self.failures: List[Failure] = []
 
-    def add_hits(
-        self, idx: int, sid: int, hits: List[QueryHit], sizes: List[Dict[int, Dict[int, int]]]
-    ) -> None:
-        """Append shard *sid*'s *hits* of the plan entry at batch position
-        *idx* as one chunk.  *sizes* is the shard store's memo of
-        :func:`body_nbytes`, per generation one dict by page id of dicts by
-        record id: a record body is immutable while its store is open, so a
-        record is priced once while its page stays cached.  A hit's geometry
-        is read only to price a record the memo lacks, so a hit the engine
-        proved undecoded stays undecoded on a warm memo."""
+    def add_hits(self, idx: int, qid: Any, sid: int, hits: List[QueryHit],
+                 sizes: List[Dict[int, Dict[int, int]]]) -> None:
+        """Append shard *sid*'s engine *hits* of the plan entry at batch
+        position *idx*, query *qid*, as one chunk of :class:`DistributedHit`
+        (each body, decoded or lazy, handed through).  Each record is priced
+        from its :class:`QueryHit` through *sizes*, the shard store's memo
+        of :func:`body_nbytes`: per generation one dict by page id of dicts
+        by record id.  A record body is immutable while its store is open,
+        so a record is priced once while its page stays cached.  A hit's
+        geometry is read only to price a record the memo lacks, so a hit the
+        engine proved undecoded stays undecoded on a warm memo."""
         nbytes = ROW_ID_BYTES * len(hits)
         for hit in hits:
             page_id = hit.page_id
@@ -213,10 +216,10 @@ class ShardRows(SizedList):
                 size = memo[record_id] = body_nbytes(hit.geometry)
             nbytes += size
         self.nbytes += nbytes
-        self.append((idx, sid, hits))
+        self.append((idx, _matched(qid, sid, hits)))
 
     def num_hits(self) -> int:
-        return sum(len(chunk[2]) for chunk in self)
+        return sum(len(chunk[1]) for chunk in self)
 
     def fail(
         self, sid: int, partitions: List[int], positions: List[int], cause: str, fatal: bool
@@ -225,34 +228,34 @@ class ShardRows(SizedList):
         self.nbytes += 16 + 8 * (len(partitions) + len(positions)) + payload_nbytes(cause)
 
 
-def merge_chunks(payloads: Iterable[List[Chunk]], qids: Sequence[Any]) -> List[DistributedHit]:
+#: the merge's sort key of a hit: record id, then its replica's location
+_REPLICA_ORDER = attrgetter("record_id", "shard_id", "partition_id", "page_id")
+
+
+def merge_chunks(payloads: Iterable[List[Chunk]]) -> List[DistributedHit]:
     """De-duplicate gathered chunks on ``(batch position, record id)``, in
-    that order.  Chunks are grouped by position.  A position with one
-    non-empty chunk is that chunk as it stands (the engine's ids are unique
-    and ascending); one answered by several is sorted on the id columns and
-    the first hit of each record kept — the lowest ``(shard, partition,
-    page)`` replica wins.  *qids* maps a batch position to its query id,
-    which never travelled."""
-    by_position: Dict[int, List[Chunk]] = {}
-    for chunk in chain.from_iterable(payloads):
-        if chunk[2]:
-            by_position.setdefault(chunk[0], []).append(chunk)
+    that order.  Chunks are grouped by position (never by query id, which
+    may repeat or be unhashable).  A position with one non-empty chunk is
+    that chunk's list as it stands — no new hit, no sort: the serving rank
+    built the hits and the engine's ids are unique and ascending.  A
+    position answered by several is sorted on ``(record id, shard,
+    partition, page)`` and the first hit of each record kept — the lowest
+    replica wins."""
+    by_position: Dict[int, List[List[DistributedHit]]] = {}
+    for idx, found in chain.from_iterable(payloads):
+        if found:
+            by_position.setdefault(idx, []).append(found)
     hits: List[DistributedHit] = []
-    for idx, chunks in sorted(by_position.items()):
-        qid = qids[idx]
-        if len(chunks) == 1:
-            _, sid, found = chunks[0]
-            hits += [_matched(qid, sid, hit) for hit in found]
+    for _, lists in sorted(by_position.items()):
+        if len(lists) == 1:
+            hits += lists[0]
             continue
         last = None
         # the key stops at the page column: hits are never compared
-        rows = [
-            (h.record_id, sid, h.partition_id, h.page_id, h) for _, sid, found in chunks for h in found
-        ]
-        for record_id, sid, _, _, hit in sorted(rows, key=itemgetter(0, 1, 2, 3)):
-            if record_id != last:
-                last = record_id
-                hits.append(_matched(qid, sid, hit))
+        for hit in sorted(chain.from_iterable(lists), key=_REPLICA_ORDER):
+            if hit.record_id != last:
+                last = hit.record_id
+                hits.append(hit)
     return hits
 
 
@@ -559,14 +562,15 @@ class DistributedStoreServer:
     def collect_trace(self) -> Optional[List[Dict[str, Any]]]:
         """Every rank's finished spans on rank 0 (collective; an
         ``allgather``, which ``mpisim`` prices like a gather), sorted by
-        ``(start, span_id)``.  Returns ``None`` on non-root ranks.
+        :func:`~repro.obs.trace.span_order`: start, rank, then recording
+        order.  Returns ``None`` on non-root ranks.
         """
         local = self.tracer.export() if self.tracer.enabled else []
         gathered = self.comm.allgather(local)
         if self.comm.rank != 0:
             return None
         spans = [span for chunk in gathered for span in chunk]
-        spans.sort(key=lambda s: (s["start"], s["span_id"]))
+        spans.sort(key=span_order)
         return spans
 
     def explain_batch(
@@ -636,7 +640,7 @@ class DistributedStoreServer:
         refine: Optional[Callable[[Any, List[QueryHit]], List[QueryHit]]] = None,
     ) -> ShardRows:
         """The shard-serving loop: this rank's shards over plan *entries*
-        ``(batch position, probe, window)``; returns the rank's
+        ``(batch position, query id, probe, window)``; returns the rank's
         :class:`ShardRows`.
 
         Per shard, entries outside the shard extent are dropped and the rest
@@ -708,8 +712,8 @@ class DistributedStoreServer:
                 )
                 continue
             sizes = self._body_sizes[sid]
-            for (idx, probe, _), hits in zip(kept, outcome.hits):
-                rows.add_hits(idx, sid, hits if refine is None else refine(probe, hits), sizes)
+            for (idx, qid, probe, _), hits in zip(kept, outcome.hits):
+                rows.add_hits(idx, qid, sid, hits if refine is None else refine(probe, hits), sizes)
             cache = self.stores[sid]._cache
             if sum(map(len, sizes)) > cache.capacity:  # bounded like the cache
                 for gen, pages in enumerate(sizes):  # drop the pages it let go
@@ -756,21 +760,25 @@ class DistributedStoreServer:
         self._charge_phase("local_query", since)
         return rows
 
-    def _plan(
-        self, items: Sequence[Tuple[Optional[Geometry], Envelope]]
-    ) -> List[SizedList]:
-        """Rank 0's plan for ``(probe, window)`` *items*: per rank
-        the list of ``(batch position, probe, window)`` entries it must
-        answer, sized by :func:`entry_nbytes`."""
+    def _route(self, queries: List[Tuple[Any, Optional[Geometry], Envelope]]) -> List[SizedList]:
+        """Rank 0's plan for ``(query id, probe, window)`` *queries*: per
+        rank the list of ``(batch position, query id, probe, window)``
+        entries it must answer, sized by :func:`entry_nbytes`."""
         return [
             SizedList(entries, sum(map(entry_nbytes, entries)))
-            for entries in self.router.plan(items, self.assignment, self.comm.size)
+            for entries in self.router.plan(queries, self.assignment, self.comm.size)
         ]
 
+    def _plan(self, items: Sequence[Tuple[Optional[Geometry], Envelope]]) -> List[SizedList]:
+        """:meth:`_route` of a join's ``(probe, window)`` *items*: a probe's
+        query id is its batch position."""
+        return self._route([(idx, probe, window) for idx, (probe, window) in enumerate(items)])
+
     def _plan_windows(self, queries: Sequence[Tuple[Any, Envelope]]) -> List[SizedList]:
-        """:meth:`_plan` of a ``(query_id, window)`` batch; the ids stay here."""
+        """:meth:`_route` of a ``(query_id, window)`` batch: the ids ride the
+        plan, so the serving ranks return finished hits."""
         self.queries_served += len(queries)
-        return self._plan([(None, window) for _, window in queries])
+        return self._route([(qid, None, window) for qid, window in queries])
 
     # ------------------------------------------------------------------ #
     # the serving loop
@@ -800,7 +808,7 @@ class DistributedStoreServer:
         gather; rank 0 answers its own list of the oldest batch when the
         window is full, receives the other ranks' :class:`ShardRows` and
         merges them.  ``answer(entries, *options)`` serves one rank's list,
-        ``assemble(batch, payloads, *options)`` merges one batch's rows on
+        ``assemble(payloads, batch, *options)`` merges one batch's rows on
         rank 0.  Every phase is charged to :attr:`phases`.
 
         Returns, on rank 0, one ``(result, submitted, completed)`` per
@@ -844,7 +852,7 @@ class DistributedStoreServer:
                 payloads.append(comm.recv(source=rank, tag=_TAG_BASE + 2 * b + 1))
             with tracer.span("gather") as span:
                 with clock.compute(category="gather"):
-                    result = assemble(batch, payloads, *options)
+                    result = assemble(payloads, batch, *options)
                 if tracer.enabled:
                     span.set(rows=sum(rows.num_hits() for rows in payloads), batch=b)
             self._charge_phase("gather", t)
@@ -897,9 +905,7 @@ class DistributedStoreServer:
             lambda mine, partial_ok, deadline: self._serve_shards(
                 mine, exact, partial_ok or deadline is not None, deadline
             ),
-            lambda batch, payloads, partial_ok, deadline: self._assemble(
-                payloads, [qid for qid, _ in batch], partial_ok, deadline
-            ),
+            self._assemble,
         )
 
     def range_query_batch(
@@ -934,20 +940,21 @@ class DistributedStoreServer:
     def _assemble(
         self,
         payloads: List[ShardRows],
-        qids: Sequence[Any],
+        batch: Sequence[Any],
         partial_ok: bool,
         deadline: Optional[float],
     ) -> Any:
-        """Merge every rank's :class:`ShardRows`: the de-duplicated hits
-        (``query_id`` filled from *qids* here, at rank 0), wrapped with their
+        """The ``assemble`` of a range batch: merge every rank's
+        :class:`ShardRows` into the de-duplicated hits, wrapped with their
         completeness account as a :class:`QueryResult` when *partial_ok* or
-        a *deadline* selected degraded serving."""
+        a *deadline* selected degraded serving.  The hits arrive finished
+        (query ids included), so *batch* is not read."""
         failures = [f for rows in payloads for f in rows.failures]
         if not partial_ok:
             for sid, _, _, cause, fatal in failures:
                 if fatal:
                     raise self._shard_error(sid, "query", cause)
-        hits = merge_chunks(payloads, qids)
+        hits = merge_chunks(payloads)
         if not partial_ok and deadline is None:
             return hits
         degraded = sorted({pos for _, _, positions, _, _ in failures for pos in positions})
@@ -986,9 +993,8 @@ class DistributedStoreServer:
             # the probe geometry rides the plan so ranks can refine
             lambda batch: self._plan([(p, p.envelope) for p in batch]),
             lambda mine: self._serve_shards(mine, exact=False, action="join", refine=refine),
-            lambda batch, payloads: [
-                (batch[hit.query_id], hit)
-                for hit in self._assemble(payloads, range(len(batch)), False, None)
+            lambda payloads, batch: [
+                (batch[hit.query_id], hit) for hit in self._assemble(payloads, batch, False, None)
             ],
         )
         return None if served is None else served[0][0]

@@ -54,6 +54,23 @@ class TestSpanHierarchy:
         assert s.start == 0.0
         assert s.end == pytest.approx(1.25)
 
+    def test_spans_that_start_together_export_in_recording_order(self):
+        # twelve spans at one virtual time: the ids run "0:1" .. "0:12", so a
+        # sort on the id string would put "0:10" before "0:2"
+        from repro.mpisim.clock import VirtualClock
+
+        tracer = Tracer(clock=VirtualClock())
+        for i in range(12):
+            with tracer.span(f"s{i}"):
+                pass
+        names = [f"s{i}" for i in range(12)]
+        assert {s.start for s in tracer.spans} == {0.0}
+        assert [row["name"] for row in tracer.export()] == names
+        rows = [json.loads(line) for line in spans_to_jsonl(tracer.spans).splitlines()]
+        assert [row["name"] for row in rows] == names
+        events = [e for e in chrome_trace(tracer.spans)["traceEvents"] if e["ph"] == "X"]
+        assert [e["name"] for e in events] == names
+
     def test_attrs_and_set(self):
         tracer = Tracer()
         with tracer.span("io", pages=3) as s:

@@ -638,13 +638,34 @@ class TestWireSizes:
         hit, the geometry's WKB, its userdata."""
         from repro.geometry import wkb
         from repro.mpisim import payload_nbytes
-        from repro.store import QueryHit
+        from repro.store import DistributedHit
 
-        # (batch position, shard, the engine's hits): no query id on the wire
-        assert all(len(chunk) == 3 for chunk in rows)
-        hits = [hit for _, _, found in rows for hit in found]
-        assert all(type(hit) is QueryHit for hit in hits)
+        # (batch position, the serving rank's finished hits)
+        assert all(len(chunk) == 2 for chunk in rows)
+        hits = [hit for _, found in rows for hit in found]
+        assert all(type(hit) is DistributedHit for hit in hits)
         return sum(40 + len(wkb.dumps(h.geometry)) + payload_nbytes(h.geometry.userdata) for h in hits)
+
+    @staticmethod
+    def plan_nbytes(entries, qids=None):
+        """The documented plan formula, by actually encoding each entry
+        ``(batch position, query id, probe, window)``: a range entry is its
+        position, its query id (``qids[position]``) and the four doubles of
+        its window; a join entry's query id is its position, so it ships the
+        position and the probe's WKB and userdata."""
+        from repro.geometry import wkb
+        from repro.mpisim import payload_nbytes
+
+        assert all(len(entry) == 4 for entry in entries)
+        total = 0
+        for idx, qid, probe, window in entries:
+            if probe is None:
+                assert qid == qids[idx] and isinstance(window, Envelope)
+                total += 8 + 8 + 32
+            else:
+                assert qid == idx and window == probe.envelope
+                total += 8 + len(wkb.dumps(probe)) + payload_nbytes(probe.userdata)
+        return total
 
     @staticmethod
     def windows(count, seed=82, size=0.3):
@@ -657,12 +678,13 @@ class TestWireSizes:
         fs, shipped = wire
         hits = serve_distributed(fs, "data", self.windows(40), nprocs)
         payloads = [obj for op, _, obj in shipped if op == "rows"]
-        shipped_hits = sum(len(found) for rows in payloads for _, _, found in rows)
+        shipped_hits = sum(len(found) for rows in payloads for _, found in rows)
         assert len(payloads) == nprocs and shipped_hits >= len(hits) > 0
         for rows in payloads:
             assert rows.failures == []
             assert rows.nbytes == self.rows_nbytes(rows)
-        # query ids are filled in at rank 0 from its own batch
+            # the serving rank fills in the query id the plan entry carried
+            assert all(h.query_id == f"q{idx}" for idx, found in rows for h in found)
         assert {h.query_id for h in hits} <= {f"q{i}" for i in range(40)}
 
     def test_bytes_charged_equal_the_payload_sizes(self, wire):
@@ -689,14 +711,20 @@ class TestWireSizes:
         peer_rows = [obj for op, rank, obj in shipped if op == "rows" and rank == 1]
         assert len(plans) == len(peer_rows) == 3 and all(ctx is None for ctx, _ in plans)
         # the one batch of range_query_batch: the root sends the peer its plan
-        # entries (position + MPI_RECT = 40 bytes each), the peer its rows;
-        # the only collective is the header (batch count + partial_ok, and a
-        # deadline of None), broadcast by the root
-        assert root_first["comm.bytes_sent"] == 40 * len(plans[0][1]) > 0
+        # entries (position + query id + MPI_RECT = 48 bytes each), the peer
+        # its rows; the only collective is the header (batch count +
+        # partial_ok, and a deadline of None), broadcast by the root
+        qids = [qid for qid, _ in batch]
+        assert root_first["comm.bytes_sent"] == self.plan_nbytes(plans[0][1], qids) > 0
+        assert root_first["comm.bytes_sent"] == 48 * len(plans[0][1])
         assert peer_first["comm.bytes_sent"] == self.rows_nbytes(peer_rows[0]) > 0
         assert (root_first["comm.bytes_collective"], peer_first.get("comm.bytes_collective", 0)) == (16, 0)
         # front-end: the same sizes, batch by batch, on the same transport
-        assert root_all["comm.bytes_sent"] == sum(40 * len(entries) for _, entries in plans)
+        # (a batch's positions restart at 0)
+        batch_qids = [qids, qids[:25], qids[25:]]
+        assert root_all["comm.bytes_sent"] == sum(
+            self.plan_nbytes(entries, ids) for (_, entries), ids in zip(plans, batch_qids)
+        )
         assert peer_all["comm.bytes_sent"] == sum(map(self.rows_nbytes, peer_rows))
 
     def test_plans_of_64_and_65_entries_are_priced_by_one_rule(self, wire):
@@ -709,8 +737,39 @@ class TestWireSizes:
             serve_distributed(fs, "data", everything, 3)
             plans = [obj for op, _, obj in shipped if op == "plan"]
             assert [len(entries) for _, entries in plans] == [count, count]
-            assert [entries.nbytes for _, entries in plans] == [40 * count, 40 * count]
-            assert [payload_nbytes(plan) for plan in plans] == [40 * count, 40 * count]
+            assert [entries.nbytes for _, entries in plans] == [
+                self.plan_nbytes(entries, range(count)) for _, entries in plans
+            ] == [48 * count, 48 * count]
+            assert [payload_nbytes(plan) for plan in plans] == [48 * count, 48 * count]
+
+    def test_a_range_entry_ships_its_query_id_and_a_join_entry_does_not(self, wire):
+        # a range entry is 48 bytes: position, query id, window; a join
+        # entry's query id is its batch position, so the join ships what it
+        # always shipped: position + probe WKB + userdata
+        from repro.geometry import wkb
+        from repro.mpisim import payload_nbytes
+
+        fs, shipped = wire
+        batch = self.windows(30)
+        probes = [Polygon.from_envelope(env, userdata=i) for i, (_, env) in enumerate(batch)]
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "data") as server:
+                server.range_query_batch(batch if comm.rank == 0 else None)
+                return server.join(probes if comm.rank == 0 else None)
+
+        pairs = mpisim.run_spmd(prog, 2).values[0]
+        (_, ranged), (_, joined) = [obj for op, _, obj in shipped if op == "plan"]
+        assert ranged and joined and pairs
+        assert all(len(entry) == 4 for entry in ranged + joined)
+        assert ranged.nbytes == 48 * len(ranged) == self.plan_nbytes(ranged, [q for q, _ in batch])
+        assert [(idx, qid, probe) for idx, qid, probe, _ in ranged] == [
+            (idx, batch[idx][0], None) for idx, _, _, _ in ranged
+        ]
+        assert joined.nbytes == sum(
+            8 + len(wkb.dumps(probes[idx])) + payload_nbytes(idx) for idx, _, _, _ in joined
+        ) == self.plan_nbytes(joined)
+        assert all(qid == idx and probe is probes[idx] for idx, qid, probe, _ in joined)
 
     def test_each_record_is_priced_once_and_exactly(self, wire, monkeypatch):
         # the second of two identical batches on one server prices every

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 from _dedup_reference import dedup_reference  # the retired dict fold, kept next to this file
 from _merge_rows_reference import chunk_rows, merge_rows  # the retired row merge
+from _rank0_merge_reference import merge_chunks as rank0_merge  # the retired rank-0 merge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from repro.store import (
     ShardsManifest,
     bulk_load,
 )
+from repro.store.engine import _matched
 from repro.store.sharded import merge_chunks
 
 EXTENT = Envelope(0.0, 0.0, 100.0, 100.0)
@@ -198,7 +200,9 @@ class TestNothingIsPickledToBeMeasured:
 # --------------------------------------------------------------------------- #
 @st.composite
 def chunk_sets(draw):
-    """Chunks as four ranks would ship them, shaped as the engine answers:
+    """Chunks as four ranks would answer them, shaped as the engine answers
+    (``(batch position, shard, QueryHit list)``, converted by
+    :func:`served`):
     each chunk's record ids unique and ascending, records matched by several
     batch positions and replicated across shards / partitions / pages (the
     same ``(position, record)`` under differing locations, one shard possibly
@@ -226,13 +230,21 @@ def chunk_sets(draw):
     return ranks, qids
 
 
+def served(ranks, qids):
+    """*ranks*' chunks converted the way a serving rank now ships them: one
+    ``(batch position, hits)`` chunk of finished hits, the query id taken
+    from the plan entry."""
+    return [[(idx, _matched(qids[idx], sid, hits)) for idx, sid, hits in chunks] for chunks in ranks]
+
+
 class TestMergeIsOrderFree:
     @given(chunk_sets())
     @settings(max_examples=300, deadline=None)
     def test_chunk_merge_equals_the_retired_merges(self, case):
         ranks, qids = case
         rows = [chunk_rows(chunks) for chunks in ranks]
-        merged = merge_chunks(ranks, qids)
+        merged = merge_chunks(served(ranks, qids))
+        assert merged == rank0_merge(ranks, qids)
         assert merged == merge_rows(rows, qids)
         assert merged == dedup_reference(
             (idx, qids[idx], record_id, sid, part, page, geom)
@@ -241,8 +253,8 @@ class TestMergeIsOrderFree:
         )
         # arrival order (across ranks and within a rank) never shows
         shuffled = [sorted(chunks, key=repr) for chunks in reversed(ranks)]
-        assert merge_chunks(shuffled, qids) == merged
-        # and, independently of all three: the lowest (shard, partition,
+        assert merge_chunks(served(shuffled, qids)) == merged
+        # and, independently of all four: the lowest (shard, partition,
         # page) wins
         best = {}
         for idx, record_id, sid, part, page, _ in (row for per_rank in rows for row in per_rank):
@@ -256,13 +268,48 @@ class TestMergeIsOrderFree:
         ]
 
     def test_empty(self):
-        assert merge_chunks([], []) == [] == merge_chunks([[], []], ["q"])
-        assert merge_chunks([[(0, 1, [])], [(0, 2, [])]], ["q"]) == []
+        assert merge_chunks([]) == [] == merge_chunks([[], []])
+        assert merge_chunks([[(0, [])], [(0, [])]]) == []
 
     def test_a_position_with_one_non_empty_chunk_is_that_chunk(self):
         hits = [QueryHit(3, Point(3.0, 0.0), 7, 1), QueryHit(5, Point(5.0, 0.0), 2, 4, 1)]
-        merged = merge_chunks([[(0, 2, hits), (0, 1, [])], [(0, 0, [])]], ["q"])
+        found = _matched("q", 2, hits)
+        merged = merge_chunks([[(0, found), (0, [])], [(0, [])]])
         assert merged == [
             DistributedHit("q", 3, hits[0].geometry, 2, 7, 1),
             DistributedHit("q", 5, hits[1].geometry, 2, 2, 4),
+        ]
+        # the serving rank's hits themselves: rank 0 builds nothing
+        assert all(a is b for a, b in zip(merged, found))
+
+    @pytest.mark.parametrize(
+        "qids", [["same", "same", "other"], [["a", "list"], 0, ["a", "list"]]],
+        ids=["repeated", "unhashable"],
+    )
+    def test_query_ids_are_never_grouped_or_hashed(self, qids):
+        # two positions with one id, and ids that cannot be hashed: the
+        # merge groups by position, so every answer keeps its position
+        hits = [QueryHit(rid, Point(float(rid), 0.0), 0, rid) for rid in range(3)]
+        ranks = [[(2, 1, hits[:2]), (0, 0, hits[1:])], [(0, 3, hits[:1]), (1, 2, hits)]]
+        merged = merge_chunks(served(ranks, qids))
+        assert merged == rank0_merge(ranks, qids)
+        assert [(h.query_id, h.record_id, h.shard_id) for h in merged] == [
+            (qids[0], 0, 3), (qids[0], 1, 0), (qids[0], 2, 0),
+            (qids[1], 0, 2), (qids[1], 1, 2), (qids[1], 2, 2),
+            (qids[2], 0, 1), (qids[2], 1, 1),
+        ]
+
+    @pytest.mark.parametrize("nprocs", (1, 2, 4))
+    def test_served_query_ids_come_back_in_position_order(self, fs, queries, nprocs):
+        # the same batch with ids that repeat or cannot be hashed answers
+        # position by position exactly as with unique ids
+        batch = queries[:12]
+        odd = [(["w", i % 3], env) if i % 2 else ("same", env) for i, (_, env) in enumerate(batch)]
+        call = CALLS["strict"]
+        expected, _ = run(fs, nprocs, call(batch))
+        got, _ = run(fs, nprocs, call(odd))
+        position = {qid: i for i, (qid, _) in enumerate(batch)}
+        assert len(got) == len(expected) > 0
+        assert [(odd[position[e.query_id]][0], e.record_id, e.shard_id) for e in expected] == [
+            (g.query_id, g.record_id, g.shard_id) for g in got
         ]
