@@ -57,7 +57,7 @@ def main() -> None:
         )
         print(
             f"sharded load: {sharded.num_records} records "
-            f"({sharded.num_replicas} replicas) -> {sharded.manifest.num_shards} shards: "
+            f"-> {sharded.manifest.num_shards} shards: "
             + ", ".join(
                 f"#{s.shard_id}={s.num_records}r/{s.num_pages}p"
                 for s in sharded.manifest.shards

@@ -17,7 +17,7 @@ individual cell boundaries".  A tree over cell rectangles is what a
 *non-uniform* cell set (adaptive or recursively split cells) would need; on a
 uniform grid the overlapped cells are two integer ranges, and the same floor
 function also names the one cell that owns a point.  That second use decides
-it: duplicate avoidance and the store's home-partition rule need replication
+it: duplicate avoidance and the store's home-cell rule need replication
 and point ownership to agree exactly, which one monotone function does by
 construction and a closed-rectangle probe beside it does not (a point on a
 cell edge is in two closed rectangles, and ``minx + c·w`` is not the float

@@ -12,7 +12,7 @@ owns a point are both answered by :meth:`UniformGrid._floor`: along each axis
 ``floor((v - origin) / cell_width)`` clamped to the grid, so cells are
 half-open ``[c·w, (c+1)·w)`` and closed at the extent's far edges.
 Replication (:meth:`~UniformGrid.cells_for_envelope`), a record's home
-partition and a pair's reference-point owner
+cell in the store and a pair's reference-point owner
 (:meth:`~UniformGrid.cell_for_point`) all go through it.  The function is
 monotone, so a point between an MBR's ``min`` and ``max`` is owned by a cell
 inside that MBR's replication set — the exactly-once rule of the join, the

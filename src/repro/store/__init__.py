@@ -10,14 +10,15 @@ for it again:
     a page directory and a mandatory per-page CRC32 table.
 
 ``repro.store.writer``
-    The bulk loader: grid partitioning (with replication), space-filling-
-    curve record ordering, page packing, index construction, and the split
+    The bulk loader: grid partitioning (each record stored once, in its
+    home cell), space-filling-curve record ordering, page packing, index
+    construction, and the split
     of the grid into contiguous shard runs routed by ``shards.json`` — every
     store has one; one shard (the store directory itself) is the local case.
 
 ``repro.store.mutable``
     Incremental appends and compaction: :class:`StoreAppender` routes each
-    record to its home shard as a delta generation (delta container + delta
+    record to the shard owning its home cell as a delta generation (delta container + delta
     index + manifest tombstones, tombstones broadcast to every shard);
     :func:`compact_store` bulk-loads the visible records again, ids kept.
 
@@ -40,7 +41,7 @@ for it again:
     The staged **plan → schedule → refine** query engine every serving entry
     point routes through: :class:`QueryPlanner` (filter phase),
     :class:`IOScheduler` (coalesced, cost-model-aware page I/O) and
-    :class:`RefineExecutor` (per-slot decode + replica de-dup), composed by
+    :class:`RefineExecutor` (per-slot decode + newest-version de-dup), composed by
     :class:`StoreEngine`.
 
 ``repro.store.sharded`` / ``repro.store.router``

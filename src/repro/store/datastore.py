@@ -697,7 +697,7 @@ class SpatialDataStore:
     def range_query(
         self, window: Union[Envelope, Geometry], exact: bool = True
     ) -> List[QueryHit]:
-        """Records intersecting *window*, de-duplicated across replicas.
+        """Records intersecting *window*, each once (newest version).
 
         A single-window batch through the :class:`~repro.store.engine.
         StoreEngine`: the planner selects exact ``(page, slot)`` candidates
@@ -819,8 +819,8 @@ class SpatialDataStore:
 
     def _visible(self) -> Iterator[Tuple[CachedPage, int]]:
         """``(page, slot)`` of every *visible* logical record exactly once:
-        generations newest first (an updated record's newest version wins),
-        replicas de-duplicated and tombstoned ids dropped — the engine's
+        generations newest first (an updated record's newest version wins,
+        older ones de-duplicated) and tombstoned ids dropped — the engine's
         refine-phase rule.  Pages stream through :meth:`_iter_pages`, so
         memory stays bounded by the page cache.  :meth:`scan` decodes these
         slots; compaction copies their frames."""

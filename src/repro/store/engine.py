@@ -119,7 +119,7 @@ class _Hit:
 
 class QueryHit(_Hit):
     """One record matched by a store query.  ``generation`` is the
-    generation whose container holds the returned replica (0 = base)."""
+    generation whose container holds the returned version (0 = base)."""
 
     __slots__ = ("_record_id", "_partition_id", "_page_id", "_generation")
     _fields = ("record_id", "geometry", "partition_id", "page_id", "generation")
@@ -325,14 +325,12 @@ class RefineExecutor:
 
     A record id already seen is skipped (envelope column) **before** any
     decode, and only surviving slots are ever WKB/pickle-decoded (memoised
-    per cached page).  The writers index each record once per generation,
+    per cached page).  The writers store each record once per generation,
     so one generation's candidates name each record once; the record-id
-    de-dup stays because an id still repeats where the loop meets it: in
-    several generations (an update — the newest wins), on every replica's
-    page in the full-page walks of ``_visible()`` (compaction, ``scan()``),
-    and in indexes written before the one-entry rule, which list every
-    replica.  Candidate pages are walked **newest generation
-    first** so when a record id occurs in several generations the newest
+    de-dup stays because an id still repeats across generations (an update
+    stacks a newer version — the newest wins), and in a one-shard store
+    written before records were stored once, whose copies it drops.
+    Candidate pages are walked **newest generation first** so when a record id occurs in several generations the newest
     version wins (generation shadowing), and record ids tombstoned by a
     newer generation are dropped before any decode.  When the window is a
     plain rectangle, a slot MBR contained in the window bounds its geometry
@@ -344,11 +342,9 @@ class RefineExecutor:
     Since PR 9 the filter runs **page-at-a-time with bulk operations**
     instead of per-slot Python work:
 
-    * replica de-dup and tombstone shadowing are set operations over the
+    * record-id de-dup and tombstone shadowing are set operations over the
       page's id column (``fresh = page_ids - seen``, ``live = fresh -
-      shadow``) — valid because pages never span partitions, so a record
-      id occurs at most once per page and its replicas always live on
-      *other* pages;
+      shadow``) — valid because a record id occurs at most once per page;
     * the tombstone shadow for each generation (``{id: tombstoned by a
       generation newer than g}``) is computed once and cached — the
       tombstone map of an open store is immutable (appends require a

@@ -31,9 +31,10 @@ scan answers "which slots can match this window" without touching WKB or
 pickle, and ``body_offset`` lets the refine phase decode exactly the
 surviving slots.
 
-Every record carries a *logical record id*: geometries replicated into
-several partitions (the paper's grid replication) keep the same id, which is
-what lets queries de-duplicate replicas without a reference-point test.
+Every record carries a *logical record id*.  A record is stored once per
+generation (in its home cell), and an update stores its new version under
+the same id in a newer generation, which is what lets queries shadow the
+old version.
 
 All multi-byte values are little-endian.  The container is self-describing:
 ``open()`` needs only the header, the page directory and the checksum table

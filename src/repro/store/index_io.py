@@ -15,12 +15,10 @@ Layout (little-endian)::
 
 Payloads are record addresses, the plain pair ``(page_id, slot)`` — the index
 maps a query window to the (page, slot) pairs to fetch, never to geometry
-objects, so it stays small and loads fast.  The writer indexes each record
-once per generation, at the first page that stores it (not once per grid
-replica: see :func:`~repro.store.writer.pack_partitions`), so ``num_items``
-equals the container header's record count.  A stream that lists every
-replica — how indexes were written before — loads and serves the same
-answers: the refine loop's record-id de-dup drops the extra copies.
+objects, so it stays small and loads fast.  The writers store each record
+once per generation and index every stored slot
+(:func:`~repro.store.writer.pack_partitions`), so ``num_items`` equals the
+container header's record count.
 
 A loaded leaf row ``(minx, miny, maxx, maxy, (page_id, slot))`` is built of
 exact tuples, ints and floats only, which the cyclic collector untracks the

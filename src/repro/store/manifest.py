@@ -198,11 +198,11 @@ class PartitionInfo:
     data_mbr: Envelope
     #: pages holding this partition's records (pages never span partitions)
     page_ids: List[int] = field(default_factory=list)
-    #: number of record replicas stored in the partition
+    #: number of records stored in the partition (its home cell's)
     record_count: int = 0
 
 
-@_json_codec("id", "num_pages", "records", "replicas", ("extent", _ENV),
+@_json_codec("id", "num_pages", "records", ("extent", _ENV),
              ("tombstones", _LIST), ("updated", _LIST), ("partitions", _records(PartitionInfo)))
 @dataclass
 class GenerationInfo:
@@ -222,8 +222,6 @@ class GenerationInfo:
     num_pages: int = 0
     #: distinct logical records appended in this generation
     num_records: int = 0
-    #: record replicas packed into the delta (>= num_records)
-    num_replicas: int = 0
     #: tight MBR of the appended records (delta-level pruning key)
     extent: Envelope = field(default_factory=Envelope.empty)
     #: record ids this generation deletes/updates out of older generations
@@ -315,7 +313,7 @@ class StoreManifest:
 
 
 @_json_codec("id", "store", ("partitions", _LIST), ("extent", _ENV), "records",
-             "replicas", "pages", "generations", ("replica_stores?", _LIST))
+             "pages", "generations", ("replica_stores?", _LIST))
 @dataclass
 class ShardInfo:
     """One shard of a store (a contiguous run of grid cells)."""
@@ -331,8 +329,6 @@ class ShardInfo:
     #: visible logical records in the shard's view (its manifest's live
     #: count: with several shards, deletes broadcast to it count too)
     num_records: int = 0
-    #: record replicas in the shard (>= num_records with replication)
-    num_replicas: int = 0
     num_pages: int = 0
     #: delta generations currently stacked on the shard store (0 = compact)
     num_generations: int = 0

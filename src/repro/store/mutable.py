@@ -12,14 +12,14 @@ is the local case), so there is one writer of each kind:
   delta index (paths via :func:`~repro.store.manifest.delta_paths`),
   registered in the shard manifest's generation list together with the
   record-id *tombstones* that hide deleted/updated records in older
-  generations.  Each record routes to its **home shard** (the shard owning
-  its home partition — the grid cell of its MBR's lower-left corner) and is
-  replicated into that shard's cells it overlaps, so a delta is
-  structurally a miniature base container and the query engine can plan
-  ``(generation, page, slot)`` candidates across all generations (newest
-  shadowing oldest).  Tombstones are broadcast to every shard and every
-  read replica, so a stale version can never resurface from another shard;
-  ``shards.json`` is written last.
+  generations.  Each record is stored once, in its **home cell** on the
+  store's grid (the cell of its MBR's lower-left corner,
+  :func:`~repro.store.writer.home_cells`), in the shard that owns that
+  cell, so a delta is structurally a miniature base container and the
+  query engine can plan ``(generation, page, slot)`` candidates across all
+  generations (newest shadowing oldest).  Tombstones are broadcast to every
+  shard and every read replica, so a stale version can never resurface
+  from another shard; ``shards.json`` is written last.
 * :func:`compact_store` is a bulk load of the store's visible records
   (tombstones applied, newest versions winning) with record ids, the id
   ceiling, the shard count, partition count, page size and read replicas
@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from ..core.grid_partition import assign_to_cells, build_grid
+from ..core.grid_partition import build_grid
 from ..geometry import Geometry
 from ..index import UniformGrid
 from ..pfs import SimulatedFilesystem
@@ -61,7 +61,6 @@ from .manifest import (
     shards_path,
     store_paths,
 )
-from .router import ShardRouter
 from .scheduler import read_with_retry
 from .sharded import read_shards_manifest
 from .writer import (
@@ -71,6 +70,7 @@ from .writer import (
     _Rec,
     _union,
     _write_layout,
+    home_cells,
     pack_partitions,
     write_file,
     write_generation,
@@ -94,8 +94,6 @@ class AppendResult:
     gen_id: Optional[int]
     #: distinct logical records stored (each in its home shard only)
     num_records: int
-    #: record replicas packed (>= num_records with grid replication)
-    num_replicas: int
     num_pages: int
     #: record ids tombstoned by this append (deletes + updates)
     num_tombstones: int
@@ -152,10 +150,10 @@ def _live_delta(stored: Set[int], updates: Set[int], tombstones: List[int], dead
 class StoreAppender:
     """Incremental writer for one persisted store.
 
-    Reads ``shards.json`` once; every :meth:`append` call routes its records
-    to their home shards, writes one delta generation on each shard it
-    touches (and on each of that shard's read replicas), rewrites those
-    shard manifests and then ``shards.json``.
+    Reads ``shards.json`` once; every :meth:`append` call routes each record
+    to the shard owning its home cell, writes one delta generation on each
+    shard it touches (and on each of that shard's read replicas), rewrites
+    those shard manifests and then ``shards.json``.
     """
 
     def __init__(self, fs: SimulatedFilesystem, name: str) -> None:
@@ -203,25 +201,28 @@ class StoreAppender:
 
         usable = _encoded(zip(ids, geoms))
         if not usable and not tombstones:
-            return AppendResult(layout, None, 0, 0, 0, 0, 0, 0, 0.0)
+            return AppendResult(layout, None, 0, 0, 0, 0, 0, 0.0)
 
         new_grid = layout.extent.is_empty and bool(usable)
         if new_grid:
             # first append to an empty store: establish the grid (and the
             # extent it is reconstructed from) over this batch; the first
             # shard owns every cell
-            extent = _union(rec.envelope for rec in usable)
-            grid = build_grid(extent, layout.grid_rows * layout.grid_cols)
+            grid = build_grid(_union(rec.envelope for rec in usable),
+                              layout.grid_rows * layout.grid_cols)
             layout.extent, layout.grid_rows, layout.grid_cols = (
                 grid.extent, grid.rows, grid.cols
             )
             for shard in layout.shards:
                 shard.partition_ids = [] if shard.shard_id else list(range(grid.num_cells))
-        router = ShardRouter(layout)
+        elif usable:
+            grid = UniformGrid(layout.extent, layout.grid_rows, layout.grid_cols)
+        # shard id -> home cell id -> records: each home cell's records go
+        # to the shard that owns the cell
         owner = layout.partition_to_shard()
-        routed: Dict[int, List[_Rec]] = {}
-        for rec in usable:
-            routed.setdefault(owner[router.home_partition(rec.envelope)], []).append(rec)
+        routed: Dict[int, Dict[int, List[_Rec]]] = {}
+        for cid, recs in (home_cells(grid, usable) if usable else {}).items():
+            routed.setdefault(owner[cid], {})[cid] = recs
 
         # every manifest this append rewrites is read (and checked)
         # before anything is written
@@ -236,35 +237,26 @@ class StoreAppender:
         dead_views = [copies[0].dead_records() for _, copies in touched]
         dead = set.intersection(*dead_views)
 
-        result = AppendResult(layout, None, 0, 0, 0, len(tombstones), 0, 0, 0.0)
+        result = AppendResult(layout, None, 0, 0, len(tombstones), 0, 0, 0.0)
         next_id = max(ceiling, max(ids) + 1 if ids else ceiling)
         stored: Set[int] = set()
         for (shard, copies), shard_dead in zip(touched, dead_views):
-            recs = routed.get(shard.shard_id, [])
+            cells = routed.get(shard.shard_id)
             packed = PackedPartitions()
-            if recs:
-                owned = set(shard.partition_ids)
-                cells = assign_to_cells(router.grid, recs)
-                packed = pack_partitions(
-                    {cid: rs for cid, rs in cells.items() if cid in owned},
-                    router.grid,
-                    layout.page_size,
-                )
+            if cells:
+                packed = pack_partitions(cells, grid, layout.page_size)
             for manifest in copies:
                 self._write_generation(
                     result, manifest, packed, tombstones, updates, shard_dead, next_id,
-                    router.grid if new_grid else None,
+                    grid if new_grid else None,
                 )
             stored |= packed.record_ids
             result.num_records += len(packed.record_ids)
-            result.num_replicas += packed.num_replicas
             result.num_pages += len(packed.page_metas)
             shard.num_generations += 1
             shard.num_records = copies[0].num_live_records
-            shard.num_replicas += packed.num_replicas
             shard.num_pages += len(packed.page_metas)
-            for rec in recs:
-                shard.extent = shard.extent.union(rec.envelope)
+            shard.extent = shard.extent.union(packed.data_extent)
 
         layout.num_records = max(
             0, layout.num_records + _live_delta(stored, updates, tombstones, dead)
@@ -307,7 +299,6 @@ class StoreAppender:
                 gen_id=gen_id,
                 num_pages=len(packed.page_metas),
                 num_records=len(packed.record_ids),
-                num_replicas=packed.num_replicas,
                 extent=packed.data_extent,
                 tombstones=tombstones,
                 # tombstoned ids re-stored here (updates and resurrections):
@@ -331,13 +322,12 @@ def compact_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
     containers.
 
     The store's visible records (tombstones applied, newest generation
-    winning, de-duplicated on record id across shards, an earlier shard's
-    copy winning) are bulk-loaded again — each as its stored frame and
-    stored MBR, never decoded or re-encoded — with the store's own shard
-    count, partition count, page size and read replicas — logical record
-    ids preserved, the id ceiling carried over so future appends never
-    recycle a deleted id — and the delta files of every old shard copy are
-    deleted.  The grid is laid over the visible records and the shards are
+    winning; each is stored in one shard) are bulk-loaded again — each as
+    its stored frame and stored MBR, never decoded or re-encoded — with the
+    store's own shard count, partition count, page size and read replicas —
+    logical record ids preserved, the id ceiling carried over so future
+    appends never recycle a deleted id — and the delta files of every old
+    shard copy are deleted.  The grid is laid over the visible records and the shards are
     rebalanced; with one shard this is exactly a fresh bulk load of the same
     records.  Query results are identical before and after; per-query I/O
     returns to fresh-bulk-load shape.

@@ -6,14 +6,10 @@ of the store's pruning hierarchy — shard extent, then partition MBR, then
 page MBR / index leaf), assigns shards to serving ranks, and builds the
 per-rank scatter plan for a query batch.
 
-It also answers *partition ownership*: every logical record's home
-partition is the lowest-numbered global grid cell its MBR overlaps — the
-cell of the MBR's lower-left corner under the grid's floor function
-(:mod:`repro.index.grid`), the same function the bulk loader, the appenders
-and compaction replicate with, so the home cell always holds a replica and a
-record replicated into several shards is owned by exactly one of them.
-That rule is what lets store-backed pipeline input
-(:meth:`repro.core.framework.SpatialComputation.run_from_store`) read every
+Every record is stored once, in the shard owning its home cell (the grid
+cell of its MBR's lower-left corner, :func:`~repro.store.writer.home_cells`),
+so the shards partition the dataset: store-backed pipeline input
+(:meth:`repro.core.framework.SpatialComputation.run_from_store`) reads every
 record exactly once across ranks without any communication.  (The paper's
 §4 R-tree over cell boundaries is not built: see
 :mod:`repro.core.grid_partition` for when it would be needed.)
@@ -21,10 +17,9 @@ record exactly once across ranks without any communication.  (The paper's
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..geometry import Envelope
-from ..index import UniformGrid
 from .manifest import ShardInfo, ShardsManifest
 
 __all__ = ["ShardRouter", "shard_assignment"]
@@ -48,7 +43,6 @@ class ShardRouter:
 
     def __init__(self, manifest: ShardsManifest) -> None:
         self.manifest = manifest
-        self._grid: Optional[UniformGrid] = None
 
     # ------------------------------------------------------------------ #
     # shard pruning
@@ -79,26 +73,3 @@ class ShardRouter:
             for rank in sorted({assignment[s.shard_id] for s in self.shards_for(query[-1])}):
                 out[rank].append(entry)
         return out
-
-    # ------------------------------------------------------------------ #
-    # partition ownership (replica de-dup for store-backed pipeline input)
-    # ------------------------------------------------------------------ #
-    @property
-    def grid(self) -> UniformGrid:
-        """The global partition grid reconstructed from the manifest."""
-        if self._grid is None:
-            self._grid = UniformGrid(
-                self.manifest.extent, self.manifest.grid_rows, self.manifest.grid_cols
-            )
-        return self._grid
-
-    def home_partition(self, env: Envelope) -> int:
-        """The partition that *owns* a record: the lowest overlapping cell,
-        which is the cell of the MBR's lower-left corner.
-
-        Replicas of one record agree on this without communication, so the
-        shard holding the home partition is the record's unique owner.
-        """
-        if env.is_empty:
-            raise ValueError("cannot compute home partition of an empty envelope")
-        return self.grid.cell_for_point(env.minx, env.miny)

@@ -12,11 +12,11 @@ applications (§5–§6) are multi-rank.  This module closes the gap:
   and serves batch range queries and joins SPMD-style: the router prunes the
   shard list via per-shard extents, rank 0 sends each rank its part of a
   batch as a tagged point-to-point message, ranks answer locally through
-  their SIEVE page caches and send their results back, and rank 0
-  de-duplicates them on logical ``record_id`` (replicas of a geometry may
-  live in multiple shards).  A plan entry carries its query id, so a rank
-  ships finished :class:`DistributedHit` lists, one :data:`Chunk` per served
-  plan entry; rank 0 concatenates them and sorts only the batch positions
+  their SIEVE page caches and send their results back, and rank 0 merges
+  them (every record is stored in one shard, so nothing is de-duplicated).
+  A plan entry carries its query id, so a rank ships finished
+  :class:`DistributedHit` lists, one :data:`Chunk` per served plan entry;
+  rank 0 concatenates them and sorts on record id only the batch positions
   that two chunks both answered.  One loop (``_serve``) does this for every
   serving call: a range batch and a join are one batch through it, the
   async front-end (:mod:`repro.store.frontend`) many, with up to
@@ -90,6 +90,8 @@ Failure = Tuple[int, List[int], List[int], str, bool]
 SERVING_PHASES = ("route", "scatter", "local_query", "gather")
 #: tag of batch *b*'s plan message; its rows go back on the next tag
 _TAG_BASE = 0x4153_0000
+#: the merge's sort key of a hit
+_RECORD_ID = attrgetter("record_id")
 
 #: low-level exceptions a corrupted shard file may surface as; the server
 #: converts them into a StoreError naming the shard.  StoreError covers
@@ -228,34 +230,21 @@ class ShardRows(SizedList):
         self.nbytes += 16 + 8 * (len(partitions) + len(positions)) + payload_nbytes(cause)
 
 
-#: the merge's sort key of a hit: record id, then its replica's location
-_REPLICA_ORDER = attrgetter("record_id", "shard_id", "partition_id", "page_id")
-
-
 def merge_chunks(payloads: Iterable[List[Chunk]]) -> List[DistributedHit]:
-    """De-duplicate gathered chunks on ``(batch position, record id)``, in
-    that order.  Chunks are grouped by position (never by query id, which
-    may repeat or be unhashable).  A position with one non-empty chunk is
-    that chunk's list as it stands — no new hit, no sort: the serving rank
-    built the hits and the engine's ids are unique and ascending.  A
-    position answered by several is sorted on ``(record id, shard,
-    partition, page)`` and the first hit of each record kept — the lowest
-    replica wins."""
+    """Gathered chunks in ``(batch position, record id)`` order.  Chunks are
+    grouped by position (never by query id, which may repeat or be
+    unhashable).  A position with one non-empty chunk is that chunk's list
+    as it stands — no new hit, no sort: the serving rank built the hits and
+    the engine's ids are unique and ascending.  A position answered by
+    several is sorted on record id; each record lives in one shard, so no
+    two chunks hold the same one."""
     by_position: Dict[int, List[List[DistributedHit]]] = {}
     for idx, found in chain.from_iterable(payloads):
         if found:
             by_position.setdefault(idx, []).append(found)
     hits: List[DistributedHit] = []
     for _, lists in sorted(by_position.items()):
-        if len(lists) == 1:
-            hits += lists[0]
-            continue
-        last = None
-        # the key stops at the page column: hits are never compared
-        for hit in sorted(chain.from_iterable(lists), key=_REPLICA_ORDER):
-            if hit.record_id != last:
-                last = hit.record_id
-                hits.append(hit)
+        hits += lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists), key=_RECORD_ID)
     return hits
 
 
@@ -271,7 +260,7 @@ class DistributedStoreServer:
     Construct it inside an SPMD target function via :meth:`open`; every rank
     of the communicator must participate in every serving call (each opens
     with a header broadcast).  Rank 0 is the *router*: it supplies the query
-    batch, receives the gathered results and performs the record-id de-dup;
+    batch, receives the gathered results and merges them;
     other ranks pass ``None`` batches and receive ``None`` results.
 
     Shards are assigned to ranks contiguously (see
@@ -917,8 +906,8 @@ class DistributedStoreServer:
     ) -> Optional[Any]:
         """Serve a batch of ``(query_id, window)`` range queries (collective).
 
-        Rank 0 supplies *queries* and receives the de-duplicated hits sorted
-        by ``(batch position, record_id)``; other ranks pass ``None`` and get
+        Rank 0 supplies *queries* and receives the hits sorted by ``(batch
+        position, record_id)``; other ranks pass ``None`` and get
         ``None`` back.
 
         With ``partial_ok`` and/or ``deadline`` set the call returns a
@@ -945,7 +934,7 @@ class DistributedStoreServer:
         deadline: Optional[float],
     ) -> Any:
         """The ``assemble`` of a range batch: merge every rank's
-        :class:`ShardRows` into the de-duplicated hits, wrapped with their
+        :class:`ShardRows` into one hit list, wrapped with their
         completeness account as a :class:`QueryResult` when *partial_ok* or
         a *deadline* selected degraded serving.  The hits arrive finished
         (query ids included), so *batch* is not read."""
@@ -978,7 +967,7 @@ class DistributedStoreServer:
     ) -> Optional[List[Tuple[Geometry, DistributedHit]]]:
         """Filter-and-refine ``intersects`` join of in-memory *probes*
         against the shards (collective).  Rank 0 supplies *probes* and
-        receives ``(probe, hit)`` pairs de-duplicated on ``(probe,
+        receives ``(probe, hit)`` pairs, one per matching ``(probe,
         record_id)``; other ranks pass ``None`` and get ``None`` back.
         """
 
@@ -1003,13 +992,11 @@ class DistributedStoreServer:
     # store-backed pipeline input
     # ------------------------------------------------------------------ #
     def local_records(self) -> List[Tuple[int, Geometry]]:
-        """This rank's *owned* records, each exactly once across all ranks.
+        """This rank's records, each exactly once across all ranks.
 
-        A record replicated into several shards is yielded only by the shard
-        holding its home partition (lowest overlapping global grid cell) —
-        the ownership rule every rank derives from ``shards.json`` alone, so
-        no communication is needed and the union over ranks is exactly the
-        logical dataset.
+        Every record is stored in one shard (the one owning its home cell),
+        so the union over ranks of their shards' scans is exactly the
+        logical dataset, without any communication.
         """
         io_before = self._store_io_seconds()
         out: List[Tuple[int, Geometry]] = []
@@ -1017,12 +1004,8 @@ class DistributedStoreServer:
             shard = self.manifest.shards[sid]
             if sid in self.dead_shards:  # scans need every owned record
                 raise self.dead_shards[sid]
-            owned = set(shard.partition_ids)
-            store = self.stores[sid]
             with self._shard_guard(shard, "scan"):
-                for record_id, geom in store.scan():
-                    if self.router.home_partition(geom.envelope) in owned:
-                        out.append((record_id, geom))
+                out += self.stores[sid].scan()
         self.comm.clock.advance(self._store_io_seconds() - io_before, category="io")
         return out
 

@@ -2,17 +2,22 @@
 
 This is the preprocessing step §4.1 of the paper argues for ("files …
 are preprocessed and stored in binary") turned into a durable artefact: the
-existing grid partitioner assigns every geometry to the grid cells its MBR
-overlaps (replicating spanning geometries exactly like the distributed
-pipeline does), each partition's records are ordered along a space-filling
-curve for intra-page locality, packed into fixed-target-size pages, and the
-record MBRs are bulk-loaded into one STR-packed R-tree that is persisted
-alongside the data so no future open ever rebuilds it.  The grid's cells are
-then split into contiguous shard runs and ``shards.json`` routes between
-them; one shard is the local case.
+existing grid partitioner lays a uniform grid over the records and each
+record is stored **once**, in its *home cell* — the cell of its MBR's
+lower-left corner, the lowest of the cells the MBR overlaps (the paper's
+pipeline replicates a spanning geometry into all of them so each cell can be
+refined on its own; the store answers through a per-shard index and never
+does, so it keeps the one copy a reference-point test would keep).  Each
+partition's records are ordered along a space-filling curve for intra-page
+locality, packed into fixed-target-size pages, and the record MBRs are
+bulk-loaded into one STR-packed R-tree that is persisted alongside the data
+so no future open ever rebuilds it.  The grid's cells are then split into
+contiguous shard runs and ``shards.json`` routes between them; one shard is
+the local case.
 
 The packing and writing halves are factored out so the appender/compactor in
 :mod:`repro.store.mutable` persist through the same routines:
+:func:`home_cells` is the one cell assignment of every writer,
 :func:`write_file` is the only place a store file is created and charged,
 :func:`write_generation` the only place a container and its packed index are
 assembled (base and delta alike), :func:`write_store_files` a generation
@@ -56,6 +61,7 @@ __all__ = [
     "BulkLoadResult",
     "PackedPartitions",
     "bulk_load",
+    "home_cells",
     "pack_partitions",
     "partition_records",
     "sharded_bulk_load",
@@ -76,8 +82,6 @@ class BulkLoadResult:
     #: non-empty grid partitions
     num_partitions: int
     skipped_empty: int
-    #: record replicas packed (>= num_records with grid replication)
-    num_replicas: int = 0
     #: pages across the shard stores (read replicas not counted)
     num_pages: int = 0
     #: bytes of every data / index file written, read replicas included
@@ -94,9 +98,9 @@ class _Rec:
     Making one is the gate where records enter the writer — bulk loads,
     appends and compactions all build their ``_Rec`` list before anything is
     assigned to a cell or written — so a record whose MBR holds a NaN is
-    rejected here with a :class:`ValueError`.  The body is packed as it is
-    into every cell the record is replicated into: a geometry is encoded
-    once (:func:`_encoded`), and compaction hands over stored frames.
+    rejected here with a :class:`ValueError`.  The body is packed as it is:
+    a geometry is encoded once (:func:`_encoded`), and compaction hands
+    over stored frames.
     """
 
     __slots__ = ("envelope", "rid", "body")
@@ -130,7 +134,7 @@ def _union(envs: Iterable[Envelope]) -> Envelope:
 
 
 #: ``(usable, grid, cells, skipped, extent)`` — a grid-partitioned record
-#: set: the records kept, the grid, cell id -> record replicas, the empty
+#: set: the records kept, the grid, home cell id -> records, the empty
 #: geometries skipped and the records' extent
 Partitioned = Tuple[List[_Rec], UniformGrid, Dict[int, List[_Rec]], int, Envelope]
 
@@ -143,10 +147,9 @@ class PackedPartitions:
     partitions: List[PartitionInfo] = field(default_factory=list)
     payloads: List[bytes] = field(default_factory=list)
     #: ``(envelope, (page_id, slot))`` — the payload :func:`load_index`
-    #: returns; one per record id, at the first page that stores it
+    #: returns; one per stored slot
     index_entries: List[Tuple[Envelope, Tuple[int, int]]] = field(default_factory=list)
-    num_replicas: int = 0
-    #: distinct logical record ids packed (replicas share one id)
+    #: logical record ids packed
     record_ids: Set[int] = field(default_factory=set)
 
     @property
@@ -160,27 +163,15 @@ def pack_partitions(
     page_size: int,
 ) -> PackedPartitions:
     """Pack pre-partitioned records into pages (the partition→page half of a
-    bulk load).  *cells* maps global grid cell ids to their record replicas;
-    pages never span partitions and page ids are local to this pack.  Within
-    a partition records are laid out in Hilbert order of their envelope
-    centres — the shared visit-order rule the query engine applies to batch
-    windows.
+    bulk load).  *cells* maps global grid cell ids to their records
+    (:func:`home_cells`); pages never span partitions and page ids are local
+    to this pack.  Within a partition records are laid out in Hilbert order
+    of their envelope centres — the shared visit-order rule the query engine
+    applies to batch windows.
 
     Each record's envelope-column entry is counted against the page-size
     budget, so a page payload never exceeds ``page_size`` plus the count
-    prefix.
-
-    The index names each record **once**: its entry points at the first
-    page the pack stores it on.  Cells are packed in ascending id and page
-    ids follow, so that is the lowest-cell replica — the one the refine
-    loop's record-id de-dup kept when every replica was indexed, so every
-    hit keeps its ``(partition, page)``.  The other replicas stay on their
-    pages (a cell stays processable on its own) but are not indexed: each
-    one's entry carried the same full MBR, so a window meeting the record
-    planned, fetched and scanned every replica only for refine to drop the
-    copies.  This is duplicate avoidance (the reference-point idea of
-    Dittrich & Seeger, ICDE 2000) applied once, at write time, by every
-    writer: bulk loads, each shard and read replica, appends, compactions.
+    prefix.  Every stored slot gets one index entry.
     """
     packed = PackedPartitions()
     data_offset = HEADER_SIZE
@@ -209,12 +200,10 @@ def pack_partitions(
             page_id = len(packed.page_metas)
             mbr = _union(current_envs)
             part.data_mbr = part.data_mbr.union(mbr)
-            for slot, (rid, env) in enumerate(zip(current_rids, current_envs)):
-                # a record id repeats only across pages (pages never span
-                # partitions); its first page in pack order is indexed
-                if rid not in packed.record_ids:
-                    packed.record_ids.add(rid)
-                    packed.index_entries.append((env, (page_id, slot)))
+            packed.record_ids.update(current_rids)
+            packed.index_entries += [
+                (env, (page_id, slot)) for slot, env in enumerate(current_envs)
+            ]
             packed.page_metas.append(
                 PageMeta(
                     page_id=page_id,
@@ -239,7 +228,6 @@ def pack_partitions(
             current_envs.append(rec.envelope)
             current_bytes += len(rec.body) + overhead
             part.record_count += 1
-            packed.num_replicas += 1
         flush_page()
         packed.partitions.append(part)
 
@@ -329,24 +317,44 @@ def partition_records(
 
     A bulk load numbers records by input position.  Empty geometries are
     skipped (counted, never stored).  *cells* of the returned
-    :data:`Partitioned` maps global grid cell ids to record replicas
-    (replication included).
+    :data:`Partitioned` maps global grid cell ids to the records homed
+    there (:func:`home_cells`).
     """
     pairs = list(records)
     usable = _encoded(pairs)
     return _partitioned(usable, len(pairs) - len(usable), num_partitions)
 
 
+def home_cells(grid: UniformGrid, recs: Sequence[_Rec]) -> Dict[int, List[_Rec]]:
+    """*recs* by home cell: each record in the lowest cell its MBR overlaps
+    on *grid*, which is ``grid.cell_for_point(minx, miny)`` — the one cell
+    assignment of every writer.  It reads the lowest cell off the grid
+    partitioner's own assignment (cells ascending), so a record lands
+    exactly where the paper's pipeline puts its first copy.  Keeping that
+    copy only is the reference-point idea of duplicate avoidance (Dittrich
+    & Seeger, ICDE 2000) applied once, at write time."""
+    from ..core.grid_partition import assign_to_cells
+
+    homed: Set[_Rec] = set()
+    cells: Dict[int, List[_Rec]] = {}
+    for cid, cell_recs in sorted(assign_to_cells(grid, recs).items()):
+        kept = [rec for rec in cell_recs if rec not in homed]
+        if kept:
+            homed.update(kept)
+            cells[cid] = kept
+    return cells
+
+
 def _partitioned(usable: List[_Rec], skipped: int, num_partitions: int) -> Partitioned:
-    """Lay a grid over *usable* records and assign them to its cells —
+    """Lay a grid over *usable* records and home them in its cells —
     compaction's entry, whose records keep their ids and stored frames."""
-    from ..core.grid_partition import assign_to_cells, build_grid
+    from ..core.grid_partition import build_grid
 
     extent = _union(rec.envelope for rec in usable)
     if not usable:
         return usable, UniformGrid(Envelope(0.0, 0.0, 1.0, 1.0), 1, 1), {}, skipped, extent
     grid = build_grid(extent, num_partitions)
-    return usable, grid, assign_to_cells(grid, usable), skipped, extent
+    return usable, grid, home_cells(grid, usable), skipped, extent
 
 
 def _contiguous_runs(
@@ -435,7 +443,6 @@ def _write_layout(
             result.data_bytes += data_bytes
             result.index_bytes += index_bytes
             result.write_seconds += seconds
-        result.num_replicas += packed.num_replicas
         result.num_pages += len(packed.page_metas)
         result.manifest.shards.append(
             ShardInfo(
@@ -444,7 +451,6 @@ def _write_layout(
                 partition_ids=run,
                 extent=packed.data_extent,
                 num_records=len(packed.record_ids),
-                num_replicas=packed.num_replicas,
                 num_pages=len(packed.page_metas),
                 replica_stores=replicas,
             )
@@ -466,8 +472,8 @@ def bulk_load(
 ) -> BulkLoadResult:
     """Persist *geometries* as the named store on *fs*.
 
-    The dataset is grid-partitioned **once** (replication included); the
-    grid's cells are split into *num_shards* contiguous runs balanced by
+    The dataset is grid-partitioned **once**, each record stored in its
+    home cell only (:func:`home_cells`); the grid's cells are split into *num_shards* contiguous runs balanced by
     record count, each persisted as a self-contained shard store, and
     ``stores/<name>/shards.json`` routes between them.  With one shard (the
     default) the shard is ``stores/<name>/`` itself; with more they sit

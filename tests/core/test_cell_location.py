@@ -1,7 +1,8 @@
 """The one cell-location rule: ``UniformGrid``'s floor arithmetic.
 
-Replication (``cells_for_envelope``), a record's home partition and the owner
-of a pair's reference point (``cell_for_point``) are one monotone function, so
+Replication (``cells_for_envelope``), a record's home cell — the one cell
+the store keeps it in — and the owner of a pair's reference point
+(``cell_for_point``) are one monotone function, so
 "every pair / match / record exactly once" holds by construction.  The
 properties below fuzz that function — on grids whose cell edges are exact in
 binary (where ties are decidable) and on arbitrary float grids — against the
@@ -25,7 +26,8 @@ from repro.core import GridPartitionConfig, RangeQuery, SpatialJoin, assign_to_c
 from repro.geometry import Envelope, Point, Polygon, predicates
 from repro.index import UniformGrid
 from repro.pfs import LustreFilesystem
-from repro.store import DistributedStoreServer, ShardRouter, ShardsManifest, bulk_load
+from repro.store import DistributedStoreServer, bulk_load
+from repro.store.writer import _Rec, home_cells
 
 INF = math.inf
 
@@ -177,15 +179,6 @@ def clear_of_edges(grid, env):
     return xs_clear and ys_clear
 
 
-def router_over(grid):
-    return ShardRouter(
-        ShardsManifest(
-            name="g", page_size=4096, num_records=0, extent=grid.extent,
-            grid_rows=grid.rows, grid_cols=grid.cols, next_record_id=0, shards=[],
-        )
-    )
-
-
 # --------------------------------------------------------------------------- #
 # properties
 # --------------------------------------------------------------------------- #
@@ -223,13 +216,13 @@ def test_float_grids_equal_the_closed_probe_away_from_edges(case):
 
 @given(float_case())
 @settings(max_examples=300, deadline=None)
-def test_home_partition_is_the_lower_left_cell_and_the_lowest_replica(case):
+def test_the_home_cell_is_the_lower_left_cell_and_the_lowest_cell(case):
     grid, a, b = case
-    router = router_over(grid)
     for env in (a, b):
-        home = router.home_partition(env)
-        assert home == grid.cell_for_point(env.minx, env.miny)
+        home = grid.cell_for_point(env.minx, env.miny)
         assert home == min(grid.cells_for_envelope(env))
+        # the writers' one cell assignment stores the record there, only
+        assert list(home_cells(grid, [_Rec(0, env, b"")])) == [home]
 
 
 @given(float_case())

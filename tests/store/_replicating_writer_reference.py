@@ -1,19 +1,28 @@
-"""The writer loop that indexed every replica, kept as an answer oracle — the
-way ``_lru_cache_reference.py`` keeps the retired page cache.
+"""The writer that stored a copy of each record in every grid cell its MBR
+overlaps and indexed every copy, kept as an answer oracle — the way
+``_lru_cache_reference.py`` keeps the retired page cache.
 
-:func:`pack_every_replica` is ``repro.store.writer.pack_partitions`` as it
-was before the packed index named each record once: every replica a cell
-stores gets its own index entry, carrying the record's full MBR, so a window
-that meets a record is handed every replica and the refine loop's record-id
-de-dup throws the extra copies away.  :func:`replica_indexing` swaps it into
-every writer (bulk load, each shard and read replica, appends, compaction),
-so a test can build the same store both ways and compare what serving
-returns.  Not used by any serving path.
+Every live writer stores a record once, in its home cell
+(``repro.store.writer.home_cells``).  :func:`replicating_writer` swaps the
+paper's replication (``core.grid_partition.assign_to_cells``: every cell an
+MBR overlaps) in for that assignment and :func:`pack_every_replica` (the
+``pack_partitions`` of the time, one index entry per copy, each carrying the
+record's full MBR) in for the packer, in every writer: bulk load, each shard
+and read replica, appends, compaction.  Each copy of an appended record goes
+to the shard owning its cell, so a record spanning a shard boundary is
+stored, indexed and answered by each of those shards; a store so written
+with several shards is not an input the live serving path supports (its
+merge no longer drops duplicates) — tests compare it shard by shard, keeping
+each record's home-cell answer.  A one-shard store it writes is the format
+every store had before the writers kept one copy, and opens and serves as
+it always did: the refine loop's record-id ``seen`` set drops the extra
+copies.  Not used by any serving path.
 """
 
 import contextlib
 from typing import List, Mapping, Sequence
 
+from repro.core.grid_partition import assign_to_cells
 from repro.geometry import Envelope
 from repro.index import UniformGrid, spatial_visit_order
 from repro.store import mutable, writer
@@ -34,8 +43,8 @@ def pack_every_replica(
     page_size: int,
 ) -> PackedPartitions:
     """Pack pre-partitioned records into pages with one index entry per
-    replica (the retired ``pack_partitions``); pages, partitions and
-    record ids come out exactly as the live writer packs them."""
+    copy (the retired ``pack_partitions``); given the live writer's cells,
+    pages, partitions and index entries come out exactly as it packs them."""
     packed = PackedPartitions()
     data_offset = HEADER_SIZE
     overhead = ENVELOPE_ENTRY.size
@@ -88,7 +97,6 @@ def pack_every_replica(
             current_envs.append(rec.envelope)
             current_bytes += len(rec.body) + overhead
             part.record_count += 1
-            packed.num_replicas += 1
             packed.record_ids.add(rec.rid)
         flush_page()
         packed.partitions.append(part)
@@ -97,13 +105,17 @@ def pack_every_replica(
 
 
 @contextlib.contextmanager
-def replica_indexing():
-    """Within the block every writer packs with :func:`pack_every_replica`:
-    bulk loads and compactions through ``writer._write_layout``, appends
-    through ``mutable.StoreAppender``."""
-    saved = writer.pack_partitions, mutable.pack_partitions
+def replicating_writer():
+    """Within the block every writer stores a copy of each record in every
+    cell its MBR overlaps and packs with :func:`pack_every_replica`: bulk
+    loads and compactions through ``writer._write_layout``, appends through
+    ``mutable.StoreAppender``."""
+    saved = (writer.home_cells, mutable.home_cells,
+             writer.pack_partitions, mutable.pack_partitions)
+    writer.home_cells = mutable.home_cells = assign_to_cells
     writer.pack_partitions = mutable.pack_partitions = pack_every_replica
     try:
         yield
     finally:
-        writer.pack_partitions, mutable.pack_partitions = saved
+        (writer.home_cells, mutable.home_cells,
+         writer.pack_partitions, mutable.pack_partitions) = saved

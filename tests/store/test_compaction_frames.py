@@ -29,6 +29,7 @@ from repro.geometry import (
     Polygon,
     wkb,
 )
+from repro.index import UniformGrid
 from repro.pfs import LustreFilesystem
 from repro.store import StoreAppender, bulk_load, compact_store
 from repro.store import format as fmt
@@ -164,16 +165,18 @@ def test_compaction_moves_the_newest_frame_of_every_live_record(tmp_path, counte
 
 def test_a_load_and_an_append_encode_each_record_once(tmp_path, counted):
     fs = LustreFilesystem(tmp_path / "pfs")
-    # wide squares over a 4x4 grid: most records land in several cells
+    # wide squares over a 4x4 grid: most records span several cells
     geoms = [_square(i * 7 % 80, i * 11 % 80, 30) for i in range(30)]
     result = bulk_load(fs, NAME, geoms, num_partitions=16, num_shards=3)
-    assert result.num_replicas > 2 * result.num_records
+    layout = result.manifest
+    grid = UniformGrid(layout.extent, layout.grid_rows, layout.grid_cols)
+    assert sum(len(grid.cells_for_envelope(g.envelope)) > 1 for g in geoms) > len(geoms) / 2
     assert counted["encode_record_body"] == len(geoms)
     assert counted["dumps"] == len(geoms)
 
     counted["encode_record_body"] = 0
-    appended = StoreAppender(fs, NAME).append(
-        [_square(10, 10, 60), _square(5, 50, 40)], deletes=[3]
-    )
-    assert appended.num_replicas > appended.num_records == 2
+    batch = [_square(10, 10, 60), _square(5, 50, 40)]
+    appended = StoreAppender(fs, NAME).append(batch, deletes=[3])
+    assert all(len(grid.cells_for_envelope(g.envelope)) > 1 for g in batch)
+    assert appended.num_records == 2
     assert counted["encode_record_body"] == 2

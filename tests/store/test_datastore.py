@@ -12,7 +12,7 @@ from repro.core.join import join_cell
 from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.core.reader import VectorIO
 from repro.geometry import Envelope, Point, Polygon, predicates
-from repro.index import GridCell
+from repro.index import GridCell, UniformGrid
 from repro.pfs import LustreFilesystem
 from repro.store import SpatialDataStore, StoreAppender, StoreFormatError, bulk_load
 
@@ -95,15 +95,16 @@ class TestRangeQuery:
         assert store.stats.pages_read == 0
         assert store.stats.cache.accesses == 0
 
-    def test_replicas_deduplicated(self, fs):
-        # one geometry spanning the whole grid is replicated to every
-        # partition but must be reported once
+    def test_a_record_spanning_every_cell_is_reported_once(self, fs):
+        # one geometry spanning the whole grid is stored in its home cell
+        # and must be reported once
         big = Polygon([(0, 0), (100, 0), (100, 100), (0, 100), (0, 0)], userdata="big")
         points = [Point(x + 0.5, y + 0.5) for x in range(10) for y in range(10)]
         bulk_load(fs, "dedup", [big] + points, num_partitions=16, page_size=512)
         store = SpatialDataStore.open(fs, "dedup")
-        replicas = sum(p.record_count for p in store.manifest.partitions)
-        assert replicas > len(points) + 1  # replication actually happened
+        m = store.manifest
+        grid = UniformGrid(m.extent, m.grid_rows, m.grid_cols)
+        assert len(grid.cells_for_envelope(big.envelope)) == 16  # it spans every cell
         hits = store.range_query(Envelope(0, 0, 100, 100))
         assert len(hits) == len(points) + 1
         assert [h.record_id for h in hits] == list(range(len(points) + 1))

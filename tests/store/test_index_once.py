@@ -1,36 +1,42 @@
-"""The packed index names each record once per generation.
+"""Every writer stores each record once and indexes every stored slot.
 
-``writer.pack_partitions`` adds a record's index entry only on the first
-page the pack stores it on: the lowest-cell replica, the one the refine
-loop's record-id de-dup kept when every replica was indexed.  Two checks:
+Two checks:
 
 * **differential** — a hypothesis stream builds the same store twice, once
-  with the live writer and once with the retired writer that indexed every
-  replica (``_replica_index_reference.py``), then serves the same windows
+  with the live writer and once with the retired writer that stored a copy
+  of each record in every cell its MBR overlaps and indexed every copy
+  (``_replicating_writer_reference.py``), then serves the same windows
   through both.  Records sit on a 1/2 lattice whose extent puts grid-cell
   edges on lattice values, so records touch and straddle cell boundaries;
   stores have 1, 2 or 4 shards and take appends with deletes and updates,
-  and maybe a compaction.  Every shard store (read replicas included)
-  must return the same full hit tuples ``(record_id, partition_id,
-  page_id, generation)``, exact and MBR-only, and every file but the
-  indexes must be byte-identical;
+  and maybe a compaction.  Shard runs are balanced by what each build
+  stores, so the two builds are compared store-wide, copy by copy (primary
+  shards, then each read replica): the live shards' hits, exact and
+  MBR-only, name each record once, and as ``(record_id, partition_id,
+  geometry)`` they equal the retired build's home-cell hits — the one hit
+  per record whose partition is the cell of its MBR's lower-left corner;
+* **compatibility** — a one-shard store the retired writer wrote answers
+  ``range_query``, ``range_query_batch`` and ``scan`` exactly as the
+  store-once load of the same records, and stores no copies once compacted;
 * **invariant** — for every generation of every writer in the write-path
-  golden scenario, the index holds each stored record id exactly once, on
-  the lowest page that stores it, and ``len(gen.index) == num_records``.
+  golden scenario, the index holds every stored slot once, no record id is
+  stored twice, and ``len(gen.index) == num_records``.
 """
 
 import math
-import pathlib
 import shutil
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _replica_index_reference import replica_indexing
-from test_write_path_golden import CHECKPOINTS, run_scenario
+from _replicating_writer_reference import replicating_writer
+from test_write_path_golden import CHECKPOINTS, LOAD, run_scenario
+from test_write_path_golden import geometries as golden_geometries
 
 from repro.geometry import Envelope, Point, Polygon
+from repro.geometry.wkb import dumps
+from repro.index import UniformGrid
 from repro.pfs import LustreFilesystem
 from repro.store import SpatialDataStore, StoreAppender, bulk_load, compact_store
 from repro.store.format import decode_page_columns
@@ -90,22 +96,30 @@ def build(root, load, num_partitions, num_shards, steps, compact):
     return fs
 
 
-def files(root):
-    base = pathlib.Path(root) / "stores"
-    return {p.relative_to(base).as_posix(): p.read_bytes()
-            for p in sorted(base.rglob("*")) if p.is_file()}
-
-
 def store_names(fs):
     layout, _ = read_shards_manifest(fs, NAME)
     return [name for shard in layout.shards for name in [shard.store, *shard.replica_stores]]
 
 
-def hit_tuples(store, queries, exact):
-    return [
-        [(h.record_id, h.partition_id, h.page_id, h.generation) for h in hits]
-        for hits in store.range_query_batch(queries, exact=exact)
-    ]
+def copies(fs):
+    """The store's shard names by copy: the primaries, then each read replica."""
+    layout, _ = read_shards_manifest(fs, NAME)
+    grid = UniformGrid(layout.extent, layout.grid_rows, layout.grid_cols)
+    return grid, list(zip(*[[shard.store, *shard.replica_stores] for shard in layout.shards]))
+
+
+def answers(fs, names, queries, exact, keep=lambda hit: True):
+    """Per query, ``(record_id, partition_id, wkb)`` of every hit of every
+    shard in *names* that *keep* accepts, sorted; and the shards' summed
+    ``slots_scanned``."""
+    out = [[] for _ in queries]
+    scanned = 0
+    for name in names:
+        with SpatialDataStore.open(fs, name) as store:
+            for found, hits in zip(out, store.range_query_batch(queries, exact=exact)):
+                found += [(h.record_id, h.partition_id, dumps(h.geometry)) for h in hits if keep(h)]
+            scanned += store.stats.slots_scanned
+    return [sorted(found) for found in out], scanned
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -117,33 +131,36 @@ def hit_tuples(store, queries, exact):
     compact=st.booleans(),
     queries=st.lists(windows(), min_size=1, max_size=8),
 )
-def test_hits_equal_the_replica_indexed_build(load, num_partitions, num_shards, steps,
-                                             compact, queries):
+def test_hits_equal_the_replicating_build(load, num_partitions, num_shards, steps,
+                                          compact, queries):
     live_root, ref_root = tempfile.mkdtemp(), tempfile.mkdtemp()
     try:
         live_fs = build(live_root, load, num_partitions, num_shards, steps, compact)
-        with replica_indexing():
+        with replicating_writer():
             ref_fs = build(ref_root, load, num_partitions, num_shards, steps, compact)
-        live_files, ref_files = files(live_root), files(ref_root)
-        assert sorted(live_files) == sorted(ref_files)
-        indexes = [p for p in live_files if p.endswith((".idx", "index.bin"))]
-        assert indexes
-        assert [p for p in live_files if p not in indexes and live_files[p] != ref_files[p]] == []
-
         batch = list(enumerate(queries))
-        for name in store_names(live_fs):
-            with SpatialDataStore.open(live_fs, name) as live, \
-                    SpatialDataStore.open(ref_fs, name) as ref:
-                for exact in (True, False):
-                    assert hit_tuples(live, batch, exact) == hit_tuples(ref, batch, exact)
+        _, live_copies = copies(live_fs)
+        grid, ref_copies = copies(ref_fs)
+
+        def homed(hit):
+            env = hit.geometry.envelope
+            return hit.partition_id == grid.cell_for_point(env.minx, env.miny)
+
+        for live_names, ref_names in zip(live_copies, ref_copies):
+            for exact in (True, False):
+                live, live_scanned = answers(live_fs, live_names, batch, exact)
+                ref, ref_scanned = answers(ref_fs, ref_names, batch, exact, homed)
+                for found in live:  # each record answers once, from one shard
+                    assert len({rid for rid, _, _ in found}) == len(found)
+                assert live == ref
                 # the live build never plans more candidate slots
-                assert live.stats.slots_scanned <= ref.stats.slots_scanned
+                assert live_scanned <= ref_scanned
     finally:
         shutil.rmtree(live_root, ignore_errors=True)
         shutil.rmtree(ref_root, ignore_errors=True)
 
 
-def test_every_generation_indexes_each_record_once(tmp_path):
+def test_every_generation_stores_each_record_once_and_indexes_every_slot(tmp_path):
     snaps, _ = run_scenario(tmp_path / "scenario")
     for checkpoint in CHECKPOINTS:
         root = tmp_path / checkpoint
@@ -164,10 +181,45 @@ def test_every_generation_indexes_each_record_once(tmp_path):
                         decode_page_columns(blob[meta.offset : meta.offset + meta.nbytes])[0]
                         for meta in gen.pages
                     ]
-                    first_page = {}
-                    for pid, ids in enumerate(page_ids):
-                        for rid in ids:
-                            first_page.setdefault(rid, pid)
-                    indexed = [(page_ids[pid][slot], pid) for pid, slot in gen.index.query(EVERYTHING)]
-                    assert len(gen.index) == info.num_records == len(first_page), (name, gen.gen_id)
-                    assert sorted(indexed) == sorted(first_page.items()), (name, gen.gen_id)
+                    slots = [(pid, slot) for pid, ids in enumerate(page_ids) for slot in range(len(ids))]
+                    stored = [rid for ids in page_ids for rid in ids]
+                    assert len(set(stored)) == len(stored), (name, gen.gen_id)
+                    assert len(gen.index) == info.num_records == len(slots), (name, gen.gen_id)
+                    assert sorted(gen.index.query(EVERYTHING)) == slots, (name, gen.gen_id)
+
+
+def test_a_replicating_one_shard_store_answers_as_the_store_once_load(tmp_path):
+    # a one-shard store the retired writer wrote is the format every store
+    # had before the writers kept one copy: it opens and serves as a
+    # store-once load of the same records does, and compaction leaves it
+    # one copy of each record
+    fs = LustreFilesystem(tmp_path, ost_count=2)
+    geoms = golden_geometries(range(240))
+    bulk_load(fs, "once", geoms, **LOAD)
+    with replicating_writer():
+        bulk_load(fs, "copies", geoms, **LOAD)
+    windows = [EVERYTHING, Envelope(10, 10, 60, 40), Envelope(45.5, 0, 91, 132.5),
+               Envelope(30, 30, 30, 30)]
+    batch = list(enumerate(windows))
+
+    def served(name):
+        with SpatialDataStore.open(fs, name) as store:
+            slots = sum(part.record_count for part in store.manifest.partitions)
+            return slots, (
+                [[(h.record_id, h.partition_id, dumps(h.geometry)) for h in store.range_query(w)]
+                 for w in windows],
+                [[(h.record_id, h.partition_id, dumps(h.geometry)) for h in hits]
+                 for hits in store.range_query_batch(batch, exact=False)],
+                sorted((rid, dumps(g)) for rid, g in store.scan()),
+            )
+
+    stored, want = served("once")
+    slots, got = served("copies")
+    assert slots > stored  # records span cells, and the retired writer copied them
+    assert got == want
+    assert len(want[0][0]) == stored
+
+    compact_store(fs, "copies")
+    slots, got = served("copies")
+    assert slots == stored
+    assert got == want

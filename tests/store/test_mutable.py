@@ -38,12 +38,12 @@ from repro.geometry import (
     predicates,
     wkb,
 )
+from repro.index import UniformGrid
 from repro.pfs import LustreFilesystem
 from repro.store import (
     DEFAULT_RETRY,
     NO_RETRY,
     DistributedStoreServer,
-    ShardRouter,
     SpatialDataStore,
     StoreAppender,
     StoreError,
@@ -580,8 +580,8 @@ class TestShardedAppend:
         manifest = StoreAppender(fs, "smut_route").manifest
         assert manifest.next_record_id == 80
         # each appended record is stored once, in the shard owning its home
-        # partition; tombstones were broadcast to all shards (deletes in r2)
-        router = ShardRouter(manifest)
+        # cell; tombstones were broadcast to all shards (deletes in r2)
+        grid = UniformGrid(manifest.extent, manifest.grid_rows, manifest.grid_cols)
         appended = []
         for shard in manifest.shards:
             with SpatialDataStore.open(fs, shard.store) as store:
@@ -590,8 +590,8 @@ class TestShardedAppend:
                     appended += [shard.shard_id] * gen.num_records
                 for rid, geom in store.scan():
                     if rid >= 50:
-                        home = router.home_partition(geom.envelope)
-                        assert home in shard.partition_ids
+                        env = geom.envelope
+                        assert grid.cell_for_point(env.minx, env.miny) in shard.partition_ids
         assert len(appended) == 30
 
     @pytest.mark.parametrize("nprocs", NPROCS)
@@ -627,16 +627,20 @@ class TestShardedAppend:
 
     def test_update_moves_a_record_between_shards(self, fs):
         # the new version is stored in its new home shard only; every other
-        # shard sees just the tombstone, so the old replica never resurfaces
+        # shard sees just the tombstone, so the old version never resurfaces
         geoms = random_geometries(60, seed=73)
         bulk_load(fs, "smut_upd", geoms, num_shards=4, num_partitions=16, page_size=1024)
         appender = StoreAppender(fs, "smut_upd")
-        router = ShardRouter(appender.manifest)
-        owner = appender.manifest.partition_to_shard()
-        victim = next(rid for rid, g in enumerate(geoms)
-                      if owner[router.home_partition(g.envelope)] == 0)
+        layout = appender.manifest
+        grid = UniformGrid(layout.extent, layout.grid_rows, layout.grid_cols)
+        owner = layout.partition_to_shard()
+
+        def home_shard(g):
+            return owner[grid.cell_for_point(g.envelope.minx, g.envelope.miny)]
+
+        victim = next(rid for rid, g in enumerate(geoms) if home_shard(g) == 0)
         moved = Point(99.0, 99.0, userdata="moved")
-        assert owner[router.home_partition(moved.envelope)] != 0
+        assert home_shard(moved) != 0
         res = appender.append([moved], record_ids=[victim])
         assert (res.num_records, res.num_tombstones) == (1, 1)
         assert res.manifest.num_records == 60

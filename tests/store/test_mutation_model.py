@@ -7,7 +7,9 @@ appends and updates set ``model[rid]``, deletes drop it.  Like the
 benchmark, updates and deletes name live records (the store's live counts
 assume a delete never names a dead id).  After every step
 ``shards.json`` counts exactly the model's records and its id ceiling lies
-above every id ever used.  Queries go through a 2-rank
+above every id ever used, every stored slot of every generation of every
+shard has an index entry, and each visible record is stored in exactly one
+shard.  Queries go through a 2-rank
 :class:`~repro.store.DistributedStoreServer` at every shard count (and its
 ``local_records`` must yield every record exactly once), and through
 :class:`~repro.store.SpatialDataStore` when the store has one shard.
@@ -17,6 +19,7 @@ often sit exactly on grid-cell edges, and updates move records between
 shards.
 """
 
+import math
 import shutil
 import tempfile
 
@@ -43,6 +46,7 @@ from repro.store import (
 from repro.store.sharded import read_shards_manifest
 
 NAME = "model"
+EVERYWHERE = Envelope(-math.inf, -math.inf, math.inf, math.inf)
 half = st.integers(0, 80).map(lambda v: v / 2)
 
 
@@ -160,6 +164,20 @@ class MutationModel(RuleBasedStateMachine):
         assert layout.num_shards == self.NUM_SHARDS
         assert layout.num_records == len(self.model)
         assert layout.next_record_id >= self.next_id
+
+
+    @invariant()
+    def each_record_is_stored_once_and_every_slot_indexed(self):
+        layout, _ = read_shards_manifest(self.fs, NAME)
+        visible = []
+        for shard in layout.shards:
+            with SpatialDataStore.open(self.fs, shard.store) as store:
+                for gen in store.generations:
+                    slots = [(meta.page_id, slot) for meta in gen.pages
+                             for slot in range(meta.count)]
+                    assert sorted(gen.index.query(EVERYWHERE)) == slots
+                visible += [page.record_ids[slot] for page, slot in store._visible()]
+        assert sorted(visible) == sorted(self.model)
 
 
 def _test_case(num_shards):

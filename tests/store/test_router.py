@@ -1,11 +1,11 @@
 """Routing layer: ``shards.json`` round-trips, shard pruning, scatter plans
-and the partition-ownership rule that de-duplicates replicas for pipeline
-input."""
+and the ownership rule that stores each record once, in its home cell."""
 
 import pytest
 
 from repro.datasets import random_envelopes
 from repro.geometry import Envelope, Polygon
+from repro.index import UniformGrid
 from repro.pfs import LustreFilesystem
 from repro.store import (
     ShardInfo,
@@ -52,8 +52,7 @@ class TestShardsManifest:
             assert a.extent.is_empty == b.extent.is_empty
             if not a.extent.is_empty:
                 assert a.extent.as_tuple() == b.extent.as_tuple()
-            assert (a.num_records, a.num_replicas, a.num_pages) == (
-                b.num_records, b.num_replicas, b.num_pages)
+            assert (a.num_records, a.num_pages) == (b.num_records, b.num_pages)
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ class TestScatterPlan:
 
 
 class TestPartitionOwnership:
-    def test_home_partition_matches_writer_replication(self, tmp_path):
+    def test_each_record_is_stored_in_its_home_cell_only(self, tmp_path):
         fs = LustreFilesystem(tmp_path / "pfs")
         geoms = [
             Polygon.from_envelope(env, userdata=i)
@@ -165,27 +164,25 @@ class TestPartitionOwnership:
         ]
         result = bulk_load(fs, "own", geoms, num_shards=4,
                            num_partitions=16, page_size=512)
-        router = ShardRouter(result.manifest)
+        layout = result.manifest
+        grid = UniformGrid(layout.extent, layout.grid_rows, layout.grid_cols)
+        # precondition: some record's MBR spans several cells
+        assert any(len(grid.cells_for_envelope(g.envelope)) > 1 for g in geoms)
 
-        # collect each record's replica partitions straight from the shards
-        replica_partitions = {}
-        for shard in result.manifest.shards:
-            store = SpatialDataStore.open(fs, shard.store)
-            for hit in store.range_query(result.manifest.extent, exact=False):
-                replica_partitions.setdefault(hit.record_id, set()).add(hit.partition_id)
-            store.close()
+        # collect each record's stored partitions straight from the shards
+        stored = {}
+        for shard in layout.shards:
+            with SpatialDataStore.open(fs, shard.store) as store:
+                for hit in store.range_query(layout.extent, exact=False):
+                    assert hit.partition_id in shard.partition_ids
+                    stored.setdefault(hit.record_id, []).append(hit.partition_id)
 
         for rid, geom in enumerate(geoms):
-            home = router.home_partition(geom.envelope)
-            # the home partition really holds a replica of the record …
-            assert home in replica_partitions[rid]
-            # … and is the lowest-numbered one (the deterministic owner)
-            assert home == min(replica_partitions[rid])
-
-    def test_home_partition_rejects_empty_envelope(self):
-        router = ShardRouter(make_manifest())
-        with pytest.raises(ValueError):
-            router.home_partition(Envelope.empty())
+            env = geom.envelope
+            # one copy, in the cell of the MBR's lower-left corner, the
+            # lowest-numbered cell the MBR overlaps
+            assert stored[rid] == [grid.cell_for_point(env.minx, env.miny)]
+            assert stored[rid] == [min(grid.cells_for_envelope(env))]
 
 
 class TestShardsOnDisk:

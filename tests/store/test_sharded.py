@@ -1,10 +1,10 @@
 """Serving-correctness battery for the sharded store.
 
 The invariant under test: for any dataset and query workload, the
-record-id-de-duplicated results of distributed serving equal the
-single-store results equal a brute-force scan — ids *and* geometries —
-for every rank count, including ranks without shards, empty shards and
-replicas spanning shard boundaries.
+results of distributed serving equal the single-store results equal a
+brute-force scan — ids *and* geometries — for every rank count, including
+ranks without shards, empty shards and records spanning shard boundaries
+(each stored in one shard).
 """
 
 import random
@@ -15,6 +15,7 @@ from repro import mpisim
 from repro.core import GridPartitionConfig, RangeQuery, SpatialJoin
 from repro.datasets import random_envelopes
 from repro.geometry import Envelope, LineString, Point, Polygon, predicates
+from repro.index import UniformGrid
 from repro.pfs import LustreFilesystem
 from repro.store import (
     AsyncStoreFrontend,
@@ -62,7 +63,7 @@ def brute_force_ids(geoms, window):
 
 
 def serve_distributed(fs, name, queries, nprocs, cache_pages=32):
-    """Run one distributed batch; returns rank 0's de-duplicated hits."""
+    """Run one distributed batch; returns rank 0's merged hits."""
 
     def prog(comm):
         with DistributedStoreServer.open(comm, fs, name, cache_pages=cache_pages) as server:
@@ -135,11 +136,18 @@ class TestShardedEqualsSingleEqualsBruteForce:
         assert hits == []
 
 
-class TestReplicaDeduplication:
-    def test_cross_shard_replicas_reported_once(self, tmp_path):
+def crosses_shards(manifest, geom):
+    """Whether *geom*'s MBR overlaps cells of more than one shard."""
+    grid = UniformGrid(manifest.extent, manifest.grid_rows, manifest.grid_cols)
+    owner = manifest.partition_to_shard()
+    return len({owner[cid] for cid in grid.cells_for_envelope(geom.envelope)}) > 1
+
+
+class TestCrossShardRecords:
+    def test_cross_shard_records_reported_once(self, tmp_path):
         fs = make_fs(tmp_path)
-        # wide horizontal slabs overlap every grid column -> replicas in
-        # every shard; small squares stay local
+        # wide horizontal slabs overlap every grid column -> they cross
+        # every shard boundary; small squares stay local
         slabs = [
             Polygon.from_envelope(Envelope(1.0, 10.0 * i + 1.0, 99.0, 10.0 * i + 4.0),
                                   userdata=i)
@@ -156,17 +164,14 @@ class TestReplicaDeduplication:
         result = bulk_load(fs, "data", geoms, num_shards=4,
                            num_partitions=16, page_size=256)
 
-        # precondition: at least one record is really replicated across shards
-        shard_record_sets = []
+        # precondition: some record's MBR crosses a shard boundary
+        assert any(crosses_shards(result.manifest, g) for g in geoms)
+        # and each record is stored in exactly one shard
+        stored = []
         for shard in result.manifest.shards:
-            store = SpatialDataStore.open(fs, shard.store)
-            shard_record_sets.append({rid for rid, _ in store.scan()})
-            store.close()
-        replicated = set()
-        for i, a in enumerate(shard_record_sets):
-            for b in shard_record_sets[i + 1:]:
-                replicated |= a & b
-        assert replicated, "test dataset must produce cross-shard replicas"
+            with SpatialDataStore.open(fs, shard.store) as store:
+                stored += [rid for rid, _ in store.scan()]
+        assert sorted(stored) == list(range(len(geoms)))
 
         window = Envelope(0.0, 0.0, 100.0, 100.0)
         for nprocs in NPROCS:
@@ -176,11 +181,10 @@ class TestReplicaDeduplication:
             assert sorted(ids) == list(range(len(geoms)))
 
     @pytest.mark.parametrize("nprocs", NPROCS)
-    def test_the_merge_keeps_the_lowest_replica_each_shard_returns(self, tmp_path, nprocs):
-        # every hit's full tuple is the lowest (shard, partition, page)
-        # among the hits each shard's own store returns for that window —
-        # at 2 ranks over 4 shards a rank answers one position from two
-        # shards, so rank 0 merges two chunks of one rank
+    def test_the_merge_keeps_the_hits_each_shard_returns(self, tmp_path, nprocs):
+        # every hit's full tuple is the one its shard's own store returns
+        # for that window — at 2 ranks over 4 shards a rank answers one
+        # position from two shards, so rank 0 merges two chunks of one rank
         fs = make_fs(tmp_path)
         geoms = random_geometries(160, seed=31, max_size_fraction=0.3)
         result = bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16, page_size=512)
@@ -196,9 +200,10 @@ class TestReplicaDeduplication:
                         row = (shard.shard_id, h.partition_id, h.page_id, h.geometry.wkt())
                         key = (idx, h.record_id)
                         best[key] = min(best.get(key, row), row)
-                        answered.setdefault(key, set()).add(shard.shard_id)
-        # preconditions: replicas from several shards reach the merge, and
-        # some position gets hits from both shards of rank 0 of two
+                        answered.setdefault(idx, set()).add(shard.shard_id)
+        # preconditions: records cross shard boundaries, positions get hits
+        # from several shards, and some from both shards of rank 0 of two
+        assert any(crosses_shards(result.manifest, g) for g in geoms)
         assert any(len(sids) > 1 for sids in answered.values())
         assert any(sids >= {0, 1} for sids in answered.values())
 
@@ -211,16 +216,16 @@ class TestReplicaDeduplication:
             for idx, record_id in sorted(best)
         ]
 
-    def test_total_replicas_preserved_by_sharding(self, tmp_path):
+    def test_sharding_stores_each_record_once(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(100, seed=13)
         sharded = bulk_load(fs, "data", geoms, num_shards=4,
                             num_partitions=16, page_size=512)
         single = bulk_load(fs, "data_single", geoms, num_partitions=16,
                            page_size=512)
-        assert sharded.num_replicas == single.num_replicas
+        assert any(crosses_shards(sharded.manifest, g) for g in geoms)
         assert sharded.num_records == single.num_records
-        assert sum(s.num_replicas for s in sharded.manifest.shards) == single.num_replicas
+        assert sum(s.num_records for s in sharded.manifest.shards) == single.num_records
 
 
 class TestShardEdgeCases:

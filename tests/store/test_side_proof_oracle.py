@@ -215,7 +215,11 @@ def test_a_lazy_hit_outlives_its_store(lattice_store, monkeypatch):
     hits = store.range_query(WINDOW)
     lazy = [hit for hit in hits if hit._payload is not None]
     assert (len(hits), len(lazy), store.stats.records_decoded) == (64, 55, 9)
-    store.range_query(Envelope(11.0, 11.0, 12.0, 12.0))  # its page evicts theirs
+    # the centre of a page no lazy hit holds: that page evicts theirs
+    held = {h.page_id for h in lazy}
+    x, y = next(meta.mbr.centre for meta in store.generations[0].pages
+                if meta.page_id not in held)
+    store.range_query(Envelope(x, y, x, y))
     assert not any(PageKey(h.generation, h.page_id) in store._cache for h in lazy)
     store.close()
     del store

@@ -204,18 +204,20 @@ def chunk_sets(draw):
     (``(batch position, shard, QueryHit list)``, converted by
     :func:`served`):
     each chunk's record ids unique and ascending, records matched by several
-    batch positions and replicated across shards / partitions / pages (the
-    same ``(position, record)`` under differing locations, one shard possibly
-    answering a position in two chunks), several chunks for one position on
-    one rank, empty chunks, chunks split over ranks in a drawn order and
-    shuffled within each rank."""
+    batch positions, each ``(position, record)`` in one chunk only (a record
+    is stored in one shard) while one shard may answer a position in two
+    chunks, several chunks for one position on one rank, empty chunks,
+    chunks split over ranks in a drawn order and shuffled within each
+    rank."""
     num_queries = draw(st.integers(1, 6))
     qids = [draw(st.one_of(st.integers(), st.text(max_size=3))) for _ in range(num_queries)]
     geoms = [Point(float(i), 0.0) for i in range(8)]
     chunks = []
     for idx in range(num_queries):
+        answered = set()
         for sid in draw(st.lists(st.integers(0, 3), max_size=4)):
-            ids = sorted(draw(st.lists(st.integers(0, 7), max_size=6, unique=True)))
+            ids = sorted(set(draw(st.lists(st.integers(0, 7), max_size=6))) - answered)
+            answered.update(ids)
             chunks.append((idx, sid, [
                 QueryHit(rid, geoms[rid], draw(st.integers(0, 5)), draw(st.integers(0, 4)),
                          draw(st.integers(0, 2)))

@@ -59,10 +59,31 @@ the pack stores it on, where it used to index every replica):
   writing them is charged less;
 * what did not move: every ``data.bin``, ``delta-*.bin``, ``manifest.json``
   and ``shards.json`` hash, and the charges of writers whose indexes held
-  no replica.  ``BEFORE_SHARDS_JSON`` keeps the values recorded before
-  ``shards.json`` existed; ``test_one_shard_charges_grew_by_one_shards_json_write``
-  adds each charge's index-write difference, the retired writer's blob
-  (``_replica_index_reference.py``) against the scenario's.
+  no replica.
+
+It was re-recorded when every writer began to store each record once, in
+its home cell (``writer.home_cells``), where it used to store a copy in
+every cell the record's MBR overlaps, and the manifests lost their
+``replicas`` keys:
+
+* what moved: every file of a store holding a record that spans cells —
+  ``crc``'s and ``sh``'s ``data.bin`` / ``index.bin`` / ``manifest.json``
+  at every checkpoint, ``crc/delta-0001.*`` and ``sh``'s third shard's
+  ``delta-0001.*`` (and its replica's); every ``shards.json`` and every
+  manifest with a generation list (a ``replicas`` key per shard and per
+  generation went); every charge, each by the write charge of the bytes it
+  no longer writes;
+* what did not move: the ``empty`` store's ``data.bin``, ``index.bin`` and
+  ``delta-0001.*``, ``crc``'s ``delta-0002.*`` / ``delta-0003.*`` and the
+  first two shards' ``delta-0001.*`` of ``sh``: none of those batches holds
+  a record that spans cells.
+
+The constants of the charges from before ``shards.json`` existed went with
+that change: the retired writer can still be swapped in
+(``_replicating_writer_reference.py``), but the manifests it writes carry
+no ``replicas`` keys, so it no longer reproduces those charges.
+``test_one_shard_charges_follow_the_bytes_written`` derives each one-shard
+charge from the retired writer's instead.
 
 Re-record (only when a format change is intended) with::
 
@@ -78,7 +99,7 @@ import tempfile
 
 import pytest
 
-from _replica_index_reference import replica_indexing  # the retired writer, kept next to this file
+from _replicating_writer_reference import replicating_writer  # the retired writer, kept next to this file
 from repro.geometry import Envelope, LineString, MultiPoint, Point, Polygon
 from repro.pfs import LustreFilesystem
 from repro.store import StoreAppender, bulk_load, compact_store
@@ -93,18 +114,6 @@ from repro.store.format import (
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("write_path_golden.json")
 CHECKPOINTS = ("loaded", "appended", "compacted")
-#: one-shard charge -> its value before every store carried shards.json
-BEFORE_SHARDS_JSON = {
-    "bulk_load": "0x1.e4ac407101888p-8",
-    "bulk_load_empty": "0x1.e1b58666f94ecp-8",
-    "append_plain": "0x1.e276ef90ee18ap-8",
-    "append_deletes": "0x1.e2399f69b563fp-8",
-    "append_updates": "0x1.e237c6f76df3cp-8",
-    "append_tombstones_only": "0x1.42159c5cfd0a1p-9",
-    "append_to_empty": "0x1.e1efa29b6e18ap-8",
-    "compact": "0x1.e5204617b0a8ap-8",
-    "compact_was_empty": "0x1.e1ea01d741ba1p-8",
-}
 LOAD = dict(num_partitions=9, page_size=512)
 
 
@@ -235,41 +244,38 @@ def test_write_seconds_are_bit_identical(outcome, golden):
     assert outcome["write_seconds"] == golden["write_seconds"]
 
 
-#: one-shard charge -> the index file it writes (None: it writes no index)
-INDEX_WRITTEN = {
-    "bulk_load": "crc/index.bin",
-    "bulk_load_empty": "empty/index.bin",
-    "append_plain": "crc/delta-0001.idx",
-    "append_deletes": "crc/delta-0002.idx",
-    "append_updates": "crc/delta-0003.idx",
-    "append_tombstones_only": None,
-    "append_to_empty": "empty/delta-0001.idx",
-    "compact": "crc/index.bin",
-    "compact_was_empty": "empty/index.bin",
+#: one-shard charge -> (the checkpoint after it, its store, the generation
+#: files it writes); each also rewrites the store's manifest and shards.json
+FILES_WRITTEN = {
+    "bulk_load": ("loaded", "crc", ["data.bin", "index.bin"]),
+    "bulk_load_empty": ("loaded", "empty", ["data.bin", "index.bin"]),
+    "append_plain": ("appended", "crc", ["delta-0001.bin", "delta-0001.idx"]),
+    "append_deletes": ("appended", "crc", ["delta-0002.bin", "delta-0002.idx"]),
+    "append_updates": ("appended", "crc", ["delta-0003.bin", "delta-0003.idx"]),
+    "append_tombstones_only": ("appended", "crc", []),
+    "append_to_empty": ("appended", "empty", ["delta-0001.bin", "delta-0001.idx"]),
+    "compact": ("compacted", "crc", ["data.bin", "index.bin"]),
+    "compact_was_empty": ("compacted", "empty", ["data.bin", "index.bin"]),
 }
 
 
-def test_one_shard_charges_grew_by_one_shards_json_write(scenario, tmp_path):
+def test_one_shard_charges_follow_the_bytes_written(scenario, tmp_path):
     snaps, seconds = scenario
-    with replica_indexing():
-        replica_snaps, _ = run_scenario(tmp_path / "replica-indexed")
+    with replicating_writer():
+        replica_snaps, replica_seconds = run_scenario(tmp_path / "replicating")
     fs = LustreFilesystem(tmp_path / "charges", ost_count=4)
-    for name, before in BEFORE_SHARDS_JSON.items():
-        store = "empty" if "empty" in name else "crc"
-        checkpoint = {"bulk": "loaded", "append": "appended", "compact": "compacted"}[
-            name.split("_")[0]
-        ]
-        # the write costs the same, to a few bytes' worth, at every size the
-        # file has during the scenario
-        blob = snaps[checkpoint][f"{store}/shards.json"]
-        extra = write_file(fs, f"stores/{store}/shards.json", blob)
-        index = INDEX_WRITTEN[name]
-        if index is not None:
-            # the index blob is smaller than the replica-indexed one it replaced
-            path = f"stores/{index}"
-            extra += write_file(fs, path, snaps[checkpoint][index])
-            extra -= write_file(fs, path, replica_snaps[checkpoint][index])
-        assert seconds[name] - float.fromhex(before) == pytest.approx(extra, abs=1e-8), name
+    for name, (checkpoint, store, written) in FILES_WRITTEN.items():
+        # an append's manifest and shards.json are priced as they stand at
+        # the checkpoint: their difference from the replicating build's is
+        # the same at every size they have during the scenario
+        extra = 0.0
+        for file in [*written, "manifest.json", "shards.json"]:
+            path = f"{store}/{file}"
+            extra += write_file(fs, f"stores/{path}", snaps[checkpoint][path])
+            extra -= write_file(fs, f"stores/{path}", replica_snaps[checkpoint][path])
+        assert seconds[name] - replica_seconds[name] == pytest.approx(extra, abs=1e-12), name
+    # and the replicating build did store copies: the bulk load wrote more
+    assert replica_seconds["bulk_load"] > seconds["bulk_load"]
 
 
 @pytest.mark.parametrize("checkpoint", CHECKPOINTS)
