@@ -10,10 +10,10 @@ trajectory to PR 4's staged engine and async front-end.
   phase-overlapped virtual-clock throughput rising with the window — the
   windowed pipeline must beat the baseline at ≥ 4 in-flight batches.
 * **Cost-model vs fixed prefetch** — the same window sweep served by one
-  store under the fixed heuristics (page-size gap, constant readahead)
-  and under `io_policy="cost_model"` (break-even gap + stripe-aligned
-  readahead from the `repro.pfs` layout).  Expected shape: identical hits
-  with no more coalesced read requests.
+  store under `io_policy="fixed"` (no readahead) and under
+  `io_policy="cost_model"` (stripe-aligned readahead from the `repro.pfs`
+  layout); both merge pages into the same cost-model-priced data sieves.
+  Expected shape: identical hits with no more read requests.
 
 Set ``ASYNC_FRONTEND_QUICK=1`` for the CI smoke variant (fewer batches,
 fewer ranks).
@@ -203,7 +203,8 @@ def test_cost_model_vs_fixed_prefetch(lustre, frontend_store, benchmark, once):
     assert cost_keys == fixed_keys
     assert fixed["pages_prefetched"] == 0
 
-    # the break-even gap merges at least as aggressively as the page-size gap
+    # both policies sieve by the same rule; readahead extends a fetch's final
+    # sieve (no request of its own) and its pages are later cache hits
     assert cost["read_requests"] <= fixed["read_requests"]
 
     benchmark.extra_info["queries"] = len(queries)

@@ -48,7 +48,7 @@ class ExplainReport:
 
     query: Dict[str, Any]
     plan: Dict[str, Any]
-    #: one dict per coalesced read run, in issue order
+    #: one dict per data sieve (``io`` span), in issue order
     schedule: List[Dict[str, Any]]
     refine: Dict[str, Any]
     cache: Dict[str, Any]
@@ -120,12 +120,12 @@ class ExplainReport:
                 f"  schedule run {i}: generation {run.get('generation', 0)} "
                 f"{page_str} ({run.get('num_pages', 0)} pages, "
                 f"{run.get('nbytes', 0)} B, {run.get('prefetched', 0)} "
-                f"prefetched; policy={run.get('policy')} gap={run.get('gap')} "
+                f"prefetched; policy={run.get('policy')} "
                 f"readahead stop: {run.get('prefetch_stop')})"
             )
         lines.append(
             f"  refine: {r['candidates']} candidates, "
-            f"{r['replicas_skipped']} replica(s) skipped, "
+            f"{r['superseded']} superseded, "
             f"{r['tombstone_drops']} tombstone drop(s), "
             f"{r['records_decoded']} decoded, "
             f"{r['rect_shortcuts']} rect shortcut(s), "
@@ -170,7 +170,7 @@ def build_explain(
     schedule: List[Dict[str, Any]] = []
     refine: Dict[str, Any] = dict.fromkeys(
         (
-            "candidates", "replicas_skipped", "tombstone_drops", "records_decoded",
+            "candidates", "superseded", "tombstone_drops", "records_decoded",
             "rect_shortcuts", "side_proofs", "slots_scanned", "bulk_filter_batches",
         ),
         0,
@@ -198,7 +198,7 @@ def build_explain(
     # bulk-filter selectivity: the fraction of scanned candidate slots that
     # survived de-dup + tombstone shadowing (decode-eligible survivors)
     scanned = refine["slots_scanned"]
-    survivors = scanned - refine["replicas_skipped"] - refine["tombstone_drops"]
+    survivors = scanned - refine["superseded"] - refine["tombstone_drops"]
     refine["filter_selectivity"] = (survivors / scanned) if scanned else 0.0
     routing: Dict[str, Any] = {}
     if shards is not None:

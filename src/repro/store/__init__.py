@@ -40,7 +40,7 @@ for it again:
 ``repro.store.engine`` / ``repro.store.scheduler``
     The staged **plan → schedule → refine** query engine every serving entry
     point routes through: :class:`QueryPlanner` (filter phase),
-    :class:`IOScheduler` (coalesced, cost-model-aware page I/O) and
+    :class:`IOScheduler` (data-sieved page I/O priced by the cost model) and
     :class:`RefineExecutor` (per-slot decode + newest-version de-dup), composed by
     :class:`StoreEngine`.
 

@@ -60,10 +60,11 @@ __all__ = [
 ]
 
 
-#: I/O scheduling policies: ``"fixed"`` coalesces across gaps of up to one
-#: page and reads nothing ahead; ``"cost_model"`` derives the gap and a
-#: stripe-aligned readahead from the data file's striping layout and the
-#: filesystem's cost model (see :mod:`repro.store.scheduler`)
+#: I/O scheduling policies.  Both merge missing pages into data sieves
+#: wherever the filesystem's cost model prices one request below two (see
+#: :mod:`repro.store.scheduler`); they differ only in readahead:
+#: ``"fixed"`` reads nothing ahead, ``"cost_model"`` reads ahead to the
+#: stripe boundary of the data file's striping layout
 IO_POLICIES = ("fixed", "cost_model")
 
 
@@ -73,7 +74,7 @@ class Generation:
     a delta container stacked by an incremental append.
 
     Each generation keeps its own page directory, packed index, file handle
-    and :class:`~repro.store.scheduler.IOScheduler`, so read coalescing and
+    and :class:`~repro.store.scheduler.IOScheduler`, so a data sieve and its
     readahead never mix byte ranges of different files; the page cache and
     the statistics are shared store-wide (pages are addressed by
     :class:`~repro.store.format.PageKey`).
@@ -120,9 +121,11 @@ class StoreStats:
     MBR-only batches, each once per cached page image — not every record on
     every touched page, and not a later ``.geometry`` read of a hit the
     envelope column proved (that hit decodes itself, uncounted).
-    ``read_requests`` counts coalesced read ranges
-    issued to the filesystem, which is why it can be far below
-    ``pages_read``.
+    ``read_requests`` counts the data sieves charged to the filesystem —
+    one request each, which is why it can be far below ``pages_read`` — and
+    ``bytes_read`` the bytes they span, the unwanted bytes between a
+    sieve's pages included (the cost model charges them; the host reads
+    only the pages).
 
     Since PR 6 this is a facade over ``store.*`` counters in a
     :class:`~repro.obs.metrics.MetricsRegistry` (the store's own registry,
@@ -136,7 +139,7 @@ class StoreStats:
         "bytes_read",
         "records_decoded",
         "queries",
-        #: coalesced read ranges issued (each covers one run of adjacent pages)
+        #: data sieves issued (each one request covering a run of pages)
         "read_requests",
         #: pages read ahead of demand by the sequential readahead
         "pages_prefetched",
@@ -220,11 +223,11 @@ class SpatialDataStore:
         The serving knobs are declared here and nowhere else —
         :meth:`open` and the sharded server forward them by keyword.
         *cache_pages* sizes the SIEVE page cache; *io_policy* picks the
-        coalescing gap and readahead (see :data:`IO_POLICIES`):
-        ``"fixed"`` merges candidate pages up to one page apart and reads
-        nothing ahead, ``"cost_model"`` derives both from the data file's
-        striping layout and the filesystem's cost model, its readahead
-        clamped so a fetch never inserts more pages than the cache holds.
+        readahead (see :data:`IO_POLICIES`): under both policies missing
+        pages merge into data sieves priced by the data file's striping
+        layout and the filesystem's cost model; ``"fixed"`` reads nothing
+        ahead, ``"cost_model"`` reads ahead to the stripe boundary, clamped
+        so a fetch never inserts more pages than the cache holds.
 
         *tracer* (a :class:`~repro.obs.trace.Tracer`; default the zero-cost
         null tracer) records query spans; *retry_policy* bounds the
@@ -258,7 +261,6 @@ class SpatialDataStore:
         self._cache: PageCache[PageKey, CachedPage] = PageCache(
             cache_pages, stats=self.stats.cache
         )
-        self._cache_pages = cache_pages
 
         #: generation 0 (base container) plus one entry per delta, indexed
         #: by generation id
@@ -278,7 +280,13 @@ class SpatialDataStore:
                     gen_id=gen_id,
                     pages=pages,
                     index=index,
-                    scheduler=self._make_scheduler(pages, data_path),
+                    # "fixed" leaves readahead no room in the cache
+                    scheduler=IOScheduler.cost_aware(
+                        pages,
+                        layout=fs.layout_of(data_path),
+                        cost_model=fs.cost_model,
+                        cache_capacity=cache_pages if io_policy == "cost_model" else 0,
+                    ),
                     data_path=data_path,
                     extent=info.extent,
                     handle=handle,
@@ -290,18 +298,6 @@ class SpatialDataStore:
         #: strictly older generations are invisible)
         self._tombstone_gen: Dict[int, int] = manifest.tombstone_generations()
         self.engine = StoreEngine(self)
-
-    def _make_scheduler(self, pages: List[PageMeta], path: str) -> IOScheduler:
-        """Per-generation scheduler: coalescing and readahead never span
-        container files."""
-        if self.io_policy == "cost_model":
-            return IOScheduler.cost_aware(
-                pages,
-                layout=self.fs.layout_of(path),
-                cost_model=self.fs.cost_model,
-                cache_capacity=self._cache_pages,
-            )
-        return IOScheduler(pages, gap=self.manifest.page_size)
 
     # the base generation's state lives only in generations[0]; these
     # aliases keep the single-container surface everyone already uses
@@ -467,18 +463,21 @@ class SpatialDataStore:
         missing: List[PageKey],
         failed: Optional[List[Tuple[PageKey, Exception]]] = None,
     ) -> Dict[PageKey, CachedPage]:
-        """Read the (sorted) *missing* pages with coalesced, gap-tolerant
-        read ranges — the two-phase-I/O analogue of the serving path.
+        """Read the (sorted) *missing* pages through data sieves — ROMIO's
+        data sieving on the serving path.
 
-        Misses are grouped by generation (coalescing never spans container
-        files); within each generation the runs come from that generation's
-        :class:`~repro.store.scheduler.IOScheduler`: adjacent or near pages
-        merge into one range, the whole schedule is issued as a single
-        :class:`ReadRequest` (so the cost model charges one run of requests
-        instead of one RPC per page), and readahead extends the final run
-        past the demand frontier to the stripe boundary under the
-        cost-model policy (pages are laid out back to back, so the
-        extension pays bandwidth, never extra latency).
+        Misses are grouped by generation (a sieve never spans container
+        files); within each generation the sieves come from that
+        generation's :class:`~repro.store.scheduler.IOScheduler`: two runs
+        of missing pages merge wherever the cost model prices the bytes
+        between them below the request the merge saves, and readahead
+        extends the final sieve past the demand frontier to the stripe
+        boundary under the cost-model policy (pages are laid out back to
+        back, so the extension pays bandwidth, never extra latency).  The
+        whole schedule is charged as one :class:`ReadRequest`, one range per
+        sieve, and ``read_requests`` / ``bytes_read`` count the sieves; the
+        host reads only the pages' bytes (:meth:`_read_run`), and only
+        demand and readahead pages are checksummed, cached and counted.
 
         Transient read faults are retried per run under the store's
         :class:`~repro.store.scheduler.RetryPolicy`; pages still bad after
@@ -518,7 +517,6 @@ class SpatialDataStore:
                             nbytes=run.nbytes,
                             prefetched=run.num_prefetched,
                             policy=self.io_policy,
-                            gap=gen.scheduler.gap,
                             prefetch_stop=schedule.prefetch_stop,
                         )
                         before = self.stats.retries
@@ -549,53 +547,66 @@ class SpatialDataStore:
         out: Dict[PageKey, CachedPage],
         bad: List[Tuple[PageKey, Exception]],
     ) -> None:
-        """Read one coalesced run, verify checksums and slice the payloads
-        into *out*, retrying the whole run on transient faults.
+        """Read one sieve's pages, verify checksums and slice the payloads
+        into *out*, retrying the whole sieve on transient faults.
 
-        Retryable: a raised ``OSError``, a short read of the run and a page
-        checksum mismatch (each retry re-reads the run's bytes, charges the
-        policy backoff plus the re-read to ``io_seconds`` and bumps
-        ``stats.retries``).  Structural decode errors keep propagating
-        immediately — a payload that parses wrong with a *valid* checksum
-        re-parses identically, so a retry cannot help.  Pages still bad
-        after the last attempt are quarantined and appended to *bad* with
-        their cause; readahead-only pages among them are dropped silently (a
-        later demand fails fast on the quarantine set).
+        The host reads only the pages' bytes — one ``pread`` per back-to-back
+        stretch of them — never the gaps the cost model charged, the way
+        :mod:`repro.io` charges an aggregator's covering extent but reads
+        only the requested blocks.  Retryable: a raised ``OSError``, a short
+        read and a page checksum mismatch (each retry re-reads the pages,
+        charges the policy backoff plus the sieve's re-read to
+        ``io_seconds`` and bumps ``stats.retries``).  Structural decode
+        errors keep propagating immediately — a payload that parses wrong
+        with a *valid* checksum re-parses identically, so a retry cannot
+        help.  Pages still bad after the last attempt are quarantined and
+        appended to *bad* with their cause; readahead-only pages among them
+        are dropped silently (a later demand fails fast on the quarantine
+        set).
         """
         policy = self.retry_policy
         demand = set(run.demand_ids)
+        # [offset, nbytes, page ids] of each back-to-back stretch of the
+        # sieve's pages
+        stretches: List[list] = []
+        for pid in run.page_ids:
+            meta = gen.pages[pid]
+            if stretches and stretches[-1][0] + stretches[-1][1] == meta.offset:
+                stretches[-1][1] += meta.nbytes
+                stretches[-1][2].append(pid)
+            else:
+                stretches.append([meta.offset, meta.nbytes, [pid]])
+        nbytes = sum(n for _, n, _ in stretches)
         attempt = 1
         while True:
             run_error: Optional[Exception] = None
             page_errors: List[Tuple[int, Exception]] = []
             pages: Dict[int, CachedPage] = {}
             try:
-                buf = gen.handle.pread(run.offset, run.nbytes)
+                bufs = [gen.handle.pread(o, n) for o, n, _ in stretches]
             except OSError as exc:
                 run_error = exc
-                buf = b""
-            if run_error is None and len(buf) != run.nbytes:
+            if run_error is None and sum(map(len, bufs)) != nbytes:
                 run_error = StoreFormatError(
                     f"pages {run.page_ids[0]}..{run.page_ids[-1]} of "
                     f"generation {gen_id} of store {self.name!r} are "
-                    f"truncated: got {len(buf)} of {run.nbytes} bytes"
+                    f"truncated: got {sum(map(len, bufs))} of {nbytes} bytes"
                 )
             if run_error is None:
-                for pid in run.page_ids:
-                    meta = gen.pages[pid]
-                    payload = buf[
-                        meta.offset - run.offset : meta.offset - run.offset + meta.nbytes
-                    ]
-                    try:
-                        # the decode count goes straight to the counter: a
-                        # page holding a method of the store would make the
-                        # store a reference cycle (see StoreEngine)
-                        pages[pid] = CachedPage(
-                            pid, payload, meta.crc32, on_decode=self.stats._records_decoded.inc
-                        )
-                    except PageChecksumError as exc:
-                        exc.generation = gen_id
-                        page_errors.append((pid, exc))
+                for buf, (offset, _, pids) in zip(bufs, stretches):
+                    for pid in pids:
+                        meta = gen.pages[pid]
+                        payload = buf[meta.offset - offset : meta.offset - offset + meta.nbytes]
+                        try:
+                            # the decode count goes straight to the counter: a
+                            # page holding a method of the store would make
+                            # the store a reference cycle (see StoreEngine)
+                            pages[pid] = CachedPage(
+                                pid, payload, meta.crc32, on_decode=self.stats._records_decoded.inc
+                            )
+                        except PageChecksumError as exc:
+                            exc.generation = gen_id
+                            page_errors.append((pid, exc))
                 if not page_errors:
                     for pid, page in pages.items():
                         out[PageKey(gen_id, pid)] = page
@@ -653,7 +664,7 @@ class SpatialDataStore:
         """
         tracer = self.tracer
         # one "schedule" span per resolution (its "io" children are the
-        # coalesced runs the misses turned into)
+        # data sieves the misses turned into)
         with tracer.span("schedule") as span:
             out: Dict[PageKey, CachedPage] = {}
             missing: List[PageKey] = []

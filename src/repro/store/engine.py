@@ -12,9 +12,9 @@ engine makes each stage an explicit object with one owner:
   (:func:`repro.index.sfc.spatial_visit_order`).  Its output is a
   :class:`QueryPlan`, pure metadata — no I/O has happened yet.
 * :class:`~repro.store.scheduler.IOScheduler` — the **I/O** stage: missing
-  pages → coalesced, gap-tolerant read runs with readahead sized either by
-  the fixed heuristics or by the ``repro.pfs`` striping layout / cost model
-  (see :mod:`repro.store.scheduler`).
+  pages → data sieves priced by the ``repro.pfs`` striping layout / cost
+  model, with stripe-aligned readahead under the cost-model policy (see
+  :mod:`repro.store.scheduler`).
 * :class:`RefineExecutor` — the **refine** phase: record-id de-dup and
   tombstone shadowing on the envelope column *before* any decode, the
   rectangular-window MBR proofs (containment, or one whole MBR side inside
@@ -405,7 +405,7 @@ class RefineExecutor:
     ) -> Tuple[Sequence[int], int, int]:
         """Bulk de-dup + tombstone shadowing for one page's candidates.
 
-        Returns ``(survivors, replicas_skipped, tombstone_drops)`` and
+        Returns ``(survivors, superseded, tombstone_drops)`` and
         folds the surviving ids into *seen*.  All set operations — zero
         per-slot dict probes on the common paths.
         """
@@ -418,30 +418,30 @@ class RefineExecutor:
             # can do this — preserve first-encounter-wins slot order
             shadow = self._shadow(generation)
             survivors: List[int] = []
-            replicas = tombs = 0
+            superseded = tombs = 0
             for slot, rid in zip(slots, slot_ids):
                 if rid in seen:
-                    replicas += 1
+                    superseded += 1
                 elif rid in shadow:
                     tombs += 1
                 else:
                     seen.add(rid)
                     survivors.append(slot)
-            return survivors, replicas, tombs
+            return survivors, superseded, tombs
         fresh = page_ids - seen if seen else page_ids
         shadow = self._shadow(generation)
         live = fresh - shadow if shadow else fresh
         nlive = len(live)
-        replicas = nslots - len(fresh)
+        superseded = nslots - len(fresh)
         tombs = len(fresh) - nlive
         if not nlive:
-            return [], replicas, tombs
+            return [], superseded, tombs
         seen |= live
         if nlive == nslots:
-            return slots, replicas, tombs
+            return slots, superseded, tombs
         return (
             [slot for slot, rid in zip(slots, slot_ids) if rid in live],
-            replicas,
+            superseded,
             tombs,
         )
 
@@ -499,7 +499,7 @@ class RefineExecutor:
         emit = hits.append
         seen: set = set()
         part_of = self._partition_of_page
-        slots_scanned = batches = replicas = tombs = shortcuts = side_proofs = 0
+        slots_scanned = batches = superseded = tombs = shortcuts = side_proofs = 0
         with tracer.span("decode", query_id=entry.query_id) as span:
             for key in sorted(entry.by_page, key=_newest_first):
                 slots = entry.by_page[key]
@@ -510,10 +510,10 @@ class RefineExecutor:
                 page = pages[key]
                 partition_id = part_of.get(key, -1)
                 generation, page_id = key
-                survivors, page_replicas, page_tombs = self._surviving_slots(
+                survivors, page_superseded, page_tombs = self._surviving_slots(
                     page, slots, generation, seen
                 )
-                replicas += page_replicas
+                superseded += page_superseded
                 tombs += page_tombs
                 if not survivors:
                     continue
@@ -577,7 +577,7 @@ class RefineExecutor:
                 store.stats.bulk_filter_batches += batches
             if tracer.enabled:
                 span.set(
-                    replicas_skipped=replicas,
+                    superseded=superseded,
                     tombstone_drops=tombs,
                     records_decoded=store.stats.records_decoded - decoded_before,
                     rect_shortcuts=shortcuts,

@@ -361,7 +361,7 @@ def unpack_page_directory(
     table = _unpack_table(data, num_pages, PAGE_DIR_ENTRY, "page directory")
     for page_id, (offset, nbytes, count, minx, miny, maxx, maxy) in enumerate(table):
         # pages are written back to back in page-id order; the serving
-        # path's run coalescing relies on that, so a directory violating it
+        # path's data sieves rely on that, so a directory violating it
         # is corruption, not a layout variant
         if offset < prev_end:
             raise StoreFormatError(

@@ -1,36 +1,43 @@
-"""Cost-model-aware I/O scheduling — the *schedule* stage of the store engine.
+"""Cost-model-priced I/O scheduling — the *schedule* stage of the store engine.
 
 The planner (:mod:`repro.store.engine`) decides **which** pages a query batch
 must touch; this module decides **how** the missing ones reach memory.  An
-:class:`IOScheduler` turns a sorted list of missing page ids into coalesced,
-gap-tolerant :class:`ScheduledRun`\\ s — each run one contiguous byte range,
-the whole schedule one :class:`~repro.pfs.ReadRequest` — and sizes the
-sequential readahead past the demand frontier.
+:class:`IOScheduler` turns a sorted list of missing page ids into
+:class:`ScheduledRun`\\ s — each run one *data sieve* (ROMIO's data sieving,
+Thakur, Gropp & Lusk 1999): one byte range, charged as one request, that
+covers a run of missing pages and the unwanted bytes between them, the whole
+schedule one :class:`~repro.pfs.ReadRequest` — and sizes the sequential
+readahead past the demand frontier.
 
-Two policies choose the coalescing gap and the readahead depth:
+Both policies sieve by the same rule, priced by the data file's
+:class:`~repro.pfs.StripeLayout` and :class:`~repro.pfs.IOCostModel` (the
+paper's Figs 15–16: per-request latency, not bytes, dominates small
+non-contiguous reads).  Two runs merge whenever reading the bytes between
+them costs less than the request the merge saves:
 
-* **fixed** (the pre-engine heuristic): the gap is one page size and there is
-  no readahead.
-* **cost-model** (:func:`IOScheduler.cost_aware`): both are derived from
-  the file's :class:`~repro.pfs.StripeLayout` and
-  :class:`~repro.pfs.IOCostModel` — the paper's central observation that I/O
-  strategy must follow the striping configuration, applied to serving.  The
-  gap is the *break-even gap* (:func:`cost_model_gap`): wasted bytes between
-  two runs are cheaper to read than a second RPC while
-  ``gap / ost_bandwidth < ost_latency + request_overhead``.  Readahead
-  extends the final run **to the stripe boundary** ("parallel file read
-  access will be stripe aligned", §4.1): the extension stays on the OST the
-  run already pays latency on, so it costs bandwidth only.
+* inside one stripe the merge saves an OST request and a client request —
+  ``gap <= (ost_latency + request_overhead) * ost_bandwidth``, the
+  *break-even gap* (:func:`cost_model_gap`);
+* across a stripe boundary the merged range is split into one OST request
+  per stripe anyway, so it saves only the client request —
+  ``gap <= request_overhead * ost_bandwidth`` — and a gap spanning a whole
+  stripe would add an OST request, which never pays.
+
+The policies differ only in readahead: **fixed** reads nothing ahead;
+**cost-model** extends the final run **to the stripe boundary** ("parallel
+file read access will be stripe aligned", §4.1): the extension stays on the
+OST the run already pays latency on, so it costs bandwidth only.
 
 Both policies share the same hard safety rules: runs never read past the last
 page (the page directory that follows the payloads is never touched),
-readahead never duplicates a cached page, and a negative gap disables
-merging entirely (one request per page — the measurement baseline).
+readahead never duplicates a cached page, and a scheduler built without a
+cost model merges across at most its fixed ``gap`` (negative: one request
+per page — the measurement baseline).
 
 :func:`read_with_retry` is the one bounded-retry loop of the metadata reads
 (manifests, container headers and directories, packed indexes), and
 :func:`read_file` the one charged whole-file read built on it; the serving
-read path retries whole coalesced runs the same way in
+read path retries whole sieves the same way in
 :meth:`~repro.store.datastore.SpatialDataStore._read_run`.
 """
 
@@ -59,7 +66,7 @@ __all__ = [
 class RetryPolicy:
     """Bounded retry with exponential backoff for transient read faults.
 
-    The serving path re-issues a failed coalesced run up to
+    The serving path re-issues a failed data sieve up to
     ``max_attempts`` times in total; before retry *n* (1-based) it charges
     ``backoff(n)`` **virtual** seconds to the store's ``io_seconds`` — the
     simulated analogue of sleeping out a transient fault, so backoff shows
@@ -116,7 +123,6 @@ def read_with_retry(
     attempt = 1
     while True:
         err: Optional[Exception] = None
-        data = b""
         try:
             data = fh.pread(offset, nbytes)
         except OSError as exc:
@@ -150,25 +156,28 @@ def read_file(fs, path: str, policy: RetryPolicy) -> Tuple[bytes, float, int]:
     return data, seconds, retries
 
 
-def cost_model_gap(layout: StripeLayout, cost_model: IOCostModel) -> int:
-    """Break-even coalescing gap for one file: merge two runs whenever the
-    bytes between them cost less to read than issuing another request.
+def cost_model_gap(cost_model: IOCostModel) -> int:
+    """Break-even sieve gap inside one stripe: merge two runs whenever the
+    bytes between them cost less to read than another request.
 
     A separate run pays one more OST RPC (``ost_latency``) plus one more
     client software overhead (``request_overhead``); bridging the gap pays
-    ``gap / ost_bandwidth`` of wasted bandwidth.  The break-even point is
-    capped at one stripe so a merged run never drags an extra OST in purely
-    to avoid a request.
+    ``gap / ost_bandwidth`` of unwanted bandwidth.  Not capped at a stripe:
+    a gap crossing a stripe boundary is priced lower by
+    :meth:`IOScheduler._bridges`, so a sieve never drags in an OST request
+    purely to avoid a client request.
     """
     break_even = (
         cost_model.ost_latency + cost_model.request_overhead
     ) * cost_model.ost_bandwidth
-    return int(min(break_even, layout.stripe_size))
+    return int(break_even)
 
 
 @dataclass(frozen=True)
 class ScheduledRun:
-    """One contiguous read range covering a run of pages.
+    """One data sieve: a byte range, charged as one request, covering a run
+    of pages and the bytes between them that no page of the run holds (the
+    host reads only the pages' bytes).
 
     The last ``num_prefetched`` entries of ``page_ids`` are readahead pages
     appended past the demand frontier; the rest are demand-fetched misses.
@@ -187,12 +196,12 @@ class ScheduledRun:
 
 @dataclass
 class IOSchedule:
-    """The scheduler's output: the coalesced runs of one fetch.
+    """The scheduler's output: the data sieves of one fetch.
 
     ``prefetch_stop`` records **why** readahead ended where it did — the
     EXPLAIN report surfaces it verbatim: ``"empty"`` (nothing missing, no
     frontier to extend), ``"budget"`` (page budget exhausted: the fixed
-    policy's zero budget or the cost-model policy's cache-capacity guard),
+    policy's zero cache room or the cost-model policy's cache-capacity guard),
     ``"container_end"`` (next page would be past the last payload page),
     ``"cached_page"`` (next page already cached) or ``"stripe_boundary"``
     (cost-model policy: next page crosses the stripe holding the frontier).
@@ -224,15 +233,16 @@ class IOSchedule:
 class IOScheduler:
     """Schedules page fetches for one store container.
 
-    Construct directly for the fixed policy (no readahead), or via
-    :func:`cost_aware` to derive the knobs from a striping layout and cost
-    model.  ``gap`` is the maximum byte distance between two page runs
-    still merged into one read range (negative disables merging) — the one
-    knob the two policies set differently.  The cost-model policy reads
-    ahead to the stripe boundary, clamped by the ``cache_capacity``
-    overflow guard: demand and readahead pages enter the cache together,
-    and readahead past ``cache_capacity - demand`` would make one fetch
-    insert more pages than the cache holds.
+    Built via :func:`cost_aware` (both store policies), runs merge by the
+    cost-model rule of :meth:`_bridges` — ``gap`` is then the break-even gap
+    inside one stripe — and the final run reads ahead to the stripe
+    boundary, clamped by the ``cache_capacity`` overflow guard: demand and
+    readahead pages enter the cache together, and readahead past
+    ``cache_capacity - demand`` would make one fetch insert more pages than
+    the cache holds (the fixed policy passes ``0``: no readahead).  Built
+    without a layout and cost model, ``gap`` is the one maximum byte
+    distance between two merged runs (negative disables merging) and
+    nothing is read ahead.
     """
 
     def __init__(
@@ -258,12 +268,12 @@ class IOScheduler:
         cost_model: IOCostModel,
         cache_capacity: Optional[int] = None,
     ) -> "IOScheduler":
-        """Scheduler with knobs derived from the striping configuration: the
-        break-even gap and stripe-aligned readahead clamped by the
-        *cache_capacity* overflow guard."""
+        """Scheduler priced by the striping configuration: cost-model sieves
+        and stripe-aligned readahead clamped by the *cache_capacity*
+        overflow guard."""
         return cls(
             pages,
-            gap=cost_model_gap(layout, cost_model),
+            gap=cost_model_gap(cost_model),
             layout=layout,
             cost_model=cost_model,
             cache_capacity=cache_capacity,
@@ -273,47 +283,52 @@ class IOScheduler:
     def is_cost_aware(self) -> bool:
         return self.layout is not None and self.cost_model is not None
 
-    # ------------------------------------------------------------------ #
-    def _readahead_budget(
-        self, frontier_end: int, num_demand: int
-    ) -> Tuple[int, Optional[int]]:
-        """``(max_pages, byte_ceiling)`` for readahead past *frontier_end*.
+    def _bridges(self, end: int, start: int) -> bool:
+        """Whether the run ending at byte *end* and the run starting at
+        *start* are read as one sieve.
 
-        Fixed policy: none.  Cost-model policy: as many pages as fit between
-        the frontier and the end of the stripe holding it (zero when the
-        frontier sits exactly on a stripe boundary — the run is already
-        aligned), clamped to ``cache_capacity`` **minus the fetch's own
-        demand pages** — demand and readahead enter the cache together, so
-        a budget that ignored the demand count would let one fetch insert
-        more pages than the cache holds.  (Under SIEVE that is the whole
-        guarantee: when every older page has its visited bit set, a fetch's
-        insertions may still evict one of its own fresh pages.)
+        Without a layout and cost model: when the gap is at most ``gap``.
+        With them, inside one stripe the gap may reach ``gap``.  The merged range is
+        split into one OST request per stripe it touches, so each stripe
+        boundary between the two runs takes back one OST request's worth
+        of bytes (``ost_latency * ost_bandwidth``): across one boundary only
+        the client request is saved (``request_overhead * ost_bandwidth``
+        bytes), and each further boundary costs the merge one more OST
+        request — never worth it while an OST request outprices a client
+        request, as on every shipped cost model.
         """
         if not self.is_cost_aware:
-            return 0, None
-        stripe = self.layout.stripe_size
-        limit = len(self.pages)
-        if self.cache_capacity is not None:
-            limit = min(limit, self.cache_capacity - num_demand)
-        return max(0, limit), ((frontier_end + stripe - 1) // stripe) * stripe
+            return start - end <= self.gap
+        stripe, model = self.layout.stripe_size, self.cost_model
+        crossed = start // stripe - (end - 1) // stripe
+        return start - end <= self.gap - crossed * model.ost_latency * model.ost_bandwidth
 
     def schedule(
         self,
         missing: Sequence[int],
         is_cached: Callable[[int], bool] = lambda pid: False,
     ) -> IOSchedule:
-        """Coalesce the (sorted) *missing* page ids into gap-tolerant runs
-        and extend the final run with readahead.
+        """Merge the (sorted) *missing* page ids into sieves
+        (:meth:`_bridges`) and extend the final one with readahead.
 
-        Readahead stops at the container boundary (the last page — it can
-        never read into the page directory), at the first already-cached
-        page, and at the policy's budget.
+        Only a scheduler with a layout and cost model reads ahead: the pages
+        that fit between the frontier and the end of the stripe holding it
+        (none when the frontier sits exactly on a stripe boundary — the run
+        is already aligned), at most ``cache_capacity`` **minus the fetch's
+        own demand pages** — demand and readahead enter the cache together,
+        so a budget that ignored the demand count would let one fetch insert
+        more pages than the cache holds.  (Under SIEVE that is the whole
+        guarantee: when every older page has its visited bit set, a fetch's
+        insertions may still evict one of its own fresh pages.)  Readahead
+        stops at the container boundary (the last page — it can never read
+        into the page directory), at the first already-cached page, at the
+        stripe boundary and at that budget.
         """
         runs: List[List[int]] = []
         for pid in missing:
             if runs:
                 prev = self.pages[runs[-1][-1]]
-                if self.pages[pid].offset - (prev.offset + prev.nbytes) <= self.gap:
+                if self._bridges(prev.offset + prev.nbytes, self.pages[pid].offset):
                     runs[-1].append(pid)
                     continue
             runs.append([pid])
@@ -321,15 +336,18 @@ class IOScheduler:
         prefetched = 0
         stop = "empty"
         if runs:
-            frontier = self.pages[runs[-1][-1]]
-            max_pages, byte_ceiling = self._readahead_budget(
-                frontier.offset + frontier.nbytes, len(missing)
-            )
             nxt = runs[-1][-1] + 1
-            while True:
-                if prefetched >= max_pages:
-                    stop = "budget"
-                    break
+            stop = "budget"
+            # no budget without a layout, so byte_ceiling is read only when set
+            max_pages = 0
+            if self.is_cost_aware:
+                stripe = self.layout.stripe_size
+                frontier_end = self.pages[nxt - 1].offset + self.pages[nxt - 1].nbytes
+                byte_ceiling = ((frontier_end + stripe - 1) // stripe) * stripe
+                max_pages = len(self.pages) if self.cache_capacity is None else (
+                    self.cache_capacity - len(missing)
+                )
+            while prefetched < max_pages:
                 if nxt >= len(self.pages):
                     stop = "container_end"
                     break
@@ -337,7 +355,7 @@ class IOScheduler:
                     stop = "cached_page"
                     break
                 meta = self.pages[nxt]
-                if byte_ceiling is not None and meta.offset + meta.nbytes > byte_ceiling:
+                if meta.offset + meta.nbytes > byte_ceiling:
                     stop = "stripe_boundary"
                     break
                 runs[-1].append(nxt)

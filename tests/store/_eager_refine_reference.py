@@ -60,7 +60,7 @@ def eager_refine(
     emit = hits.append
     seen: set = set()
     part_of = self._partition_of_page
-    slots_scanned = batches = replicas = tombs = shortcuts = 0
+    slots_scanned = batches = superseded = tombs = shortcuts = 0
     with tracer.span("decode", query_id=entry.query_id) as span:
         for key in sorted(entry.by_page, key=_newest_first):
             slots = entry.by_page[key]
@@ -71,10 +71,10 @@ def eager_refine(
             page = pages[key]
             partition_id = part_of.get(key, -1)
             generation, page_id = key
-            survivors, page_replicas, page_tombs = self._surviving_slots(
+            survivors, page_superseded, page_tombs = self._surviving_slots(
                 page, slots, generation, seen
             )
-            replicas += page_replicas
+            superseded += page_superseded
             tombs += page_tombs
             if not survivors:
                 continue
@@ -124,7 +124,7 @@ def eager_refine(
             store.stats.bulk_filter_batches += batches
         if tracer.enabled:
             span.set(
-                replicas_skipped=replicas,
+                superseded=superseded,
                 tombstone_drops=tombs,
                 records_decoded=store.stats.records_decoded - decoded_before,
                 rect_shortcuts=shortcuts,

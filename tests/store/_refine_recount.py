@@ -28,7 +28,7 @@ def reference_accounting(executor, entry, pages, exact):
     so it has to run *before* the refine it predicts."""
     rect = entry.env if exact and entry.geom is None and not entry.env.is_empty else None
     counts = dict.fromkeys(
-        ("replicas_skipped", "tombstone_drops", "records_decoded", "rect_shortcuts",
+        ("superseded", "tombstone_drops", "records_decoded", "rect_shortcuts",
          "side_proofs", "slots_scanned", "bulk_filter_batches"), 0,
     )
     seen = set()
@@ -39,7 +39,7 @@ def reference_accounting(executor, entry, pages, exact):
             counts["slots_scanned"] += 1
             rid = page.record_ids[slot]
             if rid in seen:
-                counts["replicas_skipped"] += 1
+                counts["superseded"] += 1
                 continue
             if executor._tombstone_gen.get(rid, -1) > key.generation:
                 counts["tombstone_drops"] += 1

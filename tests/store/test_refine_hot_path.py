@@ -650,7 +650,7 @@ class TestDecodeSpanAccounting:
         executor = store.engine.executor
         windows = probe_windows(12, seed=61) + geoms[:6]  # rectangles and shapes
         moved = dict.fromkeys(
-            ("replicas_skipped", "tombstone_drops", "rect_shortcuts", "side_proofs"), 0
+            ("superseded", "tombstone_drops", "rect_shortcuts", "side_proofs"), 0
         )
         for window in windows:
             for entry in store.engine.planner.plan([(0, window)]).entries:
@@ -673,7 +673,7 @@ class TestDecodeSpanAccounting:
         # the battery reaches every kind of decision it recounts
         assert (moved["rect_shortcuts"] > 0 and moved["side_proofs"] > 0) or not exact
         if store.name == "hot_gen":
-            assert moved["replicas_skipped"] > 0 and moved["tombstone_drops"] > 0
+            assert moved["superseded"] > 0 and moved["tombstone_drops"] > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -773,7 +773,7 @@ class TestCountersAndExplain:
         # then left undecoded): zero per-slot work hides
         survivors = (
             refine["slots_scanned"]
-            - refine["replicas_skipped"]
+            - refine["superseded"]
             - refine["tombstone_drops"]
         )
         assert 0.0 < refine["filter_selectivity"] <= 1.0

@@ -1,24 +1,38 @@
 """Unit tests of the store's I/O scheduler (`repro.store.scheduler`).
 
-The scheduler is the engine's I/O stage: it must coalesce exactly like the
-pre-engine serving path (gap-tolerant runs, negative gap disables merging),
-clamp readahead at the container boundary and at cached pages, and — under
-the cost-model policy — derive its knobs from the striping layout so the
-serving path finally consults the paper's central I/O insight.
+The scheduler is the engine's I/O stage: built without a cost model it
+merges across one fixed gap (a negative gap disables merging); built from a
+striping layout and cost model — both store policies — it merges runs into
+data sieves wherever one request is cheaper than two, and the sieved
+schedule is held to the retired page-gap scheduler
+(``_page_gap_scheduler_reference.py``): the same pages, never a dearer
+charge.  Readahead is clamped at the container boundary, at cached pages
+and by the cache guard.
 """
 
-import pytest
+import random
 
-from repro.geometry import Envelope
-from repro.pfs import IOCostModel, StripeLayout
+import pytest
+from _page_gap_scheduler_reference import PageGapScheduler  # the retired scheduler, kept next to this file
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datasets import random_envelopes
+from repro.faults import FaultRule, FaultyFilesystem
+from repro.geometry import Envelope, Polygon
+from repro.pfs import IOCostModel, LustreFilesystem, ReadRequest, StripeLayout
 from repro.store import (
     DEFAULT_RETRY,
     NO_RETRY,
     IOScheduler,
+    PageChecksumError,
+    PageKey,
     RetryPolicy,
     ScheduledRun,
+    SpatialDataStore,
     StoreError,
     StoreFormatError,
+    bulk_load,
     cost_model_gap,
     read_with_retry,
 )
@@ -113,22 +127,26 @@ class TestCostModelPolicy:
         self.model = IOCostModel()
 
     def test_break_even_gap_formula(self):
-        layout = StripeLayout(stripe_size=1 << 20, stripe_count=4)
         expected = int(
             (self.model.ost_latency + self.model.request_overhead)
             * self.model.ost_bandwidth
         )
-        assert cost_model_gap(layout, self.model) == min(expected, 1 << 20)
+        assert cost_model_gap(self.model) == expected
 
-    def test_gap_capped_at_one_stripe(self):
+    def test_gap_is_not_capped_stripe_crossings_are_priced(self):
+        # 4 KiB stripes: the in-stripe gap is the full break-even point, and
+        # the rule, not a stripe cap, keeps a gap spanning a stripe unmerged
         tiny = StripeLayout(stripe_size=4096, stripe_count=4)
-        assert cost_model_gap(tiny, self.model) == 4096
+        assert IOScheduler.cost_aware([], tiny, self.model).gap == cost_model_gap(self.model)
+        pages = make_pages([1000, 1000, 1000], start=0, gaps=[1000, 6000])
+        sched = IOScheduler.cost_aware(pages, tiny, self.model).schedule([0, 1, 2])
+        assert [run.page_ids for run in sched.runs] == [(0, 1), (2,)]
 
     def test_cost_aware_uses_derived_gap(self):
         pages = make_pages([100] * 4)
         layout = StripeLayout(stripe_size=1 << 20, stripe_count=4)
         auto = IOScheduler.cost_aware(pages, layout, self.model)
-        assert auto.gap == cost_model_gap(layout, self.model)
+        assert auto.gap == cost_model_gap(self.model)
         assert auto.is_cost_aware
 
     def test_readahead_extends_to_stripe_boundary(self):
@@ -328,3 +346,242 @@ class TestReadWithRetry:
             read_with_retry(fh, 0, 10, NO_RETRY)
         assert isinstance(excinfo.value.__cause__, StoreFormatError)
         assert "got 9 of 10 bytes" in str(excinfo.value.__cause__)
+
+
+# --------------------------------------------------------------------------- #
+# data sieving: the cost-model merge rule, held to the retired page-gap
+# scheduler
+# --------------------------------------------------------------------------- #
+#: the fixtures' Lustre model: 495 000 B break-even inside a stripe,
+#: 55 000 B across one stripe boundary
+LUSTRE_MODEL = IOCostModel(ost_bandwidth=1.1e9, ost_latency=4.0e-4)
+
+
+def _merged_pairs(schedule, pages):
+    """Every two consecutive demand pages of one sieve (readahead pages are
+    appended to the final sieve, not merged into it)."""
+    return [
+        (pages[a], pages[b])
+        for run in schedule.runs
+        for a, b in zip(run.demand_ids, run.demand_ids[1:])
+    ]
+
+
+class TestSieveRule:
+    def _sched(self, pages, stripe, **kw):
+        return IOScheduler.cost_aware(
+            pages, StripeLayout(stripe_size=stripe, stripe_count=1), LUSTRE_MODEL, **kw
+        )
+
+    def test_inside_one_stripe_up_to_the_break_even_gap(self):
+        pages = make_pages([1000, 1000, 1000], start=0, gaps=[494_000, 496_000])
+        sched = self._sched(pages, 1 << 22, cache_capacity=0).schedule([0, 1, 2])
+        assert [run.page_ids for run in sched.runs] == [(0, 1), (2,)]
+        # one range charged per sieve, the bytes between pages included
+        assert sched.runs[0].nbytes == 496_000
+        assert sched.read_request().num_requests == 2
+
+    def test_across_one_stripe_boundary_only_the_client_request_is_saved(self):
+        # page 0 ends 10 B before the 64 KiB boundary: a 54 000 B gap merges,
+        # a 56 000 B one does not (the page-gap cost-model scheduler merged
+        # anything up to one stripe, 65 536 B)
+        for gap, merged in ((54_000, True), (56_000, False)):
+            pages = make_pages([65_526, 1000], start=0, gaps=[gap])
+            sched = self._sched(pages, 1 << 16, cache_capacity=0).schedule([0, 1])
+            assert (len(sched.runs) == 1) is merged
+
+    def test_a_gap_spanning_a_whole_stripe_never_merges(self):
+        # 4 KiB stripes: a 9 000 B gap crosses at least two boundaries, and
+        # the merged range would pay an OST request for the stripe between
+        pages = make_pages([1000, 1000], start=0, gaps=[9000])
+        assert len(self._sched(pages, 4096, cache_capacity=0).schedule([0, 1]).runs) == 2
+        ref = PageGapScheduler(pages, gap=16_384).schedule([0, 1])
+        assert len(ref.runs) == 1  # the page-gap rule merged it regardless
+
+    def test_both_policies_share_the_rule_and_differ_in_readahead(self):
+        pages = make_pages([1000] * 8, start=0, gaps=[0, 30_000] + [0] * 5)
+        fixed = self._sched(pages, 1 << 20, cache_capacity=0).schedule([0, 2])
+        cost = self._sched(pages, 1 << 20, cache_capacity=64).schedule([0, 2])
+        assert fixed.runs[0].page_ids == (0, 2)
+        assert cost.runs[0].page_ids == (0, 2, 3, 4, 5, 6, 7)
+        assert (fixed.prefetch_stop, cost.prefetch_stop) == ("budget", "container_end")
+
+
+@st.composite
+def _sieve_cases(draw):
+    """A page layout (1-8 KiB pages, back to back or with holes, at any
+    alignment), its missing and cached pages, a stripe size of 4 KiB-1 MiB
+    (stripe count 1, the only layout the writers produce) and the page size
+    the retired fixed policy merged across."""
+    n = draw(st.integers(1, 24))
+    sizes = draw(st.lists(st.integers(1024, 8192), min_size=n, max_size=n))
+    hole = st.one_of(st.just(0), st.integers(1, 8192), st.integers(8193, 520_000))
+    holes = draw(st.one_of(st.just([0] * n), st.lists(hole, min_size=n, max_size=n)))
+    pages = make_pages(sizes, start=draw(st.integers(0, 1 << 20)), gaps=holes)
+    missing = sorted(draw(st.sets(st.integers(0, n - 1))))
+    cached = draw(st.sets(st.integers(0, n - 1))) - set(missing)
+    stripe = draw(st.integers(4096, 1 << 20))
+    page_size = draw(st.integers(1024, 8192))
+    capacity = draw(st.one_of(st.none(), st.integers(0, 40)))
+    return pages, missing, cached, stripe, page_size, capacity
+
+
+class TestSieveOracle:
+    """Every fetch the sieving scheduler plans, against the retired
+    page-gap scheduler on the same layout: the same pages come back with
+    identical bytes, the filesystem never charges more, and every merged
+    gap obeys the rule for its side of a stripe boundary."""
+
+    @pytest.fixture(scope="class")
+    def lustre(self, tmp_path_factory):
+        return LustreFilesystem(tmp_path_factory.mktemp("sievefs"))
+
+    @staticmethod
+    def _served(schedule, pages, data):
+        return {
+            pid: data[run.offset : run.offset + run.nbytes][
+                pages[pid].offset - run.offset : pages[pid].offset - run.offset + pages[pid].nbytes
+            ]
+            for run in schedule.runs
+            for pid in run.page_ids
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sieve_cases())
+    def test_same_pages_never_dearer_and_every_gap_by_the_rule(self, lustre, case):
+        pages, missing, cached, stripe, page_size, capacity = case
+        layout = StripeLayout(stripe_size=stripe, stripe_count=1)
+        model = lustre.cost_model
+        lustre.set_layout("sieve.bin", layout)
+        data = random.Random(len(pages)).randbytes(pages[-1].offset + pages[-1].nbytes)
+
+        pairs = (
+            (  # the fixed policy: no readahead; the page gap retired
+                IOScheduler.cost_aware(pages, layout, model, cache_capacity=0),
+                PageGapScheduler(pages, gap=page_size),
+            ),
+            (
+                IOScheduler.cost_aware(pages, layout, model, cache_capacity=capacity),
+                PageGapScheduler.cost_aware(pages, layout, model, cache_capacity=capacity),
+            ),
+        )
+        for sieving, retired in pairs:
+            new = sieving.schedule(missing, is_cached=cached.__contains__)
+            old = retired.schedule(missing, is_cached=cached.__contains__)
+            served = self._served(new, pages, data)
+            assert served == self._served(old, pages, data)
+            assert all(
+                served[pid] == data[pages[pid].offset : pages[pid].offset + pages[pid].nbytes]
+                for pid in served
+            )
+            assert (new.num_prefetched, new.prefetch_stop) == (
+                old.num_prefetched, old.prefetch_stop,
+            )
+            # (1e-12 s: float rounding of equal charges summed differently)
+            charge = lustre.read_time("sieve.bin", [new.read_request()])
+            assert charge <= lustre.read_time("sieve.bin", [old.read_request()]) + 1e-12
+
+            for a, b in _merged_pairs(new, pages):
+                end = a.offset + a.nbytes
+                gap, crossed = b.offset - end, b.offset // stripe - (end - 1) // stripe
+                if crossed == 0:
+                    assert gap <= (model.ost_latency + model.request_overhead) * model.ost_bandwidth
+                else:
+                    assert crossed == 1 and gap <= model.request_overhead * model.ost_bandwidth
+            # and merging ends only where one more request is the cheaper side
+            for first, second in zip(new.runs, new.runs[1:]):
+                split = ReadRequest(0, ((first.offset, first.nbytes), (second.offset, second.nbytes)))
+                joined = ReadRequest(
+                    0, ((first.offset, second.offset + second.nbytes - first.offset),)
+                )
+                assert lustre.read_time("sieve.bin", [joined]) > (
+                    lustre.read_time("sieve.bin", [split]) - 1e-12
+                )
+
+
+class TestSieveServing:
+    """Sieves through a real store: faults inside a sieve are retried or
+    quarantined page by page, and the host reads only the pages' bytes."""
+
+    EXTENT = Envelope(0.0, 0.0, 1000.0, 1000.0)
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        fs = LustreFilesystem(tmp_path_factory.mktemp("sieveserve"))
+        geoms = [
+            Polygon.from_envelope(env, userdata=i)
+            for i, env in enumerate(random_envelopes(1500, extent=self.EXTENT,
+                                                     max_size_fraction=0.004, seed=31))
+        ]
+        bulk_load(fs, "sieve", geoms, num_partitions=16, page_size=1024)
+        return fs, geoms
+
+    @pytest.mark.parametrize("io_policy", ["fixed", "cost_model"])
+    def test_hot_spot_stream_under_faults_answers_like_brute_force(self, loaded, io_policy):
+        fs, geoms = loaded
+        faulty = FaultyFilesystem(fs, seed=13)
+        faulty.add_rule(FaultRule(path_pattern="stores/sieve/data.bin", read_error_rate=0.05,
+                                  short_read_rate=0.05, bitflip_rate=0.05))
+        faulty.disarm()  # open clean; the faults hit the page reads
+        with SpatialDataStore.open(faulty, "sieve", cache_pages=24, io_policy=io_policy,
+                                   retry_policy=RetryPolicy(max_attempts=8)) as store:
+            faulty.arm()
+            rng = random.Random(7)
+            centres = [(rng.uniform(100, 900), rng.uniform(100, 900)) for _ in range(4)]
+            for i in range(200):
+                size = 10.0 * (i % 5 + 1)
+                if i % 2:
+                    cx, cy = centres[rng.randrange(4)]
+                    x, y = rng.gauss(cx, 10.0), rng.gauss(cy, 10.0)
+                else:
+                    x, y = rng.uniform(0, 1000 - size), rng.uniform(0, 1000 - size)
+                window = Envelope(x, y, x + size, y + size)
+                got = sorted(h.record_id for h in store.range_query(window))
+                assert got == [rid for rid, g in enumerate(geoms)
+                               if g.envelope.intersects(window)]
+            assert store.stats.retries > 0 and not store._quarantined
+        assert faulty.stats.read_errors and faulty.stats.short_reads and faulty.stats.bitflips
+
+    def _sieve_over_a_gap(self, fs, retry_policy):
+        store = SpatialDataStore.open(fs, "sieve", cache_pages=0, retry_policy=retry_policy)
+        pages = store.pages
+        assert pages[1].offset == pages[0].offset + pages[0].nbytes  # page 1 is the gap
+        return store, [PageKey(0, 0), PageKey(0, 2)]
+
+    def test_an_in_flight_flip_inside_a_sieve_is_caught_by_its_page_crc(self, loaded):
+        fs, _ = loaded
+        faulty = FaultyFilesystem(fs, seed=5)
+        faulty.disarm()
+        store, keys = self._sieve_over_a_gap(faulty, DEFAULT_RETRY)
+        faulty.add_rule(FaultRule(path_pattern="stores/sieve/data.bin", bitflip_rate=1.0,
+                                  max_faults=2))
+        faulty.arm()
+        with store:
+            out = store._fetch_missing(keys)
+            assert sorted(out) == keys
+            assert store.stats.read_requests == 1 and store.stats.retries == 1
+            assert not store._quarantined
+        # one read per page, never page 1's bytes: each flip landed in a page
+        path = store.generations[0].data_path
+        assert faulty.stats.bitflip_sites == [(path, store.pages[0].offset),
+                                              (path, store.pages[2].offset)]
+
+    def test_a_poisoned_page_inside_a_sieve_is_quarantined_alone(self, loaded, tmp_path):
+        fs, _ = loaded
+        store, keys = self._sieve_over_a_gap(fs, NO_RETRY)
+        meta = store.pages[2]
+        with fs.open(store.generations[0].data_path, mode="r+") as fh:
+            good = fh.pread(meta.offset, 1)
+            fh.pwrite(meta.offset, bytes([good[0] ^ 0x40]))
+        try:
+            with store:
+                failed = []
+                out = store._fetch_missing(keys, failed)
+                assert list(out) == [keys[0]]
+                assert [key for key, _ in failed] == [keys[1]]
+                assert isinstance(failed[0][1], PageChecksumError)
+                assert store._quarantined == {keys[1]}
+                assert store.stats.read_requests == 1
+        finally:
+            with fs.open(store.generations[0].data_path, mode="r+") as fh:
+                fh.pwrite(meta.offset, good)
