@@ -2,13 +2,14 @@
 """Async multiplexed serving from a sharded datastore (`repro.store.frontend`).
 
 `DistributedStoreServer.range_query_batch` serves one batch at a time: each
-batch pays route → scatter → local-query → gather end to end, and every rank
-idles while rank 0 routes the next batch or de-duplicates the previous one.
+batch pays send → local-query → gather end to end, and every serving rank
+idles while rank 0 answers its own shards and merges the batch.
 The `AsyncStoreFrontend` runs many batches through the server's same serving
-loop with several in flight at once: rank 0 routes ahead with tagged
-point-to-point sends, serving ranks pipeline receive → local-query → send,
-and completion is windowed — so the route/scatter/local-query/gather phases
-of *different* batches overlap on the `mpisim` virtual clock.
+loop with several in flight at once: rank 0 sends each whole batch ahead
+with tagged point-to-point sends, serving ranks pipeline receive →
+local-query (each picking the queries its shards' extents meet) → send, and
+completion is windowed — so the route/scatter/local-query/gather phases of
+*different* batches overlap on the `mpisim` virtual clock.
 
 This example bulk-loads a synthetic "lakes" layer with ``num_shards=4`` (four
 shard stores under one `shards.json`), then serves the same 16 query

@@ -9,11 +9,12 @@ with the default single shard, as the baseline), then serves the same query
 batch through a `DistributedStoreServer` on 1, 2, 4 and 8 simulated MPI
 ranks:
 
-* the router prunes shards by their data extents,
-* rank 0 sends each rank its part of the batch as a tagged point-to-point
+* rank 0 sends every rank the whole batch as one tagged point-to-point
   message on the simulated communicator,
-* every rank answers from its own shard through its own SIEVE page cache,
-* the answers are sent back to rank 0 and de-duplicated on logical record id.
+* every rank keeps the queries whose window meets one of its shards' data
+  extents and answers them through its own SIEVE page cache,
+* the answers are sent back to rank 0 and merged (each record is stored in
+  one shard, so nothing is de-duplicated).
 
 Each rank count is checked against the single-store answer and reported with
 its virtual-clock phase breakdown (route / scatter / local query / gather).
@@ -110,7 +111,7 @@ def main() -> None:
 
         print(
             f"\nall rank counts returned results identical to the single store "
-            f"({len(baseline_key)} matches, de-duplicated on record id)"
+            f"({len(baseline_key)} matches, each record from the one shard storing it)"
         )
         print(
             f"aggregate serving stats at {RANK_COUNTS[-1]} ranks: "

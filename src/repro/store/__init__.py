@@ -44,10 +44,11 @@ for it again:
     :class:`RefineExecutor` (per-slot decode + newest-version de-dup), composed by
     :class:`StoreEngine`.
 
-``repro.store.sharded`` / ``repro.store.router``
+``repro.store.sharded``
     Distributed serving: :class:`DistributedStoreServer` opens a store's
-    shards across ``mpisim`` ranks (routed by ``shards.json``) and serves
-    batch range queries and joins SPMD-style.
+    shards (listed in ``shards.json``) across ``mpisim`` ranks and serves
+    batch range queries and joins SPMD-style, each rank picking the queries
+    its shards' extents meet.
 
 ``repro.store.frontend``
     :class:`AsyncStoreFrontend` — multiplexes many in-flight query batches
@@ -111,12 +112,12 @@ from .mutable import (
     StoreAppender,
     compact_store,
 )
-from .router import ShardRouter, shard_assignment
 from .sharded import (
     DistributedHit,
     DistributedStoreServer,
     QueryResult,
     ShardError,
+    shard_assignment,
 )
 from .writer import BulkLoadResult, bulk_load, sharded_bulk_load
 
@@ -165,7 +166,6 @@ __all__ = [
     "PartitionInfo",
     "ShardInfo",
     "ShardsManifest",
-    "ShardRouter",
     "shard_assignment",
     "shard_store_name",
     "shards_path",

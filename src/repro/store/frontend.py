@@ -1,21 +1,22 @@
 """Async multiplexing front-end over one :class:`DistributedStoreServer`.
 
 ``DistributedStoreServer.range_query_batch`` serves one batch at a time:
-route → scatter → local-query → gather end to end, every rank idle while
-rank 0 routes the batch or de-duplicates it.  :class:`AsyncStoreFrontend`
+send → local-query → gather end to end, every serving rank idle while
+rank 0 answers its own shards and merges the batch.  :class:`AsyncStoreFrontend`
 runs many batches through the server's same serving loop with up to
 ``max_in_flight`` of them in flight at once, over its tagged point-to-point
 messages on the ``mpisim`` virtual clock:
 
-* rank 0 **routes ahead**: while the serving ranks work on batch *b*, it is
-  already planning and sending batches *b+1 … b+W*;
+* rank 0 **sends ahead**: while the serving ranks work on batch *b*, it is
+  already sending batches *b+1 … b+W*, each whole to every rank (each
+  rank picks the queries its shards' extents meet);
 * serving ranks run a simple receive → local-query → send loop, so their
   clocks advance through consecutive batches without ever waiting for
   rank 0's gather of an earlier batch;
 * completion is windowed: once ``max_in_flight`` batches are outstanding,
-  rank 0 serves its own shard portion of the oldest batch, collects the
+  rank 0 serves its own shards' part of the oldest batch, collects the
   peers' :class:`~repro.store.sharded.ShardRows` — finished hit lists, one
-  chunk per served plan entry (the virtual arrival times are usually
+  chunk per served query (the virtual arrival times are usually
   already in the past — that is the overlap) — and concatenates them,
   sorting only the positions two chunks both answered.
 
@@ -24,7 +25,8 @@ virtual arrival time, the resulting per-batch latencies and the aggregate
 makespan genuinely reflect phase overlap: with ``max_in_flight=1`` the
 front-end degenerates to sequential submission — exactly one
 ``range_query_batch`` per batch — and throughput grows with the window
-until rank 0's route+gather work or the slowest serving rank saturates.
+until rank 0's local query + gather work or the slowest serving rank
+saturates.
 What the front-end adds is the window, the per-batch virtual-clock metrics
 (:class:`BatchMetrics`, the server's ``frontend.batch_latency_seconds``
 histogram) and the call's makespan over every rank.
@@ -51,7 +53,7 @@ class BatchMetrics:
     num_hits: int
     #: rank-0 virtual time the batch's route phase began
     submitted: float
-    #: rank-0 virtual time its gather/de-dup finished
+    #: rank-0 virtual time its gather (the merge) finished
     completed: float
 
     @property
@@ -63,7 +65,7 @@ class BatchMetrics:
 class FrontendResult:
     """Rank-0 outcome of one :meth:`AsyncStoreFrontend.serve` call."""
 
-    #: one de-duplicated hit list per submitted batch, in submission order
+    #: one merged hit list per submitted batch, in submission order
     #: (a :class:`~repro.store.sharded.QueryResult` per batch when the call
     #: used ``partial_ok`` / ``deadline``)
     batches: List[Any]
@@ -129,9 +131,9 @@ class AsyncStoreFrontend:
     Every rank of the server's communicator must call :meth:`serve`; rank 0
     supplies the batches and receives a :class:`FrontendResult`, other ranks
     pass ``None`` and receive ``None``.  ``max_in_flight`` bounds how many
-    batches may be routed but not yet gathered; ``1`` reproduces sequential
-    submission, larger windows overlap rank 0's route/gather phases with the
-    serving ranks' local queries.  The batches run through the server's one
+    batches may be sent but not yet gathered; ``1`` reproduces sequential
+    submission, larger windows overlap rank 0's local-query/gather phases
+    with the serving ranks' local queries.  The batches run through the server's one
     serving loop, so their phase time lands in the server's ``phases``
     breakdown like every other serving call's.
     """

@@ -367,12 +367,6 @@ class ShardsManifest:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def shards_for(self, window: Envelope) -> List[ShardInfo]:
-        """Shard-level pruning: shards whose data extent intersects."""
-        if window.is_empty:
-            return []
-        return [s for s in self.shards if not s.extent.is_empty and s.extent.intersects(window)]
-
     def partition_to_shard(self) -> Dict[int, int]:
         """Map every global partition id to the shard that owns it."""
         owner: Dict[int, int] = {}

@@ -9,22 +9,23 @@ applications (§5–§6) are multi-rank.  This module closes the gap:
   contiguous runs of partitions balanced by record count, each shard a
   normal ``data.bin``/``index.bin``/``manifest.json`` triple).
 * :class:`DistributedStoreServer` opens one shard (run) per ``mpisim`` rank
-  and serves batch range queries and joins SPMD-style: the router prunes the
-  shard list via per-shard extents, rank 0 sends each rank its part of a
-  batch as a tagged point-to-point message, ranks answer locally through
-  their SIEVE page caches and send their results back, and rank 0 merges
-  them (every record is stored in one shard, so nothing is de-duplicated).
-  A plan entry carries its query id, so a rank ships finished
-  :class:`DistributedHit` lists, one :data:`Chunk` per served plan entry;
-  rank 0 concatenates them and sorts on record id only the batch positions
-  that two chunks both answered.  One loop (``_serve``) does this for every
-  serving call: a range batch and a join are one batch through it, the
-  async front-end (:mod:`repro.store.frontend`) many, with up to
-  ``max_in_flight`` routed ahead.
+  and serves batch range queries and joins SPMD-style, like the paper's
+  batch range query (§4.3): rank 0 sends every rank the whole batch as one
+  tagged point-to-point message, each rank keeps the queries whose window
+  meets a shard extent of its own and answers them through its SIEVE page
+  caches, and rank 0 concatenates the answers it gets back (every record is
+  stored in one shard, so nothing is de-duplicated).  A rank ships
+  finished :class:`DistributedHit` lists, one :data:`Chunk` per served
+  query; rank 0 sorts on record id only the batch positions that two chunks
+  both answered.  One loop (``_serve``) does this for every serving call: a
+  range batch and a join are one batch through it, the async front-end
+  (:mod:`repro.store.frontend`) many, with up to ``max_in_flight`` sent
+  ahead.
 
 Every serving call records a virtual-clock phase breakdown
 (``route`` / ``scatter`` / ``local_query`` / ``gather``) so benchmarks can
-report per-phase time like the paper's Fig. 9-style breakdowns.
+report per-phase time like the paper's Fig. 9-style breakdowns; ``route``
+is rank 0's sizing of the message.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .datastore import QueryHit, SpatialDataStore, stats_from_counters
 from .engine import BatchOutcome, DeadlineExceeded, DistributedHit, _matched
 from .format import StoreError, StoreFormatError
 from .manifest import ShardInfo, ShardsManifest, shards_path
-from .router import ShardRouter, shard_assignment
 from .scheduler import DEFAULT_RETRY, RetryPolicy, read_file
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "QueryResult",
     "ShardError",
     "read_shards_manifest",
+    "shard_assignment",
 ]
 
 
@@ -72,23 +73,24 @@ class ShardError(StoreError):
         self.store = store
 
 
-#: one shard's answer to one plan entry on the wire: ``(batch position,
-#: hits)`` — *hits* is the serving rank's finished :class:`DistributedHit`
-#: list, in the engine's order (record ids unique and ascending)
+#: one shard's answer to one query of a batch on the wire: ``(batch
+#: position, hits)`` — *hits* is the serving rank's finished
+#: :class:`DistributedHit` list, in the engine's order (record ids unique and
+#: ascending)
 Chunk = Tuple[int, List[DistributedHit]]
 #: wire bytes of a hit's five 8-byte id columns (query, record, shard,
 #: partition, page)
 ROW_ID_BYTES = 40
-#: wire bytes of a range-query plan entry: its batch position, its query id
-#: and the window (the paper's ``MPI_RECT``, four doubles)
-WINDOW_ENTRY_BYTES = 8 + 8 + 32
+#: wire bytes of one range query of a batch message: its query id and the
+#: window (the paper's ``MPI_RECT``, four doubles); its position is implicit
+WINDOW_QUERY_BYTES = 8 + 32
 #: one unserved shard portion: ``(shard, missing partitions, affected batch
 #: positions, cause, fatal)``
 Failure = Tuple[int, List[int], List[int], str, bool]
 
 #: phase names every serving call charges (in order)
 SERVING_PHASES = ("route", "scatter", "local_query", "gather")
-#: tag of batch *b*'s plan message; its rows go back on the next tag
+#: tag of batch *b*'s message; its rows go back on the next tag
 _TAG_BASE = 0x4153_0000
 #: the merge's sort key of a hit
 _RECORD_ID = attrgetter("record_id")
@@ -106,6 +108,19 @@ _SHARD_DECODE_ERRORS = (
     IndexError,
     ValueError,
 )
+
+
+def shard_assignment(num_shards: int, nranks: int) -> Dict[int, int]:
+    """Contiguous balanced mapping of shards onto serving ranks.
+
+    With ``nranks >= num_shards`` every shard gets its own rank (the extra
+    ranks serve nothing but still take part in every serving call);
+    otherwise each rank serves a contiguous run of shards, so neighbouring
+    partitions stay on one rank.
+    """
+    if num_shards < 0 or nranks < 1:
+        raise ValueError("need num_shards >= 0 and nranks >= 1")
+    return {sid: sid * nranks // num_shards for sid in range(num_shards)}
 
 
 def read_shards_manifest(
@@ -161,14 +176,6 @@ def body_nbytes(geom: Geometry) -> int:
     return encoded_size(geom) + payload_nbytes(geom.userdata)
 
 
-def entry_nbytes(entry: Tuple[int, Any, Optional[Geometry], Envelope]) -> int:
-    """Wire bytes of one plan entry ``(batch position, query id, probe,
-    window)``: a range query has no probe and ships
-    :data:`WINDOW_ENTRY_BYTES`; a join entry's query id is its position, so
-    it ships the position and the probe, which carries the window."""
-    return WINDOW_ENTRY_BYTES if entry[2] is None else 8 + body_nbytes(entry[2])
-
-
 class SizedList(list):
     """A list that knows its wire size.  ``mpisim`` hands payloads between
     rank threads by reference and prices a message by its ``nbytes``, so a
@@ -183,7 +190,7 @@ class SizedList(list):
 
 class ShardRows(SizedList):
     """One rank's answer to one batch — the gather payload of every serving
-    call: one :data:`Chunk` of finished hits per served plan entry plus the
+    call: one :data:`Chunk` of finished hits per served query plus the
     shard portions it could not serve (``failures``, empty in strict mode).
     ``nbytes`` is :data:`ROW_ID_BYTES` + :func:`body_nbytes` per hit, and
     per failure 16 + 8 per listed partition and batch position + the cause
@@ -197,8 +204,8 @@ class ShardRows(SizedList):
 
     def add_hits(self, idx: int, qid: Any, sid: int, hits: List[QueryHit],
                  sizes: List[Dict[int, Dict[int, int]]]) -> None:
-        """Append shard *sid*'s engine *hits* of the plan entry at batch
-        position *idx*, query *qid*, as one chunk of :class:`DistributedHit`
+        """Append shard *sid*'s engine *hits* of the query at batch
+        position *idx*, query id *qid*, as one chunk of :class:`DistributedHit`
         (each body, decoded or lazy, handed through).  Each record is priced
         from its :class:`QueryHit` through *sizes*, the shard store's memo
         of :func:`body_nbytes`: per generation one dict by page id of dicts
@@ -259,14 +266,16 @@ class DistributedStoreServer:
 
     Construct it inside an SPMD target function via :meth:`open`; every rank
     of the communicator must participate in every serving call (each opens
-    with a header broadcast).  Rank 0 is the *router*: it supplies the query
-    batch, receives the gathered results and merges them;
-    other ranks pass ``None`` batches and receive ``None`` results.
+    with a header broadcast).  Rank 0 supplies the query batch, sends it
+    whole to every rank, receives the gathered results and merges them;
+    other ranks pass ``None`` batches and receive ``None`` results.  Each
+    rank routes for itself: it serves a query on those of its shards whose
+    extent the query's window meets.
 
     Shards are assigned to ranks contiguously (see
-    :func:`repro.store.router.shard_assignment`); with fewer ranks than
-    shards a rank serves several shards, with more ranks than shards the
-    extra ranks answer empty plans.
+    :func:`shard_assignment`); with fewer ranks than shards a rank serves
+    several shards, with more ranks than shards the extra ranks serve
+    nothing.
     """
 
     def __init__(
@@ -281,11 +290,8 @@ class DistributedStoreServer:
         self.comm = comm
         self.fs = fs
         self.manifest = manifest
-        self.router = ShardRouter(manifest)
-        self.assignment = shard_assignment(manifest.num_shards, comm.size)
-        self.my_shards = sorted(
-            sid for sid, rank in self.assignment.items() if rank == comm.rank
-        )
+        assignment = shard_assignment(manifest.num_shards, comm.size)
+        self.my_shards = [sid for sid, rank in assignment.items() if rank == comm.rank]
         #: this rank's span recorder (:data:`~repro.obs.trace.NULL_TRACER`
         #: unless one is injected); shard stores share it, so engine spans
         #: nest under the serving phases
@@ -628,15 +634,16 @@ class DistributedStoreServer:
         action: str = "query",
         refine: Optional[Callable[[Any, List[QueryHit]], List[QueryHit]]] = None,
     ) -> ShardRows:
-        """The shard-serving loop: this rank's shards over plan *entries*
+        """The shard-serving loop: this rank's shards over *entries*
         ``(batch position, query id, probe, window)``; returns the rank's
         :class:`ShardRows`.
 
-        Per shard, entries outside the shard extent are dropped and the rest
-        are served in one batched pass through the shard store's staged
-        engine (shared Hilbert visit order, page touches deduped, reads
-        coalesced, per-slot refine) under the shard guard, replaying the batch
-        on the next replica after a failure.  *refine* filters one entry's
+        Per shard, entries whose window misses the shard extent are dropped
+        — the only routing of a serving call — and the rest are served in
+        one batched pass through the shard store's staged engine (shared
+        Hilbert visit order, page touches deduped, reads coalesced, per-slot
+        refine) under the shard guard, replaying the batch on the next
+        replica after a failure.  *refine* filters one entry's
         hits by its probe **outside** the guard, so a join's user predicate
         is never misreported as corruption.
 
@@ -659,7 +666,7 @@ class DistributedStoreServer:
             kept = [e for e in entries if shard.extent.intersects(e[-1])]
             if not kept:
                 continue
-            # per-shard query heat: one tick per batch entry this shard
+            # per-shard query heat: one tick per query this shard
             # serves (the rebalancer-facing twin of the engine's partition heat)
             self.metrics.counter("server.shard_heat", shard=sid).inc(len(kept))
             windows = [(None, e[-1]) for e in kept]
@@ -719,16 +726,16 @@ class DistributedStoreServer:
 
     def _local_phase(
         self,
-        entries: List[Tuple[Any, ...]],
+        work: Sequence[Any],
         ctx: Any,
-        serve: Callable[[List[Tuple[Any, ...]]], ShardRows],
+        serve: Callable[[Any], ShardRows],
         **attrs: Any,
     ) -> ShardRows:
-        """One rank's local-query phase of the serving loop: *serve* (a
-        :meth:`_serve_shards` call) runs as ``local_query`` compute, the
+        """One rank's local-query phase of the serving loop: ``serve(work)``
+        (a :meth:`_serve_shards` call) runs as ``local_query`` compute, the
         shard stores' simulated I/O is charged to the virtual clock and the
         phase accumulates in :attr:`phases`.  With a recording tracer the
-        phase gets a ``local_query`` span; a *ctx* shipped with the plan
+        phase gets a ``local_query`` span; a *ctx* shipped with the batch
         (serving ranks) re-parents it — and the engine spans nested inside —
         under the client's trace.  Returns the rank's rows."""
         clock = self.comm.clock
@@ -740,34 +747,21 @@ class DistributedStoreServer:
                 stack.enter_context(tracer.adopt(ctx))
             span = stack.enter_context(tracer.span("local_query"))
             with clock.compute(category="local_query"):
-                rows = serve(entries)
+                rows = serve(work)
             if tracer.enabled:
                 span.set(
-                    rank=self.comm.rank, entries=len(entries), rows=rows.num_hits(), **attrs
+                    rank=self.comm.rank, entries=len(work), rows=rows.num_hits(), **attrs
                 )
         clock.advance(self._store_io_seconds() - io_before, category="io")
         self._charge_phase("local_query", since)
         return rows
 
-    def _route(self, queries: List[Tuple[Any, Optional[Geometry], Envelope]]) -> List[SizedList]:
-        """Rank 0's plan for ``(query id, probe, window)`` *queries*: per
-        rank the list of ``(batch position, query id, probe, window)``
-        entries it must answer, sized by :func:`entry_nbytes`."""
-        return [
-            SizedList(entries, sum(map(entry_nbytes, entries)))
-            for entries in self.router.plan(queries, self.assignment, self.comm.size)
-        ]
-
-    def _plan(self, items: Sequence[Tuple[Optional[Geometry], Envelope]]) -> List[SizedList]:
-        """:meth:`_route` of a join's ``(probe, window)`` *items*: a probe's
-        query id is its batch position."""
-        return self._route([(idx, probe, window) for idx, (probe, window) in enumerate(items)])
-
-    def _plan_windows(self, queries: Sequence[Tuple[Any, Envelope]]) -> List[SizedList]:
-        """:meth:`_route` of a ``(query_id, window)`` batch: the ids ride the
-        plan, so the serving ranks return finished hits."""
-        self.queries_served += len(queries)
-        return self._route([(qid, None, window) for qid, window in queries])
+    def _size_windows(self, batch: Sequence[Tuple[Any, Envelope]]) -> SizedList:
+        """The message of a ``(query_id, window)`` batch:
+        :data:`WINDOW_QUERY_BYTES` per query.  The ids ride it, so the
+        serving ranks return finished hits."""
+        self.queries_served += len(batch)
+        return SizedList(batch, WINDOW_QUERY_BYTES * len(batch))
 
     # ------------------------------------------------------------------ #
     # the serving loop
@@ -777,7 +771,7 @@ class DistributedStoreServer:
         batches: Optional[Sequence[Any]],
         options: Tuple[Any, ...],
         window: int,
-        plan: Callable[[Any], List[SizedList]],
+        size: Callable[[Any], SizedList],
         answer: Callable[..., ShardRows],
         assemble: Callable[..., Any],
     ) -> Optional[List[Tuple[Any, float, float]]]:
@@ -786,19 +780,20 @@ class DistributedStoreServer:
 
         Rank 0 broadcasts the header ``(number of batches, options)`` —
         ``None`` when it got no *batches*, and then every rank raises
-        together — so rank 0's *options* hold on every rank.  Rank 0 routes
-        up to *window* batches ahead of the one it gathers: *plan* turns a
-        batch into the per-rank :meth:`_plan` lists, and each serving rank's
-        list is sent as ``(ctx, entries)``, *ctx* rank 0's
-        :class:`~repro.obs.trace.TraceContext` (``None`` when it is not
-        recording), which the serving rank adopts around its local work so
-        every rank's spans join the one trace of the call.  Serving ranks
+        together — so rank 0's *options* hold on every rank.  Rank 0 sends
+        up to *window* batches ahead of the one it gathers: *size* turns a
+        batch into its :class:`SizedList` message (the ``route`` phase),
+        and every serving rank is sent the same ``(ctx, message)``, *ctx*
+        rank 0's :class:`~repro.obs.trace.TraceContext` (``None`` when it is
+        not recording), which the serving rank adopts around its local work
+        so every rank's spans join the one trace of the call.  Serving ranks
         loop receive → :meth:`_local_phase` → send and never wait for a
-        gather; rank 0 answers its own list of the oldest batch when the
+        gather; rank 0 answers the oldest batch's message itself when the
         window is full, receives the other ranks' :class:`ShardRows` and
-        merges them.  ``answer(entries, *options)`` serves one rank's list,
-        ``assemble(payloads, batch, *options)`` merges one batch's rows on
-        rank 0.  Every phase is charged to :attr:`phases`.
+        merges them.  ``answer(message, *options)`` serves one rank's shards
+        (they pick their own queries), ``assemble(payloads, message,
+        *options)`` merges one batch's rows on rank 0.  Every phase is
+        charged to :attr:`phases`.
 
         Returns, on rank 0, one ``(result, submitted, completed)`` per
         batch: the virtual times its route began and its merge ended.  The
@@ -814,34 +809,34 @@ class DistributedStoreServer:
             raise ValueError("rank 0 must supply the input to serve")
         num_batches, options = header
 
-        def local(entries: List[Tuple[Any, ...]]) -> ShardRows:
-            return answer(entries, *options)
+        def local(message: SizedList) -> ShardRows:
+            return answer(message, *options)
 
         if comm.rank != 0:
             for b in range(num_batches):
                 t = clock.now
-                ctx, entries = comm.recv(source=0, tag=_TAG_BASE + 2 * b)
+                ctx, message = comm.recv(source=0, tag=_TAG_BASE + 2 * b)
                 self._charge_phase("scatter", t)
-                rows = self._local_phase(entries, ctx, local, batch=b)
+                rows = self._local_phase(message, ctx, local, batch=b)
                 t = clock.now
                 comm.send(rows, dest=0, tag=_TAG_BASE + 2 * b + 1)
                 self._charge_phase("gather", t)
             return None
 
         done: List[Tuple[Any, float, float]] = []
-        #: (batch, rank 0's own plan entries, submit time): routed, not gathered
-        in_flight: Deque[Tuple[Any, SizedList, float]] = deque()
+        #: (message, submit time) of each batch sent, not gathered
+        in_flight: Deque[Tuple[SizedList, float]] = deque()
 
         def gather_oldest() -> None:
-            batch, own, submitted = in_flight.popleft()
+            message, submitted = in_flight.popleft()
             b = len(done)
-            payloads = [self._local_phase(own, None, local, batch=b)]
+            payloads = [self._local_phase(message, None, local, batch=b)]
             t = clock.now
             for rank in range(1, comm.size):
                 payloads.append(comm.recv(source=rank, tag=_TAG_BASE + 2 * b + 1))
             with tracer.span("gather") as span:
                 with clock.compute(category="gather"):
-                    result = assemble(payloads, batch, *options)
+                    result = assemble(payloads, message, *options)
                 if tracer.enabled:
                     span.set(rows=sum(rows.num_hits() for rows in payloads), batch=b)
             self._charge_phase("gather", t)
@@ -859,18 +854,18 @@ class DistributedStoreServer:
                 submitted = clock.now
                 with tracer.span("route") as span:
                     with clock.compute(category="route"):
-                        lists = plan(batch)
+                        message = size(batch)
                     if tracer.enabled:
                         span.set(batch=b, num_queries=len(batch))
                 t = self._charge_phase("route", submitted)
-                ctx = tracer.context() if tracer.enabled else None
+                sent = (tracer.context() if tracer.enabled else None, message)
                 with tracer.span("scatter") as span:
                     for rank in range(1, comm.size):
-                        comm.send((ctx, lists[rank]), dest=rank, tag=_TAG_BASE + 2 * b)
+                        comm.send(sent, dest=rank, tag=_TAG_BASE + 2 * b)
                     if tracer.enabled:
                         span.set(batch=b)
                 self._charge_phase("scatter", t)
-                in_flight.append((batch, lists[0], submitted))
+                in_flight.append((message, submitted))
             while in_flight:
                 gather_oldest()
         return done
@@ -890,9 +885,10 @@ class DistributedStoreServer:
             batches,
             (partial_ok, deadline),
             window,
-            self._plan_windows,
-            lambda mine, partial_ok, deadline: self._serve_shards(
-                mine, exact, partial_ok or deadline is not None, deadline
+            self._size_windows,
+            lambda batch, partial_ok, deadline: self._serve_shards(
+                [(idx, qid, None, env) for idx, (qid, env) in enumerate(batch)],
+                exact, partial_ok or deadline is not None, deadline,
             ),
             self._assemble,
         )
@@ -979,9 +975,12 @@ class DistributedStoreServer:
             None if probes is None else [list(probes)],
             (),
             1,
-            # the probe geometry rides the plan so ranks can refine
-            lambda batch: self._plan([(p, p.envelope) for p in batch]),
-            lambda mine: self._serve_shards(mine, exact=False, action="join", refine=refine),
+            # the probe geometries are the message, so every rank can refine
+            lambda batch: SizedList(batch, sum(map(body_nbytes, batch))),
+            lambda batch: self._serve_shards(
+                [(idx, idx, probe, probe.envelope) for idx, probe in enumerate(batch)],
+                exact=False, action="join", refine=refine,
+            ),
             lambda payloads, batch: [
                 (batch[hit.query_id], hit) for hit in self._assemble(payloads, batch, False, None)
             ],

@@ -1,14 +1,16 @@
-"""The retired collective serving skeleton, kept as the identity oracle of the
-one pipelined loop (``DistributedStoreServer._serve``).
+"""The retired collective serving skeleton and its rank-0 router, kept as the
+identity oracle of the one pipelined loop (``DistributedStoreServer._serve``).
 
 ``range_query_batch`` and ``join`` used to run route → ``scatter`` →
 local_query → ``gather`` → assemble with the communicator's collectives, one
-synchronised step per batch.  This module is that loop over the live
-server's own pieces — its plan (``_plan`` / ``_plan_windows``), its
-shard-serving loop (``_serve_shards``), its local-query phase and its merge
-(``_assemble``) — so the only thing a comparison with it checks is the
-transport: tagged point-to-point messages with a routing window must answer
-exactly what the collectives answered.
+synchronised step per batch, and rank 0 routed every batch: per window it
+pruned the shard list by extent (``shards_for``) and sent each rank only the
+entries that met one of its shards, 48 bytes per range entry.  This module is
+that loop and that router over the live server's own shard-serving loop
+(``_serve_shards``), local-query phase and merge (``_assemble``), so a
+comparison with it checks the transport and the routing: tagged
+point-to-point messages carrying the whole batch, each rank picking its own
+queries, must answer exactly what the routed collectives answered.
 
 Every rank calls these (collective); rank 0 supplies the input and gets the
 answer, the other ranks pass ``None`` and get ``None``.
@@ -17,6 +19,41 @@ answer, the other ranks pass ``None`` and get ``None``.
 from contextlib import ExitStack
 
 from repro.geometry import predicates
+from repro.store import shard_assignment
+from repro.store.sharded import SizedList, body_nbytes
+
+#: wire bytes of a routed range entry: its batch position, its query id and
+#: the window (four doubles)
+WINDOW_ENTRY_BYTES = 8 + 8 + 32
+
+
+def shards_for(manifest, window):
+    """Shard-level pruning: the shards whose non-empty data extent meets
+    *window* (none for an empty window)."""
+    if window.is_empty:
+        return []
+    return [s for s in manifest.shards if not s.extent.is_empty and s.extent.intersects(window)]
+
+
+def entry_nbytes(entry):
+    """Wire bytes of one entry ``(batch position, query id, probe, window)``:
+    a range entry has no probe; a join entry's query id is its position, so
+    it ships the position and the probe, which carries the window."""
+    return WINDOW_ENTRY_BYTES if entry[2] is None else 8 + body_nbytes(entry[2])
+
+
+def plan(manifest, queries, nranks):
+    """Per-rank scatter plan of ``(query id, probe, window)`` *queries*: each
+    rank's sized list of the ``(batch position, *query)`` entries whose
+    window meets one of its shards — once per rank, however many of its
+    shards it meets."""
+    assignment = shard_assignment(manifest.num_shards, nranks)
+    out = [[] for _ in range(nranks)]
+    for idx, query in enumerate(queries):
+        entry = (idx, *query)
+        for rank in sorted({assignment[s.shard_id] for s in shards_for(manifest, query[-1])}):
+            out[rank].append(entry)
+    return [SizedList(entries, sum(map(entry_nbytes, entries))) for entries in out]
 
 
 def collective_serve(server, build_plan, serve, assemble):
@@ -35,9 +72,9 @@ def collective_serve(server, build_plan, serve, assemble):
         if is_root:
             with tracer.span("route"):
                 with clock.compute(category="route"):
-                    plan = build_plan()
+                    lists = build_plan()
             ctx = tracer.context() if tracer.enabled else None
-            payload = [(ctx, entries) for entries in plan]
+            payload = [(ctx, entries) for entries in lists]
         t = server._charge_phase("route", t)
 
         mine_ctx, mine = comm.scatter(payload, root=0)
@@ -63,7 +100,8 @@ def range_query_batch(server, queries, exact=True, partial_ok=False, deadline=No
 
     def build_plan():
         qids.extend(qid for qid, _ in queries)
-        return server._plan_windows(queries)
+        ranged = [(qid, None, window) for qid, window in queries]
+        return plan(server.manifest, ranged, server.comm.size)
 
     return collective_serve(
         server,
@@ -83,7 +121,11 @@ def join(server, probes):
 
     return collective_serve(
         server,
-        lambda: server._plan([(p, p.envelope) for p in probes]),
+        lambda: plan(
+            server.manifest,
+            [(idx, p, p.envelope) for idx, p in enumerate(probes)],
+            server.comm.size,
+        ),
         lambda mine: server._serve_shards(mine, exact=False, action="join", refine=refine),
         lambda payloads: [
             (probes[hit.query_id], hit)

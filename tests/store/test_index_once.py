@@ -104,7 +104,11 @@ def store_names(fs):
 def copies(fs):
     """The store's shard names by copy: the primaries, then each read replica."""
     layout, _ = read_shards_manifest(fs, NAME)
-    grid = UniformGrid(layout.extent, layout.grid_rows, layout.grid_cols)
+    # a store whose every record was deleted compacts to an empty extent and
+    # has no grid until its next append; it answers no hit to home
+    grid = None if layout.extent.is_empty else UniformGrid(
+        layout.extent, layout.grid_rows, layout.grid_cols
+    )
     return grid, list(zip(*[[shard.store, *shard.replica_stores] for shard in layout.shards]))
 
 

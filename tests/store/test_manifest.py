@@ -1,4 +1,5 @@
-"""Manifest JSON round-trip, partition pruning and corrupted documents."""
+"""Manifest JSON round-trip, partition pruning, ``shards.json`` and corrupted
+documents."""
 
 import json
 from dataclasses import dataclass
@@ -6,6 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro import mpisim
+from repro.datasets import random_envelopes
 from repro.geometry import Envelope, Polygon
 from repro.index import STRtree
 from repro.pfs import LustreFilesystem
@@ -13,6 +15,8 @@ from repro.store import (
     DistributedStoreServer,
     PageKey,
     PartitionInfo,
+    ShardInfo,
+    ShardsManifest,
     SpatialDataStore,
     StoreAppender,
     StoreError,
@@ -106,6 +110,82 @@ class TestManifest:
         assert paths["data"] == "stores/roads/data.bin"
         assert paths["index"] == "stores/roads/index.bin"
         assert paths["manifest"] == "stores/roads/manifest.json"
+
+
+def make_shards_manifest():
+    return ShardsManifest(
+        name="m",
+        page_size=4096,
+        num_records=30,
+        extent=Envelope(0.0, 0.0, 100.0, 100.0),
+        grid_rows=4,
+        grid_cols=4,
+        next_record_id=30,
+        shards=[
+            ShardInfo(0, "m/shard-0000", [0, 1, 2], Envelope(0.0, 0.0, 60.0, 30.0), 10, 12, 3),
+            ShardInfo(1, "m/shard-0001", [3, 4, 5, 6], Envelope(40.0, 0.0, 100.0, 60.0), 12, 14, 4),
+            ShardInfo(2, "m/shard-0002", [7, 8], Envelope(0.0, 50.0, 50.0, 100.0), 8, 8, 2),
+            ShardInfo(3, "m/shard-0003", list(range(9, 16)), Envelope.empty(), 0, 0, 0),
+        ],
+    )
+
+
+class TestShardsManifest:
+    def test_json_round_trip(self):
+        manifest = make_shards_manifest()
+        back = ShardsManifest.from_json(manifest.to_json())
+        assert back.name == manifest.name
+        assert back.num_shards == 4
+        assert back.num_records == 30
+        assert back.extent.as_tuple() == manifest.extent.as_tuple()
+        assert (back.grid_rows, back.grid_cols) == (4, 4)
+        for a, b in zip(back.shards, manifest.shards):
+            assert a.shard_id == b.shard_id
+            assert a.store == b.store
+            assert a.partition_ids == b.partition_ids
+            assert a.extent.is_empty == b.extent.is_empty
+            if not a.extent.is_empty:
+                assert a.extent.as_tuple() == b.extent.as_tuple()
+            assert (a.num_records, a.num_pages) == (b.num_records, b.num_pages)
+
+    def test_rejects_foreign_documents(self):
+        with pytest.raises(ValueError):
+            ShardsManifest.from_json("{}")
+        with pytest.raises(ValueError):
+            ShardsManifest.from_json("not json at all")
+        doc = make_shards_manifest().to_json().replace('"version": 2', '"version": 99')
+        with pytest.raises(ValueError, match="version"):
+            ShardsManifest.from_json(doc)
+
+    def test_partition_to_shard_is_a_disjoint_cover(self):
+        manifest = make_shards_manifest()
+        owner = manifest.partition_to_shard()
+        assert owner == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2,
+                         **{cell: 3 for cell in range(9, 16)}}
+
+
+class TestShardsOnDisk:
+    def test_layout_paths(self, tmp_path):
+        fs = LustreFilesystem(tmp_path / "pfs")
+        geoms = [
+            Polygon.from_envelope(env, userdata=i)
+            for i, env in enumerate(
+                random_envelopes(20, extent=Envelope(0.0, 0.0, 10.0, 10.0),
+                                 max_size_fraction=0.2, seed=4)
+            )
+        ]
+        result = bulk_load(fs, "disk", geoms, num_shards=2,
+                           num_partitions=4, page_size=512)
+        assert fs.exists(shards_path("disk"))
+        for shard in result.manifest.shards:
+            for suffix in ("data.bin", "index.bin", "manifest.json"):
+                assert fs.exists(f"stores/{shard.store}/{suffix}")
+        # round-trip through the persisted document
+        with fs.open(shards_path("disk")) as fh:
+            raw = fh.pread(0, fh.size)
+        back = ShardsManifest.from_json(raw.decode("utf-8"))
+        assert back.num_shards == 2
+        assert back.num_records == result.num_records
 
 
 # --------------------------------------------------------------------------- #

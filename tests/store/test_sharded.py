@@ -8,6 +8,7 @@ ranks without shards, empty shards and records spanning shard boundaries
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.store import (
     DistributedStoreServer,
     SpatialDataStore,
     bulk_load,
+    shard_assignment,
     shards_path,
 )
 
@@ -279,6 +281,128 @@ class TestShardEdgeCases:
 
         with pytest.raises(FileNotFoundError, match="bulk_load"):
             mpisim.run_spmd(prog, 2)
+
+
+class TestShardAssignment:
+    @pytest.mark.parametrize("num_shards,nranks", [
+        (4, 1), (4, 2), (4, 4), (4, 8), (3, 2), (8, 3), (1, 8), (5, 5),
+    ])
+    def test_every_shard_assigned_to_a_valid_rank(self, num_shards, nranks):
+        assignment = shard_assignment(num_shards, nranks)
+        assert set(assignment) == set(range(num_shards))
+        assert all(0 <= r < nranks for r in assignment.values())
+
+    def test_assignment_is_contiguous_and_balanced(self):
+        assignment = shard_assignment(8, 4)
+        # contiguous runs: rank never decreases with shard id
+        ranks = [assignment[s] for s in range(8)]
+        assert ranks == sorted(ranks)
+        loads = Counter(ranks)
+        assert max(loads.values()) - min(loads.values()) <= 1
+
+    def test_more_ranks_than_shards_leaves_ranks_idle(self):
+        assignment = shard_assignment(2, 8)
+        assert len(set(assignment.values())) == 2
+
+    def test_invalid_args_rejected(self):
+        with pytest.raises(ValueError):
+            shard_assignment(4, 0)
+
+
+def meets(extent, window):
+    """Brute force: two closed rectangles share a point, on their coordinates
+    alone (an empty rectangle has ``min > max`` on some axis)."""
+    return (
+        max(extent.minx, window.minx) <= min(extent.maxx, window.maxx)
+        and max(extent.miny, window.miny) <= min(extent.maxy, window.maxy)
+        and extent.minx <= extent.maxx and extent.miny <= extent.maxy
+        and window.minx <= window.maxx and window.miny <= window.maxy
+    )
+
+
+class TestServingSideRouting:
+    """Rank 0 sends every rank the whole batch; each rank serves a query on
+    exactly those of its shards whose non-empty extent the window meets."""
+
+    @pytest.mark.parametrize("nprocs", NPROCS)
+    def test_each_shard_serves_the_windows_its_extent_meets(self, tmp_path, nprocs):
+        fs = make_fs(tmp_path)
+        # three clusters homed in three cells of a 4x4 grid: four shards, one
+        # of them empty
+        corners = [(0.0, 0.0), (95.0, 95.0), (0.0, 95.0)]
+        geoms = [
+            Polygon.from_envelope(Envelope(x + 0.3 * i, y + 0.2 * i, x + 0.3 * i + 2.0,
+                                           y + 0.2 * i + 2.0), userdata=10 * c + i)
+            for c, (x, y) in enumerate(corners)
+            for i in range(10)
+        ]
+        shards = bulk_load(fs, "routed", geoms, num_shards=4, num_partitions=16,
+                           page_size=512).manifest.shards
+        empty = [s.shard_id for s in shards if s.extent.is_empty]
+        assert len(empty) == 1
+        windows = list(random_envelopes(40, extent=Envelope(-10.0, -10.0, 110.0, 110.0),
+                                        max_size_fraction=0.4, seed=8))
+        # windows that only touch a shard extent's edge or corner count
+        for s in shards:
+            e = s.extent
+            if not e.is_empty:
+                windows += [Envelope(e.maxx, e.miny, e.maxx + 5.0, e.miny + 1.0),
+                            Envelope(e.minx - 5.0, e.miny - 5.0, e.minx, e.miny)]
+        windows.append(Envelope.empty())
+        batch = [(f"w{i}", window) for i, window in enumerate(windows)]
+        lone_empty = [("empty", Envelope.empty())]
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "routed") as server:
+                heat = {sid: server.metrics.counter("server.shard_heat", shard=sid)
+                        for sid in server.my_shards}
+                moved = []
+                for work in (batch, lone_empty):
+                    before = {sid: counter.value for sid, counter in heat.items()}
+                    server.range_query_batch(work if comm.rank == 0 else None)
+                    moved.append({sid: heat[sid].value - before[sid] for sid in heat})
+                return moved
+
+        per_rank = mpisim.run_spmd(prog, nprocs).values
+        served = {sid: n for rank_moved, _ in per_rank for sid, n in rank_moved.items()}
+        assert served == {
+            s.shard_id: sum(1 for window in windows if meets(s.extent, window)) for s in shards
+        }
+        assert served[empty[0]] == 0 and sum(served.values()) > 0
+        assert all(n == 0 for _, alone in per_rank for n in alone.values())
+
+
+class TestPartitionOwnership:
+    def test_each_record_is_stored_in_its_home_cell_only(self, tmp_path):
+        fs = make_fs(tmp_path)
+        geoms = [
+            Polygon.from_envelope(env, userdata=i)
+            for i, env in enumerate(
+                random_envelopes(80, extent=Envelope(0.0, 0.0, 100.0, 100.0),
+                                 max_size_fraction=0.15, seed=12)
+            )
+        ]
+        result = bulk_load(fs, "own", geoms, num_shards=4,
+                           num_partitions=16, page_size=512)
+        layout = result.manifest
+        grid = UniformGrid(layout.extent, layout.grid_rows, layout.grid_cols)
+        # precondition: some record's MBR spans several cells
+        assert any(len(grid.cells_for_envelope(g.envelope)) > 1 for g in geoms)
+
+        # collect each record's stored partitions straight from the shards
+        stored = {}
+        for shard in layout.shards:
+            with SpatialDataStore.open(fs, shard.store) as store:
+                for hit in store.range_query(layout.extent, exact=False):
+                    assert hit.partition_id in shard.partition_ids
+                    stored.setdefault(hit.record_id, []).append(hit.partition_id)
+
+        for rid, geom in enumerate(geoms):
+            env = geom.envelope
+            # one copy, in the cell of the MBR's lower-left corner, the
+            # lowest-numbered cell the MBR overlaps
+            assert stored[rid] == [grid.cell_for_point(env.minx, env.miny)]
+            assert stored[rid] == [min(grid.cells_for_envelope(env))]
 
 
 class TestDistributedJoin:
@@ -613,8 +737,9 @@ class TestWireSizes:
     def wire(self, tmp_path, monkeypatch):
         """A 4-shard store plus what the serving loop ships while the test
         runs, as ``(op, rank, object)``: ``"plan"`` for each of rank 0's
-        ``send``s, ``"rows"`` for each serving rank's ``send`` and for each of
-        rank 0's own ``ShardRows`` (merged where they were made, never sent)."""
+        ``send``s (a batch's ``(ctx, message)``), ``"rows"`` for each serving
+        rank's ``send`` and for each of rank 0's own ``ShardRows`` (merged
+        where they were made, never sent)."""
         from repro.mpisim import Communicator
 
         fs = make_fs(tmp_path)
@@ -652,24 +777,22 @@ class TestWireSizes:
         return sum(40 + len(wkb.dumps(h.geometry)) + payload_nbytes(h.geometry.userdata) for h in hits)
 
     @staticmethod
-    def plan_nbytes(entries, qids=None):
-        """The documented plan formula, by actually encoding each entry
-        ``(batch position, query id, probe, window)``: a range entry is its
-        position, its query id (``qids[position]``) and the four doubles of
-        its window; a join entry's query id is its position, so it ships the
-        position and the probe's WKB and userdata."""
-        from repro.geometry import wkb
+    def plan_nbytes(message):
+        """The documented message formula, by actually encoding it: a range
+        batch ships each query's id and the four doubles of its window (the
+        batch position is implicit); a join ships each probe's WKB and
+        userdata (a probe's query id is its position)."""
+        from repro.geometry import Geometry, wkb
         from repro.mpisim import payload_nbytes
 
-        assert all(len(entry) == 4 for entry in entries)
         total = 0
-        for idx, qid, probe, window in entries:
-            if probe is None:
-                assert qid == qids[idx] and isinstance(window, Envelope)
-                total += 8 + 8 + 32
+        for item in message:
+            if isinstance(item, Geometry):
+                total += len(wkb.dumps(item)) + payload_nbytes(item.userdata)
             else:
-                assert qid == idx and window == probe.envelope
-                total += 8 + len(wkb.dumps(probe)) + payload_nbytes(probe.userdata)
+                _, window = item
+                assert isinstance(window, Envelope)
+                total += 8 + 32
         return total
 
     @staticmethod
@@ -688,7 +811,7 @@ class TestWireSizes:
         for rows in payloads:
             assert rows.failures == []
             assert rows.nbytes == self.rows_nbytes(rows)
-            # the serving rank fills in the query id the plan entry carried
+            # the serving rank fills in the query id the batch carried
             assert all(h.query_id == f"q{idx}" for idx, found in rows for h in found)
         assert {h.query_id for h in hits} <= {f"q{i}" for i in range(40)}
 
@@ -715,21 +838,20 @@ class TestWireSizes:
         plans = [obj for op, _, obj in shipped if op == "plan"]
         peer_rows = [obj for op, rank, obj in shipped if op == "rows" and rank == 1]
         assert len(plans) == len(peer_rows) == 3 and all(ctx is None for ctx, _ in plans)
-        # the one batch of range_query_batch: the root sends the peer its plan
-        # entries (position + query id + MPI_RECT = 48 bytes each), the peer
-        # its rows; the only collective is the header (batch count +
-        # partial_ok, and a deadline of None), broadcast by the root
-        qids = [qid for qid, _ in batch]
-        assert root_first["comm.bytes_sent"] == self.plan_nbytes(plans[0][1], qids) > 0
-        assert root_first["comm.bytes_sent"] == 48 * len(plans[0][1])
+        # the one batch of range_query_batch: the root sends the peer the
+        # whole batch (query id + MPI_RECT = 40 bytes a query, the position
+        # implicit), the peer its rows; the only collective is the header
+        # (batch count + partial_ok, and a deadline of None), broadcast by
+        # the root
+        assert plans[0][1] == batch
+        assert root_first["comm.bytes_sent"] == self.plan_nbytes(plans[0][1]) == 40 * len(batch)
         assert peer_first["comm.bytes_sent"] == self.rows_nbytes(peer_rows[0]) > 0
         assert (root_first["comm.bytes_collective"], peer_first.get("comm.bytes_collective", 0)) == (16, 0)
         # front-end: the same sizes, batch by batch, on the same transport
-        # (a batch's positions restart at 0)
-        batch_qids = [qids, qids[:25], qids[25:]]
+        assert [message for _, message in plans[1:]] == [batch[:25], batch[25:]]
         assert root_all["comm.bytes_sent"] == sum(
-            self.plan_nbytes(entries, ids) for (_, entries), ids in zip(plans, batch_qids)
-        )
+            self.plan_nbytes(message) for _, message in plans
+        ) == 40 * 2 * len(batch)
         assert peer_all["comm.bytes_sent"] == sum(map(self.rows_nbytes, peer_rows))
 
     def test_plans_of_64_and_65_entries_are_priced_by_one_rule(self, wire):
@@ -743,14 +865,26 @@ class TestWireSizes:
             plans = [obj for op, _, obj in shipped if op == "plan"]
             assert [len(entries) for _, entries in plans] == [count, count]
             assert [entries.nbytes for _, entries in plans] == [
-                self.plan_nbytes(entries, range(count)) for _, entries in plans
-            ] == [48 * count, 48 * count]
-            assert [payload_nbytes(plan) for plan in plans] == [48 * count, 48 * count]
+                self.plan_nbytes(entries) for _, entries in plans
+            ] == [40 * count, 40 * count]
+            assert [payload_nbytes(plan) for plan in plans] == [40 * count, 40 * count]
+
+    @pytest.mark.parametrize("nprocs", (2, 4, 8))
+    def test_every_serving_rank_is_sent_the_whole_batch(self, wire, nprocs):
+        # small windows meet few shards, and at 8 ranks four ranks hold no
+        # shard: each is still sent the one sized message of the whole batch
+        fs, shipped = wire
+        batch = self.windows(40, size=0.05)
+        serve_distributed(fs, "data", batch, nprocs)
+        plans = [obj for op, _, obj in shipped if op == "plan"]
+        assert len(plans) == nprocs - 1 and all(plan is plans[0] for plan in plans)
+        ctx, message = plans[0]
+        assert ctx is None and message == batch and message.nbytes == 40 * len(batch)
 
     def test_a_range_entry_ships_its_query_id_and_a_join_entry_does_not(self, wire):
-        # a range entry is 48 bytes: position, query id, window; a join
-        # entry's query id is its batch position, so the join ships what it
-        # always shipped: position + probe WKB + userdata
+        # a range query is 40 bytes: query id and window, its position
+        # implicit; a join probe's query id is its batch position, so the
+        # join ships the probes alone: WKB + userdata each
         from repro.geometry import wkb
         from repro.mpisim import payload_nbytes
 
@@ -765,16 +899,12 @@ class TestWireSizes:
 
         pairs = mpisim.run_spmd(prog, 2).values[0]
         (_, ranged), (_, joined) = [obj for op, _, obj in shipped if op == "plan"]
-        assert ranged and joined and pairs
-        assert all(len(entry) == 4 for entry in ranged + joined)
-        assert ranged.nbytes == 48 * len(ranged) == self.plan_nbytes(ranged, [q for q, _ in batch])
-        assert [(idx, qid, probe) for idx, qid, probe, _ in ranged] == [
-            (idx, batch[idx][0], None) for idx, _, _, _ in ranged
-        ]
+        assert ranged == batch and joined == probes and pairs
+        assert ranged.nbytes == 40 * len(batch) == self.plan_nbytes(ranged)
         assert joined.nbytes == sum(
-            8 + len(wkb.dumps(probes[idx])) + payload_nbytes(idx) for idx, _, _, _ in joined
+            len(wkb.dumps(probe)) + payload_nbytes(probe.userdata) for probe in probes
         ) == self.plan_nbytes(joined)
-        assert all(qid == idx and probe is probes[idx] for idx, qid, probe, _ in joined)
+        assert all(sent is probe for sent, probe in zip(joined, probes))
 
     def test_each_record_is_priced_once_and_exactly(self, wire, monkeypatch):
         # the second of two identical batches on one server prices every

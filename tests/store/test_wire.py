@@ -235,7 +235,7 @@ def chunk_sets(draw):
 def served(ranks, qids):
     """*ranks*' chunks converted the way a serving rank now ships them: one
     ``(batch position, hits)`` chunk of finished hits, the query id taken
-    from the plan entry."""
+    from the batch."""
     return [[(idx, _matched(qids[idx], sid, hits)) for idx, sid, hits in chunks] for chunks in ranks]
 
 
