@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md §4
-and EXPERIMENTS.md).  Datasets are synthetic, scaled-down stand-ins for the
+Every benchmark regenerates one table or figure of the paper's evaluation
+(Table 3 and Figures 8–20; PAPER.md summarises it) with the drivers in
+``harness.py``.  Datasets are synthetic, scaled-down stand-ins for the
 paper's OSM extracts; the interesting output of each benchmark is the printed
 figure report plus the qualitative shape assertions.
 """
@@ -10,7 +11,7 @@ import gc
 
 import pytest
 
-from repro.bench import ensure_dataset
+from harness import ensure_dataset
 from repro.datasets import SyntheticConfig, generate_dataset
 from repro.pfs import ClusterConfig, GPFSFilesystem, LustreFilesystem
 

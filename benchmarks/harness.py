@@ -1,4 +1,4 @@
-"""Experiment drivers used by the ``benchmarks/`` suite.
+"""Experiment drivers for the paper's Table 3 and Figures 8–20.
 
 Two kinds of drivers coexist:
 
@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import mpisim
-from ..core import (
+from repro import mpisim
+from repro.core import (
     DistributedIndex,
     GridPartitionConfig,
     PartitionConfig,
@@ -33,17 +33,18 @@ from ..core import (
     build_record_index,
     read_variable_records_roundrobin,
 )
-from ..datasets import (
+from repro.datasets import (
     DATASETS,
     SyntheticConfig,
+    dataset_path,
     generate_dataset,
     random_envelopes,
     write_mbr_file,
 )
-from ..io import Info
-from ..io.twophase import collective_read_time
-from ..mpisim import CommCostModel, Op
-from ..pfs import (
+from repro.io import File
+from repro.io.twophase import collective_read_time
+from repro.mpisim import CommCostModel, Op
+from repro.pfs import (
     ClusterConfig,
     GPFSFilesystem,
     IOCostModel,
@@ -51,30 +52,18 @@ from ..pfs import (
     ReadRequest,
     StripeLayout,
 )
-from .reporting import FigureReport, bandwidth_gbps
-
-__all__ = [
-    "algorithm1_read_time",
-    "overlap_read_time",
-    "collective_contiguous_read_time",
-    "noncontiguous_read_time",
-    "level0_bandwidth_figure",
-    "message_vs_overlap_figure",
-    "collective_read_figure",
-    "struct_vs_contiguous_figure",
-    "union_reduce_scan_figure",
-    "gpfs_io_parsing_figure",
-    "noncontig_binary_figure",
-    "noncontig_polygon_figure",
-    "run_join_breakdown",
-    "run_indexing_breakdown",
-    "join_breakdown_figure",
-    "sequential_parse_table",
-    "ensure_dataset",
-]
+from reporting import FigureReport, bandwidth_gbps
 
 #: COMET-like Lustre defaults used by the pattern-level drivers
 COMET_CLUSTER = ClusterConfig(procs_per_node=16, nic_bandwidth=7.0e9)
+OST_COUNT = 96
+#: one ring exchange of Algorithm 1: every rank sends and receives the
+#: average trailing fragment (64 KiB)
+RING_EXCHANGE_S = 2 * CommCostModel().transfer_time(64 * 1024)
+#: the halo each rank over-reads in the overlapping strategy (Figure 10)
+HALO_BYTES = 11 << 20
+#: the partitioning block of the end-to-end drivers
+PARTITION_BLOCK = 64 * 1024
 
 
 # --------------------------------------------------------------------------- #
@@ -101,8 +90,6 @@ def algorithm1_read_time(
     file_size: int,
     nranks: int,
     block_size: int,
-    comm_model: Optional[CommCostModel] = None,
-    fragment_bytes: int = 64 * 1024,
 ) -> float:
     """Simulated time of Algorithm 1 with independent (Level 0) reads.
 
@@ -110,7 +97,6 @@ def algorithm1_read_time(
     then the even/odd ring exchange moves the average trailing fragment to the
     neighbouring rank.
     """
-    comm_model = comm_model or CommCostModel()
     chunk = block_size * nranks
     iterations = max(1, math.ceil(file_size / chunk))
     total = cost_model.open_latency
@@ -119,8 +105,7 @@ def algorithm1_read_time(
         if not requests:
             continue
         total += cost_model.parallel_read_time(layout, requests)
-        # ring exchange of the trailing fragment (one send + one recv per rank)
-        total += 2 * comm_model.transfer_time(fragment_bytes)
+        total += RING_EXCHANGE_S
     return total
 
 
@@ -130,14 +115,13 @@ def overlap_read_time(
     file_size: int,
     nranks: int,
     block_size: int,
-    halo_bytes: int = 11 * 1024 * 1024,
 ) -> float:
     """Simulated time of the overlapping (halo) strategy with Level-0 reads."""
     chunk = block_size * nranks
     iterations = max(1, math.ceil(file_size / chunk))
     total = cost_model.open_latency
     for it in range(iterations):
-        requests = _iteration_requests(file_size, nranks, block_size, it, extra_per_rank=halo_bytes)
+        requests = _iteration_requests(file_size, nranks, block_size, it, extra_per_rank=HALO_BYTES)
         if not requests:
             continue
         total += cost_model.parallel_read_time(layout, requests)
@@ -150,13 +134,9 @@ def collective_contiguous_read_time(
     file_size: int,
     nranks: int,
     block_size: int,
-    comm_model: Optional[CommCostModel] = None,
-    fragment_bytes: int = 64 * 1024,
-    info: Optional[Info] = None,
 ) -> float:
     """Simulated time of Algorithm 1 with collective (Level 1) reads —
     two-phase I/O with ROMIO aggregator selection."""
-    comm_model = comm_model or CommCostModel()
     chunk = block_size * nranks
     iterations = max(1, math.ceil(file_size / chunk))
     total = fs.cost_model.open_latency
@@ -164,9 +144,9 @@ def collective_contiguous_read_time(
         requests = _iteration_requests(file_size, nranks, block_size, it)
         if not requests:
             continue
-        elapsed, _ = collective_read_time(fs, path, requests, info)
+        elapsed, _ = collective_read_time(fs, path, requests)
         total += elapsed
-        total += 2 * comm_model.transfer_time(fragment_bytes)
+        total += RING_EXCHANGE_S
     return total
 
 
@@ -177,7 +157,6 @@ def noncontiguous_read_time(
     record_size: int,
     nranks: int,
     records_per_block: int,
-    info: Optional[Info] = None,
 ) -> float:
     """Simulated time of a Level-3 (non-contiguous collective) read where each
     rank owns every ``nranks``-th block of records."""
@@ -193,7 +172,7 @@ def noncontiguous_read_time(
             ranges.append((start, nrec * record_size))
         if ranges:
             requests.append(ReadRequest(rank=rank, ranges=tuple(ranges)))
-    elapsed, _ = collective_read_time(fs, path, requests, info)
+    elapsed, _ = collective_read_time(fs, path, requests)
     return fs.cost_model.open_latency + elapsed
 
 
@@ -205,7 +184,6 @@ def level0_bandwidth_figure(
     stripe_specs: Sequence[Tuple[int, int]],
     node_counts: Sequence[int],
     procs_per_node: int = 16,
-    ost_count: int = 96,
     title: str = "Level 0 read bandwidth",
     figure: str = "Figure 8",
 ) -> FigureReport:
@@ -219,7 +197,7 @@ def level0_bandwidth_figure(
     cluster = ClusterConfig(procs_per_node=procs_per_node, nic_bandwidth=7.0e9)
     cost = IOCostModel(ost_bandwidth=1.1e9, cluster=cluster)
     for stripe_size, stripe_count in stripe_specs:
-        layout = StripeLayout(stripe_size, min(stripe_count, ost_count))
+        layout = StripeLayout(stripe_size, min(stripe_count, OST_COUNT))
         series = report.add_series(f"stripe={stripe_size >> 20}MB x {stripe_count}OST")
         for nodes in node_counts:
             nranks = nodes * procs_per_node
@@ -234,24 +212,18 @@ def message_vs_overlap_figure(
     stripe_counts: Sequence[int],
     node_counts: Sequence[int],
     block_size: int = 32 << 20,
-    procs_per_node: int = 16,
-    halo_bytes: int = 11 << 20,
 ) -> FigureReport:
     """Figure 10: message-based dynamic partitioning vs overlapping reads."""
     report = FigureReport("Figure 10", "Message vs overlap partitioning (Lakes)", "nodes", "time (s)")
-    cluster = ClusterConfig(procs_per_node=procs_per_node, nic_bandwidth=7.0e9)
-    cost = IOCostModel(ost_bandwidth=1.1e9, cluster=cluster)
+    cost = IOCostModel(ost_bandwidth=1.1e9, cluster=COMET_CLUSTER)
     for stripe_count in stripe_counts:
         layout = StripeLayout(stripe_size, stripe_count)
         msg = report.add_series(f"message OST={stripe_count}")
         ovl = report.add_series(f"overlap OST={stripe_count}")
         for nodes in node_counts:
-            nranks = nodes * procs_per_node
+            nranks = nodes * COMET_CLUSTER.procs_per_node
             msg.add(nodes, algorithm1_read_time(cost, layout, file_size, nranks, block_size))
-            ovl.add(
-                nodes,
-                overlap_read_time(cost, layout, file_size, nranks, block_size, halo_bytes),
-            )
+            ovl.add(nodes, overlap_read_time(cost, layout, file_size, nranks, block_size))
     return report
 
 
@@ -261,27 +233,24 @@ def collective_read_figure(
     stripe_size: int,
     stripe_counts: Sequence[int],
     node_counts: Sequence[int],
-    block_size: int = 16 << 20,
-    procs_per_node: int = 16,
 ) -> FigureReport:
-    """Figure 11: Level-1 collective read time vs node count and stripe count,
-    showing the ROMIO aggregator-selection dips."""
+    """Figure 11: Level-1 collective read time of 16 MB blocks vs node count
+    and stripe count, showing the ROMIO aggregator-selection dips."""
     report = FigureReport("Figure 11", "Level 1 collective read time (Roads)", "nodes", "time (s)")
     for stripe_count in stripe_counts:
         fs = LustreFilesystem(
             f"{tmp_root}/lustre_fig11_{stripe_count}",
-            ost_count=96,
-            cluster=ClusterConfig(procs_per_node=procs_per_node, nic_bandwidth=7.0e9),
+            ost_count=OST_COUNT,
+            cluster=COMET_CLUSTER,
         )
         fs.create_file("roads.virtual", b"")
         fs.setstripe("roads.virtual", stripe_size=stripe_size, stripe_count=stripe_count)
         series = report.add_series(f"OST={stripe_count}")
         for nodes in node_counts:
-            nranks = nodes * procs_per_node
-            elapsed = collective_contiguous_read_time(
-                fs, "roads.virtual", file_size, nranks, block_size
+            nranks = nodes * COMET_CLUSTER.procs_per_node
+            series.add(
+                nodes, collective_contiguous_read_time(fs, "roads.virtual", file_size, nranks, 16 << 20)
             )
-            series.add(nodes, elapsed)
     return report
 
 
@@ -291,10 +260,9 @@ def collective_read_figure(
 def struct_vs_contiguous_figure(
     fs: GPFSFilesystem,
     record_counts: Sequence[int],
-    nprocs: int = 8,
 ) -> FigureReport:
-    """Figure 12: reading binary MBR records with ``MPI_Type_struct`` versus a
-    user-assembled ``MPI_Type_contiguous``.
+    """Figure 12: reading binary MBR records on 4 ranks with
+    ``MPI_Type_struct`` versus a user-assembled ``MPI_Type_contiguous``.
 
     The struct variant lets the MPI implementation hand the record to the
     application in one pass; the user-assembled contiguous variant performs an
@@ -311,8 +279,6 @@ def struct_vs_contiguous_figure(
             write_mbr_file(fs, path, random_envelopes(count, seed=count), precision="float32")
 
         def prog(comm, user_packing):
-            from ..io import File
-
             fh = File.Open(comm, fs, path)
             per_rank = count // comm.size
             nbytes = per_rank * 16
@@ -330,8 +296,8 @@ def struct_vs_contiguous_figure(
             fh.Close()
             return comm.clock.now
 
-        struct_series.add(count, max(mpisim.run_spmd(prog, nprocs, False).values))
-        contig_series.add(count, max(mpisim.run_spmd(prog, nprocs, True).values))
+        struct_series.add(count, max(mpisim.run_spmd(prog, 4, False).values))
+        contig_series.add(count, max(mpisim.run_spmd(prog, 4, True).values))
     return report
 
 
@@ -363,9 +329,9 @@ def union_reduce_scan_figure(
             sizes = rng.uniform(0, 1, size=(count, 2))
             rects = np.hstack([lows, lows + sizes])
             if use_scan:
-                result = comm.scan(rects, union_op)
+                comm.scan(rects, union_op)
             else:
-                result = comm.reduce(rects, union_op, root=0)
+                comm.reduce(rects, union_op, root=0)
             return comm.clock.now
 
         reduce_series.add(count, max(mpisim.run_spmd(prog, nprocs, False).values))
@@ -379,8 +345,6 @@ def ensure_dataset(fs, name: str, scale: float, seed: int = 7, path: Optional[st
     Pass *path* to materialise the same logical dataset at a different scale
     under a different name (e.g. ``datasets/lakes_large.wkt``).
     """
-    from ..datasets import dataset_path
-
     path = path or dataset_path(name)
     if not fs.exists(path):
         generate_dataset(
@@ -392,17 +356,15 @@ def ensure_dataset(fs, name: str, scale: float, seed: int = 7, path: Optional[st
 def gpfs_io_parsing_figure(
     fs: GPFSFilesystem,
     proc_counts: Sequence[int],
-    scale: float = 1.0,
 ) -> FigureReport:
     """Figure 14: I/O + parsing time for All Nodes (points) vs All Objects
-    (mixed polygons) on GPFS, Level 1."""
+    (mixed polygons) on GPFS, Level 1, both layers at scale 0.5."""
     report = FigureReport("Figure 14", "I/O + parsing on GPFS (Level 1)", "processes", "time (s)")
-    nodes_path = ensure_dataset(fs, "all_nodes", scale)
-    objects_path = ensure_dataset(fs, "all_objects", scale)
+    nodes_path = ensure_dataset(fs, "all_nodes", 0.5)
+    objects_path = ensure_dataset(fs, "all_objects", 0.5)
 
     def prog(comm, path):
-        vio = VectorIO(fs, PartitionConfig(level=1))
-        report_ = vio.read_geometries(comm, path)
+        VectorIO(fs, PartitionConfig(level=1)).read_geometries(comm, path)
         return comm.clock.now
 
     nodes_series = report.add_series("All Nodes (points)")
@@ -417,10 +379,9 @@ def noncontig_binary_figure(
     fs: GPFSFilesystem,
     total_records: int,
     block_sizes: Sequence[int],
-    nprocs: int = 8,
 ) -> FigureReport:
     """Figure 15: contiguous vs non-contiguous collective reads of a binary
-    MBR file, for several block sizes (in number of MBRs)."""
+    MBR file on 8 ranks, for several block sizes (in number of MBRs)."""
     report = FigureReport(
         "Figure 15", "Binary MBR file: contiguous vs non-contiguous access", "block size (MBRs)", "time (s)"
     )
@@ -429,6 +390,7 @@ def noncontig_binary_figure(
     if not fs.exists(path):
         write_mbr_file(fs, path, random_envelopes(total_records, seed=5), precision="float32")
     file_size = total_records * record_size
+    nprocs = 8
 
     contig = report.add_series("contiguous (Level 1)")
     noncontig = report.add_series("non-contiguous (Level 3)")
@@ -451,16 +413,15 @@ def noncontig_binary_figure(
 def noncontig_polygon_figure(
     fs: GPFSFilesystem,
     block_sizes: Sequence[int],
-    nprocs: int = 4,
-    scale: float = 0.5,
 ) -> FigureReport:
-    """Figure 16: non-contiguous access for variable-length polygon records
-    with different block sizes (in number of polygons); the contiguous Level-1
-    read of the same file is the reference series."""
+    """Figure 16: non-contiguous access on 4 ranks for the variable-length
+    polygon records of the scale-0.5 Lakes layer, with different block sizes
+    (in number of polygons); the contiguous Level-1 read of the same file is
+    the reference series."""
     report = FigureReport(
         "Figure 16", "WKT polygons: non-contiguous access vs block size", "block size (polygons)", "time (s)"
     )
-    path = ensure_dataset(fs, "lakes", scale)
+    path = ensure_dataset(fs, "lakes", 0.5)
     index = build_record_index(fs, path)
 
     def contiguous_prog(comm):
@@ -468,7 +429,7 @@ def noncontig_polygon_figure(
         vio.read_records(comm, path)
         return comm.clock.now
 
-    contig_time = max(mpisim.run_spmd(contiguous_prog, nprocs).values)
+    contig_time = max(mpisim.run_spmd(contiguous_prog, 4).values)
     contig = report.add_series("contiguous (Level 1)")
     noncontig = report.add_series("non-contiguous (Level 3)")
 
@@ -477,7 +438,7 @@ def noncontig_polygon_figure(
             read_variable_records_roundrobin(comm, fs, path, index, records_per_block=block)
             return comm.clock.now
 
-        noncontig.add(block, max(mpisim.run_spmd(prog, nprocs).values))
+        noncontig.add(block, max(mpisim.run_spmd(prog, 4).values))
         contig.add(block, contig_time)
     return report
 
@@ -491,14 +452,13 @@ def run_join_breakdown(
     right_path: str,
     nprocs: int,
     num_cells: int,
-    block_size: Optional[int] = 64 * 1024,
 ) -> Dict[str, float]:
     """Run the distributed spatial join and return per-phase maxima."""
 
     def prog(comm):
         join = SpatialJoin(
             fs,
-            partition_config=PartitionConfig(block_size=block_size),
+            partition_config=PartitionConfig(block_size=PARTITION_BLOCK),
             grid_config=GridPartitionConfig(num_cells=num_cells),
         )
         result = join.run(comm, left_path, right_path)
@@ -514,14 +474,13 @@ def run_indexing_breakdown(
     path: str,
     nprocs: int,
     num_cells: int,
-    block_size: Optional[int] = 64 * 1024,
 ) -> Dict[str, float]:
     """Run distributed indexing and return per-phase maxima."""
 
     def prog(comm):
         index = DistributedIndex(
             fs,
-            partition_config=PartitionConfig(block_size=block_size),
+            partition_config=PartitionConfig(block_size=PARTITION_BLOCK),
             grid_config=GridPartitionConfig(num_cells=num_cells),
         )
         report = index.build(comm, path)

@@ -3,19 +3,19 @@
 
 Reproduces, at laptop scale, the questions §5.1 of the paper asks of the
 filesystem: how does read bandwidth change with node count, stripe count and
-access level, and when do collective reads pay off?  The drivers are the same
-ones the benchmark suite uses for Figures 8–11.
+access level, and when do collective reads pay off?  The drivers are the
+ones ``harness.py`` beside it gives the benchmark suite for Figures 8–11.
 
-Run it with::
+Run it from the repository root with::
 
-    python examples/io_bandwidth_study.py
+    PYTHONPATH=src python benchmarks/io_bandwidth_study.py
 """
 
 from __future__ import annotations
 
 import tempfile
 
-from repro.bench import (
+from harness import (
     collective_read_figure,
     level0_bandwidth_figure,
     message_vs_overlap_figure,

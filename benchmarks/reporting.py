@@ -1,4 +1,4 @@
-"""Tabular reporting helpers for the benchmark harness.
+"""Tabular reporting helpers for the figure drivers (``harness.py``).
 
 Every benchmark regenerates one table or figure of the paper as a plain-text
 table (series of rows), so results can be eyeballed against the published
@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Sequence
-
-__all__ = ["Series", "FigureReport", "format_table", "bandwidth_gbps"]
-
 
 def bandwidth_gbps(nbytes: float, seconds: float) -> float:
     """Bandwidth in GB/s (the unit of Figures 8–10)."""
@@ -42,11 +39,11 @@ class Series:
         return min(self.y) if self.y else 0.0
 
 
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]], floatfmt: str = ".3f") -> str:
-    """Render rows as a fixed-width text table."""
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Render rows as a fixed-width text table (floats to three decimals)."""
     def fmt(value: Any) -> str:
         if isinstance(value, float):
-            return format(value, floatfmt)
+            return format(value, ".3f")
         return str(value)
 
     str_rows = [[fmt(v) for v in row] for row in rows]
@@ -81,7 +78,7 @@ class FigureReport:
 
     def to_text(self) -> str:
         rows = [row for s in self.series for row in s.as_rows()]
-        table = format_table([self.x_label and "series" or "series", self.x_label, self.y_label], rows)
+        table = format_table(["series", self.x_label, self.y_label], rows)
         lines = [f"== {self.figure}: {self.title} ==", table]
         for note in self.notes:
             lines.append(f"note: {note}")

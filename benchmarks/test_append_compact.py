@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from repro.bench.reporting import FigureReport
+from reporting import FigureReport
 from repro.datasets import random_envelopes
 from repro.geometry import Envelope, LineString, Point, Polygon
 from repro.store import (

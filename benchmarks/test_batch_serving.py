@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.bench.reporting import FigureReport
+from reporting import FigureReport
 from repro.core import VectorIO
 from repro.geometry import predicates
 from repro.store import SpatialDataStore, bulk_load

@@ -6,7 +6,7 @@ GB/s around 32–48 nodes and then flattens/saturates; the larger stripe size
 gives comparable peak bandwidth.
 """
 
-from repro.bench import level0_bandwidth_figure
+from harness import level0_bandwidth_figure
 
 FILE_SIZE = 92 << 30  # 92 GB virtual file (pattern-level driver, no data)
 NODE_COUNTS = [4, 8, 16, 24, 32, 48, 64, 72]
@@ -19,7 +19,6 @@ def test_fig08_level0_bandwidth_allobjects(once):
         [(64 << 20, 64), (128 << 20, 64)],
         NODE_COUNTS,
         16,
-        96,
         "Level 0 read bandwidth, All Objects (92 GB)",
         "Figure 8",
     )

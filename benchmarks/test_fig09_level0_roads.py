@@ -5,7 +5,7 @@ Paper shape: 8–9 GB/s peak; for a fixed process count, more OSTs give more
 bandwidth until the client links saturate.
 """
 
-from repro.bench import level0_bandwidth_figure
+from harness import level0_bandwidth_figure
 
 FILE_SIZE = 24 << 30
 NODE_COUNTS = [2, 4, 8, 16, 24, 32, 48]
@@ -19,7 +19,6 @@ def test_fig09_level0_bandwidth_roads(once):
         [(STRIPE_SIZE, 16), (STRIPE_SIZE, 32), (STRIPE_SIZE, 64), (STRIPE_SIZE, 96)],
         NODE_COUNTS,
         16,
-        96,
         "Level 0 read bandwidth, Roads (24 GB)",
         "Figure 9",
     )

@@ -6,7 +6,7 @@ overhead of reading an extra 11 MB halo per process per iteration exceeds the
 cost of exchanging the missing coordinates.
 """
 
-from repro.bench import message_vs_overlap_figure
+from harness import message_vs_overlap_figure
 
 FILE_SIZE = 9 << 30
 NODE_COUNTS = [2, 4, 8, 16, 32]

@@ -8,7 +8,7 @@ a multiple or divisor of the stripe count to use every node).  Collective
 reads are also slower overall than the independent reads of Figure 9.
 """
 
-from repro.bench import algorithm1_read_time, collective_read_figure
+from harness import algorithm1_read_time, collective_read_figure
 from repro.pfs import ClusterConfig, IOCostModel, StripeLayout
 
 FILE_SIZE = 24 << 30
@@ -24,7 +24,6 @@ def test_fig11_level1_aggregator_effect(bench_root, once):
         BLOCK,
         [32, 64, 96],
         NODE_COUNTS,
-        BLOCK,
     )
     report.print()
 

@@ -6,13 +6,13 @@ implementation materialises the record internally, whereas the contiguous
 variant leaves the user code to assemble each 4-float MBR.
 """
 
-from repro.bench import struct_vs_contiguous_figure
+from harness import struct_vs_contiguous_figure
 
 RECORD_COUNTS = [50_000, 100_000, 200_000]
 
 
 def test_fig12_struct_vs_contiguous(gpfs, once):
-    report = once(struct_vs_contiguous_figure, gpfs, RECORD_COUNTS, 4)
+    report = once(struct_vs_contiguous_figure, gpfs, RECORD_COUNTS)
     report.print()
 
     struct_t = dict(zip(report.series_by_label("MPI_Type_struct").x,

@@ -6,7 +6,7 @@ expensive as Reduce (it computes a prefix per rank).  This is the operator the
 system uses to derive the global grid extent during spatial partitioning.
 """
 
-from repro.bench import union_reduce_scan_figure
+from harness import union_reduce_scan_figure
 
 RECT_COUNTS = [100_000, 200_000, 400_000]
 

@@ -6,13 +6,13 @@ longer because polygon parsing costs more than point parsing; both layers
 scale with the number of processes up to around 80.
 """
 
-from repro.bench import gpfs_io_parsing_figure
+from harness import gpfs_io_parsing_figure
 
 PROC_COUNTS = [2, 4, 8, 16]
 
 
 def test_fig14_gpfs_io_plus_parsing(gpfs, once):
-    report = once(gpfs_io_parsing_figure, gpfs, PROC_COUNTS, 0.5)
+    report = once(gpfs_io_parsing_figure, gpfs, PROC_COUNTS)
     report.print()
 
     nodes_t = dict(zip(report.series_by_label("All Nodes (points)").x,

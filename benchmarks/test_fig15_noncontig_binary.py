@@ -5,14 +5,14 @@ Paper shape: contiguous access is much faster; the non-contiguous time falls
 as the block size grows because aggregation and per-request overhead shrink.
 """
 
-from repro.bench import noncontig_binary_figure
+from harness import noncontig_binary_figure
 
 TOTAL_RECORDS = 500_000  # 8 MB of 16-byte MBR records (scaled stand-in for 10 GB)
 BLOCK_SIZES = [64, 256, 1024, 4096]
 
 
 def test_fig15_contiguous_vs_noncontiguous_binary(gpfs, once):
-    report = once(noncontig_binary_figure, gpfs, TOTAL_RECORDS, BLOCK_SIZES, 8)
+    report = once(noncontig_binary_figure, gpfs, TOTAL_RECORDS, BLOCK_SIZES)
     report.print()
 
     contig = dict(zip(report.series_by_label("contiguous (Level 1)").x,

@@ -6,13 +6,13 @@ non-contiguous mode is slower and very sensitive to block size (small blocks
 produce many irregular requests).
 """
 
-from repro.bench import noncontig_polygon_figure
+from harness import noncontig_polygon_figure
 
 BLOCK_SIZES = [2, 8, 32, 128]
 
 
 def test_fig16_noncontiguous_polygon_reads(gpfs, once):
-    report = once(noncontig_polygon_figure, gpfs, BLOCK_SIZES, 4, 0.5)
+    report = once(noncontig_polygon_figure, gpfs, BLOCK_SIZES)
     report.print()
 
     contig = dict(zip(report.series_by_label("contiguous (Level 1)").x,

@@ -7,7 +7,7 @@ processes sit idle while others carry oversized cells.  The reported time per
 phase is the maximum over processes, so the total is below the sum of phases.
 """
 
-from repro.bench import join_breakdown_figure, run_join_breakdown
+from harness import join_breakdown_figure
 
 CELL_COUNTS = [1, 4, 16, 64]
 PROCS = 4

@@ -5,7 +5,7 @@ Paper shape: the join (refine) phase dominates and decreases with more
 processes; total execution time goes down as processes are added.
 """
 
-from repro.bench import join_breakdown_figure
+from harness import join_breakdown_figure
 
 PROC_COUNTS = [1, 2, 4, 8]
 

@@ -6,7 +6,7 @@ execution time, unlike the Lakes ⋈ Cemetery case of Figure 18 where the join
 phase dominates.
 """
 
-from repro.bench import join_breakdown_figure
+from harness import join_breakdown_figure
 
 PROC_COUNTS = [2, 4, 8]
 

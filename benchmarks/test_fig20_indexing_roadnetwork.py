@@ -8,8 +8,8 @@ processes are added; with 320 processes the paper indexes 717 M edges in about
 
 import pytest
 
-from repro.bench import run_indexing_breakdown
-from repro.bench.reporting import FigureReport
+from harness import run_indexing_breakdown
+from reporting import FigureReport
 
 PROC_COUNTS = [1, 2, 4, 8]
 NUM_CELLS = 128  # scaled stand-in for the paper's 2048 cells

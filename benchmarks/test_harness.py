@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import (
+from harness import (
     algorithm1_read_time,
     collective_contiguous_read_time,
     ensure_dataset,
@@ -15,7 +15,7 @@ from repro.bench import (
     sequential_parse_table,
     union_reduce_scan_figure,
 )
-from repro.bench.reporting import FigureReport, Series, bandwidth_gbps, format_table
+from reporting import FigureReport, Series, bandwidth_gbps, format_table
 from repro.pfs import ClusterConfig, GPFSFilesystem, IOCostModel, LustreFilesystem, StripeLayout
 
 

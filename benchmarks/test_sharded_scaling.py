@@ -21,7 +21,7 @@ import os
 import pytest
 
 from repro import mpisim
-from repro.bench.reporting import FigureReport
+from reporting import FigureReport
 from repro.core import VectorIO
 from repro.datasets import random_envelopes
 from repro.store import DistributedStoreServer, bulk_load

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.core import VectorIO
-from repro.bench.reporting import FigureReport
+from reporting import FigureReport
 from repro.datasets import random_envelopes
 from repro.index import STRtree
 from repro.store import SpatialDataStore, bulk_load

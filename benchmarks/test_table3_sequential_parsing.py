@@ -16,7 +16,7 @@ and Lakes are 3 ms apart.  The one CPU-shaped claim is the per-geometry
 ratio, which has a ~5x margin.
 """
 
-from repro.bench import sequential_parse_table
+from harness import sequential_parse_table
 from repro.datasets import DATASETS
 
 BIG_THREE = ("all_objects", "road_network", "all_nodes")

@@ -29,7 +29,7 @@ deleted (a keyword: folded into the constant it always is) or listed in
 :data:`KEEP` with the rule that keeps it; a :data:`KEEP` entry that is
 reached, or that names nothing any more, is stale.  Either finding exits 1.
 
-    python scripts/census.py src/repro --exclude bench
+    python scripts/census.py src/repro
 """
 
 import argparse
@@ -352,15 +352,13 @@ def _mentions(path, tree):
     return found, calls
 
 
-def census(paths, exclude=()):
+def census(paths):
     """``(unreached, stale)``: sorted key lists (see :data:`KEEP`)."""
     scanned = {}
     for arg in paths:
         path = pathlib.Path(arg)
         for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
-            module = _module_name(file.resolve())
-            if not set(module.split(".")) & set(exclude):
-                scanned[file.resolve()] = module
+            scanned[file.resolve()] = _module_name(file.resolve())
 
     mentions, calls = {}, {}
     for root in SEARCH_ROOTS:
@@ -436,8 +434,6 @@ def census(paths, exclude=()):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs="+", help="Python files or package directories")
-    parser.add_argument("--exclude", action="append", default=[], metavar="PKG",
-                        help="skip modules inside a package of this name")
     args = parser.parse_args(argv)
 
     bad_keep = sorted(
@@ -445,7 +441,7 @@ def main(argv=None):
         else f"{key}: keep entry gives no reason"
         for key, (rule, reason) in KEEP.items() if rule not in RULES or not reason
     )
-    unreached, stale = census(args.paths, args.exclude)
+    unreached, stale = census(args.paths)
     for key in unreached:
         what = "no caller passes it" if key.endswith(")") else "nothing outside its definition reaches it"
         print(f"{key}: {what} (tests do not count)")

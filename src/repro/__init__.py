@@ -41,10 +41,6 @@ contribution:
 ``repro.datasets``
     Synthetic OSM-like dataset generators standing in for the paper's
     OpenStreetMap extracts.
-
-``repro.bench``
-    Harness utilities used by the ``benchmarks/`` suite to regenerate every
-    table and figure of the paper's evaluation section.
 """
 
 __version__ = "1.0.0"
@@ -58,5 +54,4 @@ __all__ = [
     "core",
     "store",
     "datasets",
-    "bench",
 ]

@@ -18,8 +18,8 @@ Rule catalog (see ``src/repro/analysis/README.md`` for worked examples):
   values across sibling branches of a rank-conditional.
 * **SPMD004** — wall-clock usage (``time.time``/``time.sleep``/
   ``time.monotonic``/``time.perf_counter``/``datetime.now``) inside the
-  virtual-clock codebase (``src/repro/``), outside the allowlist — the
-  benchmark harness intentionally measures real CPU, everything else must
+  virtual-clock codebase (``src/repro/``), outside the clock module itself —
+  real CPU measurement belongs in ``benchmarks/``, everything else must
   charge the :class:`~repro.mpisim.clock.VirtualClock`.
 * **SPMD005** — a rank-dependent early ``return``/``raise`` with collective
   calls later in the same function: the exiting rank skips a collective its
@@ -85,7 +85,7 @@ _HINTS: Dict[str, str] = {
     "SPMD003": "agree on one root across branches (pass it as a variable "
                "both branches share)",
     "SPMD004": "charge comm.clock / clock.compute() instead; real CPU "
-               "measurement belongs in repro.bench or benchmarks/",
+               "measurement belongs in benchmarks/",
     "SPMD005": "make the exit collective: broadcast the error condition "
                "first so every rank raises/returns together",
 }
@@ -122,9 +122,8 @@ _WALL_CLOCK_TIME_ATTRS = frozenset(
 _WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
 #: path fragments exempt from SPMD004 inside the virtual-clock tree: the
-#: bench harness measures real CPU by design, and the clock itself owns the
-#: one sanctioned use of the ``time`` module
-_VCLOCK_ALLOWLIST = ("/bench/", "mpisim/clock.py")
+#: clock itself owns the one sanctioned use of the ``time`` module
+_VCLOCK_ALLOWLIST = ("mpisim/clock.py",)
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 

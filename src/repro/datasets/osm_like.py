@@ -34,7 +34,8 @@ class DatasetSpec:
     shape: str  # "polygon" | "line" | "point" | "mixed"
     #: record count at scale=1.0
     base_count: int
-    #: record count in the paper (for documentation / EXPERIMENTS.md)
+    #: record count in the paper (for documentation; the evaluation PAPER.md
+    #: summarises)
     paper_count: str
     #: file size in the paper
     paper_size: str

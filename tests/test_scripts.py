@@ -30,7 +30,7 @@ class TestSpmdLintScript:
     def test_gate_passes_on_the_repo(self):
         # run exactly as CI runs it
         result = run(
-            "spmd_lint.py", "src", "examples", "tests",
+            "spmd_lint.py", "src", "examples", "tests", "benchmarks",
             cwd=SCRIPTS.parent,
         )
         assert result.returncode == 0, result.stdout + result.stderr
@@ -150,9 +150,7 @@ class TestCensusScript:
             for line in workflow.splitlines()
             if "scripts/census.py" in line
         )
-        assert command == [
-            "python", "scripts/census.py", "src/repro", "--exclude", "bench",
-        ]
+        assert command == ["python", "scripts/census.py", "src/repro"]
         result = run("census.py", *command[2:], cwd=SCRIPTS.parent)
         assert result.returncode == 0, result.stdout + result.stderr
 
@@ -190,15 +188,13 @@ class TestCensusScript:
         assert flagged == ["Helper", "Store.helper", "dead", "typed"]
 
     @staticmethod
-    def _unreached_package(root, sub=""):
-        """``src/pkgx`` (its module in ``src/pkgx/<sub>`` when given)
-        exporting one function, ``name``, that nothing calls yet."""
+    def _unreached_package(root):
+        """``src/pkgx`` exporting one function, ``name``, that nothing calls
+        yet."""
         pkg = root / "src" / "pkgx"
-        home = pkg / sub if sub else pkg
-        home.mkdir(parents=True)
+        pkg.mkdir(parents=True)
         (pkg / "__init__.py").write_text("")
-        (home / "__init__.py").write_text("")
-        (home / "mod.py").write_text('__all__ = ["name"]\ndef name():\n    return 1\n')
+        (pkg / "mod.py").write_text('__all__ = ["name"]\ndef name():\n    return 1\n')
 
     @pytest.mark.parametrize("root", ["src", "perf", "examples", "scripts", "benchmarks"])
     def test_every_search_root_reaches(self, tmp_path, root):
@@ -237,11 +233,24 @@ class TestCensusScript:
         assert result.returncode == 1
         assert result.stdout.split(": ")[0] == "pkgx.mod:name"
 
-    def test_exclude_skips_a_package(self, tmp_path):
-        self._unreached_package(tmp_path, sub="bench")
-        assert run("census.py", "src/pkgx", cwd=tmp_path).returncode == 1
+    def test_every_subpackage_is_censused(self, tmp_path):
+        # no package is set aside: an unreached name in a subpackage is
+        # flagged, and there is no option to exclude it
+        self._unreached_package(tmp_path)
+        sub = tmp_path / "src" / "pkgx" / "bench"
+        sub.mkdir()
+        (sub / "__init__.py").write_text("")
+        (sub / "mod.py").write_text('__all__ = ["figure"]\ndef figure():\n    return 1\n')
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text("from pkgx.mod import name\nname()\n")
+        result = run("census.py", "src/pkgx", cwd=tmp_path)
+        assert result.returncode == 1
+        assert [line.split(": ")[0] for line in result.stdout.splitlines()] == [
+            "pkgx.bench.mod:figure"
+        ]
         result = run("census.py", "src/pkgx", "--exclude", "bench", cwd=tmp_path)
-        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.returncode == 2
+        assert "unrecognized arguments: --exclude" in result.stderr
 
     def test_a_stale_keep_entry_fails(self, tmp_path):
         # KEEP holds repro.mpisim.ops:LOR as unreached; once something
