@@ -48,7 +48,7 @@ from .format import (
 )
 from .index_io import load_index
 from .manifest import StoreManifest, delta_paths, store_paths
-from .page import CachedPage
+from .page import CachedPage, check_page_crc
 from .scheduler import DEFAULT_RETRY, IOScheduler, RetryPolicy, read_file, read_with_retry
 
 __all__ = [
@@ -63,8 +63,9 @@ __all__ = [
 #: I/O scheduling policies.  Both merge missing pages into data sieves
 #: wherever the filesystem's cost model prices one request below two (see
 #: :mod:`repro.store.scheduler`); they differ only in readahead:
-#: ``"fixed"`` reads nothing ahead, ``"cost_model"`` reads ahead to the
-#: stripe boundary of the data file's striping layout
+#: ``"fixed"`` reads nothing ahead, ``"cost_model"`` (the default) reads
+#: ahead to the stripe boundary of the data file's striping layout, into
+#: free cache slots only
 IO_POLICIES = ("fixed", "cost_model")
 
 
@@ -114,8 +115,9 @@ class StoreStats:
     """Cumulative serving statistics of one open store.
 
     ``pages_read`` counts demand-fetched pages (it equals the cache miss
-    count); ``pages_prefetched`` counts pages read ahead of demand — a later
-    demand for one of them is a cache hit, never a miss.  ``records_decoded``
+    count); ``pages_prefetched`` counts pages read ahead of demand into free
+    cache slots, CRC-checked but not parsed — a later demand for one of them
+    is a cache hit, never a miss, and parses its columns then.  ``records_decoded``
     counts the refine loop's own decodes only — the slots the MBR proofs
     could not settle (decoded for the exact predicate) and the hits of
     MBR-only batches, each once per cached page image — not every record on
@@ -209,7 +211,7 @@ class SpatialDataStore:
         manifest: StoreManifest,
         generations: Sequence[Tuple[List[PageMeta], STRtree, Optional[FileHandle]]],
         cache_pages: int = 64,
-        io_policy: str = "fixed",
+        io_policy: str = "cost_model",
         tracer=None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
@@ -226,8 +228,9 @@ class SpatialDataStore:
         readahead (see :data:`IO_POLICIES`): under both policies missing
         pages merge into data sieves priced by the data file's striping
         layout and the filesystem's cost model; ``"fixed"`` reads nothing
-        ahead, ``"cost_model"`` reads ahead to the stripe boundary, clamped
-        so a fetch never inserts more pages than the cache holds.
+        ahead, ``"cost_model"`` (the default) reads ahead to the stripe
+        boundary into the cache slots still free after the fetch's demand
+        pages, so readahead never evicts a page.
 
         *tracer* (a :class:`~repro.obs.trace.Tracer`; default the zero-cost
         null tracer) records query spans; *retry_policy* bounds the
@@ -280,13 +283,7 @@ class SpatialDataStore:
                     gen_id=gen_id,
                     pages=pages,
                     index=index,
-                    # "fixed" leaves readahead no room in the cache
-                    scheduler=IOScheduler.cost_aware(
-                        pages,
-                        layout=fs.layout_of(data_path),
-                        cost_model=fs.cost_model,
-                        cache_capacity=cache_pages if io_policy == "cost_model" else 0,
-                    ),
+                    scheduler=IOScheduler(pages, fs.layout_of(data_path), fs.cost_model),
                     data_path=data_path,
                     extent=info.extent,
                     handle=handle,
@@ -474,10 +471,15 @@ class SpatialDataStore:
         extends the final sieve past the demand frontier to the stripe
         boundary under the cost-model policy (pages are laid out back to
         back, so the extension pays bandwidth, never extra latency).  The
-        whole schedule is charged as one :class:`ReadRequest`, one range per
+        fetch reads ahead at most the cache slots still free after its
+        demand pages, one budget shared by its generations, so readahead
+        never evicts a page; readahead pages enter the cache undecoded
+        (:meth:`_get_pages` parses one on its first demand).  The whole
+        schedule is charged as one :class:`ReadRequest`, one range per
         sieve, and ``read_requests`` / ``bytes_read`` count the sieves; the
         host reads only the pages' bytes (:meth:`_read_run`), and only
         demand and readahead pages are checksummed, cached and counted.
+        Only demand pages are returned.
 
         Transient read faults are retried per run under the store's
         :class:`~repro.store.scheduler.RetryPolicy`; pages still bad after
@@ -495,7 +497,12 @@ class SpatialDataStore:
         # scope); only the attribute computation sits behind the flag
         traced = tracer.enabled
         out: Dict[PageKey, CachedPage] = {}
+        ahead: Dict[PageKey, bytes] = {}
         bad: List[Tuple[PageKey, Exception]] = []
+        cache = self._cache
+        budget = 0
+        if self.io_policy == "cost_model":
+            budget = max(0, cache.capacity - len(cache) - len(missing))
         for gen_id in sorted(by_gen):
             gen = self.generations[gen_id]
             if gen.handle is None:
@@ -504,8 +511,10 @@ class SpatialDataStore:
 
             schedule = gen.scheduler.schedule(
                 sorted(by_gen[gen_id]),
-                is_cached=lambda pid, g=gen_id: PageKey(g, pid) in self._cache,
+                is_cached=lambda pid, g=gen_id: PageKey(g, pid) in cache,
+                budget=budget,
             )
+            budget -= schedule.num_prefetched
 
             for run in schedule.runs:
                 with tracer.span("io") as span:
@@ -520,7 +529,7 @@ class SpatialDataStore:
                             prefetch_stop=schedule.prefetch_stop,
                         )
                         before = self.stats.retries
-                    self._read_run(gen, gen_id, run, out, bad)
+                    self._read_run(gen, gen_id, run, out, ahead, bad)
                     if traced and self.stats.retries > before:
                         span.set(retries=int(self.stats.retries - before))
 
@@ -532,7 +541,9 @@ class SpatialDataStore:
             self.stats.pages_prefetched += schedule.num_prefetched
         self.stats.pages_read += len(missing) - len(bad)
         for key, page in out.items():
-            self._cache.put(key, page)
+            cache.put(key, page)
+        for key, payload in ahead.items():
+            cache.put(key, payload)
         if bad:
             if failed is None:
                 raise bad[0][1]
@@ -545,10 +556,12 @@ class SpatialDataStore:
         gen_id: int,
         run,
         out: Dict[PageKey, CachedPage],
+        ahead: Dict[PageKey, bytes],
         bad: List[Tuple[PageKey, Exception]],
     ) -> None:
         """Read one sieve's pages, verify checksums and slice the payloads
-        into *out*, retrying the whole sieve on transient faults.
+        into *out* (demand pages, parsed) and *ahead* (readahead pages, their
+        payloads only), retrying the whole sieve on transient faults.
 
         The host reads only the pages' bytes — one ``pread`` per back-to-back
         stretch of them — never the gaps the cost model charged, the way
@@ -581,7 +594,7 @@ class SpatialDataStore:
         while True:
             run_error: Optional[Exception] = None
             page_errors: List[Tuple[int, Exception]] = []
-            pages: Dict[int, CachedPage] = {}
+            pages: Dict[int, Union[CachedPage, bytes]] = {}
             try:
                 bufs = [gen.handle.pread(o, n) for o, n, _ in stretches]
             except OSError as exc:
@@ -598,18 +611,17 @@ class SpatialDataStore:
                         meta = gen.pages[pid]
                         payload = buf[meta.offset - offset : meta.offset - offset + meta.nbytes]
                         try:
-                            # the decode count goes straight to the counter: a
-                            # page holding a method of the store would make
-                            # the store a reference cycle (see StoreEngine)
-                            pages[pid] = CachedPage(
-                                pid, payload, meta.crc32, on_decode=self.stats._records_decoded.inc
-                            )
+                            if pid in demand:
+                                pages[pid] = self._page(pid, payload, meta.crc32)
+                            else:
+                                check_page_crc(pid, payload, meta.crc32)
+                                pages[pid] = payload
                         except PageChecksumError as exc:
                             exc.generation = gen_id
                             page_errors.append((pid, exc))
                 if not page_errors:
                     for pid, page in pages.items():
-                        out[PageKey(gen_id, pid)] = page
+                        (out if pid in demand else ahead)[PageKey(gen_id, pid)] = page
                     return
 
             if attempt < policy.max_attempts:
@@ -636,7 +648,7 @@ class SpatialDataStore:
                 ]
             else:
                 for pid, page in pages.items():
-                    out[PageKey(gen_id, pid)] = page
+                    (out if pid in demand else ahead)[PageKey(gen_id, pid)] = page
             for pid, exc in page_errors:
                 key = PageKey(gen_id, pid)
                 if key not in self._quarantined:
@@ -646,6 +658,13 @@ class SpatialDataStore:
                 if pid in demand:
                     bad.append((key, exc))
             return
+
+    def _page(self, page_id: int, payload: bytes, crc: Optional[int]) -> CachedPage:
+        """Parse *payload* into a page image (*crc* ``None``: already
+        checked).  The decode count goes straight to the counter: a page
+        holding a method of the store would make the store a reference
+        cycle (see StoreEngine)."""
+        return CachedPage(page_id, payload, crc, on_decode=self.stats._records_decoded.inc)
 
     def _get_pages(
         self,
@@ -657,6 +676,11 @@ class SpatialDataStore:
         dict holds strong references keyed by :class:`PageKey`, so the
         caller can evaluate against every page even when the cache is
         smaller than the working set.
+
+        A page read ahead sits in the cache as its payload; its first
+        demand parses it (a structural error raises
+        :class:`~repro.store.format.StoreFormatError` here, as a demand read
+        would) and replaces the cache entry with the page image.
 
         Quarantined pages fail without I/O.  With *failed* ``None`` a bad
         page raises; otherwise ``(key, cause)`` pairs are appended to
@@ -675,8 +699,11 @@ class SpatialDataStore:
                 page = self._cache.get(key)
                 if page is None:
                     missing.append(key)
-                else:
-                    out[key] = page
+                    continue
+                if page.__class__ is not CachedPage:  # read ahead: parse it now
+                    page = self._page(key.page_id, page, None)
+                    self._cache.put(key, page)
+                out[key] = page
             if tracer.enabled:
                 span.set(
                     requested=len(out) + len(missing),

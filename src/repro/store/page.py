@@ -32,9 +32,22 @@ from .format import (
     record_frame,
 )
 
-__all__ = ["CachedPage"]
+__all__ = ["CachedPage", "check_page_crc"]
 
 _INF = float("inf")
+
+
+def check_page_crc(page_id: int, payload: bytes, expected_crc: int) -> None:
+    """Raise :class:`~repro.store.format.PageChecksumError` unless *payload*
+    matches its checksum-table entry *expected_crc* — the whole check a
+    readahead page gets at read time (it is parsed on its first demand)."""
+    actual = page_crc32(payload)
+    if actual != expected_crc:
+        raise PageChecksumError(
+            f"page {page_id} failed its checksum: crc32 {actual:#010x}, "
+            f"expected {expected_crc:#010x}",
+            page_id=page_id,
+        )
 
 
 class CachedPage:
@@ -51,6 +64,8 @@ class CachedPage:
     :class:`~repro.store.format.PageChecksumError` even when the damage
     would still parse — a bit-flip inside a WKB coordinate decodes into a
     perfectly valid wrong geometry, and only the checksum can tell.
+    ``None`` says :func:`check_page_crc` already passed the payload (a
+    readahead page, parsed on its first demand).
     """
 
     __slots__ = (
@@ -72,16 +87,11 @@ class CachedPage:
         self,
         page_id: int,
         payload: bytes,
-        expected_crc: int,
+        expected_crc: Optional[int],
         on_decode: Optional[Callable[[int], None]] = None,
     ) -> None:
-        actual = page_crc32(payload)
-        if actual != expected_crc:
-            raise PageChecksumError(
-                f"page {page_id} failed its checksum: crc32 {actual:#010x}, "
-                f"expected {expected_crc:#010x}",
-                page_id=page_id,
-            )
+        if expected_crc is not None:
+            check_page_crc(page_id, payload, expected_crc)
         self.page_id = page_id
         self.payload = payload
         self._on_decode = on_decode

@@ -26,13 +26,15 @@ them costs less than the request the merge saves:
 The policies differ only in readahead: **fixed** reads nothing ahead;
 **cost-model** extends the final run **to the stripe boundary** ("parallel
 file read access will be stripe aligned", §4.1): the extension stays on the
-OST the run already pays latency on, so it costs bandwidth only.
+OST the run already pays latency on, so it costs bandwidth only.  It reads
+ahead at most the caller's *budget* of pages — the store passes the cache
+slots still free after the fetch's demand pages (the fixed policy ``0``), so
+readahead never evicts a page (Butt, Gniady & Hu, SIGMETRICS 2005:
+prefetches that evict undo the replacement policy).
 
 Both policies share the same hard safety rules: runs never read past the last
-page (the page directory that follows the payloads is never touched),
-readahead never duplicates a cached page, and a scheduler built without a
-cost model merges across at most its fixed ``gap`` (negative: one request
-per page — the measurement baseline).
+page (the page directory that follows the payloads is never touched) and
+readahead never duplicates a cached page.
 
 :func:`read_with_retry` is the one bounded-retry loop of the metadata reads
 (manifests, container headers and directories, packed indexes), and
@@ -200,8 +202,8 @@ class IOSchedule:
 
     ``prefetch_stop`` records **why** readahead ended where it did — the
     EXPLAIN report surfaces it verbatim: ``"empty"`` (nothing missing, no
-    frontier to extend), ``"budget"`` (page budget exhausted: the fixed
-    policy's zero cache room or the cost-model policy's cache-capacity guard),
+    frontier to extend), ``"budget"`` (no free cache slot left for another
+    page — always, under the fixed policy's zero budget),
     ``"container_end"`` (next page would be past the last payload page),
     ``"cached_page"`` (next page already cached) or ``"stripe_boundary"``
     (cost-model policy: next page crosses the stripe holding the frontier).
@@ -231,74 +233,38 @@ class IOSchedule:
 
 
 class IOScheduler:
-    """Schedules page fetches for one store container.
-
-    Built via :func:`cost_aware` (both store policies), runs merge by the
-    cost-model rule of :meth:`_bridges` — ``gap`` is then the break-even gap
-    inside one stripe — and the final run reads ahead to the stripe
-    boundary, clamped by the ``cache_capacity`` overflow guard: demand and
-    readahead pages enter the cache together, and readahead past
-    ``cache_capacity - demand`` would make one fetch insert more pages than
-    the cache holds (the fixed policy passes ``0``: no readahead).  Built
-    without a layout and cost model, ``gap`` is the one maximum byte
-    distance between two merged runs (negative disables merging) and
-    nothing is read ahead.
+    """Schedules page fetches for one store container, priced by its
+    striping *layout* and the filesystem's *cost_model*: runs merge by the
+    cost-model rule of :meth:`_bridges` (``gap`` is the break-even gap
+    inside one stripe) and the final run reads ahead to the stripe
+    boundary, at most the ``budget`` each :meth:`schedule` call is given.
     """
 
     def __init__(
         self,
         pages: Sequence[PageMeta],
-        gap: int,
-        layout: Optional[StripeLayout] = None,
-        cost_model: Optional[IOCostModel] = None,
-        cache_capacity: Optional[int] = None,
-    ) -> None:
-        self.pages = pages
-        self.gap = gap
-        self.layout = layout
-        self.cost_model = cost_model
-        self.cache_capacity = cache_capacity
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def cost_aware(
-        cls,
-        pages: Sequence[PageMeta],
         layout: StripeLayout,
         cost_model: IOCostModel,
-        cache_capacity: Optional[int] = None,
-    ) -> "IOScheduler":
-        """Scheduler priced by the striping configuration: cost-model sieves
-        and stripe-aligned readahead clamped by the *cache_capacity*
-        overflow guard."""
-        return cls(
-            pages,
-            gap=cost_model_gap(cost_model),
-            layout=layout,
-            cost_model=cost_model,
-            cache_capacity=cache_capacity,
-        )
-
-    @property
-    def is_cost_aware(self) -> bool:
-        return self.layout is not None and self.cost_model is not None
+    ) -> None:
+        self.pages = pages
+        self.gap = cost_model_gap(cost_model)
+        self.layout = layout
+        self.cost_model = cost_model
 
     def _bridges(self, end: int, start: int) -> bool:
         """Whether the run ending at byte *end* and the run starting at
         *start* are read as one sieve.
 
-        Without a layout and cost model: when the gap is at most ``gap``.
-        With them, inside one stripe the gap may reach ``gap``.  The merged range is
+        Inside one stripe the gap may reach ``gap``.  The merged range is
         split into one OST request per stripe it touches, so each stripe
         boundary between the two runs takes back one OST request's worth
         of bytes (``ost_latency * ost_bandwidth``): across one boundary only
         the client request is saved (``request_overhead * ost_bandwidth``
         bytes), and each further boundary costs the merge one more OST
         request — never worth it while an OST request outprices a client
-        request, as on every shipped cost model.
+        request, as on every shipped cost model.  A run ending exactly on a
+        boundary has its last byte in the stripe before it.
         """
-        if not self.is_cost_aware:
-            return start - end <= self.gap
         stripe, model = self.layout.stripe_size, self.cost_model
         crossed = start // stripe - (end - 1) // stripe
         return start - end <= self.gap - crossed * model.ost_latency * model.ost_bandwidth
@@ -307,19 +273,17 @@ class IOScheduler:
         self,
         missing: Sequence[int],
         is_cached: Callable[[int], bool] = lambda pid: False,
+        budget: int = 0,
     ) -> IOSchedule:
         """Merge the (sorted) *missing* page ids into sieves
         (:meth:`_bridges`) and extend the final one with readahead.
 
-        Only a scheduler with a layout and cost model reads ahead: the pages
-        that fit between the frontier and the end of the stripe holding it
-        (none when the frontier sits exactly on a stripe boundary — the run
-        is already aligned), at most ``cache_capacity`` **minus the fetch's
-        own demand pages** — demand and readahead enter the cache together,
-        so a budget that ignored the demand count would let one fetch insert
-        more pages than the cache holds.  (Under SIEVE that is the whole
-        guarantee: when every older page has its visited bit set, a fetch's
-        insertions may still evict one of its own fresh pages.)  Readahead
+        Readahead takes the pages that fit between the frontier and the end
+        of the stripe holding it (none when the frontier sits exactly on a
+        stripe boundary — the run is already aligned; a page ending exactly
+        on the boundary still fits), at most *budget* of them.  The store
+        passes the cache slots still free after the fetch's demand pages,
+        so readahead only fills free slots and never evicts.  Readahead
         stops at the container boundary (the last page — it can never read
         into the page directory), at the first already-cached page, at the
         stripe boundary and at that budget.
@@ -338,16 +302,10 @@ class IOScheduler:
         if runs:
             nxt = runs[-1][-1] + 1
             stop = "budget"
-            # no budget without a layout, so byte_ceiling is read only when set
-            max_pages = 0
-            if self.is_cost_aware:
-                stripe = self.layout.stripe_size
-                frontier_end = self.pages[nxt - 1].offset + self.pages[nxt - 1].nbytes
-                byte_ceiling = ((frontier_end + stripe - 1) // stripe) * stripe
-                max_pages = len(self.pages) if self.cache_capacity is None else (
-                    self.cache_capacity - len(missing)
-                )
-            while prefetched < max_pages:
+            stripe = self.layout.stripe_size
+            frontier_end = self.pages[nxt - 1].offset + self.pages[nxt - 1].nbytes
+            byte_ceiling = ((frontier_end + stripe - 1) // stripe) * stripe
+            while prefetched < budget:
                 if nxt >= len(self.pages):
                     stop = "container_end"
                     break

@@ -69,8 +69,10 @@ class TestStoreExplain:
         }
 
     def test_plan_section_prunes(self, single_store):
+        # without readahead, every scheduled page is a planned one
+        store = SpatialDataStore.open(single_store.fs, "data", cache_pages=16, io_policy="fixed")
         small = Envelope(1.0, 1.0, 9.0, 9.0)
-        report = single_store.explain(small)
+        report = store.explain(small)
         plan = report.plan
         assert plan["partitions_total"] == 16
         assert 0 < plan["partitions_visited"] < 16

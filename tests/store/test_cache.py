@@ -197,8 +197,9 @@ class TestAgainstRetiredLRU:
 
 class TestReadaheadGuard:
     def test_a_fetch_never_inserts_more_pages_than_the_cache_holds(self, tmp_path):
-        # cost-model readahead is clamped to capacity - demand: one fetch
-        # puts at most max(capacity, demand) pages into the cache
+        # cost-model readahead fills only the slots left free after the
+        # fetch's demand pages: one fetch puts at most max(free slots,
+        # demand) pages into the cache, and returns its demand pages only
         fs = LustreFilesystem(tmp_path / "pfs")
         extent = Envelope(0.0, 0.0, 1000.0, 1000.0)
         geoms = [
@@ -213,19 +214,23 @@ class TestReadaheadGuard:
             fetches = []
             fetch = store._fetch_missing
 
-            def counted(missing, failed=None, fetch=fetch):
+            def counted(missing, failed=None, fetch=fetch, store=store):
+                cached, ahead = len(store._cache), store.stats.pages_prefetched
                 out = fetch(missing, failed)
-                fetches.append((len(missing), len(out)))
+                fetches.append((cached, len(missing), len(out),
+                                store.stats.pages_prefetched - ahead))
                 return out
 
             store._fetch_missing = counted
             for window in _hot_spot_stream(extent, 60, hot_spots=3, seed=42):
                 store.range_query(window)
             assert fetches
-            for demand, inserted in fetches:
-                assert demand <= inserted <= max(capacity, demand)
-            if capacity > 1:  # the guard, not the stripe, stopped some readahead
-                assert any(demand < inserted == capacity for demand, inserted in fetches)
+            for cached, demand, returned, ahead in fetches:
+                assert returned == demand
+                assert demand + ahead <= max(capacity - cached, demand)
+            if capacity > 1:  # the free slots, not the stripe, stopped some readahead
+                assert any(0 < ahead == capacity - cached - demand
+                           for cached, demand, _, ahead in fetches)
             assert len(store._cache) <= capacity
 
 

@@ -73,8 +73,10 @@ SURFACE = [
         DistributedHit.__init__,
         "self query_id record_id geometry shard_id partition_id page_id",
     ),
-    (IOScheduler.__init__, "self pages gap layout cost_model cache_capacity"),
-    (IOScheduler.cost_aware, "pages layout cost_model cache_capacity"),
+    # --- I/O: one scheduler, priced by the layout and cost model; each
+    # fetch passes its readahead budget (the cache's free slots)
+    (IOScheduler.__init__, "self pages layout cost_model"),
+    (IOScheduler.schedule, "self missing is_cached budget"),
 ]
 
 

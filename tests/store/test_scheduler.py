@@ -1,20 +1,20 @@
 """Unit tests of the store's I/O scheduler (`repro.store.scheduler`).
 
-The scheduler is the engine's I/O stage: built without a cost model it
-merges across one fixed gap (a negative gap disables merging); built from a
-striping layout and cost model — both store policies — it merges runs into
-data sieves wherever one request is cheaper than two, and the sieved
-schedule is held to the retired page-gap scheduler
-(``_page_gap_scheduler_reference.py``): the same pages, never a dearer
-charge.  Readahead is clamped at the container boundary, at cached pages
-and by the cache guard.
+The scheduler is the engine's I/O stage: priced by a striping layout and
+a cost model, it merges runs into data sieves wherever one request is
+cheaper than two, and the sieved schedule is held to the retired page-gap
+scheduler (``_page_gap_scheduler_reference.py``): the same pages, never a
+dearer charge.  Readahead is clamped at the container boundary, at cached
+pages, at the stripe boundary and by the budget each fetch passes — the
+cache slots still free after its demand pages, so readahead never evicts
+(``TestReadaheadFreeSlots``, through real multi-generation stores).
 """
 
 import random
 
 import pytest
 from _page_gap_scheduler_reference import PageGapScheduler  # the retired scheduler, kept next to this file
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import random_envelopes
@@ -30,12 +30,14 @@ from repro.store import (
     RetryPolicy,
     ScheduledRun,
     SpatialDataStore,
+    StoreAppender,
     StoreError,
     StoreFormatError,
     bulk_load,
     cost_model_gap,
     read_with_retry,
 )
+from repro.store import format as fmt
 from repro.store.format import PageMeta
 
 
@@ -54,10 +56,22 @@ def make_pages(sizes, start=64, gaps=None):
     return pages
 
 
+#: one stripe wider than any test layout: only the cost model's gap rules
+WIDE = StripeLayout(stripe_size=1 << 30, stripe_count=1)
+
+
+def priced(pages, gap):
+    """A scheduler whose cost model prices one request at *gap* bytes of
+    bandwidth and an OST request at nothing: its break-even gap is *gap*,
+    whatever stripe boundaries lie between."""
+    model = IOCostModel(ost_bandwidth=1.0, ost_latency=0.0, request_overhead=float(gap))
+    return IOScheduler(pages, WIDE, model)
+
+
 class TestCoalescing:
     def test_adjacent_pages_merge_into_one_run(self):
         pages = make_pages([100] * 6)
-        sched = IOScheduler(pages, gap=0).schedule([0, 1, 2, 3, 4, 5])
+        sched = priced(pages, 0).schedule([0, 1, 2, 3, 4, 5])
         assert len(sched.runs) == 1
         assert sched.runs[0].page_ids == (0, 1, 2, 3, 4, 5)
         assert sched.total_bytes == 600
@@ -65,27 +79,29 @@ class TestCoalescing:
     def test_gap_splits_runs(self):
         # pages 0-1 adjacent, then a 50-byte hole before pages 2-3
         pages = make_pages([100] * 4, gaps=[0, 50, 0])
-        sched = IOScheduler(pages, gap=0).schedule([0, 1, 2, 3])
+        sched = priced(pages, 0).schedule([0, 1, 2, 3])
         assert [run.page_ids for run in sched.runs] == [(0, 1), (2, 3)]
-        # a tolerant gap re-merges them (and pays the 50 wasted bytes)
-        sched = IOScheduler(pages, gap=50).schedule([0, 1, 2, 3])
+        # a dearer request re-merges them (and pays the 50 wasted bytes)
+        sched = priced(pages, 50).schedule([0, 1, 2, 3])
         assert len(sched.runs) == 1
         assert sched.total_bytes == 450
 
     def test_negative_gap_disables_merging(self):
+        # the retired scheduler's one-request-per-page baseline, which
+        # test_serving_perf.py compares the live schedule with
         pages = make_pages([100] * 4)
-        sched = IOScheduler(pages, gap=-1).schedule([0, 1, 2, 3])
+        sched = PageGapScheduler(pages, gap=-1).schedule([0, 1, 2, 3])
         assert len(sched.runs) == 4
         assert all(len(run.page_ids) == 1 for run in sched.runs)
 
     def test_skipped_page_counts_as_gap(self):
         # demanding 0 and 2 leaves page 1's bytes as the gap between runs
         pages = make_pages([100] * 3)
-        assert len(IOScheduler(pages, gap=0).schedule([0, 2]).runs) == 2
-        assert len(IOScheduler(pages, gap=100).schedule([0, 2]).runs) == 1
+        assert len(priced(pages, 0).schedule([0, 2]).runs) == 2
+        assert len(priced(pages, 100).schedule([0, 2]).runs) == 1
 
     def test_empty_schedule(self):
-        sched = IOScheduler(make_pages([100]), gap=0).schedule([])
+        sched = priced(make_pages([100]), 0).schedule([], budget=8)
         assert sched.runs == []
         assert sched.total_bytes == 0
         assert sched.num_prefetched == 0
@@ -94,7 +110,7 @@ class TestCoalescing:
 class TestReadRequestConsistency:
     def test_nbytes_matches_runs(self):
         pages = make_pages([100, 200, 50, 400], gaps=[0, 1000, 0])
-        sched = IOScheduler(pages, gap=0).schedule([0, 1, 2, 3])
+        sched = priced(pages, 0).schedule([0, 1, 2, 3])
         req = sched.read_request()
         assert req.nbytes == sched.total_bytes == sum(r.nbytes for r in sched.runs)
         assert req.num_requests == len(sched.runs)
@@ -102,7 +118,7 @@ class TestReadRequestConsistency:
 
     def test_ranges_cover_exactly_the_scheduled_pages(self):
         pages = make_pages([100] * 5)
-        sched = IOScheduler(pages, gap=0).schedule([1, 2, 4])
+        sched = priced(pages, 0).schedule([1, 2, 4])
         covered = []
         for run in sched.runs:
             for pid in run.page_ids:
@@ -115,8 +131,9 @@ class TestReadRequestConsistency:
 
 class TestFixedPolicy:
     def test_reads_nothing_ahead(self):
+        # the fixed policy's budget is 0, the default
         pages = make_pages([100] * 8)
-        sched = IOScheduler(pages, gap=0).schedule([0, 1])
+        sched = priced(pages, 0).schedule([0, 1])
         assert sched.runs[-1].page_ids == (0, 1)
         assert sched.num_prefetched == 0
         assert sched.prefetch_stop == "budget"
@@ -137,17 +154,16 @@ class TestCostModelPolicy:
         # 4 KiB stripes: the in-stripe gap is the full break-even point, and
         # the rule, not a stripe cap, keeps a gap spanning a stripe unmerged
         tiny = StripeLayout(stripe_size=4096, stripe_count=4)
-        assert IOScheduler.cost_aware([], tiny, self.model).gap == cost_model_gap(self.model)
+        assert IOScheduler([], tiny, self.model).gap == cost_model_gap(self.model)
         pages = make_pages([1000, 1000, 1000], start=0, gaps=[1000, 6000])
-        sched = IOScheduler.cost_aware(pages, tiny, self.model).schedule([0, 1, 2])
+        sched = IOScheduler(pages, tiny, self.model).schedule([0, 1, 2])
         assert [run.page_ids for run in sched.runs] == [(0, 1), (2,)]
 
     def test_cost_aware_uses_derived_gap(self):
         pages = make_pages([100] * 4)
         layout = StripeLayout(stripe_size=1 << 20, stripe_count=4)
-        auto = IOScheduler.cost_aware(pages, layout, self.model)
+        auto = IOScheduler(pages, layout, self.model)
         assert auto.gap == cost_model_gap(self.model)
-        assert auto.is_cost_aware
 
     def test_readahead_extends_to_stripe_boundary(self):
         # 100-byte pages from offset 64; stripe size 512: the first stripe
@@ -155,7 +171,7 @@ class TestCostModelPolicy:
         # pages 1..3 (ends 264, 364, 464) but not page 4 (would end at 564)
         pages = make_pages([100] * 8)
         layout = StripeLayout(stripe_size=512, stripe_count=2)
-        sched = IOScheduler.cost_aware(pages, layout, self.model).schedule([0])
+        sched = IOScheduler(pages, layout, self.model).schedule([0], budget=8)
         assert sched.runs[-1].page_ids == (0, 1, 2, 3)
         assert sched.num_prefetched == 3
         end = sched.runs[-1].offset + sched.runs[-1].nbytes
@@ -166,7 +182,7 @@ class TestCostModelPolicy:
         # that land a frontier on the boundary
         pages = make_pages([448, 100, 100])  # page 0: 64..512 (boundary)
         layout = StripeLayout(stripe_size=512, stripe_count=2)
-        sched = IOScheduler.cost_aware(pages, layout, self.model).schedule([0])
+        sched = IOScheduler(pages, layout, self.model).schedule([0], budget=8)
         assert sched.num_prefetched == 0
 
     def test_readahead_extends_final_run_only(self):
@@ -174,7 +190,7 @@ class TestCostModelPolicy:
         # extends the last one, the first stays pure demand
         pages = make_pages([100] * 8, gaps=[0, 1 << 20] + [0] * 5)
         layout = StripeLayout(stripe_size=1 << 22, stripe_count=2)
-        sched = IOScheduler.cost_aware(pages, layout, self.model).schedule([0, 2])
+        sched = IOScheduler(pages, layout, self.model).schedule([0, 2], budget=8)
         assert [run.page_ids for run in sched.runs] == [(0,), (2, 3, 4, 5, 6, 7)]
         assert [run.num_prefetched for run in sched.runs] == [0, 5]
         assert sched.runs[-1].demand_ids == (2,)
@@ -182,7 +198,7 @@ class TestCostModelPolicy:
     def test_partial_clamp_near_the_end(self):
         pages = make_pages([100] * 4)
         layout = StripeLayout(stripe_size=1 << 20, stripe_count=2)
-        sched = IOScheduler.cost_aware(pages, layout, self.model).schedule([2])
+        sched = IOScheduler(pages, layout, self.model).schedule([2], budget=8)
         assert sched.num_prefetched == 1  # only page 3 exists past the frontier
         assert sched.runs[-1].page_ids == (2, 3)
         assert sched.prefetch_stop == "container_end"
@@ -190,87 +206,74 @@ class TestCostModelPolicy:
     def test_stops_at_cached_page(self):
         pages = make_pages([100] * 6)
         layout = StripeLayout(stripe_size=1 << 20, stripe_count=2)
-        sched = IOScheduler.cost_aware(pages, layout, self.model).schedule(
-            [0], is_cached=lambda pid: pid == 2
+        sched = IOScheduler(pages, layout, self.model).schedule(
+            [0], is_cached=lambda pid: pid == 2, budget=8
         )
         assert sched.runs[-1].page_ids == (0, 1)
         assert sched.num_prefetched == 1
         assert sched.prefetch_stop == "cached_page"
 
-    def test_cache_capacity_guard_spares_demand_pages(self):
-        # a fetch's readahead must never evict the fetch's own demand pages:
-        # with capacity 8 and 3 demand pages at most 5 may be read ahead
+    def test_budget_counts_readahead_pages_only(self):
+        # the budget is what the cache has free after the demand pages: 5
+        # free slots read 5 pages ahead of 3 demand pages
         pages = make_pages([10] * 40)
         layout = StripeLayout(stripe_size=1 << 20, stripe_count=2)
-        scheduler = IOScheduler.cost_aware(
-            pages, layout, self.model, cache_capacity=8
-        )
-        sched = scheduler.schedule([0, 1, 2])
+        scheduler = IOScheduler(pages, layout, self.model)
+        sched = scheduler.schedule([0, 1, 2], budget=5)
         assert len(sched.runs[0].demand_ids) == 3
         assert sched.num_prefetched == 5
-        # demand alone at/above capacity leaves no readahead budget at all
-        assert scheduler.schedule(list(range(8))).num_prefetched == 0
-        assert scheduler.schedule(list(range(12))).num_prefetched == 0
+        assert scheduler.schedule(list(range(12)), budget=0).num_prefetched == 0
 
     def test_cost_aware_respects_container_boundary(self):
         pages = make_pages([100] * 3)
         layout = StripeLayout(stripe_size=1 << 20, stripe_count=2)
-        sched = IOScheduler.cost_aware(pages, layout, self.model).schedule([2])
+        sched = IOScheduler(pages, layout, self.model).schedule([2], budget=8)
         assert sched.num_prefetched == 0
         last = pages[-1]
         assert sched.runs[-1].offset + sched.runs[-1].nbytes == last.offset + last.nbytes
 
 
-class TestCacheGuard:
-    """Regression battery for the cache-overflow guard: a fetch's readahead
-    may never exceed ``cache_capacity - demand``, or it would evict the very
-    demand pages the fetch was issued for (the confirmed PR 5 bug: eight
-    pages of readahead into a capacity-2 cache evicted their own demand
-    pages).  The stripe is wide enough that only the guard and the
-    container end bound the readahead."""
+class TestReadaheadBudget:
+    """The per-fetch readahead budget: the scheduler never reads more pages
+    ahead than it is given (the store gives the cache slots still free
+    after the fetch's demand pages; eight pages of readahead into a
+    capacity-2 cache once evicted their own demand pages).
+    The stripe is wide enough that only the budget and the container end
+    bound the readahead."""
 
-    def _scheduler(self, pages, cache_capacity=None):
-        return IOScheduler.cost_aware(
-            pages,
-            StripeLayout(stripe_size=1 << 20, stripe_count=2),
-            IOCostModel(),
-            cache_capacity=cache_capacity,
+    def _scheduler(self, pages):
+        return IOScheduler(
+            pages, StripeLayout(stripe_size=1 << 20, stripe_count=2), IOCostModel()
         )
 
-    def test_readahead_never_exceeds_capacity_minus_demand(self):
+    def test_readahead_never_exceeds_the_budget(self):
         pages = make_pages([100] * 40)
-        for capacity in (1, 2, 4, 8):
+        for budget in (0, 1, 2, 4, 8):
             for demand in ([0], [0, 1], [0, 1, 2], list(range(6))):
-                sched = self._scheduler(pages, capacity).schedule(demand)
-                assert sched.num_prefetched <= max(0, capacity - len(demand)), (
-                    f"{sched.num_prefetched} prefetched with capacity "
-                    f"{capacity} and {len(demand)} demand pages"
+                sched = self._scheduler(pages).schedule(demand, budget=budget)
+                assert sched.num_prefetched == budget, (
+                    f"{sched.num_prefetched} prefetched with budget {budget}"
                 )
 
-    def test_confirmed_repro_capacity_two(self):
-        # two demand pages fill a capacity-2 cache: nothing may be read ahead
+    def test_zero_budget_reads_nothing_ahead(self):
         pages = make_pages([100] * 12)
-        sched = self._scheduler(pages, cache_capacity=2).schedule([0, 1])
+        sched = self._scheduler(pages).schedule([0, 1], budget=0)
         assert sched.num_prefetched == 0
         assert sched.runs[-1].page_ids == (0, 1)
         assert sched.prefetch_stop == "budget"
 
     def test_partial_budget(self):
         pages = make_pages([100] * 12)
-        sched = self._scheduler(pages, cache_capacity=6).schedule([0, 1])
-        assert sched.num_prefetched == 4  # 6 - 2 demand
+        sched = self._scheduler(pages).schedule([0, 1], budget=4)
+        assert sched.num_prefetched == 4
+        assert sched.prefetch_stop == "budget"
 
-    def test_unclamped_without_capacity(self):
-        # a scheduler built without a cache (capacity unknown) reads ahead
-        # to the stripe boundary or, as here, the container end
+    def test_a_budget_past_the_container_end(self):
+        # more budget than pages: the container end stops the readahead
         pages = make_pages([100] * 12)
-        sched = self._scheduler(pages).schedule([0, 1])
+        sched = self._scheduler(pages).schedule([0, 1], budget=64)
         assert sched.num_prefetched == 10
-
-    def test_demand_above_capacity_never_goes_negative(self):
-        pages = make_pages([100] * 12)
-        sched = self._scheduler(pages, cache_capacity=2).schedule([0, 1, 2, 3])
-        assert sched.num_prefetched == 0
+        assert sched.prefetch_stop == "container_end"
 
 
 class TestScheduledRun:
@@ -368,14 +371,12 @@ def _merged_pairs(schedule, pages):
 
 
 class TestSieveRule:
-    def _sched(self, pages, stripe, **kw):
-        return IOScheduler.cost_aware(
-            pages, StripeLayout(stripe_size=stripe, stripe_count=1), LUSTRE_MODEL, **kw
-        )
+    def _sched(self, pages, stripe):
+        return IOScheduler(pages, StripeLayout(stripe_size=stripe, stripe_count=1), LUSTRE_MODEL)
 
     def test_inside_one_stripe_up_to_the_break_even_gap(self):
         pages = make_pages([1000, 1000, 1000], start=0, gaps=[494_000, 496_000])
-        sched = self._sched(pages, 1 << 22, cache_capacity=0).schedule([0, 1, 2])
+        sched = self._sched(pages, 1 << 22).schedule([0, 1, 2])
         assert [run.page_ids for run in sched.runs] == [(0, 1), (2,)]
         # one range charged per sieve, the bytes between pages included
         assert sched.runs[0].nbytes == 496_000
@@ -387,21 +388,21 @@ class TestSieveRule:
         # anything up to one stripe, 65 536 B)
         for gap, merged in ((54_000, True), (56_000, False)):
             pages = make_pages([65_526, 1000], start=0, gaps=[gap])
-            sched = self._sched(pages, 1 << 16, cache_capacity=0).schedule([0, 1])
+            sched = self._sched(pages, 1 << 16).schedule([0, 1])
             assert (len(sched.runs) == 1) is merged
 
     def test_a_gap_spanning_a_whole_stripe_never_merges(self):
         # 4 KiB stripes: a 9 000 B gap crosses at least two boundaries, and
         # the merged range would pay an OST request for the stripe between
         pages = make_pages([1000, 1000], start=0, gaps=[9000])
-        assert len(self._sched(pages, 4096, cache_capacity=0).schedule([0, 1]).runs) == 2
+        assert len(self._sched(pages, 4096).schedule([0, 1]).runs) == 2
         ref = PageGapScheduler(pages, gap=16_384).schedule([0, 1])
         assert len(ref.runs) == 1  # the page-gap rule merged it regardless
 
     def test_both_policies_share_the_rule_and_differ_in_readahead(self):
         pages = make_pages([1000] * 8, start=0, gaps=[0, 30_000] + [0] * 5)
-        fixed = self._sched(pages, 1 << 20, cache_capacity=0).schedule([0, 2])
-        cost = self._sched(pages, 1 << 20, cache_capacity=64).schedule([0, 2])
+        fixed = self._sched(pages, 1 << 20).schedule([0, 2], budget=0)
+        cost = self._sched(pages, 1 << 20).schedule([0, 2], budget=64 - 2)
         assert fixed.runs[0].page_ids == (0, 2)
         assert cost.runs[0].page_ids == (0, 2, 3, 4, 5, 6, 7)
         assert (fixed.prefetch_stop, cost.prefetch_stop) == ("budget", "container_end")
@@ -455,18 +456,16 @@ class TestSieveOracle:
         lustre.set_layout("sieve.bin", layout)
         data = random.Random(len(pages)).randbytes(pages[-1].offset + pages[-1].nbytes)
 
+        sieving = IOScheduler(pages, layout, model)
         pairs = (
-            (  # the fixed policy: no readahead; the page gap retired
-                IOScheduler.cost_aware(pages, layout, model, cache_capacity=0),
-                PageGapScheduler(pages, gap=page_size),
-            ),
-            (
-                IOScheduler.cost_aware(pages, layout, model, cache_capacity=capacity),
+            (0, PageGapScheduler(pages, gap=page_size)),  # the fixed policy: no readahead
+            (  # the retired capacity guard, as the budget it left
+                len(pages) if capacity is None else max(0, capacity - len(missing)),
                 PageGapScheduler.cost_aware(pages, layout, model, cache_capacity=capacity),
             ),
         )
-        for sieving, retired in pairs:
-            new = sieving.schedule(missing, is_cached=cached.__contains__)
+        for budget, retired in pairs:
+            new = sieving.schedule(missing, is_cached=cached.__contains__, budget=budget)
             old = retired.schedule(missing, is_cached=cached.__contains__)
             served = self._served(new, pages, data)
             assert served == self._served(old, pages, data)
@@ -585,3 +584,190 @@ class TestSieveServing:
         finally:
             with fs.open(store.generations[0].data_path, mode="r+") as fh:
                 fh.pwrite(meta.offset, good)
+
+
+class TestStripeEdges:
+    """Where a page boundary meets a stripe boundary (ROADMAP item 24's two
+    surviving scheduler mutants)."""
+
+    def test_a_run_ending_on_a_stripe_boundary_crosses_it(self):
+        # page 0 ends exactly at the 1 MiB boundary, so a merge with page 1
+        # (100 000 B into the next stripe) spans two stripes: it saves only
+        # the client request (55 000 B), not the in-stripe 495 000 B
+        pages = make_pages([1 << 20, 1000], start=0, gaps=[100_000])
+        layout = StripeLayout(stripe_size=1 << 20, stripe_count=1)
+        sched = IOScheduler(pages, layout, LUSTRE_MODEL).schedule([0, 1])
+        assert [run.page_ids for run in sched.runs] == [(0,), (1,)]
+        split = LUSTRE_MODEL.parallel_read_time(layout, [sched.read_request()])
+        joined = LUSTRE_MODEL.parallel_read_time(
+            layout, [ReadRequest(0, ((0, pages[1].offset + pages[1].nbytes),))]
+        )
+        assert split < joined
+
+    def test_a_page_ending_on_the_stripe_boundary_is_read_ahead(self):
+        # 128-byte pages from offset 0, 512-byte stripes: page 3 ends exactly
+        # at 512 and still belongs to the frontier's stripe
+        pages = make_pages([128] * 8, start=0)
+        layout = StripeLayout(stripe_size=512, stripe_count=1)
+        sched = IOScheduler(pages, layout, IOCostModel()).schedule([0], budget=8)
+        assert sched.runs[-1].page_ids == (0, 1, 2, 3)
+        assert sched.prefetch_stop == "stripe_boundary"
+
+
+def _fetch_log(store):
+    """Wrap *store*'s ``_fetch_missing`` to log, per fetch, the cache size
+    before it, its demand keys, the keys it returned and the pages it read
+    ahead and evictions it caused."""
+    log = []
+    fetch = store._fetch_missing
+
+    def logged(missing, failed=None):
+        before = (len(store._cache), store.stats.pages_prefetched, store.stats.cache.evictions)
+        out = fetch(missing, failed)
+        log.append((before[0], list(missing), sorted(out),
+                    store.stats.pages_prefetched - before[1],
+                    store.stats.cache.evictions - before[2]))
+        return out
+
+    store._fetch_missing = logged
+    return log
+
+
+def _damage(fs, path, page, payload_edit):
+    """Replace page *page* of the container at *path* by ``payload_edit(payload)``
+    (same length) and, when the edit returns ``(payload, True)``, rewrite its
+    CRC table entry to match; returns the undo."""
+    backing = fs.backing_path(path)
+    blob = backing.read_bytes()
+    header = fmt.unpack_header(blob, file_size=len(blob))
+    tail = header.dir_offset + header.dir_nbytes
+    crcs = fmt.unpack_page_checksums(blob[tail:], header.num_pages)
+    meta = fmt.unpack_page_directory(blob[header.dir_offset:tail], header.num_pages, crcs)[page]
+    payload, recrc = payload_edit(blob[meta.offset : meta.offset + meta.nbytes])
+    damaged = bytearray(blob)
+    damaged[meta.offset : meta.offset + meta.nbytes] = payload
+    if recrc:
+        entry = tail + page * fmt.PAGE_CHECKSUM_ENTRY.size
+        damaged[entry : entry + fmt.PAGE_CHECKSUM_ENTRY.size] = fmt.PAGE_CHECKSUM_ENTRY.pack(
+            fmt.page_crc32(payload)
+        )
+    backing.write_bytes(bytes(damaged))
+    return lambda: backing.write_bytes(blob)
+
+
+def _huge_count(payload):
+    """A page whose count prefix outruns its payload, CRC made valid."""
+    return b"\xff\xff\x00\x00" + payload[4:], True
+
+
+def _flipped(payload):
+    """A page with one flipped byte and the old CRC."""
+    return bytes([payload[0] ^ 0x40]) + payload[1:], False
+
+
+class TestReadaheadFreeSlots:
+    """Readahead only fills the cache slots still free after a fetch's demand
+    pages, and enters the cache undecoded: multi-generation fetches through
+    real stores, against the fixed policy's pages."""
+
+    EXTENT = Envelope(0.0, 0.0, 1000.0, 1000.0)
+
+    @pytest.fixture(scope="class")
+    def layered(self, tmp_path_factory):
+        """A base container and two delta generations of small pages."""
+        fs = LustreFilesystem(tmp_path_factory.mktemp("freeslots"))
+
+        def boxes(n, seed, first):
+            envs = random_envelopes(n, extent=self.EXTENT, max_size_fraction=0.004, seed=seed)
+            return [Polygon.from_envelope(env, userdata=first + i) for i, env in enumerate(envs)]
+
+        bulk_load(fs, "layered", boxes(500, 17, 0), num_partitions=16, page_size=512)
+        for step in range(2):
+            StoreAppender(fs, "layered").append(boxes(150, 18 + step, 500 + 150 * step))
+        return fs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        capacity=st.integers(0, 48),
+        fetches=st.lists(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10_000)), max_size=12),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_readahead_fills_free_slots_only_and_never_evicts(self, layered, capacity, fetches):
+        store = SpatialDataStore.open(layered, "layered", cache_pages=capacity)
+        fixed = SpatialDataStore.open(layered, "layered", cache_pages=0, io_policy="fixed")
+        assert store.num_generations == 2
+        log = _fetch_log(store)
+        with store, fixed:
+            for draw in fetches:
+                keys = sorted({PageKey(g, i % len(store.generations[g].pages)) for g, i in draw})
+                pages = store._get_pages(keys)
+                assert sorted(pages) == keys
+                want = fixed._get_pages(keys)
+                assert all(
+                    (pages[k].payload, pages[k].record_ids) == (want[k].payload, want[k].record_ids)
+                    for k in keys
+                )
+                assert len(store._cache) <= capacity
+        for cached, demand, returned, prefetched, evictions in log:
+            assert returned == demand  # demand pages only
+            assert prefetched <= max(0, capacity - cached - len(demand))
+            # only the demand pages' own insertions may evict
+            assert evictions <= max(0, cached + len(demand) - capacity)
+            assert not (prefetched and evictions)
+
+    @settings(max_examples=12, deadline=None)
+    @given(generation=st.integers(0, 2), page=st.integers(1, 10_000))
+    def test_a_broken_column_behind_a_valid_crc_raises_on_first_demand(
+        self, layered, generation, page
+    ):
+        store = SpatialDataStore.open(layered, "layered", cache_pages=64)
+        page %= len(store.generations[generation].pages)
+        path = store.generations[generation].data_path
+        store.close()
+        assume(page)
+        undo = _damage(layered, path, page, _huge_count)
+        try:
+            with SpatialDataStore.open(layered, "layered", cache_pages=64) as store:
+                key, prev = PageKey(generation, page), PageKey(generation, page - 1)
+                store._get_pages([prev])  # reads the damaged page ahead, unparsed
+                assume(key in store._cache)
+                requests = store.stats.read_requests
+                with pytest.raises(StoreFormatError):
+                    store._get_pages([key])
+                assert store.stats.read_requests == requests
+            # as a demand read of the same page fails
+            with SpatialDataStore.open(layered, "layered", io_policy="fixed") as store:
+                with pytest.raises(StoreFormatError):
+                    store._get_pages([PageKey(generation, page)])
+        finally:
+            undo()
+
+    @settings(max_examples=12, deadline=None)
+    @given(generation=st.integers(0, 2), page=st.integers(1, 10_000))
+    def test_a_readahead_page_failing_its_crc_is_quarantined_silently(
+        self, layered, generation, page
+    ):
+        store = SpatialDataStore.open(layered, "layered", cache_pages=64)
+        page %= len(store.generations[generation].pages)
+        path = store.generations[generation].data_path
+        store.close()
+        assume(page)
+        undo = _damage(layered, path, page, _flipped)
+        try:
+            with SpatialDataStore.open(layered, "layered", cache_pages=64) as store:
+                key, prev = PageKey(generation, page), PageKey(generation, page - 1)
+                assert sorted(store._get_pages([prev])) == [prev]  # no error raised
+                assume(key in store._quarantined)
+                assert key not in store._cache
+                assert store.stats.checksum_failures == 1
+                assert store.stats.retries == DEFAULT_RETRY.max_attempts - 1
+                before = store.stats.as_dict()
+                with pytest.raises(PageChecksumError, match="quarantined"):
+                    store._get_pages([key])
+                after = store.stats.as_dict()
+                for counter in ("read_requests", "bytes_read", "io_seconds", "retries"):
+                    assert after[counter] == before[counter]
+        finally:
+            undo()

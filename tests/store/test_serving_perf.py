@@ -13,14 +13,13 @@
 """
 
 import pytest
+from _page_gap_scheduler_reference import PageGapScheduler  # the retired scheduler, kept next to this file
 
 from repro.datasets import SyntheticConfig, generate_dataset, random_envelopes
 from repro.core.reader import VectorIO
 from repro.geometry import Envelope, Point, predicates
 from repro.pfs import LustreFilesystem
-from repro.store import (
-    IOScheduler, PageKey, SpatialDataStore, bulk_load,
-)
+from repro.store import PageKey, SpatialDataStore, bulk_load
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +43,19 @@ def windows(store, n=12, seed=31, frac=0.15):
     return list(random_envelopes(n, extent=store.extent, max_size_fraction=frac, seed=seed))
 
 
+class GapScheduler(PageGapScheduler):
+    """The retired page-gap scheduler in the store's seat: it takes the
+    fetch's readahead budget and, built without a layout, reads nothing
+    ahead."""
+
+    def schedule(self, missing, is_cached=lambda pid: False, budget=0):
+        return super().schedule(missing, is_cached)
+
+
 def with_gap(store, gap):
-    """*store* with its base scheduler replaced by a fixed-policy one of
-    coalescing *gap* (negative: one request per page)."""
-    store.generations[0].scheduler = IOScheduler(store.pages, gap=gap)
+    """*store* with its base scheduler replaced by one of coalescing *gap*
+    (negative: one request per page) that reads nothing ahead."""
+    store.generations[0].scheduler = GapScheduler(store.pages, gap=gap)
     return store
 
 
@@ -177,7 +185,7 @@ class TestCoalescedIO:
 
 class TestPrefetch:
     def test_prefetch_counts_and_serves_later_demand(self, fs, lakes_v2):
-        plain = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024)
+        plain = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024, io_policy="fixed")
         eager = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024,
                                       io_policy="cost_model")
         env = windows(plain, n=1, seed=11, frac=0.05)[0]
@@ -247,7 +255,9 @@ class TestPrefetchBoundaries:
         store = SpatialDataStore.open(fs, lakes_v2, cache_pages=1024,
                                       io_policy="cost_model")
         missing = [0]
-        schedule = store.scheduler.schedule(missing, is_cached=lambda p: False)
+        # the budget a fetch passes: the slots left free by its demand pages
+        schedule = store.scheduler.schedule(missing, is_cached=lambda p: False,
+                                            budget=1024 - len(missing))
         store._get_pages([PageKey(0, pid) for pid in missing])
         assert store.stats.pages_prefetched == schedule.num_prefetched
         assert store.stats.read_requests == len(schedule.runs)
@@ -270,17 +280,17 @@ class TestServingKnobRegressions:
     """PR 5 serving-knob bugfix sweep, end to end through the store."""
 
     def test_prefetch_default_keeps_policy_defaults(self, fs, lakes_v2):
-        # no readahead under "fixed", stripe-derived readahead under
-        # "cost_model"
-        fixed = SpatialDataStore.open(fs, lakes_v2, cache_pages=256)
+        # no readahead under "fixed", stripe-derived readahead under the
+        # default, "cost_model"
+        fixed = SpatialDataStore.open(fs, lakes_v2, cache_pages=256, io_policy="fixed")
         fixed.range_query(fixed.extent, exact=False)
         for env in windows(fixed, n=6, seed=59):
             fixed.range_query(env, exact=False)
         assert fixed.stats.pages_prefetched == 0
-        cost = SpatialDataStore.open(fs, lakes_v2, cache_pages=256,
-                                     io_policy="cost_model")
-        schedule = cost.scheduler.schedule([0], is_cached=lambda p: False)
-        assert schedule.num_prefetched > 0  # stripe readahead engaged
+        cost = SpatialDataStore.open(fs, lakes_v2, cache_pages=256)
+        assert cost.io_policy == "cost_model"
+        cost._get_pages([PageKey(0, 0)])
+        assert cost.stats.pages_prefetched > 0  # stripe readahead engaged
 
     @pytest.mark.parametrize("policy", ["fixed", "cost_model"])
     def test_readahead_cannot_evict_own_demand_pages(self, fs, lakes_v2, policy):
