@@ -61,8 +61,11 @@ def decode_body(data, offset: int, envelope=None) -> Tuple[Geometry, int]:
     that does not fit *data* is a :class:`ValueError` (worded to follow the
     caller's "record at offset N"), and the WKB, decoded in place with no
     slice of the body, must fill its declared length exactly
-    (:class:`~repro.geometry.wkb.WKBParseError`).  *envelope* is the record's
-    MBR when the caller holds it (see :func:`repro.geometry.wkb.loads`)."""
+    (:class:`~repro.geometry.wkb.WKBParseError`).  Userdata that does not
+    unpickle is a :class:`ValueError` too, chained to the unpickler's error:
+    corrupt bytes are the caller's to report, whatever the unpickler raised.
+    *envelope* is the record's MBR when the caller holds it (see
+    :func:`repro.geometry.wkb.loads`)."""
     pos = offset + 8
     if pos > len(data):
         raise ValueError(f"ends inside its length prefix ({len(data)}-byte buffer)")
@@ -75,7 +78,12 @@ def decode_body(data, offset: int, envelope=None) -> Tuple[Geometry, int]:
         )
     geom = wkb.loads(data, pos, end, envelope)
     if ud_len:
-        geom.userdata = pickle.loads(data[end:stop])
+        try:
+            geom.userdata = pickle.loads(data[end:stop])
+        except Exception as exc:  # a damaged pickle stream may raise any type
+            raise ValueError(
+                f"holds {ud_len} userdata bytes that do not unpickle ({exc!r})"
+            ) from exc
     return geom, stop
 
 
@@ -83,8 +91,8 @@ def deserialise_cell_group(data: bytes) -> Dict[int, List[Geometry]]:
     """Inverse of :func:`serialise_cell_group`.
 
     The length prefixes are untrusted: a buffer cut inside a prefix, a body
-    or a userdata block, or a body longer than its WKB, raises
-    :class:`ValueError` naming the record's offset.
+    or a userdata block, a body longer than its WKB, or userdata that does
+    not unpickle, raises :class:`ValueError` naming the record's offset.
     """
     cells: Dict[int, List[Geometry]] = {}
     pos = 0
@@ -92,9 +100,11 @@ def deserialise_cell_group(data: bytes) -> Dict[int, List[Geometry]]:
     while pos < total:
         try:
             geom, stop = decode_body(data, pos + 4)
-        except wkb.WKBParseError as exc:
-            raise ValueError(f"malformed cell group: record at offset {pos}: {exc}") from exc
         except ValueError as exc:
+            # the frame's bounds checks raise plain ValueErrors; a frame that
+            # fits but does not decode (its WKB or its userdata) is malformed
+            if isinstance(exc, wkb.WKBParseError) or exc.__cause__ is not None:
+                raise ValueError(f"malformed cell group: record at offset {pos}: {exc}") from exc
             raise ValueError(f"truncated cell group: record at offset {pos} {exc}") from exc
         (cell_id,) = struct.unpack_from("<I", data, pos)  # the frame behind it fitted
         cells.setdefault(cell_id, []).append(geom)

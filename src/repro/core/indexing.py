@@ -81,26 +81,6 @@ class DistributedIndex(SpatialComputation):
         indexed = sum(ci.num_items for ci in cells.values())
         return IndexBuildReport(cells=cells, breakdown=result.breakdown, indexed_geometries=indexed)
 
-    def query(self, comm: Communicator, report: IndexBuildReport, window: Envelope) -> List[Geometry]:
-        """Distributed window query: every rank probes its local cells and the
-        results are allgathered (duplicates from replicated geometries are
-        removed by WKT identity)."""
-        local = report.query_local(window)
-        gathered = comm.allgather([g.wkt() for g in local])
-        seen = set()
-        out: List[Geometry] = []
-        # Re-materialise only the local geometries; remote matches are
-        # represented by their WKT strings to keep the exchange lightweight.
-        for g in local:
-            key = g.wkt()
-            if key not in seen:
-                seen.add(key)
-                out.append(g)
-        for chunk in gathered:
-            for key in chunk:
-                seen.add(key)
-        return out
-
     def total_indexed(self, comm: Communicator, report: IndexBuildReport) -> int:
         """Total geometries indexed across the whole communicator (includes
         replicas of geometries spanning multiple cells)."""

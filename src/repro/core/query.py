@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..geometry import Envelope, Geometry, Polygon, predicates
-from ..index import GridCell, STRtree
+from ..geometry import Envelope, Geometry, Polygon
+from ..index import GridCell
 from ..mpisim import Communicator
 from ..pfs import SimulatedFilesystem
 from .framework import SpatialComputation
 from .grid_partition import GridPartitionConfig
-from .join import _cell_reports_pair
+from .join import join_cell
 from .partition import PartitionConfig
 from .reader import VectorIO
 
@@ -59,20 +59,11 @@ class RangeQuery(SpatialComputation):
         left: Sequence[Geometry],
         right: Sequence[Geometry],
     ) -> List[QueryMatch]:
-        if not left or not right:
-            return []
-        tree: STRtree = STRtree((g.envelope, g) for g in left)
-        matches: List[QueryMatch] = []
-        for window in right:
-            wenv = window.envelope
-            for geom in tree.query(wenv):
-                if not _cell_reports_pair(cell, wenv, geom.envelope):
-                    continue
-                if predicates.intersects(window, geom):
-                    matches.append(
-                        QueryMatch(query_id=window.userdata, geometry=geom, cell_id=cell.cell_id)
-                    )
-        return matches
+        # the windows probe a tree over the data: a join with the layers swapped
+        return [
+            QueryMatch(query_id=pair.left.userdata, geometry=pair.right, cell_id=pair.cell_id)
+            for pair in join_cell(cell, right, left)
+        ]
 
     # ------------------------------------------------------------------ #
     def execute(self, comm: Communicator, data_path: str) -> List[QueryMatch]:

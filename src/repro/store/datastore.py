@@ -27,7 +27,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ..geometry import Envelope, Geometry, predicates
+from ..geometry import Envelope, Geometry
 from ..index import STRtree
 from ..obs.explain import ExplainReport, build_explain, stats_movement
 from ..obs.metrics import MetricsRegistry
@@ -46,7 +46,7 @@ from .format import (
     unpack_page_checksums,
     unpack_page_directory,
 )
-from .index_io import load_index
+from .index_io import check_leaf_refs, load_index
 from .manifest import StoreManifest, delta_paths, store_paths
 from .page import CachedPage, check_page_crc
 from .scheduler import DEFAULT_RETRY, IOScheduler, RetryPolicy, read_file, read_with_retry
@@ -331,8 +331,9 @@ class SpatialDataStore:
         ``retry_policy`` also bounds the retries of every read made here
         (:func:`~repro.store.scheduler.read_with_retry`).  Anything but the
         one container layout — another version, a header without exactly
-        the checksum flag, a checksum table that does not end the file — and
-        a manifest without an id ceiling are refused with a
+        the checksum flag, a checksum table that does not end the file —, a
+        manifest without an id ceiling and an index leaf naming a page or
+        slot its generation does not store are refused with a
         :class:`~repro.store.format.StoreFormatError`.
         """
         paths = store_paths(name)
@@ -396,7 +397,9 @@ class SpatialDataStore:
                 raw, seconds, retries = read_file(fs, gen_paths["index"], policy)
                 io_seconds += seconds
                 open_retries += retries
-                generations.append((pages, load_index(raw), fh))
+                index = load_index(raw)
+                check_leaf_refs(index, pages, gen_paths["index"])
+                generations.append((pages, index, fh))
             store = cls(fs, name, manifest, generations, **serving)
             # the store owns the handles now: close() releases them
             opened.pop_all()
@@ -612,7 +615,7 @@ class SpatialDataStore:
                         payload = buf[meta.offset - offset : meta.offset - offset + meta.nbytes]
                         try:
                             if pid in demand:
-                                pages[pid] = self._page(pid, payload, meta.crc32)
+                                pages[pid] = self._page(meta, payload, meta.crc32)
                             else:
                                 check_page_crc(pid, payload, meta.crc32)
                                 pages[pid] = payload
@@ -659,12 +662,21 @@ class SpatialDataStore:
                     bad.append((key, exc))
             return
 
-    def _page(self, page_id: int, payload: bytes, crc: Optional[int]) -> CachedPage:
-        """Parse *payload* into a page image (*crc* ``None``: already
-        checked).  The decode count goes straight to the counter: a page
+    def _page(self, meta: PageMeta, payload: bytes, crc: Optional[int]) -> CachedPage:
+        """Parse *payload*, the page *meta* describes, into a page image
+        (*crc* ``None``: already checked).  Its record count must be the
+        directory's: the open checked every index leaf against the
+        directory, so a page with fewer slots would let a leaf name one
+        past its end.  The decode count goes straight to the counter: a page
         holding a method of the store would make the store a reference
         cycle (see StoreEngine)."""
-        return CachedPage(page_id, payload, crc, on_decode=self.stats._records_decoded.inc)
+        page = CachedPage(meta.page_id, payload, crc, on_decode=self.stats._records_decoded.inc)
+        if page.count != meta.count:
+            raise StoreFormatError(
+                f"page {meta.page_id} of store {self.name!r} holds {page.count} records, "
+                f"its directory entry {meta.count}"
+            )
+        return page
 
     def _get_pages(
         self,
@@ -701,7 +713,8 @@ class SpatialDataStore:
                     missing.append(key)
                     continue
                 if page.__class__ is not CachedPage:  # read ahead: parse it now
-                    page = self._page(key.page_id, page, None)
+                    meta = self.generations[key.generation].pages[key.page_id]
+                    page = self._page(meta, page, None)
                     self._cache.put(key, page)
                 out[key] = page
             if tracer.enabled:
@@ -792,22 +805,16 @@ class SpatialDataStore:
     def join(self, probes: Sequence[Geometry]) -> List[Tuple[Geometry, QueryHit]]:
         """Filter-and-refine join of in-memory *probes* against the store.
 
-        The store's packed index is the filter phase; ``intersects`` (the
-        paper's join predicate) is the refine phase.  Probes are served
-        through :meth:`range_query_batch`, so page touches are deduped and
-        I/O is coalesced across the whole probe collection.  Returns
-        ``(probe, hit)`` pairs in probe order.
+        A range batch whose windows are the probes: the store's packed index
+        is the filter phase, and the engine's geometry-window refine
+        (``intersects(probe, record)``, the paper's join predicate) is the
+        refine phase.  Page touches are deduped and I/O is coalesced across
+        the whole probe collection, and a record shared by several probes
+        is decoded once.  Returns ``(probe, hit)`` pairs in probe order.
         """
         probes = list(probes)
-        per_probe = self.range_query_batch(
-            [(i, probe.envelope) for i, probe in enumerate(probes)], exact=False
-        )
-        pairs: List[Tuple[Geometry, QueryHit]] = []
-        for probe, hits in zip(probes, per_probe):
-            for hit in hits:
-                if predicates.intersects(probe, hit.geometry):
-                    pairs.append((probe, hit))
-        return pairs
+        per_probe = self.range_query_batch(list(enumerate(probes)))
+        return [(probe, hit) for probe, hits in zip(probes, per_probe) for hit in hits]
 
     def explain(self, window: Union[Envelope, Geometry]) -> ExplainReport:
         """EXPLAIN-by-executing: run ``range_query(window)`` under a

@@ -24,7 +24,9 @@ engine makes each stage an explicit object with one owner:
 
 :class:`StoreEngine` composes the three over one open store in **one**
 stage loop (:meth:`StoreEngine.execute_outcome`; strict serving, degraded
-serving and traced serving are modes of it, not copies).  The sharded
+serving and traced serving are modes of it, not copies).  A join is a batch
+of it too: its windows are the probe geometries, which the refine executor
+tests with ``intersects`` — the only refine of both joins.  The sharded
 server serves each shard through that shard store's engine, so the single
 and distributed paths can never diverge; the async front-end
 (:mod:`repro.store.frontend`) multiplexes batches over the same machinery.
@@ -465,9 +467,11 @@ class RefineExecutor:
         A proven hit whose slot is not yet decoded is emitted undecoded: it
         carries the page's payload and the slot and decodes its record when
         its geometry is first read (:class:`QueryHit`).  Checked slots, and
-        every hit of an MBR-only batch, decode through the page's memo —
-        both joins read each candidate's geometry next, and the memo decodes
-        a record shared by several probes once.
+        every hit of an MBR-only batch, decode through the page's memo: an
+        MBR-only hit is a candidate whose geometry its caller reads next
+        (to refine it by its own predicate), and the memo decodes a record
+        shared by several windows once, where undecoded hits would decode it
+        once each.
 
         Under a recording tracer the call is one ``decode`` span accounting
         every skip/drop/proof decision.  Its ``records_decoded`` is the

@@ -30,14 +30,14 @@ it would stay tracked for good.)
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import Iterator, List, Sequence
 
 from ..geometry import Envelope
 from ..index import STRtree
 from ..index.rtree import _STRNode
-from .format import StoreFormatError
+from .format import PageMeta, StoreFormatError
 
-__all__ = ["INDEX_MAGIC", "INDEX_VERSION", "dump_index", "load_index"]
+__all__ = ["INDEX_MAGIC", "INDEX_VERSION", "check_leaf_refs", "dump_index", "load_index"]
 
 INDEX_MAGIC = b"RSPGIDX1"
 INDEX_VERSION = 1
@@ -47,17 +47,20 @@ _NODE = struct.Struct("<BI4d")
 _ITEM = struct.Struct("<4dII")
 
 
-def dump_index(tree: STRtree) -> bytes:
-    """Serialise *tree* (payloads must be ``(page_id, slot)`` pairs)."""
-    nodes: List[_STRNode] = []
+def _preorder(tree: STRtree) -> Iterator[_STRNode]:
+    """*tree*'s nodes in pre-order."""
     stack = [tree._root] if tree._root is not None else []
     while stack:
         node = stack.pop()
-        nodes.append(node)
+        yield node
         if not node.leaf:
             # reversed keeps the stream in pre-order
             stack.extend(row[4] for row in reversed(node.entries))
 
+
+def dump_index(tree: STRtree) -> bytes:
+    """Serialise *tree* (payloads must be ``(page_id, slot)`` pairs)."""
+    nodes = list(_preorder(tree))
     out = bytearray()
     out += _HEADER.pack(INDEX_MAGIC, INDEX_VERSION, tree.node_capacity, len(nodes), len(tree))
     for node in nodes:
@@ -132,3 +135,21 @@ def load_index(data: bytes) -> STRtree:
         raise StoreFormatError(f"{len(data) - pos} trailing bytes after index payload")
     root = top[0][4] if kept else None
     return STRtree.from_packed(root, kept, node_capacity=node_capacity)
+
+
+def check_leaf_refs(tree: STRtree, pages: Sequence[PageMeta], path: str) -> None:
+    """Refuse a leaf of *tree* (the index file *path*) that names a page or a
+    slot the generation's page directory *pages* does not store: the refine
+    loop reads a page's columns at the leaf's slot unchecked, so such a leaf
+    would surface mid-query as a raw ``IndexError``.  One pass over the
+    leaf rows, at open."""
+    counts = [meta.count for meta in pages]
+    num_pages = len(counts)
+    for node in _preorder(tree):
+        if node.leaf:
+            for _, _, _, _, (page_id, slot) in node.entries:
+                if page_id >= num_pages or slot >= counts[page_id]:
+                    raise StoreFormatError(
+                        f"{path!r}: an index leaf names slot {slot} of page {page_id}, "
+                        f"which its container does not store"
+                    )

@@ -30,8 +30,6 @@ is rank 0's sizing of the message.
 
 from __future__ import annotations
 
-import pickle
-import struct
 from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
@@ -41,7 +39,7 @@ from typing import (
     Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
-from ..geometry import Envelope, Geometry, predicates
+from ..geometry import Envelope, Geometry
 from ..geometry.wkb import encoded_size
 from ..mpisim import Communicator, payload_nbytes
 from ..obs.explain import ExplainReport, build_explain, stats_movement
@@ -50,7 +48,7 @@ from ..obs.trace import NULL_TRACER, Tracer, span_order
 from ..pfs import SimulatedFilesystem
 from .datastore import QueryHit, SpatialDataStore, stats_from_counters
 from .engine import BatchOutcome, DeadlineExceeded, DistributedHit, _matched
-from .format import StoreError, StoreFormatError
+from .format import StoreError
 from .manifest import ShardInfo, ShardsManifest, shards_path
 from .scheduler import DEFAULT_RETRY, RetryPolicy, read_file
 
@@ -94,21 +92,6 @@ SERVING_PHASES = ("route", "scatter", "local_query", "gather")
 _TAG_BASE = 0x4153_0000
 #: the merge's sort key of a hit
 _RECORD_ID = attrgetter("record_id")
-
-#: low-level exceptions a corrupted shard file may surface as; the server
-#: converts them into a StoreError naming the shard.  StoreError covers
-#: checksum / quarantine / retry-exhaustion failures raised by the page
-#: cache itself, so a bit-flipped page is still attributed to its shard.
-_SHARD_DECODE_ERRORS = (
-    StoreError,
-    StoreFormatError,
-    struct.error,
-    pickle.UnpicklingError,
-    EOFError,
-    IndexError,
-    ValueError,
-)
-
 
 def shard_assignment(num_shards: int, nranks: int) -> Dict[int, int]:
     """Contiguous balanced mapping of shards onto serving ranks.
@@ -403,14 +386,19 @@ class DistributedStoreServer:
 
     @contextmanager
     def _shard_guard(self, shard: ShardInfo, action: str) -> Iterator[None]:
-        """Convert low-level decode failures into a ShardError naming the
-        shard, so corruption never surfaces as a raw struct/pickle exception
-        in the middle of a collective."""
+        """Attribute a store failure to its shard: a :class:`StoreError`
+        becomes a :class:`ShardError` naming the shard.  The format layer
+        decides what is corrupt — every reader of the store's bytes turns a
+        damaged header, manifest, index, page or record into a
+        :class:`~repro.store.format.StoreFormatError`, and checksum,
+        quarantine and retry-exhaustion failures are ``StoreError`` s too —
+        so any other exception (a bug, or a predicate raising inside the
+        refine loop) passes through unblamed."""
         try:
             yield
         except ShardError:  # already attributed by a nested guard
             raise
-        except _SHARD_DECODE_ERRORS as exc:
+        except StoreError as exc:
             raise self._shard_error(shard.shard_id, action, exc) from exc
 
     # ------------------------------------------------------------------ #
@@ -464,9 +452,9 @@ class DistributedStoreServer:
             raise error
         self.dead_shards[sid] = error
 
-    def _failover(self, sid: int, cause: Exception, action: str) -> bool:
+    def _failover(self, sid: int, cause: Exception) -> bool:
         """Replace shard *sid*'s store with the next untried replica after a
-        serving-time failure.  Returns True when a replacement is in place
+        failure while serving a query.  Returns True when a replacement is in place
         (caller should retry), False when the shard is out of copies (it is
         then recorded dead if degraded mode allows, else *cause* re-raises).
         """
@@ -474,11 +462,11 @@ class DistributedStoreServer:
         self._retired[sid].append(old.metrics.snapshot())
         old.close()
         shard = self.manifest.shards[sid]
-        store, _ = self._open_copy(shard, list(self._spare_stores.get(sid, ())), action)
+        store, _ = self._open_copy(shard, list(self._spare_stores.get(sid, ())), "query")
         if store is not None:
             return True
         self._mark_dead(
-            sid, cause if isinstance(cause, ShardError) else self._shard_error(sid, action, cause)
+            sid, cause if isinstance(cause, ShardError) else self._shard_error(sid, "query", cause)
         )
         return False
 
@@ -631,21 +619,20 @@ class DistributedStoreServer:
         exact: bool,
         collect: bool = False,
         deadline: Optional[float] = None,
-        action: str = "query",
-        refine: Optional[Callable[[Any, List[QueryHit]], List[QueryHit]]] = None,
     ) -> ShardRows:
         """The shard-serving loop: this rank's shards over *entries*
         ``(batch position, query id, probe, window)``; returns the rank's
-        :class:`ShardRows`.
+        :class:`ShardRows`.  A join entry's probe (``None`` in a range
+        entry) is the query the store serves, *window* its envelope.
 
         Per shard, entries whose window misses the shard extent are dropped
         — the only routing of a serving call — and the rest are served in
         one batched pass through the shard store's staged engine (shared
         Hilbert visit order, page touches deduped, reads coalesced, per-slot
-        refine) under the shard guard, replaying the batch on the next
-        replica after a failure.  *refine* filters one entry's
-        hits by its probe **outside** the guard, so a join's user predicate
-        is never misreported as corruption.
+        refine: a probe is refined by ``intersects`` there) under the shard
+        guard, replaying the batch on the next replica after a failure.  The
+        guard blames the shard for a ``StoreError`` only, so an exception
+        of the join predicate passes through as itself.
 
         Strict mode (*collect* false) **raises** the first failure that
         replica failover cannot repair, so ``failures`` stays empty.  With
@@ -669,12 +656,12 @@ class DistributedStoreServer:
             # per-shard query heat: one tick per query this shard
             # serves (the rebalancer-facing twin of the engine's partition heat)
             self.metrics.counter("server.shard_heat", shard=sid).inc(len(kept))
-            windows = [(None, e[-1]) for e in kept]
+            windows = [(None, env if probe is None else probe) for _, _, probe, env in kept]
             error: Optional[Exception] = self.dead_shards.get(sid)
             outcome: Optional[BatchOutcome] = None
             while error is None and outcome is None:
                 try:
-                    with self._shard_guard(shard, action):
+                    with self._shard_guard(shard, "query"):
                         store = self.stores[sid]
                         if collect:
                             outcome = store.query_outcome(
@@ -687,14 +674,14 @@ class DistributedStoreServer:
                 except ShardError as exc:
                     # a replica may still hold an intact copy of the bad
                     # page: replay the batch on it
-                    if not self._failover(sid, exc, action):
+                    if not self._failover(sid, exc):
                         error = exc
                     continue
                 if not outcome.complete and self._spare_stores.get(sid):
                     hard = _hard_faults(outcome)
                     if hard:
                         outcome = None
-                        if not self._failover(sid, hard[0], action):
+                        if not self._failover(sid, hard[0]):
                             error = self.dead_shards[sid]
             if error is not None:
                 if not collect:
@@ -708,8 +695,8 @@ class DistributedStoreServer:
                 )
                 continue
             sizes = self._body_sizes[sid]
-            for (idx, qid, probe, _), hits in zip(kept, outcome.hits):
-                rows.add_hits(idx, qid, sid, hits if refine is None else refine(probe, hits), sizes)
+            for (idx, qid, _, _), hits in zip(kept, outcome.hits):
+                rows.add_hits(idx, qid, sid, hits, sizes)
             cache = self.stores[sid]._cache
             if sum(map(len, sizes)) > cache.capacity:  # bounded like the cache
                 for gen, pages in enumerate(sizes):  # drop the pages it let go
@@ -962,24 +949,21 @@ class DistributedStoreServer:
         self, probes: Optional[Sequence[Geometry]]
     ) -> Optional[List[Tuple[Geometry, DistributedHit]]]:
         """Filter-and-refine ``intersects`` join of in-memory *probes*
-        against the shards (collective).  Rank 0 supplies *probes* and
-        receives ``(probe, hit)`` pairs, one per matching ``(probe,
-        record_id)``; other ranks pass ``None`` and get ``None`` back.
+        against the shards (collective): a range batch whose windows are the
+        probes, refined in each shard store's engine.  Rank 0 supplies
+        *probes* and receives ``(probe, hit)`` pairs, one per matching
+        ``(probe, record_id)``; other ranks pass ``None`` and get ``None``
+        back.
         """
-
-        def refine(probe: Geometry, hits: List[QueryHit]) -> List[QueryHit]:
-            # the shard pass is the MBR filter; the exact predicate refines
-            return [h for h in hits if predicates.intersects(probe, h.geometry)]
-
         served = self._serve(
             None if probes is None else [list(probes)],
             (),
             1,
-            # the probe geometries are the message, so every rank can refine
+            # the probe geometries are the message: every rank refines by them
             lambda batch: SizedList(batch, sum(map(body_nbytes, batch))),
             lambda batch: self._serve_shards(
                 [(idx, idx, probe, probe.envelope) for idx, probe in enumerate(batch)],
-                exact=False, action="join", refine=refine,
+                exact=True,
             ),
             lambda payloads, batch: [
                 (batch[hit.query_id], hit) for hit in self._assemble(payloads, batch, False, None)

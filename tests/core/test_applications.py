@@ -164,12 +164,13 @@ class TestDistributedIndex:
         def prog(comm):
             index = DistributedIndex(fs, grid_config=GridPartitionConfig(num_cells=16))
             report = index.build(comm, small_datasets["lakes"])
-            return report.breakdown.refine
+            return report.indexed_geometries
 
         one = max(mpisim.run_spmd(prog, 1).values)
         four = max(mpisim.run_spmd(prog, 4).values)
-        # per-rank refine work shrinks when the cells are spread over 4 ranks
-        assert four <= one * 1.2
+        # per-rank refine work shrinks when the cells are spread over 4 ranks:
+        # counted as geometries indexed, not as measured CPU seconds
+        assert four < one
 
 
 class TestRangeQuery:

@@ -1,5 +1,6 @@
 """Grid partitioning, geometry exchange and non-contiguous access tests."""
 
+import pickle
 import struct
 
 import pytest
@@ -143,6 +144,17 @@ class TestSerialisation:
         # the same record with an honest length decodes
         honest = struct.pack("<III", 3, len(body), 0) + body
         assert len(deserialise_cell_group(first + honest)[3]) == 2
+
+    @pytest.mark.parametrize("userdata", [b"junk", b"\x80\x04\x95", pickle.dumps("x")[:-1]])
+    def test_undecodable_userdata_raises_valueerror_naming_the_offset(self, userdata):
+        # regression: the unpickler's own exception (UnpicklingError,
+        # EOFError, ...) escaped the reader of the framing
+        body = wkb.dumps(Point(1.0, 2.0))
+        first = serialise_cell_group({3: [Point(9.0, 9.0)]})
+        record = struct.pack("<III", 3, len(body), len(userdata)) + body + userdata
+        with pytest.raises(ValueError, match="do not unpickle") as err:
+            deserialise_cell_group(first + record)
+        assert f"malformed cell group: record at offset {len(first)}" in str(err.value)
 
 
 class TestExchange:

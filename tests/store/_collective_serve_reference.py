@@ -18,7 +18,6 @@ answer, the other ranks pass ``None`` and get ``None``.
 
 from contextlib import ExitStack
 
-from repro.geometry import predicates
 from repro.store import shard_assignment
 from repro.store.sharded import SizedList, body_nbytes
 
@@ -115,10 +114,6 @@ def range_query_batch(server, queries, exact=True, partial_ok=False, deadline=No
 
 def join(server, probes):
     """The ``intersects`` join of in-memory *probes* against the shards."""
-
-    def refine(probe, hits):
-        return [h for h in hits if predicates.intersects(probe, h.geometry)]
-
     return collective_serve(
         server,
         lambda: plan(
@@ -126,7 +121,7 @@ def join(server, probes):
             [(idx, p, p.envelope) for idx, p in enumerate(probes)],
             server.comm.size,
         ),
-        lambda mine: server._serve_shards(mine, exact=False, action="join", refine=refine),
+        lambda mine: server._serve_shards(mine, exact=True),
         lambda payloads: [
             (probes[hit.query_id], hit)
             for hit in server._assemble(payloads, range(len(probes)), False, None)

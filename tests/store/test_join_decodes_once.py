@@ -1,14 +1,13 @@
 """Both joins decode a candidate shared by several probes once.
 
 ``SpatialDataStore.join`` and ``DistributedStoreServer.join`` serve their
-probes as one MBR-only batch and then read every candidate's geometry for
-the exact predicate.  The refine loop therefore keeps decoding MBR-only
-hits through each page's decode memo instead of handing out hits that
-decode on read: the memo is what decodes a record shared by two probes
-once.  Both tests count every WKB decode by its ``(buffer, offset)`` and
-require one decode per distinct record and ``records_decoded`` equal to
-that count — an MBR-only batch emitting undecoded hits decodes a shared
-record once per probe, and outside the stores' account.
+probes as one range batch whose windows are the probe geometries, so the
+refine loop decodes every candidate to test ``intersects`` on it.  It
+decodes through each page's decode memo, and the memo is what decodes a
+record shared by two probes once.  Both tests count every WKB decode by its
+``(buffer, offset)`` and require one decode per distinct record and
+``records_decoded`` equal to that count — a refine that decoded a shared
+record per probe, or outside the stores' account, fails them.
 """
 
 import pytest
