@@ -142,7 +142,6 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
             with no span scope and no outcome object."""
             results = [[] for _ in queries]
             plan = engine.planner.plan(queries)
-            engine._record_heat(plan)
             held = {}
             if len(plan.touched_pages) <= store._cache.capacity:
                 held = store._get_pages(plan.touched_pages)

@@ -162,6 +162,10 @@ KEEP = {
         ("reference oracle", "tests/geometry/_predicates_reference.py"),
     "repro.store.scheduler:NO_RETRY":
         ("test helper", "the retry-free policy of the fault tests"),
+    "repro.geometry.envelope:Envelope.contains":
+        ("reference oracle", "tests/store/_refine_reference.py"),
+    "repro.store.datastore:SpatialDataStore.total_pages":
+        ("test helper", "the compaction tests check a compacted store has no delta pages with it"),
 }
 
 #: ``module:qualname`` — the one string form that names a target

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from .envelope import Envelope
-
 __all__ = ["Geometry"]
 
 
@@ -43,12 +41,6 @@ class Geometry:
     def __init__(self, userdata: Any = None) -> None:
         self.userdata = userdata
 
-    # convenience aliases ------------------------------------------------
-    @property
-    def mbr(self) -> Envelope:
-        """Alias for :attr:`envelope`, matching the paper's terminology."""
-        return self.envelope
-
     # ------------------------------------------------------------------ #
     # predicates (dispatched through repro.geometry.predicates)
     # ------------------------------------------------------------------ #
@@ -57,12 +49,6 @@ class Geometry:
         from . import predicates
 
         return predicates.intersects(self, other)
-
-    def contains(self, other: "Geometry") -> bool:
-        """True when *other* lies entirely within this geometry."""
-        from . import predicates
-
-        return predicates.contains(self, other)
 
     # ------------------------------------------------------------------ #
     # measures — subclasses override where meaningful

@@ -1,9 +1,9 @@
 """Geometry–geometry predicates (the refine-phase kernels).
 
 The spatial join defined in the paper uses ``intersects`` as its join
-predicate θ; ``contains`` supports range queries.  Dispatch is by geometry type pairs; every function first
-performs the cheap envelope test (the filter step) before running the exact
-kernel.
+predicate θ, and range queries refine by it too.  Dispatch is by geometry
+type pairs; every function first performs the cheap envelope test (the
+filter step) before running the exact kernel.
 
 **Rectangle operands.**  :func:`intersects` accepts an
 :class:`~repro.geometry.envelope.Envelope` as either operand, meaning the
@@ -38,7 +38,7 @@ from .multi import GeometryCollection
 from .point import Point
 from .polygon import Polygon
 
-__all__ = ["intersects", "contains", "envelope_intersects"]
+__all__ = ["intersects", "envelope_intersects"]
 
 Coord = Tuple[float, float]
 
@@ -223,47 +223,3 @@ def _polygon_polygon_intersects(a: Polygon, b: Polygon) -> bool:
         return True
     # Case 2: boundary edges cross (covers partially overlapping shells).
     return _any_edges_cross(_ring_edges_in(box, a), _ring_edges_in(box, b))
-
-
-# --------------------------------------------------------------------------- #
-# contains
-# --------------------------------------------------------------------------- #
-def contains(a: Geometry, b: Geometry) -> bool:
-    """True when *b* lies entirely within *a* (closed-set semantics)."""
-    if not a.envelope.contains(b.envelope):
-        return False
-    if isinstance(b, GeometryCollection):
-        return len(b) > 0 and all(contains(a, g) for g in b)
-    if isinstance(a, GeometryCollection):
-        # A collection contains b when any member does (approximation that is
-        # exact for the disjoint collections produced by the parsers).
-        return any(contains(g, b) for g in a)
-
-    if isinstance(a, Point):
-        return isinstance(b, Point) and a.x == b.x and a.y == b.y
-    if isinstance(a, LineString):
-        if isinstance(b, Point):
-            return _point_intersects(b, a)
-        if isinstance(b, LineString):
-            heads, tails = a.coords, a.coords[1:]
-            return all(
-                any(algorithms.point_on_segment(c, s, e) for s, e in zip(heads, tails))
-                for c in b.coords
-            )
-        return False
-    if isinstance(a, Polygon):
-        if isinstance(b, Point):
-            return a.contains_point(b.x, b.y)
-        if isinstance(b, (LineString, Polygon)):
-            coords = b.coords if isinstance(b, LineString) else b.shell.coords
-            if not all(a.contains_point(x, y) for x, y in coords):
-                return False
-            # All vertices inside; reject if an edge of b crosses a hole wall
-            # or exits the shell (possible for concave shells).
-            for s, e in zip(coords, coords[1:]):
-                mid = ((s[0] + e[0]) / 2.0, (s[1] + e[1]) / 2.0)
-                if not a.contains_point(mid[0], mid[1]):
-                    return False
-            return True
-        return False
-    raise TypeError(f"unsupported geometry pair: {a.geom_type} / {b.geom_type}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..geometry import Envelope
 
@@ -175,16 +175,6 @@ class UniformGrid:
         if x != x or y != y:
             raise ValueError(f"cannot locate point ({x}, {y}) on the grid")
         return self._row(y) * self.cols + self._col(x)
-
-    # ------------------------------------------------------------------ #
-    def histogram(self, envelopes: Iterable[Envelope]) -> Dict[int, int]:
-        """Number of (replicated) geometries per cell — the load map used to
-        reason about load balance in the evaluation."""
-        counts: Dict[int, int] = {}
-        for env in envelopes:
-            for cid in self.cells_for_envelope(env):
-                counts[cid] = counts.get(cid, 0) + 1
-        return counts
 
 
 # --------------------------------------------------------------------------- #

@@ -38,13 +38,6 @@ class CollectivePlan:
     covering_extent: int
     cycles: int
 
-    def describe(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CollectivePlan(ranks={self.num_ranks}, nodes={self.num_nodes}, "
-            f"aggregators={self.num_aggregators}, bytes={self.total_bytes}, "
-            f"blocks={self.total_blocks}, cycles={self.cycles})"
-        )
-
 
 def plan_collective_read(
     fs: SimulatedFilesystem,

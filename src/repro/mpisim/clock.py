@@ -104,11 +104,5 @@ class VirtualClock:
         """Accumulated simulated seconds charged to *name*."""
         return self.breakdown.get(name, 0.0)
 
-    def snapshot(self) -> Dict[str, float]:
-        """Copy of the per-category breakdown plus the total."""
-        out = dict(self.breakdown)
-        out["total"] = self._now
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"VirtualClock(now={self._now:.6f})"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from .clock import VirtualClock
 from .comm import Communicator
@@ -45,15 +45,6 @@ class SPMDResult:
     def max_category(self, name: str) -> float:
         """Maximum simulated seconds any rank charged to *name*."""
         return max((c.category(name) for c in self.clocks), default=0.0)
-
-    def breakdown(self) -> Dict[str, float]:
-        """Per-category maxima over ranks (matches the stacked bars of the
-        paper's Figures 17–20, where "the maximum time among all processes for
-        each phase" is reported)."""
-        categories = set()
-        for c in self.clocks:
-            categories.update(c.breakdown)
-        return {name: self.max_category(name) for name in sorted(categories)}
 
 
 def run_spmd(

@@ -13,14 +13,14 @@ the time of any run went, a single query or a distributed batch:
     ``mpisim`` ranks and a zero-allocation :data:`NULL_TRACER` default.
 
 ``repro.obs.metrics``
-    :class:`MetricsRegistry` of counters and log2
-    :class:`Histogram`\\ s (p50/p95/p99), with idempotent snapshot merging
+    :class:`MetricsRegistry` of counters, with idempotent snapshot merging
     across ranks (:func:`merge_snapshots`, counters summed by
-    :func:`summed`) and per-partition / per-shard query-heat counters
-    recorded by the engine and the sharded server.  The sharded server
-    keeps one ledger per shard — the live store's registry plus the final
-    snapshots of the stores failover retired — and reads its aggregates,
-    its I/O charge and EXPLAIN's per-shard rows from it.
+    :func:`summed`), and the log2 :class:`Histogram` behind p50/p95/p99
+    latency summaries.  The sharded server keeps one ledger per shard — the
+    live store's registry plus the final snapshots of the stores failover
+    retired — and reads its aggregates, its I/O charge and EXPLAIN's
+    per-shard rows from it; its per-shard ``server.shard_heat`` counters
+    give EXPLAIN's per-shard entry counts.
 
 ``repro.obs.export``
     JSONL and Chrome ``trace_event`` exporters (``chrome://tracing`` /

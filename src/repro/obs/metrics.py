@@ -1,28 +1,23 @@
-"""Unified metrics registry: counters and log2 latency histograms.
+"""Unified metrics registry: counters, plus a log2 latency histogram.
 
 The repo's serving layers each grew their own stat carrier —
 ``StoreStats``, ``CacheStats``, ``BatchMetrics``, the virtual clock's
 ``breakdown`` dict — none of which compose: you cannot merge them across
-ranks without bespoke code, and none can answer a percentile question.
-This module is the common substrate they all now sit on:
+ranks without bespoke code.  This module is the common substrate the store
+counters now sit on:
 
 * :class:`Counter` — monotone totals, optionally labelled
-  (``registry.counter("shard_heat", shard=3)``).
-* :class:`Histogram` — fixed-bucket base-2 histograms.  Bucket *i* covers
-  ``(lo·2^(i-1), lo·2^i]``, so 96 buckets span nanoseconds to centuries and
-  merging two histograms is element-wise addition — which is what makes
-  p50/p95/p99 queries exact over *merged* data (bucket resolution, not
-  sampling, is the only error source).
-* :class:`MetricsRegistry` — the get-or-create namespace one store, server
-  rank or front-end owns.  :meth:`MetricsRegistry.snapshot` emits plain
+  (``registry.counter("server.shard_heat", shard=3)``).
+* :class:`MetricsRegistry` — the get-or-create namespace of counters one
+  store or server rank owns.  :meth:`MetricsRegistry.snapshot` emits plain
   JSON-able dicts; :func:`merge_snapshots` combines any number of them
-  (sum counters, add histogram buckets); and because snapshots
-  are **absolute** values, aggregation over ranks through the existing
-  collectives is idempotent — calling it twice can never double-count.
-
-Per-partition / per-shard **query-heat** counters (the future rebalancer's
-input) are ordinary labelled counters in these registries; see
-``StoreEngine`` and ``DistributedStoreServer``.
+  (counters sum); and because snapshots are **absolute** values,
+  aggregation over ranks through the existing collectives is idempotent —
+  calling it twice can never double-count.
+* :class:`Histogram` — a fixed-bucket base-2 histogram answering
+  p50/p95/p99 over a list of latencies (the front-end's
+  ``FrontendResult.summary()`` and the benchmarks).  Bucket *i* covers
+  ``(lo·2^(i-1), lo·2^i]``, so 96 buckets span nanoseconds to centuries.
 """
 
 from __future__ import annotations
@@ -59,26 +54,25 @@ class Counter:
         self.value += amount
 
 
+#: upper edge of a histogram's bucket 0 (seconds: a nanosecond)
+HIST_LO = 1e-9
+#: histogram buckets: 96 doublings span nanoseconds to centuries
+HIST_BUCKETS = 96
+
+
 class Histogram:
     """Fixed-bucket base-2 histogram good enough for p50/p95/p99.
 
     Bucket *i* holds values in ``(lo·2^(i-1), lo·2^i]`` (bucket 0 takes
-    everything ``<= lo``); the exact count, sum, min and max ride along, so
-    a percentile answer is the containing bucket's upper edge clamped to
-    the observed range — at most a factor-2 overestimate, and *identical*
-    whether computed before or after merging (the merge is element-wise
-    bucket addition).
+    everything ``<= lo``, *lo* being :data:`HIST_LO`); the exact count,
+    sum, min and max ride along, so a percentile answer is the containing
+    bucket's upper edge clamped to the observed range — at most a factor-2
+    overestimate.
     """
 
-    __slots__ = ("lo", "nbuckets", "buckets", "count", "total", "min", "max")
+    __slots__ = ("buckets", "count", "total", "min", "max")
 
-    def __init__(self, lo: float = 1e-9, nbuckets: int = 96) -> None:
-        if lo <= 0:
-            raise ValueError("lo must be positive")
-        if nbuckets < 2:
-            raise ValueError("need at least 2 buckets")
-        self.lo = lo
-        self.nbuckets = nbuckets
+    def __init__(self) -> None:
         #: sparse bucket index -> count (most workloads touch a few buckets)
         self.buckets: Dict[int, int] = {}
         self.count = 0
@@ -88,14 +82,14 @@ class Histogram:
 
     # ------------------------------------------------------------------ #
     def _bucket(self, value: float) -> int:
-        if value <= self.lo:
+        if value <= HIST_LO:
             return 0
-        idx = int(math.ceil(math.log2(value / self.lo)))
+        idx = int(math.ceil(math.log2(value / HIST_LO)))
         # ceil(log2) can round a value sitting exactly on an edge up one
         # bucket through float noise; nudge back down when it did
-        if idx > 0 and value <= self.lo * 2.0 ** (idx - 1):
+        if idx > 0 and value <= HIST_LO * 2.0 ** (idx - 1):
             idx -= 1
-        return min(idx, self.nbuckets - 1)
+        return min(idx, HIST_BUCKETS - 1)
 
     def record(self, value: float) -> None:
         value = float(value)
@@ -119,7 +113,7 @@ class Histogram:
         for idx in sorted(self.buckets):
             cum += self.buckets[idx]
             if cum >= target:
-                edge = self.lo * 2.0 ** idx if idx > 0 else self.lo
+                edge = HIST_LO * 2.0 ** idx if idx > 0 else HIST_LO
                 return max(self.min, min(edge, self.max))
         return self.max  # pragma: no cover - cum always reaches count
 
@@ -127,65 +121,32 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    # ------------------------------------------------------------------ #
-    def merge(self, other: "Histogram") -> None:
-        """Element-wise merge; equals the histogram of the combined stream."""
-        if other.lo != self.lo or other.nbuckets != self.nbuckets:
-            raise ValueError("cannot merge histograms with different bucketing")
-        for idx, c in other.buckets.items():
-            self.buckets[idx] = self.buckets.get(idx, 0) + c
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def state(self) -> Dict[str, Any]:
-        """JSON-able absolute state (the snapshot/merge currency)."""
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON-able buckets and totals plus the percentile summary."""
         return {
             "type": "histogram",
-            "lo": self.lo,
-            "nbuckets": self.nbuckets,
             "buckets": {str(i): c for i, c in sorted(self.buckets.items())},
             "count": self.count,
             "sum": self.total,
             "min": self.min if self.count else 0.0,
             "max": self.max if self.count else 0.0,
+            "mean": self.mean,
+            "p50": self.percentile(50),
+            "p95": self.percentile(95),
+            "p99": self.percentile(99),
         }
-
-    def as_dict(self) -> Dict[str, Any]:
-        """:meth:`state` plus the ready-to-read percentile summary."""
-        out = self.state()
-        out.update(
-            mean=self.mean,
-            p50=self.percentile(50),
-            p95=self.percentile(95),
-            p99=self.percentile(99),
-        )
-        return out
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "Histogram":
-        hist = cls(lo=state.get("lo", 1e-9), nbuckets=state.get("nbuckets", 96))
-        hist.buckets = {int(i): int(c) for i, c in state.get("buckets", {}).items()}
-        hist.count = int(state.get("count", 0))
-        hist.total = float(state.get("sum", 0.0))
-        if hist.count:
-            hist.min = float(state["min"])
-            hist.max = float(state["max"])
-        return hist
 
 
 class MetricsRegistry:
-    """Get-or-create namespace of counters and histograms.
+    """Get-or-create namespace of counters.
 
-    One registry per observed component (a store, a server rank, a
-    front-end); the same ``(name, labels)`` pair always returns the same
-    metric object, so hot paths can cache the handle and skip the lookup.
+    One registry per observed component (a store, a server rank); the same
+    ``(name, labels)`` pair always returns the same counter, so hot paths
+    can cache the handle and skip the lookup.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------ #
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -195,22 +156,10 @@ class MetricsRegistry:
             metric = self._counters[key] = Counter()
         return metric
 
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        key = metric_key(name, labels)
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = self._histograms[key] = Histogram()
-        return metric
-
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Any]:
-        """Absolute JSON-able state of every metric (the merge currency)."""
-        return {
-            "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "histograms": {
-                k: h.state() for k, h in sorted(self._histograms.items())
-            },
-        }
+        """Absolute JSON-able state of every counter (the merge currency)."""
+        return {"counters": {k: c.value for k, c in sorted(self._counters.items())}}
 
 
 def summed(rows: Iterable[Mapping[str, float]]) -> Dict[str, float]:
@@ -223,21 +172,9 @@ def summed(rows: Iterable[Mapping[str, float]]) -> Dict[str, float]:
 
 
 def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Merge registry snapshots: counters sum, histograms merge bucket-wise.
-    Input snapshots are absolute state, so
-    merging the output with more snapshots later, or re-merging the same
-    inputs, behaves like set union over the underlying event streams."""
-    snapshots = list(snapshots)
+    """Merge registry snapshots: counters sum.  Input snapshots are absolute
+    state, so merging the output with more snapshots later, or re-merging
+    the same inputs, behaves like set union over the underlying event
+    streams."""
     counters = summed(snap.get("counters", {}) for snap in snapshots)
-    histograms: Dict[str, Histogram] = {}
-    for snap in snapshots:
-        for key, state in snap.get("histograms", {}).items():
-            hist = Histogram.from_state(state)
-            if key in histograms:
-                histograms[key].merge(hist)
-            else:
-                histograms[key] = hist
-    return {
-        "counters": dict(sorted(counters.items())),
-        "histograms": {k: h.state() for k, h in sorted(histograms.items())},
-    }
+    return {"counters": dict(sorted(counters.items()))}

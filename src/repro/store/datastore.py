@@ -98,13 +98,12 @@ class Generation:
 def stats_from_counters(counters: Dict[str, float]) -> Dict[str, float]:
     """The :class:`StoreStats` view of registry *counters* — one store's, or
     any sum of stores' (the sharded server's ledgers): ``store.X`` is
-    ``X``, ``cache.Y`` is ``cache_Y`` (labelled counters such as partition
-    heat are not stats) and ``cache_hit_rate`` is recomputed from the
-    summed hits and misses."""
+    ``X``, ``cache.Y`` is ``cache_Y`` and ``cache_hit_rate`` is recomputed
+    from the summed hits and misses."""
     out: Dict[str, float] = {}
     for key, value in counters.items():
         prefix, _, name = key.partition(".")
-        if prefix in ("store", "cache") and "{" not in name:
+        if prefix in ("store", "cache"):
             out[name if prefix == "store" else f"cache_{name}"] = value
     accesses = out.get("cache_hits", 0) + out.get("cache_misses", 0)
     out["cache_hit_rate"] = out.get("cache_hits", 0) / accesses if accesses else 0.0
@@ -246,9 +245,8 @@ class SpatialDataStore:
         self.manifest = manifest
         self.io_policy = io_policy
         self.paths = store_paths(name)
-        #: the store's metrics namespace (``store.*`` / ``cache.*`` counters,
-        #: per-partition heat) — one registry per store so two stores never
-        #: share a counter
+        #: the store's metrics namespace (``store.*`` / ``cache.*`` counters)
+        #: — one registry per store so two stores never share a counter
         self.metrics = MetricsRegistry()
         #: span recorder for the staged engine; :data:`NULL_TRACER` (zero
         #: overhead) unless a recording tracer is injected
@@ -447,13 +445,6 @@ class SpatialDataStore:
     def num_generations(self) -> int:
         """Delta generations stacked on the base container (0 = compact)."""
         return len(self.generations) - 1
-
-    def describe(self) -> str:
-        return (
-            f"SpatialDataStore({self.name!r}: {len(self)} records, "
-            f"{self.total_pages} pages, {len(self.manifest.partitions)} partitions, "
-            f"{self.num_generations} delta generations on {self.fs.describe()})"
-        )
 
     # ------------------------------------------------------------------ #
     # page access (through the cache, with coalesced I/O)

@@ -620,34 +620,8 @@ class StoreEngine:
         self.executor = RefineExecutor(
             store._partition_of_page, store._tombstone_gen, store
         )
-        #: partition id -> cached heat Counter handle (see :meth:`_record_heat`)
-        self._heat: Dict[int, Any] = {}
-
-    @property
-    def scheduler(self):
-        return self.store.scheduler
 
     # ------------------------------------------------------------------ #
-    def _record_heat(self, plan: QueryPlan) -> None:
-        """Charge per-partition query-heat counters: each planned query
-        increments ``store.partition_heat{partition=p}`` once per partition
-        it touches.  Heat is a metric, not a trace — it is charged whether
-        or not a tracer records — is the input a skew-aware rebalancer
-        needs, and caches the Counter handles so the steady-state cost is
-        one dict hit per (query, partition) pair.
-        """
-        heat = self._heat
-        metrics = self.store.metrics
-        part_of = self.store._partition_of_page
-        for entry in plan.entries:
-            for part in {part_of.get(key, -1) for key in entry.by_page}:
-                counter = heat.get(part)
-                if counter is None:
-                    counter = heat[part] = metrics.counter(
-                        "store.partition_heat", partition=part
-                    )
-                counter.inc()
-
     def _describe_plan(self, plan: QueryPlan, span) -> int:
         """Set the ``plan`` span's attributes; returns the candidate count."""
         part_of = self.store._partition_of_page
@@ -691,8 +665,8 @@ class StoreEngine:
         partial_ok: bool = False,
         budget: Optional[float] = None,
     ) -> BatchOutcome:
-        """The stage loop: plan → record heat → fetch → refine, with an
-        explicit outcome.
+        """The stage loop: plan → fetch → refine, with an explicit
+        outcome.
 
         The batch working set is bulk-fetched up front only when the cache
         can actually hold it; otherwise each query fetches its own pages
@@ -729,8 +703,6 @@ class StoreEngine:
         with tracer.span("query", num_queries=len(queries), exact=exact) as qspan:
             with tracer.span("plan") as pspan:
                 plan = self.planner.plan(queries)
-                if plan.entries:
-                    self._record_heat(plan)
                 if tracer.enabled:
                     candidates = self._describe_plan(plan, pspan)
             if plan.entries:

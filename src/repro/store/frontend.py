@@ -28,8 +28,7 @@ front-end degenerates to sequential submission — exactly one
 until rank 0's local query + gather work or the slowest serving rank
 saturates.
 What the front-end adds is the window, the per-batch virtual-clock metrics
-(:class:`BatchMetrics`, the server's ``frontend.batch_latency_seconds``
-histogram) and the call's makespan over every rank.
+(:class:`BatchMetrics`) and the call's makespan over every rank.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..geometry import Envelope
 from ..obs.metrics import Histogram
-from .sharded import DistributedStoreServer
+from .sharded import DistributedStoreServer, Window
 
 __all__ = ["AsyncStoreFrontend", "BatchMetrics", "FrontendResult"]
 
@@ -100,10 +98,9 @@ class FrontendResult:
         return sum(m.latency for m in self.metrics) / len(self.metrics)
 
     def latency_histogram(self) -> Histogram:
-        """Per-batch latencies as a mergeable log2
-        :class:`~repro.obs.metrics.Histogram` (the registry currency — the
-        same shape the server's ``frontend.batch_latency_seconds`` metric
-        accumulates)."""
+        """Per-batch latencies as a log2
+        :class:`~repro.obs.metrics.Histogram`, the percentiles of
+        :meth:`summary`."""
         hist = Histogram()
         for m in self.metrics:
             hist.record(m.latency)
@@ -146,15 +143,16 @@ class AsyncStoreFrontend:
 
     def serve(
         self,
-        batches: Optional[Sequence[Sequence[Tuple[Any, Envelope]]]],
+        batches: Optional[Sequence[Sequence[Tuple[Any, Window]]]],
         partial_ok: bool = False,
         deadline: Optional[float] = None,
     ) -> Optional[FrontendResult]:
         """Serve many ``[(query_id, window), ...]`` batches, pipelined.
 
         Collective: rank 0 supplies *batches* (each one a
-        ``range_query_batch``-shaped list) and gets the per-batch hits plus
-        the virtual-clock metrics; other ranks pass ``None``.
+        ``range_query_batch``-shaped list, whose windows are envelopes or
+        geometries) and gets the per-batch hits plus the virtual-clock
+        metrics; other ranks pass ``None``.
 
         ``partial_ok`` / ``deadline`` select degraded-mode serving exactly
         like :meth:`DistributedStoreServer.range_query_batch`; rank 0's
@@ -165,18 +163,16 @@ class AsyncStoreFrontend:
         server = self.server
         clock = server.comm.clock
         start = clock.now
-        served = server._serve_windows(batches, self.max_in_flight, True, partial_ok, deadline)
+        served = server._serve(batches, self.max_in_flight, True, partial_ok, deadline)
         spans = server.comm.allgather((start, clock.now))
         if served is None:
             return None
-        latency = server.metrics.histogram("frontend.batch_latency_seconds")
-        metrics = []
-        for b, (batch, (hits, submitted, completed)) in enumerate(zip(batches, served)):
-            metrics.append(BatchMetrics(b, len(batch), len(hits), submitted, completed))
-            latency.record(metrics[-1].latency)
         return FrontendResult(
             batches=[hits for hits, _, _ in served],
-            metrics=metrics,
+            metrics=[
+                BatchMetrics(b, len(batch), len(hits), submitted, completed)
+                for b, (batch, (hits, submitted, completed)) in enumerate(zip(batches, served))
+            ],
             makespan=max(end for _, end in spans) - min(begin for begin, _ in spans),
             max_in_flight=self.max_in_flight,
             windows=[self.max_in_flight] * len(served),

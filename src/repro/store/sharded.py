@@ -17,10 +17,12 @@ applications (§5–§6) are multi-rank.  This module closes the gap:
   stored in one shard, so nothing is de-duplicated).  A rank ships
   finished :class:`DistributedHit` lists, one :data:`Chunk` per served
   query; rank 0 sorts on record id only the batch positions that two chunks
-  both answered.  One loop (``_serve``) does this for every serving call: a
-  range batch and a join are one batch through it, the async front-end
-  (:mod:`repro.store.frontend`) many, with up to ``max_in_flight`` sent
-  ahead.
+  both answered.  One loop (``_serve``) does this for every serving call,
+  over one request shape — ``(query_id, window)`` pairs whose window is an
+  :class:`~repro.geometry.Envelope` or a :class:`~repro.geometry.Geometry`:
+  a range batch is one batch through it, a join the range batch whose
+  windows are its probes, the async front-end (:mod:`repro.store.frontend`)
+  many batches, with up to ``max_in_flight`` sent ahead.
 
 Every serving call records a virtual-clock phase breakdown
 (``route`` / ``scatter`` / ``local_query`` / ``gather``) so benchmarks can
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import (
-    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from ..geometry import Envelope, Geometry
@@ -79,9 +81,13 @@ Chunk = Tuple[int, List[DistributedHit]]
 #: wire bytes of a hit's five 8-byte id columns (query, record, shard,
 #: partition, page)
 ROW_ID_BYTES = 40
-#: wire bytes of one range query of a batch message: its query id and the
-#: window (the paper's ``MPI_RECT``, four doubles); its position is implicit
+#: wire bytes of one envelope query of a batch message: its query id and the
+#: window (the paper's ``MPI_RECT``, four doubles); its position is implicit.
+#: A geometry window ships its query id and the geometry instead:
+#: 8 + :func:`body_nbytes`
 WINDOW_QUERY_BYTES = 8 + 32
+#: the window of one query: an envelope, or a geometry refined by ``intersects``
+Window = Union[Envelope, Geometry]
 #: one unserved shard portion: ``(shard, missing partitions, affected batch
 #: positions, cause, fatal)``
 Failure = Tuple[int, List[int], List[int], str, bool]
@@ -285,7 +291,6 @@ class DistributedStoreServer:
         self.stores: Dict[int, SpatialDataStore] = {}
         #: cumulative per-phase simulated seconds on this rank
         self.phases: Dict[str, float] = {name: 0.0 for name in SERVING_PHASES}
-        self.queries_served = 0
         #: with ``allow_degraded`` a shard whose primary *and* every replica
         #: fail is recorded here instead of aborting the open/serving call;
         #: degraded-mode queries report its partitions as missing
@@ -530,12 +535,11 @@ class DistributedStoreServer:
 
     def aggregate_metrics(self) -> Dict[str, Any]:
         """Merged metrics snapshot over every rank's server **and** store
-        registries (collective).  Counters sum, histograms merge
-        bucket-wise; snapshots are absolute state, so
-        repeated calls are idempotent — the ``aggregate_stats`` convention,
-        now for every metric including per-partition / per-shard heat
-        (partition and shard ids are global, so same-key counters from
-        different ranks sum into one coherent heat map).
+        registries (collective).  Counters sum; snapshots are absolute
+        state, so repeated calls are idempotent — the ``aggregate_stats``
+        convention, for every counter including the per-shard
+        ``server.shard_heat`` (shard ids are global, so same-key counters
+        from different ranks sum into one map).
         """
         local = merge_snapshots(
             [self.metrics.snapshot()] + [snap for snaps in self._ledger().values() for snap in snaps]
@@ -615,24 +619,24 @@ class DistributedStoreServer:
     # ------------------------------------------------------------------ #
     def _serve_shards(
         self,
-        entries: List[Tuple[Any, ...]],
+        entries: List[Tuple[int, Any, Window]],
         exact: bool,
         collect: bool = False,
         deadline: Optional[float] = None,
     ) -> ShardRows:
         """The shard-serving loop: this rank's shards over *entries*
-        ``(batch position, query id, probe, window)``; returns the rank's
-        :class:`ShardRows`.  A join entry's probe (``None`` in a range
-        entry) is the query the store serves, *window* its envelope.
+        ``(batch position, query id, window)``; returns the rank's
+        :class:`ShardRows`.
 
-        Per shard, entries whose window misses the shard extent are dropped
-        — the only routing of a serving call — and the rest are served in
-        one batched pass through the shard store's staged engine (shared
-        Hilbert visit order, page touches deduped, reads coalesced, per-slot
-        refine: a probe is refined by ``intersects`` there) under the shard
-        guard, replaying the batch on the next replica after a failure.  The
-        guard blames the shard for a ``StoreError`` only, so an exception
-        of the join predicate passes through as itself.
+        Per shard, entries whose window's envelope misses the shard extent
+        are dropped — the only routing of a serving call — and the rest are
+        served in one batched pass through the shard store's staged engine
+        (shared Hilbert visit order, page touches deduped, reads coalesced,
+        per-slot refine: a geometry window is refined by ``intersects``
+        there) under the shard guard, replaying the batch on the next
+        replica after a failure.  The guard blames the shard for a
+        ``StoreError`` only, so an exception of the join predicate passes
+        through as itself.
 
         Strict mode (*collect* false) **raises** the first failure that
         replica failover cannot repair, so ``failures`` stays empty.  With
@@ -646,17 +650,18 @@ class DistributedStoreServer:
         truncation from corruption.
         """
         rows = ShardRows()
+        boxes = [w if isinstance(w, Envelope) else w.envelope for _, _, w in entries]
         for sid in self.my_shards:
             shard = self.manifest.shards[sid]
             if shard.extent.is_empty:
                 continue
-            kept = [e for e in entries if shard.extent.intersects(e[-1])]
+            kept = [e for e, box in zip(entries, boxes) if shard.extent.intersects(box)]
             if not kept:
                 continue
-            # per-shard query heat: one tick per query this shard
-            # serves (the rebalancer-facing twin of the engine's partition heat)
+            # per-shard query heat: one tick per query this shard serves
+            # (EXPLAIN's per-shard ``entries``)
             self.metrics.counter("server.shard_heat", shard=sid).inc(len(kept))
-            windows = [(None, env if probe is None else probe) for _, _, probe, env in kept]
+            windows = [(None, window) for _, _, window in kept]
             error: Optional[Exception] = self.dead_shards.get(sid)
             outcome: Optional[BatchOutcome] = None
             while error is None and outcome is None:
@@ -695,7 +700,7 @@ class DistributedStoreServer:
                 )
                 continue
             sizes = self._body_sizes[sid]
-            for (idx, qid, _, _), hits in zip(kept, outcome.hits):
+            for (idx, qid, _), hits in zip(kept, outcome.hits):
                 rows.add_hits(idx, qid, sid, hits, sizes)
             cache = self.stores[sid]._cache
             if sum(map(len, sizes)) > cache.capacity:  # bounded like the cache
@@ -743,44 +748,39 @@ class DistributedStoreServer:
         self._charge_phase("local_query", since)
         return rows
 
-    def _size_windows(self, batch: Sequence[Tuple[Any, Envelope]]) -> SizedList:
-        """The message of a ``(query_id, window)`` batch:
-        :data:`WINDOW_QUERY_BYTES` per query.  The ids ride it, so the
-        serving ranks return finished hits."""
-        self.queries_served += len(batch)
-        return SizedList(batch, WINDOW_QUERY_BYTES * len(batch))
-
     # ------------------------------------------------------------------ #
     # the serving loop
     # ------------------------------------------------------------------ #
     def _serve(
         self,
-        batches: Optional[Sequence[Any]],
-        options: Tuple[Any, ...],
+        batches: Optional[Sequence[Sequence[Tuple[Any, Window]]]],
         window: int,
-        size: Callable[[Any], SizedList],
-        answer: Callable[..., ShardRows],
-        assemble: Callable[..., Any],
+        exact: bool,
+        partial_ok: bool,
+        deadline: Optional[float],
     ) -> Optional[List[Tuple[Any, float, float]]]:
         """The route → scatter → local_query → gather loop of every serving
-        call (collective), over tagged point-to-point messages.
+        call (collective), over tagged point-to-point messages, for batches
+        of ``(query_id, window)`` queries.
 
-        Rank 0 broadcasts the header ``(number of batches, options)`` —
-        ``None`` when it got no *batches*, and then every rank raises
-        together — so rank 0's *options* hold on every rank.  Rank 0 sends
-        up to *window* batches ahead of the one it gathers: *size* turns a
-        batch into its :class:`SizedList` message (the ``route`` phase),
-        and every serving rank is sent the same ``(ctx, message)``, *ctx*
-        rank 0's :class:`~repro.obs.trace.TraceContext` (``None`` when it is
-        not recording), which the serving rank adopts around its local work
-        so every rank's spans join the one trace of the call.  Serving ranks
+        Rank 0 broadcasts the header ``(number of batches, partial_ok,
+        deadline)`` — ``None`` when it got no *batches*, and then every rank
+        raises together — so rank 0's *partial_ok* and *deadline* hold on
+        every rank.  Rank 0 sends up to *window* batches ahead of the one it
+        gathers: the ``route`` phase sizes a batch into its
+        :class:`SizedList` message (:data:`WINDOW_QUERY_BYTES` an envelope
+        query, 8 + :func:`body_nbytes` a geometry one), and every serving
+        rank is sent the same ``(ctx, message)``, *ctx* rank 0's
+        :class:`~repro.obs.trace.TraceContext` (``None`` when it is not
+        recording), which the serving rank adopts around its local work so
+        every rank's spans join the one trace of the call.  Serving ranks
         loop receive → :meth:`_local_phase` → send and never wait for a
         gather; rank 0 answers the oldest batch's message itself when the
         window is full, receives the other ranks' :class:`ShardRows` and
-        merges them.  ``answer(message, *options)`` serves one rank's shards
-        (they pick their own queries), ``assemble(payloads, message,
-        *options)`` merges one batch's rows on rank 0.  Every phase is
-        charged to :attr:`phases`.
+        merges them (:meth:`_assemble`).  Each rank serves its shards over
+        the whole message (:meth:`_serve_shards` picks the queries), with
+        the ids riding it, so the serving ranks return finished hits.  Every
+        phase is charged to :attr:`phases`.
 
         Returns, on rank 0, one ``(result, submitted, completed)`` per
         batch: the virtual times its route began and its merge ended.  The
@@ -790,14 +790,17 @@ class DistributedStoreServer:
         clock = comm.clock
         tracer = self.tracer
         header = comm.bcast(
-            (len(batches), options) if comm.rank == 0 and batches is not None else None, root=0
+            (len(batches), partial_ok, deadline) if comm.rank == 0 and batches is not None else None,
+            root=0,
         )
         if header is None:
             raise ValueError("rank 0 must supply the input to serve")
-        num_batches, options = header
+        num_batches, partial_ok, deadline = header
+        collect = partial_ok or deadline is not None
 
         def local(message: SizedList) -> ShardRows:
-            return answer(message, *options)
+            entries = [(idx, qid, w) for idx, (qid, w) in enumerate(message)]
+            return self._serve_shards(entries, exact, collect, deadline)
 
         if comm.rank != 0:
             for b in range(num_batches):
@@ -823,7 +826,7 @@ class DistributedStoreServer:
                 payloads.append(comm.recv(source=rank, tag=_TAG_BASE + 2 * b + 1))
             with tracer.span("gather") as span:
                 with clock.compute(category="gather"):
-                    result = assemble(payloads, message, *options)
+                    result = self._assemble(payloads, partial_ok, deadline)
                 if tracer.enabled:
                     span.set(rows=sum(rows.num_hits() for rows in payloads), batch=b)
             self._charge_phase("gather", t)
@@ -841,7 +844,10 @@ class DistributedStoreServer:
                 submitted = clock.now
                 with tracer.span("route") as span:
                     with clock.compute(category="route"):
-                        message = size(batch)
+                        message = SizedList(batch, sum(
+                            WINDOW_QUERY_BYTES if isinstance(w, Envelope) else 8 + body_nbytes(w)
+                            for _, w in batch
+                        ))
                     if tracer.enabled:
                         span.set(batch=b, num_queries=len(batch))
                 t = self._charge_phase("route", submitted)
@@ -857,37 +863,16 @@ class DistributedStoreServer:
                 gather_oldest()
         return done
 
-    def _serve_windows(
-        self,
-        batches: Optional[Sequence[Sequence[Tuple[Any, Envelope]]]],
-        window: int,
-        exact: bool,
-        partial_ok: bool,
-        deadline: Optional[float],
-    ) -> Optional[List[Tuple[Any, float, float]]]:
-        """:meth:`_serve` over batches of ``(query_id, window)`` range
-        queries — :meth:`range_query_batch` serves one, the async front-end
-        many."""
-        return self._serve(
-            batches,
-            (partial_ok, deadline),
-            window,
-            self._size_windows,
-            lambda batch, partial_ok, deadline: self._serve_shards(
-                [(idx, qid, None, env) for idx, (qid, env) in enumerate(batch)],
-                exact, partial_ok or deadline is not None, deadline,
-            ),
-            self._assemble,
-        )
-
     def range_query_batch(
         self,
-        queries: Optional[Sequence[Tuple[Any, Envelope]]],
+        queries: Optional[Sequence[Tuple[Any, Window]]],
         exact: bool = True,
         partial_ok: bool = False,
         deadline: Optional[float] = None,
     ) -> Optional[Any]:
-        """Serve a batch of ``(query_id, window)`` range queries (collective).
+        """Serve a batch of ``(query_id, window)`` queries (collective); a
+        window is an :class:`~repro.geometry.Envelope` or a
+        :class:`~repro.geometry.Geometry`, refined by ``intersects``.
 
         Rank 0 supplies *queries* and receives the hits sorted by ``(batch
         position, record_id)``; other ranks pass ``None`` and get
@@ -904,7 +889,7 @@ class DistributedStoreServer:
         still raises on hard faults.  Rank 0's values of both hold on every
         rank: they ride the call's header broadcast.
         """
-        served = self._serve_windows(
+        served = self._serve(
             None if queries is None else [queries], 1, exact, partial_ok, deadline
         )
         return None if served is None else served[0][0]
@@ -912,15 +897,13 @@ class DistributedStoreServer:
     def _assemble(
         self,
         payloads: List[ShardRows],
-        batch: Sequence[Any],
         partial_ok: bool,
         deadline: Optional[float],
     ) -> Any:
-        """The ``assemble`` of a range batch: merge every rank's
-        :class:`ShardRows` into one hit list, wrapped with their
-        completeness account as a :class:`QueryResult` when *partial_ok* or
-        a *deadline* selected degraded serving.  The hits arrive finished
-        (query ids included), so *batch* is not read."""
+        """Merge one batch's :class:`ShardRows` from every rank into one hit
+        list, wrapped with their completeness account as a
+        :class:`QueryResult` when *partial_ok* or a *deadline* selected
+        degraded serving.  The hits arrive finished (query ids included)."""
         failures = [f for rows in payloads for f in rows.failures]
         if not partial_ok:
             for sid, _, _, cause, fatal in failures:
@@ -949,27 +932,14 @@ class DistributedStoreServer:
         self, probes: Optional[Sequence[Geometry]]
     ) -> Optional[List[Tuple[Geometry, DistributedHit]]]:
         """Filter-and-refine ``intersects`` join of in-memory *probes*
-        against the shards (collective): a range batch whose windows are the
-        probes, refined in each shard store's engine.  Rank 0 supplies
+        against the shards (collective): the range batch whose windows are
+        the probes, each probe's query id its position.  Rank 0 supplies
         *probes* and receives ``(probe, hit)`` pairs, one per matching
         ``(probe, record_id)``; other ranks pass ``None`` and get ``None``
         back.
         """
-        served = self._serve(
-            None if probes is None else [list(probes)],
-            (),
-            1,
-            # the probe geometries are the message: every rank refines by them
-            lambda batch: SizedList(batch, sum(map(body_nbytes, batch))),
-            lambda batch: self._serve_shards(
-                [(idx, idx, probe, probe.envelope) for idx, probe in enumerate(batch)],
-                exact=True,
-            ),
-            lambda payloads, batch: [
-                (batch[hit.query_id], hit) for hit in self._assemble(payloads, batch, False, None)
-            ],
-        )
-        return None if served is None else served[0][0]
+        hits = self.range_query_batch(None if probes is None else list(enumerate(probes)))
+        return None if hits is None else [(probes[hit.query_id], hit) for hit in hits]
 
     # ------------------------------------------------------------------ #
     # store-backed pipeline input

@@ -21,7 +21,7 @@ from repro.geometry.multi import GeometryCollection
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 
-__all__ = ["intersects", "contains", "envelope_intersects"]
+__all__ = ["intersects", "envelope_intersects"]
 
 
 def envelope_intersects(a: Geometry, b: Geometry) -> bool:
@@ -107,51 +107,3 @@ def _polygon_polygon_intersects(a: Polygon, b: Polygon) -> bool:
                 if algorithms.segments_cross_ring(seg_s, seg_e, ring_b.coords):
                     return True
     return False
-
-
-# --------------------------------------------------------------------------- #
-# contains
-# --------------------------------------------------------------------------- #
-def contains(a: Geometry, b: Geometry) -> bool:
-    """True when *b* lies entirely within *a* (closed-set semantics)."""
-    if not a.envelope.contains(b.envelope):
-        return False
-    if isinstance(b, GeometryCollection):
-        return len(b) > 0 and all(contains(a, g) for g in b)
-    if isinstance(a, GeometryCollection):
-        # A collection contains b when any member does (approximation that is
-        # exact for the disjoint collections produced by the parsers).
-        return any(contains(g, b) for g in a)
-
-    if isinstance(a, Point):
-        return isinstance(b, Point) and a.x == b.x and a.y == b.y
-    if isinstance(a, LineString):
-        if isinstance(b, Point):
-            return _point_intersects(b, a)
-        if isinstance(b, LineString):
-            return all(
-                any(algorithms.point_on_segment(c, s, e) for s, e in a.segments())
-                for c in b.coords
-            )
-        return False
-    if isinstance(a, Polygon):
-        if isinstance(b, Point):
-            return a.contains_point(b.x, b.y)
-        if isinstance(b, (LineString, Polygon)):
-            coords = b.coords if isinstance(b, LineString) else b.shell.coords
-            if not all(a.contains_point(x, y) for x, y in coords):
-                return False
-            # All vertices inside; reject if an edge of b crosses a hole wall
-            # or exits the shell (possible for concave shells).
-            segs = (
-                list(zip(coords, coords[1:]))
-                if isinstance(b, LineString)
-                else list(zip(coords, coords[1:]))
-            )
-            for s, e in segs:
-                mid = ((s[0] + e[0]) / 2.0, (s[1] + e[1]) / 2.0)
-                if not a.contains_point(mid[0], mid[1]):
-                    return False
-            return True
-        return False
-    raise TypeError(f"unsupported geometry pair: {a.geom_type} / {b.geom_type}")

@@ -130,24 +130,6 @@ class TestIntersects:
         assert not river.intersects(city_b)
 
 
-class TestContains:
-    def test_polygon_contains_point(self):
-        poly = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-        assert poly.contains(Point(5, 5))
-        assert not poly.contains(Point(50, 5))
-
-    def test_polygon_contains_polygon(self):
-        outer = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-        inner = Polygon([(2, 2), (3, 2), (3, 3), (2, 3)])
-        assert outer.contains(inner)
-        assert not inner.contains(outer)
-
-    def test_polygon_not_contains_overlapping(self):
-        a = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-        b = Polygon([(2, 2), (6, 2), (6, 6), (2, 6)])
-        assert not a.contains(b)
-
-
 class TestFilterRefineConsistency:
     """The envelope filter must never reject a truly intersecting pair."""
 

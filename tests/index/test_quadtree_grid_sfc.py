@@ -57,12 +57,6 @@ class TestUniformGrid:
             u = u.union(c.envelope)
         assert u == g.extent
 
-    def test_histogram(self):
-        g = UniformGrid(Envelope(0, 0, 10, 10), rows=2, cols=2)
-        h = g.histogram([Envelope(1, 1, 2, 2), Envelope(1, 1, 9, 9)])
-        assert h[0] == 2
-        assert h[1] == 1 and h[2] == 1 and h[3] == 1
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             UniformGrid(Envelope.empty(), 1, 1)

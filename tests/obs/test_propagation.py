@@ -225,6 +225,3 @@ class TestIdempotentAggregation:
             if k.startswith("server.shard_heat")
         }
         assert heat and all(v > 0 for v in heat.values())
-        assert any(
-            k.startswith("store.partition_heat") for k in first["counters"]
-        )

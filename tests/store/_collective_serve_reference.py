@@ -18,6 +18,7 @@ answer, the other ranks pass ``None`` and get ``None``.
 
 from contextlib import ExitStack
 
+from repro.geometry import Envelope
 from repro.store import shard_assignment
 from repro.store.sharded import SizedList, body_nbytes
 
@@ -35,22 +36,24 @@ def shards_for(manifest, window):
 
 
 def entry_nbytes(entry):
-    """Wire bytes of one entry ``(batch position, query id, probe, window)``:
-    a range entry has no probe; a join entry's query id is its position, so
-    it ships the position and the probe, which carries the window."""
-    return WINDOW_ENTRY_BYTES if entry[2] is None else 8 + body_nbytes(entry[2])
+    """Wire bytes of one entry ``(batch position, query id, window)``: an
+    envelope window is a range entry; a geometry window is a join entry,
+    whose query id is its position, so it ships the position and the
+    probe."""
+    return WINDOW_ENTRY_BYTES if isinstance(entry[2], Envelope) else 8 + body_nbytes(entry[2])
 
 
 def plan(manifest, queries, nranks):
-    """Per-rank scatter plan of ``(query id, probe, window)`` *queries*: each
+    """Per-rank scatter plan of ``(query id, window)`` *queries*: each
     rank's sized list of the ``(batch position, *query)`` entries whose
-    window meets one of its shards — once per rank, however many of its
-    shards it meets."""
+    window's envelope meets one of its shards — once per rank, however many
+    of its shards it meets."""
     assignment = shard_assignment(manifest.num_shards, nranks)
     out = [[] for _ in range(nranks)]
-    for idx, query in enumerate(queries):
-        entry = (idx, *query)
-        for rank in sorted({assignment[s.shard_id] for s in shards_for(manifest, query[-1])}):
+    for idx, (qid, window) in enumerate(queries):
+        entry = (idx, qid, window)
+        box = window if isinstance(window, Envelope) else window.envelope
+        for rank in sorted({assignment[s.shard_id] for s in shards_for(manifest, box)}):
             out[rank].append(entry)
     return [SizedList(entries, sum(map(entry_nbytes, entries))) for entries in out]
 
@@ -95,20 +98,13 @@ def collective_serve(server, build_plan, serve, assemble):
 
 def range_query_batch(server, queries, exact=True, partial_ok=False, deadline=None):
     """One batch of ``(query_id, window)`` range queries."""
-    qids = []
-
-    def build_plan():
-        qids.extend(qid for qid, _ in queries)
-        ranged = [(qid, None, window) for qid, window in queries]
-        return plan(server.manifest, ranged, server.comm.size)
-
     return collective_serve(
         server,
-        build_plan,
+        lambda: plan(server.manifest, queries, server.comm.size),
         lambda mine: server._serve_shards(
             mine, exact, partial_ok or deadline is not None, deadline
         ),
-        lambda payloads: server._assemble(payloads, qids, partial_ok, deadline),
+        lambda payloads: server._assemble(payloads, partial_ok, deadline),
     )
 
 
@@ -116,14 +112,9 @@ def join(server, probes):
     """The ``intersects`` join of in-memory *probes* against the shards."""
     return collective_serve(
         server,
-        lambda: plan(
-            server.manifest,
-            [(idx, p, p.envelope) for idx, p in enumerate(probes)],
-            server.comm.size,
-        ),
+        lambda: plan(server.manifest, list(enumerate(probes)), server.comm.size),
         lambda mine: server._serve_shards(mine, exact=True),
         lambda payloads: [
-            (probes[hit.query_id], hit)
-            for hit in server._assemble(payloads, range(len(probes)), False, None)
+            (probes[hit.query_id], hit) for hit in server._assemble(payloads, False, None)
         ],
     )

@@ -186,11 +186,11 @@ class TestFrontendMetrics:
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:
                 batches = make_batches(server.manifest.extent, num_batches=6)
                 frontend = AsyncStoreFrontend(server, max_in_flight=3)
-                frontend.serve(batches if comm.rank == 0 else None)
-                return server.phase_breakdown(), server.queries_served
+                result = frontend.serve(batches if comm.rank == 0 else None)
+                return server.phase_breakdown(), result
 
-        phases, served = mpisim.run_spmd(prog, 4).values[0]
-        assert served == 6 * 5
+        phases, result = mpisim.run_spmd(prog, 4).values[0]
+        assert result.total_queries == 6 * 5
         for name in ("route", "local_query", "gather"):
             assert phases[name] > 0.0
 

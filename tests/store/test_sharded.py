@@ -778,19 +778,17 @@ class TestWireSizes:
 
     @staticmethod
     def plan_nbytes(message):
-        """The documented message formula, by actually encoding it: a range
-        batch ships each query's id and the four doubles of its window (the
-        batch position is implicit); a join ships each probe's WKB and
-        userdata (a probe's query id is its position)."""
+        """The documented message formula, by actually encoding it: each
+        query ships its id and its window (the batch position is implicit),
+        an envelope as four doubles, a geometry as its WKB and userdata."""
         from repro.geometry import Geometry, wkb
         from repro.mpisim import payload_nbytes
 
         total = 0
-        for item in message:
-            if isinstance(item, Geometry):
-                total += len(wkb.dumps(item)) + payload_nbytes(item.userdata)
+        for _, window in message:
+            if isinstance(window, Geometry):
+                total += 8 + len(wkb.dumps(window)) + payload_nbytes(window.userdata)
             else:
-                _, window = item
                 assert isinstance(window, Envelope)
                 total += 8 + 32
         return total
@@ -881,10 +879,10 @@ class TestWireSizes:
         ctx, message = plans[0]
         assert ctx is None and message == batch and message.nbytes == 40 * len(batch)
 
-    def test_a_range_entry_ships_its_query_id_and_a_join_entry_does_not(self, wire):
+    def test_a_range_query_costs_40_bytes_and_a_join_probe_8_plus_its_body(self, wire):
         # a range query is 40 bytes: query id and window, its position
-        # implicit; a join probe's query id is its batch position, so the
-        # join ships the probes alone: WKB + userdata each
+        # implicit; a join is the range batch whose windows are its probes,
+        # each probe's query id its position: 8 + WKB + userdata each
         from repro.geometry import wkb
         from repro.mpisim import payload_nbytes
 
@@ -899,12 +897,58 @@ class TestWireSizes:
 
         pairs = mpisim.run_spmd(prog, 2).values[0]
         (_, ranged), (_, joined) = [obj for op, _, obj in shipped if op == "plan"]
-        assert ranged == batch and joined == probes and pairs
+        assert ranged == batch and joined == list(enumerate(probes)) and pairs
         assert ranged.nbytes == 40 * len(batch) == self.plan_nbytes(ranged)
         assert joined.nbytes == sum(
-            len(wkb.dumps(probe)) + payload_nbytes(probe.userdata) for probe in probes
+            8 + len(wkb.dumps(probe)) + payload_nbytes(probe.userdata) for probe in probes
         ) == self.plan_nbytes(joined)
-        assert all(sent is probe for sent, probe in zip(joined, probes))
+        assert all(sent is probe for (_, sent), probe in zip(joined, probes))
+
+    def test_a_mixed_batch_costs_40_bytes_an_envelope_and_8_plus_its_body_a_geometry(self, wire):
+        # one request shape: envelopes and geometries ride one message,
+        # through range_query_batch and through the front-end, and the bytes
+        # the communicator charges are that message's
+        from repro.geometry import wkb
+        from repro.mpisim import payload_nbytes
+        from repro.obs.metrics import MetricsRegistry
+        from repro.store import AsyncStoreFrontend
+
+        fs, shipped = wire
+        envs = [env for _, env in self.windows(6)]
+        batch = [
+            ("e0", envs[0]),
+            ("poly", Polygon([(10.0, 10.0), (60.0, 15.0), (20.0, 70.0)], userdata="p")),
+            ("e1", envs[1]),
+            ("point", Point(50.0, 50.0)),
+            ("line", LineString([(0.0, 0.0), (40.0, 90.0), (90.0, 10.0)], userdata=7)),
+            ("e2", envs[2]),
+        ]
+        geoms = [w for _, w in batch if not isinstance(w, Envelope)]
+        expected = 40 * 3 + sum(
+            8 + len(wkb.dumps(g)) + payload_nbytes(g.userdata) for g in geoms
+        )
+
+        def prog(comm):
+            with DistributedStoreServer.open(comm, fs, "data") as server:
+                registry = MetricsRegistry()
+                comm.attach_metrics(registry)
+                hits = server.range_query_batch(batch if comm.rank == 0 else None)
+                AsyncStoreFrontend(server, max_in_flight=2).serve(
+                    [batch[:3], batch[3:]] if comm.rank == 0 else None
+                )
+                comm.detach_metrics()
+                return hits, registry.snapshot()["counters"]
+
+        hits, root = mpisim.run_spmd(prog, 2).values[0]
+        plans = [obj[1] for op, _, obj in shipped if op == "plan"]
+        assert [list(m) for m in plans] == [batch, batch[:3], batch[3:]]
+        assert [m.nbytes for m in plans] == [
+            expected, self.plan_nbytes(batch[:3]), self.plan_nbytes(batch[3:])
+        ]
+        assert plans[0].nbytes == self.plan_nbytes(batch)
+        assert plans[1].nbytes + plans[2].nbytes == expected
+        assert root["comm.bytes_sent"] == 2 * expected
+        assert {"poly", "line"} <= {h.query_id for h in hits} <= {qid for qid, _ in batch}
 
     def test_each_record_is_priced_once_and_exactly(self, wire, monkeypatch):
         # the second of two identical batches on one server prices every
