@@ -52,6 +52,7 @@ from repro.pfs import (
     ReadRequest,
     StripeLayout,
 )
+from repro.pfs.costmodel import OPEN_LATENCY
 from reporting import FigureReport, bandwidth_gbps
 
 #: COMET-like Lustre defaults used by the pattern-level drivers
@@ -99,7 +100,7 @@ def algorithm1_read_time(
     """
     chunk = block_size * nranks
     iterations = max(1, math.ceil(file_size / chunk))
-    total = cost_model.open_latency
+    total = OPEN_LATENCY
     for it in range(iterations):
         requests = _iteration_requests(file_size, nranks, block_size, it)
         if not requests:
@@ -119,7 +120,7 @@ def overlap_read_time(
     """Simulated time of the overlapping (halo) strategy with Level-0 reads."""
     chunk = block_size * nranks
     iterations = max(1, math.ceil(file_size / chunk))
-    total = cost_model.open_latency
+    total = OPEN_LATENCY
     for it in range(iterations):
         requests = _iteration_requests(file_size, nranks, block_size, it, extra_per_rank=HALO_BYTES)
         if not requests:
@@ -139,7 +140,7 @@ def collective_contiguous_read_time(
     two-phase I/O with ROMIO aggregator selection."""
     chunk = block_size * nranks
     iterations = max(1, math.ceil(file_size / chunk))
-    total = fs.cost_model.open_latency
+    total = OPEN_LATENCY
     for it in range(iterations):
         requests = _iteration_requests(file_size, nranks, block_size, it)
         if not requests:
@@ -173,7 +174,7 @@ def noncontiguous_read_time(
         if ranges:
             requests.append(ReadRequest(rank=rank, ranges=tuple(ranges)))
     elapsed, _ = collective_read_time(fs, path, requests)
-    return fs.cost_model.open_latency + elapsed
+    return OPEN_LATENCY + elapsed
 
 
 # --------------------------------------------------------------------------- #
@@ -402,7 +403,7 @@ def noncontig_binary_figure(
     ]
     contig_time, _ = collective_read_time(fs, path, requests)
     for block in block_sizes:
-        contig.add(block, fs.cost_model.open_latency + contig_time)
+        contig.add(block, OPEN_LATENCY + contig_time)
         noncontig.add(
             block,
             noncontiguous_read_time(fs, path, total_records, record_size, nprocs, block),

@@ -2,7 +2,7 @@
 """Caller census: a public name, member or keyword that only its own tests
 reach is dead.
 
-Three things under the given paths must be *reached* from some Python file
+Four things under the given paths must be *reached* from some Python file
 under ``src/``, ``perf/``, ``examples/``, ``scripts/`` or ``benchmarks/``
 (relative to the working directory):
 
@@ -13,10 +13,20 @@ under ``src/``, ``perf/``, ``examples/``, ``scripts/`` or ``benchmarks/``
 * every public method or property of a module-level class: something
   mentions it as an attribute (``x.name``, or ``Class.name`` in a
   ``module:name`` string);
-* every defaulted keyword of a public function, method or ``__init__``:
-  some call of a function of that name (of the class, for ``__init__``)
-  passes it by name or by position, or spreads ``*args``/``**kwargs``
-  into it.
+* every defaulted keyword of a public function, method or ``__init__``,
+  the generated ``__init__`` of a ``@dataclass`` included (its defaulted
+  fields, in field order): some call of a function of that name (of the
+  class, for ``__init__``) passes it by name or by position, or spreads
+  ``*args``/``**kwargs`` into it.  A dataclass field is state, not a
+  setting, and is not checked when its default is ``field(...)`` or when
+  code assigns to it through an attribute (``obj.f = ...``,
+  ``obj.f += ...``; a ``self.f`` store counts in the dataclass's own body
+  only, since elsewhere it sets another class's attribute);
+* every public attribute a class of the given paths stores on ``self``:
+  something reads it, as an attribute load (``x.name``), a string handed to
+  ``getattr`` or ``attrgetter``, or a part of a ``module:name`` string
+  (anywhere, its own class included).  An attribute that is only ever
+  written is dead state.
 
 A mention or call never counts inside the definition it would reach, in
 its module's ``__all__`` or in a package ``__init__`` re-export (its
@@ -70,6 +80,8 @@ KEEP = {
         ("roadmap", "PAPER.md: the store serves repeated traffic without re-running the pipeline"),
     "repro.core.framework:SpatialComputation.run_from_store(right_path)":
         ("roadmap", "PAPER.md, same sentence: the second layer of a store-backed join"),
+    "repro.store.sharded:DistributedStoreServer.local_records":
+        ("roadmap", "PAPER.md, same sentence: the left layer run_from_store reads"),
     "repro.store.datastore:SpatialDataStore.explain":
         ("roadmap", "observability aim and item 9: where one query's time went"),
     **{
@@ -150,8 +162,23 @@ KEEP = {
         ("test helper", "how many calls the faulted rank survives"),
     "repro.faults:FaultyFilesystem.add_rule":
         ("test helper", "the fault tests arm their read faults with it"),
-    "repro.core.parsers:GeometryParser.parse_buffer":
+    "repro.core.parsers:WKTParser.parse_buffer":
         ("test helper", "the tests parse whole files with it for their expected side"),
+    "repro.core.partition:PartitionConfig(info)":
+        ("contribution", "MPI-IO hints: the aggregator selection PAPER.md analyses (ii)"),
+    "repro.core.partition:PartitionConfig(max_geometry_size)":
+        ("contribution", "Algorithm 1's receive-buffer bound and the overlap halo (ii)"),
+    **{
+        f"repro.faults:FaultRule({name})": ("test helper", "the fault tests arm their rules with it")
+        for name in (
+            "ranks", "short_read_rate", "bitflip_rate", "latency_spike_rate",
+            "latency_spike_seconds", "max_faults",
+        )
+    },
+    "repro.pfs.costmodel:IOCostModel(request_overhead)":
+        ("test helper", "test_scheduler.py prices sieve gaps with it (priced(pages, gap))"),
+    "repro.io.file:File.last_plan":
+        ("test helper", "tests/io/test_mpiio.py reads the two-phase plan to check the cb_nodes hint"),
     "repro.index.rtree:STRtree(node_capacity)":
         ("test helper", "the index tests build deep trees from a few items with it"),
     "repro.index.rtree:STRtree.bounds":
@@ -262,6 +289,42 @@ def _functions(tree):
                     yield f"{node.name}.{member.name}", member.name, member, not static
 
 
+def _callee(node):
+    """The name a decorator or call expression calls (``dataclasses.dataclass``
+    and ``dataclass(frozen=True)`` both give ``dataclass``)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_dataclass(node):
+    return any(_callee(d) == "dataclass" for d in node.decorator_list)
+
+
+def _fields(node, assigned):
+    """``(name, position, span)`` of every defaulted field of a dataclass's
+    generated ``__init__`` that is a setting: its default is not
+    ``field(...)`` and no attribute store names it (*assigned*).
+    *position* is its index among the positional parameters (None under
+    ``kw_only=True``)."""
+    kw_only = any(
+        isinstance(d, ast.Call) and any(
+            k.arg == "kw_only" and getattr(k.value, "value", False) for k in d.keywords
+        )
+        for d in node.decorator_list
+    )
+    position = 0
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name) \
+                or "ClassVar" in ast.dump(stmt.annotation):
+            continue
+        name = stmt.target.id
+        if stmt.value is not None and _callee(stmt.value) != "field" \
+                and name not in assigned:
+            yield name, None if kw_only else position, _span(stmt)
+        position += 1
+
+
 def _heirs(trees):
     """Class name -> the names a call of which runs its ``__init__``: the
     class and every subclass that inherits the method (through first bases,
@@ -274,7 +337,7 @@ def _heirs(trees):
         seen = set()
         while name in classes and name not in seen and classes[name].bases and not any(
             isinstance(m, ast.FunctionDef) and m.name == "__init__" for m in classes[name].body
-        ):
+        ) and not _is_dataclass(classes[name]):
             seen.add(name)
             base = classes[name].bases[0]
             name = getattr(base, "id", getattr(base, "attr", None))
@@ -303,13 +366,16 @@ def _keywords(function, bound):
 
 
 def _mentions(path, tree):
-    """``(found, calls)`` of one file.
+    """``(found, calls, reads, writes)`` of one file.
 
     *found* maps an identifier to ``[(line, method, attribute)]``, one entry
     per mention: *method* is ``(name, lines)`` of the class method the
     mention sits in, or None, and *attribute* says whether it names a member
     (``x.name``, or ``Class.name`` in a ``module:name`` string).  *calls* is
-    a list of :class:`_Call`.  A package ``__init__``'s imports and
+    a list of :class:`_Call`.  *reads* holds the attribute names the file
+    reads (loads, ``getattr``/``attrgetter`` strings and the parts of
+    ``module:name`` strings), *writes* those it stores on an object other
+    than ``self``.  A package ``__init__``'s imports and
     ``__all__`` are re-exports, not mentions; docstrings, comments and type
     annotations are never mentions."""
     skip = set()
@@ -318,7 +384,7 @@ def _mentions(path, tree):
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)) or node is all_node:
                 skip.add(node)
-    found, calls = {}, []
+    found, calls, reads, writes = {}, [], set(), set()
     stack = [(n, None, None) for n in tree.body if n not in skip]
     while stack:
         node, method, klass = stack.pop()
@@ -330,6 +396,10 @@ def _mentions(path, tree):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names, attribute = [node.attr], True
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif getattr(node.value, "id", None) != "self":  # self.f: its own class's
+                writes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name.rpartition(".")[2] for alias in node.names]
             if isinstance(node, ast.ImportFrom) and node.module:
@@ -337,8 +407,11 @@ def _mentions(path, tree):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             target = _TARGET.fullmatch(node.value)
             names, attribute = (target.group(1).split(".") if target else ()), True
+            reads.update(names)
         elif isinstance(node, ast.Call):
             calls.append(_Call.of(node, method, klass))
+            if _callee(node) in ("getattr", "attrgetter"):
+                reads.update(a.value for a in node.args if isinstance(a, ast.Constant))
         for name in names:
             found.setdefault(name, []).append((node.lineno, method, attribute))
         if isinstance(node, ast.ClassDef):
@@ -353,23 +426,36 @@ def _mentions(path, tree):
                 stack.append((child, (child.name, _span(child)), klass))
             else:
                 stack.append((child, method, klass))
-    return found, calls
+    return found, calls, reads, writes
+
+
+def _stored(node):
+    """Public attribute names a class's code stores on ``self``."""
+    return {
+        n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and getattr(n.value, "id", None) == "self" and not n.attr.startswith("_")
+    }
 
 
 def census(paths):
-    """``(unreached, stale)``: sorted key lists (see :data:`KEEP`)."""
+    """``(unreached, stale, stored)``: sorted key lists (see :data:`KEEP`)
+    and the set of keys that name an attribute stored on ``self``."""
     scanned = {}
     for arg in paths:
         path = pathlib.Path(arg)
         for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
             scanned[file.resolve()] = _module_name(file.resolve())
 
-    mentions, calls = {}, {}
+    mentions, calls, reads, writes = {}, {}, set(), set()
     for root in SEARCH_ROOTS:
         for file in sorted(pathlib.Path(root).rglob("*.py")):
             if file.resolve() != pathlib.Path(__file__).resolve():  # not KEEP
                 tree = ast.parse(file.read_text(encoding="utf-8"), str(file))
-                mentions[file.resolve()], calls[file.resolve()] = _mentions(file, tree)
+                key = file.resolve()
+                mentions[key], calls[key], file_reads, file_writes = _mentions(file, tree)
+                reads |= file_reads
+                writes |= file_writes
 
     def outside(other, line, file, own):
         return other != file or line not in own
@@ -403,7 +489,7 @@ def census(paths):
 
     trees = {file: ast.parse(file.read_text(encoding="utf-8"), str(file)) for file in scanned}
     heirs = _heirs(trees.values())
-    public = {}
+    public, stored = {}, set()
     for file, module in scanned.items():
         tree = trees[file]
         names, all_node = _all_names(tree)
@@ -420,6 +506,18 @@ def census(paths):
                         public[f"{module}:{node.name}.{member.name}"] = mentioned(
                             member.name, file, _span(member), True, attribute=True
                         )
+                attributes = _stored(node)
+                for name in attributes:
+                    key = f"{module}:{node.name}.{name}"
+                    if key not in public:
+                        public[key] = name in reads
+                        stored.add(key)
+                if _is_dataclass(node):
+                    for name, position, own in _fields(node, writes | attributes):
+                        public[f"{module}:{node.name}({name})"] = any(
+                            passed(callee, name, position, file, own)
+                            for callee in heirs.get(node.name, {node.name})
+                        )
         for qualname, callee, function, bound in _functions(tree):
             for keyword, position in _keywords(function, bound):
                 public[f"{module}:{qualname}({keyword})"] = any(
@@ -432,7 +530,7 @@ def census(paths):
     stale = sorted(
         key for key in KEEP if key.partition(":")[0] in modules and public.get(key, True)
     )
-    return unreached, stale
+    return unreached, stale, stored
 
 
 def main(argv=None):
@@ -445,9 +543,13 @@ def main(argv=None):
         else f"{key}: keep entry gives no reason"
         for key, (rule, reason) in KEEP.items() if rule not in RULES or not reason
     )
-    unreached, stale = census(args.paths)
+    unreached, stale, stored = census(args.paths)
     for key in unreached:
-        what = "no caller passes it" if key.endswith(")") else "nothing outside its definition reaches it"
+        what = (
+            "no caller passes it" if key.endswith(")")
+            else "stored but nothing reads it" if key in stored
+            else "nothing outside its definition reaches it"
+        )
         print(f"{key}: {what} (tests do not count)")
     for key in stale:
         print(f"{key}: stale keep entry (reached, or no longer defined)")

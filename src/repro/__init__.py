@@ -28,7 +28,7 @@ contribution:
 
 ``repro.core``
     MPI-Vector-IO proper: spatial MPI datatypes and reduction operators,
-    pluggable parsers, contiguous and non-contiguous file partitioning
+    the WKT record parser, contiguous and non-contiguous file partitioning
     (including the paper's message-based Algorithm 1), grid-based spatial
     partitioning with all-to-all geometry exchange, and the filter-and-refine
     framework with spatial join, distributed indexing and range query on top.

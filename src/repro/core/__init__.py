@@ -34,7 +34,7 @@ from .noncontig import (
     read_fixed_records_roundrobin,
     read_variable_records_roundrobin,
 )
-from .parsers import GeometryParser, WKTParser, split_records
+from .parsers import WKTParser, split_records
 from .partition import (
     MessagePartitioner,
     OverlapPartitioner,
@@ -74,7 +74,6 @@ __all__ = [
     # facade
     "VectorIO",
     # parsing
-    "GeometryParser",
     "WKTParser",
     "split_records",
     # contiguous partitioning

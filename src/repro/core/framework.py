@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..geometry import Geometry
-from ..index import GridCell
+from ..index import GridCell, round_robin_mapping
 from ..mpisim import Communicator
 from ..pfs import SimulatedFilesystem
 from .exchange import exchange_cells
@@ -24,10 +24,8 @@ from .grid_partition import (
     GridPartitionConfig,
     assign_to_cells,
     build_grid,
-    cell_mapping,
     compute_global_extent,
 )
-from .parsers import GeometryParser, WKTParser
 from .partition import PartitionConfig
 from .reader import VectorIO
 
@@ -104,12 +102,8 @@ class SpatialComputation(ABC):
         self.exchange_window = exchange_window
 
     # ------------------------------------------------------------------ #
-    # extension points
+    # extension point
     # ------------------------------------------------------------------ #
-    def parser(self) -> GeometryParser:
-        """Parser used for every input layer (override per format)."""
-        return WKTParser()
-
     @abstractmethod
     def refine(
         self,
@@ -135,10 +129,10 @@ class SpatialComputation(ABC):
         """Execute the full pipeline on the calling rank."""
         vio = VectorIO(self.fs, self.partition_config, self.strategy)
 
-        left_report = vio.read_geometries(comm, left_path, self.parser())
+        left_report = vio.read_geometries(comm, left_path)
         right_geoms: List[Geometry] = []
         if right_path is not None:
-            right_report = vio.read_geometries(comm, right_path, self.parser())
+            right_report = vio.read_geometries(comm, right_path)
             right_geoms = right_report.geometries
         left_geoms = left_report.geometries
         return self._run_partitioned(comm, left_geoms, right_geoms, right_path is not None)
@@ -157,11 +151,11 @@ class SpatialComputation(ABC):
         enters the pipeline exactly once across ranks, after which the usual
         extent / grid / exchange / refine phases apply unchanged.
         """
-        left_geoms = server.local_geometries()
+        left_geoms = [g for _, g in server.local_records()]
         right_geoms: List[Geometry] = []
         if right_path is not None:
             vio = VectorIO(self.fs, self.partition_config, self.strategy)
-            right_geoms = vio.read_geometries(comm, right_path, self.parser()).geometries
+            right_geoms = vio.read_geometries(comm, right_path).geometries
         return self._run_partitioned(comm, left_geoms, right_geoms, right_path is not None)
 
     def _run_partitioned(
@@ -173,14 +167,12 @@ class SpatialComputation(ABC):
     ) -> ComputationResult:
         """Shared back half of the pipeline: extent, grid, exchange, refine."""
         # Global extent covers both layers (single MPI_UNION reduction).
-        extent = compute_global_extent(
-            comm, list(left_geoms) + list(right_geoms), margin=self.grid_config.extent_margin
-        )
+        extent = compute_global_extent(comm, list(left_geoms) + list(right_geoms))
         if extent.is_empty:
             return ComputationResult([], [], PhaseBreakdown.from_clock(comm), 0)
 
         grid = build_grid(extent, self.grid_config.num_cells)
-        mapping = cell_mapping(grid, comm.size, self.grid_config.mapping)
+        mapping = round_robin_mapping(grid.num_cells, comm.size)
 
         with comm.clock.compute(category="partition"):
             left_cells = assign_to_cells(grid, left_geoms)

@@ -10,7 +10,7 @@ To restore spatial locality the system (Figure 1 / Figure 2 of the paper):
    arithmetic (:meth:`repro.index.UniformGrid.cells_for_envelope`),
    replicating geometries that span several cells,
 4. exchanges the serialised geometries all-to-all so each rank ends up with
-   the cells assigned to it (round-robin by default).
+   the cells assigned to it, cell *i* to rank ``i % nprocs`` (round-robin).
 
 **Deviation from §4.**  The paper probes "an R-tree … built by inserting the
 individual cell boundaries".  A tree over cell rectangles is what a
@@ -50,11 +50,6 @@ class GridPartitionConfig:
 
     #: total number of grid cells (the paper sweeps this in Figure 17)
     num_cells: int = 64
-    #: cell→rank mapping strategy ("round_robin" is the paper's default)
-    mapping: str = "round_robin"
-    #: pad the global extent by this relative margin so boundary geometries
-    #: never fall outside the grid
-    extent_margin: float = 0.0
 
 
 @dataclass
@@ -69,7 +64,7 @@ class LocalPartition:
     replicas_sent: int = 0
 
 
-def compute_global_extent(comm: Communicator, geometries: Sequence[Geometry], margin: float = 0.0) -> Envelope:
+def compute_global_extent(comm: Communicator, geometries: Sequence[Geometry]) -> Envelope:
     """All-reduce of the local MBRs with the ``MPI_UNION`` operator.
 
     This is the paper's flagship use of the spatial reduction operators: each
@@ -79,13 +74,7 @@ def compute_global_extent(comm: Communicator, geometries: Sequence[Geometry], ma
     local = Envelope.empty()
     for geom in geometries:
         local = local.union(geom.envelope)
-    global_extent: Envelope = comm.allreduce(local, MPI_UNION)
-    if global_extent.is_empty:
-        return global_extent
-    if margin > 0.0:
-        pad = max(global_extent.width, global_extent.height) * margin
-        global_extent = global_extent.buffer(pad if pad > 0 else margin)
-    return global_extent
+    return comm.allreduce(local, MPI_UNION)
 
 
 def build_grid(extent: Envelope, num_cells: int) -> UniformGrid:
@@ -105,16 +94,6 @@ def assign_to_cells(
     return cells
 
 
-def cell_mapping(grid: UniformGrid, nprocs: int, strategy: str = "round_robin") -> Dict[int, int]:
-    if strategy == "round_robin":
-        return round_robin_mapping(grid.num_cells, nprocs)
-    if strategy == "block":
-        from ..index import block_mapping
-
-        return block_mapping(grid.num_cells, nprocs)
-    raise ValueError(f"unknown cell mapping strategy {strategy!r}")
-
-
 def partition_geometries(
     comm: Communicator,
     geometries: Sequence[Geometry],
@@ -132,14 +111,14 @@ def partition_geometries(
     from .exchange import exchange_cells  # local import to avoid a cycle
 
     config = config or GridPartitionConfig()
-    extent = compute_global_extent(comm, geometries, margin=config.extent_margin)
+    extent = compute_global_extent(comm, geometries)
     if extent.is_empty:
         # No data anywhere: an empty grid with a single degenerate cell.
         grid = UniformGrid(Envelope(0.0, 0.0, 1.0, 1.0), 1, 1)
         return LocalPartition(grid=grid, cell_to_rank={0: 0}, cells={})
 
     grid = build_grid(extent, config.num_cells)
-    mapping = cell_mapping(grid, comm.size, config.mapping)
+    mapping = round_robin_mapping(grid.num_cells, comm.size)
 
     with comm.clock.compute(category="partition"):
         local_cells = assign_to_cells(grid, geometries)

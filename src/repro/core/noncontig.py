@@ -20,6 +20,7 @@ from typing import List, Tuple
 from ..io import File
 from ..mpisim import Communicator, Datatype, MPI_BYTE, create_indexed, create_vector
 from ..pfs import SimulatedFilesystem
+from .parsers import RECORD_DELIMITER
 
 __all__ = [
     "RecordIndex",
@@ -131,7 +132,7 @@ class RecordIndex:
 def build_record_index(fs: SimulatedFilesystem, path: str) -> RecordIndex:
     """Sequential preprocessing pass recording every record's offset/length
     (records end at a newline; the file is read 4 MiB at a time)."""
-    delimiter, chunk_size = b"\n", 4 << 20
+    delimiter, chunk_size = RECORD_DELIMITER, 4 << 20
     offsets: List[int] = []
     lengths: List[int] = []
     with fs.open(path) as fh:

@@ -29,7 +29,7 @@ from ..io import File, Info
 from ..mpisim import Communicator
 from ..mpisim.errors import MPIError
 from ..pfs import SimulatedFilesystem
-from .parsers import split_records
+from .parsers import RECORD_DELIMITER, split_records
 
 __all__ = [
     "PartitionConfig",
@@ -55,8 +55,6 @@ class PartitionConfig:
     block_size: Optional[int] = None
     #: MPI-IO access level for the block reads: 0 (independent) or 1 (collective)
     level: int = 0
-    #: record delimiter (WKT datasets are newline-delimited)
-    delimiter: bytes = b"\n"
     #: halo length for the overlap strategy / receive-buffer bound for the
     #: message strategy
     max_geometry_size: int = DEFAULT_MAX_GEOMETRY_SIZE
@@ -127,7 +125,6 @@ class MessagePartitioner(_BasePartitioner):
         file_size = fh.Get_size()
         block, iterations = self._iteration_plan(file_size, nprocs)
         chunk = block * nprocs
-        delim = cfg.delimiter
 
         records: List[bytes] = []
         bytes_read = 0
@@ -148,7 +145,7 @@ class MessagePartitioner(_BasePartitioner):
             bytes_read += len(buffer)
 
             if buffer:
-                last = buffer.rfind(delim)
+                last = buffer.rfind(RECORD_DELIMITER)
                 if last == -1:
                     body, tail = b"", buffer
                 else:
@@ -196,12 +193,12 @@ class MessagePartitioner(_BasePartitioner):
             else:
                 prefix = prev_tail
 
-            records.extend(split_records(prefix + body, delim))
+            records.extend(split_records(prefix + body))
 
         # A non-empty carry after the final iteration is the file's trailing
         # record (a file that does not end with the delimiter).
         if rank == 0 and carry:
-            records.extend(split_records(carry, delim))
+            records.extend(split_records(carry))
 
         return PartitionResult(
             records=records,
@@ -228,7 +225,6 @@ class OverlapPartitioner(_BasePartitioner):
         file_size = fh.Get_size()
         block, iterations = self._iteration_plan(file_size, nprocs)
         chunk = block * nprocs
-        delim = cfg.delimiter
         halo = cfg.max_geometry_size
 
         records: List[bytes] = []
@@ -249,7 +245,7 @@ class OverlapPartitioner(_BasePartitioner):
                 continue
 
             if pre:
-                boundary_is_start = buffer[:1] == delim
+                boundary_is_start = buffer[:1] == RECORD_DELIMITER
                 buffer = buffer[1:]
             else:
                 boundary_is_start = True  # beginning of file
@@ -258,7 +254,7 @@ class OverlapPartitioner(_BasePartitioner):
             if boundary_is_start:
                 first_start = 0
             else:
-                first_delim = buffer.find(delim)
+                first_delim = buffer.find(RECORD_DELIMITER)
                 if first_delim == -1 or first_delim >= own_bytes + halo:
                     # The record spanning the block start is longer than the
                     # halo; it belongs to an earlier rank anyway.
@@ -267,7 +263,7 @@ class OverlapPartitioner(_BasePartitioner):
 
             pos = first_start
             while pos < own_bytes:
-                end = buffer.find(delim, pos)
+                end = buffer.find(RECORD_DELIMITER, pos)
                 if end == -1:
                     remaining = buffer[pos:]
                     if start + own_bytes >= file_size:

@@ -76,5 +76,5 @@ class RangeQuery(SpatialComputation):
             if i % comm.size == comm.rank
         ]
         vio = VectorIO(self.fs, self.partition_config, self.strategy)
-        data = vio.read_geometries(comm, data_path, self.parser()).geometries
+        data = vio.read_geometries(comm, data_path).geometries
         return self._run_partitioned(comm, data, my_slice, True).local_results

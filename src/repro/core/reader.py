@@ -1,6 +1,6 @@
 """High-level facade: parallel reading + parsing of vector datasets.
 
-:class:`VectorIO` wires the file-partitioning layer to a pluggable parser and
+:class:`VectorIO` wires the file-partitioning layer to the WKT parser and
 charges the parse phase to the rank's virtual clock, which is what the paper's
 "I/O + parsing" experiments (Table 3, Figure 14) measure.
 """
@@ -13,7 +13,7 @@ from typing import List, Optional
 from ..geometry import Geometry
 from ..mpisim import Communicator
 from ..pfs import SimulatedFilesystem
-from .parsers import GeometryParser, WKTParser
+from .parsers import WKTParser
 from .partition import PartitionConfig, PartitionResult, read_records
 
 __all__ = ["ReadReport", "VectorIO"]
@@ -58,21 +58,15 @@ class VectorIO:
         """Partition the file and return this rank's complete raw records."""
         return read_records(comm, self.fs, path, self.config, self.strategy)
 
-    def read_geometries(
-        self,
-        comm: Communicator,
-        path: str,
-        parser: Optional[GeometryParser] = None,
-    ) -> ReadReport:
+    def read_geometries(self, comm: Communicator, path: str) -> ReadReport:
         """Partition, read and parse: returns this rank's geometries."""
-        parser = parser or WKTParser()
         io_before = comm.clock.category("io")
         partition = self.read_records(comm, path)
         io_after = comm.clock.category("io")
 
         parse_before = comm.clock.category("parse")
         with comm.clock.compute(category="parse"):
-            geometries = parser.parse_many(
+            geometries = WKTParser().parse_many(
                 record.decode("utf-8", errors="replace") for record in partition.records
             )
         parse_after = comm.clock.category("parse")

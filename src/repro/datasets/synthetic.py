@@ -6,7 +6,7 @@ hold, so the generators below produce *OSM-like* synthetic data with the same
 qualitative properties the paper's machinery has to cope with:
 
 * mixed geometry types (polygons, polylines, points),
-* heavily skewed vertex counts (log-normal, with a configurable tail so a few
+* heavily skewed vertex counts (log-normal, with a long tail so a few
   geometries are orders of magnitude larger than the median — the paper's
   largest polygon is 11 MB),
 * spatially skewed placement (clustered around a handful of "urban" centres),
@@ -35,6 +35,13 @@ __all__ = [
 
 Coord = Tuple[float, float]
 
+#: mean vertex count of polygons / polylines
+_MEAN_VERTICES = 12
+#: log-normal sigma of the vertex-count distribution (bigger = more skew)
+_VERTEX_SIGMA = 0.9
+#: hard cap on vertices per geometry (keeps records bounded)
+_MAX_VERTICES = 4096
+
 
 @dataclass
 class SyntheticConfig:
@@ -48,12 +55,6 @@ class SyntheticConfig:
     clusters: int = 12
     #: fraction of geometries placed uniformly instead of in a cluster
     background_fraction: float = 0.2
-    #: log-normal sigma of the vertex-count distribution (bigger = more skew)
-    vertex_sigma: float = 0.9
-    #: mean vertex count of polygons / polylines
-    mean_vertices: int = 12
-    #: hard cap on vertices per geometry (keeps records bounded)
-    max_vertices: int = 4096
     #: typical geometry diameter as a fraction of the extent
     mean_size_fraction: float = 0.002
 
@@ -86,10 +87,10 @@ class _Placer:
         return (x, y)
 
 
-def _vertex_count(cfg: SyntheticConfig, rng: random.Random, minimum: int) -> int:
-    mu = math.log(max(cfg.mean_vertices, minimum))
-    n = int(rng.lognormvariate(mu, cfg.vertex_sigma))
-    return max(minimum, min(cfg.max_vertices, n))
+def _vertex_count(rng: random.Random, minimum: int) -> int:
+    mu = math.log(max(_MEAN_VERTICES, minimum))
+    n = int(rng.lognormvariate(mu, _VERTEX_SIGMA))
+    return max(minimum, min(_MAX_VERTICES, n))
 
 
 def _fmt(value: float) -> str:
@@ -145,7 +146,7 @@ def generate_polygon_records(count: int, config: Optional[SyntheticConfig] = Non
     placer = _Placer(cfg, rng)
     base_size = max(cfg.extent.width, cfg.extent.height) * cfg.mean_size_fraction
     for i in range(count):
-        vertices = _vertex_count(cfg, rng, minimum=3)
+        vertices = _vertex_count(rng, minimum=3)
         radius = base_size * rng.lognormvariate(0.0, 0.8)
         record = polygon_wkt(placer.centre(), radius, vertices, rng)
         yield record + f"\tid={i}\tlanduse={'water' if i % 7 == 0 else 'land'}"
@@ -158,7 +159,7 @@ def generate_polyline_records(count: int, config: Optional[SyntheticConfig] = No
     placer = _Placer(cfg, rng)
     seg = max(cfg.extent.width, cfg.extent.height) * cfg.mean_size_fraction * 0.5
     for i in range(count):
-        vertices = max(2, _vertex_count(cfg, rng, minimum=2))
+        vertices = max(2, _vertex_count(rng, minimum=2))
         record = polyline_wkt(placer.centre(), seg, vertices, rng)
         yield record + f"\tid={i}\thighway={'primary' if i % 5 == 0 else 'residential'}"
 

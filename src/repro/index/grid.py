@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional
 
 from ..geometry import Envelope
 
-__all__ = ["GridCell", "UniformGrid", "round_robin_mapping", "block_mapping"]
+__all__ = ["GridCell", "UniformGrid", "round_robin_mapping"]
 
 
 @dataclass(frozen=True)
@@ -178,20 +178,12 @@ class UniformGrid:
 
 
 # --------------------------------------------------------------------------- #
-# cell → rank mappings
+# cell → rank mapping
 # --------------------------------------------------------------------------- #
 def round_robin_mapping(num_cells: int, num_ranks: int) -> Dict[int, int]:
-    """The paper's default declustering mapping: cell *i* goes to rank
-    ``i % num_ranks``."""
+    """The paper's declustering mapping, the one the partitioning uses: cell
+    *i* goes to rank ``i % num_ranks``, so neighbouring (similarly loaded)
+    cells land on different ranks."""
     if num_ranks < 1:
         raise ValueError("num_ranks must be >= 1")
     return {cid: cid % num_ranks for cid in range(num_cells)}
-
-
-def block_mapping(num_cells: int, num_ranks: int) -> Dict[int, int]:
-    """Contiguous block assignment (coarse-grained alternative used to show
-    the load-imbalance effect of Figure 5a)."""
-    if num_ranks < 1:
-        raise ValueError("num_ranks must be >= 1")
-    per_rank = math.ceil(num_cells / num_ranks)
-    return {cid: min(cid // per_rank, num_ranks - 1) for cid in range(num_cells)}

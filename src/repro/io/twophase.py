@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..pfs import ReadRequest, SimulatedFilesystem, romio_lustre_readers
+from ..pfs.costmodel import NIC_LATENCY
 from ..pfs.lustre import LustreFilesystem
 from .hints import DEFAULT_CB_BUFFER_SIZE, Info
 
@@ -130,7 +131,7 @@ def collective_read_time(
     # Cycle synchronisation overhead: each extra cycle costs a round of
     # collective hand-shakes among the aggregators.
     cycle_overhead = (plan.cycles - 1) * (
-        cost.cluster.nic_latency * plan.num_aggregators + 2.0e-4
+        NIC_LATENCY * plan.num_aggregators + 2.0e-4
     )
 
     return (phase1 + block_overhead + phase2 + cycle_overhead, plan)

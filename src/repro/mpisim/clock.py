@@ -15,31 +15,28 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Iterator
 
 __all__ = ["VirtualClock", "CommCostModel"]
 
+# The interconnect approximates the paper's COMET cluster: FDR InfiniBand
+# with 56 Gb/s links (~7 GB/s) and microsecond-scale message latency.
 
-@dataclass
+#: one-way message latency in seconds
+LATENCY = 2.0e-6
+#: point-to-point bandwidth in bytes/second
+BANDWIDTH = 7.0e9
+#: additional per-byte cost of packing/unpacking (serialisation overhead)
+PACK_OVERHEAD_PER_BYTE = 2.0e-11
+
+
 class CommCostModel:
-    """Linear latency/bandwidth model for interconnect transfers.
-
-    Defaults approximate the paper's COMET cluster: FDR InfiniBand with
-    56 Gb/s links (~7 GB/s) and microsecond-scale message latency.
-    """
-
-    #: one-way message latency in seconds
-    latency: float = 2.0e-6
-    #: point-to-point bandwidth in bytes/second
-    bandwidth: float = 7.0e9
-    #: additional per-byte cost of packing/unpacking (serialisation overhead)
-    pack_overhead_per_byte: float = 2.0e-11
+    """Linear latency/bandwidth model for interconnect transfers."""
 
     def transfer_time(self, nbytes: int) -> float:
         """Time for a single point-to-point message of *nbytes*."""
         nbytes = max(0, int(nbytes))
-        return self.latency + nbytes / self.bandwidth + nbytes * self.pack_overhead_per_byte
+        return LATENCY + nbytes / BANDWIDTH + nbytes * PACK_OVERHEAD_PER_BYTE
 
     def collective_time(self, nbytes_per_rank: int, nranks: int) -> float:
         """Cost of a tree-structured collective (reduce/bcast-style)."""
@@ -52,7 +49,7 @@ class CommCostModel:
         """Cost of an all-to-all personalised exchange from one rank's view."""
         if nranks <= 1:
             return 0.0
-        return (nranks - 1) * self.latency + self.transfer_time(total_send_bytes)
+        return (nranks - 1) * LATENCY + self.transfer_time(total_send_bytes)
 
 
 class VirtualClock:

@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .clock import VirtualClock
+from .clock import LATENCY, VirtualClock
 from .errors import CollectiveMismatchError, MPIError
 from .ops import Op
 from .status import ANY_SOURCE, ANY_TAG, Request, Status
@@ -215,7 +215,7 @@ class Communicator:
         send_clock = self.clock
         # The sender pays the injection latency; the payload lands at the
         # receiver once the full transfer time has elapsed.
-        send_clock.advance(self.cost_model.latency, category="comm")
+        send_clock.advance(LATENCY, category="comm")
         arrival = send_clock.now + cost
         msg = _Message(self.comm_id, self.rank, tag, obj, arrival, nbytes)
         self.world.mailboxes[self._members[dest]].deliver(msg)

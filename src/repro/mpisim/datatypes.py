@@ -138,7 +138,6 @@ class BasicType(Datatype):
         nbytes = struct.calcsize(fmt)
         super().__init__(nbytes, nbytes, [(0, nbytes)])
         self.name = name
-        self.fmt = fmt
 
 
 MPI_BYTE = BasicType("MPI_BYTE", "B")

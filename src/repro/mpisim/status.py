@@ -27,7 +27,6 @@ class Status:
         self.source: int = ANY_SOURCE
         self.tag: int = ANY_TAG
         self.nbytes: int = 0
-        self.cancelled: bool = False
 
     def Get_source(self) -> int:
         return self.source

@@ -241,8 +241,6 @@ class World:
         #: never join their rendezvous
         self._finished: set = set()
         self._finished_lock = threading.Lock()
-        #: arbitrary per-run shared objects (e.g. the simulated filesystem)
-        self.shared: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ #
     def engine(

@@ -25,6 +25,11 @@ from .striping import OSTLoad, StripeLayout
 
 __all__ = ["ClusterConfig", "IOCostModel", "ReadRequest", "romio_lustre_readers"]
 
+#: fixed latency of a node NIC transfer (seconds)
+NIC_LATENCY = 2.0e-6
+#: metadata / open cost charged once per file open (seconds)
+OPEN_LATENCY = 2.0e-3
+
 
 @dataclass(frozen=True)
 class ReadRequest:
@@ -47,12 +52,11 @@ class ClusterConfig:
     """Compute-side parameters (node mapping and NIC speed).
 
     COMET defaults: 16 MPI processes per node, FDR InfiniBand (~7 GB/s per
-    node towards the filesystem).
+    node towards the filesystem, :data:`NIC_LATENCY` per transfer).
     """
 
     procs_per_node: int = 16
     nic_bandwidth: float = 7.0e9
-    nic_latency: float = 2.0e-6
 
     def node_of_rank(self, rank: int) -> int:
         return rank // self.procs_per_node
@@ -71,8 +75,6 @@ class IOCostModel:
     ost_latency: float = 4.0e-4
     #: client-side software overhead per I/O request (seconds)
     request_overhead: float = 5.0e-5
-    #: metadata / open cost charged once per file open (seconds)
-    open_latency: float = 2.0e-3
     #: cluster (client side) description
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
@@ -111,7 +113,7 @@ class IOCostModel:
             default=0.0,
         )
         nic_time = max(
-            (self.cluster.nic_latency + b / self.cluster.nic_bandwidth for b in node_bytes.values()),
+            (NIC_LATENCY + b / self.cluster.nic_bandwidth for b in node_bytes.values()),
             default=0.0,
         )
         sw_time = max(
@@ -138,7 +140,7 @@ class IOCostModel:
         sender_nodes = min(num_aggregators, nodes) if num_aggregators else nodes
         ingress = total_bytes / max(1, nodes) / self.cluster.nic_bandwidth
         egress = total_bytes / max(1, sender_nodes) / self.cluster.nic_bandwidth
-        return self.cluster.nic_latency * nranks + max(ingress, egress)
+        return NIC_LATENCY * nranks + max(ingress, egress)
 
 
 def romio_lustre_readers(num_nodes: int, stripe_count: int) -> int:

@@ -12,7 +12,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .costmodel import IOCostModel, ReadRequest
+from .costmodel import OPEN_LATENCY, IOCostModel, ReadRequest
 from .striping import StripeLayout
 
 __all__ = ["FileHandle", "SimulatedFilesystem"]
@@ -141,7 +141,7 @@ class SimulatedFilesystem:
     # timing hooks (overridden by concrete filesystems)
     # ------------------------------------------------------------------ #
     def open_time(self) -> float:
-        return self.cost_model.open_latency
+        return OPEN_LATENCY
 
     def read_time(
         self,

@@ -29,15 +29,10 @@ class OSTLoad:
 
 @dataclass(frozen=True)
 class StripeLayout:
-    """Round-robin striping description for one file.
-
-    ``ost_offset`` selects the first OST used by the file (Lustre picks this
-    per file; it only matters for contention between different files).
-    """
+    """Round-robin striping description for one file; stripe 0 is on OST 0."""
 
     stripe_size: int
     stripe_count: int
-    ost_offset: int = 0
 
     def __post_init__(self) -> None:
         if self.stripe_size <= 0:
@@ -57,7 +52,7 @@ class StripeLayout:
             stripe_index = pos // self.stripe_size
             stripe_end = (stripe_index + 1) * self.stripe_size
             chunk = min(end, stripe_end) - pos
-            yield ((stripe_index + self.ost_offset) % self.stripe_count, pos, chunk)
+            yield (stripe_index % self.stripe_count, pos, chunk)
             pos += chunk
 
     def ost_loads(self, ranges: List[Tuple[int, int]]) -> Dict[int, OSTLoad]:

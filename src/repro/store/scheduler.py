@@ -64,13 +64,21 @@ __all__ = [
 ]
 
 
+#: virtual backoff before the first retry (seconds); each later retry waits
+#: ``_BACKOFF_MULTIPLIER`` times longer, up to ``_BACKOFF_MAX``
+_BACKOFF_BASE = 0.002
+_BACKOFF_MULTIPLIER = 4.0
+_BACKOFF_MAX = 0.25
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff for transient read faults.
 
     The serving path re-issues a failed data sieve up to
     ``max_attempts`` times in total; before retry *n* (1-based) it charges
-    ``backoff(n)`` **virtual** seconds to the store's ``io_seconds`` — the
+    ``backoff(n)`` **virtual** seconds to the store's ``io_seconds`` (2 ms,
+    then ×4 per attempt, capped at 250 ms) — the
     simulated analogue of sleeping out a transient fault, so backoff shows
     up in latency distributions without ever stalling the real test run.
     Retryable faults are raised ``OSError``\\ s, short reads and page
@@ -80,9 +88,6 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    backoff_base: float = 0.002
-    backoff_multiplier: float = 4.0
-    backoff_max: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -90,10 +95,7 @@ class RetryPolicy:
 
     def backoff(self, attempt: int) -> float:
         """Virtual seconds to wait before retry *attempt* (1-based)."""
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_multiplier ** (attempt - 1),
-        )
+        return min(_BACKOFF_MAX, _BACKOFF_BASE * _BACKOFF_MULTIPLIER ** (attempt - 1))
 
 
 #: single-attempt policy: any read fault is immediately fatal

@@ -961,7 +961,3 @@ class DistributedStoreServer:
                 out += self.stores[sid].scan()
         self.comm.clock.advance(self._store_io_seconds() - io_before, category="io")
         return out
-
-    def local_geometries(self) -> List[Geometry]:
-        """The geometries of :meth:`local_records` (pipeline input form)."""
-        return [geom for _, geom in self.local_records()]

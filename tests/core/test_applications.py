@@ -201,12 +201,10 @@ class TestRangeQuery:
                 got.add(match)
         assert got == expected
 
-    @pytest.mark.parametrize("margin", [0.0, 0.1])
     @pytest.mark.parametrize("nprocs", [1, 2, 4])
-    def test_execute_honours_extent_margin(self, small_datasets, nprocs, margin):
+    def test_execute_uses_the_configured_grid(self, small_datasets, nprocs):
         # regression: execute ran a private copy of the partitioned pipeline
-        # that predated GridPartitionConfig.extent_margin, so the grid was
-        # always built over the unpadded extent
+        # that did not build the grid the GridPartitionConfig describes
         fs = small_datasets["fs"]
         with fs.open(small_datasets["cemetery"]) as fh:
             geoms = WKTParser().parse_buffer(fh.pread(0, fh.size))
@@ -220,13 +218,11 @@ class TestRangeQuery:
         extent = Envelope.empty()
         for env in [g.envelope for g in geoms] + [window for _, window in queries]:
             extent = extent.union(env)
-        grid = UniformGrid.with_cell_count(
-            extent.buffer(max(extent.width, extent.height) * margin), 16
-        )
+        grid = UniformGrid.with_cell_count(extent, 16)
         windows = dict(queries)
 
         def prog(comm):
-            config = GridPartitionConfig(num_cells=16, extent_margin=margin)
+            config = GridPartitionConfig(num_cells=16)
             return RangeQuery(fs, queries, grid_config=config).execute(
                 comm, small_datasets["cemetery"]
             )

@@ -49,14 +49,6 @@ class TestGlobalExtent:
         res = mpisim.run_spmd(prog, 3)
         assert all(env.is_empty for env in res.values)
 
-    def test_margin_expands(self):
-        def prog(comm):
-            return compute_global_extent(comm, [Point(0, 0), Point(10, 10)], margin=0.1)
-
-        res = mpisim.run_spmd(prog, 2)
-        assert res.values[0].contains(Envelope(0, 0, 10, 10))
-        assert res.values[0].width > 10
-
 
 class TestCellAssignment:
     def test_replication_to_overlapping_cells(self):

@@ -167,8 +167,6 @@ class TestParsers:
             ]
         )
         assert len(geoms) == 2
-        assert parser.stats.parsed == 2
-        assert parser.stats.failed == 1
         assert geoms[1].userdata == "id=4"
 
     def test_parse_buffer(self):

@@ -66,7 +66,7 @@ class TestRecordGenerators:
         assert a != c
 
     def test_vertex_count_skew(self):
-        cfg = SyntheticConfig(seed=3, vertex_sigma=1.2, mean_vertices=10)
+        cfg = SyntheticConfig(seed=3)
         geoms = WKTParser().parse_many(generate_polygon_records(300, cfg))
         counts = sorted(g.num_points for g in geoms)
         # heavy-tailed: the largest polygon has far more vertices than the median

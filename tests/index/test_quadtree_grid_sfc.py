@@ -7,7 +7,6 @@ import pytest
 from repro.geometry import Envelope
 from repro.index import (
     UniformGrid,
-    block_mapping,
     hilbert_encode,
     round_robin_mapping,
     sort_by_hilbert,
@@ -73,16 +72,9 @@ class TestMappings:
         counts = [list(m.values()).count(r) for r in range(3)]
         assert max(counts) - min(counts) <= 1
 
-    def test_block(self):
-        m = block_mapping(10, 3)
-        assert m[0] == 0 and m[9] == 2
-        assert sorted(set(m.values())) == [0, 1, 2]
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             round_robin_mapping(4, 0)
-        with pytest.raises(ValueError):
-            block_mapping(4, 0)
 
 
 def cells_by_hilbert_code(order):

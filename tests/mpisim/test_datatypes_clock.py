@@ -18,6 +18,7 @@ from repro.mpisim import (
     create_struct,
     create_vector,
 )
+from repro.mpisim.clock import LATENCY
 
 
 class TestBasicTypes:
@@ -182,7 +183,7 @@ class TestCostModel:
     def test_transfer_time_monotone_in_size(self):
         m = CommCostModel()
         assert m.transfer_time(10) < m.transfer_time(10_000_000)
-        assert m.transfer_time(0) == pytest.approx(m.latency)
+        assert m.transfer_time(0) == pytest.approx(LATENCY)
 
     def test_collective_grows_with_ranks(self):
         m = CommCostModel()

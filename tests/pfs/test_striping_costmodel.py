@@ -14,10 +14,6 @@ from repro.pfs import (
 
 
 class TestStripeLayout:
-    def test_ost_offset_shifts_assignment(self):
-        layout = StripeLayout(stripe_size=100, stripe_count=4, ost_offset=2)
-        assert [ost for ost, _, _ in layout.stripe_chunks(0, 300)] == [2, 3, 0]
-
     def test_stripe_chunks_split_at_boundaries(self):
         layout = StripeLayout(stripe_size=100, stripe_count=2)
         chunks = list(layout.stripe_chunks(50, 200))

@@ -169,14 +169,13 @@ class TestChecksumsAndRetry:
         return fs, geoms
 
     def test_backoff_schedule_is_bounded_exponential(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_base=0.01, backoff_multiplier=2.0,
-            backoff_max=0.03,
-        )
-        assert policy.backoff(1) == pytest.approx(0.01)
-        assert policy.backoff(2) == pytest.approx(0.02)
-        assert policy.backoff(3) == pytest.approx(0.03)  # capped
-        assert policy.backoff(4) == pytest.approx(0.03)
+        policy = RetryPolicy(max_attempts=6)
+        assert policy.backoff(1) == pytest.approx(0.002)
+        assert policy.backoff(2) == pytest.approx(0.008)
+        assert policy.backoff(3) == pytest.approx(0.032)
+        assert policy.backoff(4) == pytest.approx(0.128)
+        assert policy.backoff(5) == pytest.approx(0.25)  # capped
+        assert policy.backoff(6) == pytest.approx(0.25)
         assert NO_RETRY.max_attempts == 1
 
     def test_transient_read_errors_are_retried_and_counted(self, loaded):
@@ -196,6 +195,9 @@ class TestChecksumsAndRetry:
 
     def test_retry_backoff_charges_virtual_io_seconds(self, loaded):
         fs, _ = loaded
+        with SpatialDataStore.open(fs, "faulty", cache_pages=256) as store:
+            store.range_query(WINDOW)
+            clean_io = store.stats.io_seconds
         faulty = FaultyFilesystem(fs, seed=3)
         faulty.add_rule(
             FaultRule(
@@ -204,18 +206,13 @@ class TestChecksumsAndRetry:
                 max_faults=1,
             )
         )
-        slow = RetryPolicy(max_attempts=3, backoff_base=1.0, backoff_max=4.0)
-        with SpatialDataStore.open(
-            faulty, "faulty", cache_pages=256, retry_policy=slow
-        ) as store:
-            clean_open_io = None
+        with SpatialDataStore.open(faulty, "faulty", cache_pages=256) as store:
             store.range_query(WINDOW)
-            assert store.stats.io_seconds >= 1.0  # the injected backoff
-
-        with SpatialDataStore.open(fs, "faulty", cache_pages=256) as store:
-            store.range_query(WINDOW)
-            clean_open_io = store.stats.io_seconds
-        assert clean_open_io < 1.0
+            assert store.stats.retries == 1
+            # the injected backoff, on top of the clean run's reads
+            assert store.stats.io_seconds == pytest.approx(
+                clean_io + DEFAULT_RETRY.backoff(1)
+            )
 
     def test_retry_exhaustion_raises_store_error(self, loaded):
         fs, _ = loaded
@@ -591,16 +588,13 @@ class TestReplicaFailover:
 
     def test_shards_json_retry_backoff_is_charged_to_the_clock(self, sharded):
         fs, _, _ = sharded
-        slow = RetryPolicy(max_attempts=3, backoff_base=1.0, backoff_max=4.0)
 
-        def opened_at(target):
+        def open_io(target):
             def prog(comm):
-                with DistributedStoreServer.open(
-                    comm, target, self.NAME, retry_policy=slow
-                ):
-                    return comm.clock.now
+                with DistributedStoreServer.open(comm, target, self.NAME):
+                    return comm.clock.category("io")
 
             return mpisim.run_spmd(prog, 2).values[0]
 
         faulty = self._shards_json_faults(fs, read_error_rate=1.0, max_faults=1)
-        assert opened_at(fs) < 1.0 <= opened_at(faulty)
+        assert open_io(faulty) == pytest.approx(open_io(fs) + DEFAULT_RETRY.backoff(1))

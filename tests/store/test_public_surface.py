@@ -20,6 +20,7 @@ from repro.store import (
     IOScheduler,
     QueryHit,
     RefineExecutor,
+    RetryPolicy,
     SpatialDataStore,
     StoreAppender,
     StoreEngine,
@@ -77,6 +78,9 @@ SURFACE = [
     # fetch passes its readahead budget (the cache's free slots)
     (IOScheduler.__init__, "self pages layout cost_model"),
     (IOScheduler.schedule, "self missing is_cached budget"),
+    # --- faults: retry_policy= forwards this policy; its backoff schedule
+    # (2 ms, x4 per retry, capped at 250 ms) is a constant
+    (RetryPolicy.__init__, "self max_attempts"),
 ]
 
 

@@ -581,7 +581,7 @@ class TestCoreWiring:
         assert sorted((p.userdata, h.geometry.userdata) for p, h in root_pairs) == expected
         assert res.values[1:] == [None] * (nprocs - 1)
 
-    def test_local_geometries_matches_local_records(self, tmp_path):
+    def test_local_records_yield_every_record_once(self, tmp_path):
         fs = make_fs(tmp_path)
         geoms = random_geometries(50, seed=95)
         bulk_load(fs, "data", geoms, num_shards=4, num_partitions=16,
@@ -589,9 +589,7 @@ class TestCoreWiring:
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, "data") as server:
-                records = server.local_records()
-                # fresh server so the two reads see identical cache state
-                return [g.userdata for _, g in records]
+                return [g.userdata for _, g in server.local_records()]
 
         values = mpisim.run_spmd(prog, 4).values
         all_ids = sorted(uid for chunk in values for uid in chunk)

@@ -70,22 +70,6 @@ class TestAccessLevelAndStrategyMatrix:
         windowed = mpisim.run_spmd(prog, 2, "message", 4).values[0]
         assert baseline == overlap == windowed
 
-    def test_block_mapping_strategy(self, lustre):
-        def prog(comm):
-            join = SpatialJoin(
-                lustre,
-                grid_config=GridPartitionConfig(num_cells=16, mapping="block"),
-            )
-            return count_pairs(comm, join)
-
-        round_robin = mpisim.run_spmd(prog, 2).values[0]
-
-        def prog_rr(comm):
-            join = SpatialJoin(lustre, grid_config=GridPartitionConfig(num_cells=16))
-            return count_pairs(comm, join)
-
-        assert round_robin == mpisim.run_spmd(prog_rr, 2).values[0]
-
 
 class TestCustomComputation:
     def test_single_layer_histogram_computation(self, lustre):

@@ -332,7 +332,7 @@ class TestCensusScript:
             tmp_path,
             "class Store:\n"
             "    def __init__(self, cache=1, strict=False):\n"
-            "        self.cache = cache\n"
+            "        self._cache = cache\n"
             "def load(store, retries=3, *, lazy=False):\n"
             "    return store\n",
             examples__use_py=(
@@ -354,7 +354,7 @@ class TestCensusScript:
             tmp_path,
             "class Store:\n"
             "    def __init__(self, cache=1, strict=False):\n"
-            "        self.cache = cache\n"
+            "        self._cache = cache\n"
             "class Mid(Store):\n"
             "    pass\n"
             "class Sub(Mid):\n"
@@ -394,7 +394,7 @@ class TestCensusScript:
             tmp_path,
             "class Store:\n"
             "    def __init__(self, cache=1, strict=False):\n"
-            "        self.cache = cache\n"
+            "        self._cache = cache\n"
             "    @classmethod\n"
             "    def open(cls):\n"
             "        return cls(strict=True)\n"
@@ -432,6 +432,113 @@ class TestCensusScript:
         result = run("census.py", "src/repro", cwd=tmp_path)
         assert result.returncode == 1
         assert "repro.store.writer:bulk_load(read_replicas): stale keep entry" in result.stdout
+
+    # --- dataclass fields and write-only attributes ----------------------- #
+    def test_a_dataclass_field_no_caller_passes_is_flagged(self, tmp_path):
+        code, flagged = self._member_package(
+            tmp_path,
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Store:\n"
+            "    name: str = 'x'\n"
+            "    cache: int = 1\n"
+            "    strict: bool = False\n",
+            examples__use_py="from pkgx.mod import Store\nStore(cache=2)\n",
+            tests__test_mod_py="from pkgx.mod import Store\nStore(strict=True)\n",
+        )
+        assert (code, flagged) == (1, ["pkgx.mod:Store(name)", "pkgx.mod:Store(strict)"])
+
+    @pytest.mark.parametrize("call", [
+        "Store(2, True)",                      # by position, in field order
+        "Store(strict=True)",                  # by name
+        "Store(**{'strict': True})",           # forwarded **kwargs
+        "Sub(strict=True)",                    # through an inherited __init__
+    ])
+    def test_a_dataclass_field_passed_is_reached(self, tmp_path, call):
+        code, flagged = self._member_package(
+            tmp_path,
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Store:\n"
+            "    cache: int = 1\n"
+            "    strict: bool = False\n"
+            "class Sub(Store):\n"
+            "    pass\n",
+            examples__use_py=f"from pkgx.mod import Store, Sub\nStore(cache=2)\n{call}\n",
+        )
+        assert (code, flagged) == (0, [])
+
+    def test_a_dataclass_field_that_is_state_is_not_checked(self, tmp_path):
+        # a field(...) default, a field some code assigns through an
+        # attribute and one its own methods assign are state, not settings;
+        # a self.strict store in another class sets that class's attribute
+        code, flagged = self._member_package(
+            tmp_path,
+            "from dataclasses import dataclass, field\n"
+            "@dataclass\n"
+            "class Store:\n"
+            "    pages: list = field(default_factory=list)\n"
+            "    hits: int = 0\n"
+            "    misses: int = 0\n"
+            "    strict: bool = False\n"
+            "    def miss(self):\n"
+            "        self.misses += 1\n",
+            examples__use_py=(
+                "from pkgx.mod import Store\n"
+                "store = Store()\n"
+                "store.hits += 1\n"
+                "store.miss()\n"
+                "print(store.hits, store.misses)\n"
+                "class Other:\n"
+                "    def __init__(self):\n"
+                "        self.strict = True\n"
+            ),
+        )
+        assert (code, flagged) == (1, ["pkgx.mod:Store(strict)"])
+
+    def test_a_field_keep_entry_that_becomes_passed_is_stale(self, tmp_path):
+        # KEEP holds repro.core.partition:PartitionConfig(info) as unpassed
+        pkg = tmp_path / "src" / "repro" / "core"
+        pkg.mkdir(parents=True)
+        (pkg.parent / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "partition.py").write_text(
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class PartitionConfig:\n"
+            "    info: object = None\n"
+            "    max_geometry_size: int = 11\n"
+        )
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from repro.core.partition import PartitionConfig\n"
+            "PartitionConfig(info={}, max_geometry_size=12)\n"
+        )
+        result = run("census.py", "src/repro", cwd=tmp_path)
+        assert result.returncode == 1
+        assert "repro.core.partition:PartitionConfig(info): stale keep entry" in result.stdout
+
+    def test_a_write_only_attribute_is_flagged(self, tmp_path):
+        code, flagged = self._member_package(
+            tmp_path,
+            "class Store:\n"
+            "    def __init__(self):\n"
+            "        self.dead = 1\n"
+            "        self.loaded = 2\n"
+            "        self.by_getattr = 3\n"
+            "        self.by_attrgetter = 4\n"
+            "        self.by_target = 5\n"
+            "        self._private = 6\n",
+            examples__use_py=(
+                "import operator\n"
+                "from pkgx.mod import Store\n"
+                "store = Store()\n"
+                "print(store.loaded, getattr(store, 'by_getattr'))\n"
+                "print(operator.attrgetter('by_attrgetter')(store))\n"
+            ),
+            perf__spans_py='TARGETS = ["pkgx.mod:Store.by_target"]\n',
+        )
+        assert (code, flagged) == (1, ["pkgx.mod:Store.dead"])
 
     def test_a_keep_entry_needs_a_known_rule_and_a_reason(self, tmp_path, monkeypatch, capsys):
         spec = importlib.util.spec_from_file_location("census_script", SCRIPTS / "census.py")
