@@ -24,8 +24,6 @@ queries).
 import os
 import random
 
-import pytest
-
 from reporting import FigureReport
 from repro.datasets import random_envelopes
 from repro.geometry import Envelope, LineString, Point, Polygon

@@ -175,7 +175,7 @@ def test_warm_filter_path_speedup(lustre, batch_store, benchmark, once):
         store = SpatialDataStore.open(lustre, "bench_batch_lakes_fat",
                                       cache_pages=512)
         work, slots = hot.filter_workload(store, 12 if QUICK else 24)
-        executor = store.engine.executor
+        executor = store.executor
         tombs = store._tombstone_gen
         flat = lambda out: sorted(
             (key, slot) for key, kept in out for slot in kept

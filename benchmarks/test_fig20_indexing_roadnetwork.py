@@ -6,8 +6,6 @@ processes are added; with 320 processes the paper indexes 717 M edges in about
 90 seconds.  The reproduction checks the scaling trend on the scaled dataset.
 """
 
-import pytest
-
 from harness import run_indexing_breakdown
 from reporting import FigureReport
 

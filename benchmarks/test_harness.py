@@ -16,7 +16,7 @@ from harness import (
     union_reduce_scan_figure,
 )
 from reporting import FigureReport, Series, bandwidth_gbps, format_table
-from repro.pfs import ClusterConfig, GPFSFilesystem, IOCostModel, LustreFilesystem, StripeLayout
+from repro.pfs import ClusterConfig, IOCostModel, LustreFilesystem, StripeLayout
 
 
 @pytest.fixture

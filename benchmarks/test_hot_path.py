@@ -70,7 +70,7 @@ def filter_workload(store, num_windows, seed=5):
         random_envelopes(num_windows, extent=extent, max_size_fraction=0.5,
                          seed=seed)
     )
-    plan = store.engine.planner.plan(list(enumerate(windows)))
+    plan = store.planner.plan(list(enumerate(windows)))
     work = [(entry, store._get_pages(entry.by_page)) for entry in plan.entries]
     slots = sum(
         len(slots) for entry, _ in work for slots in entry.by_page.values()
@@ -149,7 +149,7 @@ def test_warm_filter_stage_speedup(lustre, hot_store, benchmark, once):
         store = SpatialDataStore.open(lustre, "bench_hot_lakes",
                                       cache_pages=512)
         work, slots = filter_workload(store, NUM_WINDOWS)
-        executor = store.engine.executor
+        executor = store.executor
         tombs = store._tombstone_gen
 
         # equality first: same surviving (page, slot) pairs per entry.  The
@@ -189,12 +189,12 @@ def test_refine_end_to_end_parity(lustre, hot_store, benchmark, once):
         bulk_store = SpatialDataStore.open(lustre, "bench_hot_lakes",
                                            cache_pages=512)
         work, slots = filter_workload(bulk_store, NUM_WINDOWS)
-        executor = bulk_store.engine.executor
+        executor = bulk_store.executor
 
         ref_store = SpatialDataStore.open(lustre, "bench_hot_lakes",
                                           cache_pages=512)
         ref_work, _ = filter_workload(ref_store, NUM_WINDOWS)
-        ref_executor = ref_store.engine.executor
+        ref_executor = ref_store.executor
 
         t0 = time.perf_counter()
         ref_hits = [

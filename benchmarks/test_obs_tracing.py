@@ -12,9 +12,10 @@ PR 6's observability layer.  Two properties are pinned:
   validated in-process by the schema helpers of
   ``tests/obs/_trace_schema.py``;
 * **free when off** — with the default :data:`~repro.obs.NULL_TRACER`,
-  ``StoreEngine.execute`` (the one stage loop: null span scopes plus the
-  outcome bookkeeping) must cost ≤ 2% over a span-free, outcome-free loop
-  over the same stage objects, measured min-of-k on a warm cache so the
+  ``SpatialDataStore.range_query_batch`` (through the store's one stage
+  loop, ``query_outcome``: null span scopes plus the outcome bookkeeping)
+  must cost ≤ 2% over a span-free, outcome-free loop over the same stage
+  objects, measured min-of-k on a warm cache so the
   comparison is pure CPU.  Each timed sample repeats the query batch until
   it lasts at least ``SAMPLE_SECONDS``, the two loops alternate which one
   is timed first, and the cyclic collector is off while they are timed.
@@ -37,7 +38,7 @@ from repro.core import VectorIO
 from repro.datasets import random_envelopes
 from repro.obs import NULL_TRACER, Histogram, Tracer, write_chrome_trace, write_jsonl
 from repro.obs.trace import Span
-from repro.store import DistributedStoreServer, SpatialDataStore, StoreEngine, bulk_load
+from repro.store import DistributedStoreServer, SpatialDataStore, bulk_load
 from tests.obs._trace_schema import check_chrome, check_jsonl
 
 QUICK = bool(os.environ.get("OBS_QUICK"))
@@ -125,7 +126,7 @@ def test_traced_distributed_query(lustre, obs_store, benchmark, once, tmp_path):
 
 
 def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
-    """With the tracer disabled (the default), ``engine.execute`` must stay
+    """With the tracer disabled (the default), ``range_query_batch`` must stay
     within 2% of a stage loop that opens no spans and builds no outcome —
     pinned here so neither the observability layer nor the degraded-mode
     bookkeeping can ever tax the hot serving path."""
@@ -134,27 +135,26 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
 
     def driver():
         store = SpatialDataStore.open(lustre, "bench_obs_single", cache_pages=512)
-        engine = store.engine
         assert not store.tracer.enabled
 
         def reference(queries, exact=True):
-            """plan → fetch → refine over the engine's own stage objects,
+            """plan → fetch → refine over the store's own stage objects,
             with no span scope and no outcome object."""
             results = [[] for _ in queries]
-            plan = engine.planner.plan(queries)
+            plan = store.planner.plan(queries)
             held = {}
             if len(plan.touched_pages) <= store._cache.capacity:
                 held = store._get_pages(plan.touched_pages)
             for j in plan.visit_order:
                 entry = plan.entries[j]
                 pages = held or store._get_pages(entry.by_page)
-                results[entry.position] = engine.executor.refine(entry, pages, exact)
+                results[entry.position] = store.executor.refine(entry, pages, exact)
             return results
 
         # warm the cache so both measurements are pure CPU (no simulated I/O
         # bookkeeping differences), and establish the reference results
         expected = reference(queries, exact=True)
-        via_execute = engine.execute(queries, exact=True)
+        via_batch = store.range_query_batch(queries, exact=True)
 
         # one warm batch takes well under a millisecond (12 queries in the
         # quick variant), too short a sample to resolve a 2% difference: a
@@ -182,11 +182,11 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
         try:
             for round_no in range(rounds):
                 if round_no % 2:
-                    v = min(timed(engine.execute), timed(engine.execute))
+                    v = min(timed(store.range_query_batch), timed(store.range_query_batch))
                     d = min(timed(reference), timed(reference))
                 else:
                     d = min(timed(reference), timed(reference))
-                    v = min(timed(engine.execute), timed(engine.execute))
+                    v = min(timed(store.range_query_batch), timed(store.range_query_batch))
                 if v / d < dispatched / direct:
                     direct, dispatched = d, v
         finally:
@@ -201,12 +201,12 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
             store.range_query(window, exact=True)
             hist.record(time.perf_counter() - t0)
         store.close()
-        return expected, via_execute, direct, dispatched, hist
+        return expected, via_batch, direct, dispatched, hist
 
-    expected, via_execute, direct, dispatched, hist = once(driver)
+    expected, via_batch, direct, dispatched, hist = once(driver)
 
     # the scopes and the bookkeeping are transparent: identical results...
-    assert [[h.record_id for h in hits] for hits in via_execute] == [
+    assert [[h.record_id for h in hits] for hits in via_batch] == [
         [h.record_id for h in hits] for hits in expected
     ]
     # ...and within the 2% overhead budget on the warm path
@@ -224,40 +224,39 @@ def test_noop_tracing_overhead(lustre, obs_store, benchmark, once):
 
 def test_disabled_tracer_computes_no_span_attributes(lustre, obs_store, monkeypatch):
     """The timer-free half of the no-op guard.  Under the default
-    :data:`~repro.obs.NULL_TRACER` a warm ``engine.execute`` batch never
-    describes its plan (``StoreEngine._describe_plan``) and never sets a
+    :data:`~repro.obs.NULL_TRACER` a warm ``range_query_batch`` never
+    describes its plan (``SpatialDataStore._describe_plan``) and never sets a
     span attribute: both are patched to raise.  Under a recording tracer the
     plan is described once per batch and every span of the batch has its
     attributes set once — so the guard above cannot pass by never tracing."""
     queries = obs_store["queries"]
     store = SpatialDataStore.open(lustre, "bench_obs_single", cache_pages=512)
-    engine = store.engine
-    expected = engine.execute(queries)  # warms the cache
+    expected = store.range_query_batch(queries)  # warms the cache
     null_span = type(NULL_TRACER.span("probe").__enter__())
 
     def refuse(*args, **kwargs):
         raise AssertionError("the disabled tracer computed span attributes")
 
     with monkeypatch.context() as patch:
-        patch.setattr(StoreEngine, "_describe_plan", refuse)
+        patch.setattr(SpatialDataStore, "_describe_plan", refuse)
         patch.setattr(null_span, "set", refuse)
         assert not store.tracer.enabled
-        hits = engine.execute(queries)
+        hits = store.range_query_batch(queries)
     assert [[h.record_id for h in q] for q in hits] == [[h.record_id for h in q] for q in expected]
 
     described, attributed = [], []
-    describe, set_attrs = StoreEngine._describe_plan, Span.set
-    monkeypatch.setattr(StoreEngine, "_describe_plan",
+    describe, set_attrs = SpatialDataStore._describe_plan, Span.set
+    monkeypatch.setattr(SpatialDataStore, "_describe_plan",
                         lambda self, plan, span: described.append(plan) or describe(self, plan, span))
     monkeypatch.setattr(Span, "set", lambda span, **attrs: attributed.append(span) or set_attrs(span, **attrs))
     store.tracer = Tracer()
     for batch in range(2):
         attributed.clear()
-        engine.execute(queries)
+        store.range_query_batch(queries)
         assert len(described) == batch + 1
         assert len(attributed) == len(set(map(id, attributed)))
         names = [span.name for span in attributed]
         assert {"query", "plan", "refine", "decode"} <= set(names)
         # one decode span per window that reaches the refine stage
-        assert names.count("decode") == len(engine.planner.plan(queries).entries)
+        assert names.count("decode") == len(store.planner.plan(queries).entries)
     store.close()

@@ -20,7 +20,6 @@ from repro import mpisim
 from repro.core import GridPartitionConfig, PartitionConfig, RangeQuery
 from repro.datasets import generate_dataset
 from repro.geometry import Envelope
-from repro.mpisim import ops
 from repro.pfs import GPFSFilesystem
 
 NPROCS = 4

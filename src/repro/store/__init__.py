@@ -41,8 +41,8 @@ for it again:
     The staged **plan → schedule → refine** query engine every serving entry
     point routes through: :class:`QueryPlanner` (filter phase),
     :class:`IOScheduler` (data-sieved page I/O priced by the cost model) and
-    :class:`RefineExecutor` (per-slot decode + newest-version de-dup), composed by
-    :class:`StoreEngine`.
+    :class:`RefineExecutor` (per-slot decode + newest-version de-dup), run in
+    one stage loop by :meth:`SpatialDataStore.query_outcome`.
 
 ``repro.store.sharded``
     Distributed serving: :class:`DistributedStoreServer` opens a store's
@@ -71,7 +71,6 @@ from .engine import (
     QueryPlan,
     QueryPlanner,
     RefineExecutor,
-    StoreEngine,
 )
 from .format import (
     PageChecksumError,
@@ -132,7 +131,6 @@ __all__ = [
     "GenerationInfo",
     "PageKey",
     "delta_paths",
-    "StoreEngine",
     "QueryPlanner",
     "QueryPlan",
     "PlanEntry",

@@ -23,6 +23,7 @@ reproduction; the accumulated simulated seconds are exposed via
 
 from __future__ import annotations
 
+import weakref
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -34,7 +35,8 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..pfs import FileHandle, ReadRequest, SimulatedFilesystem
 from .cache import CacheStats, PageCache
-from .engine import BatchOutcome, QueryHit, StoreEngine
+from .engine import (BatchOutcome, DeadlineExceeded, PlanEntry, QueryHit, QueryPlan,
+                     QueryPlanner, RefineExecutor)
 from .format import (
     HEADER_SIZE,
     PageChecksumError,
@@ -248,7 +250,7 @@ class SpatialDataStore:
         #: the store's metrics namespace (``store.*`` / ``cache.*`` counters)
         #: — one registry per store so two stores never share a counter
         self.metrics = MetricsRegistry()
-        #: span recorder for the staged engine; :data:`NULL_TRACER` (zero
+        #: span recorder for the stage loop; :data:`NULL_TRACER` (zero
         #: overhead) unless a recording tracer is injected
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: bounded-retry policy for the read path (see
@@ -292,7 +294,16 @@ class SpatialDataStore:
         #: record id -> newest generation that tombstoned it (occurrences in
         #: strictly older generations are invisible)
         self._tombstone_gen: Dict[int, int] = manifest.tombstone_generations()
-        self.engine = StoreEngine(self)
+        #: the filter phase and the refine phase of :meth:`query_outcome`.
+        #: The executor holds the store through a :func:`weakref.proxy`: a
+        #: strong back-reference would make every store a reference cycle,
+        #: and a closed, dropped store — its packed indexes and cached pages
+        #: included — would wait for a full pass of the cyclic collector
+        #: instead of being freed at once
+        self.planner = QueryPlanner(manifest, self.index, self.generations[1:])
+        self.executor = RefineExecutor(
+            self._partition_of_page, self._tombstone_gen, weakref.proxy(self)
+        )
 
     # the base generation's state lives only in generations[0]; these
     # aliases keep the single-container surface everyone already uses
@@ -305,11 +316,6 @@ class SpatialDataStore:
     def index(self) -> STRtree:
         """The base container's packed index."""
         return self.generations[0].index
-
-    @property
-    def scheduler(self) -> IOScheduler:
-        """The base generation's I/O scheduler (deltas each have their own)."""
-        return self.generations[0].scheduler
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -660,7 +666,7 @@ class SpatialDataStore:
         directory, so a page with fewer slots would let a leaf name one
         past its end.  The decode count goes straight to the counter: a page
         holding a method of the store would make the store a reference
-        cycle (see StoreEngine)."""
+        cycle (see :attr:`executor`)."""
         page = CachedPage(meta.page_id, payload, crc, on_decode=self.stats._records_decoded.inc)
         if page.count != meta.count:
             raise StoreFormatError(
@@ -734,23 +740,22 @@ class SpatialDataStore:
         failed.append((key, exc))
 
     # ------------------------------------------------------------------ #
-    # queries (all routed through the staged engine)
+    # queries (all routed through the one stage loop, query_outcome)
     # ------------------------------------------------------------------ #
     def range_query(
         self, window: Union[Envelope, Geometry], exact: bool = True
     ) -> List[QueryHit]:
         """Records intersecting *window*, each once (newest version).
 
-        A single-window batch through the :class:`~repro.store.engine.
-        StoreEngine`: the planner selects exact ``(page, slot)`` candidates
-        (the packed index prunes, from its root down), the I/O scheduler
-        fetches only the touched pages in coalesced runs, and the refine
-        executor decodes only candidate slots.  With ``exact`` the geometric
-        predicate is evaluated (refine phase); otherwise the MBR test of the
-        filter phase is the answer.
+        A single-window batch through :meth:`query_outcome`: the planner
+        selects exact ``(page, slot)`` candidates (the packed index prunes,
+        from its root down), the I/O scheduler fetches only the touched
+        pages in coalesced runs, and the refine executor decodes only
+        candidate slots.  With ``exact`` the geometric predicate is
+        evaluated (refine phase); otherwise the MBR test of the filter phase
+        is the answer.
         """
-        self.stats.queries += 1
-        return self.engine.execute([(None, window)], exact=exact)[0]
+        return self.query_outcome([(None, window)], exact).hits[0]
 
     def range_query_batch(
         self,
@@ -760,9 +765,9 @@ class SpatialDataStore:
         """Serve a batch of ``(query_id, window)`` queries in one pass.
 
         The batched front-end is where the filter-and-refine discipline pays
-        across probes, not just within one — the engine's plan stage orders
-        windows along the shared Hilbert visit order (page-cache locality),
-        dedupes page touches batch-wide, and bulk-fetches the working set in
+        across probes, not just within one — the plan stage orders windows
+        along the shared Hilbert visit order (page-cache locality), dedupes
+        page touches batch-wide, and bulk-fetches the working set in
         coalesced runs when the cache can hold it (with a disabled or
         undersized cache, fetching falls back to per-query coalesced runs so
         memory stays bounded by one query's working set); the refine stage
@@ -770,11 +775,33 @@ class SpatialDataStore:
         record decode it once.
 
         Returns one ``range_query``-identical hit list per query, in the
-        input order.
+        input order: the strict form of :meth:`query_outcome` (the first
+        unreadable page raises).
         """
-        queries = list(queries)
-        self.stats.queries += len(queries)
-        return self.engine.execute(queries, exact=exact)
+        return self.query_outcome(queries, exact).hits
+
+    def _describe_plan(self, plan: QueryPlan, span) -> int:
+        """Set the ``plan`` span's attributes; returns the candidate count."""
+        part_of = self._partition_of_page
+        partitions = {
+            part_of.get(key, -1) for entry in plan.entries for key in entry.by_page
+        }
+        by_generation: Dict[int, int] = {}
+        for entry in plan.entries:
+            for key, slots in entry.by_page.items():
+                by_generation[key.generation] = (
+                    by_generation.get(key.generation, 0) + len(slots)
+                )
+        candidates = sum(by_generation.values())
+        span.set(
+            entries=len(plan.entries),
+            touched_pages=len(plan.touched_pages),
+            partitions_visited=len(partitions),
+            candidates=candidates,
+            candidates_by_generation=by_generation,
+            generations=len(by_generation),
+        )
+        return candidates
 
     def query_outcome(
         self,
@@ -783,21 +810,110 @@ class SpatialDataStore:
         partial_ok: bool = False,
         budget: Optional[float] = None,
     ) -> BatchOutcome:
-        """:meth:`range_query_batch` with an explicit outcome — degraded-mode
-        partial results (``partial_ok``) and a per-batch simulated-I/O-seconds
-        deadline (*budget*); see :meth:`StoreEngine.execute_outcome`.
+        """The store's one stage loop: plan → fetch → refine a batch of
+        ``(query_id, window)`` queries, with an explicit outcome.
+
+        The batch working set is bulk-fetched up front only when the cache
+        can actually hold it; otherwise each query fetches its own pages
+        (still coalesced per query) so memory stays bounded by one query's
+        working set.
+
+        With ``partial_ok`` an unreadable page (checksum quarantine, retry
+        exhaustion) no longer aborts the batch: affected queries return the
+        hits their surviving pages produce and the outcome records exactly
+        which pages and partitions are missing.  *budget* bounds the batch's
+        **simulated I/O seconds** (the store's ``io_seconds`` movement,
+        backoff included): once spent (a zero budget is spent from the
+        start), remaining entries are not fetched —
+        ``partial_ok`` decides whether that degrades the outcome or raises
+        :class:`~repro.store.engine.DeadlineExceeded`.  Without either knob
+        the loop is strict: the first bad page raises and the outcome is
+        trivially complete.
+
+        The loop runs inside the span hierarchy ``query → plan → schedule →
+        io → refine → decode`` (schedule/io spans come from the page-fetch
+        path, decode spans from
+        :meth:`~repro.store.engine.RefineExecutor.refine`).  The scopes are
+        opened unconditionally — the null tracer hands back one shared no-op
+        scope — and only the *computation* of span attributes sits behind
+        ``tracer.enabled``.
         """
+        tracer = self.tracer
+        stats = self.stats
         queries = list(queries)
-        self.stats.queries += len(queries)
-        return self.engine.execute_outcome(
-            queries, exact=exact, partial_ok=partial_ok, budget=budget
+        stats.queries += len(queries)
+        results: List[List[QueryHit]] = [[] for _ in queries]
+        failed: List[Tuple[PageKey, Exception]] = []
+        incomplete: List[int] = []
+        collect = failed if partial_ok else None
+        io_start = stats.io_seconds
+        candidates = 0
+        with tracer.span("query", num_queries=len(queries), exact=exact) as qspan:
+            with tracer.span("plan") as pspan:
+                plan = self.planner.plan(queries)
+                if tracer.enabled:
+                    candidates = self._describe_plan(plan, pspan)
+            if plan.entries:
+                held: Dict[PageKey, CachedPage] = {}
+                touched = plan.touched_pages
+                # bulk prefetch is skipped under a budget: the deadline is
+                # checked between entries, so I/O has to be issued entry by
+                # entry
+                if budget is None and len(touched) <= self._cache.capacity:
+                    held = self._get_pages(touched, failed=collect)
+                with tracer.span("refine", candidates=candidates) as rspan:
+                    for j in plan.visit_order:
+                        entry = plan.entries[j]
+                        if budget is not None and stats.io_seconds - io_start >= budget:
+                            exc: Exception = DeadlineExceeded(
+                                f"query batch on store {self.name!r} exceeded "
+                                f"its {budget:g}s I/O budget"
+                            )
+                            if not partial_ok:
+                                raise exc
+                            failed.extend((key, exc) for key in entry.by_page)
+                            incomplete.append(entry.position)
+                            continue
+                        pages = held or self._get_pages(entry.by_page, failed=collect)
+                        # a page can only be absent after a collected failure
+                        if failed and any(key not in pages for key in entry.by_page):
+                            available = {
+                                k: s for k, s in entry.by_page.items() if k in pages
+                            }
+                            incomplete.append(entry.position)
+                            if not available:
+                                continue
+                            entry = PlanEntry(
+                                entry.position, entry.query_id, entry.env,
+                                entry.geom, available,
+                            )
+                        results[entry.position] = self.executor.refine(entry, pages, exact)
+                    if tracer.enabled:
+                        rspan.set(num_hits=sum(map(len, results)))
+            if tracer.enabled:
+                qspan.set(num_hits=sum(map(len, results)))
+
+        if not failed and not incomplete:
+            return BatchOutcome(results, True)
+        # one cause per distinct page (entries may share a failed page)
+        causes: Dict[PageKey, Exception] = {}
+        for key, exc in failed:
+            causes.setdefault(key, exc)
+        return BatchOutcome(
+            hits=results,
+            complete=False,
+            failed_pages=sorted(causes.items()),
+            missing_partitions=sorted(
+                {self._partition_of_page.get(key, -1) for key in causes}
+            ),
+            incomplete_queries=sorted(set(incomplete)),
         )
 
     def join(self, probes: Sequence[Geometry]) -> List[Tuple[Geometry, QueryHit]]:
         """Filter-and-refine join of in-memory *probes* against the store.
 
         A range batch whose windows are the probes: the store's packed index
-        is the filter phase, and the engine's geometry-window refine
+        is the filter phase, and the executor's geometry-window refine
         (``intersects(probe, record)``, the paper's join predicate) is the
         refine phase.  Page touches are deduped and I/O is coalesced across
         the whole probe collection, and a record shared by several probes
@@ -841,7 +957,7 @@ class SpatialDataStore:
         """``(generation, page image)`` for every page, newest generation
         first, fetched in bounded runs (at most one cache capacity's worth
         at a time) so a full sweep's memory stays bounded by the page cache,
-        not the container — the engine's bounded-memory contract."""
+        not the container — the stage loop's bounded-memory contract."""
         run_len = self._cache.capacity if self._cache.capacity > 0 else 16
         for gen in reversed(self.generations):
             for start in range(0, len(gen.pages), run_len):
@@ -856,12 +972,12 @@ class SpatialDataStore:
     def _visible(self) -> Iterator[Tuple[CachedPage, int]]:
         """``(page, slot)`` of every *visible* logical record exactly once:
         generations newest first (an updated record's newest version wins,
-        older ones de-duplicated) and tombstoned ids dropped — the engine's
+        older ones de-duplicated) and tombstoned ids dropped — the executor's
         refine-phase rule.  Pages stream through :meth:`_iter_pages`, so
         memory stays bounded by the page cache.  :meth:`scan` decodes these
         slots; compaction copies their frames."""
         seen: set = set()
-        surviving_slots = self.engine.executor._surviving_slots
+        surviving_slots = self.executor._surviving_slots
         for gen_id, page in self._iter_pages():
             live, _, _ = surviving_slots(page, range(page.count), gen_id, seen)
             yield from ((page, slot) for slot in live)

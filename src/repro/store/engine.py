@@ -22,19 +22,20 @@ engine makes each stage an explicit object with one owner:
   settle; a hit the column proved decodes its record when its geometry is
   first read.
 
-:class:`StoreEngine` composes the three over one open store in **one**
-stage loop (:meth:`StoreEngine.execute_outcome`; strict serving, degraded
-serving and traced serving are modes of it, not copies).  A join is a batch
-of it too: its windows are the probe geometries, which the refine executor
-tests with ``intersects`` — the only refine of both joins.  The sharded
-server serves each shard through that shard store's engine, so the single
-and distributed paths can never diverge; the async front-end
-(:mod:`repro.store.frontend`) multiplexes batches over the same machinery.
+:meth:`SpatialDataStore.query_outcome
+<repro.store.datastore.SpatialDataStore.query_outcome>` runs the three over
+one open store in **one** stage loop (strict serving, degraded serving and
+traced serving are modes of it, not copies); the store holds the planner and
+the executor.  A join is a batch of it too: its windows are the probe
+geometries, which the refine executor tests with ``intersects`` — the only
+refine of both joins.  The sharded server serves each shard through that
+shard store's loop, so the single and distributed paths can never diverge;
+the async front-end (:mod:`repro.store.frontend`) multiplexes batches over
+the same machinery.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -59,7 +60,6 @@ __all__ = [
     "QueryHit",
     "QueryPlanner",
     "RefineExecutor",
-    "StoreEngine",
 ]
 
 
@@ -211,8 +211,10 @@ class QueryPlan:
 
 @dataclass
 class BatchOutcome:
-    """Result of :meth:`StoreEngine.execute_outcome` — the hit lists plus an
-    explicit account of what could **not** be served.
+    """Result of :meth:`SpatialDataStore.query_outcome
+    <repro.store.datastore.SpatialDataStore.query_outcome>`, the store's one
+    stage loop — the hit lists plus an explicit account of what could
+    **not** be served.
 
     ``complete`` is ``True`` exactly when every planned candidate page was
     fetched and refined; a partial outcome records the unserved pages with
@@ -381,6 +383,7 @@ class RefineExecutor:
         self._tombstone_gen = tombstone_gen or {}
         #: optional owning store: its stats are charged slots_scanned /
         #: bulk_filter_batches and its tracer records the ``decode`` spans
+        #: (a store hands its own executor a :func:`weakref.proxy` of itself)
         self._store = store
         #: generation -> frozenset of record ids shadowed at that generation
         self._shadow_cache: Dict[int, frozenset] = {}
@@ -592,174 +595,3 @@ class RefineExecutor:
                 )
         return hits
 
-
-class StoreEngine:
-    """Plan → schedule → refine over one open :class:`SpatialDataStore`.
-
-    The engine owns the planner and refine executor; the store keeps the
-    cache, the file handle and the statistics, and exposes them through
-    ``_get_pages`` (which routes misses through the store's
-    :class:`~repro.store.scheduler.IOScheduler`).  There is **one** stage
-    loop, :meth:`execute_outcome`: it always builds a
-    :class:`BatchOutcome`, and :meth:`execute` — the strict entry point
-    every plain query funnels into — returns that outcome's hit lists.
-
-    The engine (and its executor) hold the store through a
-    :func:`weakref.proxy`: the store owns the engine, so a strong
-    back-reference would make every store a reference cycle, and a closed,
-    dropped store — its packed indexes and cached pages included — would
-    wait for a full pass of the cyclic collector instead of being freed at
-    once.  Keep the store, not just its engine, while the engine is in use.
-    """
-
-    def __init__(self, store: "SpatialDataStore") -> None:
-        self.store = store = weakref.proxy(store)
-        self.planner = QueryPlanner(
-            store.manifest, store.index, store.generations[1:]
-        )
-        self.executor = RefineExecutor(
-            store._partition_of_page, store._tombstone_gen, store
-        )
-
-    # ------------------------------------------------------------------ #
-    def _describe_plan(self, plan: QueryPlan, span) -> int:
-        """Set the ``plan`` span's attributes; returns the candidate count."""
-        part_of = self.store._partition_of_page
-        partitions = {
-            part_of.get(key, -1) for entry in plan.entries for key in entry.by_page
-        }
-        by_generation: Dict[int, int] = {}
-        for entry in plan.entries:
-            for key, slots in entry.by_page.items():
-                by_generation[key.generation] = (
-                    by_generation.get(key.generation, 0) + len(slots)
-                )
-        candidates = sum(by_generation.values())
-        span.set(
-            entries=len(plan.entries),
-            touched_pages=len(plan.touched_pages),
-            partitions_visited=len(partitions),
-            candidates=candidates,
-            candidates_by_generation=by_generation,
-            generations=len(by_generation),
-        )
-        return candidates
-
-    # ------------------------------------------------------------------ #
-    def execute(
-        self,
-        queries: Sequence[Tuple[Any, Union[Envelope, Geometry]]],
-        exact: bool = True,
-    ) -> List[List["QueryHit"]]:
-        """Serve a batch of ``(query_id, window)`` queries through the staged
-        pipeline; returns one hit list per query, in input order — the
-        strict form of :meth:`execute_outcome` (the first unreadable page
-        raises).
-        """
-        return self.execute_outcome(queries, exact=exact).hits
-
-    def execute_outcome(
-        self,
-        queries: Sequence[Tuple[Any, Union[Envelope, Geometry]]],
-        exact: bool = True,
-        partial_ok: bool = False,
-        budget: Optional[float] = None,
-    ) -> BatchOutcome:
-        """The stage loop: plan → fetch → refine, with an explicit
-        outcome.
-
-        The batch working set is bulk-fetched up front only when the cache
-        can actually hold it; otherwise each query fetches its own pages
-        (still coalesced per query) so memory stays bounded by one query's
-        working set.
-
-        With ``partial_ok`` an unreadable page (checksum quarantine, retry
-        exhaustion) no longer aborts the batch: affected queries return the
-        hits their surviving pages produce and the outcome records exactly
-        which pages and partitions are missing.  *budget* bounds the batch's
-        **simulated I/O seconds** (the store's ``io_seconds`` movement,
-        backoff included): once spent (a zero budget is spent from the
-        start), remaining entries are not fetched —
-        ``partial_ok`` decides whether that degrades the outcome or raises
-        :class:`DeadlineExceeded`.  Without either knob the loop is strict:
-        the first bad page raises and the outcome is trivially complete.
-
-        The loop runs inside the span hierarchy ``query → plan → schedule →
-        io → refine → decode`` (schedule/io spans come from the store's
-        page-fetch path, decode spans from :meth:`RefineExecutor.refine`).
-        The scopes are opened unconditionally — the null tracer hands back
-        one shared no-op scope — and only the *computation* of span
-        attributes sits behind ``tracer.enabled``.
-        """
-        store = self.store
-        tracer = store.tracer
-        queries = list(queries)
-        results: List[List["QueryHit"]] = [[] for _ in queries]
-        failed: List[Tuple[PageKey, Exception]] = []
-        incomplete: List[int] = []
-        collect = failed if partial_ok else None
-        io_start = store.stats.io_seconds
-        candidates = 0
-        with tracer.span("query", num_queries=len(queries), exact=exact) as qspan:
-            with tracer.span("plan") as pspan:
-                plan = self.planner.plan(queries)
-                if tracer.enabled:
-                    candidates = self._describe_plan(plan, pspan)
-            if plan.entries:
-                held: Dict[PageKey, CachedPage] = {}
-                touched = plan.touched_pages
-                # bulk prefetch is skipped under a budget: the deadline is
-                # checked between entries, so I/O has to be issued entry by
-                # entry
-                if budget is None and len(touched) <= store._cache.capacity:
-                    held = store._get_pages(touched, failed=collect)
-                with tracer.span("refine", candidates=candidates) as rspan:
-                    for j in plan.visit_order:
-                        entry = plan.entries[j]
-                        if (
-                            budget is not None
-                            and store.stats.io_seconds - io_start >= budget
-                        ):
-                            exc: Exception = DeadlineExceeded(
-                                f"query batch on store {store.name!r} exceeded "
-                                f"its {budget:g}s I/O budget"
-                            )
-                            if not partial_ok:
-                                raise exc
-                            failed.extend((key, exc) for key in entry.by_page)
-                            incomplete.append(entry.position)
-                            continue
-                        pages = held or store._get_pages(entry.by_page, failed=collect)
-                        # a page can only be absent after a collected failure
-                        if failed and any(key not in pages for key in entry.by_page):
-                            available = {
-                                k: s for k, s in entry.by_page.items() if k in pages
-                            }
-                            incomplete.append(entry.position)
-                            if not available:
-                                continue
-                            entry = PlanEntry(
-                                entry.position, entry.query_id, entry.env,
-                                entry.geom, available,
-                            )
-                        results[entry.position] = self.executor.refine(entry, pages, exact)
-                    if tracer.enabled:
-                        rspan.set(num_hits=sum(map(len, results)))
-            if tracer.enabled:
-                qspan.set(num_hits=sum(map(len, results)))
-
-        if not failed and not incomplete:
-            return BatchOutcome(results, True)
-        # one cause per distinct page (entries may share a failed page)
-        causes: Dict[PageKey, Exception] = {}
-        for key, exc in failed:
-            causes.setdefault(key, exc)
-        return BatchOutcome(
-            hits=results,
-            complete=False,
-            failed_pages=sorted(causes.items()),
-            missing_partitions=sorted(
-                {store._partition_of_page.get(key, -1) for key in causes}
-            ),
-            incomplete_queries=sorted(set(incomplete)),
-        )

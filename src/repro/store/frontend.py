@@ -163,7 +163,7 @@ class AsyncStoreFrontend:
         server = self.server
         clock = server.comm.clock
         start = clock.now
-        served = server._serve(batches, self.max_in_flight, True, partial_ok, deadline)
+        served = server._serve(batches, self.max_in_flight, partial_ok, deadline)
         spans = server.comm.allgather((start, clock.now))
         if served is None:
             return None

@@ -620,7 +620,6 @@ class DistributedStoreServer:
     def _serve_shards(
         self,
         entries: List[Tuple[int, Any, Window]],
-        exact: bool,
         collect: bool = False,
         deadline: Optional[float] = None,
     ) -> ShardRows:
@@ -630,7 +629,7 @@ class DistributedStoreServer:
 
         Per shard, entries whose window's envelope misses the shard extent
         are dropped — the only routing of a serving call — and the rest are
-        served in one batched pass through the shard store's staged engine
+        served in one batched pass through the shard store's stage loop
         (shared Hilbert visit order, page touches deduped, reads coalesced,
         per-slot refine: a geometry window is refined by ``intersects``
         there) under the shard guard, replaying the batch on the next
@@ -670,12 +669,10 @@ class DistributedStoreServer:
                         store = self.stores[sid]
                         if collect:
                             outcome = store.query_outcome(
-                                windows, exact=exact, partial_ok=True, budget=deadline
+                                windows, partial_ok=True, budget=deadline
                             )
                         else:
-                            outcome = BatchOutcome(
-                                store.range_query_batch(windows, exact=exact), True
-                            )
+                            outcome = BatchOutcome(store.range_query_batch(windows), True)
                 except ShardError as exc:
                     # a replica may still hold an intact copy of the bad
                     # page: replay the batch on it
@@ -755,7 +752,6 @@ class DistributedStoreServer:
         self,
         batches: Optional[Sequence[Sequence[Tuple[Any, Window]]]],
         window: int,
-        exact: bool,
         partial_ok: bool,
         deadline: Optional[float],
     ) -> Optional[List[Tuple[Any, float, float]]]:
@@ -800,7 +796,7 @@ class DistributedStoreServer:
 
         def local(message: SizedList) -> ShardRows:
             entries = [(idx, qid, w) for idx, (qid, w) in enumerate(message)]
-            return self._serve_shards(entries, exact, collect, deadline)
+            return self._serve_shards(entries, collect, deadline)
 
         if comm.rank != 0:
             for b in range(num_batches):
@@ -866,7 +862,6 @@ class DistributedStoreServer:
     def range_query_batch(
         self,
         queries: Optional[Sequence[Tuple[Any, Window]]],
-        exact: bool = True,
         partial_ok: bool = False,
         deadline: Optional[float] = None,
     ) -> Optional[Any]:
@@ -890,7 +885,7 @@ class DistributedStoreServer:
         rank: they ride the call's header broadcast.
         """
         served = self._serve(
-            None if queries is None else [queries], 1, exact, partial_ok, deadline
+            None if queries is None else [queries], 1, partial_ok, deadline
         )
         return None if served is None else served[0][0]
 

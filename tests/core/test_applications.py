@@ -17,7 +17,6 @@ from repro.core import (
 from repro.geometry import Envelope, Point, Polygon, predicates
 from repro.index import GridCell, UniformGrid
 from repro.mpisim import ops
-from repro.pfs import LustreFilesystem
 
 
 def sequential_join(fs, left_path, right_path):

@@ -11,7 +11,6 @@ from repro.core import (
     MPI_RECT,
     RecordIndex,
     assign_to_cells,
-    build_grid,
     build_record_index,
     compute_global_extent,
     deserialise_cell_group,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro import mpisim
 from repro.core import (
     MessagePartitioner,
-    OverlapPartitioner,
     PartitionConfig,
     read_records,
 )

@@ -12,7 +12,6 @@ window reaches it as ``Polygon.from_envelope(window)``.
 from __future__ import annotations
 
 from itertools import product
-from typing import Tuple
 
 from repro.geometry import algorithms
 from repro.geometry.base import Geometry

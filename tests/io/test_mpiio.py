@@ -20,7 +20,7 @@ from repro.mpisim import (
     create_struct,
     create_vector,
 )
-from repro.pfs import GPFSFilesystem, LustreFilesystem, ReadRequest
+from repro.pfs import LustreFilesystem, ReadRequest
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import mpisim
-from repro.mpisim import ANY_SOURCE, ANY_TAG, MPIAbortError, MPIError, Status
+from repro.mpisim import ANY_SOURCE, ANY_TAG, MPIError, Status
 
 
 class TestRuntime:

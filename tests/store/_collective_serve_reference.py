@@ -96,13 +96,13 @@ def collective_serve(server, build_plan, serve, assemble):
     return result
 
 
-def range_query_batch(server, queries, exact=True, partial_ok=False, deadline=None):
+def range_query_batch(server, queries, partial_ok=False, deadline=None):
     """One batch of ``(query_id, window)`` range queries."""
     return collective_serve(
         server,
         lambda: plan(server.manifest, queries, server.comm.size),
         lambda mine: server._serve_shards(
-            mine, exact, partial_ok or deadline is not None, deadline
+            mine, partial_ok or deadline is not None, deadline
         ),
         lambda payloads: server._assemble(payloads, partial_ok, deadline),
     )
@@ -113,7 +113,7 @@ def join(server, probes):
     return collective_serve(
         server,
         lambda: plan(server.manifest, list(enumerate(probes)), server.comm.size),
-        lambda mine: server._serve_shards(mine, exact=True),
+        lambda mine: server._serve_shards(mine),
         lambda payloads: [
             (probes[hit.query_id], hit) for hit in server._assemble(payloads, False, None)
         ],

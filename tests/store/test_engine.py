@@ -1,11 +1,14 @@
 """The staged plan → schedule → refine engine (`repro.store.engine`).
 
-Acceptance battery for the engine refactor: every serving entry point now
-routes through one `StoreEngine`, so the tests here prove (a) the planner's
-filter phase is exactly the pre-engine pruning, (b) engine-routed results
-match brute force on the raw geometries, for the single store *and* the
-sharded server at several rank counts, and (c) the cost-model I/O policy
-changes only the I/O schedule, never the answers.
+Every serving entry point routes through the store's one stage loop,
+`SpatialDataStore.query_outcome`, over the stage objects the store holds
+(`store.planner`, `store.executor`).  The tests here prove (a) the planner's
+filter phase is exactly the index's pruning, (b) every entry point into the
+loop — `range_query`, `range_query_batch` and each mode of `query_outcome` —
+answers alike, like brute force on the raw geometries, and counts its batch
+once, on a store with deltas, updates and tombstones too, (c) the sharded
+server answers like the single store at several rank counts, and (d) the
+cost-model I/O policy changes only the I/O schedule, never the answers.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.pfs import LustreFilesystem
 from repro.store import (
     DistributedStoreServer,
     SpatialDataStore,
+    StoreAppender,
     bulk_load,
 )
 
@@ -65,17 +69,20 @@ def windows(extent, n=12, seed=5, frac=0.15):
     return list(random_envelopes(n, extent=extent, max_size_fraction=frac, seed=seed))
 
 
-#: the four ways into the engine's one stage loop
+#: the four batch modes of the store's one stage loop: ``query_outcome``
+#: strict, with ``partial_ok``, with a budget, and ``range_query_batch``
+#: under a recording tracer
 MODES = ("strict", "partial_ok", "budget", "traced")
 
 #: StoreStats counters whose movement must not depend on the mode
-STAT_KEYS = ("pages_read", "read_requests", "records_decoded", "slots_scanned",
+STAT_KEYS = ("queries", "pages_read", "read_requests", "records_decoded", "slots_scanned",
              "bulk_filter_batches", "io_seconds")
 
 
 def serve_in_mode(fs, name, mode, batches, io_policy="cost_model"):
-    """Serve *batches* on a fresh open through the stage loop in *mode*;
-    returns the per-query hit lists and the StoreStats movement."""
+    """Serve *batches* on a fresh open through the stage loop in *mode* (one
+    of :data:`MODES`, or ``"range_query"``: one call per window); returns the
+    per-query hit lists and the StoreStats movement."""
     store = SpatialDataStore.open(
         fs, name, cache_pages=1024, io_policy=io_policy,
         tracer=Tracer() if mode == "traced" else None,
@@ -83,12 +90,16 @@ def serve_in_mode(fs, name, mode, batches, io_policy="cost_model"):
     before = store.stats.as_dict()
     hits = []
     for queries in batches:
-        if mode == "partial_ok":
-            hits += store.engine.execute_outcome(queries, partial_ok=True).hits
+        if mode == "range_query":
+            hits += [store.range_query(window) for _, window in queries]
+        elif mode == "partial_ok":
+            hits += store.query_outcome(queries, partial_ok=True).hits
         elif mode == "budget":
-            hits += store.engine.execute_outcome(queries, budget=float("inf")).hits
+            hits += store.query_outcome(queries, budget=float("inf")).hits
+        elif mode == "traced":
+            hits += store.range_query_batch(queries)
         else:
-            hits += store.engine.execute(queries)
+            hits += store.query_outcome(queries).hits
     after = store.stats.as_dict()
     store.close()
     return hits, {key: after[key] - before[key] for key in STAT_KEYS}
@@ -102,7 +113,7 @@ class TestPlanner:
     def test_plan_skips_empty_and_unpruned_windows(self, fs, store_name):
         store = SpatialDataStore.open(fs, store_name)
         far = Envelope(1e8, 1e8, 1e8 + 1, 1e8 + 1)
-        plan = store.engine.planner.plan(
+        plan = store.planner.plan(
             [(0, Envelope.empty()), (1, far), (2, store.extent)]
         )
         assert [e.position for e in plan.entries] == [2]
@@ -111,7 +122,7 @@ class TestPlanner:
     def test_touched_pages_deduped_and_sorted(self, fs, store_name):
         store = SpatialDataStore.open(fs, store_name)
         envs = windows(store.extent, n=8, seed=9)
-        plan = store.engine.planner.plan([(i, e) for i, e in enumerate(envs)])
+        plan = store.planner.plan([(i, e) for i, e in enumerate(envs)])
         assert plan.touched_pages == sorted(set(plan.touched_pages))
         per_entry = {pid for entry in plan.entries for pid in entry.by_page}
         assert per_entry == set(plan.touched_pages)
@@ -121,14 +132,14 @@ class TestPlanner:
         # order must be exactly sort_by_hilbert over the window centres
         store = SpatialDataStore.open(fs, store_name)
         envs = windows(store.extent, n=10, seed=13)
-        plan = store.engine.planner.plan([(i, e) for i, e in enumerate(envs)])
+        plan = store.planner.plan([(i, e) for i, e in enumerate(envs)])
         centres = [entry.env.centre for entry in plan.entries]
         assert plan.visit_order == sort_by_hilbert(centres, store.manifest.extent)
 
     def test_geometry_window_keeps_exact_geometry(self, fs, lakes, store_name):
         store = SpatialDataStore.open(fs, store_name)
         probe = lakes[0]
-        plan = store.engine.planner.plan([(0, probe)])
+        plan = store.planner.plan([(0, probe)])
         assert plan.entries[0].geom is probe
         assert plan.entries[0].env.as_tuple() == probe.envelope.as_tuple()
 
@@ -137,7 +148,7 @@ class TestPlanner:
         # generation plans everything in the base generation 0
         store = SpatialDataStore.open(fs, store_name)
         env = windows(store.extent, n=1, seed=3)[0]
-        by_page = store.engine.planner.candidate_slots(env)
+        by_page = store.planner.candidate_slots(env)
         refs = {(0, page_id, slot) for page_id, slot in store.index.query(env)}
         assert {
             (gen, pid, slot)
@@ -201,13 +212,40 @@ class TestEngineEqualsBruteForce:
                 del stats[key], strict_stats[key]
         assert stats == strict_stats
 
-    def test_engine_execute_is_the_entry_point(self, fs, store_name):
-        store = SpatialDataStore.open(fs, store_name, cache_pages=1024)
-        env = windows(store.extent, n=1, seed=2)[0]
-        direct = store.engine.execute([(None, env)], exact=True)[0]
-        assert [h.record_id for h in direct] == [
-            h.record_id for h in store.range_query(env)
+    def test_every_entry_point_answers_alike_on_a_mutated_store(self, fs, lakes):
+        # deltas, updates and tombstones: range_query and every batch entry
+        # point into the stage loop return identical hits — generation,
+        # page and partition included — equal to brute force over the
+        # visible records, and each call, on a freshly opened store, counts
+        # its batch exactly once
+        bulk_load(fs, "engine_mutated", lakes, num_partitions=16, page_size=2048)
+        appender = StoreAppender(fs, "engine_mutated")
+        appender.append(lakes[:40], deletes=[5, 11, 60])
+        appender.append(lakes[100:110], record_ids=list(range(200, 210)), deletes=[61, 300])
+        visible = dict(enumerate(lakes))
+        visible.update((len(lakes) + i, g) for i, g in enumerate(lakes[:40]))
+        visible.update((200 + i, g) for i, g in enumerate(lakes[100:110]))
+        for rid in (5, 11, 60, 61, 300):
+            del visible[rid]
+
+        def call(mode, batch):
+            hits, stats = serve_in_mode(fs, "engine_mutated", mode, [batch])
+            assert stats["queries"] == len(batch)
+            return hits
+
+        # random windows, the updated records' new geometries, and the old
+        # places of a deleted and an updated record (tombstones hide both)
+        wins = windows(Envelope(0, 0, 100, 100), n=12, seed=41) + lakes[100:104]
+        wins += [lakes[5].envelope, lakes[201].envelope]
+        batch = list(enumerate(wins))
+        expected = [call("range_query", [query])[0] for query in batch]
+        ids, geoms = zip(*sorted(visible.items()))
+        assert [[h.record_id for h in hits] for hits in expected] == [
+            [ids[i] for i in brute_force(geoms, w)] for w in wins
         ]
+        assert any(h.generation for hits in expected for h in hits)
+        for mode in MODES:
+            assert call(mode, batch) == expected, mode
 
 
 class TestSingleEqualsShardedEqualsBruteForce:
@@ -224,9 +262,7 @@ class TestSingleEqualsShardedEqualsBruteForce:
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:
-                return server.range_query_batch(
-                    queries if comm.rank == 0 else None, exact=True
-                )
+                return server.range_query_batch(queries if comm.rank == 0 else None)
 
         hits = mpisim.run_spmd(prog, nprocs).values[0]
         sharded_ids = [[] for _ in queries]
@@ -244,7 +280,7 @@ class TestCostModelPolicyEndToEnd:
         fixed = SpatialDataStore.open(fs, store_name, cache_pages=1024, io_policy="fixed")
         cost = SpatialDataStore.open(fs, store_name, cache_pages=1024,
                                      io_policy="cost_model")
-        assert cost.scheduler.cost_model is fs.cost_model
+        assert cost.generations[0].scheduler.cost_model is fs.cost_model
         for env in windows(fixed.extent, n=10, seed=55):
             assert [h.record_id for h in cost.range_query(env)] == [
                 h.record_id for h in fixed.range_query(env)
@@ -260,7 +296,7 @@ class TestCostModelPolicyEndToEnd:
         cost = SpatialDataStore.open(fs, store_name, cache_pages=1024,
                                      io_policy="cost_model")
         cost.range_query_batch(queries, exact=False)
-        assert cost.scheduler.gap == fixed.scheduler.gap
+        assert cost.generations[0].scheduler.gap == fixed.generations[0].scheduler.gap
         assert fixed.stats.pages_prefetched == 0 < cost.stats.pages_prefetched
         assert cost.stats.read_requests <= fixed.stats.read_requests
 

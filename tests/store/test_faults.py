@@ -14,13 +14,11 @@ from repro import mpisim
 from repro.datasets import random_envelopes
 from repro.faults import (
     FaultRule,
-    FaultStats,
     FaultyFilesystem,
     RankFaultInjector,
     TransientIOError,
 )
 from repro.geometry import Envelope, Polygon
-from repro.mpisim import MPIAbortError
 from repro.pfs import LustreFilesystem
 from repro.store import (
     DEFAULT_RETRY,

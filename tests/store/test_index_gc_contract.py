@@ -146,7 +146,7 @@ class TestOpenedStore:
             loose = store.range_query(Envelope(0, 0, 12, 12), exact=False)
             assert store.stats.records_decoded == len(loose) == 191  # pages counted their decodes
             del loose
-            parts = [store, store.engine, store.engine.executor, store._cache]
+            parts = [store, store.planner, store.executor, store._cache]
             parts += [gen.index for gen in store.generations]
             alive = [weakref.ref(part) for part in parts]
             store.close()

@@ -23,7 +23,6 @@ from repro.store import (
     RetryPolicy,
     SpatialDataStore,
     StoreAppender,
-    StoreEngine,
     bulk_load,
     compact_store,
 )
@@ -57,12 +56,8 @@ SURFACE = [
     ),
     (SpatialDataStore.range_query, "self window exact"),
     (SpatialDataStore.range_query_batch, "self queries exact"),
-    (StoreEngine.execute, "self queries exact"),
-    (StoreEngine.execute_outcome, "self queries exact partial_ok budget"),
-    (
-        DistributedStoreServer.range_query_batch,
-        "self queries exact partial_ok deadline",
-    ),
+    (SpatialDataStore.query_outcome, "self queries exact partial_ok budget"),
+    (DistributedStoreServer.range_query_batch, "self queries partial_ok deadline"),
     (DistributedStoreServer.join, "self probes"),
     (RefineExecutor.refine, "self entry pages exact"),
     # --- hits: slotted, immutable values (no longer named tuples: they

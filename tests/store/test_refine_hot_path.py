@@ -105,8 +105,8 @@ def hit_key(h):
 def refine_both_ways(store, window, exact):
     """Run one window through the bulk refine and the scalar reference over
     the same fetched pages; returns (bulk_hits, reference_hits)."""
-    plan = store.engine.planner.plan([(0, window)])
-    executor = store.engine.executor
+    plan = store.planner.plan([(0, window)])
+    executor = store.executor
     bulk, ref = [], []
     for entry in plan.entries:
         pages = store._get_pages(entry.by_page)
@@ -215,19 +215,19 @@ class TestBulkEqualsReference:
         windows = probe_windows(15, seed=15)
 
         bulk_store = SpatialDataStore.open(fs, name, cache_pages=1024)
-        executor = bulk_store.engine.executor
+        executor = bulk_store.executor
         recount = 0
         for window in windows:
-            for entry in bulk_store.engine.planner.plan([(0, window)]).entries:
+            for entry in bulk_store.planner.plan([(0, window)]).entries:
                 pages = bulk_store._get_pages(entry.by_page)
                 recount += reference_accounting(executor, entry, pages, True)["records_decoded"]
                 executor.refine(entry, pages, True)
         bulk_decoded = bulk_store.stats.records_decoded
 
         ref_store = SpatialDataStore.open(fs, name, cache_pages=1024)
-        executor = ref_store.engine.executor
+        executor = ref_store.executor
         for window in windows:
-            plan = ref_store.engine.planner.plan([(0, window)])
+            plan = ref_store.planner.plan([(0, window)])
             for entry in plan.entries:
                 pages = ref_store._get_pages(entry.by_page)
                 refine_reference(executor, entry, pages, exact=True)
@@ -364,8 +364,8 @@ class TestRectangleKernelUnderTheEngine:
         name, geoms = shaped
         store = SpatialDataStore.open(fs, name, cache_pages=1024)
         window = Envelope(20.0, 20.0, 60.5, 61.0)
-        plan = store.engine.planner.plan([(0, window)])
-        executor = store.engine.executor
+        plan = store.planner.plan([(0, window)])
+        executor = store.executor
         calls = []
         real = predicates.intersects
         depth = [0]
@@ -618,9 +618,7 @@ class TestShardedEquality:
 
         def prog(comm):
             with DistributedStoreServer.open(comm, fs, sharded_name) as server:
-                return server.range_query_batch(
-                    queries if comm.rank == 0 else None, exact=True
-                )
+                return server.range_query_batch(queries if comm.rank == 0 else None)
 
         hits = mpisim.run_spmd(prog, nprocs).values[0]
         sharded_ids = [[] for _ in queries]
@@ -647,13 +645,13 @@ class TestDecodeSpanAccounting:
     @pytest.mark.parametrize("exact", [True, False])
     def test_span_attributes_equal_the_recount(self, traced_store, geoms, exact):
         store = traced_store
-        executor = store.engine.executor
+        executor = store.executor
         windows = probe_windows(12, seed=61) + geoms[:6]  # rectangles and shapes
         moved = dict.fromkeys(
             ("superseded", "tombstone_drops", "rect_shortcuts", "side_proofs"), 0
         )
         for window in windows:
-            for entry in store.engine.planner.plan([(0, window)]).entries:
+            for entry in store.planner.plan([(0, window)]).entries:
                 pages = store._get_pages(entry.by_page)
                 expected = reference_accounting(executor, entry, pages, exact)
                 before = store.stats.as_dict()
@@ -845,7 +843,7 @@ class TestScanAndDegradedAccounting:
                   page_size=1024)
         window = EXTENT
         with SpatialDataStore.open(fs, "hot_degraded", cache_pages=256) as store:
-            plan = store.engine.planner.plan([(0, window)])
+            plan = store.planner.plan([(0, window)])
             clean_slots = sum(
                 len(slots)
                 for entry in plan.entries

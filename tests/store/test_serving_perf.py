@@ -256,8 +256,9 @@ class TestPrefetchBoundaries:
                                       io_policy="cost_model")
         missing = [0]
         # the budget a fetch passes: the slots left free by its demand pages
-        schedule = store.scheduler.schedule(missing, is_cached=lambda p: False,
-                                            budget=1024 - len(missing))
+        schedule = store.generations[0].scheduler.schedule(
+            missing, is_cached=lambda p: False, budget=1024 - len(missing)
+        )
         store._get_pages([PageKey(0, pid) for pid in missing])
         assert store.stats.pages_prefetched == schedule.num_prefetched
         assert store.stats.read_requests == len(schedule.runs)

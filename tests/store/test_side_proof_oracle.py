@@ -126,9 +126,9 @@ def compare_on_store(store, queries, exact):
     """Every plan entry of *queries* through the live loop and both oracles,
     on a store nothing has decoded from yet; returns how many hits the side
     proof alone settled."""
-    executor = store.engine.executor
+    executor = store.executor
     sides = 0
-    for entry in store.engine.planner.plan(list(enumerate(queries))).entries:
+    for entry in store.planner.plan(list(enumerate(queries))).entries:
         pages = store._get_pages(entry.by_page)
         # the live loop first: the oracles fill the pages' decode memos
         live = executor.refine(entry, pages, exact)

@@ -11,12 +11,11 @@ from repro.core import (
     PartitionConfig,
     SpatialJoin,
     VectorIO,
-    WKTParser,
 )
 from repro.datasets import generate_dataset, random_envelopes
 from repro.faults import FaultRule, FaultyFilesystem
 from repro.geometry import Envelope, Polygon
-from repro.mpisim import MPIAbortError, ops
+from repro.mpisim import ops
 from repro.pfs import LustreFilesystem
 from repro.store import (
     DistributedStoreServer,

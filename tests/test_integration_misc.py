@@ -14,7 +14,6 @@ from repro.core import (
     WKTParser,
 )
 from repro.datasets import SyntheticConfig, generate_dataset
-from repro.geometry import Envelope, Point
 from repro.io import File, Info
 from repro.mpisim import ops, payload_nbytes
 from repro.pfs import LustreFilesystem
