@@ -44,8 +44,8 @@ from .format import (
     PageMeta,
     StoreError,
     StoreFormatError,
+    page_crc32,
     unpack_header,
-    unpack_page_checksums,
     unpack_page_directory,
 )
 from .index_io import check_leaf_refs, load_index
@@ -324,9 +324,10 @@ class SpatialDataStore:
     def open(
         cls, fs: SimulatedFilesystem, name: str, **serving: Any
     ) -> "SpatialDataStore":
-        """Open a persisted store: manifest + page directory + packed index
-        (for the base container and for every delta generation stacked by
-        appends).
+        """Open a persisted store: the manifest, then the header and metadata
+        tail — packed index, page directory, checksum table — of the base
+        container and of every delta container stacked by appends, one file
+        each.
 
         This is the whole cold-start cost — no record is parsed and the
         R-tree is reconstituted, not rebuilt.  The *serving* keywords
@@ -335,13 +336,14 @@ class SpatialDataStore:
         ``retry_policy`` also bounds the retries of every read made here
         (:func:`~repro.store.scheduler.read_with_retry`).  Anything but the
         one container layout — another version, a header without exactly
-        the checksum flag, a checksum table that does not end the file —, a
-        manifest without an id ceiling and an index leaf naming a page or
-        slot its generation does not store are refused with a
-        :class:`~repro.store.format.StoreFormatError`.
+        the checksum flag, a checksum table that does not end the file, a
+        metadata tail that fails its CRC32 on every attempt —, a manifest
+        without an id ceiling and an index leaf naming a page or slot its
+        generation does not store are refused with a
+        :class:`~repro.store.format.StoreFormatError` naming the file.
         """
         paths = store_paths(name)
-        for key in ("data", "index", "manifest"):
+        for key in ("data", "manifest"):
             if not fs.exists(paths[key]):
                 raise FileNotFoundError(
                     f"store {name!r} is missing {paths[key]!r}; run bulk_load first"
@@ -360,25 +362,37 @@ class SpatialDataStore:
             return data
 
         def _read_container(path: str, opened: ExitStack):
-            """Header → page directory + checksum tail of one container.
-            The handle stays open (the store's first fetch pays no second
-            open); *opened* closes it if the store is never built."""
-            nonlocal io_seconds
+            """Header + metadata tail (packed index, page directory, checksum
+            table) of one container, charged as one open and one two-range
+            request.  The tail must match the header's CRC before any of it
+            is parsed; a mismatch re-reads both under *policy*, charged as a
+            page checksum retry is (backoff plus the re-read).  The handle
+            stays open (the store's first fetch pays no second open);
+            *opened* closes it if the store is never built."""
+            nonlocal io_seconds, open_retries
             fh = opened.enter_context(fs.open(path))
-            try:
-                header = unpack_header(_read(fh, 0, HEADER_SIZE), file_size=fh.size)
-            except StoreFormatError as exc:
-                raise StoreFormatError(f"{path!r}: {exc}") from exc
-            tail_nbytes = header.dir_nbytes + header.checksum_nbytes
-            tail = _read(fh, header.dir_offset, tail_nbytes)
             io_seconds += fs.open_time()
-            io_seconds += fs.read_time(
-                path,
-                [ReadRequest(0, ((0, HEADER_SIZE), (header.dir_offset, tail_nbytes)))],
-            )
-            crcs = unpack_page_checksums(tail[header.dir_nbytes :], header.num_pages)
-            pages = unpack_page_directory(tail[: header.dir_nbytes], header.num_pages, crcs)
-            return header, pages, fh
+            for attempt in range(1, policy.max_attempts + 1):
+                if attempt > 1:
+                    open_retries += 1
+                    io_seconds += policy.backoff(attempt - 1)
+                try:
+                    header = unpack_header(_read(fh, 0, HEADER_SIZE), file_size=fh.size)
+                except StoreFormatError as exc:
+                    raise StoreFormatError(f"{path!r}: {exc}") from exc
+                # a view, not a copy: the index region is most of the tail
+                tail = memoryview(_read(fh, header.index_offset, fh.size - header.index_offset))
+                requests = [ReadRequest(0, ((0, HEADER_SIZE), (header.index_offset, len(tail))))]
+                io_seconds += fs.read_time(path, requests)
+                if page_crc32(tail) == header.tail_crc:
+                    break
+            else:
+                raise StoreFormatError(f"{path!r}: the packed index, page directory and "
+                                       f"checksum table fail their CRC32 after {attempt} attempt(s)")
+            pages = unpack_page_directory(tail[header.index_nbytes:], header.num_pages)
+            index = load_index(tail[: header.index_nbytes])
+            check_leaf_refs(index, pages, path)
+            return header, pages, index, fh
 
         #: one (page directory, packed index, handle) triple per generation,
         #: base first
@@ -387,22 +401,17 @@ class SpatialDataStore:
             for info in [manifest, *manifest.generations]:
                 base = info is manifest
                 if not base and info.num_pages == 0:
-                    # tombstone-only generation: no delta files were written
+                    # tombstone-only generation: no delta container was written
                     generations.append(([], STRtree([]), None))
                     continue
-                gen_paths = paths if base else delta_paths(name, info.gen_id)
-                header, pages, fh = _read_container(gen_paths["data"], opened)
+                path = (paths if base else delta_paths(name, info.gen_id))["data"]
+                header, pages, index, fh = _read_container(path, opened)
                 if (header.num_pages, header.num_records) != (info.num_pages, info.num_records):
                     raise StoreFormatError(
-                        f"manifest and container {gen_paths['data']!r} disagree for "
+                        f"manifest and container {path!r} disagree for "
                         f"store {name!r}: {info.num_pages}/{info.num_records} vs "
                         f"{header.num_pages}/{header.num_records} pages/records"
                     )
-                raw, seconds, retries = read_file(fs, gen_paths["index"], policy)
-                io_seconds += seconds
-                open_retries += retries
-                index = load_index(raw)
-                check_leaf_refs(index, pages, gen_paths["index"])
                 generations.append((pages, index, fh))
             store = cls(fs, name, manifest, generations, **serving)
             # the store owns the handles now: close() releases them

@@ -2,15 +2,20 @@
 
 §4.1 of the paper motivates preprocessing vector data into binary form for
 "frequent, regular access"; this module is that binary form for the serving
-path.  A dataset is stored as one *paged container* file:
+path.  Each generation of a dataset (the base and every delta) is stored as
+one *paged container* file:
 
 ```
 +----------------------+  offset 0
-| header (64 bytes)    |  magic, version, page size, counts, directory offset
+| header (64 bytes)    |  magic, version, page size, counts, index and
+|                      |  directory offsets, CRC32 of the metadata tail
 +----------------------+  offset 64
 | page 0 payload       |  <count:u32>, envelope column, then record bodies
 | page 1 payload       |
 | ...                  |
++----------------------+  offset = header.index_offset  (metadata tail)
+| packed index         |  STR R-tree over the record MBRs
+|                      |  (:mod:`repro.store.index_io`)
 +----------------------+  offset = header.dir_offset
 | page directory       |  one 48-byte entry per page: offset, nbytes, count,
 |                      |  and the page MBR (4 doubles)
@@ -20,8 +25,13 @@ path.  A dataset is stored as one *paged container* file:
 +----------------------+
 ```
 
-There is one layout: the header names version 2 and carries exactly the
+There is one layout: the header names version 3 and carries exactly the
 ``FLAG_PAGE_CHECKSUMS`` bit, and :func:`unpack_header` refuses anything else.
+The *metadata tail* — ``[index_offset, EOF)``: the packed index, the page
+directory and the checksum table — is what ``open()`` reads, in one request
+with the header, and the header's ``tail_crc`` (its CRC32) is checked
+before any of it is parsed.  Each page payload has its own CRC32 in the
+table, checked when the page is fetched.
 A page payload is ``<count:u32>``, then a packed *envelope column* of
 ``count`` entries ``<record_id:u32><body_offset:u32><4d MBR>`` (40 bytes
 each, ``body_offset`` relative to the payload start), then the record bodies
@@ -37,8 +47,7 @@ the same id in a newer generation, which is what lets queries shadow the
 old version.
 
 All multi-byte values are little-endian.  The container is self-describing:
-``open()`` needs only the header, the page directory and the checksum table
-to serve queries,
+``open()`` needs only the header and the metadata tail to serve queries,
 and each page decodes independently, which is what makes the page cache
 effective.
 """
@@ -48,7 +57,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 # one record *body* (its id and MBR live in the page's envelope column) is
 # the frame the all-to-all exchange ships, so round-trips are lossless
@@ -79,13 +88,11 @@ __all__ = [
     "unpack_header",
     "pack_page_directory",
     "unpack_page_directory",
-    "pack_page_checksums",
-    "unpack_page_checksums",
     "page_crc32",
 ]
 
 MAGIC = b"RSPGSTO1"
-VERSION = 2
+VERSION = 3
 HEADER_SIZE = 64
 
 #: header flag bit: a CRC32 checksum table (one u32 per page, in page-id
@@ -94,8 +101,9 @@ HEADER_SIZE = 64
 FLAG_PAGE_CHECKSUMS = 0x1
 
 #: fixed part of the header (the remainder of the 64 bytes is zero padding)
-_HEADER = struct.Struct("<8sHHIIQQ")  # magic, version, flags, page_size,
-#                                        num_pages, num_records, dir_offset
+_HEADER = struct.Struct("<8sHHIIQQQI")  # magic, version, flags, page_size,
+#                                          num_pages, num_records, dir_offset,
+#                                          index_offset, tail_crc
 
 #: one page-directory entry: offset, nbytes, count, page MBR
 PAGE_DIR_ENTRY = struct.Struct("<QII4d")
@@ -165,14 +173,14 @@ class StoreHeader:
     num_pages: int
     num_records: int
     dir_offset: int
+    #: start of the metadata tail: the packed index, then the directory
+    index_offset: int
+    #: CRC32 of the metadata tail, ``[index_offset, EOF)``
+    tail_crc: int
 
     @property
-    def dir_nbytes(self) -> int:
-        return self.num_pages * PAGE_DIR_ENTRY.size
-
-    @property
-    def checksum_nbytes(self) -> int:
-        return self.num_pages * PAGE_CHECKSUM_ENTRY.size
+    def index_nbytes(self) -> int:
+        return self.dir_offset - self.index_offset
 
 
 @dataclass(frozen=True)
@@ -275,9 +283,11 @@ def decode_record_body(
 # --------------------------------------------------------------------------- #
 # header and page directory
 # --------------------------------------------------------------------------- #
-def pack_header(page_size: int, num_pages: int, num_records: int, dir_offset: int) -> bytes:
+def pack_header(page_size: int, num_pages: int, num_records: int, dir_offset: int,
+                index_offset: int, tail_crc: int) -> bytes:
     packed = _HEADER.pack(
-        MAGIC, VERSION, FLAG_PAGE_CHECKSUMS, page_size, num_pages, num_records, dir_offset
+        MAGIC, VERSION, FLAG_PAGE_CHECKSUMS, page_size, num_pages, num_records, dir_offset,
+        index_offset, tail_crc,
     )
     return packed + b"\x00" * (HEADER_SIZE - len(packed))
 
@@ -286,18 +296,20 @@ def unpack_header(data: bytes, file_size: Optional[int] = None) -> StoreHeader:
     """Decode (and sanity-check) a container header.
 
     Any version but :data:`VERSION`, or a flag field other than exactly
-    :data:`FLAG_PAGE_CHECKSUMS`, is a :class:`StoreFormatError`.  When
-    *file_size* is given the page directory and checksum table must end
-    exactly there, so a truncated or padded file fails here instead of
-    surfacing later as a short read or as pages served unchecked.
+    :data:`FLAG_PAGE_CHECKSUMS`, is a :class:`StoreFormatError`, and so is
+    a packed index that does not start between the header and the page
+    directory.  When *file_size* is given the page directory and checksum
+    table must end exactly there, so a truncated or padded file fails here
+    instead of surfacing later as a short read or as pages served
+    unchecked.  The metadata tail's CRC is the reader's to check
+    (:func:`page_crc32` of ``[index_offset, EOF)`` against ``tail_crc``).
     """
     if len(data) < HEADER_SIZE:
         raise StoreFormatError(
             f"store header needs {HEADER_SIZE} bytes, got {len(data)}"
         )
-    magic, version, flags, page_size, num_pages, num_records, dir_offset = _HEADER.unpack_from(
-        data, 0
-    )
+    (magic, version, flags, page_size, num_pages, num_records, dir_offset, index_offset,
+     tail_crc) = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise StoreFormatError(f"bad store magic {magic!r} (expected {MAGIC!r})")
     if version != VERSION:
@@ -307,10 +319,13 @@ def unpack_header(data: bytes, file_size: Optional[int] = None) -> StoreHeader:
             f"store header flags {flags:#06x}, expected {FLAG_PAGE_CHECKSUMS:#06x} "
             f"(the page checksum table)"
         )
-    header = StoreHeader(page_size, num_pages, num_records, dir_offset)
+    if not HEADER_SIZE <= index_offset <= dir_offset:
+        raise StoreFormatError(f"packed index offset {index_offset} is outside "
+                               f"[{HEADER_SIZE}, {dir_offset}] (header end, page directory)")
+    header = StoreHeader(page_size, num_pages, num_records, dir_offset, index_offset, tail_crc)
     if file_size is not None:
-        tail_nbytes = header.dir_nbytes + header.checksum_nbytes
-        if dir_offset < HEADER_SIZE or dir_offset + tail_nbytes != file_size:
+        tail_nbytes = num_pages * (PAGE_DIR_ENTRY.size + PAGE_CHECKSUM_ENTRY.size)
+        if dir_offset + tail_nbytes != file_size:
             raise StoreFormatError(
                 f"page directory and checksum table [{dir_offset}, "
                 f"{dir_offset + tail_nbytes}) do not end the container ({file_size} bytes)"
@@ -318,48 +333,33 @@ def unpack_header(data: bytes, file_size: Optional[int] = None) -> StoreHeader:
     return header
 
 
-def pack_page_directory(metas: Iterable[PageMeta]) -> bytes:
-    """Pack the page directory: one entry per page, in page-id order."""
-    return b"".join(PAGE_DIR_ENTRY.pack(meta.offset, meta.nbytes, meta.count, *meta.mbr.as_tuple())
-                    for meta in metas)
+def pack_page_directory(metas: Sequence[PageMeta]) -> bytes:
+    """Pack the page directory (one entry per page, in page-id order), then
+    the per-page CRC32 table that follows it."""
+    directory = [PAGE_DIR_ENTRY.pack(meta.offset, meta.nbytes, meta.count, *meta.mbr.as_tuple())
+                 for meta in metas]
+    return b"".join(directory + [PAGE_CHECKSUM_ENTRY.pack(meta.crc32) for meta in metas])
 
 
 def page_crc32(payload: bytes) -> int:
-    """CRC32 of one page payload (the value stored in the checksum table)."""
+    """CRC32 of one page payload (the value stored in the checksum table),
+    or of a container's metadata tail (the header's ``tail_crc``)."""
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
-def pack_page_checksums(metas: Iterable[PageMeta]) -> bytes:
-    """Pack the per-page CRC32 table that follows the page directory."""
-    return b"".join(PAGE_CHECKSUM_ENTRY.pack(meta.crc32) for meta in metas)
-
-
-def _unpack_table(data: bytes, num_pages: int, entry: struct.Struct, what: str) -> Iterator:
-    """The *num_pages* entries of a per-page table; *data* must be exactly
-    that long."""
-    expected = num_pages * entry.size
-    if len(data) != expected:
+def unpack_page_directory(data: bytes, num_pages: int) -> List[PageMeta]:
+    """Page directory and the checksum table after it (*data* is exactly
+    the two) → one :class:`PageMeta` per page, built once."""
+    split = num_pages * PAGE_DIR_ENTRY.size
+    if len(data) != split + num_pages * PAGE_CHECKSUM_ENTRY.size:
         raise StoreFormatError(
-            f"{what} is {len(data)} bytes, expected {expected} "
-            f"({num_pages} entries of {entry.size} bytes)"
-        )
-    return entry.iter_unpack(data)
-
-
-def unpack_page_checksums(data: bytes, num_pages: int) -> List[int]:
-    table = _unpack_table(data, num_pages, PAGE_CHECKSUM_ENTRY, "page checksum table")
-    return [v for (v,) in table]
-
-
-def unpack_page_directory(
-    data: bytes, num_pages: int, crcs: Sequence[int]
-) -> List[PageMeta]:
-    """Page directory → one :class:`PageMeta` per page, built once: page *i*
-    takes ``crcs[i]`` (the :func:`unpack_page_checksums` table)."""
+            f"page directory and checksum table are {len(data)} bytes, expected {num_pages} "
+            f"entries of {PAGE_DIR_ENTRY.size} + {PAGE_CHECKSUM_ENTRY.size} bytes")
     metas: List[PageMeta] = []
     prev_end = HEADER_SIZE
-    table = _unpack_table(data, num_pages, PAGE_DIR_ENTRY, "page directory")
-    for page_id, (offset, nbytes, count, minx, miny, maxx, maxy) in enumerate(table):
+    crcs = PAGE_CHECKSUM_ENTRY.iter_unpack(data[split:])
+    for page_id, ((offset, nbytes, count, minx, miny, maxx, maxy), (crc,)) in enumerate(
+            zip(PAGE_DIR_ENTRY.iter_unpack(data[:split]), crcs)):
         # pages are written back to back in page-id order; the serving
         # path's data sieves rely on that, so a directory violating it
         # is corruption, not a layout variant
@@ -369,6 +369,5 @@ def unpack_page_directory(
                 f"{offset} overlaps the bytes before it (expected >= {prev_end})"
             )
         prev_end = offset + nbytes
-        mbr = Envelope(minx, miny, maxx, maxy)
-        metas.append(PageMeta(page_id, offset, nbytes, count, mbr, crcs[page_id]))
+        metas.append(PageMeta(page_id, offset, nbytes, count, Envelope(minx, miny, maxx, maxy), crc))
     return metas

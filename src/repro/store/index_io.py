@@ -4,6 +4,10 @@ Persisting the index is what makes a cold ``open()`` cheap: instead of
 re-running the O(n log n) Sort-Tile-Recursive pack over every record MBR,
 the tree's node graph is written once as a flat pre-order byte stream and
 reconstituted with :meth:`repro.index.STRtree.from_packed` (a linear scan).
+The stream is not a file of its own: it opens each generation container's
+metadata tail, right after the pages and before the page directory
+(:mod:`repro.store.format`), so the open reads it in the same request as
+the directory and the tail's CRC32 covers it.
 
 Layout (little-endian)::
 
@@ -138,11 +142,11 @@ def load_index(data: bytes) -> STRtree:
 
 
 def check_leaf_refs(tree: STRtree, pages: Sequence[PageMeta], path: str) -> None:
-    """Refuse a leaf of *tree* (the index file *path*) that names a page or a
-    slot the generation's page directory *pages* does not store: the refine
-    loop reads a page's columns at the leaf's slot unchecked, so such a leaf
-    would surface mid-query as a raw ``IndexError``.  One pass over the
-    leaf rows, at open."""
+    """Refuse a leaf of *tree* (the index of the container *path*) that
+    names a page or a slot the generation's page directory *pages* does not
+    store: the refine loop reads a page's columns at the leaf's slot
+    unchecked, so such a leaf would surface mid-query as a raw
+    ``IndexError``.  One pass over the leaf rows, at open."""
     counts = [meta.count for meta in pages]
     num_pages = len(counts)
     for node in _preorder(tree):

@@ -20,7 +20,7 @@ two-level pruning §4/§5 of the paper, decided in one structure.
 
 A shard manifest may also carry *delta generations* (:class:`GenerationInfo`):
 each incremental append persists its records as a self-contained delta
-container + packed delta index (see :mod:`repro.store.mutable`) and
+container, packed delta index inside (see :mod:`repro.store.mutable`), and
 registers them here, together with the record-id tombstones that hide
 deleted/updated records in older generations.
 """
@@ -58,19 +58,15 @@ def store_paths(name: str) -> Dict[str, str]:
     base = f"stores/{name}"
     return {
         "data": f"{base}/data.bin",
-        "index": f"{base}/index.bin",
         "manifest": f"{base}/manifest.json",
     }
 
 
 def delta_paths(name: str, gen_id: int) -> Dict[str, str]:
-    """File layout of one delta generation of a named store (the base
-    generation 0 lives in :func:`store_paths`; deltas sit beside it)."""
-    base = f"stores/{name}"
-    return {
-        "data": f"{base}/delta-{gen_id:04d}.bin",
-        "index": f"{base}/delta-{gen_id:04d}.idx",
-    }
+    """File layout of one delta generation of a named store — its one
+    container (the base generation 0 lives in :func:`store_paths`; deltas
+    sit beside it)."""
+    return {"data": f"stores/{name}/delta-{gen_id:04d}.bin"}
 
 
 def shard_store_name(name: str, shard_id: int) -> str:
@@ -208,13 +204,13 @@ class PartitionInfo:
 class GenerationInfo:
     """One delta generation of a mutable store (an incremental append).
 
-    A generation owns a delta page container + packed delta index (paths via
-    :func:`delta_paths`) holding the records appended in it, plus the
+    A generation owns a delta container, its packed index inside (path via
+    :func:`delta_paths`), holding the records appended in it, plus the
     record-id *tombstones* written with it: a tombstone at generation ``g``
     hides every occurrence of that record id in generations ``< g`` (deletes
     tombstone only; updates tombstone *and* re-append under the same id).
     A generation may be tombstone-only (``num_pages == 0``), in which case
-    no delta files exist.
+    no delta container exists.
     """
 
     gen_id: int

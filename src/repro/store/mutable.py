@@ -8,8 +8,8 @@ on the serving path.  Every store is routed by ``shards.json`` (one shard
 is the local case), so there is one writer of each kind:
 
 * :class:`StoreAppender` writes each batch as a **delta generation** of the
-  shards it touches — a self-contained delta page container plus a packed
-  delta index (paths via :func:`~repro.store.manifest.delta_paths`),
+  shards it touches — one self-contained delta container, pages and packed
+  delta index (path via :func:`~repro.store.manifest.delta_paths`),
   registered in the shard manifest's generation list together with the
   record-id *tombstones* that hide deleted/updated records in older
   generations.  Each record is stored once, in its **home cell** on the
@@ -23,7 +23,7 @@ is the local case), so there is one writer of each kind:
 * :func:`compact_store` is a bulk load of the store's visible records
   (tombstones applied, newest versions winning) with record ids, the id
   ceiling, the shard count, partition count, page size and read replicas
-  kept; the delta files are then deleted.  Records move as their stored
+  kept; the delta containers are then deleted.  Records move as their stored
   frames and MBRs — nothing is decoded or re-encoded.  Query results are
   identical before and after; per-query I/O returns to fresh-bulk-load
   shape.
@@ -97,10 +97,12 @@ class AppendResult:
     num_pages: int
     #: record ids tombstoned by this append (deletes + updates)
     num_tombstones: int
-    #: bytes of every delta file written, read replicas included
+    #: bytes of every delta container written, read replicas included:
+    #: its packed index region, and the rest
     data_bytes: int
     index_bytes: int
-    #: simulated seconds charged for the delta files, manifests and shards.json
+    #: simulated seconds charged for the delta containers, manifests and
+    #: shards.json
     write_seconds: float
 
 
@@ -279,7 +281,7 @@ class StoreAppender:
         new_grid: Optional[UniformGrid],
     ) -> None:
         """Stack *packed* and *tombstones* on one shard copy as its next
-        generation: the delta files (when anything is stored), then its
+        generation: the delta container (when anything is stored), then its
         manifest.  Charges and byte counts accumulate in *result*."""
         gen_id = len(manifest.generations) + 1
         if packed.page_metas:
@@ -326,8 +328,8 @@ def compact_store(fs: SimulatedFilesystem, name: str) -> CompactionResult:
     its stored frame and stored MBR, never decoded or re-encoded — with the
     store's own shard count, partition count, page size and read replicas —
     logical record ids preserved, the id ceiling carried over so future
-    appends never recycle a deleted id — and the delta files of every old
-    shard copy are deleted.  The grid is laid over the visible records and the shards are
+    appends never recycle a deleted id — and the delta containers of every
+    old shard copy are deleted.  The grid is laid over the visible records and the shards are
     rebalanced; with one shard this is exactly a fresh bulk load of the same
     records.  Query results are identical before and after; per-query I/O
     returns to fresh-bulk-load shape.

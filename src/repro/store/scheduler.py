@@ -33,11 +33,12 @@ readahead never evicts a page (Butt, Gniady & Hu, SIGMETRICS 2005:
 prefetches that evict undo the replacement policy).
 
 Both policies share the same hard safety rules: runs never read past the last
-page (the page directory that follows the payloads is never touched) and
+page (the packed index and page directory that follow the payloads are
+never touched) and
 readahead never duplicates a cached page.
 
 :func:`read_with_retry` is the one bounded-retry loop of the metadata reads
-(manifests, container headers and directories, packed indexes), and
+(manifests, container headers and metadata tails), and
 :func:`read_file` the one charged whole-file read built on it; the serving
 read path retries whole sieves the same way in
 :meth:`~repro.store.datastore.SpatialDataStore._read_run`.
@@ -149,8 +150,7 @@ def read_with_retry(
 def read_file(fs, path: str, policy: RetryPolicy) -> Tuple[bytes, float, int]:
     """All of *path* on the filesystem *fs*, read through
     :func:`read_with_retry` under *policy* — the charged whole-file read
-    of a store's manifest and packed indexes at open and of
-    ``shards.json``.  Returns ``(data, seconds, retries)``: *seconds* is
+    of a store's manifest at open and of ``shards.json``.  Returns ``(data, seconds, retries)``: *seconds* is
     what the read cost, retry backoff plus the open and the one read the
     cost model charges."""
     with fs.open(path) as fh:

@@ -7,7 +7,8 @@ applications (§5–§6) are multi-rank.  This module closes the gap:
 * :func:`read_shards_manifest` reads a store's ``shards.json`` — every store
   has one (:func:`~repro.store.writer.bulk_load` splits the grid into
   contiguous runs of partitions balanced by record count, each shard a
-  normal ``data.bin``/``index.bin``/``manifest.json`` triple).
+  normal ``data.bin``/``manifest.json`` pair, its packed index inside the
+  container).
 * :class:`DistributedStoreServer` opens one shard (run) per ``mpisim`` rank
   and serves batch range queries and joins SPMD-style, like the paper's
   batch range query (§4.3): rank 0 sends every rank the whole batch as one

@@ -1,4 +1,4 @@
-"""Bulk loader: partition once, pack into pages, persist data + index.
+"""Bulk loader: partition once, pack into pages, persist pages + index.
 
 This is the preprocessing step §4.1 of the paper argues for ("files …
 are preprocessed and stored in binary") turned into a durable artefact: the
@@ -10,8 +10,8 @@ refined on its own; the store answers through a per-shard index and never
 does, so it keeps the one copy a reference-point test would keep).  Each
 partition's records are ordered along a space-filling curve for intra-page
 locality, packed into fixed-target-size pages, and the record MBRs are
-bulk-loaded into one STR-packed R-tree that is persisted alongside the data
-so no future open ever rebuilds it.  The grid's cells are then split into
+bulk-loaded into one STR-packed R-tree that is persisted inside the same
+container, after the pages, so no future open ever rebuilds it.  The grid's cells are then split into
 contiguous shard runs and ``shards.json`` routes between them; one shard is
 the local case.
 
@@ -19,9 +19,9 @@ The packing and writing halves are factored out so the appender/compactor in
 :mod:`repro.store.mutable` persist through the same routines:
 :func:`home_cells` is the one cell assignment of every writer,
 :func:`write_file` is the only place a store file is created and charged,
-:func:`write_generation` the only place a container and its packed index are
-assembled (base and delta alike), :func:`write_store_files` a generation
-plus its manifest — data, then index, then manifest, in that order — and
+:func:`write_generation` the only place a container — pages, then its packed
+index — is assembled (base and delta alike), :func:`write_store_files` a
+generation plus its manifest — container, then manifest, in that order — and
 ``_write_layout`` every shard of a bulk load or compaction, then
 ``shards.json``.
 """
@@ -41,7 +41,6 @@ from .format import (
     encode_page_v2,
     encode_record_body,
     pack_header,
-    pack_page_checksums,
     pack_page_directory,
     page_crc32,
 )
@@ -84,7 +83,8 @@ class BulkLoadResult:
     skipped_empty: int
     #: pages across the shard stores (read replicas not counted)
     num_pages: int = 0
-    #: bytes of every data / index file written, read replicas included
+    #: bytes of every container written, read replicas included: its
+    #: packed index region, and the rest
     data_bytes: int = 0
     index_bytes: int = 0
     #: simulated seconds charged for every file written
@@ -250,29 +250,30 @@ def write_generation(
     packed: PackedPartitions,
     page_size: int,
 ) -> Tuple[int, int, float]:
-    """Persist one generation — the page container, then its packed index
-    (an STR tree of fan-out 16) — under *paths*
+    """Persist one generation as one container file, ``paths["data"]``
     (:func:`~repro.store.manifest.store_paths` for a base,
-    :func:`~repro.store.manifest.delta_paths` for a delta).
+    :func:`~repro.store.manifest.delta_paths` for a delta): the header, the
+    pages, then the metadata tail — the packed index (an STR tree of fan-out
+    16), the page directory and the per-page CRC32 table — whose CRC32 the
+    header carries.
 
-    The container always ends with the per-page CRC32 table after the page
-    directory.  Returns ``(data_bytes, index_bytes, write_seconds)``.
+    Returns ``(data_bytes, index_bytes, write_seconds)``: *index_bytes* is
+    the container's index region, *data_bytes* the rest of it.
     """
+    index_blob = dump_index(STRtree(packed.index_entries))
+    directory = pack_page_directory(packed.page_metas)
+    index_offset = HEADER_SIZE + sum(len(p) for p in packed.payloads)
     header = pack_header(
         page_size,
         len(packed.page_metas),
         len(packed.record_ids),
-        HEADER_SIZE + sum(len(p) for p in packed.payloads),
+        index_offset + len(index_blob),
+        index_offset,
+        page_crc32(index_blob + directory),
     )
-    data = (
-        header
-        + b"".join(packed.payloads)
-        + pack_page_directory(packed.page_metas)
-        + pack_page_checksums(packed.page_metas)
-    )
-    index_blob = dump_index(STRtree(packed.index_entries))
-    seconds = write_file(fs, paths["data"], data) + write_file(fs, paths["index"], index_blob)
-    return len(data), len(index_blob), seconds
+    container = b"".join([header, *packed.payloads, index_blob, directory])
+    seconds = write_file(fs, paths["data"], container)
+    return len(container) - len(index_blob), len(index_blob), seconds
 
 
 def write_store_files(
@@ -284,9 +285,9 @@ def write_store_files(
     grid: UniformGrid,
     next_record_id: int,
 ) -> Tuple[StoreManifest, int, int, float]:
-    """Persist one shard store as the canonical three-file layout: the base
-    generation (:func:`write_generation`), then the manifest that makes it
-    visible.
+    """Persist one shard store as the canonical two-file layout: the base
+    generation's container (:func:`write_generation`), then the manifest
+    that makes it visible.
 
     *next_record_id* is the id ceiling recorded for future appends.  Returns
     ``(manifest, data_bytes, index_bytes, write_seconds)``.

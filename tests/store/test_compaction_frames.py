@@ -72,16 +72,12 @@ def _container_frames(fs, name, skip=()):
     store's directory (base ``data.bin`` and ``delta-*.bin``) not in *skip*,
     and the set of container paths read."""
     root = fs.backing_path(f"stores/{name}")
-    paths = {
-        p for p in root.rglob("*.bin") if p.name != "index.bin" and p not in skip
-    }
+    paths = {p for p in root.rglob("*.bin") if p not in skip}
     frames = {}
     for path in paths:
         blob = path.read_bytes()
         header = fmt.unpack_header(blob, file_size=len(blob))
-        tail = header.dir_offset + header.dir_nbytes
-        crcs = fmt.unpack_page_checksums(blob[tail:], header.num_pages)
-        for meta in fmt.unpack_page_directory(blob[header.dir_offset : tail], header.num_pages, crcs):
+        for meta in fmt.unpack_page_directory(blob[header.dir_offset :], header.num_pages):
             payload = blob[meta.offset : meta.offset + meta.nbytes]
             ids, offsets, *_ = fmt.decode_page_columns(payload)
             for rid, start, end in zip(ids, offsets, [*offsets[1:], len(payload)]):

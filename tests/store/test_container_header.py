@@ -1,26 +1,37 @@
 """The container header is part of the one on-disk format.
 
-Every writer produces a version-2 container whose header carries exactly the
+Every writer produces a version-3 container whose header carries exactly the
 ``FLAG_PAGE_CHECKSUMS`` bit and whose checksum table ends the file.  ``open``
 refuses anything else, so no header bit can switch off the page checksums: a
 header that still opens must serve exactly what the intact store serves.
+
+The header also carries the CRC32 of the container's metadata tail — the
+packed index, the page directory and the checksum table — which ``open``
+checks before parsing any of it, retrying a mismatch like a page checksum.
 """
 
+import random
 import struct
 
 import pytest
+from _container_bytes import TailFaults, reseal
 
 from repro.datasets import random_envelopes
+from repro.faults import FaultRule
 from repro.geometry import Envelope, Polygon, wkb
-from repro.pfs import LustreFilesystem
+from repro.pfs import LustreFilesystem, ReadRequest
 from repro.store import (
+    DEFAULT_RETRY,
     PageChecksumError,
     SpatialDataStore,
     StoreFormatError,
     bulk_load,
     store_paths,
 )
-from repro.store.format import HEADER_SIZE, decode_page_columns
+from repro.store.format import HEADER_SIZE, decode_page_columns, unpack_header
+from repro.store.index_io import _HEADER as INDEX_HEADER
+from repro.store.index_io import _ITEM as INDEX_ITEM
+from repro.store.index_io import _NODE as INDEX_NODE
 
 EXTENT = Envelope(0.0, 0.0, 100.0, 100.0)
 WINDOWS = [EXTENT, *random_envelopes(5, extent=EXTENT, max_size_fraction=0.3, seed=5)]
@@ -114,7 +125,79 @@ class TestCorruptContainerHeader:
                 continue
             assert got == want, f"header bit {bit} changed the answers"
         # every bit of the magic (8 bytes), version (2), flags (2), page
-        # count (4), record count (8) and directory offset (8) is checked;
-        # page_size (serving takes the manifest's) and the zero padding are
-        # the bits that cannot change an answer
-        assert refused == 8 * (8 + 2 + 2 + 4 + 8 + 8)
+        # count (4), record count (8), directory offset (8), index offset
+        # (8) and metadata-tail CRC (4) is checked; page_size (serving takes
+        # the manifest's) and the zero padding are the bits that cannot
+        # change an answer
+        assert refused == 8 * (8 + 2 + 2 + 4 + 8 + 8 + 8 + 4)
+
+
+def first_leaf_item(blob, header):
+    """Offset in the container *blob* of the first item of the packed
+    index's first leaf (pre-order: the root's first descendants lead to it)."""
+    pos = header.index_offset + INDEX_HEADER.size
+    while True:
+        is_leaf = INDEX_NODE.unpack_from(blob, pos)[0]
+        pos += INDEX_NODE.size
+        if is_leaf:
+            return pos
+
+
+class TestMetadataTailChecksum:
+    @pytest.fixture
+    def stored(self, fs):
+        bulk_load(fs, "tail", polygons(60, seed=7), num_partitions=4, page_size=1024)
+        path = store_paths("tail")["data"]
+        return fs, path, fs.backing_path(path).read_bytes()
+
+    def test_a_moved_index_leaf_is_refused_at_open(self, stored):
+        fs, path, intact = stored
+        header = unpack_header(intact, file_size=len(intact))
+        item = first_leaf_item(intact, header)
+        minx, miny, maxx, maxy, page_id, slot = INDEX_ITEM.unpack_from(intact, item)
+        window = Envelope(minx, miny, maxx, maxy)
+        with SpatialDataStore.open(fs, "tail") as store:
+            meta = store.pages[page_id]
+            wanted = {h.record_id for h in store.range_query(window, exact=False)}
+        record_id = decode_page_columns(intact[meta.offset : meta.offset + meta.nbytes])[0][slot]
+        assert record_id in wanted
+        moved = bytearray(intact)
+        INDEX_ITEM.pack_into(moved, item, minx + 1e6, miny, maxx + 1e6, maxy, page_id, slot)
+        fs.create_file(path, bytes(moved))
+        with pytest.raises(StoreFormatError, match=f"{path}.*CRC32 after 3 attempt"):
+            SpatialDataStore.open(fs, "tail")
+        # what the checksum stops: with the tail re-sealed the open
+        # succeeds and the window loses the moved record without a trace
+        fs.create_file(path, reseal(moved))
+        with SpatialDataStore.open(fs, "tail") as store:
+            got = {h.record_id for h in store.range_query(window, exact=False)}
+        assert got == wanted - {record_id}
+
+    def test_every_sampled_tail_bit_flip_is_refused(self, stored):
+        fs, path, intact = stored
+        header = unpack_header(intact, file_size=len(intact))
+        tail_bits = (len(intact) - header.index_offset) * 8
+        for bit in random.Random(17).sample(range(tail_bits), 96):
+            blob = bytearray(intact)
+            blob[header.index_offset + bit // 8] ^= 1 << (bit % 8)
+            fs.create_file(path, bytes(blob))
+            with pytest.raises(StoreFormatError, match="CRC32"):
+                SpatialDataStore.open(fs, "tail")
+
+    def test_one_transient_flip_costs_one_retry(self, stored):
+        fs, path, intact = stored
+        header = unpack_header(intact, file_size=len(intact))
+        with SpatialDataStore.open(fs, "tail") as clean:
+            clean_io = clean.stats.io_seconds
+            want = answers(fs, "tail")
+        faulty = TailFaults(fs, [FaultRule(path_pattern=path, bitflip_rate=1.0, max_faults=1)])
+        with SpatialDataStore.open(faulty, "tail") as store:
+            assert faulty.stats.bitflip_sites == [(path, header.index_offset)]
+            assert store.stats.retries == 1
+            reread = fs.read_time(path, [ReadRequest(0, (
+                (0, HEADER_SIZE), (header.index_offset, len(intact) - header.index_offset),
+            ))])
+            assert store.stats.io_seconds == pytest.approx(
+                clean_io + DEFAULT_RETRY.backoff(1) + reread
+            )
+        assert answers(faulty, "tail") == want

@@ -7,10 +7,17 @@ escape as raw exceptions:
 
 * userdata behind a valid page CRC that does not unpickle (the unpickler's
   own ``UnpicklingError``);
-* an ``index.bin`` whose leaf names a slot its page does not hold (the open
+* a packed index whose leaf names a slot its page does not hold (the open
   succeeded, and the query died with an ``IndexError``) — also when the
-  page directory, which no checksum covers, claims the slot too: the page's
-  first demand refuses a page short of its directory count.
+  page directory claims the slot too: the page's first demand refuses a
+  page short of its directory count.
+
+The packed index and the page directory sit in the container's metadata
+tail, which the header's CRC32 covers, so the open refuses a damaged byte
+there before parsing any of it.  These cases model bytes that were wrong
+when written (a writer bug checksums its own mistake): each edit re-seals
+the tail CRC (:func:`_container_bytes.reseal`), so the open gets past the
+CRC and the check behind it must refuse the bytes.
 
 Each is checked on a single store and through the sharded server, with the
 damaged shard served by rank 0 and by another rank.
@@ -19,6 +26,7 @@ damaged shard served by rank 0 and by another rank.
 import struct
 
 import pytest
+from _container_bytes import reseal
 
 from repro import mpisim
 from repro.geometry import Envelope, Polygon
@@ -58,15 +66,12 @@ def sharded(tmp_path):
 
 def garble_userdata(fs, store):
     """Overwrite the userdata of slot 0 of page 0 of *store* with zero bytes
-    and give the page a matching CRC: the bytes are damaged, the checksum is
-    not."""
+    and give the page (and the metadata tail) a matching CRC: the bytes are
+    damaged, the checksums are not."""
     backing = fs.backing_path(f"stores/{store}/data.bin")
     blob = bytearray(backing.read_bytes())
     header = fmt.unpack_header(bytes(blob), file_size=len(blob))
-    tail = header.dir_offset + header.dir_nbytes
-    crcs = fmt.unpack_page_checksums(bytes(blob[tail:]), header.num_pages)
-    meta = fmt.unpack_page_directory(bytes(blob[header.dir_offset:tail]), header.num_pages,
-                                     crcs)[0]
+    meta = fmt.unpack_page_directory(bytes(blob[header.dir_offset:]), header.num_pages)[0]
     payload = bytearray(blob[meta.offset:meta.offset + meta.nbytes])
     _, body_offset, *_ = fmt.slot_entry(bytes(payload), 0)
     body_len, ud_len = struct.unpack_from("<II", payload, body_offset)
@@ -74,17 +79,17 @@ def garble_userdata(fs, store):
     start = body_offset + 8 + body_len
     payload[start:start + ud_len] = bytes(ud_len)  # b"\x00" is no pickle opcode
     blob[meta.offset:meta.offset + meta.nbytes] = payload
-    entry = tail  # page 0's checksum-table entry
+    entry = header.dir_offset + header.num_pages * fmt.PAGE_DIR_ENTRY.size  # page 0's CRC
     blob[entry:entry + fmt.PAGE_CHECKSUM_ENTRY.size] = fmt.PAGE_CHECKSUM_ENTRY.pack(
         fmt.page_crc32(bytes(payload))
     )
-    backing.write_bytes(bytes(blob))
+    backing.write_bytes(reseal(blob))
 
 
 def leaf_past_its_page(fs, store):
-    """Rewrite *store*'s ``index.bin`` so its first leaf item names slot
-    ``count`` of its page — one past the page's last slot; returns
-    ``(page_id, count)``."""
+    """Rewrite the packed index in *store*'s container so its first leaf
+    item names slot ``count`` of its page — one past the page's last slot —
+    and re-seal the tail; returns ``(page_id, count)``."""
     with SpatialDataStore.open(fs, store) as intact:
         counts = [meta.count for meta in intact.pages]
         tree = intact.index
@@ -93,20 +98,26 @@ def leaf_past_its_page(fs, store):
         node = node.entries[0][4]
     x0, y0, x1, y1, (page_id, _) = node.entries[0]
     node.entries[0] = (x0, y0, x1, y1, (page_id, counts[page_id]))
-    fs.create_file(f"stores/{store}/index.bin", dump_index(tree))
+    backing = fs.backing_path(f"stores/{store}/data.bin")
+    blob = bytearray(backing.read_bytes())
+    header = fmt.unpack_header(bytes(blob), file_size=len(blob))
+    index = dump_index(tree)
+    assert len(index) == header.index_nbytes  # the same stream, one slot moved
+    blob[header.index_offset:header.dir_offset] = index
+    backing.write_bytes(reseal(blob))
     return page_id, counts[page_id]
 
 
 def overcount_page(fs, store, page_id):
     """Raise page *page_id*'s record count in *store*'s page directory by
-    one; no checksum covers the directory."""
+    one and re-seal the tail."""
     backing = fs.backing_path(f"stores/{store}/data.bin")
     blob = bytearray(backing.read_bytes())
     header = fmt.unpack_header(bytes(blob), file_size=len(blob))
     entry = header.dir_offset + page_id * fmt.PAGE_DIR_ENTRY.size
     offset, nbytes, count, *mbr = fmt.PAGE_DIR_ENTRY.unpack_from(blob, entry)
     fmt.PAGE_DIR_ENTRY.pack_into(blob, entry, offset, nbytes, count + 1, *mbr)
-    backing.write_bytes(bytes(blob))
+    backing.write_bytes(reseal(blob))
 
 
 def serve(fs, nprocs, call):

@@ -31,12 +31,10 @@ from repro.store import (
     compact_store,
 )
 from repro.store.format import (
-    MAGIC,
     encode_page_v2,
     encode_record_body,
     page_crc32,
     unpack_header,
-    unpack_page_checksums,
     unpack_page_directory,
 )
 from repro.store.page import CachedPage
@@ -154,12 +152,8 @@ def stored_records(fs):
     root = fs.backing_path("stores")
     for path in sorted(root.rglob("*.bin")):
         blob = path.read_bytes()
-        if not blob.startswith(MAGIC):  # a packed index, not a page container
-            continue
         header = unpack_header(blob, file_size=len(blob))
-        tail = header.dir_offset + header.dir_nbytes
-        crcs = unpack_page_checksums(blob[tail:], header.num_pages)
-        for meta in unpack_page_directory(blob[header.dir_offset : tail], header.num_pages, crcs):
+        for meta in unpack_page_directory(blob[header.dir_offset :], header.num_pages):
             page = CachedPage(meta.page_id, blob[meta.offset : meta.offset + meta.nbytes], meta.crc32)
             for slot in range(page.count):
                 yield path.relative_to(root).as_posix(), page, slot

@@ -346,7 +346,7 @@ class TestReplicaFailover:
 
     def _poison_store(self, fs, store_name):
         """Zero the payload bytes of a shard store's container (header and
-        directory kept, so only page fetches fail — via checksums)."""
+        metadata tail kept, so only page fetches fail — via checksums)."""
         from repro.store.format import HEADER_SIZE, unpack_header
 
         path = f"stores/{store_name}/data.bin"
@@ -356,8 +356,8 @@ class TestReplicaFailover:
         fs.create_file(
             path,
             raw[:HEADER_SIZE]
-            + b"\x00" * (header.dir_offset - HEADER_SIZE)
-            + raw[header.dir_offset:],
+            + b"\x00" * (header.index_offset - HEADER_SIZE)
+            + raw[header.index_offset:],
         )
 
     def test_manifest_records_replica_stores(self, sharded):

@@ -171,19 +171,31 @@ class TestPageCodecV2:
             decode_page_columns(b"\x01")
 
 
+def _header(**fields):
+    """A packed header: a 1-page, 1-record container with an empty index
+    and its directory at offset 64, unless *fields* say otherwise."""
+    values = dict(page_size=4096, num_pages=1, num_records=1, dir_offset=HEADER_SIZE,
+                  index_offset=HEADER_SIZE, tail_crc=0)
+    values.update(fields)
+    return pack_header(**values)
+
+
 class TestHeader:
     def test_round_trip(self):
-        raw = pack_header(page_size=4096, num_pages=12, num_records=300, dir_offset=99999)
+        raw = pack_header(page_size=4096, num_pages=12, num_records=300, dir_offset=99999,
+                          index_offset=90000, tail_crc=0xDEADBEEF)
         assert len(raw) == HEADER_SIZE
         header = unpack_header(raw)
         assert header.page_size == 4096
         assert header.num_pages == 12
         assert header.num_records == 300
         assert header.dir_offset == 99999
-        assert header.dir_nbytes == 12 * PAGE_DIR_ENTRY.size
+        assert header.index_offset == 90000
+        assert header.tail_crc == 0xDEADBEEF
+        assert header.index_nbytes == 9999
 
     def test_bad_magic(self):
-        raw = b"NOTMAGIC" + pack_header(1, 1, 1, 1)[8:]
+        raw = b"NOTMAGIC" + _header()[8:]
         with pytest.raises(StoreFormatError, match="magic"):
             unpack_header(raw)
 
@@ -191,13 +203,13 @@ class TestHeader:
         with pytest.raises(StoreFormatError, match="header"):
             unpack_header(b"\x00" * 10)
 
-    def test_header_names_version_2_and_the_checksum_table(self):
-        raw = pack_header(4096, 1, 1, HEADER_SIZE)
-        assert struct.unpack_from("<HH", raw, 8) == (VERSION, FLAG_PAGE_CHECKSUMS) == (2, 1)
+    def test_header_names_version_3_and_the_checksum_table(self):
+        raw = _header()
+        assert struct.unpack_from("<HH", raw, 8) == (VERSION, FLAG_PAGE_CHECKSUMS) == (3, 1)
 
-    @pytest.mark.parametrize("version", [0, 1, 3, 9])
+    @pytest.mark.parametrize("version", [0, 1, 2, 9])
     def test_unsupported_versions_rejected(self, version):
-        raw = bytearray(pack_header(4096, 1, 1, HEADER_SIZE))
+        raw = bytearray(_header())
         struct.pack_into("<H", raw, 8, version)  # version field sits after the magic
         with pytest.raises(StoreFormatError, match="version"):
             unpack_header(bytes(raw))
@@ -206,7 +218,7 @@ class TestHeader:
     def test_flags_other_than_the_checksum_bit_rejected(self, flags):
         # regression: a cleared flag bit used to make open skip the
         # checksum table and serve pages unchecked
-        raw = bytearray(pack_header(4096, 1, 1, HEADER_SIZE))
+        raw = bytearray(_header())
         struct.pack_into("<H", raw, 10, flags)  # flags follow the version
         with pytest.raises(StoreFormatError, match="flags"):
             unpack_header(bytes(raw))
@@ -216,16 +228,19 @@ class TestHeader:
         # struct.error at unpack_page_directory time; with the file size in
         # hand the header itself must reject it — and the checksum table
         # must end the file exactly
-        raw = pack_header(page_size=4096, num_pages=12, num_records=300, dir_offset=1000)
+        raw = _header(num_pages=12, num_records=300, dir_offset=1000, index_offset=900)
         needed = 1000 + 12 * (PAGE_DIR_ENTRY.size + PAGE_CHECKSUM_ENTRY.size)
         assert unpack_header(raw, file_size=needed).num_pages == 12
         for size in (needed - 1, needed + 1, 1000 + 12 * PAGE_DIR_ENTRY.size):
             with pytest.raises(StoreFormatError, match="directory"):
                 unpack_header(raw, file_size=size)
 
-    def test_directory_before_payload_rejected(self):
-        raw = pack_header(page_size=4096, num_pages=1, num_records=1, dir_offset=10)
-        with pytest.raises(StoreFormatError, match="directory"):
+    @pytest.mark.parametrize("index_offset, dir_offset", [(10, 10), (10, 1000), (1001, 1000)])
+    def test_index_outside_pages_and_directory_rejected(self, index_offset, dir_offset):
+        # the packed index starts after the header and no later than the
+        # directory; a directory inside the header is refused the same way
+        raw = _header(index_offset=index_offset, dir_offset=dir_offset)
+        with pytest.raises(StoreFormatError, match="index offset"):
             unpack_header(raw, file_size=10_000)
 
 
@@ -236,18 +251,19 @@ class TestPageDirectory:
             PageMeta(1, 184, 80, 2, Envelope(-5, -5, 5, 5), 7),
         ]
         raw = pack_page_directory(metas)
-        back = unpack_page_directory(raw, 2, [0xDEADBEEF, 7])
+        assert len(raw) == 2 * (PAGE_DIR_ENTRY.size + PAGE_CHECKSUM_ENTRY.size)
+        back = unpack_page_directory(raw, 2)
         assert back == metas
 
     def test_empty_mbr_round_trips(self):
         metas = [PageMeta(0, 64, 4, 0, Envelope.empty(), 0)]
-        back = unpack_page_directory(pack_page_directory(metas), 1, [0])
+        back = unpack_page_directory(pack_page_directory(metas), 1)
         assert back[0].mbr.is_empty
 
     def test_size_mismatch_raises(self):
         raw = pack_page_directory([PageMeta(0, 64, 10, 1, Envelope(0, 0, 1, 1), 0)])
         with pytest.raises(StoreFormatError, match="directory"):
-            unpack_page_directory(raw, 2, [0, 0])
+            unpack_page_directory(raw, 2)
 
     def test_non_monotonic_offsets_rejected(self):
         # the serving path's run coalescing relies on pages laid out back to
@@ -257,7 +273,7 @@ class TestPageDirectory:
             PageMeta(1, 64, 120, 3, Envelope(0, 0, 1, 1), 0),
         ])
         with pytest.raises(StoreFormatError, match="monotonic"):
-            unpack_page_directory(raw, 2, [0, 0])
+            unpack_page_directory(raw, 2)
 
     def test_overlapping_pages_rejected(self):
         raw = pack_page_directory([
@@ -265,9 +281,9 @@ class TestPageDirectory:
             PageMeta(1, 100, 80, 2, Envelope(0, 0, 1, 1), 0),
         ])
         with pytest.raises(StoreFormatError, match="monotonic"):
-            unpack_page_directory(raw, 2, [0, 0])
+            unpack_page_directory(raw, 2)
 
     def test_page_inside_header_rejected(self):
         raw = pack_page_directory([PageMeta(0, 10, 30, 1, Envelope(0, 0, 1, 1), 0)])
         with pytest.raises(StoreFormatError, match="monotonic"):
-            unpack_page_directory(raw, 1, [0])
+            unpack_page_directory(raw, 1)

@@ -23,6 +23,7 @@ from repro.store import (
     StoreFormatError,
     StoreManifest,
     bulk_load,
+    delta_paths,
     shards_path,
     store_paths,
 )
@@ -106,10 +107,12 @@ class TestManifest:
             StoreManifest.from_json("{nope")
 
     def test_store_paths_layout(self):
-        paths = store_paths("roads")
-        assert paths["data"] == "stores/roads/data.bin"
-        assert paths["index"] == "stores/roads/index.bin"
-        assert paths["manifest"] == "stores/roads/manifest.json"
+        # the packed index lives inside the data container: two files
+        assert store_paths("roads") == {
+            "data": "stores/roads/data.bin",
+            "manifest": "stores/roads/manifest.json",
+        }
+        assert delta_paths("roads", 3) == {"data": "stores/roads/delta-0003.bin"}
 
 
 def make_shards_manifest():
@@ -178,8 +181,9 @@ class TestShardsOnDisk:
                            num_partitions=4, page_size=512)
         assert fs.exists(shards_path("disk"))
         for shard in result.manifest.shards:
-            for suffix in ("data.bin", "index.bin", "manifest.json"):
+            for suffix in ("data.bin", "manifest.json"):
                 assert fs.exists(f"stores/{shard.store}/{suffix}")
+            assert not fs.exists(f"stores/{shard.store}/index.bin")
         # round-trip through the persisted document
         with fs.open(shards_path("disk")) as fh:
             raw = fh.pread(0, fh.size)

@@ -25,6 +25,7 @@ import random
 import struct
 
 import pytest
+from _container_bytes import TailFaults
 
 from repro import mpisim
 from repro.datasets import random_envelopes
@@ -54,6 +55,7 @@ from repro.store import (
     shards_path,
     store_paths,
 )
+from repro.store.format import unpack_header
 
 EXTENT = Envelope(0.0, 0.0, 100.0, 100.0)
 
@@ -397,6 +399,64 @@ class TestCompaction:
         assert compacted.total_pages == compacted.num_pages  # no deltas left
 
 
+class TestOneFilePerGeneration:
+    """Each generation is one container with its packed index inside: a
+    fresh open pays one file open and one read request per generation, a
+    store directory holds one file per generation, and every write result
+    accounts for each byte of each container it wrote."""
+
+    def test_open_pays_one_file_open_and_one_read_per_generation(self, fs, tmp_path):
+        geoms = random_geometries(80, seed=81)
+        bulk_load(fs, "one", geoms[:50], num_partitions=16, page_size=1024)
+        appender = StoreAppender(fs, "one")
+        for lo in (50, 60, 70):
+            appender.append(geoms[lo:lo + 10])
+        fresh = make_fs(tmp_path)  # a new filesystem over the same bytes
+        opened, charged = [], []
+        real_open, real_read_time = fresh.open, fresh.read_time
+        fresh.open = lambda path, *args: opened.append(path) or real_open(path, *args)
+        fresh.read_time = lambda path, requests: charged.append(path) or real_read_time(
+            path, requests
+        )
+        with SpatialDataStore.open(fresh, "one") as store:
+            assert store.num_generations == 3
+        files = [store_paths("one")["manifest"], store_paths("one")["data"],
+                 *(delta_paths("one", gen_id)["data"] for gen_id in (1, 2, 3))]
+        assert opened == files  # 1 + 4
+        assert charged == files
+
+    def test_a_store_directory_holds_one_file_per_generation(self, fs):
+        geoms = random_geometries(60, seed=82)
+        bulk_load(fs, "dir", geoms[:40], num_partitions=16, page_size=1024)
+        appender = StoreAppender(fs, "dir")
+        appender.append(geoms[40:50])
+        appender.append(geoms[50:])
+        assert sorted(store_files(fs, "dir")) == [
+            "data.bin", "delta-0001.bin", "delta-0002.bin", "manifest.json", "shards.json",
+        ]
+
+    def test_written_bytes_are_the_containers_on_disk(self, fs):
+        def containers(pattern):
+            """``(on-disk bytes, index region bytes)`` of the matching
+            containers of every shard copy."""
+            blobs = [p.read_bytes() for p in fs.backing_path("stores/acct").rglob(pattern)]
+            assert blobs
+            return (sum(map(len, blobs)),
+                    sum(unpack_header(b, file_size=len(b)).index_nbytes for b in blobs))
+
+        def accounted(result):
+            return result.data_bytes + result.index_bytes, result.index_bytes
+
+        geoms = random_geometries(90, seed=83)
+        loaded = bulk_load(fs, "acct", geoms[:60], num_partitions=16, page_size=1024,
+                           num_shards=2, read_replicas=1)
+        assert accounted(loaded) == containers("data.bin")
+        appended = StoreAppender(fs, "acct").append(geoms[60:], deletes=[4])
+        assert accounted(appended) == containers("delta-0001.bin")
+        compacted = compact_store(fs, "acct")
+        assert accounted(compacted) == containers("*.bin")
+
+
 # --------------------------------------------------------------------------- #
 # transient faults on a delta container during open
 # --------------------------------------------------------------------------- #
@@ -438,16 +498,17 @@ class TestDeltaOpenFaults:
             SpatialDataStore.open(self.faulty(fs), "dfault", retry_policy=NO_RETRY)
 
 
+#: site -> (file, filesystem wrapper whose rule faults that site's read)
 OPEN_READ_SITES = {
-    "manifest": lambda name: store_paths(name)["manifest"],
-    "base_header": lambda name: store_paths(name)["data"],
-    "base_index": lambda name: store_paths(name)["index"],
-    "delta_index": lambda name: delta_paths(name, 1)["index"],
+    "manifest": (lambda name: store_paths(name)["manifest"], FaultyFilesystem),
+    "base_header": (lambda name: store_paths(name)["data"], FaultyFilesystem),
+    "base_tail": (lambda name: store_paths(name)["data"], TailFaults),
+    "delta_tail": (lambda name: delta_paths(name, 1)["data"], TailFaults),
 }
 
 
 class TestOpenReadSites:
-    """Every other file ``open`` reads goes through the same bounded retry as
+    """Every other read ``open`` makes goes through the same bounded retry as
     the delta header above: one transient fault, raised or torn, costs one
     retry and its backoff and changes no answer; a fault that outlasts the
     policy is a :class:`StoreError` naming the file."""
@@ -460,13 +521,14 @@ class TestOpenReadSites:
         return dict(enumerate(geoms))
 
     def faulty(self, fs, site, kind="error", max_faults=None):
+        path, wrapper = OPEN_READ_SITES[site]
         rule = FaultRule(
-            path_pattern=OPEN_READ_SITES[site]("rsite"),
+            path_pattern=path("rsite"),
             read_error_rate=1.0 if kind == "error" else 0.0,
             short_read_rate=1.0 if kind == "short" else 0.0,
             max_faults=max_faults,
         )
-        return FaultyFilesystem(fs, [rule], seed=11)
+        return wrapper(fs, [rule], seed=11)
 
     @pytest.mark.parametrize("kind", ["error", "short"])
     @pytest.mark.parametrize("site", sorted(OPEN_READ_SITES))
@@ -486,7 +548,7 @@ class TestOpenReadSites:
 
     @pytest.mark.parametrize("site", sorted(OPEN_READ_SITES))
     def test_exhausted_retries_name_the_file(self, fs, appended, site):
-        path = OPEN_READ_SITES[site]("rsite")
+        path = OPEN_READ_SITES[site][0]("rsite")
         with pytest.raises(StoreError, match=f"{path}.*3 attempt"):
             SpatialDataStore.open(self.faulty(fs, site), "rsite")
 

@@ -13,6 +13,7 @@ cache slots still free after its demand pages, so readahead never evicts
 import random
 
 import pytest
+from _container_bytes import reseal
 from _page_gap_scheduler_reference import PageGapScheduler  # the retired scheduler, kept next to this file
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -636,13 +637,13 @@ def _fetch_log(store):
 def _damage(fs, path, page, payload_edit):
     """Replace page *page* of the container at *path* by ``payload_edit(payload)``
     (same length) and, when the edit returns ``(payload, True)``, rewrite its
-    CRC table entry to match; returns the undo."""
+    CRC table entry to match (and re-seal the metadata tail); returns the
+    undo."""
     backing = fs.backing_path(path)
     blob = backing.read_bytes()
     header = fmt.unpack_header(blob, file_size=len(blob))
-    tail = header.dir_offset + header.dir_nbytes
-    crcs = fmt.unpack_page_checksums(blob[tail:], header.num_pages)
-    meta = fmt.unpack_page_directory(blob[header.dir_offset:tail], header.num_pages, crcs)[page]
+    tail = header.dir_offset + header.num_pages * fmt.PAGE_DIR_ENTRY.size  # the CRC table
+    meta = fmt.unpack_page_directory(blob[header.dir_offset:], header.num_pages)[page]
     payload, recrc = payload_edit(blob[meta.offset : meta.offset + meta.nbytes])
     damaged = bytearray(blob)
     damaged[meta.offset : meta.offset + meta.nbytes] = payload
@@ -651,6 +652,7 @@ def _damage(fs, path, page, payload_edit):
         damaged[entry : entry + fmt.PAGE_CHECKSUM_ENTRY.size] = fmt.PAGE_CHECKSUM_ENTRY.pack(
             fmt.page_crc32(payload)
         )
+        damaged = reseal(damaged)
     backing.write_bytes(bytes(damaged))
     return lambda: backing.write_bytes(blob)
 

@@ -1011,8 +1011,10 @@ class TestWireSizes:
         path = f"stores/{victim.store}/data.bin"
         with fs.open(path) as fh:
             raw = fh.pread(0, fh.size)
-        dir_offset = unpack_header(raw[:HEADER_SIZE]).dir_offset
-        fs.create_file(path, raw[:HEADER_SIZE] + bytes(dir_offset - HEADER_SIZE) + raw[dir_offset:])
+        index_offset = unpack_header(raw[:HEADER_SIZE]).index_offset
+        fs.create_file(
+            path, raw[:HEADER_SIZE] + bytes(index_offset - HEADER_SIZE) + raw[index_offset:]
+        )
         batch = self.windows(40)
 
         def prog(comm):

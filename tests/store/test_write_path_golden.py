@@ -78,6 +78,21 @@ every cell the record's MBR overlaps, and the manifests lost their
   first two shards' ``delta-0001.*`` of ``sh``: none of those batches holds
   a record that spans cells.
 
+It was re-recorded when each generation became one file: the packed index
+moved into its container (version 3: header | pages | packed index | page
+directory | checksum table, the header carrying the index offset and the
+CRC32 of everything from the index to the end of the file):
+
+* what moved: every ``data.bin`` and ``delta-*.bin`` at every checkpoint,
+  each now holding its generation's index stream byte for byte as the old
+  ``index.bin`` / ``delta-*.idx`` did; those index files are gone; every
+  charge that writes a generation, each down by exactly one file open and
+  one write request per container written (2.45 ms on this cost model,
+  six times that on the three-shard store with its replicas) — the bytes
+  written are the same;
+* what did not move: every ``manifest.json`` and ``shards.json`` hash, and
+  the ``append_tombstones_only`` charge (it writes no container).
+
 The constants of the charges from before ``shards.json`` existed went with
 that change: the retired writer can still be swapped in
 (``_replicating_writer_reference.py``), but the manifests it writes carry
@@ -108,7 +123,6 @@ from repro.store.format import (
     HEADER_SIZE,
     decode_page_columns,
     unpack_header,
-    unpack_page_checksums,
     unpack_page_directory,
 )
 
@@ -229,15 +243,19 @@ def test_the_scenario_reaches_every_writer_shape(scenario):
     snaps, _ = scenario
     appended = snaps["appended"]
     # three delta generations with pages on "crc" (the fourth is
-    # tombstone-only and writes no delta file), one on "empty", and delta
-    # files on primaries and replicas of the sharded store
+    # tombstone-only and writes no delta container), one on "empty", and
+    # delta containers on primaries and replicas of the sharded store
     assert [p for p in appended if p.startswith("crc/delta-")] == [
-        f"crc/delta-{g:04d}.{ext}" for g in (1, 2, 3) for ext in ("bin", "idx")
+        f"crc/delta-{g:04d}.bin" for g in (1, 2, 3)
     ]
     assert "empty/delta-0001.bin" in appended
     assert any("-replica-00/delta-0001.bin" in p for p in appended)
     assert not [p for p in snaps["compacted"] if "/delta-" in p]
-    assert len(snaps["loaded"]["empty/data.bin"]) == HEADER_SIZE
+    # an empty store's container is its header and an empty index
+    empty = snaps["loaded"]["empty/data.bin"]
+    header = unpack_header(empty, file_size=len(empty))
+    assert header.num_pages == 0 and header.index_offset == HEADER_SIZE
+    assert len(empty) == header.dir_offset
 
 
 def test_write_seconds_are_bit_identical(outcome, golden):
@@ -245,17 +263,18 @@ def test_write_seconds_are_bit_identical(outcome, golden):
 
 
 #: one-shard charge -> (the checkpoint after it, its store, the generation
-#: files it writes); each also rewrites the store's manifest and shards.json
+#: container it writes); each also rewrites the store's manifest and
+#: shards.json
 FILES_WRITTEN = {
-    "bulk_load": ("loaded", "crc", ["data.bin", "index.bin"]),
-    "bulk_load_empty": ("loaded", "empty", ["data.bin", "index.bin"]),
-    "append_plain": ("appended", "crc", ["delta-0001.bin", "delta-0001.idx"]),
-    "append_deletes": ("appended", "crc", ["delta-0002.bin", "delta-0002.idx"]),
-    "append_updates": ("appended", "crc", ["delta-0003.bin", "delta-0003.idx"]),
+    "bulk_load": ("loaded", "crc", ["data.bin"]),
+    "bulk_load_empty": ("loaded", "empty", ["data.bin"]),
+    "append_plain": ("appended", "crc", ["delta-0001.bin"]),
+    "append_deletes": ("appended", "crc", ["delta-0002.bin"]),
+    "append_updates": ("appended", "crc", ["delta-0003.bin"]),
     "append_tombstones_only": ("appended", "crc", []),
-    "append_to_empty": ("appended", "empty", ["delta-0001.bin", "delta-0001.idx"]),
-    "compact": ("compacted", "crc", ["data.bin", "index.bin"]),
-    "compact_was_empty": ("compacted", "empty", ["data.bin", "index.bin"]),
+    "append_to_empty": ("appended", "empty", ["delta-0001.bin"]),
+    "compact": ("compacted", "crc", ["data.bin"]),
+    "compact_was_empty": ("compacted", "empty", ["data.bin"]),
 }
 
 
@@ -297,14 +316,12 @@ def test_replica_files_equal_primary_files(scenario, checkpoint):
 @pytest.mark.parametrize("checkpoint", CHECKPOINTS)
 def test_header_counts_distinct_record_ids(scenario, checkpoint):
     for path, blob in scenario[0][checkpoint].items():
-        if not path.endswith(".bin") or path.endswith("index.bin"):
+        if not path.endswith(".bin"):
             continue
         header = unpack_header(blob, file_size=len(blob))
-        tail = header.dir_offset + header.dir_nbytes
-        crcs = unpack_page_checksums(blob[tail:], header.num_pages)
         ids = {
             record_id
-            for meta in unpack_page_directory(blob[header.dir_offset : tail], header.num_pages, crcs)
+            for meta in unpack_page_directory(blob[header.dir_offset :], header.num_pages)
             for record_id in decode_page_columns(
                 blob[meta.offset : meta.offset + meta.nbytes]
             )[0]

@@ -156,16 +156,30 @@ class TestCorruptShardServing:
         assert excinfo.value.store == victim.store
 
     def test_truncated_shard_index_names_the_shard(self, sharded):
+        # the container loses the second half of its packed index; the
+        # header names the cut index and carries the cut tail's CRC, so the
+        # open reaches the index stream itself and refuses it
+        from repro.store import StoreFormatError
+        from repro.store import format as fmt
+
         fs, result = sharded
         victim = result.manifest.shards[2]
-        path = f"stores/{victim.store}/index.bin"
+        path = f"stores/{victim.store}/data.bin"
         with fs.open(path) as fh:
             raw = fh.pread(0, fh.size)
-        fs.create_file(path, raw[: max(1, len(raw) // 2)])
+        header = fmt.unpack_header(raw, file_size=len(raw))
+        cut = header.index_offset + max(1, header.index_nbytes // 2)
+        tail = raw[header.index_offset:cut] + raw[header.dir_offset:]
+        fs.create_file(path, fmt.pack_header(
+            header.page_size, header.num_pages, header.num_records, cut,
+            header.index_offset, fmt.page_crc32(tail),
+        ) + raw[fmt.HEADER_SIZE:header.index_offset] + tail)
 
         with pytest.raises(StoreError, match=r"shard 2") as excinfo:
             self._serve(fs)
         assert victim.store in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, StoreFormatError)
+        assert "index" in str(excinfo.value.__cause__)
 
     def test_truncated_shard_data_pages_fail_cleanly_mid_query(self, sharded):
         fs, result = sharded
@@ -175,16 +189,16 @@ class TestCorruptShardServing:
         path = f"stores/{victim.store}/data.bin"
         with fs.open(path) as fh:
             raw = fh.pread(0, fh.size)
-        # keep header + page directory (at the tail we must preserve the
-        # directory offset region read at open, so rebuild: header + zeroed
-        # payload + directory) — zero the payload bytes instead of cutting
+        # keep the header and the metadata tail the open reads (packed
+        # index, page directory, checksum table): rebuild as header + zeroed
+        # payload + tail — zero the payload bytes instead of cutting
         from repro.store.format import HEADER_SIZE, unpack_header
 
         header = unpack_header(raw[:HEADER_SIZE])
         corrupted = (
             raw[:HEADER_SIZE]
-            + b"\x00" * (header.dir_offset - HEADER_SIZE)
-            + raw[header.dir_offset:]
+            + b"\x00" * (header.index_offset - HEADER_SIZE)
+            + raw[header.index_offset:]
         )
         fs.create_file(path, corrupted)
 
